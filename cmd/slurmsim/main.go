@@ -340,25 +340,8 @@ type schedArgs struct {
 	nodeFaults     string
 	mtbf, mttr     float64
 	requeue        int
-	check          bool
+	check, stream  bool
 	obs            obsArgs
-}
-
-// spillInto copies the spillover knobs onto a scenario.
-func (a schedArgs) spillInto(sc *cluster.Scenario) {
-	sc.Spill = a.spill
-	sc.SpillAfter = a.spillAfter
-	sc.SpillDepth = a.spillDepth
-}
-
-// faultsInto copies the node fault-injection knobs onto a scenario.
-// The seeded fault stream uses the trace seed, like the sweep engine.
-func (a schedArgs) faultsInto(sc *cluster.Scenario) {
-	sc.NodeFaults = a.nodeFaults
-	sc.MTBF = a.mtbf
-	sc.MTTR = a.mttr
-	sc.MaxRequeues = a.requeue
-	sc.FaultSeed = a.seed
 }
 
 func run(a runArgs) error {
@@ -377,7 +360,7 @@ func run(a runArgs) error {
 			cancel: a.cancelRate, fail: a.failRate, check: a.check,
 			spill: a.spill, spillAfter: a.spillAfter, spillDepth: a.spillDepth,
 			nodeFaults: a.nodeFaults, mtbf: a.mtbf, mttr: a.mttr, requeue: a.requeue,
-			obs: a.obs,
+			stream: a.stream, obs: a.obs,
 		}
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
@@ -395,9 +378,6 @@ func run(a runArgs) error {
 				return err
 			}
 			sa.cluster = cs
-		}
-		if a.stream {
-			return runSchedStream(sa)
 		}
 		return runSched(sa)
 	}
@@ -492,94 +472,42 @@ func printPartitions(res cluster.Result, multi bool) {
 	}
 }
 
-// runSchedStream replays an SWF workload through the bounded-memory
-// streaming path: the trace is never materialized and job records are
-// folded into aggregates as they complete, so million-job traces
-// replay in memory proportional to the scheduler backlog.
-func runSchedStream(a schedArgs) error {
-	policies, err := parseSchedPolicies(a.names)
-	if err != nil {
-		return err
-	}
-	if len(a.cluster.Partitions) == 0 && a.nodes <= 0 {
-		// The streaming scenario is built here (not by SWFScenario, which
-		// carries the mapper's cluster): normalize to the mapper's 4-node
-		// default so the cluster and the trace mapping always agree.
-		a.nodes = 4
-	}
-	if a.swfPath != "" {
-		// a.jobs stays 0 unless the user set -jobs: a file trace replays
-		// whole by default, exactly like the materialized path.
-		fmt.Printf("=== SWF stream replay: %s on %s ===\n", a.swfPath, a.shapeLabel())
-	} else {
-		if a.jobs <= 0 {
-			a.jobs = 1000
-		}
-		fmt.Printf("=== SWF stream replay: synthetic seed=%d jobs=%d on %s ===\n", a.seed, a.jobs, a.shapeLabel())
-	}
-	base := cluster.Scenario{Nodes: a.nodes, Cluster: a.cluster, DebugInvariants: a.check}
-	a.spillInto(&base)
-	a.faultsInto(&base)
-	if err := a.obs.checkSingle(policies); err != nil {
-		return err
-	}
-	multi := len(a.cluster.Partitions) > 1
-	for _, ps := range policies {
-		or, err := a.obs.start()
-		if err != nil {
-			return err
-		}
-		base.Probe = or.probe
-		var src cluster.SubmissionSource
-		if a.swfPath != "" {
-			f, err := os.Open(a.swfPath)
-			if err != nil {
-				or.close()
-				return err
-			}
-			// The source's parser goroutine closes f when it exits.
-			src = cluster.NewSWFReaderSource(f, cluster.SWFOptions{
-				Nodes: a.nodes, Cluster: a.cluster, MaxJobs: a.jobs,
-			})
-		} else {
-			src = cluster.SyntheticSWF{
-				Seed: a.seed, Jobs: a.jobs, Nodes: a.nodes, MeanInterarrival: a.interarrival,
-				Cluster: a.cluster, CancelRate: a.cancel, FailRate: a.fail,
-			}.Source()
-		}
-		start := time.Now()
-		res := cluster.RunSchedStreamSet(base, src, ps)
-		wall := time.Since(start)
-		if res.Err != nil {
-			or.close()
-			return fmt.Errorf("%s: %w", ps, res.Err)
-		}
-		skipped := ""
-		if d := res.Records.Dropped; d.Total() > 0 {
-			skipped = fmt.Sprintf(", trace: %s", d)
-		}
-		fmt.Printf("sched=%-17s %s [%d cycles, %d events, %.2fs wall%s]\n",
-			ps, cluster.SchedStatsOfStream(res), res.SchedCycles, res.Events, wall.Seconds(), skipped)
-		printPartitions(res, multi)
-		if err := or.finish(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runSched replays an SWF workload — a trace file or the seeded
 // synthetic generator — under the requested scheduling policies and
 // prints the scheduler-quality metrics of each. Zero-valued
 // parameters mean "unset": the defaults of the trace mapping apply
-// (4 nodes, 1000 synthetic jobs, contended inter-arrival).
+// (4 nodes, 1000 synthetic jobs, contended inter-arrival). With
+// a.stream the trace is never materialized: each policy pulls a fresh
+// lazy source and job records are folded into aggregates as they
+// complete, so million-job traces replay in memory proportional to the
+// scheduler backlog.
 func runSched(a schedArgs) error {
 	policies, err := parseSchedPolicies(a.names)
 	if err != nil {
 		return err
 	}
-	var sc cluster.Scenario
+	if a.swfPath == "" && a.jobs <= 0 {
+		a.jobs = 1000
+	}
+	// a.jobs stays 0 for a file trace unless the user set -jobs: it
+	// replays whole by default.
+	opts := cluster.SWFOptions{Nodes: a.nodes, Cluster: a.cluster, MaxJobs: a.jobs}
+	gen := cluster.SyntheticSWF{
+		Seed: a.seed, Jobs: a.jobs, Nodes: a.nodes, MeanInterarrival: a.interarrival,
+		Cluster: a.cluster, CancelRate: a.cancel, FailRate: a.fail,
+	}
+	mode, what := "SWF replay", fmt.Sprintf("synthetic seed=%d jobs=%d", a.seed, a.jobs)
 	if a.swfPath != "" {
+		what = a.swfPath
+	}
+	// The scenario carries the cluster shape and, unless streaming, the
+	// materialized submissions (a lazy source supplies its own layout
+	// when the shape is left to the mapping's defaults).
+	sc := cluster.Scenario{Nodes: a.nodes, Cluster: a.cluster}
+	switch {
+	case a.stream:
+		mode = "SWF stream replay"
+	case a.swfPath != "":
 		f, err := os.Open(a.swfPath)
 		if err != nil {
 			return err
@@ -590,32 +518,37 @@ func runSched(a schedArgs) error {
 			return err
 		}
 		var skipped int
-		sc, skipped, err = cluster.SWFScenario(records, cluster.SWFOptions{
-			Nodes: a.nodes, Cluster: a.cluster, MaxJobs: a.jobs,
-		})
-		if err != nil {
+		if sc, skipped, err = cluster.SWFScenario(records, opts); err != nil {
 			return err
 		}
-		fmt.Printf("=== SWF replay: %s (%d of %d jobs, %d skipped) on %s ===\n",
-			a.swfPath, len(sc.Subs), len(records), skipped, a.shapeLabel())
-	} else {
-		if a.jobs <= 0 {
-			a.jobs = 1000
-		}
-		sc, err = cluster.SyntheticSWFScenario(cluster.SyntheticSWF{
-			Seed: a.seed, Jobs: a.jobs, Nodes: a.nodes, MeanInterarrival: a.interarrival,
-			Cluster: a.cluster, CancelRate: a.cancel, FailRate: a.fail,
-		})
-		if err != nil {
+		what = fmt.Sprintf("%s (%d of %d jobs, %d skipped)", a.swfPath, len(sc.Subs), len(records), skipped)
+	default:
+		if sc, err = cluster.SyntheticSWFScenario(gen); err != nil {
 			return err
 		}
-		fmt.Printf("=== SWF replay: synthetic seed=%d jobs=%d on %s ===\n", a.seed, a.jobs, a.shapeLabel())
 	}
+	fmt.Printf("=== %s: %s on %s ===\n", mode, what, a.shapeLabel())
 	sc.DebugInvariants = a.check
-	a.spillInto(&sc)
-	a.faultsInto(&sc)
+	sc.Spill, sc.SpillAfter, sc.SpillDepth = a.spill, a.spillAfter, a.spillDepth
+	// The seeded fault stream uses the trace seed, like the sweep engine.
+	sc.NodeFaults, sc.MTBF, sc.MTTR = a.nodeFaults, a.mtbf, a.mttr
+	sc.MaxRequeues, sc.FaultSeed = a.requeue, a.seed
 	if err := a.obs.checkSingle(policies); err != nil {
 		return err
+	}
+	replay := func(ps cluster.SchedPolicySet) (cluster.Result, error) {
+		switch {
+		case !a.stream:
+			return cluster.RunSchedSet(sc, ps), nil
+		case a.swfPath == "":
+			return cluster.RunSchedStreamSet(sc, gen.Source(), ps), nil
+		}
+		f, err := os.Open(a.swfPath)
+		if err != nil {
+			return cluster.Result{}, err
+		}
+		// The replay closes the source, whose parser goroutine closes f.
+		return cluster.RunSchedStreamSet(sc, cluster.NewSWFReaderSource(f, opts), ps), nil
 	}
 	multi := len(a.cluster.Partitions) > 1
 	for _, ps := range policies {
@@ -625,8 +558,12 @@ func runSched(a schedArgs) error {
 		}
 		sc.Probe = or.probe
 		start := time.Now()
-		res := cluster.RunSchedSet(sc, ps)
+		res, err := replay(ps)
 		wall := time.Since(start)
+		if err != nil {
+			or.close()
+			return err
+		}
 		if res.Err != nil {
 			or.close()
 			return fmt.Errorf("%s: %w", ps, res.Err)
@@ -635,6 +572,8 @@ func runSched(a schedArgs) error {
 		if d := res.Records.Dropped; d.Total() > 0 {
 			dropped = fmt.Sprintf(", trace: %s", d)
 		}
+		// A streamed result is aggregated: its stats are the mean/max
+		// subset, with no per-job widths behind the demand figure.
 		fmt.Printf("sched=%-17s %s [%d cycles, %d events, %.2fs wall%s]\n",
 			ps, cluster.SchedStatsOf(sc, res), res.SchedCycles, res.Events, wall.Seconds(), dropped)
 		printPartitions(res, multi)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/cluster"
+	"repro/internal/workload"
 )
 
 func TestBuildScenario(t *testing.T) {
@@ -90,6 +91,26 @@ func TestRunSchedSmoke(t *testing.T) {
 	if err := runSched(schedArgs{names: "fcfs", swfPath: "/nonexistent.swf", seed: 1, nodes: 2}); err == nil {
 		t.Fatal("missing trace file should fail")
 	}
+	// -stream is the same per-policy loop over lazy sources: the
+	// generator, and a trace file read once per policy.
+	if err := runSched(schedArgs{
+		names: "easy,malleable", seed: 1, jobs: 40, interarrival: 30, nodes: 2, check: true, stream: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	swf := t.TempDir() + "/t.swf"
+	trace := workload.FormatSWF(workload.SyntheticSWF{Seed: 1, Jobs: 40, Nodes: 2}.Generate())
+	if err := os.WriteFile(swf, []byte(trace), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, stream := range []bool{false, true} {
+		if err := runSched(schedArgs{names: "fcfs,easy", swfPath: swf, nodes: 2, stream: stream}); err != nil {
+			t.Fatalf("stream=%v: %v", stream, err)
+		}
+	}
+	if err := runSched(schedArgs{names: "fcfs", swfPath: "/nonexistent.swf", nodes: 2, stream: true}); err == nil {
+		t.Fatal("missing trace file should fail when streamed too")
+	}
 }
 
 func TestRunSchedHeteroFaultSmoke(t *testing.T) {
@@ -103,8 +124,9 @@ func TestRunSchedHeteroFaultSmoke(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSchedStream(schedArgs{
-		names: "fcfs", seed: 2, jobs: 60, interarrival: 20,
+	if err := runSched(schedArgs{
+		stream: true,
+		names:  "fcfs", seed: 2, jobs: 60, interarrival: 20,
 		cluster: cs, cancel: 0.1, fail: 0.1,
 	}); err != nil {
 		t.Fatal(err)
@@ -161,8 +183,9 @@ func TestRunSchedSpilloverSmoke(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSchedStream(schedArgs{
-		names: "easy", seed: 1, jobs: 120, interarrival: 20,
+	if err := runSched(schedArgs{
+		stream: true,
+		names:  "easy", seed: 1, jobs: 120, interarrival: 20,
 		cluster: cs, spill: true, spillAfter: 30, spillDepth: 2,
 	}); err != nil {
 		t.Fatal(err)

@@ -166,36 +166,17 @@ func (e *Engine) At(t float64, fn func()) EventID {
 // AtFront schedules fn at absolute time t in the front band: among
 // events with the same time, front-band events execute before every
 // regular event regardless of scheduling order, and FIFO among
-// themselves. Workload drivers use it to stream job submissions one
-// event ahead while keeping the execution order identical to
-// scheduling every submission up front (submissions were scheduled
-// before the simulation started, so their IDs preceded all regular
-// events).
+// themselves. It is the replay driver's band (workload.Session): job
+// submissions are streamed one pending event at a time, and
+// "submissions first on a same-instant tie" is the single ordering
+// rule — exactly the order scheduling every submission before the
+// simulation started would give.
 func (e *Engine) AtFront(t float64, fn func()) EventID {
 	e.checkTime(t)
 	e.nextFront++
 	id := e.nextFront
 	e.push(event{t: t, id: id, fn: fn})
 	return EventID(id)
-}
-
-// AllocID reserves a regular-band event ID without scheduling
-// anything. AtID later schedules an event under it. Together they let
-// a driver pre-allocate the IDs of a whole submission stream at setup
-// time — fixing each submission's position in the deterministic
-// (time, ID) execution order — while pushing the events one at a time,
-// so the queue never holds more than one pending submission. Each
-// reserved ID must be scheduled at most once.
-func (e *Engine) AllocID() EventID {
-	e.nextID++
-	return EventID(e.nextID)
-}
-
-// AtID schedules fn at absolute time t under a pre-allocated ID (see
-// AllocID). Scheduling in the past panics.
-func (e *Engine) AtID(id EventID, t float64, fn func()) {
-	e.checkTime(t)
-	e.push(event{t: t, id: int64(id), fn: fn})
 }
 
 // After schedules fn delay seconds from now. Negative delays panic.

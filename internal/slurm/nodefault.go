@@ -176,13 +176,12 @@ func (ctl *Controller) InstallFaults(fp FaultPlan) error {
 	}
 	ctl.nfWins = wins
 	if len(wins) > 0 {
-		// Schedule the windows from a t=0 event rather than here: the
-		// materialized replay pre-allocates its submission event IDs
-		// after installation, and a window event with an install-time ID
-		// would fire BEFORE a same-instant submission there while the
-		// streaming replay (AtFront submissions) fires it after. Deferred
-		// IDs are allocated during the run, past every pre-allocated
-		// submission, so both paths agree: submissions first on a tie.
+		// Arm the windows from a t=0 event rather than here, so their IDs
+		// are allocated during the run like those of every other regular
+		// event they can tie with. Against submissions there is one rule
+		// and it needs no help from IDs: the replay driver submits in the
+		// engine's front band, so a submission runs before a same-instant
+		// window whichever was scheduled first.
 		ctl.trackAt(0, pendEv{kind: evFaultScript}, ctl.scheduleFaultWindows)
 	}
 	return nil

@@ -254,41 +254,3 @@ func TestHeteroPartitionRouting(t *testing.T) {
 		t.Fatalf("partition split %d+%d != %d jobs", stats[0].Jobs, stats[1].Jobs, res.Records.Count())
 	}
 }
-
-// TestStreamMatchesMaterializedWithFaults: the streaming replay of a
-// heterogeneous fault-annotated trace reaches the same aggregate
-// outcomes as materializing it.
-func TestStreamMatchesMaterializedWithFaults(t *testing.T) {
-	gen := SyntheticSWF{
-		Seed: 4, Jobs: 250, MeanInterarrival: 25,
-		Cluster:    hwmodel.HeteroMN3(),
-		CancelRate: 0.08, FailRate: 0.08,
-	}
-	sc, err := SyntheticSWFScenario(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range sched.Names() {
-		pm, _ := sched.New(name)
-		mat := RunSched(sc, pm)
-		if mat.Err != nil {
-			t.Fatalf("%s materialized: %v", name, mat.Err)
-		}
-		ps, _ := sched.New(name)
-		str := RunSchedStream(Scenario{Cluster: gen.Cluster}, gen.Source(), ps)
-		if str.Err != nil {
-			t.Fatalf("%s streamed: %v", name, str.Err)
-		}
-		ms := SchedStatsOf(sc, mat)
-		ss := SchedStatsOfStream(str)
-		if ms.Jobs != ss.Jobs || ms.Failed != ss.Failed || ms.Cancelled != ss.Cancelled {
-			t.Fatalf("%s: jobs/failed/cancelled diverge: materialized %+v, streamed %+v", name, ms, ss)
-		}
-		if ms.Makespan != ss.Makespan || ms.MeanWait != ss.MeanWait || ms.MeanResponse != ss.MeanResponse {
-			t.Fatalf("%s: aggregates diverge:\n  materialized %v\n  streamed     %v", name, ms, ss)
-		}
-		if mat.SchedCycles != str.SchedCycles {
-			t.Fatalf("%s: cycles diverge: %d vs %d", name, mat.SchedCycles, str.SchedCycles)
-		}
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/hwmodel"
 	"repro/internal/sched"
 )
 
@@ -104,54 +103,4 @@ func TestSchedReplayNodeFaultGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("node-fault listing length changed: got %d lines, want %d", len(gl), len(wl))
-}
-
-// TestNodeFaultStreamMatchesMaterialized: the streaming path installs
-// the same fault plan as the materialized path and must reach the same
-// outcomes, requeue tallies and aggregates.
-func TestNodeFaultStreamMatchesMaterialized(t *testing.T) {
-	gen := SyntheticSWF{
-		Seed: 2, Jobs: 300, MeanInterarrival: 20,
-		Cluster: hwmodel.HeteroMN3(), CancelRate: 0.05, FailRate: 0.05,
-	}
-	base := Scenario{
-		Cluster:    gen.Cluster,
-		NodeFaults: "node1:down@1500..2200+node5:down@2500..4000",
-		MTBF:       4000, MTTR: 700, MaxRequeues: 1, FaultSeed: 2,
-	}
-	for _, name := range sched.Names() {
-		pm, _ := sched.New(name)
-		sc, err := SyntheticSWFScenario(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.NodeFaults, sc.MTBF, sc.MTTR = base.NodeFaults, base.MTBF, base.MTTR
-		sc.MaxRequeues, sc.FaultSeed = base.MaxRequeues, base.FaultSeed
-		mat := RunSched(sc, pm)
-		if mat.Err != nil {
-			t.Fatalf("%s materialized: %v", name, mat.Err)
-		}
-		ps, _ := sched.New(name)
-		str := RunSchedStream(base, gen.Source(), ps)
-		if str.Err != nil {
-			t.Fatalf("%s streamed: %v", name, str.Err)
-		}
-		if mat.Records.Requeues() == 0 {
-			t.Fatalf("%s: no requeues on the faulted trace; the parity check is vacuous", name)
-		}
-		if m, s := mat.Records.Requeues(), str.Records.Requeues(); m != s {
-			t.Errorf("%s: requeues diverge: materialized %d, streamed %d", name, m, s)
-		}
-		if m, s := mat.Records.NodeFailed(), str.Records.NodeFailed(); m != s {
-			t.Errorf("%s: node-failed diverge: materialized %d, streamed %d", name, m, s)
-		}
-		if m, s := mat.Records.DownNodeSeconds(), str.Records.DownNodeSeconds(); m != s {
-			t.Errorf("%s: down node-seconds diverge: materialized %g, streamed %g", name, m, s)
-		}
-		ms := SchedStatsOf(sc, mat)
-		ss := SchedStatsOfStream(str)
-		if ms.Makespan != ss.Makespan || ms.MeanWait != ss.MeanWait || ms.MeanResponse != ss.MeanResponse {
-			t.Errorf("%s: aggregates diverge:\n  materialized %v\n  streamed     %v", name, ms, ss)
-		}
-	}
 }

@@ -142,30 +142,51 @@ func TestExplainGoldenJobStory(t *testing.T) {
 }
 
 // TestDisabledProbeReplayAllocs pins the steady-state allocation cost
-// of a replay with NO probe installed: the observability layer's
-// disabled path must stay one nil check, not allocations. The bound is
-// loose enough for cross-machine noise but far below what building
-// obs.Events on the hot path would cost (each emission site would add
-// several allocs/cycle if unguarded).
+// of a replay with NO probe installed, for both kinds of source the one
+// driver takes. Per cycle: the observability layer's disabled path
+// must stay one nil check, not allocations — the bound is loose enough
+// for cross-machine noise but far below what building obs.Events on
+// the hot path would cost (each emission site would add several
+// allocs/cycle if unguarded). Per submission: the whole replay's count
+// over the trace length, held within one allocation of its level, so
+// a closure, method value or boxed record per submission in the
+// driver's pump shows (the lazy row also pays the generator and the
+// trace mapping; its records are folded, not kept).
 func TestDisabledProbeReplayAllocs(t *testing.T) {
-	sc, err := SyntheticSWFScenario(SyntheticSWF{Seed: 1, Jobs: 3000, Nodes: 4})
+	gen := SyntheticSWF{Seed: 1, Jobs: 3000, Nodes: 4}
+	sc, err := SyntheticSWFScenario(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := sched.New("fcfs")
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name      string
+		run       func(p sched.Policy) Result
+		maxPerSub float64
+	}{
+		{"slice", func(p sched.Policy) Result { return RunSched(sc, p) }, 26.5}, // level 25.9
+		{"lazy", func(p sched.Policy) Result {
+			return RunSchedStream(Scenario{Nodes: gen.Nodes}, gen.Source(), p)
+		}, 28.5}, // level 27.8
 	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	res := RunSched(sc, p)
-	runtime.ReadMemStats(&m1)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	perCycle := float64(m1.Mallocs-m0.Mallocs) / float64(res.SchedCycles)
-	if perCycle > 30 {
-		t.Fatalf("disabled-probe replay allocates %.1f/cycle, want <= 30 (seed level ~13)", perCycle)
+	for _, row := range rows {
+		p, err := sched.New("fcfs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res := row.run(p)
+		runtime.ReadMemStats(&m1)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		mallocs := float64(m1.Mallocs - m0.Mallocs)
+		if perCycle := mallocs / float64(res.SchedCycles); perCycle > 30 {
+			t.Errorf("%s: disabled-probe replay allocates %.1f/cycle, want <= 30 (seed level ~13)", row.name, perCycle)
+		}
+		if perSub := mallocs / float64(gen.Jobs); perSub > row.maxPerSub {
+			t.Errorf("%s: replay allocates %.2f/submission, want <= %.1f", row.name, perSub, row.maxPerSub)
+		}
 	}
 }

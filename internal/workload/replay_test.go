@@ -245,46 +245,6 @@ func TestSchedReplaySpilloverGolden(t *testing.T) {
 	t.Fatalf("spillover listing length changed: got %d lines, want %d", len(gl), len(wl))
 }
 
-// TestSpillStreamMatchesMaterialized: the streaming path must make
-// the same spillover decisions as the materialized path.
-func TestSpillStreamMatchesMaterialized(t *testing.T) {
-	gen := SyntheticSWF{
-		Seed: 2, Jobs: 300, MeanInterarrival: 20,
-		Cluster: hwmodel.HeteroMN3(), CancelRate: 0.05, FailRate: 0.05,
-	}
-	ps, err := sched.ParsePolicySet("batch=easy,fat=malleable-shrink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := SyntheticSWFScenario(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Spill = true
-	mat := RunSchedSet(sc, ps)
-	if mat.Err != nil {
-		t.Fatal(mat.Err)
-	}
-	str := RunSchedStreamSet(Scenario{Cluster: gen.Cluster, Spill: true}, gen.Source(), ps)
-	if str.Err != nil {
-		t.Fatal(str.Err)
-	}
-	if mat.Records.Spilled() == 0 {
-		t.Fatal("no spills on the contended trace; the parity check is vacuous")
-	}
-	if m, s := mat.Records.Spilled(), str.Records.Spilled(); m != s {
-		t.Errorf("spilled: materialized %d, streamed %d", m, s)
-	}
-	if m, s := mat.SchedCycles, str.SchedCycles; m != s {
-		t.Errorf("cycles: materialized %d, streamed %d", m, s)
-	}
-	ms := SchedStatsOf(sc, mat)
-	ss := SchedStatsOfStream(str)
-	if ms.Makespan != ss.Makespan || ms.MeanWait != ss.MeanWait || ms.MeanResponse != ss.MeanResponse {
-		t.Errorf("stats diverge:\n  materialized %v\n  streamed     %v", ms, ss)
-	}
-}
-
 // TestSpilloverPropertyAllJobsComplete fuzzes seeded contended
 // 2-partition traces through every policy with spillover and the
 // controller's invariant checks on: every submission must complete

@@ -1,24 +1,28 @@
 package workload
 
-// Session is the fork-capable scenario driver: the same submission
-// stream, cancel timers and controller wiring as the one-shot run(),
-// but held open so the caller can advance virtual time incrementally
-// (RunUntil), fork the whole simulation state at any instant, and
-// keep both lineages running independently with byte-identical
-// decisions. The schedd what-if service and the fork/replay test
-// suites are its consumers.
+// Session is the one replay driver: every entry point of the package
+// (Run, RunSched*, RunSchedStream*, New*Session) opens one over a
+// SubmissionSource and either drains it (Run) or holds it open so the
+// caller can advance virtual time incrementally (RunUntil), fork the
+// whole simulation state at any instant, and keep both lineages
+// running independently with byte-identical decisions. The schedd
+// what-if service and the fork/replay test suites are consumers of the
+// open form.
 //
-// The driver mirrors run() exactly — At==0 submissions synchronous at
-// construction, one pre-allocated event ID per later submission in
-// Subs index order, the stream stable-sorted by submit time, and one
-// pending submission event at a time — so a Session replay's decision
-// trace is identical to Run/RunSched on the same scenario.
+// Submissions execute in the engine's front band — on a same-instant
+// tie a submission runs before every regular event — and the engine
+// never holds more than one of them: records due now are delivered
+// inline, the next later one is the single pending submission event.
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 
+	"repro/internal/hwmodel"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/shmem"
@@ -27,12 +31,37 @@ import (
 	"repro/internal/trace"
 )
 
-// sessSub is one not-yet-submitted stream entry: the Subs index and
-// the submission event's pre-allocated ID.
-type sessSub struct {
-	idx int
-	id  sim.EventID
+// sliceSource serves a materialized []Submission in stable submit-time
+// order (ties keep slice order). It is the one forkable source: subs
+// and order are immutable and shared, the cursor is copied.
+type sliceSource struct {
+	subs   []Submission
+	order  []int
+	cursor int
 }
+
+func newSliceSource(subs []Submission) *sliceSource {
+	order := make([]int, len(subs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return subs[order[a]].At < subs[order[b]].At })
+	return &sliceSource{subs: subs, order: order}
+}
+
+// Next implements SubmissionSource.
+func (s *sliceSource) Next() (Submission, bool, error) {
+	if s.cursor >= len(s.order) {
+		return Submission{}, false, nil
+	}
+	sub := s.subs[s.order[s.cursor]]
+	s.cursor++
+	return sub, true, nil
+}
+
+// errForkLazy is Fork's answer on a session fed by anything but a
+// []Submission: a lazy source cannot be read twice.
+var errForkLazy = errors.New("workload: Fork needs a slice-backed session (a lazy SubmissionSource cannot be replayed into two lineages)")
 
 // Session is an open scenario execution. Not safe for concurrent use;
 // serialize access externally (see internal/schedd).
@@ -40,21 +69,36 @@ type Session struct {
 	scn Scenario
 	eng *sim.Engine
 	ctl *slurm.Controller
-	// stream is the sorted submission order (shared across forks; the
-	// cursor advances, the slice never mutates).
-	stream []sessSub
-	cursor int
+	src SubmissionSource
+	// next is the record the one pending submission event delivers and
+	// nextID that event (0 while none is pending — the engine never
+	// issues ID 0).
+	next   Submission
+	nextID sim.EventID
+	// fire is s.fireNext bound once, so arming the pending event
+	// allocates nothing per submission.
+	fire func()
 	// cancels tracks the pending scancel events so a fork can re-bind
-	// them; entries are dropped as the timers fire.
+	// them; allocated on the first Cancel submission, entries dropped as
+	// the timers fire.
 	cancels map[sim.EventID]string
 	err     error
 }
 
-// NewSession opens a scenario under a policy with the given
-// scheduling installer (same contract as run(); use NewSchedSession
-// for the common case). At==0 submissions are delivered synchronously
-// before this returns, exactly as the one-shot runner does.
-func NewSession(s Scenario, policy slurm.Policy, install func(*slurm.Controller) error) (*Session, error) {
+// open wires a scenario once — engine, cluster (file-backed when
+// ShmemDir is set), controller, scheduling installer, faults, probe —
+// and starts feeding it from src: records due at t=0 are submitted
+// before it returns. A source that knows the cluster it mapped its
+// submissions onto (Cluster()) supplies the layout unless s.Cluster
+// overrides it. Any source but a []Submission puts the records in
+// aggregate mode, so memory is bounded by the scheduler backlog rather
+// than the stream length.
+func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) (*Session, error) {
+	if len(s.Cluster.Partitions) == 0 {
+		if cs, ok := src.(interface{ Cluster() hwmodel.ClusterSpec }); ok {
+			s.Cluster = cs.Cluster()
+		}
+	}
 	eng := sim.NewEngine()
 	var tr *trace.Tracer
 	if s.Trace {
@@ -85,59 +129,106 @@ func NewSession(s Scenario, policy slurm.Policy, install func(*slurm.Controller)
 	ctl.ServeEvolving = s.ServeEvolving
 	ctl.DebugInvariants = s.DebugInvariants
 	installProbe(eng, ctl, s)
-	sess := &Session{
-		scn:     s,
-		eng:     eng,
-		ctl:     ctl,
-		cancels: make(map[sim.EventID]string),
+	if _, ok := src.(*sliceSource); !ok {
+		ctl.Records.SetAggregate()
 	}
-	for i := range s.Subs {
-		sub := &sess.scn.Subs[i]
-		if sub.At == 0 {
-			if err := sess.submitSub(sub); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		sess.stream = append(sess.stream, sessSub{idx: i, id: eng.AllocID()})
+	sess := &Session{scn: s, eng: eng, ctl: ctl, src: src}
+	sess.fire = sess.fireNext
+	sess.pump()
+	if sess.err != nil {
+		return nil, sess.err
 	}
-	sort.SliceStable(sess.stream, func(a, b int) bool {
-		return sess.scn.Subs[sess.stream[a].idx].At < sess.scn.Subs[sess.stream[b].idx].At
-	})
-	sess.scheduleNext()
 	return sess, nil
+}
+
+// replay is the one-shot form behind every Run* entry point: open,
+// drain, and release the source on every exit — an abandoned
+// SWFReaderSource would otherwise pin its parser goroutine and the
+// open trace file.
+func replay(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) Result {
+	if c, ok := src.(io.Closer); ok {
+		defer c.Close()
+	}
+	sess, err := open(s, src, policy, install)
+	if err != nil {
+		return Result{Scenario: s.Name, Policy: policy, Err: err}
+	}
+	return sess.Run()
+}
+
+// useSched / useSchedSet are the scheduling installers of the sched
+// entry points.
+func useSched(p sched.Policy) func(*slurm.Controller) error {
+	return func(ctl *slurm.Controller) error {
+		ctl.UseSched(p)
+		return nil
+	}
+}
+
+func useSchedSet(ps sched.PolicySet) func(*slurm.Controller) error {
+	return func(ctl *slurm.Controller) error { return ctl.UseSchedSet(ps) }
+}
+
+// NewSession opens a scenario's Subs under a policy with the given
+// scheduling installer (nil for the builtin controller path; use
+// NewSchedSession for the common case). At==0 submissions are
+// delivered synchronously before this returns.
+func NewSession(s Scenario, policy slurm.Policy, install func(*slurm.Controller) error) (*Session, error) {
+	return open(s, newSliceSource(s.Subs), policy, install)
 }
 
 // NewSchedSession opens a scenario under an internal/sched policy
 // (the Session counterpart of RunSched).
 func NewSchedSession(s Scenario, p sched.Policy) (*Session, error) {
-	return NewSession(s, slurm.PolicyDROM, func(ctl *slurm.Controller) error {
-		ctl.UseSched(p)
-		return nil
-	})
+	return NewSession(s, slurm.PolicyDROM, useSched(p))
 }
 
 // NewSchedSetSession opens a scenario under a per-partition policy
 // set (the Session counterpart of RunSchedSet).
 func NewSchedSetSession(s Scenario, ps sched.PolicySet) (*Session, error) {
-	return NewSession(s, slurm.PolicyDROM, func(ctl *slurm.Controller) error {
-		return ctl.UseSchedSet(ps)
-	})
+	return NewSession(s, slurm.PolicyDROM, useSchedSet(ps))
 }
 
-// submitSub delivers one submission and arms its scancel timer.
-func (s *Session) submitSub(sub *Submission) error {
-	job := sub.Job // copy per submission, as run() does
-	if err := s.ctl.Submit(&job); err != nil {
-		return err
+// pump feeds the controller from the source: every record due now is
+// submitted inline — same-instant submissions, and out-of-order
+// records, which real SWF archives occasionally contain and which
+// arrive at the stream position — and the first later record becomes
+// the single pending front-band event.
+func (s *Session) pump() {
+	for s.err == nil {
+		sub, ok, err := s.src.Next()
+		if err != nil {
+			s.err = err
+			return
+		}
+		if !ok {
+			return
+		}
+		if sub.At <= s.eng.Now() {
+			s.submit(&sub)
+			continue
+		}
+		s.next, s.nextID = sub, s.eng.AtFront(sub.At, s.fire)
+		return
 	}
-	s.armCancel(sub)
-	return nil
 }
 
-// armCancel mirrors the package-level armCancel, but tracks the
-// event so a fork can re-bind it.
-func (s *Session) armCancel(sub *Submission) {
+// fireNext runs the pending submission event: deliver, then pump on.
+func (s *Session) fireNext() {
+	s.nextID = 0
+	s.submit(&s.next)
+	s.pump()
+}
+
+// submit delivers one submission (the controller gets its own Job
+// copy) and arms its scancel timer, clamped to "now" so a cancellation
+// recorded before the stream position still fires.
+func (s *Session) submit(sub *Submission) {
+	job := sub.Job
+	if err := s.ctl.Submit(&job); err != nil {
+		s.err = err
+		return
+	}
 	if !sub.Cancel {
 		return
 	}
@@ -145,35 +236,16 @@ func (s *Session) armCancel(sub *Submission) {
 	if at < s.eng.Now() {
 		at = s.eng.Now()
 	}
-	name := sub.Job.Name
+	if s.cancels == nil {
+		s.cancels = make(map[sim.EventID]string)
+	}
+	name := job.Name
 	var id sim.EventID
 	id = s.eng.At(at, func() {
 		delete(s.cancels, id)
 		s.ctl.Cancel(name)
 	})
 	s.cancels[id] = name
-}
-
-// fireSub runs one pending submission event: deliver, advance the
-// cursor, chain the next (the same one-pending-event-at-a-time
-// streaming run() uses, so the event heap stays small).
-func (s *Session) fireSub() {
-	sub := &s.scn.Subs[s.stream[s.cursor].idx]
-	s.cursor++
-	if err := s.submitSub(sub); err != nil && s.err == nil {
-		s.err = err
-	}
-	s.scheduleNext()
-}
-
-// scheduleNext arms the cursor's submission event under its
-// pre-allocated ID.
-func (s *Session) scheduleNext() {
-	if s.cursor >= len(s.stream) {
-		return
-	}
-	p := s.stream[s.cursor]
-	s.eng.AtID(p.id, s.scn.Subs[p.idx].At, s.fireSub)
 }
 
 // Scenario returns the scenario the session replays.
@@ -198,7 +270,9 @@ func (s *Session) Run() Result {
 }
 
 // Result assembles the scenario result from the state so far (valid
-// at any point; final once Run returned).
+// at any point; final once Run returned). The drop counts are the
+// source's when it classifies them as it maps, the scenario's
+// otherwise.
 func (s *Session) Result() Result {
 	res := Result{Scenario: s.scn.Name, Policy: s.ctl.Policy(), Tracer: s.ctl.Cluster().Tracer, Err: s.err}
 	if res.Err == nil {
@@ -206,6 +280,9 @@ func (s *Session) Result() Result {
 	}
 	res.Records = s.ctl.Records
 	res.Records.Dropped = s.scn.Dropped
+	if dc, ok := s.src.(interface{ Dropped() metrics.DropStats }); ok {
+		res.Records.Dropped = dc.Dropped()
+	}
 	res.Protocol = s.ctl.Log
 	res.SchedCycles = s.ctl.Cycles
 	res.Events = s.eng.Processed()
@@ -213,11 +290,17 @@ func (s *Session) Result() Result {
 }
 
 // Fork clones the whole simulation — engine, controller, shared
-// memory, instances, pending submissions and cancel timers — at the
+// memory, instances, the submission cursor and cancel timers — at the
 // current virtual time. Both lineages then advance independently and
-// decide identically. Requires an installed sched policy and a
-// jitter-free scenario (slurm.Controller.Fork's contract).
+// decide identically. Only a slice-backed session forks (every
+// New*Session is one); a session over a lazy SubmissionSource returns
+// an error. Also requires an installed sched policy and a jitter-free
+// scenario (slurm.Controller.Fork's contract).
 func (s *Session) Fork() (*Session, error) {
+	src, ok := s.src.(*sliceSource)
+	if !ok {
+		return nil, errForkLazy
+	}
 	ctl2, eng2, err := s.ctl.Fork()
 	if err != nil {
 		return nil, err
@@ -230,21 +313,21 @@ func (s *Session) Fork() (*Session, error) {
 			Running: s.ctl.RunningLen(),
 		})
 	}
+	srcCopy := *src
 	f := &Session{
-		scn:     s.scn,
-		eng:     eng2,
-		ctl:     ctl2,
-		stream:  s.stream,
-		cursor:  s.cursor,
-		cancels: make(map[sim.EventID]string, len(s.cancels)),
-		err:     s.err,
+		scn: s.scn, eng: eng2, ctl: ctl2, src: &srcCopy,
+		next: s.next, nextID: s.nextID, err: s.err,
 	}
-	if f.cursor < len(f.stream) {
+	f.fire = f.fireNext
+	if f.nextID != 0 {
 		// The pending submission event came over with the engine fork;
-		// bind it to the forked chain.
-		if err := eng2.Rebind(f.stream[f.cursor].id, f.fireSub); err != nil {
-			return nil, fmt.Errorf("workload: fork submission chain: %w", err)
+		// bind it to the forked pump.
+		if err := eng2.Rebind(f.nextID, f.fire); err != nil {
+			return nil, fmt.Errorf("workload: fork submission event: %w", err)
 		}
+	}
+	if len(s.cancels) > 0 {
+		f.cancels = make(map[sim.EventID]string, len(s.cancels))
 	}
 	for id, name := range s.cancels { //simvet:ordered independent per-ID re-binds
 		id, name := id, name

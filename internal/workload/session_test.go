@@ -21,40 +21,6 @@ func sessionScenario(t *testing.T, seed int64) Scenario {
 	return sc
 }
 
-// TestSessionMatchesRunSched: a Session replay must reproduce the
-// one-shot runner exactly — records, cycles and event counts — so
-// every fork-equivalence result transfers to the goldens.
-func TestSessionMatchesRunSched(t *testing.T) {
-	sc := sessionScenario(t, 1)
-	for _, name := range sched.Names() {
-		p, err := sched.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oneShot := RunSched(sc, p)
-		if oneShot.Err != nil {
-			t.Fatalf("%s: %v", name, oneShot.Err)
-		}
-		p2, _ := sched.New(name)
-		sess, err := NewSchedSession(sc, p2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		res := sess.Run()
-		if res.Err != nil {
-			t.Fatalf("%s: %v", name, res.Err)
-		}
-		if res.Events != oneShot.Events || res.SchedCycles != oneShot.SchedCycles {
-			t.Errorf("%s: session ran %d events / %d cycles, one-shot %d / %d",
-				name, res.Events, res.SchedCycles, oneShot.Events, oneShot.SchedCycles)
-		}
-		ss, os := SchedStatsOf(sc, res), SchedStatsOf(sc, oneShot)
-		if ss != os {
-			t.Errorf("%s: stats diverge:\n  session  %+v\n  one-shot %+v", name, ss, os)
-		}
-	}
-}
-
 // TestSessionSnapshotRestoreFixedPoint: Snapshot() → Restore() →
 // re-run must be a fixed point for metrics.SchedStats — restoring
 // twice from one snapshot, and the snapshotted parent itself, all

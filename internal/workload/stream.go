@@ -2,10 +2,11 @@ package workload
 
 // Streaming replay: run SWF-scale workloads without materializing the
 // trace. A SubmissionSource yields submissions one at a time in
-// submit order; the runner keeps exactly one pending submission event
-// in the simulation queue and folds job records into aggregate
-// statistics, so a million-job trace replays in memory bounded by the
-// cluster backlog, not the trace length.
+// submit order; the Session driver keeps exactly one pending
+// submission event in the simulation queue and, for a lazy source,
+// folds job records into aggregate statistics, so a million-job trace
+// replays in memory bounded by the cluster backlog, not the trace
+// length.
 
 import (
 	"errors"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/hwmodel"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/slurm"
 )
 
@@ -186,108 +186,25 @@ func (s *SWFReaderSource) Skipped() int { return s.mapper.drops.Total() }
 func (s *SWFReaderSource) Dropped() metrics.DropStats { return s.mapper.drops }
 
 // RunSchedStream replays a submission stream under a scheduling
-// policy on the cluster described by s (s.Subs is ignored). Job
-// records are folded into aggregate statistics as they complete
+// policy on the cluster described by s (s.Subs is ignored; every
+// other Scenario field applies as in RunSched). Job records are folded
+// into aggregate statistics as they complete
 // (metrics.Workload.SetAggregate), so memory use is bounded by the
 // scheduler backlog, not the stream length: this is the path the
-// million-job benchmarks use. Submissions execute in the engine's
-// front band: for a stream in submit order the decision sequence is
-// identical to materializing the trace and calling RunSched. An
-// out-of-order record is the one divergence — it is submitted at the
-// stream position (now), whereas the materialized path sorts it into
-// its true place.
+// million-job benchmarks use. It is the same driver as RunSched, so
+// for a stream in submit order the decision sequence is identical to
+// materializing the trace. An out-of-order record is the one
+// divergence — it is submitted at the stream position (now), whereas
+// a materialized []Submission is sorted first. A source that is an
+// io.Closer is closed before this returns, on every path.
 func RunSchedStream(s Scenario, src SubmissionSource, p sched.Policy) Result {
-	return runStream(s, src, func(ctl *slurm.Controller) error {
-		ctl.UseSched(p)
-		return nil
-	})
+	return replay(s, src, slurm.PolicyDROM, useSched(p))
 }
 
 // RunSchedStreamSet is RunSchedStream under a per-partition policy
 // set (see RunSchedSet).
 func RunSchedStreamSet(s Scenario, src SubmissionSource, ps sched.PolicySet) Result {
-	return runStream(s, src, func(ctl *slurm.Controller) error {
-		return ctl.UseSchedSet(ps)
-	})
-}
-
-// runStream is the shared streaming executor.
-func runStream(s Scenario, src SubmissionSource, install func(*slurm.Controller) error) Result {
-	eng := sim.NewEngine()
-	if len(s.Cluster.Partitions) == 0 {
-		// A mapping source knows the cluster it shaped its submissions
-		// for; adopt it so the simulated cluster can never disagree with
-		// the trace mapping (callers may still override via s.Cluster).
-		if cs, ok := src.(interface{ Cluster() hwmodel.ClusterSpec }); ok {
-			s.Cluster = cs.Cluster()
-		}
-	}
-	cluster, err := slurm.NewClusterSpec(eng, s.clusterSpec(), nil)
-	if err != nil {
-		return Result{Scenario: s.Name, Policy: slurm.PolicyDROM, Err: err}
-	}
-	ctl := slurm.NewController(cluster, slurm.PolicyDROM)
-	if err := installSched(ctl, s, install); err != nil {
-		return Result{Scenario: s.Name, Policy: slurm.PolicyDROM, Err: err}
-	}
-	ctl.DebugInvariants = s.DebugInvariants
-	installProbe(eng, ctl, s)
-	ctl.Records.SetAggregate()
-	res := Result{Scenario: s.Name, Policy: slurm.PolicyDROM}
-
-	submit := func(sub Submission) {
-		job := sub.Job
-		if err := ctl.Submit(&job); err != nil && res.Err == nil {
-			res.Err = err
-			return
-		}
-		armCancel(eng, ctl, &sub)
-	}
-	var pump func()
-	pump = func() {
-		for res.Err == nil {
-			sub, ok, err := src.Next()
-			if err != nil {
-				res.Err = err
-				return
-			}
-			if !ok {
-				return
-			}
-			if sub.At <= eng.Now() {
-				// Same-instant submission — or an out-of-order record,
-				// which real SWF archives occasionally contain: it is
-				// treated as arriving at the stream position (now),
-				// where the materialized path would have sorted it into
-				// place. Either way it is handled inline.
-				submit(sub)
-				continue
-			}
-			eng.AtFront(sub.At, func() {
-				submit(sub)
-				pump()
-			})
-			return
-		}
-	}
-	pump()
-	eng.Run()
-	// A source abandoned mid-stream (replay error) would otherwise pin
-	// its background parser; closing is a no-op for exhausted or
-	// non-closing sources.
-	if c, ok := src.(io.Closer); ok {
-		c.Close()
-	}
-	if res.Err == nil {
-		res.Err = ctl.Err
-	}
-	res.Records = ctl.Records
-	if dc, ok := src.(interface{ Dropped() metrics.DropStats }); ok {
-		res.Records.Dropped = dc.Dropped()
-	}
-	res.SchedCycles = ctl.Cycles
-	res.Events = eng.Processed()
-	return res
+	return replay(s, src, slurm.PolicyDROM, useSchedSet(ps))
 }
 
 // SchedStatsOfStream computes the scheduler-quality metrics of a

@@ -8,55 +8,6 @@ import (
 	"repro/internal/slurm"
 )
 
-// TestStreamReplayMatchesMaterialized: the streaming replay (lazy
-// generation, front-band submissions, aggregate-only records) must
-// reproduce exactly the scheduling outcome of materializing the trace
-// and replaying it through RunSched, for every policy.
-func TestStreamReplayMatchesMaterialized(t *testing.T) {
-	params := SyntheticSWF{Seed: 1, Jobs: 1000, Nodes: 4}
-	sc, err := SyntheticSWFScenario(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range sched.Names() {
-		p1, err := sched.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := RunSched(sc, p1)
-		if res.Err != nil {
-			t.Fatalf("%s materialized: %v", name, res.Err)
-		}
-		st := SchedStatsOf(sc, res)
-
-		p2, _ := sched.New(name)
-		sres := RunSchedStream(Scenario{Nodes: params.Nodes}, params.Source(), p2)
-		if sres.Err != nil {
-			t.Fatalf("%s streamed: %v", name, sres.Err)
-		}
-		sst := SchedStatsOfStream(sres)
-
-		if sst.Jobs != st.Jobs {
-			t.Errorf("%s: streamed %d jobs, materialized %d", name, sst.Jobs, st.Jobs)
-		}
-		if sres.SchedCycles != res.SchedCycles {
-			t.Errorf("%s: streamed %d cycles, materialized %d", name, sres.SchedCycles, res.SchedCycles)
-		}
-		if sst.Makespan != st.Makespan {
-			t.Errorf("%s: streamed makespan %v, materialized %v", name, sst.Makespan, st.Makespan)
-		}
-		if sst.MeanWait != st.MeanWait {
-			t.Errorf("%s: streamed mean wait %v, materialized %v", name, sst.MeanWait, st.MeanWait)
-		}
-		if sst.MeanResponse != st.MeanResponse {
-			t.Errorf("%s: streamed mean response %v, materialized %v", name, sst.MeanResponse, st.MeanResponse)
-		}
-		if sst.MeanSlowdown != st.MeanSlowdown {
-			t.Errorf("%s: streamed mean slowdown %v, materialized %v", name, sst.MeanSlowdown, st.MeanSlowdown)
-		}
-	}
-}
-
 // TestSWFReaderSourceMatchesScenario: streaming a trace file yields
 // the same submissions as the materializing parser, including skip
 // accounting and MaxJobs truncation.
@@ -102,13 +53,13 @@ func TestSWFReaderSourceMatchesScenario(t *testing.T) {
 	}
 }
 
-// sliceSource serves a fixed submission list (test helper).
-type sliceSource struct {
+// fixedSource serves a fixed submission list (test helper).
+type fixedSource struct {
 	subs []Submission
 	i    int
 }
 
-func (s *sliceSource) Next() (Submission, bool, error) {
+func (s *fixedSource) Next() (Submission, bool, error) {
 	if s.i >= len(s.subs) {
 		return Submission{}, false, nil
 	}
@@ -129,7 +80,7 @@ func TestStreamToleratesOutOfOrderRecords(t *testing.T) {
 		}
 		return sub
 	}
-	src := &sliceSource{subs: []Submission{
+	src := &fixedSource{subs: []Submission{
 		{At: 100, Job: job("j00001")},
 		{At: 50, Job: job("j00002")}, // out of order
 		{At: 200, Job: job("j00003")},

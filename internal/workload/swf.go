@@ -536,17 +536,12 @@ func SyntheticSWFScenario(p SyntheticSWF) (Scenario, error) {
 // partition; further partitions get fresh instances of the same
 // policy (slurm.Controller.UseSched).
 func RunSched(s Scenario, p sched.Policy) Result {
-	return run(s, slurm.PolicyDROM, func(ctl *slurm.Controller) error {
-		ctl.UseSched(p)
-		return nil
-	})
+	return replay(s, newSliceSource(s.Subs), slurm.PolicyDROM, useSched(p))
 }
 
 // RunSchedSet executes a scenario under a per-partition policy set
 // (the `-sched batch=easy,fat=malleable-shrink` grammar): every
 // partition gets a fresh instance of the policy the set assigns it.
 func RunSchedSet(s Scenario, ps sched.PolicySet) Result {
-	return run(s, slurm.PolicyDROM, func(ctl *slurm.Controller) error {
-		return ctl.UseSchedSet(ps)
-	})
+	return replay(s, newSliceSource(s.Subs), slurm.PolicyDROM, useSchedSet(ps))
 }

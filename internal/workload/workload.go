@@ -7,8 +7,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 
 	"repro/internal/apps"
 	"repro/internal/hwmodel"
@@ -111,8 +109,7 @@ type Scenario struct {
 const engineProbeEvery = 1 << 16
 
 // installProbe hands the scenario's probe to the controller and arms
-// the engine heartbeat. Shared by the materialized and streaming
-// runners so the two paths emit identical streams.
+// the engine heartbeat.
 func installProbe(eng *sim.Engine, ctl *slurm.Controller, s Scenario) {
 	p := s.Probe
 	if p == nil {
@@ -178,13 +175,13 @@ type Result struct {
 // Run executes the scenario under the given policy on an MN3-like
 // cluster and returns the collected metrics.
 func Run(s Scenario, policy slurm.Policy) Result {
-	return run(s, policy, nil)
+	return replay(s, newSliceSource(s.Subs), policy, nil)
 }
 
 // installSched installs the scenario's scheduling configuration on a
 // controller: the sched policy or per-partition policy set (when
-// given) and the spillover knobs. Shared by the materialized and
-// streaming runners so the two paths can never drift.
+// given; it then takes over queue ordering and admission), the
+// spillover knobs and the node fault plan.
 func installSched(ctl *slurm.Controller, s Scenario, install func(*slurm.Controller) error) error {
 	if install != nil {
 		if err := install(ctl); err != nil {
@@ -201,118 +198,6 @@ func installSched(ctl *slurm.Controller, s Scenario, install func(*slurm.Control
 		MaxRequeues: s.MaxRequeues,
 		Seed:        s.FaultSeed,
 	})
-}
-
-// run is the shared scenario executor; install, when non-nil, puts a
-// scheduling policy (or per-partition policy set) on the controller,
-// which then takes over queue ordering and admission (see RunSched /
-// RunSchedSet).
-func run(s Scenario, policy slurm.Policy, install func(*slurm.Controller) error) Result {
-	eng := sim.NewEngine()
-	var tr *trace.Tracer
-	if s.Trace {
-		tr = trace.New()
-	}
-	cluster, err := slurm.NewClusterSpec(eng, s.clusterSpec(), tr)
-	if err != nil {
-		return Result{Scenario: s.Name, Policy: policy, Err: err}
-	}
-	if s.JitterFrac > 0 {
-		cluster.Jitter = rand.New(rand.NewSource(s.Seed))
-		cluster.JitterFrac = s.JitterFrac
-	}
-	ctl := slurm.NewController(cluster, policy)
-	if err := installSched(ctl, s, install); err != nil {
-		return Result{Scenario: s.Name, Policy: policy, Err: err}
-	}
-	ctl.LogProtocol = s.LogProtocol
-	ctl.NodeSelection = s.NodeSelection
-	ctl.ServeEvolving = s.ServeEvolving
-	ctl.DebugInvariants = s.DebugInvariants
-	installProbe(eng, ctl, s)
-	res := Result{Scenario: s.Name, Policy: policy, Tracer: tr}
-	// Submissions with At == 0 go to the controller synchronously before
-	// the simulation starts. The rest are *streamed*: each submission
-	// pre-allocates its event ID here — at the position the event used
-	// to be scheduled — but the event itself is pushed only when the
-	// previous submission fires. The (time, ID) execution order, and
-	// therefore every scheduling decision, is identical to scheduling
-	// all submissions up front, while the event queue stays small: a
-	// 100k-job replay used to keep 100k pending submission events in
-	// the heap, making every push/pop pay O(log 100k), and that
-	// dominated replay cost.
-	type pendingSub struct {
-		idx int
-		id  sim.EventID
-	}
-	// submitSub submits one job copy and arms any scancel event.
-	submitSub := func(sub *Submission) error {
-		job := sub.Job // copy per run; controller mutates nothing but be safe
-		if err := ctl.Submit(&job); err != nil {
-			return err
-		}
-		armCancel(eng, ctl, sub)
-		return nil
-	}
-	stream := make([]pendingSub, 0, len(s.Subs))
-	for i := range s.Subs {
-		sub := &s.Subs[i]
-		if sub.At == 0 {
-			if err := submitSub(sub); err != nil {
-				res.Err = err
-				return res
-			}
-			continue
-		}
-		stream = append(stream, pendingSub{idx: i, id: eng.AllocID()})
-	}
-	// Stable order by submit time (ties keep submission order): the
-	// exact order the pre-allocated IDs fire in, so the chain below can
-	// push one event at a time without ever scheduling in the past.
-	sort.SliceStable(stream, func(a, b int) bool {
-		return s.Subs[stream[a].idx].At < s.Subs[stream[b].idx].At
-	})
-	var streamNext func(k int)
-	streamNext = func(k int) {
-		if k >= len(stream) {
-			return
-		}
-		p := stream[k]
-		sub := &s.Subs[p.idx]
-		eng.AtID(p.id, sub.At, func() {
-			if err := submitSub(sub); err != nil && res.Err == nil {
-				res.Err = err
-			}
-			streamNext(k + 1)
-		})
-	}
-	streamNext(0)
-	eng.Run()
-	if res.Err == nil {
-		res.Err = ctl.Err
-	}
-	res.Records = ctl.Records
-	res.Records.Dropped = s.Dropped
-	res.Protocol = ctl.Log
-	res.SchedCycles = ctl.Cycles
-	res.Events = eng.Processed()
-	return res
-}
-
-// armCancel schedules the scancel event of a fault-annotated
-// submission, clamped to "now" so a cancellation recorded before the
-// stream position still fires. Shared by the materialized and
-// streaming runners so the two paths can never drift.
-func armCancel(eng *sim.Engine, ctl *slurm.Controller, sub *Submission) {
-	if !sub.Cancel {
-		return
-	}
-	at := sub.CancelAt
-	if at < eng.Now() {
-		at = eng.Now()
-	}
-	name := sub.Job.Name
-	eng.At(at, func() { ctl.Cancel(name) })
 }
 
 // SchedStatsOf computes the scheduler-quality metrics of a run,
