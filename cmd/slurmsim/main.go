@@ -7,6 +7,7 @@
 //	slurmsim -scenario uc1 -sim nest -simconf 1 -ana pils -anaconf 2
 //	slurmsim -scenario uc1 -policy serial -sim coreneuron -ana stream
 //	slurmsim -scenario uc2 -trace -metric cycles
+//	slurmsim -scenario uc2 -policy preempt -explain nest -hist
 //	slurmsim -sched easy,malleable -jobs 1000          # synthetic SWF replay
 //	slurmsim -sched all -swf trace.swf -nodes 8        # real trace replay
 //	slurmsim -sched fcfs -jobs 1000000 -stream         # bounded-memory replay
@@ -31,7 +32,7 @@ import (
 
 func main() {
 	scenario := flag.String("scenario", "uc1", "uc1 (in-situ analytics) or uc2 (high-priority job)")
-	policy := flag.String("policy", "both", "serial, drom, oversubscribe, or both")
+	policy := flag.String("policy", "both", "uc1/uc2/djsb: serial, drom, oversubscribe, preempt, both (serial+drom), or all")
 	simName := flag.String("sim", "nest", "uc1 simulator: nest or coreneuron")
 	simConf := flag.Int("simconf", 1, "uc1 simulator configuration (Table 1)")
 	anaName := flag.String("ana", "pils", "uc1 analytics: pils or stream")
@@ -75,15 +76,15 @@ func main() {
 	sweepWorkers := flag.Int("workers", 0, "sweep: worker goroutines (0 = GOMAXPROCS)")
 	format := flag.String("format", "table", "sweep output format: table, json, or csv")
 	out := flag.String("out", "", "sweep: write the summary to this file instead of stdout")
-	traceSched := flag.String("trace-sched", "", "sched: write a JSONL decision trace (one line per "+
+	traceSched := flag.String("trace-sched", "", "any single-policy run: write a JSONL decision trace (one line per "+
 		"non-empty policy pass: virtual time, partition, queue depth, free CPUs, actions with reasons)")
-	explainJob := flag.String("explain", "", "sched: print the named job's lifecycle story after the replay "+
+	explainJob := flag.String("explain", "", "any single-policy run: print the named job's lifecycle story afterwards "+
 		"(submission, queue-position evolution, wait reasons, placement, completion)")
-	sample := flag.Duration("sample", 0, "sched: emit a per-partition time series every given interval "+
+	sample := flag.Duration("sample", 0, "any single-policy run: emit a per-partition time series every given interval "+
 		"of VIRTUAL time (e.g. 60s): utilization, queue depth, running jobs, spill tallies")
-	sampleOut := flag.String("sample-out", "", "sched: time-series output file; '-' for stdout, "+
+	sampleOut := flag.String("sample-out", "", "time-series output file; '-' for stdout, "+
 		"a .json suffix selects JSONL over CSV (required with -sample)")
-	hist := flag.Bool("hist", false, "sched: report wall-time histograms per scheduling cycle and "+
+	hist := flag.Bool("hist", false, "any single-policy run: report wall-time histograms per scheduling cycle and "+
 		"per Schedule() call at exit")
 	progress := flag.Bool("progress", false, "sweep: live progress (cells done/total, cells/s, ETA) to stderr")
 	dromAgent := flag.Bool("drom-agent", false, "run as a DROM agent process: register on a file-backed "+
@@ -203,8 +204,8 @@ type runArgs struct {
 	obs                 obsArgs
 }
 
-// obsArgs carries the observability-consumer flags of the sched
-// replay modes (see internal/obs).
+// obsArgs carries the observability-consumer flags (see internal/obs);
+// they apply to every mode that replays one scenario under one policy.
 type obsArgs struct {
 	tracePath  string  // -trace-sched: JSONL decision trace
 	explainJob string  // -explain: per-job lifecycle story
@@ -348,9 +349,6 @@ func run(a runArgs) error {
 	if a.sweepSpec != "" {
 		return runSweep(a.sweepSpec, a.sweepWorkers, a.format, a.out, a.progress)
 	}
-	if a.obs.active() && a.schedNames == "" && a.swfPath == "" {
-		return fmt.Errorf("-trace-sched/-explain/-sample/-hist apply to the -sched replay modes")
-	}
 	if a.schedNames != "" || a.swfPath != "" {
 		// Only honor -interarrival/-jobs/-nodes when the user set them;
 		// the SWF mode's own defaults (a contended 1000-job trace on 4
@@ -383,30 +381,49 @@ func run(a runArgs) error {
 	}
 
 	if a.scenario == "djsb" {
-		return runDJSB(a.seed, a.jobs, a.interarrival, a.nodes, a.policy)
+		return runDJSB(a.seed, a.jobs, a.interarrival, a.nodes, a.policy, a.obs)
 	}
 
 	sc, err := buildScenario(a.scenario, a.simName, a.simConf, a.anaName, a.anaConf, a.traced)
 	if err != nil {
 		return err
 	}
-
-	policies, err := parsePolicies(a.policy)
-	if err != nil {
-		return err
-	}
-
-	for _, p := range policies {
-		res := cluster.Run(sc, p)
-		if res.Err != nil {
-			return fmt.Errorf("%s under %s: %w", sc.Name, p, res.Err)
-		}
-		fmt.Printf("=== %s under %s ===\n", sc.Name, p)
+	return runPolicies(sc, a.policy, a.obs, func(res cluster.Result) {
+		fmt.Printf("=== %s under %s ===\n", sc.Name, res.Policy)
 		fmt.Print(res.Records.String())
 		if a.traced && res.Tracer != nil {
 			fmt.Println(res.Tracer.RenderTimeline("", a.width, a.metric))
 		}
 		fmt.Println()
+	})
+}
+
+// runPolicies runs one scenario on the builtin controller path under
+// each policy the -policy value names, with the observability
+// consumers attached, and hands every result to report.
+func runPolicies(sc cluster.Scenario, policy string, o obsArgs, report func(cluster.Result)) error {
+	policies, err := parsePolicies(policy)
+	if err != nil {
+		return err
+	}
+	if err := o.checkSingle(len(policies), "-policy"); err != nil {
+		return err
+	}
+	for _, p := range policies {
+		or, err := o.start()
+		if err != nil {
+			return err
+		}
+		sc.Probe = or.probe
+		res := cluster.Run(sc, p)
+		if res.Err != nil {
+			or.close()
+			return fmt.Errorf("%s under %s: %w", sc.Name, p, res.Err)
+		}
+		report(res)
+		if err := or.finish(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -533,7 +550,7 @@ func runSched(a schedArgs) error {
 	// The seeded fault stream uses the trace seed, like the sweep engine.
 	sc.NodeFaults, sc.MTBF, sc.MTTR = a.nodeFaults, a.mtbf, a.mttr
 	sc.MaxRequeues, sc.FaultSeed = a.requeue, a.seed
-	if err := a.obs.checkSingle(policies); err != nil {
+	if err := a.obs.checkSingle(len(policies), "-sched"); err != nil {
 		return err
 	}
 	replay := func(ps cluster.SchedPolicySet) (cluster.Result, error) {
@@ -586,10 +603,11 @@ func runSched(a schedArgs) error {
 
 // checkSingle rejects multi-policy replays when a consumer is active:
 // the trace, story and time series describe ONE replay, and mixing
-// several policies' streams into one output would be misleading.
-func (o obsArgs) checkSingle(policies []cluster.SchedPolicySet) error {
-	if o.active() && len(policies) > 1 {
-		return fmt.Errorf("-trace-sched/-explain/-sample/-hist need a single policy; pick one with -sched (got %d)", len(policies))
+// several policies' streams into one output would be misleading. flag
+// names the option that selects the policies.
+func (o obsArgs) checkSingle(policies int, flag string) error {
+	if o.active() && policies > 1 {
+		return fmt.Errorf("-trace-sched/-explain/-sample/-hist need a single policy; pick one with %s (got %d)", flag, policies)
 	}
 	return nil
 }
@@ -624,22 +642,16 @@ func parseSchedPolicies(names string) ([]cluster.SchedPolicySet, error) {
 
 // runDJSB generates a randomized DJSB-style stream and compares the
 // requested policies on it.
-func runDJSB(seed int64, jobs int, interarrival float64, nodes int, policy string) error {
-	policies, err := parsePolicies(policy)
+func runDJSB(seed int64, jobs int, interarrival float64, nodes int, policy string, o obsArgs) error {
+	sc, err := cluster.GenerateDJSB(djsb.Params{Seed: seed, Jobs: jobs, MeanInterarrival: interarrival, Nodes: nodes})
 	if err != nil {
 		return err
 	}
-	p := djsb.Params{Seed: seed, Jobs: jobs, MeanInterarrival: interarrival, Nodes: nodes}
 	fmt.Printf("=== DJSB stream: seed=%d jobs=%d mean-interarrival=%.0fs nodes=%d ===\n",
 		seed, jobs, interarrival, nodes)
-	for _, pol := range policies {
-		rep, err := djsb.Run(p, pol)
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep)
-	}
-	return nil
+	return runPolicies(sc, policy, o, func(res cluster.Result) {
+		fmt.Println(djsb.Summarize(res))
+	})
 }
 
 func buildScenario(name, simName string, simConf int, anaName string, anaConf int, traced bool) (cluster.Scenario, error) {

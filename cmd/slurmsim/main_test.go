@@ -48,10 +48,10 @@ func TestParsePolicies(t *testing.T) {
 }
 
 func TestRunDJSBSmoke(t *testing.T) {
-	if err := runDJSB(1, 6, 200, 2, "both"); err != nil {
+	if err := runDJSB(1, 6, 200, 2, "both", obsArgs{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runDJSB(1, 6, 200, 2, "bogus"); err == nil {
+	if err := runDJSB(1, 6, 200, 2, "bogus", obsArgs{}); err == nil {
 		t.Fatal("bogus policy should fail")
 	}
 }
@@ -169,6 +169,28 @@ func TestRunSchedObsSmoke(t *testing.T) {
 		obs: obsArgs{sample: 600},
 	}); err == nil {
 		t.Fatal("-sample without -sample-out should fail")
+	}
+}
+
+// TestPaperScenarioObsSmoke: the observability consumers attach to
+// the paper's scenarios on the builtin controller path under the same
+// one-replay rule as the -sched modes.
+func TestPaperScenarioObsSmoke(t *testing.T) {
+	o := obsArgs{explainJob: "nest", hist: true}
+	for _, a := range []runArgs{
+		{scenario: "uc2", policy: "preempt", obs: o},
+		{scenario: "uc1", policy: "drom", simName: "nest", simConf: 1, anaName: "pils", anaConf: 2, obs: o},
+		{scenario: "djsb", policy: "serial", seed: 1, jobs: 6, interarrival: 200, nodes: 2, obs: obsArgs{hist: true}},
+	} {
+		if err := run(a); err != nil {
+			t.Errorf("%s under %s: %v", a.scenario, a.policy, err)
+		}
+	}
+	for _, policy := range []string{"both", "all"} {
+		err := run(runArgs{scenario: "uc2", policy: policy, obs: o})
+		if err == nil || !strings.Contains(err.Error(), "single policy; pick one with -policy") {
+			t.Errorf("-policy %s with consumers should be rejected, got %v", policy, err)
+		}
 	}
 }
 

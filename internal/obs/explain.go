@@ -126,7 +126,9 @@ func (e *Explain) Emit(ev Event) {
 		}
 
 	case KindAction:
-		if !e.found || ev.Seq != e.seq || e.done {
+		// A preemption is matched by name: like KindRequeue, it carries
+		// the NEW sequence the job re-enters the queue under.
+		if !e.found || e.done || (ev.Seq != e.seq && !(ev.Act == ActPreempt && ev.Job == e.target)) {
 			return
 		}
 		switch {

@@ -149,7 +149,7 @@ func (m *Malleable) shrinkToFit(s *State, head Job) (int, []int) {
 		mins = append(mins, minNeed)
 		maxs = append(maxs, head.CPUsPerNode)
 		m.victims, m.mins, m.maxs = victims, mins, maxs
-		alloc := waterfillBounded(m.alloc, capN, mins, maxs)
+		alloc := WaterfillBounded(m.alloc, capN, mins, maxs)
 		if alloc == nil {
 			return 0, nil // node cannot host even the minimums
 		}

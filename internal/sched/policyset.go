@@ -89,16 +89,6 @@ func canonicalPolicy(name string) (string, error) {
 	return p.Name(), nil
 }
 
-// SinglePolicySet wraps one policy name as a default-only set (the
-// degenerate form every pre-set code path maps onto).
-func SinglePolicySet(name string) (PolicySet, error) {
-	canon, err := canonicalPolicy(name)
-	if err != nil {
-		return PolicySet{}, err
-	}
-	return PolicySet{Default: canon}, nil
-}
-
 // Single reports whether the set is a bare default with no
 // per-partition entries.
 func (ps PolicySet) Single() bool { return len(ps.ByPartition) == 0 }

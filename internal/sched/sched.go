@@ -422,13 +422,17 @@ func (sc *scratch) reservation(s *State, free []int, head Job, allocs map[int]in
 	}
 }
 
-// waterfillBounded distributes cores among participants with per-entry
-// minimum and maximum allocations, converging to the equipartition of
-// §5 ("computational resources are equally partitioned among running
-// jobs"). It mirrors the slurmd plugin's fairness rule, writing into
-// dst (grown as needed). Returns nil when the minimums alone exceed
-// the capacity.
-func waterfillBounded(dst []int, cores int, mins, maxs []int) []int {
+// WaterfillBounded distributes cores among participants with per-entry
+// minimum and maximum allocations: the equipartition rule of §5 ("for
+// fairness, computational resources are equally partitioned among
+// running jobs"), except that no participant receives more than it
+// asked for (max) and none is starved below its floor (min — one CPU
+// per task for a running job). It is the one fairness rule of both
+// planners — the slurmd task/affinity plugin (slurm.PlanLaunch,
+// PlanExpand) and the malleable policies — writing into dst (grown as
+// needed). Returns nil when a minimum exceeds its maximum or the
+// minimums alone exceed the capacity.
+func WaterfillBounded(dst []int, cores int, mins, maxs []int) []int {
 	alloc := dst[:0]
 	remaining := cores
 	for i := range mins {
@@ -441,6 +445,8 @@ func waterfillBounded(dst []int, cores int, mins, maxs []int) []int {
 	if remaining < 0 {
 		return nil
 	}
+	// Hand out the rest one CPU at a time to the smallest allocation
+	// still below its request: converges to the equipartition.
 	for remaining > 0 {
 		best := -1
 		for i := range alloc {

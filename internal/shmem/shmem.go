@@ -66,6 +66,16 @@ type ProcEntry struct {
 	ResizeRequest int
 }
 
+// EffectiveMask returns the mask that binds planning: a
+// staged-but-unapplied change (dirty future) already counts — the CPUs
+// it drops are free to promise, the CPUs it gains are taken.
+func (e *ProcEntry) EffectiveMask() cpuset.CPUSet {
+	if e.Dirty {
+		return e.FutureMask
+	}
+	return e.CurrentMask
+}
+
 func (e *ProcEntry) clone() *ProcEntry {
 	c := *e
 	c.Stolen = append([]Theft(nil), e.Stolen...)

@@ -75,18 +75,7 @@ func (r *runningJob) hasNode(node string) bool {
 	return false
 }
 
-func (r *runningJob) onNode(node string) []taskRef {
-	var out []taskRef
-	for _, t := range r.tasks {
-		if t.node == node {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// onNodeInto is onNode with a caller-owned buffer, for the sched-cycle
-// hot path.
+// onNodeInto collects r's tasks on node into a caller-owned buffer.
 func (r *runningJob) onNodeInto(dst []taskRef, node string) []taskRef {
 	dst = dst[:0]
 	for _, t := range r.tasks {
@@ -142,8 +131,8 @@ type Controller struct {
 	cluster *Cluster
 	policy  Policy
 	// scheds holds the installed scheduling policies, one instance per
-	// partition (nil when the built-in queue logic is active). See
-	// UseSched / UseSchedSet in sched_driver.go.
+	// partition; nil selects the builtin mask-level planner
+	// (planBuiltin). See UseSched / UseSchedSet in sched_driver.go.
 	scheds []sched.Policy
 
 	// NodeSelection orders candidate nodes for placement.
@@ -168,18 +157,14 @@ type Controller struct {
 	// resize requests whenever resources free up.
 	ServeEvolving bool
 
-	// Backfill lets queued jobs behind a blocked head start when they
-	// fit (fit-based backfilling; the paper keeps slurmctld FCFS, this
-	// is an extension knob for the scheduling-policy experiments).
-	Backfill bool
-
 	// LaunchLatency is the srun→running delay.
 	LaunchLatency float64
 	// CheckpointCost / RestartCost model the state save/restore of the
 	// preemption baseline (seconds per preempted job).
 	CheckpointCost float64
 	RestartCost    float64
-	// drainUntil blocks launches while a checkpoint is in progress.
+	// drainUntil blocks scheduling cycles while a checkpoint is in
+	// progress (written by tryPreempt, held by runCycle).
 	drainUntil float64
 
 	// queue is kept priority-ordered (priority descending, seq
@@ -212,9 +197,9 @@ type Controller struct {
 	planBuf    map[string]LaunchPlan
 	placeBuf   []apps.Placement
 
-	// Reservation-projection scratch (reservationFor): per-node free
-	// times, the sort buffer, and one reusable headReservation per
-	// partition.
+	// Reservation-projection scratch (reservationFor, called by the
+	// spillover pass): per-node free times, the sort buffer, and one
+	// reusable headReservation per partition.
 	resvFreeAt []float64
 	resvOrder  []resvNode
 	resvSorter resvNodeSorter
@@ -241,14 +226,14 @@ type Controller struct {
 	nfRand       *rand.Rand
 	nfLimbo      int // requeued jobs waiting out their backoff
 
-	// Fork-support state (fork.go). pend describes every controller-
-	// owned pending engine event (launch completion, fault-script
-	// timer, repair, seeded failure, requeue arrival) so Fork can
-	// re-bind each event ID to a closure over the forked state;
-	// entries are dropped as the events fire, bounding the map by the
-	// in-flight event count. cycleEv is the single coalesced-cycle
-	// event, meaningful only while cyclePending (at most one runCycle
-	// event is ever outstanding, so it needs no map entry). nfWins
+	// Pending-event table (fork.go). pend describes every controller-
+	// owned pending engine event (launch and resume completion,
+	// interrupt, fault-script timer, window, repair, seeded failure,
+	// requeue arrival); dispatch executes the descriptor when the event
+	// fires and Fork copies the table, so entries are bounded by the
+	// in-flight event count. cycleEv is the single deferred-cycle event,
+	// meaningful only while cyclePending (at most one runCycle event is
+	// ever outstanding, so it needs no map entry). nfWins
 	// retains the parsed fault script and nfDraws counts fault-RNG
 	// draws so a fork can rebuild the window schedule and fast-forward
 	// a fresh RNG to the identical stream position.
@@ -380,7 +365,7 @@ func (ctl *Controller) Submit(j *Job) error {
 	if ctl.nfRand != nil {
 		ctl.armSeededFaults()
 	}
-	ctl.trySchedule()
+	ctl.kick()
 	return nil
 }
 
@@ -452,106 +437,79 @@ func (ctl *Controller) dequeue(q *queuedJob) {
 	delete(ctl.qBySeq, q.seq)
 }
 
-// kick requests a scheduling-policy cycle. The first request of an
-// instant runs synchronously — preserving the event→decision mapping
-// the pre-incremental scheduler had, so replay decisions are
-// unchanged — while every further request at the same timestamp marks
-// the cycle dirty and coalesces into one deferred pass over the final
-// state of the instant (Engine.At at the current time): a burst of N
+// kick is the one entry to the scheduling cycle: every trigger — a
+// submission, a job end, a cancellation, a node returning to service,
+// a requeue arrival — calls it, whichever planner is active.
+//
+// With sched policies installed, the first request of an instant runs
+// synchronously — preserving the event→decision mapping the
+// pre-incremental scheduler had, so replay decisions are unchanged —
+// while every further request at the same timestamp coalesces into one
+// deferred pass over the final state of the instant: a burst of N
 // submissions and completions costs at most two policy passes, not N.
+// The builtin planner is never coalesced: each of the paper's
+// decisions stays attached to the event that caused it.
 func (ctl *Controller) kick() {
 	if ctl.cyclePending {
 		return
 	}
-	now := ctl.cluster.Engine.Now()
-	if now < ctl.drainUntil {
-		// A checkpoint drain is in progress: hold the pass until it ends.
-		ctl.cyclePending = true
-		ctl.cycleEv = ctl.cluster.Engine.At(ctl.drainUntil, ctl.runCycle)
+	if now := ctl.cluster.Engine.Now(); ctl.scheds != nil && ctl.lastCycleAt == now {
+		ctl.deferCycle(now)
 		return
 	}
-	if ctl.lastCycleAt == now {
-		ctl.cyclePending = true
-		ctl.cycleEv = ctl.cluster.Engine.At(now, ctl.runCycle)
-		return
-	}
-	ctl.lastCycleAt = now
-	ctl.schedCycle()
+	ctl.runCycle()
 }
 
-// runCycle executes the deferred policy pass (honoring a checkpoint
-// drain in progress).
+// deferCycle parks the one deferred cycle at time t; requests arriving
+// before it fires are absorbed by it.
+func (ctl *Controller) deferCycle(t float64) {
+	ctl.cyclePending = true
+	ctl.cycleEv = ctl.cluster.Engine.At(t, ctl.runCycle)
+}
+
+// runCycle executes a cycle now — from kick, or as the deferred event —
+// unless a checkpoint drain is in progress, which holds it until the
+// drain ends.
 func (ctl *Controller) runCycle() {
 	ctl.cyclePending = false
 	now := ctl.cluster.Engine.Now()
 	if now < ctl.drainUntil {
-		ctl.cyclePending = true
-		ctl.cycleEv = ctl.cluster.Engine.At(ctl.drainUntil, ctl.runCycle)
+		ctl.deferCycle(ctl.drainUntil)
 		return
 	}
 	ctl.lastCycleAt = now
 	ctl.schedCycle()
 }
 
-// trySchedule walks the queue in priority order and launches whatever
-// fits. FCFS within a priority level (the paper leaves slurmctld's
-// policies untouched); an installed sched.Policy takes over queue
-// ordering and admission entirely (one coalesced cycle per timestamp).
-func (ctl *Controller) trySchedule() {
-	if ctl.scheds != nil {
-		ctl.kick()
-		return
-	}
-	// While a checkpoint drain is in progress, hold all launches.
-	if now := ctl.cluster.Engine.Now(); now < ctl.drainUntil {
-		ctl.cluster.Engine.At(ctl.drainUntil, ctl.trySchedule)
-		return
-	}
-	// resv guards backfilling with each partition's blocked head's
-	// EASY reservation: naive fit-based backfilling would let a
-	// stream of small jobs starve a wide head forever. Partitions are
-	// independent capacity domains, so the first blocked job of every
-	// partition gets its own reservation — one shared reservation
-	// would leave the heads of the other partitions starvable.
-	var resv map[int]*headReservation
-	for i := 0; i < len(ctl.queue); {
-		q := ctl.queue[i]
+// planBuiltin is the builtin planner: the paper's unchanged FCFS queue
+// — the head of the priority-ordered queue launches when selectNodes
+// can place it at mask level under the controller's Policy, and blocks
+// everything behind it when it cannot (PolicyPreempt first tries to
+// checkpoint its way in).
+//
+//simvet:coldpath paper scenarios queue tens of jobs, and selectNodes allocates its candidate plans
+func (ctl *Controller) planBuiltin() {
+	for len(ctl.queue) > 0 {
+		q := ctl.queue[0]
 		nodes, plans := ctl.selectNodes(q.job, q.pidx)
 		if nodes == nil {
-			if i == 0 && ctl.policy == PolicyPreempt && ctl.tryPreempt(q.job, q.pidx) {
-				return // checkpoint in progress; retry scheduled
+			if ctl.policy == PolicyPreempt {
+				ctl.tryPreempt(q.job, q.pidx)
 			}
-			if !ctl.Backfill {
-				return // head-of-line blocks (FCFS)
-			}
-			if resv[q.pidx] == nil {
-				if resv == nil {
-					resv = make(map[int]*headReservation, 1)
-				}
-				resv[q.pidx] = ctl.reservationFor(q.job, q.pidx)
-			}
-			i++ // backfill: try the next queued job
-			continue
-		}
-		if rv := resv[q.pidx]; rv != nil && !rv.allows(ctl.cluster.Engine.Now(), q.job, nodes) {
-			i++ // starting now would delay the reserved head
-			continue
+			return
 		}
 		ctl.dequeue(q)
 		ctl.launch(q, nodes, plans)
-		// Restart the scan: the launch changed the cluster state.
-		i = 0
-		resv = nil
 	}
 }
 
 // tryPreempt checkpoints every running job in j's partition with
 // lower priority than j, requeues them for later resumption, and
-// schedules a re-try once the checkpoint completes. Returns false
-// when nothing can be preempted.
+// parks the next cycle at the end of the checkpoint drain. It does
+// nothing when no job can be preempted.
 //
 //simvet:coldpath per preempt action, not per cycle
-func (ctl *Controller) tryPreempt(j *Job, pidx int) bool {
+func (ctl *Controller) tryPreempt(j *Job, pidx int) {
 	var victims []*runningJob
 	for _, r := range ctl.running {
 		if r.pidx == pidx && r.job.Priority < j.Priority {
@@ -559,17 +517,11 @@ func (ctl *Controller) tryPreempt(j *Job, pidx int) bool {
 		}
 	}
 	if len(victims) == 0 {
-		return false
+		return
 	}
 	for _, v := range victims {
 		v.inst.Stop()
-		for i, rr := range ctl.running {
-			if rr == v {
-				ctl.running = append(ctl.running[:i], ctl.running[i+1:]...)
-				break
-			}
-		}
-		delete(ctl.rBySeq, v.seq)
+		ctl.removeRunning(v)
 		for _, node := range v.nodes {
 			ctl.invalidateNode(node) // Stop unregistered the tasks
 		}
@@ -588,34 +540,32 @@ func (ctl *Controller) tryPreempt(j *Job, pidx int) bool {
 			})
 		}
 	}
-	ctl.drainUntil = ctl.cluster.Engine.Now() + ctl.CheckpointCost
-	ctl.cluster.Engine.At(ctl.drainUntil, ctl.trySchedule)
-	return true
+	// The cycle that got here runs with no cycle pending, so the drain's
+	// end takes the deferred slot and every request until then is held.
+	until := ctl.cluster.Engine.Now() + ctl.CheckpointCost
+	ctl.drainUntil = until
+	ctl.deferCycle(until)
 }
 
 // jobsOn returns the running jobs with tasks on node, as slurmd input.
 func (ctl *Controller) jobsOn(node string) []JobOnNode {
 	var out []JobOnNode
 	for _, r := range ctl.running {
-		refs := r.onNode(node)
+		refs := r.onNodeInto(ctl.refsBuf, node)
+		ctl.refsBuf = refs
 		if len(refs) == 0 {
 			continue
 		}
 		jn := JobOnNode{Job: r.job}
 		for _, t := range refs {
-			// Use the *effective* mask: a staged-but-unapplied change
-			// (dirty future) is already binding for planning purposes —
-			// the CPUs it drops are promised to someone else, and the
-			// CPUs it gains are spoken for.
+			// Plan on the *effective* mask: a staged-but-unapplied change
+			// is already binding — the CPUs it drops are promised to
+			// someone else, and the CPUs it gains are spoken for.
 			e, code := ctl.admins[node].Inspect(t.pid)
 			if code.IsError() {
 				continue // task gone mid-plan; skip
 			}
-			mask := e.CurrentMask
-			if e.Dirty {
-				mask = e.FutureMask
-			}
-			jn.Tasks = append(jn.Tasks, TaskInfo{PID: t.pid, Mask: mask})
+			jn.Tasks = append(jn.Tasks, TaskInfo{PID: t.pid, Mask: e.EffectiveMask()})
 		}
 		out = append(out, jn)
 	}
@@ -671,7 +621,7 @@ func (ctl *Controller) selectNodes(j *Job, pidx int) ([]string, map[string]Launc
 		case PolicyOversubscribe:
 			// Always feasible: overlap the requested layout.
 			plan := LaunchPlan{Shrinks: map[shmem.PID]cpuset.CPUSet{}}
-			per := splitEven(j.CPUsPerNode(), j.RanksPerNode())
+			per := splitEvenInto(nil, j.CPUsPerNode(), j.RanksPerNode())
 			lo := 0
 			for _, n := range per {
 				plan.NewTaskMasks = append(plan.NewTaskMasks, cpuset.Range(lo, lo+n-1))
@@ -745,8 +695,8 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 	}
 
 	// placements is controller-owned scratch: NewInstance copies each
-	// entry into its rank state, and the resume path below takes an
-	// explicit copy for its deferred closure.
+	// entry into its rank state, and a resumption rebuilds its own when
+	// the latency elapses.
 	placements := ctl.placeBuf[:0]
 	for _, node := range nodes {
 		plan := plans[node]
@@ -812,28 +762,13 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 
 	ctl.placeBuf = placements
 	if q.resume != nil {
-		// Resume from the checkpoint, paying the restart cost.
+		// Resume from the checkpoint after the launch latency, paying the
+		// restart cost (evResume rebuilds the placements from r.tasks).
 		ctl.running = append(ctl.running, r)
 		ctl.rBySeq[r.seq] = r
-		inst := r.inst
-		seq := r.seq
-		pls := append([]apps.Placement(nil), placements...)
-		// Untracked on purpose: resumptions only exist under the builtin
-		// PolicyPreempt path, where Fork is refused outright, so this
-		// event never needs a re-bind descriptor.
-		ctl.cluster.Engine.After(ctl.LaunchLatency, func() {
-			if ctl.rBySeq[seq] != r {
-				// A node failure killed the job inside the latency
-				// window; its reservations are already released and the
-				// job requeued — resuming would register ghost ranks.
-				return
-			}
-			if err := inst.Resume(pls, ctl.RestartCost); err != nil {
-				ctl.fail(err)
-			}
-		})
+		ctl.trackAfter(ctl.LaunchLatency, pendEv{kind: evResume, seq: r.seq})
 		ctl.logf(nodes[0], "resume", "job %s resumed at %d/%d iterations",
-			j.Name, inst.ItersDone(), inst.Iters)
+			j.Name, r.inst.ItersDone(), r.inst.Iters)
 		return
 	}
 
@@ -852,11 +787,7 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 	ctl.rBySeq[r.seq] = r
 
 	// srun/slurmstepd latency, then the task starts (DLB_Init).
-	ctl.trackAfter(ctl.LaunchLatency, pendEv{kind: evStart, seq: r.seq}, func() {
-		if err := inst.Start(); err != nil {
-			ctl.fail(err)
-		}
-	})
+	ctl.trackAfter(ctl.LaunchLatency, pendEv{kind: evStart, seq: r.seq})
 	// A fault-annotated job dies FailAfter seconds into its run: the
 	// interrupt fires whether or not the job was shrunk or expanded in
 	// the meantime — elongated iterations do not postpone a failure.
@@ -864,11 +795,26 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 	// seq, so the stale interrupt is a no-op; the fault is not
 	// re-armed across a checkpoint restart.)
 	if j.FailAfter > 0 {
-		seq := r.seq
-		ctl.trackAfter(ctl.LaunchLatency+j.FailAfter, pendEv{kind: evInterrupt, seq: seq}, func() {
-			ctl.interruptRunning(seq)
-		})
+		ctl.trackAfter(ctl.LaunchLatency+j.FailAfter, pendEv{kind: evInterrupt, seq: r.seq})
 	}
+}
+
+// placementsOf rebuilds r's rank placements from its task list (rank
+// order), in controller-owned scratch. Each initial mask is read back
+// from the task's DROM entry: launch reserved it with DROM_PreInit, and
+// registration honours a reservation over whatever mask the process
+// supplies.
+func (ctl *Controller) placementsOf(r *runningJob) []apps.Placement {
+	pls := ctl.placeBuf[:0]
+	for _, t := range r.tasks {
+		var mask cpuset.CPUSet
+		if e, code := ctl.admins[t.node].Inspect(t.pid); !code.IsError() {
+			mask = e.EffectiveMask()
+		}
+		pls = append(pls, apps.Placement{Node: t.node, Sys: ctl.cluster.System(t.node), PID: t.pid, InitialMask: mask})
+	}
+	ctl.placeBuf = pls
+	return pls
 }
 
 // interruptRunning ends a running job prematurely (mid-run failure or
@@ -923,11 +869,7 @@ func (ctl *Controller) finalizeTasks(r *runningJob) {
 		if icode.IsError() || len(e.Stolen) > 0 {
 			ctl.invalidateNode(t.node)
 		} else {
-			held := e.CurrentMask
-			if e.Dirty {
-				held = e.FutureMask
-			}
-			ctl.noteFreed(t.node, held)
+			ctl.noteFreed(t.node, e.EffectiveMask())
 		}
 		ctl.logf(t.node, "post_term", "DROM_PostFinalize(pid=%d, RETURN_STOLEN)", t.pid)
 	}
@@ -978,7 +920,7 @@ func (ctl *Controller) endJob(r *runningJob, end float64, outcome metrics.Outcom
 		}
 	}
 	// Freed capacity may unblock the queue.
-	ctl.trySchedule()
+	ctl.kick()
 	if ctl.ServeEvolving {
 		ctl.ServeEvolvingRequests()
 	}
@@ -1010,7 +952,7 @@ func (ctl *Controller) Cancel(name string) bool {
 			}
 			// The queue shortened: the head may have changed, and a
 			// policy reservation computed against the old head is moot.
-			ctl.trySchedule()
+			ctl.kick()
 			return true
 		}
 	}
@@ -1048,10 +990,7 @@ func (ctl *Controller) ServeEvolvingRequests() {
 			if code.IsError() {
 				continue
 			}
-			cur := e.CurrentMask
-			if e.Dirty {
-				cur = e.FutureMask
-			}
+			cur := e.EffectiveMask()
 			machine := ctl.machineOf(node)
 			var next cpuset.CPUSet
 			if req.Want < req.Current {
@@ -1103,9 +1042,9 @@ func (ctl *Controller) releaseResources(node string) {
 	for _, p := range pids {
 		pid := shmem.PID(p)
 		mask := grown[pid]
-		// Preserve any pending staged mask: grow from the future value.
-		if e, code := admin.Inspect(pid); !code.IsError() && e.Dirty {
-			mask = e.FutureMask.Or(mask.AndNot(e.CurrentMask))
+		// Preserve any pending staged mask: grow from the effective value.
+		if e, code := admin.Inspect(pid); !code.IsError() {
+			mask = e.EffectiveMask().Or(mask.AndNot(e.CurrentMask))
 		}
 		if code := admin.SetProcessMask(pid, mask, core.FlagNone); code.IsError() {
 			if !ctl.shmemFault(node, code) {

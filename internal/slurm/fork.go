@@ -19,10 +19,11 @@ package slurm
 //     never steer decisions, so a blind fork decides identically.
 //
 // Pending events are not re-scheduled: the engine fork preserves
-// every (time, ID) pair and the controller re-binds each ID to a
-// closure over the forked state via the pend descriptor map. The
-// fault RNG is reconstructed from its seed and fast-forwarded by the
-// recorded draw count, so both lineages continue the same stream.
+// every (time, ID) pair and the controller re-binds each ID to its own
+// firePend, which runs the copied descriptor through the same
+// dispatcher the live lineage uses. The fault RNG is reconstructed
+// from its seed and fast-forwarded by the recorded draw count, so both
+// lineages continue the same stream.
 
 import (
 	"fmt"
@@ -56,13 +57,18 @@ const (
 	evSeeded
 	// evRequeue is a fault-killed job's backoff expiring.
 	evRequeue
+	// evResume is the deferred Instance.Resume of a checkpointed job
+	// after the launch latency.
+	evResume
 )
 
-// pendEv describes one pending controller event so Fork can re-bind
-// its engine event ID to a closure over the forked state.
+// pendEv is the one description of a pending controller event: the
+// engine callback carries only the event ID, and dispatch executes the
+// descriptor — in the live lineage and, copied by Fork, in the forked
+// one.
 type pendEv struct {
 	kind    pendKind
-	seq     int     // evStart, evInterrupt, evRequeue
+	seq     int     // evStart, evInterrupt, evRequeue, evResume
 	node    int     // fault events: global node index
 	home    int     // evRequeue: home partition index
 	attempt int     // evRequeue
@@ -71,21 +77,68 @@ type pendEv struct {
 	job     *Job    // evRequeue
 }
 
-// trackAt schedules body at absolute time t, recording the descriptor
-// until the event fires.
-func (ctl *Controller) trackAt(t float64, pe pendEv, body func()) {
+// trackAt schedules the event pe describes at absolute time t; the
+// descriptor is held until the event fires.
+func (ctl *Controller) trackAt(t float64, pe pendEv) {
 	var id sim.EventID
-	id = ctl.cluster.Engine.At(t, func() {
-		delete(ctl.pend, id)
-		body()
-	})
+	id = ctl.cluster.Engine.At(t, func() { ctl.firePend(id) })
 	ctl.pend[id] = pe
 }
 
-// trackAfter schedules body after delay d, recording the descriptor
-// until the event fires.
-func (ctl *Controller) trackAfter(d float64, pe pendEv, body func()) {
-	ctl.trackAt(ctl.cluster.Engine.Now()+d, pe, body)
+// trackAfter is trackAt at delay d from now.
+func (ctl *Controller) trackAfter(d float64, pe pendEv) {
+	ctl.trackAt(ctl.cluster.Engine.Now()+d, pe)
+}
+
+// firePend is the engine callback of every tracked event: it retires
+// the descriptor and executes it.
+func (ctl *Controller) firePend(id sim.EventID) {
+	pe := ctl.pend[id]
+	delete(ctl.pend, id)
+	ctl.dispatch(pe)
+}
+
+// dispatch executes one controller event. It is the only statement of
+// what each event kind does.
+func (ctl *Controller) dispatch(pe pendEv) {
+	switch pe.kind {
+	case evStart:
+		// srun/slurmstepd latency elapsed: the task starts (DLB_Init). A
+		// seq that no longer names a running job was killed, preempted or
+		// failed away inside the latency window; its reservations are
+		// already released.
+		if r := ctl.rBySeq[pe.seq]; r != nil {
+			if err := r.inst.Start(); err != nil {
+				ctl.fail(err)
+			}
+		}
+	case evResume:
+		// Same guard: resuming a job a node failure killed inside the
+		// window would register ghost ranks.
+		if r := ctl.rBySeq[pe.seq]; r != nil {
+			if err := r.inst.Resume(ctl.placementsOf(r), ctl.RestartCost); err != nil {
+				ctl.fail(err)
+			}
+		}
+	case evInterrupt:
+		ctl.interruptRunning(pe.seq)
+	case evFaultScript:
+		ctl.scheduleFaultWindows()
+	case evWinDown:
+		ctl.nodeDown(pe.node, pe.until)
+	case evWinDrain:
+		ctl.nodeDrain(pe.node, pe.until)
+	case evRepair:
+		ctl.nodeRepair(pe.node)
+	case evDrainEnd:
+		ctl.drainEnd(pe.node)
+	case evSeeded:
+		ctl.seededFault(pe.node)
+	case evRequeue:
+		ctl.requeueArrive(pe.job, pe.submit, pe.seq, pe.home, pe.attempt)
+	default:
+		ctl.fail(fmt.Errorf("slurm: unknown pending-event kind %d", pe.kind))
+	}
 }
 
 // Fork clones the cluster onto the forked engine: fresh shared-memory
@@ -123,15 +176,13 @@ func (ctl *Controller) Cluster() *Cluster { return ctl.cluster }
 // re-bind its own pending events (submission chains, scancel timers)
 // and then call FinishFork on it before running either lineage.
 //
-// Fork requires an installed sched.Policy (builtin-mode pending
-// events carry no re-bind descriptors) and refuses jittered clusters
-// (the jitter RNG stream cannot be split).
+// Every mode forks — the builtin policies (scheds stays nil in the
+// fork) as well as installed sched policies. Fork refuses exactly two
+// states: a failed controller, and a jittered cluster (the jitter RNG
+// stream cannot be split).
 func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 	if ctl.Err != nil {
 		return nil, nil, fmt.Errorf("slurm: Fork of a failed controller: %w", ctl.Err)
-	}
-	if ctl.scheds == nil {
-		return nil, nil, fmt.Errorf("slurm: Fork requires an installed scheduling policy")
 	}
 	if ctl.cluster.Jitter != nil {
 		return nil, nil, fmt.Errorf("slurm: Fork of a jittered cluster is not supported")
@@ -146,7 +197,6 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		SpillAfter:      ctl.SpillAfter,
 		SpillDepth:      ctl.SpillDepth,
 		ServeEvolving:   ctl.ServeEvolving,
-		Backfill:        ctl.Backfill,
 		LaunchLatency:   ctl.LaunchLatency,
 		CheckpointCost:  ctl.CheckpointCost,
 		RestartCost:     ctl.RestartCost,
@@ -168,9 +218,11 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		DebugInvariants: ctl.DebugInvariants,
 		Records:         *ctl.Records.Clone(),
 	}
-	ctl2.scheds = make([]sched.Policy, len(ctl.scheds))
-	for i, p := range ctl.scheds {
-		ctl2.scheds[i] = p.ClonePolicy()
+	if ctl.scheds != nil {
+		ctl2.scheds = make([]sched.Policy, len(ctl.scheds))
+		for i, p := range ctl.scheds {
+			ctl2.scheds[i] = p.ClonePolicy()
+		}
 	}
 	for _, n := range c.Nodes {
 		admin, code := c.System(n).Attach()
@@ -179,18 +231,10 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		}
 		ctl2.admins[n] = admin
 	}
-	ctl2.queue = make([]*queuedJob, len(ctl.queue))
-	for i, q := range ctl.queue {
-		if q.resume != nil {
-			return nil, nil, fmt.Errorf("slurm: Fork with a checkpointed job in queue (job %s)", q.job.Name)
-		}
-		cq := *q
-		ctl2.queue[i] = &cq
-		ctl2.qBySeq[cq.seq] = &cq
-	}
+	// forkJob clones one job record with its instance: a running job's,
+	// or the checkpoint image a queued job resumes from.
 	sysOf := func(node string) *core.System { return c.System(node) }
-	ctl2.running = make([]*runningJob, len(ctl.running))
-	for i, r := range ctl.running {
+	forkJob := func(r *runningJob) (*runningJob, error) {
 		cr := &runningJob{
 			job: r.job, seq: r.seq, pidx: r.pidx, homePidx: r.homePidx,
 			submit: r.submit, start: r.start,
@@ -202,7 +246,28 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		cr.inst = r.inst.Fork(eng, c.Demand, sysOf)
 		cr.inst.OnComplete = func(end float64) { ctl2.onJobEnd(cr, end) }
 		if err := cr.inst.RebindPending(); err != nil {
-			return nil, nil, fmt.Errorf("slurm: Fork job %s: %w", cr.job.Name, err)
+			return nil, fmt.Errorf("slurm: Fork job %s: %w", cr.job.Name, err)
+		}
+		return cr, nil
+	}
+	ctl2.queue = make([]*queuedJob, len(ctl.queue))
+	for i, q := range ctl.queue {
+		cq := *q
+		if q.resume != nil {
+			cr, err := forkJob(q.resume)
+			if err != nil {
+				return nil, nil, err
+			}
+			cq.resume = cr
+		}
+		ctl2.queue[i] = &cq
+		ctl2.qBySeq[cq.seq] = &cq
+	}
+	ctl2.running = make([]*runningJob, len(ctl.running))
+	for i, r := range ctl.running {
+		cr, err := forkJob(r)
+		if err != nil {
+			return nil, nil, err
 		}
 		ctl2.running[i] = cr
 		ctl2.rBySeq[cr.seq] = cr
@@ -237,64 +302,12 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		}
 	}
 	for id, pe := range ctl.pend { //simvet:ordered independent per-ID re-binds
-		body, err := ctl2.pendBody(pe)
-		if err != nil {
-			return nil, nil, err
-		}
-		id := id
 		ctl2.pend[id] = pe
-		if err := eng.Rebind(id, func() {
-			delete(ctl2.pend, id)
-			body()
-		}); err != nil {
+		if err := eng.Rebind(id, func() { ctl2.firePend(id) }); err != nil {
 			return nil, nil, fmt.Errorf("slurm: Fork pend event: %w", err)
 		}
 	}
 	return ctl2, eng, nil
-}
-
-// pendBody builds the forked closure of one pending-event descriptor.
-func (ctl *Controller) pendBody(pe pendEv) (func(), error) {
-	switch pe.kind {
-	case evStart:
-		r := ctl.rBySeq[pe.seq]
-		if r == nil {
-			// The job was killed inside its launch-latency window before
-			// the fork; the parent's event no-ops against the stopped
-			// instance, so the fork runs an empty event in its place.
-			return func() {}, nil
-		}
-		inst := r.inst
-		return func() {
-			if err := inst.Start(); err != nil {
-				ctl.fail(err)
-			}
-		}, nil
-	case evInterrupt:
-		seq := pe.seq
-		return func() { ctl.interruptRunning(seq) }, nil
-	case evFaultScript:
-		return ctl.scheduleFaultWindows, nil
-	case evWinDown:
-		i, until := pe.node, pe.until
-		return func() { ctl.nodeDown(i, until) }, nil
-	case evWinDrain:
-		i, until := pe.node, pe.until
-		return func() { ctl.nodeDrain(i, until) }, nil
-	case evRepair:
-		i := pe.node
-		return func() { ctl.nodeRepair(i) }, nil
-	case evDrainEnd:
-		i := pe.node
-		return func() { ctl.drainEnd(i) }, nil
-	case evSeeded:
-		i := pe.node
-		return func() { ctl.seededFault(i) }, nil
-	case evRequeue:
-		job, submit, seq, home, attempt := pe.job, pe.submit, pe.seq, pe.home, pe.attempt
-		return func() { ctl.requeueArrive(job, submit, seq, home, attempt) }, nil
-	}
-	return nil, fmt.Errorf("slurm: Fork: unknown pending-event kind %d", pe.kind)
 }
 
 // SetQueuedMalleable flips the malleability of a still-queued job.
@@ -310,7 +323,7 @@ func (ctl *Controller) SetQueuedMalleable(name string, malleable bool) bool {
 			nj := *q.job
 			nj.Malleable = malleable
 			q.job = &nj
-			ctl.trySchedule()
+			ctl.kick()
 		}
 		return true
 	}

@@ -9,7 +9,9 @@ package slurm_test
 // The suite drives the exact scenarios behind the four goldens
 // (internal/workload/testdata/sched_starts_*.golden) through
 // workload.Session, forking each at five virtual times spread over
-// the trace.
+// the trace, and the paper's own scenarios on the builtin planner:
+// UC1 under serial, DROM and oversubscribe, and UC2 under the
+// checkpoint/restart baseline forked at every stage of a preemption.
 
 import (
 	"fmt"
@@ -18,6 +20,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/hwmodel"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -25,13 +28,20 @@ import (
 	"repro/internal/workload"
 )
 
-// forkCase is one golden trace with the policy (or policy set) that
-// replays it.
+// forkCase is one scenario with the policy set — or, on the builtin
+// planner, the controller policy — that replays it.
 type forkCase struct {
 	name   string
-	spec   string // sched.ParsePolicySet grammar
+	spec   string       // sched.ParsePolicySet grammar; "" = builtin planner
+	policy slurm.Policy // builtin planner only
 	make   func(t *testing.T) workload.Scenario
 	faults bool // expect requeue tallies in the rendering
+	// at picks the fork instants from the uninterrupted replay (nil =
+	// forkTimes over its makespan).
+	at func(t *testing.T, base workload.Result) []float64
+	// shape, when set, is the (queued, running) job count expected at
+	// each fork instant: it keeps a staged case from going vacuous.
+	shape [][2]int
 }
 
 // goldenForkCases mirrors the four committed golden traces: the
@@ -87,9 +97,57 @@ func goldenForkCases() []forkCase {
 	}
 }
 
-// openSession opens the case's scenario under its policy set.
+// builtinForkCases are the paper's scenarios on the builtin planner.
+// The UC2 preemption case forks (a) mid checkpoint drain, (b) with the
+// checkpointed job queued behind the running high-priority job, and
+// (c) inside the launch-latency window of the resumption — the three
+// states only this path produces (held cycle event, queued checkpoint
+// image, pending evResume).
+func builtinForkCases() []forkCase {
+	uc1 := func(*testing.T) workload.Scenario {
+		return workload.UC1("nest", apps.Config{Ranks: 2, Threads: 16}, "pils", apps.Config{Ranks: 2, Threads: 1}, false)
+	}
+	// Five instants over the makespan, plus one inside the analytics
+	// job's launch-latency window: its reservation and the simulator's
+	// staged shrink are in shared memory, its ranks not yet registered.
+	uc1At := func(_ *testing.T, base workload.Result) []float64 {
+		return append(forkTimes(base.Records.TotalRunTime()),
+			workload.AnalyticsSubmitTime+slurm.DefaultLaunchLatency/2)
+	}
+	return []forkCase{
+		{name: "uc1-serial", policy: slurm.PolicySerial, make: uc1, at: uc1At},
+		{name: "uc1-drom", policy: slurm.PolicyDROM, make: uc1, at: uc1At},
+		{name: "uc1-oversubscribe", policy: slurm.PolicyOversubscribe, make: uc1, at: uc1At},
+		{
+			name: "uc2-preempt", policy: slurm.PolicyPreempt,
+			make: func(*testing.T) workload.Scenario { return workload.UC2(false) },
+			at: func(t *testing.T, base workload.Result) []float64 {
+				hp, ok := base.Records.Job("coreneuron")
+				if !ok || hp.Start <= workload.HighPrioSubmitTime {
+					t.Fatalf("high-priority job did not wait out a checkpoint drain: %+v", hp)
+				}
+				return []float64{
+					(workload.HighPrioSubmitTime + hp.Start) / 2, // (a)
+					(hp.Start + hp.End) / 2,                      // (b)
+					hp.End + slurm.DefaultLaunchLatency/2,        // (c)
+				}
+			},
+			shape: [][2]int{{2, 0}, {1, 1}, {0, 1}},
+		},
+	}
+}
+
+// openSession opens the case's scenario under its policy set, or on
+// the builtin planner.
 func openSession(t *testing.T, c forkCase, sc workload.Scenario) *workload.Session {
 	t.Helper()
+	if c.spec == "" {
+		sess, err := workload.NewSession(sc, c.policy, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
 	ps, err := sched.ParsePolicySet(c.spec)
 	if err != nil {
 		t.Fatal(err)
@@ -155,12 +213,12 @@ func firstDiff(t *testing.T, label, got, want string) {
 	t.Fatalf("%s: decision listing length changed: got %d lines, want %d", label, len(gl), len(wl))
 }
 
-// TestForkReplayDifferential forks every golden trace at five virtual
-// times; the fork and the forked-from parent must both finish with
-// the uninterrupted replay's exact decision trace.
+// TestForkReplayDifferential forks every golden trace and every
+// builtin scenario at its fork instants; the fork and the forked-from
+// parent must both finish with the uninterrupted replay's exact
+// decision trace.
 func TestForkReplayDifferential(t *testing.T) {
-	for _, c := range goldenForkCases() {
-		c := c
+	for _, c := range append(goldenForkCases(), builtinForkCases()...) {
 		t.Run(c.name, func(t *testing.T) {
 			sc := c.make(t)
 			base := openSession(t, c, sc).Run()
@@ -172,9 +230,16 @@ func TestForkReplayDifferential(t *testing.T) {
 			if makespan <= 0 {
 				t.Fatal("empty baseline replay; the differential is vacuous")
 			}
-			for _, at := range forkTimes(makespan) {
+			times := forkTimes(makespan)
+			if c.at != nil {
+				times = c.at(t, base)
+			}
+			for i, at := range times {
 				sess := openSession(t, c, sc)
 				sess.RunUntil(at)
+				if got := [2]int{sess.Controller().QueueLen(), sess.Controller().RunningLen()}; c.shape != nil && got != c.shape[i] {
+					t.Fatalf("fork at t=%.1f: (queued, running) = %v, want %v", at, got, c.shape[i])
+				}
 				fork, err := sess.Fork()
 				if err != nil {
 					t.Fatalf("fork at t=%.1f: %v", at, err)
@@ -240,20 +305,25 @@ func TestForkMutationIsolation(t *testing.T) {
 	firstDiff(t, "parent after mutated fork", renderDecisions(pres.Records, c.faults), want)
 }
 
-// TestForkRefusals: fork must refuse states it cannot clone
-// faithfully rather than fork wrong.
+// TestForkRefusals: fork must refuse the two states it cannot clone
+// faithfully rather than fork wrong — and nothing else.
 func TestForkRefusals(t *testing.T) {
-	// Builtin-mode controller: no sched policy installed.
 	sc, err := workload.SyntheticSWFScenario(workload.SyntheticSWF{Seed: 5, Jobs: 10, Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Builtin-mode controller (no sched policy installed): forks.
 	sess, err := workload.NewSession(sc, slurm.PolicyDROM, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sess.Fork(); err != nil {
+		t.Errorf("Fork of a builtin-mode controller refused: %v", err)
+	}
+	// Failed controller: its state is already wrong.
+	sess.Controller().Err = fmt.Errorf("injected")
 	if _, err := sess.Fork(); err == nil {
-		t.Error("Fork of a builtin-mode controller succeeded; want refusal")
+		t.Error("Fork of a failed controller succeeded; want refusal")
 	}
 	// Jittered cluster: the RNG stream cannot be split.
 	jsc := sc

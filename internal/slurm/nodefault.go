@@ -182,27 +182,23 @@ func (ctl *Controller) InstallFaults(fp FaultPlan) error {
 		// and it needs no help from IDs: the replay driver submits in the
 		// engine's front band, so a submission runs before a same-instant
 		// window whichever was scheduled first.
-		ctl.trackAt(0, pendEv{kind: evFaultScript}, ctl.scheduleFaultWindows)
+		ctl.trackAt(0, pendEv{kind: evFaultScript})
 	}
 	return nil
 }
 
 // scheduleFaultWindows arms the parsed script's down/drain window
-// events; runs from the t=0 deferral event of InstallFaults, or from
-// its re-bound equivalent when a fork happens before the deferral
-// fires.
+// events; runs from the t=0 deferral event of InstallFaults
+// (evFaultScript).
 //
 //simvet:coldpath once per run, gated on a fault script
 func (ctl *Controller) scheduleFaultWindows() {
 	for _, w := range ctl.nfWins {
-		w := w
+		kind := evWinDown
 		if w.drain {
-			ctl.trackAt(w.from, pendEv{kind: evWinDrain, node: w.node, until: w.to},
-				func() { ctl.nodeDrain(w.node, w.to) })
-		} else {
-			ctl.trackAt(w.from, pendEv{kind: evWinDown, node: w.node, until: w.to},
-				func() { ctl.nodeDown(w.node, w.to) })
+			kind = evWinDrain
 		}
+		ctl.trackAt(w.from, pendEv{kind: kind, node: w.node, until: w.to})
 	}
 }
 
@@ -262,8 +258,7 @@ func (ctl *Controller) armSeededFault(i int) {
 		return
 	}
 	ctl.nfArmed[i] = true
-	ctl.trackAfter(ctl.expDraw(ctl.nfPlan.MTBF), pendEv{kind: evSeeded, node: i},
-		func() { ctl.seededFault(i) })
+	ctl.trackAfter(ctl.expDraw(ctl.nfPlan.MTBF), pendEv{kind: evSeeded, node: i})
 }
 
 // seededFault is one armed MTBF failure firing. The repair time is
@@ -292,7 +287,7 @@ func (ctl *Controller) nodeDown(i int, until float64) {
 	if ctl.nfState[i] == hwmodel.NodeDown {
 		if until > ctl.nfDownUntil[i] {
 			ctl.nfDownUntil[i] = until
-			ctl.trackAt(until, pendEv{kind: evRepair, node: i}, func() { ctl.nodeRepair(i) })
+			ctl.trackAt(until, pendEv{kind: evRepair, node: i})
 		}
 		return
 	}
@@ -310,8 +305,8 @@ func (ctl *Controller) nodeDown(i int, until float64) {
 	}
 	ctl.logf(node, "node_down", "node failed until t=%.1f", until)
 	ctl.killResidents(node)
-	ctl.trackAt(until, pendEv{kind: evRepair, node: i}, func() { ctl.nodeRepair(i) })
-	ctl.trySchedule()
+	ctl.trackAt(until, pendEv{kind: evRepair, node: i})
+	ctl.kick()
 }
 
 // nodeRepair returns node i to service. An extended outage leaves
@@ -344,7 +339,7 @@ func (ctl *Controller) nodeRepair(i int) {
 	if ctl.nfRand != nil && !ctl.faultIdle() {
 		ctl.armSeededFault(i)
 	}
-	ctl.trySchedule()
+	ctl.kick()
 }
 
 // nodeDrain marks node i launch-ineligible until the given time;
@@ -356,7 +351,7 @@ func (ctl *Controller) nodeDrain(i int, until float64) {
 	if ctl.nfState[i] != hwmodel.NodeUp {
 		if ctl.nfState[i] == hwmodel.NodeDraining && until > ctl.nfDrainUntil[i] {
 			ctl.nfDrainUntil[i] = until
-			ctl.trackAt(until, pendEv{kind: evDrainEnd, node: i}, func() { ctl.drainEnd(i) })
+			ctl.trackAt(until, pendEv{kind: evDrainEnd, node: i})
 		}
 		return
 	}
@@ -372,7 +367,7 @@ func (ctl *Controller) nodeDrain(i int, until float64) {
 		})
 	}
 	ctl.logf(node, "node_drain", "node draining until t=%.1f", until)
-	ctl.trackAt(until, pendEv{kind: evDrainEnd, node: i}, func() { ctl.drainEnd(i) })
+	ctl.trackAt(until, pendEv{kind: evDrainEnd, node: i})
 }
 
 // drainEnd returns a drained node to service (no-op when a failure
@@ -398,7 +393,7 @@ func (ctl *Controller) drainEnd(i int) {
 	if ctl.nfRand != nil && !ctl.faultIdle() {
 		ctl.armSeededFault(i)
 	}
-	ctl.trySchedule()
+	ctl.kick()
 }
 
 // killResidents stops every running job with tasks on the failed
@@ -462,15 +457,12 @@ func (ctl *Controller) requeueAfterBackoff(v *runningJob, node string, attempt i
 	ctl.logf(node, "requeue", "job %s requeued (attempt %d/%d, backoff %.1fs)",
 		v.job.Name, attempt, ctl.nfPlan.maxRequeues(), delay)
 	ctl.nfLimbo++
-	job, submit, home := v.job, v.submit, v.homePidx
-	ctl.trackAfter(delay, pendEv{kind: evRequeue, job: job, submit: submit, seq: seq, home: home, attempt: attempt},
-		func() { ctl.requeueArrive(job, submit, seq, home, attempt) })
+	ctl.trackAfter(delay, pendEv{kind: evRequeue, job: v.job, submit: v.submit, seq: seq, home: v.homePidx, attempt: attempt})
 }
 
-// requeueArrive is the deferred half of requeueAfterBackoff: the
-// backoff elapsed and the job re-enters its home partition's queue
-// under the fresh seq. Also the re-bind target when a fork happens
-// inside the backoff window.
+// requeueArrive is the deferred half of requeueAfterBackoff
+// (evRequeue): the backoff elapsed and the job re-enters its home
+// partition's queue under the fresh seq.
 //
 //simvet:coldpath per node-down event
 func (ctl *Controller) requeueArrive(job *Job, submit float64, seq, home, attempt int) {
@@ -484,7 +476,7 @@ func (ctl *Controller) requeueArrive(job *Job, submit float64, seq, home, attemp
 			Priority:  job.Priority, Nodes: job.Nodes, CPUs: job.CPUsPerNode(),
 		})
 	}
-	ctl.trySchedule()
+	ctl.kick()
 }
 
 // requeueBackoff returns attempt k's wait: base·2^(k-1), jittered

@@ -106,39 +106,10 @@ func TestNoPreemptionAmongEqualPriority(t *testing.T) {
 	}
 }
 
-// TestBackfillLetsSmallJobsThrough: with backfilling on, a small job
-// behind a blocked wide job starts on the free capacity.
-func TestBackfillLetsSmallJobsThrough(t *testing.T) {
-	eng, c := newTestCluster()
-	ctl := NewController(c, PolicySerial)
-	ctl.Backfill = true
-	// A 2-node job occupies everything; a second 2-node job blocks; a
-	// later 2-node job also blocks — but with DROM off and nodes busy
-	// nothing backfills on a 2-node cluster, so use 1-node jobs.
-	wide := &Job{Name: "wide", Spec: fastSpec(200), Cfg: apps.Config{Ranks: 1, Threads: 16},
-		Nodes: 1, Malleable: true}
-	blockedWide := &Job{Name: "blocked", Spec: fastSpec(100), Cfg: apps.Config{Ranks: 2, Threads: 16},
-		Nodes: 2, Malleable: true}
-	small := &Job{Name: "small", Spec: fastSpec(50), Cfg: apps.Config{Ranks: 1, Threads: 8},
-		Nodes: 1, Malleable: true}
-	submit(t, ctl, wide)        // takes node0 (or node1)
-	submit(t, ctl, blockedWide) // needs both nodes: blocks
-	submit(t, ctl, small)       // fits on the free node: backfills
-	if ctl.RunningLen() != 2 {
-		t.Fatalf("running = %d, want wide+small via backfill", ctl.RunningLen())
-	}
-	eng.Run()
-	checkErr(t, ctl)
-	rs, _ := ctl.Records.Job("small")
-	rb, _ := ctl.Records.Job("blocked")
-	if rs.Start >= rb.Start {
-		t.Errorf("small (%v) should start before blocked (%v)", rs.Start, rb.Start)
-	}
-}
-
-// TestNoBackfillKeepsFCFS: the same workload without backfill makes
-// the small job wait behind the blocked head.
-func TestNoBackfillKeepsFCFS(t *testing.T) {
+// TestBuiltinQueueIsFCFS: the builtin planner never backfills — a
+// small job that would fit on the free node waits behind the blocked
+// head.
+func TestBuiltinQueueIsFCFS(t *testing.T) {
 	eng, c := newTestCluster()
 	ctl := NewController(c, PolicySerial)
 	wide := &Job{Name: "wide", Spec: fastSpec(200), Cfg: apps.Config{Ranks: 1, Threads: 16},

@@ -30,11 +30,9 @@ import (
 // UseSched installs a queue-ordering/admission policy, one instance
 // per partition: partitions have independent node shapes and policies
 // carry scratch buffers, so an instance must never serve two
-// partitions. The given instance drives the first partition; further
-// partitions get fresh instances of the same policy via sched.New
-// (a custom policy whose name sched.New does not know is shared as a
-// fallback — such a policy must then tolerate alternating partition
-// shapes). nil reverts to the built-in FCFS(+Backfill) behavior.
+// partitions. The given instance drives the first partition; every
+// further partition gets its own p.ClonePolicy(). nil reverts to the
+// builtin planner.
 //
 // Sched-driven runs require disjoint-mask placement, and the
 // incremental free-CPU accounting cannot see oversubscribed
@@ -45,16 +43,13 @@ func (ctl *Controller) UseSched(p sched.Policy) {
 		ctl.scheds = nil
 		return
 	}
-	ctl.rejectOversubscribedSched()
-	ctl.scheds = ctl.scheds[:0]
-	ctl.scheds = append(ctl.scheds, p)
-	for range ctl.cluster.Spec.Partitions[1:] {
-		if q, err := sched.New(p.Name()); err == nil {
-			ctl.scheds = append(ctl.scheds, q)
-		} else {
-			ctl.scheds = append(ctl.scheds, p)
+	// The installer only fails when newFor does.
+	_ = ctl.installScheds(func(pi int) (sched.Policy, error) {
+		if pi == 0 {
+			return p, nil
 		}
-	}
+		return p.ClonePolicy(), nil
+	})
 }
 
 // UseSchedSet installs per-partition policies from a sched.PolicySet
@@ -63,10 +58,20 @@ func (ctl *Controller) UseSched(p sched.Policy) {
 // An error is returned when some partition has neither an entry nor a
 // default.
 func (ctl *Controller) UseSchedSet(ps sched.PolicySet) error {
-	ctl.rejectOversubscribedSched()
+	return ctl.installScheds(func(pi int) (sched.Policy, error) {
+		return ps.NewFor(ctl.cluster.Spec.Partitions[pi].Name)
+	})
+}
+
+// installScheds is the one installer behind UseSched and UseSchedSet:
+// newFor supplies the instance serving partition pi.
+func (ctl *Controller) installScheds(newFor func(pi int) (sched.Policy, error)) error {
+	if ctl.policy == PolicyOversubscribe {
+		panic("slurm: sched policies require disjoint-mask placement; PolicyOversubscribe is unsupported")
+	}
 	scheds := make([]sched.Policy, 0, len(ctl.cluster.Spec.Partitions))
-	for _, part := range ctl.cluster.Spec.Partitions {
-		p, err := ps.NewFor(part.Name)
+	for pi := range ctl.cluster.Spec.Partitions {
+		p, err := newFor(pi)
 		if err != nil {
 			return err
 		}
@@ -74,22 +79,6 @@ func (ctl *Controller) UseSchedSet(ps sched.PolicySet) error {
 	}
 	ctl.scheds = scheds
 	return nil
-}
-
-func (ctl *Controller) rejectOversubscribedSched() {
-	if ctl.policy == PolicyOversubscribe {
-		panic("slurm: sched policies require disjoint-mask placement; PolicyOversubscribe is unsupported")
-	}
-}
-
-// Sched returns the policy instance of the first partition (nil when
-// the built-in queue logic is active); SchedOf returns the instance
-// serving one partition.
-func (ctl *Controller) Sched() sched.Policy {
-	if len(ctl.scheds) == 0 {
-		return nil
-	}
-	return ctl.scheds[0]
 }
 
 // SchedOf returns the policy instance of partition pi.
@@ -186,11 +175,7 @@ func (ctl *Controller) runningCPUs(r *runningJob) int {
 				continue
 			}
 			if e, code := ctl.admins[node].Inspect(t.pid); !code.IsError() {
-				m := e.CurrentMask
-				if e.Dirty {
-					m = e.FutureMask
-				}
-				n += m.Count()
+				n += e.EffectiveMask().Count()
 			}
 		}
 		if n > cur {
@@ -263,16 +248,10 @@ func (ctl *Controller) snapshotPartition(pi int) *sched.State {
 	return st
 }
 
-// schedCycle runs one policy pass per partition and executes each
-// pass's actions in order before snapshotting the next partition.
-// Partitions are fully independent capacity domains: the policy never
-// sees two node shapes in one State, and actions carry
-// partition-local node indices. An action that no longer applies (the
-// capacity model is coarser than mask-level placement) is skipped and
-// the job stays queued — but the skip re-arms one follow-up cycle at
-// the current timestamp, so capacity freed by actions that did
-// execute (say, a shrink paired with a start that lost the race) is
-// re-planned immediately instead of idling until the next job event.
+// schedCycle is the cycle skeleton every mode runs through: the
+// KindCycleStart/End probe points around one of the two planners — the
+// builtin mask-level planner (no sched policy installed) or the
+// per-partition policy passes.
 //
 //simvet:hotpath
 func (ctl *Controller) schedCycle() {
@@ -290,6 +269,35 @@ func (ctl *Controller) schedCycle() {
 		})
 	}
 	skipped := false
+	if ctl.scheds == nil {
+		ctl.planBuiltin()
+	} else {
+		skipped = ctl.planPolicies(probe)
+	}
+	if probe != nil {
+		probe.Emit(obs.Event{
+			Kind: obs.KindCycleEnd, Time: ctl.cluster.Engine.Now(),
+			Queue: len(ctl.queue), Running: len(ctl.running),
+			WallNanos: time.Since(cycleT0).Nanoseconds(),
+		})
+	}
+	if skipped {
+		ctl.rearmAfterSkip()
+	}
+}
+
+// planPolicies is the sched planner: one policy pass per partition,
+// each pass's actions executed in order before the next partition is
+// snapshotted, then the spillover pass. Partitions are fully
+// independent capacity domains: the policy never sees two node shapes
+// in one State, and actions carry partition-local node indices. An
+// action that no longer applies (the capacity model is coarser than
+// mask-level placement) is skipped and the job stays queued — but the
+// skip is reported so the skeleton re-arms one follow-up cycle at the
+// current timestamp, and capacity freed by actions that did execute
+// (say, a shrink paired with a start that lost the race) is re-planned
+// immediately instead of idling until the next job event.
+func (ctl *Controller) planPolicies(probe obs.Probe) (skipped bool) {
 	for pi := range ctl.cluster.Spec.Partitions {
 		ctl.Cycles++
 		st := ctl.snapshotPartition(pi)
@@ -367,16 +375,7 @@ func (ctl *Controller) schedCycle() {
 	if ctl.DebugInvariants {
 		ctl.checkFreeInvariant()
 	}
-	if probe != nil {
-		probe.Emit(obs.Event{
-			Kind: obs.KindCycleEnd, Time: ctl.cluster.Engine.Now(),
-			Queue: len(ctl.queue), Running: len(ctl.running),
-			WallNanos: time.Since(cycleT0).Nanoseconds(),
-		})
-	}
-	if skipped {
-		ctl.rearmAfterSkip()
-	}
+	return skipped
 }
 
 // emitResize reports one shrink/expand action outcome.
@@ -681,17 +680,14 @@ func (ctl *Controller) effectiveMasks(node string, refs []taskRef) []cpuset.CPUS
 	}
 	for i, ref := range refs {
 		if e, code := ctl.admins[node].Inspect(ref.pid); !code.IsError() {
-			out[i] = e.CurrentMask
-			if e.Dirty {
-				out[i] = e.FutureMask
-			}
+			out[i] = e.EffectiveMask()
 		}
 	}
 	return out
 }
 
 // ---------------------------------------------------------------------
-// EASY reservation guard for the built-in backfill knob
+// EASY head-reservation guard of the spillover pass
 // ---------------------------------------------------------------------
 
 // headReservation is the blocked head's claim on the cluster: the
@@ -730,9 +726,7 @@ func (s *resvNodeSorter) Less(i, j int) bool {
 // reservationFor projects, per node of j's partition, when all
 // current occupants have ended, and reserves the j.Nodes earliest-
 // free nodes for j. Every buffer it touches is controller-owned
-// scratch: the built-in backfill guard calls it on every blocked-head
-// cycle, and the per-call map and slice copies it used to make
-// dominated that path's allocation profile.
+// scratch: the spillover pass calls it inside the scheduling cycle.
 func (ctl *Controller) reservationFor(j *Job, pidx int) *headReservation {
 	now := ctl.cluster.Engine.Now()
 	partNodes := ctl.cluster.PartitionNodes(pidx)

@@ -95,33 +95,6 @@ func TestSchedEASYNoStarvation(t *testing.T) {
 	}
 }
 
-// TestLegacyBackfillReservation: the built-in Backfill knob now
-// carries the same guard (satellite fix): greedy long jobs cannot
-// starve a wide head.
-func TestLegacyBackfillReservation(t *testing.T) {
-	eng, c := newTestCluster()
-	ctl := NewController(c, PolicySerial)
-	ctl.Backfill = true
-	submit(t, ctl, &Job{Name: "running", Spec: fastSpec(100), Cfg: apps.Config{Ranks: 1, Threads: 16},
-		Nodes: 1, Walltime: 120, Malleable: true})
-	submit(t, ctl, &Job{Name: "wide", Spec: fastSpec(50), Cfg: apps.Config{Ranks: 2, Threads: 16},
-		Nodes: 2, Walltime: 100, Malleable: true})
-	for i := 0; i < 4; i++ {
-		submit(t, ctl, &Job{Name: "greedy", Spec: fastSpec(500), Cfg: apps.Config{Ranks: 1, Threads: 16},
-			Nodes: 1, Walltime: 800, Malleable: true})
-	}
-	if ctl.RunningLen() != 1 {
-		t.Fatalf("running=%d: naive backfill starvation is back", ctl.RunningLen())
-	}
-	eng.Run()
-	checkErr(t, ctl)
-	rw, _ := ctl.Records.Job("wide")
-	rr, _ := ctl.Records.Job("running")
-	if rw.Start > rr.End+2 {
-		t.Errorf("wide started %v, want right after running ends (%v)", rw.Start, rr.End)
-	}
-}
-
 // TestSchedShrinkExpandRoundTrip: the malleable policy shrinks a
 // running job through the real DROM path to admit a second one, and
 // expands it back to its original masks once the intruder finishes.

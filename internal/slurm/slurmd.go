@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cpuset"
 	"repro/internal/hwmodel"
+	"repro/internal/sched"
 	"repro/internal/shmem"
 )
 
@@ -42,67 +43,15 @@ type LaunchPlan struct {
 	Shrinks map[shmem.PID]cpuset.CPUSet
 }
 
-// waterfillBounded distributes cores among jobs with per-job minimum
-// and maximum allocations: the equipartition rule of §5 ("for
-// fairness, computational resources are equally partitioned among
-// running jobs"), except that no job receives more than it asked for
-// (max) and no running job is starved below one CPU per task (min).
-// It errors when the minimums alone exceed the capacity.
-func waterfillBounded(cores int, mins, maxs []int) ([]int, error) {
-	if len(mins) != len(maxs) {
-		panic("slurm: mins/maxs length mismatch")
-	}
-	alloc := make([]int, len(mins))
-	remaining := cores
-	for i := range mins {
-		if mins[i] > maxs[i] {
-			return nil, fmt.Errorf("slurm: min %d exceeds max %d", mins[i], maxs[i])
-		}
-		alloc[i] = mins[i]
-		remaining -= mins[i]
-	}
-	if remaining < 0 {
-		return nil, fmt.Errorf("slurm: %d CPUs cannot satisfy minimum allocations", cores)
-	}
-	// Hand out the rest one CPU at a time to the smallest allocation
-	// still below its request: converges to the equipartition.
-	for remaining > 0 {
-		best := -1
-		for i := range alloc {
-			if alloc[i] >= maxs[i] {
-				continue
-			}
-			if best < 0 || alloc[i] < alloc[best] {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		alloc[best]++
-		remaining--
-	}
-	return alloc, nil
-}
-
-// waterfill is waterfillBounded with zero minimums (never fails).
+// waterfill equipartitions cores among requests with no minimums
+// (sched.WaterfillBounded with zero floors, which always fit).
 func waterfill(cores int, requests []int) []int {
-	mins := make([]int, len(requests))
-	alloc, err := waterfillBounded(cores, mins, requests)
-	if err != nil {
-		panic(err) // unreachable: zero minimums always fit
-	}
-	return alloc
+	return sched.WaterfillBounded(make([]int, 0, len(requests)), cores, make([]int, len(requests)), requests)
 }
 
-// splitEven divides total into n parts differing by at most one,
-// larger parts first.
-func splitEven(total, n int) []int {
-	return splitEvenInto(make([]int, 0, n), total, n)
-}
-
-// splitEvenInto is splitEven writing into a caller-owned buffer, for
-// the sched-cycle hot path.
+// splitEvenInto divides total into n parts differing by at most one,
+// larger parts first, writing into a caller-owned buffer (nil
+// allocates).
 func splitEvenInto(dst []int, total, n int) []int {
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
@@ -148,9 +97,10 @@ func PlanLaunch(m hwmodel.Machine, running []JobOnNode, newJob *Job) (LaunchPlan
 	}
 	mins = append(mins, newTasks)
 	maxs = append(maxs, newJob.CPUsPerNode())
-	alloc, err := waterfillBounded(cores-reserved, mins, maxs)
-	if err != nil {
-		return LaunchPlan{}, fmt.Errorf("slurm: node cannot host %s: %v", newJob.Name, err)
+	alloc := sched.WaterfillBounded(make([]int, 0, len(mins)), cores-reserved, mins, maxs)
+	if alloc == nil {
+		return LaunchPlan{}, fmt.Errorf("slurm: node cannot host %s: %d CPUs cannot satisfy the minimum allocations",
+			newJob.Name, cores-reserved)
 	}
 	newAlloc := alloc[len(alloc)-1]
 
@@ -176,7 +126,7 @@ func PlanLaunch(m hwmodel.Machine, running []JobOnNode, newJob *Job) (LaunchPlan
 			}
 			continue
 		}
-		perTask := splitEven(target, len(r.Tasks))
+		perTask := splitEvenInto(nil, target, len(r.Tasks))
 		for ti, t := range r.Tasks {
 			keep := m.SocketAwarePick(t.Mask, perTask[ti])
 			if !keep.Equal(t.Mask) {
@@ -188,7 +138,7 @@ func PlanLaunch(m hwmodel.Machine, running []JobOnNode, newJob *Job) (LaunchPlan
 
 	// Place the new job's tasks on what is left, socket-aware.
 	avail := m.NodeMask().AndNot(used)
-	perTask := splitEven(newAlloc, newTasks)
+	perTask := splitEvenInto(nil, newAlloc, newTasks)
 	for _, want := range perTask {
 		mask := m.SocketAwarePick(avail, want)
 		if mask.Count() < 1 {

@@ -80,11 +80,11 @@ func TestWaterfillProperties(t *testing.T) {
 }
 
 func TestSplitEven(t *testing.T) {
-	got := splitEven(7, 3)
+	got := splitEvenInto(nil, 7, 3)
 	if got[0] != 3 || got[1] != 2 || got[2] != 2 {
 		t.Errorf("splitEven = %v", got)
 	}
-	got = splitEven(8, 2)
+	got = splitEvenInto(got, 8, 2)
 	if got[0] != 4 || got[1] != 4 {
 		t.Errorf("splitEven = %v", got)
 	}

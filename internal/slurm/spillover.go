@@ -99,7 +99,7 @@ func (ctl *Controller) spillPass() {
 				resvOK[host] = true
 			}
 			// Admit the spill only when it cannot delay the reserved
-			// head (shadow-time check, same guard as backfilling).
+			// head (the EASY shadow-time check).
 			if rv := resv[host]; rv != nil && !ctl.spillAllowed(rv, q.job, host, nodes) {
 				if ctl.Probe != nil {
 					ctl.Probe.Emit(obs.Event{
@@ -192,8 +192,7 @@ func (ctl *Controller) spillPlacement(j *Job, pi int) []int {
 
 // spillAllowed applies the head-reservation guard to a planned spill
 // by translating the partition-local indices to node names (scratch)
-// and asking headReservation.allows — the one admission rule shared
-// with the built-in backfill guard.
+// and asking headReservation.allows.
 func (ctl *Controller) spillAllowed(rv *headReservation, j *Job, pi int, nodes []int) bool {
 	offset := ctl.cluster.Spec.NodeOffset(pi)
 	names := ctl.spillNames[:0]

@@ -297,4 +297,20 @@ func TestUseSchedPerPartitionInstances(t *testing.T) {
 	if got := ctl.SchedOf(1).Name(); got != "easy" {
 		t.Errorf("clone policy = %q", got)
 	}
+	// A policy the sched registry cannot name is cloned all the same:
+	// no instance ever serves two partition shapes.
+	custom := &customPolicy{}
+	ctl.UseSched(custom)
+	if ctl.SchedOf(0) != sched.Policy(custom) {
+		t.Error("partition 0 should run the given custom instance")
+	}
+	if q, ok := ctl.SchedOf(1).(*customPolicy); !ok || q == custom {
+		t.Errorf("partition 1 runs %T (shared: %v), want its own customPolicy clone", ctl.SchedOf(1), q == custom)
+	}
 }
+
+// customPolicy is a policy sched.New does not know.
+type customPolicy struct{ sched.FCFS }
+
+func (*customPolicy) Name() string              { return "custom" }
+func (*customPolicy) ClonePolicy() sched.Policy { return &customPolicy{} }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/slurm"
 )
 
 // TestSchedReplayDecisionGoldenWithProbes replays the golden trace
@@ -188,5 +190,95 @@ func TestDisabledProbeReplayAllocs(t *testing.T) {
 		if perSub := mallocs / float64(gen.Jobs); perSub > row.maxPerSub {
 			t.Errorf("%s: replay allocates %.2f/submission, want <= %.1f", row.name, perSub, row.maxPerSub)
 		}
+	}
+}
+
+// cycleCounter checks the cycle-skeleton contract from outside: every
+// KindCycleStart is closed by a KindCycleEnd before the next opens, and
+// every job start happens inside one.
+type cycleCounter struct {
+	open           bool
+	cycles, starts int
+	policyPasses   int
+	violations     []string
+}
+
+func (c *cycleCounter) Emit(ev obs.Event) {
+	switch ev.Kind {
+	case obs.KindCycleStart:
+		if c.open {
+			c.violations = append(c.violations, fmt.Sprintf("t=%g: cycle opened inside a cycle", ev.Time))
+		}
+		c.open = true
+	case obs.KindCycleEnd:
+		if !c.open {
+			c.violations = append(c.violations, fmt.Sprintf("t=%g: cycle end without a start", ev.Time))
+		}
+		c.open = false
+		c.cycles++
+	case obs.KindPass:
+		c.policyPasses++
+	case obs.KindJobStart:
+		if !c.open {
+			c.violations = append(c.violations, fmt.Sprintf("t=%g: job %s started outside a cycle", ev.Time, ev.Job))
+		}
+		c.starts++
+	}
+}
+
+// TestBuiltinRunsRideTheProbedCycleSkeleton: the paper's policies go
+// through the same kick → cycle skeleton as sched policies, so a probed
+// builtin run reports matched cycle start/end pairs around every
+// launch — and, probes being observers, the records of the unprobed
+// run. SchedCycles keeps counting policy passes only.
+func TestBuiltinRunsRideTheProbedCycleSkeleton(t *testing.T) {
+	for _, policy := range []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM, slurm.PolicyOversubscribe, slurm.PolicyPreempt} {
+		sc := UC2(false)
+		plain := Run(sc, policy)
+		if plain.Err != nil {
+			t.Fatal(plain.Err)
+		}
+		cc := &cycleCounter{}
+		sc.Probe = cc
+		probed := Run(sc, policy)
+		if probed.Err != nil {
+			t.Fatal(probed.Err)
+		}
+		if cc.open || len(cc.violations) > 0 {
+			t.Errorf("%s: unmatched cycle events (open at exit: %v): %v", policy, cc.open, cc.violations)
+		}
+		// Two submissions and two job ends trigger at least four cycles;
+		// both jobs start (the preempted one twice).
+		if cc.cycles < 4 || cc.starts < 2 {
+			t.Errorf("%s: saw %d cycles and %d starts", policy, cc.cycles, cc.starts)
+		}
+		if cc.policyPasses != 0 || probed.SchedCycles != 0 {
+			t.Errorf("%s: builtin run reported %d policy passes, SchedCycles=%d; want 0", policy, cc.policyPasses, probed.SchedCycles)
+		}
+		if !reflect.DeepEqual(probed.Records.Jobs, plain.Records.Jobs) {
+			t.Errorf("%s: probed records diverged:\n%s\nwant\n%s", policy, probed.Records.String(), plain.Records.String())
+		}
+		if probed.Events != plain.Events {
+			t.Errorf("%s: probed run processed %d events, unprobed %d", policy, probed.Events, plain.Events)
+		}
+	}
+}
+
+// TestExplainNarratesCheckpointRestart: the preempt baseline's story
+// reaches -explain — the preemption event names the job under the NEW
+// sequence it is requeued with, and the resumption is its second start.
+func TestExplainNarratesCheckpointRestart(t *testing.T) {
+	sc := UC2(false)
+	explain := obs.NewExplain("nest")
+	sc.Probe = explain
+	if res := Run(sc, slurm.PolicyPreempt); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	story := explain.Story()
+	if n := strings.Count(story, "preempted (checkpointed) and requeued"); n != 1 {
+		t.Errorf("story mentions the preemption %d times, want 1:\n%s", n, story)
+	}
+	if n := strings.Count(story, "started on node0,node1"); n != 2 {
+		t.Errorf("story has %d starts, want launch + resumption:\n%s", n, story)
 	}
 }

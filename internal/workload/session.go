@@ -292,10 +292,12 @@ func (s *Session) Result() Result {
 // Fork clones the whole simulation — engine, controller, shared
 // memory, instances, the submission cursor and cancel timers — at the
 // current virtual time. Both lineages then advance independently and
-// decide identically. Only a slice-backed session forks (every
-// New*Session is one); a session over a lazy SubmissionSource returns
-// an error. Also requires an installed sched policy and a jitter-free
-// scenario (slurm.Controller.Fork's contract).
+// decide identically — under an installed sched policy or on the
+// builtin controller path (serial, DROM, oversubscribe, preempt) alike.
+// Only a slice-backed session forks (every New*Session is one); a
+// session over a lazy SubmissionSource returns an error, as does a
+// jittered scenario or a controller that already failed
+// (slurm.Controller.Fork's two refusals).
 func (s *Session) Fork() (*Session, error) {
 	src, ok := s.src.(*sliceSource)
 	if !ok {
