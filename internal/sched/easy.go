@@ -26,7 +26,7 @@ func (p *EASY) Schedule(s *State) []Action {
 	sc.reset(s)
 	i := 0
 	for i < len(s.Queue) {
-		j := s.Queue[i]
+		j := &s.Queue[i]
 		nodes := sc.place(sc.free, j.Nodes, j.CPUsPerNode)
 		if nodes == nil {
 			break
@@ -44,12 +44,13 @@ func (p *EASY) Schedule(s *State) []Action {
 
 // backfill starts jobs behind the blocked head s.Queue[headIdx] under
 // the EASY guarantee, appending the actions to the cycle's list.
-// allocs optionally overrides running allocations (for policies that
-// shrank jobs earlier in the cycle). sc.free is consumed in place.
-func (sc *scratch) backfill(s *State, headIdx int, allocs map[int]int) {
-	head := s.Queue[headIdx]
-	shadow, spare := sc.reservation(s, sc.free, head, allocs)
-	for _, j := range s.Queue[headIdx+1:] {
+// allocs optionally overrides running allocations by position in
+// s.Running (for policies that shrank jobs earlier in the cycle).
+// sc.free is consumed in place.
+func (sc *scratch) backfill(s *State, headIdx int, allocs []int) {
+	shadow, spare := sc.reservation(s, sc.free, &s.Queue[headIdx], allocs)
+	for k := headIdx + 1; k < len(s.Queue); k++ {
+		j := &s.Queue[k]
 		if !fits(sc.free, j.Nodes, j.CPUsPerNode) {
 			continue
 		}

@@ -19,7 +19,8 @@ func (*FCFS) ClonePolicy() Policy { return &FCFS{} }
 func (p *FCFS) Schedule(s *State) []Action {
 	sc := &p.sc
 	sc.reset(s)
-	for _, j := range s.Queue {
+	for k := range s.Queue {
+		j := &s.Queue[k]
 		nodes := sc.place(sc.free, j.Nodes, j.CPUsPerNode)
 		if nodes == nil {
 			break

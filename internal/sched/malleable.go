@@ -1,7 +1,5 @@
 package sched
 
-import "sort"
-
 // Malleable is the DROM-aware scheduler the paper names as future
 // work. It behaves like EASY, with two malleability extensions
 // executed through the real DROM protocol:
@@ -21,19 +19,21 @@ type Malleable struct {
 	Expand bool
 
 	sc scratch
-	// Per-cycle working state, reused across cycles.
-	allocs map[int]int
-	// shrinkToFit buffers.
+	// Per-cycle working state, reused across cycles. allocs, targets
+	// and grew are indexed by position in State.Running.
+	allocs []int
+	// shrinkToFit buffers: victims and order hold positions in
+	// State.Running; targets is -1 for a job no chosen node shrinks.
 	capacity []int
 	newFree  []int
 	mins     []int
 	maxs     []int
 	alloc    []int
 	victims  []int
-	targets  map[int]int
-	ids      []int
+	targets  []int
+	order    []int
 	// expandInto buffer.
-	grew map[int]bool
+	grew []bool
 }
 
 // Name implements Policy.
@@ -55,16 +55,14 @@ func (m *Malleable) ClonePolicy() Policy { return &Malleable{Expand: m.Expand} }
 func (m *Malleable) Schedule(s *State) []Action {
 	sc := &m.sc
 	sc.reset(s)
-	if m.allocs == nil {
-		m.allocs = make(map[int]int, len(s.Running))
+	allocs := m.allocs[:0]
+	for k := range s.Running {
+		allocs = append(allocs, s.Running[k].CPUsPerNode)
 	}
-	clear(m.allocs)
-	for _, r := range s.Running {
-		m.allocs[r.ID] = r.CPUsPerNode
-	}
+	m.allocs = allocs
 	i := 0
 	for i < len(s.Queue) {
-		j := s.Queue[i]
+		j := &s.Queue[i]
 		if nodes := sc.place(sc.free, j.Nodes, j.CPUsPerNode); nodes != nil {
 			sc.acts = append(sc.acts, Action{Kind: ActStart, ID: j.ID, Nodes: nodes})
 			sc.appendStarted(nodes, j.CPUsPerNode, s.Now+wallOf(j))
@@ -97,7 +95,7 @@ func (m *Malleable) Schedule(s *State) []Action {
 // the head's starting allocation and its node set. sc.free and
 // m.allocs are updated in place on success; on failure everything is
 // left untouched and nil nodes are returned.
-func (m *Malleable) shrinkToFit(s *State, head Job) (int, []int) {
+func (m *Malleable) shrinkToFit(s *State, head *Job) (int, []int) {
 	sc := &m.sc
 	minNeed := head.MinCPUsPerNode
 	if minNeed < 1 {
@@ -106,11 +104,12 @@ func (m *Malleable) shrinkToFit(s *State, head Job) (int, []int) {
 	// Reclaimable capacity per node.
 	capacity := append(m.capacity[:0], sc.free...)
 	m.capacity = capacity
-	for _, r := range s.Running {
+	for k := range s.Running {
+		r := &s.Running[k]
 		if !r.Malleable {
 			continue
 		}
-		if d := m.allocs[r.ID] - r.MinCPUsPerNode; d > 0 {
+		if d := m.allocs[k] - r.MinCPUsPerNode; d > 0 {
 			for _, n := range r.Nodes {
 				if capacity[n] >= 0 { // not on an unavailable (-1) node
 					capacity[n] += d
@@ -127,24 +126,26 @@ func (m *Malleable) shrinkToFit(s *State, head Job) (int, []int) {
 	// chosen nodes settle on their smallest share (uniform masks keep
 	// the executor simple; any over-shrink is free capacity a later
 	// expand reclaims).
-	if m.targets == nil {
-		m.targets = make(map[int]int)
+	targets := m.targets[:0]
+	for range s.Running {
+		targets = append(targets, -1)
 	}
-	clear(m.targets)
+	m.targets = targets
 	headTarget := head.CPUsPerNode
 	for _, n := range chosen {
 		victims := m.victims[:0]
 		mins := m.mins[:0]
 		maxs := m.maxs[:0]
 		capN := sc.free[n]
-		for _, r := range s.Running {
+		for k := range s.Running {
+			r := &s.Running[k]
 			if !r.Malleable || !onNode(r, n) {
 				continue
 			}
-			victims = append(victims, r.ID)
+			victims = append(victims, k)
 			mins = append(mins, r.MinCPUsPerNode)
-			maxs = append(maxs, m.allocs[r.ID])
-			capN += m.allocs[r.ID]
+			maxs = append(maxs, m.allocs[k])
+			capN += m.allocs[k]
 		}
 		mins = append(mins, minNeed)
 		maxs = append(maxs, head.CPUsPerNode)
@@ -154,9 +155,9 @@ func (m *Malleable) shrinkToFit(s *State, head Job) (int, []int) {
 			return 0, nil // node cannot host even the minimums
 		}
 		m.alloc = alloc
-		for k, id := range victims {
-			if t, ok := m.targets[id]; !ok || alloc[k] < t {
-				m.targets[id] = alloc[k]
+		for i, k := range victims {
+			if t := targets[k]; t < 0 || alloc[i] < t {
+				targets[k] = alloc[i]
 			}
 		}
 		if h := alloc[len(alloc)-1]; h < headTarget {
@@ -165,17 +166,21 @@ func (m *Malleable) shrinkToFit(s *State, head Job) (int, []int) {
 	}
 
 	// Verify the plan before committing: after the shrinks, every
-	// chosen node must hold the head's share.
+	// chosen node must hold the head's share. order collects the jobs
+	// that actually shrink.
 	newFree := append(m.newFree[:0], sc.free...)
 	m.newFree = newFree
-	for id, t := range m.targets { //simvet:ordered commutative accumulation into per-node sums
-		if t >= m.allocs[id] {
+	order := m.order[:0]
+	for k, t := range targets {
+		if t < 0 || t >= m.allocs[k] {
 			continue
 		}
-		for _, n := range nodesOf(s, id) {
-			newFree[n] += m.allocs[id] - t
+		order = append(order, k)
+		for _, n := range s.Running[k].Nodes {
+			newFree[n] += m.allocs[k] - t
 		}
 	}
+	m.order = order
 	for _, n := range chosen {
 		if newFree[n] < headTarget {
 			headTarget = newFree[n]
@@ -185,24 +190,25 @@ func (m *Malleable) shrinkToFit(s *State, head Job) (int, []int) {
 		return 0, nil
 	}
 
-	// Commit: emit shrinks in ID order, update free and allocs, carve
-	// out the head's share.
-	ids := m.ids[:0]
-	for id := range m.targets { //simvet:ordered keys collected and sorted below
-		ids = append(ids, id)
+	// Commit: emit shrinks in ID order (insertion sort, unique IDs),
+	// update free and allocs, carve out the head's share.
+	for i := 1; i < len(order); i++ {
+		k := order[i]
+		j := i
+		for j > 0 && s.Running[order[j-1]].ID > s.Running[k].ID {
+			order[j] = order[j-1]
+			j--
+		}
+		order[j] = k
 	}
-	m.ids = ids
-	sort.Ints(ids)
-	for _, id := range ids {
-		t := m.targets[id]
-		if t >= m.allocs[id] {
-			continue
+	for _, k := range order {
+		r := &s.Running[k]
+		t := targets[k]
+		for _, n := range r.Nodes {
+			sc.free[n] += m.allocs[k] - t
 		}
-		for _, n := range nodesOf(s, id) {
-			sc.free[n] += m.allocs[id] - t
-		}
-		m.allocs[id] = t
-		sc.acts = append(sc.acts, Action{Kind: ActShrink, ID: id, TargetCPUsPerNode: t})
+		m.allocs[k] = t
+		sc.acts = append(sc.acts, Action{Kind: ActShrink, ID: r.ID, TargetCPUsPerNode: t})
 	}
 	for _, n := range chosen {
 		sc.free[n] -= headTarget
@@ -215,14 +221,16 @@ func (m *Malleable) shrinkToFit(s *State, head Job) (int, []int) {
 // allocation first (the equipartition in reverse).
 func (m *Malleable) expandInto(s *State) {
 	sc := &m.sc
-	if m.grew == nil {
-		m.grew = make(map[int]bool)
+	grew := m.grew[:0]
+	for range s.Running {
+		grew = append(grew, false)
 	}
-	clear(m.grew)
+	m.grew = grew
 	for {
 		best := -1
-		for k, r := range s.Running {
-			if !r.Malleable || m.allocs[r.ID] >= r.ReqCPUsPerNode {
+		for k := range s.Running {
+			r := &s.Running[k]
+			if !r.Malleable || m.allocs[k] >= r.ReqCPUsPerNode {
 				continue
 			}
 			ok := true
@@ -235,41 +243,31 @@ func (m *Malleable) expandInto(s *State) {
 			if !ok {
 				continue
 			}
-			if best < 0 || m.allocs[r.ID] < m.allocs[s.Running[best].ID] {
+			if best < 0 || m.allocs[k] < m.allocs[best] {
 				best = k
 			}
 		}
 		if best < 0 {
 			break
 		}
-		r := s.Running[best]
-		m.allocs[r.ID]++
-		for _, n := range r.Nodes {
+		m.allocs[best]++
+		for _, n := range s.Running[best].Nodes {
 			sc.free[n]--
 		}
-		m.grew[r.ID] = true
+		grew[best] = true
 	}
-	for _, r := range s.Running {
-		if m.grew[r.ID] {
-			sc.acts = append(sc.acts, Action{Kind: ActExpand, ID: r.ID, TargetCPUsPerNode: m.allocs[r.ID]})
+	for k := range s.Running {
+		if grew[k] {
+			sc.acts = append(sc.acts, Action{Kind: ActExpand, ID: s.Running[k].ID, TargetCPUsPerNode: m.allocs[k]})
 		}
 	}
 }
 
-func onNode(r Running, n int) bool {
+func onNode(r *Running, n int) bool {
 	for _, x := range r.Nodes {
 		if x == n {
 			return true
 		}
 	}
 	return false
-}
-
-func nodesOf(s *State, id int) []int {
-	for _, r := range s.Running {
-		if r.ID == id {
-			return r.Nodes
-		}
-	}
-	return nil
 }

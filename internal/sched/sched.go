@@ -83,14 +83,21 @@ type Running struct {
 }
 
 // EndEstimate returns the projected completion time.
-func (r Running) EndEstimate() float64 {
+func (r *Running) EndEstimate() float64 {
 	return r.Start + EffectiveWalltime(r.Walltime)
 }
 
 // State is the read-only snapshot a policy schedules against. The
-// executor owns the State and its slices and reuses them across
-// cycles: a policy must not mutate them nor retain references past the
-// Schedule call (copy what it wants to keep).
+// executor owns the State and its slices and keeps them alive across
+// cycles — the controller edits Queue and Running in place as jobs
+// come and go instead of rebuilding them for every pass — so a policy
+// must not mutate them nor retain references past the Schedule call
+// (copy what it wants to keep). What a policy may rely on, whichever
+// way the executor maintains the State: Queue is in strict priority
+// order with unique IDs, Running is in launch order with unique IDs
+// and ascending, duplicate-free Nodes, and positions in either slice
+// are stable for the duration of one Schedule call (the policies index
+// their per-job working state by position in Running).
 type State struct {
 	// Now is the current virtual time.
 	Now float64
@@ -233,7 +240,7 @@ func EffectiveWalltime(w float64) float64 {
 }
 
 // wallOf returns the effective walltime estimate of a queued job.
-func wallOf(j Job) float64 { return EffectiveWalltime(j.Walltime) }
+func wallOf(j *Job) float64 { return EffectiveWalltime(j.Walltime) }
 
 // scratch holds the reusable buffers of one policy instance. A cycle
 // runs tens of placements and a reservation projection; allocating
@@ -244,18 +251,17 @@ func wallOf(j Job) float64 { return EffectiveWalltime(j.Walltime) }
 type scratch struct {
 	free    []int
 	acts    []Action
-	started []release
+	started []relJob
 	// arena backs the node-index slices handed out through Actions
 	// this cycle; growing it re-allocates the backing array, which is
 	// safe because already-returned slices keep the old one alive.
 	arena []int
 	cands []placeCand
 	// reservation projection buffers.
-	rels    []release
-	proj    []int
-	spare   []int
-	comb    []int
-	relSort releaseSorter
+	rels  []relKey
+	proj  []int
+	spare []int
+	comb  []int
 }
 
 // reset prepares the buffers for a new cycle against state s.
@@ -325,58 +331,45 @@ func fits(free []int, nodes, need int) bool {
 	return n >= nodes
 }
 
-// release is one future capacity return used by the reservation
-// simulation: at time at, node gets cpus back.
-type release struct {
-	at   float64
-	node int
-	cpus int
-}
-
-// releaseSorter orders releases by (time, node) without the
-// allocation of a reflect-based sort.
-type releaseSorter struct{ r []release }
-
-func (s *releaseSorter) Len() int      { return len(s.r) }
-func (s *releaseSorter) Swap(i, j int) { s.r[i], s.r[j] = s.r[j], s.r[i] }
-func (s *releaseSorter) Less(i, j int) bool {
-	if s.r[i].at != s.r[j].at {
-		return s.r[i].at < s.r[j].at
-	}
-	return s.r[i].node < s.r[j].node
+// relJob is the future capacity return of a job started this cycle: at
+// time at, every node of nodes gets cpus back.
+type relJob struct {
+	at    float64
+	nodes []int
+	cpus  int
 }
 
 // appendStarted records the future capacity return of a job started
-// this cycle on the given nodes.
+// this cycle on the given nodes (arena-backed, valid for the cycle).
 func (sc *scratch) appendStarted(nodes []int, cpus int, at float64) {
-	for _, n := range nodes {
-		sc.started = append(sc.started, release{at: at, node: n, cpus: cpus})
-	}
+	sc.started = append(sc.started, relJob{at: at, nodes: nodes, cpus: cpus})
 }
 
-// releasesOf projects when the running set returns its CPUs (into the
-// rels scratch). Overdue estimates are clamped to now (the job
-// "should end any moment"). allocs, when non-nil, overrides per-job
-// allocations — a shrink decided earlier in the same cycle already
-// moved the difference into the free pool, so only the remainder
-// comes back at job end.
-func (sc *scratch) releasesOf(s *State, allocs map[int]int) []release {
-	rels := sc.rels[:0]
-	for _, r := range s.Running {
-		at := r.EndEstimate()
-		if at < s.Now {
-			at = s.Now
+// relKey orders one job's capacity return in the reservation
+// projection: at is its end estimate, k its position in State.Running
+// or, past that, among the jobs started this cycle. Pointer-free, so
+// building and ordering the keys costs no write barriers.
+type relKey struct {
+	at float64
+	k  int
+}
+
+// siftDown restores the min-heap order (by at) of h below position i.
+func siftDown(h []relKey, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		cpus := r.CPUsPerNode
-		if allocs != nil {
-			cpus = allocs[r.ID]
+		if c+1 < len(h) && h[c+1].at < h[c].at {
+			c++
 		}
-		for _, n := range r.Nodes {
-			rels = append(rels, release{at: at, node: n, cpus: cpus})
+		if h[i].at <= h[c].at {
+			return
 		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	sc.rels = rels
-	return rels
 }
 
 // reservation computes the EASY reservation for a blocked head job:
@@ -387,37 +380,73 @@ func (sc *scratch) releasesOf(s *State, allocs map[int]int) []release {
 // cannot prove they end before the shadow must fit inside the spare
 // capacity, so they can never delay the head. The started releases of
 // this cycle are included in the projection.
-func (sc *scratch) reservation(s *State, free []int, head Job, allocs map[int]int) (float64, []int) {
-	rels := sc.releasesOf(s, allocs)
-	rels = append(rels, sc.started...)
+//
+// Overdue end estimates are clamped to now (the job "should end any
+// moment"). allocs, when non-nil, overrides the running jobs'
+// allocations by position in s.Running — a shrink decided earlier in
+// the same cycle already moved the difference into the free pool, so
+// only the remainder comes back at job end.
+//
+// Releases are ordered per job, not per node: the projection consumes
+// every release up to the shadow as one batch, and within a batch the
+// capped sums of non-negative CPU counts come out the same in any
+// order, so only the order of the distinct end estimates matters. And
+// they are ordered lazily, through a min-heap: the head usually fits
+// after the first few batches, long before the running set is drained.
+func (sc *scratch) reservation(s *State, free []int, head *Job, allocs []int) (float64, []int) {
+	rels := sc.rels[:0]
+	for k := range s.Running {
+		at := s.Running[k].EndEstimate()
+		if at < s.Now {
+			at = s.Now
+		}
+		rels = append(rels, relKey{at: at, k: k})
+	}
+	for k := range sc.started {
+		rels = append(rels, relKey{at: sc.started[k].at, k: len(s.Running) + k})
+	}
 	sc.rels = rels
-	sc.relSort.r = rels
-	sort.Stable(&sc.relSort)
+	for i := len(rels)/2 - 1; i >= 0; i-- {
+		siftDown(rels, i)
+	}
 	proj := append(sc.proj[:0], free...)
 	sc.proj = proj
 	shadow := s.Now
-	i := 0
 	for {
-		spare := append(sc.spare[:0], proj...)
-		sc.spare = spare
-		if sc.place(spare, head.Nodes, head.CPUsPerNode) != nil {
-			return shadow, spare
+		if fits(proj, head.Nodes, head.CPUsPerNode) {
+			spare := append(sc.spare[:0], proj...)
+			sc.spare = spare
+			if sc.place(spare, head.Nodes, head.CPUsPerNode) != nil {
+				return shadow, spare
+			}
 		}
-		if i >= len(rels) {
+		if len(rels) == 0 {
 			return math.Inf(1), proj
 		}
-		shadow = rels[i].at
-		for i < len(rels) && rels[i].at <= shadow {
-			// An unavailable node (-1) stays out of the projection: a
-			// draining node's residents do release CPUs, but nothing may
-			// start there, so the reservation must not count them.
-			if n := rels[i].node; proj[n] >= 0 {
-				proj[n] += rels[i].cpus
-				if proj[n] > s.CoresPerNode {
-					proj[n] = s.CoresPerNode
+		shadow = rels[0].at
+		for len(rels) > 0 && rels[0].at <= shadow {
+			k := rels[0].k
+			rels[0] = rels[len(rels)-1]
+			rels = rels[:len(rels)-1]
+			siftDown(rels, 0)
+			var nodes []int
+			var cpus int
+			switch {
+			case k >= len(s.Running):
+				nodes, cpus = sc.started[k-len(s.Running)].nodes, sc.started[k-len(s.Running)].cpus
+			case allocs != nil:
+				nodes, cpus = s.Running[k].Nodes, allocs[k]
+			default:
+				nodes, cpus = s.Running[k].Nodes, s.Running[k].CPUsPerNode
+			}
+			for _, n := range nodes {
+				// An unavailable node (-1) stays out of the projection: a
+				// draining node's residents do release CPUs, but nothing may
+				// start there, so the reservation must not count them.
+				if proj[n] >= 0 {
+					proj[n] = min(proj[n]+cpus, s.CoresPerNode)
 				}
 			}
-			i++
 		}
 	}
 }

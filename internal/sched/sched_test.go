@@ -262,14 +262,14 @@ func TestReservationUnknownWalltime(t *testing.T) {
 	var sc scratch
 	sc.reset(s)
 	head := Job{ID: 2, Nodes: 2, CPUsPerNode: 16, MinCPUsPerNode: 1}
-	shadow, _ := sc.reservation(s, sc.free, head, nil)
+	shadow, _ := sc.reservation(s, sc.free, &head, nil)
 	if shadow != DefaultWalltime {
 		t.Errorf("shadow = %v, want DefaultWalltime %v", shadow, DefaultWalltime)
 	}
 	// A head too wide for the machine never fits: infinite shadow.
 	sc.reset(s)
 	wide := Job{ID: 3, Nodes: 3, CPUsPerNode: 16, MinCPUsPerNode: 1}
-	shadow, _ = sc.reservation(s, sc.free, wide, nil)
+	shadow, _ = sc.reservation(s, sc.free, &wide, nil)
 	if !math.IsInf(shadow, 1) {
 		t.Errorf("impossible head shadow = %v, want +Inf", shadow)
 	}

@@ -90,6 +90,7 @@ type Cluster struct {
 
 	reg      *shmem.Registry
 	sys      map[string]*core.System
+	sysAt    []*core.System    // node index -> DROM system
 	machines []hwmodel.Machine // node index -> machine model
 	partOf   []int             // node index -> partition index
 }
@@ -149,6 +150,7 @@ func NewClusterSpecReg(eng *sim.Engine, spec hwmodel.ClusterSpec, tracer *trace.
 			c.machines = append(c.machines, p.Machine)
 			c.partOf = append(c.partOf, pi)
 			c.sys[name] = core.NewSystem(seg)
+			c.sysAt = append(c.sysAt, c.sys[name])
 			if hetero {
 				c.Demand.SetNodeMachine(name, p.Machine)
 			}
@@ -160,6 +162,9 @@ func NewClusterSpecReg(eng *sim.Engine, spec hwmodel.ClusterSpec, tracer *trace.
 
 // System returns the DROM system of a node.
 func (c *Cluster) System(node string) *core.System { return c.sys[node] }
+
+// SystemAt returns the DROM system of the node at global index i.
+func (c *Cluster) SystemAt(i int) *core.System { return c.sysAt[i] }
 
 // MachineOfNode returns the machine model of the node at global
 // index i.

@@ -30,10 +30,11 @@ const DefaultLaunchLatency = 1.0 // seconds
 // attempts loses a committed launch with probability under 2^-24.
 const preInitRetries = 24
 
-// taskRef is one launched task.
+// taskRef is one launched task: its virtual PID and the global index
+// of its node.
 type taskRef struct {
-	pid  shmem.PID
-	node string
+	pid shmem.PID
+	ni  int
 }
 
 // runningJob tracks a launched job.
@@ -44,7 +45,7 @@ type runningJob struct {
 	homePidx int // partition the job was submitted to (≠ pidx after a spill)
 	submit   float64
 	start    float64
-	nodes    []string
+	nodeAt   []int     // global node indices, in node name order
 	tasks    []taskRef // rank order
 	inst     *apps.Instance
 
@@ -66,20 +67,22 @@ type runningJob struct {
 	requeues int
 }
 
-func (r *runningJob) hasNode(node string) bool {
-	for _, n := range r.nodes {
-		if n == node {
+// hasNode reports whether r occupies the node at global index ni.
+func (r *runningJob) hasNode(ni int) bool {
+	for _, n := range r.nodeAt {
+		if n == ni {
 			return true
 		}
 	}
 	return false
 }
 
-// onNodeInto collects r's tasks on node into a caller-owned buffer.
-func (r *runningJob) onNodeInto(dst []taskRef, node string) []taskRef {
+// onNodeInto collects r's tasks on the node at global index ni into a
+// caller-owned buffer.
+func (r *runningJob) onNodeInto(dst []taskRef, ni int) []taskRef {
 	dst = dst[:0]
 	for _, t := range r.tasks {
-		if t.node == node {
+		if t.ni == ni {
 			dst = append(dst, t)
 		}
 	}
@@ -172,18 +175,25 @@ type Controller struct {
 	queue   []*queuedJob
 	seq     int
 	running []*runningJob
-	admins  map[string]*core.Admin
+	// admins holds one slurmd administrator per node, by global node
+	// index. Everything inside the controller names a node by that
+	// index; nodeIdx translates names at the API boundary (fault
+	// scripts) only.
+	admins  []*core.Admin
+	nodeIdx map[string]int
 
 	// Incremental scheduling-cycle state: per-node cached effective-
-	// free masks (nodeFreeOK gates staleness), live seq→job indexes,
-	// and the reusable policy snapshot. See sched_driver.go.
+	// free masks with their popcounts (nodeFreeOK gates staleness),
+	// live seq→job indexes, and the per-partition policy views. See
+	// sched_driver.go and view.go.
 	nodeMasks    []cpuset.CPUSet
-	nodeIdx      map[string]int
 	nodeFree     []cpuset.CPUSet
+	nodeFreeN    []int
 	nodeFreeOK   []bool
 	qBySeq       map[int]*queuedJob
 	rBySeq       map[int]*runningJob
-	snapState    sched.State
+	views        []partView
+	viewsStale   bool
 	cyclePending bool
 	lastCycleAt  float64
 	rearmedAt    float64
@@ -194,24 +204,19 @@ type Controller struct {
 	splitBuf   []int
 	maskBuf    []cpuset.CPUSet
 	refsBuf    []taskRef
-	planBuf    map[string]LaunchPlan
+	planBuf    []LaunchPlan
+	launchAt   []int
 	placeBuf   []apps.Placement
 
-	// Reservation-projection scratch (reservationFor, called by the
-	// spillover pass): per-node free times, the sort buffer, and one
-	// reusable headReservation per partition.
+	// Spillover-pass scratch (spillPass): merge cursors, the chosen
+	// host nodes, and per partition the ascending free-count vector,
+	// the head reservation and the projection buffers behind it.
+	spillCur   []int
+	spillNodes []int
+	spill      []spillPart
 	resvFreeAt []float64
 	resvOrder  []resvNode
 	resvSorter resvNodeSorter
-	resvBuf    map[int]*headReservation
-
-	// Spillover-pass scratch (spillPass).
-	spillQueue  []*queuedJob
-	spillDepth  []int
-	spillNodes  []int
-	spillNames  []string
-	spillResv   []*headReservation
-	spillResvOK []bool
 
 	// Node fault-injection state (nodefault.go). nfState == nil — the
 	// default — means no fault plan is installed: every check in the
@@ -313,23 +318,25 @@ func NewController(c *Cluster, policy Policy) *Controller {
 		LaunchLatency:  DefaultLaunchLatency,
 		CheckpointCost: 120,
 		RestartCost:    120,
-		admins:         make(map[string]*core.Admin),
+		admins:         make([]*core.Admin, len(c.Nodes)),
 		nodeMasks:      make([]cpuset.CPUSet, len(c.Nodes)),
 		nodeIdx:        make(map[string]int, len(c.Nodes)),
 		nodeFree:       make([]cpuset.CPUSet, len(c.Nodes)),
+		nodeFreeN:      make([]int, len(c.Nodes)),
 		nodeFreeOK:     make([]bool, len(c.Nodes)),
 		qBySeq:         make(map[int]*queuedJob),
 		rBySeq:         make(map[int]*runningJob),
+		viewsStale:     true,
 		pend:           make(map[sim.EventID]pendEv),
 		lastCycleAt:    -1,
 		rearmedAt:      -1,
 	}
 	for i, n := range c.Nodes {
-		admin, code := c.System(n).Attach()
+		admin, code := c.SystemAt(i).Attach()
 		if code.IsError() {
 			panic(code)
 		}
-		ctl.admins[n] = admin
+		ctl.admins[i] = admin
 		ctl.nodeIdx[n] = i
 		ctl.nodeMasks[i] = c.MachineOfNode(i).NodeMask()
 	}
@@ -369,11 +376,6 @@ func (ctl *Controller) Submit(j *Job) error {
 	return nil
 }
 
-// machineOf returns the machine model of a node by name.
-func (ctl *Controller) machineOf(node string) hwmodel.Machine {
-	return ctl.cluster.MachineOfNode(ctl.nodeIdx[node])
-}
-
 // originOf returns the origin-partition name of a job record: the
 // home partition's name when a spill re-routed the job, "" otherwise
 // (the common case — records only carry an origin when it differs
@@ -397,13 +399,12 @@ func (ctl *Controller) fail(err error) {
 // cached free mask is dropped (the segment may or may not have taken
 // the write), and the caller skips the failed step instead of failing
 // the run. Any other error class still belongs to ctl.fail.
-func (ctl *Controller) shmemFault(node string, code derr.Code) bool {
+func (ctl *Controller) shmemFault(ni int, code derr.Code) bool {
 	if code != derr.ErrNoShmem {
 		return false
 	}
 	ctl.ShmemFaults++
-	ctl.invalidateNode(node)
-	ctl.invalidateJobsOn(node)
+	ctl.invalidateNode(ni)
 	return true
 }
 
@@ -424,6 +425,7 @@ func (ctl *Controller) enqueue(q *queuedJob) {
 	copy(ctl.queue[i+1:], ctl.queue[i:])
 	ctl.queue[i] = q
 	ctl.qBySeq[q.seq] = q
+	ctl.viewEnqueue(q)
 }
 
 // dequeue removes q from the waiting queue and its index.
@@ -435,6 +437,7 @@ func (ctl *Controller) dequeue(q *queuedJob) {
 		}
 	}
 	delete(ctl.qBySeq, q.seq)
+	ctl.viewDequeue(q)
 }
 
 // kick is the one entry to the scheduling cycle: every trigger — a
@@ -522,14 +525,14 @@ func (ctl *Controller) tryPreempt(j *Job, pidx int) {
 	for _, v := range victims {
 		v.inst.Stop()
 		ctl.removeRunning(v)
-		for _, node := range v.nodes {
-			ctl.invalidateNode(node) // Stop unregistered the tasks
+		for _, ni := range v.nodeAt {
+			ctl.invalidateNode(ni) // Stop unregistered the tasks
 		}
 		ctl.seq++
 		ctl.enqueue(&queuedJob{
 			job: v.job, submit: v.submit, seq: ctl.seq, pidx: v.pidx, homePidx: v.homePidx, resume: v,
 		})
-		ctl.logf(v.nodes[0], "preempt", "job %s checkpointed after %d iterations",
+		ctl.logf(ctl.cluster.Nodes[v.nodeAt[0]], "preempt", "job %s checkpointed after %d iterations",
 			v.job.Name, v.inst.ItersDone())
 		if ctl.Probe != nil {
 			ctl.Probe.Emit(obs.Event{
@@ -547,11 +550,12 @@ func (ctl *Controller) tryPreempt(j *Job, pidx int) {
 	ctl.deferCycle(until)
 }
 
-// jobsOn returns the running jobs with tasks on node, as slurmd input.
-func (ctl *Controller) jobsOn(node string) []JobOnNode {
+// jobsOn returns the running jobs with tasks on the node at global
+// index ni, as slurmd input.
+func (ctl *Controller) jobsOn(ni int) []JobOnNode {
 	var out []JobOnNode
 	for _, r := range ctl.running {
-		refs := r.onNodeInto(ctl.refsBuf, node)
+		refs := r.onNodeInto(ctl.refsBuf, ni)
 		ctl.refsBuf = refs
 		if len(refs) == 0 {
 			continue
@@ -561,7 +565,7 @@ func (ctl *Controller) jobsOn(node string) []JobOnNode {
 			// Plan on the *effective* mask: a staged-but-unapplied change
 			// is already binding — the CPUs it drops are promised to
 			// someone else, and the CPUs it gains are spoken for.
-			e, code := ctl.admins[node].Inspect(t.pid)
+			e, code := ctl.admins[ni].Inspect(t.pid)
 			if code.IsError() {
 				continue // task gone mid-plan; skip
 			}
@@ -573,22 +577,24 @@ func (ctl *Controller) jobsOn(node string) []JobOnNode {
 }
 
 // selectNodes picks nodes for a job under the active policy — from
-// the job's partition only — and returns the per-node launch plans.
-// nil means the job must wait.
-func (ctl *Controller) selectNodes(j *Job, pidx int) ([]string, map[string]LaunchPlan) {
+// the job's partition only — and returns their global indices in node
+// name order with the per-node launch plans beside them. nil means the
+// job must wait.
+func (ctl *Controller) selectNodes(j *Job, pidx int) ([]int, []LaunchPlan) {
 	type cand struct {
-		node string
+		ni   int
 		free int
 		plan LaunchPlan
 	}
 	var cands []cand
-	for _, node := range ctl.cluster.PartitionNodes(pidx) {
+	lo := ctl.cluster.Spec.NodeOffset(pidx)
+	for ni := lo; ni < lo+ctl.cluster.Spec.Partitions[pidx].Nodes; ni++ {
 		// A down or draining node hosts no new launches.
-		if ctl.nfState != nil && ctl.nfState[ctl.nodeIdx[node]] != hwmodel.NodeUp {
+		if !ctl.nodeUp(ni) {
 			continue
 		}
-		machine := ctl.machineOf(node)
-		occupants := ctl.jobsOn(node)
+		machine := ctl.cluster.MachineOfNode(ni)
+		occupants := ctl.jobsOn(ni)
 		switch ctl.policy {
 		case PolicySerial, PolicyPreempt:
 			if len(occupants) > 0 {
@@ -598,7 +604,7 @@ func (ctl *Controller) selectNodes(j *Job, pidx int) ([]string, map[string]Launc
 			if err != nil {
 				continue
 			}
-			cands = append(cands, cand{node, machine.CoresPerNode(), plan})
+			cands = append(cands, cand{ni, machine.CoresPerNode(), plan})
 		case PolicyDROM:
 			if !j.Malleable && len(occupants) > 0 {
 				continue // a rigid job needs free nodes
@@ -616,8 +622,8 @@ func (ctl *Controller) selectNodes(j *Job, pidx int) ([]string, map[string]Launc
 			if err != nil {
 				continue
 			}
-			free := ctl.cluster.System(node).Segment().FreeMask().Count()
-			cands = append(cands, cand{node, free, plan})
+			free := ctl.cluster.SystemAt(ni).Segment().FreeMask().Count()
+			cands = append(cands, cand{ni, free, plan})
 		case PolicyOversubscribe:
 			// Always feasible: overlap the requested layout.
 			plan := LaunchPlan{Shrinks: map[shmem.PID]cpuset.CPUSet{}}
@@ -627,7 +633,7 @@ func (ctl *Controller) selectNodes(j *Job, pidx int) ([]string, map[string]Launc
 				plan.NewTaskMasks = append(plan.NewTaskMasks, cpuset.Range(lo, lo+n-1))
 				lo += n
 			}
-			cands = append(cands, cand{node, 0, plan})
+			cands = append(cands, cand{ni, 0, plan})
 		}
 	}
 	if len(cands) < j.Nodes {
@@ -640,43 +646,54 @@ func (ctl *Controller) selectNodes(j *Job, pidx int) ([]string, map[string]Launc
 	default: // SelectFreest: "victim nodes the ones with lower utilization"
 		sort.SliceStable(cands, func(a, b int) bool { return cands[a].free > cands[b].free })
 	}
-	nodes := make([]string, 0, j.Nodes)
-	plans := make(map[string]LaunchPlan, j.Nodes)
+	// The chosen nodes in name order (insertion sort, unique names).
+	nodeAt := make([]int, 0, j.Nodes)
+	plans := make([]LaunchPlan, 0, j.Nodes)
+	names := ctl.cluster.Nodes
 	for _, c := range cands[:j.Nodes] {
-		nodes = append(nodes, c.node)
-		plans[c.node] = c.plan
+		k := len(nodeAt)
+		nodeAt = append(nodeAt, c.ni)
+		plans = append(plans, c.plan)
+		for ; k > 0 && names[nodeAt[k-1]] > names[c.ni]; k-- {
+			nodeAt[k], plans[k] = nodeAt[k-1], plans[k-1]
+		}
+		nodeAt[k], plans[k] = c.ni, c.plan
 	}
-	sort.Strings(nodes)
-	return nodes, plans
+	return nodeAt, plans
 }
 
 // launch executes the Figure 2 protocol for a scheduled job, or
-// resumes a checkpointed one on fresh placements.
-func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]LaunchPlan) {
+// resumes a checkpointed one on fresh placements, in partition q.pidx.
+// nodeAt names the nodes by global index, in node name order, with
+// their plans beside them; both may be caller scratch (the job record
+// keeps its own copy, and the planned masks are consumed here).
+func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 	j := q.job
 	r := q.resume
 	if r != nil {
 		// Resumption: reuse the running-job record (submit and start
 		// are preserved so response time spans the suspension).
 		r.seq = q.seq
-		r.nodes = nodes
 		r.tasks = nil
 	} else {
-		r = &runningJob{job: j, seq: q.seq, pidx: q.pidx, homePidx: q.homePidx, submit: q.submit, start: ctl.cluster.Engine.Now(), nodes: nodes, requeues: q.requeues}
+		r = &runningJob{job: j, seq: q.seq, pidx: q.pidx, homePidx: q.homePidx, submit: q.submit, start: ctl.cluster.Engine.Now(), requeues: q.requeues}
 	}
-	// Snapshot node indices are local to the job's partition.
+	// The record's node tables: global indices in name order, and the
+	// sorted partition-local indices of the scheduler snapshot.
 	offset := ctl.cluster.Spec.NodeOffset(r.pidx)
-	r.nodeIdxs = r.nodeIdxs[:0]
-	for _, node := range nodes {
-		r.nodeIdxs = append(r.nodeIdxs, ctl.nodeIdx[node]-offset)
+	idx := make([]int, 2*len(nodeAt))
+	r.nodeAt, r.nodeIdxs = idx[:len(nodeAt):len(nodeAt)], idx[len(nodeAt):]
+	for k, ni := range nodeAt {
+		r.nodeAt[k] = ni
+		r.nodeIdxs[k] = ni - offset
 	}
 	sort.Ints(r.nodeIdxs)
 	// The launch-time allocation is exactly the planned masks; cache
 	// the snapshot's per-node CPU figure from them.
 	r.curCPUs, r.curOK = 0, true
-	for _, node := range nodes {
+	for _, plan := range plans {
 		n := 0
-		for _, mask := range plans[node].NewTaskMasks {
+		for _, mask := range plan.NewTaskMasks {
 			n += mask.Count()
 		}
 		if n > r.curCPUs {
@@ -684,13 +701,17 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 		}
 	}
 	if ctl.Probe != nil {
+		names := make([]string, len(nodeAt))
+		for k, ni := range nodeAt {
+			names[k] = ctl.cluster.Nodes[ni]
+		}
 		ctl.Probe.Emit(obs.Event{
 			Kind: obs.KindJobStart, Time: ctl.cluster.Engine.Now(),
 			Job: j.Name, Seq: r.seq,
 			Partition: ctl.cluster.Spec.Partitions[r.pidx].Name,
 			Origin:    ctl.originOf(r.pidx, r.homePidx),
-			Nodes:     len(nodes), CPUs: r.curCPUs,
-			Placement: strings.Join(nodes, ","),
+			Nodes:     len(names), CPUs: r.curCPUs,
+			Placement: strings.Join(names, ","),
 		})
 	}
 
@@ -698,9 +719,8 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 	// entry into its rank state, and a resumption rebuilds its own when
 	// the latency elapses.
 	placements := ctl.placeBuf[:0]
-	for _, node := range nodes {
-		plan := plans[node]
-		admin := ctl.admins[node]
+	for k, ni := range nodeAt {
+		node, plan, admin := ctl.cluster.Nodes[ni], plans[k], ctl.admins[ni]
 		ctl.logf(node, "launch_request", "job %s: %d new task(s), %d victim shrink(s) planned",
 			j.Name, len(plan.NewTaskMasks), len(plan.Shrinks))
 		// pre_launch: reserve the new tasks' CPUs via DROM_PreInit with
@@ -710,16 +730,16 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 		// the thefts so post_term can return the CPUs.
 		for _, mask := range plan.NewTaskMasks {
 			pid := ctl.cluster.AllocPID()
-			r.tasks = append(r.tasks, taskRef{pid: pid, node: node})
+			r.tasks = append(r.tasks, taskRef{pid: pid, ni: ni})
 			if ctl.policy == PolicyOversubscribe {
 				// No reservation: the task will register directly with
 				// an overlapping mask, outside the controller's sight.
-				ctl.invalidateNode(node)
+				ctl.invalidateNode(ni)
 			} else {
 				// A reservation outside the effective-free set steals
 				// from co-located jobs, changing their widths too.
-				if free, ok := ctl.cachedFree(node); !ok || !mask.IsSubsetOf(free) {
-					ctl.invalidateJobsOn(node)
+				if !ctl.nodeFreeOK[ni] || !mask.IsSubsetOf(ctl.nodeFree[ni]) {
+					ctl.invalidateJobsOn(ni)
 				}
 				// A lost reservation cannot simply be absorbed the way
 				// other registry faults are: the launch is committed, so
@@ -733,7 +753,7 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 				// ErrAlreadyInit; SetProcessMask with steal finishes
 				// exactly the missing staging on the existing entry.
 				code := admin.PreInit(pid, mask, core.FlagSteal)
-				for try := 0; try < preInitRetries && ctl.shmemFault(node, code); try++ {
+				for try := 0; try < preInitRetries && ctl.shmemFault(ni, code); try++ {
 					ctl.logf(node, "pre_launch_retry", "DROM_PreInit(pid=%d) retry %d after registry fault", pid, try+1)
 					code = admin.PreInit(pid, mask, core.FlagSteal)
 					if code == derr.ErrAlreadyInit {
@@ -750,12 +770,12 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 					// The reserved CPUs leave the node's effective-free
 					// set now (a steal shrinks the victims by exactly
 					// this mask, so the delta holds either way).
-					ctl.noteUsed(node, mask)
+					ctl.noteUsed(ni, mask)
 					ctl.logf(node, "pre_launch", "DROM_PreInit(pid=%d, mask=%s, STEAL)", pid, mask)
 				}
 			}
 			placements = append(placements, apps.Placement{
-				Node: node, Sys: ctl.cluster.System(node), PID: pid, InitialMask: mask,
+				Node: node, Sys: ctl.cluster.SystemAt(ni), PID: pid, InitialMask: mask,
 			})
 		}
 	}
@@ -764,10 +784,9 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 	if q.resume != nil {
 		// Resume from the checkpoint after the launch latency, paying the
 		// restart cost (evResume rebuilds the placements from r.tasks).
-		ctl.running = append(ctl.running, r)
-		ctl.rBySeq[r.seq] = r
+		ctl.addRunning(r)
 		ctl.trackAfter(ctl.LaunchLatency, pendEv{kind: evResume, seq: r.seq})
-		ctl.logf(nodes[0], "resume", "job %s resumed at %d/%d iterations",
+		ctl.logf(ctl.cluster.Nodes[nodeAt[0]], "resume", "job %s resumed at %d/%d iterations",
 			j.Name, r.inst.ItersDone(), r.inst.Iters)
 		return
 	}
@@ -783,8 +802,7 @@ func (ctl *Controller) launch(q *queuedJob, nodes []string, plans map[string]Lau
 	inst.JitterFrac = ctl.cluster.JitterFrac
 	inst.OnComplete = func(end float64) { ctl.onJobEnd(r, end) }
 	r.inst = inst
-	ctl.running = append(ctl.running, r)
-	ctl.rBySeq[r.seq] = r
+	ctl.addRunning(r)
 
 	// srun/slurmstepd latency, then the task starts (DLB_Init).
 	ctl.trackAfter(ctl.LaunchLatency, pendEv{kind: evStart, seq: r.seq})
@@ -808,10 +826,10 @@ func (ctl *Controller) placementsOf(r *runningJob) []apps.Placement {
 	pls := ctl.placeBuf[:0]
 	for _, t := range r.tasks {
 		var mask cpuset.CPUSet
-		if e, code := ctl.admins[t.node].Inspect(t.pid); !code.IsError() {
+		if e, code := ctl.admins[t.ni].Inspect(t.pid); !code.IsError() {
 			mask = e.EffectiveMask()
 		}
-		pls = append(pls, apps.Placement{Node: t.node, Sys: ctl.cluster.System(t.node), PID: t.pid, InitialMask: mask})
+		pls = append(pls, apps.Placement{Node: ctl.cluster.Nodes[t.ni], Sys: ctl.cluster.SystemAt(t.ni), PID: t.pid, InitialMask: mask})
 	}
 	ctl.placeBuf = pls
 	return pls
@@ -833,7 +851,7 @@ func (ctl *Controller) interruptRunning(seq int) {
 		outcome = metrics.OutcomeFailed
 	}
 	r.inst.Stop()
-	ctl.logf(r.nodes[0], "interrupt", "job %s %s at %d/%d iterations",
+	ctl.logf(ctl.cluster.Nodes[r.nodeAt[0]], "interrupt", "job %s %s at %d/%d iterations",
 		r.job.Name, outcome, r.inst.ItersDone(), r.inst.Iters)
 	ctl.endJob(r, ctl.cluster.Engine.Now(), outcome)
 }
@@ -855,27 +873,36 @@ func (ctl *Controller) onJobEnd(r *runningJob, end float64) {
 // reservations are released here).
 func (ctl *Controller) finalizeTasks(r *runningJob) {
 	for _, t := range r.tasks {
-		admin := ctl.admins[t.node]
+		admin := ctl.admins[t.ni]
 		// Maintain the incremental free accounting: a task that held no
 		// stolen CPUs returns exactly its effective mask to the pool; a
 		// task with thefts redistributes to victims, so the node is
 		// re-scanned lazily instead.
 		e, icode := admin.Inspect(t.pid)
 		if code := admin.PostFinalize(t.pid, core.FlagReturnStolen); code.IsError() && code != derr.ErrNoProc {
-			if !ctl.shmemFault(t.node, code) {
+			if !ctl.shmemFault(t.ni, code) {
 				ctl.fail(fmt.Errorf("slurm: PostFinalize pid %d: %w", t.pid, code))
 			}
 		}
 		if icode.IsError() || len(e.Stolen) > 0 {
-			ctl.invalidateNode(t.node)
+			ctl.invalidateNode(t.ni)
 		} else {
-			ctl.noteFreed(t.node, e.EffectiveMask())
+			ctl.noteFreed(t.ni, e.EffectiveMask())
 		}
-		ctl.logf(t.node, "post_term", "DROM_PostFinalize(pid=%d, RETURN_STOLEN)", t.pid)
+		ctl.logf(ctl.cluster.Nodes[t.ni], "post_term", "DROM_PostFinalize(pid=%d, RETURN_STOLEN)", t.pid)
 	}
 }
 
-// removeRunning drops r from the running set and its seq index.
+// addRunning appends r to the running set, its seq index and its
+// partition's view.
+func (ctl *Controller) addRunning(r *runningJob) {
+	ctl.running = append(ctl.running, r)
+	ctl.rBySeq[r.seq] = r
+	ctl.viewAddRunning(r)
+}
+
+// removeRunning drops r from the running set, its seq index and its
+// partition's view.
 func (ctl *Controller) removeRunning(r *runningJob) {
 	for i, rr := range ctl.running {
 		if rr == r {
@@ -884,6 +911,7 @@ func (ctl *Controller) removeRunning(r *runningJob) {
 		}
 	}
 	delete(ctl.rBySeq, r.seq)
+	ctl.viewRemoveRunning(r)
 }
 
 // recordEnd books r's lifecycle record and emits the KindJobEnd probe
@@ -915,8 +943,8 @@ func (ctl *Controller) endJob(r *runningJob, end float64, outcome metrics.Outcom
 	// With a sched.Policy installed, expansion is that policy's call
 	// (malleable-expand emits explicit actions; EASY/FCFS stay rigid).
 	if ctl.policy == PolicyDROM && ctl.scheds == nil {
-		for _, node := range r.nodes {
-			ctl.releaseResources(node)
+		for _, ni := range r.nodeAt {
+			ctl.releaseResources(ni)
 		}
 	}
 	// Freed capacity may unblock the queue.
@@ -959,7 +987,7 @@ func (ctl *Controller) Cancel(name string) bool {
 	for _, r := range ctl.running {
 		if r.job.Name == name {
 			r.inst.Stop()
-			ctl.logf(r.nodes[0], "scancel", "job %s killed at %d/%d iterations",
+			ctl.logf(ctl.cluster.Nodes[r.nodeAt[0]], "scancel", "job %s killed at %d/%d iterations",
 				name, r.inst.ItersDone(), r.inst.Iters)
 			ctl.endJob(r, ctl.cluster.Engine.Now(), metrics.OutcomeCancelled)
 			return true
@@ -977,10 +1005,10 @@ func (ctl *Controller) ServeEvolvingRequests() {
 	for ni, node := range ctl.cluster.Nodes {
 		// A down or draining node grants nothing: its free CPUs are out
 		// of service, and shrink requests keep until it returns.
-		if ctl.nfState != nil && ctl.nfState[ni] != hwmodel.NodeUp {
+		if !ctl.nodeUp(ni) {
 			continue
 		}
-		admin := ctl.admins[node]
+		admin := ctl.admins[ni]
 		reqs, code := admin.ResizeRequests()
 		if code.IsError() {
 			continue
@@ -991,12 +1019,12 @@ func (ctl *Controller) ServeEvolvingRequests() {
 				continue
 			}
 			cur := e.EffectiveMask()
-			machine := ctl.machineOf(node)
+			machine := ctl.cluster.MachineOfNode(ni)
 			var next cpuset.CPUSet
 			if req.Want < req.Current {
 				next = machine.SocketAwarePick(cur, req.Want)
 			} else {
-				free := ctl.cluster.System(node).Segment().FreeMask()
+				free := ctl.cluster.SystemAt(ni).Segment().FreeMask()
 				extra := machine.SocketAwarePick(free, req.Want-req.Current)
 				if extra.IsEmpty() {
 					continue // nothing to grant now
@@ -1007,31 +1035,31 @@ func (ctl *Controller) ServeEvolvingRequests() {
 				continue
 			}
 			if code := admin.SetProcessMask(req.PID, next, core.FlagNone); code.IsError() {
-				if !ctl.shmemFault(node, code) {
+				if !ctl.shmemFault(ni, code) {
 					ctl.fail(fmt.Errorf("slurm: evolving grant pid %d on %s: %w", req.PID, node, code))
 				}
 				continue
 			}
-			ctl.invalidateNode(node)
+			ctl.invalidateNode(ni)
 			ctl.logf(node, "evolving_grant", "pid=%d %d->%d CPUs (mask=%s)",
 				req.PID, req.Current, next.Count(), next)
 		}
 	}
 }
 
-// releaseResources redistributes the free CPUs of a node to running
-// malleable jobs below their request (Figure 2 step 5, using
+// releaseResources redistributes the free CPUs of the node at global
+// index ni to running malleable jobs below their request (Figure 2 step 5, using
 // GetPidList/GetProcessMask/SetProcessMask).
-func (ctl *Controller) releaseResources(node string) {
-	if ctl.nfState != nil && ctl.nfState[ctl.nodeIdx[node]] != hwmodel.NodeUp {
+func (ctl *Controller) releaseResources(ni int) {
+	if !ctl.nodeUp(ni) {
 		return // an out-of-service node redistributes nothing
 	}
-	admin := ctl.admins[node]
-	free := ctl.cluster.System(node).Segment().FreeMask()
+	node, admin := ctl.cluster.Nodes[ni], ctl.admins[ni]
+	free := ctl.cluster.SystemAt(ni).Segment().FreeMask()
 	if free.IsEmpty() {
 		return
 	}
-	grown := PlanExpand(ctl.machineOf(node), ctl.jobsOn(node), free)
+	grown := PlanExpand(ctl.cluster.MachineOfNode(ni), ctl.jobsOn(ni), free)
 	// Apply in PID order: the protocol log and the first error
 	// surfaced through ctl.fail must not depend on map iteration.
 	pids := make([]int, 0, len(grown))
@@ -1047,7 +1075,7 @@ func (ctl *Controller) releaseResources(node string) {
 			mask = e.EffectiveMask().Or(mask.AndNot(e.CurrentMask))
 		}
 		if code := admin.SetProcessMask(pid, mask, core.FlagNone); code.IsError() {
-			if !ctl.shmemFault(node, code) {
+			if !ctl.shmemFault(ni, code) {
 				ctl.fail(fmt.Errorf("slurm: expand pid %d to %s on %s: %w", pid, mask, node, code))
 			}
 			continue
@@ -1055,6 +1083,6 @@ func (ctl *Controller) releaseResources(node string) {
 		ctl.logf(node, "release_resources", "DROM_SetProcessMask(pid=%d, mask=%s) [expand]", pid, mask)
 	}
 	if len(grown) > 0 {
-		ctl.invalidateNode(node)
+		ctl.invalidateNode(ni)
 	}
 }

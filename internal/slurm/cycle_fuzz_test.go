@@ -1,0 +1,173 @@
+package slurm
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/hwmodel"
+	"repro/internal/sched"
+	"repro/internal/sim"
+)
+
+// FuzzIncrementalCycle turns its input into a small trace — 1–3
+// partitions of 1–3 nodes, one policy per partition, spillover and
+// its thresholds, scripted down/drain windows with a requeue cap, and
+// 8–48 jobs with malleable and rigid shapes, priorities, mid-run
+// failures, scancels and malleability flips of queued jobs — replays
+// it with DebugInvariants on, and forks it once on the way. After
+// every scheduling cycle of both lineages the incremental views must
+// equal a from-scratch rebuild (checkFreeInvariant fails the
+// controller otherwise); every accepted job must be recorded, nothing
+// may stay registered in shared memory, and the fork — whose first
+// cycle rebuilds its views from the cloned records — must decide
+// exactly as its parent does.
+//
+// Plain `go test` replays the seeds below and the committed corpus
+// under testdata/fuzz/FuzzIncrementalCycle.
+func FuzzIncrementalCycle(f *testing.F) {
+	// An exhausted input reads as zeros: the empty seed is eight equal
+	// jobs on one node. The committed corpus holds the busy traces.
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) { replayFuzzTrace(t, data) })
+}
+
+// fuzzOp is one scripted input of a fuzz trace: a submission, an
+// scancel or a malleability flip, bound to whichever lineage runs it.
+type fuzzOp struct {
+	at    float64
+	do    func(ctl *Controller)
+	id    sim.EventID
+	fired bool
+}
+
+// replayFuzzTrace decodes data into a trace and replays it (see
+// FuzzIncrementalCycle). Bytes are consumed in order; an exhausted
+// input reads as zeros, so every input is a valid trace.
+func replayFuzzTrace(t *testing.T, data []byte) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	machines := []hwmodel.Machine{hwmodel.MN3(), hwmodel.FatNode()}
+	var spec hwmodel.ClusterSpec
+	for pi, np := 0, 1+next()%3; pi < np; pi++ {
+		spec.Partitions = append(spec.Partitions, hwmodel.Partition{
+			Name: fmt.Sprintf("p%d", pi), Nodes: 1 + next()%3, Machine: machines[next()%2],
+		})
+	}
+	eng := sim.NewEngine()
+	c, err := NewClusterSpec(eng, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := NewController(c, PolicyDROM)
+	if err := ctl.installScheds(func(int) (sched.Policy, error) {
+		return sched.New(sched.Names()[next()%len(sched.Names())])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctl.DebugInvariants = true
+	ctl.Spillover = next()%2 == 1
+	ctl.SpillAfter = float64(next()%4) * 20
+	ctl.SpillDepth = next() % 3
+	if next()%2 == 1 {
+		ctl.NodeSelection = SelectPacked
+	}
+	var script []string
+	for k, nw := 0, next()%4; k < nw; k++ {
+		kind := []string{"down", "drain"}[next()%2]
+		from := next() * 3
+		script = append(script, fmt.Sprintf("node%d:%s@%d..%d", next()%len(c.Nodes), kind, from, from+10+2*next()))
+	}
+	if err := ctl.InstallFaults(FaultPlan{Script: strings.Join(script, "+"), MaxRequeues: next()%3 - 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	var ops []*fuzzOp
+	accepted := 0
+	at := 0.0
+	for i, nj := 0, 8+next()%41; i < nj; i++ {
+		part := spec.Partitions[next()%len(spec.Partitions)]
+		nodes := 1 + next()%part.Nodes
+		cpus := min([]int{16, 8, 32, 4, 16, 32, 2, 1}[next()%8], part.Machine.CoresPerNode())
+		flags := next()
+		j := &Job{
+			Name: fmt.Sprintf("j%d", i), Spec: fastSpec(20 + next()%200),
+			Cfg:   apps.Config{Ranks: nodes, Threads: cpus},
+			Nodes: nodes, Priority: flags % 3, Partition: part.Name,
+			Walltime: []float64{0, 20, 60, 60, 200, 2000}[next()%6], Malleable: flags&4 != 0,
+		}
+		if flags&8 != 0 {
+			j.FailAfter = float64(1 + next()%40)
+		}
+		at += float64(next() % 8)
+		ops = append(ops, &fuzzOp{at: at, do: func(ctl *Controller) {
+			if ctl.Submit(j) == nil {
+				accepted++
+			}
+		}})
+		if flags&16 != 0 {
+			ops = append(ops, &fuzzOp{at: at + float64(next()%60), do: func(ctl *Controller) { ctl.Cancel(j.Name) }})
+		}
+		if flags&32 != 0 {
+			ops = append(ops, &fuzzOp{at: at + float64(next()%30), do: func(ctl *Controller) { ctl.SetQueuedMalleable(j.Name, !j.Malleable) }})
+		}
+	}
+	for _, op := range ops {
+		op.id = eng.At(op.at, func() { op.fired = true; op.do(ctl) })
+	}
+
+	// Run the parent to the fork instant, fork, re-bind the trace's own
+	// pending inputs onto the fork, and finish both lineages.
+	eng.RunUntil(at * float64(next()%8) / 8)
+	checkErr(t, ctl)
+	forkedAt, queued, running := eng.Now(), ctl.QueueLen(), ctl.RunningLen()
+	parentAccepted := accepted
+	fork, feng, err := ctl.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		if !op.fired {
+			if err := feng.Rebind(op.id, func() { op.do(fork) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := feng.FinishFork(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	total := accepted
+	feng.Run()
+	for _, l := range []struct {
+		name string
+		ctl  *Controller
+		jobs int
+	}{{"parent", ctl, total}, {"fork", fork, parentAccepted + accepted - total}} {
+		if l.ctl.Err != nil {
+			t.Fatalf("%s: controller error: %v", l.name, l.ctl.Err)
+		}
+		if got := len(l.ctl.Records.Jobs); got != l.jobs || l.ctl.QueueLen() != 0 || l.ctl.RunningLen() != 0 {
+			t.Fatalf("%s: recorded %d of %d accepted jobs (queue=%d running=%d)",
+				l.name, got, l.jobs, l.ctl.QueueLen(), l.ctl.RunningLen())
+		}
+		for _, node := range l.ctl.cluster.Nodes {
+			if n := l.ctl.cluster.System(node).Segment().NumProcs(); n != 0 {
+				t.Fatalf("%s: %d processes left registered on %s", l.name, n, node)
+			}
+		}
+	}
+	t.Logf("%s: %d jobs, %d cycles, %d spilled, %d requeues, forked at t=%v of %v with %d queued and %d running",
+		spec, total, ctl.Cycles, ctl.Records.Spilled(), ctl.Records.Requeues(), forkedAt, eng.Now(), queued, running)
+	if !reflect.DeepEqual(fork.Records.Jobs, ctl.Records.Jobs) {
+		t.Fatalf("fork decided differently:\nfork   %+v\nparent %+v", fork.Records.Jobs, ctl.Records.Jobs)
+	}
+}

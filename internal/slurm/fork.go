@@ -12,6 +12,9 @@ package slurm
 //     demand table, queuedJob/runningJob records, app instances,
 //     free-mask caches, fault-state arrays, metrics records, and one
 //     fresh sched.Policy per partition (ClonePolicy);
+//   - rebuilt: the per-partition policy views (view.go) are derived
+//     state — the fork starts with them stale and its first policy
+//     cycle rebuilds them from the cloned records;
 //   - shared immutable: Job values (copy-on-write on mutation — see
 //     SetQueuedMalleable), cluster spec, node name/machine/partition
 //     tables, nodeIdx, the parsed fault script (nfWins);
@@ -155,13 +158,15 @@ func (c *Cluster) Fork(eng *sim.Engine) *Cluster {
 		Demand:   c.Demand.Fork(),
 		reg:      c.reg.Fork(),
 		sys:      make(map[string]*core.System, len(c.sys)),
+		sysAt:    make([]*core.System, len(c.sysAt)),
 		machines: c.machines,
 		partOf:   c.partOf,
 	}
-	for name, s := range c.sys { //simvet:ordered fresh map built key-for-key; no order-dependent output
+	for i, name := range c.Nodes {
 		ns := core.NewSystem(f.reg.Get(name))
-		ns.SyncTimeout = s.SyncTimeout
+		ns.SyncTimeout = c.sysAt[i].SyncTimeout
 		f.sys[name] = ns
+		f.sysAt[i] = ns
 	}
 	return f
 }
@@ -202,13 +207,15 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		RestartCost:     ctl.RestartCost,
 		drainUntil:      ctl.drainUntil,
 		seq:             ctl.seq,
-		admins:          make(map[string]*core.Admin, len(ctl.admins)),
+		admins:          make([]*core.Admin, len(ctl.admins)),
 		nodeMasks:       append([]cpuset.CPUSet(nil), ctl.nodeMasks...),
 		nodeIdx:         ctl.nodeIdx, // read-only after construction
 		nodeFree:        append([]cpuset.CPUSet(nil), ctl.nodeFree...),
+		nodeFreeN:       append([]int(nil), ctl.nodeFreeN...),
 		nodeFreeOK:      append([]bool(nil), ctl.nodeFreeOK...),
 		qBySeq:          make(map[int]*queuedJob, len(ctl.qBySeq)),
 		rBySeq:          make(map[int]*runningJob, len(ctl.rBySeq)),
+		viewsStale:      true, // rebuilt from the cloned records on the first policy cycle
 		pend:            make(map[sim.EventID]pendEv, len(ctl.pend)),
 		cyclePending:    ctl.cyclePending,
 		cycleEv:         ctl.cycleEv,
@@ -224,12 +231,12 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 			ctl2.scheds[i] = p.ClonePolicy()
 		}
 	}
-	for _, n := range c.Nodes {
-		admin, code := c.System(n).Attach()
+	for i, n := range c.Nodes {
+		admin, code := c.SystemAt(i).Attach()
 		if code.IsError() {
 			return nil, nil, fmt.Errorf("slurm: Fork attach on %s: %w", n, code)
 		}
-		ctl2.admins[n] = admin
+		ctl2.admins[i] = admin
 	}
 	// forkJob clones one job record with its instance: a running job's,
 	// or the checkpoint image a queued job resumes from.
@@ -238,7 +245,7 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		cr := &runningJob{
 			job: r.job, seq: r.seq, pidx: r.pidx, homePidx: r.homePidx,
 			submit: r.submit, start: r.start,
-			nodes:    append([]string(nil), r.nodes...),
+			nodeAt:   append([]int(nil), r.nodeAt...),
 			tasks:    append([]taskRef(nil), r.tasks...),
 			nodeIdxs: append([]int(nil), r.nodeIdxs...),
 			curCPUs:  r.curCPUs, curOK: r.curOK, requeues: r.requeues,
@@ -322,7 +329,11 @@ func (ctl *Controller) SetQueuedMalleable(name string, malleable bool) bool {
 		if q.job.Malleable != malleable {
 			nj := *q.job
 			nj.Malleable = malleable
+			// The view entry carries the flag: re-insert it at its
+			// (unchanged) position.
+			ctl.viewDequeue(q)
 			q.job = &nj
+			ctl.viewEnqueue(q)
 			ctl.kick()
 		}
 		return true

@@ -304,7 +304,7 @@ func (ctl *Controller) nodeDown(i int, until float64) {
 		})
 	}
 	ctl.logf(node, "node_down", "node failed until t=%.1f", until)
-	ctl.killResidents(node)
+	ctl.killResidents(i)
 	ctl.trackAt(until, pendEv{kind: evRepair, node: i})
 	ctl.kick()
 }
@@ -405,11 +405,12 @@ func (ctl *Controller) drainEnd(i int) {
 // launch-latency window before the ranks registered.
 //
 //simvet:coldpath per node-down event
-func (ctl *Controller) killResidents(node string) {
+func (ctl *Controller) killResidents(ni int) {
+	node := ctl.cluster.Nodes[ni]
 	// Collect first: the requeue/record below mutates ctl.running.
 	var victims []*runningJob
 	for _, r := range ctl.running {
-		if r.hasNode(node) {
+		if r.hasNode(ni) {
 			victims = append(victims, r)
 		}
 	}

@@ -84,9 +84,27 @@ func (ctl *Controller) installScheds(newFor func(pi int) (sched.Policy, error)) 
 // SchedOf returns the policy instance of partition pi.
 func (ctl *Controller) SchedOf(pi int) sched.Policy { return ctl.scheds[pi] }
 
-// effectiveFree returns the node CPUs no process effectively holds: a
-// staged-but-unapplied mask change (dirty future) is already binding —
-// the CPUs it drops are free to promise, the CPUs it gains are taken.
+// nodeUp reports whether the node at global index i is in service
+// (always, when no fault plan is installed).
+func (ctl *Controller) nodeUp(i int) bool {
+	return ctl.nfState == nil || ctl.nfState[i] == hwmodel.NodeUp
+}
+
+// refreshFree re-scans node i's effective-free mask from shared memory
+// when an ambiguous mutation invalidated the cached one.
+func (ctl *Controller) refreshFree(i int) {
+	if !ctl.nodeFreeOK[i] {
+		used := ctl.cluster.SystemAt(i).Segment().EffectiveUsedMask()
+		ctl.nodeFree[i] = ctl.nodeMasks[i].AndNot(used)
+		ctl.nodeFreeN[i] = ctl.nodeFree[i].Count()
+		ctl.nodeFreeOK[i] = true
+	}
+}
+
+// effectiveFree returns the CPUs of the node at global index i no
+// process effectively holds: a staged-but-unapplied mask change (dirty
+// future) is already binding — the CPUs it drops are free to promise,
+// the CPUs it gains are taken.
 //
 // The value is served from the controller's per-node cache. The cache
 // is maintained incrementally at the points where effective masks
@@ -95,68 +113,71 @@ func (ctl *Controller) SchedOf(pi int) sched.Policy { return ctl.scheds[pi] }
 // (PostFinalize) — and re-scanned lazily from shared memory only for
 // nodes an ambiguous mutation (steal redistribution, checkpoint stop,
 // evolving grant) invalidated.
-func (ctl *Controller) effectiveFree(node string) cpuset.CPUSet {
-	i, ok := ctl.nodeIdx[node]
-	if !ok {
+//
+// Failure-domain overlay: a down or draining node exposes no free CPUs
+// to any consumer (placement, spillover, reservations, the invariant
+// check). The underlying cache keeps tracking the true shared-memory
+// state — drain residents still noteFreed through it — and
+// nodeRepair/drainEnd force a re-scan when the node returns.
+func (ctl *Controller) effectiveFree(i int) cpuset.CPUSet {
+	if !ctl.nodeUp(i) {
 		return cpuset.CPUSet{}
 	}
-	// Failure-domain overlay: a down or draining node exposes no free
-	// CPUs to any consumer (placement, spillover, reservations, the
-	// invariant check). The underlying cache keeps tracking the true
-	// shared-memory state — drain residents still noteFreed through it —
-	// and nodeRepair/drainEnd force a re-scan when the node returns.
-	if ctl.nfState != nil && ctl.nfState[i] != hwmodel.NodeUp {
-		return cpuset.CPUSet{}
-	}
-	if !ctl.nodeFreeOK[i] {
-		used := ctl.cluster.System(node).Segment().EffectiveUsedMask()
-		ctl.nodeFree[i] = ctl.nodeMasks[i].AndNot(used)
-		ctl.nodeFreeOK[i] = true
-	}
+	ctl.refreshFree(i)
 	return ctl.nodeFree[i]
 }
 
-// cachedFree returns the cached effective-free mask of node without
-// triggering a re-scan; ok is false when the cache is stale.
-func (ctl *Controller) cachedFree(node string) (cpuset.CPUSet, bool) {
-	if i, ok := ctl.nodeIdx[node]; ok && ctl.nodeFreeOK[i] {
-		return ctl.nodeFree[i], true
+// freeCount is effectiveFree(i).Count(), served from the popcount
+// cached beside the mask.
+func (ctl *Controller) freeCount(i int) int {
+	if !ctl.nodeUp(i) {
+		return 0
 	}
-	return cpuset.CPUSet{}, false
+	ctl.refreshFree(i)
+	return ctl.nodeFreeN[i]
 }
 
-// noteUsed removes mask from node's cached effective-free set.
-func (ctl *Controller) noteUsed(node string, mask cpuset.CPUSet) {
-	if i, ok := ctl.nodeIdx[node]; ok && ctl.nodeFreeOK[i] {
+// noteUsed removes mask from node i's cached effective-free set.
+func (ctl *Controller) noteUsed(i int, mask cpuset.CPUSet) {
+	if ctl.nodeFreeOK[i] {
 		ctl.nodeFree[i] = ctl.nodeFree[i].AndNot(mask)
+		ctl.nodeFreeN[i] = ctl.nodeFree[i].Count()
 	}
 }
 
-// noteFreed returns mask to node's cached effective-free set.
-func (ctl *Controller) noteFreed(node string, mask cpuset.CPUSet) {
-	if i, ok := ctl.nodeIdx[node]; ok && ctl.nodeFreeOK[i] {
+// noteFreed returns mask to node i's cached effective-free set.
+func (ctl *Controller) noteFreed(i int, mask cpuset.CPUSet) {
+	if ctl.nodeFreeOK[i] {
 		ctl.nodeFree[i] = ctl.nodeFree[i].Or(mask)
+		ctl.nodeFreeN[i] = ctl.nodeFree[i].Count()
+	}
+}
+
+// invalidateWidth clears r's cached allocation width and marks its
+// partition's view so the next snapshot re-reads the entry.
+func (ctl *Controller) invalidateWidth(r *runningJob) {
+	r.curOK = false
+	if !ctl.viewsStale {
+		ctl.views[r.pidx].widthsDirty = true
 	}
 }
 
 // invalidateJobsOn clears the cached allocation width of every running
-// job with tasks on node.
-func (ctl *Controller) invalidateJobsOn(node string) {
+// job with tasks on the node at global index i.
+func (ctl *Controller) invalidateJobsOn(i int) {
 	for _, r := range ctl.running {
-		if r.curOK && r.hasNode(node) {
-			r.curOK = false
+		if r.curOK && r.hasNode(i) {
+			ctl.invalidateWidth(r)
 		}
 	}
 }
 
-// invalidateNode drops both the node's cached effective-free mask and
+// invalidateNode drops both node i's cached effective-free mask and
 // the cached widths of the jobs running there; the next consumer
 // re-derives them from shared memory.
-func (ctl *Controller) invalidateNode(node string) {
-	if i, ok := ctl.nodeIdx[node]; ok {
-		ctl.nodeFreeOK[i] = false
-	}
-	ctl.invalidateJobsOn(node)
+func (ctl *Controller) invalidateNode(i int) {
+	ctl.nodeFreeOK[i] = false
+	ctl.invalidateJobsOn(i)
 }
 
 // runningCPUs returns r's effective per-node CPU allocation (max over
@@ -168,13 +189,13 @@ func (ctl *Controller) runningCPUs(r *runningJob) int {
 		return r.curCPUs
 	}
 	cur := 0
-	for _, node := range r.nodes {
+	for _, ni := range r.nodeAt {
 		n := 0
 		for _, t := range r.tasks {
-			if t.node != node {
+			if t.ni != ni {
 				continue
 			}
-			if e, code := ctl.admins[node].Inspect(t.pid); !code.IsError() {
+			if e, code := ctl.admins[ni].Inspect(t.pid); !code.IsError() {
 				n += e.EffectiveMask().Count()
 			}
 		}
@@ -184,68 +205,6 @@ func (ctl *Controller) runningCPUs(r *runningJob) int {
 	}
 	r.curCPUs, r.curOK = cur, true
 	return cur
-}
-
-// snapshotPartition refreshes the policy's view of one partition:
-// free counts over the partition's nodes (indices local to the
-// partition), the queued jobs targeting it and the running jobs
-// inside it. The returned State and its slices are owned by the
-// controller and reused across cycles and partitions: policies must
-// treat it as read-only and must not retain it past the Schedule call
-// (the sched.Policy contract).
-func (ctl *Controller) snapshotPartition(pi int) *sched.State {
-	part := ctl.cluster.Spec.Partitions[pi]
-	st := &ctl.snapState
-	st.Now = ctl.cluster.Engine.Now()
-	st.Partition = part.Name
-	st.CoresPerNode = part.Machine.CoresPerNode()
-	st.Free = st.Free[:0]
-	st.Queue = st.Queue[:0]
-	st.Running = st.Running[:0]
-	offset := ctl.cluster.Spec.NodeOffset(pi)
-	for k, node := range ctl.cluster.PartitionNodes(pi) {
-		if ctl.nfState != nil && ctl.nfState[offset+k] != hwmodel.NodeUp {
-			// Unavailable-node sentinel: every policy placement needs at
-			// least one CPU, so -1 excludes the node from starts,
-			// backfill projections and malleable reclaim alike.
-			st.Free = append(st.Free, -1)
-			continue
-		}
-		st.Free = append(st.Free, ctl.effectiveFree(node).Count())
-	}
-	for _, q := range ctl.queue {
-		if q.pidx != pi {
-			continue
-		}
-		st.Queue = append(st.Queue, sched.Job{
-			ID:             q.seq,
-			Name:           q.job.Name,
-			Priority:       q.job.Priority,
-			Submit:         q.submit,
-			Nodes:          q.job.Nodes,
-			CPUsPerNode:    q.job.CPUsPerNode(),
-			MinCPUsPerNode: q.job.RanksPerNode(),
-			Walltime:       q.job.Walltime,
-			Malleable:      q.job.Malleable,
-		})
-	}
-	for _, r := range ctl.running {
-		if r.pidx != pi {
-			continue
-		}
-		st.Running = append(st.Running, sched.Running{
-			ID:             r.seq,
-			Name:           r.job.Name,
-			Start:          r.start,
-			Walltime:       r.job.Walltime,
-			Nodes:          r.nodeIdxs, // partition-local indices
-			CPUsPerNode:    ctl.runningCPUs(r),
-			ReqCPUsPerNode: r.job.CPUsPerNode(),
-			MinCPUsPerNode: r.job.RanksPerNode(),
-			Malleable:      r.job.Malleable,
-		})
-	}
-	return st
 }
 
 // schedCycle is the cycle skeleton every mode runs through: the
@@ -298,6 +257,9 @@ func (ctl *Controller) schedCycle() {
 // (say, a shrink paired with a start that lost the race) is re-planned
 // immediately instead of idling until the next job event.
 func (ctl *Controller) planPolicies(probe obs.Probe) (skipped bool) {
+	if ctl.viewsStale {
+		ctl.rebuildViews()
+	}
 	for pi := range ctl.cluster.Spec.Partitions {
 		ctl.Cycles++
 		st := ctl.snapshotPartition(pi)
@@ -325,7 +287,7 @@ func (ctl *Controller) planPolicies(probe obs.Probe) (skipped bool) {
 			switch a.Kind {
 			case sched.ActStart:
 				q, ok := ctl.qBySeq[a.ID]
-				started := ok && q.pidx == pi && ctl.startQueued(q, a.TargetCPUsPerNode, a.Nodes)
+				started := ok && q.pidx == pi && ctl.startQueued(q, pi, a.TargetCPUsPerNode, a.Nodes)
 				if !started {
 					skipped = true
 				}
@@ -410,17 +372,19 @@ func (ctl *Controller) rearmAfterSkip() {
 
 // checkFreeInvariant cross-checks the incremental accounting against a
 // full shared-memory re-scan: every node's cached effective-free count
-// must match the rescan and stay within [0, CoresPerNode], and every
-// cached job width must match a fresh task-mask walk.
+// must match the rescan and stay within [0, CoresPerNode], every
+// cached job width must match a fresh task-mask walk, and every
+// partition's incremental view must equal a from-scratch rebuild
+// (checkViews).
 //
 //simvet:coldpath debug-only cross-check behind DebugInvariants
 func (ctl *Controller) checkFreeInvariant() {
 	for i, node := range ctl.cluster.Nodes {
 		cores := ctl.cluster.MachineOfNode(i).CoresPerNode()
-		got := ctl.effectiveFree(node)
-		used := ctl.cluster.System(node).Segment().EffectiveUsedMask()
+		got := ctl.effectiveFree(i)
+		used := ctl.cluster.SystemAt(i).Segment().EffectiveUsedMask()
 		want := ctl.nodeMasks[i].AndNot(used)
-		if ctl.nfState != nil && ctl.nfState[i] != hwmodel.NodeUp {
+		if !ctl.nodeUp(i) {
 			// The overlay hides out-of-service nodes from every consumer;
 			// the invariant is that they expose zero capacity.
 			want = cpuset.CPUSet{}
@@ -430,6 +394,10 @@ func (ctl *Controller) checkFreeInvariant() {
 		}
 		if n := got.Count(); n < 0 || n > cores {
 			ctl.fail(fmt.Errorf("slurm: invariant: node %s free count %d outside [0,%d]", node, n, cores))
+		}
+		if ctl.nodeFreeOK[i] && ctl.nodeFreeN[i] != ctl.nodeFree[i].Count() {
+			ctl.fail(fmt.Errorf("slurm: invariant: node %s cached popcount %d, mask %s holds %d",
+				node, ctl.nodeFreeN[i], ctl.nodeFree[i], ctl.nodeFree[i].Count()))
 		}
 	}
 	for _, r := range ctl.running {
@@ -442,13 +410,15 @@ func (ctl *Controller) checkFreeInvariant() {
 			ctl.fail(fmt.Errorf("slurm: invariant: job %s cached width %d, task masks say %d", r.job.Name, cached, fresh))
 		}
 	}
+	ctl.checkViews()
 }
 
-// startCand is a placement candidate of startQueued.
+// startCand is a placement candidate of startQueued: a node by global
+// index with its effective-free mask and that mask's popcount.
 type startCand struct {
-	node string
+	ni   int
 	free cpuset.CPUSet
-	n    int // cached free.Count()
+	n    int
 }
 
 // freeCandsSorted collects the nodes of partition pi with at least
@@ -460,10 +430,10 @@ type startCand struct {
 // can never disagree on node selection.
 func (ctl *Controller) freeCandsSorted(pi, need int) []startCand {
 	cands := ctl.startCands[:0]
-	for _, node := range ctl.cluster.PartitionNodes(pi) {
-		f := ctl.effectiveFree(node)
-		if n := f.Count(); n >= need {
-			cands = append(cands, startCand{node, f, n})
+	lo := ctl.cluster.Spec.NodeOffset(pi)
+	for ni := lo; ni < lo+ctl.cluster.Spec.Partitions[pi].Nodes; ni++ {
+		if n := ctl.freeCount(ni); n >= need {
+			cands = append(cands, startCand{ni, ctl.effectiveFree(ni), n})
 		}
 	}
 	packed := ctl.NodeSelection == SelectPacked
@@ -480,18 +450,19 @@ func (ctl *Controller) freeCandsSorted(pi, need int) []startCand {
 	return cands
 }
 
-// startQueued places q on effectively-free CPUs of its partition —
-// target per-node CPUs when the policy admits it shrunk (0 = full
-// request), on the pinned partition-local node indices when the
-// policy budgeted specific nodes (an EASY reservation is only
-// starvation-safe on exactly those) — and launches it through the
-// Figure-2 protocol. Returns false when placement fails.
+// startQueued places q on effectively-free CPUs of partition pi — its
+// own, or the host of a spill — at target per-node CPUs when the
+// policy admits it shrunk (0 = full request), on the pinned
+// partition-local node indices when the policy budgeted specific nodes
+// (an EASY reservation is only starvation-safe on exactly those), and
+// launches it through the Figure-2 protocol. Returns false, with q
+// still queued where it was, when placement fails.
 //
 //simvet:coldpath per start action; steady-state cycles take no actions
-func (ctl *Controller) startQueued(q *queuedJob, target int, pinned []int) bool {
+func (ctl *Controller) startQueued(q *queuedJob, pi, target int, pinned []int) bool {
 	j := q.job
-	part := ctl.cluster.Spec.Partitions[q.pidx]
-	offset := ctl.cluster.Spec.NodeOffset(q.pidx)
+	part := ctl.cluster.Spec.Partitions[pi]
+	offset := ctl.cluster.Spec.NodeOffset(pi)
 	machine := part.Machine
 	need := j.CPUsPerNode()
 	if target > 0 && target < need {
@@ -520,44 +491,46 @@ func (ctl *Controller) startQueued(q *queuedJob, target int, pinned []int) bool 
 					return false
 				}
 			}
-			node := ctl.cluster.Nodes[offset+idx]
-			f := ctl.effectiveFree(node)
-			if f.Count() < need {
+			n := ctl.freeCount(offset + idx)
+			if n < need {
 				ctl.startCands = cands
 				return false // capacity raced away; stay queued
 			}
-			cands = append(cands, startCand{node, f, f.Count()})
+			cands = append(cands, startCand{offset + idx, ctl.effectiveFree(offset + idx), n})
 		}
 		ctl.startCands = cands
 		if len(cands) != j.Nodes {
 			return false
 		}
 	} else {
-		cands = ctl.freeCandsSorted(q.pidx, need)
+		cands = ctl.freeCandsSorted(pi, need)
 		if len(cands) < j.Nodes {
 			return false
 		}
 		cands = cands[:j.Nodes]
 	}
 	// Order the chosen nodes by name (insertion sort, unique names).
+	names := ctl.cluster.Nodes
 	for i := 1; i < len(cands); i++ {
 		c := cands[i]
 		k := i
-		for k > 0 && cands[k-1].node > c.node {
+		for k > 0 && names[cands[k-1].ni] > names[c.ni] {
 			cands[k] = cands[k-1]
 			k--
 		}
 		cands[k] = c
 	}
-	if ctl.planBuf == nil {
-		ctl.planBuf = make(map[string]LaunchPlan, len(ctl.cluster.Nodes))
+	// Plan into scratch: the job record is only allocated (by launch)
+	// once every node's masks are known to fit.
+	for len(ctl.planBuf) < len(cands) {
+		ctl.planBuf = append(ctl.planBuf, LaunchPlan{})
 	}
-	clear(ctl.planBuf)
-	nodes := make([]string, 0, j.Nodes)
-	plans := ctl.planBuf
-	for _, c := range cands {
+	plans := ctl.planBuf[:len(cands)]
+	nodeAt := ctl.launchAt[:0]
+	for k, c := range cands {
 		avail := c.free
-		plan := LaunchPlan{}
+		plan := &plans[k]
+		plan.NewTaskMasks = plan.NewTaskMasks[:0]
 		ctl.splitBuf = splitEvenInto(ctl.splitBuf, need, j.RanksPerNode())
 		for _, want := range ctl.splitBuf {
 			mask := machine.SocketAwarePick(avail, want)
@@ -567,11 +540,14 @@ func (ctl *Controller) startQueued(q *queuedJob, target int, pinned []int) bool 
 			plan.NewTaskMasks = append(plan.NewTaskMasks, mask)
 			avail = avail.AndNot(mask)
 		}
-		nodes = append(nodes, c.node)
-		plans[c.node] = plan
+		nodeAt = append(nodeAt, c.ni)
 	}
+	ctl.launchAt = nodeAt
+	// The job leaves the queue of the partition it waited in and runs in
+	// pi (the two differ exactly when a spill re-routes it).
 	ctl.dequeue(q)
-	ctl.launch(q, nodes, plans)
+	q.pidx = pi
+	ctl.launch(q, nodeAt, plans)
 	return true
 }
 
@@ -581,8 +557,9 @@ func (ctl *Controller) startQueued(q *queuedJob, target int, pinned []int) bool 
 //
 //simvet:coldpath per shrink action; steady-state cycles take no actions
 func (ctl *Controller) shrinkRunning(r *runningJob, target int) {
-	for _, node := range r.nodes {
-		refs := r.onNodeInto(ctl.refsBuf, node)
+	for _, ni := range r.nodeAt {
+		node := ctl.cluster.Nodes[ni]
+		refs := r.onNodeInto(ctl.refsBuf, ni)
 		ctl.refsBuf = refs
 		if len(refs) == 0 {
 			continue
@@ -591,8 +568,8 @@ func (ctl *Controller) shrinkRunning(r *runningJob, target int) {
 		if t < len(refs) {
 			t = len(refs) // never below one CPU per task
 		}
-		machine := ctl.machineOf(node)
-		cur := ctl.effectiveMasks(node, refs)
+		machine := ctl.cluster.MachineOfNode(ni)
+		cur := ctl.effectiveMasks(ni, refs)
 		total := 0
 		for _, m := range cur {
 			total += m.Count()
@@ -610,20 +587,20 @@ func (ctl *Controller) shrinkRunning(r *runningJob, target int) {
 			if keep.IsEmpty() {
 				continue
 			}
-			if code := ctl.admins[node].SetProcessMask(ref.pid, keep, core.FlagNone); code.IsError() {
-				if !ctl.shmemFault(node, code) {
+			if code := ctl.admins[ni].SetProcessMask(ref.pid, keep, core.FlagNone); code.IsError() {
+				if !ctl.shmemFault(ni, code) {
 					ctl.fail(fmt.Errorf("slurm: sched shrink pid %d to %s on %s: %w", ref.pid, keep, node, code))
 				}
 				continue
 			}
 			// The dropped CPUs join the node's effective-free set the
 			// moment the shrink is staged (a dirty future is binding).
-			ctl.noteFreed(node, cur[i].AndNot(keep))
+			ctl.noteFreed(ni, cur[i].AndNot(keep))
 			ctl.logf(node, "sched_shrink", "DROM_SetProcessMask(pid=%d, mask=%s) [%s]",
 				ref.pid, keep, r.job.Name)
 		}
 	}
-	r.curOK = false // recompute the cached width on the next snapshot
+	ctl.invalidateWidth(r) // recompute the cached width on the next snapshot
 }
 
 // expandRunning grows r toward target CPUs per node from the node's
@@ -631,15 +608,16 @@ func (ctl *Controller) shrinkRunning(r *runningJob, target int) {
 //
 //simvet:coldpath per expand action; steady-state cycles take no actions
 func (ctl *Controller) expandRunning(r *runningJob, target int) {
-	for _, node := range r.nodes {
-		refs := r.onNodeInto(ctl.refsBuf, node)
+	for _, ni := range r.nodeAt {
+		node := ctl.cluster.Nodes[ni]
+		refs := r.onNodeInto(ctl.refsBuf, ni)
 		ctl.refsBuf = refs
 		if len(refs) == 0 {
 			continue
 		}
-		machine := ctl.machineOf(node)
-		free := ctl.effectiveFree(node)
-		cur := ctl.effectiveMasks(node, refs)
+		machine := ctl.cluster.MachineOfNode(ni)
+		free := ctl.effectiveFree(ni)
+		cur := ctl.effectiveMasks(ni, refs)
 		ctl.splitBuf = splitEvenInto(ctl.splitBuf, target, len(refs))
 		per := ctl.splitBuf
 		for i, ref := range refs {
@@ -653,24 +631,25 @@ func (ctl *Controller) expandRunning(r *runningJob, target int) {
 			}
 			free = free.AndNot(extra)
 			mask := cur[i].Or(extra)
-			if code := ctl.admins[node].SetProcessMask(ref.pid, mask, core.FlagNone); code.IsError() {
-				if !ctl.shmemFault(node, code) {
+			if code := ctl.admins[ni].SetProcessMask(ref.pid, mask, core.FlagNone); code.IsError() {
+				if !ctl.shmemFault(ni, code) {
 					ctl.fail(fmt.Errorf("slurm: sched expand pid %d to %s on %s: %w", ref.pid, mask, node, code))
 				}
 				continue
 			}
-			ctl.noteUsed(node, extra)
+			ctl.noteUsed(ni, extra)
 			ctl.logf(node, "sched_expand", "DROM_SetProcessMask(pid=%d, mask=%s) [%s]",
 				ref.pid, mask, r.job.Name)
 		}
 	}
-	r.curOK = false // recompute the cached width on the next snapshot
+	ctl.invalidateWidth(r) // recompute the cached width on the next snapshot
 }
 
-// effectiveMasks returns the binding mask of each task: the staged
-// future when dirty, the current mask otherwise. The returned slice
-// is controller-owned scratch, valid until the next call.
-func (ctl *Controller) effectiveMasks(node string, refs []taskRef) []cpuset.CPUSet {
+// effectiveMasks returns the binding mask of each task on the node at
+// global index ni: the staged future when dirty, the current mask
+// otherwise. The returned slice is controller-owned scratch, valid
+// until the next call.
+func (ctl *Controller) effectiveMasks(ni int, refs []taskRef) []cpuset.CPUSet {
 	if cap(ctl.maskBuf) < len(refs) {
 		ctl.maskBuf = make([]cpuset.CPUSet, len(refs))
 	}
@@ -679,7 +658,7 @@ func (ctl *Controller) effectiveMasks(node string, refs []taskRef) []cpuset.CPUS
 		out[i] = cpuset.CPUSet{}
 	}
 	for i, ref := range refs {
-		if e, code := ctl.admins[node].Inspect(ref.pid); !code.IsError() {
+		if e, code := ctl.admins[ni].Inspect(ref.pid); !code.IsError() {
 			out[i] = e.EffectiveMask()
 		}
 	}
@@ -690,29 +669,30 @@ func (ctl *Controller) effectiveMasks(node string, refs []taskRef) []cpuset.CPUS
 // EASY head-reservation guard of the spillover pass
 // ---------------------------------------------------------------------
 
-// headReservation is the blocked head's claim on the cluster: the
+// headReservation is the blocked head's claim on its partition: the
 // shadow time when its nodes are projected free (per the running
-// jobs' walltime estimates) and which nodes those are. Instances are
-// controller-owned scratch (one per partition, reused cycle to
-// cycle); a reservation is valid only until the next reservationFor
-// call for the same partition.
+// jobs' walltime estimates) and which nodes those are, by
+// partition-local index. Instances are spillover-pass scratch (one per
+// partition, see spillPart).
 type headReservation struct {
 	shadow float64
-	nodes  []string
+	nodes  []int
 }
 
-// resvNode pairs one node with its projected free time for the
-// reservation sort.
+// resvNode pairs one node (partition-local index) with its projected
+// free time for the reservation sort.
 type resvNode struct {
-	node string
-	at   float64
+	idx int
+	at  float64
 }
 
-// resvNodeSorter orders by (free time, name) without the allocation
-// of a reflect-based sort. Names are unique, so the order is total
-// and matches the stable (freeAt, name) sort the map-based
-// implementation used.
-type resvNodeSorter struct{ r []resvNode }
+// resvNodeSorter orders by (free time, node name) without the
+// allocation of a reflect-based sort; names holds the partition's node
+// names by local index. Names are unique, so the order is total.
+type resvNodeSorter struct {
+	r     []resvNode
+	names []string
+}
 
 func (s *resvNodeSorter) Len() int      { return len(s.r) }
 func (s *resvNodeSorter) Swap(i, j int) { s.r[i], s.r[j] = s.r[j], s.r[i] }
@@ -720,21 +700,24 @@ func (s *resvNodeSorter) Less(i, j int) bool {
 	if s.r[i].at != s.r[j].at {
 		return s.r[i].at < s.r[j].at
 	}
-	return s.r[i].node < s.r[j].node
+	return s.names[s.r[i].idx] < s.names[s.r[j].idx]
 }
 
-// reservationFor projects, per node of j's partition, when all
-// current occupants have ended, and reserves the j.Nodes earliest-
-// free nodes for j. Every buffer it touches is controller-owned
-// scratch: the spillover pass calls it inside the scheduling cycle.
-func (ctl *Controller) reservationFor(j *Job, pidx int) *headReservation {
+// reserveHead projects, per node of partition pi, when all current
+// occupants have ended, and reserves the earliest-free nodes for the
+// partition's queue head into rv. It reads the partition's view — the
+// running set in launch order with partition-local node indices — and
+// touches controller-owned scratch only: the spillover pass calls it
+// inside the scheduling cycle.
+func (ctl *Controller) reserveHead(pi int, rv *headReservation) {
+	v := &ctl.views[pi]
 	now := ctl.cluster.Engine.Now()
-	partNodes := ctl.cluster.PartitionNodes(pidx)
-	offset := ctl.cluster.Spec.NodeOffset(pidx)
-	if cap(ctl.resvFreeAt) < len(partNodes) {
-		ctl.resvFreeAt = make([]float64, len(partNodes))
+	offset := ctl.cluster.Spec.NodeOffset(pi)
+	n := len(v.st.Free)
+	if cap(ctl.resvFreeAt) < n {
+		ctl.resvFreeAt = make([]float64, n)
 	}
-	freeAt := ctl.resvFreeAt[:len(partNodes)]
+	freeAt := ctl.resvFreeAt[:n]
 	for i := range freeAt {
 		freeAt[i] = now
 	}
@@ -755,55 +738,45 @@ func (ctl *Controller) reservationFor(j *Job, pidx int) *headReservation {
 			}
 		}
 	}
-	for _, r := range ctl.running {
-		if r.pidx != pidx {
-			continue
-		}
-		end := r.start + sched.EffectiveWalltime(r.job.Walltime)
+	for k := range v.st.Running {
+		r := &v.st.Running[k]
+		end := r.EndEstimate()
 		if end < now {
 			end = now // overdue estimate: "ends any moment"
 		}
-		for _, node := range r.nodes {
-			if i := ctl.nodeIdx[node] - offset; end > freeAt[i] {
+		for _, i := range r.Nodes {
+			if end > freeAt[i] {
 				freeAt[i] = end
 			}
 		}
 	}
 	order := ctl.resvOrder[:0]
-	for i, node := range partNodes {
-		order = append(order, resvNode{node: node, at: freeAt[i]})
+	for i, at := range freeAt {
+		order = append(order, resvNode{idx: i, at: at})
 	}
 	ctl.resvOrder = order
-	ctl.resvSorter.r = order
+	ctl.resvSorter.r, ctl.resvSorter.names = order, ctl.cluster.PartitionNodes(pi)
 	sort.Sort(&ctl.resvSorter)
-	n := j.Nodes
-	if n > len(order) {
-		n = len(order)
-	}
-	if ctl.resvBuf == nil {
-		ctl.resvBuf = make(map[int]*headReservation, len(ctl.cluster.Spec.Partitions))
-	}
-	rv := ctl.resvBuf[pidx]
-	if rv == nil {
-		rv = &headReservation{}
-		ctl.resvBuf[pidx] = rv
+	want := v.st.Queue[0].Nodes
+	if want > len(order) {
+		want = len(order)
 	}
 	rv.shadow = 0
 	rv.nodes = rv.nodes[:0]
-	for _, c := range order[:n] {
-		rv.nodes = append(rv.nodes, c.node)
+	for _, c := range order[:want] {
+		rv.nodes = append(rv.nodes, c.idx)
 		if c.at > rv.shadow {
 			rv.shadow = c.at
 		}
 	}
-	return rv
 }
 
-// allows reports whether launching j on nodes now can delay the
+// allows reports whether launching a job of the given walltime
+// estimate on nodes (partition-local indices) now can delay the
 // reserved head: a candidate is admitted when it is projected to end
 // by the shadow time, or when it touches none of the reserved nodes.
-func (rv *headReservation) allows(now float64, j *Job, nodes []string) bool {
-	if now+sched.EffectiveWalltime(j.Walltime) <= rv.shadow {
+func (rv *headReservation) allows(now, walltime float64, nodes []int) bool {
+	if now+sched.EffectiveWalltime(walltime) <= rv.shadow {
 		return true
 	}
 	for _, node := range nodes {

@@ -1,6 +1,11 @@
 package slurm
 
-import "repro/internal/obs"
+import (
+	"sort"
+
+	"repro/internal/obs"
+	"repro/internal/sched"
+)
 
 // Cross-partition spillover. Partitions are independent capacity
 // domains: a job targets exactly one, and PR 4's per-partition policy
@@ -15,8 +20,27 @@ import "repro/internal/obs"
 // full request and is recorded with its origin partition
 // (metrics.JobRecord.Origin), so per-partition metrics stay honest.
 
+// spillPart is the spillover pass's scratch for one partition; it
+// lives for one pass.
+type spillPart struct {
+	// freeAsc holds the partition's effective free counts in ascending
+	// order (spillRoom reads it). Only a spill committing into the
+	// partition changes its free counts mid-pass, and re-sorts it.
+	freeAsc []int
+	// resv is the EASY reservation of the partition's blocked head
+	// (blocked false: nothing waits there), valid while resvOK. The
+	// projection it derives from — the partition's running set and
+	// queue head — changes only when a spill commits into or out of
+	// the partition, so recomputing per candidate, on backlogs of
+	// hundreds of jobs, would repeat identical projections.
+	resv    headReservation
+	blocked bool
+	resvOK  bool
+}
+
 // spillPass runs once per scheduling cycle, after the per-partition
-// policy passes. It walks the remaining queue in priority order; for
+// policy passes. It walks the remaining queue in priority order — a
+// merge over the partitions' views, which are its subsequences; for
 // each eligible job (its home partition has no free capacity for it,
 // it has waited at least SpillAfter seconds, and its home backlog is
 // at least SpillDepth deep) it tries the other partitions in index
@@ -25,192 +49,158 @@ import "repro/internal/obs"
 // host partition's next policy pass simply sees the job running.
 func (ctl *Controller) spillPass() {
 	parts := ctl.cluster.Spec.Partitions
-	if len(parts) < 2 {
+	if len(parts) < 2 || len(ctl.queue) == 0 {
 		return
 	}
 	now := ctl.cluster.Engine.Now()
-	// Snapshot the queue and the per-partition backlog first: a
-	// committed spill dequeues the job mid-walk.
-	queue := append(ctl.spillQueue[:0], ctl.queue...)
-	ctl.spillQueue = queue
-	if cap(ctl.spillDepth) < len(parts) {
-		ctl.spillDepth = make([]int, len(parts))
+	if len(ctl.spill) < len(parts) {
+		ctl.spill = make([]spillPart, len(parts))
+		ctl.spillCur = make([]int, len(parts))
 	}
-	depth := ctl.spillDepth[:len(parts)]
-	for i := range depth {
-		depth[i] = 0
+	cur := ctl.spillCur
+	for pi := range ctl.spill {
+		ctl.spillSortFree(pi)
+		ctl.spill[pi].resvOK = false
+		cur[pi] = 0
 	}
-	for _, q := range queue {
-		depth[q.pidx]++
-	}
-	minDepth := ctl.SpillDepth
-	if minDepth < 1 {
-		minDepth = 1
-	}
-	// Host head reservations are cached for the duration of the pass:
-	// the projection they derive from (the host's running set and
-	// queue head) only changes when a spill commits into that host, so
-	// recomputing per candidate — on backlogs of hundreds of jobs —
-	// would repeat identical O(nodes log nodes) projections.
-	if cap(ctl.spillResv) < len(parts) {
-		ctl.spillResv = make([]*headReservation, len(parts))
-		ctl.spillResvOK = make([]bool, len(parts))
-	}
-	resv := ctl.spillResv[:len(parts)]
-	resvOK := ctl.spillResvOK[:len(parts)]
-	for i := range resvOK {
-		resvOK[i] = false
-	}
-	for _, q := range queue {
-		if _, waiting := ctl.qBySeq[q.seq]; !waiting {
-			continue // started or cancelled earlier in this pass
+	minDepth := max(ctl.SpillDepth, 1)
+	for {
+		home := ctl.spillNext(cur)
+		if home < 0 {
+			return
 		}
-		if q.resume != nil {
-			// A checkpointed job resumes in its own partition: its image
-			// and iteration state are partition-local.
+		hv := &ctl.views[home]
+		k := cur[home]
+		cur[home]++
+		j := &hv.st.Queue[k]
+		if len(hv.st.Queue) < minDepth || now-j.Submit < ctl.SpillAfter {
 			continue
 		}
-		home := q.pidx
-		if depth[home] < minDepth || now-q.submit < ctl.SpillAfter {
-			continue
-		}
-		if ctl.partitionHasRoom(q.job, home) {
+		if spillRoom(ctl.spill[home].freeAsc, j) {
 			// The home partition could place the job right now; it waits
 			// by policy order, not for capacity. Spilling would just
 			// shuffle load.
 			continue
 		}
 		for host := range parts {
-			if host == home || !ctl.fitsPartition(q.job, host) {
+			sp := &ctl.spill[host]
+			if host == home || !spillRoom(sp.freeAsc, j) {
 				continue
 			}
-			nodes := ctl.spillPlacement(q.job, host)
-			if nodes == nil {
-				continue
+			q := hv.qjobs[k]
+			if q.resume != nil {
+				// A checkpointed job resumes in its own partition: its image
+				// and iteration state are partition-local.
+				break
 			}
-			if !resvOK[host] {
+			nodes := ctl.spillPlacement(j, host)
+			if !sp.resvOK {
 				// The host's blocked head (if any) holds an EASY-style
-				// reservation; reservationFor's per-partition scratch
-				// keeps each cached pointer valid across hosts.
-				resv[host] = nil
-				if head := ctl.queueHeadOf(host); head != nil {
-					resv[host] = ctl.reservationFor(head.job, host)
+				// reservation.
+				if sp.blocked = len(ctl.views[host].st.Queue) > 0; sp.blocked {
+					ctl.reserveHead(host, &sp.resv)
 				}
-				resvOK[host] = true
+				sp.resvOK = true
 			}
 			// Admit the spill only when it cannot delay the reserved
 			// head (the EASY shadow-time check).
-			if rv := resv[host]; rv != nil && !ctl.spillAllowed(rv, q.job, host, nodes) {
+			if sp.blocked && !sp.resv.allows(now, j.Walltime, nodes) {
 				if ctl.Probe != nil {
 					ctl.Probe.Emit(obs.Event{
 						Kind: obs.KindAction, Act: obs.ActSpill,
 						Reason: obs.ReasonBlockedByReservation,
-						Time:   now, Job: q.job.Name, Seq: q.seq,
+						Time:   now, Job: j.Name, Seq: j.ID,
 						Partition: parts[host].Name, Origin: parts[home].Name,
-						Shadow: rv.shadow,
+						Shadow: sp.resv.shadow,
 					})
 				}
 				continue
 			}
-			q.pidx = host
-			if ctl.startQueued(q, 0, nodes) {
-				depth[home]--
-				// The host's running set changed, and the home partition
-				// lost a queued job — possibly its head — so both cached
-				// reservations are stale.
-				resvOK[host] = false
-				resvOK[home] = false
-				// logf's variadic args box at the call site even when
-				// logging is off; the guard keeps spill cycles clean.
-				if ctl.LogProtocol { //simvet:alloc protocol logging enabled only
-					ctl.logf(ctl.cluster.Nodes[ctl.cluster.Spec.NodeOffset(host)+nodes[0]],
-						"spillover", "job %s re-routed %s -> %s",
-						q.job.Name, parts[home].Name, parts[host].Name)
-				}
-				if ctl.Probe != nil {
-					ctl.Probe.Emit(obs.Event{
-						Kind: obs.KindAction, Act: obs.ActSpill, Reason: obs.ReasonSpilled,
-						Time: now, Job: q.job.Name, Seq: q.seq,
-						Partition: parts[host].Name, Origin: parts[home].Name,
-						Nodes: q.job.Nodes,
-					})
-				}
-				break
+			if !ctl.startQueued(q, host, 0, nodes) {
+				continue // placement raced away; stay home
 			}
-			q.pidx = home // placement raced away; stay home
+			// The commit took entry k out of the home view: j is gone and
+			// the next home job slid into its slot.
+			cur[home]--
+			// The host's free counts and running set changed, and the
+			// home partition lost a queued job — possibly its head.
+			ctl.spillSortFree(host)
+			sp.resvOK = false
+			ctl.spill[home].resvOK = false
+			// logf's variadic args box at the call site even when
+			// logging is off; the guard keeps spill cycles clean.
+			if ctl.LogProtocol { //simvet:alloc protocol logging enabled only
+				ctl.logf(ctl.cluster.Nodes[ctl.cluster.Spec.NodeOffset(host)+nodes[0]],
+					"spillover", "job %s re-routed %s -> %s",
+					q.job.Name, parts[home].Name, parts[host].Name)
+			}
+			if ctl.Probe != nil {
+				ctl.Probe.Emit(obs.Event{
+					Kind: obs.KindAction, Act: obs.ActSpill, Reason: obs.ReasonSpilled,
+					Time: now, Job: q.job.Name, Seq: q.seq,
+					Partition: parts[host].Name, Origin: parts[home].Name,
+					Nodes: q.job.Nodes,
+				})
+			}
+			break
 		}
 	}
 }
 
-// fitsPartition reports whether the job's shape can ever run on
-// partition pi: enough nodes, and the per-node request within the
-// partition's machine size.
-func (ctl *Controller) fitsPartition(j *Job, pi int) bool {
-	part := ctl.cluster.Spec.Partitions[pi]
-	return j.Nodes <= part.Nodes && j.CPUsPerNode() <= part.Machine.CoresPerNode()
-}
-
-// partitionHasRoom reports whether partition pi currently has j.Nodes
-// nodes with j.CPUsPerNode() effectively-free CPUs each.
-func (ctl *Controller) partitionHasRoom(j *Job, pi int) bool {
-	if !ctl.fitsPartition(j, pi) {
-		return false
-	}
-	need := j.CPUsPerNode()
-	n := 0
-	for _, node := range ctl.cluster.PartitionNodes(pi) {
-		if ctl.effectiveFree(node).Count() >= need {
-			n++
-			if n >= j.Nodes {
-				return true
-			}
+// spillNext returns the partition whose view holds, at its cursor, the
+// next job of the global queue order (priority descending, submission
+// sequence ascending), or -1 when every cursor is exhausted.
+func (ctl *Controller) spillNext(cur []int) int {
+	best := -1
+	var bj *sched.Job
+	for pi := range ctl.views {
+		queue := ctl.views[pi].st.Queue
+		if cur[pi] >= len(queue) {
+			continue
+		}
+		j := &queue[cur[pi]]
+		if best < 0 || j.Priority > bj.Priority || j.Priority == bj.Priority && j.ID < bj.ID {
+			best, bj = pi, j
 		}
 	}
-	return false
+	return best
 }
 
-// spillPlacement picks the host-partition nodes for a spill through
-// the same freeCandsSorted selection startQueued's unpinned path
-// uses, so spill placements can never diverge from policy
-// placements. It returns partition-local indices (controller
-// scratch) or nil when the job does not fit right now; the indices
-// are handed to startQueued as a pinned placement, so the
-// reservation check and the launch agree on the exact nodes.
-func (ctl *Controller) spillPlacement(j *Job, pi int) []int {
-	cands := ctl.freeCandsSorted(pi, j.CPUsPerNode())
-	if len(cands) < j.Nodes {
-		return nil
+// spillSortFree (re)builds partition pi's ascending free-count vector.
+func (ctl *Controller) spillSortFree(pi int) {
+	sp := &ctl.spill[pi]
+	v := sp.freeAsc[:0]
+	lo := ctl.cluster.Spec.NodeOffset(pi)
+	for ni := lo; ni < lo+ctl.cluster.Spec.Partitions[pi].Nodes; ni++ {
+		v = append(v, ctl.freeCount(ni))
 	}
+	sort.Ints(v)
+	sp.freeAsc = v
+}
+
+// spillRoom reports whether a partition whose ascending free counts
+// are freeAsc has j.Nodes nodes with j.CPUsPerNode effectively-free
+// CPUs each right now: the j.Nodes-th freest node decides. A shape
+// the partition can never run — more nodes than it has, or more CPUs
+// per node than its machine, which no free count reaches — has no
+// room either.
+func spillRoom(freeAsc []int, j *sched.Job) bool {
+	return j.Nodes <= len(freeAsc) && freeAsc[len(freeAsc)-j.Nodes] >= j.CPUsPerNode
+}
+
+// spillPlacement picks the nodes of host partition pi for a spill it
+// has room for, through the same freeCandsSorted selection
+// startQueued's unpinned path uses, so spill placements can never
+// diverge from policy placements. It returns partition-local indices
+// (controller scratch), handed to startQueued as a pinned placement so
+// the reservation check and the launch agree on the exact nodes.
+func (ctl *Controller) spillPlacement(j *sched.Job, pi int) []int {
+	cands := ctl.freeCandsSorted(pi, j.CPUsPerNode)
 	offset := ctl.cluster.Spec.NodeOffset(pi)
 	out := ctl.spillNodes[:0]
 	for _, c := range cands[:j.Nodes] {
-		out = append(out, ctl.nodeIdx[c.node]-offset)
+		out = append(out, c.ni-offset)
 	}
 	ctl.spillNodes = out
 	return out
-}
-
-// spillAllowed applies the head-reservation guard to a planned spill
-// by translating the partition-local indices to node names (scratch)
-// and asking headReservation.allows.
-func (ctl *Controller) spillAllowed(rv *headReservation, j *Job, pi int, nodes []int) bool {
-	offset := ctl.cluster.Spec.NodeOffset(pi)
-	names := ctl.spillNames[:0]
-	for _, idx := range nodes {
-		names = append(names, ctl.cluster.Nodes[offset+idx])
-	}
-	ctl.spillNames = names
-	return rv.allows(ctl.cluster.Engine.Now(), j, names)
-}
-
-// queueHeadOf returns the first waiting job of partition pi (the
-// queue is priority-ordered globally, so the first match is the
-// partition's head), or nil when its queue is empty.
-func (ctl *Controller) queueHeadOf(pi int) *queuedJob {
-	for _, q := range ctl.queue {
-		if q.pidx == pi {
-			return q
-		}
-	}
-	return nil
 }

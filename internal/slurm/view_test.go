@@ -1,0 +1,137 @@
+package slurm
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/hwmodel"
+	"repro/internal/sched"
+	"repro/internal/sim"
+)
+
+// backlogController builds the heterogeneous preset (4 MN3 nodes next
+// to 2 fat nodes) under batch=easy, fat=malleable-expand with
+// spillover and the view oracle on, and submits at t=0 a mixed backlog
+// several times what the cluster can run at once.
+func backlogController(t *testing.T, jobs int) (*sim.Engine, *Controller) {
+	t.Helper()
+	eng := sim.NewEngine()
+	c, err := NewClusterSpec(eng, hwmodel.HeteroMN3(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := NewController(c, PolicyDROM)
+	ps, err := sched.ParsePolicySet("batch=easy,fat=malleable-expand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.UseSchedSet(ps); err != nil {
+		t.Fatal(err)
+	}
+	ctl.Spillover = true
+	ctl.DebugInvariants = true
+	for i := 0; i < jobs; i++ {
+		part, nodes, threads := "batch", 1+i%3, []int{4, 16, 8, 2}[i%4]
+		if i%3 == 2 {
+			part, nodes, threads = "fat", 1+i%2, []int{32, 8, 16}[i%3]
+		}
+		submit(t, ctl, &Job{
+			Name: fmt.Sprintf("j%02d", i), Spec: fastSpec(40 + 25*(i%5)),
+			Cfg:   apps.Config{Ranks: nodes, Threads: threads},
+			Nodes: nodes, Priority: i % 2, Partition: part,
+			Walltime: float64(60 + 40*(i%4)), Malleable: i%4 != 1,
+		})
+	}
+	return eng, ctl
+}
+
+// viewSeqs renders a view's record tables as job sequence numbers, so
+// two lineages (whose records are distinct objects) compare.
+func viewSeqs(v *partView) (queued, running []int) {
+	for _, q := range v.qjobs {
+		queued = append(queued, q.seq)
+	}
+	for _, r := range v.rjobs {
+		running = append(running, r.seq)
+	}
+	return queued, running
+}
+
+// TestForkMidBacklogRebuildsViews: a fork taken under a standing
+// backlog starts with stale views; the from-scratch rebuild its first
+// policy cycle performs must reproduce the parent's incrementally
+// maintained views entry for entry, and from there both lineages must
+// decide identically under the oracle.
+func TestForkMidBacklogRebuildsViews(t *testing.T) {
+	eng, ctl := backlogController(t, 48)
+	eng.RunUntil(90)
+	checkErr(t, ctl)
+	if ctl.viewsStale || ctl.QueueLen() < 10 || ctl.RunningLen() < 3 {
+		t.Fatalf("fork point is not mid-backlog: stale=%v queue=%d running=%d", ctl.viewsStale, ctl.QueueLen(), ctl.RunningLen())
+	}
+	fork, feng, err := ctl.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := feng.FinishFork(); err != nil {
+		t.Fatal(err)
+	}
+	if !fork.viewsStale || fork.views != nil {
+		t.Fatalf("fork carries views (stale=%v, %d views); want them left to the first cycle's rebuild", fork.viewsStale, len(fork.views))
+	}
+	fork.rebuildViews()
+	for pi := range ctl.views {
+		want, got := ctl.snapshotPartition(pi), fork.snapshotPartition(pi)
+		if got.Now != want.Now || got.Partition != want.Partition || got.CoresPerNode != want.CoresPerNode ||
+			!slices.Equal(got.Free, want.Free) || !slices.Equal(got.Queue, want.Queue) ||
+			!slices.EqualFunc(got.Running, want.Running, sameRunning) {
+			t.Errorf("partition %d: rebuilt view\n %+v\nparent's incremental view\n %+v", pi, got, want)
+		}
+		wq, wr := viewSeqs(&ctl.views[pi])
+		gq, gr := viewSeqs(&fork.views[pi])
+		if !slices.Equal(gq, wq) || !slices.Equal(gr, wr) {
+			t.Errorf("partition %d: rebuilt records queue %v running %v, parent's %v %v", pi, gq, gr, wq, wr)
+		}
+	}
+	eng.Run()
+	feng.Run()
+	checkErr(t, ctl)
+	checkErr(t, fork)
+	if !reflect.DeepEqual(fork.Records.Jobs, ctl.Records.Jobs) {
+		t.Errorf("fork decided differently after the rebuild:\nfork   %+v\nparent %+v", fork.Records.Jobs, ctl.Records.Jobs)
+	}
+}
+
+// TestCycleSteadyStateAllocs pins the allocation profile of the whole
+// scheduling cycle, beside sched's TestScheduleSteadyStateAllocs for
+// the policies alone: two partitions with spillover on, every node
+// taken, both heads blocked with backfill candidates behind them. A
+// cycle that takes no action — hand out the views, two policy passes
+// with their reservations, the spillover walk — must not allocate.
+func TestCycleSteadyStateAllocs(t *testing.T) {
+	eng, _, ctl := spillController(t, true)
+	ctl.DebugInvariants = false
+	submit(t, ctl, batchJob("b-run", 4000, 4000))
+	submit(t, ctl, fatJob("f-run0", 4000, 32, 4000))
+	submit(t, ctl, fatJob("f-run1", 4000, 32, 3000))
+	for i := 0; i < 6; i++ {
+		submit(t, ctl, batchJob(fmt.Sprintf("b-wait%d", i), 50, float64(100+i)))
+		submit(t, ctl, fatJob(fmt.Sprintf("f-wait%d", i), 50, 8<<(i%3), float64(200+i)))
+	}
+	eng.RunUntil(10)
+	checkErr(t, ctl)
+	if ctl.RunningLen() != 3 || ctl.QueueLen() != 12 {
+		t.Fatalf("running=%d queue=%d, want 3 running and 12 blocked", ctl.RunningLen(), ctl.QueueLen())
+	}
+	ctl.schedCycle() // warm up the scratch buffers
+	cycles := ctl.Cycles
+	if avg := testing.AllocsPerRun(100, ctl.schedCycle); avg > 0 {
+		t.Errorf("%.1f allocs per scheduling cycle in steady state, want 0", avg)
+	}
+	if ctl.Cycles == cycles || ctl.RunningLen() != 3 || ctl.QueueLen() != 12 {
+		t.Fatalf("measured cycles took actions: running=%d queue=%d", ctl.RunningLen(), ctl.QueueLen())
+	}
+}
