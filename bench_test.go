@@ -638,6 +638,7 @@ func BenchmarkSchedReplay100k(b *testing.B) {
 					Jobs:           res.Records.Count(),
 					WallSeconds:    wall.Seconds(),
 					Cycles:         res.SchedCycles,
+					Steps:          res.Steps,
 					Events:         res.Events,
 					CycleMicros:    wall.Seconds() * 1e6 / cycles,
 					AllocsPerCycle: float64(m1.Mallocs-m0.Mallocs) / cycles,
@@ -716,6 +717,7 @@ func BenchmarkSchedObs100k(b *testing.B) {
 			Jobs:         res.Records.Count(),
 			WallSeconds:  wall.Seconds(),
 			Cycles:       res.SchedCycles,
+			Steps:        res.Steps,
 			Events:       res.Events,
 			CycleMicros:  wall.Seconds() * 1e6 / float64(res.SchedCycles),
 			CycleSamples: hist.Cycle.Count(),
@@ -825,6 +827,7 @@ func BenchmarkSchedShmem(b *testing.B) {
 				Jobs:           res.Records.Count(),
 				WallSeconds:    wall.Seconds(),
 				Cycles:         res.SchedCycles,
+				Steps:          res.Steps,
 				Events:         res.Events,
 				CycleMicros:    wall.Seconds() * 1e6 / cycles,
 				AllocsPerCycle: float64(m1.Mallocs-m0.Mallocs) / cycles,
@@ -923,6 +926,7 @@ func BenchmarkSchedSpillover(b *testing.B) {
 					Jobs:           res.Records.Count(),
 					WallSeconds:    wall.Seconds(),
 					Cycles:         res.SchedCycles,
+					Steps:          res.Steps,
 					Events:         res.Events,
 					CycleMicros:    wall.Seconds() * 1e6 / cycles,
 					AllocsPerCycle: float64(m1.Mallocs-m0.Mallocs) / cycles,
@@ -1010,6 +1014,7 @@ func BenchmarkSchedNodeFaults(b *testing.B) {
 					Jobs:           res.Records.Count(),
 					WallSeconds:    wall.Seconds(),
 					Cycles:         res.SchedCycles,
+					Steps:          res.Steps,
 					Events:         res.Events,
 					CycleMicros:    wall.Seconds() * 1e6 / cycles,
 					AllocsPerCycle: float64(m1.Mallocs-m0.Mallocs) / cycles,
@@ -1077,6 +1082,7 @@ func BenchmarkSchedReplay1M(b *testing.B) {
 			Jobs:           res.Records.Count(),
 			WallSeconds:    wall.Seconds(),
 			Cycles:         res.SchedCycles,
+			Steps:          res.Steps,
 			Events:         res.Events,
 			CycleMicros:    wall.Seconds() * 1e6 / cycles,
 			AllocsPerCycle: float64(m1.Mallocs-m0.Mallocs) / cycles,

@@ -3,8 +3,8 @@
 // when the candidate regresses.
 //
 // Replay outcomes that must not change at all (job counts, scheduling
-// cycles, simulation events, mean wait, makespan, spill, requeue and
-// node-failure tallies) are compared
+// cycles, simulation steps and executed events, mean wait, makespan,
+// spill, requeue and node-failure tallies) are compared
 // exactly: they are deterministic, so any difference means the
 // scheduler's decisions changed. Wall-clock derived numbers
 // (us_per_cycle) are machine-dependent and only fail when the
@@ -18,7 +18,7 @@
 // loud enough to notice creeping drift, quiet enough not to flake CI.
 //
 // The sched_obs section (the probes-enabled replay) is compared like
-// the others: its deterministic outcomes — jobs, cycles, events,
+// the others: its deterministic outcomes — jobs, cycles, steps, events,
 // histogram sample counts — diff exactly, and are additionally
 // cross-checked against the plain 100k replay of the same document,
 // proving the attached probes did not perturb a single decision.
@@ -105,8 +105,11 @@ func diff(baseline, candidate []byte, tolerance, warnPct float64) (findings, war
 		if c.Cycles != b.Cycles {
 			add("%s: sched_cycles %d, baseline %d (decisions changed)", name, c.Cycles, b.Cycles)
 		}
+		if c.Steps != b.Steps {
+			add("%s: sim_steps %d, baseline %d (decisions changed)", name, c.Steps, b.Steps)
+		}
 		if c.Events != b.Events {
-			add("%s: sim_events %d, baseline %d (decisions changed)", name, c.Events, b.Events)
+			add("%s: sim_events %d, baseline %d (the engine executes a different share of the same steps)", name, c.Events, b.Events)
 		}
 		if c.MeanWaitS != b.MeanWaitS {
 			add("%s: mean_wait_s %g, baseline %g (decisions changed)", name, c.MeanWaitS, b.MeanWaitS)
@@ -132,8 +135,11 @@ func diff(baseline, candidate []byte, tolerance, warnPct float64) (findings, war
 		if c.Cycles != b.Cycles {
 			add("%s: sched_cycles %d, baseline %d (decisions changed)", name, c.Cycles, b.Cycles)
 		}
+		if c.Steps != b.Steps {
+			add("%s: sim_steps %d, baseline %d (decisions changed)", name, c.Steps, b.Steps)
+		}
 		if c.Events != b.Events {
-			add("%s: sim_events %d, baseline %d (decisions changed)", name, c.Events, b.Events)
+			add("%s: sim_events %d, baseline %d (the engine executes a different share of the same steps)", name, c.Events, b.Events)
 		}
 		if c.CycleSamples != b.CycleSamples {
 			add("%s: cycle_samples %d, baseline %d (probe coverage changed)", name, c.CycleSamples, b.CycleSamples)
@@ -184,9 +190,9 @@ func diff(baseline, candidate []byte, tolerance, warnPct float64) (findings, war
 			if p.Policy != o.Policy {
 				continue
 			}
-			if o.Jobs != p.Jobs || o.Cycles != p.Cycles || o.Events != p.Events {
-				add("%s sched_obs: probed replay (jobs=%d cycles=%d events=%d) diverges from plain sched_replay_100k/%s (jobs=%d cycles=%d events=%d) — probes perturbed decisions",
-					who, o.Jobs, o.Cycles, o.Events, p.Policy, p.Jobs, p.Cycles, p.Events)
+			if o.Jobs != p.Jobs || o.Cycles != p.Cycles || o.Steps != p.Steps || o.Events != p.Events {
+				add("%s sched_obs: probed replay (jobs=%d cycles=%d steps=%d events=%d) diverges from plain sched_replay_100k/%s (jobs=%d cycles=%d steps=%d events=%d) — probes perturbed decisions",
+					who, o.Jobs, o.Cycles, o.Steps, o.Events, p.Policy, p.Jobs, p.Cycles, p.Steps, p.Events)
 			}
 			return
 		}
@@ -204,11 +210,11 @@ func diff(baseline, candidate []byte, tolerance, warnPct float64) (findings, war
 			if p.Policy != s.Policy {
 				continue
 			}
-			if s.Jobs != p.Jobs || s.Cycles != p.Cycles || s.Events != p.Events ||
+			if s.Jobs != p.Jobs || s.Cycles != p.Cycles || s.Steps != p.Steps || s.Events != p.Events ||
 				s.MeanWaitS != p.MeanWaitS || s.MakespanS != p.MakespanS {
-				add("%s sched_shmem: backend replay (jobs=%d cycles=%d events=%d wait=%g makespan=%g) diverges from plain sched_replay_100k/%s (jobs=%d cycles=%d events=%d wait=%g makespan=%g) — backend changed decisions",
-					who, s.Jobs, s.Cycles, s.Events, s.MeanWaitS, s.MakespanS,
-					p.Policy, p.Jobs, p.Cycles, p.Events, p.MeanWaitS, p.MakespanS)
+				add("%s sched_shmem: backend replay (jobs=%d cycles=%d steps=%d events=%d wait=%g makespan=%g) diverges from plain sched_replay_100k/%s (jobs=%d cycles=%d steps=%d events=%d wait=%g makespan=%g) — backend changed decisions",
+					who, s.Jobs, s.Cycles, s.Steps, s.Events, s.MeanWaitS, s.MakespanS,
+					p.Policy, p.Jobs, p.Cycles, p.Steps, p.Events, p.MeanWaitS, p.MakespanS)
 			}
 			if p.CycleMicros > 0 && s.CycleMicros > p.CycleMicros*tolerance {
 				add("%s sched_shmem: us_per_cycle %.2f exceeds plain replay %.2f x %.1f — backend indirection is not free",

@@ -8,7 +8,7 @@ import (
 const baseDoc = `{
   "sched_replay_100k": {
     "policies": [
-      {"policy": "fcfs", "jobs": 100, "sched_cycles": 200, "sim_events": 1000,
+      {"policy": "fcfs", "jobs": 100, "sched_cycles": 200, "sim_steps": 5000, "sim_events": 1000,
        "us_per_cycle": 10.0, "allocs_per_cycle": 12.0, "mean_wait_s": 5.5, "makespan_s": 900}
     ]
   },
@@ -48,6 +48,24 @@ func TestDiffCatchesDecisionChange(t *testing.T) {
 	for _, f := range findings {
 		if !strings.Contains(f, "decisions changed") {
 			t.Errorf("finding %q should flag a decision change", f)
+		}
+	}
+}
+
+// TestDiffStepsAndEventsExact: the step count is a decision outcome,
+// the executed share of it an engine property; both are pinned.
+func TestDiffStepsAndEventsExact(t *testing.T) {
+	for field, why := range map[string]string{
+		"sim_steps":  "decisions changed",
+		"sim_events": "different share of the same steps",
+	} {
+		cand := strings.Replace(baseDoc, `"`+field+`": `, `"`+field+`": 1`, 1)
+		findings, _, err := diff([]byte(baseDoc), []byte(cand), 3.0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(findings) != 1 || !strings.Contains(findings[0], field) || !strings.Contains(findings[0], why) {
+			t.Errorf("%s change: findings = %v", field, findings)
 		}
 	}
 }
@@ -93,7 +111,7 @@ func TestDiffMissingPolicyAndSections(t *testing.T) {
 	}
 	// A candidate with only one section compares just that section.
 	only100k := `{"sched_replay_100k": {"policies": [
-      {"policy": "fcfs", "jobs": 100, "sched_cycles": 200, "sim_events": 1000,
+      {"policy": "fcfs", "jobs": 100, "sched_cycles": 200, "sim_steps": 5000, "sim_events": 1000,
        "us_per_cycle": 10.0, "allocs_per_cycle": 12.0, "mean_wait_s": 5.5, "makespan_s": 900}]}}`
 	findings, _, err = diff([]byte(baseDoc), []byte(only100k), 3.0, 0)
 	if err != nil {
@@ -123,13 +141,13 @@ func TestDiffCatchesSpillChange(t *testing.T) {
 const obsDoc = `{
   "sched_replay_100k": {
     "policies": [
-      {"policy": "fcfs", "jobs": 100, "sched_cycles": 200, "sim_events": 1000,
+      {"policy": "fcfs", "jobs": 100, "sched_cycles": 200, "sim_steps": 5000, "sim_events": 1000,
        "us_per_cycle": 10.0, "allocs_per_cycle": 12.0, "mean_wait_s": 5.5, "makespan_s": 900}
     ]
   },
   "sched_obs": {
     "probed": {"policy": "fcfs", "jobs": 100, "wall_seconds": 2.0, "sched_cycles": 200,
-       "sim_events": 1000, "us_per_cycle": 11.0, "cycle_samples": 200, "schedule_samples": 200,
+       "sim_steps": 5000, "sim_events": 1000, "us_per_cycle": 11.0, "cycle_samples": 200, "schedule_samples": 200,
        "cycle_p50_us": 2.0, "cycle_p99_us": 65.5, "cycle_max_us": 290.0,
        "sched_p50_us": 0.3, "sched_p99_us": 1.0}
   }
@@ -183,6 +201,7 @@ func TestDiffObsExactFields(t *testing.T) {
 	// replacement cannot hit the plain replay section's copy.
 	for field, repl := range map[string][2]string{
 		"sched_cycles":     {`"wall_seconds": 2.0, "sched_cycles": 200`, `"wall_seconds": 2.0, "sched_cycles": 201`},
+		"sim_steps":        {`"sim_steps": 5000, "sim_events": 1000, "us_per_cycle": 11.0`, `"sim_steps": 5001, "sim_events": 1000, "us_per_cycle": 11.0`},
 		"sim_events":       {`"sim_events": 1000, "us_per_cycle": 11.0`, `"sim_events": 1001, "us_per_cycle": 11.0`},
 		"cycle_samples":    {`"cycle_samples": 200`, `"cycle_samples": 201`},
 		"schedule_samples": {`"schedule_samples": 200`, `"schedule_samples": 201`},

@@ -590,9 +590,11 @@ func runSched(a schedArgs) error {
 			dropped = fmt.Sprintf(", trace: %s", d)
 		}
 		// A streamed result is aggregated: its stats are the mean/max
-		// subset, with no per-job widths behind the demand figure.
-		fmt.Printf("sched=%-17s %s [%d cycles, %d events, %.2fs wall%s]\n",
-			ps, cluster.SchedStatsOf(sc, res), res.SchedCycles, res.Events, wall.Seconds(), dropped)
+		// subset, with no per-job widths behind the demand figure. Steps
+		// follow from the decisions alone; events are the steps the
+		// engine executed rather than advanced by itself.
+		fmt.Printf("sched=%-17s %s [%d cycles, %d steps, %d events, %.2fs wall%s]\n",
+			ps, cluster.SchedStatsOf(sc, res), res.SchedCycles, res.Steps, res.Events, wall.Seconds(), dropped)
 		printPartitions(res, multi)
 		if err := or.finish(); err != nil {
 			return err

@@ -5,11 +5,15 @@ import (
 	"repro/internal/shmem"
 )
 
-// usage is one rank's resource pressure on a node.
+// usage is one rank's resource pressure on a node. owner is the
+// running instance the rank belongs to (nil for entries recorded
+// through the table's exported setters): a change to the ledger, or a
+// mask staged for pid, wakes it (see Instance.settle).
 type usage struct {
 	pid     shmem.PID
 	bwGBs   float64
 	threads int
+	owner   *Instance
 }
 
 // nodeDemand is the per-node ledger: a compact entry slice (insertion
@@ -27,6 +31,34 @@ type nodeDemand struct {
 	// (SetNodeMachine). Capacity judgments and topology queries on
 	// this node go through it.
 	machine hwmodel.Machine
+}
+
+// changed marks the cached sums stale and wakes every instance with a
+// rank on the node: the contention factors its iterations read may
+// have moved.
+func (n *nodeDemand) changed() {
+	n.dirty = true
+	for i := range n.entries {
+		if o := n.entries[i].owner; o != nil {
+			o.settle()
+		}
+	}
+}
+
+// MaskStaged implements core.StageWatcher: the node's DROM system
+// reports a mask staged for pid, and the instance running pid must
+// poll at its next iteration boundary.
+func (n *nodeDemand) MaskStaged(pid shmem.PID) {
+	if i, ok := n.idx[pid]; ok && n.entries[i].owner != nil {
+		n.entries[i].owner.settle()
+	}
+}
+
+// setOwner names the instance pid's entry belongs to.
+func (n *nodeDemand) setOwner(pid shmem.PID, owner *Instance) {
+	if i, ok := n.idx[pid]; ok {
+		n.entries[i].owner = owner
+	}
 }
 
 func (n *nodeDemand) refresh() {
@@ -84,7 +116,9 @@ func (d *DemandTable) ledger(node string) *nodeDemand {
 // default. Heterogeneous clusters call it once per node at
 // construction.
 func (d *DemandTable) SetNodeMachine(node string, m hwmodel.Machine) {
-	d.ledger(node).machine = m
+	n := d.ledger(node)
+	n.machine = m
+	n.changed()
 }
 
 // NodeHandle is a cached reference to one node's ledger. The
@@ -110,11 +144,11 @@ func (d *DemandTable) Handle(node string) NodeHandle {
 // SetUsage records the demand of pid on the handle's node. Zero
 // values remove it.
 func (h NodeHandle) SetUsage(pid shmem.PID, threads int, bwGBs float64) {
-	h.n.setUsage(pid, threads, bwGBs)
+	h.n.setUsage(pid, threads, bwGBs, nil)
 }
 
 // Remove drops pid from the handle's node.
-func (h NodeHandle) Remove(pid shmem.PID) { h.n.setUsage(pid, 0, 0) }
+func (h NodeHandle) Remove(pid shmem.PID) { h.n.setUsage(pid, 0, 0, nil) }
 
 // Slowdown returns the bandwidth oversubscription factor of the node.
 func (h NodeHandle) Slowdown() float64 {
@@ -143,12 +177,13 @@ func (d *DemandTable) SetUsage(node string, pid shmem.PID, threads int, bwGBs fl
 	if d.nodes[node] == nil && bwGBs == 0 && threads == 0 {
 		return
 	}
-	d.ledger(node).setUsage(pid, threads, bwGBs)
+	d.ledger(node).setUsage(pid, threads, bwGBs, nil)
 }
 
-// setUsage is the ledger mutation shared by the table and handle
-// paths. Zero values remove the entry.
-func (n *nodeDemand) setUsage(pid shmem.PID, threads int, bwGBs float64) {
+// setUsage is the ledger mutation shared by the table, handle and
+// instance paths. Zero values remove the entry; a non-nil owner is
+// recorded on it (an existing entry keeps its owner otherwise).
+func (n *nodeDemand) setUsage(pid shmem.PID, threads int, bwGBs float64, owner *Instance) {
 	i, ok := n.idx[pid]
 	if bwGBs == 0 && threads == 0 {
 		if !ok {
@@ -159,12 +194,16 @@ func (n *nodeDemand) setUsage(pid shmem.PID, threads int, bwGBs float64) {
 			n.entries[i] = n.entries[last]
 			n.idx[n.entries[i].pid] = i
 		}
+		n.entries[last] = usage{} // release the owner
 		n.entries = n.entries[:last]
 		delete(n.idx, pid)
-		n.dirty = true
+		n.changed()
 		return
 	}
 	if ok {
+		if owner != nil {
+			n.entries[i].owner = owner
+		}
 		if n.entries[i].bwGBs == bwGBs && n.entries[i].threads == threads {
 			return // no change; keep the cached sums valid
 		}
@@ -172,9 +211,9 @@ func (n *nodeDemand) setUsage(pid shmem.PID, threads int, bwGBs float64) {
 		n.entries[i].threads = threads
 	} else {
 		n.idx[pid] = len(n.entries)
-		n.entries = append(n.entries, usage{pid: pid, bwGBs: bwGBs, threads: threads})
+		n.entries = append(n.entries, usage{pid: pid, bwGBs: bwGBs, threads: threads, owner: owner})
 	}
-	n.dirty = true
+	n.changed()
 }
 
 // Set records only the bandwidth demand of pid on node (GB/s),

@@ -11,8 +11,13 @@ package apps
 //     fork's DROM systems and the demand handle re-resolved against
 //     the fork's table;
 //   - the instance's pending engine event is NOT rescheduled: the
-//     fork re-binds the original event ID (sim.Engine.Rebind), so the
-//     (time, ID) execution order is untouched;
+//     handle's state is copied — an armed span with it — and the fork
+//     re-binds the occurrence to its own copy
+//     (sim.Engine.RebindPeriodic), so the (time, ID) execution order
+//     is untouched and both lineages finish the span alike;
+//   - ledger entries do not carry their owners over: each forked
+//     instance claims its ranks' entries again, and points its nodes'
+//     forked DROM systems at the forked ledgers;
 //   - Jitter, tracer and OnComplete do not carry over — forks are
 //     jitter-free by contract and the controller that forks the
 //     instance installs its own completion hook.
@@ -40,6 +45,7 @@ func (d *DemandTable) Fork() *DemandTable {
 		}
 		for i, u := range cp.entries {
 			cp.idx[u.pid] = i
+			cp.entries[i].owner = nil // the parent's; Instance.Fork claims it
 		}
 		f.nodes[name] = cp
 	}
@@ -60,9 +66,10 @@ func (inst *Instance) Fork(eng *sim.Engine, demand *DemandTable, sysOf func(node
 		completed:          inst.completed,
 		stopped:            inst.stopped,
 		startTime:          inst.startTime,
-		nextEvent:          inst.nextEvent,
-		haveEvent:          inst.haveEvent,
+		tick:               inst.tick,
+		armed:              inst.armed,
 		pendFinish:         inst.pendFinish,
+		neverArm:           inst.neverArm,
 	}
 	cp.iterateFn = cp.iterate
 	cp.finishFn = cp.finish
@@ -72,6 +79,8 @@ func (inst *Instance) Fork(eng *sim.Engine, demand *DemandTable, sysOf func(node
 		nr.p.Sys = sysOf(r.p.Node)
 		if live {
 			nr.dem = demand.Handle(r.p.Node)
+			nr.dem.n.setOwner(nr.p.PID, cp)
+			nr.p.Sys.WatchStages(nr.dem.n)
 		}
 		cp.ranks = append(cp.ranks, nr)
 	}
@@ -82,12 +91,12 @@ func (inst *Instance) Fork(eng *sim.Engine, demand *DemandTable, sysOf func(node
 // (iterate or finish, per the recorded kind). A no-op when no event is
 // pending (checkpoint-stopped or completed instances).
 func (inst *Instance) RebindPending() error {
-	if !inst.haveEvent {
+	if !inst.tick.Pending() {
 		return nil
 	}
 	fn := inst.iterateFn
 	if inst.pendFinish {
 		fn = inst.finishFn
 	}
-	return inst.eng.Rebind(inst.nextEvent, fn)
+	return inst.eng.RebindPeriodic(&inst.tick, fn)
 }

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -52,18 +53,26 @@ type Instance struct {
 	envs      []RankEnv // per-iteration scratch, reused across events
 	iterateFn func()    // pre-bound method values: one closure per
 	finishFn  func()    // instance, not one per scheduled event
+	// itersDone counts the iterations iterate has accounted for; while
+	// a span is armed the engine has taken armed − tick.Credit() more
+	// (see arm and settle).
 	itersDone int
 	started   bool
 	completed bool
 	stopped   bool
 	startTime float64
-	nextEvent sim.EventID
-	haveEvent bool
+	// tick tracks the instance's one pending event, and is the handle
+	// through which the engine advances steady iterations by itself.
+	tick  sim.Periodic
+	armed int64
 	// pendFinish records which closure the pending event carries
 	// (finishFn vs iterateFn) — the one piece of schedule state a fork
 	// cannot derive: Resume schedules iterateFn even when itersDone is
 	// already at Iters, so the iteration count alone is ambiguous.
 	pendFinish bool
+	// neverArm keeps the instance executing every iteration: the
+	// reference the package's differential tests compare against.
+	neverArm bool
 }
 
 // rankRun is the live state of one rank.
@@ -140,13 +149,7 @@ func (inst *Instance) Start() error {
 		if code.IsError() {
 			return fmt.Errorf("apps: register rank of %s: %w", inst.JobName, code)
 		}
-		// Resolve the node handle first: the rank's topology judgments
-		// (socket spans, clock) use its node's machine, which can
-		// differ per partition on heterogeneous clusters.
-		r.dem = inst.demand.Handle(r.p.Node)
-		r.setMask(got, r.dem.Machine())
-		n := r.activeThreads(&inst.Spec)
-		r.dem.SetUsage(r.p.PID, n, inst.Spec.BWDemand(n))
+		inst.place(r, got)
 	}
 	// Initialization phase (serial, possibly memory-bound).
 	initDur := 0.0
@@ -160,13 +163,51 @@ func (inst *Instance) Start() error {
 	return nil
 }
 
-// schedule books the instance's next event, remembering it (and which
-// of the two pre-bound closures it carries) so Stop can cancel it and
-// Fork can re-bind it.
+// place settles r on its node with the mask registration granted. The
+// node handle is resolved first: the rank's topology judgments (socket
+// spans, clock) use its node's machine, which can differ per partition
+// on heterogeneous clusters. The node's DROM system is pointed at the
+// ledger, so a mask staged for the rank finds its way back here.
+func (inst *Instance) place(r *rankRun, got cpuset.CPUSet) {
+	r.dem = inst.demand.Handle(r.p.Node)
+	r.p.Sys.WatchStages(r.dem.n)
+	inst.applyMask(r, got)
+}
+
+// applyMask records r's new mask and the demand that follows from it.
+func (inst *Instance) applyMask(r *rankRun, m cpuset.CPUSet) {
+	r.setMask(m, r.dem.Machine())
+	n := r.activeThreads(&inst.Spec)
+	r.dem.n.setUsage(r.p.PID, n, inst.Spec.BWDemand(n), inst)
+}
+
+// schedule books the instance's next event through the handle,
+// remembering which of the two pre-bound closures it carries so Fork
+// can re-bind it.
 func (inst *Instance) schedule(delay float64, fn func(), finish bool) {
-	inst.nextEvent = inst.eng.After(delay, fn)
-	inst.haveEvent = true
+	inst.eng.AfterPeriodic(&inst.tick, delay, fn)
 	inst.pendFinish = finish
+}
+
+// settle ends the armed span, if any: the iterations the engine took
+// by itself are counted, their polls — each would have found nothing —
+// are credited in one call per rank, and the remaining credit is
+// withdrawn, so the pending occurrence, which already sits at the next
+// iteration boundary under the event ID stepping would have given it,
+// runs iterate again. It is what a wake does: the node ledgers call it
+// on every change to the demand of a node holding one of the ranks and
+// on every mask staged for one of the PIDs — the only two things that
+// can make an iteration compute something the previous one did not.
+func (inst *Instance) settle() {
+	n := inst.armed - inst.tick.Disarm()
+	inst.armed = 0
+	if n == 0 {
+		return
+	}
+	inst.itersDone += int(n)
+	for _, r := range inst.ranks {
+		r.p.Sys.CreditPolls(r.p.PID, n)
+	}
 }
 
 // Stop checkpoints the instance: the pending event is cancelled, the
@@ -186,10 +227,8 @@ func (inst *Instance) Stop() {
 		return
 	}
 	inst.stopped = true
-	if inst.haveEvent {
-		inst.eng.Cancel(inst.nextEvent)
-		inst.haveEvent = false
-	}
+	inst.settle()
+	inst.eng.CancelPeriodic(&inst.tick)
 	for _, r := range inst.ranks {
 		inst.demand.Remove(r.p.Node, r.p.PID)
 		r.p.Sys.Unregister(r.p.PID)
@@ -213,10 +252,7 @@ func (inst *Instance) Resume(placements []Placement, restartCost float64) error 
 		if code.IsError() {
 			return fmt.Errorf("apps: re-register rank of %s: %w", inst.JobName, code)
 		}
-		r.dem = inst.demand.Handle(r.p.Node)
-		r.setMask(got, r.dem.Machine())
-		n := r.activeThreads(&inst.Spec)
-		r.dem.SetUsage(r.p.PID, n, inst.Spec.BWDemand(n))
+		inst.place(r, got)
 	}
 	if restartCost < 0 {
 		restartCost = 0
@@ -232,7 +268,9 @@ func (inst *Instance) Stopped() bool { return inst.stopped }
 func (inst *Instance) StartTime() float64 { return inst.startTime }
 
 // ItersDone returns the completed iteration count.
-func (inst *Instance) ItersDone() int { return inst.itersDone }
+func (inst *Instance) ItersDone() int {
+	return inst.itersDone + int(inst.armed-inst.tick.Credit())
+}
 
 // Completed reports whether the job finished.
 func (inst *Instance) Completed() bool { return inst.completed }
@@ -245,13 +283,11 @@ func (inst *Instance) iterate() {
 	if inst.completed || inst.stopped {
 		return
 	}
-	inst.haveEvent = false
+	inst.settle()
 	// Malleability point: every rank polls DROM (DLB_PollDROM).
 	for _, r := range inst.ranks {
 		if m, code := r.p.Sys.Poll(r.p.PID); code == derr.Success {
-			r.setMask(m, r.dem.Machine())
-			n := r.activeThreads(&inst.Spec)
-			r.dem.SetUsage(r.p.PID, n, inst.Spec.BWDemand(n))
+			inst.applyMask(r, m)
 		}
 	}
 	// Iteration duration: the slowest rank plus MPI sync.
@@ -286,6 +322,24 @@ func (inst *Instance) iterate() {
 		return
 	}
 	inst.schedule(iterDur, inst.iterateFn, false)
+	inst.arm(iterDur)
+}
+
+// arm hands the iterations between the one just booked and the last
+// one to the engine, when they are steady by construction: with no
+// jitter and no tracer an iteration is a function of the ranks' masks
+// and their nodes' ledgers alone, so until settle hears that one of
+// those moved, each would poll, find nothing, compute iterDur again
+// and book the next — which is all the engine does in its place. The
+// last iteration books finish instead and always runs.
+func (inst *Instance) arm(iterDur float64) {
+	left := inst.Iters - inst.itersDone - 1
+	if left < 1 || inst.Jitter != nil || inst.tracer != nil || inst.neverArm ||
+		!(iterDur > 0) || math.IsInf(iterDur, 1) {
+		return
+	}
+	inst.armed = int64(left)
+	inst.tick.Arm(iterDur, inst.armed)
 }
 
 // recordTrace emits per-thread segments for the current iteration.
@@ -332,7 +386,6 @@ func (inst *Instance) finish() {
 		return
 	}
 	inst.completed = true
-	inst.haveEvent = false
 	for _, r := range inst.ranks {
 		inst.demand.Remove(r.p.Node, r.p.PID)
 		if !inst.FinalizeExternally {

@@ -1,0 +1,291 @@
+package apps
+
+// Steady iterations are advanced by the engine instead of executed
+// (Instance.arm / settle). Every test here runs its scenario twice —
+// instances arming, and the never-arm reference that executes every
+// iteration — and requires identical observations, compared with ==:
+// the armed run produces its times by the same sequence of float adds.
+// Each scenario is built so that it fails when one of the two wakes
+// (ledger change, staged mask) or the handle bookkeeping is removed.
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cpuset"
+	"repro/internal/shmem"
+	"repro/internal/trace"
+)
+
+// skipObs is what a scenario observed; the armed and the reference run
+// must agree on all of it.
+type skipObs struct {
+	Ends  map[string]float64
+	Iters map[string]int
+	Polls map[string]int64
+	Steps int64
+}
+
+func newSkipObs() *skipObs {
+	return &skipObs{Ends: map[string]float64{}, Iters: map[string]int{}, Polls: map[string]int64{}}
+}
+
+// launch builds and starts an instance on CPUs [lo, lo+threads) of both
+// nodes, one rank per node, recording its end time under name.
+func (b *testBed) launch(t *testing.T, o *skipObs, ref bool, name string, spec Spec, threads, lo, iters int) *Instance {
+	t.Helper()
+	var pl []Placement
+	for _, n := range []string{"node0", "node1"} {
+		pl = append(pl, Placement{Node: n, Sys: b.sys[n], PID: b.reg.AllocPID(), InitialMask: cpuset.Range(lo, lo+threads-1)})
+	}
+	inst, err := NewInstance(spec, Config{Ranks: 2, Threads: threads}, iters, name, b.eng, b.demand, nil, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.neverArm = ref
+	inst.FinalizeExternally = true // keep the entries, and their poll counts, past the end
+	inst.OnComplete = func(end float64) { o.Ends[name] = end }
+	if err := inst.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// polls reads rank 0's poll counter from shared memory.
+func (b *testBed) polls(t *testing.T, inst *Instance) int64 {
+	t.Helper()
+	admin, _ := inst.ranks[0].p.Sys.Attach()
+	st, code := admin.Stats(inst.ranks[0].p.PID)
+	if code.IsError() {
+		t.Fatalf("stats of %s: %v", inst.JobName, code)
+	}
+	return st.Polls
+}
+
+// differential runs scenario armed and as the reference and compares.
+func differential(t *testing.T, scenario func(t *testing.T, b *testBed, o *skipObs, ref bool)) {
+	t.Helper()
+	run := func(ref bool) (*testBed, *skipObs) {
+		b, o := newBed(), newSkipObs()
+		scenario(t, b, o, ref)
+		o.Steps = b.eng.Processed() + b.eng.Skipped()
+		return b, o
+	}
+	ab, armed := run(false)
+	rb, want := run(true)
+	if !reflect.DeepEqual(armed, want) {
+		t.Fatalf("armed run diverges from the reference:\narmed     %+v\nreference %+v", armed, want)
+	}
+	if rb.eng.Skipped() != 0 {
+		t.Fatalf("the reference skipped %d steps", rb.eng.Skipped())
+	}
+	if ab.eng.Skipped() < ab.eng.Processed() {
+		t.Fatalf("armed run executed %d steps and skipped only %d", ab.eng.Processed(), ab.eng.Skipped())
+	}
+}
+
+// TestCoRunnerWakesThroughLedger: a bandwidth-bound co-runner starts on
+// NEST's nodes mid-span and later finishes. Both edit the node ledgers
+// and nothing else NEST can see — no mask is staged — so NEST's end
+// time only lands on the stepped value if the ledger wakes it.
+func TestCoRunnerWakesThroughLedger(t *testing.T) {
+	nest := NEST()
+	nest.InitSeconds = 0
+	var alone float64
+	differential(t, func(t *testing.T, b *testBed, o *skipObs, ref bool) {
+		b.launch(t, o, ref, "nest", nest, 14, 0, 300)
+		b.eng.Run()
+		alone = o.Ends["nest"]
+	})
+	differential(t, func(t *testing.T, b *testBed, o *skipObs, ref bool) {
+		n := b.launch(t, o, ref, "nest", nest, 14, 0, 300)
+		var s *Instance
+		b.eng.At(50.3, func() { s = b.launch(t, o, ref, "stream", STREAM(), 2, 14, 150) })
+		b.eng.Run()
+		o.Iters["nest"], o.Iters["stream"] = n.ItersDone(), s.ItersDone()
+		o.Polls["nest"], o.Polls["stream"] = b.polls(t, n), b.polls(t, s)
+		if o.Polls["nest"] != 300 || o.Polls["stream"] != 150 {
+			t.Errorf("polls nest=%d stream=%d, want one per iteration (300, 150)", o.Polls["nest"], o.Polls["stream"])
+		}
+		if !(o.Ends["stream"] < o.Ends["nest"]) || !(o.Ends["nest"] > alone) {
+			t.Fatalf("scenario broken: stream ends %v, nest %v (alone %v) — the co-run must start, slow NEST and end inside NEST's run",
+				o.Ends["stream"], o.Ends["nest"], alone)
+		}
+	})
+}
+
+// TestStagedMaskWakesMidSpan: masks staged from an engine event in the
+// middle of a span — a shrink, later the CPUs returned — are applied at
+// the iteration boundaries stepping would have used.
+func TestStagedMaskWakesMidSpan(t *testing.T) {
+	spec := NEST()
+	spec.InitSeconds = 0
+	differential(t, func(t *testing.T, b *testBed, o *skipObs, ref bool) {
+		inst := b.launch(t, o, ref, "nest", spec, 16, 0, 400)
+		stage := func(mask cpuset.CPUSet) func() {
+			return func() {
+				for _, r := range inst.ranks {
+					admin, _ := r.p.Sys.Attach()
+					if code := admin.SetProcessMask(r.p.PID, mask, core.FlagNone); code.IsError() {
+						t.Fatal(code)
+					}
+				}
+				o.Iters[mask.String()] = inst.ItersDone()
+			}
+		}
+		b.eng.At(101.7, stage(cpuset.Range(0, 11)))
+		b.eng.At(250, stage(cpuset.Range(0, 15)))
+		b.eng.Run()
+		o.Polls["nest"] = b.polls(t, inst)
+		if !inst.RankMask(0).Equal(cpuset.Range(0, 15)) {
+			t.Errorf("final mask %v", inst.RankMask(0))
+		}
+	})
+}
+
+// TestStopMidSpanReportsSteppedProgress: a checkpoint in the middle of
+// a span reports the iteration count stepping would have reached, the
+// cancelled occurrence never runs, and Resume continues from the count.
+func TestStopMidSpanReportsSteppedProgress(t *testing.T) {
+	spec := Pils()
+	spec.InitSeconds = 0
+	differential(t, func(t *testing.T, b *testBed, o *skipObs, ref bool) {
+		inst := b.launch(t, o, ref, "pils", spec, 16, 0, 300)
+		b.eng.At(100.5, func() {
+			inst.Stop()
+			o.Iters["at stop"] = inst.ItersDone()
+		})
+		b.eng.At(600, func() {
+			if err := inst.Resume(b.placements(Config{Ranks: 2, Threads: 16}), 30); err != nil {
+				t.Fatal(err)
+			}
+		})
+		b.eng.RunUntil(400)
+		if inst.Completed() || inst.ItersDone() != o.Iters["at stop"] {
+			t.Fatalf("stopped instance advanced: completed=%v iters %d -> %d", inst.Completed(), o.Iters["at stop"], inst.ItersDone())
+		}
+		b.eng.Run()
+		o.Iters["end"] = inst.ItersDone()
+		if !inst.Completed() || o.Iters["at stop"] < 95 || o.Iters["at stop"] > 105 {
+			t.Fatalf("completed=%v, %d iterations at the checkpoint", inst.Completed(), o.Iters["at stop"])
+		}
+	})
+}
+
+// forkBed clones the bed and inst onto a forked engine, re-binding the
+// instance's pending occurrence.
+func (b *testBed) forkBed(t *testing.T, o *skipObs, inst *Instance, name string) (*testBed, *Instance) {
+	t.Helper()
+	f := &testBed{eng: b.eng.Fork(), reg: b.reg.Fork(), demand: b.demand.Fork(), sys: map[string]*core.System{}}
+	for n := range b.sys {
+		f.sys[n] = core.NewSystem(f.reg.Get(n))
+	}
+	fi := inst.Fork(f.eng, f.demand, func(node string) *core.System { return f.sys[node] })
+	fi.OnComplete = func(end float64) { o.Ends[name] = end }
+	if err := fi.RebindPending(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.eng.FinishFork(); err != nil {
+		t.Fatal(err)
+	}
+	return f, fi
+}
+
+// TestForkMidSpanCarriesTheSpan: a fork taken in the middle of a span
+// finishes at the parent's time, and each lineage's wakes reach its own
+// instance — a mask staged in one fork, a co-runner started in another,
+// move that fork alone.
+func TestForkMidSpanCarriesTheSpan(t *testing.T) {
+	spec := NEST()
+	spec.InitSeconds = 0
+	differential(t, func(t *testing.T, b *testBed, o *skipObs, ref bool) {
+		inst := b.launch(t, o, ref, "parent", spec, 14, 0, 300)
+		b.eng.RunUntil(77.7)
+		if !ref && inst.tick.Credit() == 0 {
+			t.Fatal("scenario broken: the fork is not mid-span")
+		}
+		f1, twin := b.forkBed(t, o, inst, "twin")
+		f2, shrunk := b.forkBed(t, o, inst, "shrunk")
+		f2.eng.At(120, func() {
+			admin, _ := f2.sys["node1"].Attach()
+			if code := admin.SetProcessMask(shrunk.ranks[1].p.PID, cpuset.Range(0, 9), core.FlagNone); code.IsError() {
+				t.Fatal(code)
+			}
+		})
+		f3, crowded := b.forkBed(t, o, inst, "crowded")
+		f3.eng.At(120, func() { f3.launch(t, o, ref, "stream", STREAM(), 2, 14, 100) })
+		for _, l := range []*testBed{b, f1, f2, f3} {
+			l.eng.Run()
+			o.Steps += l.eng.Processed() + l.eng.Skipped()
+		}
+		o.Iters["twin"], o.Iters["shrunk"], o.Iters["crowded"] = twin.ItersDone(), shrunk.ItersDone(), crowded.ItersDone()
+		o.Polls["twin"], o.Polls["shrunk"] = f1.polls(t, twin), f2.polls(t, shrunk)
+		if o.Ends["twin"] != o.Ends["parent"] {
+			t.Errorf("undisturbed fork ended at %v, parent at %v", o.Ends["twin"], o.Ends["parent"])
+		}
+		if !(o.Ends["shrunk"] > o.Ends["parent"]) || !(o.Ends["crowded"] > o.Ends["parent"]) {
+			t.Errorf("fork-only changes did not reach the forks: parent %v shrunk %v crowded %v",
+				o.Ends["parent"], o.Ends["shrunk"], o.Ends["crowded"])
+		}
+	})
+}
+
+// TestTracedOrJitteredInstanceNeverArms: a tracer wants every segment
+// and jitter makes every duration new, so those instances execute
+// every iteration; the plain one hands all but the first and the last
+// to the engine.
+func TestTracedOrJitteredInstanceNeverArms(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		tracer  *trace.Tracer
+		jitter  *rand.Rand
+		skipped int64
+	}{
+		{"plain", nil, nil, 98},
+		{"traced", trace.New(), nil, 0},
+		{"jittered", nil, rand.New(rand.NewSource(1)), 0},
+	} {
+		b := newBed()
+		cfg := Config{Ranks: 2, Threads: 16}
+		inst, err := NewInstance(Pils(), cfg, 100, "p", b.eng, b.demand, c.tracer, b.placements(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.Jitter, inst.JitterFrac = c.jitter, 0.02
+		inst.OnComplete = func(float64) {}
+		if err := inst.Start(); err != nil {
+			t.Fatal(err)
+		}
+		b.eng.Run()
+		if !inst.Completed() || inst.ItersDone() != 100 || b.eng.Skipped() != c.skipped {
+			t.Errorf("%s: completed=%v iters=%d skipped=%d, want true/100/%d",
+				c.name, inst.Completed(), inst.ItersDone(), b.eng.Skipped(), c.skipped)
+		}
+	}
+}
+
+// TestForkedLedgerForgetsParentOwners: a forked demand table must not
+// wake the parent's instances — lineages run on different goroutines.
+func TestForkedLedgerForgetsParentOwners(t *testing.T) {
+	b, o := newBed(), newSkipObs()
+	spec := Pils()
+	spec.InitSeconds = 0
+	inst := b.launch(t, o, false, "p", spec, 16, 0, 100)
+	b.eng.RunUntil(10.5)
+	credit := inst.tick.Credit()
+	if credit == 0 {
+		t.Fatal("scenario broken: not mid-span")
+	}
+	f := b.demand.Fork()
+	f.SetUsage("node0", shmem.PID(424242), 4, 10)
+	f.Remove("node0", inst.ranks[0].p.PID)
+	if inst.tick.Credit() != credit {
+		t.Fatalf("editing the forked table woke the parent's instance (credit %d -> %d)", credit, inst.tick.Credit())
+	}
+	b.demand.SetUsage("node0", shmem.PID(424242), 4, 10)
+	if inst.tick.Credit() != 0 {
+		t.Fatal("editing the live table did not wake the instance")
+	}
+}

@@ -8,12 +8,17 @@ package benchfmt
 // ReplayEntry is one replay measurement. The wall-dependent fields
 // (wall_seconds, us_per_cycle, heap/RSS, allocs/bytes per cycle) vary
 // with the machine; the rest are deterministic replay outcomes, which
-// cmd/benchdiff checks exactly.
+// cmd/benchdiff checks exactly. sim_steps is what the replay's
+// decisions amount to in engine steps; sim_events is how many of them
+// the engine executed rather than advanced by itself
+// (workload.Result.Steps / Events) — deterministic too, but a property
+// of the engine, not of the decisions.
 type ReplayEntry struct {
 	Policy         string  `json:"policy"`
 	Jobs           int     `json:"jobs"`
 	WallSeconds    float64 `json:"wall_seconds"`
 	Cycles         int64   `json:"sched_cycles"`
+	Steps          int64   `json:"sim_steps"`
 	Events         int64   `json:"sim_events"`
 	CycleMicros    float64 `json:"us_per_cycle"`
 	AllocsPerCycle float64 `json:"allocs_per_cycle"`
@@ -44,7 +49,7 @@ type ReplayEntry struct {
 
 // ObsEntry is one fully-instrumented replay measurement: the 100k
 // replay with every observability consumer attached (decision trace,
-// explainer, sampler, histograms). Jobs/cycles/events/sample counts
+// explainer, sampler, histograms). Jobs/cycles/steps/events/sample counts
 // are deterministic — cmd/benchdiff checks them exactly against the
 // plain replay, proving the probes are decision-preserving at scale.
 // The wall-time fields and histogram quantiles are machine-dependent:
@@ -55,6 +60,7 @@ type ObsEntry struct {
 	Jobs         int     `json:"jobs"`
 	WallSeconds  float64 `json:"wall_seconds"`
 	Cycles       int64   `json:"sched_cycles"`
+	Steps        int64   `json:"sim_steps"`
 	Events       int64   `json:"sim_events"`
 	CycleMicros  float64 `json:"us_per_cycle"`
 	CycleSamples uint64  `json:"cycle_samples"`

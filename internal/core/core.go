@@ -61,7 +61,23 @@ type System struct {
 	seg shmem.Segment
 	// SyncTimeout bounds FlagSync waits. Zero means DefaultSyncTimeout.
 	SyncTimeout time.Duration
+	// watcher hears of every mask this System stages (WatchStages).
+	watcher StageWatcher
 }
+
+// StageWatcher is told which process a mask was just staged for.
+type StageWatcher interface {
+	MaskStaged(pid shmem.PID)
+}
+
+// WatchStages fills the System's one watcher slot: w hears of every
+// mask an administrator of this System stages from now on, whichever
+// call staged it (SetProcessMask, a PreInit steal, a PostFinalize
+// return). A simulated application that stops polling while nothing
+// can be pending relies on it to learn when to poll again; masks
+// staged through another System over the same segment, or by another
+// OS process, are not reported.
+func (s *System) WatchStages(w StageWatcher) { s.watcher = w }
 
 // NewSystem wraps a shared memory segment with the DROM protocol.
 func NewSystem(seg shmem.Segment) *System {
@@ -262,7 +278,7 @@ func (a *Admin) PostFinalize(pid shmem.PID, flags Flags) derr.Code {
 			if ve.Dirty {
 				base = ve.FutureMask
 			}
-			a.sys.seg.SetFuture(th.Victim, base.Or(give))
+			a.sys.setFuture(th.Victim, base.Or(give))
 		}
 	}
 	return derr.Success
@@ -292,6 +308,10 @@ func (s *System) Register(pid shmem.PID, mask cpuset.CPUSet) (cpuset.CPUSet, der
 func (s *System) Poll(pid shmem.PID) (cpuset.CPUSet, derr.Code) {
 	return s.seg.ApplyFuture(pid)
 }
+
+// CreditPolls records n polls of pid that would have found nothing
+// pending, without issuing them; see shmem.MemSegment.CreditPolls.
+func (s *System) CreditPolls(pid shmem.PID, n int64) { s.seg.CreditPolls(pid, n) }
 
 // Unregister removes the process from the system (process-side
 // finalization, DLB_Finalize).
@@ -324,7 +344,7 @@ func (s *System) stageVictims(thefts []shmem.Theft) derr.Code {
 		if e.Dirty {
 			base = e.FutureMask
 		}
-		if code := s.seg.SetFuture(th.Victim, base.AndNot(th.Mask)); code.IsError() {
+		if code := s.setFuture(th.Victim, base.AndNot(th.Mask)); code.IsError() {
 			return code
 		}
 	}
@@ -352,7 +372,18 @@ func (s *System) stageMask(pid shmem.PID, mask cpuset.CPUSet, flags Flags) derr.
 		e, _ := s.seg.Lookup(pid)
 		s.seg.SetStolen(pid, append(e.Stolen, thefts...))
 	}
-	return s.seg.SetFuture(pid, mask)
+	return s.setFuture(pid, mask)
+}
+
+// setFuture is the one place this System stages a mask. The watcher
+// hears of every attempt: a write the registry dropped or refused
+// costs it a needless poll, a missed one would cost a late mask.
+func (s *System) setFuture(pid shmem.PID, mask cpuset.CPUSet) derr.Code {
+	code := s.seg.SetFuture(pid, mask)
+	if s.watcher != nil {
+		s.watcher.MaskStaged(pid)
+	}
+	return code
 }
 
 // waitClean blocks until pid has applied any pending mask, bounded by

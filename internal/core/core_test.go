@@ -433,3 +433,80 @@ func TestPropertyPreInitPostFinalizeRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// stagedLog records the PIDs a System reports staged masks for.
+type stagedLog []shmem.PID
+
+func (l *stagedLog) MaskStaged(pid shmem.PID) { *l = append(*l, pid) }
+
+// TestWatchStagesHearsEveryStagingPath: whichever call stages a mask —
+// SetProcessMask (target and steal victims), a PreInit steal, a
+// PostFinalize return — the watcher hears of the PID that has one
+// pending now; calls that stage nothing report nothing.
+func TestWatchStagesHearsEveryStagingPath(t *testing.T) {
+	s := newSys(t)
+	a := attach(t, s)
+	var log stagedLog
+	s.WatchStages(&log)
+	dirty := func() []shmem.PID {
+		var out []shmem.PID
+		for _, e := range s.Segment().Snapshot() {
+			if e.Dirty {
+				out = append(out, e.PID)
+			}
+		}
+		return out
+	}
+	expect := func(what string, want ...shmem.PID) {
+		t.Helper()
+		if len(log) != len(want) {
+			t.Fatalf("%s: watcher heard %v, want %v", what, log, want)
+		}
+		for i := range want {
+			if log[i] != want[i] {
+				t.Fatalf("%s: watcher heard %v, want %v", what, log, want)
+			}
+		}
+		// Every PID with a mask pending was reported since the last poll.
+		for _, pid := range dirty() {
+			found := false
+			for _, h := range log {
+				found = found || h == pid
+			}
+			if !found {
+				t.Fatalf("%s: pid %d has a mask pending the watcher never heard of (%v)", what, pid, log)
+			}
+		}
+		log = log[:0]
+	}
+	s.Register(1, cpuset.Range(0, 7))
+	s.Register(2, cpuset.Range(8, 15))
+	expect("register")
+
+	if code := a.SetProcessMask(1, cpuset.Range(0, 3), FlagNone); code.IsError() {
+		t.Fatal(code)
+	}
+	expect("plain SetProcessMask", 1)
+	if code := a.SetProcessMask(1, cpuset.Range(0, 11), FlagSteal); code.IsError() {
+		t.Fatal(code)
+	}
+	expect("stealing SetProcessMask", 2, 1)
+	s.Poll(1)
+	s.Poll(2)
+
+	if code := a.PreInit(3, cpuset.Range(14, 15), FlagSteal); code.IsError() {
+		t.Fatal(code)
+	}
+	expect("PreInit steal", 2)
+	s.Poll(2)
+	if code := a.PostFinalize(3, FlagReturnStolen); code.IsError() {
+		t.Fatal(code)
+	}
+	expect("PostFinalize return", 2)
+	s.Poll(2)
+
+	if code := a.SetProcessMask(1, cpuset.Range(0, 13), FlagNone); code != derr.ErrPerm {
+		t.Fatalf("conflicting SetProcessMask = %v", code)
+	}
+	expect("refused SetProcessMask")
+}

@@ -22,7 +22,7 @@ const (
 	KindSubmit Kind = iota + 1
 	// KindCycleStart opens one scheduling cycle (all partition passes
 	// coalesced at one timestamp). Queue/Running are controller-wide;
-	// Processed is the engine's event count.
+	// Processed/Skipped are the engine's step counts.
 	KindCycleStart
 	// KindPass: one policy pass over one partition, emitted after
 	// Schedule returned and before its actions execute. Queue, Running,
@@ -44,7 +44,7 @@ const (
 	// job cancelled while still queued has never started.
 	KindJobEnd
 	// KindEngine is the simulation engine's progress heartbeat:
-	// Processed events so far, every engineProbeEvery events.
+	// Processed and Skipped so far, every engineProbeEvery steps.
 	KindEngine
 	// KindCell: one sweep grid cell finished. Cell/Cells are
 	// done-so-far and total.
@@ -201,8 +201,11 @@ type Event struct {
 	// WallNanos is real wall-clock time (cycle and Schedule timing).
 	WallNanos int64
 
-	// Processed is the engine's executed-event count.
+	// Processed is the engine's executed-event count, Skipped the
+	// steady iterations it advanced without executing; their sum, the
+	// step count, is a function of the run's decisions alone.
 	Processed int64
+	Skipped   int64
 
 	// Cell/Cells is sweep progress (cells done / total).
 	Cell  int

@@ -54,6 +54,7 @@ type Segment interface {
 	ResolveThefts(pid PID, mask cpuset.CPUSet, steal bool) ([]Theft, derr.Code)
 	SetFuture(pid PID, mask cpuset.CPUSet) derr.Code
 	ApplyFuture(pid PID) (cpuset.CPUSet, derr.Code)
+	CreditPolls(pid PID, n int64)
 	SetResizeRequest(pid PID, n int) derr.Code
 	SetStolen(pid PID, stolen []Theft) derr.Code
 	StatsOf(pid PID) (Stats, bool)

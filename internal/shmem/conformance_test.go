@@ -140,6 +140,21 @@ func TestConformanceDROMFlow(t *testing.T) {
 		if st, ok := s.StatsOf(1); !ok || st.Polls != 2 || st.MaskChanges != 1 {
 			t.Fatalf("stats = %+v ok=%v", st, ok)
 		}
+		// Credited polls count like clean polls issued one by one: the
+		// counter moves, the generation does not, an unknown pid is
+		// ignored.
+		gen := s.Generation()
+		s.CreditPolls(1, 40)
+		s.CreditPolls(99, 7)
+		if st, _ := s.StatsOf(1); st.Polls != 42 || st.MaskChanges != 1 {
+			t.Fatalf("stats after CreditPolls = %+v", st)
+		}
+		if _, code := s.ApplyFuture(1); code != derr.NoUpdate {
+			t.Fatalf("ApplyFuture after CreditPolls = %v", code)
+		}
+		if st, _ := s.StatsOf(1); st.Polls != 43 || s.Generation() != gen {
+			t.Fatalf("stats = %+v, generation %d -> %d", st, gen, s.Generation())
+		}
 		if code := s.Unregister(1); code != derr.Success {
 			t.Fatalf("Unregister = %v", code)
 		}

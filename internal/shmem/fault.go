@@ -313,6 +313,10 @@ func (s *FaultSegment) ApplyFuture(pid PID) (cpuset.CPUSet, derr.Code) {
 	return s.inner.ApplyFuture(pid)
 }
 
+// CreditPolls forwards unfaulted (it stands for the application's own
+// polls).
+func (s *FaultSegment) CreditPolls(pid PID, n int64) { s.inner.CreditPolls(pid, n) }
+
 // SetResizeRequest is an admin staging write; faultable.
 func (s *FaultSegment) SetResizeRequest(pid PID, n int) derr.Code {
 	if code, done := s.failWrite(); done {

@@ -472,6 +472,11 @@ func (s *FileSegment) ApplyFuture(pid PID) (cpuset.CPUSet, derr.Code) {
 	return mask, code
 }
 
+// CreditPolls records n clean polls of pid; see MemSegment.CreditPolls.
+func (s *FileSegment) CreditPolls(pid PID, n int64) {
+	s.update(func(m *MemSegment) { m.CreditPolls(pid, n) })
+}
+
 // SetResizeRequest records a malleability hint for pid.
 func (s *FileSegment) SetResizeRequest(pid PID, n int) derr.Code {
 	code := derr.ErrNoShmem

@@ -162,6 +162,8 @@ func TestSegLayoutRoundTrip(t *testing.T) {
 	m.SetFuture(11, cpuset.Range(0, 3))
 	m.SetResizeRequest(12, 6)
 	m.SetStolen(12, []Theft{{Victim: 11, Mask: cpuset.Range(6, 7)}})
+	m.ApplyFuture(12)
+	m.CreditPolls(12, 1<<40)
 
 	enc := encodeSegment(m)
 	dec, err := decodeSegment(enc)
@@ -184,9 +186,13 @@ func TestSegLayoutRoundTrip(t *testing.T) {
 			t.Fatalf("pid %d missing after round trip", pid)
 		}
 		if !got.CurrentMask.Equal(want.CurrentMask) || got.Dirty != want.Dirty ||
-			got.ResizeRequest != want.ResizeRequest || len(got.Stolen) != len(want.Stolen) {
+			got.ResizeRequest != want.ResizeRequest || len(got.Stolen) != len(want.Stolen) ||
+			got.Stats != want.Stats {
 			t.Fatalf("pid %d: got %+v want %+v", pid, got, want)
 		}
+	}
+	if st, _ := dec.StatsOf(12); st.Polls != 1<<40+1 {
+		t.Fatalf("pid 12 polls after round trip = %d", st.Polls)
 	}
 	for c := 0; c < 16; c++ {
 		if dec.CPUOwner(c) != m.CPUOwner(c) || dec.CPUGuest(c) != m.CPUGuest(c) {

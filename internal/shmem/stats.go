@@ -43,3 +43,16 @@ func (s *MemSegment) StatsOf(pid PID) (Stats, bool) {
 	}
 	return Stats{}, false
 }
+
+// CreditPolls adds n to pid's poll counter: the record of n polls that
+// found nothing pending and that the caller did not issue one by one
+// (a simulated application whose steady iterations the engine advanced
+// without executing them). Like a clean poll it is not a mutation — the
+// generation counter stays — and an unknown pid is a no-op.
+func (s *MemSegment) CreditPolls(pid PID, n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st := s.statsOf(pid); st != nil {
+		st.Polls += n
+	}
+}

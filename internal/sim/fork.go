@@ -9,6 +9,7 @@ package sim
 //
 //	f := eng.Fork()          // times, IDs and (t, id) pairs copied; fns nil
 //	f.Rebind(id, fn)         // each owner re-installs its pending events
+//	f.RebindPeriodic(p, fn)  // ... a chain's occurrence through its own handle copy
 //	f.FinishFork()           // errors if any event was left unbound
 //
 // Event IDs are preserved verbatim: at equal times the queue orders by
@@ -21,16 +22,20 @@ package sim
 import "fmt"
 
 // Fork returns a copy of the engine at the current virtual time:
-// clock, ID allocators, processed count, and every live pending event
-// as an unbound (t, id) pair. Cancelled entries are dropped — the
-// parent discards them without executing, so both lineages agree.
-// The fork has no progress hook; install one with EveryProcessed.
+// clock, ID allocators, step counts, and every live pending event as an
+// unbound (t, id) pair. Cancelled entries are dropped — the parent
+// discards them without executing, so both lineages agree. A chain's
+// occurrence comes over without its handle: the owner copies the
+// handle's state and re-binds through the copy (RebindPeriodic), so an
+// armed span continues in both lineages. The fork has no progress
+// hook; install one with EveryProcessed.
 func (e *Engine) Fork() *Engine {
 	f := &Engine{
 		now:       e.now,
 		nextID:    e.nextID,
 		nextFront: e.nextFront,
 		processed: e.processed,
+		skipped:   e.skipped,
 	}
 	f.queue = make([]event, 0, len(e.queue))
 	for i := range e.queue {

@@ -1,0 +1,417 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+)
+
+// TestStepOnArmedRootRunsNoCallback: a step that finds an armed
+// occurrence at the head takes it without calling back, and the entry
+// is re-keyed exactly as the callback's own After would have keyed it.
+func TestStepOnArmedRootRunsNoCallback(t *testing.T) {
+	e := NewEngine()
+	var p Periodic
+	calls := 0
+	e.AfterPeriodic(&p, 1.5, func() { calls++ })
+	p.Arm(0.25, 1)
+	e.At(100, func() {}) // so the chain is not alone
+	if !e.Step() {
+		t.Fatal("Step on an armed head returned false")
+	}
+	if calls != 0 || e.Processed() != 0 || e.Skipped() != 1 {
+		t.Fatalf("calls=%d processed=%d skipped=%d, want 0/0/1", calls, e.Processed(), e.Skipped())
+	}
+	if e.Now() != 1.5 || !p.Pending() || p.Credit() != 0 {
+		t.Fatalf("now=%v pending=%v credit=%d", e.Now(), p.Pending(), p.Credit())
+	}
+	// IDs 1 and 2 went to the two scheduled events; the occurrence the
+	// engine took drew 3, as the callback's After would have.
+	if got := e.queue[0]; got.t != 1.75 || got.id != 3 || e.nextID != 3 {
+		t.Fatalf("re-keyed head = (%v, %d), nextID %d; want (1.75, 3), 3", got.t, got.id, e.nextID)
+	}
+	// Credit exhausted: the next step executes the callback.
+	if !e.Step() || calls != 1 || e.Now() != 1.75 || p.Pending() {
+		t.Fatalf("calls=%d now=%v pending=%v after the executed occurrence", calls, e.Now(), p.Pending())
+	}
+}
+
+// TestLoneArmedChainStopsAtRunUntilBound: with nothing else pending
+// the engine takes a whole span in one step, but never an occurrence
+// later than the bound — what a caller does between two RunUntil calls
+// must find the chain where stepping would have left it.
+func TestLoneArmedChainStopsAtRunUntilBound(t *testing.T) {
+	e := NewEngine()
+	var p Periodic
+	calls := 0
+	e.AfterPeriodic(&p, 1, func() { calls++ })
+	p.Arm(1, 1000)
+	e.RunUntil(10.5)
+	if e.Skipped() != 10 || p.Credit() != 990 || e.Now() != 10.5 || calls != 0 {
+		t.Fatalf("skipped=%d credit=%d now=%v calls=%d, want 10/990/10.5/0", e.Skipped(), p.Credit(), e.Now(), calls)
+	}
+	if e.queue[0].t != 11 {
+		t.Fatalf("pending occurrence at %v, want 11", e.queue[0].t)
+	}
+	e.RunUntil(11) // the bound is inclusive
+	if e.Skipped() != 11 {
+		t.Fatalf("skipped=%d after RunUntil(11), want 11", e.Skipped())
+	}
+	// A plain Step has no bound: the rest of the span goes at once.
+	if !e.Step() || e.Skipped() != 1000 || e.Now() != 1000 || calls != 0 {
+		t.Fatalf("skipped=%d now=%v calls=%d after Step, want 1000/1000/0", e.Skipped(), e.Now(), calls)
+	}
+	e.Run()
+	if calls != 1 || e.Now() != 1001 || e.Processed() != 1 {
+		t.Fatalf("calls=%d now=%v processed=%d at the end", calls, e.Now(), e.Processed())
+	}
+}
+
+// TestDisarmLeavesOccurrenceInPlace: withdrawing the credit moves
+// nothing — the pending occurrence keeps its time and ID and executes.
+func TestDisarmLeavesOccurrenceInPlace(t *testing.T) {
+	e := NewEngine()
+	var p Periodic
+	var at []float64
+	e.AfterPeriodic(&p, 1, func() { at = append(at, e.Now()) })
+	p.Arm(1, 50)
+	e.RunUntil(7)
+	headT, headID := e.queue[0].t, e.queue[0].id
+	if left := p.Disarm(); left != 43 {
+		t.Fatalf("Disarm returned %d, want 43", left)
+	}
+	if got := e.queue[0]; got.t != headT || got.id != headID || got.p != &p {
+		t.Fatalf("Disarm moved the occurrence: (%v, %d) -> (%v, %d)", headT, headID, got.t, got.id)
+	}
+	e.Run()
+	if len(at) != 1 || at[0] != 8 {
+		t.Fatalf("callback times %v, want [8]", at)
+	}
+}
+
+// TestCancelPeriodic: cancelling goes through the handle, whatever ID
+// the occurrence carries by now, and frees the handle for reuse.
+func TestCancelPeriodic(t *testing.T) {
+	e := NewEngine()
+	var p Periodic
+	e.AfterPeriodic(&p, 1, func() { t.Error("cancelled occurrence ran") })
+	p.Arm(1, 10)
+	e.At(3.5, func() { e.CancelPeriodic(&p) })
+	ran := false
+	e.At(4, func() { e.AfterPeriodic(&p, 1, func() { ran = true }) })
+	e.Run()
+	if e.Skipped() != 3 || !ran || e.Now() != 5 {
+		t.Fatalf("skipped=%d ran=%v now=%v, want 3/true/5", e.Skipped(), ran, e.Now())
+	}
+	e.CancelPeriodic(&p) // nothing pending: a no-op
+}
+
+// --- differential fuzz -------------------------------------------------
+
+// skipPeriods mixes periods that keep every chain on a quarter grid —
+// so chains, one-shots and bounds tie at every instant — with
+// irrational ones that never tie.
+var skipPeriods = []float64{1, 1, 1.25, 1.5, 2, 0.25, math.Sqrt2, math.Pi / 3}
+
+// skipLockstepSeed decodes to three unit-period chains of 42
+// occurrences each, started together, with no interference: they tie at
+// every instant.
+var skipLockstepSeed = []byte{3, 2, 0, 40, 63, 0, 0, 1, 40, 63, 0, 0, 0, 40, 63, 0, 0, 0, 2, 40, 1, 0}
+
+// skipRec is one observation of a differential run.
+type skipRec struct {
+	T     float64
+	Label string
+	N     int64
+}
+
+// skipShot is a pending one-shot event of a world: what it does is
+// fixed when it is created, so a fork re-binds it from the descriptor.
+type skipShot struct {
+	label  string
+	kind   int // see fireShot
+	target int
+}
+
+// skipChain is the owner of one Periodic handle. In the armed world it
+// grants the engine credit; in the reference world the same credit is
+// kept in virt and consumed by executing a callback that does nothing
+// but book the next occurrence — the engine's credit forced to zero.
+type skipChain struct {
+	w       *skipWorld
+	idx     int
+	p       Periodic
+	period  float64
+	total   int64 // occurrences the chain runs for
+	grant   int64 // most credit it hands out at once
+	onReal  int   // side effect of an executed occurrence
+	done    int64 // occurrences accounted for
+	granted int64
+	virt    int64
+}
+
+type skipWorld struct {
+	eng    *Engine
+	armed  bool
+	chains []*skipChain
+	shots  map[EventID]skipShot
+	log    []skipRec
+	nshot  int
+}
+
+func (w *skipWorld) rec(label string, n int64) {
+	w.log = append(w.log, skipRec{T: w.eng.Now(), Label: label, N: n})
+}
+
+func (c *skipChain) left() int64 {
+	if c.w.armed {
+		return c.p.Credit()
+	}
+	return c.virt
+}
+
+// settle is the owner's wake: count what the span covered, withdraw
+// the rest.
+func (c *skipChain) settle() {
+	c.done += c.granted - c.left()
+	c.granted, c.virt = 0, 0
+	c.p.Disarm()
+}
+
+func (c *skipChain) count() int64 { return c.done + c.granted - c.left() }
+
+func (c *skipChain) fire() {
+	w := c.w
+	if c.virt > 0 {
+		// Reference world, steady occurrence: book the next, nothing else.
+		c.virt--
+		w.eng.AfterPeriodic(&c.p, c.period, c.fire)
+		return
+	}
+	c.settle()
+	c.done++
+	w.rec(fmt.Sprintf("chain%d", c.idx), c.done)
+	if c.done >= c.total {
+		return
+	}
+	switch c.onReal {
+	case 1: // zero-delay push, ordered before the next occurrence
+		w.shot(w.eng.Now(), false, skipShot{})
+	case 2: // wake the neighbour
+		w.chains[(c.idx+1)%len(w.chains)].settle()
+	}
+	w.eng.AfterPeriodic(&c.p, c.period, c.fire)
+	if left := c.total - c.done - 1; left >= 1 {
+		n := min(left, c.grant)
+		c.granted = n
+		if w.armed {
+			c.p.Arm(c.period, n)
+		} else {
+			c.virt = n
+		}
+	}
+}
+
+// shot schedules a one-shot in either band and keeps its descriptor.
+func (w *skipWorld) shot(at float64, front bool, s skipShot) {
+	w.nshot++
+	s.label = fmt.Sprintf("shot%d", w.nshot)
+	var id EventID
+	fn := func() { w.fireShot(id) }
+	if front {
+		id = w.eng.AtFront(at, fn)
+	} else {
+		id = w.eng.At(at, fn)
+	}
+	w.shots[id] = s
+}
+
+func (w *skipWorld) fireShot(id EventID) {
+	s := w.shots[id]
+	delete(w.shots, id)
+	c := w.chains[s.target%len(w.chains)]
+	w.rec(s.label, c.count())
+	switch s.kind {
+	case 1: // wake
+		c.settle()
+	case 2: // cancel through the handle
+		c.settle()
+		w.eng.CancelPeriodic(&c.p)
+	case 3: // zero-delay pushes, one per band
+		w.shot(w.eng.Now(), false, skipShot{})
+		w.shot(w.eng.Now(), true, skipShot{})
+	case 4: // restart a chain that ended or was cancelled
+		if !c.p.Pending() && c.done < c.total {
+			w.eng.AfterPeriodic(&c.p, c.period, c.fire)
+		}
+	}
+}
+
+// fork clones the world mid-run: the engine, each handle's state into
+// the clone's own handle, and every pending descriptor.
+func (w *skipWorld) fork(t *testing.T) *skipWorld {
+	f := &skipWorld{
+		eng: w.eng.Fork(), armed: w.armed, nshot: w.nshot,
+		shots: make(map[EventID]skipShot, len(w.shots)),
+		log:   append([]skipRec(nil), w.log...),
+	}
+	for _, c := range w.chains {
+		cp := *c
+		cp.w = f
+		f.chains = append(f.chains, &cp)
+	}
+	for _, c := range f.chains {
+		if c.p.Pending() {
+			if err := f.eng.RebindPeriodic(&c.p, c.fire); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for id, s := range w.shots {
+		f.shots[id] = s
+		if err := f.eng.Rebind(id, func() { f.fireShot(id) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.eng.FinishFork(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// heartbeat records the progress hook's firings: same virtual times
+// and step counts in both worlds, whatever the executed share.
+func (w *skipWorld) heartbeat(every int64) {
+	w.eng.EveryProcessed(every, func(now float64, processed, skipped int64) {
+		w.log = append(w.log, skipRec{T: now, Label: "beat", N: processed + skipped})
+	})
+}
+
+// skipRun decodes data into a script and runs it in one world; it
+// returns the parent's and the fork's observations, each closed by the
+// engine's final state, and how many steps the parent's engine took by
+// itself.
+func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, skipped int64) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	w := &skipWorld{eng: NewEngine(), armed: armed, shots: map[EventID]skipShot{}}
+	every := int64(1 + next()%16)
+	w.heartbeat(every)
+	for i, n := 0, 1+next()%6; i < n; i++ {
+		c := &skipChain{
+			w: w, idx: i,
+			period: skipPeriods[next()%len(skipPeriods)],
+			total:  int64(2 + next()%60),
+			grant:  int64(1 + next()%64),
+			onReal: next() % 3,
+		}
+		w.chains = append(w.chains, c)
+		w.eng.AfterPeriodic(&c.p, float64(next()%8)/4, c.fire)
+	}
+	for i, n := 0, next()%24; i < n; i++ {
+		at, kind := float64(next())/4, next()
+		w.shot(at, kind&8 != 0, skipShot{kind: kind % 5, target: next()})
+	}
+	// A handful of RunUntil bounds on the same grid, an outside wake or
+	// cancel after some of them, one fork on the way.
+	bound := 0.0
+	var f *skipWorld
+	for i, n, forkAt := 0, 1+next()%6, next()%6; i < n; i++ {
+		bound += float64(next()%64) / 4
+		w.eng.RunUntil(bound)
+		for _, c := range w.chains {
+			w.rec(fmt.Sprintf("bound%d/chain%d", i, c.idx), c.count())
+		}
+		switch c := w.chains[next()%len(w.chains)]; next() % 4 {
+		case 1:
+			c.settle()
+		case 2:
+			c.settle()
+			w.eng.CancelPeriodic(&c.p)
+		}
+		if f == nil && i == forkAt%n {
+			f = w.fork(t)
+			f.heartbeat(every)
+		}
+	}
+	finish := func(w *skipWorld) []skipRec {
+		w.eng.Run()
+		for _, c := range w.chains {
+			w.rec(fmt.Sprintf("end/chain%d", c.idx), c.count())
+		}
+		w.rec("nextID", w.eng.nextID)
+		w.rec("steps", w.eng.Processed()+w.eng.Skipped())
+		return w.log
+	}
+	return finish(w), finish(f), w.eng.Skipped()
+}
+
+// FuzzSkipDifferential runs a generated script — periodic chains in
+// lockstep, on a shared quarter grid and off it, one-shot and
+// front-band events, zero-delay pushes from callbacks, wakes, cancels
+// through the handle, RunUntil bounds with outside interference and a
+// fork mid-span — once with the chains arming their handles and once
+// with the same credit executed occurrence by occurrence. Every
+// callback that does anything must run at the same time in the same
+// order, the ID allocator must end where it would have, and executed
+// plus skipped steps must equal the reference's executed count — in
+// the parent and in the fork.
+//
+// Plain `go test` replays the seeds below and the committed corpus
+// under testdata/fuzz/FuzzSkipDifferential.
+func FuzzSkipDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(skipLockstepSeed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ap, af, _ := skipRun(t, data, true)
+		rp, rf, _ := skipRun(t, data, false)
+		if !reflect.DeepEqual(ap, rp) {
+			t.Fatalf("parent lineage diverges from the reference:\n%s", skipDiff(ap, rp))
+		}
+		if !reflect.DeepEqual(af, rf) {
+			t.Fatalf("forked lineage diverges from the reference:\n%s", skipDiff(af, rf))
+		}
+	})
+}
+
+// skipDiff renders the first divergence of two logs with some context.
+func skipDiff(a, r []skipRec) string {
+	i := 0
+	for i < len(a) && i < len(r) && a[i] == r[i] {
+		i++
+	}
+	lo := max(0, i-3)
+	return fmt.Sprintf("first difference at record %d\narmed     %+v\nreference %+v",
+		i, a[lo:min(len(a), i+3)], r[lo:min(len(r), i+3)])
+}
+
+// TestSkipDifferentialSkips guards the differential against passing
+// vacuously: on the lockstep seed the armed world must actually let
+// the engine take most occurrences.
+func TestSkipDifferentialSkips(t *testing.T) {
+	ap, _, skipped := skipRun(t, skipLockstepSeed, true)
+	rp, _, refSkipped := skipRun(t, skipLockstepSeed, false)
+	if !reflect.DeepEqual(ap, rp) {
+		t.Fatalf("lockstep seed diverges:\n%s", skipDiff(ap, rp))
+	}
+	// All but the first and last occurrence of each chain are steady.
+	if skipped != 3*40 || refSkipped != 0 {
+		t.Fatalf("skipped %d steps armed and %d in the reference, want %d and 0", skipped, refSkipped, 3*40)
+	}
+	var beats int
+	for _, r := range ap {
+		if r.Label == "beat" {
+			beats++
+		}
+	}
+	if steps := ap[len(ap)-1].N; steps != 3*42 || beats == 0 {
+		t.Fatalf("steps = %d (want %d), %d heartbeats", steps, 3*42, beats)
+	}
+}

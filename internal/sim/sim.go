@@ -19,15 +19,18 @@ type EventID int64
 // FIFO within itself.
 const frontBase = math.MinInt64 / 2
 
-// event is one queue entry. It is deliberately 24 bytes: the heap
-// sifts copy events by value on the hottest path of the simulation,
-// and replays keep millions of them moving. The ID doubles as the
-// FIFO tie-break (IDs are unique and ascending per band), and a nil
-// fn marks a cancelled entry — no separate flag, no side table.
+// event is one queue entry. It is deliberately small (32 bytes): the
+// heap sifts copy events by value on the hottest path of the
+// simulation, and replays keep millions of them moving. The ID doubles
+// as the FIFO tie-break (IDs are unique and ascending per band), and a
+// nil fn marks a cancelled entry — no separate flag, no side table. p
+// is non-nil on the occurrence of a self-rescheduling chain (see
+// Periodic); a cancelled entry carries none.
 type event struct {
 	t  float64
 	id int64
 	fn func()
+	p  *Periodic
 }
 
 // less orders events by time, then ID. (t, id) is a total order — IDs
@@ -53,13 +56,14 @@ type Engine struct {
 	nextID    int64
 	nextFront int64
 	processed int64
+	skipped   int64
 	stopped   bool
 
 	// Progress hook (EveryProcessed): called after every probeEvery-th
-	// executed event. Kept as a plain callback so sim stays free of
-	// observability dependencies; the disabled path pays one nil check
-	// per event.
-	probeFn    func(now float64, processed int64)
+	// step (executed or skipped). Kept as a plain callback so sim stays
+	// free of observability dependencies; the disabled path pays one nil
+	// check per step.
+	probeFn    func(now float64, processed, skipped int64)
 	probeEvery int64
 
 	// rebind maps event ID → queue index during a Fork/FinishFork
@@ -75,19 +79,27 @@ func NewEngine() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Processed returns the number of events executed.
+// Processed returns the number of events executed: callbacks run.
 func (e *Engine) Processed() int64 { return e.processed }
+
+// Skipped returns the number of occurrences of armed Periodic chains
+// the engine took by itself, without a callback. Processed + Skipped
+// is the step count: what Processed would read had no chain ever been
+// armed.
+func (e *Engine) Skipped() int64 { return e.skipped }
 
 // Pending returns the number of events still queued (including
 // cancelled ones not yet discarded).
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // EveryProcessed installs a progress hook: fn runs after every
-// every-th executed event, with the engine's current virtual time and
-// processed count. One hook is supported (nil uninstalls); fn must
-// not re-enter the engine. Drivers use it as a heartbeat for
-// observability consumers between scheduling cycles.
-func (e *Engine) EveryProcessed(every int64, fn func(now float64, processed int64)) {
+// every-th step — executed and skipped occurrences both count, so the
+// hook keeps its virtual-time spacing however many steps the engine
+// takes by itself — with the engine's current virtual time and both
+// counts. One hook is supported (nil uninstalls); fn must not re-enter
+// the engine. Drivers use it as a heartbeat for observability
+// consumers between scheduling cycles.
+func (e *Engine) EveryProcessed(every int64, fn func(now float64, processed, skipped int64)) {
 	if every <= 0 {
 		every = 1
 	}
@@ -191,20 +203,31 @@ func (e *Engine) After(delay float64, fn func()) EventID {
 func (e *Engine) Cancel(id EventID) {
 	for i := range e.queue {
 		if e.queue[i].id == int64(id) {
-			e.queue[i].fn = nil // cancelled; release the closure now
+			// Cancelled; release the closure and the handle now.
+			e.queue[i].fn, e.queue[i].p = nil, nil
 			return
 		}
 	}
 }
 
-// Step executes the next event. It returns false when the queue is
+// Step takes the next step: it executes the next event, or lets an
+// armed Periodic chain at the head of the queue advance by itself (no
+// callback runs; see Periodic). It returns false when the queue is
 // empty or the engine was stopped.
+func (e *Engine) Step() bool { return e.step(math.Inf(1)) }
+
+// step is Step for a caller that has checked the head event is due by
+// bound; the engine takes no occurrence later than bound by itself.
 //
 //simvet:hotpath
-func (e *Engine) Step() bool {
+func (e *Engine) step(bound float64) bool {
 	for len(e.queue) > 0 {
 		if e.stopped {
 			return false
+		}
+		if p := e.queue[0].p; p != nil && p.credit > 0 {
+			e.skip(p, bound)
+			return true
 		}
 		ev := e.pop()
 		if ev.fn == nil {
@@ -212,13 +235,23 @@ func (e *Engine) Step() bool {
 		}
 		e.now = ev.t
 		e.processed++
+		if ev.p != nil {
+			ev.p.id = 0 // the occurrence is no longer pending
+		}
 		ev.fn()
-		if e.probeFn != nil && e.processed%e.probeEvery == 0 {
-			e.probeFn(e.now, e.processed)
+		if e.probeFn != nil {
+			e.heartbeat()
 		}
 		return true
 	}
 	return false
+}
+
+// heartbeat fires the progress hook on every probeEvery-th step.
+func (e *Engine) heartbeat() {
+	if (e.processed+e.skipped)%e.probeEvery == 0 {
+		e.probeFn(e.now, e.processed, e.skipped)
+	}
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -240,7 +273,7 @@ func (e *Engine) RunUntil(t float64) {
 		if next.t > t {
 			break
 		}
-		e.Step()
+		e.step(t)
 	}
 	if t > e.now {
 		e.now = t

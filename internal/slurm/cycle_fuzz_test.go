@@ -2,14 +2,20 @@ package slurm
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/hwmodel"
+	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // FuzzIncrementalCycle turns its input into a small trace — 1–3
@@ -31,7 +37,69 @@ func FuzzIncrementalCycle(f *testing.F) {
 	// An exhausted input reads as zeros: the empty seed is eight equal
 	// jobs on one node. The committed corpus holds the busy traces.
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) { replayFuzzTrace(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) { replayFuzzTrace(t, data, nil) })
+}
+
+// fuzzOutcome is what the parent lineage of a fuzz trace produced: its
+// probe's event stream (wall times blanked, the engine's two counts
+// folded into steps), its job records and its step counts.
+type fuzzOutcome struct {
+	events  []obs.Event
+	jobs    []metrics.JobRecord
+	steps   int64
+	skipped int64
+}
+
+// TestFuzzCorpusReplaysIdenticallyWithoutSkipping replays every
+// committed FuzzIncrementalCycle entry a second time with a tracer
+// attached. A traced instance executes every iteration — it never hands
+// a span to the engine — and a tracer by contract influences no
+// decision, so the twin is the per-iteration reference: the observable
+// event stream, the records and the step count must be identical, with
+// only the executed share of the steps differing. (Forks drop the
+// tracer, so it is the parent lineage that is compared; each fork is
+// already held to its own parent by replayFuzzTrace.)
+func TestFuzzCorpusReplaysIdenticallyWithoutSkipping(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzIncrementalCycle", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed corpus (err=%v)", err)
+	}
+	for _, file := range files {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			raw, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, lit, ok := strings.Cut(string(raw), "[]byte(")
+			if !ok {
+				t.Fatalf("%s is not a []byte corpus entry", file)
+			}
+			str, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			armed := replayFuzzTrace(t, []byte(str), nil)
+			ref := replayFuzzTrace(t, []byte(str), trace.New())
+			if ref.skipped != 0 || armed.skipped == 0 {
+				t.Fatalf("skipped steps: armed %d, traced twin %d — want some and none", armed.skipped, ref.skipped)
+			}
+			if armed.steps != ref.steps {
+				t.Errorf("steps: armed %d, reference %d", armed.steps, ref.steps)
+			}
+			if !reflect.DeepEqual(armed.jobs, ref.jobs) {
+				t.Errorf("records diverge:\narmed     %+v\nreference %+v", armed.jobs, ref.jobs)
+			}
+			if len(armed.events) != len(ref.events) {
+				t.Fatalf("%d events, reference %d", len(armed.events), len(ref.events))
+			}
+			for i := range armed.events {
+				if armed.events[i] != ref.events[i] {
+					t.Fatalf("event %d diverges:\narmed     %+v\nreference %+v", i, armed.events[i], ref.events[i])
+				}
+			}
+			t.Logf("%d steps (%d skipped when armed), %d events, %d jobs", armed.steps, armed.skipped, len(armed.events), len(armed.jobs))
+		})
+	}
 }
 
 // fuzzOp is one scripted input of a fuzz trace: a submission, an
@@ -44,9 +112,10 @@ type fuzzOp struct {
 }
 
 // replayFuzzTrace decodes data into a trace and replays it (see
-// FuzzIncrementalCycle). Bytes are consumed in order; an exhausted
-// input reads as zeros, so every input is a valid trace.
-func replayFuzzTrace(t *testing.T, data []byte) {
+// FuzzIncrementalCycle) on a cluster with the given tracer (nil for
+// none). Bytes are consumed in order; an exhausted input reads as
+// zeros, so every input is a valid trace.
+func replayFuzzTrace(t *testing.T, data []byte, tracer *trace.Tracer) fuzzOutcome {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -63,11 +132,17 @@ func replayFuzzTrace(t *testing.T, data []byte) {
 		})
 	}
 	eng := sim.NewEngine()
-	c, err := NewClusterSpec(eng, spec, nil)
+	c, err := NewClusterSpec(eng, spec, tracer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl := NewController(c, PolicyDROM)
+	var out fuzzOutcome
+	ctl.Probe = obs.Func(func(ev obs.Event) {
+		ev.WallNanos = 0
+		ev.Processed, ev.Skipped = ev.Processed+ev.Skipped, 0
+		out.events = append(out.events, ev)
+	})
 	if err := ctl.installScheds(func(int) (sched.Policy, error) {
 		return sched.New(sched.Names()[next()%len(sched.Names())])
 	}); err != nil {
@@ -146,6 +221,9 @@ func replayFuzzTrace(t *testing.T, data []byte) {
 	}
 	eng.Run()
 	total := accepted
+	out.jobs = ctl.Records.Jobs
+	out.skipped = eng.Skipped()
+	out.steps = eng.Processed() + out.skipped
 	feng.Run()
 	for _, l := range []struct {
 		name string
@@ -170,4 +248,5 @@ func replayFuzzTrace(t *testing.T, data []byte) {
 	if !reflect.DeepEqual(fork.Records.Jobs, ctl.Records.Jobs) {
 		t.Fatalf("fork decided differently:\nfork   %+v\nparent %+v", fork.Records.Jobs, ctl.Records.Jobs)
 	}
+	return out
 }

@@ -225,6 +225,7 @@ func (ctl *Controller) schedCycle() {
 			Kind: obs.KindCycleStart, Time: ctl.cluster.Engine.Now(),
 			Queue: len(ctl.queue), Running: len(ctl.running),
 			Processed: ctl.cluster.Engine.Processed(),
+			Skipped:   ctl.cluster.Engine.Skipped(),
 		})
 	}
 	skipped := false

@@ -17,7 +17,7 @@ func (t *Tracer) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, s := range t.segs {
+	for _, s := range t.Segments() {
 		row := []string{
 			s.Job,
 			strconv.Itoa(s.Rank),

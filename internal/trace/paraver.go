@@ -48,7 +48,7 @@ func (t *Tracer) WriteROW(w io.Writer) error {
 	}
 	seen := map[row]bool{}
 	var rows []row
-	for _, s := range t.segs {
+	for _, s := range t.Segments() {
 		r := row{s.Job, s.Rank, s.Thread}
 		if !seen[r] {
 			seen[r] = true
@@ -97,7 +97,7 @@ func (t *Tracer) WritePRV(w io.Writer) error {
 	}
 	threadsPer := map[taskKey]int{}
 	ranksPer := map[string]int{}
-	for _, s := range t.segs {
+	for _, s := range t.Segments() {
 		k := taskKey{s.Job, s.Rank}
 		if s.Thread+1 > threadsPer[k] {
 			threadsPer[k] = s.Thread + 1
@@ -110,7 +110,7 @@ func (t *Tracer) WritePRV(w io.Writer) error {
 	// Header: #Paraver (dd/mm/yy at hh:mm):duration_ns:resource:appl_list
 	// Resource model: one node with as many CPUs as distinct CPU ids.
 	cpus := map[int]bool{}
-	for _, s := range t.segs {
+	for _, s := range t.Segments() {
 		if s.CPU >= 0 {
 			cpus[s.CPU] = true
 		}
@@ -137,7 +137,7 @@ func (t *Tracer) WritePRV(w io.Writer) error {
 	bw.WriteByte('\n')
 
 	// Records, sorted by begin time for well-formedness.
-	segs := append([]Segment(nil), t.segs...)
+	segs := append([]Segment(nil), t.Segments()...)
 	sort.Slice(segs, func(i, j int) bool { return segs[i].T0 < segs[j].T0 })
 	for _, s := range segs {
 		state := prvStateIdle

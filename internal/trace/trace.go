@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -55,47 +56,102 @@ type Segment struct {
 // Duration returns the segment length in seconds.
 func (s Segment) Duration() float64 { return s.T1 - s.T0 }
 
-// Tracer accumulates segments.
+// chunkRecs is the capacity of one storage chunk (224 KB of records).
+const chunkRecs = 4096
+
+// rec is a Segment as the tracer stores it: the job by its index in
+// Tracer.jobs and the small integers narrowed, 56 bytes for 80 and no
+// pointer in them, so the collector never scans a chunk.
+type rec struct {
+	t0, t1, ipc, cycles float64
+	job                 uint32
+	rank, thread, cpu   int32
+	state               int8
+}
+
+// Tracer accumulates segments. A traced UC2 run records some 86 000 of
+// them, several times everything else the run allocates. One []Segment
+// grown by append would cost five times its final size in ever larger
+// blocks that the collector must scan for the job names, and what a
+// traced run holds resident would then depend on when a collection
+// happens to start; so they are kept as pointer-free records in
+// equal-sized chunks and turned back into Segments for whoever reads
+// them.
 type Tracer struct {
-	segs []Segment
+	chunks  [][]rec // in recording order, all full but the last
+	n       int
+	jobs    []string // distinct job names in first-appearance order
+	jobIdx  map[string]uint32
+	lastJob uint32    // jobID's last answer
+	joined  []Segment // Segments' result, the first len(joined) records
 }
 
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
 
 // Add appends a segment. Zero- or negative-length segments are
-// dropped.
+// dropped. Rank, Thread and CPU are kept as int32.
 func (t *Tracer) Add(s Segment) {
 	if s.T1 <= s.T0 {
 		return
 	}
-	t.segs = append(t.segs, s)
+	if t.n%chunkRecs == 0 {
+		t.chunks = append(t.chunks, make([]rec, 0, chunkRecs))
+	}
+	last := len(t.chunks) - 1
+	t.chunks[last] = append(t.chunks[last], rec{
+		t0: s.T0, t1: s.T1, ipc: s.IPC, cycles: s.CyclesPerUs,
+		job: t.jobID(s.Job), rank: int32(s.Rank), thread: int32(s.Thread), cpu: int32(s.CPU),
+		state: int8(s.State),
+	})
+	t.n++
 }
 
-// Segments returns all recorded segments (not a copy; treat as
-// read-only).
-func (t *Tracer) Segments() []Segment { return t.segs }
+// jobID returns the index of a job name in t.jobs, adding it if new.
+// A rank records all its threads in a row, so the name asked for is
+// nearly always the one found last.
+func (t *Tracer) jobID(name string) uint32 {
+	if int(t.lastJob) < len(t.jobs) && t.jobs[t.lastJob] == name {
+		return t.lastJob
+	}
+	id, ok := t.jobIdx[name]
+	if !ok {
+		if t.jobIdx == nil {
+			t.jobIdx = make(map[string]uint32)
+		}
+		id = uint32(len(t.jobs))
+		t.jobs = append(t.jobs, name)
+		t.jobIdx[name] = id
+	}
+	t.lastJob = id
+	return id
+}
+
+// Segments returns all recorded segments in recording order. The slice
+// is built from the records on demand and shared between calls; treat
+// as read-only.
+func (t *Tracer) Segments() []Segment {
+	t.joined = slices.Grow(t.joined, t.n-len(t.joined))
+	for i := len(t.joined); i < t.n; i++ {
+		r := &t.chunks[i/chunkRecs][i%chunkRecs]
+		t.joined = append(t.joined, Segment{
+			Job: t.jobs[r.job], Rank: int(r.rank), Thread: int(r.thread), CPU: int(r.cpu),
+			T0: r.t0, T1: r.t1, State: State(r.state), IPC: r.ipc, CyclesPerUs: r.cycles,
+		})
+	}
+	return t.joined
+}
 
 // Jobs returns the distinct job names in first-appearance order.
-func (t *Tracer) Jobs() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, s := range t.segs {
-		if !seen[s.Job] {
-			seen[s.Job] = true
-			out = append(out, s.Job)
-		}
-	}
-	return out
-}
+func (t *Tracer) Jobs() []string { return slices.Clone(t.jobs) }
 
 // Filter returns the segments of one job (all jobs if job == "").
 func (t *Tracer) Filter(job string) []Segment {
 	if job == "" {
-		return t.segs
+		return t.Segments()
 	}
 	var out []Segment
-	for _, s := range t.segs {
+	for _, s := range t.Segments() {
 		if s.Job == job {
 			out = append(out, s)
 		}
@@ -105,11 +161,11 @@ func (t *Tracer) Filter(job string) []Segment {
 
 // Span returns the [min T0, max T1] over all segments.
 func (t *Tracer) Span() (float64, float64) {
-	if len(t.segs) == 0 {
+	if t.n == 0 {
 		return 0, 0
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, s := range t.segs {
+	for _, s := range t.Segments() {
 		lo = math.Min(lo, s.T0)
 		hi = math.Max(hi, s.T1)
 	}

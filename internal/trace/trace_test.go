@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,54 @@ func TestAddDropsEmptySegments(t *testing.T) {
 	tr.Add(Segment{T0: 5, T1: 4})
 	if len(tr.Segments()) != 0 {
 		t.Errorf("degenerate segments stored: %d", len(tr.Segments()))
+	}
+}
+
+// Segments gives back exactly what Add took, in order, across chunk
+// boundaries and when reads and adds alternate; the stored records
+// hold no pointer (that is what keeps the collector out of them).
+func TestSegmentsRoundTripAcrossChunks(t *testing.T) {
+	tr := New()
+	var want []Segment
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			k := len(want)
+			s := Segment{
+				Job: []string{"nest", "pils", "nest", "stream"}[k%4], Rank: k % 7, Thread: k % 16, CPU: k % 48,
+				T0: float64(k) * 0.1, T1: float64(k)*0.1 + 0.05, State: State(k % 3), IPC: 1 / float64(k+1), CyclesPerUs: 2600,
+			}
+			tr.Add(s)
+			want = append(want, s)
+		}
+	}
+	for _, n := range []int{1, chunkRecs - 2, 1, 1, chunkRecs + 5, 0} {
+		add(n)
+		got := tr.Segments()
+		if len(got) != len(want) {
+			t.Fatalf("after %d adds: %d segments", len(want), len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("segment %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	}
+	if len(tr.chunks) != 3 {
+		t.Errorf("%d chunks for %d records", len(tr.chunks), len(want))
+	}
+	if jobs := tr.Jobs(); len(jobs) != 3 || jobs[0] != "nest" || jobs[1] != "pils" || jobs[2] != "stream" {
+		t.Errorf("Jobs = %v", jobs)
+	}
+	rt := reflect.TypeOf(rec{})
+	if rt.Size() != 56 {
+		t.Errorf("rec is %d bytes, want 56", rt.Size())
+	}
+	for i := 0; i < rt.NumField(); i++ {
+		switch k := rt.Field(i).Type.Kind(); k {
+		case reflect.Float64, reflect.Uint32, reflect.Int32, reflect.Int8:
+		default:
+			t.Errorf("rec.%s is a %v: the collector would scan every chunk", rt.Field(i).Name, k)
+		}
 	}
 }
 

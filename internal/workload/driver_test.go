@@ -110,9 +110,9 @@ func TestSliceAndLazySourcesReplayIdentically(t *testing.T) {
 				if !bytes.Equal(gotTrace, wantTrace) {
 					t.Errorf("lazy source: decision trace diverges from the slice-backed replay")
 				}
-				if str.SchedCycles != mat.SchedCycles || str.Events != mat.Events {
-					t.Errorf("lazy source ran %d cycles / %d events, slice %d / %d",
-						str.SchedCycles, str.Events, mat.SchedCycles, mat.Events)
+				if str.SchedCycles != mat.SchedCycles || str.Steps != mat.Steps || str.Events != mat.Events {
+					t.Errorf("lazy source ran %d cycles / %d steps / %d events, slice %d / %d / %d",
+						str.SchedCycles, str.Steps, str.Events, mat.SchedCycles, mat.Steps, mat.Events)
 				}
 				// An aggregated workload keeps neither the distribution
 				// nor the widths.

@@ -286,6 +286,7 @@ func (s *Session) Result() Result {
 	res.Protocol = s.ctl.Log
 	res.SchedCycles = s.ctl.Cycles
 	res.Events = s.eng.Processed()
+	res.Steps = res.Events + s.eng.Skipped()
 	return res
 }
 

@@ -103,9 +103,12 @@ type Scenario struct {
 	ShmemDir string
 }
 
-// engineProbeEvery is the engine-heartbeat period (executed events)
-// of probed runs: frequent enough to bound sampler staleness between
-// scheduling cycles, rare enough to be free.
+// engineProbeEvery is the engine-heartbeat period of probed runs, in
+// engine steps — executed events and the steady iterations the engine
+// advances without executing alike, so the heartbeat's virtual-time
+// spacing does not depend on how many of them it skips: frequent
+// enough to bound sampler staleness between scheduling cycles, rare
+// enough to be free.
 const engineProbeEvery = 1 << 16
 
 // installProbe hands the scenario's probe to the controller and arms
@@ -116,8 +119,8 @@ func installProbe(eng *sim.Engine, ctl *slurm.Controller, s Scenario) {
 		return
 	}
 	ctl.Probe = p
-	eng.EveryProcessed(engineProbeEvery, func(now float64, processed int64) {
-		p.Emit(obs.Event{Kind: obs.KindEngine, Time: now, Processed: processed})
+	eng.EveryProcessed(engineProbeEvery, func(now float64, processed, skipped int64) {
+		p.Emit(obs.Event{Kind: obs.KindEngine, Time: now, Processed: processed, Skipped: skipped})
 	})
 }
 
@@ -167,8 +170,12 @@ type Result struct {
 	// SchedCycles counts the scheduling-policy passes the controller
 	// executed (0 when no sched.Policy was installed).
 	SchedCycles int64
-	// Events counts the discrete events the simulation processed.
+	// Events counts the discrete events the simulation executed, Steps
+	// those plus the steady application iterations the engine advanced
+	// without executing (sim.Engine.Skipped). Steps depends only on the
+	// replay's decisions; how it splits is the engine's business.
 	Events int64
+	Steps  int64
 	Err    error
 }
 
