@@ -564,7 +564,7 @@ func runSched(a schedArgs) error {
 		if err != nil {
 			return cluster.Result{}, err
 		}
-		// The replay closes the source, whose parser goroutine closes f.
+		// The replay closes the source, which closes f.
 		return cluster.RunSchedStreamSet(sc, cluster.NewSWFReaderSource(f, opts), ps), nil
 	}
 	multi := len(a.cluster.Partitions) > 1

@@ -48,9 +48,8 @@
 // .05). See ARCHITECTURE.md for the package map and data flow.
 //
 // The benchmark harness in bench_test.go regenerates every table and
-// figure of the evaluation section; cmd/figures prints them.
-// BENCH_sched.json carries the committed scale-benchmark reference
-// numbers (100k-job replay per policy, the streaming 1M-job replay,
-// the 4-policy parallel sweep); cmd/benchdiff diffs a fresh run
-// against it and fails on regressions of the deterministic outcomes.
+// figure of the evaluation section; cmd/figures prints them. The
+// repository's performance numbers come from one place, `go run
+// ./bench`: five workloads (BENCHMARK.json) whose outputs are held to
+// the digests in bench/expected.json.
 package repro

@@ -1,8 +1,8 @@
 // Package hotpath flags allocation-prone constructs in functions
 // reachable from the scheduling hot path. The repo's steady-state
-// contract is zero allocations per controller cycle (BENCH_sched.json
-// tracks ~10 µs/cycle); the allocs tests catch regressions after the
-// fact, this analyzer points at the offending expression.
+// contract is zero allocations per controller cycle
+// (TestCycleSteadyStateAllocs); the allocs tests catch regressions
+// after the fact, this analyzer points at the offending expression.
 //
 // Entry points are seeded with //simvet:hotpath on the function
 // declaration (Policy.Schedule implementations, the controller cycle).

@@ -74,8 +74,7 @@ func (j JobRecord) RunTime() float64 { return j.End - j.Start }
 func (j JobRecord) ResponseTime() float64 { return j.End - j.Submit }
 
 // BoundedSlowdown is response over runtime with the standard 10 s
-// denominator floor, clamped below at 1 — the shared definition of
-// the aggregate and materialized statistics paths.
+// denominator floor, clamped below at 1.
 func (j JobRecord) BoundedSlowdown() float64 {
 	return math.Max(1, j.ResponseTime()/math.Max(j.RunTime(), BoundedSlowdownThreshold))
 }
@@ -112,12 +111,12 @@ func (d DropStats) String() string {
 		d.Total(), d.Unusable, d.Cancelled, d.Failed)
 }
 
-// Workload aggregates the jobs of one scenario run. In the default
-// mode every record is retained (Jobs); SetAggregate switches to
-// streaming aggregation, where Add folds each record into running
-// sums and retains nothing per job — the mode million-job replays use
-// to stay in bounded memory. Outcome and partition tallies are kept
-// in both modes.
+// Workload aggregates the jobs of one scenario run. Add folds every
+// record into running sums and tallies; in the default mode it also
+// retains the record (Jobs), which adds what needs the distribution
+// or the job names: percentiles, Demand, Job and String. SetAggregate
+// drops the retention — the mode million-job replays use to stay in
+// bounded memory.
 type Workload struct {
 	Jobs []JobRecord
 
@@ -178,8 +177,8 @@ func (w *Workload) Clone() *Workload {
 	return &cp
 }
 
-// SetAggregate switches the workload to streaming aggregation. It
-// must be called before the first Add.
+// SetAggregate stops the workload retaining per-job records. It must
+// be called before the first Add.
 func (w *Workload) SetAggregate() {
 	if len(w.Jobs) > 0 {
 		panic("metrics: SetAggregate after records were added")
@@ -204,7 +203,8 @@ func (w *Workload) part(name string) *partAgg {
 	return pa
 }
 
-// Add appends a job record (or folds it into the aggregates).
+// Add folds a job record into the aggregates and, unless the workload
+// is aggregate-only, retains it.
 func (w *Workload) Add(j JobRecord) {
 	switch j.Outcome {
 	case OutcomeFailed:
@@ -238,7 +238,6 @@ func (w *Workload) Add(j JobRecord) {
 	}
 	if !w.aggregate {
 		w.Jobs = append(w.Jobs, j)
-		return
 	}
 	if w.n == 0 {
 		w.firstSubmit = j.Submit
@@ -259,13 +258,8 @@ func (w *Workload) Add(j JobRecord) {
 	w.maxSlow = math.Max(w.maxSlow, s)
 }
 
-// Count returns the number of jobs recorded in either mode.
-func (w *Workload) Count() int {
-	if w.aggregate {
-		return w.n
-	}
-	return len(w.Jobs)
-}
+// Count returns the number of jobs recorded.
+func (w *Workload) Count() int { return w.n }
 
 // Failed returns the number of jobs recorded with OutcomeFailed.
 func (w *Workload) Failed() int { return w.nFailed }
@@ -400,22 +394,10 @@ func (w *Workload) Job(name string) (JobRecord, bool) {
 
 // TotalRunTime is "last job end time minus first job submission time".
 func (w *Workload) TotalRunTime() float64 {
-	if w.aggregate {
-		if w.n == 0 {
-			return 0
-		}
-		return w.lastEnd - w.firstSubmit
-	}
-	if len(w.Jobs) == 0 {
+	if w.n == 0 {
 		return 0
 	}
-	first := math.Inf(1)
-	last := math.Inf(-1)
-	for _, j := range w.Jobs {
-		first = math.Min(first, j.Submit)
-		last = math.Max(last, j.End)
-	}
-	return last - first
+	return w.lastEnd - w.firstSubmit
 }
 
 // Utilization estimates the cluster utilization over the workload's
@@ -441,25 +423,10 @@ func (w *Workload) Utilization(cpusOf func(name string) int, totalCores int) flo
 // AvgResponseTime is the arithmetic mean of the jobs' response times
 // (NeverRan cancellations excluded).
 func (w *Workload) AvgResponseTime() float64 {
-	if w.aggregate {
-		if w.statsN == 0 {
-			return 0
-		}
-		return w.sumResp / float64(w.statsN)
-	}
-	var sum float64
-	n := 0
-	for _, j := range w.Jobs {
-		if j.NeverRan() {
-			continue
-		}
-		sum += j.ResponseTime()
-		n++
-	}
-	if n == 0 {
+	if w.statsN == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	return w.sumResp / float64(w.statsN)
 }
 
 // String renders a compact table of the workload.

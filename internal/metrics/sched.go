@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BoundedSlowdownThreshold caps the denominator of the bounded
 // slowdown so sub-threshold jobs cannot explode the metric (the
@@ -47,62 +44,37 @@ type SchedStats struct {
 
 // NewSchedStats computes the stats from a finished workload. cpusOf
 // maps a job name to its requested CPU width for the demand estimate;
-// pass nil (or totalCores <= 0) to skip it. An aggregated workload
-// (streaming replay) yields the mean/max statistics; the percentile
-// fields, which need the full distribution, stay zero, and so does
-// Demand. Cancelled-while-queued records are excluded from the
-// wait/response/slowdown statistics in both modes (see
-// JobRecord.NeverRan) while still counting toward Jobs and
+// pass nil (or totalCores <= 0) to skip it. The mean/max statistics
+// come from the workload's running sums; the percentile fields and
+// Demand need the retained records, so they stay zero for an
+// aggregated workload (streaming replay). Cancelled-while-queued
+// records are excluded from the wait/response/slowdown statistics
+// (see JobRecord.NeverRan) while still counting toward Jobs and
 // Cancelled.
 func NewSchedStats(w Workload, cpusOf func(name string) int, totalCores int) SchedStats {
-	if w.Aggregated() {
-		st := SchedStats{
-			Jobs: w.n, Failed: w.nFailed, Cancelled: w.nCancelled, Spilled: w.nSpilled,
-			NodeFailed: w.nNodeFailed, Requeues: w.nRequeues,
-			LostWorkS: w.lostWorkS, DownNodeS: w.downS,
-		}
-		if st.Jobs == 0 || w.statsN == 0 {
-			st.Makespan = w.TotalRunTime()
-			return st
-		}
-		st.Makespan = w.TotalRunTime()
-		st.MeanWait = w.sumWait / float64(w.statsN)
-		st.MeanResponse = w.sumResp / float64(w.statsN)
-		st.MeanSlowdown = w.sumSlow / float64(w.statsN)
-		st.MaxSlowdown = w.maxSlow
-		return st
-	}
 	st := SchedStats{
-		Jobs: len(w.Jobs), Failed: w.nFailed, Cancelled: w.nCancelled, Spilled: w.nSpilled,
+		Jobs: w.n, Failed: w.nFailed, Cancelled: w.nCancelled, Spilled: w.nSpilled,
 		NodeFailed: w.nNodeFailed, Requeues: w.nRequeues,
 		LostWorkS: w.lostWorkS, DownNodeS: w.downS,
+		Makespan: w.TotalRunTime(),
 	}
-	if st.Jobs == 0 {
-		return st
+	if w.statsN > 0 {
+		n := float64(w.statsN)
+		st.MeanWait = w.sumWait / n
+		st.MeanResponse = w.sumResp / n
+		st.MeanSlowdown = w.sumSlow / n
+		st.MaxSlowdown = w.maxSlow
 	}
-	// Cancelled-while-queued records (JobRecord.NeverRan) count toward
-	// Jobs/Cancelled but not toward the wait/response/slowdown
-	// statistics, matching the aggregate path.
 	var waits, resps Summary
-	var slow float64
 	for _, j := range w.Jobs {
 		if j.NeverRan() {
 			continue
 		}
 		waits.Observe(j.WaitTime())
 		resps.Observe(j.ResponseTime())
-		s := j.BoundedSlowdown()
-		slow += s
-		st.MaxSlowdown = math.Max(st.MaxSlowdown, s)
 	}
-	st.Makespan = w.TotalRunTime()
-	if waits.Count() > 0 {
-		st.MeanWait = waits.Mean()
-		st.P95Wait = waits.Percentile(95)
-		st.MeanResponse = resps.Mean()
-		st.P95Response = resps.Percentile(95)
-		st.MeanSlowdown = slow / float64(waits.Count())
-	}
+	st.P95Wait = waits.Percentile(95)
+	st.P95Response = resps.Percentile(95)
 	if cpusOf != nil && totalCores > 0 {
 		st.Demand = w.Utilization(cpusOf, totalCores)
 	}

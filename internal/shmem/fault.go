@@ -129,10 +129,10 @@ func (b *FaultBackend) Get(name string) Segment {
 func (b *FaultBackend) wrap(name string, inner Segment) *FaultSegment {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if s, ok := b.segs[name]; ok && s.inner == inner {
+	if s, ok := b.segs[name]; ok && s.Segment == inner {
 		return s
 	}
-	s := &FaultSegment{b: b, inner: inner}
+	s := &FaultSegment{Segment: inner, b: b}
 	b.segs[name] = s
 	return s
 }
@@ -174,10 +174,17 @@ func (b *FaultBackend) fork() Backend {
 }
 
 // FaultSegment injects faults into the administrative surface of one
-// segment; everything else forwards to the inner implementation.
+// segment. Only the faultable calls are written out below; everything
+// else is promoted from the embedded inner Segment and so runs
+// unfaulted: the application side (Register, Unregister, ApplyFuture,
+// CreditPolls, the LeWI calls) keeps working, and the change detector
+// (Generation, WaitClean, Watch) must stay truthful or waiters would
+// spin forever. fork is promoted too: a what-if fork gets a private,
+// fault-free copy of the state (the fault stream belongs to the
+// backend, and FaultBackend.fork re-seeds it there).
 type FaultSegment struct {
-	b     *FaultBackend
-	inner Segment
+	Segment
+	b *FaultBackend
 
 	mu sync.Mutex
 	// snap holds a private copy of the segment captured just before
@@ -187,7 +194,7 @@ type FaultSegment struct {
 }
 
 // Inner exposes the wrapped segment (tests, diagnostics).
-func (s *FaultSegment) Inner() Segment { return s.inner }
+func (s *FaultSegment) Inner() Segment { return s.Segment }
 
 // failWrite draws the write-fault decision for one staging call:
 // fail (ErrNoShmem), drop (pretend Success), or pass. On pass it
@@ -206,7 +213,7 @@ func (s *FaultSegment) failWrite() (code derr.Code, done bool) {
 		return derr.Success, true
 	}
 	s.mu.Lock()
-	s.snap = s.inner.fork()
+	s.snap = s.Segment.fork()
 	s.mu.Unlock()
 	return derr.Success, false
 }
@@ -236,21 +243,7 @@ func (s *FaultSegment) staleSource() Segment {
 			return snap
 		}
 	}
-	return s.inner
-}
-
-// Name returns the segment's registry name.
-func (s *FaultSegment) Name() string { return s.inner.Name() }
-
-// NodeCPUs returns the full CPU set of the node this segment serves.
-func (s *FaultSegment) NodeCPUs() cpuset.CPUSet { return s.inner.NodeCPUs() }
-
-// MaxProcs returns the capacity of the procinfo table.
-func (s *FaultSegment) MaxProcs() int { return s.inner.MaxProcs() }
-
-// Register forwards unfaulted: the application side keeps working.
-func (s *FaultSegment) Register(pid PID, mask cpuset.CPUSet) derr.Code {
-	return s.inner.Register(pid, mask)
+	return s.Segment
 }
 
 // RegisterPreInit is an admin staging write; faultable.
@@ -258,11 +251,8 @@ func (s *FaultSegment) RegisterPreInit(pid PID, mask cpuset.CPUSet, stolen []The
 	if code, done := s.failWrite(); done {
 		return code
 	}
-	return s.inner.RegisterPreInit(pid, mask, stolen)
+	return s.Segment.RegisterPreInit(pid, mask, stolen)
 }
-
-// Unregister forwards unfaulted (process exit always lands).
-func (s *FaultSegment) Unregister(pid PID) derr.Code { return s.inner.Unregister(pid) }
 
 // Lookup is an admin read; faultable with ErrNoShmem.
 func (s *FaultSegment) Lookup(pid PID) (ProcEntry, derr.Code) {
@@ -297,7 +287,7 @@ func (s *FaultSegment) ResolveThefts(pid PID, mask cpuset.CPUSet, steal bool) ([
 			return nil, code
 		}
 	}
-	return s.inner.ResolveThefts(pid, mask, steal)
+	return s.Segment.ResolveThefts(pid, mask, steal)
 }
 
 // SetFuture is an admin staging write; faultable.
@@ -305,24 +295,15 @@ func (s *FaultSegment) SetFuture(pid PID, mask cpuset.CPUSet) derr.Code {
 	if code, done := s.failWrite(); done {
 		return code
 	}
-	return s.inner.SetFuture(pid, mask)
+	return s.Segment.SetFuture(pid, mask)
 }
-
-// ApplyFuture forwards unfaulted (the application's poll point).
-func (s *FaultSegment) ApplyFuture(pid PID) (cpuset.CPUSet, derr.Code) {
-	return s.inner.ApplyFuture(pid)
-}
-
-// CreditPolls forwards unfaulted (it stands for the application's own
-// polls).
-func (s *FaultSegment) CreditPolls(pid PID, n int64) { s.inner.CreditPolls(pid, n) }
 
 // SetResizeRequest is an admin staging write; faultable.
 func (s *FaultSegment) SetResizeRequest(pid PID, n int) derr.Code {
 	if code, done := s.failWrite(); done {
 		return code
 	}
-	return s.inner.SetResizeRequest(pid, n)
+	return s.Segment.SetResizeRequest(pid, n)
 }
 
 // SetStolen is an admin staging write; faultable.
@@ -330,7 +311,7 @@ func (s *FaultSegment) SetStolen(pid PID, stolen []Theft) derr.Code {
 	if code, done := s.failWrite(); done {
 		return code
 	}
-	return s.inner.SetStolen(pid, stolen)
+	return s.Segment.SetStolen(pid, stolen)
 }
 
 // StatsOf is an admin read; faultable as not-found.
@@ -343,80 +324,6 @@ func (s *FaultSegment) StatsOf(pid PID) (Stats, bool) {
 
 // Snapshot may serve a stale snapshot.
 func (s *FaultSegment) Snapshot() []ProcEntry { return s.staleSource().Snapshot() }
-
-// CPUOwner forwards unfaulted (LeWI belongs to the processes).
-func (s *FaultSegment) CPUOwner(cpu int) PID { return s.inner.CPUOwner(cpu) }
-
-// CPUGuest forwards unfaulted.
-func (s *FaultSegment) CPUGuest(cpu int) PID { return s.inner.CPUGuest(cpu) }
-
-// ClaimCPUs forwards unfaulted.
-func (s *FaultSegment) ClaimCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
-	return s.inner.ClaimCPUs(pid, mask)
-}
-
-// ReleaseCPUs forwards unfaulted.
-func (s *FaultSegment) ReleaseCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
-	return s.inner.ReleaseCPUs(pid, mask)
-}
-
-// TransferCPUs forwards unfaulted.
-func (s *FaultSegment) TransferCPUs(from, to PID, mask cpuset.CPUSet) derr.Code {
-	return s.inner.TransferCPUs(from, to, mask)
-}
-
-// LendCPUs forwards unfaulted.
-func (s *FaultSegment) LendCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
-	return s.inner.LendCPUs(pid, mask)
-}
-
-// BorrowCPUs forwards unfaulted.
-func (s *FaultSegment) BorrowCPUs(pid PID, max int) cpuset.CPUSet {
-	return s.inner.BorrowCPUs(pid, max)
-}
-
-// ReclaimCPUs forwards unfaulted.
-func (s *FaultSegment) ReclaimCPUs(pid PID, mask cpuset.CPUSet) (recovered, pending cpuset.CPUSet) {
-	return s.inner.ReclaimCPUs(pid, mask)
-}
-
-// PollReclaim forwards unfaulted.
-func (s *FaultSegment) PollReclaim(pid PID) cpuset.CPUSet { return s.inner.PollReclaim(pid) }
-
-// GuestMask forwards unfaulted.
-func (s *FaultSegment) GuestMask(pid PID) cpuset.CPUSet { return s.inner.GuestMask(pid) }
-
-// OwnerMask forwards unfaulted.
-func (s *FaultSegment) OwnerMask(pid PID) cpuset.CPUSet { return s.inner.OwnerMask(pid) }
-
-// LentMask forwards unfaulted.
-func (s *FaultSegment) LentMask() cpuset.CPUSet { return s.inner.LentMask() }
-
-// IdleMask forwards unfaulted.
-func (s *FaultSegment) IdleMask() cpuset.CPUSet { return s.inner.IdleMask() }
-
-// Generation forwards unfaulted — the change detector must stay
-// truthful or waiters would spin forever.
-func (s *FaultSegment) Generation() uint64 { return s.inner.Generation() }
-
-// WaitClean forwards unfaulted.
-func (s *FaultSegment) WaitClean(pid PID, cancel <-chan struct{}) derr.Code {
-	return s.inner.WaitClean(pid, cancel)
-}
-
-// Watch forwards unfaulted.
-func (s *FaultSegment) Watch(pid PID) <-chan struct{} { return s.inner.Watch(pid) }
-
-// Unwatch forwards unfaulted.
-func (s *FaultSegment) Unwatch(pid PID, ch <-chan struct{}) { s.inner.Unwatch(pid, ch) }
-
-// WatcherCount forwards unfaulted.
-func (s *FaultSegment) WatcherCount(pid PID) int { return s.inner.WatcherCount(pid) }
-
-// fork forwards to the inner segment: a what-if fork gets a private,
-// fault-free copy of the state (the fault stream belongs to the
-// backend, and FaultBackend.fork re-seeds it there).
-func (s *FaultSegment) fork() Segment { return s.inner.fork() }
 
 var _ Backend = (*FaultBackend)(nil)
 var _ Segment = (*FaultSegment)(nil)

@@ -309,8 +309,7 @@ func scenarioFromFile(path string, o workload.SWFOptions) (workload.Scenario, er
 }
 
 // sourceFromFile opens a streaming source over an SWF file. The
-// source's parser goroutine closes the file when it exits (EOF,
-// parse error, or Close).
+// source closes the file when it ends (EOF, parse error, or Close).
 func sourceFromFile(path string, o workload.SWFOptions) (workload.SubmissionSource, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -268,7 +268,7 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 }
 
 // closeObserver is an SWF reader whose Close is observable: the
-// SWFReaderSource parser goroutine closes it when it exits.
+// SWFReaderSource closes it when the source ends.
 type closeObserver struct {
 	io.Reader
 	closed chan struct{}
@@ -281,11 +281,8 @@ func (r *closeObserver) Close() error {
 
 // TestReplayClosesSourceOnEarlyError: a replay that fails before its
 // first event — invalid fault script, invalid cluster — must still
-// close the source, or the parser goroutine stays blocked on its
-// record channel with the trace file open.
+// close the source, or the trace file stays open.
 func TestReplayClosesSourceOnEarlyError(t *testing.T) {
-	// Longer than the source's record buffer, so the parser cannot run
-	// to completion (and close the reader) on its own.
 	text := FormatSWF(SyntheticSWF{Seed: 1, Jobs: 2000, Nodes: 4}.Generate())
 	bad := []struct {
 		name string
@@ -304,7 +301,7 @@ func TestReplayClosesSourceOnEarlyError(t *testing.T) {
 		select {
 		case <-r.closed:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("invalid %s: the source was not closed; its parser goroutine is pinned", b.name)
+			t.Fatalf("invalid %s: the source was not closed", b.name)
 		}
 	}
 }

@@ -143,8 +143,7 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 
 // replay is the one-shot form behind every Run* entry point: open,
 // drain, and release the source on every exit — an abandoned
-// SWFReaderSource would otherwise pin its parser goroutine and the
-// open trace file.
+// SWFReaderSource would otherwise keep its trace file open.
 func replay(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) Result {
 	if c, ok := src.(io.Closer); ok {
 		defer c.Close()

@@ -9,10 +9,8 @@ package workload
 // length.
 
 import (
-	"errors"
 	"io"
 	"math/rand"
-	"sync"
 
 	"repro/internal/hwmodel"
 	"repro/internal/metrics"
@@ -81,99 +79,67 @@ func (s *SyntheticSource) Skipped() int { return s.mapper.drops.Total() }
 func (s *SyntheticSource) Dropped() metrics.DropStats { return s.mapper.drops }
 
 // SWFReaderSource streams records from an SWF reader through the
-// trace→cluster mapping, skipping unusable records. Close stops the
-// background parser without reading the rest of the input; if the
-// reader is an io.Closer the parser goroutine closes it when it
-// exits, so file-backed sources never leak descriptors.
+// trace→cluster mapping, skipping unusable records. It reads only as
+// far as it has been pulled. If the reader is an io.Closer it is
+// closed — exactly once — when the source ends: end of input, parse
+// error, MaxJobs reached, or Close; file-backed sources never leak
+// descriptors.
 type SWFReaderSource struct {
-	records   chan swfRecordOrErr
-	done      chan struct{}
-	closeOnce sync.Once
-	mapper    swfMapper
-	maxJobs   int
-	emitted   int
-	idx       int
+	scan    *swfScanner // nil once the source has ended
+	closer  io.Closer   // the reader, when it is one
+	mapper  swfMapper
+	maxJobs int
+	emitted int
+	idx     int
 }
-
-type swfRecordOrErr struct {
-	job SWFJob
-	err error
-	eof bool
-}
-
-// errStreamStopped aborts the background parse after Close.
-var errStreamStopped = errors.New("workload: swf stream stopped")
 
 // NewSWFReaderSource streams r's records as submissions mapped onto
-// the cluster shape of o. The reader is parsed incrementally on a
-// helper goroutine; the source itself is pulled from a single
-// goroutine (the replay driver).
+// the cluster shape of o, parsing one record per pull.
 func NewSWFReaderSource(r io.Reader, o SWFOptions) *SWFReaderSource {
-	src := &SWFReaderSource{
-		records: make(chan swfRecordOrErr, 256),
-		done:    make(chan struct{}),
+	c, _ := r.(io.Closer)
+	return &SWFReaderSource{
+		scan:    newSWFScanner(r),
+		closer:  c,
 		mapper:  newSWFMapper(o),
 		maxJobs: o.MaxJobs,
 	}
-	go func() {
-		if c, ok := r.(io.Closer); ok {
-			defer c.Close()
-		}
-		err := ParseSWFFunc(r, func(j SWFJob) error {
-			select {
-			case src.records <- swfRecordOrErr{job: j}:
-				return nil
-			case <-src.done:
-				return errStreamStopped
-			}
-		})
-		if err != nil && err != errStreamStopped {
-			select {
-			case src.records <- swfRecordOrErr{err: err}:
-			case <-src.done:
-			}
-		}
-		select {
-		case src.records <- swfRecordOrErr{eof: true}:
-		case <-src.done:
-		}
-		close(src.records)
-	}()
-	return src
 }
 
-// Close stops the background parser; pending and further Next calls
-// report exhaustion. Always safe to call, any number of times.
+// Close ends the source without reading the rest of the input;
+// further Next calls report exhaustion. Always safe to call, any
+// number of times.
 func (s *SWFReaderSource) Close() error {
-	s.closeOnce.Do(func() { close(s.done) })
+	if s.scan == nil {
+		return nil
+	}
+	s.scan = nil
+	if s.closer != nil {
+		return s.closer.Close()
+	}
 	return nil
 }
 
 // Next implements SubmissionSource.
 func (s *SWFReaderSource) Next() (Submission, bool, error) {
-	for {
-		if s.maxJobs > 0 && s.emitted >= s.maxJobs {
-			// Stop the parser instead of draining it: the rest of the
-			// file is never read.
+	for s.scan != nil && (s.maxJobs <= 0 || s.emitted < s.maxJobs) {
+		job, ok, err := s.scan.next()
+		if err != nil || !ok {
 			s.Close()
-			return Submission{}, false, nil
-		}
-		rec, ok := <-s.records
-		if !ok || rec.eof {
-			return Submission{}, false, nil
-		}
-		if rec.err != nil {
-			return Submission{}, false, rec.err
+			return Submission{}, false, err
 		}
 		idx := s.idx
 		s.idx++
-		sub, mapped := s.mapper.Map(rec.job, idx)
+		sub, mapped := s.mapper.Map(job, idx)
 		if !mapped {
 			continue
 		}
 		s.emitted++
 		return sub, true, nil
 	}
+	// MaxJobs reached (the rest of the file is never read) or already
+	// closed.
+	s.Close()
+	return Submission{}, false, nil
 }
 
 // Cluster returns the layout the source maps onto.
@@ -191,7 +157,7 @@ func (s *SWFReaderSource) Dropped() metrics.DropStats { return s.mapper.drops }
 // into aggregate statistics as they complete
 // (metrics.Workload.SetAggregate), so memory use is bounded by the
 // scheduler backlog, not the stream length: this is the path the
-// million-job benchmarks use. It is the same driver as RunSched, so
+// million-job replays use. It is the same driver as RunSched, so
 // for a stream in submit order the decision sequence is identical to
 // materializing the trace. An out-of-order record is the one
 // divergence — it is submitted at the stream position (now), whereas

@@ -85,35 +85,60 @@ func ParseSWF(r io.Reader) ([]SWFJob, error) {
 // million-job replays. A non-nil error from fn aborts the parse and
 // is returned as-is.
 func ParseSWFFunc(r io.Reader, fn func(SWFJob) error) error {
+	p := newSWFScanner(r)
+	for {
+		j, ok, err := p.next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := fn(j); err != nil {
+			return err
+		}
+	}
+}
+
+// swfScanner pulls records off an SWF reader one at a time; it is the
+// one parser behind ParseSWF, ParseSWFFunc and SWFReaderSource.
+type swfScanner struct {
+	sc   *bufio.Scanner
+	line int
+}
+
+func newSWFScanner(r io.Reader) *swfScanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	line := 0
+	return &swfScanner{sc: sc}
+}
+
+// next returns the next record of the trace; ok is false at the end
+// of the input.
+func (p *swfScanner) next() (job SWFJob, ok bool, err error) {
 	var vals [swfFields]float64
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
+	for p.sc.Scan() {
+		p.line++
+		text := strings.TrimSpace(p.sc.Text())
 		if text == "" || strings.HasPrefix(text, ";") {
 			continue
 		}
 		fields := strings.Fields(text)
 		if len(fields) != swfFields {
-			return fmt.Errorf("swf: line %d: %d fields, want %d", line, len(fields), swfFields)
+			return SWFJob{}, false, fmt.Errorf("swf: line %d: %d fields, want %d", p.line, len(fields), swfFields)
 		}
 		for i, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
-				return fmt.Errorf("swf: line %d field %d: %v", line, i+1, err)
+				return SWFJob{}, false, fmt.Errorf("swf: line %d field %d: %v", p.line, i+1, err)
 			}
 			vals[i] = v
 		}
 		if vals[1] < 0 {
-			return fmt.Errorf("swf: line %d: negative submit time %v", line, vals[1])
+			return SWFJob{}, false, fmt.Errorf("swf: line %d: negative submit time %v", p.line, vals[1])
 		}
 		procs := int(vals[4])
 		if procs <= 0 {
 			procs = int(vals[7]) // requested processors
 		}
-		if err := fn(SWFJob{
+		return SWFJob{
 			ID:        int(vals[0]),
 			Submit:    vals[1],
 			Wait:      vals[2],
@@ -122,14 +147,12 @@ func ParseSWFFunc(r io.Reader, fn func(SWFJob) error) error {
 			ReqTime:   vals[8],
 			Status:    int(vals[10]),
 			Partition: int(vals[15]),
-		}); err != nil {
-			return err
-		}
+		}, true, nil
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("swf: %v", err)
+	if err := p.sc.Err(); err != nil {
+		return SWFJob{}, false, fmt.Errorf("swf: %v", err)
 	}
-	return nil
+	return SWFJob{}, false, nil
 }
 
 // FormatSWF renders records as SWF text (unused fields as -1), so
