@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/slurm"
 	"repro/internal/version"
 	"repro/internal/workload"
@@ -120,7 +121,7 @@ func run(id string) error {
 		fmt.Println(workload.Table1Data())
 	}
 	if want("fig2") {
-		if err := figure2(); err != nil {
+		if err := figure2(os.Stdout); err != nil {
 			return err
 		}
 	}
@@ -265,12 +266,13 @@ func run(id string) error {
 }
 
 // figure2 narrates the SLURM launch protocol on a live mini-run.
-func figure2() error {
-	fmt.Println("== Figure 2: SLURM job launch procedure for DROM malleable applications ==")
+func figure2(w io.Writer) error {
+	fmt.Fprintln(w, "== Figure 2: SLURM job launch procedure for DROM malleable applications ==")
+	var log obs.Protocol
 	s := workload.Scenario{
-		Name:        "fig2",
-		Nodes:       2,
-		LogProtocol: true,
+		Name:  "fig2",
+		Nodes: 2,
+		Probe: &log,
 		Subs: []workload.Submission{
 			{Job: slurm.Job{Name: "job1", Spec: apps.Pils(), Cfg: apps.Config{Ranks: 2, Threads: 16},
 				Iters: 400, Nodes: 2, Malleable: true}},
@@ -282,17 +284,17 @@ func figure2() error {
 	if res.Err != nil {
 		return res.Err
 	}
-	fmt.Println("protocol events recorded by the DROM-enabled slurmd/slurmstepd:")
-	for _, e := range res.Protocol {
-		fmt.Println("  " + e.String())
+	fmt.Fprintln(w, "protocol events recorded by the DROM-enabled slurmd/slurmstepd:")
+	for _, line := range log.Lines {
+		fmt.Fprintln(w, "  "+line)
 	}
-	fmt.Println("(job1 applies staged shrinks at its next DLB_PollDROM safe point,")
-	fmt.Println(" and re-expands after job2's post_term/release_resources)")
+	fmt.Fprintln(w, "(job1 applies staged shrinks at its next DLB_PollDROM safe point,")
+	fmt.Fprintln(w, " and re-expands after job2's post_term/release_resources)")
 	for _, j := range res.Records.Jobs {
-		fmt.Printf("  %-6s submit=%6.1f start=%6.1f end=%7.1f response=%7.1f\n",
+		fmt.Fprintf(w, "  %-6s submit=%6.1f start=%6.1f end=%7.1f response=%7.1f\n",
 			j.Name, j.Submit, j.Start, j.End, j.ResponseTime())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 

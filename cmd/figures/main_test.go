@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"testing"
+)
 
 // TestRunEachArtifact executes every artifact generator end to end
 // (output goes to stdout; correctness of the numbers is asserted in
@@ -26,5 +30,23 @@ func TestExportTracesToTempDir(t *testing.T) {
 	defer func() { outDir = "" }()
 	if err := run("fig5"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFigure2Golden pins `figures -id fig2` byte for byte. The golden
+// is the stdout of the binary built before the protocol log became a
+// consumer of the probe bus (obs.Protocol); regenerate it only after an
+// intentional change of the Figure-2 protocol or its wording.
+func TestFigure2Golden(t *testing.T) {
+	var got bytes.Buffer
+	if err := figure2(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/fig2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("fig2 diverged from the golden:\n--- got\n%s--- want\n%s", got.Bytes(), want)
 	}
 }

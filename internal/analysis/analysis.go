@@ -157,16 +157,6 @@ func (p *Pass) Annotated(file *ast.File, stack []ast.Node, name string) bool {
 	return false
 }
 
-// FileOf returns the *ast.File of the pass containing pos.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // InTestFile reports whether pos lies in a _test.go file. The simvet
 // contracts bind production code; tests exercise probes and policies
 // directly and are exempt (the drivers filter test files up front, so
@@ -175,18 +165,10 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// WithStack walks every file of the pass in source order, calling fn
-// for each node with the stack of its ancestors (outermost first; the
-// node itself is stack[len(stack)-1]). Returning false prunes the walk
-// below n. The stack slice is reused between calls — copy it to
-// retain.
-func (p *Pass) WithStack(fn func(n ast.Node, stack []ast.Node) bool) {
-	for _, f := range p.Files {
-		WalkStack(f, fn)
-	}
-}
-
-// WalkStack is the single-file form of WithStack.
+// WalkStack walks root in source order, calling fn for each node with
+// the stack of its ancestors (outermost first; the node itself is
+// stack[len(stack)-1]). Returning false prunes the walk below n. The
+// stack slice is reused between calls — copy it to retain.
 func WalkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	var stack []ast.Node
 	var walk func(n ast.Node)

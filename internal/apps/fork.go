@@ -65,7 +65,6 @@ func (inst *Instance) Fork(eng *sim.Engine, demand *DemandTable, sysOf func(node
 		started:            inst.started,
 		completed:          inst.completed,
 		stopped:            inst.stopped,
-		startTime:          inst.startTime,
 		tick:               inst.tick,
 		armed:              inst.armed,
 		pendFinish:         inst.pendFinish,

@@ -60,7 +60,6 @@ type Instance struct {
 	started   bool
 	completed bool
 	stopped   bool
-	startTime float64
 	// tick tracks the instance's one pending event, and is the handle
 	// through which the engine advances steady iterations by itself.
 	tick  sim.Periodic
@@ -143,7 +142,6 @@ func (inst *Instance) Start() error {
 		return nil
 	}
 	inst.started = true
-	inst.startTime = inst.eng.Now()
 	for _, r := range inst.ranks {
 		got, code := r.p.Sys.Register(r.p.PID, r.p.InitialMask)
 		if code.IsError() {
@@ -263,9 +261,6 @@ func (inst *Instance) Resume(placements []Placement, restartCost float64) error 
 
 // Stopped reports whether the instance is checkpoint-stopped.
 func (inst *Instance) Stopped() bool { return inst.stopped }
-
-// StartTime returns when the instance started.
-func (inst *Instance) StartTime() float64 { return inst.startTime }
 
 // ItersDone returns the completed iteration count.
 func (inst *Instance) ItersDone() int {

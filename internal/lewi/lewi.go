@@ -58,9 +58,6 @@ func New(seg shmem.Segment, pid shmem.PID, owned cpuset.CPUSet, policy Policy) (
 // SetMaxBorrow caps the number of borrowed CPUs (<=0 = unlimited).
 func (m *Module) SetMaxBorrow(n int) { m.maxBorrow = n }
 
-// Owned returns the process's owned CPU set.
-func (m *Module) Owned() cpuset.CPUSet { return m.ownedMask }
-
 // SetOwned updates the owned set after a DROM mask change, releasing
 // ownership of removed CPUs and claiming added ones.
 func (m *Module) SetOwned(owned cpuset.CPUSet) derr.Code {

@@ -186,9 +186,6 @@ func (w *Workload) SetAggregate() {
 	w.aggregate = true
 }
 
-// Aggregated reports whether the workload retains only aggregates.
-func (w *Workload) Aggregated() bool { return w.aggregate }
-
 // part returns (creating on first use) the tally bucket of a
 // partition.
 func (w *Workload) part(name string) *partAgg {

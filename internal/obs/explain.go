@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/cpuset"
 )
 
 // Explain reconstructs one job's lifecycle story from the probe
@@ -10,8 +12,10 @@ import (
 // controller's priority-descending / sequence-ascending queue order
 // from submit/start/end events), the policy passes that considered
 // the job and why they passed it over, spillover verdicts, final
-// placement and completion. Build one per replay, run the replay,
-// then read Story.
+// placement, the Figure-2 protocol steps that touch it — its own
+// launch and termination, another job's DROM_PreInit stealing its CPUs
+// and the DROM_PostFinalize returning them — and completion. Build one
+// per replay, run the replay, then read Story.
 type Explain struct {
 	target string
 
@@ -33,7 +37,24 @@ type Explain struct {
 	passes     int64
 	passesFree int // free CPUs seen by the latest pass of the job's partition
 
+	// Protocol model: the binding mask of each task of the job, and the
+	// CPUs other jobs' tasks hold of them until their post_term.
+	tasks  []explainTask
+	thefts []explainTheft
+
 	b strings.Builder
+}
+
+type explainTask struct {
+	pid  int
+	node string
+	mask cpuset.CPUSet
+}
+
+type explainTheft struct {
+	thief  int // PID holding the CPUs; 0 once returned
+	victim int // index into tasks
+	mask   cpuset.CPUSet
 }
 
 type queueEntry struct {
@@ -162,12 +183,18 @@ func (e *Explain) Emit(ev Event) {
 		e.printf("t=%9.1fs  node %s failed; job killed and requeued (attempt %d)\n",
 			ev.Time, ev.Placement, ev.Target)
 
+	case KindProtocol:
+		if e.started && !e.done {
+			e.protocol(ev)
+		}
+
 	case KindJobStart:
 		e.remove(ev.Seq)
 		if !e.found || ev.Seq != e.seq || e.started {
 			return
 		}
 		e.started = true
+		e.tasks, e.thefts = e.tasks[:0], e.thefts[:0] // a relaunch gets fresh PIDs
 		if ev.Origin != "" {
 			e.printf("t=%9.1fs  re-routed by spillover: home partition %q had no room, %q can host it now\n",
 				ev.Time, ev.Origin, ev.Partition)
@@ -190,6 +217,67 @@ func (e *Explain) Emit(ev Event) {
 		}
 		e.printf("t=%9.1fs  %s after running %.1fs (response time %.1fs)\n",
 			ev.Time, ev.Outcome, ev.Time-e.start, ev.Time-e.submit)
+	}
+}
+
+// protocol narrates one protocol step of the running job. The events
+// name the acting task only; who it stole from is inferred from the
+// masks: a DROM_PreInit of another job that overlaps one of the job's
+// tasks on the same node shrinks that task by the overlap.
+func (e *Explain) protocol(ev Event) {
+	own := ev.Job == e.target
+	switch ev.Step {
+	case StepLaunchRequest:
+		if own {
+			e.printf("t=%9.1fs  %s launch_request: %d new task(s), %d victim shrink(s) planned\n",
+				ev.Time, ev.Placement, ev.Target, ev.Running)
+		}
+	case StepPreLaunch:
+		if own {
+			e.tasks = append(e.tasks, explainTask{pid: ev.PID, node: ev.Placement, mask: ev.Mask})
+			e.printf("t=%9.1fs  %s pre_launch: DROM_PreInit(pid=%d, mask=%s, STEAL) reserves %d CPU(s)\n",
+				ev.Time, ev.Placement, ev.PID, ev.Mask, ev.Mask.Count())
+			return
+		}
+		for i := range e.tasks {
+			t := &e.tasks[i]
+			taken := t.mask.And(ev.Mask)
+			if t.node != ev.Placement || taken.IsEmpty() {
+				continue
+			}
+			t.mask = t.mask.AndNot(taken)
+			e.thefts = append(e.thefts, explainTheft{thief: ev.PID, victim: i, mask: taken})
+			e.printf("t=%9.1fs  %s: job %s's DROM_PreInit(pid=%d, mask=%s, STEAL) takes %d CPU(s) from pid %d, leaving it %d at its next DLB_PollDROM\n",
+				ev.Time, ev.Placement, ev.Job, ev.PID, ev.Mask, taken.Count(), t.pid, t.mask.Count())
+		}
+	case StepPostTerm:
+		if own {
+			e.printf("t=%9.1fs  %s post_term: DROM_PostFinalize(pid=%d, RETURN_STOLEN)\n", ev.Time, ev.Placement, ev.PID)
+			return
+		}
+		for i := range e.thefts {
+			th := &e.thefts[i]
+			if th.thief != ev.PID {
+				continue
+			}
+			th.thief = 0
+			t := &e.tasks[th.victim]
+			t.mask = t.mask.Or(th.mask)
+			e.printf("t=%9.1fs  %s: job %s's DROM_PostFinalize(pid=%d, RETURN_STOLEN) returns %d CPU(s) to pid %d, now %d\n",
+				ev.Time, ev.Placement, ev.Job, ev.PID, th.mask.Count(), t.pid, t.mask.Count())
+		}
+	case StepReleaseResources, StepSchedShrink, StepSchedExpand, StepEvolvingGrant:
+		// A mask staged for one of the job's tasks; shrink/expand actions
+		// and grants are narrated where they are decided.
+		for i := range e.tasks {
+			if t := &e.tasks[i]; t.pid == ev.PID {
+				t.mask = ev.Mask
+				if ev.Step == StepReleaseResources {
+					e.printf("t=%9.1fs  %s release_resources: DROM_SetProcessMask(pid=%d, mask=%s) expands it to %d CPU(s)\n",
+						ev.Time, ev.Placement, ev.PID, ev.Mask, ev.Mask.Count())
+				}
+			}
+		}
 	}
 }
 

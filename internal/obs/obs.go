@@ -1,9 +1,10 @@
 // Package obs is the scheduler observability bus: a flat event type
 // emitted from a handful of probe points (controller scheduling
 // cycles, policy passes, action outcomes, spillover verdicts, job
-// lifecycle transitions, engine progress, sweep cell completion) and
-// a set of consumers that reconstruct user-facing views from the
-// stream — a JSONL decision trace, a per-job lifecycle explainer, a
+// lifecycle transitions, the Figure-2 DROM protocol steps, engine
+// progress, sweep cell completion) and a set of consumers that
+// reconstruct user-facing views from the stream — a JSONL decision
+// trace, a per-job lifecycle explainer, the protocol log, a
 // virtual-time sampler and zero-alloc latency histograms.
 //
 // Instrumented code holds a Probe interface value and emits only when
@@ -11,6 +12,8 @@
 // probe point and allocates nothing. Events are passed by value; a
 // consumer must copy what it wants to retain.
 package obs
+
+import "repro/internal/cpuset"
 
 // Kind discriminates Event payloads.
 type Kind uint8
@@ -66,6 +69,15 @@ const (
 	// what-if service). Queue/Running are the counts carried into the
 	// fork; Job names the what-if candidate when one drove the fork.
 	KindFork
+	// KindSnapshot: one partition's state at the end of a builtin-planner
+	// cycle — Queue, Running, Free and Cores as in KindPass. The builtin
+	// planner makes no Schedule() call, so it emits no KindPass; this is
+	// what the sampler reads in its place.
+	KindSnapshot
+	// KindProtocol: one step of the Figure-2 launch/termination protocol
+	// between the controller and a node's slurmd/slurmstepd. Step says
+	// which, Placement is the node; the Step constants list the operands.
+	KindProtocol
 )
 
 var kindNames = [...]string{
@@ -82,6 +94,8 @@ var kindNames = [...]string{
 	KindNodeUp:     "node-up",
 	KindRequeue:    "requeue",
 	KindFork:       "fork",
+	KindSnapshot:   "snapshot",
+	KindProtocol:   "protocol",
 }
 
 func (k Kind) String() string {
@@ -157,6 +171,55 @@ func (r Reason) String() string {
 	return "unknown"
 }
 
+// Step is the protocol step of a KindProtocol event: one DROM call on
+// task PID of Job (when the caller knows it) with Mask.
+type Step uint8
+
+// Protocol steps. The first four are Figure 2 of the paper.
+const (
+	StepNone Step = iota
+	// StepLaunchRequest: slurmd planned Job's launch on the node —
+	// Target new tasks, Running victim tasks to shrink. No PID or Mask.
+	StepLaunchRequest
+	// StepPreLaunch: DROM_PreInit reserved Mask for the new task with
+	// the steal flag; victims apply their shrink at their next poll.
+	StepPreLaunch
+	// StepPostTerm: DROM_PostFinalize removed the task and returned the
+	// CPUs it had stolen to owners still running. No Mask.
+	StepPostTerm
+	// StepReleaseResources: DROM_SetProcessMask expanded the task to
+	// Mask over CPUs a finished job left free.
+	StepReleaseResources
+	// StepPreLaunchRetry: the reservation hit a registry fault and is
+	// made again.
+	StepPreLaunchRetry
+	// StepEvolvingGrant: the task's own resize request was granted Mask.
+	StepEvolvingGrant
+	// StepSchedShrink / StepSchedExpand: a sched.Policy action staged
+	// Mask for the task.
+	StepSchedShrink
+	StepSchedExpand
+)
+
+var stepNames = [...]string{
+	StepNone:             "none",
+	StepLaunchRequest:    "launch_request",
+	StepPreLaunch:        "pre_launch",
+	StepPostTerm:         "post_term",
+	StepReleaseResources: "release_resources",
+	StepPreLaunchRetry:   "pre_launch_retry",
+	StepEvolvingGrant:    "evolving_grant",
+	StepSchedShrink:      "sched_shrink",
+	StepSchedExpand:      "sched_expand",
+}
+
+func (s Step) String() string {
+	if int(s) < len(stepNames) {
+		return stepNames[s]
+	}
+	return "unknown"
+}
+
 // Event is one probe emission. It is a flat value: which fields are
 // meaningful depends on Kind (see the Kind constants). Probe points
 // fill only what they know; everything else is the zero value.
@@ -164,6 +227,7 @@ type Event struct {
 	Kind   Kind
 	Act    Act
 	Reason Reason
+	Step   Step
 
 	// Time is the virtual time in seconds.
 	Time float64
@@ -185,7 +249,12 @@ type Event struct {
 	Target    int
 	Placement string
 
-	// Snapshot counters (pass/cycle events).
+	// PID and Mask are the task and the CPU mask a protocol step
+	// operates on.
+	PID  int
+	Mask cpuset.CPUSet
+
+	// Snapshot counters (pass/cycle/snapshot events).
 	Queue   int
 	Running int
 	Free    int

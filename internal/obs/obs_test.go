@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cpuset"
 )
 
 func TestKindActReasonStrings(t *testing.T) {
@@ -18,8 +20,24 @@ func TestKindActReasonStrings(t *testing.T) {
 	if ReasonBlockedByReservation.String() != "blocked-by-reservation" {
 		t.Fatalf("reason name wrong: %s", ReasonBlockedByReservation)
 	}
-	if Kind(99).String() == "" || Act(99).String() == "" || Reason(99).String() == "" {
+	if Kind(99).String() == "" || Act(99).String() == "" || Reason(99).String() == "" || Step(99).String() == "" {
 		t.Fatal("out-of-range enums must still render")
+	}
+	// The four steps of the paper's Figure 2 keep the protocol log's names.
+	for step, want := range map[Step]string{
+		StepLaunchRequest: "launch_request", StepPreLaunch: "pre_launch",
+		StepPostTerm: "post_term", StepReleaseResources: "release_resources",
+	} {
+		if step.String() != want {
+			t.Errorf("Step(%d).String() = %q, want %q", step, step, want)
+		}
+	}
+	seen := map[string]bool{}
+	for s := StepNone; int(s) < len(stepNames); s++ {
+		if name := s.String(); name == "" || seen[name] {
+			t.Errorf("Step(%d) has an empty or duplicate name %q", s, name)
+		}
+		seen[s.String()] = true
 	}
 }
 
@@ -239,6 +257,98 @@ func TestExplainStory(t *testing.T) {
 	}
 }
 
+// TestExplainInfersStealFromMasks: the protocol events name only the
+// acting task, so the explainer works out from node and mask which of
+// its job's tasks a foreign DROM_PreInit shrinks — CPU numbers repeat on
+// every node — and undoes exactly that at the thief's post_term.
+func TestExplainInfersStealFromMasks(t *testing.T) {
+	e := NewExplain("victim")
+	all, upper := cpuset.Range(0, 15), cpuset.Range(8, 15)
+	for _, ev := range []Event{
+		{Kind: KindSubmit, Job: "victim", Seq: 1, Partition: "batch", Nodes: 2, CPUs: 16},
+		// Before its start nothing is the job's business.
+		{Kind: KindProtocol, Step: StepPreLaunch, Placement: "node0", Job: "other", PID: 9, Mask: all},
+		{Kind: KindJobStart, Job: "victim", Seq: 1, Partition: "batch", CPUs: 16, Placement: "node0,node1"},
+		{Kind: KindProtocol, Step: StepLaunchRequest, Placement: "node0", Job: "victim", Target: 1},
+		{Kind: KindProtocol, Step: StepPreLaunch, Placement: "node0", Job: "victim", PID: 1, Mask: all},
+		{Kind: KindProtocol, Step: StepPreLaunch, Placement: "node1", Job: "victim", PID: 2, Mask: all},
+		{Kind: KindProtocol, Step: StepPreLaunch, Time: 50, Placement: "node1", Job: "thief", PID: 3, Mask: upper},
+		{Kind: KindProtocol, Step: StepSchedShrink, Time: 60, Placement: "node0", Job: "victim", PID: 1, Mask: cpuset.Range(0, 3)},
+		{Kind: KindProtocol, Step: StepPostTerm, Time: 90, Placement: "node1", Job: "thief", PID: 3},
+		{Kind: KindProtocol, Step: StepPostTerm, Time: 95, Placement: "node1", Job: "thief", PID: 3},
+		{Kind: KindProtocol, Step: StepReleaseResources, Time: 99, Placement: "node0", PID: 1, Mask: all},
+		{Kind: KindProtocol, Step: StepPostTerm, Time: 100, Placement: "node0", Job: "victim", PID: 1},
+		{Kind: KindJobEnd, Time: 100, Job: "victim", Seq: 1, Outcome: "completed"},
+	} {
+		e.Emit(ev)
+	}
+	story := e.Story()
+	for _, want := range []string{
+		"node0 launch_request: 1 new task(s), 0 victim shrink(s) planned",
+		"node0 pre_launch: DROM_PreInit(pid=1, mask=0-15, STEAL) reserves 16 CPU(s)",
+		"node1: job thief's DROM_PreInit(pid=3, mask=8-15, STEAL) takes 8 CPU(s) from pid 2, leaving it 8",
+		"node1: job thief's DROM_PostFinalize(pid=3, RETURN_STOLEN) returns 8 CPU(s) to pid 2, now 16",
+		"node0 release_resources: DROM_SetProcessMask(pid=1, mask=0-15) expands it to 16 CPU(s)",
+		"node0 post_term: DROM_PostFinalize(pid=1, RETURN_STOLEN)",
+	} {
+		if strings.Count(story, want) != 1 {
+			t.Errorf("story has %d of %q, want 1:\n%s", strings.Count(story, want), want, story)
+		}
+	}
+	for _, not := range []string{"pid=9", "from pid 1", "sched_shrink"} {
+		if strings.Contains(story, not) {
+			t.Errorf("story must not mention %q:\n%s", not, story)
+		}
+	}
+}
+
+// TestProtocolLines: the log renders protocol steps from their operands
+// and lists the preemptions, spills, node state changes, requeues and
+// abnormal job ends other probe points report; everything else is not
+// its business.
+func TestProtocolLines(t *testing.T) {
+	var p Protocol
+	for _, ev := range []Event{
+		{Kind: KindSubmit, Job: "j1"},
+		{Kind: KindProtocol, Step: StepLaunchRequest, Time: 50, Placement: "node0", Job: "j2", Target: 2, Running: 1},
+		{Kind: KindProtocol, Step: StepPreLaunch, Time: 50, Placement: "node0", Job: "j2", PID: 1003, Mask: cpuset.Range(8, 11)},
+		{Kind: KindProtocol, Step: StepPostTerm, Time: 151.46, Placement: "node1", Job: "j2", PID: 1005},
+		{Kind: KindProtocol, Step: StepReleaseResources, Time: 152, Placement: "node1", PID: 1002, Mask: cpuset.Range(0, 15)},
+		{Kind: KindProtocol, Step: StepEvolvingGrant, Time: 160, Placement: "node1", PID: 1002, Mask: cpuset.Range(0, 7)},
+		{Kind: KindJobEnd, Time: 165, Job: "j2", Outcome: "completed"},
+		{Kind: KindJobEnd, Time: 170, Job: "j3", Outcome: "failed"},
+		{Kind: KindAction, Act: ActStart, Reason: ReasonStarted, Job: "j4"},
+		{Kind: KindAction, Act: ActPreempt, Reason: ReasonStarted, Time: 200, Job: "j1"},
+		{Kind: KindAction, Act: ActSpill, Reason: ReasonBlockedByReservation, Job: "j5", Partition: "fat", Origin: "batch"},
+		{Kind: KindAction, Act: ActSpill, Reason: ReasonSpilled, Time: 210, Job: "j5", Partition: "fat", Origin: "batch"},
+		{Kind: KindNodeDown, Time: 300, Placement: "node2", Outcome: "drain"},
+		{Kind: KindNodeDown, Time: 310, Placement: "node3", Outcome: "down"},
+		{Kind: KindRequeue, Time: 310, Placement: "node3", Job: "j6", Target: 2},
+		{Kind: KindNodeUp, Time: 400, Placement: "node2", Outcome: "drain-end"},
+		{Kind: KindNodeUp, Time: 410, Placement: "node3", Outcome: "up"},
+	} {
+		p.Emit(ev)
+	}
+	want := []string{
+		"t=    50.0s node0  launch_request    job j2: 2 new task(s), 1 victim shrink(s) planned",
+		"t=    50.0s node0  pre_launch        DROM_PreInit(pid=1003, mask=8-11, STEAL)",
+		"t=   151.5s node1  post_term         DROM_PostFinalize(pid=1005, RETURN_STOLEN)",
+		"t=   152.0s node1  release_resources DROM_SetProcessMask(pid=1002, mask=0-15) [expand]",
+		"t=   160.0s node1  evolving_grant    pid=1002 granted 8 CPUs (mask=0-7)",
+		"t=   170.0s        job_end           job j3 failed",
+		"t=   200.0s        preempt           job j1 checkpointed",
+		"t=   210.0s        spillover         job j5 re-routed batch -> fat",
+		"t=   300.0s node2  node_drain        node draining",
+		"t=   310.0s node3  node_down         node failed",
+		"t=   310.0s node3  requeue           job j6 requeued (attempt 2)",
+		"t=   400.0s node2  node_drain_end    node back in service",
+		"t=   410.0s node3  node_up           node repaired",
+	}
+	if got := strings.Join(p.Lines, "\n"); got != strings.Join(want, "\n") {
+		t.Fatalf("protocol log:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+}
+
 func TestExplainStillQueuedFooter(t *testing.T) {
 	e := NewExplain("j9")
 	e.Emit(Event{Kind: KindSubmit, Time: 0, Job: "j9", Seq: 9, Partition: "batch", Nodes: 1, CPUs: 1})
@@ -254,7 +364,8 @@ func TestSamplerCSVAndJSON(t *testing.T) {
 		s := NewSampler(10, &buf, jsonFmt)
 		s.Emit(Event{Kind: KindPass, Time: 1, Partition: "batch", Queue: 3, Running: 2, Free: 16, Cores: 64})
 		s.Emit(Event{Kind: KindAction, Act: ActSpill, Reason: ReasonSpilled, Time: 2, Partition: "fat", Origin: "batch"})
-		s.Emit(Event{Kind: KindPass, Time: 12, Partition: "batch", Queue: 1, Running: 4, Free: 0, Cores: 64})
+		// A builtin cycle's snapshot is read like a policy pass.
+		s.Emit(Event{Kind: KindSnapshot, Time: 12, Partition: "batch", Queue: 1, Running: 4, Free: 0, Cores: 64})
 		s.Emit(Event{Kind: KindEngine, Time: 25}) // heartbeat crosses t=20
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)

@@ -9,7 +9,8 @@ import (
 // Sampler emits a per-partition time series on a fixed virtual-time
 // grid: at every interval boundary it writes one row per partition
 // with the utilization, queue depth, running-job count and cumulative
-// spill tallies the scheduler last reported before that instant. Rows
+// spill tallies the scheduler last reported before that instant (a
+// policy pass, or the builtin planner's end-of-cycle snapshot). Rows
 // are CSV by default (header first) or JSONL, and depend only on the
 // replay's decisions — the output of a deterministic replay is itself
 // byte-for-byte reproducible and plots directly.
@@ -65,7 +66,7 @@ func (s *Sampler) Emit(ev Event) {
 	switch ev.Kind {
 	case KindCycleStart, KindEngine:
 		s.advance(ev.Time)
-	case KindPass:
+	case KindPass, KindSnapshot:
 		s.advance(ev.Time)
 		p := s.part(ev.Partition)
 		p.queue = ev.Queue

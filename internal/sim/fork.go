@@ -110,20 +110,6 @@ func (e *Engine) Rebind(id EventID, fn func()) error {
 	return nil
 }
 
-// Rebound reports whether the forked event with the given ID exists
-// and has not been rebound yet. Owners that track events beyond their
-// engine lifetime use it to skip stale descriptors.
-func (e *Engine) Rebound(id EventID) (pending, bound bool) {
-	if e.rebind == nil {
-		return false, false
-	}
-	i, ok := e.rebind[int64(id)]
-	if !ok {
-		return false, false
-	}
-	return true, e.queue[i].fn != nil
-}
-
 // FinishFork closes the rebind window, verifying every forked event
 // received a closure; an unbound event means some state owner was not
 // forked and would panic (nil call) mid-run.

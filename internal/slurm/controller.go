@@ -260,16 +260,11 @@ type Controller struct {
 
 	// Probe receives observability events (submissions, scheduling
 	// cycles, policy passes, action outcomes, spillover verdicts, job
-	// starts/ends). Nil — the default — disables instrumentation
-	// entirely: every probe point is guarded by one nil check and the
-	// disabled path allocates nothing. Probes observe; they must never
-	// call back into the controller.
+	// starts/ends, the Figure-2 DROM protocol steps). Nil — the default
+	// — disables instrumentation entirely: every probe point is guarded
+	// by one nil check and the disabled path allocates nothing. Probes
+	// observe; they must never call back into the controller.
 	Probe obs.Probe
-
-	// Log accumulates the DROM protocol events (Figure 2) when
-	// LogProtocol is set.
-	LogProtocol bool
-	Log         []ProtocolEvent
 
 	// Err holds the first internal error (model bugs surface loudly).
 	Err error
@@ -281,32 +276,6 @@ type Controller struct {
 	// poisoning Err: an unreachable segment is an environment fault,
 	// not a model bug.
 	ShmemFaults int
-}
-
-// ProtocolEvent is one step of the Figure-2 launch/termination
-// protocol as executed by the controller and its per-node daemons.
-type ProtocolEvent struct {
-	Time   float64
-	Node   string
-	Step   string // launch_request, pre_launch, post_term, release_resources
-	Detail string
-}
-
-func (e ProtocolEvent) String() string {
-	return fmt.Sprintf("t=%8.1fs %-6s %-17s %s", e.Time, e.Node, e.Step, e.Detail)
-}
-
-// logf appends a protocol event when logging is on.
-//
-//simvet:coldpath body runs only when LogProtocol is on
-func (ctl *Controller) logf(node, step, format string, args ...interface{}) {
-	if !ctl.LogProtocol {
-		return
-	}
-	ctl.Log = append(ctl.Log, ProtocolEvent{
-		Time: ctl.cluster.Engine.Now(), Node: node, Step: step,
-		Detail: fmt.Sprintf(format, args...),
-	})
 }
 
 // NewController creates a controller with the given policy. One slurmd
@@ -392,6 +361,19 @@ func (ctl *Controller) fail(err error) {
 	if ctl.Err == nil {
 		ctl.Err = err
 	}
+}
+
+// protocol reports one DROM call of the Figure-2 protocol to the probe:
+// the step, the node it ran on, and the task (of which job, when the
+// caller knows) and mask it was made with.
+func (ctl *Controller) protocol(step obs.Step, ni int, job string, pid shmem.PID, mask cpuset.CPUSet) {
+	if ctl.Probe == nil {
+		return
+	}
+	ctl.Probe.Emit(obs.Event{
+		Kind: obs.KindProtocol, Step: step, Time: ctl.cluster.Engine.Now(),
+		Placement: ctl.cluster.Nodes[ni], Job: job, PID: int(pid), Mask: mask,
+	})
 }
 
 // shmemFault reports whether code is the registry-unreachable signal
@@ -532,8 +514,6 @@ func (ctl *Controller) tryPreempt(j *Job, pidx int) {
 		ctl.enqueue(&queuedJob{
 			job: v.job, submit: v.submit, seq: ctl.seq, pidx: v.pidx, homePidx: v.homePidx, resume: v,
 		})
-		ctl.logf(ctl.cluster.Nodes[v.nodeAt[0]], "preempt", "job %s checkpointed after %d iterations",
-			v.job.Name, v.inst.ItersDone())
 		if ctl.Probe != nil {
 			ctl.Probe.Emit(obs.Event{
 				Kind: obs.KindAction, Act: obs.ActPreempt, Reason: obs.ReasonStarted,
@@ -721,8 +701,12 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 	placements := ctl.placeBuf[:0]
 	for k, ni := range nodeAt {
 		node, plan, admin := ctl.cluster.Nodes[ni], plans[k], ctl.admins[ni]
-		ctl.logf(node, "launch_request", "job %s: %d new task(s), %d victim shrink(s) planned",
-			j.Name, len(plan.NewTaskMasks), len(plan.Shrinks))
+		if ctl.Probe != nil {
+			ctl.Probe.Emit(obs.Event{
+				Kind: obs.KindProtocol, Step: obs.StepLaunchRequest, Time: ctl.cluster.Engine.Now(),
+				Placement: node, Job: j.Name, Target: len(plan.NewTaskMasks), Running: len(plan.Shrinks),
+			})
+		}
 		// pre_launch: reserve the new tasks' CPUs via DROM_PreInit with
 		// the steal flag. PreInit itself stages the victims' shrinks
 		// (to exactly the masks launch_request planned, since the new
@@ -754,7 +738,7 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 				// exactly the missing staging on the existing entry.
 				code := admin.PreInit(pid, mask, core.FlagSteal)
 				for try := 0; try < preInitRetries && ctl.shmemFault(ni, code); try++ {
-					ctl.logf(node, "pre_launch_retry", "DROM_PreInit(pid=%d) retry %d after registry fault", pid, try+1)
+					ctl.protocol(obs.StepPreLaunchRetry, ni, j.Name, pid, mask)
 					code = admin.PreInit(pid, mask, core.FlagSteal)
 					if code == derr.ErrAlreadyInit {
 						code = admin.SetProcessMask(pid, mask, core.FlagSteal)
@@ -771,7 +755,7 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 					// set now (a steal shrinks the victims by exactly
 					// this mask, so the delta holds either way).
 					ctl.noteUsed(ni, mask)
-					ctl.logf(node, "pre_launch", "DROM_PreInit(pid=%d, mask=%s, STEAL)", pid, mask)
+					ctl.protocol(obs.StepPreLaunch, ni, j.Name, pid, mask)
 				}
 			}
 			placements = append(placements, apps.Placement{
@@ -786,8 +770,6 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 		// restart cost (evResume rebuilds the placements from r.tasks).
 		ctl.addRunning(r)
 		ctl.trackAfter(ctl.LaunchLatency, pendEv{kind: evResume, seq: r.seq})
-		ctl.logf(ctl.cluster.Nodes[nodeAt[0]], "resume", "job %s resumed at %d/%d iterations",
-			j.Name, r.inst.ItersDone(), r.inst.Iters)
 		return
 	}
 
@@ -851,8 +833,6 @@ func (ctl *Controller) interruptRunning(seq int) {
 		outcome = metrics.OutcomeFailed
 	}
 	r.inst.Stop()
-	ctl.logf(ctl.cluster.Nodes[r.nodeAt[0]], "interrupt", "job %s %s at %d/%d iterations",
-		r.job.Name, outcome, r.inst.ItersDone(), r.inst.Iters)
 	ctl.endJob(r, ctl.cluster.Engine.Now(), outcome)
 }
 
@@ -889,7 +869,7 @@ func (ctl *Controller) finalizeTasks(r *runningJob) {
 		} else {
 			ctl.noteFreed(t.ni, e.EffectiveMask())
 		}
-		ctl.logf(ctl.cluster.Nodes[t.ni], "post_term", "DROM_PostFinalize(pid=%d, RETURN_STOLEN)", t.pid)
+		ctl.protocol(obs.StepPostTerm, t.ni, r.job.Name, t.pid, cpuset.CPUSet{})
 	}
 }
 
@@ -987,8 +967,6 @@ func (ctl *Controller) Cancel(name string) bool {
 	for _, r := range ctl.running {
 		if r.job.Name == name {
 			r.inst.Stop()
-			ctl.logf(ctl.cluster.Nodes[r.nodeAt[0]], "scancel", "job %s killed at %d/%d iterations",
-				name, r.inst.ItersDone(), r.inst.Iters)
 			ctl.endJob(r, ctl.cluster.Engine.Now(), metrics.OutcomeCancelled)
 			return true
 		}
@@ -1041,8 +1019,7 @@ func (ctl *Controller) ServeEvolvingRequests() {
 				continue
 			}
 			ctl.invalidateNode(ni)
-			ctl.logf(node, "evolving_grant", "pid=%d %d->%d CPUs (mask=%s)",
-				req.PID, req.Current, next.Count(), next)
+			ctl.protocol(obs.StepEvolvingGrant, ni, "", req.PID, next)
 		}
 	}
 }
@@ -1060,7 +1037,7 @@ func (ctl *Controller) releaseResources(ni int) {
 		return
 	}
 	grown := PlanExpand(ctl.cluster.MachineOfNode(ni), ctl.jobsOn(ni), free)
-	// Apply in PID order: the protocol log and the first error
+	// Apply in PID order: the protocol events and the first error
 	// surfaced through ctl.fail must not depend on map iteration.
 	pids := make([]int, 0, len(grown))
 	for pid := range grown { //simvet:ordered keys collected and sorted below
@@ -1080,7 +1057,7 @@ func (ctl *Controller) releaseResources(ni int) {
 			}
 			continue
 		}
-		ctl.logf(node, "release_resources", "DROM_SetProcessMask(pid=%d, mask=%s) [expand]", pid, mask)
+		ctl.protocol(obs.StepReleaseResources, ni, "", pid, mask)
 	}
 	if len(grown) > 0 {
 		ctl.invalidateNode(ni)

@@ -18,8 +18,8 @@ package slurm
 //   - shared immutable: Job values (copy-on-write on mutation — see
 //     SetQueuedMalleable), cluster spec, node name/machine/partition
 //     tables, nodeIdx, the parsed fault script (nfWins);
-//   - dropped: Probe, protocol log, Tracer, Jitter — observers must
-//     never steer decisions, so a blind fork decides identically.
+//   - dropped: Probe, Tracer, Jitter — observers must never steer
+//     decisions, so a blind fork decides identically.
 //
 // Pending events are not re-scheduled: the engine fork preserves
 // every (time, ID) pair and the controller re-binds each ID to its own

@@ -303,7 +303,6 @@ func (ctl *Controller) nodeDown(i int, until float64) {
 			Placement: node, Outcome: "down",
 		})
 	}
-	ctl.logf(node, "node_down", "node failed until t=%.1f", until)
 	ctl.killResidents(i)
 	ctl.trackAt(until, pendEv{kind: evRepair, node: i})
 	ctl.kick()
@@ -335,7 +334,6 @@ func (ctl *Controller) nodeRepair(i int) {
 			Partition: part, Placement: node, Outcome: "up",
 		})
 	}
-	ctl.logf(node, "node_up", "node repaired after %.1fs", now-ctl.nfDownStart[i])
 	if ctl.nfRand != nil && !ctl.faultIdle() {
 		ctl.armSeededFault(i)
 	}
@@ -366,7 +364,6 @@ func (ctl *Controller) nodeDrain(i int, until float64) {
 			Placement: node, Outcome: "drain",
 		})
 	}
-	ctl.logf(node, "node_drain", "node draining until t=%.1f", until)
 	ctl.trackAt(until, pendEv{kind: evDrainEnd, node: i})
 }
 
@@ -389,7 +386,6 @@ func (ctl *Controller) drainEnd(i int) {
 			Placement: node, Outcome: "drain-end",
 		})
 	}
-	ctl.logf(node, "node_drain_end", "node back in service")
 	if ctl.nfRand != nil && !ctl.faultIdle() {
 		ctl.armSeededFault(i)
 	}
@@ -424,8 +420,6 @@ func (ctl *Controller) killResidents(ni int) {
 		ctl.Records.AddLostWork(ctl.cluster.Spec.Partitions[v.pidx].Name, now-v.start)
 		attempt := v.requeues + 1
 		if attempt > ctl.nfPlan.maxRequeues() {
-			ctl.logf(node, "node_failed", "job %s lost with the node (requeue cap %d spent)",
-				v.job.Name, ctl.nfPlan.maxRequeues())
 			ctl.recordEnd(v, now, metrics.OutcomeNodeFailed)
 			continue
 		}
@@ -454,11 +448,8 @@ func (ctl *Controller) requeueAfterBackoff(v *runningJob, node string, attempt i
 			Placement: node, Target: attempt,
 		})
 	}
-	delay := ctl.requeueBackoff(attempt)
-	ctl.logf(node, "requeue", "job %s requeued (attempt %d/%d, backoff %.1fs)",
-		v.job.Name, attempt, ctl.nfPlan.maxRequeues(), delay)
 	ctl.nfLimbo++
-	ctl.trackAfter(delay, pendEv{kind: evRequeue, job: v.job, submit: v.submit, seq: seq, home: v.homePidx, attempt: attempt})
+	ctl.trackAfter(ctl.requeueBackoff(attempt), pendEv{kind: evRequeue, job: v.job, submit: v.submit, seq: seq, home: v.homePidx, attempt: attempt})
 }
 
 // requeueArrive is the deferred half of requeueAfterBackoff

@@ -90,12 +90,16 @@ func (ctl *Controller) nodeUp(i int) bool {
 	return ctl.nfState == nil || ctl.nfState[i] == hwmodel.NodeUp
 }
 
+// scanFree reads node i's effective-free mask from shared memory.
+func (ctl *Controller) scanFree(i int) cpuset.CPUSet {
+	return ctl.nodeMasks[i].AndNot(ctl.cluster.SystemAt(i).Segment().EffectiveUsedMask())
+}
+
 // refreshFree re-scans node i's effective-free mask from shared memory
 // when an ambiguous mutation invalidated the cached one.
 func (ctl *Controller) refreshFree(i int) {
 	if !ctl.nodeFreeOK[i] {
-		used := ctl.cluster.SystemAt(i).Segment().EffectiveUsedMask()
-		ctl.nodeFree[i] = ctl.nodeMasks[i].AndNot(used)
+		ctl.nodeFree[i] = ctl.scanFree(i)
 		ctl.nodeFreeN[i] = ctl.nodeFree[i].Count()
 		ctl.nodeFreeOK[i] = true
 	}
@@ -231,6 +235,7 @@ func (ctl *Controller) schedCycle() {
 	skipped := false
 	if ctl.scheds == nil {
 		ctl.planBuiltin()
+		ctl.emitSnapshots()
 	} else {
 		skipped = ctl.planPolicies(probe)
 	}
@@ -243,6 +248,40 @@ func (ctl *Controller) schedCycle() {
 	}
 	if skipped {
 		ctl.rearmAfterSkip()
+	}
+}
+
+// emitSnapshots reports each partition's state after a builtin cycle
+// (KindSnapshot: the counters a policy pass reports as KindPass, for
+// the planner that makes no Schedule() call). Free CPUs are scanned,
+// not served from the effective-free cache: the builtin planner does
+// not keep it current (an oversubscribed task registers outside its
+// sight).
+func (ctl *Controller) emitSnapshots() {
+	if ctl.Probe == nil {
+		return
+	}
+	parts := ctl.cluster.Spec.Partitions
+	for pi := range parts {
+		ev := obs.Event{Kind: obs.KindSnapshot, Time: ctl.cluster.Engine.Now(), Partition: parts[pi].Name}
+		for _, q := range ctl.queue {
+			if q.pidx == pi {
+				ev.Queue++
+			}
+		}
+		for _, r := range ctl.running {
+			if r.pidx == pi {
+				ev.Running++
+			}
+		}
+		lo := ctl.cluster.Spec.NodeOffset(pi)
+		for ni := lo; ni < lo+parts[pi].Nodes; ni++ {
+			ev.Cores += ctl.nodeMasks[ni].Count()
+			if ctl.nodeUp(ni) {
+				ev.Free += ctl.scanFree(ni).Count()
+			}
+		}
+		ctl.Probe.Emit(ev)
 	}
 }
 
@@ -383,8 +422,7 @@ func (ctl *Controller) checkFreeInvariant() {
 	for i, node := range ctl.cluster.Nodes {
 		cores := ctl.cluster.MachineOfNode(i).CoresPerNode()
 		got := ctl.effectiveFree(i)
-		used := ctl.cluster.SystemAt(i).Segment().EffectiveUsedMask()
-		want := ctl.nodeMasks[i].AndNot(used)
+		want := ctl.scanFree(i)
 		if !ctl.nodeUp(i) {
 			// The overlay hides out-of-service nodes from every consumer;
 			// the invariant is that they expose zero capacity.
@@ -597,8 +635,7 @@ func (ctl *Controller) shrinkRunning(r *runningJob, target int) {
 			// The dropped CPUs join the node's effective-free set the
 			// moment the shrink is staged (a dirty future is binding).
 			ctl.noteFreed(ni, cur[i].AndNot(keep))
-			ctl.logf(node, "sched_shrink", "DROM_SetProcessMask(pid=%d, mask=%s) [%s]",
-				ref.pid, keep, r.job.Name)
+			ctl.protocol(obs.StepSchedShrink, ni, r.job.Name, ref.pid, keep)
 		}
 	}
 	ctl.invalidateWidth(r) // recompute the cached width on the next snapshot
@@ -639,8 +676,7 @@ func (ctl *Controller) expandRunning(r *runningJob, target int) {
 				continue
 			}
 			ctl.noteUsed(ni, extra)
-			ctl.logf(node, "sched_expand", "DROM_SetProcessMask(pid=%d, mask=%s) [%s]",
-				ref.pid, mask, r.job.Name)
+			ctl.protocol(obs.StepSchedExpand, ni, r.job.Name, ref.pid, mask)
 		}
 	}
 	ctl.invalidateWidth(r) // recompute the cached width on the next snapshot

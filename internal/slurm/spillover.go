@@ -127,13 +127,6 @@ func (ctl *Controller) spillPass() {
 			ctl.spillSortFree(host)
 			sp.resvOK = false
 			ctl.spill[home].resvOK = false
-			// logf's variadic args box at the call site even when
-			// logging is off; the guard keeps spill cycles clean.
-			if ctl.LogProtocol { //simvet:alloc protocol logging enabled only
-				ctl.logf(ctl.cluster.Nodes[ctl.cluster.Spec.NodeOffset(host)+nodes[0]],
-					"spillover", "job %s re-routed %s -> %s",
-					q.job.Name, parts[home].Name, parts[host].Name)
-			}
 			if ctl.Probe != nil {
 				ctl.Probe.Emit(obs.Event{
 					Kind: obs.KindAction, Act: obs.ActSpill, Reason: obs.ReasonSpilled,

@@ -8,7 +8,6 @@ package workload
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
@@ -192,15 +191,20 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 			return RunSchedStream(s, gen.Source(), p)
 		}},
 	}
-	protocol := func(r Result) string { return fmt.Sprint(r.Protocol) }
+	// observed is a result with the placements seen on the bus: the
+	// "job@node" of every launch_request step, in order.
+	type observed struct {
+		Result
+		placed strings.Builder
+	}
 	fields := []struct {
 		name string
 		set  func(t *testing.T, s *Scenario)
-		took func(t *testing.T, s Scenario, base, got Result)
+		took func(t *testing.T, s Scenario, base, got *observed)
 	}{
 		{"ShmemDir",
 			func(t *testing.T, s *Scenario) { s.ShmemDir = t.TempDir() },
-			func(t *testing.T, s Scenario, _, _ Result) {
+			func(t *testing.T, s Scenario, _, _ *observed) {
 				segs, err := filepath.Glob(filepath.Join(s.ShmemDir, "*.seg"))
 				if err != nil || len(segs) != nodes {
 					t.Errorf("segment files = %v (err=%v), want %d", segs, err, nodes)
@@ -208,7 +212,7 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 			}},
 		{"Trace",
 			func(_ *testing.T, s *Scenario) { s.Trace = true },
-			func(t *testing.T, _ Scenario, base, got Result) {
+			func(t *testing.T, _ Scenario, base, got *observed) {
 				if base.Tracer != nil {
 					t.Errorf("untraced run carries a tracer")
 				}
@@ -216,23 +220,16 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 					t.Errorf("traced run recorded no segments")
 				}
 			}},
-		{"LogProtocol",
-			func(_ *testing.T, s *Scenario) { s.LogProtocol = true },
-			func(t *testing.T, _ Scenario, base, got Result) {
-				if len(base.Protocol) != 0 || len(got.Protocol) == 0 {
-					t.Errorf("protocol events: %d without the flag, %d with it", len(base.Protocol), len(got.Protocol))
-				}
-			}},
 		{"NodeSelection",
 			func(_ *testing.T, s *Scenario) { s.NodeSelection = slurm.SelectPacked },
-			func(t *testing.T, _ Scenario, base, got Result) {
-				if protocol(base) == protocol(got) {
-					t.Errorf("SelectPacked placed every job where SelectFreest did")
+			func(t *testing.T, _ Scenario, base, got *observed) {
+				if base.placed.Len() == 0 || base.placed.String() == got.placed.String() {
+					t.Errorf("SelectPacked placed every job where SelectFreest did (%d bytes of placements)", base.placed.Len())
 				}
 			}},
 		{"JitterFrac+Seed",
 			func(_ *testing.T, s *Scenario) { s.JitterFrac, s.Seed = 0.05, 7 },
-			func(t *testing.T, _ Scenario, base, got Result) {
+			func(t *testing.T, _ Scenario, base, got *observed) {
 				if base.Records.TotalRunTime() == got.Records.TotalRunTime() {
 					t.Errorf("jittered makespan equals the deterministic one (%v)", got.Records.TotalRunTime())
 				}
@@ -241,12 +238,20 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 	for _, src := range sources {
 		for _, f := range fields {
 			t.Run(src.name+"/"+f.name, func(t *testing.T) {
-				// The protocol log is how placements are observed; it is
-				// off in the base of its own row only.
-				s := Scenario{Cluster: gen.Cluster, Spill: true, LogProtocol: f.name == "NodeSelection"}
-				base := src.run(s)
+				observe := func(s Scenario) *observed {
+					o := &observed{}
+					s.Probe = obs.Func(func(ev obs.Event) {
+						if ev.Kind == obs.KindProtocol && ev.Step == obs.StepLaunchRequest {
+							o.placed.WriteString(ev.Job + "@" + ev.Placement + " ")
+						}
+					})
+					o.Result = src.run(s)
+					return o
+				}
+				s := Scenario{Cluster: gen.Cluster, Spill: true}
+				base := observe(s)
 				f.set(t, &s)
-				got := src.run(s)
+				got := observe(s)
 				if base.Err != nil || got.Err != nil {
 					t.Fatalf("base err %v, with field err %v", base.Err, got.Err)
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/hwmodel"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/slurm"
 )
@@ -204,7 +205,12 @@ func TestHeteroPartitionRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.DebugInvariants = true
-	sc.LogProtocol = true
+	var launches []obs.Event
+	sc.Probe = obs.Func(func(ev obs.Event) {
+		if ev.Kind == obs.KindProtocol && ev.Step == obs.StepLaunchRequest {
+			launches = append(launches, ev)
+		}
+	})
 	for _, sub := range sc.Subs {
 		if sub.Job.Partition != "batch" && sub.Job.Partition != "fat" {
 			t.Fatalf("job %s targets partition %q", sub.Job.Name, sub.Job.Partition)
@@ -231,19 +237,16 @@ func TestHeteroPartitionRouting(t *testing.T) {
 			t.Fatalf("job %s recorded in partition %q, targeted %q", rec.Name, rec.Partition, want)
 		}
 	}
-	for _, ev := range res.Protocol {
-		if ev.Step != "launch_request" {
-			continue
-		}
-		name := strings.Fields(ev.Detail)[1]
-		name = strings.TrimSuffix(name, ":")
-		want := partOf[name]
+	if len(launches) < len(sc.Subs) {
+		t.Fatalf("%d launch_request events for %d jobs", len(launches), len(sc.Subs))
+	}
+	for _, ev := range launches {
+		want := partOf[ev.Job]
 		if want == "" {
-			continue
+			t.Fatalf("launch_request names unknown job %q", ev.Job)
 		}
-		inBatch := batchNodes[ev.Node]
-		if (want == "batch") != inBatch {
-			t.Fatalf("job %s (partition %s) launched on %s", name, want, ev.Node)
+		if (want == "batch") != batchNodes[ev.Placement] {
+			t.Fatalf("job %s (partition %s) launched on %s", ev.Job, want, ev.Placement)
 		}
 	}
 	stats := res.Records.PartitionStats()

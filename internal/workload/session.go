@@ -124,7 +124,6 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 	if err := installSched(ctl, s, install); err != nil {
 		return nil, err
 	}
-	ctl.LogProtocol = s.LogProtocol
 	ctl.NodeSelection = s.NodeSelection
 	ctl.ServeEvolving = s.ServeEvolving
 	ctl.DebugInvariants = s.DebugInvariants
@@ -282,7 +281,6 @@ func (s *Session) Result() Result {
 	if dc, ok := s.src.(interface{ Dropped() metrics.DropStats }); ok {
 		res.Records.Dropped = dc.Dropped()
 	}
-	res.Protocol = s.ctl.Log
 	res.SchedCycles = s.ctl.Cycles
 	res.Events = s.eng.Processed()
 	res.Steps = res.Events + s.eng.Skipped()

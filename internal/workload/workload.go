@@ -40,8 +40,6 @@ type Scenario struct {
 	Subs  []Submission
 	// Trace enables per-thread tracing (needed for Figures 5, 13, 14).
 	Trace bool
-	// LogProtocol records the Figure-2 DROM protocol events.
-	LogProtocol bool
 	// NodeSelection orders candidate nodes at placement (victim-node
 	// policy).
 	NodeSelection slurm.NodeSelection
@@ -166,7 +164,6 @@ type Result struct {
 	Policy   slurm.Policy
 	Records  metrics.Workload
 	Tracer   *trace.Tracer
-	Protocol []slurm.ProtocolEvent
 	// SchedCycles counts the scheduling-policy passes the controller
 	// executed (0 when no sched.Policy was installed).
 	SchedCycles int64
