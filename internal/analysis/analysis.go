@@ -148,7 +148,7 @@ func (p *Pass) Annotated(file *ast.File, stack []ast.Node, name string) bool {
 	fa := p.fileAnnotsOf(file)
 	for _, n := range stack {
 		switch n.(type) {
-		case ast.Stmt, ast.Decl, *ast.File:
+		case ast.Stmt, ast.Decl, *ast.File, *ast.Field:
 			if fa.nodeAnnotated(p.Fset, n, name) {
 				return true
 			}

@@ -18,7 +18,8 @@
 //     escape together)
 //   - string concatenation (+ / += on strings)
 //   - interface boxing: passing a concrete non-pointer value to an
-//     interface parameter (including variadic ...interface{})
+//     interface parameter (including variadic ...interface{}; a type
+//     parameter is not one)
 //
 // Arguments to panic are exempt: panics are terminal, never
 // steady-state. //simvet:alloc on a statement or function silences a
@@ -210,6 +211,9 @@ func checkBoxing(pass *analysis.Pass, file *ast.File, call *ast.CallExpr, fn *ty
 			pt = params.At(i).Type()
 		default:
 			continue
+		}
+		if _, generic := pt.(*types.TypeParam); generic {
+			continue // instantiated with the argument's own type: no box
 		}
 		if _, isIface := pt.Underlying().(*types.Interface); !isIface {
 			continue

@@ -38,8 +38,9 @@ func (p *P) helper(n int) {
 	_ = f()
 	g := func() int { return 0 } // non-capturing: static, exempt
 	_ = g()
-	sink(n)      // want `boxes the value`
-	sink(&p.buf) // pointers store directly in the interface word: exempt
+	sink(n)          // want `boxes the value`
+	sink(&p.buf)     // pointers store directly in the interface word: exempt
+	_ = first(p.buf) // a type parameter is not an interface parameter: exempt
 	if n < 0 {
 		panic(fmt.Sprintf("bad %d", n)) // panic is terminal: exempt
 	}
@@ -55,6 +56,8 @@ func (p *P) cold(n int) {
 }
 
 func sink(v interface{}) {}
+
+func first[S ~[]E, E any](s S) E { return s[0] }
 
 // NotReachable is never called from a hotpath seed; its allocations
 // are not the analyzer's business.

@@ -16,8 +16,18 @@
 //     receiver and never read the receiver's scratch field, or the
 //     forked lineage would share (and race on) the parent's buffers.
 //
-// The analyzer triggers only in packages that define a struct type
-// named scratch; everywhere else it is a no-op.
+// Rules 1–4 trigger only in packages that define a struct type named
+// scratch. A fifth binds the other kind of reused memory, the free
+// list — a struct field marked //simvet:freelist, holding records that
+// were scrubbed when their owner was done with them and are handed out
+// again (the controller's job records, a segment's process slots):
+//
+//  5. a fork function (Fork, fork*, ClonePolicy) neither mentions a
+//     free-list field nor calls a function of the package that does.
+//     The fork starts with an empty list and allocates its records
+//     fresh, so nothing recycled is ever reachable from two lineages.
+//
+// Everywhere else the analyzer is a no-op.
 package scratchcontract
 
 import (
@@ -32,11 +42,13 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "scratchcontract",
 	Doc: "scratch-carrying policy types must use pointer receivers, never be copied by value, " +
-		"constructors must return fresh instances, and ClonePolicy must not alias receiver scratch",
+		"constructors must return fresh instances, ClonePolicy must not alias receiver scratch, " +
+		"and fork functions must not touch //simvet:freelist fields",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
+	checkFreeLists(pass)
 	scratch := findScratch(pass)
 	if scratch == nil {
 		return nil
@@ -311,6 +323,84 @@ func checkClonePolicy(pass *analysis.Pass, carrying map[*types.Named]bool, scrat
 		}
 		return true
 	})
+}
+
+// checkFreeLists enforces rule 5 over the package.
+func checkFreeLists(pass *analysis.Pass) {
+	// The free-list fields: struct fields annotated //simvet:freelist.
+	lists := map[types.Object]bool{}
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if field, ok := n.(*ast.Field); ok && pass.Annotated(file, []ast.Node{field}, "freelist") {
+				for _, name := range field.Names {
+					lists[pass.TypesInfo.Defs[name]] = true
+				}
+			}
+			return true
+		})
+	}
+	if len(lists) == 0 {
+		return
+	}
+	// mentions returns the free-list field an identifier resolves to
+	// (a selector's Sel, or the key of a composite literal), or nil.
+	mentions := func(n ast.Node) types.Object {
+		if id, ok := n.(*ast.Ident); ok && lists[pass.TypesInfo.Uses[id]] {
+			return pass.TypesInfo.Uses[id]
+		}
+		return nil
+	}
+	// The functions that take from or add to a list: a fork calling one
+	// moves a recycled record across lineages as surely as reading the
+	// field does.
+	var forks []*ast.FuncDecl
+	users := map[*types.Func]types.Object{}
+	for _, file := range pass.Files {
+		if pass.InTestFile(file.Pos()) {
+			continue
+		}
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if isForkName(fd.Name.Name) {
+				forks = append(forks, fd)
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if list := mentions(n); list != nil {
+					if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+						users[fn] = list
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, fd := range forks {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if list := mentions(n); list != nil {
+				pass.Reportf(n.Pos(),
+					"%s mentions free list %s: a fork starts with an empty list and allocates its records fresh, or recycled memory is reachable from two lineages",
+					fd.Name.Name, list.Name())
+			}
+			if call, ok := n.(*ast.CallExpr); ok {
+				if fn := pass.Callee(call); fn != nil && users[fn] != nil {
+					pass.Reportf(call.Pos(),
+						"%s calls %s, which uses free list %s: a fork allocates its records fresh and leaves the list alone",
+						fd.Name.Name, fn.Name(), users[fn].Name())
+				}
+			}
+			return true
+		})
+	}
+}
+
+// isForkName matches the functions that build a forked lineage's
+// state: Fork, the fork* helpers beside it, and ClonePolicy.
+func isForkName(name string) bool {
+	return name == "ClonePolicy" || strings.HasPrefix(name, "Fork") || strings.HasPrefix(name, "fork")
 }
 
 // isParam reports whether v is one of fd's parameters (including the

@@ -8,5 +8,5 @@ import (
 )
 
 func TestScratchContract(t *testing.T) {
-	atest.Run(t, scratchcontract.Analyzer, "sc")
+	atest.Run(t, scratchcontract.Analyzer, "sc", "fl")
 }

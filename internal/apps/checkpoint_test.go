@@ -123,3 +123,44 @@ func TestResumeOnDifferentCPUs(t *testing.T) {
 		t.Errorf("relocated mask = %v", inst.RankMask(0))
 	}
 }
+
+// TestStopInWindowResumeStop: an instance checkpointed inside its
+// launch-latency window (Stop before Start, so the deferred Start is a
+// no-op) and then resumed is a started instance like any other — a
+// second Stop must cancel its pending event and release every
+// registration and all demand, not take the "never registered" branch.
+func TestStopInWindowResumeStop(t *testing.T) {
+	b := newBed()
+	spec := Pils()
+	spec.InitSeconds = 0
+	cfg := Config{Ranks: 2, Threads: 16}
+	inst, _ := NewInstance(spec, cfg, 300, "p", b.eng, b.demand, nil, b.placements(cfg))
+	inst.OnComplete = func(float64) {}
+	inst.Stop()
+	if err := inst.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Resume(b.placements(cfg), 0); err != nil {
+		t.Fatal(err)
+	}
+	b.eng.RunUntil(50)
+	if done := inst.ItersDone(); done < 45 {
+		t.Fatalf("resumed instance ran %d iterations in 50 s", done)
+	}
+	inst.Stop()
+	for _, n := range []string{"node0", "node1"} {
+		if got := b.sys[n].Segment().NumProcs(); got != 0 {
+			t.Errorf("%s: %d registrations left after the second Stop", n, got)
+		}
+		if got := b.demand.Threads(n); got != 0 {
+			t.Errorf("%s: %d threads of demand left after the second Stop", n, got)
+		}
+	}
+	if inst.tick.Pending() {
+		t.Error("the instance's event is still pending after the second Stop")
+	}
+	b.eng.Run()
+	if inst.Completed() {
+		t.Error("stopped instance completed by itself")
+	}
+}

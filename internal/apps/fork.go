@@ -73,15 +73,16 @@ func (inst *Instance) Fork(eng *sim.Engine, demand *DemandTable, sysOf func(node
 	cp.iterateFn = cp.iterate
 	cp.finishFn = cp.finish
 	live := inst.started && !inst.stopped && !inst.completed
-	for _, r := range inst.ranks {
-		nr := &rankRun{p: r.p, chunks: r.chunks, mask: r.mask, spans: r.spans}
+	cp.ranks = make([]rankRun, len(inst.ranks))
+	for i := range inst.ranks {
+		r, nr := &inst.ranks[i], &cp.ranks[i]
+		*nr = rankRun{p: r.p, chunks: r.chunks, mask: r.mask, spans: r.spans}
 		nr.p.Sys = sysOf(r.p.Node)
 		if live {
 			nr.dem = demand.Handle(r.p.Node)
 			nr.dem.n.setOwner(nr.p.PID, cp)
 			nr.p.Sys.WatchStages(nr.dem.n)
 		}
-		cp.ranks = append(cp.ranks, nr)
 	}
 	return cp
 }

@@ -49,7 +49,10 @@ type Instance struct {
 	// unregisters its ranks itself (plain DLB_Finalize).
 	FinalizeExternally bool
 
-	ranks     []*rankRun
+	// ranks, envs and the two bound method values outlive a Reset: a
+	// recycled instance rebuilds its rank state in the arrays the last
+	// job left behind.
+	ranks     []rankRun
 	envs      []RankEnv // per-iteration scratch, reused across events
 	iterateFn func()    // pre-bound method values: one closure per
 	finishFn  func()    // instance, not one per scheduled event
@@ -110,22 +113,50 @@ func (r *rankRun) activeThreads(spec *Spec) int {
 func NewInstance(spec Spec, cfg Config, iters int, jobName string,
 	eng *sim.Engine, demand *DemandTable, tracer *trace.Tracer,
 	placements []Placement) (*Instance, error) {
+	inst := new(Instance)
+	if err := inst.Reset(spec, cfg, iters, jobName, eng, demand, tracer, placements); err != nil {
+		return nil, err
+	}
+	return inst, nil
+}
+
+// Reset makes inst the execution NewInstance would build from the same
+// arguments, in place: every field is set as on a fresh instance, and
+// the rank array, the iteration scratch and the bound method values of
+// the previous use are kept. The caller owns the instance's lifetime —
+// it must be idle (never started, completed or stopped, with no event
+// pending) and referenced by nothing but the caller.
+func (inst *Instance) Reset(spec Spec, cfg Config, iters int, jobName string,
+	eng *sim.Engine, demand *DemandTable, tracer *trace.Tracer,
+	placements []Placement) error {
 	if len(placements) != cfg.Ranks {
-		return nil, fmt.Errorf("apps: %d placements for %d ranks", len(placements), cfg.Ranks)
+		return fmt.Errorf("apps: %d placements for %d ranks", len(placements), cfg.Ranks)
 	}
 	if iters <= 0 {
 		iters = spec.DefaultIters
 	}
-	inst := &Instance{
-		Spec: spec, Cfg: cfg, Iters: iters, JobName: jobName,
-		eng: eng, demand: demand, tracer: tracer,
+	inst.Scrub()
+	inst.Spec, inst.Cfg, inst.Iters, inst.JobName = spec, cfg, iters, jobName
+	inst.eng, inst.demand, inst.tracer = eng, demand, tracer
+	if inst.iterateFn == nil {
+		inst.iterateFn = inst.iterate
+		inst.finishFn = inst.finish
 	}
-	inst.iterateFn = inst.iterate
-	inst.finishFn = inst.finish
 	for _, p := range placements {
-		inst.ranks = append(inst.ranks, &rankRun{p: p, chunks: cfg.Threads})
+		inst.ranks = append(inst.ranks, rankRun{p: p, chunks: cfg.Threads})
 	}
-	return inst, nil
+	return nil
+}
+
+// Scrub zeroes the instance down to what Reset keeps — the (emptied)
+// rank and scratch arrays and the bound method values — so an idle
+// instance parked for reuse pins no job, engine, ledger or tracer.
+func (inst *Instance) Scrub() {
+	clear(inst.ranks) // the placements point at DROM systems
+	*inst = Instance{
+		ranks: inst.ranks[:0], envs: inst.envs[:0],
+		iterateFn: inst.iterateFn, finishFn: inst.finishFn,
+	}
 }
 
 // Start registers the ranks with DROM and begins execution at the
@@ -142,7 +173,8 @@ func (inst *Instance) Start() error {
 		return nil
 	}
 	inst.started = true
-	for _, r := range inst.ranks {
+	for i := range inst.ranks {
+		r := &inst.ranks[i]
 		got, code := r.p.Sys.Register(r.p.PID, r.p.InitialMask)
 		if code.IsError() {
 			return fmt.Errorf("apps: register rank of %s: %w", inst.JobName, code)
@@ -243,8 +275,12 @@ func (inst *Instance) Resume(placements []Placement, restartCost float64) error 
 	if len(placements) != len(inst.ranks) {
 		return fmt.Errorf("apps: Resume with %d placements for %d ranks", len(placements), len(inst.ranks))
 	}
-	inst.stopped = false
-	for i, r := range inst.ranks {
+	// Registered from here on, however the checkpoint was taken: a
+	// Stop inside the launch-latency window leaves started unset, and a
+	// later Stop must release what this registers.
+	inst.stopped, inst.started = false, true
+	for i := range inst.ranks {
+		r := &inst.ranks[i]
 		r.p = placements[i]
 		got, code := r.p.Sys.Register(r.p.PID, r.p.InitialMask)
 		if code.IsError() {
@@ -280,7 +316,8 @@ func (inst *Instance) iterate() {
 	}
 	inst.settle()
 	// Malleability point: every rank polls DROM (DLB_PollDROM).
-	for _, r := range inst.ranks {
+	for i := range inst.ranks {
+		r := &inst.ranks[i]
 		if m, code := r.p.Sys.Poll(r.p.PID); code == derr.Success {
 			inst.applyMask(r, m)
 		}
@@ -291,7 +328,8 @@ func (inst *Instance) iterate() {
 		inst.envs = make([]RankEnv, len(inst.ranks))
 	}
 	envs := inst.envs[:len(inst.ranks)]
-	for i, r := range inst.ranks {
+	for i := range inst.ranks {
+		r := &inst.ranks[i]
 		env := RankEnv{
 			Threads:      r.activeThreads(&inst.Spec),
 			Chunks:       r.chunks,
@@ -341,7 +379,8 @@ func (inst *Instance) arm(iterDur float64) {
 func (inst *Instance) recordTrace(iterDur float64, envs []RankEnv) {
 	t0 := inst.eng.Now()
 	t1 := t0 + iterDur
-	for i, r := range inst.ranks {
+	for i := range inst.ranks {
+		r := &inst.ranks[i]
 		env := envs[i]
 		cpus := r.mask.List()
 		ipc := inst.Spec.EffIPC(env)
@@ -375,7 +414,9 @@ func (inst *Instance) recordTrace(iterDur float64, envs []RankEnv) {
 	}
 }
 
-// finish unregisters the ranks and fires OnComplete.
+// finish unregisters the ranks and fires OnComplete — last: the hook
+// may hand the instance to its owner's free list, so nothing here
+// touches it once the hook returns.
 func (inst *Instance) finish() {
 	if inst.completed || inst.stopped {
 		return

@@ -287,3 +287,78 @@ func TestTraceRecordsImbalance(t *testing.T) {
 			removedSeen, busySeen, idleSeen)
 	}
 }
+
+// TestResetRunsLikeNewInstance: an instance that ran one job to its end
+// (and one that was checkpoint-stopped) and is Reset for a job of
+// another shape runs it exactly as a fresh instance does — same end
+// time, same iteration and step counts — keeps its rank array, and a
+// scrubbed instance pins nothing of the job it served.
+func TestResetRunsLikeNewInstance(t *testing.T) {
+	first, second := Config{Ranks: 4, Threads: 8}, Config{Ranks: 2, Threads: 16}
+	run := func(b *testBed, inst *Instance) (end float64) {
+		inst.OnComplete = func(e float64) { end = e }
+		if err := inst.Start(); err != nil {
+			t.Fatal(err)
+		}
+		b.eng.Run()
+		if !inst.Completed() {
+			t.Fatal("instance did not complete")
+		}
+		return end
+	}
+	fresh := newBed()
+	ref, err := NewInstance(Pils(), second, 40, "second", fresh.eng, fresh.demand, nil, fresh.placements(second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEnd := run(fresh, ref)
+
+	for _, stopFirst := range []bool{false, true} {
+		b := newBed()
+		inst, err := NewInstance(STREAM(), first, 25, "first", b.eng, b.demand, nil, b.placements(first))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stopFirst {
+			inst.OnComplete = func(float64) {}
+			inst.Start()
+			b.eng.RunUntil(5)
+			inst.Stop()
+		} else {
+			run(b, inst)
+		}
+		ranks := &inst.ranks[0]
+		inst.Scrub()
+		if inst.JobName != "" || inst.eng != nil || inst.demand != nil || inst.OnComplete != nil ||
+			len(inst.ranks) != 0 || inst.Completed() || inst.Stopped() || inst.tick.Pending() {
+			t.Fatalf("scrubbed instance still holds state: %+v", inst)
+		}
+		// A fresh bed's clock starts at 0; this one is at the first job's
+		// end, so compare durations.
+		t0 := b.eng.Now()
+		steps0 := b.eng.Processed() + b.eng.Skipped()
+		if err := inst.Reset(Pils(), second, 40, "second", b.eng, b.demand, nil, b.placements(second)); err != nil {
+			t.Fatal(err)
+		}
+		if &inst.ranks[0] != ranks {
+			t.Error("Reset did not keep the rank array")
+		}
+		if end := run(b, inst); math.Abs((end-t0)-wantEnd) > 1e-9 {
+			t.Errorf("stopFirst=%v: recycled instance ran %v s, a fresh one %v s", stopFirst, end-t0, wantEnd)
+		}
+		if got, want := b.eng.Processed()+b.eng.Skipped()-steps0, fresh.eng.Processed()+fresh.eng.Skipped(); got != want {
+			t.Errorf("stopFirst=%v: recycled instance took %d steps, a fresh one %d", stopFirst, got, want)
+		}
+		if inst.ItersDone() != ref.ItersDone() {
+			t.Errorf("stopFirst=%v: %d iterations, a fresh instance %d", stopFirst, inst.ItersDone(), ref.ItersDone())
+		}
+		for _, n := range []string{"node0", "node1"} {
+			if b.sys[n].Segment().NumProcs() != 0 || b.demand.Threads(n) != 0 {
+				t.Errorf("stopFirst=%v: %s keeps registrations or demand", stopFirst, n)
+			}
+		}
+	}
+	if err := ref.Reset(Pils(), second, 40, "bad", fresh.eng, fresh.demand, nil, nil); err == nil {
+		t.Error("Reset with no placements for two ranks succeeded")
+	}
+}

@@ -117,36 +117,25 @@ func BWSlowdown(totalDemandGBs, capacityGBs float64) float64 {
 // It returns fewer than n CPUs when available is too small.
 func (m Machine) SocketAwarePick(available cpuset.CPUSet, n int) cpuset.CPUSet {
 	var picked cpuset.CPUSet
-	if n <= 0 {
-		return picked
-	}
-	type socketAvail struct {
-		socket int
-		free   cpuset.CPUSet
-	}
-	socks := make([]socketAvail, m.SocketsPerNode)
-	for s := 0; s < m.SocketsPerNode; s++ {
-		socks[s] = socketAvail{socket: s, free: available.And(m.SocketMask(s))}
-	}
 	// Prefer sockets with the most free CPUs: jobs land on the
-	// emptiest socket, keeping co-allocated jobs apart.
-	for picked.Count() < n {
-		best := -1
-		for i := range socks {
-			if socks[i].free.IsEmpty() {
-				continue
-			}
-			if best < 0 || socks[i].free.Count() > socks[best].free.Count() {
-				best = i
+	// emptiest socket, keeping co-allocated jobs apart. A socket's free
+	// set is what is left of available inside it, recomputed per round
+	// (rounds are bounded by the socket count) instead of kept in a
+	// per-call table.
+	for left := n; left > 0; {
+		var best cpuset.CPUSet
+		for s := 0; s < m.SocketsPerNode; s++ {
+			if free := available.And(m.SocketMask(s)); free.Count() > best.Count() {
+				best = free
 			}
 		}
-		if best < 0 {
-			break
+		if best.IsEmpty() {
+			break // available is exhausted: fewer than n CPUs come back
 		}
-		take := n - picked.Count()
-		got := socks[best].free.TakeLowest(take)
+		got := best.TakeLowest(left)
 		picked = picked.Or(got)
-		socks[best].free = socks[best].free.AndNot(got)
+		available = available.AndNot(got)
+		left -= got.Count()
 	}
 	return picked
 }

@@ -8,6 +8,7 @@ package shmem
 // contracts directly.
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cpuset"
@@ -131,5 +132,58 @@ func TestForkFaultReseedsDeterministically(t *testing.T) {
 		if c1, c2 := s1.SetFuture(1, cpuset.Range(0, 5)), s2.SetFuture(1, cpuset.Range(0, 5)); c1 != c2 {
 			t.Fatalf("parent stream perturbed by fork at op %d: %v vs %v", i, c1, c2)
 		}
+	}
+}
+
+// TestSlotReuseIsInvisibleAndUnforked: a slot Unregister emptied serves
+// the next registration looking exactly like a fresh one — no mask,
+// flag, counter or theft of the process it held before — the free
+// slots are bounded by the peak of live processes, and a fork starts
+// with none, so the two lineages can never fill the same slot.
+func TestSlotReuseIsInvisibleAndUnforked(t *testing.T) {
+	s := NewRegistry().MustOpen("node0", cpuset.Range(0, 15), 0).(*MemSegment)
+	fresh := NewRegistry().MustOpen("node0", cpuset.Range(0, 15), 0).(*MemSegment)
+
+	// A process with every field set, then gone.
+	if c := s.RegisterPreInit(1, cpuset.Range(0, 7), []Theft{{Victim: 9, Mask: cpuset.Range(0, 3)}}); c.IsError() {
+		t.Fatal(c)
+	}
+	s.Register(1, cpuset.Range(0, 7))
+	s.SetFuture(1, cpuset.Range(0, 3))
+	s.ApplyFuture(1)
+	s.SetResizeRequest(1, 5)
+	s.Unregister(1)
+	if len(s.freeProcs) != 1 {
+		t.Fatalf("%d free slots after one Unregister, want 1", len(s.freeProcs))
+	}
+	slot := s.freeProcs[0]
+
+	for _, seg := range []*MemSegment{s, fresh} {
+		if c := seg.RegisterPreInit(2, cpuset.Range(8, 15), nil); c.IsError() {
+			t.Fatal(c)
+		}
+		if c := seg.Register(3, cpuset.Range(0, 3)); c.IsError() {
+			t.Fatal(c)
+		}
+	}
+	if s.procs[2] != slot || len(s.freeProcs) != 0 {
+		t.Error("the freed slot was not reused by the next registration")
+	}
+	if got, want := s.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("entries in reused slots\n %+v\nentries in fresh slots\n %+v", got, want)
+	}
+
+	s.Unregister(2)
+	f := s.forkMem()
+	if len(f.freeProcs) != 0 {
+		t.Errorf("fork starts with %d free slots, want 0", len(f.freeProcs))
+	}
+	f.RegisterPreInit(4, cpuset.Range(8, 15), nil)
+	s.RegisterPreInit(4, cpuset.Range(8, 11), nil)
+	if f.procs[4] == s.procs[4] {
+		t.Error("fork and parent registered into the same slot")
+	}
+	if e, _ := f.Lookup(4); !e.CurrentMask.Equal(cpuset.Range(8, 15)) {
+		t.Errorf("fork's entry reads %s after the parent registered the same pid", e.CurrentMask)
 	}
 }

@@ -97,6 +97,16 @@ type MemSegment struct {
 	procs    map[PID]*ProcEntry
 	cpus     []cpuState
 	watchers map[PID][]chan struct{}
+	// freeProcs holds the slots Unregister emptied, zeroed but for the
+	// Stolen backing array, for the next Register/RegisterPreInit to
+	// fill: no caller ever holds a slot's pointer (Lookup and Snapshot
+	// return copies), so a replay registers its tasks into the same few
+	// slots instead of allocating one per task. The list never exceeds
+	// the peak of simultaneously registered processes, and a fork starts
+	// with none.
+	//
+	//simvet:freelist
+	freeProcs []*ProcEntry
 	// generation increments on every mutation; synchronous waiters use
 	// it to detect progress without missing wakeups.
 	generation uint64
@@ -152,13 +162,25 @@ func (s *MemSegment) Register(pid PID, mask cpuset.CPUSet) derr.Code {
 	if mask.IsEmpty() || !mask.IsSubsetOf(s.nodeCPUs) {
 		return derr.ErrInvalid
 	}
-	s.procs[pid] = &ProcEntry{
-		PID:         pid,
-		OwnedMask:   mask,
-		CurrentMask: mask,
-	}
+	s.newSlot(pid, mask)
 	s.bump()
 	return derr.Success
+}
+
+// newSlot fills a process slot for pid holding mask — a recycled one
+// when Unregister left any — and enters it in the table. Called with
+// the lock held.
+func (s *MemSegment) newSlot(pid PID, mask cpuset.CPUSet) *ProcEntry {
+	var e *ProcEntry
+	if n := len(s.freeProcs); n > 0 {
+		e, s.freeProcs[n-1] = s.freeProcs[n-1], nil
+		s.freeProcs = s.freeProcs[:n-1]
+	} else {
+		e = new(ProcEntry)
+	}
+	e.PID, e.OwnedMask, e.CurrentMask = pid, mask, mask
+	s.procs[pid] = e
+	return e
 }
 
 // RegisterPreInit adds a PreInit slot on behalf of a process that will
@@ -176,13 +198,9 @@ func (s *MemSegment) RegisterPreInit(pid PID, mask cpuset.CPUSet, stolen []Theft
 	if mask.IsEmpty() || !mask.IsSubsetOf(s.nodeCPUs) {
 		return derr.ErrInvalid
 	}
-	s.procs[pid] = &ProcEntry{
-		PID:         pid,
-		OwnedMask:   mask,
-		CurrentMask: mask,
-		PreInit:     true,
-		Stolen:      append([]Theft(nil), stolen...),
-	}
+	e := s.newSlot(pid, mask)
+	e.PreInit = true
+	e.Stolen = append(e.Stolen, stolen...)
 	s.bump()
 	return derr.Success
 }
@@ -191,10 +209,13 @@ func (s *MemSegment) RegisterPreInit(pid PID, mask cpuset.CPUSet, stolen []Theft
 func (s *MemSegment) Unregister(pid PID) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.procs[pid]; !ok {
+	e, ok := s.procs[pid]
+	if !ok {
 		return derr.ErrNoProc
 	}
 	delete(s.procs, pid)
+	*e = ProcEntry{Stolen: e.Stolen[:0]}
+	s.freeProcs = append(s.freeProcs, e)
 	// Drop ownership of the process's CPUs in the cpuinfo table.
 	for c := range s.cpus {
 		if s.cpus[c].owner == pid {

@@ -37,7 +37,11 @@ type taskRef struct {
 	ni  int
 }
 
-// runningJob tracks a launched job.
+// runningJob tracks a launched job. Records are recycled: endJob hands
+// a finished job's record to the controller's free list and the next
+// launch fills it again, keeping the instance, the backing arrays of
+// the three slices and the completion callback (see newRunning and
+// releaseRunning).
 type runningJob struct {
 	job      *Job
 	seq      int // submission sequence, the scheduler's stable handle
@@ -65,6 +69,10 @@ type runningJob struct {
 	// back to the queue (see nodefault.go; the retry cap makes the
 	// next failure terminal).
 	requeues int
+
+	// onComplete is the instance's completion hook, bound to this
+	// record once: ctl.onJobEnd(r, end).
+	onComplete func(end float64)
 }
 
 // hasNode reports whether r occupies the node at global index ni.
@@ -198,6 +206,21 @@ type Controller struct {
 	lastCycleAt  float64
 	rearmedAt    float64
 
+	// Free lists of job records (see newRunning/releaseRunning and
+	// newQueued/releaseQueued): a record whose job ended, or left the
+	// queue for a launch, is scrubbed and kept for the next one. They
+	// hold at most the peak number of simultaneously live records, and
+	// nothing on them is reachable from anywhere else — a Fork child
+	// starts with both empty and allocates its clones fresh.
+	//
+	//simvet:freelist
+	freeRunning []*runningJob
+	//simvet:freelist
+	freeQueued []*queuedJob
+	// neverRecycle, set by tests only, keeps both lists empty: the
+	// allocate-every-record reference the recycling is compared against.
+	neverRecycle bool
+
 	// Reusable scratch for the sched-driven launch path (single
 	// goroutine; each buffer is fully rewritten before use).
 	startCands []startCand
@@ -234,18 +257,24 @@ type Controller struct {
 	// Pending-event table (fork.go). pend describes every controller-
 	// owned pending engine event (launch and resume completion,
 	// interrupt, fault-script timer, window, repair, seeded failure,
-	// requeue arrival); dispatch executes the descriptor when the event
-	// fires and Fork copies the table, so entries are bounded by the
-	// in-flight event count. cycleEv is the single deferred-cycle event,
-	// meaningful only while cyclePending (at most one runCycle event is
-	// ever outstanding, so it needs no map entry). nfWins
-	// retains the parsed fault script and nfDraws counts fault-RNG
-	// draws so a fork can rebuild the window schedule and fast-forward
-	// a fresh RNG to the identical stream position.
-	pend    map[sim.EventID]pendEv
-	cycleEv sim.EventID
-	nfWins  []faultWindow
-	nfDraws int64
+	// requeue arrival) in a dense table: a live slot (kind != 0) holds
+	// the descriptor and its event ID, pendFn[i] is the one engine
+	// callback of slot i (firePendAt(i), created when the table first
+	// grows to i) and pendFree stacks the vacant indices, so tracking an
+	// event allocates nothing and the table is bounded by the peak
+	// in-flight event count. firePendAt executes the descriptor when the
+	// event fires and Fork copies the live slots. cycleEv is the single
+	// deferred-cycle event, meaningful only while cyclePending (at most
+	// one runCycle event is ever outstanding, so it needs no slot).
+	// nfWins retains the parsed fault script and nfDraws counts
+	// fault-RNG draws so a fork can rebuild the window schedule and
+	// fast-forward a fresh RNG to the identical stream position.
+	pend     []pendEv
+	pendFn   []func()
+	pendFree []int
+	cycleEv  sim.EventID
+	nfWins   []faultWindow
+	nfDraws  int64
 
 	// Cycles counts executed scheduling-policy passes (perf metric).
 	Cycles int64
@@ -296,7 +325,6 @@ func NewController(c *Cluster, policy Policy) *Controller {
 		qBySeq:         make(map[int]*queuedJob),
 		rBySeq:         make(map[int]*runningJob),
 		viewsStale:     true,
-		pend:           make(map[sim.EventID]pendEv),
 		lastCycleAt:    -1,
 		rearmedAt:      -1,
 	}
@@ -329,7 +357,9 @@ func (ctl *Controller) Submit(j *Job) error {
 	}
 	pidx, _ := ctl.cluster.Spec.PartitionIndex(j.Partition) // Validate resolved it
 	ctl.seq++
-	ctl.enqueue(&queuedJob{job: j, submit: ctl.cluster.Engine.Now(), seq: ctl.seq, pidx: pidx, homePidx: pidx})
+	q := ctl.newQueued()
+	*q = queuedJob{job: j, submit: ctl.cluster.Engine.Now(), seq: ctl.seq, pidx: pidx, homePidx: pidx}
+	ctl.enqueue(q)
 	if ctl.Probe != nil {
 		ctl.Probe.Emit(obs.Event{
 			Kind: obs.KindSubmit, Time: ctl.cluster.Engine.Now(),
@@ -505,11 +535,14 @@ func (ctl *Controller) tryPreempt(j *Job, pidx int) {
 		return
 	}
 	for _, v := range victims {
+		// Stop unregistered the tasks — unless the victim is still inside
+		// its launch-latency window, where it only flags the instance and
+		// the DROM_PreInit reservations are released here (finalizeTasks
+		// tolerates the tasks that are already gone, and drops the nodes'
+		// cached free masks either way).
 		v.inst.Stop()
+		ctl.finalizeTasks(v)
 		ctl.removeRunning(v)
-		for _, ni := range v.nodeAt {
-			ctl.invalidateNode(ni) // Stop unregistered the tasks
-		}
 		ctl.seq++
 		ctl.enqueue(&queuedJob{
 			job: v.job, submit: v.submit, seq: ctl.seq, pidx: v.pidx, homePidx: v.homePidx, resume: v,
@@ -642,30 +675,105 @@ func (ctl *Controller) selectNodes(j *Job, pidx int) ([]int, []LaunchPlan) {
 	return nodeAt, plans
 }
 
+// popFree takes the last record off a free list; nil when it is empty.
+func popFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	r := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return r
+}
+
+// newQueued returns a blank waiting-job record: one releaseQueued
+// parked, or a fresh one.
+func (ctl *Controller) newQueued() *queuedJob {
+	if q := popFree(&ctl.freeQueued); q != nil {
+		return q
+	}
+	return new(queuedJob)
+}
+
+// releaseQueued parks q — dequeued, and read for the last time — for
+// the next submission.
+func (ctl *Controller) releaseQueued(q *queuedJob) {
+	if ctl.neverRecycle {
+		return
+	}
+	*q = queuedJob{}
+	ctl.freeQueued = append(ctl.freeQueued, q)
+}
+
+// newRunning returns a blank running-job record: one releaseRunning
+// parked, with its idle instance, slice arrays and completion hook, or
+// a fresh one.
+func (ctl *Controller) newRunning() *runningJob {
+	if r := popFree(&ctl.freeRunning); r != nil {
+		return r
+	}
+	return ctl.allocRunning(new(apps.Instance))
+}
+
+// allocRunning builds a record around inst and binds its completion
+// hook — the one closure a record ever costs.
+//
+//simvet:coldpath once per record; launches reuse records from the free list
+func (ctl *Controller) allocRunning(inst *apps.Instance) *runningJob {
+	r := &runningJob{inst: inst}
+	r.onComplete = func(end float64) { ctl.onJobEnd(r, end) }
+	return r
+}
+
+// releaseRunning parks r for the next launch. The caller has taken r
+// out of the running set, its seq index and its partition's view, has
+// booked its record, and reads it no more; the instance is idle
+// (completed, stopped, or never started — no event pending). Scrubbed,
+// the record pins nothing of the job it served.
+func (ctl *Controller) releaseRunning(r *runningJob) {
+	if ctl.neverRecycle {
+		return
+	}
+	r.inst.Scrub()
+	*r = runningJob{
+		nodeAt: r.nodeAt[:0], tasks: r.tasks[:0], nodeIdxs: r.nodeIdxs[:0],
+		inst: r.inst, onComplete: r.onComplete,
+	}
+	ctl.freeRunning = append(ctl.freeRunning, r)
+}
+
 // launch executes the Figure 2 protocol for a scheduled job, or
 // resumes a checkpointed one on fresh placements, in partition q.pidx.
 // nodeAt names the nodes by global index, in node name order, with
 // their plans beside them; both may be caller scratch (the job record
-// keeps its own copy, and the planned masks are consumed here).
+// keeps its own copy, and the planned masks are consumed here). q is
+// dequeued already and is released here: the caller must not read it
+// again.
+//
+//simvet:hotpath
 func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 	j := q.job
 	r := q.resume
-	if r != nil {
+	resumed := r != nil
+	if resumed {
 		// Resumption: reuse the running-job record (submit and start
 		// are preserved so response time spans the suspension).
 		r.seq = q.seq
-		r.tasks = nil
+		r.tasks = r.tasks[:0]
 	} else {
-		r = &runningJob{job: j, seq: q.seq, pidx: q.pidx, homePidx: q.homePidx, submit: q.submit, start: ctl.cluster.Engine.Now(), requeues: q.requeues}
+		r = ctl.newRunning()
+		r.job, r.seq, r.pidx, r.homePidx = j, q.seq, q.pidx, q.homePidx
+		r.submit, r.start, r.requeues = q.submit, ctl.cluster.Engine.Now(), q.requeues
 	}
+	ctl.releaseQueued(q)
 	// The record's node tables: global indices in name order, and the
 	// sorted partition-local indices of the scheduler snapshot.
 	offset := ctl.cluster.Spec.NodeOffset(r.pidx)
-	idx := make([]int, 2*len(nodeAt))
-	r.nodeAt, r.nodeIdxs = idx[:len(nodeAt):len(nodeAt)], idx[len(nodeAt):]
-	for k, ni := range nodeAt {
-		r.nodeAt[k] = ni
-		r.nodeIdxs[k] = ni - offset
+	r.nodeAt, r.nodeIdxs = r.nodeAt[:0], r.nodeIdxs[:0]
+	for _, ni := range nodeAt {
+		r.nodeAt = append(r.nodeAt, ni)
+		r.nodeIdxs = append(r.nodeIdxs, ni-offset)
 	}
 	sort.Ints(r.nodeIdxs)
 	// The launch-time allocation is exactly the planned masks; cache
@@ -681,21 +789,10 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 		}
 	}
 	if ctl.Probe != nil {
-		names := make([]string, len(nodeAt))
-		for k, ni := range nodeAt {
-			names[k] = ctl.cluster.Nodes[ni]
-		}
-		ctl.Probe.Emit(obs.Event{
-			Kind: obs.KindJobStart, Time: ctl.cluster.Engine.Now(),
-			Job: j.Name, Seq: r.seq,
-			Partition: ctl.cluster.Spec.Partitions[r.pidx].Name,
-			Origin:    ctl.originOf(r.pidx, r.homePidx),
-			Nodes:     len(names), CPUs: r.curCPUs,
-			Placement: strings.Join(names, ","),
-		})
+		ctl.emitJobStart(r)
 	}
 
-	// placements is controller-owned scratch: NewInstance copies each
+	// placements is controller-owned scratch: the instance copies each
 	// entry into its rank state, and a resumption rebuilds its own when
 	// the latency elapses.
 	placements := ctl.placeBuf[:0]
@@ -744,13 +841,9 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 						code = admin.SetProcessMask(pid, mask, core.FlagSteal)
 					}
 				}
-				switch {
-				case code == derr.ErrNoShmem:
-					ctl.fail(fmt.Errorf("slurm: PreInit pid %d on %s: reservation lost after %d retries: %w",
-						pid, node, preInitRetries, code))
-				case code.IsError():
-					ctl.fail(fmt.Errorf("slurm: PreInit pid %d on %s: %w", pid, node, code))
-				default:
+				if code.IsError() {
+					ctl.failPreInit(pid, ni, code)
+				} else {
 					// The reserved CPUs leave the node's effective-free
 					// set now (a steal shrinks the victims by exactly
 					// this mask, so the delta holds either way).
@@ -765,7 +858,7 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 	}
 
 	ctl.placeBuf = placements
-	if q.resume != nil {
+	if resumed {
 		// Resume from the checkpoint after the launch latency, paying the
 		// restart cost (evResume rebuilds the placements from r.tasks).
 		ctl.addRunning(r)
@@ -773,17 +866,16 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 		return
 	}
 
-	inst, err := apps.NewInstance(j.Spec, j.Cfg, j.Iters, j.Name,
-		ctl.cluster.Engine, ctl.cluster.Demand, ctl.cluster.Tracer, placements)
-	if err != nil {
+	inst := r.inst
+	if err := inst.Reset(j.Spec, j.Cfg, j.Iters, j.Name,
+		ctl.cluster.Engine, ctl.cluster.Demand, ctl.cluster.Tracer, placements); err != nil {
 		ctl.fail(err)
 		return
 	}
 	inst.FinalizeExternally = true
 	inst.Jitter = ctl.cluster.Jitter
 	inst.JitterFrac = ctl.cluster.JitterFrac
-	inst.OnComplete = func(end float64) { ctl.onJobEnd(r, end) }
-	r.inst = inst
+	inst.OnComplete = r.onComplete
 	ctl.addRunning(r)
 
 	// srun/slurmstepd latency, then the task starts (DLB_Init).
@@ -797,6 +889,39 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 	if j.FailAfter > 0 {
 		ctl.trackAfter(ctl.LaunchLatency+j.FailAfter, pendEv{kind: evInterrupt, seq: r.seq})
 	}
+}
+
+// emitJobStart reports r's launch (KindJobStart) with its placement.
+//
+//simvet:guarded the one call site sits under launch's Probe != nil check
+//simvet:coldpath probe-only, so the placement string is built off the disabled path
+func (ctl *Controller) emitJobStart(r *runningJob) {
+	names := make([]string, len(r.nodeAt))
+	for k, ni := range r.nodeAt {
+		names[k] = ctl.cluster.Nodes[ni]
+	}
+	ctl.Probe.Emit(obs.Event{
+		Kind: obs.KindJobStart, Time: ctl.cluster.Engine.Now(),
+		Job: r.job.Name, Seq: r.seq,
+		Partition: ctl.cluster.Spec.Partitions[r.pidx].Name,
+		Origin:    ctl.originOf(r.pidx, r.homePidx),
+		Nodes:     len(names), CPUs: r.curCPUs,
+		Placement: strings.Join(names, ","),
+	})
+}
+
+// failPreInit fails the controller on a launch reservation the
+// registry refused, or kept losing.
+//
+//simvet:coldpath error path
+func (ctl *Controller) failPreInit(pid shmem.PID, ni int, code derr.Code) {
+	node := ctl.cluster.Nodes[ni]
+	if code == derr.ErrNoShmem {
+		ctl.fail(fmt.Errorf("slurm: PreInit pid %d on %s: reservation lost after %d retries: %w",
+			pid, node, preInitRetries, code))
+		return
+	}
+	ctl.fail(fmt.Errorf("slurm: PreInit pid %d on %s: %w", pid, node, code))
 }
 
 // placementsOf rebuilds r's rank placements from its task list (rank
@@ -861,7 +986,7 @@ func (ctl *Controller) finalizeTasks(r *runningJob) {
 		e, icode := admin.Inspect(t.pid)
 		if code := admin.PostFinalize(t.pid, core.FlagReturnStolen); code.IsError() && code != derr.ErrNoProc {
 			if !ctl.shmemFault(t.ni, code) {
-				ctl.fail(fmt.Errorf("slurm: PostFinalize pid %d: %w", t.pid, code))
+				ctl.failPostFinalize(t.pid, code)
 			}
 		}
 		if icode.IsError() || len(e.Stolen) > 0 {
@@ -871,6 +996,14 @@ func (ctl *Controller) finalizeTasks(r *runningJob) {
 		}
 		ctl.protocol(obs.StepPostTerm, t.ni, r.job.Name, t.pid, cpuset.CPUSet{})
 	}
+}
+
+// failPostFinalize fails the controller on a post_term the registry
+// refused.
+//
+//simvet:coldpath error path
+func (ctl *Controller) failPostFinalize(pid shmem.PID, code derr.Code) {
+	ctl.fail(fmt.Errorf("slurm: PostFinalize pid %d: %w", pid, code))
 }
 
 // addRunning appends r to the running set, its seq index and its
@@ -914,7 +1047,10 @@ func (ctl *Controller) recordEnd(r *runningJob, end float64, outcome metrics.Out
 }
 
 // endJob implements post_term + release_resources, recording the
-// given outcome.
+// given outcome, and recycles r: the caller — the instance's completion
+// hook, an interrupt, an scancel — must not read r again.
+//
+//simvet:hotpath
 func (ctl *Controller) endJob(r *runningJob, end float64, outcome metrics.Outcome) {
 	ctl.finalizeTasks(r)
 	ctl.removeRunning(r)
@@ -932,6 +1068,7 @@ func (ctl *Controller) endJob(r *runningJob, end float64, outcome metrics.Outcom
 	if ctl.ServeEvolving {
 		ctl.ServeEvolvingRequests()
 	}
+	ctl.releaseRunning(r)
 }
 
 // Cancel kills a job (scancel): a queued job is dropped; a running job
@@ -979,6 +1116,8 @@ func (ctl *Controller) Cancel(name string) bool {
 // grants what the current state allows: shrinks immediately, grows
 // bounded by the node's free CPUs. Called automatically on job
 // completion when ServeEvolving is set, or explicitly by the operator.
+//
+//simvet:coldpath evolving-application scenarios only (ServeEvolving), and the request list is allocated by the registry
 func (ctl *Controller) ServeEvolvingRequests() {
 	for ni, node := range ctl.cluster.Nodes {
 		// A down or draining node grants nothing: its free CPUs are out
@@ -1027,6 +1166,8 @@ func (ctl *Controller) ServeEvolvingRequests() {
 // releaseResources redistributes the free CPUs of the node at global
 // index ni to running malleable jobs below their request (Figure 2 step 5, using
 // GetPidList/GetProcessMask/SetProcessMask).
+//
+//simvet:coldpath builtin planner only: paper scenarios end tens of jobs, and PlanExpand allocates its plan
 func (ctl *Controller) releaseResources(ni int) {
 	if !ctl.nodeUp(ni) {
 		return // an out-of-service node redistributes nothing

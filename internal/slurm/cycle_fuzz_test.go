@@ -31,13 +31,27 @@ import (
 // cycle rebuilds its views from the cloned records — must decide
 // exactly as its parent does.
 //
+// Every trace is then replayed once more on the never-recycling twin —
+// a controller (and its fork) whose free lists stay empty, so every
+// submission and launch builds its record, its instance and its
+// callbacks afresh. Which memory a record lives in is no decision
+// input: the probe's event stream, the records and the step counts must
+// be identical, skipped share included.
+//
 // Plain `go test` replays the seeds below and the committed corpus
 // under testdata/fuzz/FuzzIncrementalCycle.
 func FuzzIncrementalCycle(f *testing.F) {
 	// An exhausted input reads as zeros: the empty seed is eight equal
 	// jobs on one node. The committed corpus holds the busy traces.
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) { replayFuzzTrace(t, data, nil) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out := replayFuzzTrace(t, data, nil, false)
+		ref := replayFuzzTrace(t, data, nil, true)
+		if out.skipped != ref.skipped {
+			t.Errorf("skipped steps: recycling %d, never-recycling twin %d", out.skipped, ref.skipped)
+		}
+		out.mustEqual(t, "recycling", ref, "never-recycling")
+	})
 }
 
 // fuzzOutcome is what the parent lineage of a fuzz trace produced: its
@@ -78,27 +92,34 @@ func TestFuzzCorpusReplaysIdenticallyWithoutSkipping(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			armed := replayFuzzTrace(t, []byte(str), nil)
-			ref := replayFuzzTrace(t, []byte(str), trace.New())
+			armed := replayFuzzTrace(t, []byte(str), nil, false)
+			ref := replayFuzzTrace(t, []byte(str), trace.New(), false)
 			if ref.skipped != 0 || armed.skipped == 0 {
 				t.Fatalf("skipped steps: armed %d, traced twin %d — want some and none", armed.skipped, ref.skipped)
 			}
-			if armed.steps != ref.steps {
-				t.Errorf("steps: armed %d, reference %d", armed.steps, ref.steps)
-			}
-			if !reflect.DeepEqual(armed.jobs, ref.jobs) {
-				t.Errorf("records diverge:\narmed     %+v\nreference %+v", armed.jobs, ref.jobs)
-			}
-			if len(armed.events) != len(ref.events) {
-				t.Fatalf("%d events, reference %d", len(armed.events), len(ref.events))
-			}
-			for i := range armed.events {
-				if armed.events[i] != ref.events[i] {
-					t.Fatalf("event %d diverges:\narmed     %+v\nreference %+v", i, armed.events[i], ref.events[i])
-				}
-			}
+			armed.mustEqual(t, "armed", ref, "reference")
 			t.Logf("%d steps (%d skipped when armed), %d events, %d jobs", armed.steps, armed.skipped, len(armed.events), len(armed.jobs))
 		})
+	}
+}
+
+// mustEqual holds two replays of one trace to the same observable
+// outcome: step count, records and probe event stream.
+func (o fuzzOutcome) mustEqual(t *testing.T, name string, ref fuzzOutcome, refName string) {
+	t.Helper()
+	if o.steps != ref.steps {
+		t.Errorf("steps: %s %d, %s %d", name, o.steps, refName, ref.steps)
+	}
+	if !reflect.DeepEqual(o.jobs, ref.jobs) {
+		t.Errorf("records diverge:\n%s %+v\n%s %+v", name, o.jobs, refName, ref.jobs)
+	}
+	if len(o.events) != len(ref.events) {
+		t.Fatalf("%s: %d events, %s %d", name, len(o.events), refName, len(ref.events))
+	}
+	for i := range o.events {
+		if o.events[i] != ref.events[i] {
+			t.Fatalf("event %d diverges:\n%s %+v\n%s %+v", i, name, o.events[i], refName, ref.events[i])
+		}
 	}
 }
 
@@ -113,9 +134,10 @@ type fuzzOp struct {
 
 // replayFuzzTrace decodes data into a trace and replays it (see
 // FuzzIncrementalCycle) on a cluster with the given tracer (nil for
-// none). Bytes are consumed in order; an exhausted input reads as
-// zeros, so every input is a valid trace.
-func replayFuzzTrace(t *testing.T, data []byte, tracer *trace.Tracer) fuzzOutcome {
+// none), on the never-recycling twin of the controller when asked.
+// Bytes are consumed in order; an exhausted input reads as zeros, so
+// every input is a valid trace.
+func replayFuzzTrace(t *testing.T, data []byte, tracer *trace.Tracer, neverRecycle bool) fuzzOutcome {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -137,6 +159,7 @@ func replayFuzzTrace(t *testing.T, data []byte, tracer *trace.Tracer) fuzzOutcom
 		t.Fatal(err)
 	}
 	ctl := NewController(c, PolicyDROM)
+	ctl.neverRecycle = neverRecycle
 	var out fuzzOutcome
 	ctl.Probe = obs.Func(func(ev obs.Event) {
 		ev.WallNanos = 0

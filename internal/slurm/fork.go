@@ -19,14 +19,19 @@ package slurm
 //     SetQueuedMalleable), cluster spec, node name/machine/partition
 //     tables, nodeIdx, the parsed fault script (nfWins);
 //   - dropped: Probe, Tracer, Jitter — observers must never steer
-//     decisions, so a blind fork decides identically.
+//     decisions, so a blind fork decides identically;
+//   - recycled: the free lists of job records (freeRunning,
+//     freeQueued) are NOT forked — the child starts with both empty and
+//     forkJob allocates every clone fresh, so no record, instance or
+//     backing array is ever reachable from two lineages.
 //
 // Pending events are not re-scheduled: the engine fork preserves
-// every (time, ID) pair and the controller re-binds each ID to its own
-// firePend, which runs the copied descriptor through the same
-// dispatcher the live lineage uses. The fault RNG is reconstructed
-// from its seed and fast-forwarded by the recorded draw count, so both
-// lineages continue the same stream.
+// every (time, ID) pair and the controller copies each live slot of the
+// pending-event table into its own and re-binds the slot's stored ID to
+// its own firePendAt callback, which runs the copied descriptor through
+// the same dispatcher the live lineage uses. The fault RNG is
+// reconstructed from its seed and fast-forwarded by the recorded draw
+// count, so both lineages continue the same stream.
 
 import (
 	"fmt"
@@ -65,27 +70,30 @@ const (
 	evResume
 )
 
-// pendEv is the one description of a pending controller event: the
-// engine callback carries only the event ID, and dispatch executes the
-// descriptor — in the live lineage and, copied by Fork, in the forked
-// one.
+// pendEv is the one description of a pending controller event, held in
+// a slot of ctl.pend: the engine callback carries only the slot index,
+// and dispatch executes the descriptor — in the live lineage and,
+// copied by Fork, in the forked one. The zero kind marks a vacant slot.
 type pendEv struct {
 	kind    pendKind
-	seq     int     // evStart, evInterrupt, evRequeue, evResume
-	node    int     // fault events: global node index
-	home    int     // evRequeue: home partition index
-	attempt int     // evRequeue
-	until   float64 // window/outage horizon
-	submit  float64 // evRequeue: original submit time
-	job     *Job    // evRequeue
+	id      sim.EventID // the pending engine event, for Fork's re-bind
+	seq     int         // evStart, evInterrupt, evRequeue, evResume
+	node    int         // fault events: global node index
+	home    int         // evRequeue: home partition index
+	attempt int         // evRequeue
+	until   float64     // window/outage horizon
+	submit  float64     // evRequeue: original submit time
+	job     *Job        // evRequeue
 }
 
 // trackAt schedules the event pe describes at absolute time t; the
-// descriptor is held until the event fires.
+// descriptor is held in a table slot until the event fires.
+//
+//simvet:hotpath
 func (ctl *Controller) trackAt(t float64, pe pendEv) {
-	var id sim.EventID
-	id = ctl.cluster.Engine.At(t, func() { ctl.firePend(id) })
-	ctl.pend[id] = pe
+	i := ctl.pendSlot()
+	pe.id = ctl.cluster.Engine.At(t, ctl.pendFn[i])
+	ctl.pend[i] = pe
 }
 
 // trackAfter is trackAt at delay d from now.
@@ -93,11 +101,36 @@ func (ctl *Controller) trackAfter(d float64, pe pendEv) {
 	ctl.trackAt(ctl.cluster.Engine.Now()+d, pe)
 }
 
-// firePend is the engine callback of every tracked event: it retires
-// the descriptor and executes it.
-func (ctl *Controller) firePend(id sim.EventID) {
-	pe := ctl.pend[id]
-	delete(ctl.pend, id)
+// pendSlot returns the index of a vacant slot of the pending-event
+// table, growing the table when every slot is live.
+func (ctl *Controller) pendSlot() int {
+	if n := len(ctl.pendFree); n > 0 {
+		i := ctl.pendFree[n-1]
+		ctl.pendFree = ctl.pendFree[:n-1]
+		return i
+	}
+	return ctl.growPend()
+}
+
+// growPend appends one slot to the pending-event table with its engine
+// callback — the one closure a slot ever costs.
+//
+//simvet:coldpath once per table slot; the table is bounded by the peak in-flight event count
+func (ctl *Controller) growPend() int {
+	i := len(ctl.pend)
+	ctl.pend = append(ctl.pend, pendEv{})
+	ctl.pendFn = append(ctl.pendFn, func() { ctl.firePendAt(i) })
+	return i
+}
+
+// firePendAt is the engine callback of the tracked event in slot i: it
+// vacates the slot and executes the descriptor.
+//
+//simvet:hotpath
+func (ctl *Controller) firePendAt(i int) {
+	pe := ctl.pend[i]
+	ctl.pend[i] = pendEv{}
+	ctl.pendFree = append(ctl.pendFree, i)
 	ctl.dispatch(pe)
 }
 
@@ -140,8 +173,16 @@ func (ctl *Controller) dispatch(pe pendEv) {
 	case evRequeue:
 		ctl.requeueArrive(pe.job, pe.submit, pe.seq, pe.home, pe.attempt)
 	default:
-		ctl.fail(fmt.Errorf("slurm: unknown pending-event kind %d", pe.kind))
+		ctl.failUnknownEvent(pe.kind)
 	}
+}
+
+// failUnknownEvent fails the controller on a descriptor no event kind
+// matches (a vacant slot fired, or a kind dispatch does not know).
+//
+//simvet:coldpath error path
+func (ctl *Controller) failUnknownEvent(kind pendKind) {
+	ctl.fail(fmt.Errorf("slurm: unknown pending-event kind %d", kind))
 }
 
 // Fork clones the cluster onto the forked engine: fresh shared-memory
@@ -216,13 +257,13 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		qBySeq:          make(map[int]*queuedJob, len(ctl.qBySeq)),
 		rBySeq:          make(map[int]*runningJob, len(ctl.rBySeq)),
 		viewsStale:      true, // rebuilt from the cloned records on the first policy cycle
-		pend:            make(map[sim.EventID]pendEv, len(ctl.pend)),
 		cyclePending:    ctl.cyclePending,
 		cycleEv:         ctl.cycleEv,
 		lastCycleAt:     ctl.lastCycleAt,
 		rearmedAt:       ctl.rearmedAt,
 		Cycles:          ctl.Cycles,
 		DebugInvariants: ctl.DebugInvariants,
+		neverRecycle:    ctl.neverRecycle,
 		Records:         *ctl.Records.Clone(),
 	}
 	if ctl.scheds != nil {
@@ -242,16 +283,14 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 	// or the checkpoint image a queued job resumes from.
 	sysOf := func(node string) *core.System { return c.System(node) }
 	forkJob := func(r *runningJob) (*runningJob, error) {
-		cr := &runningJob{
-			job: r.job, seq: r.seq, pidx: r.pidx, homePidx: r.homePidx,
-			submit: r.submit, start: r.start,
-			nodeAt:   append([]int(nil), r.nodeAt...),
-			tasks:    append([]taskRef(nil), r.tasks...),
-			nodeIdxs: append([]int(nil), r.nodeIdxs...),
-			curCPUs:  r.curCPUs, curOK: r.curOK, requeues: r.requeues,
-		}
-		cr.inst = r.inst.Fork(eng, c.Demand, sysOf)
-		cr.inst.OnComplete = func(end float64) { ctl2.onJobEnd(cr, end) }
+		cr := ctl2.allocRunning(r.inst.Fork(eng, c.Demand, sysOf))
+		cr.job, cr.seq, cr.pidx, cr.homePidx = r.job, r.seq, r.pidx, r.homePidx
+		cr.submit, cr.start, cr.requeues = r.submit, r.start, r.requeues
+		cr.nodeAt = append([]int(nil), r.nodeAt...)
+		cr.tasks = append([]taskRef(nil), r.tasks...)
+		cr.nodeIdxs = append([]int(nil), r.nodeIdxs...)
+		cr.curCPUs, cr.curOK = r.curCPUs, r.curOK
+		cr.inst.OnComplete = cr.onComplete
 		if err := cr.inst.RebindPending(); err != nil {
 			return nil, fmt.Errorf("slurm: Fork job %s: %w", cr.job.Name, err)
 		}
@@ -301,16 +340,21 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		ctl2.nfDraws = ctl.nfDraws
 	}
 	// Re-bind the pending events: the coalesced cycle event, then every
-	// descriptor-carrying event. Re-binds are independent per event ID,
-	// so the map order cannot influence the fork.
+	// live slot of the pending-event table, copied into the fork's own
+	// (compacted: a slot's index is no decision input) and bound there
+	// to the slot's stored event ID.
 	if ctl.cyclePending {
 		if err := eng.Rebind(ctl.cycleEv, ctl2.runCycle); err != nil {
 			return nil, nil, fmt.Errorf("slurm: Fork cycle event: %w", err)
 		}
 	}
-	for id, pe := range ctl.pend { //simvet:ordered independent per-ID re-binds
-		ctl2.pend[id] = pe
-		if err := eng.Rebind(id, func() { ctl2.firePend(id) }); err != nil {
+	for _, pe := range ctl.pend {
+		if pe.kind == 0 {
+			continue
+		}
+		i := ctl2.pendSlot()
+		ctl2.pend[i] = pe
+		if err := eng.Rebind(pe.id, ctl2.pendFn[i]); err != nil {
 			return nil, nil, fmt.Errorf("slurm: Fork pend event: %w", err)
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/hwmodel"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/slurm"
 	"repro/internal/workload"
@@ -216,7 +217,7 @@ func firstDiff(t *testing.T, label, got, want string) {
 // TestForkReplayDifferential forks every golden trace and every
 // builtin scenario at its fork instants; the fork and the forked-from
 // parent must both finish with the uninterrupted replay's exact
-// decision trace.
+// decision trace, whichever of the two runs to the end first.
 func TestForkReplayDifferential(t *testing.T) {
 	for _, c := range append(goldenForkCases(), builtinForkCases()...) {
 		t.Run(c.name, func(t *testing.T) {
@@ -235,27 +236,84 @@ func TestForkReplayDifferential(t *testing.T) {
 				times = c.at(t, base)
 			}
 			for i, at := range times {
+				// Both orders: the lineage that runs second starts from the
+				// fork instant after the other ran the whole rest of the
+				// trace — recycling its records all the way — so anything a
+				// fork shared with its parent's free lists would be stale
+				// by then.
+				for _, parentFirst := range []bool{false, true} {
+					sess := openSession(t, c, sc)
+					sess.RunUntil(at)
+					if got := [2]int{sess.Controller().QueueLen(), sess.Controller().RunningLen()}; c.shape != nil && got != c.shape[i] {
+						t.Fatalf("fork at t=%.1f: (queued, running) = %v, want %v", at, got, c.shape[i])
+					}
+					fork, err := sess.Fork()
+					if err != nil {
+						t.Fatalf("fork at t=%.1f: %v", at, err)
+					}
+					var fres, pres workload.Result
+					if parentFirst {
+						pres, fres = sess.Run(), fork.Run()
+					} else {
+						fres, pres = fork.Run(), sess.Run()
+					}
+					label := fmt.Sprintf("at t=%.1f (parent first: %v)", at, parentFirst)
+					if fres.Err != nil {
+						t.Fatalf("fork %s: %v", label, fres.Err)
+					}
+					firstDiff(t, "fork "+label, renderDecisions(fres.Records, c.faults), want)
+					if pres.Err != nil {
+						t.Fatalf("parent after fork %s: %v", label, pres.Err)
+					}
+					firstDiff(t, "parent after fork "+label, renderDecisions(pres.Records, c.faults), want)
+					if fres.Events != pres.Events {
+						t.Errorf("fork %s: event counts diverged: fork %d, parent %d", label, fres.Events, pres.Events)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestGoldenScenariosReplayIdenticallyWithoutRecycling replays the four
+// golden scenarios on the never-recycling twin of the controller
+// (every record, instance and callback allocated afresh; see
+// export_test.go): the probe's event stream, the decision trace and
+// the step and event counts must be those of the recycling replay.
+func TestGoldenScenariosReplayIdenticallyWithoutRecycling(t *testing.T) {
+	for _, c := range goldenForkCases() {
+		t.Run(c.name, func(t *testing.T) {
+			sc := c.make(t)
+			replay := func(twin bool) (workload.Result, []obs.Event) {
 				sess := openSession(t, c, sc)
-				sess.RunUntil(at)
-				if got := [2]int{sess.Controller().QueueLen(), sess.Controller().RunningLen()}; c.shape != nil && got != c.shape[i] {
-					t.Fatalf("fork at t=%.1f: (queued, running) = %v, want %v", at, got, c.shape[i])
+				if twin {
+					sess.Controller().NeverRecycle()
 				}
-				fork, err := sess.Fork()
-				if err != nil {
-					t.Fatalf("fork at t=%.1f: %v", at, err)
+				var events []obs.Event
+				sess.Controller().Probe = obs.Func(func(ev obs.Event) {
+					ev.WallNanos = 0
+					events = append(events, ev)
+				})
+				res := sess.Run()
+				if res.Err != nil {
+					t.Fatal(res.Err)
 				}
-				fres := fork.Run()
-				if fres.Err != nil {
-					t.Fatalf("fork at t=%.1f: %v", at, fres.Err)
-				}
-				firstDiff(t, fmt.Sprintf("fork at t=%.1f", at), renderDecisions(fres.Records, c.faults), want)
-				pres := sess.Run()
-				if pres.Err != nil {
-					t.Fatalf("parent after fork at t=%.1f: %v", at, pres.Err)
-				}
-				firstDiff(t, fmt.Sprintf("parent after fork at t=%.1f", at), renderDecisions(pres.Records, c.faults), want)
-				if fres.Events != pres.Events {
-					t.Errorf("fork at t=%.1f: event counts diverged: fork %d, parent %d", at, fres.Events, pres.Events)
+				return res, events
+			}
+			res, events := replay(false)
+			ref, refEvents := replay(true)
+			firstDiff(t, "recycling replay against its never-recycling twin",
+				renderDecisions(res.Records, c.faults), renderDecisions(ref.Records, c.faults))
+			if res.Steps != ref.Steps || res.Events != ref.Events || res.SchedCycles != ref.SchedCycles {
+				t.Errorf("steps/events/cycles %d/%d/%d, never-recycling twin %d/%d/%d",
+					res.Steps, res.Events, res.SchedCycles, ref.Steps, ref.Events, ref.SchedCycles)
+			}
+			if len(events) == 0 || len(events) != len(refEvents) {
+				t.Fatalf("%d probe events, never-recycling twin %d", len(events), len(refEvents))
+			}
+			for i := range events {
+				if events[i] != refEvents[i] {
+					t.Fatalf("probe event %d diverges:\nrecycling       %+v\nnever-recycling %+v", i, events[i], refEvents[i])
 				}
 			}
 		})

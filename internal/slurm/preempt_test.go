@@ -211,3 +211,41 @@ func TestPreemptVsDROMOnUC2Shape(t *testing.T) {
 		t.Errorf("DROM total %v should beat preemption %v (ckpt+restart overheads)", drom, preempt)
 	}
 }
+
+// TestPreemptInsideLaunchWindow: a victim preempted before its launch
+// latency elapsed never registered, so Stop releases nothing — its
+// DROM_PreInit reservations are still in shared memory, and the
+// preemption itself must release them or the preemptor's own
+// reservations collide with them.
+func TestPreemptInsideLaunchWindow(t *testing.T) {
+	eng, c := newTestCluster()
+	ctl := NewController(c, PolicyPreempt)
+	low := &Job{Name: "low", Spec: fastSpec(300), Cfg: apps.Config{Ranks: 2, Threads: 16},
+		Nodes: 2, Priority: 0, Malleable: true}
+	high := &Job{Name: "high", Spec: fastSpec(50), Cfg: apps.Config{Ranks: 2, Threads: 16},
+		Nodes: 2, Priority: 10, Malleable: true}
+	submit(t, ctl, low)
+	eng.RunUntil(ctl.LaunchLatency / 2) // low's evStart is still pending
+	submit(t, ctl, high)
+	if ctl.RunningLen() != 0 || ctl.QueueLen() != 2 {
+		t.Fatalf("running=%d queue=%d right after preemption", ctl.RunningLen(), ctl.QueueLen())
+	}
+	eng.Run()
+	checkErr(t, ctl)
+	rl, okl := ctl.Records.Job("low")
+	rh, okh := ctl.Records.Job("high")
+	if !okl || !okh {
+		t.Fatalf("records missing: low %v, high %v", okl, okh)
+	}
+	if rh.End >= rl.End {
+		t.Errorf("high ended at %v, the resumed victim at %v", rh.End, rl.End)
+	}
+	for _, node := range c.Nodes {
+		if n := c.System(node).Segment().NumProcs(); n != 0 {
+			t.Errorf("%s: %d registrations left behind", node, n)
+		}
+		if n := c.Demand.Threads(node); n != 0 {
+			t.Errorf("%s: %d threads of demand left behind", node, n)
+		}
+	}
+}

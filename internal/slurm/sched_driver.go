@@ -327,6 +327,10 @@ func (ctl *Controller) planPolicies(probe obs.Probe) (skipped bool) {
 			switch a.Kind {
 			case sched.ActStart:
 				q, ok := ctl.qBySeq[a.ID]
+				name := ""
+				if ok {
+					name = q.job.Name // a start recycles q
+				}
 				started := ok && q.pidx == pi && ctl.startQueued(q, pi, a.TargetCPUsPerNode, a.Nodes)
 				if !started {
 					skipped = true
@@ -334,11 +338,8 @@ func (ctl *Controller) planPolicies(probe obs.Probe) (skipped bool) {
 				if probe != nil {
 					ev := obs.Event{
 						Kind: obs.KindAction, Act: obs.ActStart, Reason: obs.ReasonStarted,
-						Time: st.Now, Partition: st.Partition, Seq: a.ID,
+						Time: st.Now, Partition: st.Partition, Seq: a.ID, Job: name,
 						Target: a.TargetCPUsPerNode, Nodes: len(a.Nodes),
-					}
-					if ok {
-						ev.Job = q.job.Name
 					}
 					if !started {
 						ev.Reason = obs.ReasonSkipped
@@ -495,7 +496,8 @@ func (ctl *Controller) freeCandsSorted(pi, need int) []startCand {
 // partition-local node indices when the policy budgeted specific nodes
 // (an EASY reservation is only starvation-safe on exactly those), and
 // launches it through the Figure-2 protocol. Returns false, with q
-// still queued where it was, when placement fails.
+// still queued where it was, when placement fails; true means q is
+// gone — launch recycled it — and the caller must not read it again.
 //
 //simvet:coldpath per start action; steady-state cycles take no actions
 func (ctl *Controller) startQueued(q *queuedJob, pi, target int, pinned []int) bool {

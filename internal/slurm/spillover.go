@@ -116,6 +116,7 @@ func (ctl *Controller) spillPass() {
 				}
 				continue
 			}
+			name, seq, width := j.Name, j.ID, j.Nodes // the commit drops j and recycles q
 			if !ctl.startQueued(q, host, 0, nodes) {
 				continue // placement raced away; stay home
 			}
@@ -130,9 +131,9 @@ func (ctl *Controller) spillPass() {
 			if ctl.Probe != nil {
 				ctl.Probe.Emit(obs.Event{
 					Kind: obs.KindAction, Act: obs.ActSpill, Reason: obs.ReasonSpilled,
-					Time: now, Job: q.job.Name, Seq: q.seq,
+					Time: now, Job: name, Seq: seq,
 					Partition: parts[host].Name, Origin: parts[home].Name,
-					Nodes: q.job.Nodes,
+					Nodes: width,
 				})
 			}
 			break

@@ -110,7 +110,7 @@ func (ctl *Controller) viewDequeue(q *queuedJob) {
 	v := &ctl.views[q.pidx]
 	i := v.queuePos(q.job.Priority, q.seq)
 	if i >= len(v.qjobs) || v.qjobs[i] != q {
-		ctl.fail(fmt.Errorf("slurm: job %s (seq %d) missing from the view of partition %s", q.job.Name, q.seq, v.st.Partition))
+		ctl.failViewMissing(q.job.Name, q.seq, v)
 		return
 	}
 	v.st.Queue = slices.Delete(v.st.Queue, i, i+1)
@@ -135,11 +135,19 @@ func (ctl *Controller) viewRemoveRunning(r *runningJob) {
 	v := &ctl.views[r.pidx]
 	i := slices.Index(v.rjobs, r)
 	if i < 0 {
-		ctl.fail(fmt.Errorf("slurm: job %s (seq %d) missing from the view of partition %s", r.job.Name, r.seq, v.st.Partition))
+		ctl.failViewMissing(r.job.Name, r.seq, v)
 		return
 	}
 	v.st.Running = slices.Delete(v.st.Running, i, i+1)
 	v.rjobs = slices.Delete(v.rjobs, i, i+1)
+}
+
+// failViewMissing fails the controller on a record its partition's
+// view does not hold.
+//
+//simvet:coldpath error path
+func (ctl *Controller) failViewMissing(name string, seq int, v *partView) {
+	ctl.fail(fmt.Errorf("slurm: job %s (seq %d) missing from the view of partition %s", name, seq, v.st.Partition))
 }
 
 // unavailable is the Free entry of a down or draining node: every

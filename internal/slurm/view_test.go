@@ -135,3 +135,52 @@ func TestCycleSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("measured cycles took actions: running=%d queue=%d", ctl.RunningLen(), ctl.QueueLen())
 	}
 }
+
+// TestLaunchFinishSteadyStateAllocs pins what one job costs the
+// controller end to end, beside the idle cycle above: on a controller
+// that has seen the shape before, submit → cycle → launch (Figure-2
+// reservations) → evStart → iterations → finish → post_term → cycle of
+// one more job allocates nothing — the waiting record, the running
+// record with its instance, rank array and callbacks, the tracked
+// events' slots and the DROM process slots all come back from the
+// lists the previous job went onto. The caller's *Job and its name
+// are the caller's (built before the measurement), and the records are
+// folded as a streamed replay folds them.
+func TestLaunchFinishSteadyStateAllocs(t *testing.T) {
+	eng, c := newTestCluster()
+	ctl := NewController(c, PolicyDROM)
+	ctl.UseSched(&sched.EASY{})
+	ctl.Records.SetAggregate()
+	const runs = 100
+	jobs := make([]Job, runs+3)
+	for i := range jobs {
+		jobs[i] = Job{Name: "j", Spec: fastSpec(20), Cfg: apps.Config{Ranks: 4, Threads: 8},
+			Nodes: 2, Walltime: 100, Malleable: true, FailAfter: float64(i % 2 * 1000)}
+	}
+	next := 0
+	one := func() {
+		if err := ctl.Submit(&jobs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		eng.Run()
+	}
+	one() // warm up: the free lists, the scratch buffers, the views
+	one()
+	if avg := testing.AllocsPerRun(runs, one); avg > 0 {
+		t.Errorf("%.2f allocs per submit→launch→finish in steady state, want 0", avg)
+	}
+	checkErr(t, ctl)
+	if got := ctl.Records.Count(); got != next || ctl.RunningLen() != 0 || ctl.QueueLen() != 0 {
+		t.Fatalf("%d of %d jobs recorded (running=%d queue=%d)", got, next, ctl.RunningLen(), ctl.QueueLen())
+	}
+	if len(ctl.freeRunning) != 1 || len(ctl.freeQueued) != 1 {
+		t.Errorf("free lists hold %d running and %d queued records, want the one of each that was ever live",
+			len(ctl.freeRunning), len(ctl.freeQueued))
+	}
+	// evStart and a stale evInterrupt: two tracked events in flight at
+	// most, so two slots, both vacant again.
+	if len(ctl.pend) != 2 || len(ctl.pendFree) != 2 {
+		t.Errorf("pending-event table has %d slots, %d vacant, want 2 and 2", len(ctl.pend), len(ctl.pendFree))
+	}
+}

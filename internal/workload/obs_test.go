@@ -161,9 +161,11 @@ func TestExplainGoldenJobStory(t *testing.T) {
 // allocs/cycle if unguarded). Per submission: the whole replay's count
 // over the trace length, held within 0.6 of an allocation of its
 // level, so a closure, method value or boxed record per submission in
-// the driver's pump — or a boxed argument per task on the launch path
-// — shows (the lazy row also pays the generator and the trace mapping;
-// its records are folded, not kept).
+// the driver's pump — or a job record, an instance or a closure per
+// launch that the controller's free lists should have supplied — shows.
+// What is left is the caller's *Job (the slice row's one allocation;
+// the rest is the records growing) plus, on the lazy row, the name the
+// trace mapping formats; its records are folded, not kept.
 func TestDisabledProbeReplayAllocs(t *testing.T) {
 	gen := SyntheticSWF{Seed: 1, Jobs: 3000, Nodes: 4}
 	sc, err := SyntheticSWFScenario(gen)
@@ -175,10 +177,10 @@ func TestDisabledProbeReplayAllocs(t *testing.T) {
 		run       func(p sched.Policy) Result
 		maxPerSub float64
 	}{
-		{"slice", func(p sched.Policy) Result { return RunSched(sc, p) }, 18.0}, // level 17.4
+		{"slice", func(p sched.Policy) Result { return RunSched(sc, p) }, 1.8}, // level 1.2
 		{"lazy", func(p sched.Policy) Result {
 			return RunSchedStream(Scenario{Nodes: gen.Nodes}, gen.Source(), p)
-		}, 19.9}, // level 19.3
+		}, 2.8}, // level 2.2
 	}
 	for _, row := range rows {
 		p, err := sched.New("fcfs")

@@ -272,6 +272,18 @@ func jobShape(procs int, part hwmodel.Partition) (nodes, threads int, ok bool) {
 	return nodes, threads, true
 }
 
+// swfJobName names the n-th trace record "j%05d": zero-padded to five
+// digits, wider past 99999. The name is the one allocation (Sprintf
+// boxes n first), which matters at a name per replayed job.
+func swfJobName(n int) string {
+	var buf [24]byte
+	b := append(buf[:0], 'j')
+	for w := 10000; w > n && w > 1; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(n), 10))
+}
+
 // Map converts the idx-th trace record (0-based, counting dropped
 // records) into a submission. The SWF fields the replay honors beyond
 // the basic shape:
@@ -320,7 +332,7 @@ func (m *swfMapper) Map(j SWFJob, idx int) (Submission, bool) {
 			Cancel:   true,
 			CancelAt: j.Submit + wait,
 			Job: slurm.Job{
-				Name:      fmt.Sprintf("j%05d", idx+1),
+				Name:      swfJobName(idx + 1),
 				Spec:      m.spec,
 				Cfg:       apps.Config{Ranks: nodes, Threads: threads},
 				Iters:     itersFor(horizon, m.spec),
@@ -345,7 +357,7 @@ func (m *swfMapper) Map(j SWFJob, idx int) (Submission, bool) {
 		walltime = 0
 	}
 	job := slurm.Job{
-		Name:      fmt.Sprintf("j%05d", idx+1),
+		Name:      swfJobName(idx + 1),
 		Spec:      m.spec,
 		Cfg:       apps.Config{Ranks: nodes, Threads: threads},
 		Iters:     itersFor(j.Run, m.spec),

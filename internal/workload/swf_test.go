@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -182,5 +183,15 @@ func TestMalleableBeatsEASYOnMeanWait(t *testing.T) {
 	if expand.MeanResponse >= easy.MeanResponse {
 		t.Errorf("malleable-expand mean response %.1fs, want below EASY %.1fs",
 			expand.MeanResponse, easy.MeanResponse)
+	}
+}
+
+// TestSWFJobNameMatchesSprintf: the hand-rolled job name is byte for
+// byte what fmt's "j%05d" gives, across the padding boundaries.
+func TestSWFJobNameMatchesSprintf(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 25000, 99999, 100000, 1234567} {
+		if got, want := swfJobName(n), fmt.Sprintf("j%05d", n); got != want {
+			t.Errorf("swfJobName(%d) = %q, want %q", n, got, want)
+		}
 	}
 }
