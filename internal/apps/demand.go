@@ -87,7 +87,17 @@ func (n *nodeDemand) refresh() {
 type DemandTable struct {
 	machine hwmodel.Machine
 	nodes   map[string]*nodeDemand
+	// neverArm: see NeverArm.
+	neverArm bool
 }
+
+// NeverArm turns every instance placed on the table into the reference
+// of the differential tests: it executes each of its iterations and
+// never hands a span to the engine (Instance.arm). Tests at any layer
+// reach the table through their cluster; no option, flag or scenario
+// field leads here, and CI holds that no non-test file calls it. Forks
+// of the table inherit it.
+func (d *DemandTable) NeverArm() { d.neverArm = true }
 
 // NewDemandTable creates a table for nodes of the given (default)
 // machine type.

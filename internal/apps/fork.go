@@ -31,8 +31,9 @@ import (
 // Fork returns a deep copy of the demand table.
 func (d *DemandTable) Fork() *DemandTable {
 	f := &DemandTable{
-		machine: d.machine,
-		nodes:   make(map[string]*nodeDemand, len(d.nodes)),
+		machine:  d.machine,
+		nodes:    make(map[string]*nodeDemand, len(d.nodes)),
+		neverArm: d.neverArm,
 	}
 	for name, n := range d.nodes { //simvet:ordered deep copy into a fresh map; per-node entry order is preserved below
 		cp := &nodeDemand{
@@ -68,7 +69,6 @@ func (inst *Instance) Fork(eng *sim.Engine, demand *DemandTable, sysOf func(node
 		tick:               inst.tick,
 		armed:              inst.armed,
 		pendFinish:         inst.pendFinish,
-		neverArm:           inst.neverArm,
 	}
 	cp.iterateFn = cp.iterate
 	cp.finishFn = cp.finish

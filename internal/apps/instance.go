@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpuset"
@@ -49,13 +50,20 @@ type Instance struct {
 	// unregisters its ranks itself (plain DLB_Finalize).
 	FinalizeExternally bool
 
-	// ranks, envs and the two bound method values outlive a Reset: a
+	// ranks, envs, rows and the bound method values outlive a Reset: a
 	// recycled instance rebuilds its rank state in the arrays the last
 	// job left behind.
 	ranks     []rankRun
 	envs      []RankEnv // per-iteration scratch, reused across events
 	iterateFn func()    // pre-bound method values: one closure per
 	finishFn  func()    // instance, not one per scheduled event
+	// Traced instances only: rows is the pattern of the last executed
+	// iteration (see recordTrace), which an armed span repeats from
+	// spanT0 on every spanIter seconds, and settleFn what the tracer
+	// calls to have an open span reported before it is read.
+	rows             []trace.Segment
+	spanT0, spanIter float64
+	settleFn         func()
 	// itersDone counts the iterations iterate has accounted for; while
 	// a span is armed the engine has taken armed − tick.Credit() more
 	// (see arm and settle).
@@ -72,9 +80,6 @@ type Instance struct {
 	// cannot derive: Resume schedules iterateFn even when itersDone is
 	// already at Iters, so the iteration count alone is ambiguous.
 	pendFinish bool
-	// neverArm keeps the instance executing every iteration: the
-	// reference the package's differential tests compare against.
-	neverArm bool
 }
 
 // rankRun is the live state of one rank.
@@ -142,6 +147,12 @@ func (inst *Instance) Reset(spec Spec, cfg Config, iters int, jobName string,
 		inst.iterateFn = inst.iterate
 		inst.finishFn = inst.finish
 	}
+	if tracer != nil {
+		if inst.settleFn == nil {
+			inst.settleFn = inst.settle
+		}
+		inst.rows = slices.Grow(inst.rows, cfg.Ranks*cfg.Threads) // a row per thread, unless a mask outgrows the request
+	}
 	for _, p := range placements {
 		inst.ranks = append(inst.ranks, rankRun{p: p, chunks: cfg.Threads})
 	}
@@ -153,9 +164,10 @@ func (inst *Instance) Reset(spec Spec, cfg Config, iters int, jobName string,
 // instance parked for reuse pins no job, engine, ledger or tracer.
 func (inst *Instance) Scrub() {
 	clear(inst.ranks) // the placements point at DROM systems
+	clear(inst.rows)  // the rows name the job
 	*inst = Instance{
-		ranks: inst.ranks[:0], envs: inst.envs[:0],
-		iterateFn: inst.iterateFn, finishFn: inst.finishFn,
+		ranks: inst.ranks[:0], envs: inst.envs[:0], rows: inst.rows[:0],
+		iterateFn: inst.iterateFn, finishFn: inst.finishFn, settleFn: inst.settleFn,
 	}
 }
 
@@ -227,10 +239,18 @@ func (inst *Instance) schedule(delay float64, fn func(), finish bool) {
 // runs iterate again. It is what a wake does: the node ledgers call it
 // on every change to the demand of a node holding one of the ranks and
 // on every mask staged for one of the PIDs — the only two things that
-// can make an iteration compute something the previous one did not.
+// can make an iteration compute something the previous one did not —
+// and the tracer before it is read. A traced instance reports the span
+// here, as the last executed iteration's pattern taken n more times.
 func (inst *Instance) settle() {
+	if inst.armed == 0 {
+		return
+	}
 	n := inst.armed - inst.tick.Disarm()
 	inst.armed = 0
+	if inst.tracer != nil {
+		inst.tracer.AddSpan(inst.spanT0, inst.spanIter, n, true, inst.rows, nil)
+	}
 	if n == 0 {
 		return
 	}
@@ -346,72 +366,77 @@ func (inst *Instance) iterate() {
 	if inst.Jitter != nil && inst.JitterFrac > 0 {
 		iterDur *= 1 + inst.JitterFrac*(2*inst.Jitter.Float64()-1)
 	}
-	if inst.tracer != nil {
-		inst.recordTrace(iterDur, envs)
-	}
 	inst.itersDone++
 	if inst.itersDone >= inst.Iters {
 		inst.schedule(iterDur, inst.finishFn, true)
-		return
+	} else {
+		inst.schedule(iterDur, inst.iterateFn, false)
+		inst.arm(iterDur)
 	}
-	inst.schedule(iterDur, inst.iterateFn, false)
-	inst.arm(iterDur)
+	if inst.tracer != nil {
+		inst.recordTrace(iterDur, envs)
+	}
 }
 
 // arm hands the iterations between the one just booked and the last
 // one to the engine, when they are steady by construction: with no
-// jitter and no tracer an iteration is a function of the ranks' masks
-// and their nodes' ledgers alone, so until settle hears that one of
-// those moved, each would poll, find nothing, compute iterDur again
-// and book the next — which is all the engine does in its place. The
-// last iteration books finish instead and always runs.
+// jitter an iteration is a function of the ranks' masks and their
+// nodes' ledgers alone, so until settle hears that one of those moved,
+// each would poll, find nothing, compute iterDur again and book the
+// next — which is all the engine does in its place. The last iteration
+// books finish instead and always runs. A traced instance arms solo:
+// the tracer puts the iterations the engine took back among the
+// executed ones by their times, which is only exact for iterations
+// taken alone at their instant (sim.Periodic.ArmSolo).
 func (inst *Instance) arm(iterDur float64) {
 	left := inst.Iters - inst.itersDone - 1
-	if left < 1 || inst.Jitter != nil || inst.tracer != nil || inst.neverArm ||
+	if left < 1 || inst.Jitter != nil || inst.demand.neverArm ||
 		!(iterDur > 0) || math.IsInf(iterDur, 1) {
 		return
 	}
 	inst.armed = int64(left)
-	inst.tick.Arm(iterDur, inst.armed)
+	if inst.tracer == nil {
+		inst.tick.Arm(iterDur, inst.armed)
+		return
+	}
+	inst.tick.ArmSolo(iterDur, inst.armed)
+	inst.spanT0, inst.spanIter = inst.eng.Now()+iterDur, iterDur
 }
 
-// recordTrace emits per-thread segments for the current iteration.
+// recordTrace reports the iteration that starts now: one row per
+// thread on the unit interval (trace.Tracer.AddSpan), kept in inst.rows
+// because an armed span repeats it.
 func (inst *Instance) recordTrace(iterDur float64, envs []RankEnv) {
-	t0 := inst.eng.Now()
-	t1 := t0 + iterDur
+	rows := inst.rows[:0]
 	for i := range inst.ranks {
 		r := &inst.ranks[i]
 		env := envs[i]
-		cpus := r.mask.List()
+		ncpu := r.mask.Count()
 		ipc := inst.Spec.EffIPC(env)
-		cpus1e3 := r.dem.Machine().CyclesPerMicrosecond()
-		rows := r.chunks
-		if len(cpus) > rows {
-			rows = len(cpus)
-		}
-		for th := 0; th < rows; th++ {
-			if th >= env.Threads || th >= len(cpus) {
-				inst.tracer.Add(trace.Segment{
+		cycles := r.dem.Machine().CyclesPerMicrosecond()
+		cpu := -1
+		for th := 0; th < max(r.chunks, ncpu); th++ {
+			if th >= env.Threads || th >= ncpu {
+				rows = append(rows, trace.Segment{
 					Job: inst.JobName, Rank: i, Thread: th, CPU: -1,
-					T0: t0, T1: t1, State: trace.Removed,
+					T1: 1, State: trace.Removed,
 				})
 				continue
 			}
-			busy := inst.Spec.ThreadBusyFraction(th, env)
-			mid := t0 + iterDur*busy
-			inst.tracer.Add(trace.Segment{
-				Job: inst.JobName, Rank: i, Thread: th, CPU: cpus[th],
-				T0: t0, T1: mid, State: trace.Run,
-				IPC: ipc, CyclesPerUs: cpus1e3,
+			cpu = r.mask.Next(cpu + 1)
+			rows = append(rows, trace.Segment{
+				Job: inst.JobName, Rank: i, Thread: th, CPU: cpu,
+				T1: inst.Spec.ThreadBusyFraction(th, env), State: trace.Run,
+				IPC: ipc, CyclesPerUs: cycles,
 			})
-			if mid < t1 {
-				inst.tracer.Add(trace.Segment{
-					Job: inst.JobName, Rank: i, Thread: th, CPU: cpus[th],
-					T0: mid, T1: t1, State: trace.Idle,
-				})
-			}
 		}
 	}
+	inst.rows = rows
+	var flush func()
+	if inst.armed > 0 {
+		flush = inst.settleFn
+	}
+	inst.tracer.AddSpan(inst.eng.Now(), iterDur, 1, false, rows, flush)
 }
 
 // finish unregisters the ranks and fires OnComplete — last: the hook

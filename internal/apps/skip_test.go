@@ -44,7 +44,9 @@ func (b *testBed) launch(t *testing.T, o *skipObs, ref bool, name string, spec S
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.neverArm = ref
+	if ref {
+		b.demand.NeverArm()
+	}
 	inst.FinalizeExternally = true // keep the entries, and their poll counts, past the end
 	inst.OnComplete = func(end float64) { o.Ends[name] = end }
 	if err := inst.Start(); err != nil {
@@ -232,11 +234,11 @@ func TestForkMidSpanCarriesTheSpan(t *testing.T) {
 	})
 }
 
-// TestTracedOrJitteredInstanceNeverArms: a tracer wants every segment
-// and jitter makes every duration new, so those instances execute
-// every iteration; the plain one hands all but the first and the last
-// to the engine.
-func TestTracedOrJitteredInstanceNeverArms(t *testing.T) {
+// TestJitteredInstanceNeverArms: jitter makes every duration new, so a
+// jittered instance executes every iteration; a plain one hands all but
+// the first and the last to the engine, and so does a traced one (what
+// it records is held to the reference in trace_skip_test.go).
+func TestJitteredInstanceNeverArms(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		tracer  *trace.Tracer
@@ -244,8 +246,9 @@ func TestTracedOrJitteredInstanceNeverArms(t *testing.T) {
 		skipped int64
 	}{
 		{"plain", nil, nil, 98},
-		{"traced", trace.New(), nil, 0},
+		{"traced", trace.New(), nil, 98},
 		{"jittered", nil, rand.New(rand.NewSource(1)), 0},
+		{"traced and jittered", trace.New(), rand.New(rand.NewSource(1)), 0},
 	} {
 		b := newBed()
 		cfg := Config{Ranks: 2, Threads: 16}

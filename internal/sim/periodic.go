@@ -24,6 +24,22 @@ package sim
 //   - The ID changes with every occurrence taken, so it lives in the
 //     handle and nowhere else: cancelling and fork re-binding go
 //     through the handle.
+//   - A solo chain (ArmSolo) is for an owner that must be able to say
+//     afterwards, from times alone, where each occurrence the engine
+//     took fell among the events that were executed — a traced
+//     application, whose skipped iterations the tracer weaves back
+//     between the executed ones. The engine takes a solo occurrence
+//     only while it is alone at its instant: strictly earlier than
+//     every other pending entry, cancelled ones included, and strictly
+//     earlier than the RunUntil bound, at which the caller may book
+//     more. Otherwise the occurrence runs its callback with the credit
+//     still standing — always legal, it is what a wake does, and the
+//     step count, the event IDs and every later pop are the same
+//     either way. Everything executed at the instant of a taken solo
+//     occurrence therefore ran before it, and nothing in the engine can
+//     book for that instant afterwards (a callback runs at a later
+//     time; only a caller driving the engine with Step, which has no
+//     bound, could — see trace.Tracer for what that case does).
 
 import (
 	"fmt"
@@ -42,6 +58,8 @@ type Periodic struct {
 	// id is the pending occurrence's event ID, 0 while none is pending
 	// (the engine never issues ID 0).
 	id int64
+	// solo: the credit was granted by ArmSolo.
+	solo bool
 }
 
 // AfterPeriodic books the chain's next occurrence: fn runs delay
@@ -68,6 +86,16 @@ func (p *Periodic) Arm(period float64, credit int64) {
 		panic(fmt.Sprintf("sim: Arm with period %v", period))
 	}
 	p.period, p.credit = period, credit
+}
+
+// ArmSolo is Arm for a solo chain: the engine takes an occurrence by
+// itself only while no other pending entry shares its instant and the
+// RunUntil bound lies beyond it, and runs the callback — credit still
+// standing — when one does. The callback must therefore cope with
+// being run mid-span, as it does after a Disarm.
+func (p *Periodic) ArmSolo(period float64, credit int64) {
+	p.Arm(period, credit)
+	p.solo = true
 }
 
 // Credit returns how many occurrences the engine may still take by
@@ -98,13 +126,24 @@ func (e *Engine) CancelPeriodic(p *Periodic) {
 // be the head — strictly earlier than every other pending event, so no
 // tie is involved — and is due by bound, takes that one too. The entry
 // is re-keyed in place and sifted down once: no pop, no push, no call.
-func (e *Engine) skip(p *Periodic, bound float64) {
+// It reports false, having done nothing, when the chain is solo and its
+// head occurrence is not alone at its instant: step executes it.
+func (e *Engine) skip(p *Periodic, bound float64) bool {
 	// The earliest other pending event is a child of the root.
 	other := math.Inf(1)
 	if len(e.queue) > 1 {
 		other = e.queue[1].t
 		if len(e.queue) > 2 && e.queue[2].t < other {
 			other = e.queue[2].t
+		}
+	}
+	root := &e.queue[0]
+	t := root.t
+	if p.solo {
+		// Alone at its instant or not at all: the bound turns exclusive.
+		bound = math.Nextafter(bound, math.Inf(-1))
+		if !(t < other) || t > bound {
+			return false
 		}
 	}
 	limit := p.credit
@@ -115,8 +154,6 @@ func (e *Engine) skip(p *Periodic, bound float64) {
 			limit = room
 		}
 	}
-	root := &e.queue[0]
-	t := root.t
 	var n int64
 	for {
 		e.now = t
@@ -135,6 +172,7 @@ func (e *Engine) skip(p *Periodic, bound float64) {
 	if e.probeFn != nil {
 		e.heartbeat()
 	}
+	return true
 }
 
 // RebindPeriodic is Rebind for a chain's pending occurrence: p is the

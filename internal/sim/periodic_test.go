@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -119,6 +120,18 @@ var skipPeriods = []float64{1, 1, 1.25, 1.5, 2, 0.25, math.Sqrt2, math.Pi / 3}
 // every instant.
 var skipLockstepSeed = []byte{3, 2, 0, 40, 63, 0, 0, 1, 40, 63, 0, 0, 0, 40, 63, 0, 0, 0, 2, 40, 1, 0}
 
+// Three seeds for solo chains (ArmSolo), committed under testdata/fuzz
+// as solo-ties-*, each built around one kind of
+// entry a solo occurrence can share its instant with: a plain chain in
+// lockstep with it, the cancelled entry a chain cancelled through its
+// handle leaves in the queue, and a front-band entry with the regular
+// zero-delay push it makes.
+var (
+	skipSoloPlainSeed     = []byte{6, 1, 0, 40, 63, 3, 0, 0, 40, 63, 0, 0, 0, 1, 0, 41, 0, 0, 40, 1, 1}
+	skipSoloCancelledSeed = []byte{2, 1, 4, 40, 63, 3, 0, 2, 58, 63, 0, 3, 0, 1, 1, 44, 1, 2, 60, 0, 0}
+	skipSoloFrontSeed     = []byte{4, 0, 0, 40, 63, 3, 0, 2, 20, 8, 0, 48, 9, 0, 0, 0, 30, 0, 0}
+)
+
 // skipRec is one observation of a differential run.
 type skipRec struct {
 	T     float64
@@ -138,10 +151,12 @@ type skipShot struct {
 // grants the engine credit; in the reference world the same credit is
 // kept in virt and consumed by executing a callback that does nothing
 // but book the next occurrence — the engine's credit forced to zero.
+// A solo chain arms with ArmSolo.
 type skipChain struct {
 	w       *skipWorld
 	idx     int
 	p       Periodic
+	solo    bool
 	period  float64
 	total   int64 // occurrences the chain runs for
 	grant   int64 // most credit it hands out at once
@@ -152,8 +167,11 @@ type skipChain struct {
 }
 
 type skipWorld struct {
-	eng    *Engine
-	armed  bool
+	eng   *Engine
+	armed bool
+	// bound is the bound of the RunUntil in progress (+Inf under Run):
+	// the reference needs it to say which solo occurrences are alone.
+	bound  float64
 	chains []*skipChain
 	shots  map[EventID]skipShot
 	log    []skipRec
@@ -181,12 +199,51 @@ func (c *skipChain) settle() {
 
 func (c *skipChain) count() int64 { return c.done + c.granted - c.left() }
 
+// arm grants the engine n occurrences.
+func (c *skipChain) arm(n int64) {
+	if c.solo {
+		c.p.ArmSolo(c.period, n)
+	} else {
+		c.p.Arm(c.period, n)
+	}
+}
+
+// alone reports whether the occurrence being executed was alone at its
+// instant: no other pending entry — cancelled ones count, they sit in
+// the queue until popped — shares its time, and the RunUntil bound lies
+// beyond it.
+func (w *skipWorld) alone() bool {
+	for i := range w.eng.queue {
+		if w.eng.queue[i].t == w.eng.now {
+			return false
+		}
+	}
+	return w.eng.now < w.bound
+}
+
 func (c *skipChain) fire() {
 	w := c.w
 	if c.virt > 0 {
 		// Reference world, steady occurrence: book the next, nothing else.
+		// This is where the solo rule is stated independently of the
+		// engine: the armed world runs this callback for a steady
+		// occurrence of a solo chain exactly when it was not alone.
+		if c.solo && !w.alone() {
+			w.rec(fmt.Sprintf("tie/chain%d", c.idx), c.count())
+		}
 		c.virt--
 		w.eng.AfterPeriodic(&c.p, c.period, c.fire)
+		return
+	}
+	if left := c.p.Credit(); left > 0 {
+		// Armed world, credit still standing: a solo occurrence that was
+		// not alone. It is steady all the same — book the next one and
+		// leave the engine the rest of the credit.
+		w.rec(fmt.Sprintf("tie/chain%d", c.idx), c.count())
+		w.eng.AfterPeriodic(&c.p, c.period, c.fire)
+		if left > 1 {
+			c.arm(left - 1)
+		}
 		return
 	}
 	c.settle()
@@ -206,7 +263,7 @@ func (c *skipChain) fire() {
 		n := min(left, c.grant)
 		c.granted = n
 		if w.armed {
-			c.p.Arm(c.period, n)
+			c.arm(n)
 		} else {
 			c.virt = n
 		}
@@ -252,7 +309,7 @@ func (w *skipWorld) fireShot(id EventID) {
 // the clone's own handle, and every pending descriptor.
 func (w *skipWorld) fork(t *testing.T) *skipWorld {
 	f := &skipWorld{
-		eng: w.eng.Fork(), armed: w.armed, nshot: w.nshot,
+		eng: w.eng.Fork(), armed: w.armed, bound: w.bound, nshot: w.nshot,
 		shots: make(map[EventID]skipShot, len(w.shots)),
 		log:   append([]skipRec(nil), w.log...),
 	}
@@ -301,7 +358,7 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 		data = data[1:]
 		return int(b)
 	}
-	w := &skipWorld{eng: NewEngine(), armed: armed, shots: map[EventID]skipShot{}}
+	w := &skipWorld{eng: NewEngine(), armed: armed, bound: math.Inf(1), shots: map[EventID]skipShot{}}
 	every := int64(1 + next()%16)
 	w.heartbeat(every)
 	for i, n := 0, 1+next()%6; i < n; i++ {
@@ -310,8 +367,9 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 			period: skipPeriods[next()%len(skipPeriods)],
 			total:  int64(2 + next()%60),
 			grant:  int64(1 + next()%64),
-			onReal: next() % 3,
 		}
+		flags := next()
+		c.onReal, c.solo = flags%3, flags/3%2 == 1
 		w.chains = append(w.chains, c)
 		w.eng.AfterPeriodic(&c.p, float64(next()%8)/4, c.fire)
 	}
@@ -325,6 +383,7 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 	var f *skipWorld
 	for i, n, forkAt := 0, 1+next()%6, next()%6; i < n; i++ {
 		bound += float64(next()%64) / 4
+		w.bound = bound
 		w.eng.RunUntil(bound)
 		for _, c := range w.chains {
 			w.rec(fmt.Sprintf("bound%d/chain%d", i, c.idx), c.count())
@@ -342,6 +401,7 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 		}
 	}
 	finish := func(w *skipWorld) []skipRec {
+		w.bound = math.Inf(1)
 		w.eng.Run()
 		for _, c := range w.chains {
 			w.rec(fmt.Sprintf("end/chain%d", c.idx), c.count())
@@ -354,15 +414,18 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 }
 
 // FuzzSkipDifferential runs a generated script — periodic chains in
-// lockstep, on a shared quarter grid and off it, one-shot and
-// front-band events, zero-delay pushes from callbacks, wakes, cancels
-// through the handle, RunUntil bounds with outside interference and a
-// fork mid-span — once with the chains arming their handles and once
-// with the same credit executed occurrence by occurrence. Every
-// callback that does anything must run at the same time in the same
-// order, the ID allocator must end where it would have, and executed
-// plus skipped steps must equal the reference's executed count — in
-// the parent and in the fork.
+// lockstep, on a shared quarter grid and off it, some of them solo,
+// one-shot and front-band events, zero-delay pushes from callbacks,
+// wakes, cancels through the handle, RunUntil bounds with outside
+// interference and a fork mid-span — once with the chains arming their
+// handles and once with the same credit executed occurrence by
+// occurrence. Every callback that does anything must run at the same
+// time in the same order, the ID allocator must end where it would
+// have, and executed plus skipped steps must equal the reference's
+// executed count — in the parent and in the fork. For a solo chain the
+// reference also says, from the queue it sees, which steady occurrences
+// were not alone at their instant ("tie" records); the armed engine
+// must have run the callback for exactly those and taken the others.
 //
 // Plain `go test` replays the seeds below and the committed corpus
 // under testdata/fuzz/FuzzSkipDifferential.
@@ -413,5 +476,31 @@ func TestSkipDifferentialSkips(t *testing.T) {
 	}
 	if steps := ap[len(ap)-1].N; steps != 3*42 || beats == 0 {
 		t.Fatalf("steps = %d (want %d), %d heartbeats", steps, 3*42, beats)
+	}
+}
+
+// TestSkipDifferentialSoloTies guards the solo seeds against passing
+// vacuously: each must see its solo chain tie at the instant the seed
+// was built around — the callback run with credit standing, agreed by
+// the reference — and be taken by the engine elsewhere.
+func TestSkipDifferentialSoloTies(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		seed []byte
+		at   float64 // where chain0 meets the entry
+	}{
+		{"plain chain", skipSoloPlainSeed, 7},
+		{"cancelled entry", skipSoloCancelledSeed, 12},
+		{"front-band entry", skipSoloFrontSeed, 5},
+	} {
+		ap, af, skipped := skipRun(t, c.seed, true)
+		rp, rf, _ := skipRun(t, c.seed, false)
+		if !reflect.DeepEqual(ap, rp) || !reflect.DeepEqual(af, rf) {
+			t.Fatalf("%s: diverges:\n%s\n%s", c.name, skipDiff(ap, rp), skipDiff(af, rf))
+		}
+		tied := slices.ContainsFunc(ap, func(r skipRec) bool { return r.Label == "tie/chain0" && r.T == c.at })
+		if !tied || skipped == 0 {
+			t.Errorf("%s: tie at %v: %v, %d steps skipped — want true and some", c.name, c.at, tied, skipped)
+		}
 	}
 }

@@ -225,8 +225,7 @@ func (e *Engine) step(bound float64) bool {
 		if e.stopped {
 			return false
 		}
-		if p := e.queue[0].p; p != nil && p.credit > 0 {
-			e.skip(p, bound)
+		if p := e.queue[0].p; p != nil && p.credit > 0 && e.skip(p, bound) {
 			return true
 		}
 		ev := e.pop()

@@ -265,16 +265,19 @@ type Controller struct {
 	// in-flight event count. firePendAt executes the descriptor when the
 	// event fires and Fork copies the live slots. cycleEv is the single
 	// deferred-cycle event, meaningful only while cyclePending (at most
-	// one runCycle event is ever outstanding, so it needs no slot).
+	// one runCycle event is ever outstanding, so it needs no slot), and
+	// runCycleFn its callback: ctl.runCycle bound once, so deferring a
+	// cycle allocates nothing.
 	// nfWins retains the parsed fault script and nfDraws counts
 	// fault-RNG draws so a fork can rebuild the window schedule and
 	// fast-forward a fresh RNG to the identical stream position.
-	pend     []pendEv
-	pendFn   []func()
-	pendFree []int
-	cycleEv  sim.EventID
-	nfWins   []faultWindow
-	nfDraws  int64
+	pend       []pendEv
+	pendFn     []func()
+	pendFree   []int
+	cycleEv    sim.EventID
+	runCycleFn func()
+	nfWins     []faultWindow
+	nfDraws    int64
 
 	// Cycles counts executed scheduling-policy passes (perf metric).
 	Cycles int64
@@ -337,6 +340,7 @@ func NewController(c *Cluster, policy Policy) *Controller {
 		ctl.nodeIdx[n] = i
 		ctl.nodeMasks[i] = c.MachineOfNode(i).NodeMask()
 	}
+	ctl.runCycleFn = ctl.runCycle
 	return ctl
 }
 
@@ -477,9 +481,11 @@ func (ctl *Controller) kick() {
 
 // deferCycle parks the one deferred cycle at time t; requests arriving
 // before it fires are absorbed by it.
+//
+//simvet:hotpath
 func (ctl *Controller) deferCycle(t float64) {
 	ctl.cyclePending = true
-	ctl.cycleEv = ctl.cluster.Engine.At(t, ctl.runCycle)
+	ctl.cycleEv = ctl.cluster.Engine.At(t, ctl.runCycleFn)
 }
 
 // runCycle executes a cycle now — from kick, or as the deferred event —

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -45,8 +46,8 @@ func FuzzIncrementalCycle(f *testing.F) {
 	// jobs on one node. The committed corpus holds the busy traces.
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out := replayFuzzTrace(t, data, nil, false)
-		ref := replayFuzzTrace(t, data, nil, true)
+		out := replayFuzzTrace(t, data, fuzzTwin{})
+		ref := replayFuzzTrace(t, data, fuzzTwin{neverRecycle: true})
 		if out.skipped != ref.skipped {
 			t.Errorf("skipped steps: recycling %d, never-recycling twin %d", out.skipped, ref.skipped)
 		}
@@ -65,14 +66,17 @@ type fuzzOutcome struct {
 }
 
 // TestFuzzCorpusReplaysIdenticallyWithoutSkipping replays every
-// committed FuzzIncrementalCycle entry a second time with a tracer
-// attached. A traced instance executes every iteration — it never hands
-// a span to the engine — and a tracer by contract influences no
-// decision, so the twin is the per-iteration reference: the observable
-// event stream, the records and the step count must be identical, with
-// only the executed share of the steps differing. (Forks drop the
-// tracer, so it is the parent lineage that is compared; each fork is
-// already held to its own parent by replayFuzzTrace.)
+// committed FuzzIncrementalCycle entry twice more. The reference is the
+// never-arming twin (apps.DemandTable.NeverArm): every instance executes
+// every iteration and hands no span to the engine. The third leg
+// attaches a tracer: a traced instance arms solo — it lets the engine
+// take only the iterations that are alone at their instant — and a
+// tracer by contract influences no decision. All three must give the
+// same observable event stream, records and step count, with only the
+// executed share of the steps differing; the traced twin's segments
+// must be the reference's, traced too, element for element. (Forks
+// drop the tracer, so it is the parent lineage that is compared; each
+// fork is already held to its own parent by replayFuzzTrace.)
 func TestFuzzCorpusReplaysIdenticallyWithoutSkipping(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzIncrementalCycle", "*"))
 	if err != nil || len(files) == 0 {
@@ -92,13 +96,21 @@ func TestFuzzCorpusReplaysIdenticallyWithoutSkipping(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			armed := replayFuzzTrace(t, []byte(str), nil, false)
-			ref := replayFuzzTrace(t, []byte(str), trace.New(), false)
-			if ref.skipped != 0 || armed.skipped == 0 {
-				t.Fatalf("skipped steps: armed %d, traced twin %d — want some and none", armed.skipped, ref.skipped)
+			armed := replayFuzzTrace(t, []byte(str), fuzzTwin{})
+			refTrace, tracedTrace := trace.New(), trace.New()
+			ref := replayFuzzTrace(t, []byte(str), fuzzTwin{tracer: refTrace, neverArm: true})
+			traced := replayFuzzTrace(t, []byte(str), fuzzTwin{tracer: tracedTrace})
+			if ref.skipped != 0 || armed.skipped == 0 || traced.skipped == 0 || traced.skipped > armed.skipped {
+				t.Fatalf("skipped steps: armed %d, traced twin %d, reference %d — want some, some but no more, and none",
+					armed.skipped, traced.skipped, ref.skipped)
 			}
 			armed.mustEqual(t, "armed", ref, "reference")
-			t.Logf("%d steps (%d skipped when armed), %d events, %d jobs", armed.steps, armed.skipped, len(armed.events), len(armed.jobs))
+			traced.mustEqual(t, "traced", ref, "reference")
+			if got, want := tracedTrace.Segments(), refTrace.Segments(); !slices.Equal(got, want) {
+				t.Fatalf("the traced twin has %d segments, the reference %d, or they differ", len(got), len(want))
+			}
+			t.Logf("%d steps (%d skipped when armed, %d when traced), %d events, %d jobs, %d segments",
+				armed.steps, armed.skipped, traced.skipped, len(armed.events), len(armed.jobs), len(refTrace.Segments()))
 		})
 	}
 }
@@ -132,12 +144,20 @@ type fuzzOp struct {
 	fired bool
 }
 
+// fuzzTwin selects the variant of the system a fuzz trace is replayed
+// on: with a tracer attached, on the never-recycling twin of the
+// controller, with instances that never arm. The zero value is the
+// system as it ships.
+type fuzzTwin struct {
+	tracer       *trace.Tracer
+	neverRecycle bool
+	neverArm     bool
+}
+
 // replayFuzzTrace decodes data into a trace and replays it (see
-// FuzzIncrementalCycle) on a cluster with the given tracer (nil for
-// none), on the never-recycling twin of the controller when asked.
-// Bytes are consumed in order; an exhausted input reads as zeros, so
-// every input is a valid trace.
-func replayFuzzTrace(t *testing.T, data []byte, tracer *trace.Tracer, neverRecycle bool) fuzzOutcome {
+// FuzzIncrementalCycle) on the given twin. Bytes are consumed in order;
+// an exhausted input reads as zeros, so every input is a valid trace.
+func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -154,12 +174,15 @@ func replayFuzzTrace(t *testing.T, data []byte, tracer *trace.Tracer, neverRecyc
 		})
 	}
 	eng := sim.NewEngine()
-	c, err := NewClusterSpec(eng, spec, tracer)
+	c, err := NewClusterSpec(eng, spec, twin.tracer)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if twin.neverArm {
+		c.Demand.NeverArm()
+	}
 	ctl := NewController(c, PolicyDROM)
-	ctl.neverRecycle = neverRecycle
+	ctl.neverRecycle = twin.neverRecycle
 	var out fuzzOutcome
 	ctl.Probe = obs.Func(func(ev obs.Event) {
 		ev.WallNanos = 0

@@ -343,8 +343,9 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 	// live slot of the pending-event table, copied into the fork's own
 	// (compacted: a slot's index is no decision input) and bound there
 	// to the slot's stored event ID.
+	ctl2.runCycleFn = ctl2.runCycle
 	if ctl.cyclePending {
-		if err := eng.Rebind(ctl.cycleEv, ctl2.runCycle); err != nil {
+		if err := eng.Rebind(ctl.cycleEv, ctl2.runCycleFn); err != nil {
 			return nil, nil, fmt.Errorf("slurm: Fork cycle event: %w", err)
 		}
 	}

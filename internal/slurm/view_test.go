@@ -145,14 +145,16 @@ func TestCycleSteadyStateAllocs(t *testing.T) {
 // events' slots and the DROM process slots all come back from the
 // lists the previous job went onto. The caller's *Job and its name
 // are the caller's (built before the measurement), and the records are
-// folded as a streamed replay folds them.
+// folded as a streamed replay folds them. Nor does a second submission
+// at the same instant, whose cycle is deferred to the end of the
+// instant (deferCycle books the controller's one bound runCycle).
 func TestLaunchFinishSteadyStateAllocs(t *testing.T) {
 	eng, c := newTestCluster()
 	ctl := NewController(c, PolicyDROM)
 	ctl.UseSched(&sched.EASY{})
 	ctl.Records.SetAggregate()
 	const runs = 100
-	jobs := make([]Job, runs+3)
+	jobs := make([]Job, 3*(runs+3))
 	for i := range jobs {
 		jobs[i] = Job{Name: "j", Spec: fastSpec(20), Cfg: apps.Config{Ranks: 4, Threads: 8},
 			Nodes: 2, Walltime: 100, Malleable: true, FailAfter: float64(i % 2 * 1000)}
@@ -170,10 +172,6 @@ func TestLaunchFinishSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(runs, one); avg > 0 {
 		t.Errorf("%.2f allocs per submit→launch→finish in steady state, want 0", avg)
 	}
-	checkErr(t, ctl)
-	if got := ctl.Records.Count(); got != next || ctl.RunningLen() != 0 || ctl.QueueLen() != 0 {
-		t.Fatalf("%d of %d jobs recorded (running=%d queue=%d)", got, next, ctl.RunningLen(), ctl.QueueLen())
-	}
 	if len(ctl.freeRunning) != 1 || len(ctl.freeQueued) != 1 {
 		t.Errorf("free lists hold %d running and %d queued records, want the one of each that was ever live",
 			len(ctl.freeRunning), len(ctl.freeQueued))
@@ -182,5 +180,30 @@ func TestLaunchFinishSteadyStateAllocs(t *testing.T) {
 	// most, so two slots, both vacant again.
 	if len(ctl.pend) != 2 || len(ctl.pendFree) != 2 {
 		t.Errorf("pending-event table has %d slots, %d vacant, want 2 and 2", len(ctl.pend), len(ctl.pendFree))
+	}
+	deferred := 0
+	two := func() {
+		for k := 0; k < 2; k++ {
+			if err := ctl.Submit(&jobs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if ctl.cyclePending {
+			deferred++
+		}
+		eng.Run()
+	}
+	two() // warm up: a second record of each kind
+	two()
+	if avg := testing.AllocsPerRun(runs, two); avg > 0 {
+		t.Errorf("%.2f allocs per pair of same-instant submissions in steady state, want 0", avg)
+	}
+	if deferred != runs+3 {
+		t.Errorf("%d of %d second submissions deferred their cycle", deferred, runs+3)
+	}
+	checkErr(t, ctl)
+	if got := ctl.Records.Count(); got != next || ctl.RunningLen() != 0 || ctl.QueueLen() != 0 {
+		t.Fatalf("%d of %d jobs recorded (running=%d queue=%d)", got, next, ctl.RunningLen(), ctl.QueueLen())
 	}
 }

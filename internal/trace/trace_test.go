@@ -44,7 +44,7 @@ func TestSegmentsRoundTripAcrossChunks(t *testing.T) {
 			want = append(want, s)
 		}
 	}
-	for _, n := range []int{1, chunkRecs - 2, 1, 1, chunkRecs + 5, 0} {
+	for _, n := range []int{1, blocksPerChunk - 2, 1, 1, blocksPerChunk + 5, 0} {
 		add(n)
 		got := tr.Segments()
 		if len(got) != len(want) {
@@ -56,21 +56,23 @@ func TestSegmentsRoundTripAcrossChunks(t *testing.T) {
 			}
 		}
 	}
-	if len(tr.chunks) != 3 {
-		t.Errorf("%d chunks for %d records", len(tr.chunks), len(want))
+	if len(tr.blocks) != 3 {
+		t.Errorf("%d chunks for %d blocks", len(tr.blocks), len(want))
 	}
 	if jobs := tr.Jobs(); len(jobs) != 3 || jobs[0] != "nest" || jobs[1] != "pils" || jobs[2] != "stream" {
 		t.Errorf("Jobs = %v", jobs)
 	}
-	rt := reflect.TypeOf(rec{})
-	if rt.Size() != 56 {
-		t.Errorf("rec is %d bytes, want 56", rt.Size())
-	}
-	for i := 0; i < rt.NumField(); i++ {
-		switch k := rt.Field(i).Type.Kind(); k {
-		case reflect.Float64, reflect.Uint32, reflect.Int32, reflect.Int8:
-		default:
-			t.Errorf("rec.%s is a %v: the collector would scan every chunk", rt.Field(i).Name, k)
+	for _, rt := range []reflect.Type{reflect.TypeOf(block{}), reflect.TypeOf(row{}), reflect.TypeOf(rowsRef{})} {
+		for i := 0; i < rt.NumField(); i++ {
+			switch k := rt.Field(i).Type.Kind(); k {
+			case reflect.Float64, reflect.Int64, reflect.Uint32, reflect.Int32, reflect.Int8, reflect.Bool:
+			case reflect.Struct:
+				if rt.Field(i).Type != reflect.TypeOf(rowsRef{}) {
+					t.Errorf("%s.%s is a %v", rt.Name(), rt.Field(i).Name, rt.Field(i).Type)
+				}
+			default:
+				t.Errorf("%s.%s is a %v: the collector would scan every chunk", rt.Name(), rt.Field(i).Name, k)
+			}
 		}
 	}
 }
