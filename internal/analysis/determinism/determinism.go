@@ -35,6 +35,7 @@ var decisionPaths = []string{
 	"internal/sched",
 	"internal/slurm",
 	"internal/sim",
+	"internal/apps",
 	"internal/sweep",
 	"internal/metrics",
 	"internal/workload",

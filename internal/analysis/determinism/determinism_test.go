@@ -16,6 +16,7 @@ func TestInScope(t *testing.T) {
 		"repro/internal/sched":                true,
 		"repro/internal/slurm":                true,
 		"repro/internal/sweep":                true,
+		"repro/internal/apps":                 true,
 		"internal/obs":                        true,
 		"repro/cmd/simrun":                    false,
 		"repro/internal/analysis/determinism": false,

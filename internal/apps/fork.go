@@ -18,9 +18,9 @@ package apps
 //   - ledger entries do not carry their owners over: each forked
 //     instance claims its ranks' entries again, and points its nodes'
 //     forked DROM systems at the forked ledgers;
-//   - Jitter, tracer and OnComplete do not carry over — forks are
-//     jitter-free by contract and the controller that forks the
-//     instance installs its own completion hook.
+//   - Jitter, tracer and OnComplete do not carry over — the controller
+//     that forks the instance points it at the forked cluster's jitter
+//     stream and installs its own completion hook.
 
 import (
 	"repro/internal/core"

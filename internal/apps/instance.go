@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"repro/internal/core"
@@ -42,7 +41,7 @@ type Instance struct {
 	OnComplete func(end float64)
 	// Jitter, when non-nil, perturbs iteration durations by up to
 	// ±JitterFrac, modeling real-machine variability.
-	Jitter     *rand.Rand
+	Jitter     *sim.Rand
 	JitterFrac float64
 	// FinalizeExternally leaves the DROM registrations in place at job
 	// end so the resource manager's post_term / DROM_PostFinalize can

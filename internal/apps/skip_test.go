@@ -9,13 +9,13 @@ package apps
 // (ledger change, staged mask) or the handle bookkeeping is removed.
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpuset"
 	"repro/internal/shmem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -242,13 +242,13 @@ func TestJitteredInstanceNeverArms(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		tracer  *trace.Tracer
-		jitter  *rand.Rand
+		jitter  *sim.Rand
 		skipped int64
 	}{
 		{"plain", nil, nil, 98},
 		{"traced", trace.New(), nil, 98},
-		{"jittered", nil, rand.New(rand.NewSource(1)), 0},
-		{"traced and jittered", trace.New(), rand.New(rand.NewSource(1)), 0},
+		{"jittered", nil, sim.NewRand(1), 0},
+		{"traced and jittered", trace.New(), sim.NewRand(1), 0},
 	} {
 		b := newBed()
 		cfg := Config{Ranks: 2, Threads: 16}

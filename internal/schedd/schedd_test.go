@@ -14,9 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// newTestServer opens a deterministic 120-job live cluster and its
-// HTTP facade.
-func newTestServer(t *testing.T) (*httptest.Server, *workload.Session) {
+// newTestServer opens a deterministic 120-job live cluster, with the
+// mutators applied to its scenario, and its HTTP facade.
+func newTestServer(t *testing.T, mutate ...func(*workload.Scenario)) (*httptest.Server, *workload.Session) {
 	t.Helper()
 	sc, err := workload.SyntheticSWFScenario(workload.SyntheticSWF{
 		Seed: 7, Jobs: 120, Nodes: 4, MeanInterarrival: 25,
@@ -25,6 +25,9 @@ func newTestServer(t *testing.T) (*httptest.Server, *workload.Session) {
 		t.Fatal(err)
 	}
 	sc.DebugInvariants = true
+	for _, m := range mutate {
+		m(&sc)
+	}
 	sess, err := workload.NewSchedSession(sc, &sched.EASY{})
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +35,17 @@ func newTestServer(t *testing.T) (*httptest.Server, *workload.Session) {
 	ts := httptest.NewServer(NewServer(sess, 4).Handler())
 	t.Cleanup(ts.Close)
 	return ts, sess
+}
+
+// sessionKinds are the live sessions a what-if must predict exactly:
+// the plain one, and one whose every iteration duration is a draw from
+// the cluster's seeded jitter stream, which each fork continues.
+var sessionKinds = []struct {
+	name   string
+	mutate func(*workload.Scenario)
+}{
+	{"plain", func(*workload.Scenario) {}},
+	{"jittered", func(sc *workload.Scenario) { sc.JitterFrac = 0.03 }},
 }
 
 func getJSON(t *testing.T, url string, wantCode int, v any) {
@@ -77,62 +91,67 @@ func postJSON(t *testing.T, url string, req any, wantCode int, v any) {
 // TestWhatIfMatchesActualStart: a what-if with no policy override is
 // a prediction of the live lineage's own future, so by fork
 // equivalence the predicted start must equal the start the live
-// cluster actually records when time advances to it.
+// cluster actually records when time advances to it — bit for bit,
+// jittered session included.
 func TestWhatIfMatchesActualStart(t *testing.T) {
-	ts, sess := newTestServer(t)
-	postJSON(t, ts.URL+"/advance", map[string]float64{"until": 500}, http.StatusOK, nil)
+	for _, k := range sessionKinds {
+		t.Run(k.name, func(t *testing.T) {
+			ts, sess := newTestServer(t, k.mutate)
+			postJSON(t, ts.URL+"/advance", map[string]float64{"until": 500}, http.StatusOK, nil)
 
-	// A job submitted over the API into the advanced cluster: it queues
-	// behind the synthetic backlog.
-	job := map[string]any{
-		"name": "api-probe", "app": "pils", "ranks": 4, "threads": 4,
-		"nodes": 2, "walltime": 900, "malleable": true,
-	}
-	var st State
-	postJSON(t, ts.URL+"/submit", job, http.StatusOK, &st)
-	if st.Queue == 0 && st.Running == 0 {
-		t.Fatal("submitted job is neither queued nor running")
-	}
+			// A job submitted over the API into the advanced cluster: it queues
+			// behind the synthetic backlog.
+			job := map[string]any{
+				"name": "api-probe", "app": "pils", "ranks": 4, "threads": 4,
+				"nodes": 2, "walltime": 900, "malleable": true,
+			}
+			var st State
+			postJSON(t, ts.URL+"/submit", job, http.StatusOK, &st)
+			if st.Queue == 0 && st.Running == 0 {
+				t.Fatal("submitted job is neither queued nor running")
+			}
 
-	var preds []WhatIf
-	for _, name := range []string{"api-probe", "j00090"} { // one live, one still upstream
-		var p WhatIf
-		getJSON(t, ts.URL+"/whatif?job="+name, http.StatusOK, &p)
-		if p.Start < p.ForkedAt && name == "api-probe" {
-			t.Errorf("%s: predicted start %g precedes the fork point %g", name, p.Start, p.ForkedAt)
-		}
-		if p.Placement == "" {
-			t.Errorf("%s: prediction has no placement", name)
-		}
-		if p.Wait < 0 {
-			t.Errorf("%s: prediction has no wait (submit time lost)", name)
-		}
-		preds = append(preds, p)
-	}
+			var preds []WhatIf
+			for _, name := range []string{"api-probe", "j00090"} { // one live, one still upstream
+				var p WhatIf
+				getJSON(t, ts.URL+"/whatif?job="+name, http.StatusOK, &p)
+				if p.Start < p.ForkedAt && name == "api-probe" {
+					t.Errorf("%s: predicted start %g precedes the fork point %g", name, p.Start, p.ForkedAt)
+				}
+				if p.Placement == "" {
+					t.Errorf("%s: prediction has no placement", name)
+				}
+				if p.Wait < 0 {
+					t.Errorf("%s: prediction has no wait (submit time lost)", name)
+				}
+				preds = append(preds, p)
+			}
 
-	// Drain the live lineage and compare against what really happened.
-	postJSON(t, ts.URL+"/advance", map[string]float64{"until": 1e12}, http.StatusOK, &st)
-	if st.Queue != 0 || st.Running != 0 {
-		t.Fatalf("live lineage did not drain: %+v", st)
-	}
-	rec := sess.Controller().Records
-	for _, p := range preds {
-		found := false
-		for _, j := range rec.Jobs {
-			if j.Name != p.Job {
-				continue
+			// Drain the live lineage and compare against what really happened.
+			postJSON(t, ts.URL+"/advance", map[string]float64{"until": 1e12}, http.StatusOK, &st)
+			if st.Queue != 0 || st.Running != 0 {
+				t.Fatalf("live lineage did not drain: %+v", st)
 			}
-			found = true
-			if j.Start != p.Start {
-				t.Errorf("%s: predicted start %g, actual %g", p.Job, p.Start, j.Start)
+			rec := sess.Controller().Records
+			for _, p := range preds {
+				found := false
+				for _, j := range rec.Jobs {
+					if j.Name != p.Job {
+						continue
+					}
+					found = true
+					if j.Start != p.Start {
+						t.Errorf("%s: predicted start %g, actual %g", p.Job, p.Start, j.Start)
+					}
+					if j.Start-j.Submit != p.Wait {
+						t.Errorf("%s: predicted wait %g, actual %g", p.Job, p.Wait, j.Start-j.Submit)
+					}
+				}
+				if !found {
+					t.Errorf("%s: no record in the drained live lineage", p.Job)
+				}
 			}
-			if j.Start-j.Submit != p.Wait {
-				t.Errorf("%s: predicted wait %g, actual %g", p.Job, p.Wait, j.Start-j.Submit)
-			}
-		}
-		if !found {
-			t.Errorf("%s: no record in the drained live lineage", p.Job)
-		}
+		})
 	}
 }
 
@@ -170,45 +189,50 @@ func TestWhatIfPolicyOverride(t *testing.T) {
 
 // TestConcurrentWhatIfs hammers the fork pool from many goroutines
 // (run under -race in CI): all queries must succeed and queries for
-// the same job must agree with each other.
+// the same job must agree with each other — on a jittered session too,
+// so each fork's stream is its own.
 func TestConcurrentWhatIfs(t *testing.T) {
-	ts, _ := newTestServer(t)
-	postJSON(t, ts.URL+"/advance", map[string]float64{"until": 600}, http.StatusOK, nil)
+	for _, k := range sessionKinds {
+		t.Run(k.name, func(t *testing.T) {
+			ts, _ := newTestServer(t, k.mutate)
+			postJSON(t, ts.URL+"/advance", map[string]float64{"until": 600}, http.StatusOK, nil)
 
-	jobs := []string{"j00080", "j00090", "j00100", "j00110"}
-	const per = 4
-	var wg sync.WaitGroup
-	results := make([][]WhatIf, len(jobs))
-	for i, name := range jobs {
-		results[i] = make([]WhatIf, per)
-		for k := 0; k < per; k++ {
-			wg.Add(1)
-			go func(i, k int, name string) {
-				defer wg.Done()
-				resp, err := http.Get(ts.URL + "/whatif?job=" + name)
-				if err != nil {
-					t.Error(err)
-					return
+			jobs := []string{"j00080", "j00090", "j00100", "j00110"}
+			const per = 4
+			var wg sync.WaitGroup
+			results := make([][]WhatIf, len(jobs))
+			for i, name := range jobs {
+				results[i] = make([]WhatIf, per)
+				for k := 0; k < per; k++ {
+					wg.Add(1)
+					go func(i, k int, name string) {
+						defer wg.Done()
+						resp, err := http.Get(ts.URL + "/whatif?job=" + name)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						defer resp.Body.Close()
+						body, _ := io.ReadAll(resp.Body)
+						if resp.StatusCode != http.StatusOK {
+							t.Errorf("whatif %s: status %d: %s", name, resp.StatusCode, body)
+							return
+						}
+						if err := json.Unmarshal(body, &results[i][k]); err != nil {
+							t.Errorf("whatif %s: %v", name, err)
+						}
+					}(i, k, name)
 				}
-				defer resp.Body.Close()
-				body, _ := io.ReadAll(resp.Body)
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("whatif %s: status %d: %s", name, resp.StatusCode, body)
-					return
-				}
-				if err := json.Unmarshal(body, &results[i][k]); err != nil {
-					t.Errorf("whatif %s: %v", name, err)
-				}
-			}(i, k, name)
-		}
-	}
-	wg.Wait()
-	for i, name := range jobs {
-		for k := 1; k < per; k++ {
-			if results[i][k] != results[i][0] {
-				t.Errorf("concurrent what-ifs for %s disagree:\n  %+v\n  %+v", name, results[i][0], results[i][k])
 			}
-		}
+			wg.Wait()
+			for i, name := range jobs {
+				for k := 1; k < per; k++ {
+					if results[i][k] != results[i][0] {
+						t.Errorf("concurrent what-ifs for %s disagree:\n  %+v\n  %+v", name, results[i][0], results[i][k])
+					}
+				}
+			}
+		})
 	}
 }
 

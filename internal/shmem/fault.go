@@ -20,19 +20,21 @@ package shmem
 //     never faulted: the processes on the node keep running; it is the
 //     coordination layer that degrades.
 //
-// Every faultable call draws exactly one value from the seeded RNG
+// Every faultable call draws exactly one value from the seeded stream
 // (even when all rates are zero), so a run's fault pattern is a pure
-// function of the seed and the operation sequence — which is also what
-// makes Fork deterministic: the child re-seeds from the parent's seed
-// and draw count without consuming parent randomness.
+// function of the seed and the operation sequence. A fork continues the
+// parent's stream, without consuming it, and its counts: both lineages
+// see the same faults, as after any Fork — a what-if from a flaky live
+// lineage sees the ones the live lineage will. The stale-read snapshot
+// is not carried over; ROADMAP item 7 owns the silent fault classes.
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/cpuset"
 	"repro/internal/derr"
+	"repro/internal/sim"
 )
 
 // FaultConfig parameterizes a FaultBackend. Rates are probabilities in
@@ -68,8 +70,7 @@ type FaultBackend struct {
 	cfg   FaultConfig
 
 	mu     sync.Mutex
-	rng    *rand.Rand
-	draws  int64
+	rng    *sim.Rand
 	counts FaultCounts
 	segs   map[string]*FaultSegment
 }
@@ -79,7 +80,7 @@ func NewFaultBackend(inner Backend, cfg FaultConfig) *FaultBackend {
 	return &FaultBackend{
 		inner: inner,
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   sim.NewRand(cfg.Seed),
 		segs:  make(map[string]*FaultSegment),
 	}
 }
@@ -97,13 +98,12 @@ func (b *FaultBackend) Counts() FaultCounts {
 	return b.counts
 }
 
-// draw consumes one RNG value and reports whether an event with
-// probability rate fires. Always consumes, so the draw count — and
-// with it Fork's re-seed — is independent of the configured rates.
+// draw consumes one stream value and reports whether an event with
+// probability rate fires. Always consumes, so the stream position is
+// independent of the configured rates.
 func (b *FaultBackend) draw(rate float64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.draws++
 	return b.rng.Float64() < rate
 }
 
@@ -154,23 +154,18 @@ func (b *FaultBackend) AllocPID() PID { return b.inner.AllocPID() }
 // Close closes the inner backend.
 func (b *FaultBackend) Close() error { return b.inner.Close() }
 
-// fork forwards to the inner backend's fork and re-seeds the child
-// deterministically from the configured seed and the parent's draw
-// count — the parent's RNG stream is not consumed, so forking is
-// invisible to the parent's fault pattern.
+// fork forwards to the inner backend's fork; the child continues the
+// parent's fault stream and counts (see the file comment).
 func (b *FaultBackend) fork() Backend {
 	b.mu.Lock()
-	seed := b.cfg.Seed*1000003 + b.draws + 1
-	inner := b.inner
-	cfg := b.cfg
-	b.mu.Unlock()
-	nb := &FaultBackend{
-		inner: inner.fork(),
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(seed)),
-		segs:  make(map[string]*FaultSegment),
+	defer b.mu.Unlock()
+	return &FaultBackend{
+		inner:  b.inner.fork(),
+		cfg:    b.cfg,
+		rng:    b.rng.Fork(),
+		counts: b.counts,
+		segs:   make(map[string]*FaultSegment),
 	}
-	return nb
 }
 
 // FaultSegment injects faults into the administrative surface of one
@@ -181,7 +176,7 @@ func (b *FaultBackend) fork() Backend {
 // (Generation, WaitClean, Watch) must stay truthful or waiters would
 // spin forever. fork is promoted too: a what-if fork gets a private,
 // fault-free copy of the state (the fault stream belongs to the
-// backend, and FaultBackend.fork re-seeds it there).
+// backend, and FaultBackend.fork continues it there).
 type FaultSegment struct {
 	Segment
 	b *FaultBackend

@@ -9,10 +9,9 @@ package shmem
 //   - FileBackend forks to a PRIVATE in-memory copy (a MemBackend):
 //     a what-if lineage must never write through to the shared
 //     segment files other OS processes are attached to;
-//   - FaultBackend forks its inner backend and re-seeds the fault
-//     stream deterministically from the op count at the fork point,
-//     so repeated forks of the same state yield the same faults while
-//     the parent's own stream is left unperturbed.
+//   - FaultBackend forks its inner backend and continues the fault
+//     stream at the fork point, so the child injects the faults the
+//     parent will while the parent's own stream is left unperturbed.
 //
 // Common ownership rules:
 //

@@ -2,7 +2,7 @@ package shmem
 
 // Per-backend Fork semantics: in-memory deep-clones, file-backed forks
 // to a private in-memory copy, fault-injecting forwards to the inner
-// fork and re-seeds deterministically. The registry-level fork/replay
+// fork and continues the fault stream. The registry-level fork/replay
 // differential guarantees are exercised end to end by PR 9's suite in
 // internal/slurm and internal/workload; these tests pin the backend
 // contracts directly.
@@ -102,21 +102,23 @@ func TestForkFaultReseedsDeterministically(t *testing.T) {
 		}
 		return out
 	}
-	// Two identical histories fork into identical fault streams.
-	a, b := mk().Fork(), mk().Fork()
-	if ka := a.Backend().Kind(); ka != "fault+mem" {
-		t.Fatalf("fault fork kind = %q", ka)
+	// The fork continues the parent's fault stream: its next 16 codes
+	// are the parent's next 16.
+	p := mk()
+	f := p.Fork()
+	if kf := f.Backend().Kind(); kf != "fault+mem" {
+		t.Fatalf("fault fork kind = %q", kf)
 	}
-	ca, cb := drive(a), drive(b)
-	for i := range ca {
-		if ca[i] != cb[i] {
-			t.Fatalf("fork fault streams diverge at op %d: %v vs %v", i, ca[i], cb[i])
+	cf, cp := drive(f), drive(p)
+	for i := range cf {
+		if cf[i] != cp[i] {
+			t.Fatalf("fork fault stream diverges from the parent's at op %d: %v vs %v", i, cf[i], cp[i])
 		}
 	}
-	// The fork's stream must include real faults (rate 0.5 over 16 ops
-	// failing to fault even once would be a re-seed bug).
+	// The stream must include real faults (rate 0.5 over 16 ops failing
+	// to fault even once would be a re-seed bug).
 	saw := false
-	for _, c := range ca {
+	for _, c := range cf {
 		if c == derr.ErrNoShmem {
 			saw = true
 		}
@@ -124,14 +126,13 @@ func TestForkFaultReseedsDeterministically(t *testing.T) {
 	if !saw {
 		t.Fatal("forked fault backend never injected a fault")
 	}
-	// Forking does not perturb the parent's own fault stream.
-	p1, p2 := mk(), mk()
-	_ = p1.Fork()
-	s1, s2 := p1.Get("n"), p2.Get("n")
-	for i := 0; i < 16; i++ {
-		if c1, c2 := s1.SetFuture(1, cpuset.Range(0, 5)), s2.SetFuture(1, cpuset.Range(0, 5)); c1 != c2 {
-			t.Fatalf("parent stream perturbed by fork at op %d: %v vs %v", i, c1, c2)
-		}
+	// Forking, and drawing from the fork, does not perturb the parent's
+	// own fault stream.
+	if ref := drive(mk()); !reflect.DeepEqual(cp, ref) {
+		t.Fatalf("parent stream perturbed by fork:\n got  %v\n want %v", cp, ref)
+	}
+	if fc, pc := f.Backend().(*FaultBackend).Counts(), p.Backend().(*FaultBackend).Counts(); fc != pc {
+		t.Fatalf("fork fault counts %+v, parent %+v", fc, pc)
 	}
 }
 

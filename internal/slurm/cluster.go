@@ -14,7 +14,6 @@ package slurm
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -84,8 +83,9 @@ type Cluster struct {
 	// Jitter, when non-nil, perturbs every iteration duration by a
 	// seeded random factor (JitterFrac relative amplitude),
 	// reproducing the run-to-run variability of the paper's real-
-	// machine measurements (reported CV up to 3.4%).
-	Jitter     *rand.Rand
+	// machine measurements (reported CV up to 3.4%). Fork continues
+	// the stream in the child.
+	Jitter     *sim.Rand
 	JitterFrac float64
 
 	reg      *shmem.Registry

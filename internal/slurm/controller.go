@@ -2,7 +2,6 @@ package slurm
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -251,8 +250,8 @@ type Controller struct {
 	nfDrainUntil []float64 // drain-end horizon per draining node
 	nfDownStart  []float64 // outage start, for availability accounting
 	nfArmed      []bool    // one pending seeded failure per node
-	nfRand       *rand.Rand
-	nfLimbo      int // requeued jobs waiting out their backoff
+	nfRand       *sim.Rand // seeded MTBF stream; nil without MTBF
+	nfLimbo      int       // requeued jobs waiting out their backoff
 
 	// Pending-event table (fork.go). pend describes every controller-
 	// owned pending engine event (launch and resume completion,
@@ -268,16 +267,14 @@ type Controller struct {
 	// one runCycle event is ever outstanding, so it needs no slot), and
 	// runCycleFn its callback: ctl.runCycle bound once, so deferring a
 	// cycle allocates nothing.
-	// nfWins retains the parsed fault script and nfDraws counts
-	// fault-RNG draws so a fork can rebuild the window schedule and
-	// fast-forward a fresh RNG to the identical stream position.
+	// nfWins retains the parsed fault script so a fork can rebuild the
+	// window schedule.
 	pend       []pendEv
 	pendFn     []func()
 	pendFree   []int
 	cycleEv    sim.EventID
 	runCycleFn func()
 	nfWins     []faultWindow
-	nfDraws    int64
 
 	// Cycles counts executed scheduling-policy passes (perf metric).
 	Cycles int64

@@ -18,8 +18,10 @@ package slurm
 //   - shared immutable: Job values (copy-on-write on mutation — see
 //     SetQueuedMalleable), cluster spec, node name/machine/partition
 //     tables, nodeIdx, the parsed fault script (nfWins);
-//   - dropped: Probe, Tracer, Jitter — observers must never steer
-//     decisions, so a blind fork decides identically;
+//   - forked: the seeded streams, Jitter and nfRand (sim.Rand.Fork), so
+//     both lineages draw the same values in the same order;
+//   - dropped: Probe, Tracer — observers must never steer decisions,
+//     so a blind fork decides identically;
 //   - recycled: the free lists of job records (freeRunning,
 //     freeQueued) are NOT forked — the child starts with both empty and
 //     forkJob allocates every clone fresh, so no record, instance or
@@ -29,13 +31,10 @@ package slurm
 // every (time, ID) pair and the controller copies each live slot of the
 // pending-event table into its own and re-binds the slot's stored ID to
 // its own firePendAt callback, which runs the copied descriptor through
-// the same dispatcher the live lineage uses. The fault RNG is
-// reconstructed from its seed and fast-forwarded by the recorded draw
-// count, so both lineages continue the same stream.
+// the same dispatcher the live lineage uses.
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/cpuset"
@@ -187,21 +186,23 @@ func (ctl *Controller) failUnknownEvent(kind pendKind) {
 
 // Fork clones the cluster onto the forked engine: fresh shared-memory
 // segments (same registered processes and masks), fresh DROM systems,
-// a deep-copied demand table. The spec and node tables are shared
-// immutable; Tracer and Jitter do not carry over (forks are untraced
-// and jitter-free by contract).
+// a deep-copied demand table, the jitter stream continued at its
+// position. The spec and node tables are shared immutable; the Tracer
+// does not carry over (forks are untraced by contract).
 func (c *Cluster) Fork(eng *sim.Engine) *Cluster {
 	f := &Cluster{
-		Machine:  c.Machine,
-		Spec:     c.Spec,
-		Nodes:    c.Nodes,
-		Engine:   eng,
-		Demand:   c.Demand.Fork(),
-		reg:      c.reg.Fork(),
-		sys:      make(map[string]*core.System, len(c.sys)),
-		sysAt:    make([]*core.System, len(c.sysAt)),
-		machines: c.machines,
-		partOf:   c.partOf,
+		Machine:    c.Machine,
+		Spec:       c.Spec,
+		Nodes:      c.Nodes,
+		Engine:     eng,
+		Demand:     c.Demand.Fork(),
+		Jitter:     c.Jitter.Fork(),
+		JitterFrac: c.JitterFrac,
+		reg:        c.reg.Fork(),
+		sys:        make(map[string]*core.System, len(c.sys)),
+		sysAt:      make([]*core.System, len(c.sysAt)),
+		machines:   c.machines,
+		partOf:     c.partOf,
 	}
 	for i, name := range c.Nodes {
 		ns := core.NewSystem(f.reg.Get(name))
@@ -223,15 +224,11 @@ func (ctl *Controller) Cluster() *Cluster { return ctl.cluster }
 // and then call FinishFork on it before running either lineage.
 //
 // Every mode forks — the builtin policies (scheds stays nil in the
-// fork) as well as installed sched policies. Fork refuses exactly two
-// states: a failed controller, and a jittered cluster (the jitter RNG
-// stream cannot be split).
+// fork) as well as installed sched policies, jittered and faulted
+// clusters alike. Fork refuses exactly one state: a failed controller.
 func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 	if ctl.Err != nil {
 		return nil, nil, fmt.Errorf("slurm: Fork of a failed controller: %w", ctl.Err)
-	}
-	if ctl.cluster.Jitter != nil {
-		return nil, nil, fmt.Errorf("slurm: Fork of a jittered cluster is not supported")
 	}
 	eng := ctl.cluster.Engine.Fork()
 	c := ctl.cluster.Fork(eng)
@@ -262,6 +259,7 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		lastCycleAt:     ctl.lastCycleAt,
 		rearmedAt:       ctl.rearmedAt,
 		Cycles:          ctl.Cycles,
+		ShmemFaults:     ctl.ShmemFaults,
 		DebugInvariants: ctl.DebugInvariants,
 		neverRecycle:    ctl.neverRecycle,
 		Records:         *ctl.Records.Clone(),
@@ -290,6 +288,7 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		cr.tasks = append([]taskRef(nil), r.tasks...)
 		cr.nodeIdxs = append([]int(nil), r.nodeIdxs...)
 		cr.curCPUs, cr.curOK = r.curCPUs, r.curOK
+		cr.inst.Jitter, cr.inst.JitterFrac = c.Jitter, r.inst.JitterFrac
 		cr.inst.OnComplete = cr.onComplete
 		if err := cr.inst.RebindPending(); err != nil {
 			return nil, fmt.Errorf("slurm: Fork job %s: %w", cr.job.Name, err)
@@ -319,7 +318,7 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		ctl2.rBySeq[cr.seq] = cr
 	}
 	// Fault-injection state: arrays by value, the parsed script shared,
-	// the RNG reconstructed at the identical stream position.
+	// the MTBF stream continued.
 	ctl2.nfPlan = ctl.nfPlan
 	ctl2.nfWins = ctl.nfWins
 	ctl2.nfLimbo = ctl.nfLimbo
@@ -332,13 +331,7 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 	if ctl.nfArmed != nil {
 		ctl2.nfArmed = append([]bool(nil), ctl.nfArmed...)
 	}
-	if ctl.nfRand != nil {
-		ctl2.nfRand = rand.New(rand.NewSource(ctl.nfPlan.Seed))
-		for i := int64(0); i < ctl.nfDraws; i++ {
-			ctl2.nfRand.Float64()
-		}
-		ctl2.nfDraws = ctl.nfDraws
-	}
+	ctl2.nfRand = ctl.nfRand.Fork()
 	// Re-bind the pending events: the coalesced cycle event, then every
 	// live slot of the pending-event table, copied into the fork's own
 	// (compacted: a slot's index is no decision input) and bound there

@@ -10,8 +10,10 @@ package slurm_test
 // (internal/workload/testdata/sched_starts_*.golden) through
 // workload.Session, forking each at five virtual times spread over
 // the trace, and the paper's own scenarios on the builtin planner:
-// UC1 under serial, DROM and oversubscribe, and UC2 under the
-// checkpoint/restart baseline forked at every stage of a preemption.
+// UC1 under serial, DROM (plain and jittered) and oversubscribe, and
+// UC2 under the checkpoint/restart baseline forked at every stage of a
+// preemption. The node-fault trace also runs jittered, so both seeded
+// streams fork together.
 
 import (
 	"fmt"
@@ -115,9 +117,17 @@ func builtinForkCases() []forkCase {
 		return append(forkTimes(base.Records.TotalRunTime()),
 			workload.AnalyticsSubmitTime+slurm.DefaultLaunchLatency/2)
 	}
+	// The paper's run-to-run variability: every iteration duration a
+	// draw from the cluster's jitter stream, which the fork continues.
+	uc1Jitter := func(t *testing.T) workload.Scenario {
+		sc := uc1(t)
+		sc.JitterFrac, sc.Seed = 0.03, 1
+		return sc
+	}
 	return []forkCase{
 		{name: "uc1-serial", policy: slurm.PolicySerial, make: uc1, at: uc1At},
 		{name: "uc1-drom", policy: slurm.PolicyDROM, make: uc1, at: uc1At},
+		{name: "uc1-drom-jitter", policy: slurm.PolicyDROM, make: uc1Jitter, at: uc1At},
 		{name: "uc1-oversubscribe", policy: slurm.PolicyOversubscribe, make: uc1, at: uc1At},
 		{
 			name: "uc2-preempt", policy: slurm.PolicyPreempt,
@@ -136,6 +146,22 @@ func builtinForkCases() []forkCase {
 			shape: [][2]int{{2, 0}, {1, 1}, {0, 1}},
 		},
 	}
+}
+
+// nodefaultJitterForkCase forks the controller path's two seeded
+// streams together: the node-fault golden (scripted windows and the
+// MTBF stream) with jitter on top, so every iteration duration is a
+// draw too (a jittered instance never arms).
+func nodefaultJitterForkCase() forkCase {
+	c := goldenForkCases()[3]
+	nodefault := c.make
+	c.name = "nodefault-jitter"
+	c.make = func(t *testing.T) workload.Scenario {
+		sc := nodefault(t)
+		sc.JitterFrac, sc.Seed = 0.03, 1
+		return sc
+	}
+	return c
 }
 
 // openSession opens the case's scenario under its policy set, or on
@@ -219,7 +245,7 @@ func firstDiff(t *testing.T, label, got, want string) {
 // parent must both finish with the uninterrupted replay's exact
 // decision trace, whichever of the two runs to the end first.
 func TestForkReplayDifferential(t *testing.T) {
-	for _, c := range append(goldenForkCases(), builtinForkCases()...) {
+	for _, c := range append(append(goldenForkCases(), nodefaultJitterForkCase()), builtinForkCases()...) {
 		t.Run(c.name, func(t *testing.T) {
 			sc := c.make(t)
 			base := openSession(t, c, sc).Run()
@@ -363,7 +389,7 @@ func TestForkMutationIsolation(t *testing.T) {
 	firstDiff(t, "parent after mutated fork", renderDecisions(pres.Records, c.faults), want)
 }
 
-// TestForkRefusals: fork must refuse the two states it cannot clone
+// TestForkRefusals: fork must refuse the one state it cannot clone
 // faithfully rather than fork wrong — and nothing else.
 func TestForkRefusals(t *testing.T) {
 	sc, err := workload.SyntheticSWFScenario(workload.SyntheticSWF{Seed: 5, Jobs: 10, Nodes: 2})
@@ -383,7 +409,7 @@ func TestForkRefusals(t *testing.T) {
 	if _, err := sess.Fork(); err == nil {
 		t.Error("Fork of a failed controller succeeded; want refusal")
 	}
-	// Jittered cluster: the RNG stream cannot be split.
+	// Jittered cluster: the child continues the jitter stream.
 	jsc := sc
 	jsc.JitterFrac = 0.03
 	jsc.Seed = 1
@@ -391,7 +417,7 @@ func TestForkRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jsess.Fork(); err == nil {
-		t.Error("Fork of a jittered cluster succeeded; want refusal")
+	if _, err := jsess.Fork(); err != nil {
+		t.Errorf("Fork of a jittered cluster refused: %v", err)
 	}
 }

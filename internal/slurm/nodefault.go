@@ -23,13 +23,13 @@ package slurm
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 
 	"repro/internal/hwmodel"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Fault-model defaults.
@@ -171,7 +171,7 @@ func (ctl *Controller) InstallFaults(fp FaultPlan) error {
 	ctl.nfDrainUntil = make([]float64, n)
 	ctl.nfDownStart = make([]float64, n)
 	if fp.MTBF > 0 {
-		ctl.nfRand = rand.New(rand.NewSource(fp.Seed))
+		ctl.nfRand = sim.NewRand(fp.Seed)
 		ctl.nfArmed = make([]bool, n)
 	}
 	ctl.nfWins = wins
@@ -223,18 +223,10 @@ func (ctl *Controller) faultIdle() bool {
 	return len(ctl.queue) == 0 && len(ctl.running) == 0 && ctl.nfLimbo == 0
 }
 
-// nfFloat64 draws from the fault RNG, counting the draw so a fork can
-// fast-forward a fresh RNG to the identical stream position. Every
-// consumer of ctl.nfRand must go through here.
-func (ctl *Controller) nfFloat64() float64 {
-	ctl.nfDraws++
-	return ctl.nfRand.Float64()
-}
-
 // expDraw draws an exponential variate with the given mean from the
 // fault RNG.
 func (ctl *Controller) expDraw(mean float64) float64 {
-	return -mean * math.Log(1-ctl.nfFloat64())
+	return -mean * math.Log(1-ctl.nfRand.Float64())
 }
 
 // armSeededFaults arms one pending seeded failure per up node; called
@@ -477,7 +469,7 @@ func (ctl *Controller) requeueArrive(job *Job, submit float64, seq, home, attemp
 func (ctl *Controller) requeueBackoff(attempt int) float64 {
 	d := ctl.nfPlan.BackoffBase * math.Pow(2, float64(attempt-1))
 	if ctl.nfRand != nil {
-		d *= 0.5 + ctl.nfFloat64()
+		d *= 0.5 + ctl.nfRand.Float64()
 	}
 	return d
 }

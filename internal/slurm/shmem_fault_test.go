@@ -125,3 +125,75 @@ func TestCleanBackendZeroFaultCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestForkFlakyRegistryDifferential: a fork taken on a flaky registry
+// continues the fault stream and carries the degraded-fault counters,
+// so fork and parent both finish with the uninterrupted run's records,
+// ShmemFaults and injected-fault counts, whichever runs first.
+func TestForkFlakyRegistryDifferential(t *testing.T) {
+	cfg := shmem.FaultConfig{Seed: 123, WriteFailRate: 0.15}
+	type outcome struct {
+		faults shmem.FaultCounts
+		shmem  int
+		jobs   string
+	}
+	// Every job is submitted at t=0, so no pending event is the
+	// caller's to re-bind in a fork.
+	open := func() *Controller {
+		r := rand.New(rand.NewSource(11))
+		c, _ := newFaultyCluster(t, sim.NewEngine(), 2, cfg)
+		ctl := NewController(c, PolicyDROM)
+		for i := 0; i < 10; i++ {
+			if err := ctl.Submit(randomJob(r, i, 2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ctl
+	}
+	observe := func(ctl *Controller) outcome {
+		jobs := ""
+		for _, j := range ctl.Records.Jobs {
+			jobs += fmt.Sprintf("%s:%v:%v;", j.Name, j.Start, j.End)
+		}
+		fb := ctl.cluster.reg.Backend().(*shmem.FaultBackend)
+		return outcome{faults: fb.Counts(), shmem: ctl.ShmemFaults, jobs: jobs}
+	}
+	finish := func(label string, ctl *Controller) outcome {
+		ctl.cluster.Engine.Run()
+		if ctl.Err != nil {
+			t.Fatalf("%s: %v", label, ctl.Err)
+		}
+		return observe(ctl)
+	}
+
+	base := open()
+	want := finish("uninterrupted", base)
+	mid := base.Records.TotalRunTime() / 2
+	for _, parentFirst := range []bool{false, true} {
+		ctl := open()
+		ctl.cluster.Engine.RunUntil(mid)
+		if at := observe(ctl); at.faults.WriteFails == 0 || at.shmem == 0 || ctl.RunningLen()+ctl.QueueLen() == 0 {
+			t.Fatalf("t=%g: faults %+v absorbed %d with %d jobs left; the differential is vacuous",
+				mid, at.faults, at.shmem, ctl.RunningLen()+ctl.QueueLen())
+		}
+		fork, eng, err := ctl.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.FinishFork(); err != nil {
+			t.Fatal(err)
+		}
+		var fres, pres outcome
+		if parentFirst {
+			pres, fres = finish("parent", ctl), finish("fork", fork)
+		} else {
+			fres, pres = finish("fork", fork), finish("parent", ctl)
+		}
+		if fres != want {
+			t.Errorf("fork (parent first: %v):\n got  %+v\n want %+v", parentFirst, fres, want)
+		}
+		if pres != want {
+			t.Errorf("parent after fork (parent first: %v):\n got  %+v\n want %+v", parentFirst, pres, want)
+		}
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 
 	"repro/internal/hwmodel"
@@ -117,7 +116,7 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 		return nil, err
 	}
 	if s.JitterFrac > 0 {
-		cluster.Jitter = rand.New(rand.NewSource(s.Seed))
+		cluster.Jitter = sim.NewRand(s.Seed)
 		cluster.JitterFrac = s.JitterFrac
 	}
 	ctl := slurm.NewController(cluster, policy)
@@ -294,8 +293,7 @@ func (s *Session) Result() Result {
 // builtin controller path (serial, DROM, oversubscribe, preempt) alike.
 // Only a slice-backed session forks (every New*Session is one); a
 // session over a lazy SubmissionSource returns an error, as does a
-// jittered scenario or a controller that already failed
-// (slurm.Controller.Fork's two refusals).
+// controller that already failed (slurm.Controller.Fork's one refusal).
 func (s *Session) Fork() (*Session, error) {
 	src, ok := s.src.(*sliceSource)
 	if !ok {
