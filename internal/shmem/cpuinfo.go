@@ -9,6 +9,13 @@ import (
 // A CPU has an owner (the process whose allocation it belongs to) and a
 // guest (the process currently entitled to run on it). Owner and guest
 // coincide unless the owner lent the CPU and someone borrowed it.
+//
+// A slot no process has touched is zero, and a replay that stages
+// masks through the procinfo table never touches one. So the segment
+// keeps the set of slots that may be non-zero (MemSegment.live): every
+// method that can make a slot non-zero sets its bit, Unregister and
+// ReleaseCPUs clear the bits of the slots they zero, and the scans for
+// one process's slots walk that set instead of the whole table.
 type cpuState struct {
 	owner PID // 0 = unowned
 	guest PID // 0 = idle (lent or unowned and unclaimed)
@@ -53,6 +60,7 @@ func (s *MemSegment) ClaimCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
 		s.cpus[c] = cpuState{owner: pid, guest: pid}
 		return true
 	})
+	s.live = s.live.Or(mask)
 	s.bump()
 	return derr.Success
 }
@@ -64,6 +72,7 @@ func (s *MemSegment) ReleaseCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
 	mask.ForEach(func(c int) bool {
 		if s.cpus[c].owner == pid {
 			s.cpus[c] = cpuState{}
+			s.live.Clear(c)
 		}
 		return true
 	})
@@ -98,6 +107,7 @@ func (s *MemSegment) TransferCPUs(from, to PID, mask cpuset.CPUSet) derr.Code {
 		st.reclaimPending = false
 		return true
 	})
+	s.live = s.live.Or(mask)
 	s.bump()
 	return derr.Success
 }
@@ -173,6 +183,7 @@ func (s *MemSegment) BorrowCPUs(pid PID, max int) cpuset.CPUSet {
 	}
 	take(true)
 	take(false)
+	s.live = s.live.Or(got)
 	if !got.IsEmpty() {
 		if st := s.statsOf(pid); st != nil {
 			st.Borrows++
@@ -221,7 +232,7 @@ func (s *MemSegment) PollReclaim(pid PID) cpuset.CPUSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var m cpuset.CPUSet
-	for c := range s.cpus {
+	for c := s.live.First(); c >= 0; c = s.live.Next(c + 1) {
 		st := &s.cpus[c]
 		if st.guest == pid && st.owner != pid && st.reclaimPending {
 			m.Set(c)
@@ -231,11 +242,12 @@ func (s *MemSegment) PollReclaim(pid PID) cpuset.CPUSet {
 }
 
 // GuestMask returns all CPUs currently guested by pid (owned + borrowed).
+// pid is a process, so positive: IdleMask lists the CPUs with no guest.
 func (s *MemSegment) GuestMask(pid PID) cpuset.CPUSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var m cpuset.CPUSet
-	for c := range s.cpus {
+	for c := s.live.First(); c >= 0; c = s.live.Next(c + 1) {
 		if s.cpus[c].guest == pid {
 			m.Set(c)
 		}
@@ -243,12 +255,12 @@ func (s *MemSegment) GuestMask(pid PID) cpuset.CPUSet {
 	return m
 }
 
-// OwnerMask returns all CPUs owned by pid.
+// OwnerMask returns all CPUs owned by pid, a process (so positive).
 func (s *MemSegment) OwnerMask(pid PID) cpuset.CPUSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var m cpuset.CPUSet
-	for c := range s.cpus {
+	for c := s.live.First(); c >= 0; c = s.live.Next(c + 1) {
 		if s.cpus[c].owner == pid {
 			m.Set(c)
 		}
@@ -261,7 +273,7 @@ func (s *MemSegment) LentMask() cpuset.CPUSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var m cpuset.CPUSet
-	for c := range s.cpus {
+	for c := s.live.First(); c >= 0; c = s.live.Next(c + 1) {
 		if s.cpus[c].lent {
 			m.Set(c)
 		}

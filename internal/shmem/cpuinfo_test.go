@@ -223,3 +223,152 @@ func TestPropertyLewiInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// cpuTable copies a segment's cpuinfo table and live-slot set: under
+// the lock for a MemSegment, decoded from the file for a FileSegment.
+func cpuTable(t *testing.T, seg Segment) (tab [cpuset.MaxCPUs]cpuState, live cpuset.CPUSet) {
+	t.Helper()
+	read := func(m *MemSegment) { copy(tab[:], m.cpus); live = m.live }
+	switch s := seg.(type) {
+	case *MemSegment:
+		s.mu.Lock()
+		read(s)
+		s.mu.Unlock()
+	case *FileSegment:
+		if !s.view(read) {
+			t.Fatal("segment file unreadable")
+		}
+	default:
+		t.Fatalf("no cpuinfo table in a %T", seg)
+	}
+	return tab, live
+}
+
+// scanAll is the set of slots of tab that match, by a scan of all of
+// them.
+func scanAll(tab *[cpuset.MaxCPUs]cpuState, match func(st cpuState) bool) cpuset.CPUSet {
+	var m cpuset.CPUSet
+	for c := range tab {
+		if match(tab[c]) {
+			m.Set(c)
+		}
+	}
+	return m
+}
+
+// unregisterAll is Unregister's cpuinfo pass as a scan of every slot.
+func unregisterAll(tab *[cpuset.MaxCPUs]cpuState, pid PID) {
+	for c := range tab {
+		if tab[c].owner == pid {
+			tab[c] = cpuState{}
+		} else if tab[c].guest == pid {
+			tab[c].guest = tab[c].owner
+			tab[c].reclaimPending = false
+		}
+	}
+}
+
+// TestCpuinfoLiveSetDifferential runs random sequences of cpuinfo
+// operations — claims, releases, transfers (from the unowned pseudo-PID
+// 0 too), lends, borrows, reclaims, unregistrations, forks and file
+// round trips — on the mem and file backends, and after every one holds
+// the table to scans of all 256 slots: the live set covers every
+// non-zero slot, Unregister leaves the table the full scan leaves, and
+// GuestMask, OwnerMask, PollReclaim and LentMask answer what the scans
+// answer.
+func TestCpuinfoLiveSetDifferential(t *testing.T) {
+	const pids = 5
+	node := cpuset.Range(0, 47)
+	for _, kind := range []string{"mem", "file"} {
+		for seed := int64(1); seed <= 10; seed++ {
+			var b Backend = NewMemBackend()
+			if kind == "file" {
+				fb, err := NewFileBackend(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				b = fb
+			}
+			seg, err := b.Open("n", node, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pid := PID(1); pid <= pids; pid++ {
+				seg.Register(pid, cpuset.New(0))
+			}
+			r := rand.New(rand.NewSource(seed))
+			randMask := func() cpuset.CPUSet {
+				var m cpuset.CPUSet
+				lo := r.Intn(60)
+				for i := r.Intn(8); i >= 0; i-- {
+					m.Set(lo + r.Intn(4))
+				}
+				return m
+			}
+			for step := 0; step < 120; step++ {
+				pid := PID(1 + r.Intn(pids))
+				before, _ := cpuTable(t, seg)
+				op := r.Intn(9)
+				switch op {
+				case 0:
+					seg.ClaimCPUs(pid, randMask())
+				case 1:
+					seg.ReleaseCPUs(pid, randMask())
+				case 2:
+					from := PID(r.Intn(pids + 1))
+					owned := scanAll(&before, func(st cpuState) bool { return st.owner == from })
+					seg.TransferCPUs(from, pid, owned.And(randMask()))
+				case 3:
+					seg.LendCPUs(pid, randMask())
+				case 4:
+					seg.BorrowCPUs(pid, r.Intn(6)-1)
+				case 5:
+					seg.ReclaimCPUs(pid, randMask())
+				case 6:
+					seg.Unregister(pid)
+					unregisterAll(&before, pid)
+					if tab, _ := cpuTable(t, seg); tab != before {
+						t.Fatalf("%s seed %d step %d: Unregister(%d) left a table the full scan does not", kind, seed, step, pid)
+					}
+					seg.Register(pid, cpuset.New(0))
+				case 7:
+					f := seg.fork()
+					if ft, _ := cpuTable(t, f); ft != before {
+						t.Fatalf("%s seed %d step %d: the fork's table differs", kind, seed, step)
+					}
+					if kind == "mem" {
+						seg = f
+					}
+				case 8:
+					if m, ok := seg.(*MemSegment); ok {
+						if seg, err = decodeSegment(encodeSegment(m)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				tab, live := cpuTable(t, seg)
+				if nonZero := scanAll(&tab, func(st cpuState) bool { return st != cpuState{} }); !nonZero.IsSubsetOf(live) {
+					t.Fatalf("%s seed %d step %d (op %d): live set %v misses non-zero slots %v", kind, seed, step, op, live, nonZero.AndNot(live))
+				}
+				for p := PID(1); p <= pids; p++ {
+					for _, q := range []struct {
+						name      string
+						got, want cpuset.CPUSet
+					}{
+						{"GuestMask", seg.GuestMask(p), scanAll(&tab, func(st cpuState) bool { return st.guest == p })},
+						{"OwnerMask", seg.OwnerMask(p), scanAll(&tab, func(st cpuState) bool { return st.owner == p })},
+						{"PollReclaim", seg.PollReclaim(p), scanAll(&tab, func(st cpuState) bool { return st.guest == p && st.owner != p && st.reclaimPending })},
+					} {
+						if !q.got.Equal(q.want) {
+							t.Fatalf("%s seed %d step %d (op %d): %s(%d) = %v, full scan %v", kind, seed, step, op, q.name, p, q.got, q.want)
+						}
+					}
+				}
+				if got, want := seg.LentMask(), scanAll(&tab, func(st cpuState) bool { return st.lent }); !got.Equal(want) {
+					t.Fatalf("%s seed %d step %d (op %d): LentMask = %v, full scan %v", kind, seed, step, op, got, want)
+				}
+			}
+			b.Close()
+		}
+	}
+}

@@ -45,6 +45,7 @@ func (s *MemSegment) forkMemLocked() *MemSegment {
 		maxProcs:   s.maxProcs,
 		procs:      make(map[PID]*ProcEntry, len(s.procs)),
 		cpus:       append([]cpuState(nil), s.cpus...),
+		live:       s.live,
 		watchers:   make(map[PID][]chan struct{}),
 		generation: s.generation,
 	}

@@ -302,6 +302,9 @@ func decodeSegment(data []byte) (*MemSegment, error) {
 			lent:           flags&segFlagLent != 0,
 			reclaimPending: flags&segFlagReclaim != 0,
 		}
+		if m.cpus[c] != (cpuState{}) {
+			m.live.Set(c)
+		}
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -97,6 +97,12 @@ type MemSegment struct {
 	procs    map[PID]*ProcEntry
 	cpus     []cpuState
 	watchers map[PID][]chan struct{}
+	// live holds every cpuinfo slot that may be non-zero: a bit is set
+	// wherever a slot gains an owner or a guest, and cleared where a
+	// slot is zeroed. The per-process scans walk it instead of all
+	// cpuset.MaxCPUs slots — a zero slot matches no process, PIDs being
+	// positive.
+	live cpuset.CPUSet
 	// freeProcs holds the slots Unregister emptied, zeroed but for the
 	// Stolen backing array, for the next Register/RegisterPreInit to
 	// fill: no caller ever holds a slot's pointer (Lookup and Snapshot
@@ -217,12 +223,16 @@ func (s *MemSegment) Unregister(pid PID) derr.Code {
 	*e = ProcEntry{Stolen: e.Stolen[:0]}
 	s.freeProcs = append(s.freeProcs, e)
 	// Drop ownership of the process's CPUs in the cpuinfo table.
-	for c := range s.cpus {
-		if s.cpus[c].owner == pid {
-			s.cpus[c] = cpuState{}
-		} else if s.cpus[c].guest == pid {
-			s.cpus[c].guest = s.cpus[c].owner
-			s.cpus[c].reclaimPending = false
+	for c := s.live.First(); c >= 0; c = s.live.Next(c + 1) {
+		st := &s.cpus[c]
+		if st.owner == pid {
+			*st = cpuState{}
+		} else if st.guest == pid {
+			st.guest = st.owner
+			st.reclaimPending = false
+		}
+		if *st == (cpuState{}) {
+			s.live.Clear(c)
 		}
 	}
 	s.bump()

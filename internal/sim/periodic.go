@@ -24,6 +24,25 @@ package sim
 //   - The ID changes with every occurrence taken, so it lives in the
 //     handle and nowhere else: cancelling and fork re-binding go
 //     through the handle.
+//   - Armed chains of one period move as a group. Take k armed,
+//     non-solo chains with a bit-equal period P whose pending times,
+//     sorted by (t, id), are t_0 ≤ … ≤ t_{k-1} ≤ fl(t_0 + P). The
+//     executing engine pops them strictly round-robin for as long as
+//     each occurrence is strictly earlier than every other entry:
+//     popping member 0 re-keys it to (fl(t_0 + P), an ID above every
+//     pending one), which sorts after member k-1 — fl(x + P) is
+//     monotone in x, so fl(t_0 + P) ≤ fl(t_1 + P) keeps the invariant
+//     for the rotated list, and a tie that rounding creates resolves by
+//     ID in that same cyclic order. So the q-th occurrence a move takes
+//     (q = r·k + j, from 0) is member j's after r adds of its own, and
+//     is re-keyed under nextID + q + 1. The engine therefore takes the
+//     group's occurrences in that order — each member's time by its own
+//     repeated add, never r·P — up to the first whose member has no
+//     credit left, that is not strictly earlier than the earliest
+//     non-member entry (cancelled ones included), or that lies past the
+//     RunUntil bound, and up to the heartbeat's step. Which qualifying
+//     entries join is free: one left out is a non-member and only
+//     bounds the move sooner.
 //   - A solo chain (ArmSolo) is for an owner that must be able to say
 //     afterwards, from times alone, where each occurrence the engine
 //     took fell among the events that were executed — a traced
@@ -121,54 +140,141 @@ func (e *Engine) CancelPeriodic(p *Periodic) {
 	}
 }
 
-// skip takes the armed occurrence at the head of the queue without
-// executing it and, while the chain's following occurrence would again
-// be the head — strictly earlier than every other pending event, so no
-// tie is involved — and is due by bound, takes that one too. The entry
-// is re-keyed in place and sifted down once: no pop, no push, no call.
-// It reports false, having done nothing, when the chain is solo and its
-// head occurrence is not alone at its instant: step executes it.
+// groupCap bounds the members of one group move. An entry that would
+// qualify beyond it stays out and bounds the move like any other
+// non-member: the move stays exact, only shorter.
+const groupCap = 16
+
+// member is one chain of a group move: where its entry sits in the heap
+// and the key and credit it has reached.
+type member struct {
+	i    int32
+	t    float64
+	id   int64
+	left int64
+}
+
+// skip takes the armed occurrence p at the head of the queue without
+// executing it, and with it every following occurrence the executing
+// engine would have popped next, as long as each is that of an armed
+// group member. The group is the head's chain plus every armed,
+// non-solo pending entry with the same period due by fl(t_head +
+// period), found by walking down from the root through members only.
+// Its members are popped strictly round-robin (see the contract at the
+// top of this file), so the move advances each by its own repeated add
+// and hands out IDs in that order, then re-keys the entries in place
+// and sifts them down: no pop, no push, no call. The move stops before
+// the first occurrence whose member's credit is spent, that is not
+// strictly earlier than the earliest non-member entry, or that lies
+// past bound, and after the heartbeat's step. A solo chain moves alone,
+// and skip reports false, having done nothing, when its head occurrence
+// is not alone at its instant: step executes it.
 func (e *Engine) skip(p *Periodic, bound float64) bool {
-	// The earliest other pending event is a child of the root.
-	other := math.Inf(1)
-	if len(e.queue) > 1 {
-		other = e.queue[1].t
-		if len(e.queue) > 2 && e.queue[2].t < other {
-			other = e.queue[2].t
+	head := &e.queue[0]
+	period := p.period
+	reach := math.Inf(-1) // a solo chain admits no member
+	if !p.solo {
+		reach = head.t + period
+	}
+	// Gather the members breadth-first — in increasing heap index — and
+	// take the earliest non-member off the frontier: every other entry
+	// lies below a frontier entry, so no later. An entry no earlier than
+	// a non-member already seen could never be taken: it stays out.
+	e.groupIdx[0] = 0
+	k, other := 1, math.Inf(1)
+	for g := 0; g < k; g++ {
+		for c := 2*int(e.groupIdx[g]) + 1; c <= 2*int(e.groupIdx[g])+2 && c < len(e.queue); c++ {
+			ev := &e.queue[c]
+			if q := ev.p; ev.t <= reach && ev.t < other && q != nil && k < groupCap && q.credit > 0 && !q.solo && q.period == period {
+				e.groupIdx[k] = int32(c)
+				k++
+			} else if ev.t < other {
+				other = ev.t
+			}
 		}
 	}
-	root := &e.queue[0]
-	t := root.t
-	if p.solo {
-		// Alone at its instant or not at all: the bound turns exclusive.
-		bound = math.Nextafter(bound, math.Inf(-1))
-		if !(t < other) || t > bound {
-			return false
+	// An occurrence is taken only while strictly earlier than cut: the
+	// earliest non-member, and the bound, inclusive for a group but not
+	// for a solo chain, which moves only while alone at its instant.
+	cut := other
+	if bound < cut {
+		cut = bound
+		if !p.solo {
+			cut = math.Nextafter(bound, math.Inf(1))
 		}
 	}
-	limit := p.credit
+	if p.solo && !(head.t < cut) {
+		return false
+	}
+	// Order the members by (t, id): the round-robin order.
+	for g := 0; g < k; g++ {
+		ev := &e.queue[e.groupIdx[g]]
+		m := member{i: e.groupIdx[g], t: ev.t, id: ev.id, left: ev.p.credit}
+		j := g
+		for ; j > 0 && (m.t < e.group[j-1].t || m.t == e.group[j-1].t && m.id < e.group[j-1].id); j-- {
+			e.group[j] = e.group[j-1]
+		}
+		e.group[j] = m
+	}
+	// Stopping a move early is always exact — the next step goes on —
+	// so capping its length keeps left·k + j below overflow.
+	limit := int64(math.MaxInt64 / groupCap)
 	if e.probeFn != nil {
 		// Stop on the heartbeat's step so it fires at the virtual time
 		// it always did.
-		if room := e.probeEvery - (e.processed+e.skipped)%e.probeEvery; room < limit {
-			limit = room
+		limit = min(limit, e.probeEvery-(e.processed+e.skipped)%e.probeEvery)
+	}
+	kk := int64(k)
+	for j := range kk {
+		// The q-th occurrence taken (q = r·k + j, from 0) is member j's:
+		// its credit is spent at q = left·k + j.
+		if left := e.group[j].left; left <= limit && left*kk+j < limit {
+			limit = left*kk + j
 		}
 	}
-	var n int64
+	// Take occurrences round-robin, t being the next one's time; at the
+	// end, members before next took rounds+1 of them, the others rounds.
+	var n, rounds int64
+	next, t, now := 0, e.group[0].t, e.now
 	for {
-		e.now = t
+		now, t = t, t+period
+		e.group[next].t = t
 		n++
-		t = e.now + p.period
-		if n == limit || !(t < other) || t > bound {
+		if next++; next == k {
+			next, rounds = 0, rounds+1
+		}
+		if k > 1 {
+			t = e.group[next].t // else the time just stored, kept in a register
+		}
+		if n == limit || !(t < cut) {
 			break
 		}
 	}
-	p.credit -= n
+	e.now = now
+	for j := range kk {
+		taken := rounds
+		if j < int64(next) {
+			taken++
+		}
+		if taken == 0 {
+			continue
+		}
+		m := &e.group[j]
+		ev := &e.queue[m.i]
+		ev.t, ev.id = m.t, e.nextID+(taken-1)*kk+j+1
+		ev.p.id, ev.p.credit = ev.id, m.left-taken
+	}
+	// Keys only grew, and the members form a subtree holding the root:
+	// sifting them bottom-up restores the heap, as heapify would. A member
+	// that took nothing kept its key (an ID no later than nextID), and
+	// its sift would be a no-op.
+	for g := k - 1; g >= 0; g-- {
+		if i := int(e.groupIdx[g]); e.queue[i].id > e.nextID {
+			e.siftDown(i)
+		}
+	}
 	e.skipped += n
 	e.nextID += n
-	p.id = e.nextID
-	root.t, root.id = t, p.id
-	e.siftDown(0)
 	if e.probeFn != nil {
 		e.heartbeat()
 	}

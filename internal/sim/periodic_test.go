@@ -132,6 +132,38 @@ var (
 	skipSoloFrontSeed     = []byte{4, 0, 0, 40, 63, 3, 0, 2, 20, 8, 0, 48, 9, 0, 0, 0, 30, 0, 0}
 )
 
+// Seven seeds for group moves, committed under testdata/fuzz as group-*:
+// chains of one period out of phase, each seed built around one thing
+// a move must get right. Most run three unit-period chains a quarter
+// apart with a heartbeat every 16 steps.
+var skipGroupSeeds = []struct {
+	name string
+	seed []byte
+}{
+	// The plain case, forked after the second bound.
+	{"staggered", []byte{15, 2, 0, 57, 63, 0, 0, 0, 57, 63, 0, 1, 0, 57, 63, 0, 2, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
+	// The middle chain is granted 5 occurrences at a time, so its credit
+	// runs out inside a round.
+	{"credit-spent-mid-round", []byte{15, 2, 0, 57, 63, 0, 0, 0, 57, 4, 0, 1, 0, 57, 63, 0, 2, 0, 1, 0, 60, 0, 0, 20, 1, 1}},
+	// Period 0.25 from 0.25, 0.25+1ulp and 0.25+2ulps: the first two
+	// meet when first booked, the third two rounds into a move
+	// (0.75+1ulp + 0.25 rounds to 1).
+	{"ulp-collision", []byte{15, 2, 5, 57, 63, 0, 1, 5, 57, 63, 0, 65, 5, 57, 63, 0, 73, 0, 1, 1, 12, 0, 0, 10, 2, 1}},
+	// A one-shot cancels the middle chain through its handle at t=5,
+	// leaving its entry in the queue; another restarts it at t=8.
+	{"cancelled-member", []byte{15, 2, 0, 57, 63, 0, 0, 0, 57, 63, 0, 1, 0, 57, 63, 0, 2, 2, 20, 2, 1, 32, 4, 1, 1, 1, 28, 0, 0, 40, 0, 0}},
+	// A solo chain a quarter behind a pair that meets by rounding (0 and
+	// the least positive float), with a fourth chain behind it.
+	{"solo-neighbour", []byte{15, 3, 0, 57, 63, 0, 0, 0, 57, 63, 3, 1, 0, 57, 63, 0, 64, 0, 57, 63, 0, 2, 0, 1, 0, 30, 1, 1, 41, 0, 0}},
+	// The first bound, 10.25, falls inside a round: the fork takes the
+	// group split, a heartbeat every 7 steps splits it again.
+	{"split-by-fork", []byte{6, 2, 0, 57, 63, 0, 0, 0, 57, 63, 0, 1, 0, 57, 63, 0, 2, 0, 1, 0, 41, 1, 0, 5, 2, 1}},
+	// The middle chain is late and granted 4 at a time: each time it
+	// executes, its next occurrence lies past the head's fl(t + P), so
+	// it must stay out of the group.
+	{"past-reach", []byte{15, 2, 0, 57, 63, 0, 0, 0, 57, 3, 6, 1, 0, 57, 63, 0, 2, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
+}
+
 // skipRec is one observation of a differential run.
 type skipRec struct {
 	T     float64
@@ -151,7 +183,10 @@ type skipShot struct {
 // grants the engine credit; in the reference world the same credit is
 // kept in virt and consumed by executing a callback that does nothing
 // but book the next occurrence — the engine's credit forced to zero.
-// A solo chain arms with ArmSolo.
+// A solo chain arms with ArmSolo. A late chain books the occurrence
+// after an executed one 1.875 periods on, not one: a period the engine
+// is given need not be the delay the pending occurrence was booked at,
+// so a chain of the head's period can lie past fl(t_head + P).
 type skipChain struct {
 	w       *skipWorld
 	idx     int
@@ -161,6 +196,7 @@ type skipChain struct {
 	total   int64 // occurrences the chain runs for
 	grant   int64 // most credit it hands out at once
 	onReal  int   // side effect of an executed occurrence
+	late    bool
 	done    int64 // occurrences accounted for
 	granted int64
 	virt    int64
@@ -258,7 +294,11 @@ func (c *skipChain) fire() {
 	case 2: // wake the neighbour
 		w.chains[(c.idx+1)%len(w.chains)].settle()
 	}
-	w.eng.AfterPeriodic(&c.p, c.period, c.fire)
+	delay := c.period
+	if c.late {
+		delay *= 1.875
+	}
+	w.eng.AfterPeriodic(&c.p, delay, c.fire)
 	if left := c.total - c.done - 1; left >= 1 {
 		n := min(left, c.grant)
 		c.granted = n
@@ -345,12 +385,35 @@ func (w *skipWorld) heartbeat(every int64) {
 	})
 }
 
-// skipRun decodes data into a script and runs it in one world; it
-// returns the parent's and the fork's observations, each closed by the
-// engine's final state, and how many steps the parent's engine took by
-// itself.
-func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, skipped int64) {
-	next := func() int {
+// skipOffset decodes a chain's first delay from one byte. The low three
+// bits pick a point on the quarter grid; the top two can move it off
+// the grid by one to four ulps up or down — so that two chains a < b
+// meet where fl(a+P) == fl(b+P), a tie made by rounding alone — or by
+// an irrational step.
+func skipOffset(b int) float64 {
+	off, steps := float64(b%8)/4, 1+b>>3&3
+	switch b >> 6 {
+	case 1:
+		for range steps {
+			off = math.Nextafter(off, math.Inf(1))
+		}
+	case 2:
+		for range steps {
+			if off > 0 {
+				off = math.Nextafter(off, math.Inf(-1))
+			}
+		}
+	case 3:
+		off += float64(steps) * (math.Sqrt2 - 1) / 4
+	}
+	return off
+}
+
+// skipBuild decodes the head of a script — the heartbeat, the chains
+// and the one-shots — into a fresh world, and returns it with the
+// decoder of the rest and the heartbeat's spacing.
+func skipBuild(data []byte, armed bool) (w *skipWorld, next func() int, every int64) {
+	next = func() int {
 		if len(data) == 0 {
 			return 0
 		}
@@ -358,8 +421,8 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 		data = data[1:]
 		return int(b)
 	}
-	w := &skipWorld{eng: NewEngine(), armed: armed, bound: math.Inf(1), shots: map[EventID]skipShot{}}
-	every := int64(1 + next()%16)
+	w = &skipWorld{eng: NewEngine(), armed: armed, bound: math.Inf(1), shots: map[EventID]skipShot{}}
+	every = int64(1 + next()%16)
 	w.heartbeat(every)
 	for i, n := 0, 1+next()%6; i < n; i++ {
 		c := &skipChain{
@@ -369,14 +432,23 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 			grant:  int64(1 + next()%64),
 		}
 		flags := next()
-		c.onReal, c.solo = flags%3, flags/3%2 == 1
+		c.onReal, c.solo, c.late = flags%3, flags/3%2 == 1, flags/6%2 == 1
 		w.chains = append(w.chains, c)
-		w.eng.AfterPeriodic(&c.p, float64(next()%8)/4, c.fire)
+		w.eng.AfterPeriodic(&c.p, skipOffset(next()), c.fire)
 	}
 	for i, n := 0, next()%24; i < n; i++ {
 		at, kind := float64(next())/4, next()
 		w.shot(at, kind&8 != 0, skipShot{kind: kind % 5, target: next()})
 	}
+	return w, next, every
+}
+
+// skipRun decodes data into a script and runs it in one world; it
+// returns the parent's and the fork's observations, each closed by the
+// engine's final state, and how many steps the parent's engine took by
+// itself.
+func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, skipped int64) {
+	w, next, every := skipBuild(data, armed)
 	// A handful of RunUntil bounds on the same grid, an outside wake or
 	// cancel after some of them, one fork on the way.
 	bound := 0.0
@@ -414,7 +486,10 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 }
 
 // FuzzSkipDifferential runs a generated script — periodic chains in
-// lockstep, on a shared quarter grid and off it, some of them solo,
+// lockstep, on a shared quarter grid and off it (a few ulps off it
+// included, so that rounding makes ties inside a group move), out of
+// phase within one period so that they move as a group, some of them
+// solo,
 // one-shot and front-band events, zero-delay pushes from callbacks,
 // wakes, cancels through the handle, RunUntil bounds with outside
 // interference and a fork mid-span — once with the chains arming their
@@ -502,5 +577,143 @@ func TestSkipDifferentialSoloTies(t *testing.T) {
 		if !tied || skipped == 0 {
 			t.Errorf("%s: tie at %v: %v, %d steps skipped — want true and some", c.name, c.at, tied, skipped)
 		}
+	}
+}
+
+// skipGroupMoves replays the world of data — its chains and one-shots,
+// not its bounds, wakes or fork — by Step alone, and counts the steps
+// that advanced two or more chains without a callback (group moves of
+// k ≥ 2), and the pairs of chains such a step left at one time although
+// they were apart before it (ties made by rounding inside a move).
+func skipGroupMoves(data []byte) (moves, ties int) {
+	w, _, _ := skipBuild(data, true)
+	at := func(c *skipChain) float64 {
+		for i := range w.eng.queue {
+			if w.eng.queue[i].p == &c.p {
+				return w.eng.queue[i].t
+			}
+		}
+		return math.NaN()
+	}
+	before := make([]float64, len(w.chains))
+	credit := make([]int64, len(w.chains))
+	for {
+		for i, c := range w.chains {
+			before[i], credit[i] = at(c), c.p.Credit()
+		}
+		processed := w.eng.Processed()
+		if !w.eng.Step() {
+			return moves, ties
+		}
+		if w.eng.Processed() != processed {
+			continue
+		}
+		var moved []*skipChain
+		var from []float64
+		for i, c := range w.chains {
+			if c.p.Credit() < credit[i] {
+				moved, from = append(moved, c), append(from, before[i])
+			}
+		}
+		if len(moved) < 2 {
+			continue
+		}
+		moves++
+		for a := range moved {
+			for b := a + 1; b < len(moved); b++ {
+				if from[a] != from[b] && at(moved[a]) == at(moved[b]) {
+					ties++
+				}
+			}
+		}
+	}
+}
+
+// TestSkipDifferentialGroups guards the group seeds against passing
+// vacuously: each must agree with the reference, and its chains must
+// actually move together — on the ulp seed, into a tie that rounding
+// makes inside the move.
+func TestSkipDifferentialGroups(t *testing.T) {
+	for _, c := range skipGroupSeeds {
+		ap, af, skipped := skipRun(t, c.seed, true)
+		rp, rf, _ := skipRun(t, c.seed, false)
+		if !reflect.DeepEqual(ap, rp) || !reflect.DeepEqual(af, rf) {
+			t.Fatalf("%s: diverges:\n%s\n%s", c.name, skipDiff(ap, rp), skipDiff(af, rf))
+		}
+		moves, ties := skipGroupMoves(c.seed)
+		if moves == 0 || skipped == 0 {
+			t.Errorf("%s: %d group moves of two chains or more, %d steps skipped — want some of each", c.name, moves, skipped)
+		}
+		if c.name == "ulp-collision" && ties == 0 {
+			t.Errorf("%s: no move made a tie by rounding", c.name)
+		}
+	}
+}
+
+// staggered returns an engine holding k armed chains of period 1 whose
+// occurrences fall 1/k apart, and their handles.
+func staggered(k int, credit int64) (*Engine, []Periodic) {
+	e := NewEngine()
+	ps := make([]Periodic, k)
+	for j := range ps {
+		e.AfterPeriodic(&ps[j], float64(j)/float64(k), func() {})
+		ps[j].Arm(1, credit)
+	}
+	return e, ps
+}
+
+// TestSkipGroupAllocs pins a group move at zero allocations, on a warm
+// engine and as the first move of a fresh fork: the move's scratch is
+// part of the Engine, not grown on demand.
+func TestSkipGroupAllocs(t *testing.T) {
+	e, ps := staggered(3, 1<<40)
+	if a := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); a != 0 {
+		t.Errorf("a group move on a warm engine allocates %v", a)
+	}
+	if e.Processed() != 0 || e.Skipped() < 3*100 {
+		t.Fatalf("processed %d, skipped %d: the chains did not move as a group", e.Processed(), e.Skipped())
+	}
+	forks := make([]*Engine, 11) // AllocsPerRun's warm-up run takes the first
+	for i := range forks {
+		f := e.Fork()
+		hs := append([]Periodic(nil), ps...)
+		for j := range hs {
+			if err := f.RebindPeriodic(&hs[j], func() {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.FinishFork(); err != nil {
+			t.Fatal(err)
+		}
+		forks[i] = f
+	}
+	i := 0
+	if a := testing.AllocsPerRun(len(forks)-1, func() { forks[i].RunUntil(forks[i].Now() + 1); i++ }); a != 0 {
+		t.Errorf("the first group move of a fresh fork allocates %v", a)
+	}
+	for _, f := range forks {
+		if f.Processed() != 0 || f.Skipped() < e.Skipped()+3 {
+			t.Fatalf("fork skipped %d (parent %d): no group move", f.Skipped(), e.Skipped())
+		}
+	}
+}
+
+// BenchmarkSkipStaggered is the engine's cost per step — one op is one
+// step, executed or taken by the engine — with k armed chains of one
+// period out of phase, and one plain event every eight periods to end
+// a move as the rest of a replay does.
+func BenchmarkSkipStaggered(b *testing.B) {
+	for _, k := range []int{1, 3, 8} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			e, _ := staggered(k, 1<<40)
+			var tick func()
+			tick = func() { e.After(8, tick) }
+			e.At(7.9, tick)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for e.Processed()+e.Skipped() < int64(b.N) {
+				e.Step()
+			}
+		})
 	}
 }

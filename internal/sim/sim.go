@@ -69,6 +69,13 @@ type Engine struct {
 	// rebind maps event ID → queue index during a Fork/FinishFork
 	// window (nil otherwise); see fork.go.
 	rebind map[int64]int
+
+	// Scratch of one group move (skip), meaningless outside it: the
+	// members' heap indexes in increasing order, and the members in
+	// round-robin order. Fixed arrays, so a move allocates nothing and a
+	// fork copies nothing.
+	groupIdx [groupCap]int32
+	group    [groupCap]member
 }
 
 // NewEngine returns an engine at time 0.
