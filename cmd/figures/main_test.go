@@ -82,8 +82,11 @@ func captureStdout(t *testing.T, fn func() error) []byte {
 // file `figures -out DIR -svg DIR` leaves in DIR (.csv, .prv, .pcf,
 // .row and the SVGs). testdata/artifacts.sha256 was generated by the
 // binary built at c8ee5e6, when a traced run still executed every
-// iteration and the tracer stored one record per segment; regenerate it
-// only after an intentional change to a model or a writer.
+// iteration and the tracer stored one record per segment. Its two
+// fig13-*.row lines were regenerated when WriteROW began to list rows in
+// application order, as the .prv numbers them (nest is application 1,
+// coreneuron 2). Regenerate it only after an intentional change to a
+// model or a writer.
 func TestArtifactsMatchManifest(t *testing.T) {
 	manifest, err := os.ReadFile("testdata/artifacts.sha256")
 	if err != nil {

@@ -6,27 +6,6 @@ import (
 	"testing"
 )
 
-func TestCSVRoundTrip(t *testing.T) {
-	tr := sampleTracer()
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := tr.Segments(), back.Segments()
-	if len(a) != len(b) {
-		t.Fatalf("segments %d != %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("segment %d: %+v != %+v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestCSVHeader(t *testing.T) {
 	tr := New()
 	var buf bytes.Buffer
@@ -35,24 +14,5 @@ func TestCSVHeader(t *testing.T) {
 	}
 	if !strings.HasPrefix(buf.String(), "job,rank,thread,cpu,t0,t1,state,ipc,cycles_per_us") {
 		t.Errorf("header = %q", buf.String())
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	bad := []string{
-		"job,rank\nx,notint",
-		"h1,h2,h3,h4,h5,h6,h7,h8,h9\nj,x,0,0,0,1,run,1,1",
-		"h1,h2,h3,h4,h5,h6,h7,h8,h9\nj,0,0,0,0,1,flying,1,1",
-		"h1,h2,h3,h4,h5,h6,h7,h8,h9\nj,0,0,0,zz,1,run,1,1",
-	}
-	for _, in := range bad {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadCSV(%q) should fail", in)
-		}
-	}
-	// Empty input is fine.
-	tr, err := ReadCSV(strings.NewReader(""))
-	if err != nil || len(tr.Segments()) != 0 {
-		t.Errorf("empty input: %v, %d segments", err, len(tr.Segments()))
 	}
 }

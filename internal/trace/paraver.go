@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -39,32 +42,26 @@ STATES_COLOR
 }
 
 // WriteROW emits the Paraver resource/row labels file: one label per
-// (job, rank, thread) row, matching the .prv object order.
+// (job, rank, thread) row, matching the .prv object order —
+// applications in first-appearance order (Jobs), then rank, then
+// thread.
 func (t *Tracer) WriteROW(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	type row struct {
-		job          string
-		rank, thread int
-	}
-	seen := map[row]bool{}
-	var rows []row
-	for _, s := range t.Segments() {
-		r := row{s.Job, s.Rank, s.Thread}
-		if !seen[r] {
+	seen := map[threadKey]bool{}
+	var rows []threadKey
+	for s := range t.All() {
+		if r := (threadKey{s.Job, s.Rank, s.Thread}); !seen[r] {
 			seen[r] = true
 			rows = append(rows, r)
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.job != b.job {
-			return a.job < b.job
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.thread < b.thread
+	appl := map[string]int{}
+	for i, j := range t.Jobs() {
+		appl[j] = i
+	}
+	slices.SortFunc(rows, func(a, b threadKey) int {
+		return cmp.Or(cmp.Compare(appl[a.job], appl[b.job]), cmp.Compare(a.rank, b.rank), cmp.Compare(a.thread, b.thread))
 	})
+	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "LEVEL THREAD SIZE %d\n", len(rows))
 	for _, r := range rows {
 		fmt.Fprintf(bw, "%s.%d.%d\n", r.job, r.rank+1, r.thread+1)
@@ -80,46 +77,41 @@ func (t *Tracer) WriteROW(w io.Writer) error {
 //
 // Record format: 1:cpu:appl:task:thread:begin:end:state
 func (t *Tracer) WritePRV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	lo, hi := t.Span()
-	durNs := int64((hi - lo) * 1e9)
-
-	// Applications are jobs in first-appearance order; count tasks
-	// (ranks) and threads per task for the header.
-	jobs := t.Jobs()
-	appOf := map[string]int{}
-	for i, j := range jobs {
-		appOf[j] = i + 1
-	}
+	// One pass gathers the records and what the header declares: the
+	// time span, the tasks (ranks) per application and threads per
+	// task, and the CPUs — as many as the records address (id+1), one
+	// at least.
 	type taskKey struct {
 		job  string
 		rank int
 	}
 	threadsPer := map[taskKey]int{}
 	ranksPer := map[string]int{}
-	for _, s := range t.Segments() {
+	var segs []Segment
+	lo, hi := math.Inf(1), math.Inf(-1)
+	nCPU := 1
+	for s := range t.All() {
+		segs = append(segs, s)
+		lo, hi = math.Min(lo, s.T0), math.Max(hi, s.T1)
 		k := taskKey{s.Job, s.Rank}
-		if s.Thread+1 > threadsPer[k] {
-			threadsPer[k] = s.Thread + 1
-		}
-		if s.Rank+1 > ranksPer[s.Job] {
-			ranksPer[s.Job] = s.Rank + 1
-		}
+		threadsPer[k] = max(threadsPer[k], s.Thread+1)
+		ranksPer[s.Job] = max(ranksPer[s.Job], s.Rank+1)
+		nCPU = max(nCPU, s.CPU+1)
+	}
+	if len(segs) == 0 {
+		lo, hi = 0, 0
+	}
+	// Applications are jobs in first-appearance order.
+	jobs := t.Jobs()
+	appOf := map[string]int{}
+	for i, j := range jobs {
+		appOf[j] = i + 1
 	}
 
 	// Header: #Paraver (dd/mm/yy at hh:mm):duration_ns:resource:appl_list
-	// Resource model: one node with as many CPUs as distinct CPU ids.
-	cpus := map[int]bool{}
-	for _, s := range t.Segments() {
-		if s.CPU >= 0 {
-			cpus[s.CPU] = true
-		}
-	}
-	nCPU := len(cpus)
-	if nCPU == 0 {
-		nCPU = 1
-	}
-	fmt.Fprintf(bw, "#Paraver (01/01/18 at 00:00):%d_ns:1(%d):%d:", durNs, nCPU, len(jobs))
+	// Resource model: one node of nCPU CPUs.
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "#Paraver (01/01/18 at 00:00):%d_ns:1(%d):%d:", int64((hi-lo)*1e9), nCPU, len(jobs))
 	for i, j := range jobs {
 		if i > 0 {
 			bw.WriteByte(',')
@@ -137,7 +129,6 @@ func (t *Tracer) WritePRV(w io.Writer) error {
 	bw.WriteByte('\n')
 
 	// Records, sorted by begin time for well-formedness.
-	segs := append([]Segment(nil), t.Segments()...)
 	sort.Slice(segs, func(i, j int) bool { return segs[i].T0 < segs[j].T0 })
 	for _, s := range segs {
 		state := prvStateIdle

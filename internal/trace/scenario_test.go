@@ -1,7 +1,7 @@
 package trace_test
 
 // Scenario-driven exporter tests: run a small traced workload end to
-// end and push its real Tracer through the CSV and Paraver exporters,
+// end and push its real Tracer through the Paraver exporters,
 // instead of the hand-built segments the unit tests use. The external
 // test package breaks the import cycle (workload imports trace).
 
@@ -30,55 +30,6 @@ func smallTracedRun(t *testing.T) *trace.Tracer {
 		t.Fatal("traced run produced no segments")
 	}
 	return res.Tracer
-}
-
-func TestScenarioCSVRoundTrip(t *testing.T) {
-	tr := smallTracedRun(t)
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := tr.Segments(), back.Segments()
-	if len(a) != len(b) {
-		t.Fatalf("round trip lost segments: %d -> %d", len(a), len(b))
-	}
-	// Floats are serialized at 9 significant digits, so the first pass
-	// may round; identity must hold on everything else and floats must
-	// agree to that precision.
-	near := func(x, y float64) bool {
-		d := x - y
-		if d < 0 {
-			d = -d
-		}
-		m := x
-		if m < 0 {
-			m = -m
-		}
-		return d <= 1e-8*(m+1)
-	}
-	for i := range a {
-		s, r := a[i], b[i]
-		if s.Job != r.Job || s.Rank != r.Rank || s.Thread != r.Thread ||
-			s.CPU != r.CPU || s.State != r.State {
-			t.Fatalf("segment %d identity changed in round trip:\n  out %+v\n  in  %+v", i, s, r)
-		}
-		if !near(s.T0, r.T0) || !near(s.T1, r.T1) || !near(s.IPC, r.IPC) || !near(s.CyclesPerUs, r.CyclesPerUs) {
-			t.Fatalf("segment %d floats drifted beyond 9-digit precision:\n  out %+v\n  in  %+v", i, s, r)
-		}
-	}
-	// A second export of the re-read tracer must be byte-identical:
-	// the serialized precision is a fixed point of read-then-write.
-	var buf2 bytes.Buffer
-	if err := back.WriteCSV(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("CSV export is not a fixed point of read-then-write")
-	}
 }
 
 func TestScenarioParaverOutputs(t *testing.T) {

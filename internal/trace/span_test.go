@@ -15,35 +15,14 @@ func unit(job string, frac float64) []Segment {
 	}
 }
 
-// addIteration is what a run executing the iteration [t0, t0+period)
-// of pattern calls Add with.
-func addIteration(tr *Tracer, t0, period float64, pattern []Segment) {
-	t1 := t0 + period
-	for _, p := range pattern {
-		s := p
-		s.T0, s.T1 = t0, t1
-		if p.State == Run {
-			mid := t0 + period*p.T1
-			s.T1 = mid
-			tr.Add(s)
-			if mid < t1 {
-				s.T0, s.T1, s.State, s.IPC, s.CyclesPerUs = mid, t1, Idle, 0, 0
-				tr.Add(s)
-			}
-			continue
-		}
-		tr.Add(s)
-	}
-}
-
 // TestAddSpanExpandsLikeAdd: iterations recorded as spans — executed
 // ones as they happen, the ones the engine took when their span settles,
 // after later executed ones of another job — come back as the segments,
-// in the order, Add would have been given by a run that executed every
-// iteration in time order.
+// in the order, a run that executed every iteration in time order would
+// have recorded them, written out below.
 func TestAddSpanExpandsLikeAdd(t *testing.T) {
 	a, b := unit("a", 0.75), unit("b", 0)
-	spans, adds := New(), New()
+	spans := New()
 	// a: executed at 0, then 7 taken (1..7), executed at 8.
 	// b: executed at 0.5, 3.5 and 6.5, nothing taken.
 	spans.AddSpan(0, 1, 1, false, a, nil)
@@ -52,23 +31,29 @@ func TestAddSpanExpandsLikeAdd(t *testing.T) {
 	spans.AddSpan(6.5, 1.5, 1, false, b, nil)
 	spans.AddSpan(1, 1, 7, true, a, nil)
 	spans.AddSpan(8, 1, 1, false, a, nil)
-	for _, it := range []struct {
-		t0, period float64
-		p          []Segment
-	}{
-		{0, 1, a}, {0.5, 3, b}, {1, 1, a}, {2, 1, a}, {3, 1, a}, {3.5, 3, b}, {4, 1, a}, {5, 1, a}, {6, 1, a},
-		{6.5, 1.5, b}, {7, 1, a}, {8, 1, a},
-	} {
-		addIteration(adds, it.t0, it.period, it.p)
+	// a: run, run, idle, removed; b: run, idle (its zero-length run is
+	// dropped), removed.
+	iterA := func(t0 float64) []Segment {
+		return []Segment{
+			{Job: "a", Thread: 0, CPU: 4, T0: t0, T1: t0 + 1, State: Run, IPC: 1.5, CyclesPerUs: 2600},
+			{Job: "a", Thread: 1, CPU: 5, T0: t0, T1: t0 + 0.75, State: Run, IPC: 1.5, CyclesPerUs: 2600},
+			{Job: "a", Thread: 1, CPU: 5, T0: t0 + 0.75, T1: t0 + 1, State: Idle},
+			{Job: "a", Thread: 2, CPU: -1, T0: t0, T1: t0 + 1, State: Removed},
+		}
 	}
-	got, want := spans.Segments(), adds.Segments()
-	if !slices.Equal(got, want) {
-		t.Fatalf("spans expand to\n%+v\nAdd recorded\n%+v", got, want)
+	iterB := func(t0, t1 float64) []Segment {
+		return []Segment{
+			{Job: "b", Thread: 0, CPU: 4, T0: t0, T1: t1, State: Run, IPC: 1.5, CyclesPerUs: 2600},
+			{Job: "b", Thread: 1, CPU: 5, T0: t0, T1: t1, State: Idle},
+			{Job: "b", Thread: 2, CPU: -1, T0: t0, T1: t1, State: Removed},
+		}
 	}
-	// a: run, run, idle, removed, nine times; b: run, idle (its zero-length
-	// run is dropped), removed, three times.
-	if len(want) != 9*4+3*3 {
-		t.Fatalf("%d segments", len(want))
+	want := slices.Concat(
+		iterA(0), iterB(0.5, 3.5), iterA(1), iterA(2), iterA(3), iterB(3.5, 6.5), iterA(4), iterA(5), iterA(6),
+		iterB(6.5, 8), iterA(7), iterA(8),
+	)
+	if got := spans.Segments(); !slices.Equal(got, want) {
+		t.Fatalf("spans expand to\n%+v\nwant\n%+v", got, want)
 	}
 	if !slices.Equal(spans.Jobs(), []string{"a", "b"}) {
 		t.Errorf("Jobs = %v", spans.Jobs())
@@ -127,6 +112,43 @@ func TestSegmentsSettlesOpenSpans(t *testing.T) {
 	}
 }
 
+// TestAllStopsEarly: a reader that stops after k segments has seen the
+// first k of the full read, has settled the open spans once, and leaves
+// the next full read as it would have been.
+func TestAllStopsEarly(t *testing.T) {
+	build := func() (*Tracer, *int) {
+		a, b := unit("a", 0.5), unit("b", 1)
+		tr, calls := New(), new(int)
+		tr.AddSpan(0, 1, 1, false, a, func() {
+			*calls++
+			tr.AddSpan(1, 1, 3, true, a, nil)
+		})
+		tr.AddSpan(1.5, 2, 1, false, b, nil)
+		return tr, calls
+	}
+	ref, _ := build()
+	want := ref.Segments()
+	if len(want) != 4*4+3 {
+		t.Fatalf("%d segments", len(want))
+	}
+	for k := 0; k <= len(want); k++ {
+		tr, calls := build()
+		var head []Segment
+		for s := range tr.All() {
+			if len(head) == k {
+				break
+			}
+			head = append(head, s)
+		}
+		if !slices.Equal(head, want[:k]) || *calls != 1 {
+			t.Fatalf("stopped at %d: read %+v after %d flushes", k, head, *calls)
+		}
+		if got := tr.Segments(); !slices.Equal(got, want) || *calls != 1 {
+			t.Fatalf("stopped at %d: the next read has %d segments after %d flushes", k, len(got), *calls)
+		}
+	}
+}
+
 // uc2Shaped builds a tracer holding what a traced UC2 run records: two
 // jobs of 2 ranks x 16 threads, 2 689 iterations between them in a few
 // dozen blocks, a shrunk phase in which threads idle part of each
@@ -164,15 +186,22 @@ func uc2Shaped() *Tracer {
 	return tr
 }
 
-// BenchmarkSegmentsUC2 is what a reader pays for the expansion of a
-// finished UC2-sized trace (the slice it fills is reused).
+// BenchmarkSegmentsUC2 is what a reader pays to stream a finished
+// UC2-sized trace.
 func BenchmarkSegmentsUC2(b *testing.B) {
 	tr := uc2Shaped()
-	n := len(tr.Segments())
+	n := 0
+	for range tr.All() {
+		n++
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.joined, tr.expanded = tr.joined[:0], 0
-		if len(tr.Segments()) != n {
+		m := 0
+		for range tr.All() {
+			m++
+		}
+		if m != n {
 			b.Fatal("expansion changed")
 		}
 	}

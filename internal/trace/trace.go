@@ -5,16 +5,17 @@
 //
 // A trace is read as segments — one homogeneous interval of one
 // thread — and stored as spans: runs of identical iterations of a job,
-// each held once (Tracer.AddSpan). Tracer.Segments is the one place the
-// views and the exporters read, and it expands the spans into the
-// segments, in the order, that a run recording every iteration as it
-// executed it would have produced; Tracer's comment states the rule
-// that order rests on.
+// each held once (Tracer.AddSpan). Tracer.All is the one way to read it:
+// every view and exporter ranges over it, and it expands the spans into
+// the segments, in the order, that a run recording every iteration as
+// it executed it would have produced, keeping none of them. Tracer's
+// comment states the rule that order rests on.
 package trace
 
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -66,23 +67,21 @@ type Segment struct {
 func (s Segment) Duration() float64 { return s.T1 - s.T0 }
 
 // blocksPerChunk and rowsPerChunk are the capacities of the two kinds
-// of storage chunk (3.5 KB and 10 KB).
+// of storage chunk (3 KB and 10 KB).
 const (
 	blocksPerChunk = 64
 	rowsPerChunk   = 256
 )
 
-// block is n back-to-back iterations of one job. The first runs from t0
-// to t1 — t1 is kept, not derived, so that a single segment given to
-// Add comes back bit for bit — and each later one starts where the
-// previous ended and lasts period, by the float add the engine performs
-// when it books the next iteration. No pointer in it, nor in a row: the
-// collector never scans a chunk.
+// block is n back-to-back iterations of one job. The first starts at
+// t0, and each lasts period and ends where the next starts, by the
+// float add the engine performs when it books the next iteration. No
+// pointer in it, nor in a row: the collector never scans a chunk.
 type block struct {
-	t0, t1, period float64
-	n              int64
-	job            uint32
-	rows           rowsRef
+	t0, period float64
+	n          int64
+	job        uint32
+	rows       rowsRef
 	// taken: the engine took the iterations by itself (see AddSpan).
 	taken bool
 }
@@ -114,20 +113,34 @@ type lane struct {
 // steady ones in between to the engine (sim.Periodic), and each of the
 // two is one block here — the executed iteration as it happens, the
 // span it armed when the span settles. Blocks and rows are kept
-// pointer-free in equal-sized chunks and turned into Segments for
-// whoever reads them.
+// pointer-free in equal-sized chunks and turned into Segments as they
+// are read.
 //
-// The order of Segments is the order in which a run that executed
-// every iteration would have recorded them — WriteCSV and the Paraver
-// writers depend on it. Executed iterations (and Add's segments) are
-// stored as they happen and keep that order. A span the engine took is
-// stored when it settles, after everything that was executed while it
-// ran, and its iterations are woven back by start time: the engine
-// takes a traced application's iteration only while it is alone at its
-// instant (sim.Periodic.ArmSolo), so whatever was executed at the same
-// instant was executed before it, and a taken iteration goes after
-// every executed block starting no later than it and before the first
-// one starting later. Two taken iterations never share an instant.
+// The order of All is the order in which a run that executed every
+// iteration would have recorded the segments — WriteCSV and the
+// Paraver writers depend on it. Executed iterations are stored as they
+// happen and keep that order. A span the engine took is stored when it
+// settles, after everything that was executed while it ran, and its
+// iterations are woven back by start time: the engine takes a traced
+// application's iteration only while it is alone at its instant
+// (sim.Periodic.ArmSolo), so whatever was executed at the same instant
+// was executed before it, and a taken iteration goes after every
+// executed block starting no later than it and before the first one
+// starting later. Two taken iterations never share an instant.
+//
+// All weaves the whole history afresh on every read and keeps nothing.
+// That is the weave a reader caching earlier reads would see — one
+// weaving each read's new blocks among themselves only and appending
+// them — because a read happens at a RunUntil bound T and settles the
+// open spans there. Every taken iteration recorded before the read
+// starts strictly before T, since the engine takes a solo occurrence
+// only strictly before the bound; everything recorded after it starts
+// at or after T. So the stable sort by start keeps each read's taken
+// iterations ahead of every later read's, none of them is woven in
+// front of a block recorded after the read (a taken iteration goes in
+// front of a block only if it starts strictly earlier), and no later
+// one is woven in front of a block recorded before it (those start no
+// later than T).
 //
 // Out of model: a caller that drives the engine with Engine.Step —
 // which, unlike RunUntil, can return on a taken iteration — and then
@@ -144,54 +157,30 @@ type Tracer struct {
 	lanes   []lane // one per job
 	jobIdx  map[string]uint32
 	lastJob uint32 // laneOf's last answer
-	// joined is Segments' result: the expansion of the first expanded
-	// blocks.
-	joined   []Segment
-	expanded int
-	scratch  []row // the pattern being recorded
+	scratch []row  // the pattern being recorded
 }
 
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
-
-// Add appends a segment. Zero- or negative-length segments are
-// dropped. Rank, Thread and CPU are kept as int32.
-func (t *Tracer) Add(s Segment) {
-	if s.T1 <= s.T0 {
-		return
-	}
-	l := t.laneOf(s.Job)
-	t.scratch = append(t.scratch[:0], wholeRow(s))
-	t.push(block{t0: s.T0, t1: s.T1, n: 1, job: l, rows: t.pattern(l)})
-}
-
-// wholeRow is the row of a thread that spends whole iterations in s's
-// state, on s's CPU.
-func wholeRow(s Segment) row {
-	return row{
-		busy: -1, ipc: s.IPC, cycles: s.CyclesPerUs,
-		rank: int32(s.Rank), thread: int32(s.Thread), cpu: int32(s.CPU), state: int8(s.State),
-	}
-}
 
 // AddSpan records n back-to-back iterations of one job, the first
 // starting at t0 and each lasting period. pattern is one iteration
 // drawn on the unit interval, a Segment per thread, all of one job: a
 // Run segment from 0 to T1 is a thread busy for that fraction of every
 // iteration and idle for the rest of it, a segment in another state a
-// thread that spends whole iterations in it. Every iteration is
-// expanded as Add would have been called for it — the threads in
-// pattern order, Run from the iteration's start to start + period·T1,
-// then Idle to its end, empty segments dropped.
+// thread that spends whole iterations in it. Every iteration expands
+// into the threads' segments in pattern order — Run from the
+// iteration's start to start + period·T1, then Idle to its end; empty
+// segments are dropped. Rank, Thread and CPU are kept as int32.
 //
 // taken says the engine took the iterations by itself, as occurrences
 // of a solo chain (sim.Periodic.ArmSolo), and the owner reports them
-// now that the span has settled; Segments puts them where they would
-// have been recorded had they been executed. An executed iteration is
+// now that the span has settled; All puts them where they would have
+// been recorded had they been executed. An executed iteration is
 // reported as it happens, with n = 1.
 //
 // flush, when non-nil, says the owner has a span open behind this
-// record: Segments calls it before reading, and the owner must report
+// record: a read calls it before expanding, and the owner must report
 // what the engine has taken so far (with n = 0 if nothing). Any later
 // record of the job replaces it.
 func (t *Tracer) AddSpan(t0, period float64, n int64, taken bool, pattern []Segment, flush func()) {
@@ -200,19 +189,21 @@ func (t *Tracer) AddSpan(t0, period float64, n int64, taken bool, pattern []Segm
 	}
 	l := t.laneOf(pattern[0].Job)
 	t.lanes[l].flush = flush
-	t1 := t0 + period
-	if n <= 0 || !(t1 > t0) {
+	if n <= 0 || !(t0+period > t0) {
 		return
 	}
 	t.scratch = slices.Grow(t.scratch[:0], len(pattern))
 	for _, s := range pattern {
-		r := wholeRow(s)
+		r := row{
+			busy: -1, ipc: s.IPC, cycles: s.CyclesPerUs,
+			rank: int32(s.Rank), thread: int32(s.Thread), cpu: int32(s.CPU), state: int8(s.State),
+		}
 		if s.State == Run {
 			r.busy = s.T1
 		}
 		t.scratch = append(t.scratch, r)
 	}
-	t.push(block{t0: t0, t1: t1, period: period, n: n, job: l, rows: t.pattern(l), taken: taken})
+	t.push(block{t0: t0, period: period, n: n, job: l, rows: t.pattern(l), taken: taken})
 }
 
 // laneOf returns the index of a job's lane, adding it if new. A rank
@@ -271,105 +262,86 @@ func (t *Tracer) push(b block) {
 
 func (t *Tracer) block(i int) *block { return &t.blocks[i/blocksPerChunk][i%blocksPerChunk] }
 
-// Segments returns all recorded segments in recording order — taken
+// All yields every recorded segment in recording order — taken
 // iterations where executing them would have recorded them. Spans
-// still open are settled first. The slice is built from the blocks on
-// demand and shared between calls; treat as read-only.
-func (t *Tracer) Segments() []Segment {
-	for i := range t.lanes {
-		if flush := t.lanes[i].flush; flush != nil {
-			t.lanes[i].flush = nil
-			flush()
-		}
-	}
-	if t.expanded < t.nblocks {
-		t.expand()
-	}
-	return t.joined
-}
-
-// expand appends the segments of the blocks recorded since the last
-// read to t.joined. Every span is settled by now, so everything that
-// follows starts no earlier than everything here: the new blocks are
-// woven among themselves only.
-func (t *Tracer) expand() {
-	// The taken iterations, by start time. Those of one job are already
-	// in order; the sort interleaves the jobs.
-	type iter struct {
-		t0 float64
-		b  *block
-	}
-	var taken []iter
-	room := 0
-	for i := t.expanded; i < t.nblocks; i++ {
-		b := t.block(i)
-		for _, r := range t.rowsOf(b.rows) {
-			if r.busy > 0 && r.busy < 1 {
-				room += int(b.n)
+// still open are settled when a read starts. Each read expands the
+// blocks afresh, and a consumer that stops early stops the expansion.
+// Nothing may be recorded while a read is in progress.
+func (t *Tracer) All() iter.Seq[Segment] {
+	return func(yield func(Segment) bool) {
+		for i := range t.lanes {
+			if flush := t.lanes[i].flush; flush != nil {
+				t.lanes[i].flush = nil
+				flush()
 			}
-			room += int(b.n)
 		}
-		if !b.taken {
-			continue
+		// The taken iterations, by start time. Those of one job are
+		// already in order; the sort interleaves the jobs.
+		type occurrence struct {
+			t0 float64
+			b  *block
 		}
-		for k, at := int64(0), b.t0; k < b.n; k, at = k+1, at+b.period {
-			taken = append(taken, iter{at, b})
+		var taken []occurrence
+		for i := 0; i < t.nblocks; i++ {
+			if b := t.block(i); b.taken {
+				for k, at := int64(0), b.t0; k < b.n; k, at = k+1, at+b.period {
+					taken = append(taken, occurrence{at, b})
+				}
+			}
+		}
+		slices.SortStableFunc(taken, func(x, y occurrence) int { return cmp.Compare(x.t0, y.t0) })
+		for i := 0; i < t.nblocks; i++ {
+			b := t.block(i)
+			if b.taken {
+				continue
+			}
+			for ; len(taken) > 0 && taken[0].t0 < b.t0; taken = taken[1:] {
+				if !t.iteration(yield, taken[0].b, taken[0].t0) {
+					return
+				}
+			}
+			for k, at := int64(0), b.t0; k < b.n; k, at = k+1, at+b.period {
+				if !t.iteration(yield, b, at) {
+					return
+				}
+			}
+		}
+		for _, o := range taken {
+			if !t.iteration(yield, o.b, o.t0) {
+				return
+			}
 		}
 	}
-	slices.SortStableFunc(taken, func(x, y iter) int { return cmp.Compare(x.t0, y.t0) })
-	out := slices.Grow(t.joined, room)
-	for i := t.expanded; i < t.nblocks; i++ {
-		b := t.block(i)
-		if b.taken {
-			continue
-		}
-		for len(taken) > 0 && taken[0].t0 < b.t0 {
-			out = t.iteration(out, taken[0].b, taken[0].t0, taken[0].t0+taken[0].b.period)
-			taken = taken[1:]
-		}
-		for k, t0, t1 := int64(0), b.t0, b.t1; k < b.n; k, t0, t1 = k+1, t1, t1+b.period {
-			out = t.iteration(out, b, t0, t1)
-		}
-	}
-	for _, it := range taken {
-		out = t.iteration(out, it.b, it.t0, it.t0+it.b.period)
-	}
-	t.joined, t.expanded = out, t.nblocks
 }
 
-// iteration appends to out the segments of the iteration of b that runs
-// from t0 to t1. A segment is written field by field into the slice —
-// built on the stack and copied over, this loop is twice as slow.
-func (t *Tracer) iteration(out []Segment, b *block, t0, t1 float64) []Segment {
+// iteration yields the segments of the iteration of b that starts at
+// t0, and reports whether the consumer wants more.
+func (t *Tracer) iteration(yield func(Segment) bool, b *block, t0 float64) bool {
+	t1 := t0 + b.period
 	job := t.lanes[b.job].name
 	for _, r := range t.rowsOf(b.rows) {
-		from, to, state := t0, t1, State(r.state)
+		s := Segment{
+			Job: job, Rank: int(r.rank), Thread: int(r.thread), CPU: int(r.cpu),
+			T0: t0, T1: t1, State: State(r.state), IPC: r.ipc, CyclesPerUs: r.cycles,
+		}
 		if r.busy >= 0 {
-			to, state = t0+b.period*r.busy, Run
+			s.T1, s.State = t0+b.period*r.busy, Run
 		}
-		if to > from {
-			out = extend(out)
-			s := &out[len(out)-1]
-			s.Job, s.Rank, s.Thread, s.CPU = job, int(r.rank), int(r.thread), int(r.cpu)
-			s.T0, s.T1, s.State, s.IPC, s.CyclesPerUs = from, to, state, r.ipc, r.cycles
+		if s.T1 > s.T0 && !yield(s) {
+			return false
 		}
-		if r.busy >= 0 && to < t1 {
-			out = extend(out)
-			s := &out[len(out)-1]
-			s.Job, s.Rank, s.Thread, s.CPU = job, int(r.rank), int(r.thread), int(r.cpu)
-			s.T0, s.T1, s.State, s.IPC, s.CyclesPerUs = to, t1, Idle, 0, 0
+		if r.busy >= 0 && s.T1 < t1 {
+			s.T0, s.T1, s.State, s.IPC, s.CyclesPerUs = s.T1, t1, Idle, 0, 0
+			if !yield(s) {
+				return false
+			}
 		}
 	}
-	return out
+	return true
 }
 
-// extend lengthens out by one segment, whose fields the caller sets.
-func extend(out []Segment) []Segment {
-	if len(out) < cap(out) {
-		return out[:len(out)+1]
-	}
-	return append(out, Segment{})
-}
+// Segments collects All into a new slice.
+func (t *Tracer) Segments() []Segment { return slices.Collect(t.All()) }
 
 // Jobs returns the distinct job names in first-appearance order.
 func (t *Tracer) Jobs() []string {
@@ -384,42 +356,23 @@ func (t *Tracer) Jobs() []string {
 	return jobs
 }
 
-// Filter returns the segments of one job (all jobs if job == "").
-func (t *Tracer) Filter(job string) []Segment {
-	if job == "" {
-		return t.Segments()
-	}
-	var out []Segment
-	for _, s := range t.Segments() {
-		if s.Job == job {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Span returns the [min T0, max T1] over all segments.
+// Span returns the [min T0, max T1] over all segments (0, 0 for none).
 func (t *Tracer) Span() (float64, float64) {
-	segs := t.Segments()
-	if len(segs) == 0 {
-		return 0, 0
-	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, s := range segs {
+	for s := range t.All() {
 		lo = math.Min(lo, s.T0)
 		hi = math.Max(hi, s.T1)
+	}
+	if lo > hi {
+		return 0, 0
 	}
 	return lo, hi
 }
 
-// threadKey identifies one timeline row.
+// threadKey identifies one thread of one job.
 type threadKey struct {
 	job          string
 	rank, thread int
-}
-
-func (k threadKey) String() string {
-	return fmt.Sprintf("%s r%d t%02d", k.job, k.rank, k.thread)
 }
 
 // ThreadUtilization returns, per thread of a job, the fraction of
@@ -427,9 +380,9 @@ func (k threadKey) String() string {
 // thread).
 func (t *Tracer) ThreadUtilization(job string, t0, t1 float64) []ThreadStat {
 	acc := map[threadKey]float64{}
-	for _, s := range t.Filter(job) {
+	for s := range t.All() {
 		lo, hi := math.Max(s.T0, t0), math.Min(s.T1, t1)
-		if hi <= lo {
+		if s.Job != job || hi <= lo {
 			continue
 		}
 		k := threadKey{s.Job, s.Rank, s.Thread}
@@ -463,21 +416,45 @@ type ThreadStat struct {
 	Utilization float64
 }
 
-// IPCHistogram bins the Run-segment IPC values of a job, weighted by
-// segment duration: the paper's Figure 14 view.
-func (t *Tracer) IPCHistogram(job string, bins int, ipcMax float64) []float64 {
-	h := make([]float64, bins)
-	for _, s := range t.Filter(job) {
-		if s.State != Run || s.IPC <= 0 {
+// Bucket is the loop behind every timeline view. It cuts [lo, hi]
+// (hi > lo) into width equal columns and gives each (job, rank, thread)
+// a row of them: a segment value keeps adds v·duration to sum and its
+// duration to weight in every column from the one its start falls in
+// to the one its end falls in. The rows are handed to row in (job
+// name, rank, thread) order, labelled "job rN tNN".
+func (t *Tracer) Bucket(lo, hi float64, width int, value func(Segment) (v float64, keep bool), row func(label, job string, sum, weight []float64)) {
+	type acc struct {
+		threadKey
+		sum, weight []float64
+	}
+	var rows []acc
+	at := map[threadKey]int{}
+	for s := range t.All() {
+		v, keep := value(s)
+		if !keep {
 			continue
 		}
-		b := int(s.IPC / ipcMax * float64(bins))
-		if b >= bins {
-			b = bins - 1
+		k := threadKey{s.Job, s.Rank, s.Thread}
+		i, ok := at[k]
+		if !ok {
+			i = len(rows)
+			at[k] = i
+			rows = append(rows, acc{k, make([]float64, width), make([]float64, width)})
 		}
-		h[b] += s.Duration()
+		r := &rows[i]
+		b0 := int((s.T0 - lo) / (hi - lo) * float64(width))
+		b1 := min(int((s.T1-lo)/(hi-lo)*float64(width)), width-1)
+		for b := b0; b <= b1; b++ {
+			r.sum[b] += v * s.Duration()
+			r.weight[b] += s.Duration()
+		}
 	}
-	return h
+	slices.SortFunc(rows, func(a, b acc) int {
+		return cmp.Or(strings.Compare(a.job, b.job), cmp.Compare(a.rank, b.rank), cmp.Compare(a.thread, b.thread))
+	})
+	for _, r := range rows {
+		row(fmt.Sprintf("%s r%d t%02d", r.job, r.rank, r.thread), r.job, r.sum, r.weight)
+	}
 }
 
 // shadeChars maps intensity 0..1 to ASCII, darkest last.
@@ -494,27 +471,24 @@ func shade(v float64) byte {
 	return shadeChars[i]
 }
 
-// RenderTimeline draws a Paraver-like ASCII view: one row per thread,
-// columns are time buckets, cell intensity is the bucketed value of
-// metric ("util" = run fraction, "cycles" = cycles/µs normalized to
-// the max, "ipc" = IPC normalized to the max).
+// RenderTimeline draws a Paraver-like ASCII view of one job (every job
+// if job == ""): one row per thread, columns are time buckets, cell
+// intensity is the bucketed value of metric ("util" = run fraction,
+// "cycles" = cycles/µs normalized to the max, "ipc" = IPC normalized
+// to the max).
 func (t *Tracer) RenderTimeline(job string, width int, metric string) string {
-	segs := t.Filter(job)
-	if len(segs) == 0 {
-		return "(empty trace)\n"
-	}
 	lo, hi := t.Span()
 	if hi <= lo {
-		return "(empty span)\n"
+		return "(empty trace)\n"
 	}
-	rows := map[threadKey][]float64{}
-	weight := map[threadKey][]float64{}
 	var maxVal float64
-	for _, s := range segs {
-		k := threadKey{s.Job, s.Rank, s.Thread}
-		if rows[k] == nil {
-			rows[k] = make([]float64, width)
-			weight[k] = make([]float64, width)
+	if metric == "util" { // a run fraction: its max is 1
+		maxVal = 1
+	}
+	var rows strings.Builder
+	t.Bucket(lo, hi, width, func(s Segment) (float64, bool) {
+		if job != "" && s.Job != job {
+			return 0, false
 		}
 		var v float64
 		switch metric {
@@ -528,49 +502,24 @@ func (t *Tracer) RenderTimeline(job string, width int, metric string) string {
 			}
 		}
 		maxVal = math.Max(maxVal, v)
-		b0 := int((s.T0 - lo) / (hi - lo) * float64(width))
-		b1 := int((s.T1 - lo) / (hi - lo) * float64(width))
-		if b1 >= width {
-			b1 = width - 1
-		}
-		for b := b0; b <= b1; b++ {
-			rows[k][b] += v * s.Duration()
-			weight[k][b] += s.Duration()
-		}
-	}
-	if metric == "util" {
-		maxVal = 1
-	}
-	keys := make([]threadKey, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.job != b.job {
-			return a.job < b.job
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.thread < b.thread
-	})
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "time %.1fs .. %.1fs, metric=%s, max=%.2f\n", lo, hi, metric, maxVal)
-	for _, k := range keys {
+		return v, true
+	}, func(label, _ string, sum, weight []float64) {
 		line := make([]byte, width)
-		for b := 0; b < width; b++ {
-			if weight[k][b] <= 0 {
+		for b := range line {
+			if weight[b] <= 0 {
 				line[b] = ' '
 				continue
 			}
-			v := rows[k][b] / weight[k][b]
+			v := sum[b] / weight[b]
 			if maxVal > 0 {
 				v /= maxVal
 			}
 			line[b] = shade(v)
 		}
-		fmt.Fprintf(&sb, "%-24s |%s|\n", k, line)
+		fmt.Fprintf(&rows, "%-24s |%s|\n", label, line)
+	})
+	if rows.Len() == 0 {
+		return "(empty trace)\n"
 	}
-	return sb.String()
+	return fmt.Sprintf("time %.1fs .. %.1fs, metric=%s, max=%.2f\n", lo, hi, metric, maxVal) + rows.String()
 }

@@ -6,29 +6,43 @@ import (
 	"testing"
 )
 
+// add records s as one executed iteration of a one-thread job. It comes
+// back as given when its times are small dyadic numbers, which make
+// s.T1 - s.T0 and the tracer's s.T0 + (s.T1 - s.T0) exact.
+func add(tr *Tracer, s Segment) {
+	p := s
+	p.T0, p.T1 = 0, 1
+	tr.AddSpan(s.T0, s.T1-s.T0, 1, false, []Segment{p}, nil)
+}
+
 func sampleTracer() *Tracer {
 	t := New()
 	// Two threads of job "a": thread 0 busy 0..10, thread 1 busy 0..5
 	// then idle 5..10.
-	t.Add(Segment{Job: "a", Rank: 0, Thread: 0, CPU: 0, T0: 0, T1: 10, State: Run, IPC: 1.0, CyclesPerUs: 2600})
-	t.Add(Segment{Job: "a", Rank: 0, Thread: 1, CPU: 1, T0: 0, T1: 5, State: Run, IPC: 1.2, CyclesPerUs: 2600})
-	t.Add(Segment{Job: "a", Rank: 0, Thread: 1, CPU: 1, T0: 5, T1: 10, State: Idle})
+	t.AddSpan(0, 10, 1, false, []Segment{
+		{Job: "a", Rank: 0, Thread: 0, CPU: 0, T1: 1, State: Run, IPC: 1.0, CyclesPerUs: 2600},
+		{Job: "a", Rank: 0, Thread: 1, CPU: 1, T1: 0.5, State: Run, IPC: 1.2, CyclesPerUs: 2600},
+	}, nil)
 	// Job "b" single segment.
-	t.Add(Segment{Job: "b", Rank: 0, Thread: 0, CPU: 8, T0: 2, T1: 8, State: Run, IPC: 0.5, CyclesPerUs: 2600})
+	add(t, Segment{Job: "b", Rank: 0, Thread: 0, CPU: 8, T0: 2, T1: 8, State: Run, IPC: 0.5, CyclesPerUs: 2600})
 	return t
 }
 
+// TestAddDropsEmptySegments: nothing is stored for an empty pattern, no
+// iteration or a period that is not positive.
 func TestAddDropsEmptySegments(t *testing.T) {
 	tr := New()
-	tr.Add(Segment{T0: 5, T1: 5})
-	tr.Add(Segment{T0: 5, T1: 4})
-	if len(tr.Segments()) != 0 {
-		t.Errorf("degenerate segments stored: %d", len(tr.Segments()))
+	add(tr, Segment{T0: 5, T1: 5})
+	add(tr, Segment{T0: 5, T1: 4})
+	tr.AddSpan(0, 1, 0, false, []Segment{{T1: 1}}, nil)
+	tr.AddSpan(0, 1, 1, false, nil, nil)
+	if len(tr.Segments()) != 0 || tr.nblocks != 0 {
+		t.Errorf("degenerate records stored: %d segments, %d blocks", len(tr.Segments()), tr.nblocks)
 	}
 }
 
-// Segments gives back exactly what Add took, in order, across chunk
-// boundaries and when reads and adds alternate; the stored records
+// Segments gives back exactly what was recorded, in order, across chunk
+// boundaries and when reads and records alternate; the stored records
 // hold no pointer (that is what keeps the collector out of them).
 func TestSegmentsRoundTripAcrossChunks(t *testing.T) {
 	tr := New()
@@ -38,9 +52,9 @@ func TestSegmentsRoundTripAcrossChunks(t *testing.T) {
 			k := len(want)
 			s := Segment{
 				Job: []string{"nest", "pils", "nest", "stream"}[k%4], Rank: k % 7, Thread: k % 16, CPU: k % 48,
-				T0: float64(k) * 0.1, T1: float64(k)*0.1 + 0.05, State: State(k % 3), IPC: 1 / float64(k+1), CyclesPerUs: 2600,
+				T0: float64(k), T1: float64(k) + 0.5, State: State(k % 3), IPC: 1 / float64(k+1), CyclesPerUs: 2600,
 			}
-			tr.Add(s)
+			add(tr, s)
 			want = append(want, s)
 		}
 	}
@@ -77,17 +91,24 @@ func TestSegmentsRoundTripAcrossChunks(t *testing.T) {
 	}
 }
 
+// TestJobsAndFilter: jobs come in first-appearance order, and the
+// per-job views see only the job asked for.
 func TestJobsAndFilter(t *testing.T) {
 	tr := sampleTracer()
 	jobs := tr.Jobs()
 	if len(jobs) != 2 || jobs[0] != "a" || jobs[1] != "b" {
 		t.Errorf("Jobs = %v", jobs)
 	}
-	if got := len(tr.Filter("a")); got != 3 {
-		t.Errorf("Filter(a) = %d segments", got)
+	for _, st := range tr.ThreadUtilization("b", 0, 10) {
+		if st.Job != "b" {
+			t.Errorf("ThreadUtilization(b) has %+v", st)
+		}
 	}
-	if got := len(tr.Filter("")); got != 4 {
-		t.Errorf("Filter(all) = %d segments", got)
+	if out := tr.RenderTimeline("b", 10, "util"); strings.Contains(out, "a r0") || !strings.Contains(out, "b r0 t00") {
+		t.Errorf("RenderTimeline(b):\n%s", out)
+	}
+	if out := tr.RenderTimeline("", 10, "util"); !strings.Contains(out, "a r0 t01") || !strings.Contains(out, "b r0 t00") {
+		t.Errorf("RenderTimeline of every job:\n%s", out)
 	}
 }
 
@@ -120,21 +141,6 @@ func TestThreadUtilization(t *testing.T) {
 	stats = tr.ThreadUtilization("a", 0, 5)
 	if stats[1].Utilization != 1.0 {
 		t.Errorf("clipped util = %+v", stats[1])
-	}
-}
-
-func TestIPCHistogram(t *testing.T) {
-	tr := sampleTracer()
-	h := tr.IPCHistogram("a", 4, 2.0) // bins of 0.5
-	// IPC 1.0 for 10s in bin 2, IPC 1.2 for 5s in bin 2.
-	if h[2] != 15 {
-		t.Errorf("histogram = %v", h)
-	}
-	// Out-of-range IPC clamps to the last bin.
-	tr.Add(Segment{Job: "a", Thread: 2, T0: 0, T1: 1, State: Run, IPC: 99})
-	h = tr.IPCHistogram("a", 4, 2.0)
-	if h[3] != 1 {
-		t.Errorf("clamped histogram = %v", h)
 	}
 }
 

@@ -206,8 +206,8 @@ func meanIPC(r Result, job string) float64 {
 		return 0
 	}
 	var wsum, w float64
-	for _, seg := range r.Tracer.Filter(job) {
-		if seg.IPC <= 0 {
+	for seg := range r.Tracer.All() {
+		if seg.Job != job || seg.IPC <= 0 {
 			continue
 		}
 		dur := seg.Duration()

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/plot"
 	"repro/internal/trace"
@@ -52,64 +51,23 @@ func TimelineGantt(tr *trace.Tracer, title string, buckets int) plot.Gantt {
 	if hi <= lo {
 		return g
 	}
-	type key struct {
-		job          string
-		rank, thread int
-	}
-	rows := map[key][]float64{}
-	weight := map[key][]float64{}
-	for _, s := range tr.Segments() {
-		if s.State == trace.Removed {
-			continue
-		}
-		k := key{s.Job, s.Rank, s.Thread}
-		if rows[k] == nil {
-			rows[k] = make([]float64, buckets)
-			weight[k] = make([]float64, buckets)
-		}
-		v := 0.0
-		if s.State == trace.Run {
-			v = 1
-		}
-		b0 := int((s.T0 - lo) / (hi - lo) * float64(buckets))
-		b1 := int((s.T1 - lo) / (hi - lo) * float64(buckets))
-		if b1 >= buckets {
-			b1 = buckets - 1
-		}
-		for b := b0; b <= b1; b++ {
-			rows[k][b] += v * s.Duration()
-			weight[k][b] += s.Duration()
-		}
-	}
-	keys := make([]key, 0, len(rows))
-	for k := range rows { //simvet:ordered keys collected and sorted below
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.job != b.job {
-			return a.job < b.job
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.thread < b.thread
-	})
 	jobIdx := map[string]int{}
 	for _, j := range tr.Jobs() {
 		jobIdx[j] = len(jobIdx)
 	}
 	bw := (hi - lo) / float64(buckets)
-	for _, k := range keys {
-		row := plot.GanttRow{
-			Label: fmt.Sprintf("%s r%d t%02d", k.job, k.rank, k.thread),
-			Group: jobIdx[k.job],
+	tr.Bucket(lo, hi, buckets, func(s trace.Segment) (float64, bool) {
+		if s.State == trace.Run {
+			return 1, true
 		}
-		for b := 0; b < buckets; b++ {
-			if weight[k][b] <= 0 {
+		return 0, s.State != trace.Removed
+	}, func(label, job string, sum, weight []float64) {
+		row := plot.GanttRow{Label: label, Group: jobIdx[job]}
+		for b := range sum {
+			if weight[b] <= 0 {
 				continue
 			}
-			util := rows[k][b] / weight[k][b]
+			util := sum[b] / weight[b]
 			if util <= 0.02 {
 				continue
 			}
@@ -120,6 +78,6 @@ func TimelineGantt(tr *trace.Tracer, title string, buckets int) plot.Gantt {
 			})
 		}
 		g.Rows = append(g.Rows, row)
-	}
+	})
 	return g
 }

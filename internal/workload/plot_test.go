@@ -35,10 +35,14 @@ func TestFigureDataChart(t *testing.T) {
 
 func TestTimelineGantt(t *testing.T) {
 	tr := trace.New()
-	tr.Add(trace.Segment{Job: "a", Rank: 0, Thread: 0, CPU: 0, T0: 0, T1: 10, State: trace.Run})
-	tr.Add(trace.Segment{Job: "a", Rank: 0, Thread: 1, CPU: 1, T0: 0, T1: 5, State: trace.Run})
-	tr.Add(trace.Segment{Job: "a", Rank: 0, Thread: 1, CPU: 1, T0: 5, T1: 10, State: trace.Idle})
-	tr.Add(trace.Segment{Job: "b", Rank: 0, Thread: 0, CPU: 8, T0: 2, T1: 8, State: trace.Run})
+	// Job a: thread 0 busy 0..10, thread 1 busy 0..5 then idle, thread 2
+	// removed (no row); job b: one thread busy 2..8.
+	tr.AddSpan(0, 10, 1, false, []trace.Segment{
+		{Job: "a", Rank: 0, Thread: 0, CPU: 0, T1: 1, State: trace.Run},
+		{Job: "a", Rank: 0, Thread: 1, CPU: 1, T1: 0.5, State: trace.Run},
+		{Job: "a", Rank: 0, Thread: 2, CPU: -1, T1: 1, State: trace.Removed},
+	}, nil)
+	tr.AddSpan(2, 6, 1, false, []trace.Segment{{Job: "b", Rank: 0, Thread: 0, CPU: 8, T1: 1, State: trace.Run}}, nil)
 	g := TimelineGantt(tr, "demo", 10)
 	if len(g.Rows) != 3 {
 		t.Fatalf("rows = %d", len(g.Rows))
