@@ -126,16 +126,6 @@ func Run(s Scenario, p Policy) Result { return workload.Run(s, p) }
 // Compare runs a scenario under Serial and DROM.
 func Compare(s Scenario) (serial, drom Result) { return workload.Compare(s) }
 
-// Repeated aggregates n jittered runs (mean totals, coefficient of
-// variation), matching the paper's ≥3-run measurement methodology.
-type Repeated = workload.Repeated
-
-// RunN executes the scenario n times with seeds 1..n and the given
-// relative jitter, returning aggregate statistics.
-func RunN(s Scenario, p Policy, n int, jitterFrac float64) (Repeated, error) {
-	return workload.RunN(s, p, n, jitterFrac)
-}
-
 // UC1 builds the paper's in-situ analytics scenario (§6.1): a
 // simulation ("nest" or "coreneuron") submitted at t=0 and an
 // analytics job ("pils" or "stream") at t=300.

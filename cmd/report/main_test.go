@@ -5,30 +5,16 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
-func TestEvaluateAllClaimsPass(t *testing.T) {
-	claims, err := evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(claims) < 12 {
-		t.Fatalf("only %d claims evaluated", len(claims))
-	}
-	for _, c := range claims {
-		if !c.Pass {
-			t.Errorf("claim %s failed: measured %.2f%s (paper: %s)",
-				c.ID, c.Measured, c.Unit, c.Paper)
-		}
-	}
-}
-
 func TestRenderFormat(t *testing.T) {
-	claims := []claim{
-		{ID: "a", Source: "§1", Text: "t", Paper: "p", Measured: 1.5, Unit: "%", Pass: true},
-		{ID: "b", Source: "§2", Text: "u", Paper: "q", Measured: 2.5, Unit: "s", Pass: false},
+	verdicts := []workload.Verdict{
+		{Claim: workload.Claim{ID: "a", Source: "§1", Text: "t", Paper: "p", Unit: "%"}, Measured: 1.5, Pass: true},
+		{Claim: workload.Claim{ID: "b", Source: "§2", Text: "u", Paper: "q", Unit: "s"}, Measured: 2.5, Pass: false},
 	}
-	out := render(claims)
+	out := render(verdicts)
 	if !strings.Contains(out, "PASS") || !strings.Contains(out, "FAIL") {
 		t.Errorf("verdicts missing:\n%s", out)
 	}
@@ -40,22 +26,22 @@ func TestRenderFormat(t *testing.T) {
 // reportGoldenPath pins the rendered claims table — what `report`
 // prints — plus every measured value at full float precision. The
 // claims run on the builtin controller path (serial, DROM,
-// oversubscribe, preempt, seeded jitter); TestEvaluateAllClaimsPass
-// only asserts their direction. Regenerate (only after an intentional
-// change of the paper model) with:
+// oversubscribe, preempt, seeded jitter); workload's
+// TestEvaluateAllClaimsPass only asserts their bands. Regenerate (only
+// after an intentional change of the paper model) with:
 //
 //	UPDATE_REPORT_GOLDEN=1 go test ./cmd/report -run TestReportGolden
 const reportGoldenPath = "testdata/report.golden"
 
 func TestReportGolden(t *testing.T) {
-	claims, err := evaluate()
+	verdicts, err := workload.EvaluateClaims(workload.RunClaims())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	sb.WriteString(render(claims))
-	for _, c := range claims {
-		sb.WriteString("# " + c.ID + " " + strconv.FormatFloat(c.Measured, 'g', -1, 64) + "\n")
+	sb.WriteString(render(verdicts))
+	for _, v := range verdicts {
+		sb.WriteString("# " + v.ID + " " + strconv.FormatFloat(v.Measured, 'g', -1, 64) + "\n")
 	}
 	got := sb.String()
 	if os.Getenv("UPDATE_REPORT_GOLDEN") != "" {

@@ -1,0 +1,193 @@
+package workload
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/apps"
+	"repro/internal/metrics"
+	"repro/internal/slurm"
+)
+
+// Claim is one verifiable statement of the paper's evaluation. claims
+// is the one place they are written down: cmd/report renders them,
+// Figures 13 and 15 quote them and TestEvaluateAllClaimsPass holds them.
+type Claim struct {
+	ID, Source, Text string
+	Paper            string // the paper's figure, as printed
+	Unit             string // printed after the measured value
+	// read takes values off each of Runs (RunClaims keys, each holding
+	// Job when it is set) and combine folds them into the claim's
+	// values: the reported one first, then any others Bands bound.
+	Runs    []string
+	Job     string
+	read    func(r *Result, job string) []float64
+	combine func(x []float64) []float64
+	Bands   []Band // one per value; NaN holds none
+}
+
+// Band is the range a measured value must fall in. Open ends are ±Inf;
+// MinIn and MaxIn make an end inclusive.
+type Band struct {
+	Min, Max     float64
+	MinIn, MaxIn bool
+}
+
+func (b Band) holds(v float64) bool {
+	return (v > b.Min || b.MinIn && v == b.Min) && (v < b.Max || b.MaxIn && v == b.Max)
+}
+
+var inf = math.Inf(1)
+
+func within(min, max float64) Band   { return Band{Min: min, Max: max} }
+func serialDROM(key string) []string { return []string{key + "/serial", key + "/drom"} }
+
+// claims are the paper's §6 claims in report order, banded in the unit
+// they print.
+var claims = []Claim{
+	{ID: "uc1-total", Source: "§6.1/Fig.4", Text: "DROM improves NEST+Pils total run time", Paper: "~5.9% avg",
+		Unit: "%", Runs: serialDROM("uc1/nest1+pils2"), Bands: []Band{within(0, inf)}, read: total, combine: gain},
+	{ID: "uc1-analytics", Source: "§6.1/Fig.6", Text: "Analytics response time collapses (wait→0)", Paper: "up to 96%",
+		Unit: "%", Runs: serialDROM("uc1/nest1+pils2"), Job: "pils", Bands: []Band{within(75, inf)}, read: response, combine: gain},
+	{ID: "uc1-sim-penalty", Source: "§6.1/Fig.6", Text: "Simulator response penalty stays small", Paper: "0..4.2%",
+		Unit: "%", Runs: serialDROM("uc1/nest1+pils2"), Job: "nest", Bands: []Band{{Min: 0, MinIn: true, Max: 10}}, read: response, combine: penalty},
+	{ID: "uc1-avg-resp", Source: "§6.1/Fig.8", Text: "Average response time improves", Paper: "37..48%",
+		Unit: "%", Runs: serialDROM("uc1/nest1+pils2"), Bands: []Band{within(30, 55)}, read: avgResponse, combine: gain},
+	{ID: "uc1-stream-total", Source: "§6.1/Fig.7", Text: "NEST+STREAM total always better under DROM", Paper: "avg 1.84%, max 3.5%",
+		Unit: "%", Runs: serialDROM("uc1/nest1+stream1"), Bands: []Band{within(0, inf)}, read: total, combine: gain},
+	{ID: "uc1-stream-resp", Source: "§6.1/Fig.7", Text: "STREAM response time collapses", Paper: "−92%",
+		Unit: "%", Runs: serialDROM("uc1/nest1+stream1"), Job: "stream", Bands: []Band{within(80, inf)}, read: response, combine: gain},
+	{ID: "uc1-cn-total", Source: "§6.1/Fig.11", Text: "CoreNeuron+STREAM total run time gain", Paper: "up to 8%",
+		Unit: "%", Runs: serialDROM("uc1/coreneuron1+stream1"), Bands: []Band{within(0, 15)}, read: total, combine: gain},
+	{ID: "uc2-total", Source: "§6.2/Fig.13", Text: "UC2 total run time improves", Paper: "2.5%",
+		Unit: "%", Runs: serialDROM("uc2"), Bands: []Band{within(1, 8)}, read: total, combine: gain},
+	{ID: "uc2-avg-resp", Source: "§6.2/Fig.15", Text: "UC2 average response time improves", Paper: "10%",
+		Unit: "%", Runs: serialDROM("uc2"), Bands: []Band{within(5, 25)}, read: avgResponse, combine: gain},
+	{ID: "uc2-hp-start", Source: "§6.2", Text: "High-priority job starts immediately under DROM", Paper: "starts at submission",
+		Unit: "s wait", Runs: []string{"uc2/drom"}, Job: "coreneuron", Bands: []Band{within(-inf, 1e-9)}, read: wait, combine: value},
+	{ID: "baseline-oversub", Source: "§2/§6.2", Text: "Oversubscription worse than DROM (UC2 total)", Paper: "degrades performance",
+		Unit: "s slower", Runs: []string{"uc2/oversubscribe", "uc2/drom"}, Bands: []Band{within(0, inf)}, read: total, combine: excess},
+	{ID: "baseline-preempt", Source: "§2/§6.2", Text: "Preemption worse than DROM (UC2 total)", Paper: "degrades performance",
+		Unit: "s slower", Runs: []string{"uc2/preempt", "uc2/drom"}, Bands: []Band{within(0, inf)}, read: total, combine: excess},
+	{ID: "fig5-imbalance", Source: "§6.1/Fig.5", Text: "Static partition: 4 threads absorb the removed chunk, rest idle", Paper: "threads 1-4 busy, others idle gaps",
+		Unit: " util gap", Runs: []string{"fig5/drom"}, Bands: []Band{within(-inf, inf), within(0.95, inf), within(-inf, 0.9)}, read: imbalance, combine: value},
+	{ID: "variability", Source: "§6", Text: "Run-to-run variability within the paper's CV", Paper: "CV ≤ 3.4%",
+		Unit: "% CV", Runs: []string{"jitter/0", "jitter/1", "jitter/2"}, Bands: []Band{{Min: -inf, Max: 3.4, MaxIn: true}}, read: total, combine: cv},
+}
+
+// RunClaims executes each run the claims read once and returns them by
+// key: three UC1 pairs, the UC2 pair, the two baselines, the traced
+// Figure 5 run and three runs jittered by 2% at seeds 1..3.
+func RunClaims() map[string]Result {
+	rs := make(map[string]Result)
+	uc1 := func(sim string, si int, ana string, ai int) (string, Scenario) {
+		return fmt.Sprintf("uc1/%s%d+%s%d", sim, si+1, ana, ai+1),
+			UC1(sim, apps.Table1(sim)[si], ana, apps.Table1(ana)[ai], false)
+	}
+	compare := func(key string, sc Scenario) { rs[key+"/serial"], rs[key+"/drom"] = Compare(sc) }
+	compare(uc1("nest", 0, "pils", 1))
+	compare(uc1("nest", 0, "stream", 0))
+	compare(uc1("coreneuron", 0, "stream", 0))
+	compare("uc2", UC2(false))
+	rs["uc2/oversubscribe"] = Run(UC2(false), slurm.PolicyOversubscribe)
+	rs["uc2/preempt"] = Run(UC2(false), slurm.PolicyPreempt)
+	rs["fig5/drom"], _, _ = Figure5() // its error is the result's Err
+	for i := range 3 {
+		_, sc := uc1("nest", 0, "pils", 1)
+		sc.JitterFrac, sc.Seed = 0.02, int64(i+1)
+		rs[fmt.Sprintf("jitter/%d", i)] = Run(sc, slurm.PolicyDROM)
+	}
+	return rs
+}
+
+// Verdict is one claim measured.
+type Verdict struct {
+	Claim
+	Measured float64
+	Pass     bool
+}
+
+// EvaluateClaims measures every claim on results keyed as RunClaims
+// keys them. A run that is missing, failed or lacks the claim's job is
+// an error naming the claim and the run, not a verdict.
+func EvaluateClaims(rs map[string]Result) ([]Verdict, error) {
+	vs := make([]Verdict, len(claims))
+	for i, c := range claims {
+		var x []float64
+		for _, key := range c.Runs {
+			r, ok := rs[key]
+			if !ok {
+				return nil, fmt.Errorf("claim %s: no run %s", c.ID, key)
+			}
+			if r.Err != nil {
+				return nil, fmt.Errorf("claim %s: run %s: %w", c.ID, key, r.Err)
+			}
+			if _, ok := r.Records.Job(c.Job); c.Job != "" && !ok {
+				return nil, fmt.Errorf("claim %s: run %s has no job %s", c.ID, key, c.Job)
+			}
+			x = append(x, c.read(&r, c.Job)...)
+		}
+		vals := c.combine(x)
+		vs[i] = Verdict{Claim: c, Measured: vals[0], Pass: true}
+		for k, b := range c.Bands {
+			vs[i].Pass = vs[i].Pass && b.holds(vals[k])
+		}
+	}
+	return vs, nil
+}
+
+func total(r *Result, _ string) []float64       { return []float64{r.Records.TotalRunTime()} }
+func avgResponse(r *Result, _ string) []float64 { return []float64{r.Records.AvgResponseTime()} }
+func response(r *Result, job string) []float64  { return []float64{r.job(job).ResponseTime()} }
+func wait(r *Result, job string) []float64      { return []float64{r.job(job).WaitTime()} }
+func (r *Result) job(name string) metrics.JobRecord {
+	j, _ := r.Records.Job(name)
+	return j
+}
+
+// imbalance reads Figure 5's gap between the mean utilization of
+// threads 00–03 (busy, absorbing the removed thread's chunks) and of
+// threads 04–14 (idle part of each iteration), then the two means. A
+// missing thread row reads NaN.
+func imbalance(r *Result, _ string) []float64 {
+	util := make(map[string]float64)
+	for _, p := range figure5Series(*r).Points {
+		util[p.X] = p.Y
+	}
+	mean := func(from, to int) (m float64) {
+		for t := from; t <= to; t++ {
+			y, ok := util[fmt.Sprintf("thread %02d", t)]
+			if !ok {
+				return math.NaN()
+			}
+			m += y / float64(to-from+1)
+		}
+		return m
+	}
+	busy, idle := mean(0, 3), mean(4, 14)
+	return []float64{busy - idle, busy, idle}
+}
+
+// gain and penalty are the percentages by which a value falls and
+// rises from the first run to the second; excess is by how much the
+// first exceeds the second.
+func value(x []float64) []float64   { return x }
+func gain(x []float64) []float64    { return []float64{100 * metrics.Gain(x[0], x[1])} }
+func penalty(x []float64) []float64 { return []float64{100 * -metrics.Gain(x[0], x[1])} }
+func excess(x []float64) []float64  { return []float64{x[0] - x[1]} }
+
+// cv is the coefficient of variation over the runs, in percent.
+func cv(x []float64) []float64 {
+	var mean, varsum float64
+	for _, v := range x {
+		mean += v
+	}
+	mean /= float64(len(x))
+	for _, v := range x {
+		varsum += (v - mean) * (v - mean)
+	}
+	if mean <= 0 {
+		return []float64{0}
+	}
+	return []float64{100 * (math.Sqrt(varsum/float64(len(x))) / mean)}
+}

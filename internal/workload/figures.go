@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/apps"
@@ -157,28 +159,26 @@ func Figure11() (FigureData, FigureData, error) {
 func Figure12() (FigureData, error) { return avgResponseFigure("Figure 12", "coreneuron") }
 
 // Figure13 runs UC2 traced under both policies and returns the results
-// plus the total-run-time comparison (the paper reports −2.5%).
+// plus the total-run-time comparison.
 func Figure13() (serial, drom Result, fig FigureData, err error) {
 	serial, drom = Compare(UC2(true))
-	if serial.Err != nil {
-		return serial, drom, fig, serial.Err
+	if err = errors.Join(serial.Err, drom.Err); err != nil {
+		return serial, drom, fig, err
 	}
-	if drom.Err != nil {
-		return serial, drom, fig, drom.Err
-	}
-	var s, d metrics.Series
-	s.Label = "Serial"
-	d.Label = "DROM"
-	s.Add("uc2 total run time", serial.Records.TotalRunTime())
-	d.Add("uc2 total run time", drom.Records.TotalRunTime())
-	fig = FigureData{
-		ID:     "Figure 13",
-		Title:  "UC2 total run time and cycles/µs traces",
-		Series: []metrics.Series{s, d},
-		Notes: []string{fmt.Sprintf("DROM improves total run time by %.1f%% (paper: 2.5%%)",
-			100*metrics.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()))},
-	}
-	return serial, drom, fig, nil
+	return serial, drom, uc2Figure("Figure 13", "UC2 total run time and cycles/µs traces",
+		"uc2 total run time", "total run time", "uc2-total", serial, drom), nil
+}
+
+// uc2Figure compares what claim id reads off the UC2 runs, with the
+// claim's measure against the paper's figure as its note.
+func uc2Figure(id, title, row, what, claimID string, serial, drom Result) FigureData {
+	c := claims[slices.IndexFunc(claims, func(c Claim) bool { return c.ID == claimID })]
+	s, d := c.read(&serial, c.Job), c.read(&drom, c.Job)
+	fig := FigureData{ID: id, Title: title, Series: []metrics.Series{{Label: "Serial"}, {Label: "DROM"}},
+		Notes: []string{fmt.Sprintf("DROM improves %s by %.1f%% (paper: %s)", what, c.combine(append(s, d...))[0], c.Paper)}}
+	fig.Series[0].Add(row, s[0])
+	fig.Series[1].Add(row, d[0])
+	return fig
 }
 
 // Figure14 derives the IPC histogram statistics of UC2 (mean observed
@@ -223,24 +223,11 @@ func meanIPC(r Result, job string) float64 {
 // Figure15 regenerates the UC2 average response time comparison.
 func Figure15() (FigureData, error) {
 	serial, drom := Compare(UC2(false))
-	if serial.Err != nil {
-		return FigureData{}, serial.Err
+	if err := errors.Join(serial.Err, drom.Err); err != nil {
+		return FigureData{}, err
 	}
-	if drom.Err != nil {
-		return FigureData{}, drom.Err
-	}
-	var s, d metrics.Series
-	s.Label = "Serial"
-	d.Label = "DROM"
-	s.Add("uc2 avg response time", serial.Records.AvgResponseTime())
-	d.Add("uc2 avg response time", drom.Records.AvgResponseTime())
-	return FigureData{
-		ID:     "Figure 15",
-		Title:  "UC2 average response time (s)",
-		Series: []metrics.Series{s, d},
-		Notes: []string{fmt.Sprintf("DROM improves average response time by %.1f%% (paper: 10%%)",
-			100*metrics.Gain(serial.Records.AvgResponseTime(), drom.Records.AvgResponseTime()))},
-	}, nil
+	return uc2Figure("Figure 15", "UC2 average response time (s)",
+		"uc2 avg response time", "average response time", "uc2-avg-resp", serial, drom), nil
 }
 
 // Figure5 runs a traced NEST+Pils Conf. 2 workload under DROM and
@@ -251,21 +238,10 @@ func Figure5() (Result, FigureData, error) {
 	if drom.Err != nil {
 		return drom, FigureData{}, drom.Err
 	}
-	var util metrics.Series
-	util.Label = "utilization"
-	// Sample a window inside the overlap (analytics runs ~300 s from
-	// t≈300).
-	stats := drom.Tracer.ThreadUtilization("nest", AnalyticsSubmitTime+100, AnalyticsSubmitTime+200)
-	for _, st := range stats {
-		if st.Rank != 0 {
-			continue
-		}
-		util.Add(fmt.Sprintf("thread %02d", st.Thread), st.Utilization)
-	}
 	fig := FigureData{
 		ID:     "Figure 5",
 		Title:  "NEST rank-0 thread utilization while shrunk (static partition imbalance)",
-		Series: []metrics.Series{util},
+		Series: []metrics.Series{figure5Series(drom)},
 		Notes: []string{
 			"threads 0-3 absorb the removed thread's chunks (utilization 1.0); the rest idle part of each iteration; thread 15 removed",
 		},
@@ -273,11 +249,24 @@ func Figure5() (Result, FigureData, error) {
 	return drom, fig, nil
 }
 
+// figure5Series is the utilization of each NEST rank-0 thread in a
+// window inside the overlap (analytics runs ~300 s from t≈300).
+func figure5Series(drom Result) metrics.Series {
+	util := metrics.Series{Label: "utilization"}
+	stats := drom.Tracer.ThreadUtilization("nest", AnalyticsSubmitTime+100, AnalyticsSubmitTime+200)
+	for _, st := range stats {
+		if st.Rank != 0 {
+			continue
+		}
+		util.Add(fmt.Sprintf("thread %02d", st.Thread), st.Utilization)
+	}
+	return util
+}
+
 // Table1Data prints Table 1 (use case application configurations).
 func Table1Data() FigureData {
 	var rows []metrics.Series
-	for i, name := range []string{"nest", "coreneuron", "pils", "stream"} {
-		_ = i
+	for _, name := range []string{"nest", "coreneuron", "pils", "stream"} {
 		s := metrics.Series{Label: name}
 		for ci, cfg := range apps.Table1(name) {
 			s.Add(fmt.Sprintf("Conf. %d (ranks)", ci+1), float64(cfg.Ranks))

@@ -6,7 +6,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/apps"
 	"repro/internal/hwmodel"
@@ -296,54 +295,4 @@ func UC2(traced bool) Scenario {
 // Compare runs a scenario under Serial and DROM and returns both.
 func Compare(s Scenario) (serial, drom Result) {
 	return Run(s, slurm.PolicySerial), Run(s, slurm.PolicyDROM)
-}
-
-// Repeated summarizes n jittered runs of a scenario under one policy,
-// reproducing the paper's measurement methodology ("average of at
-// least 3 runs", CV up to 3.4%).
-type Repeated struct {
-	Runs            int
-	MeanTotal       float64
-	CVTotal         float64
-	MeanAvgResponse float64
-}
-
-// RunN executes the scenario n times with seeds 1..n and the given
-// jitter fraction, and returns the aggregate statistics.
-func RunN(s Scenario, policy slurm.Policy, n int, jitterFrac float64) (Repeated, error) {
-	if n < 1 {
-		n = 1
-	}
-	totals := make([]float64, 0, n)
-	var respSum float64
-	for seed := 1; seed <= n; seed++ {
-		sc := s
-		sc.JitterFrac = jitterFrac
-		sc.Seed = int64(seed)
-		res := Run(sc, policy)
-		if res.Err != nil {
-			return Repeated{}, res.Err
-		}
-		totals = append(totals, res.Records.TotalRunTime())
-		respSum += res.Records.AvgResponseTime()
-	}
-	var mean float64
-	for _, v := range totals {
-		mean += v
-	}
-	mean /= float64(n)
-	var varsum float64
-	for _, v := range totals {
-		varsum += (v - mean) * (v - mean)
-	}
-	cv := 0.0
-	if mean > 0 {
-		cv = math.Sqrt(varsum/float64(n)) / mean
-	}
-	return Repeated{
-		Runs:            n,
-		MeanTotal:       mean,
-		CVTotal:         cv,
-		MeanAvgResponse: respSum / float64(n),
-	}, nil
 }

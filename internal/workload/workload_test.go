@@ -87,30 +87,17 @@ func TestUC1CoreNeuronClaims(t *testing.T) {
 	}
 }
 
-// TestUC2HeadlineClaims verifies §6.2: total run time improves ~2.5%
-// and average response ~10% under DROM.
-func TestUC2HeadlineClaims(t *testing.T) {
-	serial, drom := Compare(UC2(false))
-	if serial.Err != nil || drom.Err != nil {
-		t.Fatalf("uc2 errors: %v / %v", serial.Err, drom.Err)
+// TestUC2HighPrioWaitsUnderSerial: without DROM the high-priority
+// job waits for NEST to finish (the claims table pins its immediate
+// start under DROM, uc2-hp-start).
+func TestUC2HighPrioWaitsUnderSerial(t *testing.T) {
+	serial := Run(UC2(false), slurm.PolicySerial)
+	if serial.Err != nil {
+		t.Fatal(serial.Err)
 	}
-	gTotal := metrics.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime())
-	if gTotal < 0.01 || gTotal > 0.08 {
-		t.Errorf("uc2 total gain = %.1f%%, want ~2.5%% (1-8)", 100*gTotal)
-	}
-	gResp := metrics.Gain(serial.Records.AvgResponseTime(), drom.Records.AvgResponseTime())
-	if gResp < 0.05 || gResp > 0.25 {
-		t.Errorf("uc2 avg response gain = %.1f%%, want ~10%% (5-25)", 100*gResp)
-	}
-	// The high-priority job starts immediately under DROM.
-	cn, _ := drom.Records.Job("coreneuron")
-	if cn.WaitTime() > 1e-9 {
-		t.Errorf("high-priority job waited %v under DROM", cn.WaitTime())
-	}
-	// Under Serial it waits for NEST.
-	cns, _ := serial.Records.Job("coreneuron")
-	if cns.WaitTime() < 1000 {
-		t.Errorf("high-priority job should wait long under Serial, waited %v", cns.WaitTime())
+	cn, ok := serial.Records.Job("coreneuron")
+	if !ok || cn.WaitTime() < 1000 {
+		t.Errorf("high-priority job should wait long under Serial, waited %v", cn.WaitTime())
 	}
 }
 
@@ -214,22 +201,6 @@ func TestUC2IPCComparable(t *testing.T) {
 	}
 }
 
-// TestOversubscriptionWorseThanDROM is the related-work claim (§2):
-// co-allocating by oversubscription degrades the simulation more than
-// DROM's disjoint repartition.
-func TestOversubscriptionWorseThanDROM(t *testing.T) {
-	sc := UC2(false)
-	drom := Run(sc, slurm.PolicyDROM)
-	over := Run(sc, slurm.PolicyOversubscribe)
-	if drom.Err != nil || over.Err != nil {
-		t.Fatalf("errors: %v / %v", drom.Err, over.Err)
-	}
-	if over.Records.TotalRunTime() <= drom.Records.TotalRunTime() {
-		t.Errorf("oversubscription total %v <= DROM %v",
-			over.Records.TotalRunTime(), drom.Records.TotalRunTime())
-	}
-}
-
 // TestConf2BeatsConf1: the paper's Table-1 observation — "increasing
 // IPC switching from Conf. 1 to Conf. 2 ... due to a different data
 // access pattern and better data locality" — makes the 4x8
@@ -302,32 +273,6 @@ func TestJitterVariabilityMatchesPaper(t *testing.T) {
 	again := Run(sc, slurm.PolicyDROM)
 	if again.Records.TotalRunTime() != totals[0] {
 		t.Error("same seed must reproduce the same total")
-	}
-}
-
-// TestRunNAggregation: the repeated-run helper reports a stable mean
-// and a small CV, and still shows the DROM gain.
-func TestRunNAggregation(t *testing.T) {
-	sc := UC1("nest", conf(2, 16), "pils", conf(2, 1), false)
-	serial, err := RunN(sc, slurm.PolicySerial, 3, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drom, err := RunN(sc, slurm.PolicyDROM, 3, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Runs != 3 || drom.Runs != 3 {
-		t.Fatalf("runs = %d/%d", serial.Runs, drom.Runs)
-	}
-	if serial.CVTotal > 0.034 || drom.CVTotal > 0.034 {
-		t.Errorf("CV too high: %v/%v", serial.CVTotal, drom.CVTotal)
-	}
-	if drom.MeanTotal >= serial.MeanTotal {
-		t.Errorf("DROM mean %v >= serial %v", drom.MeanTotal, serial.MeanTotal)
-	}
-	if drom.MeanAvgResponse >= serial.MeanAvgResponse {
-		t.Errorf("DROM mean response %v >= serial %v", drom.MeanAvgResponse, serial.MeanAvgResponse)
 	}
 }
 
