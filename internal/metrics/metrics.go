@@ -6,7 +6,9 @@ package metrics
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -113,12 +115,22 @@ func (d DropStats) String() string {
 
 // Workload aggregates the jobs of one scenario run. Add folds every
 // record into running sums and tallies; in the default mode it also
-// retains the record (Jobs), which adds what needs the distribution
-// or the job names: percentiles, Demand, Job and String. SetAggregate
-// drops the retention — the mode million-job replays use to stay in
-// bounded memory.
+// retains the record, which adds what needs the distribution or the
+// job names: percentiles, Demand, Job and String. SetAggregate drops
+// the retention — the mode million-job replays use to stay in bounded
+// memory.
+//
+// Jobs holds the records this lineage appended. On a root workload
+// that is every record; on one made by Fork it is only what was added
+// after the fork, and the records from before it are the frozen
+// history the fork shares with its parent. All reads both, history
+// first.
 type Workload struct {
 	Jobs []JobRecord
+	// hist is the frozen history, oldest segment first. Each segment is
+	// cut with a full slice expression (s[:n:n]), so no append — the
+	// parent's included — can write into it.
+	hist [][]JobRecord
 
 	// Dropped counts the trace records the replay's mapping layer
 	// discarded before submission (set by the workload runner; zero
@@ -160,13 +172,20 @@ type partAgg struct {
 	sumWait, sumResp             float64
 }
 
-// Clone returns a deep copy of the workload: the retained records,
-// the running aggregates and every per-partition tally bucket. A
-// forked simulation lineage records into its clone without the
-// original seeing a single count.
-func (w *Workload) Clone() *Workload {
+// Fork returns the workload a forked simulation lineage records into:
+// the running aggregates and every per-partition tally bucket copied,
+// and the retained records shared as frozen history — the parent's
+// history segments plus its own records cut at their current length —
+// with the child's Jobs empty. Records are never written in place, so
+// neither lineage sees a record the other appends. The cost is the
+// number of forks above this one and the partition count, not the
+// number of records.
+func (w *Workload) Fork() *Workload {
 	cp := *w
-	cp.Jobs = append([]JobRecord(nil), w.Jobs...)
+	cp.Jobs = nil
+	if n := len(w.Jobs); n > 0 {
+		cp.hist = append(w.hist[:len(w.hist):len(w.hist)], w.Jobs[:n:n])
+	}
 	if w.perPart != nil {
 		cp.perPart = make(map[string]*partAgg, len(w.perPart))
 		for name, pa := range w.perPart { //simvet:ordered deep copy into a fresh map; no order-dependent output
@@ -177,10 +196,40 @@ func (w *Workload) Clone() *Workload {
 	return &cp
 }
 
+// All yields every retained record in the order it was added: the
+// frozen history, then this lineage's own records.
+func (w *Workload) All() iter.Seq[JobRecord] {
+	return func(yield func(JobRecord) bool) {
+		for _, seg := range w.hist {
+			for _, j := range seg {
+				if !yield(j) {
+					return
+				}
+			}
+		}
+		for _, j := range w.Jobs {
+			if !yield(j) {
+				return
+			}
+		}
+	}
+}
+
+// Flatten gathers the frozen history and this lineage's records into
+// Jobs, a fresh slice, so that Jobs holds every record. It does nothing
+// on a workload without history, whose Jobs already does.
+func (w *Workload) Flatten() {
+	if len(w.hist) == 0 {
+		return
+	}
+	w.Jobs = slices.AppendSeq(make([]JobRecord, 0, w.n), w.All())
+	w.hist = nil
+}
+
 // SetAggregate stops the workload retaining per-job records. It must
 // be called before the first Add.
 func (w *Workload) SetAggregate() {
-	if len(w.Jobs) > 0 {
+	if w.n > 0 {
 		panic("metrics: SetAggregate after records were added")
 	}
 	w.aggregate = true
@@ -381,7 +430,7 @@ func (w *Workload) PartitionStats() []PartitionStat {
 // Job returns the record with the given name, or false. Aggregated
 // workloads retain no per-job records.
 func (w *Workload) Job(name string) (JobRecord, bool) {
-	for _, j := range w.Jobs {
+	for j := range w.All() {
 		if j.Name == name {
 			return j, true
 		}
@@ -407,7 +456,7 @@ func (w *Workload) Utilization(cpusOf func(name string) int, totalCores int) flo
 		return 0
 	}
 	var used float64
-	for _, j := range w.Jobs {
+	for j := range w.All() {
 		used += float64(cpusOf(j.Name)) * j.RunTime()
 	}
 	u := used / (float64(totalCores) * total)
@@ -430,7 +479,7 @@ func (w *Workload) AvgResponseTime() float64 {
 func (w *Workload) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-28s %10s %10s %10s %10s\n", "job", "submit", "wait", "run", "response")
-	for _, j := range w.Jobs {
+	for j := range w.All() {
 		fmt.Fprintf(&sb, "%-28s %10.1f %10.1f %10.1f %10.1f\n",
 			j.Name, j.Submit, j.WaitTime(), j.RunTime(), j.ResponseTime())
 	}

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"iter"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,6 +35,49 @@ func TestWorkloadAggregates(t *testing.T) {
 	}
 	if !strings.Contains(w.String(), "sim") {
 		t.Error("String misses job name")
+	}
+}
+
+// TestWorkloadForkSharesFrozenHistory: a fork reads its parent's
+// records as history and its own after them; what either lineage adds
+// later, the other never sees, through any number of fork levels.
+func TestWorkloadForkSharesFrozenHistory(t *testing.T) {
+	rec := func(name string) JobRecord { return JobRecord{Name: name, End: 1} }
+	names := func(seq iter.Seq[JobRecord]) string {
+		var sb strings.Builder
+		for j := range seq {
+			sb.WriteString(j.Name)
+		}
+		return sb.String()
+	}
+	var parent Workload
+	parent.Jobs = make([]JobRecord, 0, 8) // spare capacity behind the cut
+	parent.Add(rec("a"))
+	parent.Add(rec("b"))
+	child := parent.Fork()
+	parent.Add(rec("p"))
+	child.Add(rec("c"))
+	grandchild := child.Fork()
+	child.Add(rec("d"))
+	grandchild.Add(rec("g"))
+	for _, tc := range []struct {
+		w    *Workload
+		want string
+	}{{&parent, "abp"}, {child, "abcd"}, {grandchild, "abcg"}} {
+		if got := names(tc.w.All()); got != tc.want || tc.w.Count() != len(tc.want) {
+			t.Errorf("records %q (count %d), want %q", got, tc.w.Count(), tc.want)
+		}
+		if _, ok := tc.w.Job("a"); !ok {
+			t.Errorf("%q: Job misses a history record", tc.want)
+		}
+		flat := *tc.w
+		flat.Flatten()
+		if got := names(slices.Values(flat.Jobs)); got != tc.want {
+			t.Errorf("flattened Jobs %q, want %q", got, tc.want)
+		}
+	}
+	if len(grandchild.Jobs) != 1 {
+		t.Errorf("the grandchild's own records are %v, want only g", grandchild.Jobs)
 	}
 }
 

@@ -66,7 +66,7 @@ func NewSchedStats(w Workload, cpusOf func(name string) int, totalCores int) Sch
 		st.MaxSlowdown = w.maxSlow
 	}
 	var waits, resps Summary
-	for _, j := range w.Jobs {
+	for j := range w.All() {
 		if j.NeverRan() {
 			continue
 		}

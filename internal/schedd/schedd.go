@@ -88,7 +88,7 @@ func (s *Server) stateLocked() State {
 		Now:       s.sess.Now(),
 		Queue:     ctl.QueueLen(),
 		Running:   ctl.RunningLen(),
-		Completed: len(ctl.Records.Jobs),
+		Completed: ctl.Records.Count(),
 		Events:    s.sess.Engine().Processed(),
 	}
 }
@@ -248,7 +248,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sess.RunUntil(req.Until)
-	if err := s.sess.Result().Err; err != nil {
+	if err := s.sess.Err(); err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -340,7 +340,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	eng.Run()
-	if err := fork.Result().Err; err != nil {
+	if err := fork.Err(); err != nil {
 		writeErr(w, http.StatusInternalServerError, "what-if lineage failed: %v", err)
 		return
 	}

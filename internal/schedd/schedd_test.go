@@ -237,11 +237,18 @@ func TestConcurrentWhatIfs(t *testing.T) {
 }
 
 // TestConcurrentWhatIfsWithMutations interleaves what-ifs with live
-// mutations: everything must stay race-free and well-formed (the
-// predictions themselves legitimately vary with the interleaving).
+// mutations: submissions, and advances that append completed records
+// to the array every fork taken before them shares as history.
+// Everything must stay race-free and well-formed (the predictions
+// themselves legitimately vary with the interleaving).
 func TestConcurrentWhatIfsWithMutations(t *testing.T) {
 	ts, _ := newTestServer(t)
 	postJSON(t, ts.URL+"/advance", map[string]float64{"until": 400}, http.StatusOK, nil)
+	var before State
+	getJSON(t, ts.URL+"/state", http.StatusOK, &before)
+	if before.Completed == 0 {
+		t.Fatal("no completed job at t=400: the forks share no history")
+	}
 
 	var wg sync.WaitGroup
 	for k := 0; k < 6; k++ {
@@ -271,11 +278,17 @@ func TestConcurrentWhatIfsWithMutations(t *testing.T) {
 			postJSON(t, ts.URL+"/submit", job, http.StatusOK, nil)
 		}(k)
 	}
+	for until := 450.0; until <= 600; until += 50 {
+		postJSON(t, ts.URL+"/advance", map[string]float64{"until": until}, http.StatusOK, nil)
+	}
 	wg.Wait()
 	var st State
 	getJSON(t, ts.URL+"/state", http.StatusOK, &st)
-	if st.Now < 400 {
-		t.Errorf("live lineage rolled back: now=%g", st.Now)
+	if st.Now != 600 {
+		t.Errorf("live lineage at now=%g, want 600", st.Now)
+	}
+	if st.Completed <= before.Completed {
+		t.Errorf("completed %d after the advances, %d before: nothing was appended behind the forks", st.Completed, before.Completed)
 	}
 }
 

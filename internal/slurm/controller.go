@@ -3,7 +3,6 @@ package slurm
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -229,6 +228,8 @@ type Controller struct {
 	planBuf    []LaunchPlan
 	launchAt   []int
 	placeBuf   []apps.Placement
+	// placeName is where emitJobStart joins a multi-node placement.
+	placeName []byte
 
 	// Spillover-pass scratch (spillPass): merge cursors, the chosen
 	// host nodes, and per partition the ascending free-count vector,
@@ -899,18 +900,32 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 //simvet:guarded the one call site sits under launch's Probe != nil check
 //simvet:coldpath probe-only, so the placement string is built off the disabled path
 func (ctl *Controller) emitJobStart(r *runningJob) {
-	names := make([]string, len(r.nodeAt))
-	for k, ni := range r.nodeAt {
-		names[k] = ctl.cluster.Nodes[ni]
-	}
 	ctl.Probe.Emit(obs.Event{
 		Kind: obs.KindJobStart, Time: ctl.cluster.Engine.Now(),
 		Job: r.job.Name, Seq: r.seq,
 		Partition: ctl.cluster.Spec.Partitions[r.pidx].Name,
 		Origin:    ctl.originOf(r.pidx, r.homePidx),
-		Nodes:     len(names), CPUs: r.curCPUs,
-		Placement: strings.Join(names, ","),
+		Nodes:     len(r.nodeAt), CPUs: r.curCPUs,
+		Placement: ctl.placement(r.nodeAt),
 	})
+}
+
+// placement names the nodes of an allocation, comma-separated: a
+// single node's name as it is, several joined in ctl.placeName, so the
+// only allocation is the resulting string.
+func (ctl *Controller) placement(nodeAt []int) string {
+	if len(nodeAt) == 1 {
+		return ctl.cluster.Nodes[nodeAt[0]]
+	}
+	b := ctl.placeName[:0]
+	for k, ni := range nodeAt {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, ctl.cluster.Nodes[ni]...)
+	}
+	ctl.placeName = b
+	return string(b)
 }
 
 // failPreInit fails the controller on a launch reservation the

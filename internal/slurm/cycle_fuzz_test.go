@@ -267,7 +267,7 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 	}
 	eng.Run()
 	total := accepted
-	out.jobs = ctl.Records.Jobs
+	out.jobs = slices.Collect(ctl.Records.All())
 	out.skipped = eng.Skipped()
 	out.steps = eng.Processed() + out.skipped
 	feng.Run()
@@ -279,7 +279,7 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 		if l.ctl.Err != nil {
 			t.Fatalf("%s: controller error: %v", l.name, l.ctl.Err)
 		}
-		if got := len(l.ctl.Records.Jobs); got != l.jobs || l.ctl.QueueLen() != 0 || l.ctl.RunningLen() != 0 {
+		if got := l.ctl.Records.Count(); got != l.jobs || l.ctl.QueueLen() != 0 || l.ctl.RunningLen() != 0 {
 			t.Fatalf("%s: recorded %d of %d accepted jobs (queue=%d running=%d)",
 				l.name, got, l.jobs, l.ctl.QueueLen(), l.ctl.RunningLen())
 		}
@@ -291,8 +291,8 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 	}
 	t.Logf("%s: %d jobs, %d cycles, %d spilled, %d requeues, forked at t=%v of %v with %d queued and %d running",
 		spec, total, ctl.Cycles, ctl.Records.Spilled(), ctl.Records.Requeues(), forkedAt, eng.Now(), queued, running)
-	if !reflect.DeepEqual(fork.Records.Jobs, ctl.Records.Jobs) {
-		t.Fatalf("fork decided differently:\nfork   %+v\nparent %+v", fork.Records.Jobs, ctl.Records.Jobs)
+	if got := slices.Collect(fork.Records.All()); !slices.Equal(got, out.jobs) {
+		t.Fatalf("fork decided differently:\nfork   %+v\nparent %+v", got, out.jobs)
 	}
 	return out
 }

@@ -10,8 +10,11 @@ package slurm
 //
 //   - deep-cloned: the engine queue, shmem segments, DROM systems,
 //     demand table, queuedJob/runningJob records, app instances,
-//     free-mask caches, fault-state arrays, metrics records, and one
-//     fresh sched.Policy per partition (ClonePolicy);
+//     free-mask caches, fault-state arrays, the metrics aggregates, and
+//     one fresh sched.Policy per partition (ClonePolicy);
+//   - shared frozen: the completed metrics.JobRecords — the child sees
+//     them as history (metrics.Workload.Fork) and records its own
+//     after them, so a fork costs what is live, not what happened;
 //   - rebuilt: the per-partition policy views (view.go) are derived
 //     state — the fork starts with them stale and its first policy
 //     cycle rebuilds them from the cloned records;
@@ -218,7 +221,8 @@ func (ctl *Controller) Cluster() *Cluster { return ctl.cluster }
 
 // Fork clones the controller and the entire simulation state beneath
 // it — engine, shared memory, demand, instances, scheduler policies,
-// fault state, metrics — at the current virtual time. The returned
+// fault state, metrics aggregates — at the current virtual time; the
+// completed job records are shared as frozen history. The returned
 // engine is still inside its re-binding window: the caller must
 // re-bind its own pending events (submission chains, scancel timers)
 // and then call FinishFork on it before running either lineage.
@@ -262,7 +266,7 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		ShmemFaults:     ctl.ShmemFaults,
 		DebugInvariants: ctl.DebugInvariants,
 		neverRecycle:    ctl.neverRecycle,
-		Records:         *ctl.Records.Clone(),
+		Records:         *ctl.Records.Fork(),
 	}
 	if ctl.scheds != nil {
 		ctl2.scheds = make([]sched.Policy, len(ctl.scheds))

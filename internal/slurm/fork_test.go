@@ -17,6 +17,7 @@ package slurm_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,6 +46,74 @@ type forkCase struct {
 	// shape, when set, is the (queued, running) job count expected at
 	// each fork instant: it keeps a staged case from going vacuous.
 	shape [][2]int
+	// fork makes the lineages that run beside the parent from a fork
+	// instant (nil = one plain fork).
+	fork func(t *testing.T, parent *workload.Session, at, makespan float64) []lineage
+}
+
+// lineage is one session of a differential row, named for its
+// messages.
+type lineage struct {
+	name string
+	sess *workload.Session
+}
+
+// plainFork is the default row: the parent and one fork.
+func plainFork(t *testing.T, parent *workload.Session, _, _ float64) []lineage {
+	t.Helper()
+	f, err := parent.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []lineage{{"fork", f}}
+}
+
+// forkOfFork forks the parent, runs the child a tenth of the makespan
+// on and forks it again: the grandchild's history is the parent's
+// records up to the first fork and the child's own up to the second,
+// and all three lineages keep recording after that.
+func forkOfFork(t *testing.T, parent *workload.Session, at, makespan float64) []lineage {
+	t.Helper()
+	child, err := parent.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	child.RunUntil(at + 0.1*makespan)
+	grandchild, err := child.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []lineage{{"child", child}, {"grandchild", grandchild}}
+}
+
+// snapshotRestoredTwice restores one snapshot into two lineages, which
+// share the same frozen history.
+func snapshotRestoredTwice(t *testing.T, parent *workload.Session, _, _ float64) []lineage {
+	t.Helper()
+	snap, err := parent.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []lineage
+	for _, name := range []string{"restore 1", "restore 2"} {
+		r, err := snap.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, lineage{name, r})
+	}
+	return out
+}
+
+// aliasingForkCases fork the records' frozen history more than once: a
+// fork of a fork on the single-partition trace, and a snapshot restored
+// twice on the heterogeneous fault trace.
+func aliasingForkCases() []forkCase {
+	golden := goldenForkCases()
+	fof, snap := golden[0], golden[1]
+	fof.name, fof.fork = "fork-of-fork", forkOfFork
+	snap.name, snap.fork = "snapshot-restored-twice", snapshotRestoredTwice
+	return []forkCase{fof, snap}
 }
 
 // goldenForkCases mirrors the four committed golden traces: the
@@ -243,9 +312,13 @@ func firstDiff(t *testing.T, label, got, want string) {
 // TestForkReplayDifferential forks every golden trace and every
 // builtin scenario at its fork instants; the fork and the forked-from
 // parent must both finish with the uninterrupted replay's exact
-// decision trace, whichever of the two runs to the end first.
+// decision trace, whichever of the two runs to the end first. The
+// aliasing rows do the same for a fork of a fork and for a snapshot
+// restored twice, every lineage's assembled records held to the
+// uninterrupted replay.
 func TestForkReplayDifferential(t *testing.T) {
-	for _, c := range append(append(goldenForkCases(), nodefaultJitterForkCase()), builtinForkCases()...) {
+	cases := append(append(goldenForkCases(), nodefaultJitterForkCase()), builtinForkCases()...)
+	for _, c := range append(cases, aliasingForkCases()...) {
 		t.Run(c.name, func(t *testing.T) {
 			sc := c.make(t)
 			base := openSession(t, c, sc).Run()
@@ -261,39 +334,41 @@ func TestForkReplayDifferential(t *testing.T) {
 			if c.at != nil {
 				times = c.at(t, base)
 			}
+			fork := c.fork
+			if fork == nil {
+				fork = plainFork
+			}
 			for i, at := range times {
-				// Both orders: the lineage that runs second starts from the
-				// fork instant after the other ran the whole rest of the
-				// trace — recycling its records all the way — so anything a
-				// fork shared with its parent's free lists would be stale
-				// by then.
+				// Both orders: a lineage that runs later starts from its
+				// fork instant after the others ran the whole rest of the
+				// trace — recycling their records and appending to the
+				// arrays behind the shared history all the way — so
+				// anything a fork shared with a free list, or a record
+				// appended past a frozen segment, would show by then.
 				for _, parentFirst := range []bool{false, true} {
 					sess := openSession(t, c, sc)
 					sess.RunUntil(at)
 					if got := [2]int{sess.Controller().QueueLen(), sess.Controller().RunningLen()}; c.shape != nil && got != c.shape[i] {
 						t.Fatalf("fork at t=%.1f: (queued, running) = %v, want %v", at, got, c.shape[i])
 					}
-					fork, err := sess.Fork()
-					if err != nil {
-						t.Fatalf("fork at t=%.1f: %v", at, err)
+					lineages := append([]lineage{{"parent", sess}}, fork(t, sess, at, makespan)...)
+					if !parentFirst {
+						slices.Reverse(lineages)
 					}
-					var fres, pres workload.Result
-					if parentFirst {
-						pres, fres = sess.Run(), fork.Run()
-					} else {
-						fres, pres = fork.Run(), sess.Run()
+					results := make([]workload.Result, len(lineages))
+					for k, l := range lineages {
+						results[k] = l.sess.Run()
 					}
 					label := fmt.Sprintf("at t=%.1f (parent first: %v)", at, parentFirst)
-					if fres.Err != nil {
-						t.Fatalf("fork %s: %v", label, fres.Err)
-					}
-					firstDiff(t, "fork "+label, renderDecisions(fres.Records, c.faults), want)
-					if pres.Err != nil {
-						t.Fatalf("parent after fork %s: %v", label, pres.Err)
-					}
-					firstDiff(t, "parent after fork "+label, renderDecisions(pres.Records, c.faults), want)
-					if fres.Events != pres.Events {
-						t.Errorf("fork %s: event counts diverged: fork %d, parent %d", label, fres.Events, pres.Events)
+					for k, l := range lineages {
+						if results[k].Err != nil {
+							t.Fatalf("%s %s: %v", l.name, label, results[k].Err)
+						}
+						firstDiff(t, l.name+" "+label, renderDecisions(results[k].Records, c.faults), want)
+						if results[k].Events != results[0].Events {
+							t.Errorf("%s %s: event counts diverged: %s %d, %s %d", l.name, label,
+								l.name, results[k].Events, lineages[0].name, results[0].Events)
+						}
 					}
 				}
 			}
@@ -387,6 +462,60 @@ func TestForkMutationIsolation(t *testing.T) {
 		t.Fatal(pres.Err)
 	}
 	firstDiff(t, "parent after mutated fork", renderDecisions(pres.Records, c.faults), want)
+}
+
+// TestForkRecordsDoNotAlias: a record one lineage appends after a fork
+// is seen by no other, even while the parent appends into the spare
+// capacity of the array the fork's history was cut from. The fork
+// cancels a job queued at the fork instant — a record the parent never
+// makes — and the two then run in lockstep: at every step the parent's
+// records must be a prefix of the uninterrupted replay's, and the
+// fork's record after its history must still be the cancellation.
+func TestForkRecordsDoNotAlias(t *testing.T) {
+	c := goldenForkCases()[1] // hetero-faults: contended, so jobs queue
+	sc := c.make(t)
+	base := openSession(t, c, sc).Run()
+	if base.Err != nil {
+		t.Fatal(base.Err)
+	}
+	end := base.Records.TotalRunTime()
+	at := 0.4 * end
+	victim := ""
+	for _, j := range base.Records.Jobs {
+		if j.Submit < at && j.Start > at && j.Outcome == metrics.OutcomeCompleted {
+			victim = j.Name
+			break
+		}
+	}
+	if victim == "" {
+		t.Fatalf("no job queued at t=%.1f", at)
+	}
+
+	sess := openSession(t, c, sc)
+	sess.RunUntil(at)
+	n := sess.Controller().Records.Count()
+	fork, err := sess.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fork.Controller().Cancel(victim) {
+		t.Fatalf("%s is not queued in the fork", victim)
+	}
+	cancelled := slices.Collect(fork.Controller().Records.All())[n]
+	if cancelled.Name != victim || cancelled.Outcome != metrics.OutcomeCancelled {
+		t.Fatalf("the fork's first record is %+v, want %s cancelled", cancelled, victim)
+	}
+	for now := at; now < end; now += end / 100 {
+		sess.RunUntil(now)
+		fork.RunUntil(now)
+		parent := slices.Collect(sess.Controller().Records.All())
+		if !slices.Equal(parent, base.Records.Jobs[:len(parent)]) {
+			t.Fatalf("t=%.1f: the parent's records left the uninterrupted replay's", now)
+		}
+		if got := slices.Collect(fork.Controller().Records.All())[n]; got != cancelled {
+			t.Fatalf("t=%.1f: the fork's record after its history is %+v, want the cancellation %+v", now, got, cancelled)
+		}
+	}
 }
 
 // TestForkRefusals: fork must refuse the one state it cannot clone

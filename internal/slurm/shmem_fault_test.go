@@ -152,7 +152,7 @@ func TestForkFlakyRegistryDifferential(t *testing.T) {
 	}
 	observe := func(ctl *Controller) outcome {
 		jobs := ""
-		for _, j := range ctl.Records.Jobs {
+		for j := range ctl.Records.All() {
 			jobs += fmt.Sprintf("%s:%v:%v;", j.Name, j.Start, j.End)
 		}
 		fb := ctl.cluster.reg.Backend().(*shmem.FaultBackend)

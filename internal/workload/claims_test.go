@@ -50,8 +50,7 @@ func TestEvaluateClaimsMissingJob(t *testing.T) {
 	} {
 		rs := RunClaims()
 		res := rs[tc.key]
-		res.Records = *res.Records.Clone()
-		res.Records.Jobs = slices.DeleteFunc(res.Records.Jobs,
+		res.Records.Jobs = slices.DeleteFunc(slices.Clone(res.Records.Jobs),
 			func(j metrics.JobRecord) bool { return j.Name == tc.job })
 		rs[tc.key] = res
 		_, err := EvaluateClaims(rs)

@@ -266,16 +266,26 @@ func (s *Session) Run() Result {
 	return s.Result()
 }
 
-// Result assembles the scenario result from the state so far (valid
-// at any point; final once Run returned). The drop counts are the
-// source's when it classifies them as it maps, the scenario's
-// otherwise.
-func (s *Session) Result() Result {
-	res := Result{Scenario: s.scn.Name, Policy: s.ctl.Policy(), Tracer: s.ctl.Cluster().Tracer, Err: s.err}
-	if res.Err == nil {
-		res.Err = s.ctl.Err
+// Err returns the session's first error: the source's or a rejected
+// submission's, else the controller's. It is Result().Err without
+// assembling the records.
+func (s *Session) Err() error {
+	if s.err != nil {
+		return s.err
 	}
+	return s.ctl.Err
+}
+
+// Result assembles the scenario result from the state so far (valid
+// at any point; final once Run returned). Records.Jobs holds every
+// record: on a forked session the history shared with the parent is
+// copied in front of the fork's own records, on any other it is the
+// controller's slice itself. The drop counts are the source's when it
+// classifies them as it maps, the scenario's otherwise.
+func (s *Session) Result() Result {
+	res := Result{Scenario: s.scn.Name, Policy: s.ctl.Policy(), Tracer: s.ctl.Cluster().Tracer, Err: s.Err()}
 	res.Records = s.ctl.Records
+	res.Records.Flatten()
 	res.Records.Dropped = s.scn.Dropped
 	if dc, ok := s.src.(interface{ Dropped() metrics.DropStats }); ok {
 		res.Records.Dropped = dc.Dropped()
