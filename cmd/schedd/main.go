@@ -2,7 +2,9 @@
 // jobs, cancel them, flip their malleability, advance virtual time,
 // and ask what-if questions ("when would job X start under policy Y?")
 // that are answered by forking the whole simulation and running the
-// fork forward — without perturbing the live lineage.
+// fork forward — without perturbing the live lineage. What-ifs on an
+// unchanged state share one fork per policy, which runs only as far as
+// the latest start asked about; every mutation starts afresh.
 //
 // Examples:
 //
@@ -36,7 +38,7 @@ func main() {
 	clusterSpec := flag.String("cluster", "", "partitioned heterogeneous cluster, e.g. 'batch:4xmn3,fat:2xfat' or 'hetero' (overrides -nodes)")
 	seed := flag.Int64("seed", 1, "synthetic workload seed")
 	ia := flag.Float64("ia", 30, "synthetic workload mean inter-arrival time (s)")
-	forks := flag.Int("forks", 4, "maximum concurrently running what-if forks")
+	forks := flag.Int("forks", 4, "maximum what-ifs forking or running a shared projection at once")
 	shmemDir := flag.String("shmem", "", "back the live cluster's DROM segments with the file-based "+
 		"shmem backend rooted at this directory, so external processes (e.g. dromctl -backend file:...) "+
 		"can inspect the live segments; what-if forks still run on private in-memory copies")

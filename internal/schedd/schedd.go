@@ -2,22 +2,36 @@
 // over one live simulated cluster (a workload.Session) that accepts
 // submissions, cancellations and malleability changes against the
 // live lineage, and answers `what if` queries — "when would this
-// queued job start, under this policy?" — by forking the whole
-// simulation at the current virtual time and running the fork forward
-// until the candidate launches. Forks are throwaway: the live lineage
-// is never advanced or perturbed by a prediction.
+// queued job start, under this policy?" — from a projection of the
+// live state: a fork of the whole simulation at the current virtual
+// time that runs forward on demand and records each job's first start.
+// The live lineage is never advanced or perturbed by a prediction.
+//
+// There is one projection per live state and policy. Every what-if on
+// an unchanged session reads the same fork, which runs only as far as
+// the latest-starting job anyone has asked about. A fork is
+// deterministic, so that shared lineage is the one a private fork of
+// the same state would run, and its answers are the same. Every
+// mutation drops all projections; a request that already holds one
+// finishes on it, answering for the state at the moment it took the
+// lock.
 //
 // Concurrency: the Session is not safe for concurrent use, so every
-// touch of the live lineage happens under one mutex. A what-if only
-// holds that mutex for the fork itself (cheap — proportional to live
-// state, not to remaining work); the forked simulation then runs
-// outside the lock, so concurrent what-ifs proceed in parallel and
-// never block submissions. A counting semaphore (the fork pool)
-// bounds how many forks are in flight at once.
+// touch of the live lineage happens under one mutex. A what-if holds
+// it only to find or fork its projection (a fork is proportional to
+// live state, not to remaining work); the projection then runs under
+// its own mutex, outside the session lock, so mutations never wait on
+// a prediction. What-ifs on one projection take turns, each running it
+// past what the ones before it left; what-ifs on different projections
+// run in parallel. The session lock is never taken while a
+// projection's is held. A counting semaphore (the fork pool) bounds
+// how many what-ifs fork or run a projection at once.
 package schedd
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -30,6 +44,13 @@ import (
 	"repro/internal/workload"
 )
 
+// maxBody bounds a request body, in bytes.
+const maxBody = 1 << 20
+
+// ctxCheckSteps is how many engine steps a what-if takes between
+// checks that its client is still waiting.
+const ctxCheckSteps = 4096
+
 // Server owns one live session and serves the schedd API.
 type Server struct {
 	mu   sync.Mutex
@@ -38,11 +59,31 @@ type Server struct {
 	// jobs at construction, API jobs as they arrive) so what-if
 	// responses can report the predicted wait, not just the start.
 	submits map[string]float64
+	// proj holds the projections of the current live state, keyed by
+	// the what-if's policy query value ("" is the live policy). Every
+	// mutation drops them all.
+	proj    map[string]*projection
 	forkSem chan struct{}
 }
 
-// NewServer wraps a session. forks bounds concurrently running
-// what-if forks (values < 1 mean 1).
+// projection is a fork of the live session that runs forward on
+// demand, shared by every what-if on that state and policy. mu guards
+// the fork and what it has recorded.
+type projection struct {
+	mu       sync.Mutex
+	sess     *workload.Session
+	forkedAt float64
+	// starts holds each job's first start the fork's probe saw. fresh
+	// holds the starts of the step in progress; they are committed to
+	// starts only if the lineage is still healthy when the step ends,
+	// as a private fork stopped at that start would have found it.
+	starts  map[string]WhatIf
+	fresh   []WhatIf
+	drained bool
+}
+
+// NewServer wraps a session. forks bounds how many what-ifs fork or
+// run a projection at once (values < 1 mean 1).
 func NewServer(sess *workload.Session, forks int) *Server {
 	if forks < 1 {
 		forks = 1
@@ -169,16 +210,44 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// decode reads a POST body of at most maxBody bytes into v, refusing
+// a field v does not have.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "bad request body: %v", err)
 		return false
 	}
 	return true
+}
+
+// mutate applies one live mutation under s.mu and replies with the new
+// state; every mutating endpoint goes through it. fn returns the
+// reply's status. A 4xx refuses the request before it touches the live
+// lineage, so the projections survive it; any other status may follow
+// a change, so every projection is dropped.
+func (s *Server) mutate(w http.ResponseWriter, fn func() (int, error)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	code, err := fn()
+	if code < 400 || code >= 500 {
+		s.proj = nil
+	}
+	if err != nil {
+		writeErr(w, code, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, s.stateLocked())
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -191,14 +260,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.sess.Controller().Submit(&job); err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	s.submits[job.Name] = s.sess.Now()
-	writeJSON(w, http.StatusOK, s.stateLocked())
+	s.mutate(w, func() (int, error) {
+		if err := s.sess.Controller().Submit(&job); err != nil {
+			return http.StatusUnprocessableEntity, err
+		}
+		s.submits[job.Name] = s.sess.Now()
+		return http.StatusOK, nil
+	})
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -208,13 +276,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.sess.Controller().Cancel(req.Name) {
-		writeErr(w, http.StatusNotFound, "no queued or running job %q", req.Name)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.stateLocked())
+	s.mutate(w, func() (int, error) {
+		if !s.sess.Controller().Cancel(req.Name) {
+			return http.StatusNotFound, fmt.Errorf("no queued or running job %q", req.Name)
+		}
+		return http.StatusOK, nil
+	})
 }
 
 func (s *Server) handleMalleable(w http.ResponseWriter, r *http.Request) {
@@ -225,13 +292,12 @@ func (s *Server) handleMalleable(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.sess.Controller().SetQueuedMalleable(req.Name, req.Malleable) {
-		writeErr(w, http.StatusNotFound, "no queued job %q", req.Name)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.stateLocked())
+	s.mutate(w, func() (int, error) {
+		if !s.sess.Controller().SetQueuedMalleable(req.Name, req.Malleable) {
+			return http.StatusNotFound, fmt.Errorf("no queued job %q", req.Name)
+		}
+		return http.StatusOK, nil
+	})
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
@@ -241,18 +307,16 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if req.Until < s.sess.Now() {
-		writeErr(w, http.StatusBadRequest, "until=%g is in the past (now=%g)", req.Until, s.sess.Now())
-		return
-	}
-	s.sess.RunUntil(req.Until)
-	if err := s.sess.Err(); err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.stateLocked())
+	s.mutate(w, func() (int, error) {
+		if req.Until < s.sess.Now() {
+			return http.StatusBadRequest, fmt.Errorf("until=%g is in the past (now=%g)", req.Until, s.sess.Now())
+		}
+		s.sess.RunUntil(req.Until)
+		if err := s.sess.Err(); err != nil {
+			return http.StatusInternalServerError, err
+		}
+		return http.StatusOK, nil
+	})
 }
 
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
@@ -261,9 +325,9 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.stateLocked())
 }
 
-// WhatIf is the GET /whatif response: the forked lineage's prediction
-// for the candidate job. Wait is -1 when the submission time is
-// unknown to the server.
+// WhatIf is the GET /whatif response: the projection's prediction for
+// the candidate job. Wait is -1 when the submission time is unknown to
+// the server.
 type WhatIf struct {
 	Job       string  `json:"job"`
 	Policy    string  `json:"policy,omitempty"`
@@ -277,79 +341,127 @@ type WhatIf struct {
 	CPUs      int     `json:"cpus"`
 }
 
-// handleWhatIf answers GET /whatif?job=NAME[&policy=NAME]: fork the
-// live simulation, optionally swap the scheduling policy on the fork,
-// run it forward until the candidate starts, and report the predicted
-// start. The fork happens under the session lock; the simulation runs
-// outside it.
+// handleWhatIf answers GET /whatif?job=NAME[&policy=NAME] from the
+// projection of the live state under that policy, forking it under the
+// session lock on first use and running it forward outside that lock
+// until the candidate starts.
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	q := r.URL.Query()
-	name := q.Get("job")
+	name, policy := q.Get("job"), q.Get("policy")
 	if name == "" {
 		writeErr(w, http.StatusBadRequest, "job parameter required")
 		return
-	}
-	var policy sched.Policy
-	if pn := q.Get("policy"); pn != "" {
-		p, err := sched.New(pn)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		policy = p
 	}
 
 	s.forkSem <- struct{}{}
 	defer func() { <-s.forkSem }()
 
 	s.mu.Lock()
-	forkedAt := s.sess.Now()
 	submit, haveSubmit := s.submits[name]
-	fork, err := s.sess.Fork()
+	p, code, err := s.projectionLocked(policy)
 	s.mu.Unlock()
 	if err != nil {
-		writeErr(w, http.StatusConflict, "fork: %v", err)
+		writeErr(w, code, "%v", err)
 		return
 	}
 
-	ctl, eng := fork.Controller(), fork.Engine()
-	if policy != nil {
-		ctl.UseSched(policy)
-	}
-	pred := WhatIf{Job: name, Policy: q.Get("policy"), ForkedAt: forkedAt, Start: -1, Wait: -1}
-	found := false
-	ctl.Probe = obs.Func(func(ev obs.Event) {
-		switch {
-		case ev.Kind == obs.KindSubmit && ev.Job == name && !haveSubmit:
-			// The candidate is still upstream in the scenario stream;
-			// its submission replays inside the fork.
-			submit, haveSubmit = ev.Time, true
-		case ev.Kind == obs.KindJobStart && ev.Job == name && !found:
-			found = true
-			pred.Start = ev.Time
-			pred.Placement = ev.Placement
-			pred.Partition = ev.Partition
-			pred.Origin = ev.Origin
-			pred.Nodes = ev.Nodes
-			pred.CPUs = ev.CPUs
-			eng.Stop()
-		}
-	})
-	eng.Run()
-	if err := fork.Err(); err != nil {
-		writeErr(w, http.StatusInternalServerError, "what-if lineage failed: %v", err)
+	pred, code, err := p.find(r.Context(), name)
+	switch {
+	case code == 0:
+		return // the client has gone; the projection stays resumable
+	case err != nil:
+		writeErr(w, code, "%v", err)
 		return
 	}
-	if !found {
-		writeErr(w, http.StatusNotFound, "job %q never starts in the forked lineage", name)
-		return
-	}
+	pred.Policy = policy
 	if haveSubmit {
 		pred.Wait = pred.Start - submit
 	}
 	writeJSON(w, http.StatusOK, pred)
+}
+
+// projectionLocked returns the projection of the live state under the
+// named policy ("" for the live one), forking it on first use: the
+// fork swaps in the policy and gets the probe that records starts.
+// Callers hold s.mu.
+func (s *Server) projectionLocked(policy string) (*projection, int, error) {
+	if p := s.proj[policy]; p != nil {
+		return p, http.StatusOK, nil
+	}
+	var pol sched.Policy
+	if policy != "" {
+		var err error
+		if pol, err = sched.New(policy); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+	}
+	fork, err := s.sess.Fork()
+	if err != nil {
+		return nil, http.StatusConflict, fmt.Errorf("fork: %w", err)
+	}
+	if pol != nil {
+		fork.Controller().UseSched(pol)
+	}
+	p := &projection{sess: fork, forkedAt: s.sess.Now(), starts: make(map[string]WhatIf)}
+	fork.Controller().Probe = obs.Func(p.record)
+	if s.proj == nil {
+		s.proj = make(map[string]*projection)
+	}
+	s.proj[policy] = p
+	return p, http.StatusOK, nil
+}
+
+// record is the fork's probe: it notes each job's first start.
+func (p *projection) record(ev obs.Event) {
+	if ev.Kind != obs.KindJobStart {
+		return
+	}
+	if _, seen := p.starts[ev.Job]; seen {
+		return
+	}
+	p.fresh = append(p.fresh, WhatIf{
+		Job: ev.Job, ForkedAt: p.forkedAt, Start: ev.Time, Wait: -1,
+		Placement: ev.Placement, Partition: ev.Partition, Origin: ev.Origin,
+		Nodes: ev.Nodes, CPUs: ev.CPUs,
+	})
+}
+
+// find returns the job's first start in the projection with status
+// 200, stepping the fork until that start is recorded; 500 once the
+// lineage has failed and 404 once it has drained without it. Every
+// ctxCheckSteps steps it checks ctx and returns status 0 if ctx is
+// done: it stops between steps, so the projection stays exact and the
+// next what-if resumes it. Step, not Run, because Engine.Stop cannot be
+// undone.
+func (p *projection) find(ctx context.Context, name string) (WhatIf, int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	eng := p.sess.Engine()
+	for i := 0; ; i++ {
+		if pred, ok := p.starts[name]; ok {
+			return pred, http.StatusOK, nil
+		}
+		if err := p.sess.Err(); err != nil {
+			return WhatIf{}, http.StatusInternalServerError, fmt.Errorf("what-if lineage failed: %w", err)
+		}
+		if p.drained {
+			return WhatIf{}, http.StatusNotFound, fmt.Errorf("job %q never starts in the forked lineage", name)
+		}
+		if i%ctxCheckSteps == 0 && ctx.Err() != nil {
+			return WhatIf{}, 0, ctx.Err()
+		}
+		p.drained = !eng.Step()
+		if p.sess.Err() == nil {
+			for _, pred := range p.fresh {
+				if _, seen := p.starts[pred.Job]; !seen {
+					p.starts[pred.Job] = pred
+				}
+			}
+		}
+		p.fresh = p.fresh[:0]
+	}
 }

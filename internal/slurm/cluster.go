@@ -237,10 +237,12 @@ func (j *Job) Validate(cluster *Cluster) error {
 	if j.Cfg.Threads < 1 || j.Cfg.Ranks < 1 {
 		return fmt.Errorf("slurm: job %s has invalid config %v", j.Name, j.Cfg)
 	}
-	perNode := (j.Cfg.Ranks / j.Nodes) * j.Cfg.Threads
-	if perNode > part.Machine.CoresPerNode() {
-		return fmt.Errorf("slurm: job %s wants %d CPUs/node, a %s node has %d",
-			j.Name, perNode, part.Name, part.Machine.CoresPerNode())
+	// Each factor is bounded before the product, which could otherwise
+	// overflow past the check.
+	cores, rpn := part.Machine.CoresPerNode(), j.Cfg.Ranks/j.Nodes
+	if rpn > cores || j.Cfg.Threads > cores || rpn*j.Cfg.Threads > cores {
+		return fmt.Errorf("slurm: job %s wants %d ranks of %d threads per node, a %s node has %d CPUs",
+			j.Name, rpn, j.Cfg.Threads, part.Name, cores)
 	}
 	return nil
 }
