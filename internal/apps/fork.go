@@ -20,7 +20,8 @@ package apps
 //     forked DROM systems at the forked ledgers;
 //   - Jitter, tracer and OnComplete do not carry over — the controller
 //     that forks the instance points it at the forked cluster's jitter
-//     stream and installs its own completion hook.
+//     stream and installs its own completion hook before RebindPending,
+//     which re-points an armed jittered span at that stream.
 
 import (
 	"repro/internal/core"
@@ -88,8 +89,10 @@ func (inst *Instance) Fork(eng *sim.Engine, demand *DemandTable, sysOf func(node
 }
 
 // RebindPending installs the forked instance's pending event closure
-// (iterate or finish, per the recorded kind). A no-op when no event is
-// pending (checkpoint-stopped or completed instances).
+// (iterate or finish, per the recorded kind), and points an armed
+// jittered span at the instance's Jitter — which the caller has set to
+// the fork's stream by then. A no-op when no event is pending
+// (checkpoint-stopped or completed instances).
 func (inst *Instance) RebindPending() error {
 	if !inst.tick.Pending() {
 		return nil
@@ -98,5 +101,6 @@ func (inst *Instance) RebindPending() error {
 	if inst.pendFinish {
 		fn = inst.finishFn
 	}
+	inst.tick.RebindJitter(inst.Jitter)
 	return inst.eng.RebindPeriodic(&inst.tick, fn)
 }

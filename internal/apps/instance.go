@@ -322,6 +322,11 @@ func (inst *Instance) ItersDone() int {
 	return inst.itersDone + int(inst.armed-inst.tick.Credit())
 }
 
+// Credit returns how many iterations the engine may still take by
+// itself before iterate runs again: 0 unless a span is armed (for
+// tests/tools).
+func (inst *Instance) Credit() int64 { return inst.tick.Credit() }
+
 // Completed reports whether the job finished.
 func (inst *Instance) Completed() bool { return inst.completed }
 
@@ -362,44 +367,59 @@ func (inst *Instance) iterate() {
 		}
 	}
 	iterDur += inst.Spec.CommSeconds
-	if inst.Jitter != nil && inst.JitterFrac > 0 {
-		iterDur *= 1 + inst.JitterFrac*(2*inst.Jitter.Float64()-1)
+	steady := iterDur
+	if inst.jittered() {
+		iterDur = inst.Jitter.Jitter(iterDur, inst.JitterFrac)
 	}
 	inst.itersDone++
 	if inst.itersDone >= inst.Iters {
 		inst.schedule(iterDur, inst.finishFn, true)
 	} else {
 		inst.schedule(iterDur, inst.iterateFn, false)
-		inst.arm(iterDur)
+		inst.arm(steady)
 	}
 	if inst.tracer != nil {
 		inst.recordTrace(iterDur, envs)
 	}
 }
 
+// jittered reports whether iterate draws a factor from the jitter
+// stream.
+func (inst *Instance) jittered() bool { return inst.Jitter != nil && inst.JitterFrac > 0 }
+
 // arm hands the iterations between the one just booked and the last
-// one to the engine, when they are steady by construction: with no
-// jitter an iteration is a function of the ranks' masks and their
-// nodes' ledgers alone, so until settle hears that one of those moved,
-// each would poll, find nothing, compute iterDur again and book the
-// next — which is all the engine does in its place. The last iteration
-// books finish instead and always runs. A traced instance arms solo:
-// the tracer puts the iterations the engine took back among the
-// executed ones by their times, which is only exact for iterations
-// taken alone at their instant (sim.Periodic.ArmSolo).
-func (inst *Instance) arm(iterDur float64) {
+// one to the engine, when they are steady by construction: an
+// iteration's duration before jitter, steady, is a function of the
+// ranks' masks and their nodes' ledgers alone, so until settle hears
+// that one of those moved, each would poll, find nothing, compute
+// steady again, jitter it and book the next — which is all the engine
+// does in its place. A jittered instance arms with its stream
+// (sim.Periodic.ArmJitter): the engine takes occurrences in the order
+// the executing engine pops them, and iterate is the only drawer from
+// Cluster.Jitter, so each taken occurrence draws the value its iterate
+// would have drawn. The last iteration books finish instead and always
+// runs. A traced instance arms solo: the tracer puts the iterations the
+// engine took back among the executed ones by their times, which is
+// only exact for iterations taken alone at their instant
+// (sim.Periodic.ArmSolo) — and a span repeats one period, so a traced
+// and jittered instance never arms.
+func (inst *Instance) arm(steady float64) {
 	left := inst.Iters - inst.itersDone - 1
-	if left < 1 || inst.Jitter != nil || inst.demand.neverArm ||
-		!(iterDur > 0) || math.IsInf(iterDur, 1) {
+	jittered := inst.jittered()
+	if left < 1 || inst.demand.neverArm || jittered && inst.tracer != nil ||
+		!(steady > 0) || math.IsInf(steady, 1) {
 		return
 	}
 	inst.armed = int64(left)
-	if inst.tracer == nil {
-		inst.tick.Arm(iterDur, inst.armed)
-		return
+	switch {
+	case jittered:
+		inst.tick.ArmJitter(steady, inst.JitterFrac, inst.Jitter, inst.armed)
+	case inst.tracer == nil:
+		inst.tick.Arm(steady, inst.armed)
+	default:
+		inst.tick.ArmSolo(steady, inst.armed)
+		inst.spanT0, inst.spanIter = inst.eng.Now()+steady, steady
 	}
-	inst.tick.ArmSolo(iterDur, inst.armed)
-	inst.spanT0, inst.spanIter = inst.eng.Now()+iterDur, iterDur
 }
 
 // recordTrace reports the iteration that starts now: one row per

@@ -234,37 +234,68 @@ func TestForkMidSpanCarriesTheSpan(t *testing.T) {
 	})
 }
 
-// TestJitteredInstanceNeverArms: jitter makes every duration new, so a
-// jittered instance executes every iteration; a plain one hands all but
-// the first and the last to the engine, and so does a traced one (what
-// it records is held to the reference in trace_skip_test.go).
-func TestJitteredInstanceNeverArms(t *testing.T) {
+// TestJitteredInstanceArms: a plain instance hands all but the first
+// and the last iteration to the engine, and so do a traced one (what it
+// records is held to the reference in trace_skip_test.go) and a
+// jittered one, whose skipped iterations draw their factors from the
+// stream as the engine takes them. A traced and jittered instance never
+// arms: a span repeats one period. Each row ends where its NeverArm
+// twin on the same seed does — end time, iterations, polls and the
+// stream's position.
+func TestJitteredInstanceArms(t *testing.T) {
 	for _, c := range []struct {
 		name    string
-		tracer  *trace.Tracer
-		jitter  *sim.Rand
+		traced  bool
+		jitter  bool
 		skipped int64
 	}{
-		{"plain", nil, nil, 98},
-		{"traced", trace.New(), nil, 98},
-		{"jittered", nil, sim.NewRand(1), 0},
-		{"traced and jittered", trace.New(), sim.NewRand(1), 0},
+		{"plain", false, false, 98},
+		{"traced", true, false, 98},
+		{"jittered", false, true, 98},
+		{"traced and jittered", true, true, 0},
 	} {
-		b := newBed()
-		cfg := Config{Ranks: 2, Threads: 16}
-		inst, err := NewInstance(Pils(), cfg, 100, "p", b.eng, b.demand, c.tracer, b.placements(cfg))
-		if err != nil {
-			t.Fatal(err)
+		type outcome struct {
+			End   float64
+			Iters int
+			Polls int64
+			Next  float64 // the stream's next value
 		}
-		inst.Jitter, inst.JitterFrac = c.jitter, 0.02
-		inst.OnComplete = func(float64) {}
-		if err := inst.Start(); err != nil {
-			t.Fatal(err)
+		run := func(ref bool) (outcome, int64) {
+			b := newBed()
+			if ref {
+				b.demand.NeverArm()
+			}
+			var tr *trace.Tracer
+			if c.traced {
+				tr = trace.New()
+			}
+			cfg := Config{Ranks: 2, Threads: 16}
+			inst, err := NewInstance(Pils(), cfg, 100, "p", b.eng, b.demand, tr, b.placements(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rnd := sim.NewRand(1)
+			if c.jitter {
+				inst.Jitter, inst.JitterFrac = rnd, 0.02
+			}
+			var o outcome
+			inst.FinalizeExternally = true // keep the poll counts past the end
+			inst.OnComplete = func(end float64) { o.End = end }
+			if err := inst.Start(); err != nil {
+				t.Fatal(err)
+			}
+			b.eng.Run()
+			if !inst.Completed() {
+				t.Fatalf("%s: not completed", c.name)
+			}
+			o.Iters, o.Polls, o.Next = inst.ItersDone(), b.polls(t, inst), rnd.Float64()
+			return o, b.eng.Skipped()
 		}
-		b.eng.Run()
-		if !inst.Completed() || inst.ItersDone() != 100 || b.eng.Skipped() != c.skipped {
-			t.Errorf("%s: completed=%v iters=%d skipped=%d, want true/100/%d",
-				c.name, inst.Completed(), inst.ItersDone(), b.eng.Skipped(), c.skipped)
+		got, skipped := run(false)
+		want, _ := run(true)
+		if got != want || got.Iters != 100 || skipped != c.skipped {
+			t.Errorf("%s: %+v, skipped %d; NeverArm twin %+v; want 100 iterations and %d skipped",
+				c.name, got, skipped, want, c.skipped)
 		}
 	}
 }

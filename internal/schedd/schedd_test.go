@@ -574,8 +574,9 @@ func (g *goneAfter) Err() error {
 // An already-cancelled request takes no step; one whose client leaves
 // after the first check stops ctxCheckSteps steps in. The projection
 // survives both: the next what-if resumes it and answers as a private
-// fork does. The session is the jittered one: no iteration is skipped,
-// so the last job starts well past the first ctxCheckSteps steps.
+// fork does. The session is the jittered one: its chains never move as
+// a group, so the last job starts well past the first ctxCheckSteps
+// engine steps.
 func TestWhatIfCancelledRequestStopsBetweenSteps(t *testing.T) {
 	ts, srv := newTestServer(t, sessionKinds[1].mutate)
 	postJSON(t, ts.URL+"/advance", map[string]float64{"until": 500}, http.StatusOK, nil)

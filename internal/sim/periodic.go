@@ -24,11 +24,12 @@ package sim
 //   - The ID changes with every occurrence taken, so it lives in the
 //     handle and nowhere else: cancelling and fork re-binding go
 //     through the handle.
-//   - Armed chains of one period move as a group. Take k armed,
-//     non-solo chains with a bit-equal period P whose pending times,
-//     sorted by (t, id), are t_0 ≤ … ≤ t_{k-1} ≤ fl(t_0 + P). The
-//     executing engine pops them strictly round-robin for as long as
-//     each occurrence is strictly earlier than every other entry:
+//   - Armed chains of one period move as a group. Take k armed, plain
+//     (neither solo nor jittered) chains with a bit-equal period P
+//     whose pending times, sorted by (t, id), are t_0 ≤ … ≤ t_{k-1} ≤
+//     fl(t_0 + P). The executing engine pops them strictly round-robin
+//     for as long as each occurrence is strictly earlier than every
+//     other entry:
 //     popping member 0 re-keys it to (fl(t_0 + P), an ID above every
 //     pending one), which sorts after member k-1 — fl(x + P) is
 //     monotone in x, so fl(t_0 + P) ≤ fl(t_1 + P) keeps the invariant
@@ -59,6 +60,16 @@ package sim
 //     book for that instant afterwards (a callback runs at a later
 //     time; only a caller driving the engine with Step, which has no
 //     bound, could — see trace.Tracer for what that case does).
+//   - A jittered chain (ArmJitter) is one whose callback would book the
+//     next occurrence rnd.Jitter(period, frac) on, drawing one value
+//     from a stream rnd that only such callbacks draw from. The engine
+//     takes its occurrences in the executing engine's pop order — that
+//     is the contract above — and draws each one's factor at the moment
+//     it takes it, so the same values are drawn in the same order and
+//     added to the same now: every (t, id) key follows as before, and so
+//     does the stream's position. Its times are no repeated add, so a
+//     jittered chain never joins a group and moves alone (k = 1), under
+//     the same credit, heartbeat and cut limits as a group.
 
 import (
 	"fmt"
@@ -79,6 +90,10 @@ type Periodic struct {
 	id int64
 	// solo: the credit was granted by ArmSolo.
 	solo bool
+	// rnd, frac: the credit was granted by ArmJitter (rnd nil
+	// otherwise).
+	rnd  *Rand
+	frac float64
 }
 
 // AfterPeriodic books the chain's next occurrence: fn runs delay
@@ -115,6 +130,33 @@ func (p *Periodic) Arm(period float64, credit int64) {
 func (p *Periodic) ArmSolo(period float64, credit int64) {
 	p.Arm(period, credit)
 	p.solo = true
+}
+
+// ArmJitter is Arm for a jittered chain: each occurrence the engine
+// takes books the next rnd.Jitter(period, frac) seconds on, drawing
+// from rnd as it takes it. The owner calls it only while each of those
+// callbacks would do nothing but book the next occurrence that way, and
+// while nothing but such callbacks draws from rnd. frac must lie in
+// (0, 1), so that every factor is positive.
+func (p *Periodic) ArmJitter(period, frac float64, rnd *Rand, credit int64) {
+	if !(frac > 0 && frac < 1) || rnd == nil {
+		panic(fmt.Sprintf("sim: ArmJitter with fraction %v, stream %p", frac, rnd))
+	}
+	p.Arm(period, credit)
+	p.rnd, p.frac = rnd, frac
+}
+
+// RebindJitter points a jittered chain's handle — a fork's copy — at
+// rnd, the fork's continuation of the stream (Rand.Fork), so that each
+// lineage draws from its own. A no-op on any other chain.
+func (p *Periodic) RebindJitter(rnd *Rand) {
+	if p.rnd == nil {
+		return
+	}
+	if rnd == nil {
+		panic("sim: RebindJitter of a jittered chain to no stream")
+	}
+	p.rnd = rnd
 }
 
 // Credit returns how many occurrences the engine may still take by
@@ -157,9 +199,10 @@ type member struct {
 // skip takes the armed occurrence p at the head of the queue without
 // executing it, and with it every following occurrence the executing
 // engine would have popped next, as long as each is that of an armed
-// group member. The group is the head's chain plus every armed,
-// non-solo pending entry with the same period due by fl(t_head +
-// period), found by walking down from the root through members only.
+// group member. The group is the head's chain plus every armed, plain
+// (neither solo nor jittered) pending entry with the same period due by
+// fl(t_head + period), found by walking down from the root through
+// members only.
 // Its members are popped strictly round-robin (see the contract at the
 // top of this file), so the move advances each by its own repeated add
 // and hands out IDs in that order, then re-keys the entries in place
@@ -168,12 +211,13 @@ type member struct {
 // strictly earlier than the earliest non-member entry, or that lies
 // past bound, and after the heartbeat's step. A solo chain moves alone,
 // and skip reports false, having done nothing, when its head occurrence
-// is not alone at its instant: step executes it.
+// is not alone at its instant: step executes it. A jittered chain moves
+// alone too, each occurrence re-keyed by its own draw.
 func (e *Engine) skip(p *Periodic, bound float64) bool {
 	head := &e.queue[0]
 	period := p.period
-	reach := math.Inf(-1) // a solo chain admits no member
-	if !p.solo {
+	reach := math.Inf(-1) // a solo or jittered chain admits no member
+	if !p.solo && p.rnd == nil {
 		reach = head.t + period
 	}
 	// Gather the members breadth-first — in increasing heap index — and
@@ -185,7 +229,7 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 	for g := 0; g < k; g++ {
 		for c := 2*int(e.groupIdx[g]) + 1; c <= 2*int(e.groupIdx[g])+2 && c < len(e.queue); c++ {
 			ev := &e.queue[c]
-			if q := ev.p; ev.t <= reach && ev.t < other && q != nil && k < groupCap && q.credit > 0 && !q.solo && q.period == period {
+			if q := ev.p; ev.t <= reach && ev.t < other && q != nil && k < groupCap && q.credit > 0 && !q.solo && q.rnd == nil && q.period == period {
 				e.groupIdx[k] = int32(c)
 				k++
 			} else if ev.t < other {
@@ -236,18 +280,30 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 	// end, members before next took rounds+1 of them, the others rounds.
 	var n, rounds int64
 	next, t, now := 0, e.group[0].t, e.now
-	for {
-		now, t = t, t+period
-		e.group[next].t = t
-		n++
-		if next++; next == k {
-			next, rounds = 0, rounds+1
+	if rnd := p.rnd; rnd != nil {
+		// k = 1: draw each occurrence's factor as it is taken.
+		for {
+			now, t = t, t+rnd.Jitter(period, p.frac)
+			n++
+			if n == limit || !(t < cut) {
+				break
+			}
 		}
-		if k > 1 {
-			t = e.group[next].t // else the time just stored, kept in a register
-		}
-		if n == limit || !(t < cut) {
-			break
+		e.group[0].t, rounds = t, n
+	} else {
+		for {
+			now, t = t, t+period
+			e.group[next].t = t
+			n++
+			if next++; next == k {
+				next, rounds = 0, rounds+1
+			}
+			if k > 1 {
+				t = e.group[next].t // else the time just stored, kept in a register
+			}
+			if n == limit || !(t < cut) {
+				break
+			}
 		}
 	}
 	e.now = now

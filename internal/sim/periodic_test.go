@@ -164,6 +164,37 @@ var skipGroupSeeds = []struct {
 	{"past-reach", []byte{15, 2, 0, 57, 63, 0, 0, 0, 57, 3, 6, 1, 0, 57, 63, 0, 2, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
 }
 
+// Five seeds for jittered chains (flag 12), committed under testdata/fuzz
+// as jitter-*, each built around one thing the engine's draw-as-it-takes
+// must get right.
+var skipJitterSeeds = []struct {
+	name string
+	seed []byte
+}{
+	// Two unit-period jittered chains half a period apart, overtaking
+	// each other: each move ends at the other's pending occurrence.
+	{"interleaving", []byte{15, 1, 0, 57, 63, 12, 0, 0, 57, 63, 12, 2, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
+	// Three unit-period plain chains a quarter apart, which move as a
+	// group, beside a unit-period jittered chain that must not join it.
+	{"beside-group", []byte{15, 3, 0, 57, 63, 0, 0, 0, 57, 63, 0, 1, 0, 57, 63, 0, 2, 0, 57, 63, 12, 3, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
+	// A plain chain granted 4 at a time wakes the jittered one each time
+	// it executes, and a one-shot wakes it at t=10.25.
+	{"wake-mid-span", []byte{15, 1, 0, 57, 63, 12, 0, 2, 40, 3, 2, 1, 1, 41, 1, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
+	// Forked at t=10.25, the jittered chain mid-span: the fork's handle
+	// draws from the fork's stream.
+	{"fork-mid-span", []byte{15, 1, 0, 57, 63, 12, 0, 6, 50, 63, 0, 1, 0, 2, 0, 41, 0, 0, 40, 0, 0, 40, 0, 0}},
+	// A lone jittered chain with a heartbeat every 3 steps: every move
+	// stops on the heartbeat's step.
+	{"heartbeat-in-move", []byte{2, 0, 0, 57, 63, 12, 0, 0, 0, 0, 40, 0, 0}},
+}
+
+// skipJitterFrac is the jittered chains' fraction, and skipJitterSeed the
+// seed of the one stream all of a world's jittered chains share.
+const (
+	skipJitterFrac = 0.3
+	skipJitterSeed = 1
+)
+
 // skipRec is one observation of a differential run.
 type skipRec struct {
 	T     float64
@@ -186,12 +217,16 @@ type skipShot struct {
 // A solo chain arms with ArmSolo. A late chain books the occurrence
 // after an executed one 1.875 periods on, not one: a period the engine
 // is given need not be the delay the pending occurrence was booked at,
-// so a chain of the head's period can lie past fl(t_head + P).
+// so a chain of the head's period can lie past fl(t_head + P). A
+// jittered chain jitters every delay it books with a draw from the
+// world's stream, and arms with ArmJitter; the reference draws inside
+// the callback, one occurrence at a time.
 type skipChain struct {
 	w       *skipWorld
 	idx     int
 	p       Periodic
 	solo    bool
+	jitter  bool
 	period  float64
 	total   int64 // occurrences the chain runs for
 	grant   int64 // most credit it hands out at once
@@ -212,6 +247,7 @@ type skipWorld struct {
 	shots  map[EventID]skipShot
 	log    []skipRec
 	nshot  int
+	rnd    *Rand // the jittered chains' stream
 }
 
 func (w *skipWorld) rec(label string, n int64) {
@@ -237,11 +273,22 @@ func (c *skipChain) count() int64 { return c.done + c.granted - c.left() }
 
 // arm grants the engine n occurrences.
 func (c *skipChain) arm(n int64) {
-	if c.solo {
+	switch {
+	case c.jitter:
+		c.p.ArmJitter(c.period, skipJitterFrac, c.w.rnd, n)
+	case c.solo:
 		c.p.ArmSolo(c.period, n)
-	} else {
+	default:
 		c.p.Arm(c.period, n)
 	}
+}
+
+// book books the chain's next occurrence d seconds on, jittered.
+func (c *skipChain) book(d float64) {
+	if c.jitter {
+		d = c.w.rnd.Jitter(d, skipJitterFrac)
+	}
+	c.w.eng.AfterPeriodic(&c.p, d, c.fire)
 }
 
 // alone reports whether the occurrence being executed was alone at its
@@ -268,7 +315,7 @@ func (c *skipChain) fire() {
 			w.rec(fmt.Sprintf("tie/chain%d", c.idx), c.count())
 		}
 		c.virt--
-		w.eng.AfterPeriodic(&c.p, c.period, c.fire)
+		c.book(c.period)
 		return
 	}
 	if left := c.p.Credit(); left > 0 {
@@ -276,7 +323,7 @@ func (c *skipChain) fire() {
 		// not alone. It is steady all the same — book the next one and
 		// leave the engine the rest of the credit.
 		w.rec(fmt.Sprintf("tie/chain%d", c.idx), c.count())
-		w.eng.AfterPeriodic(&c.p, c.period, c.fire)
+		c.book(c.period)
 		if left > 1 {
 			c.arm(left - 1)
 		}
@@ -298,7 +345,7 @@ func (c *skipChain) fire() {
 	if c.late {
 		delay *= 1.875
 	}
-	w.eng.AfterPeriodic(&c.p, delay, c.fire)
+	c.book(delay)
 	if left := c.total - c.done - 1; left >= 1 {
 		n := min(left, c.grant)
 		c.granted = n
@@ -345,17 +392,24 @@ func (w *skipWorld) fireShot(id EventID) {
 	}
 }
 
-// fork clones the world mid-run: the engine, each handle's state into
-// the clone's own handle, and every pending descriptor.
+// fork clones the world mid-run: the engine, the stream (Rand.Fork),
+// each handle's state into the clone's own handle — a jittered one
+// re-pointed at the clone's stream — and every pending descriptor. The
+// parent first records each chain's credit left, equal in both worlds.
 func (w *skipWorld) fork(t *testing.T) *skipWorld {
+	for _, c := range w.chains {
+		w.rec(fmt.Sprintf("fork/chain%d", c.idx), c.left())
+	}
 	f := &skipWorld{
 		eng: w.eng.Fork(), armed: w.armed, bound: w.bound, nshot: w.nshot,
 		shots: make(map[EventID]skipShot, len(w.shots)),
 		log:   append([]skipRec(nil), w.log...),
+		rnd:   w.rnd.Fork(),
 	}
 	for _, c := range w.chains {
 		cp := *c
 		cp.w = f
+		cp.p.RebindJitter(f.rnd)
 		f.chains = append(f.chains, &cp)
 	}
 	for _, c := range f.chains {
@@ -421,7 +475,7 @@ func skipBuild(data []byte, armed bool) (w *skipWorld, next func() int, every in
 		data = data[1:]
 		return int(b)
 	}
-	w = &skipWorld{eng: NewEngine(), armed: armed, bound: math.Inf(1), shots: map[EventID]skipShot{}}
+	w = &skipWorld{eng: NewEngine(), armed: armed, bound: math.Inf(1), shots: map[EventID]skipShot{}, rnd: NewRand(skipJitterSeed)}
 	every = int64(1 + next()%16)
 	w.heartbeat(every)
 	for i, n := 0, 1+next()%6; i < n; i++ {
@@ -432,7 +486,8 @@ func skipBuild(data []byte, armed bool) (w *skipWorld, next func() int, every in
 			grant:  int64(1 + next()%64),
 		}
 		flags := next()
-		c.onReal, c.solo, c.late = flags%3, flags/3%2 == 1, flags/6%2 == 1
+		c.onReal, c.late, c.jitter = flags%3, flags/6%2 == 1, flags/12%2 == 1
+		c.solo = flags/3%2 == 1 && !c.jitter // a traced jittered instance never arms
 		w.chains = append(w.chains, c)
 		w.eng.AfterPeriodic(&c.p, skipOffset(next()), c.fire)
 	}
@@ -480,6 +535,7 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 		}
 		w.rec("nextID", w.eng.nextID)
 		w.rec("steps", w.eng.Processed()+w.eng.Skipped())
+		w.rec("draws", w.rnd.draws)
 		return w.log
 	}
 	return finish(w), finish(f), w.eng.Skipped()
@@ -489,15 +545,16 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 // lockstep, on a shared quarter grid and off it (a few ulps off it
 // included, so that rounding makes ties inside a group move), out of
 // phase within one period so that they move as a group, some of them
-// solo,
+// solo, some jittered from one shared stream,
 // one-shot and front-band events, zero-delay pushes from callbacks,
 // wakes, cancels through the handle, RunUntil bounds with outside
 // interference and a fork mid-span — once with the chains arming their
 // handles and once with the same credit executed occurrence by
 // occurrence. Every callback that does anything must run at the same
 // time in the same order, the ID allocator must end where it would
-// have, and executed plus skipped steps must equal the reference's
-// executed count — in the parent and in the fork. For a solo chain the
+// have, executed plus skipped steps must equal the reference's
+// executed count, and the stream must have drawn as many values as the
+// reference's twin — in the parent and in the fork. For a solo chain the
 // reference also says, from the queue it sees, which steady occurrences
 // were not alone at their instant ("tie" records); the armed engine
 // must have run the callback for exactly those and taken the others.
@@ -544,12 +601,16 @@ func TestSkipDifferentialSkips(t *testing.T) {
 		t.Fatalf("skipped %d steps armed and %d in the reference, want %d and 0", skipped, refSkipped, 3*40)
 	}
 	var beats int
+	var steps int64
 	for _, r := range ap {
-		if r.Label == "beat" {
+		switch r.Label {
+		case "beat":
 			beats++
+		case "steps":
+			steps = r.N
 		}
 	}
-	if steps := ap[len(ap)-1].N; steps != 3*42 || beats == 0 {
+	if steps != 3*42 || beats == 0 {
 		t.Fatalf("steps = %d (want %d), %d heartbeats", steps, 3*42, beats)
 	}
 }
@@ -580,12 +641,19 @@ func TestSkipDifferentialSoloTies(t *testing.T) {
 	}
 }
 
+// skipMoves is what skipGroupMoves counts.
+type skipMoves struct {
+	groups   int // steps that advanced two or more chains without a callback
+	ties     int // pairs of chains such a step left at one time, apart before it
+	jittered int // steps that advanced a jittered chain without a callback
+	joined   int // group moves a jittered chain took part in
+}
+
 // skipGroupMoves replays the world of data — its chains and one-shots,
-// not its bounds, wakes or fork — by Step alone, and counts the steps
-// that advanced two or more chains without a callback (group moves of
-// k ≥ 2), and the pairs of chains such a step left at one time although
-// they were apart before it (ties made by rounding inside a move).
-func skipGroupMoves(data []byte) (moves, ties int) {
+// not its bounds, wakes or fork — by Step alone, and counts its moves
+// (see skipMoves): group moves of k ≥ 2, the ties rounding made inside
+// them, and the moves of jittered chains, which must all be k = 1.
+func skipGroupMoves(data []byte) (m skipMoves) {
 	w, _, _ := skipBuild(data, true)
 	at := func(c *skipChain) float64 {
 		for i := range w.eng.queue {
@@ -603,26 +671,34 @@ func skipGroupMoves(data []byte) (moves, ties int) {
 		}
 		processed := w.eng.Processed()
 		if !w.eng.Step() {
-			return moves, ties
+			return m
 		}
 		if w.eng.Processed() != processed {
 			continue
 		}
 		var moved []*skipChain
 		var from []float64
+		jittered := false
 		for i, c := range w.chains {
 			if c.p.Credit() < credit[i] {
 				moved, from = append(moved, c), append(from, before[i])
+				jittered = jittered || c.jitter
 			}
+		}
+		if jittered {
+			m.jittered++
 		}
 		if len(moved) < 2 {
 			continue
 		}
-		moves++
+		m.groups++
+		if jittered {
+			m.joined++
+		}
 		for a := range moved {
 			for b := a + 1; b < len(moved); b++ {
 				if from[a] != from[b] && at(moved[a]) == at(moved[b]) {
-					ties++
+					m.ties++
 				}
 			}
 		}
@@ -640,12 +716,61 @@ func TestSkipDifferentialGroups(t *testing.T) {
 		if !reflect.DeepEqual(ap, rp) || !reflect.DeepEqual(af, rf) {
 			t.Fatalf("%s: diverges:\n%s\n%s", c.name, skipDiff(ap, rp), skipDiff(af, rf))
 		}
-		moves, ties := skipGroupMoves(c.seed)
-		if moves == 0 || skipped == 0 {
-			t.Errorf("%s: %d group moves of two chains or more, %d steps skipped — want some of each", c.name, moves, skipped)
+		m := skipGroupMoves(c.seed)
+		if m.groups == 0 || skipped == 0 {
+			t.Errorf("%s: %d group moves of two chains or more, %d steps skipped — want some of each", c.name, m.groups, skipped)
 		}
-		if c.name == "ulp-collision" && ties == 0 {
+		if c.name == "ulp-collision" && m.ties == 0 {
 			t.Errorf("%s: no move made a tie by rounding", c.name)
+		}
+	}
+}
+
+// TestSkipDifferentialJitter guards the jitter seeds against passing
+// vacuously: each must agree with the reference, the engine must take
+// jittered occurrences by itself — always alone, on the group seed
+// beside group moves — and each seed must show the thing it was built
+// around.
+func TestSkipDifferentialJitter(t *testing.T) {
+	for _, c := range skipJitterSeeds {
+		ap, af, skipped := skipRun(t, c.seed, true)
+		rp, rf, _ := skipRun(t, c.seed, false)
+		if !reflect.DeepEqual(ap, rp) || !reflect.DeepEqual(af, rf) {
+			t.Fatalf("%s: diverges:\n%s\n%s", c.name, skipDiff(ap, rp), skipDiff(af, rf))
+		}
+		m := skipGroupMoves(c.seed)
+		if m.jittered == 0 || skipped == 0 || m.joined != 0 {
+			t.Errorf("%s: %d jittered moves, %d steps skipped, %d group moves a jittered chain joined — want some, some and none",
+				c.name, m.jittered, skipped, m.joined)
+		}
+		count := func(log []skipRec, label string, pred func(skipRec) bool) int {
+			n := 0
+			for _, r := range log {
+				if r.Label == label && pred(r) {
+					n++
+				}
+			}
+			return n
+		}
+		any := func(skipRec) bool { return true }
+		var ok bool
+		switch c.name {
+		case "interleaving":
+			// Each chain executes only its first and last occurrence and
+			// has 57 steady ones between: more moves than that means the
+			// chains kept cutting each other's moves short.
+			ok = m.jittered > 57
+		case "beside-group":
+			ok = m.groups > 0
+		case "wake-mid-span":
+			ok = count(ap, "shot1", any) == 1 && count(ap, "chain1", any) > 5
+		case "fork-mid-span":
+			ok = count(ap, "fork/chain0", func(r skipRec) bool { return r.N > 0 }) == 1
+		case "heartbeat-in-move":
+			ok = count(ap, "beat", any) > 10 && m.jittered > 10
+		}
+		if !ok {
+			t.Errorf("%s: the seed no longer shows what it was built around (%+v)", c.name, m)
 		}
 	}
 }
@@ -664,7 +789,8 @@ func staggered(k int, credit int64) (*Engine, []Periodic) {
 
 // TestSkipGroupAllocs pins a group move at zero allocations, on a warm
 // engine and as the first move of a fresh fork: the move's scratch is
-// part of the Engine, not grown on demand.
+// part of the Engine, not grown on demand. A jittered chain's move
+// allocates nothing either.
 func TestSkipGroupAllocs(t *testing.T) {
 	e, ps := staggered(3, 1<<40)
 	if a := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); a != 0 {
@@ -695,6 +821,18 @@ func TestSkipGroupAllocs(t *testing.T) {
 		if f.Processed() != 0 || f.Skipped() < e.Skipped()+3 {
 			t.Fatalf("fork skipped %d (parent %d): no group move", f.Skipped(), e.Skipped())
 		}
+	}
+	// A jittered chain moves alone, drawing from its stream as it goes.
+	j := NewEngine()
+	var p Periodic
+	rnd := NewRand(1)
+	j.AfterPeriodic(&p, 0, func() {})
+	p.ArmJitter(1, 0.5, rnd, 1<<40)
+	if a := testing.AllocsPerRun(100, func() { j.RunUntil(j.Now() + 10) }); a != 0 {
+		t.Errorf("a jittered move allocates %v", a)
+	}
+	if j.Processed() != 0 || j.Skipped() < 100*5 || rnd.draws != j.Skipped() {
+		t.Fatalf("processed %d, skipped %d, drew %d: the jittered chain did not move by itself", j.Processed(), j.Skipped(), rnd.draws)
 	}
 }
 

@@ -76,7 +76,10 @@ type fuzzOutcome struct {
 // executed share of the steps differing; the traced twin's segments
 // must be the reference's, traced too, element for element. (Forks
 // drop the tracer, so it is the parent lineage that is compared; each
-// fork is already held to its own parent by replayFuzzTrace.)
+// fork is already held to its own parent by replayFuzzTrace.) A
+// jittered twin (JitterFrac 0.03), whose instances arm with the
+// cluster's jitter stream, is held the same way to its own never-arming
+// twin on the same seed.
 func TestFuzzCorpusReplaysIdenticallyWithoutSkipping(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzIncrementalCycle", "*"))
 	if err != nil || len(files) == 0 {
@@ -100,17 +103,24 @@ func TestFuzzCorpusReplaysIdenticallyWithoutSkipping(t *testing.T) {
 			refTrace, tracedTrace := trace.New(), trace.New()
 			ref := replayFuzzTrace(t, []byte(str), fuzzTwin{tracer: refTrace, neverArm: true})
 			traced := replayFuzzTrace(t, []byte(str), fuzzTwin{tracer: tracedTrace})
+			jittered := replayFuzzTrace(t, []byte(str), fuzzTwin{jitter: 0.03})
+			jitteredRef := replayFuzzTrace(t, []byte(str), fuzzTwin{jitter: 0.03, neverArm: true})
 			if ref.skipped != 0 || armed.skipped == 0 || traced.skipped == 0 || traced.skipped > armed.skipped {
 				t.Fatalf("skipped steps: armed %d, traced twin %d, reference %d — want some, some but no more, and none",
 					armed.skipped, traced.skipped, ref.skipped)
 			}
+			if jitteredRef.skipped != 0 || jittered.skipped == 0 {
+				t.Fatalf("skipped steps: jittered %d, its reference %d — want some and none", jittered.skipped, jitteredRef.skipped)
+			}
 			armed.mustEqual(t, "armed", ref, "reference")
 			traced.mustEqual(t, "traced", ref, "reference")
+			jittered.mustEqual(t, "jittered", jitteredRef, "jittered reference")
 			if got, want := tracedTrace.Segments(), refTrace.Segments(); !slices.Equal(got, want) {
 				t.Fatalf("the traced twin has %d segments, the reference %d, or they differ", len(got), len(want))
 			}
-			t.Logf("%d steps (%d skipped when armed, %d when traced), %d events, %d jobs, %d segments",
-				armed.steps, armed.skipped, traced.skipped, len(armed.events), len(armed.jobs), len(refTrace.Segments()))
+			t.Logf("%d steps (%d skipped when armed, %d when traced), %d events, %d jobs, %d segments; jittered %d steps, %d skipped",
+				armed.steps, armed.skipped, traced.skipped, len(armed.events), len(armed.jobs), len(refTrace.Segments()),
+				jittered.steps, jittered.skipped)
 		})
 	}
 }
@@ -146,12 +156,13 @@ type fuzzOp struct {
 
 // fuzzTwin selects the variant of the system a fuzz trace is replayed
 // on: with a tracer attached, on the never-recycling twin of the
-// controller, with instances that never arm. The zero value is the
-// system as it ships.
+// controller, with instances that never arm, on a cluster jittered by
+// this fraction (seed 1). The zero value is the system as it ships.
 type fuzzTwin struct {
 	tracer       *trace.Tracer
 	neverRecycle bool
 	neverArm     bool
+	jitter       float64
 }
 
 // replayFuzzTrace decodes data into a trace and replays it (see
@@ -180,6 +191,9 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 	}
 	if twin.neverArm {
 		c.Demand.NeverArm()
+	}
+	if twin.jitter > 0 {
+		c.Jitter, c.JitterFrac = sim.NewRand(1), twin.jitter
 	}
 	ctl := NewController(c, PolicyDROM)
 	ctl.neverRecycle = twin.neverRecycle

@@ -10,3 +10,13 @@ func (ctl *Controller) NeverRecycle() {
 	ctl.neverRecycle = true
 	ctl.freeRunning, ctl.freeQueued = nil, nil
 }
+
+// ArmedCredit sums the credit of the running instances' armed spans:
+// how many iterations the engine may still take without a callback.
+func (ctl *Controller) ArmedCredit() int64 {
+	var n int64
+	for _, r := range ctl.running {
+		n += r.inst.Credit()
+	}
+	return n
+}

@@ -22,7 +22,9 @@ package slurm
 //     SetQueuedMalleable), cluster spec, node name/machine/partition
 //     tables, nodeIdx, the parsed fault script (nfWins);
 //   - forked: the seeded streams, Jitter and nfRand (sim.Rand.Fork), so
-//     both lineages draw the same values in the same order;
+//     both lineages draw the same values in the same order; forkJob sets
+//     each instance's Jitter before RebindPending, which re-points an
+//     armed jittered span at the fork's stream;
 //   - dropped: Probe, Tracer — observers must never steer decisions,
 //     so a blind fork decides identically;
 //   - recycled: the free lists of job records (freeRunning,

@@ -10,10 +10,11 @@ package slurm_test
 // (internal/workload/testdata/sched_starts_*.golden) through
 // workload.Session, forking each at five virtual times spread over
 // the trace, and the paper's own scenarios on the builtin planner:
-// UC1 under serial, DROM (plain and jittered) and oversubscribe, and
-// UC2 under the checkpoint/restart baseline forked at every stage of a
-// preemption. The node-fault trace also runs jittered, so both seeded
-// streams fork together.
+// UC1 under serial, DROM (plain and jittered) and oversubscribe, UC2
+// under DROM jittered, forked mid-span, and UC2 under the
+// checkpoint/restart baseline forked at every stage of a preemption.
+// The node-fault trace also runs jittered, so both seeded streams fork
+// together.
 
 import (
 	"fmt"
@@ -46,6 +47,9 @@ type forkCase struct {
 	// shape, when set, is the (queued, running) job count expected at
 	// each fork instant: it keeps a staged case from going vacuous.
 	shape [][2]int
+	// armed: every fork instant must find a running instance mid-span
+	// (Controller.ArmedCredit > 0), so the fork carries an armed span.
+	armed bool
 	// fork makes the lineages that run beside the parent from a fork
 	// instant (nil = one plain fork).
 	fork func(t *testing.T, parent *workload.Session, at, makespan float64) []lineage
@@ -197,6 +201,16 @@ func builtinForkCases() []forkCase {
 		{name: "uc1-serial", policy: slurm.PolicySerial, make: uc1, at: uc1At},
 		{name: "uc1-drom", policy: slurm.PolicyDROM, make: uc1, at: uc1At},
 		{name: "uc1-drom-jitter", policy: slurm.PolicyDROM, make: uc1Jitter, at: uc1At},
+		// Forked while a jittered span is armed: the fork's instances must
+		// draw the rest of their spans from the fork's stream.
+		{
+			name: "uc2-drom-jitter-armed", policy: slurm.PolicyDROM, armed: true,
+			make: func(*testing.T) workload.Scenario {
+				sc := workload.UC2(false)
+				sc.JitterFrac, sc.Seed = 0.03, 1
+				return sc
+			},
+		},
 		{name: "uc1-oversubscribe", policy: slurm.PolicyOversubscribe, make: uc1, at: uc1At},
 		{
 			name: "uc2-preempt", policy: slurm.PolicyPreempt,
@@ -220,7 +234,7 @@ func builtinForkCases() []forkCase {
 // nodefaultJitterForkCase forks the controller path's two seeded
 // streams together: the node-fault golden (scripted windows and the
 // MTBF stream) with jitter on top, so every iteration duration is a
-// draw too (a jittered instance never arms).
+// draw too, executed or taken by the engine.
 func nodefaultJitterForkCase() forkCase {
 	c := goldenForkCases()[3]
 	nodefault := c.make
@@ -350,6 +364,9 @@ func TestForkReplayDifferential(t *testing.T) {
 					sess.RunUntil(at)
 					if got := [2]int{sess.Controller().QueueLen(), sess.Controller().RunningLen()}; c.shape != nil && got != c.shape[i] {
 						t.Fatalf("fork at t=%.1f: (queued, running) = %v, want %v", at, got, c.shape[i])
+					}
+					if c.armed && sess.Controller().ArmedCredit() == 0 {
+						t.Fatalf("fork at t=%.1f: no instance is mid-span; the row is vacuous", at)
 					}
 					lineages := append([]lineage{{"parent", sess}}, fork(t, sess, at, makespan)...)
 					if !parentFirst {

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -285,8 +286,9 @@ func (r *closeObserver) Close() error {
 }
 
 // TestReplayClosesSourceOnEarlyError: a replay that fails before its
-// first event — invalid fault script, invalid cluster — must still
-// close the source, or the trace file stays open.
+// first event — invalid fault script, invalid cluster, a jitter
+// fraction outside [0, 1) — must still close the source, or the trace
+// file stays open.
 func TestReplayClosesSourceOnEarlyError(t *testing.T) {
 	text := FormatSWF(SyntheticSWF{Seed: 1, Jobs: 2000, Nodes: 4}.Generate())
 	bad := []struct {
@@ -295,6 +297,12 @@ func TestReplayClosesSourceOnEarlyError(t *testing.T) {
 	}{
 		{"fault script", Scenario{Nodes: 4, NodeFaults: "node0:explode@1..2"}},
 		{"cluster", Scenario{Cluster: hwmodel.ClusterSpec{Partitions: []hwmodel.Partition{{Name: "empty"}}}}},
+		// A factor 1 + f·(2u−1) must stay positive, and NaN must not read
+		// as jitter off.
+		{"jitter fraction 1", Scenario{Nodes: 4, JitterFrac: 1}},
+		{"jitter fraction -0.1", Scenario{Nodes: 4, JitterFrac: -0.1}},
+		{"jitter fraction NaN", Scenario{Nodes: 4, JitterFrac: math.NaN()}},
+		{"jitter fraction +Inf", Scenario{Nodes: 4, JitterFrac: math.Inf(1)}},
 	}
 	for _, b := range bad {
 		r := &closeObserver{Reader: strings.NewReader(text), closed: make(chan struct{})}

@@ -93,6 +93,10 @@ type Session struct {
 // aggregate mode, so memory is bounded by the scheduler backlog rather
 // than the stream length.
 func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) (*Session, error) {
+	if f := s.JitterFrac; !(f >= 0 && f < 1) {
+		// Past 1 a factor 1 + f·(2u−1) can be negative; NaN would read as off.
+		return nil, fmt.Errorf("workload: JitterFrac %v outside [0, 1)", f)
+	}
 	if len(s.Cluster.Partitions) == 0 {
 		if cs, ok := src.(interface{ Cluster() hwmodel.ClusterSpec }); ok {
 			s.Cluster = cs.Cluster()

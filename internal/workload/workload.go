@@ -66,7 +66,9 @@ type Scenario struct {
 	SpillAfter float64
 	SpillDepth int
 	// JitterFrac adds seeded run-to-run variability to iteration
-	// durations (0 = deterministic); Seed selects the stream.
+	// durations, each scaled by a factor in [1-JitterFrac, 1+JitterFrac)
+	// (0 = deterministic; a session refuses a value outside [0, 1)); Seed
+	// selects the stream.
 	JitterFrac float64
 	Seed       int64
 	// NodeFaults is a deterministic fault script ("node3:down@100..400"
