@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -24,19 +25,34 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
+// repo holds the one load of the whole module the repo-wide tests
+// share.
+var repo struct {
+	once sync.Once
+	pkgs []*load.Package
+	err  error
+}
+
+// repoPackages loads every non-test package of the module, once.
+func repoPackages(t *testing.T) []*load.Package {
+	t.Helper()
+	root := repoRoot(t)
+	repo.once.Do(func() { repo.pkgs, repo.err = load.Packages(root, "./...") })
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	if len(repo.pkgs) == 0 {
+		t.Fatal("no packages loaded")
+	}
+	return repo.pkgs
+}
+
 // TestSimvetCleanOnRepo is the acceptance gate: the committed tree
 // must carry zero findings. A failure here means a contract violation
 // landed (fix it) or a legitimate site lost its //simvet annotation
 // (restore it with a reason).
 func TestSimvetCleanOnRepo(t *testing.T) {
-	pkgs, err := load.Packages(repoRoot(t), "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("no packages loaded")
-	}
-	for _, p := range pkgs {
+	for _, p := range repoPackages(t) {
 		for _, a := range suite.Analyzers {
 			pass := &analysis.Pass{
 				Analyzer:  a,

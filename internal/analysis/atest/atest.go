@@ -6,6 +6,8 @@
 // diagnostic against `// want "regexp"` comments on the offending
 // lines — unexpected diagnostics and unmet expectations both fail the
 // test.
+//
+//simvet:testonly the analyzers' own tests import it; no binary does
 package atest
 
 import (

@@ -23,7 +23,7 @@ func TestStopResumePreservesProgress(t *testing.T) {
 	// Run ~100 iterations (1 s each), then checkpoint.
 	b.eng.RunUntil(100.5)
 	inst.Stop()
-	if !inst.Stopped() {
+	if !inst.stopped {
 		t.Fatal("not stopped")
 	}
 	done := inst.ItersDone()
@@ -119,8 +119,8 @@ func TestResumeOnDifferentCPUs(t *testing.T) {
 	if !inst.Completed() {
 		t.Fatal("did not complete after relocation")
 	}
-	if !inst.RankMask(0).Equal(cpuset.Range(8, 15)) {
-		t.Errorf("relocated mask = %v", inst.RankMask(0))
+	if !inst.ranks[0].mask.Equal(cpuset.Range(8, 15)) {
+		t.Errorf("relocated mask = %v", inst.ranks[0].mask)
 	}
 }
 

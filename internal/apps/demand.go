@@ -97,6 +97,8 @@ type DemandTable struct {
 // reach the table through their cluster; no option, flag or scenario
 // field leads here, and CI holds that no non-test file calls it. Forks
 // of the table inherit it.
+//
+//simvet:testonly the never-arming reference of the differential tests
 func (d *DemandTable) NeverArm() { d.neverArm = true }
 
 // NewDemandTable creates a table for nodes of the given (default)
@@ -142,23 +144,11 @@ type NodeHandle struct {
 	n *nodeDemand
 }
 
-// Valid reports whether the handle points at a node ledger.
-func (h NodeHandle) Valid() bool { return h.n != nil }
-
 // Handle returns a NodeHandle for node, creating the (empty) ledger
 // if needed.
 func (d *DemandTable) Handle(node string) NodeHandle {
 	return NodeHandle{d: d, n: d.ledger(node)}
 }
-
-// SetUsage records the demand of pid on the handle's node. Zero
-// values remove it.
-func (h NodeHandle) SetUsage(pid shmem.PID, threads int, bwGBs float64) {
-	h.n.setUsage(pid, threads, bwGBs, nil)
-}
-
-// Remove drops pid from the handle's node.
-func (h NodeHandle) Remove(pid shmem.PID) { h.n.setUsage(pid, 0, 0, nil) }
 
 // Slowdown returns the bandwidth oversubscription factor of the node.
 func (h NodeHandle) Slowdown() float64 {
@@ -226,32 +216,12 @@ func (n *nodeDemand) setUsage(pid shmem.PID, threads int, bwGBs float64, owner *
 	n.changed()
 }
 
-// Set records only the bandwidth demand of pid on node (GB/s),
-// preserving any recorded thread count.
-func (d *DemandTable) Set(node string, pid shmem.PID, gbs float64) {
-	threads := 0
-	if n := d.nodes[node]; n != nil {
-		if i, ok := n.idx[pid]; ok {
-			threads = n.entries[i].threads
-		}
-	}
-	d.SetUsage(node, pid, threads, gbs)
-}
-
 // Remove drops pid from node.
 func (d *DemandTable) Remove(node string, pid shmem.PID) { d.SetUsage(node, pid, 0, 0) }
 
-// Total returns the summed bandwidth demand on node (GB/s).
-func (d *DemandTable) Total(node string) float64 {
-	n := d.nodes[node]
-	if n == nil {
-		return 0
-	}
-	n.refresh()
-	return n.bwSum
-}
-
 // Threads returns the summed active thread count on node.
+//
+//simvet:testonly tests assert a node's ledger is empty
 func (d *DemandTable) Threads(node string) int {
 	n := d.nodes[node]
 	if n == nil {
@@ -260,32 +230,3 @@ func (d *DemandTable) Threads(node string) int {
 	n.refresh()
 	return n.threads
 }
-
-// Slowdown returns the bandwidth oversubscription factor of node.
-func (d *DemandTable) Slowdown(node string) float64 {
-	cap := d.machine.MemBWGBs
-	if n := d.nodes[node]; n != nil {
-		cap = n.machine.MemBWGBs
-	}
-	return hwmodel.BWSlowdown(d.Total(node), cap)
-}
-
-// CPUShare returns the average fraction of a CPU each active thread on
-// node receives: 1 when threads <= cores, cores/threads when the node
-// is oversubscribed. This models the time-sharing penalty of
-// co-allocation *without* DROM shrinking (the [14]/[26] baseline the
-// paper argues against).
-func (d *DemandTable) CPUShare(node string) float64 {
-	t := d.Threads(node)
-	cores := d.machine.CoresPerNode()
-	if n := d.nodes[node]; n != nil {
-		cores = n.machine.CoresPerNode()
-	}
-	if t <= cores {
-		return 1
-	}
-	return float64(cores) / float64(t)
-}
-
-// Machine returns the node model.
-func (d *DemandTable) Machine() hwmodel.Machine { return d.machine }

@@ -314,9 +314,6 @@ func (inst *Instance) Resume(placements []Placement, restartCost float64) error 
 	return nil
 }
 
-// Stopped reports whether the instance is checkpoint-stopped.
-func (inst *Instance) Stopped() bool { return inst.stopped }
-
 // ItersDone returns the completed iteration count.
 func (inst *Instance) ItersDone() int {
 	return inst.itersDone + int(inst.armed-inst.tick.Credit())
@@ -324,14 +321,13 @@ func (inst *Instance) ItersDone() int {
 
 // Credit returns how many iterations the engine may still take by
 // itself before iterate runs again: 0 unless a span is armed (for
-// tests/tools).
+// tests).
+//
+//simvet:testonly tests check a fork carries an armed span
 func (inst *Instance) Credit() int64 { return inst.tick.Credit() }
 
 // Completed reports whether the job finished.
 func (inst *Instance) Completed() bool { return inst.completed }
-
-// RankMask returns the current mask of rank i (for tests/tools).
-func (inst *Instance) RankMask(i int) cpuset.CPUSet { return inst.ranks[i].mask }
 
 // iterate runs one lockstep iteration of all ranks.
 func (inst *Instance) iterate() {

@@ -91,7 +91,7 @@ func TestInstanceRunsToCompletion(t *testing.T) {
 		if b.sys[n].Segment().NumProcs() != 0 {
 			t.Errorf("%s still has processes", n)
 		}
-		if b.demand.Total(n) != 0 {
+		if d := b.demand.nodes[n]; d != nil && len(d.entries) != 0 {
 			t.Errorf("%s still has demand", n)
 		}
 	}
@@ -163,7 +163,7 @@ func TestShrinkAtIterationBoundary(t *testing.T) {
 		t.Errorf("end = %v, want ~%v", end, want)
 	}
 	// Masks reflect the shrink.
-	if inst.RankMask(0).IsSet(15) {
+	if inst.ranks[0].mask.IsSet(15) {
 		t.Error("rank 0 still has CPU 15")
 	}
 }
@@ -193,8 +193,8 @@ func TestExpansionRestoresSpeed(t *testing.T) {
 	b.eng.Run()
 
 	// The job saw a degraded window but finished; final mask is full.
-	if !inst.RankMask(0).Equal(cpuset.Range(0, 15)) {
-		t.Errorf("rank 0 mask = %v", inst.RankMask(0))
+	if !inst.ranks[0].mask.Equal(cpuset.Range(0, 15)) {
+		t.Errorf("rank 0 mask = %v", inst.ranks[0].mask)
 	}
 	if end <= 400*iterFull {
 		t.Error("degraded window should cost something")
@@ -330,7 +330,7 @@ func TestResetRunsLikeNewInstance(t *testing.T) {
 		ranks := &inst.ranks[0]
 		inst.Scrub()
 		if inst.JobName != "" || inst.eng != nil || inst.demand != nil || inst.OnComplete != nil ||
-			len(inst.ranks) != 0 || inst.Completed() || inst.Stopped() || inst.tick.Pending() {
+			len(inst.ranks) != 0 || inst.Completed() || inst.stopped || inst.tick.Pending() {
 			t.Fatalf("scrubbed instance still holds state: %+v", inst)
 		}
 		// A fresh bed's clock starts at 0; this one is at the first job's

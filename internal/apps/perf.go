@@ -117,7 +117,7 @@ func (s *Spec) scaleCompute(base float64, env RankEnv) float64 {
 	if env.SpansSockets && s.SocketSpanPenalty > 0 {
 		t /= 1 - s.SocketSpanPenalty
 	}
-	t *= (1 - s.MemFrac) + s.MemFrac*env.BWSlowdown
+	t *= (1 - s.MemFrac) + float64(s.MemFrac*env.BWSlowdown)
 	return t / env.CPUShare
 }
 

@@ -141,8 +141,8 @@ func TestStagedMaskWakesMidSpan(t *testing.T) {
 		b.eng.At(250, stage(cpuset.Range(0, 15)))
 		b.eng.Run()
 		o.Polls["nest"] = b.polls(t, inst)
-		if !inst.RankMask(0).Equal(cpuset.Range(0, 15)) {
-			t.Errorf("final mask %v", inst.RankMask(0))
+		if !inst.ranks[0].mask.Equal(cpuset.Range(0, 15)) {
+			t.Errorf("final mask %v", inst.ranks[0].mask)
 		}
 	})
 }

@@ -329,20 +329,20 @@ func FuzzTracedSkipDifferential(f *testing.F) {
 					switch op[0] {
 					case 1: // shrink inside the slot
 						w.b.eng.At(at, func() {
-							if !p.inst.Completed() && !p.inst.Stopped() {
+							if !p.inst.Completed() && !p.inst.stopped {
 								w.stage(t, p.inst, cpuset.Range(lo, lo+op[2]%3))
 							}
 						})
 					case 2: // give the slot back
 						w.b.eng.At(at, func() {
-							if !p.inst.Completed() && !p.inst.Stopped() {
+							if !p.inst.Completed() && !p.inst.stopped {
 								w.stage(t, p.inst, cpuset.Range(lo, lo+3))
 							}
 						})
 					case 3: // checkpoint, resume a while later
 						w.b.eng.At(at, func() { p.inst.Stop() })
 						w.b.eng.At(at+float64(op[2]%16)/4, func() {
-							if p.inst.Stopped() {
+							if p.inst.stopped {
 								if err := p.inst.Resume(w.placements(p.nodes, lo, 4), float64(op[2]%3)/4); err != nil {
 									t.Fatal(err)
 								}

@@ -58,7 +58,8 @@ func TestStalePIDOperations(t *testing.T) {
 	s := newSys(t)
 	a := attach(t, s)
 	s.Register(10, cpuset.Range(0, 7))
-	gen := s.Segment().Generation()
+	seg := s.Segment().(*shmem.MemSegment)
+	gen := seg.Generation()
 
 	if _, code := a.ProcessMask(99, FlagNone); code != derr.ErrNoProc {
 		t.Errorf("ProcessMask = %v", code)
@@ -72,7 +73,7 @@ func TestStalePIDOperations(t *testing.T) {
 	if code := a.PostFinalize(99, FlagNone); code != derr.ErrNoProc {
 		t.Errorf("PostFinalize = %v", code)
 	}
-	if s.Segment().Generation() != gen {
+	if seg.Generation() != gen {
 		t.Error("failed operations must not mutate shared memory")
 	}
 }

@@ -300,16 +300,6 @@ func Parse(text string) (CPUSet, error) {
 	return s, nil
 }
 
-// MustParse is Parse but panics on error; intended for constants in
-// tests and examples.
-func MustParse(text string) CPUSet {
-	s, err := Parse(text)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // MarshalText implements encoding.TextMarshaler using the cpulist
 // format, so CPUSets serialize naturally in JSON/configs.
 func (s CPUSet) MarshalText() ([]byte, error) {

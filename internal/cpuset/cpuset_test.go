@@ -226,15 +226,6 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse should panic on bad input")
-		}
-	}()
-	MustParse("not-a-cpulist")
-}
-
 func TestTextMarshaling(t *testing.T) {
 	s := New(0, 1, 2, 9)
 	b, err := json.Marshal(s)

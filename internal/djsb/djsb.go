@@ -83,7 +83,7 @@ func Generate(p Params) (workload.Scenario, error) {
 	}
 	var at float64
 	for i := 0; i < p.Jobs; i++ {
-		at += r.ExpFloat64() * p.MeanInterarrival
+		at += float64(r.ExpFloat64() * p.MeanInterarrival)
 		// Weighted pick.
 		x := r.Float64() * totalW
 		var m AppMix

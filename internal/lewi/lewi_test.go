@@ -8,10 +8,10 @@ import (
 	"repro/internal/shmem"
 )
 
-func setup(t *testing.T) (shmem.Segment, *Module, *Module) {
+func setup(t *testing.T) (*shmem.MemSegment, *Module, *Module) {
 	t.Helper()
 	reg := shmem.NewRegistry()
-	seg := reg.MustOpen("n", cpuset.Range(0, 15), 0)
+	seg := reg.MustOpen("n", cpuset.Range(0, 15), 0).(*shmem.MemSegment)
 	m1, code := New(seg, 1, cpuset.Range(0, 7), LendAllButOne)
 	if code.IsError() {
 		t.Fatal(code)
@@ -55,7 +55,7 @@ func TestBlockingLendsAllButOne(t *testing.T) {
 
 func TestLendAllPolicy(t *testing.T) {
 	reg := shmem.NewRegistry()
-	seg := reg.MustOpen("n", cpuset.Range(0, 7), 0)
+	seg := reg.MustOpen("n", cpuset.Range(0, 7), 0).(*shmem.MemSegment)
 	m, _ := New(seg, 1, cpuset.Range(0, 7), LendAll)
 	kept := m.EnterBlocking()
 	if !kept.IsEmpty() {

@@ -457,7 +457,7 @@ func (w *Workload) Utilization(cpusOf func(name string) int, totalCores int) flo
 	}
 	var used float64
 	for j := range w.All() {
-		used += float64(cpusOf(j.Name)) * j.RunTime()
+		used += float64(float64(cpusOf(j.Name)) * j.RunTime())
 	}
 	u := used / (float64(totalCores) * total)
 	if u > 1 {
@@ -564,21 +564,6 @@ type Summary struct {
 
 // Observe adds a sample.
 func (s *Summary) Observe(v float64) { s.values = append(s.values, v) }
-
-// Count returns the number of samples.
-func (s *Summary) Count() int { return len(s.values) }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (s *Summary) Mean() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / float64(len(s.values))
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) by
 // nearest-rank on a sorted copy.

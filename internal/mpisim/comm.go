@@ -3,12 +3,16 @@ package mpisim
 import "sync"
 
 // CallSplit is the communicator-split interception point.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 const CallSplit Call = "MPI_Comm_split"
 
 // Comm is a sub-communicator created by Split: a subset of the world's
 // ranks with its own rank numbering and collectives. It reuses the
 // world's mailboxes through rank translation, so point-to-point and
 // collective operations work identically.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 type Comm struct {
 	world *World
 	// members maps communicator rank -> world rank.
@@ -43,6 +47,8 @@ type splitState struct {
 // the same color form a communicator, ordered by key (ties by world
 // rank). Every rank of the world must call Split. Returns this rank's
 // handle in its new communicator.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Split(color, key int) *Comm {
 	var out *Comm
 	r.intercept(CallSplit, func() {

@@ -21,12 +21,18 @@ type Call string
 // Intercepted calls.
 const (
 	CallSend      Call = "MPI_Send"
-	CallRecv      Call = "MPI_Recv"
-	CallBarrier   Call = "MPI_Barrier"
-	CallBcast     Call = "MPI_Bcast"
 	CallAllreduce Call = "MPI_Allreduce"
-	CallGather    Call = "MPI_Gather"
-	CallAlltoall  Call = "MPI_Alltoall"
+)
+
+// Intercepted calls of the reference operations.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
+const (
+	CallRecv     Call = "MPI_Recv"
+	CallBarrier  Call = "MPI_Barrier"
+	CallBcast    Call = "MPI_Bcast"
+	CallGather   Call = "MPI_Gather"
+	CallAlltoall Call = "MPI_Alltoall"
 )
 
 // Blocking reports whether the call can block waiting for remote
@@ -188,6 +194,8 @@ func (r *Rank) intercept(c Call, fn func()) {
 
 // Send delivers data to rank `to` with the given tag (buffered, never
 // blocks).
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Send(to, tag int, data interface{}) {
 	r.intercept(CallSend, func() {
 		r.world.mailboxes[to].put(message{src: r.rank, tag: tag, data: data})
@@ -196,6 +204,8 @@ func (r *Rank) Send(to, tag int, data interface{}) {
 
 // Recv blocks until a message matching (from, tag) arrives and returns
 // its payload. AnySource/AnyTag match anything.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Recv(from, tag int) interface{} {
 	var out interface{}
 	r.intercept(CallRecv, func() {
@@ -205,6 +215,8 @@ func (r *Rank) Recv(from, tag int) interface{} {
 }
 
 // Barrier blocks until every rank has entered it (MPI_Barrier).
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Barrier() {
 	r.intercept(CallBarrier, func() {
 		w := r.world
@@ -226,6 +238,8 @@ func (r *Rank) Barrier() {
 
 // Bcast distributes root's value to all ranks and returns it
 // (MPI_Bcast). Every rank must pass the same root.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Bcast(root int, data interface{}) interface{} {
 	var out interface{}
 	r.intercept(CallBcast, func() {
@@ -245,6 +259,8 @@ func (r *Rank) Bcast(root int, data interface{}) interface{} {
 
 // Gather collects every rank's value at root (MPI_Gather). Root
 // receives a slice indexed by rank; other ranks receive nil.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Gather(root int, data interface{}) []interface{} {
 	var out []interface{}
 	r.intercept(CallGather, func() {
@@ -265,9 +281,13 @@ func (r *Rank) Gather(root int, data interface{}) []interface{} {
 // Op is a reduction operator for Allreduce.
 type Op func(a, b float64) float64
 
-// Predefined reduction operators.
+// OpSum is the sum reduction.
+var OpSum Op = func(a, b float64) float64 { return a + b }
+
+// Further predefined reduction operators.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 var (
-	OpSum Op = func(a, b float64) float64 { return a + b }
 	OpMax Op = func(a, b float64) float64 {
 		if a > b {
 			return a
@@ -308,6 +328,8 @@ func (r *Rank) Allreduce(op Op, v float64) float64 {
 
 // Alltoall exchanges data[i] to rank i and returns the slice received
 // (MPI_Alltoall). data must have length Size().
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Alltoall(data []interface{}) []interface{} {
 	if len(data) != r.world.size {
 		panic("mpisim: Alltoall data length must equal world size")

@@ -5,8 +5,14 @@ import "sync"
 // Additional intercepted calls for the nonblocking and rooted
 // operations.
 const (
-	CallIsend   Call = "MPI_Isend"
-	CallIrecv   Call = "MPI_Irecv"
+	CallIsend Call = "MPI_Isend"
+	CallIrecv Call = "MPI_Irecv"
+)
+
+// Intercepted calls of the rooted reference operations.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
+const (
 	CallWait    Call = "MPI_Wait"
 	CallReduce  Call = "MPI_Reduce"
 	CallScatter Call = "MPI_Scatter"
@@ -15,6 +21,8 @@ const (
 // Request is a handle to an in-flight nonblocking operation
 // (MPI_Request). Wait blocks until completion and returns the received
 // payload for receive requests (nil for sends).
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 type Request struct {
 	once sync.Once
 	done chan struct{}
@@ -44,6 +52,8 @@ func (r *Request) Test() bool {
 // Isend starts a nonblocking send (MPI_Isend). The message is buffered
 // immediately; the request completes as soon as it is enqueued, like a
 // buffered-mode send.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Isend(to, tag int, data interface{}) *Request {
 	req := &Request{done: make(chan struct{}), rank: r}
 	r.intercept(CallIsend, func() {
@@ -55,6 +65,8 @@ func (r *Rank) Isend(to, tag int, data interface{}) *Request {
 
 // Irecv starts a nonblocking receive (MPI_Irecv): a background matcher
 // waits for the message; Wait returns the payload.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Irecv(from, tag int) *Request {
 	req := &Request{done: make(chan struct{}), rank: r}
 	r.intercept(CallIrecv, func() {
@@ -69,6 +81,8 @@ func (r *Rank) Irecv(from, tag int) *Request {
 
 // Sendrecv performs a combined send and receive (MPI_Sendrecv): the
 // send is buffered first, so symmetric exchanges cannot deadlock.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Sendrecv(to, sendTag int, data interface{}, from, recvTag int) interface{} {
 	r.Send(to, sendTag, data)
 	return r.Recv(from, recvTag)
@@ -76,6 +90,8 @@ func (r *Rank) Sendrecv(to, sendTag int, data interface{}, from, recvTag int) in
 
 // Waitall waits on every request (MPI_Waitall) and returns the
 // received payloads in order.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func Waitall(reqs ...*Request) []interface{} {
 	out := make([]interface{}, len(reqs))
 	for i, req := range reqs {
@@ -86,6 +102,8 @@ func Waitall(reqs ...*Request) []interface{} {
 
 // Reduce combines v across all ranks with op; only root receives the
 // result, other ranks get 0 (MPI_Reduce).
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Reduce(root int, op Op, v float64) float64 {
 	var out float64
 	r.intercept(CallReduce, func() {
@@ -106,6 +124,8 @@ func (r *Rank) Reduce(root int, op Op, v float64) float64 {
 
 // Scatter distributes data[i] from root to rank i and returns each
 // rank's element (MPI_Scatter). Non-root ranks pass nil.
+//
+//simvet:testonly reference MPI call no example makes; its tests pin it
 func (r *Rank) Scatter(root int, data []interface{}) interface{} {
 	var out interface{}
 	r.intercept(CallScatter, func() {

@@ -35,13 +35,9 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // Count returns the number of observations.
+//
+//simvet:testonly tests assert a run observed its cycles
 func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() int64 { return h.max }
 
 // Mean returns the average observation (0 when empty).
 func (h *Histogram) Mean() float64 {
@@ -64,7 +60,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := uint64(q * float64(h.count))
+	rank := uint64(float64(q * float64(h.count)))
 	if rank == 0 {
 		rank = 1
 	}

@@ -323,26 +323,3 @@ func Multi(ps ...Probe) Probe {
 	}
 	return out
 }
-
-// Count is a trivial consumer counting events by kind (tests, and a
-// cheap way to assert probes fire without retaining the stream).
-type Count struct {
-	ByKind [len(kindNames)]int64
-	Total  int64
-}
-
-// Emit implements Probe.
-func (c *Count) Emit(ev Event) {
-	c.Total++
-	if int(ev.Kind) < len(c.ByKind) {
-		c.ByKind[ev.Kind]++
-	}
-}
-
-// Of returns the count of one kind.
-func (c *Count) Of(k Kind) int64 {
-	if int(k) >= len(c.ByKind) {
-		return 0
-	}
-	return c.ByKind[k]
-}

@@ -47,12 +47,6 @@ type Runtime struct {
 	binding    cpuset.CPUSet
 	tools      []Tool
 	inParallel bool
-
-	// statistics
-	regions     atomic.Int64
-	lastTeam    []ThreadInfo
-	lastTeamMu  sync.Mutex
-	busyWorkers atomic.Int32
 }
 
 // New creates a runtime with the given initial team size.
@@ -114,16 +108,6 @@ func (r *Runtime) RegisterTool(t Tool) {
 	r.tools = append(r.tools, t)
 }
 
-// Regions returns how many parallel regions have executed.
-func (r *Runtime) Regions() int64 { return r.regions.Load() }
-
-// LastTeam returns the placement of the most recent region's team.
-func (r *Runtime) LastTeam() []ThreadInfo {
-	r.lastTeamMu.Lock()
-	defer r.lastTeamMu.Unlock()
-	return append([]ThreadInfo(nil), r.lastTeam...)
-}
-
 // team computes the placement for a region of size n under the current
 // binding.
 func (r *Runtime) team(n int) []ThreadInfo {
@@ -167,17 +151,12 @@ func (r *Runtime) Parallel(body func(thread ThreadInfo, teamSize int)) {
 	r.mu.Unlock()
 
 	infos := r.team(n)
-	r.lastTeamMu.Lock()
-	r.lastTeam = infos
-	r.lastTeamMu.Unlock()
 
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(info ThreadInfo) {
 			defer wg.Done()
-			r.busyWorkers.Add(1)
-			defer r.busyWorkers.Add(-1)
 			for _, t := range tools {
 				t.ImplicitTask(r, info.Num, n)
 			}
@@ -186,7 +165,6 @@ func (r *Runtime) Parallel(body func(thread ThreadInfo, teamSize int)) {
 	}
 	wg.Wait()
 
-	r.regions.Add(1)
 	for _, t := range tools {
 		t.ParallelEnd(r)
 	}

@@ -6,6 +6,8 @@ import "sync"
 // providing the intra-team synchronization constructs: barrier,
 // single and critical. A Region is only valid inside the body passed
 // to ParallelRegion.
+//
+//simvet:testonly reference construct no example uses; its tests pin it
 type Region struct {
 	size int
 
@@ -79,6 +81,8 @@ func (r *Region) Single(thread int, fn func()) {
 // ParallelRegion is Parallel with access to the team synchronization
 // constructs. Nested calls serialize with a team of one, like
 // Parallel.
+//
+//simvet:testonly reference construct no example uses; its tests pin it
 func (r *Runtime) ParallelRegion(body func(reg *Region, thread ThreadInfo, teamSize int)) {
 	var reg *Region
 	var once sync.Once

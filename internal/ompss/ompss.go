@@ -66,10 +66,6 @@ type Runtime struct {
 	shutdown      bool
 
 	dlb *dlbcore.Context
-
-	// stats
-	tasksRun  int64
-	taskPolls int64
 }
 
 // New creates a runtime with the given number of workers.
@@ -127,13 +123,6 @@ func (rt *Runtime) ActiveWorkers() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return len(rt.activeIDs)
-}
-
-// TasksRun returns how many tasks have completed.
-func (rt *Runtime) TasksRun() int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.tasksRun
 }
 
 // spawnLocked tops the pool up to workersWanted. Caller holds rt.mu.
@@ -251,7 +240,6 @@ func (rt *Runtime) worker(id int) {
 
 		rt.mu.Lock()
 		t.done = true
-		rt.tasksRun++
 		for _, s := range t.succs {
 			s.waitCount--
 			if s.waitCount == 0 {
@@ -262,9 +250,6 @@ func (rt *Runtime) worker(id int) {
 		rt.pending--
 		if rt.pending == 0 {
 			rt.cond.Broadcast()
-		}
-		if dlb != nil {
-			rt.taskPolls++
 		}
 		rt.mu.Unlock()
 
@@ -280,6 +265,8 @@ func (rt *Runtime) worker(id int) {
 // grainsize iterations and submits them (#pragma omp taskloop
 // grainsize(...)). grainsize <= 0 picks one task per worker. All tasks
 // share the given dependencies.
+//
+//simvet:testonly reference construct no example uses; its tests pin it
 func (rt *Runtime) TaskLoop(n, grainsize int, body func(lo, hi int), deps ...Dep) {
 	if n <= 0 {
 		return

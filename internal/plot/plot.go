@@ -88,20 +88,20 @@ func (c BarChart) SVG() string {
 		groupW := float64(plotW) / float64(nGroups)
 		barW := groupW * 0.8 / float64(nSeries)
 		for gi, xl := range c.XLabels {
-			gx := float64(marginL) + groupW*float64(gi)
+			gx := float64(marginL) + float64(groupW*float64(gi))
 			for si, s := range c.Series {
 				if gi >= len(s.Values) || math.IsNaN(s.Values[gi]) {
 					continue
 				}
 				v := s.Values[gi]
 				bh := int(float64(plotH) * v / ymax)
-				x := gx + groupW*0.1 + barW*float64(si)
+				x := gx + float64(groupW*0.1) + float64(barW*float64(si))
 				y := marginT + plotH - bh
 				fmt.Fprintf(&sb, `<rect x="%.1f" y="%d" width="%.1f" height="%d" fill="%s"><title>%s %s = %.1f</title></rect>`+"\n",
 					x, y, barW*0.92, bh, palette[si%len(palette)], escape(s.Label), escape(xl), v)
 			}
 			// Rotated x label.
-			lx := gx + groupW/2
+			lx := gx + float64(groupW/2)
 			ly := float64(marginT + plotH + 12)
 			fmt.Fprintf(&sb, `<text x="%.1f" y="%.1f" font-size="10" text-anchor="end" transform="rotate(-35 %.1f %.1f)">%s</text>`+"\n",
 				lx, ly, lx, ly, escape(xl))

@@ -27,13 +27,13 @@ func FuzzDecodeRequests(f *testing.F) {
 		f.Fatal(err)
 	}
 	sess.RunUntil(500)
-	snap, err := sess.Snapshot()
+	snap, err := sess.Fork() // never advanced: every Fork of it restores it
 	if err != nil {
 		f.Fatal(err)
 	}
 	spaces := bytes.Repeat([]byte{' '}, maxBody)
 	f.Fuzz(func(t *testing.T, endpoint uint8, oversize bool, body []byte) {
-		live, err := snap.Restore()
+		live, err := snap.Fork()
 		if err != nil {
 			t.Fatal(err)
 		}

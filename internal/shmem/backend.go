@@ -31,15 +31,13 @@ import (
 
 // Segment is one node's shared memory as the DROM/LeWI protocol sees
 // it: the procinfo table (Register/SetFuture/ApplyFuture/...), the
-// cpuinfo table (Claim/Lend/Borrow/Reclaim/...), the generation
-// counter and the notification surface. All implementations are safe
-// for concurrent use and bump the generation counter on every
-// mutation.
+// cpuinfo table (Claim/Lend/Borrow/Reclaim/...) and the notification
+// surface. All implementations are safe for concurrent use and bump
+// the segment's generation counter on every mutation.
 type Segment interface {
 	// Identity and shape.
 	Name() string
 	NodeCPUs() cpuset.CPUSet
-	MaxProcs() int
 
 	// Procinfo table (DROM).
 	Register(pid PID, mask cpuset.CPUSet) derr.Code
@@ -48,7 +46,6 @@ type Segment interface {
 	Lookup(pid PID) (ProcEntry, derr.Code)
 	PIDList() []PID
 	NumProcs() int
-	UsedMask() cpuset.CPUSet
 	FreeMask() cpuset.CPUSet
 	EffectiveUsedMask() cpuset.CPUSet
 	ResolveThefts(pid PID, mask cpuset.CPUSet, steal bool) ([]Theft, derr.Code)
@@ -61,26 +58,18 @@ type Segment interface {
 	Snapshot() []ProcEntry
 
 	// Cpuinfo table (LeWI).
-	CPUOwner(cpu int) PID
-	CPUGuest(cpu int) PID
 	ClaimCPUs(pid PID, mask cpuset.CPUSet) derr.Code
 	ReleaseCPUs(pid PID, mask cpuset.CPUSet) derr.Code
-	TransferCPUs(from, to PID, mask cpuset.CPUSet) derr.Code
 	LendCPUs(pid PID, mask cpuset.CPUSet) derr.Code
 	BorrowCPUs(pid PID, max int) cpuset.CPUSet
 	ReclaimCPUs(pid PID, mask cpuset.CPUSet) (recovered, pending cpuset.CPUSet)
 	PollReclaim(pid PID) cpuset.CPUSet
 	GuestMask(pid PID) cpuset.CPUSet
-	OwnerMask(pid PID) cpuset.CPUSet
-	LentMask() cpuset.CPUSet
-	IdleMask() cpuset.CPUSet
 
 	// Synchronization and notification.
-	Generation() uint64
 	WaitClean(pid PID, cancel <-chan struct{}) derr.Code
 	Watch(pid PID) <-chan struct{}
 	Unwatch(pid PID, ch <-chan struct{})
-	WatcherCount(pid PID) int
 
 	// fork seals the interface to this package and implements the
 	// per-backend Fork semantics (fork.go).

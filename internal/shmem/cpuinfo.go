@@ -26,20 +26,6 @@ type cpuState struct {
 	reclaimPending bool
 }
 
-// CPUOwner returns the owner PID of a CPU (0 if unowned).
-func (s *MemSegment) CPUOwner(cpu int) PID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cpus[cpu].owner
-}
-
-// CPUGuest returns the guest PID of a CPU (0 if idle).
-func (s *MemSegment) CPUGuest(cpu int) PID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cpus[cpu].guest
-}
-
 // ClaimCPUs records pid as owner and guest of every CPU in mask.
 // It fails with ErrPerm if any CPU is already owned by another process.
 func (s *MemSegment) ClaimCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
@@ -76,38 +62,6 @@ func (s *MemSegment) ReleaseCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
 		}
 		return true
 	})
-	s.bump()
-	return derr.Success
-}
-
-// TransferCPUs moves ownership of mask from one pid to another,
-// preserving guest state when the guest was the old owner. Used by the
-// SLURM integration when a finished job's CPUs are redistributed.
-func (s *MemSegment) TransferCPUs(from, to PID, mask cpuset.CPUSet) derr.Code {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var bad bool
-	mask.ForEach(func(c int) bool {
-		if s.cpus[c].owner != from {
-			bad = true
-			return false
-		}
-		return true
-	})
-	if bad {
-		return derr.ErrPerm
-	}
-	mask.ForEach(func(c int) bool {
-		st := &s.cpus[c]
-		st.owner = to
-		if st.guest == from || st.guest == 0 {
-			st.guest = to
-		}
-		st.lent = false
-		st.reclaimPending = false
-		return true
-	})
-	s.live = s.live.Or(mask)
 	s.bump()
 	return derr.Success
 }
@@ -256,6 +210,8 @@ func (s *MemSegment) GuestMask(pid PID) cpuset.CPUSet {
 }
 
 // OwnerMask returns all CPUs owned by pid, a process (so positive).
+//
+//simvet:testonly tests read the cpuinfo table through it
 func (s *MemSegment) OwnerMask(pid PID) cpuset.CPUSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -268,20 +224,9 @@ func (s *MemSegment) OwnerMask(pid PID) cpuset.CPUSet {
 	return m
 }
 
-// LentMask returns all CPUs currently marked lent (idle or borrowed).
-func (s *MemSegment) LentMask() cpuset.CPUSet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var m cpuset.CPUSet
-	for c := s.live.First(); c >= 0; c = s.live.Next(c + 1) {
-		if s.cpus[c].lent {
-			m.Set(c)
-		}
-	}
-	return m
-}
-
 // IdleMask returns CPUs with no guest: lendable capacity on the node.
+//
+//simvet:testonly tests read the cpuinfo table through it
 func (s *MemSegment) IdleMask() cpuset.CPUSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -14,14 +14,14 @@ func TestClaimRelease(t *testing.T) {
 	if code := s.ClaimCPUs(1, cpuset.Range(0, 7)); code != derr.Success {
 		t.Fatal(code)
 	}
-	if s.CPUOwner(0) != 1 || s.CPUGuest(0) != 1 {
-		t.Errorf("cpu 0 owner/guest = %d/%d", s.CPUOwner(0), s.CPUGuest(0))
+	if s.cpus[0].owner != 1 || s.cpus[0].guest != 1 {
+		t.Errorf("cpu 0 owner/guest = %d/%d", s.cpus[0].owner, s.cpus[0].guest)
 	}
 	// Conflicting claim fails and mutates nothing.
 	if code := s.ClaimCPUs(2, cpuset.Range(4, 11)); code != derr.ErrPerm {
 		t.Fatalf("overlapping claim = %v", code)
 	}
-	if s.CPUOwner(8) != 0 {
+	if s.cpus[8].owner != 0 {
 		t.Error("failed claim must not take any CPU")
 	}
 	// Re-claiming your own CPUs is fine.
@@ -29,7 +29,7 @@ func TestClaimRelease(t *testing.T) {
 		t.Errorf("idempotent claim = %v", code)
 	}
 	s.ReleaseCPUs(1, cpuset.Range(0, 3))
-	if s.CPUOwner(0) != 0 || s.CPUOwner(4) != 1 {
+	if s.cpus[0].owner != 0 || s.cpus[4].owner != 1 {
 		t.Error("partial release wrong")
 	}
 }
@@ -136,22 +136,6 @@ func TestReclaimFlow(t *testing.T) {
 	}
 }
 
-func TestTransferCPUs(t *testing.T) {
-	s := newTestSegment(t)
-	s.ClaimCPUs(1, cpuset.Range(0, 7))
-	s.ClaimCPUs(2, cpuset.Range(8, 15))
-	if code := s.TransferCPUs(1, 2, cpuset.Range(0, 3)); code != derr.Success {
-		t.Fatal(code)
-	}
-	if s.CPUOwner(0) != 2 || s.CPUGuest(0) != 2 {
-		t.Errorf("transferred cpu owner/guest = %d/%d", s.CPUOwner(0), s.CPUGuest(0))
-	}
-	// Transferring CPUs you do not own fails atomically.
-	if code := s.TransferCPUs(1, 2, cpuset.Range(0, 7)); code != derr.ErrPerm {
-		t.Errorf("bad transfer = %v", code)
-	}
-}
-
 func TestUnregisterCleansCpuinfo(t *testing.T) {
 	s := newTestSegment(t)
 	s.Register(1, cpuset.Range(0, 7))
@@ -166,12 +150,12 @@ func TestUnregisterCleansCpuinfo(t *testing.T) {
 	// Process 2 dies without returning.
 	s.Unregister(2)
 	for _, c := range cpuset.Range(8, 15).List() {
-		if s.CPUOwner(c) != 0 {
+		if s.cpus[c].owner != 0 {
 			t.Errorf("cpu %d still owned by dead pid", c)
 		}
 	}
 	for _, c := range borrowed.List() {
-		if s.CPUGuest(c) == 2 {
+		if s.cpus[c].guest == 2 {
 			t.Errorf("cpu %d still guested by dead pid", c)
 		}
 	}
@@ -213,7 +197,7 @@ func TestPropertyLewiInvariants(t *testing.T) {
 			if g1.Intersects(g2) {
 				return false
 			}
-			if !s.OwnerMask(1).Equal(owned[1]) || !s.OwnerMask(2).Equal(owned[2]) {
+			if !tables(s).OwnerMask(1).Equal(owned[1]) || !tables(s).OwnerMask(2).Equal(owned[2]) {
 				return false
 			}
 		}
@@ -269,8 +253,7 @@ func unregisterAll(tab *[cpuset.MaxCPUs]cpuState, pid PID) {
 }
 
 // TestCpuinfoLiveSetDifferential runs random sequences of cpuinfo
-// operations — claims, releases, transfers (from the unowned pseudo-PID
-// 0 too), lends, borrows, reclaims, unregistrations, forks and file
+// operations — claims, releases, lends, borrows, reclaims, unregistrations, forks and file
 // round trips — on the mem and file backends, and after every one holds
 // the table to scans of all 256 slots: the live set covers every
 // non-zero slot, Unregister leaves the table the full scan leaves, and
@@ -308,30 +291,26 @@ func TestCpuinfoLiveSetDifferential(t *testing.T) {
 			for step := 0; step < 120; step++ {
 				pid := PID(1 + r.Intn(pids))
 				before, _ := cpuTable(t, seg)
-				op := r.Intn(9)
+				op := r.Intn(8)
 				switch op {
 				case 0:
 					seg.ClaimCPUs(pid, randMask())
 				case 1:
 					seg.ReleaseCPUs(pid, randMask())
 				case 2:
-					from := PID(r.Intn(pids + 1))
-					owned := scanAll(&before, func(st cpuState) bool { return st.owner == from })
-					seg.TransferCPUs(from, pid, owned.And(randMask()))
-				case 3:
 					seg.LendCPUs(pid, randMask())
-				case 4:
+				case 3:
 					seg.BorrowCPUs(pid, r.Intn(6)-1)
-				case 5:
+				case 4:
 					seg.ReclaimCPUs(pid, randMask())
-				case 6:
+				case 5:
 					seg.Unregister(pid)
 					unregisterAll(&before, pid)
 					if tab, _ := cpuTable(t, seg); tab != before {
 						t.Fatalf("%s seed %d step %d: Unregister(%d) left a table the full scan does not", kind, seed, step, pid)
 					}
 					seg.Register(pid, cpuset.New(0))
-				case 7:
+				case 6:
 					f := seg.fork()
 					if ft, _ := cpuTable(t, f); ft != before {
 						t.Fatalf("%s seed %d step %d: the fork's table differs", kind, seed, step)
@@ -339,7 +318,7 @@ func TestCpuinfoLiveSetDifferential(t *testing.T) {
 					if kind == "mem" {
 						seg = f
 					}
-				case 8:
+				case 7:
 					if m, ok := seg.(*MemSegment); ok {
 						if seg, err = decodeSegment(encodeSegment(m)); err != nil {
 							t.Fatal(err)
@@ -356,7 +335,7 @@ func TestCpuinfoLiveSetDifferential(t *testing.T) {
 						got, want cpuset.CPUSet
 					}{
 						{"GuestMask", seg.GuestMask(p), scanAll(&tab, func(st cpuState) bool { return st.guest == p })},
-						{"OwnerMask", seg.OwnerMask(p), scanAll(&tab, func(st cpuState) bool { return st.owner == p })},
+						{"OwnerMask", tables(seg).OwnerMask(p), scanAll(&tab, func(st cpuState) bool { return st.owner == p })},
 						{"PollReclaim", seg.PollReclaim(p), scanAll(&tab, func(st cpuState) bool { return st.guest == p && st.owner != p && st.reclaimPending })},
 					} {
 						if !q.got.Equal(q.want) {
@@ -364,7 +343,7 @@ func TestCpuinfoLiveSetDifferential(t *testing.T) {
 						}
 					}
 				}
-				if got, want := seg.LentMask(), scanAll(&tab, func(st cpuState) bool { return st.lent }); !got.Equal(want) {
+				if got, want := tables(seg).LentMask(), scanAll(&tab, func(st cpuState) bool { return st.lent }); !got.Equal(want) {
 					t.Fatalf("%s seed %d step %d (op %d): LentMask = %v, full scan %v", kind, seed, step, op, got, want)
 				}
 			}

@@ -39,6 +39,8 @@ import (
 
 // FaultConfig parameterizes a FaultBackend. Rates are probabilities in
 // [0, 1], drawn independently per call in the order listed here.
+//
+//simvet:testonly fault-injection fixture of the registry-failure tests
 type FaultConfig struct {
 	// Seed makes the fault pattern reproducible.
 	Seed int64
@@ -56,6 +58,8 @@ type FaultConfig struct {
 
 // FaultCounts reports how many faults a backend has injected, for
 // assertions and degraded-metrics plumbing.
+//
+//simvet:testonly fault-injection fixture of the registry-failure tests
 type FaultCounts struct {
 	WriteFails int64
 	WriteDrops int64
@@ -65,6 +69,8 @@ type FaultCounts struct {
 
 // FaultBackend wraps an inner backend and injects seeded faults into
 // the administrative call surface of every segment opened through it.
+//
+//simvet:testonly fault-injection fixture of the registry-failure tests
 type FaultBackend struct {
 	inner Backend
 	cfg   FaultConfig
@@ -76,6 +82,8 @@ type FaultBackend struct {
 }
 
 // NewFaultBackend wraps inner with the given fault configuration.
+//
+//simvet:testonly fault-injection fixture of the registry-failure tests
 func NewFaultBackend(inner Backend, cfg FaultConfig) *FaultBackend {
 	return &FaultBackend{
 		inner: inner,
@@ -173,10 +181,12 @@ func (b *FaultBackend) fork() Backend {
 // else is promoted from the embedded inner Segment and so runs
 // unfaulted: the application side (Register, Unregister, ApplyFuture,
 // CreditPolls, the LeWI calls) keeps working, and the change detector
-// (Generation, WaitClean, Watch) must stay truthful or waiters would
-// spin forever. fork is promoted too: a what-if fork gets a private,
-// fault-free copy of the state (the fault stream belongs to the
-// backend, and FaultBackend.fork continues it there).
+// (WaitClean, Watch) must stay truthful or waiters would spin forever.
+// fork is promoted too: a what-if fork gets a private, fault-free copy
+// of the state (the fault stream belongs to the backend, and
+// FaultBackend.fork continues it there).
+//
+//simvet:testonly fault-injection fixture of the registry-failure tests
 type FaultSegment struct {
 	Segment
 	b *FaultBackend
@@ -262,9 +272,6 @@ func (s *FaultSegment) PIDList() []PID { return s.staleSource().PIDList() }
 
 // NumProcs may serve a stale snapshot.
 func (s *FaultSegment) NumProcs() int { return s.staleSource().NumProcs() }
-
-// UsedMask may serve a stale snapshot.
-func (s *FaultSegment) UsedMask() cpuset.CPUSet { return s.staleSource().UsedMask() }
 
 // FreeMask may serve a stale snapshot.
 func (s *FaultSegment) FreeMask() cpuset.CPUSet { return s.staleSource().FreeMask() }

@@ -18,8 +18,8 @@ package shmem
 //   - the flock is the only synchronization primitive; there is no
 //     reader/writer distinction (segments are a few KB);
 //   - the generation counter in the header is bumped by the reference
-//     methods exactly as in memory, so a cross-process observer polls
-//     Generation() to detect change;
+//     methods exactly as in memory, so a cross-process observer sees
+//     every change by polling it (the poll loop behind Watch);
 //   - Watch and WaitClean are implemented by polling the file at a
 //     small interval — notification latency is bounded by
 //     filePollInterval rather than being synchronous;
@@ -79,9 +79,6 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 
 // Kind identifies the backend in diagnostics.
 func (b *FileBackend) Kind() string { return "file" }
-
-// Dir returns the backing directory.
-func (b *FileBackend) Dir() string { return b.dir }
 
 // validSegName rejects names that would escape the directory or
 // exceed the encodable length.
@@ -306,9 +303,6 @@ func (s *FileSegment) Name() string { return s.name }
 // NodeCPUs returns the full CPU set of the node this segment serves.
 func (s *FileSegment) NodeCPUs() cpuset.CPUSet { return s.nodeCPUs }
 
-// MaxProcs returns the capacity of the procinfo table.
-func (s *FileSegment) MaxProcs() int { return s.maxProcs }
-
 // withFlock opens path with the given flags, takes an exclusive flock
 // and runs fn. The lock covers the whole critical section; flock is
 // per open-file-description, so two backends in one process exclude
@@ -426,13 +420,6 @@ func (s *FileSegment) NumProcs() int {
 	return n
 }
 
-// UsedMask returns the union of current masks.
-func (s *FileSegment) UsedMask() cpuset.CPUSet {
-	var out cpuset.CPUSet
-	s.view(func(m *MemSegment) { out = m.UsedMask() })
-	return out
-}
-
 // FreeMask returns the node CPUs not in any current mask.
 func (s *FileSegment) FreeMask() cpuset.CPUSet {
 	var out cpuset.CPUSet
@@ -508,20 +495,6 @@ func (s *FileSegment) Snapshot() []ProcEntry {
 
 // --- cpuinfo table (LeWI) ---
 
-// CPUOwner returns the owner PID of cpu (0 = unowned).
-func (s *FileSegment) CPUOwner(cpu int) PID {
-	var pid PID
-	s.view(func(m *MemSegment) { pid = m.CPUOwner(cpu) })
-	return pid
-}
-
-// CPUGuest returns the guest PID of cpu (0 = idle).
-func (s *FileSegment) CPUGuest(cpu int) PID {
-	var pid PID
-	s.view(func(m *MemSegment) { pid = m.CPUGuest(cpu) })
-	return pid
-}
-
 // ClaimCPUs takes ownership of mask for pid.
 func (s *FileSegment) ClaimCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
 	code := derr.ErrNoShmem
@@ -533,13 +506,6 @@ func (s *FileSegment) ClaimCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
 func (s *FileSegment) ReleaseCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
 	code := derr.ErrNoShmem
 	s.update(func(m *MemSegment) { code = m.ReleaseCPUs(pid, mask) })
-	return code
-}
-
-// TransferCPUs atomically moves ownership of mask between PIDs.
-func (s *FileSegment) TransferCPUs(from, to PID, mask cpuset.CPUSet) derr.Code {
-	code := derr.ErrNoShmem
-	s.update(func(m *MemSegment) { code = m.TransferCPUs(from, to, mask) })
 	return code
 }
 
@@ -577,35 +543,7 @@ func (s *FileSegment) GuestMask(pid PID) cpuset.CPUSet {
 	return out
 }
 
-// OwnerMask returns the CPUs pid owns.
-func (s *FileSegment) OwnerMask(pid PID) cpuset.CPUSet {
-	var out cpuset.CPUSet
-	s.view(func(m *MemSegment) { out = m.OwnerMask(pid) })
-	return out
-}
-
-// LentMask returns the CPUs currently in the idle pool.
-func (s *FileSegment) LentMask() cpuset.CPUSet {
-	var out cpuset.CPUSet
-	s.view(func(m *MemSegment) { out = m.LentMask() })
-	return out
-}
-
-// IdleMask returns lent CPUs with no guest.
-func (s *FileSegment) IdleMask() cpuset.CPUSet {
-	var out cpuset.CPUSet
-	s.view(func(m *MemSegment) { out = m.IdleMask() })
-	return out
-}
-
 // --- synchronization and notification ---
-
-// Generation returns the mutation counter from the file header.
-func (s *FileSegment) Generation() uint64 {
-	var gen uint64
-	s.view(func(m *MemSegment) { gen = m.generation })
-	return gen
-}
 
 // WaitClean polls the file until the entry for pid is not dirty, the
 // pid disappears, or cancel fires. An unreadable file reports
@@ -661,14 +599,6 @@ func (s *FileSegment) Unwatch(pid PID, ch <-chan struct{}) {
 		close(s.pollStop)
 		s.pollStop = nil
 	}
-}
-
-// WatcherCount returns the number of watcher channels for pid in this
-// process.
-func (s *FileSegment) WatcherCount(pid PID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.watchers[pid])
 }
 
 // pollLoop notifies watchers of dirty entries whenever the generation

@@ -76,11 +76,11 @@ func TestFileTwoBackendsDROMExchange(t *testing.T) {
 	if pids := adminSeg.PIDList(); len(pids) != 1 || pids[0] != pid {
 		t.Fatalf("admin PIDList = %v", pids)
 	}
-	gen0 := adminSeg.Generation()
+	gen0 := tables(adminSeg).Generation()
 	if code := adminSeg.SetFuture(pid, cpuset.Range(0, 3)); code != derr.Success {
 		t.Fatalf("admin SetFuture = %v", code)
 	}
-	if gen := adminSeg.Generation(); gen <= gen0 {
+	if gen := tables(adminSeg).Generation(); gen <= gen0 {
 		t.Fatalf("generation %d -> %d after staging", gen0, gen)
 	}
 
@@ -195,7 +195,7 @@ func TestSegLayoutRoundTrip(t *testing.T) {
 		t.Fatalf("pid 12 polls after round trip = %d", st.Polls)
 	}
 	for c := 0; c < 16; c++ {
-		if dec.CPUOwner(c) != m.CPUOwner(c) || dec.CPUGuest(c) != m.CPUGuest(c) {
+		if dec.cpus[c].owner != m.cpus[c].owner || dec.cpus[c].guest != m.cpus[c].guest {
 			t.Fatalf("cpu %d owner/guest mismatch", c)
 		}
 	}

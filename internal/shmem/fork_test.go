@@ -20,15 +20,15 @@ func TestForkMemDeepClones(t *testing.T) {
 	s := r.MustOpen("n", cpuset.Range(0, 15), 0)
 	s.Register(1, cpuset.Range(0, 7))
 	s.ClaimCPUs(1, cpuset.Range(0, 7))
-	gen := s.Generation()
+	gen := tables(s).Generation()
 
 	f := r.Fork()
 	fs := f.Get("n")
 	if fs == nil {
 		t.Fatal("fork lost segment")
 	}
-	if fs.Generation() != gen {
-		t.Fatalf("fork generation = %d, want %d", fs.Generation(), gen)
+	if tables(fs).Generation() != gen {
+		t.Fatalf("fork generation = %d, want %d", tables(fs).Generation(), gen)
 	}
 	// Divergence is two-way isolated.
 	fs.SetFuture(1, cpuset.Range(0, 3))

@@ -125,9 +125,6 @@ func (s *MemSegment) Name() string { return s.name }
 // NodeCPUs returns the full CPU set of the node this segment serves.
 func (s *MemSegment) NodeCPUs() cpuset.CPUSet { return s.nodeCPUs }
 
-// MaxProcs returns the capacity of the procinfo table.
-func (s *MemSegment) MaxProcs() int { return s.maxProcs }
-
 func newSegment(name string, nodeCPUs cpuset.CPUSet, maxProcs int) *MemSegment {
 	s := &MemSegment{
 		name:     name,
@@ -429,6 +426,8 @@ func (s *MemSegment) SetStolen(pid PID, stolen []Theft) derr.Code {
 }
 
 // Generation returns the segment's mutation counter.
+//
+//simvet:testonly tests assert an operation mutated nothing
 func (s *MemSegment) Generation() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -501,26 +500,6 @@ func (s *MemSegment) Unwatch(pid PID, ch <-chan struct{}) {
 			return
 		}
 	}
-}
-
-// WatcherCount returns the number of registered watcher channels for
-// pid (diagnostics and leak tests).
-func (s *MemSegment) WatcherCount(pid PID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.watchers[pid])
-}
-
-// watcherPIDs returns the pids with live watcher map entries,
-// including empty ones (leak tests).
-func (s *MemSegment) watcherPIDs() []PID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]PID, 0, len(s.watchers))
-	for pid := range s.watchers {
-		out = append(out, pid)
-	}
-	return out
 }
 
 func (s *MemSegment) notifyLocked(pid PID) {

@@ -24,7 +24,7 @@ func TestRegistryOpenIdempotent(t *testing.T) {
 	if a != b {
 		t.Fatal("Open should return the same segment for the same name")
 	}
-	if b.NodeCPUs().Count() != 16 || b.MaxProcs() != 8 {
+	if b.NodeCPUs().Count() != 16 || tables(b).maxProcs != 8 {
 		t.Error("reopen must not change segment parameters")
 	}
 	if r.Get("n") != a {
@@ -363,7 +363,7 @@ func TestPropertyUsedMaskIsUnion(t *testing.T) {
 				want = want.Or(m)
 			}
 		}
-		return s.UsedMask().Equal(want) &&
+		return tables(s).UsedMask().Equal(want) &&
 			s.FreeMask().Equal(cpuset.Range(0, 31).AndNot(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -96,28 +96,13 @@ type Cluster struct {
 }
 
 // DefaultPartition names the single partition of a homogeneous
-// cluster built through NewCluster.
+// cluster.
 const DefaultPartition = "batch"
 
-// NewCluster builds a homogeneous cluster of n nodes of the given
-// machine type: one partition named DefaultPartition.
-func NewCluster(eng *sim.Engine, m hwmodel.Machine, n int, tracer *trace.Tracer) *Cluster {
-	c, err := NewClusterSpec(eng, hwmodel.Homogeneous(DefaultPartition, m, n), tracer)
-	if err != nil {
-		panic(err) // a positive node count cannot produce an invalid spec
-	}
-	return c
-}
-
-// NewClusterSpec builds a partitioned cluster from an explicit
-// layout over the default in-memory shmem backend. Each node opens
-// its own DROM shared-memory segment sized to its partition's machine.
-func NewClusterSpec(eng *sim.Engine, spec hwmodel.ClusterSpec, tracer *trace.Tracer) (*Cluster, error) {
-	return NewClusterSpecReg(eng, spec, tracer, nil)
-}
-
-// NewClusterSpecReg is NewClusterSpec over an explicit shmem registry
-// (nil selects a fresh in-memory one). A file-backed registry makes
+// NewClusterSpecReg builds a partitioned cluster from an explicit
+// layout over a shmem registry (nil selects a fresh in-memory one).
+// Each node opens its own DROM shared-memory segment sized to its
+// partition's machine. A file-backed registry makes
 // the cluster's segments visible to other OS processes — slurmsim's
 // agent mode and schedd's -shmem flag use this; the replay hot path
 // stays on the in-memory default.

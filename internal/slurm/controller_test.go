@@ -17,9 +17,18 @@ func fastSpec(iters int) apps.Spec {
 	return s
 }
 
+// mn3Cluster builds n MN3 nodes in the default partition.
+func mn3Cluster(eng *sim.Engine, n int) *Cluster {
+	c, err := NewClusterSpecReg(eng, hwmodel.Homogeneous(DefaultPartition, hwmodel.MN3(), n), nil, nil)
+	if err != nil {
+		panic(err) // a positive node count cannot produce an invalid spec
+	}
+	return c
+}
+
 func newTestCluster() (*sim.Engine, *Cluster) {
 	eng := sim.NewEngine()
-	return eng, NewCluster(eng, hwmodel.MN3(), 2, nil)
+	return eng, mn3Cluster(eng, 2)
 }
 
 func submit(t *testing.T, ctl *Controller, j *Job) {
@@ -234,7 +243,7 @@ func TestOversubscribePolicySharesCPUs(t *testing.T) {
 	}
 	eng.RunUntil(20)
 	// Node oversubscribed: 32 active threads on 16 cores.
-	if got := c.Demand.CPUShare("node0"); math.Abs(got-0.5) > 1e-9 {
+	if got := c.Demand.Handle("node0").CPUShare(); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("CPUShare = %v, want 0.5", got)
 	}
 	eng.Run()

@@ -185,7 +185,7 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 		})
 	}
 	eng := sim.NewEngine()
-	c, err := NewClusterSpec(eng, spec, twin.tracer)
+	c, err := NewClusterSpecReg(eng, spec, twin.tracer, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

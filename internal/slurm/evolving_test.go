@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/hwmodel"
 	"repro/internal/sim"
 )
 
@@ -101,7 +100,7 @@ func TestEvolvingGrowDeferredUntilFree(t *testing.T) {
 func TestNodeSelectionPolicies(t *testing.T) {
 	place := func(sel NodeSelection) map[string]bool {
 		eng := sim.NewEngine()
-		c := NewCluster(eng, hwmodel.MN3(), 4, nil)
+		c := mn3Cluster(eng, 4)
 		ctl := NewController(c, PolicyDROM)
 		ctl.NodeSelection = sel
 		a := &Job{Name: "a", Spec: fastSpec(300), Cfg: apps.Config{Ranks: 2, Threads: 8}, Nodes: 2, Malleable: true}

@@ -90,17 +90,17 @@ func forkOfFork(t *testing.T, parent *workload.Session, at, makespan float64) []
 	return []lineage{{"child", child}, {"grandchild", grandchild}}
 }
 
-// snapshotRestoredTwice restores one snapshot into two lineages, which
-// share the same frozen history.
+// snapshotRestoredTwice forks a never-advanced fork (a snapshot) into
+// two lineages, which share the same frozen history.
 func snapshotRestoredTwice(t *testing.T, parent *workload.Session, _, _ float64) []lineage {
 	t.Helper()
-	snap, err := parent.Snapshot()
+	snap, err := parent.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []lineage
 	for _, name := range []string{"restore 1", "restore 2"} {
-		r, err := snap.Restore()
+		r, err := snap.Fork()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func openSession(t *testing.T, c forkCase, sc workload.Scenario) *workload.Sessi
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := workload.NewSchedSetSession(sc, ps)
+	sess, err := workload.NewSession(sc, slurm.PolicyDROM, func(c *slurm.Controller) error { return c.UseSchedSet(ps) })
 	if err != nil {
 		t.Fatal(err)
 	}

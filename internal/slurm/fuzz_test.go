@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cpuset"
-	"repro/internal/hwmodel"
 	"repro/internal/sim"
 )
 
@@ -68,7 +67,7 @@ func runRandomWorkload(t *testing.T, seed int64, nodes, jobs int, policy Policy)
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	eng := sim.NewEngine()
-	c := NewCluster(eng, hwmodel.MN3(), nodes, nil)
+	c := mn3Cluster(eng, nodes)
 	ctl := NewController(c, policy)
 
 	submitted := 0
@@ -147,7 +146,7 @@ func TestRandomWorkloadsFourNodes(t *testing.T) {
 // on a 4-node cluster under DROM.
 func TestMixedNodeCountJobs(t *testing.T) {
 	eng := sim.NewEngine()
-	c := NewCluster(eng, hwmodel.MN3(), 4, nil)
+	c := mn3Cluster(eng, 4)
 	ctl := NewController(c, PolicyDROM)
 	mk := func(name string, nodes, ranks, threads, iters int) *Job {
 		return &Job{

@@ -202,18 +202,6 @@ func (ctl *Controller) scheduleFaultWindows() {
 	}
 }
 
-// FaultsEnabled reports whether a fault plan is installed.
-func (ctl *Controller) FaultsEnabled() bool { return ctl.nfState != nil }
-
-// NodeState returns the availability of the node at global index i
-// (NodeUp when no fault plan is installed).
-func (ctl *Controller) NodeState(i int) hwmodel.NodeState {
-	if ctl.nfState == nil {
-		return hwmodel.NodeUp
-	}
-	return ctl.nfState[i]
-}
-
 // faultIdle reports whether nothing is left for a seeded failure to
 // disturb: no queued, running, or backoff-limbo job. Seeded events
 // that fire idle disarm instead of re-arming (the next Submit

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/hwmodel"
 	"repro/internal/sim"
 )
 
@@ -41,7 +40,7 @@ func FuzzParseFaultScript(f *testing.F) {
 		f.Add(seed)
 	}
 	eng := sim.NewEngine()
-	ctl := NewController(NewCluster(eng, hwmodel.MN3(), 2, nil), PolicyDROM)
+	ctl := NewController(mn3Cluster(eng, 2), PolicyDROM)
 	nodes := ctl.cluster.Nodes
 	f.Fuzz(func(t *testing.T, script string) {
 		wins, err := parseFaultScript(ctl, script)

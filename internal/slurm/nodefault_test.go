@@ -60,13 +60,13 @@ func TestParseFaultScriptErrors(t *testing.T) {
 	if err := ctl.InstallFaults(FaultPlan{}); err != nil {
 		t.Fatalf("empty plan: %v", err)
 	}
-	if ctl.FaultsEnabled() {
+	if ctl.nfState != nil {
 		t.Error("empty plan left the fault model enabled")
 	}
 	if err := ctl.InstallFaults(FaultPlan{Script: "node0:down@1..2"}); err != nil {
 		t.Fatal(err)
 	}
-	if !ctl.FaultsEnabled() {
+	if ctl.nfState == nil {
 		t.Error("fault model not enabled after install")
 	}
 	if err := ctl.InstallFaults(FaultPlan{Script: "node1:down@1..2"}); err == nil {

@@ -81,9 +81,6 @@ func (ctl *Controller) installScheds(newFor func(pi int) (sched.Policy, error)) 
 	return nil
 }
 
-// SchedOf returns the policy instance of partition pi.
-func (ctl *Controller) SchedOf(pi int) sched.Policy { return ctl.scheds[pi] }
-
 // nodeUp reports whether the node at global index i is in service
 // (always, when no fault plan is installed).
 func (ctl *Controller) nodeUp(i int) bool {

@@ -65,7 +65,11 @@ func refState(ctl *Controller) ([]refPart, []refQueued) {
 		offset := ctl.cluster.Spec.NodeOffset(pi)
 		for k := 0; k < p.Nodes; k++ {
 			rp.free = append(rp.free, ctl.effectiveFree(offset+k).Count())
-			rp.state = append(rp.state, ctl.NodeState(offset+k))
+			state := hwmodel.NodeUp
+			if ctl.nfState != nil {
+				state = ctl.nfState[offset+k]
+			}
+			rp.state = append(rp.state, state)
 			until := 0.0
 			if ctl.nfState != nil {
 				switch ctl.nfState[offset+k] {
@@ -311,7 +315,7 @@ func TestSpillPassMatchesReference(t *testing.T) {
 			})
 		}
 		eng := sim.NewEngine()
-		c, err := NewClusterSpec(eng, spec, nil)
+		c, err := NewClusterSpecReg(eng, spec, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

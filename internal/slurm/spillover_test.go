@@ -19,7 +19,7 @@ func newSpillCluster(t *testing.T) (*sim.Engine, *Cluster) {
 		{Name: "batch", Nodes: 1, Machine: hwmodel.MN3()},
 		{Name: "fat", Nodes: 2, Machine: hwmodel.FatNode()},
 	}}
-	c, err := NewClusterSpec(eng, spec, nil)
+	c, err := NewClusterSpecReg(eng, spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSpilloverShapeGuard(t *testing.T) {
 		{Name: "fat", Nodes: 1, Machine: hwmodel.FatNode()},
 		{Name: "small", Nodes: 2, Machine: hwmodel.MN3()},
 	}}
-	c, err := NewClusterSpec(eng, spec, nil)
+	c, err := NewClusterSpecReg(eng, spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +265,10 @@ func TestUseSchedSet(t *testing.T) {
 	if err := ctl.UseSchedSet(ps); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctl.SchedOf(0).Name(); got != "easy" {
+	if got := ctl.scheds[0].Name(); got != "easy" {
 		t.Errorf("batch policy = %q", got)
 	}
-	if got := ctl.SchedOf(1).Name(); got != "malleable-shrink" {
+	if got := ctl.scheds[1].Name(); got != "malleable-shrink" {
 		t.Errorf("fat policy = %q", got)
 	}
 	incomplete, err := sched.ParsePolicySet("fat=easy")
@@ -288,24 +288,24 @@ func TestUseSchedPerPartitionInstances(t *testing.T) {
 	ctl := NewController(c, PolicyDROM)
 	p := &sched.EASY{}
 	ctl.UseSched(p)
-	if ctl.SchedOf(0) != sched.Policy(p) {
+	if ctl.scheds[0] != sched.Policy(p) {
 		t.Error("partition 0 should run the given instance")
 	}
-	if ctl.SchedOf(1) == sched.Policy(p) {
+	if ctl.scheds[1] == sched.Policy(p) {
 		t.Error("partition 1 shares the instance, want a fresh clone")
 	}
-	if got := ctl.SchedOf(1).Name(); got != "easy" {
+	if got := ctl.scheds[1].Name(); got != "easy" {
 		t.Errorf("clone policy = %q", got)
 	}
 	// A policy the sched registry cannot name is cloned all the same:
 	// no instance ever serves two partition shapes.
 	custom := &customPolicy{}
 	ctl.UseSched(custom)
-	if ctl.SchedOf(0) != sched.Policy(custom) {
+	if ctl.scheds[0] != sched.Policy(custom) {
 		t.Error("partition 0 should run the given custom instance")
 	}
-	if q, ok := ctl.SchedOf(1).(*customPolicy); !ok || q == custom {
-		t.Errorf("partition 1 runs %T (shared: %v), want its own customPolicy clone", ctl.SchedOf(1), q == custom)
+	if q, ok := ctl.scheds[1].(*customPolicy); !ok || q == custom {
+		t.Errorf("partition 1 runs %T (shared: %v), want its own customPolicy clone", ctl.scheds[1], q == custom)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 func backlogController(t *testing.T, jobs int) (*sim.Engine, *Controller) {
 	t.Helper()
 	eng := sim.NewEngine()
-	c, err := NewClusterSpec(eng, hwmodel.HeteroMN3(), nil)
+	c, err := NewClusterSpecReg(eng, hwmodel.HeteroMN3(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

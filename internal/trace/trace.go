@@ -325,7 +325,7 @@ func (t *Tracer) iteration(yield func(Segment) bool, b *block, t0 float64) bool 
 			T0: t0, T1: t1, State: State(r.state), IPC: r.ipc, CyclesPerUs: r.cycles,
 		}
 		if r.busy >= 0 {
-			s.T1, s.State = t0+b.period*r.busy, Run
+			s.T1, s.State = t0+float64(b.period*r.busy), Run
 		}
 		if s.T1 > s.T0 && !yield(s) {
 			return false
@@ -445,7 +445,7 @@ func (t *Tracer) Bucket(lo, hi float64, width int, value func(Segment) (v float6
 		b0 := int((s.T0 - lo) / (hi - lo) * float64(width))
 		b1 := min(int((s.T1-lo)/(hi-lo)*float64(width)), width-1)
 		for b := b0; b <= b1; b++ {
-			r.sum[b] += v * s.Duration()
+			r.sum[b] += float64(v * s.Duration())
 			r.weight[b] += s.Duration()
 		}
 	}

@@ -160,7 +160,7 @@ func imbalance(r *Result, _ string) []float64 {
 			if !ok {
 				return math.NaN()
 			}
-			m += y / float64(to-from+1)
+			m += float64(y / float64(to-from+1))
 		}
 		return m
 	}
@@ -184,7 +184,7 @@ func cv(x []float64) []float64 {
 	}
 	mean /= float64(len(x))
 	for _, v := range x {
-		varsum += (v - mean) * (v - mean)
+		varsum += float64((v - mean) * (v - mean))
 	}
 	if mean <= 0 {
 		return []float64{0}

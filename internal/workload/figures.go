@@ -211,7 +211,7 @@ func meanIPC(r Result, job string) float64 {
 			continue
 		}
 		dur := seg.Duration()
-		wsum += seg.IPC * dur
+		wsum += float64(seg.IPC * dur)
 		w += dur
 	}
 	if w == 0 {

@@ -72,8 +72,8 @@ func TimelineGantt(tr *trace.Tracer, title string, buckets int) plot.Gantt {
 				continue
 			}
 			row.Spans = append(row.Spans, plot.GanttSpan{
-				T0:        lo + bw*float64(b),
-				T1:        lo + bw*float64(b+1),
+				T0:        lo + float64(bw*float64(b)),
+				T1:        lo + float64(bw*float64(b+1)),
 				Intensity: util,
 			})
 		}

@@ -184,12 +184,6 @@ func NewSchedSession(s Scenario, p sched.Policy) (*Session, error) {
 	return NewSession(s, slurm.PolicyDROM, useSched(p))
 }
 
-// NewSchedSetSession opens a scenario under a per-partition policy
-// set (the Session counterpart of RunSchedSet).
-func NewSchedSetSession(s Scenario, ps sched.PolicySet) (*Session, error) {
-	return NewSession(s, slurm.PolicyDROM, useSchedSet(ps))
-}
-
 // pump feeds the controller from the source: every record due now is
 // submitted inline — same-instant submissions, and out-of-order
 // records, which real SWF archives occasionally contain and which
@@ -355,25 +349,4 @@ func (s *Session) Fork() (*Session, error) {
 		return nil, fmt.Errorf("workload: fork: %w", err)
 	}
 	return f, nil
-}
-
-// SessionSnapshot is a frozen copy of a session. The snapshot itself
-// never advances; Restore forks it back into a runnable Session any
-// number of times.
-type SessionSnapshot struct {
-	s *Session
-}
-
-// Snapshot freezes the session's current state.
-func (s *Session) Snapshot() (*SessionSnapshot, error) {
-	f, err := s.Fork()
-	if err != nil {
-		return nil, err
-	}
-	return &SessionSnapshot{s: f}, nil
-}
-
-// Restore returns a runnable session resuming from the snapshot.
-func (sn *SessionSnapshot) Restore() (*Session, error) {
-	return sn.s.Fork()
 }

@@ -21,11 +21,12 @@ func sessionScenario(t *testing.T, seed int64) Scenario {
 	return sc
 }
 
-// TestSessionSnapshotRestoreFixedPoint: Snapshot() → Restore() →
-// re-run must be a fixed point for metrics.SchedStats — restoring
-// twice from one snapshot, and the snapshotted parent itself, all
-// finish with the uninterrupted replay's exact statistics. Runs in
-// the CI race matrix at -cpu 1,4,8.
+// TestSessionSnapshotRestoreFixedPoint: a fork that never advances is
+// a snapshot, and forking it again restores it. Re-running must be a
+// fixed point for metrics.SchedStats — restoring twice from one
+// never-advanced fork, and the forked parent itself, all finish with
+// the uninterrupted replay's exact statistics. Runs in the CI race
+// matrix at -cpu 1,4,8.
 func TestSessionSnapshotRestoreFixedPoint(t *testing.T) {
 	for _, seed := range []int64{1, 3} {
 		sc := sessionScenario(t, seed)
@@ -50,12 +51,12 @@ func TestSessionSnapshotRestoreFixedPoint(t *testing.T) {
 				t.Fatalf("seed %d %s: %v", seed, name, err)
 			}
 			sess.RunUntil(0.5 * bres.Records.TotalRunTime())
-			snap, err := sess.Snapshot()
+			snap, err := sess.Fork()
 			if err != nil {
 				t.Fatalf("seed %d %s: snapshot: %v", seed, name, err)
 			}
 			for round := 0; round < 2; round++ {
-				restored, err := snap.Restore()
+				restored, err := snap.Fork()
 				if err != nil {
 					t.Fatalf("seed %d %s: restore %d: %v", seed, name, round, err)
 				}
@@ -73,7 +74,7 @@ func TestSessionSnapshotRestoreFixedPoint(t *testing.T) {
 				t.Fatalf("seed %d %s: parent: %v", seed, name, pres.Err)
 			}
 			if got := SchedStatsOf(sc, pres); got != want {
-				t.Errorf("seed %d %s: snapshotted parent stats diverge:\n  got  %+v\n  want %+v",
+				t.Errorf("seed %d %s: forked parent stats diverge:\n  got  %+v\n  want %+v",
 					seed, name, got, want)
 			}
 		}

@@ -72,9 +72,6 @@ func (s *SyntheticSource) Next() (Submission, bool, error) {
 	return Submission{}, false, nil
 }
 
-// Skipped returns the number of unusable records seen so far.
-func (s *SyntheticSource) Skipped() int { return s.mapper.drops.Total() }
-
 // Dropped returns the per-status drop classification so far.
 func (s *SyntheticSource) Dropped() metrics.DropStats { return s.mapper.drops }
 
@@ -144,9 +141,6 @@ func (s *SWFReaderSource) Next() (Submission, bool, error) {
 
 // Cluster returns the layout the source maps onto.
 func (s *SWFReaderSource) Cluster() hwmodel.ClusterSpec { return s.mapper.cluster }
-
-// Skipped returns the number of unusable records seen so far.
-func (s *SWFReaderSource) Skipped() int { return s.mapper.drops.Total() }
 
 // Dropped returns the per-status drop classification so far.
 func (s *SWFReaderSource) Dropped() metrics.DropStats { return s.mapper.drops }

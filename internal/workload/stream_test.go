@@ -50,8 +50,8 @@ func TestSWFReaderSourceMatchesScenario(t *testing.T) {
 	}
 	// MaxJobs cut the stream before the trace ended, so the streamed
 	// skip count may lag the full-trace count but never exceed it.
-	if src.Skipped() > skipped {
-		t.Errorf("streamed skipped %d, materialized %d", src.Skipped(), skipped)
+	if src.Dropped().Total() > skipped {
+		t.Errorf("streamed skipped %d, materialized %d", src.Dropped().Total(), skipped)
 	}
 }
 

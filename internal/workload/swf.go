@@ -477,7 +477,7 @@ func (p SyntheticSWF) clusterSpec() hwmodel.ClusterSpec {
 // corresponding knob is active, keeping the default stream — and
 // every committed golden replay — unchanged.
 func (p SyntheticSWF) genJob(r *rand.Rand, i int, at *float64, cs hwmodel.ClusterSpec) SWFJob {
-	*at += r.ExpFloat64() * p.MeanInterarrival
+	*at += float64(r.ExpFloat64() * p.MeanInterarrival)
 	pidx := 0
 	if len(cs.Partitions) > 1 {
 		pidx = r.Intn(len(cs.Partitions))
@@ -494,7 +494,7 @@ func (p SyntheticSWF) genJob(r *rand.Rand, i int, at *float64, cs hwmodel.Cluste
 		procs = cores * (2 + r.Intn(part.Nodes-1))
 	}
 	// Log-normal-ish runtime clamped to [20 s, 600 s].
-	run := math.Exp(4.5 + 0.9*r.NormFloat64())
+	run := math.Exp(4.5 + float64(0.9*r.NormFloat64()))
 	if run < 20 {
 		run = 20
 	}
@@ -507,7 +507,7 @@ func (p SyntheticSWF) genJob(r *rand.Rand, i int, at *float64, cs hwmodel.Cluste
 		Wait:      -1,
 		Run:       math.Round(run),
 		Procs:     procs,
-		ReqTime:   math.Round(run * (1 + 2*r.Float64())),
+		ReqTime:   math.Round(run * (1 + float64(2*float64(r.Float64())))),
 		Status:    SWFCompleted,
 		Partition: -1,
 	}
