@@ -11,17 +11,16 @@ package apps
 //     fork's DROM systems and the demand handle re-resolved against
 //     the fork's table;
 //   - the instance's pending engine event is NOT rescheduled: the
-//     handle's state is copied — an armed span with it — and the fork
-//     re-binds the occurrence to its own copy
-//     (sim.Engine.RebindPeriodic), so the (time, ID) execution order
-//     is untouched and both lineages finish the span alike;
+//     engine fork copies its chain — an armed span with it — under the
+//     same slot, and the forked instance takes the chain over
+//     (sim.Engine.TakeTick), so the (time, ID) execution order is
+//     untouched and both lineages finish the span alike; a jittered
+//     span draws from the forked engine's stream;
 //   - ledger entries do not carry their owners over: each forked
 //     instance claims its ranks' entries again, and points its nodes'
 //     forked DROM systems at the forked ledgers;
-//   - Jitter, tracer and OnComplete do not carry over — the controller
-//     that forks the instance points it at the forked cluster's jitter
-//     stream and installs its own completion hook before RebindPending,
-//     which re-points an armed jittered span at that stream.
+//   - the tracer and OnComplete do not carry over — the controller
+//     that forks the instance installs its own completion hook.
 
 import (
 	"repro/internal/core"
@@ -56,8 +55,7 @@ func (d *DemandTable) Fork() *DemandTable {
 
 // Fork returns a copy of the instance bound to the forked engine,
 // demand table and DROM systems (sysOf resolves a node name to the
-// fork's system). The pending event, if any, is carried as an unbound
-// ID — call RebindPending once the engine fork is open for rebinding.
+// fork's system). The copy takes over the instance's chain on eng.
 func (inst *Instance) Fork(eng *sim.Engine, demand *DemandTable, sysOf func(node string) *core.System) *Instance {
 	cp := &Instance{
 		Spec: inst.Spec, Cfg: inst.Cfg, Iters: inst.Iters, JobName: inst.JobName,
@@ -69,10 +67,10 @@ func (inst *Instance) Fork(eng *sim.Engine, demand *DemandTable, sysOf func(node
 		stopped:            inst.stopped,
 		tick:               inst.tick,
 		armed:              inst.armed,
-		pendFinish:         inst.pendFinish,
 	}
-	cp.iterateFn = cp.iterate
-	cp.finishFn = cp.finish
+	if cp.tick != 0 {
+		eng.TakeTick(cp.tick, cp)
+	}
 	live := inst.started && !inst.stopped && !inst.completed
 	cp.ranks = make([]rankRun, len(inst.ranks))
 	for i := range inst.ranks {
@@ -86,21 +84,4 @@ func (inst *Instance) Fork(eng *sim.Engine, demand *DemandTable, sysOf func(node
 		}
 	}
 	return cp
-}
-
-// RebindPending installs the forked instance's pending event closure
-// (iterate or finish, per the recorded kind), and points an armed
-// jittered span at the instance's Jitter — which the caller has set to
-// the fork's stream by then. A no-op when no event is pending
-// (checkpoint-stopped or completed instances).
-func (inst *Instance) RebindPending() error {
-	if !inst.tick.Pending() {
-		return nil
-	}
-	fn := inst.iterateFn
-	if inst.pendFinish {
-		fn = inst.finishFn
-	}
-	inst.tick.RebindJitter(inst.Jitter)
-	return inst.eng.RebindPeriodic(&inst.tick, fn)
 }

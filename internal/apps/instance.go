@@ -39,23 +39,17 @@ type Instance struct {
 
 	// OnComplete fires at job end with the completion time.
 	OnComplete func(end float64)
-	// Jitter, when non-nil, perturbs iteration durations by up to
-	// ±JitterFrac, modeling real-machine variability.
-	Jitter     *sim.Rand
-	JitterFrac float64
 	// FinalizeExternally leaves the DROM registrations in place at job
 	// end so the resource manager's post_term / DROM_PostFinalize can
 	// clean them up (and return stolen CPUs). When false, the instance
 	// unregisters its ranks itself (plain DLB_Finalize).
 	FinalizeExternally bool
 
-	// ranks, envs, rows and the bound method values outlive a Reset: a
-	// recycled instance rebuilds its rank state in the arrays the last
-	// job left behind.
-	ranks     []rankRun
-	envs      []RankEnv // per-iteration scratch, reused across events
-	iterateFn func()    // pre-bound method values: one closure per
-	finishFn  func()    // instance, not one per scheduled event
+	// ranks, envs, rows and settleFn outlive a Reset: a recycled
+	// instance rebuilds its rank state in the arrays the last job left
+	// behind.
+	ranks []rankRun
+	envs  []RankEnv // per-iteration scratch, reused across events
 	// Traced instances only: rows is the pattern of the last executed
 	// iteration (see recordTrace), which an armed span repeats from
 	// spanT0 on every spanIter seconds, and settleFn what the tracer
@@ -70,15 +64,12 @@ type Instance struct {
 	started   bool
 	completed bool
 	stopped   bool
-	// tick tracks the instance's one pending event, and is the handle
-	// through which the engine advances steady iterations by itself.
-	tick  sim.Periodic
+	// tick is the slot of the instance's chain in the engine's table (0
+	// for none): it carries the instance's one pending event, and the
+	// engine advances steady iterations through it by itself. It is
+	// held from the first booking until the job finishes or stops.
+	tick  int32
 	armed int64
-	// pendFinish records which closure the pending event carries
-	// (finishFn vs iterateFn) — the one piece of schedule state a fork
-	// cannot derive: Resume schedules iterateFn even when itersDone is
-	// already at Iters, so the iteration count alone is ambiguous.
-	pendFinish bool
 }
 
 // rankRun is the live state of one rank.
@@ -126,7 +117,7 @@ func NewInstance(spec Spec, cfg Config, iters int, jobName string,
 
 // Reset makes inst the execution NewInstance would build from the same
 // arguments, in place: every field is set as on a fresh instance, and
-// the rank array, the iteration scratch and the bound method values of
+// the rank array, the iteration scratch and the bound settle method of
 // the previous use are kept. The caller owns the instance's lifetime —
 // it must be idle (never started, completed or stopped, with no event
 // pending) and referenced by nothing but the caller.
@@ -142,10 +133,6 @@ func (inst *Instance) Reset(spec Spec, cfg Config, iters int, jobName string,
 	inst.Scrub()
 	inst.Spec, inst.Cfg, inst.Iters, inst.JobName = spec, cfg, iters, jobName
 	inst.eng, inst.demand, inst.tracer = eng, demand, tracer
-	if inst.iterateFn == nil {
-		inst.iterateFn = inst.iterate
-		inst.finishFn = inst.finish
-	}
 	if tracer != nil {
 		if inst.settleFn == nil {
 			inst.settleFn = inst.settle
@@ -159,14 +146,14 @@ func (inst *Instance) Reset(spec Spec, cfg Config, iters int, jobName string,
 }
 
 // Scrub zeroes the instance down to what Reset keeps — the (emptied)
-// rank and scratch arrays and the bound method values — so an idle
+// rank and scratch arrays and the bound settle method — so an idle
 // instance parked for reuse pins no job, engine, ledger or tracer.
 func (inst *Instance) Scrub() {
 	clear(inst.ranks) // the placements point at DROM systems
 	clear(inst.rows)  // the rows name the job
 	*inst = Instance{
 		ranks: inst.ranks[:0], envs: inst.envs[:0], rows: inst.rows[:0],
-		iterateFn: inst.iterateFn, finishFn: inst.finishFn, settleFn: inst.settleFn,
+		settleFn: inst.settleFn,
 	}
 }
 
@@ -200,7 +187,7 @@ func (inst *Instance) Start() error {
 			initDur = d
 		}
 	}
-	inst.schedule(initDur, inst.iterateFn, false)
+	inst.eng.AfterTick(&inst.tick, inst, initDur)
 	return nil
 }
 
@@ -222,12 +209,15 @@ func (inst *Instance) applyMask(r *rankRun, m cpuset.CPUSet) {
 	r.dem.n.setUsage(r.p.PID, n, inst.Spec.BWDemand(n), inst)
 }
 
-// schedule books the instance's next event through the handle,
-// remembering which of the two pre-bound closures it carries so Fork
-// can re-bind it.
-func (inst *Instance) schedule(delay float64, fn func(), finish bool) {
-	inst.eng.AfterPeriodic(&inst.tick, delay, fn)
-	inst.pendFinish = finish
+// Tick is the engine's callback for the instance's event
+// (sim.Ticker): the next iteration while any is left, else the job's
+// end (Resume keeps the count saying which).
+func (inst *Instance) Tick() {
+	if inst.itersDone < inst.Iters {
+		inst.iterate()
+	} else {
+		inst.finish()
+	}
 }
 
 // settle ends the armed span, if any: the iterations the engine took
@@ -245,7 +235,7 @@ func (inst *Instance) settle() {
 	if inst.armed == 0 {
 		return
 	}
-	n := inst.armed - inst.tick.Disarm()
+	n := inst.armed - inst.eng.Periodic(inst.tick).Disarm()
 	inst.armed = 0
 	if inst.tracer != nil {
 		inst.tracer.AddSpan(inst.spanT0, inst.spanIter, n, true, inst.rows, nil)
@@ -277,7 +267,7 @@ func (inst *Instance) Stop() {
 	}
 	inst.stopped = true
 	inst.settle()
-	inst.eng.CancelPeriodic(&inst.tick)
+	inst.eng.FreeTick(&inst.tick)
 	for _, r := range inst.ranks {
 		inst.demand.Remove(r.p.Node, r.p.PID)
 		r.p.Sys.Unregister(r.p.PID)
@@ -286,7 +276,8 @@ func (inst *Instance) Stop() {
 
 // Resume restarts a stopped instance with fresh placements (possibly
 // on different CPUs), paying restartCost seconds before iterations
-// continue from the checkpointed progress.
+// continue from the checkpointed progress. A checkpoint taken during
+// the last iteration loses that iteration: it runs again.
 func (inst *Instance) Resume(placements []Placement, restartCost float64) error {
 	if !inst.stopped {
 		return fmt.Errorf("apps: Resume on a non-stopped instance %s", inst.JobName)
@@ -310,13 +301,14 @@ func (inst *Instance) Resume(placements []Placement, restartCost float64) error 
 	if restartCost < 0 {
 		restartCost = 0
 	}
-	inst.schedule(restartCost, inst.iterateFn, false)
+	inst.itersDone = min(inst.itersDone, inst.Iters-1)
+	inst.eng.AfterTick(&inst.tick, inst, restartCost)
 	return nil
 }
 
 // ItersDone returns the completed iteration count.
 func (inst *Instance) ItersDone() int {
-	return inst.itersDone + int(inst.armed-inst.tick.Credit())
+	return inst.itersDone + int(inst.armed-inst.eng.Periodic(inst.tick).Credit())
 }
 
 // Credit returns how many iterations the engine may still take by
@@ -324,7 +316,7 @@ func (inst *Instance) ItersDone() int {
 // tests).
 //
 //simvet:testonly tests check a fork carries an armed span
-func (inst *Instance) Credit() int64 { return inst.tick.Credit() }
+func (inst *Instance) Credit() int64 { return inst.eng.Periodic(inst.tick).Credit() }
 
 // Completed reports whether the job finished.
 func (inst *Instance) Completed() bool { return inst.completed }
@@ -364,14 +356,13 @@ func (inst *Instance) iterate() {
 	}
 	iterDur += inst.Spec.CommSeconds
 	steady := iterDur
-	if inst.jittered() {
-		iterDur = inst.Jitter.Jitter(iterDur, inst.JitterFrac)
+	if inst.eng.Jittered() {
+		// Real-machine variability (sim.Engine.SetJitter).
+		iterDur = inst.eng.Jitter(iterDur)
 	}
 	inst.itersDone++
-	if inst.itersDone >= inst.Iters {
-		inst.schedule(iterDur, inst.finishFn, true)
-	} else {
-		inst.schedule(iterDur, inst.iterateFn, false)
+	inst.eng.AfterTick(&inst.tick, inst, iterDur) // Tick finishes once itersDone reaches Iters
+	if inst.itersDone < inst.Iters {
 		inst.arm(steady)
 	}
 	if inst.tracer != nil {
@@ -379,21 +370,17 @@ func (inst *Instance) iterate() {
 	}
 }
 
-// jittered reports whether iterate draws a factor from the jitter
-// stream.
-func (inst *Instance) jittered() bool { return inst.Jitter != nil && inst.JitterFrac > 0 }
-
 // arm hands the iterations between the one just booked and the last
 // one to the engine, when they are steady by construction: an
 // iteration's duration before jitter, steady, is a function of the
 // ranks' masks and their nodes' ledgers alone, so until settle hears
 // that one of those moved, each would poll, find nothing, compute
 // steady again, jitter it and book the next — which is all the engine
-// does in its place. A jittered instance arms with its stream
-// (sim.Periodic.ArmJitter): the engine takes occurrences in the order
-// the executing engine pops them, and iterate is the only drawer from
-// Cluster.Jitter, so each taken occurrence draws the value its iterate
-// would have drawn. The last iteration books finish instead and always
+// does in its place. On a jittered engine it arms with the engine's
+// stream (sim.Periodic.ArmJitter): the engine takes occurrences in the
+// order the executing engine pops them, and iterate is the only drawer
+// from that stream, so each taken occurrence draws the value its
+// iterate would have drawn. The last iteration books finish instead and always
 // runs. A traced instance arms solo: the tracer puts the iterations the
 // engine took back among the executed ones by their times, which is
 // only exact for iterations taken alone at their instant
@@ -401,19 +388,19 @@ func (inst *Instance) jittered() bool { return inst.Jitter != nil && inst.Jitter
 // and jittered instance never arms.
 func (inst *Instance) arm(steady float64) {
 	left := inst.Iters - inst.itersDone - 1
-	jittered := inst.jittered()
+	jittered := inst.eng.Jittered()
 	if left < 1 || inst.demand.neverArm || jittered && inst.tracer != nil ||
 		!(steady > 0) || math.IsInf(steady, 1) {
 		return
 	}
 	inst.armed = int64(left)
-	switch {
+	switch p := inst.eng.Periodic(inst.tick); {
 	case jittered:
-		inst.tick.ArmJitter(steady, inst.JitterFrac, inst.Jitter, inst.armed)
+		p.ArmJitter(steady, inst.armed)
 	case inst.tracer == nil:
-		inst.tick.Arm(steady, inst.armed)
+		p.Arm(steady, inst.armed)
 	default:
-		inst.tick.ArmSolo(steady, inst.armed)
+		p.ArmSolo(steady, inst.armed)
 		inst.spanT0, inst.spanIter = inst.eng.Now()+steady, steady
 	}
 }
@@ -462,6 +449,7 @@ func (inst *Instance) finish() {
 		return
 	}
 	inst.completed = true
+	inst.eng.FreeTick(&inst.tick)
 	for _, r := range inst.ranks {
 		inst.demand.Remove(r.p.Node, r.p.PID)
 		if !inst.FinalizeExternally {

@@ -330,7 +330,7 @@ func TestResetRunsLikeNewInstance(t *testing.T) {
 		ranks := &inst.ranks[0]
 		inst.Scrub()
 		if inst.JobName != "" || inst.eng != nil || inst.demand != nil || inst.OnComplete != nil ||
-			len(inst.ranks) != 0 || inst.Completed() || inst.stopped || inst.tick.Pending() {
+			len(inst.ranks) != 0 || inst.Completed() || inst.stopped || inst.tick != 0 {
 			t.Fatalf("scrubbed instance still holds state: %+v", inst)
 		}
 		// A fresh bed's clock starts at 0; this one is at the first job's

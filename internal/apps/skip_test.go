@@ -176,8 +176,8 @@ func TestStopMidSpanReportsSteppedProgress(t *testing.T) {
 	})
 }
 
-// forkBed clones the bed and inst onto a forked engine, re-binding the
-// instance's pending occurrence.
+// forkBed clones the bed and inst onto a forked engine, the forked
+// instance taking its chain over.
 func (b *testBed) forkBed(t *testing.T, o *skipObs, inst *Instance, name string) (*testBed, *Instance) {
 	t.Helper()
 	f := &testBed{eng: b.eng.Fork(), reg: b.reg.Fork(), demand: b.demand.Fork(), sys: map[string]*core.System{}}
@@ -186,10 +186,7 @@ func (b *testBed) forkBed(t *testing.T, o *skipObs, inst *Instance, name string)
 	}
 	fi := inst.Fork(f.eng, f.demand, func(node string) *core.System { return f.sys[node] })
 	fi.OnComplete = func(end float64) { o.Ends[name] = end }
-	if err := fi.RebindPending(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.eng.FinishFork(); err != nil {
+	if err := f.eng.CheckFork(); err != nil {
 		t.Fatal(err)
 	}
 	return f, fi
@@ -205,7 +202,7 @@ func TestForkMidSpanCarriesTheSpan(t *testing.T) {
 	differential(t, func(t *testing.T, b *testBed, o *skipObs, ref bool) {
 		inst := b.launch(t, o, ref, "parent", spec, 14, 0, 300)
 		b.eng.RunUntil(77.7)
-		if !ref && inst.tick.Credit() == 0 {
+		if !ref && inst.Credit() == 0 {
 			t.Fatal("scenario broken: the fork is not mid-span")
 		}
 		f1, twin := b.forkBed(t, o, inst, "twin")
@@ -276,7 +273,7 @@ func TestJitteredInstanceArms(t *testing.T) {
 			}
 			rnd := sim.NewRand(1)
 			if c.jitter {
-				inst.Jitter, inst.JitterFrac = rnd, 0.02
+				b.eng.SetJitter(rnd, 0.02)
 			}
 			var o outcome
 			inst.FinalizeExternally = true // keep the poll counts past the end
@@ -308,18 +305,18 @@ func TestForkedLedgerForgetsParentOwners(t *testing.T) {
 	spec.InitSeconds = 0
 	inst := b.launch(t, o, false, "p", spec, 16, 0, 100)
 	b.eng.RunUntil(10.5)
-	credit := inst.tick.Credit()
+	credit := inst.Credit()
 	if credit == 0 {
 		t.Fatal("scenario broken: not mid-span")
 	}
 	f := b.demand.Fork()
 	f.SetUsage("node0", shmem.PID(424242), 4, 10)
 	f.Remove("node0", inst.ranks[0].p.PID)
-	if inst.tick.Credit() != credit {
-		t.Fatalf("editing the forked table woke the parent's instance (credit %d -> %d)", credit, inst.tick.Credit())
+	if inst.Credit() != credit {
+		t.Fatalf("editing the forked table woke the parent's instance (credit %d -> %d)", credit, inst.Credit())
 	}
 	b.demand.SetUsage("node0", shmem.PID(424242), 4, 10)
-	if inst.tick.Credit() != 0 {
+	if inst.Credit() != 0 {
 		t.Fatal("editing the live table did not wake the instance")
 	}
 }

@@ -284,24 +284,6 @@ type Op func(a, b float64) float64
 // OpSum is the sum reduction.
 var OpSum Op = func(a, b float64) float64 { return a + b }
 
-// Further predefined reduction operators.
-//
-//simvet:testonly reference MPI call no example makes; its tests pin it
-var (
-	OpMax Op = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin Op = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-)
-
 // Allreduce combines v across all ranks with op and returns the result
 // on every rank (MPI_Allreduce). Implemented as reduce-to-0 + bcast.
 func (r *Rank) Allreduce(op Op, v float64) float64 {

@@ -130,13 +130,10 @@ func TestAllreduce(t *testing.T) {
 		if sum != 10 { // 0+1+2+3+4
 			t.Errorf("rank %d sum = %v", r.RankID(), sum)
 		}
-		max := r.Allreduce(OpMax, float64(r.RankID()))
-		if max != 4 {
-			t.Errorf("rank %d max = %v", r.RankID(), max)
-		}
-		min := r.Allreduce(OpMin, float64(r.RankID()+1))
-		if min != 1 {
-			t.Errorf("rank %d min = %v", r.RankID(), min)
+		// Reusable: a second reduction sees only its own contributions.
+		sum = r.Allreduce(OpSum, float64(r.RankID()*r.RankID()))
+		if sum != 30 { // 0+1+4+9+16
+			t.Errorf("rank %d sum of squares = %v", r.RankID(), sum)
 		}
 	})
 }
@@ -194,7 +191,7 @@ func TestHooksFire(t *testing.T) {
 			Pre:  func(c Call) { pre.Add(1) },
 			Post: func(c Call) { post.Add(1) },
 		})
-		r.Barrier()
+		r.Allreduce(OpSum, 1)
 	})
 	if pre.Load() != 2 || post.Load() != 2 {
 		t.Errorf("hooks fired pre=%d post=%d", pre.Load(), post.Load())
@@ -228,7 +225,7 @@ func TestDLBInterceptionPollsDROM(t *testing.T) {
 	}
 
 	w.Run(func(r *Rank) {
-		r.Barrier() // interception point: rank 0 applies the new mask here
+		r.Allreduce(OpSum, 0) // interception point: rank 0 applies the new mask here
 	})
 	if !ctxs[0].Mask().Equal(cpuset.Range(0, 3)) {
 		t.Errorf("rank 0 mask = %v, want 0-3", ctxs[0].Mask())
@@ -238,8 +235,9 @@ func TestDLBInterceptionPollsDROM(t *testing.T) {
 	}
 }
 
-// TestDLBLewiLendDuringBlocking: while a rank waits in Recv, its CPUs
-// are lent; the peer can borrow them, and they come back afterwards.
+// TestDLBLewiLendDuringBlocking: while a rank waits in Allreduce for
+// its peer's contribution, its CPUs are lent; the peer can borrow them
+// before it contributes, and they come back afterwards.
 func TestDLBLewiLendDuringBlocking(t *testing.T) {
 	reg := shmem.NewRegistry()
 	sys := core.NewSystem(reg.MustOpen("node0", cpuset.Range(0, 7), 0))
@@ -255,8 +253,9 @@ func TestDLBLewiLendDuringBlocking(t *testing.T) {
 	borrowed := make(chan cpuset.CPUSet, 1)
 	w.Run(func(r *Rank) {
 		if r.RankID() == 0 {
-			// Blocks in Recv: LeWI lends 3 of its 4 CPUs.
-			r.Recv(1, 1)
+			// Blocks in Allreduce until rank 1 contributes: LeWI lends 3
+			// of its 4 CPUs.
+			r.Allreduce(OpSum, 0)
 		} else {
 			// Give rank 0 time to block, then borrow.
 			deadline := time.After(2 * time.Second)
@@ -275,7 +274,7 @@ func TestDLBLewiLendDuringBlocking(t *testing.T) {
 				}
 				break
 			}
-			r.Send(0, 1, "wake")
+			r.Allreduce(OpSum, 1)
 		}
 	})
 	got := <-borrowed
@@ -285,7 +284,7 @@ func TestDLBLewiLendDuringBlocking(t *testing.T) {
 	if !got.IsSubsetOf(cpuset.Range(1, 3)) {
 		t.Errorf("borrowed = %v, want subset of rank 0's lendable CPUs", got)
 	}
-	// After Recv returned, rank 0 reclaimed its own CPUs.
+	// After Allreduce returned, rank 0 reclaimed its own CPUs.
 	if !ctx0.Mask().IsSubsetOf(cpuset.Range(0, 3)) || ctx0.Mask().IsEmpty() {
 		t.Errorf("rank 0 mask after unblock = %v", ctx0.Mask())
 	}

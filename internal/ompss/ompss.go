@@ -261,30 +261,6 @@ func (rt *Runtime) worker(id int) {
 	}
 }
 
-// TaskLoop partitions the iteration space [0, n) into tasks of at most
-// grainsize iterations and submits them (#pragma omp taskloop
-// grainsize(...)). grainsize <= 0 picks one task per worker. All tasks
-// share the given dependencies.
-//
-//simvet:testonly reference construct no example uses; its tests pin it
-func (rt *Runtime) TaskLoop(n, grainsize int, body func(lo, hi int), deps ...Dep) {
-	if n <= 0 {
-		return
-	}
-	if grainsize <= 0 {
-		workers := rt.NumWorkers()
-		grainsize = (n + workers - 1) / workers
-	}
-	for lo := 0; lo < n; lo += grainsize {
-		hi := lo + grainsize
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
-		rt.Submit(func() { body(lo, hi) }, deps...)
-	}
-}
-
 // TaskWait blocks until every submitted task has completed
 // (#pragma omp taskwait).
 func (rt *Runtime) TaskWait() {

@@ -204,58 +204,6 @@ func TestPriorityNeverOverridesDependencies(t *testing.T) {
 	}
 }
 
-func TestTaskLoopCoversRange(t *testing.T) {
-	rt := New(4)
-	defer rt.Shutdown()
-	const n = 103
-	hits := make([]atomic.Int32, n)
-	rt.TaskLoop(n, 10, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hits[i].Add(1)
-		}
-	})
-	rt.TaskWait()
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("iteration %d ran %d times", i, hits[i].Load())
-		}
-	}
-}
-
-func TestTaskLoopDefaults(t *testing.T) {
-	rt := New(4)
-	defer rt.Shutdown()
-	var tasks atomic.Int32
-	rt.TaskLoop(100, 0, func(lo, hi int) { tasks.Add(1) })
-	rt.TaskWait()
-	if tasks.Load() != 4 { // one task per worker
-		t.Errorf("tasks = %d, want 4", tasks.Load())
-	}
-	// Empty range is a no-op.
-	rt.TaskLoop(0, 10, func(lo, hi int) { t.Error("body ran for n=0") })
-	rt.TaskWait()
-}
-
-func TestTaskLoopWithDependencies(t *testing.T) {
-	rt := New(4)
-	defer rt.Shutdown()
-	var produced atomic.Bool
-	rt.Submit(func() {
-		time.Sleep(5 * time.Millisecond)
-		produced.Store(true)
-	}, Dep{"data", Out})
-	var violations atomic.Int32
-	rt.TaskLoop(40, 5, func(lo, hi int) {
-		if !produced.Load() {
-			violations.Add(1)
-		}
-	}, Dep{"data", In})
-	rt.TaskWait()
-	if violations.Load() != 0 {
-		t.Errorf("%d taskloop chunks ran before the producer", violations.Load())
-	}
-}
-
 func TestPoolResize(t *testing.T) {
 	rt := New(8)
 	defer rt.Shutdown()

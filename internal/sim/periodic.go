@@ -3,11 +3,13 @@ package sim
 // Self-rescheduling events. A model whose callback does nothing but
 // book itself again one period later — an application iterating at a
 // steady pace — costs a pop, a closure call and a push per occurrence
-// although nothing is decided. A Periodic handle lets the owner say so:
-// after booking the next occurrence it arms the handle with the period
-// and the number of occurrences the engine may take by itself, and
-// Step, finding such an occurrence at the head of the queue, does to
-// the heap exactly what the callback would have done and nothing else.
+// although nothing is decided. A chain — an engine-owned Periodic
+// entry whose occurrences run the owner's Tick — lets the owner say
+// so: after booking the next occurrence (AfterTick) it arms the chain
+// with the period and the number of occurrences the engine may take by
+// itself, and Step, finding such an occurrence at the head of the
+// queue, does to the heap exactly what the callback would have done
+// and nothing else.
 //
 // The contract that makes this exact rather than approximate:
 //
@@ -22,8 +24,8 @@ package sim
 //     occurrence: it already sits at the next boundary under the ID the
 //     executing engine would have given it, and now runs its callback.
 //   - The ID changes with every occurrence taken, so it lives in the
-//     handle and nowhere else: cancelling and fork re-binding go
-//     through the handle.
+//     chain's table entry and nowhere else: cancelling goes through the
+//     slot (FreeTick), and the heap entry names the slot, not the ID.
 //   - Armed chains of one period move as a group. Take k armed, plain
 //     (neither solo nor jittered) chains with a bit-equal period P
 //     whose pending times, sorted by (t, id), are t_0 ≤ … ≤ t_{k-1} ≤
@@ -61,8 +63,9 @@ package sim
 //     time; only a caller driving the engine with Step, which has no
 //     bound, could — see trace.Tracer for what that case does).
 //   - A jittered chain (ArmJitter) is one whose callback would book the
-//     next occurrence rnd.Jitter(period, frac) on, drawing one value
-//     from a stream rnd that only such callbacks draw from. The engine
+//     next occurrence Jitter(period) on, drawing one value from the
+//     engine's stream (SetJitter), which only such callbacks draw from
+//     and which a fork continues. The engine
 //     takes its occurrences in the executing engine's pop order — that
 //     is the contract above — and draws each one's factor at the moment
 //     it takes it, so the same values are drawn in the same order and
@@ -76,10 +79,14 @@ import (
 	"math"
 )
 
-// Periodic is the owner-held handle of one event chain: at most one
-// occurrence is pending at a time. The zero value is ready to use. A
-// handle must not be copied while its occurrence is pending, except
-// into a fork (Engine.RebindPeriodic).
+// Ticker is the owner of a chain: Tick runs when one of the chain's
+// occurrences executes.
+type Ticker interface{ Tick() }
+
+// Periodic is the state of one event chain, held in the engine's table
+// (AfterTick): at most one occurrence is pending at a time, and the
+// event carries only the chain's slot, so a fork copies the chain with
+// the table and each forked owner takes it over (TakeTick).
 type Periodic struct {
 	period float64
 	// credit is how many occurrences the engine may still take by
@@ -88,27 +95,65 @@ type Periodic struct {
 	// id is the pending occurrence's event ID, 0 while none is pending
 	// (the engine never issues ID 0).
 	id int64
-	// solo: the credit was granted by ArmSolo.
-	solo bool
-	// rnd, frac: the credit was granted by ArmJitter (rnd nil
-	// otherwise).
-	rnd  *Rand
-	frac float64
+	// solo, jitter: the credit was granted by ArmSolo, ArmJitter.
+	solo, jitter bool
+	owner        Ticker
 }
 
-// AfterPeriodic books the chain's next occurrence: fn runs delay
-// seconds from now, exactly as After would schedule it, and the
-// handle tracks it. The occurrence starts disarmed.
-func (e *Engine) AfterPeriodic(p *Periodic, delay float64, fn func()) {
-	if p.id != 0 {
-		panic("sim: AfterPeriodic on a handle whose occurrence is still pending")
+// AfterTick books the next occurrence of the chain in *slot delay
+// seconds from now, exactly as After would schedule it; the occurrence
+// starts disarmed. A *slot of 0 names no chain — slot 0 holds an inert
+// one no owner gets — so AfterTick first takes a new chain for owner
+// and stores its slot in *slot.
+func (e *Engine) AfterTick(slot *int32, owner Ticker, delay float64) {
+	if *slot == 0 {
+		*slot = e.ticks.Put(Periodic{owner: owner})
 	}
-	t := e.now + delay
-	e.checkTime(t)
-	e.nextID++
-	*p = Periodic{id: e.nextID}
-	e.push(event{t: t, id: p.id, fn: fn, p: p})
+	p := e.ticks.At(*slot)
+	if p.id != 0 {
+		panic("sim: AfterTick on a chain whose occurrence is still pending")
+	}
+	*p = Periodic{id: e.book(e.now+delay, tick, *slot, &e.nextID), owner: p.owner}
 }
+
+// FreeTick cancels the pending occurrence of the chain in *slot, if
+// any, releases the chain and sets *slot to 0; a no-op on 0.
+func (e *Engine) FreeTick(slot *int32) {
+	if *slot == 0 {
+		return
+	}
+	if id := e.ticks.Take(*slot).id; id != 0 {
+		e.Cancel(EventID(id))
+	}
+	*slot = 0
+}
+
+// TakeTick makes owner the owner of the chain in slot on this engine:
+// a forked owner takes over each chain its parent owned.
+func (e *Engine) TakeTick(slot int32, owner Ticker) { e.ticks.At(slot).owner = owner }
+
+// Periodic returns the chain in slot, for arming and reading its
+// credit. The pointer is valid until the next AfterTick.
+func (e *Engine) Periodic(slot int32) *Periodic { return e.ticks.At(slot) }
+
+// SetJitter makes the engine jitter durations: Jitter scales each by a
+// factor r.Jitter draws from [1-frac, 1+frac), for an owner's executed
+// step and for each occurrence of a chain armed with ArmJitter alike.
+// frac must lie in (0, 1), so that every factor is positive. A fork
+// continues the stream (Rand.Fork).
+func (e *Engine) SetJitter(r *Rand, frac float64) {
+	if !(frac > 0 && frac < 1) || r == nil {
+		panic(fmt.Sprintf("sim: SetJitter with fraction %v, stream %p", frac, r))
+	}
+	e.jitter, e.jitterFrac = r, frac
+}
+
+// Jittered reports whether the engine jitters durations (SetJitter).
+func (e *Engine) Jittered() bool { return e.jitter != nil }
+
+// Jitter draws the next factor from the engine's stream and returns d
+// scaled by it.
+func (e *Engine) Jitter(d float64) float64 { return e.jitter.Jitter(d, e.jitterFrac) }
 
 // Arm lets the engine take the pending occurrence and up to credit-1
 // following ones by itself, period seconds apart, before the callback
@@ -132,31 +177,15 @@ func (p *Periodic) ArmSolo(period float64, credit int64) {
 	p.solo = true
 }
 
-// ArmJitter is Arm for a jittered chain: each occurrence the engine
-// takes books the next rnd.Jitter(period, frac) seconds on, drawing
-// from rnd as it takes it. The owner calls it only while each of those
-// callbacks would do nothing but book the next occurrence that way, and
-// while nothing but such callbacks draws from rnd. frac must lie in
-// (0, 1), so that every factor is positive.
-func (p *Periodic) ArmJitter(period, frac float64, rnd *Rand, credit int64) {
-	if !(frac > 0 && frac < 1) || rnd == nil {
-		panic(fmt.Sprintf("sim: ArmJitter with fraction %v, stream %p", frac, rnd))
-	}
+// ArmJitter is Arm for a jittered chain on a jittered engine: each
+// occurrence the engine takes books the next Jitter(period) seconds on,
+// drawing from the engine's stream as it takes it. The owner calls it
+// only while each of those callbacks would do nothing but book the
+// next occurrence that way, and while nothing but such callbacks draws
+// from the stream.
+func (p *Periodic) ArmJitter(period float64, credit int64) {
 	p.Arm(period, credit)
-	p.rnd, p.frac = rnd, frac
-}
-
-// RebindJitter points a jittered chain's handle — a fork's copy — at
-// rnd, the fork's continuation of the stream (Rand.Fork), so that each
-// lineage draws from its own. A no-op on any other chain.
-func (p *Periodic) RebindJitter(rnd *Rand) {
-	if p.rnd == nil {
-		return
-	}
-	if rnd == nil {
-		panic("sim: RebindJitter of a jittered chain to no stream")
-	}
-	p.rnd = rnd
+	p.jitter = true
 }
 
 // Credit returns how many occurrences the engine may still take by
@@ -169,17 +198,6 @@ func (p *Periodic) Disarm() int64 {
 	left := p.credit
 	p.credit = 0
 	return left
-}
-
-// Pending reports whether an occurrence is scheduled.
-func (p *Periodic) Pending() bool { return p.id != 0 }
-
-// CancelPeriodic cancels the chain's pending occurrence, if any.
-func (e *Engine) CancelPeriodic(p *Periodic) {
-	if p.id != 0 {
-		e.Cancel(EventID(p.id))
-		*p = Periodic{}
-	}
 }
 
 // groupCap bounds the members of one group move. An entry that would
@@ -217,7 +235,7 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 	head := &e.queue[0]
 	period := p.period
 	reach := math.Inf(-1) // a solo or jittered chain admits no member
-	if !p.solo && p.rnd == nil {
+	if !p.solo && !p.jitter {
 		reach = head.t + period
 	}
 	// Gather the members breadth-first — in increasing heap index — and
@@ -229,7 +247,7 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 	for g := 0; g < k; g++ {
 		for c := 2*int(e.groupIdx[g]) + 1; c <= 2*int(e.groupIdx[g])+2 && c < len(e.queue); c++ {
 			ev := &e.queue[c]
-			if q := ev.p; ev.t <= reach && ev.t < other && q != nil && k < groupCap && q.credit > 0 && !q.solo && q.rnd == nil && q.period == period {
+			if ev.t <= reach && ev.t < other && k < groupCap && ev.class == tick && e.joins(ev.slot, period) {
 				e.groupIdx[k] = int32(c)
 				k++
 			} else if ev.t < other {
@@ -253,7 +271,7 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 	// Order the members by (t, id): the round-robin order.
 	for g := 0; g < k; g++ {
 		ev := &e.queue[e.groupIdx[g]]
-		m := member{i: e.groupIdx[g], t: ev.t, id: ev.id, left: ev.p.credit}
+		m := member{i: e.groupIdx[g], t: ev.t, id: ev.id, left: e.ticks.At(ev.slot).credit}
 		j := g
 		for ; j > 0 && (m.t < e.group[j-1].t || m.t == e.group[j-1].t && m.id < e.group[j-1].id); j-- {
 			e.group[j] = e.group[j-1]
@@ -280,10 +298,10 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 	// end, members before next took rounds+1 of them, the others rounds.
 	var n, rounds int64
 	next, t, now := 0, e.group[0].t, e.now
-	if rnd := p.rnd; rnd != nil {
+	if p.jitter {
 		// k = 1: draw each occurrence's factor as it is taken.
 		for {
-			now, t = t, t+rnd.Jitter(period, p.frac)
+			now, t = t, t+e.Jitter(period)
 			n++
 			if n == limit || !(t < cut) {
 				break
@@ -318,7 +336,8 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 		m := &e.group[j]
 		ev := &e.queue[m.i]
 		ev.t, ev.id = m.t, e.nextID+(taken-1)*kk+j+1
-		ev.p.id, ev.p.credit = ev.id, m.left-taken
+		q := e.ticks.At(ev.slot)
+		q.id, q.credit = ev.id, m.left-taken
 	}
 	// Keys only grew, and the members form a subtree holding the root:
 	// sifting them bottom-up restores the heap, as heapify would. A member
@@ -337,13 +356,10 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 	return true
 }
 
-// RebindPeriodic is Rebind for a chain's pending occurrence: p is the
-// fork's own handle, holding a copy of the parent handle's state, and
-// the forked occurrence is bound to it and to fn.
-func (e *Engine) RebindPeriodic(p *Periodic, fn func()) error {
-	if err := e.Rebind(EventID(p.id), fn); err != nil {
-		return err
-	}
-	e.queue[e.rebind[p.id]].p = p
-	return nil
+// joins reports whether the chain in slot may join a group move of
+// period: armed, plain (neither solo nor jittered), of a bit-equal
+// period.
+func (e *Engine) joins(slot int32, period float64) bool {
+	q := e.ticks.At(slot)
+	return q.credit > 0 && !q.solo && !q.jitter && q.period == period
 }

@@ -5,17 +5,24 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
+
+// tickFunc adapts a function to a chain's owner.
+type tickFunc func()
+
+func (f tickFunc) Tick() { f() }
 
 // TestStepOnArmedRootRunsNoCallback: a step that finds an armed
 // occurrence at the head takes it without calling back, and the entry
 // is re-keyed exactly as the callback's own After would have keyed it.
 func TestStepOnArmedRootRunsNoCallback(t *testing.T) {
 	e := NewEngine()
-	var p Periodic
 	calls := 0
-	e.AfterPeriodic(&p, 1.5, func() { calls++ })
+	var slot int32
+	e.AfterTick(&slot, tickFunc(func() { calls++ }), 1.5)
+	p := e.Periodic(slot)
 	p.Arm(0.25, 1)
 	e.At(100, func() {}) // so the chain is not alone
 	if !e.Step() {
@@ -24,8 +31,8 @@ func TestStepOnArmedRootRunsNoCallback(t *testing.T) {
 	if calls != 0 || e.Processed() != 0 || e.Skipped() != 1 {
 		t.Fatalf("calls=%d processed=%d skipped=%d, want 0/0/1", calls, e.Processed(), e.Skipped())
 	}
-	if e.Now() != 1.5 || !p.Pending() || p.Credit() != 0 {
-		t.Fatalf("now=%v pending=%v credit=%d", e.Now(), p.Pending(), p.Credit())
+	if e.Now() != 1.5 || p.id == 0 || p.Credit() != 0 {
+		t.Fatalf("now=%v pending=%v credit=%d", e.Now(), p.id != 0, p.Credit())
 	}
 	// IDs 1 and 2 went to the two scheduled events; the occurrence the
 	// engine took drew 3, as the callback's After would have.
@@ -33,8 +40,8 @@ func TestStepOnArmedRootRunsNoCallback(t *testing.T) {
 		t.Fatalf("re-keyed head = (%v, %d), nextID %d; want (1.75, 3), 3", got.t, got.id, e.nextID)
 	}
 	// Credit exhausted: the next step executes the callback.
-	if !e.Step() || calls != 1 || e.Now() != 1.75 || p.Pending() {
-		t.Fatalf("calls=%d now=%v pending=%v after the executed occurrence", calls, e.Now(), p.Pending())
+	if !e.Step() || calls != 1 || e.Now() != 1.75 || p.id != 0 {
+		t.Fatalf("calls=%d now=%v pending=%v after the executed occurrence", calls, e.Now(), p.id != 0)
 	}
 }
 
@@ -44,9 +51,10 @@ func TestStepOnArmedRootRunsNoCallback(t *testing.T) {
 // must find the chain where stepping would have left it.
 func TestLoneArmedChainStopsAtRunUntilBound(t *testing.T) {
 	e := NewEngine()
-	var p Periodic
 	calls := 0
-	e.AfterPeriodic(&p, 1, func() { calls++ })
+	var slot int32
+	e.AfterTick(&slot, tickFunc(func() { calls++ }), 1)
+	p := e.Periodic(slot)
 	p.Arm(1, 1000)
 	e.RunUntil(10.5)
 	if e.Skipped() != 10 || p.Credit() != 990 || e.Now() != 10.5 || calls != 0 {
@@ -73,16 +81,17 @@ func TestLoneArmedChainStopsAtRunUntilBound(t *testing.T) {
 // nothing — the pending occurrence keeps its time and ID and executes.
 func TestDisarmLeavesOccurrenceInPlace(t *testing.T) {
 	e := NewEngine()
-	var p Periodic
 	var at []float64
-	e.AfterPeriodic(&p, 1, func() { at = append(at, e.Now()) })
+	var slot int32
+	e.AfterTick(&slot, tickFunc(func() { at = append(at, e.Now()) }), 1)
+	p := e.Periodic(slot)
 	p.Arm(1, 50)
 	e.RunUntil(7)
 	headT, headID := e.queue[0].t, e.queue[0].id
 	if left := p.Disarm(); left != 43 {
 		t.Fatalf("Disarm returned %d, want 43", left)
 	}
-	if got := e.queue[0]; got.t != headT || got.id != headID || got.p != &p {
+	if got := e.queue[0]; got.t != headT || got.id != headID || got.class != tick || got.slot != slot {
 		t.Fatalf("Disarm moved the occurrence: (%v, %d) -> (%v, %d)", headT, headID, got.t, got.id)
 	}
 	e.Run()
@@ -91,21 +100,30 @@ func TestDisarmLeavesOccurrenceInPlace(t *testing.T) {
 	}
 }
 
-// TestCancelPeriodic: cancelling goes through the handle, whatever ID
-// the occurrence carries by now, and frees the handle for reuse.
+// TestCancelPeriodic: cancelling goes through the slot, whatever ID
+// the occurrence carries by now, and frees the slot for reuse.
 func TestCancelPeriodic(t *testing.T) {
 	e := NewEngine()
-	var p Periodic
-	e.AfterPeriodic(&p, 1, func() { t.Error("cancelled occurrence ran") })
-	p.Arm(1, 10)
-	e.At(3.5, func() { e.CancelPeriodic(&p) })
+	var slot, again int32
+	e.AfterTick(&slot, tickFunc(func() { t.Error("cancelled occurrence ran") }), 1)
+	freed := slot
+	e.Periodic(slot).Arm(1, 10)
+	e.At(3.5, func() { e.FreeTick(&slot) })
 	ran := false
-	e.At(4, func() { e.AfterPeriodic(&p, 1, func() { ran = true }) })
+	e.At(4, func() {
+		if slot != 0 {
+			t.Errorf("FreeTick left the slot at %d", slot)
+		}
+		e.AfterTick(&again, tickFunc(func() { ran = true }), 1)
+		if again != freed {
+			t.Errorf("AfterTick took slot %d, not the freed %d", again, freed)
+		}
+	})
 	e.Run()
 	if e.Skipped() != 3 || !ran || e.Now() != 5 {
 		t.Fatalf("skipped=%d ran=%v now=%v, want 3/true/5", e.Skipped(), ran, e.Now())
 	}
-	e.CancelPeriodic(&p) // nothing pending: a no-op
+	e.FreeTick(&again) // nothing pending: only the chain goes
 }
 
 // --- differential fuzz -------------------------------------------------
@@ -202,15 +220,16 @@ type skipRec struct {
 	N     int64
 }
 
-// skipShot is a pending one-shot event of a world: what it does is
-// fixed when it is created, so a fork re-binds it from the descriptor.
+// skipShot is a one-shot event of a world: what it does is fixed when
+// it is created, and the event's slot indexes the world's table of
+// them, which a fork copies.
 type skipShot struct {
 	label  string
 	kind   int // see fireShot
 	target int
 }
 
-// skipChain is the owner of one Periodic handle. In the armed world it
+// skipChain is the owner of one chain. In the armed world it
 // grants the engine credit; in the reference world the same credit is
 // kept in virt and consumed by executing a callback that does nothing
 // but book the next occurrence — the engine's credit forced to zero.
@@ -224,7 +243,7 @@ type skipShot struct {
 type skipChain struct {
 	w       *skipWorld
 	idx     int
-	p       Periodic
+	slot    int32 // the chain's slot; 0 once cancelled, until restarted
 	solo    bool
 	jitter  bool
 	period  float64
@@ -244,19 +263,24 @@ type skipWorld struct {
 	// the reference needs it to say which solo occurrences are alone.
 	bound  float64
 	chains []*skipChain
-	shots  map[EventID]skipShot
+	shots  []skipShot
 	log    []skipRec
-	nshot  int
-	rnd    *Rand // the jittered chains' stream
 }
+
+// shotClass is the class of a world's one-shots.
+var shotClass = NewClass("sim.shot")
 
 func (w *skipWorld) rec(label string, n int64) {
 	w.log = append(w.log, skipRec{T: w.eng.Now(), Label: label, N: n})
 }
 
+// p is the chain's state; the table's slot 0, which is never armed,
+// stands for a cancelled chain.
+func (c *skipChain) p() *Periodic { return c.w.eng.Periodic(c.slot) }
+
 func (c *skipChain) left() int64 {
 	if c.w.armed {
-		return c.p.Credit()
+		return c.p().Credit()
 	}
 	return c.virt
 }
@@ -266,29 +290,29 @@ func (c *skipChain) left() int64 {
 func (c *skipChain) settle() {
 	c.done += c.granted - c.left()
 	c.granted, c.virt = 0, 0
-	c.p.Disarm()
+	c.p().Disarm()
 }
 
 func (c *skipChain) count() int64 { return c.done + c.granted - c.left() }
 
 // arm grants the engine n occurrences.
 func (c *skipChain) arm(n int64) {
-	switch {
+	switch p := c.p(); {
 	case c.jitter:
-		c.p.ArmJitter(c.period, skipJitterFrac, c.w.rnd, n)
+		p.ArmJitter(c.period, n)
 	case c.solo:
-		c.p.ArmSolo(c.period, n)
+		p.ArmSolo(c.period, n)
 	default:
-		c.p.Arm(c.period, n)
+		p.Arm(c.period, n)
 	}
 }
 
 // book books the chain's next occurrence d seconds on, jittered.
 func (c *skipChain) book(d float64) {
 	if c.jitter {
-		d = c.w.rnd.Jitter(d, skipJitterFrac)
+		d = c.w.eng.Jitter(d)
 	}
-	c.w.eng.AfterPeriodic(&c.p, d, c.fire)
+	c.w.eng.AfterTick(&c.slot, c, d)
 }
 
 // alone reports whether the occurrence being executed was alone at its
@@ -304,7 +328,8 @@ func (w *skipWorld) alone() bool {
 	return w.eng.now < w.bound
 }
 
-func (c *skipChain) fire() {
+// Tick is the chain's callback.
+func (c *skipChain) Tick() {
 	w := c.w
 	if c.virt > 0 {
 		// Reference world, steady occurrence: book the next, nothing else.
@@ -318,7 +343,7 @@ func (c *skipChain) fire() {
 		c.book(c.period)
 		return
 	}
-	if left := c.p.Credit(); left > 0 {
+	if left := c.p().Credit(); left > 0 {
 		// Armed world, credit still standing: a solo occurrence that was
 		// not alone. It is steady all the same — book the next one and
 		// leave the engine the rest of the credit.
@@ -359,76 +384,76 @@ func (c *skipChain) fire() {
 
 // shot schedules a one-shot in either band and keeps its descriptor.
 func (w *skipWorld) shot(at float64, front bool, s skipShot) {
-	w.nshot++
-	s.label = fmt.Sprintf("shot%d", w.nshot)
-	var id EventID
-	fn := func() { w.fireShot(id) }
+	s.label = fmt.Sprintf("shot%d", len(w.shots)+1)
+	w.shots = append(w.shots, s)
+	slot := int32(len(w.shots) - 1)
 	if front {
-		id = w.eng.AtFront(at, fn)
+		w.eng.PostFront(at, shotClass, slot)
 	} else {
-		id = w.eng.At(at, fn)
+		w.eng.Post(at, shotClass, slot)
 	}
-	w.shots[id] = s
 }
 
-func (w *skipWorld) fireShot(id EventID) {
-	s := w.shots[id]
-	delete(w.shots, id)
+func (w *skipWorld) fireShot(slot int32) {
+	s := w.shots[slot]
 	c := w.chains[s.target%len(w.chains)]
 	w.rec(s.label, c.count())
 	switch s.kind {
 	case 1: // wake
 		c.settle()
-	case 2: // cancel through the handle
-		c.settle()
-		w.eng.CancelPeriodic(&c.p)
+	case 2: // cancel through the slot
+		c.cancel()
 	case 3: // zero-delay pushes, one per band
 		w.shot(w.eng.Now(), false, skipShot{})
 		w.shot(w.eng.Now(), true, skipShot{})
 	case 4: // restart a chain that ended or was cancelled
-		if !c.p.Pending() && c.done < c.total {
-			w.eng.AfterPeriodic(&c.p, c.period, c.fire)
+		if c.p().id == 0 && c.done < c.total {
+			w.eng.AfterTick(&c.slot, c, c.period)
 		}
 	}
 }
 
-// fork clones the world mid-run: the engine, the stream (Rand.Fork),
-// each handle's state into the clone's own handle — a jittered one
-// re-pointed at the clone's stream — and every pending descriptor. The
-// parent first records each chain's credit left, equal in both worlds.
-func (w *skipWorld) fork(t *testing.T) *skipWorld {
+// cancel wakes the chain and cancels it, giving up its slot.
+func (c *skipChain) cancel() {
+	c.settle()
+	c.w.eng.FreeTick(&c.slot)
+}
+
+// fork clones the world mid-run: the engine — chains, queue and
+// stream with it — and the world's tables; then each forked owner
+// takes over what it owns. The parent first records each chain's
+// credit left, equal in both worlds. owe, when not nil, is handed the
+// fork before it is checked, to drop one registration.
+func (w *skipWorld) fork(t *testing.T, owe func(f *skipWorld)) (*skipWorld, error) {
 	for _, c := range w.chains {
 		w.rec(fmt.Sprintf("fork/chain%d", c.idx), c.left())
 	}
 	f := &skipWorld{
-		eng: w.eng.Fork(), armed: w.armed, bound: w.bound, nshot: w.nshot,
-		shots: make(map[EventID]skipShot, len(w.shots)),
-		log:   append([]skipRec(nil), w.log...),
-		rnd:   w.rnd.Fork(),
+		eng: w.eng.Fork(), armed: w.armed, bound: w.bound,
+		shots: slices.Clone(w.shots),
+		log:   slices.Clone(w.log),
 	}
 	for _, c := range w.chains {
 		cp := *c
 		cp.w = f
-		cp.p.RebindJitter(f.rnd)
 		f.chains = append(f.chains, &cp)
 	}
-	for _, c := range f.chains {
-		if c.p.Pending() {
-			if err := f.eng.RebindPeriodic(&c.p, c.fire); err != nil {
-				t.Fatal(err)
-			}
+	f.own()
+	if owe != nil {
+		owe(f)
+	}
+	return f, f.eng.CheckFork()
+}
+
+// own registers the world's handler and takes over its chains, on an
+// engine whose tables the world already holds.
+func (w *skipWorld) own() {
+	w.eng.Handle(shotClass, w.fireShot)
+	for _, c := range w.chains {
+		if c.slot != 0 {
+			w.eng.TakeTick(c.slot, c)
 		}
 	}
-	for id, s := range w.shots {
-		f.shots[id] = s
-		if err := f.eng.Rebind(id, func() { f.fireShot(id) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.eng.FinishFork(); err != nil {
-		t.Fatal(err)
-	}
-	return f
 }
 
 // heartbeat records the progress hook's firings: same virtual times
@@ -475,7 +500,9 @@ func skipBuild(data []byte, armed bool) (w *skipWorld, next func() int, every in
 		data = data[1:]
 		return int(b)
 	}
-	w = &skipWorld{eng: NewEngine(), armed: armed, bound: math.Inf(1), shots: map[EventID]skipShot{}, rnd: NewRand(skipJitterSeed)}
+	w = &skipWorld{eng: NewEngine(), armed: armed, bound: math.Inf(1)}
+	w.eng.SetJitter(NewRand(skipJitterSeed), skipJitterFrac)
+	w.eng.Handle(shotClass, w.fireShot)
 	every = int64(1 + next()%16)
 	w.heartbeat(every)
 	for i, n := 0, 1+next()%6; i < n; i++ {
@@ -489,7 +516,7 @@ func skipBuild(data []byte, armed bool) (w *skipWorld, next func() int, every in
 		c.onReal, c.late, c.jitter = flags%3, flags/6%2 == 1, flags/12%2 == 1
 		c.solo = flags/3%2 == 1 && !c.jitter // a traced jittered instance never arms
 		w.chains = append(w.chains, c)
-		w.eng.AfterPeriodic(&c.p, skipOffset(next()), c.fire)
+		w.eng.AfterTick(&c.slot, c, skipOffset(next()))
 	}
 	for i, n := 0, next()%24; i < n; i++ {
 		at, kind := float64(next())/4, next()
@@ -519,11 +546,13 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 		case 1:
 			c.settle()
 		case 2:
-			c.settle()
-			w.eng.CancelPeriodic(&c.p)
+			c.cancel()
 		}
 		if f == nil && i == forkAt%n {
-			f = w.fork(t)
+			var err error
+			if f, err = w.fork(t, nil); err != nil {
+				t.Fatal(err)
+			}
 			f.heartbeat(every)
 		}
 	}
@@ -535,7 +564,7 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 		}
 		w.rec("nextID", w.eng.nextID)
 		w.rec("steps", w.eng.Processed()+w.eng.Skipped())
-		w.rec("draws", w.rnd.draws)
+		w.rec("draws", w.eng.jitter.draws)
 		return w.log
 	}
 	return finish(w), finish(f), w.eng.Skipped()
@@ -657,8 +686,8 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 	w, _, _ := skipBuild(data, true)
 	at := func(c *skipChain) float64 {
 		for i := range w.eng.queue {
-			if w.eng.queue[i].p == &c.p {
-				return w.eng.queue[i].t
+			if ev := &w.eng.queue[i]; ev.class == tick && ev.slot == c.slot {
+				return ev.t
 			}
 		}
 		return math.NaN()
@@ -667,7 +696,7 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 	credit := make([]int64, len(w.chains))
 	for {
 		for i, c := range w.chains {
-			before[i], credit[i] = at(c), c.p.Credit()
+			before[i], credit[i] = at(c), c.p().Credit()
 		}
 		processed := w.eng.Processed()
 		if !w.eng.Step() {
@@ -680,7 +709,7 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 		var from []float64
 		jittered := false
 		for i, c := range w.chains {
-			if c.p.Credit() < credit[i] {
+			if c.p().Credit() < credit[i] {
 				moved, from = append(moved, c), append(from, before[i])
 				jittered = jittered || c.jitter
 			}
@@ -775,16 +804,19 @@ func TestSkipDifferentialJitter(t *testing.T) {
 	}
 }
 
+// nopTick is the owner of chains whose callbacks do nothing.
+var nopTick = tickFunc(func() {})
+
 // staggered returns an engine holding k armed chains of period 1 whose
-// occurrences fall 1/k apart, and their handles.
-func staggered(k int, credit int64) (*Engine, []Periodic) {
+// occurrences fall 1/k apart, and their slots.
+func staggered(k int, credit int64) (*Engine, []int32) {
 	e := NewEngine()
-	ps := make([]Periodic, k)
-	for j := range ps {
-		e.AfterPeriodic(&ps[j], float64(j)/float64(k), func() {})
-		ps[j].Arm(1, credit)
+	slots := make([]int32, k)
+	for j := range slots {
+		e.AfterTick(&slots[j], nopTick, float64(j)/float64(k))
+		e.Periodic(slots[j]).Arm(1, credit)
 	}
-	return e, ps
+	return e, slots
 }
 
 // TestSkipGroupAllocs pins a group move at zero allocations, on a warm
@@ -792,7 +824,7 @@ func staggered(k int, credit int64) (*Engine, []Periodic) {
 // part of the Engine, not grown on demand. A jittered chain's move
 // allocates nothing either.
 func TestSkipGroupAllocs(t *testing.T) {
-	e, ps := staggered(3, 1<<40)
+	e, slots := staggered(3, 1<<40)
 	if a := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); a != 0 {
 		t.Errorf("a group move on a warm engine allocates %v", a)
 	}
@@ -802,13 +834,10 @@ func TestSkipGroupAllocs(t *testing.T) {
 	forks := make([]*Engine, 11) // AllocsPerRun's warm-up run takes the first
 	for i := range forks {
 		f := e.Fork()
-		hs := append([]Periodic(nil), ps...)
-		for j := range hs {
-			if err := f.RebindPeriodic(&hs[j], func() {}); err != nil {
-				t.Fatal(err)
-			}
+		for _, slot := range slots {
+			f.TakeTick(slot, nopTick)
 		}
-		if err := f.FinishFork(); err != nil {
+		if err := f.CheckFork(); err != nil {
 			t.Fatal(err)
 		}
 		forks[i] = f
@@ -822,17 +851,81 @@ func TestSkipGroupAllocs(t *testing.T) {
 			t.Fatalf("fork skipped %d (parent %d): no group move", f.Skipped(), e.Skipped())
 		}
 	}
-	// A jittered chain moves alone, drawing from its stream as it goes.
+	// A jittered chain moves alone, drawing from the stream as it goes.
 	j := NewEngine()
-	var p Periodic
 	rnd := NewRand(1)
-	j.AfterPeriodic(&p, 0, func() {})
-	p.ArmJitter(1, 0.5, rnd, 1<<40)
+	j.SetJitter(rnd, 0.5)
+	var slot int32
+	j.AfterTick(&slot, nopTick, 0)
+	j.Periodic(slot).ArmJitter(1, 1<<40)
 	if a := testing.AllocsPerRun(100, func() { j.RunUntil(j.Now() + 10) }); a != 0 {
 		t.Errorf("a jittered move allocates %v", a)
 	}
 	if j.Processed() != 0 || j.Skipped() < 100*5 || rnd.draws != j.Skipped() {
 		t.Fatalf("processed %d, skipped %d, drew %d: the jittered chain did not move by itself", j.Processed(), j.Skipped(), rnd.draws)
+	}
+}
+
+// TestForkRefusesWhatItOwes is the fork's mutation test: a forked world
+// that drops one class registration, or one chain's takeover, or whose
+// parent holds a pending closure, is refused with an error naming what
+// is owed — by CheckFork, and by the fork's first step, before any
+// event runs. The complete fork runs to the end.
+func TestForkRefusesWhatItOwes(t *testing.T) {
+	seed := skipGroupSeeds[3].seed // cancelled-member: chains, one-shots of both bands
+	for _, c := range []struct {
+		name string
+		owe  func(f *skipWorld)
+		want string // in the error; "" for none
+	}{
+		{"complete", nil, ""},
+		{"class registration dropped", func(f *skipWorld) {
+			f.eng.handlers[shotClass] = nil
+		}, `class "sim.shot"`},
+		{"tick takeover dropped", func(f *skipWorld) {
+			for _, c := range f.chains {
+				if c.slot != 0 && c.p().id != 0 {
+					f.eng.ticks.At(c.slot).owner = nil
+					return
+				}
+			}
+			t.Fatal("scenario broken: no chain pending at the fork")
+		}, "never took over tick"},
+		{"closure pending", func(f *skipWorld) {
+			f.eng.queue = append(f.eng.queue, event{t: math.MaxFloat64, id: math.MaxInt64, class: closure})
+		}, "closure event"},
+	} {
+		w, _, _ := skipBuild(seed, true)
+		w.eng.RunUntil(6)
+		f, err := w.fork(t, c.owe)
+		if c.want == "" {
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			f.eng.Run()
+			if f.eng.Processed() <= w.eng.Processed() {
+				t.Fatalf("%s: the fork ran nothing", c.name)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: CheckFork = %v, want an error naming %s", c.name, err, c.want)
+		}
+		// The fork was refused but stays unchecked: stepping it checks
+		// again, and refuses before its first event.
+		processed, now := f.eng.Processed(), f.eng.Now()
+		func() {
+			defer func() {
+				r := recover()
+				if e, ok := r.(error); !ok || !strings.Contains(e.Error(), c.want) {
+					t.Fatalf("%s: first step panicked with %v, want the error naming %s", c.name, r, c.want)
+				}
+			}()
+			f.eng.Step()
+		}()
+		if f.eng.Processed() != processed || f.eng.Now() != now {
+			t.Fatalf("%s: a refused fork ran an event", c.name)
+		}
 	}
 }
 
@@ -844,9 +937,9 @@ func BenchmarkSkipStaggered(b *testing.B) {
 	for _, k := range []int{1, 3, 8} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			e, _ := staggered(k, 1<<40)
-			var tick func()
-			tick = func() { e.After(8, tick) }
-			e.At(7.9, tick)
+			var plain func()
+			plain = func() { e.After(8, plain) }
+			e.At(7.9, plain)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for e.Processed()+e.Skipped() < int64(b.N) {

@@ -26,12 +26,13 @@ func (r *Rand) Float64() float64 {
 // Jitter draws the next value u and returns d scaled by a factor in
 // [1-frac, 1+frac): d * (1 + frac*(2u-1)). It is the one formula of a
 // jittered duration — an executed iteration and an occurrence the
-// engine takes by itself (Periodic.ArmJitter) both call it, so the two
-// paths produce the same float from the same draw. The conversions keep
-// it so where Go may fuse a multiply and an add (arm64 and others): the
-// engine adds the result to now right after the inlined call, the
-// executed path in another function, so an unrounded product would fuse
-// into one path's add and not the other's. On amd64 they are no-ops.
+// engine takes by itself (Periodic.ArmJitter) both call it through
+// Engine.Jitter, so the two paths produce the same float from the same
+// draw. The conversions keep it so where Go may fuse a multiply and an
+// add (arm64 and others): the engine adds the result to now right
+// after the inlined call, the executed path in another function, so an
+// unrounded product would fuse into one path's add and not the other's.
+// On amd64 they are no-ops.
 func (r *Rand) Jitter(d, frac float64) float64 {
 	return float64(d * (1 + float64(frac*(2*r.Float64()-1))))
 }

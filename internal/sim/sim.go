@@ -19,18 +19,50 @@ type EventID int64
 // FIFO within itself.
 const frontBase = math.MinInt64 / 2
 
-// event is one queue entry. It is deliberately small (32 bytes): the
+// Class names a kind of event. An event is data — a class and a slot —
+// and the engine runs it by calling the handler the class's owner
+// registered on this engine (Handle) with the slot, which indexes a
+// table the owner keeps (Slots). Classes are process-wide (NewClass);
+// handlers are per engine, so a fork's owners register their own.
+type Class uint8
+
+// The engine's own classes: the zero class marks a cancelled entry; a
+// closure event's slot indexes the engine's closures (At), a tick's its
+// Periodic table.
+const (
+	cancelled Class = iota
+	closure
+	tick
+)
+
+// maxClasses bounds the classes of a program.
+const maxClasses = 16
+
+// classNames names every class, by number. Written during package
+// initialisation only (NewClass).
+var classNames = []string{cancelled: "cancelled", closure: "closure", tick: "tick"}
+
+// NewClass registers a class of event under name, which errors quote.
+// Call it from a package-level variable declaration.
+func NewClass(name string) Class {
+	if len(classNames) == maxClasses {
+		panic("sim: too many event classes")
+	}
+	classNames = append(classNames, name)
+	return Class(len(classNames) - 1)
+}
+
+// event is one queue entry. It is deliberately small (24 bytes): the
 // heap sifts copy events by value on the hottest path of the
 // simulation, and replays keep millions of them moving. The ID doubles
-// as the FIFO tie-break (IDs are unique and ascending per band), and a
-// nil fn marks a cancelled entry — no separate flag, no side table. p
-// is non-nil on the occurrence of a self-rescheduling chain (see
-// Periodic); a cancelled entry carries none.
+// as the FIFO tie-break (IDs are unique and ascending per band). The
+// entry holds no pointer, so copying the queue copies every pending
+// event (Fork).
 type event struct {
-	t  float64
-	id int64
-	fn func()
-	p  *Periodic
+	t     float64
+	id    int64
+	class Class
+	slot  int32
 }
 
 // less orders events by time, then ID. (t, id) is a total order — IDs
@@ -47,9 +79,9 @@ func (e *event) less(o *event) bool {
 //
 // The queue is a value-based binary heap: events live inline in the
 // slice (no per-event allocation, no interface boxing) and hot paths
-// sift manually. Cancellation nils the inline closure and keeps no
-// side table, so cancelling an already-executed or unknown event
-// retains nothing — replays that cancel an event per job cannot leak.
+// sift manually. Cancellation marks the inline entry and keeps no side
+// table, so cancelling an already-executed or unknown event retains
+// nothing — replays that cancel an event per job cannot leak.
 type Engine struct {
 	now       float64
 	queue     []event
@@ -59,6 +91,21 @@ type Engine struct {
 	skipped   int64
 	stopped   bool
 
+	// The tables events name: each class's handler on this engine
+	// (Handle), the pending closures (class closure) and the chains
+	// (class tick). jitter and jitterFrac scale jittered durations
+	// (SetJitter).
+	handlers   [maxClasses]func(slot int32)
+	fns        Slots[func()]
+	ticks      Slots[Periodic]
+	jitter     *Rand
+	jitterFrac float64
+
+	// unchecked is set on a fork until CheckFork passes; owed marks the
+	// classes its parent had handlers for (see fork.go).
+	unchecked bool
+	owed      [maxClasses]bool
+
 	// Progress hook (EveryProcessed): called after every probeEvery-th
 	// step (executed or skipped). Kept as a plain callback so sim stays
 	// free of observability dependencies; the disabled path pays one nil
@@ -66,21 +113,18 @@ type Engine struct {
 	probeFn    func(now float64, processed, skipped int64)
 	probeEvery int64
 
-	// rebind maps event ID → queue index during a Fork/FinishFork
-	// window (nil otherwise); see fork.go.
-	rebind map[int64]int
-
 	// Scratch of one group move (skip), meaningless outside it: the
 	// members' heap indexes in increasing order, and the members in
-	// round-robin order. Fixed arrays, so a move allocates nothing and a
-	// fork copies nothing.
+	// round-robin order. Fixed arrays, so a move allocates nothing.
 	groupIdx [groupCap]int32
 	group    [groupCap]member
 }
 
 // NewEngine returns an engine at time 0.
 func NewEngine() *Engine {
-	return &Engine{nextFront: frontBase}
+	e := &Engine{nextFront: frontBase}
+	e.ticks.Put(Periodic{}) // slot 0: the inert chain no owner gets
+	return e
 }
 
 // Now returns the current virtual time in seconds.
@@ -114,6 +158,16 @@ func (e *Engine) EveryProcessed(every int64, fn func(now float64, processed, ski
 	e.probeFn = fn
 }
 
+// Handle registers fn as the handler of class c on this engine: every
+// event of the class runs fn with its slot. Register before posting;
+// one owner handles a class per engine.
+func (e *Engine) Handle(c Class, fn func(slot int32)) {
+	if c <= tick || e.handlers[c] != nil {
+		panic(fmt.Sprintf("sim: class %q is the engine's own or handled twice", classNames[c]))
+	}
+	e.handlers[c] = fn
+}
+
 // push appends ev and sifts it up (moving a hole instead of swapping
 // halves the copies on the hottest path of the simulation).
 func (e *Engine) push(ev event) {
@@ -135,12 +189,12 @@ func (e *Engine) pop() event {
 	top := e.queue[0]
 	n := len(e.queue) - 1
 	last := e.queue[n]
-	e.queue[n] = event{} // release the closure
 	e.queue = e.queue[:n]
 	if n == 0 {
 		return top
 	}
-	// Sift the hole down from the root, then drop last in.
+	// Sift the hole down from the root, then drop last in (siftDown,
+	// inlined: this is the hottest path of the simulation).
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -161,6 +215,28 @@ func (e *Engine) pop() event {
 	return top
 }
 
+// siftDown moves the entry at i down to its heap position.
+func (e *Engine) siftDown(i int) {
+	n := len(e.queue)
+	ev := e.queue[i]
+	for {
+		l, r := 2*i+1, 2*i+2
+		if l >= n {
+			break
+		}
+		j := l
+		if r < n && e.queue[r].less(&e.queue[l]) {
+			j = r
+		}
+		if !e.queue[j].less(&ev) {
+			break
+		}
+		e.queue[i] = e.queue[j]
+		i = j
+	}
+	e.queue[i] = ev
+}
+
 // checkTime rejects invalid or past event times — always a bug in the
 // model.
 func (e *Engine) checkTime(t float64) {
@@ -172,30 +248,32 @@ func (e *Engine) checkTime(t float64) {
 	}
 }
 
-// At schedules fn at absolute time t. Scheduling in the past panics —
-// it is always a bug in the model.
-func (e *Engine) At(t float64, fn func()) EventID {
+// book queues an event of class c for slot at absolute time t under
+// the next ID of band (&e.nextID or &e.nextFront), and returns the ID.
+func (e *Engine) book(t float64, c Class, slot int32, band *int64) int64 {
 	e.checkTime(t)
-	e.nextID++
-	id := e.nextID
-	e.push(event{t: t, id: id, fn: fn})
-	return EventID(id)
+	*band++
+	e.push(event{t: t, id: *band, class: c, slot: slot})
+	return *band
 }
 
-// AtFront schedules fn at absolute time t in the front band: among
-// events with the same time, front-band events execute before every
-// regular event regardless of scheduling order, and FIFO among
-// themselves. It is the replay driver's band (workload.Session): job
-// submissions are streamed one pending event at a time, and
-// "submissions first on a same-instant tie" is the single ordering
-// rule — exactly the order scheduling every submission before the
-// simulation started would give.
-func (e *Engine) AtFront(t float64, fn func()) EventID {
-	e.checkTime(t)
-	e.nextFront++
-	id := e.nextFront
-	e.push(event{t: t, id: id, fn: fn})
-	return EventID(id)
+// Post schedules an event of class c for slot at absolute time t: the
+// class's handler on this engine runs it. Scheduling in the past
+// panics — it is always a bug in the model.
+func (e *Engine) Post(t float64, c Class, slot int32) { e.book(t, c, slot, &e.nextID) }
+
+// PostFront is Post in the front band: at equal times every front-band
+// event runs before every regular one, whenever either was scheduled,
+// and FIFO among themselves. It is the replay driver's band for
+// streamed submissions (workload.Session), so they order as if all had
+// been scheduled before the simulation started.
+func (e *Engine) PostFront(t float64, c Class, slot int32) { e.book(t, c, slot, &e.nextFront) }
+
+// At schedules fn at absolute time t. Scheduling in the past panics —
+// it is always a bug in the model. An engine holding a pending closure
+// cannot fork (CheckFork): owners that fork post classes instead.
+func (e *Engine) At(t float64, fn func()) EventID {
+	return EventID(e.book(t, closure, e.fns.Put(fn), &e.nextID))
 }
 
 // After schedules fn delay seconds from now. Negative delays panic.
@@ -203,15 +281,18 @@ func (e *Engine) After(delay float64, fn func()) EventID {
 	return e.At(e.now+delay, fn)
 }
 
-// Cancel removes a scheduled event. Cancelling an already-executed or
-// unknown event is a no-op and retains no state. Cancellation is rare
-// (checkpoint stops, scancel), so the linear queue scan beats keeping
-// an id→event side table updated on the hot insert/execute paths.
+// Cancel removes a scheduled event (a chain's goes through FreeTick).
+// Cancelling an already-executed or unknown event is a no-op and
+// retains no state. Cancellation is rare (checkpoint stops), so the
+// linear queue scan beats keeping an id→event side table updated on
+// the hot insert/execute paths.
 func (e *Engine) Cancel(id EventID) {
 	for i := range e.queue {
-		if e.queue[i].id == int64(id) {
-			// Cancelled; release the closure and the handle now.
-			e.queue[i].fn, e.queue[i].p = nil, nil
+		if ev := &e.queue[i]; ev.id == int64(id) {
+			if ev.class == closure {
+				e.fns.Take(ev.slot)
+			}
+			ev.class = cancelled
 			return
 		}
 	}
@@ -220,8 +301,12 @@ func (e *Engine) Cancel(id EventID) {
 // Step takes the next step: it executes the next event, or lets an
 // armed Periodic chain at the head of the queue advance by itself (no
 // callback runs; see Periodic). It returns false when the queue is
-// empty or the engine was stopped.
-func (e *Engine) Step() bool { return e.step(math.Inf(1)) }
+// empty or the engine was stopped. The first step of a fork checks it
+// first (CheckFork) and panics with the error.
+func (e *Engine) Step() bool {
+	e.mustCheck()
+	return e.step(math.Inf(1))
+}
 
 // step is Step for a caller that has checked the head event is due by
 // bound; the engine takes no occurrence later than bound by itself.
@@ -232,19 +317,27 @@ func (e *Engine) step(bound float64) bool {
 		if e.stopped {
 			return false
 		}
-		if p := e.queue[0].p; p != nil && p.credit > 0 && e.skip(p, bound) {
-			return true
+		if h := &e.queue[0]; h.class == tick {
+			if p := e.ticks.At(h.slot); p.credit > 0 && e.skip(p, bound) {
+				return true
+			}
 		}
 		ev := e.pop()
-		if ev.fn == nil {
-			continue // cancelled
+		if ev.class == cancelled {
+			continue
 		}
 		e.now = ev.t
 		e.processed++
-		if ev.p != nil {
-			ev.p.id = 0 // the occurrence is no longer pending
+		switch ev.class {
+		case closure:
+			e.fns.Take(ev.slot)()
+		case tick:
+			p := e.ticks.At(ev.slot)
+			p.id = 0 // the occurrence is no longer pending
+			p.owner.Tick()
+		default:
+			e.handlers[ev.class](ev.slot)
 		}
-		ev.fn()
 		if e.probeFn != nil {
 			e.heartbeat()
 		}
@@ -269,11 +362,12 @@ func (e *Engine) Run() {
 // RunUntil executes events with time <= t, then advances the clock to
 // t (if it is in the future).
 func (e *Engine) RunUntil(t float64) {
+	e.mustCheck()
 	for len(e.queue) > 0 && !e.stopped {
 		// Peek.
 		next := &e.queue[0]
-		if next.fn == nil {
-			e.pop() // cancelled
+		if next.class == cancelled {
+			e.pop()
 			continue
 		}
 		if next.t > t {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEventsRunInTimeOrder(t *testing.T) {
@@ -178,17 +179,23 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// labelClass is the tests' class: a label table's owner registers a
+// handler that records the label its slot indexes.
+var labelClass = NewClass("sim.label")
+
 func TestAtFrontOrdersBeforeRegularAtSameTime(t *testing.T) {
 	e := NewEngine()
 	var order []string
+	labels := []string{"f1", "f2"}
+	e.Handle(labelClass, func(slot int32) { order = append(order, labels[slot]) })
 	// Regular events scheduled FIRST, front events after: the front
 	// band must still run first at the shared timestamp, FIFO within
 	// itself, exactly as if the front events had been scheduled before
 	// the simulation started.
 	e.At(5, func() { order = append(order, "r1") })
 	e.At(5, func() { order = append(order, "r2") })
-	e.AtFront(5, func() { order = append(order, "f1") })
-	e.AtFront(5, func() { order = append(order, "f2") })
+	e.PostFront(5, labelClass, 0)
+	e.PostFront(5, labelClass, 1)
 	e.At(3, func() { order = append(order, "early") })
 	e.Run()
 	want := []string{"early", "f1", "f2", "r1", "r2"}
@@ -211,17 +218,13 @@ func TestAtFrontChainMatchesUpfrontScheduling(t *testing.T) {
 		e := NewEngine()
 		var order []string
 		if stream {
-			var next func(i int)
-			next = func(i int) {
-				if i >= len(times) {
-					return
+			e.Handle(labelClass, func(i int32) {
+				order = append(order, fmt.Sprintf("s%d@%g", i, e.Now()))
+				if int(i)+1 < len(times) {
+					e.PostFront(times[i+1], labelClass, i+1)
 				}
-				e.AtFront(times[i], func() {
-					order = append(order, fmt.Sprintf("s%d@%g", i, e.Now()))
-					next(i + 1)
-				})
-			}
-			next(0)
+			})
+			e.PostFront(times[0], labelClass, 0)
 		} else {
 			for i, at := range times {
 				i, at := i, at
@@ -242,6 +245,15 @@ func TestAtFrontChainMatchesUpfrontScheduling(t *testing.T) {
 		if up[i] != st[i] {
 			t.Fatalf("divergence at %d: upfront %v vs streamed %v", i, up, st)
 		}
+	}
+}
+
+// TestEventEntryIs24Bytes pins the heap entry's size: a class and a
+// slot, no closure and no pointer. The heap sifts copy entries by
+// value on the hottest path of the simulation.
+func TestEventEntryIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 24 {
+		t.Fatalf("heap entry is %d bytes, want at most 24", n)
 	}
 }
 

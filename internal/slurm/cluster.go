@@ -80,14 +80,6 @@ type Cluster struct {
 	Demand *apps.DemandTable
 	Tracer *trace.Tracer // optional
 
-	// Jitter, when non-nil, perturbs every iteration duration by a
-	// seeded random factor (JitterFrac relative amplitude),
-	// reproducing the run-to-run variability of the paper's real-
-	// machine measurements (reported CV up to 3.4%). Fork continues
-	// the stream in the child.
-	Jitter     *sim.Rand
-	JitterFrac float64
-
 	reg      *shmem.Registry
 	sys      map[string]*core.System
 	sysAt    []*core.System    // node index -> DROM system

@@ -257,25 +257,15 @@ type Controller struct {
 	// Pending-event table (fork.go). pend describes every controller-
 	// owned pending engine event (launch and resume completion,
 	// interrupt, fault-script timer, window, repair, seeded failure,
-	// requeue arrival) in a dense table: a live slot (kind != 0) holds
-	// the descriptor and its event ID, pendFn[i] is the one engine
-	// callback of slot i (firePendAt(i), created when the table first
-	// grows to i) and pendFree stacks the vacant indices, so tracking an
-	// event allocates nothing and the table is bounded by the peak
-	// in-flight event count. firePendAt executes the descriptor when the
-	// event fires and Fork copies the live slots. cycleEv is the single
-	// deferred-cycle event, meaningful only while cyclePending (at most
-	// one runCycle event is ever outstanding, so it needs no slot), and
-	// runCycleFn its callback: ctl.runCycle bound once, so deferring a
-	// cycle allocates nothing.
+	// requeue arrival): a live slot holds the descriptor its pendClass
+	// event names, so tracking an event allocates nothing once the
+	// table is warm. firePendAt executes the descriptor when the event
+	// fires, and Fork copies the table by value. The deferred cycle
+	// (cycleClass) needs no slot: at most one is ever outstanding.
 	// nfWins retains the parsed fault script so a fork can rebuild the
 	// window schedule.
-	pend       []pendEv
-	pendFn     []func()
-	pendFree   []int
-	cycleEv    sim.EventID
-	runCycleFn func()
-	nfWins     []faultWindow
+	pend   sim.Slots[pendEv]
+	nfWins []faultWindow
 
 	// Cycles counts executed scheduling-policy passes (perf metric).
 	Cycles int64
@@ -338,7 +328,7 @@ func NewController(c *Cluster, policy Policy) *Controller {
 		ctl.nodeIdx[n] = i
 		ctl.nodeMasks[i] = c.MachineOfNode(i).NodeMask()
 	}
-	ctl.runCycleFn = ctl.runCycle
+	ctl.handle()
 	return ctl
 }
 
@@ -483,7 +473,7 @@ func (ctl *Controller) kick() {
 //simvet:hotpath
 func (ctl *Controller) deferCycle(t float64) {
 	ctl.cyclePending = true
-	ctl.cycleEv = ctl.cluster.Engine.At(t, ctl.runCycleFn)
+	ctl.cluster.Engine.Post(t, cycleClass, 0)
 }
 
 // runCycle executes a cycle now — from kick, or as the deferred event —
@@ -877,8 +867,6 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 		return
 	}
 	inst.FinalizeExternally = true
-	inst.Jitter = ctl.cluster.Jitter
-	inst.JitterFrac = ctl.cluster.JitterFrac
 	inst.OnComplete = r.onComplete
 	ctl.addRunning(r)
 

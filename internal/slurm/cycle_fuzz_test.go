@@ -146,13 +146,16 @@ func (o fuzzOutcome) mustEqual(t *testing.T, name string, ref fuzzOutcome, refNa
 }
 
 // fuzzOp is one scripted input of a fuzz trace: a submission, an
-// scancel or a malleability flip, bound to whichever lineage runs it.
+// scancel or a malleability flip, run on whichever lineage's
+// controller handles its event (fuzzOpClass, the slot its index).
 type fuzzOp struct {
 	at    float64
 	do    func(ctl *Controller)
-	id    sim.EventID
 	fired bool
 }
+
+// fuzzOpClass is the class of a fuzz trace's scripted inputs.
+var fuzzOpClass = sim.NewClass("slurm.fuzzop")
 
 // fuzzTwin selects the variant of the system a fuzz trace is replayed
 // on: with a tracer attached, on the never-recycling twin of the
@@ -193,7 +196,7 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 		c.Demand.NeverArm()
 	}
 	if twin.jitter > 0 {
-		c.Jitter, c.JitterFrac = sim.NewRand(1), twin.jitter
+		eng.SetJitter(sim.NewRand(1), twin.jitter)
 	}
 	ctl := NewController(c, PolicyDROM)
 	ctl.neverRecycle = twin.neverRecycle
@@ -255,12 +258,13 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 			ops = append(ops, &fuzzOp{at: at + float64(next()%30), do: func(ctl *Controller) { ctl.SetQueuedMalleable(j.Name, !j.Malleable) }})
 		}
 	}
-	for _, op := range ops {
-		op.id = eng.At(op.at, func() { op.fired = true; op.do(ctl) })
+	eng.Handle(fuzzOpClass, func(i int32) { ops[i].fired = true; ops[i].do(ctl) })
+	for i, op := range ops {
+		eng.Post(op.at, fuzzOpClass, int32(i))
 	}
 
-	// Run the parent to the fork instant, fork, re-bind the trace's own
-	// pending inputs onto the fork, and finish both lineages.
+	// Run the parent to the fork instant, fork, register the trace's own
+	// inputs' handler on the fork, and finish both lineages.
 	eng.RunUntil(at * float64(next()%8) / 8)
 	checkErr(t, ctl)
 	forkedAt, queued, running := eng.Now(), ctl.QueueLen(), ctl.RunningLen()
@@ -269,14 +273,8 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range ops {
-		if !op.fired {
-			if err := feng.Rebind(op.id, func() { op.do(fork) }); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := feng.FinishFork(); err != nil {
+	feng.Handle(fuzzOpClass, func(i int32) { ops[i].do(fork) })
+	if err := feng.CheckFork(); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()

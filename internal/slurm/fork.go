@@ -21,10 +21,9 @@ package slurm
 //   - shared immutable: Job values (copy-on-write on mutation — see
 //     SetQueuedMalleable), cluster spec, node name/machine/partition
 //     tables, nodeIdx, the parsed fault script (nfWins);
-//   - forked: the seeded streams, Jitter and nfRand (sim.Rand.Fork), so
-//     both lineages draw the same values in the same order; forkJob sets
-//     each instance's Jitter before RebindPending, which re-points an
-//     armed jittered span at the fork's stream;
+//   - forked: the seeded streams — the engine's jitter stream, which
+//     the engine fork continues, and nfRand (sim.Rand.Fork) — so both
+//     lineages draw the same values in the same order;
 //   - dropped: Probe, Tracer — observers must never steer decisions,
 //     so a blind fork decides identically;
 //   - recycled: the free lists of job records (freeRunning,
@@ -32,11 +31,12 @@ package slurm
 //     forkJob allocates every clone fresh, so no record, instance or
 //     backing array is ever reachable from two lineages.
 //
-// Pending events are not re-scheduled: the engine fork preserves
-// every (time, ID) pair and the controller copies each live slot of the
-// pending-event table into its own and re-binds the slot's stored ID to
-// its own firePendAt callback, which runs the copied descriptor through
-// the same dispatcher the live lineage uses.
+// Pending events are not re-scheduled: the engine fork copies every
+// pending event as its class and slot under its (time, ID) key, the
+// controller copies the pending-event table the slots index by value,
+// and registers its handlers on the forked engine once per class; each
+// forked instance takes over its chain. The forked firePendAt runs the
+// copied descriptor through the same dispatcher the live lineage uses.
 
 import (
 	"fmt"
@@ -75,19 +75,32 @@ const (
 )
 
 // pendEv is the one description of a pending controller event, held in
-// a slot of ctl.pend: the engine callback carries only the slot index,
+// a slot of ctl.pend: the engine event carries only the slot index,
 // and dispatch executes the descriptor — in the live lineage and,
 // copied by Fork, in the forked one. The zero kind marks a vacant slot.
 type pendEv struct {
 	kind    pendKind
-	id      sim.EventID // the pending engine event, for Fork's re-bind
-	seq     int         // evStart, evInterrupt, evRequeue, evResume
-	node    int         // fault events: global node index
-	home    int         // evRequeue: home partition index
-	attempt int         // evRequeue
-	until   float64     // window/outage horizon
-	submit  float64     // evRequeue: original submit time
-	job     *Job        // evRequeue
+	seq     int     // evStart, evInterrupt, evRequeue, evResume
+	node    int     // fault events: global node index
+	home    int     // evRequeue: home partition index
+	attempt int     // evRequeue
+	until   float64 // window/outage horizon
+	submit  float64 // evRequeue: original submit time
+	job     *Job    // evRequeue
+}
+
+// The controller's event classes: the deferred cycle, and a slot of
+// the pending-event table.
+var (
+	cycleClass = sim.NewClass("slurm.cycle")
+	pendClass  = sim.NewClass("slurm.pend")
+)
+
+// handle registers the controller's handlers on its engine, once per
+// class — in the live lineage and in every fork.
+func (ctl *Controller) handle() {
+	ctl.cluster.Engine.Handle(cycleClass, func(int32) { ctl.runCycle() })
+	ctl.cluster.Engine.Handle(pendClass, ctl.firePendAt)
 }
 
 // trackAt schedules the event pe describes at absolute time t; the
@@ -95,9 +108,7 @@ type pendEv struct {
 //
 //simvet:hotpath
 func (ctl *Controller) trackAt(t float64, pe pendEv) {
-	i := ctl.pendSlot()
-	pe.id = ctl.cluster.Engine.At(t, ctl.pendFn[i])
-	ctl.pend[i] = pe
+	ctl.cluster.Engine.Post(t, pendClass, ctl.pend.Put(pe))
 }
 
 // trackAfter is trackAt at delay d from now.
@@ -105,38 +116,11 @@ func (ctl *Controller) trackAfter(d float64, pe pendEv) {
 	ctl.trackAt(ctl.cluster.Engine.Now()+d, pe)
 }
 
-// pendSlot returns the index of a vacant slot of the pending-event
-// table, growing the table when every slot is live.
-func (ctl *Controller) pendSlot() int {
-	if n := len(ctl.pendFree); n > 0 {
-		i := ctl.pendFree[n-1]
-		ctl.pendFree = ctl.pendFree[:n-1]
-		return i
-	}
-	return ctl.growPend()
-}
-
-// growPend appends one slot to the pending-event table with its engine
-// callback — the one closure a slot ever costs.
-//
-//simvet:coldpath once per table slot; the table is bounded by the peak in-flight event count
-func (ctl *Controller) growPend() int {
-	i := len(ctl.pend)
-	ctl.pend = append(ctl.pend, pendEv{})
-	ctl.pendFn = append(ctl.pendFn, func() { ctl.firePendAt(i) })
-	return i
-}
-
-// firePendAt is the engine callback of the tracked event in slot i: it
-// vacates the slot and executes the descriptor.
+// firePendAt runs the tracked event in slot i: it vacates the slot
+// and executes the descriptor.
 //
 //simvet:hotpath
-func (ctl *Controller) firePendAt(i int) {
-	pe := ctl.pend[i]
-	ctl.pend[i] = pendEv{}
-	ctl.pendFree = append(ctl.pendFree, i)
-	ctl.dispatch(pe)
-}
+func (ctl *Controller) firePendAt(i int32) { ctl.dispatch(ctl.pend.Take(i)) }
 
 // dispatch executes one controller event. It is the only statement of
 // what each event kind does.
@@ -191,23 +175,21 @@ func (ctl *Controller) failUnknownEvent(kind pendKind) {
 
 // Fork clones the cluster onto the forked engine: fresh shared-memory
 // segments (same registered processes and masks), fresh DROM systems,
-// a deep-copied demand table, the jitter stream continued at its
-// position. The spec and node tables are shared immutable; the Tracer
-// does not carry over (forks are untraced by contract).
+// a deep-copied demand table. The spec and node tables are shared
+// immutable; the Tracer does not carry over (forks are untraced by
+// contract).
 func (c *Cluster) Fork(eng *sim.Engine) *Cluster {
 	f := &Cluster{
-		Machine:    c.Machine,
-		Spec:       c.Spec,
-		Nodes:      c.Nodes,
-		Engine:     eng,
-		Demand:     c.Demand.Fork(),
-		Jitter:     c.Jitter.Fork(),
-		JitterFrac: c.JitterFrac,
-		reg:        c.reg.Fork(),
-		sys:        make(map[string]*core.System, len(c.sys)),
-		sysAt:      make([]*core.System, len(c.sysAt)),
-		machines:   c.machines,
-		partOf:     c.partOf,
+		Machine:  c.Machine,
+		Spec:     c.Spec,
+		Nodes:    c.Nodes,
+		Engine:   eng,
+		Demand:   c.Demand.Fork(),
+		reg:      c.reg.Fork(),
+		sys:      make(map[string]*core.System, len(c.sys)),
+		sysAt:    make([]*core.System, len(c.sysAt)),
+		machines: c.machines,
+		partOf:   c.partOf,
 	}
 	for i, name := range c.Nodes {
 		ns := core.NewSystem(f.reg.Get(name))
@@ -224,10 +206,11 @@ func (ctl *Controller) Cluster() *Cluster { return ctl.cluster }
 // Fork clones the controller and the entire simulation state beneath
 // it — engine, shared memory, demand, instances, scheduler policies,
 // fault state, metrics aggregates — at the current virtual time; the
-// completed job records are shared as frozen history. The returned
-// engine is still inside its re-binding window: the caller must
-// re-bind its own pending events (submission chains, scancel timers)
-// and then call FinishFork on it before running either lineage.
+// completed job records are shared as frozen history. The controller
+// and its instances have taken over what they own on the returned
+// engine; a caller that owns more of the parent engine's events
+// (submission chains, scancel timers) registers its own handlers there,
+// and checks the engine (sim.Engine.CheckFork) before running it.
 //
 // Every mode forks — the builtin policies (scheds stays nil in the
 // fork) as well as installed sched policies, jittered and faulted
@@ -261,7 +244,6 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		rBySeq:          make(map[int]*runningJob, len(ctl.rBySeq)),
 		viewsStale:      true, // rebuilt from the cloned records on the first policy cycle
 		cyclePending:    ctl.cyclePending,
-		cycleEv:         ctl.cycleEv,
 		lastCycleAt:     ctl.lastCycleAt,
 		rearmedAt:       ctl.rearmedAt,
 		Cycles:          ctl.Cycles,
@@ -269,7 +251,9 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		DebugInvariants: ctl.DebugInvariants,
 		neverRecycle:    ctl.neverRecycle,
 		Records:         *ctl.Records.Fork(),
+		pend:            ctl.pend.Clone(),
 	}
+	ctl2.handle()
 	if ctl.scheds != nil {
 		ctl2.scheds = make([]sched.Policy, len(ctl.scheds))
 		for i, p := range ctl.scheds {
@@ -286,7 +270,7 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 	// forkJob clones one job record with its instance: a running job's,
 	// or the checkpoint image a queued job resumes from.
 	sysOf := func(node string) *core.System { return c.System(node) }
-	forkJob := func(r *runningJob) (*runningJob, error) {
+	forkJob := func(r *runningJob) *runningJob {
 		cr := ctl2.allocRunning(r.inst.Fork(eng, c.Demand, sysOf))
 		cr.job, cr.seq, cr.pidx, cr.homePidx = r.job, r.seq, r.pidx, r.homePidx
 		cr.submit, cr.start, cr.requeues = r.submit, r.start, r.requeues
@@ -294,32 +278,21 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		cr.tasks = append([]taskRef(nil), r.tasks...)
 		cr.nodeIdxs = append([]int(nil), r.nodeIdxs...)
 		cr.curCPUs, cr.curOK = r.curCPUs, r.curOK
-		cr.inst.Jitter, cr.inst.JitterFrac = c.Jitter, r.inst.JitterFrac
 		cr.inst.OnComplete = cr.onComplete
-		if err := cr.inst.RebindPending(); err != nil {
-			return nil, fmt.Errorf("slurm: Fork job %s: %w", cr.job.Name, err)
-		}
-		return cr, nil
+		return cr
 	}
 	ctl2.queue = make([]*queuedJob, len(ctl.queue))
 	for i, q := range ctl.queue {
 		cq := *q
 		if q.resume != nil {
-			cr, err := forkJob(q.resume)
-			if err != nil {
-				return nil, nil, err
-			}
-			cq.resume = cr
+			cq.resume = forkJob(q.resume)
 		}
 		ctl2.queue[i] = &cq
 		ctl2.qBySeq[cq.seq] = &cq
 	}
 	ctl2.running = make([]*runningJob, len(ctl.running))
 	for i, r := range ctl.running {
-		cr, err := forkJob(r)
-		if err != nil {
-			return nil, nil, err
-		}
+		cr := forkJob(r)
 		ctl2.running[i] = cr
 		ctl2.rBySeq[cr.seq] = cr
 	}
@@ -338,26 +311,6 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		ctl2.nfArmed = append([]bool(nil), ctl.nfArmed...)
 	}
 	ctl2.nfRand = ctl.nfRand.Fork()
-	// Re-bind the pending events: the coalesced cycle event, then every
-	// live slot of the pending-event table, copied into the fork's own
-	// (compacted: a slot's index is no decision input) and bound there
-	// to the slot's stored event ID.
-	ctl2.runCycleFn = ctl2.runCycle
-	if ctl.cyclePending {
-		if err := eng.Rebind(ctl.cycleEv, ctl2.runCycleFn); err != nil {
-			return nil, nil, fmt.Errorf("slurm: Fork cycle event: %w", err)
-		}
-	}
-	for _, pe := range ctl.pend {
-		if pe.kind == 0 {
-			continue
-		}
-		i := ctl2.pendSlot()
-		ctl2.pend[i] = pe
-		if err := eng.Rebind(pe.id, ctl2.pendFn[i]); err != nil {
-			return nil, nil, fmt.Errorf("slurm: Fork pend event: %w", err)
-		}
-	}
 	return ctl2, eng, nil
 }
 

@@ -180,7 +180,7 @@ func TestForkFlakyRegistryDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.FinishFork(); err != nil {
+		if err := eng.CheckFork(); err != nil {
 			t.Fatal(err)
 		}
 		var fres, pres outcome

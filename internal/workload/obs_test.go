@@ -163,11 +163,12 @@ func TestExplainGoldenJobStory(t *testing.T) {
 // level, so a closure, method value or boxed record per submission in
 // the driver's pump — or a job record, an instance or a closure per
 // launch that the controller's free lists should have supplied — shows.
-// What is left is the caller's *Job (the slice row's one allocation;
-// the rest is the records growing) plus, on the lazy row, the name the
-// trace mapping formats; its records are folded, not kept.
+// Half the jobs carry an scancel, so a closure per scancel timer shows
+// too. What is left is the caller's *Job (the slice row's one
+// allocation; the rest is the records growing) plus, on the lazy row,
+// the name the trace mapping formats; its records are folded, not kept.
 func TestDisabledProbeReplayAllocs(t *testing.T) {
-	gen := SyntheticSWF{Seed: 1, Jobs: 3000, Nodes: 4}
+	gen := SyntheticSWF{Seed: 1, Jobs: 3000, Nodes: 4, CancelRate: 0.5}
 	sc, err := SyntheticSWFScenario(gen)
 	if err != nil {
 		t.Fatal(err)

@@ -69,19 +69,26 @@ type Session struct {
 	eng *sim.Engine
 	ctl *slurm.Controller
 	src SubmissionSource
-	// next is the record the one pending submission event delivers and
-	// nextID that event (0 while none is pending — the engine never
-	// issues ID 0).
-	next   Submission
-	nextID sim.EventID
-	// fire is s.fireNext bound once, so arming the pending event
-	// allocates nothing per submission.
-	fire func()
-	// cancels tracks the pending scancel events so a fork can re-bind
-	// them; allocated on the first Cancel submission, entries dropped as
-	// the timers fire.
-	cancels map[sim.EventID]string
+	// next is the record the one pending submission event delivers.
+	next Submission
+	// cancels holds the job name of each pending scancel timer, in the
+	// slot its cancelClass event names.
+	cancels sim.Slots[string]
 	err     error
+}
+
+// The session's event classes: the one pending submission, and a
+// scancel timer.
+var (
+	submitClass = sim.NewClass("workload.submit")
+	cancelClass = sim.NewClass("workload.scancel")
+)
+
+// handle registers the session's handlers on its engine, once per
+// class — in the live lineage and in every fork.
+func (s *Session) handle() {
+	s.eng.Handle(submitClass, s.fireNext)
+	s.eng.Handle(cancelClass, s.fireCancel)
 }
 
 // open wires a scenario once — engine, cluster (file-backed when
@@ -120,8 +127,9 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 		return nil, err
 	}
 	if s.JitterFrac > 0 {
-		cluster.Jitter = sim.NewRand(s.Seed)
-		cluster.JitterFrac = s.JitterFrac
+		// Run-to-run variability as on the paper's real machine
+		// (reported CV up to 3.4%), continued by every fork.
+		eng.SetJitter(sim.NewRand(s.Seed), s.JitterFrac)
 	}
 	ctl := slurm.NewController(cluster, policy)
 	if err := installSched(ctl, s, install); err != nil {
@@ -135,7 +143,7 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 		ctl.Records.SetAggregate()
 	}
 	sess := &Session{scn: s, eng: eng, ctl: ctl, src: src}
-	sess.fire = sess.fireNext
+	sess.handle()
 	sess.pump()
 	if sess.err != nil {
 		return nil, sess.err
@@ -203,14 +211,14 @@ func (s *Session) pump() {
 			s.submit(&sub)
 			continue
 		}
-		s.next, s.nextID = sub, s.eng.AtFront(sub.At, s.fire)
+		s.next = sub
+		s.eng.PostFront(sub.At, submitClass, 0)
 		return
 	}
 }
 
 // fireNext runs the pending submission event: deliver, then pump on.
-func (s *Session) fireNext() {
-	s.nextID = 0
+func (s *Session) fireNext(int32) {
 	s.submit(&s.next)
 	s.pump()
 }
@@ -231,17 +239,11 @@ func (s *Session) submit(sub *Submission) {
 	if at < s.eng.Now() {
 		at = s.eng.Now()
 	}
-	if s.cancels == nil {
-		s.cancels = make(map[sim.EventID]string)
-	}
-	name := job.Name
-	var id sim.EventID
-	id = s.eng.At(at, func() {
-		delete(s.cancels, id)
-		s.ctl.Cancel(name)
-	})
-	s.cancels[id] = name
+	s.eng.Post(at, cancelClass, s.cancels.Put(job.Name))
 }
+
+// fireCancel runs the scancel timer in slot i.
+func (s *Session) fireCancel(i int32) { s.ctl.Cancel(s.cancels.Take(i)) }
 
 // Scenario returns the scenario the session replays.
 func (s *Session) Scenario() Scenario { return s.scn }
@@ -321,31 +323,11 @@ func (s *Session) Fork() (*Session, error) {
 	}
 	srcCopy := *src
 	f := &Session{
-		scn: s.scn, eng: eng2, ctl: ctl2, src: &srcCopy,
-		next: s.next, nextID: s.nextID, err: s.err,
+		scn: s.scn, eng: eng2, ctl: ctl2, src: &srcCopy, next: s.next, err: s.err,
+		cancels: s.cancels.Clone(),
 	}
-	f.fire = f.fireNext
-	if f.nextID != 0 {
-		// The pending submission event came over with the engine fork;
-		// bind it to the forked pump.
-		if err := eng2.Rebind(f.nextID, f.fire); err != nil {
-			return nil, fmt.Errorf("workload: fork submission event: %w", err)
-		}
-	}
-	if len(s.cancels) > 0 {
-		f.cancels = make(map[sim.EventID]string, len(s.cancels))
-	}
-	for id, name := range s.cancels { //simvet:ordered independent per-ID re-binds
-		id, name := id, name
-		f.cancels[id] = name
-		if err := eng2.Rebind(id, func() {
-			delete(f.cancels, id)
-			f.ctl.Cancel(name)
-		}); err != nil {
-			return nil, fmt.Errorf("workload: fork scancel timer: %w", err)
-		}
-	}
-	if err := eng2.FinishFork(); err != nil {
+	f.handle()
+	if err := eng2.CheckFork(); err != nil {
 		return nil, fmt.Errorf("workload: fork: %w", err)
 	}
 	return f, nil
