@@ -36,14 +36,9 @@ const (
 )
 
 // Blocking reports whether the call can block waiting for remote
-// progress. Buffered sends and the nonblocking initiation calls
-// (Isend/Irecv) never block; everything else can.
+// progress. A buffered send never blocks; everything else can.
 func (c Call) Blocking() bool {
-	switch c {
-	case CallSend, CallIsend, CallIrecv:
-		return false
-	}
-	return true
+	return c != CallSend
 }
 
 // Wildcards for Recv matching.
@@ -162,7 +157,6 @@ const (
 	tagGather
 	tagReduce
 	tagAlltoall
-	tagScatter
 )
 
 // Rank is one process of the world.

@@ -183,6 +183,18 @@ func TestWorldValidation(t *testing.T) {
 	w.Rank(5)
 }
 
+func TestBlockingClassification(t *testing.T) {
+	if CallSend.Blocking() {
+		t.Errorf("%s should be non-blocking", CallSend)
+	}
+	blocking := []Call{CallRecv, CallBarrier, CallBcast, CallGather, CallAllreduce, CallAlltoall, CallSplit}
+	for _, c := range blocking {
+		if !c.Blocking() {
+			t.Errorf("%s should be blocking", c)
+		}
+	}
+}
+
 func TestHooksFire(t *testing.T) {
 	w := NewWorld(2)
 	var pre, post atomic.Int32

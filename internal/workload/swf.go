@@ -65,8 +65,9 @@ type SWFJob struct {
 }
 
 // ParseSWF reads an SWF trace into memory. Comment lines start with
-// ';'. Every record line must carry exactly 18 numeric fields;
-// anything else is rejected with the offending line number. For
+// ';'. Every record line must carry exactly 18 finite numeric
+// fields; anything else is rejected with the offending line number
+// (and field, for a field that is not a finite number). For
 // traces too large to materialize, use ParseSWFFunc.
 func ParseSWF(r io.Reader) ([]SWFJob, error) {
 	var jobs []SWFJob
@@ -111,25 +112,34 @@ func newSWFScanner(r io.Reader) *swfScanner {
 }
 
 // next returns the next record of the trace; ok is false at the end
-// of the input.
+// of the input. A record line of canonical integers is read in place
+// by scanSWFRecord; every other line — blanks, comments, decimals,
+// exponents, Unicode spaces, long digit runs, wrong field counts —
+// takes the general path below, which decides acceptance, values and
+// error text alike.
 func (p *swfScanner) next() (job SWFJob, ok bool, err error) {
 	var vals [swfFields]float64
 	for p.sc.Scan() {
 		p.line++
-		text := strings.TrimSpace(p.sc.Text())
-		if text == "" || strings.HasPrefix(text, ";") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != swfFields {
-			return SWFJob{}, false, fmt.Errorf("swf: line %d: %d fields, want %d", p.line, len(fields), swfFields)
-		}
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return SWFJob{}, false, fmt.Errorf("swf: line %d field %d: %v", p.line, i+1, err)
+		if !scanSWFRecord(p.sc.Bytes(), &vals) {
+			text := strings.TrimSpace(p.sc.Text())
+			if text == "" || strings.HasPrefix(text, ";") {
+				continue
 			}
-			vals[i] = v
+			fields := strings.Fields(text)
+			if len(fields) != swfFields {
+				return SWFJob{}, false, fmt.Errorf("swf: line %d: %d fields, want %d", p.line, len(fields), swfFields)
+			}
+			for i, f := range fields {
+				v, err := strconv.ParseFloat(f, 64)
+				if err != nil {
+					return SWFJob{}, false, fmt.Errorf("swf: line %d field %d: %v", p.line, i+1, err)
+				}
+				if math.IsInf(v, 0) || math.IsNaN(v) {
+					return SWFJob{}, false, fmt.Errorf("swf: line %d field %d: non-finite value %q", p.line, i+1, f)
+				}
+				vals[i] = v
+			}
 		}
 		if vals[1] < 0 {
 			return SWFJob{}, false, fmt.Errorf("swf: line %d: negative submit time %v", p.line, vals[1])
@@ -155,16 +165,99 @@ func (p *swfScanner) next() (job SWFJob, ok bool, err error) {
 	return SWFJob{}, false, nil
 }
 
-// FormatSWF renders records as SWF text (unused fields as -1), so
-// synthetic traces round-trip through the parser.
-func FormatSWF(jobs []SWFJob) string {
-	var sb strings.Builder
-	sb.WriteString("; synthetic SWF trace\n")
-	for _, j := range jobs {
-		fmt.Fprintf(&sb, "%d %.0f %.0f %.0f %d -1 -1 %d %.0f -1 %d -1 -1 -1 -1 %d -1 -1\n",
-			j.ID, j.Submit, j.Wait, j.Run, j.Procs, j.Procs, j.ReqTime, j.Status, j.Partition)
+// swfFastDigits bounds a field scanSWFRecord reads itself: 15 digits
+// stay below 2^53, so the integer converts to float64 exactly, as
+// ParseFloat would.
+const swfFastDigits = 15
+
+// scanSWFRecord reads line as exactly 18 fields separated by spaces or
+// tabs, each a canonical decimal integer: an optional '-', then "0" or
+// up to 15 digits without a leading zero ("-0" keeps ParseFloat's
+// negative zero by going to the general path). It fills vals and
+// reports true only for such a line; otherwise vals is undefined and
+// the caller parses the line the general way.
+func scanSWFRecord(line []byte, vals *[swfFields]float64) bool {
+	n, i := 0, 0
+	for {
+		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+			i++
+		}
+		if i == len(line) {
+			return n == swfFields
+		}
+		if n == swfFields {
+			return false
+		}
+		neg := line[i] == '-'
+		if neg {
+			i++
+		}
+		start := i
+		var v int64
+		for i < len(line) && line[i]-'0' <= 9 {
+			v = v*10 + int64(line[i]-'0')
+			i++
+		}
+		digits := i - start
+		if digits == 0 || digits > swfFastDigits || (line[start] == '0' && (digits > 1 || neg)) {
+			return false
+		}
+		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
+			return false
+		}
+		if neg {
+			v = -v
+		}
+		vals[n] = float64(v)
+		n++
 	}
-	return sb.String()
+}
+
+// swfRecordBytes is FormatSWF's per-record size estimate: a record of
+// the synthetic generator renders in about 60 bytes.
+const swfRecordBytes = 64
+
+// FormatSWF renders records as SWF text (unused fields as -1), so
+// synthetic traces round-trip through the parser. Each line is the
+// one fmt's "%d %.0f %.0f %.0f %d -1 -1 %d %.0f -1 %d -1 -1 -1 -1 %d
+// -1 -1\n" gives, appended without boxing a field.
+func FormatSWF(jobs []SWFJob) string {
+	const header = "; synthetic SWF trace\n"
+	b := make([]byte, 0, len(header)+swfRecordBytes*len(jobs))
+	b = append(b, header...)
+	for _, j := range jobs {
+		b = strconv.AppendInt(b, int64(j.ID), 10)
+		b = append(b, ' ')
+		b = appendSWFFloat(b, j.Submit)
+		b = append(b, ' ')
+		b = appendSWFFloat(b, j.Wait)
+		b = append(b, ' ')
+		b = appendSWFFloat(b, j.Run)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(j.Procs), 10)
+		b = append(b, " -1 -1 "...)
+		b = strconv.AppendInt(b, int64(j.Procs), 10)
+		b = append(b, ' ')
+		b = appendSWFFloat(b, j.ReqTime)
+		b = append(b, " -1 "...)
+		b = strconv.AppendInt(b, int64(j.Status), 10)
+		b = append(b, " -1 -1 -1 -1 "...)
+		b = strconv.AppendInt(b, int64(j.Partition), 10)
+		b = append(b, " -1 -1\n"...)
+	}
+	return string(b)
+}
+
+// appendSWFFloat appends v as fmt's %.0f does. A non-zero integral
+// value within ±1e15 converts to int64 exactly and prints the same
+// digits through AppendInt; everything else — fractions (rounded half
+// to even), ±0 ("-0" keeps its sign), large magnitudes, ±Inf, NaN —
+// goes through AppendFloat, which is what %.0f calls.
+func appendSWFFloat(b []byte, v float64) []byte {
+	if v != 0 && v == math.Trunc(v) && math.Abs(v) <= 1e15 {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'f', 0, 64)
 }
 
 // SWFOptions maps a trace onto the simulated cluster.
@@ -404,9 +497,14 @@ func itersFor(seconds float64, spec apps.Spec) int {
 // Scenario.Dropped (and from there on the run's metrics.Workload).
 func SWFScenario(jobs []SWFJob, o SWFOptions) (Scenario, int, error) {
 	m := newSWFMapper(o)
+	n := len(jobs)
+	if o.MaxJobs > 0 && o.MaxJobs < n {
+		n = o.MaxJobs
+	}
 	sc := Scenario{
 		Name:    fmt.Sprintf("swf/%d-jobs", len(jobs)),
 		Cluster: m.cluster,
+		Subs:    make([]Submission, 0, n),
 	}
 	for i, j := range jobs {
 		if o.MaxJobs > 0 && len(sc.Subs) >= o.MaxJobs {

@@ -9,16 +9,29 @@ import (
 	"repro/internal/sched"
 )
 
+// TestParseSWFRejectsMalformed: a malformed record fails the trace
+// with its line (and field) in the error, on the materialised path and
+// on the streamed SWFReaderSource alike. A non-finite field is
+// malformed: an inf or nan submit time cannot be scheduled, and a nan
+// runtime would replay as a one-iteration job.
 func TestParseSWFRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"too-few-fields":  "1 0 -1 100 16\n",
-		"non-numeric":     "1 0 -1 abc 16 -1 -1 16 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n",
-		"negative-submit": "1 -5 -1 100 16 -1 -1 16 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n",
-		"extra-fields":    "1 0 -1 100 16 -1 -1 16 200 -1 1 -1 -1 -1 -1 -1 -1 -1 99\n",
+	cases := map[string]struct{ text, err string }{
+		"too-few-fields":  {"1 0 -1 100 16\n", "swf: line 1: 5 fields, want 18"},
+		"non-numeric":     {"1 0 -1 abc 16 -1 -1 16 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n", "swf: line 1 field 4: "},
+		"negative-submit": {"1 -5 -1 100 16 -1 -1 16 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n", "swf: line 1: negative submit time -5"},
+		"extra-fields":    {"1 0 -1 100 16 -1 -1 16 200 -1 1 -1 -1 -1 -1 -1 -1 -1 99\n", "swf: line 1: 19 fields, want 18"},
+		"inf-submit":      {"1 inf -1 100 16 -1 -1 16 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n", "swf: line 1 field 2: "},
+		"nan-submit":      {"1 nan -1 100 16 -1 -1 16 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n", "swf: line 1 field 2: "},
+		"nan-run":         {"; header\n1 0 -1 NaN 16 -1 -1 16 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n", "swf: line 2 field 4: "},
+		"-inf-reqtime":    {"1 0 -1 100 16 -1 -1 16 -inf -1 1 -1 -1 -1 -1 -1 -1 -1\n", "swf: line 1 field 9: "},
 	}
-	for name, text := range cases {
-		if _, err := ParseSWF(strings.NewReader(text)); err == nil {
-			t.Errorf("%s: ParseSWF accepted %q", name, text)
+	for name, c := range cases {
+		if _, err := ParseSWF(strings.NewReader(c.text)); err == nil || !strings.HasPrefix(err.Error(), c.err) {
+			t.Errorf("%s: ParseSWF(%q) error %v, want %q", name, c.text, err, c.err)
+		}
+		src := NewSWFReaderSource(strings.NewReader(c.text), SWFOptions{})
+		if _, _, err := src.Next(); err == nil || !strings.HasPrefix(err.Error(), c.err) {
+			t.Errorf("%s: SWFReaderSource(%q) error %v, want %q", name, c.text, err, c.err)
 		}
 	}
 }
