@@ -87,7 +87,6 @@ func run(args []string) int {
 	for _, p := range pkgs {
 		for _, a := range analyzers {
 			pass := &analysis.Pass{
-				Analyzer:  a,
 				Fset:      p.Fset,
 				Files:     p.Files,
 				Pkg:       p.Types,

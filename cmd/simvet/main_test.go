@@ -55,7 +55,6 @@ func TestSimvetCleanOnRepo(t *testing.T) {
 	for _, p := range repoPackages(t) {
 		for _, a := range suite.Analyzers {
 			pass := &analysis.Pass{
-				Analyzer:  a,
 				Fset:      p.Fset,
 				Files:     p.Files,
 				Pkg:       p.Types,

@@ -17,15 +17,35 @@ import (
 
 // TestReachCleanOnRepo is the whole-program half of the acceptance
 // gate: every top-level declaration of non-test Go is reached from a
-// binary's main, a package init or a public facade, or it carries a
-// //simvet:testonly mark (see reach). A failure names a declaration
-// no binary reaches: delete it along with the tests that only checked
-// it, or mark it a test reference with a reason. A testonly name a
-// root reaches is a failure too, so the mark cannot hide live code.
+// binary's main, a package init or a public facade, and every field of
+// a reached struct type is read, or it carries a //simvet:testonly
+// mark (see reach). A failure names a declaration no binary reaches or
+// a field nothing reads: delete it along with the tests that only
+// checked it, or mark it a test reference with a reason. A testonly
+// name a root reaches is a failure too, so the mark cannot hide live
+// code.
 func TestReachCleanOnRepo(t *testing.T) {
 	pkgs := repoPackages(t)
+	// bench/ changes only together with the benchmark it defines, so
+	// its two write-only fields wait for ROADMAP's "the program says
+	// where its time goes" item: calEvent.id keeps the calibration
+	// entry the engine's 24-byte size on purpose. Either one going, or
+	// any other finding in bench/, fails here.
+	pinned := map[string]bool{
+		"repro/bench.calEvent.id: no reached body reads it": false,
+		"repro/bench.side.runs: no reached body reads it":   false,
+	}
 	for _, f := range reach(pkgs, "repro/cluster", "repro/dlb", "repro/drom") {
+		if _, ok := pinned[f.msg]; ok {
+			pinned[f.msg] = true
+			continue
+		}
 		t.Errorf("%s: %s", pkgs[0].Fset.Position(f.pos), f.msg)
+	}
+	for msg, seen := range pinned {
+		if !seen {
+			t.Errorf("pinned finding is gone, drop its pin: %s", msg)
+		}
 	}
 }
 
@@ -51,6 +71,10 @@ func TestReachFixture(t *testing.T) {
 		"fix/lib.Deep.Method: no main reaches it",
 		"fix/lib.Exposed.hidden: no main reaches it",
 		"fix/lib.Hex: no main reaches it",
+		"fix/lib.Orphan: no main reaches it",
+		"fix/lib.Rec.lit: no reached body reads it",
+		"fix/lib.Rec.live: testonly, but a root reads it",
+		"fix/lib.Rec.wo: no reached body reads it",
 		"fix/lib.Ref: testonly, but a root reaches it",
 		"fix/lib.Shape.Sides: no main reaches it",
 		"fix/lib.Square.Sides: no main reaches it",
@@ -92,6 +116,16 @@ type reachDecl struct {
 	exported bool
 }
 
+// reachField is one field of a top-level struct type, keyed
+// "path.Type.Name". Embedded and tagged fields are not listed: a
+// promotion or reflection reads them.
+type reachField struct {
+	key    string
+	recv   string // the struct type's key
+	pos    token.Pos
+	marked bool // carries //simvet:testonly itself
+}
+
 // reach runs rapid type analysis (Bacon & Sweeney, OOPSLA '96) over
 // pkgs and returns its findings sorted by message. The roots are main
 // and init of every package main, the init of every package a root
@@ -117,6 +151,13 @@ type reachDecl struct {
 // test reference: not a finding, and what only it reaches is not one
 // either. A testonly name a root reaches, or a testonly package a
 // root package imports, is a finding.
+//
+// A field of a reached struct type is a finding when no reached body
+// reads it. A selector reads its field unless it is the whole left
+// side of = or op=, or the operand of ++ or --; a composite-literal
+// key never reads. Reads from what only test references reach count,
+// and a field may carry the mark too. The exported fields of the types
+// a facade hands out are read by its users (see exposedFields).
 func reach(pkgs []*load.Package, facades ...string) []reachFinding {
 	byPath := map[string]*load.Package{}
 	for _, p := range pkgs {
@@ -128,6 +169,7 @@ func reach(pkgs []*load.Package, facades ...string) []reachFinding {
 	bySig := map[string][]*reachDecl{}   // name and signature -> concrete methods
 	var order []*reachDecl
 	var roots []string
+	var fields []*reachField
 	testonlyPkg := map[string]bool{}
 	add := func(d *reachDecl) {
 		decls[d.key] = d
@@ -198,8 +240,19 @@ func reach(pkgs []*load.Package, facades ...string) []reachFinding {
 					for _, spec := range decl.Specs {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
-							add(&reachDecl{key: path + "." + spec.Name.Name, path: path, pos: spec.Pos(), info: p.TypesInfo, node: spec,
-								marked: hasMark(decl.Doc) || hasMark(spec.Doc) || hasMark(spec.Comment), exported: spec.Name.IsExported()})
+							typ := &reachDecl{key: path + "." + spec.Name.Name, path: path, pos: spec.Pos(), info: p.TypesInfo, node: spec,
+								marked: hasMark(decl.Doc) || hasMark(spec.Doc) || hasMark(spec.Comment), exported: spec.Name.IsExported()}
+							add(typ)
+							if st, ok := spec.Type.(*ast.StructType); ok {
+								for _, field := range st.Fields.List {
+									for _, id := range field.Names {
+										if field.Tag == nil {
+											fields = append(fields, &reachField{key: typ.key + "." + id.Name, recv: typ.key, pos: id.Pos(),
+												marked: hasMark(field.Doc) || hasMark(field.Comment)})
+										}
+									}
+								}
+							}
 							it, ok := spec.Type.(*ast.InterfaceType)
 							if !ok {
 								continue
@@ -240,9 +293,13 @@ func reach(pkgs []*load.Package, facades ...string) []reachFinding {
 			roots = append(roots, d.key)
 		}
 	}
+	read := map[string]bool{}
 	for _, path := range facades {
 		if p := byPath[path]; p != nil {
 			roots = append(roots, exposed(p.Types)...)
+			for _, k := range exposedFields(p.Types) {
+				read[k] = true
+			}
 		}
 	}
 
@@ -276,7 +333,22 @@ func reach(pkgs []*load.Package, facades ...string) []reachFinding {
 					}
 				}
 			}
+			written := map[ast.Expr]bool{} // selectors a statement assigns
 			ast.Inspect(d.node, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, lhs := range n.Lhs {
+							written[ast.Unparen(lhs)] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					written[ast.Unparen(n.X)] = true
+				case *ast.SelectorExpr:
+					if sel := d.info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !written[n] {
+						read[fieldKey(sel)] = true
+					}
+				}
 				id, ok := n.(*ast.Ident)
 				if !ok {
 					return true
@@ -305,6 +377,11 @@ func reach(pkgs []*load.Package, facades ...string) []reachFinding {
 			out = append(out, reachFinding{d.pos, d.key + ": testonly, but a root reaches it"})
 		}
 	}
+	for _, f := range fields {
+		if read[f.key] && f.marked {
+			out = append(out, reachFinding{f.pos, f.key + ": testonly, but a root reads it"})
+		}
+	}
 	for path := range testonlyPkg {
 		if rootPkg[path] {
 			out = append(out, reachFinding{byPath[path].Files[0].Package, path + ": testonly package, but a root imports it"})
@@ -323,6 +400,13 @@ func reach(pkgs []*load.Package, facades ...string) []reachFinding {
 			out = append(out, reachFinding{d.pos, d.key + ": no main reaches it"})
 		}
 	}
+	// A field of an unreached type is the type's finding too; a field
+	// of a marked type, or in a marked package, is a test reference.
+	for _, f := range fields {
+		if reached[f.recv] && !read[f.key] && !f.marked && !decls[f.recv].testonly {
+			out = append(out, reachFinding{f.pos, f.key + ": no reached body reads it"})
+		}
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].msg < out[j].msg })
 	return out
 }
@@ -337,19 +421,59 @@ func reach(pkgs []*load.Package, facades ...string) []reachFinding {
 // when a reached body names it.
 func exposed(facade *types.Package) []string {
 	var keys []string
-	seen := map[types.Type]bool{}
-	var mention func(t types.Type)
-	methods := func(t types.Type, fn func(*types.Func)) {
-		if !types.IsInterface(t) {
-			t = types.NewPointer(t)
+	walkFacade(facade, func(n *types.Named, mention func(types.Type)) {
+		obj := n.Origin().Obj()
+		switch obj.Pkg() {
+		case nil: // error
+		case facade:
+			exportedMethods(n, func(m *types.Func) { mention(m.Type()) })
+			mention(n.Underlying())
+		default:
+			keys = append(keys, obj.Pkg().Path()+"."+obj.Name())
+			exportedMethods(n, func(m *types.Func) {
+				if key, _ := objKey(m); key != "" {
+					keys = append(keys, key)
+				}
+			})
 		}
-		ms := types.NewMethodSet(t)
-		for i := 0; i < ms.Len(); i++ {
-			if m := ms.At(i).Obj().(*types.Func); m.Exported() {
-				fn(m)
+	})
+	return keys
+}
+
+// exposedFields returns the keys of the exported fields a facade user
+// can read: those of every named struct type reachable from the
+// facade's exported names through exported fields and exported method
+// signatures. Unlike exposed, the walk goes on past each named type.
+func exposedFields(facade *types.Package) []string {
+	var keys []string
+	walkFacade(facade, func(n *types.Named, mention func(types.Type)) {
+		exportedMethods(n, func(m *types.Func) { mention(m.Type()) })
+		st, ok := n.Underlying().(*types.Struct)
+		if !ok {
+			mention(n.Underlying())
+			return
+		}
+		obj := n.Origin().Obj()
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if f.Exported() {
+				keys = append(keys, obj.Pkg().Path()+"."+obj.Name()+"."+f.Name())
+			}
+			if f.Exported() || f.Embedded() { // an embedded field promotes
+				mention(f.Type())
 			}
 		}
-	}
+	})
+	return keys
+}
+
+// walkFacade calls named once for each named type the exported names
+// of a facade mention, through the elements, keys, parameters, results
+// and exported fields of unnamed types and the type arguments of named
+// ones. named goes on from a named type by calling mention.
+func walkFacade(facade *types.Package, named func(n *types.Named, mention func(types.Type))) {
+	seen := map[types.Type]bool{}
+	var mention func(t types.Type)
 	mention = func(t types.Type) {
 		t = types.Unalias(t)
 		if seen[t] {
@@ -361,20 +485,7 @@ func exposed(facade *types.Package) []string {
 			for i := 0; i < t.TypeArgs().Len(); i++ {
 				mention(t.TypeArgs().At(i))
 			}
-			obj := t.Origin().Obj()
-			switch obj.Pkg() {
-			case nil: // error
-			case facade:
-				methods(t, func(m *types.Func) { mention(m.Type()) })
-				mention(t.Underlying())
-			default:
-				keys = append(keys, obj.Pkg().Path()+"."+obj.Name())
-				methods(t, func(m *types.Func) {
-					if key, _ := objKey(m); key != "" {
-						keys = append(keys, key)
-					}
-				})
-			}
+			named(t, mention)
 		case *types.Pointer:
 			mention(t.Elem())
 		case *types.Slice:
@@ -405,7 +516,41 @@ func exposed(facade *types.Package) []string {
 			mention(obj.Type())
 		}
 	}
-	return keys
+}
+
+// exportedMethods calls fn on each exported method of t's method set,
+// the pointer receiver's for a non-interface type, promoted ones
+// included.
+func exportedMethods(t types.Type, fn func(*types.Func)) {
+	if !types.IsInterface(t) {
+		t = types.NewPointer(t)
+	}
+	ms := types.NewMethodSet(t)
+	for i := 0; i < ms.Len(); i++ {
+		if m := ms.At(i).Obj().(*types.Func); m.Exported() {
+			fn(m)
+		}
+	}
+}
+
+// fieldKey returns the key of the field a field selection reads: the
+// last step of its path, through any embedded fields ("" for a field
+// of an unnamed struct).
+func fieldKey(sel *types.Selection) string {
+	t, key := sel.Recv(), ""
+	for _, i := range sel.Index() {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		f := t.Underlying().(*types.Struct).Field(i)
+		key = ""
+		if n, ok := types.Unalias(t).(*types.Named); ok {
+			obj := n.Origin().Obj()
+			key = obj.Pkg().Path() + "." + obj.Name() + "." + f.Name()
+		}
+		t = f.Type()
+	}
+	return key
 }
 
 // objKey returns the declaration key of a use's object ("" for locals,

@@ -19,5 +19,6 @@ func main() {
 	fmt.Println(lib.Red) // String is reached only through fmt
 	fmt.Println(lib.ModeA)
 	lib.Ref()
+	fmt.Println(lib.Records())
 	tp.F()
 }

@@ -79,7 +79,7 @@ func Ref() {}
 // Ref2 is a test reference no main reaches.
 //
 //simvet:testonly reference implementation for tests
-func Ref2() { refHelper() }
+func Ref2() int { refHelper(); return Rec{}.byTest }
 
 // refHelper is reached only through a test reference.
 func refHelper() {}
@@ -100,8 +100,37 @@ type Made struct{}
 func (*Made) Next() Deep { return Deep{} }
 
 // Deep is reached from Next's body only: the exposure stops at the
-// types a facade names.
-type Deep struct{}
+// types a facade names. Its exported field is read by facade users
+// anyway: field exposure goes on through Next's signature.
+type Deep struct{ Depth int }
 
 // Method is named by nothing.
 func (Deep) Method() {}
+
+// Rec holds one field of each kind the field rule sorts.
+type Rec struct {
+	Base          // embedded: a promotion reads it
+	Tag    string `json:"tag"` // tagged: reflection reads it
+	kept   int
+	wo     int // only assigned
+	lit    int // only set in a literal
+	addr   int // read through its address
+	byTest int // read only by a test reference
+	marked int //simvet:testonly read by tests only
+	live   int //simvet:testonly but main reads it
+}
+
+// Base is embedded in Rec; main reads ID through the promotion.
+type Base struct{ ID int }
+
+// Records uses Rec's fields; main calls it.
+func Records() int {
+	r := Rec{lit: 1}
+	r.wo = 2
+	r.wo++
+	p := &r.addr
+	return r.kept + *p + r.ID + r.live
+}
+
+// Orphan is named nowhere: its field is the type's finding.
+type Orphan struct{ x int }

@@ -13,7 +13,7 @@
 // the import path and the annotation helpers.
 //
 // On top of the x/tools subset, the package adds the //simvet:*
-// annotation index that all simvet analyzers share — see Annotation
+// annotation index that all simvet analyzers share — see fileAnnots
 // and (*Pass).Annotated for the grammar and the attachment rules.
 package analysis
 
@@ -22,6 +22,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -47,7 +48,6 @@ type Diagnostic struct {
 
 // Pass carries one type-checked package through one analyzer.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
@@ -63,16 +63,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Annotation is one parsed //simvet:<name> [reason] comment.
-type Annotation struct {
-	Name   string
-	Reason string
-}
-
-// fileAnnots indexes one file's //simvet:* comments by line, plus the
-// set of lines occupied by comments (for the contiguous-group rule).
+// fileAnnots indexes the names of one file's //simvet:<name> [reason]
+// comments by line, plus the set of lines occupied by comments (for
+// the contiguous-group rule).
 type fileAnnots struct {
-	byLine       map[int][]Annotation
+	byLine       map[int][]string
 	commentLines map[int]bool
 }
 
@@ -80,7 +75,7 @@ const annotPrefix = "//simvet:"
 
 // parseAnnots builds the annotation index of one file.
 func parseAnnots(fset *token.FileSet, f *ast.File) *fileAnnots {
-	fa := &fileAnnots{byLine: map[int][]Annotation{}, commentLines: map[int]bool{}}
+	fa := &fileAnnots{byLine: map[int][]string{}, commentLines: map[int]bool{}}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			start := fset.Position(c.Pos()).Line
@@ -93,12 +88,12 @@ func parseAnnots(fset *token.FileSet, f *ast.File) *fileAnnots {
 				continue
 			}
 			rest := strings.TrimPrefix(text, annotPrefix)
-			name, reason, _ := strings.Cut(rest, " ")
+			name, _, _ := strings.Cut(rest, " ")
 			name = strings.TrimSpace(name)
 			if name == "" {
 				continue
 			}
-			fa.byLine[start] = append(fa.byLine[start], Annotation{Name: name, Reason: strings.TrimSpace(reason)})
+			fa.byLine[start] = append(fa.byLine[start], name)
 		}
 	}
 	return fa
@@ -121,16 +116,12 @@ func (p *Pass) fileAnnotsOf(file *ast.File) *fileAnnots {
 // contiguous comment block immediately above it (a doc comment).
 func (fa *fileAnnots) nodeAnnotated(fset *token.FileSet, n ast.Node, name string) bool {
 	line := fset.Position(n.Pos()).Line
-	for _, a := range fa.byLine[line] {
-		if a.Name == name {
-			return true
-		}
+	if slices.Contains(fa.byLine[line], name) {
+		return true
 	}
 	for l := line - 1; fa.commentLines[l]; l-- {
-		for _, a := range fa.byLine[l] {
-			if a.Name == name {
-				return true
-			}
+		if slices.Contains(fa.byLine[l], name) {
+			return true
 		}
 	}
 	return false

@@ -142,7 +142,6 @@ func checkExpectations(t *testing.T, a *analysis.Analyzer, fset *token.FileSet, 
 
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:  a,
 		Fset:      fset,
 		Files:     p.files,
 		Pkg:       p.tpkg,

@@ -26,7 +26,6 @@ import (
 // Package is one parsed, type-checked package ready for analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -83,7 +82,7 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 	imp := exportImporter(fset, exports)
 	var pkgs []*Package
 	for _, t := range targets {
-		p, err := check(fset, imp, t.ImportPath, t.Dir, absFiles(t.Dir, t.GoFiles))
+		p, err := check(fset, imp, t.ImportPath, absFiles(t.Dir, t.GoFiles))
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +113,7 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 }
 
 // check parses and type-checks one package's files.
-func check(fset *token.FileSet, imp types.Importer, importPath, dir string, files []string) (*Package, error) {
+func check(fset *token.FileSet, imp types.Importer, importPath string, files []string) (*Package, error) {
 	var syntax []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -131,7 +130,6 @@ func check(fset *token.FileSet, imp types.Importer, importPath, dir string, file
 	}
 	return &Package{
 		ImportPath: importPath,
-		Dir:        dir,
 		Fset:       fset,
 		Files:      syntax,
 		Types:      tpkg,

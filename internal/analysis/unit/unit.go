@@ -28,17 +28,11 @@ import (
 // Config is the JSON schema cmd/go writes for each vetted package
 // (a subset of the fields; unknown fields are ignored on decode).
 type Config struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -97,7 +91,6 @@ func Run(cfgFile string, analyzers []*analysis.Analyzer) int {
 	found := 0
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
-			Analyzer:  a,
 			Fset:      fset,
 			Files:     files,
 			Pkg:       pkg,
@@ -143,7 +136,7 @@ func typecheck(fset *token.FileSet, cfg *Config) (*types.Package, []*ast.File, *
 	}
 	info := load.NewInfo()
 	conf := types.Config{
-		Importer:  &cfgImporter{cfg: cfg, gc: gcImporter(fset, cfg)},
+		Importer:  &cfgImporter{gc: gcImporter(fset, cfg)},
 		GoVersion: strings.TrimSpace(cfg.GoVersion),
 	}
 	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
@@ -156,8 +149,7 @@ func typecheck(fset *token.FileSet, cfg *Config) (*types.Package, []*ast.File, *
 // cfgImporter resolves imports through the config's ImportMap and
 // PackageFile tables, special-casing unsafe.
 type cfgImporter struct {
-	cfg *Config
-	gc  types.Importer
+	gc types.Importer
 }
 
 func (ci *cfgImporter) Import(path string) (*types.Package, error) {

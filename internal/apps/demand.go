@@ -140,14 +140,13 @@ func (d *DemandTable) SetNodeMachine(node string, m hwmodel.Machine) {
 // 100k-job replay scale, so ranks resolve the handle once at
 // (re)placement and go through it afterwards.
 type NodeHandle struct {
-	d *DemandTable
 	n *nodeDemand
 }
 
 // Handle returns a NodeHandle for node, creating the (empty) ledger
 // if needed.
 func (d *DemandTable) Handle(node string) NodeHandle {
-	return NodeHandle{d: d, n: d.ledger(node)}
+	return NodeHandle{n: d.ledger(node)}
 }
 
 // Slowdown returns the bandwidth oversubscription factor of the node.

@@ -55,8 +55,8 @@ func DefaultMix() []AppMix {
 
 // Generate builds a reproducible scenario from the parameters.
 func Generate(p Params) (workload.Scenario, error) {
-	if p.Jobs <= 0 || p.MeanInterarrival <= 0 {
-		return workload.Scenario{}, fmt.Errorf("djsb: need positive Jobs and MeanInterarrival")
+	if m := p.MeanInterarrival; p.Jobs <= 0 || !(m > 0) || math.IsInf(m, 1) {
+		return workload.Scenario{}, fmt.Errorf("djsb: need positive Jobs and a positive finite MeanInterarrival (got %d, %v)", p.Jobs, m)
 	}
 	if p.Nodes <= 0 {
 		p.Nodes = 2

@@ -1,6 +1,7 @@
 package djsb
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -74,6 +75,11 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := Generate(Params{Jobs: 5, MeanInterarrival: 0}); err == nil {
 		t.Error("zero interarrival should fail")
+	}
+	for _, m := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := Generate(Params{Jobs: 5, MeanInterarrival: m}); err == nil || !strings.Contains(err.Error(), "MeanInterarrival") {
+			t.Errorf("interarrival %v: error = %v", m, err)
+		}
 	}
 	bad := smallParams(1)
 	bad.Mix[0].ItersMin = 0

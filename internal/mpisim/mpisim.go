@@ -30,7 +30,6 @@ const (
 const (
 	CallRecv     Call = "MPI_Recv"
 	CallBarrier  Call = "MPI_Barrier"
-	CallBcast    Call = "MPI_Bcast"
 	CallGather   Call = "MPI_Gather"
 	CallAlltoall Call = "MPI_Alltoall"
 )
@@ -105,9 +104,6 @@ type World struct {
 	barrierCond *sync.Cond
 	barrierCnt  int
 	barrierGen  int
-
-	splitMu sync.Mutex
-	split   *splitState
 }
 
 // NewWorld creates a communicator with the given number of ranks.
@@ -153,8 +149,7 @@ func (w *World) Run(body func(r *Rank)) {
 
 // internal tags for collectives, out of the user tag space.
 const (
-	tagBcast = -1000 - iota
-	tagGather
+	tagGather = -1000 - iota
 	tagReduce
 	tagAlltoall
 )
@@ -228,27 +223,6 @@ func (r *Rank) Barrier() {
 		}
 		w.barrierMu.Unlock()
 	})
-}
-
-// Bcast distributes root's value to all ranks and returns it
-// (MPI_Bcast). Every rank must pass the same root.
-//
-//simvet:testonly reference MPI call no example makes; its tests pin it
-func (r *Rank) Bcast(root int, data interface{}) interface{} {
-	var out interface{}
-	r.intercept(CallBcast, func() {
-		if r.rank == root {
-			for i := 0; i < r.world.size; i++ {
-				if i != root {
-					r.world.mailboxes[i].put(message{src: root, tag: tagBcast, data: data})
-				}
-			}
-			out = data
-		} else {
-			out = r.world.mailboxes[r.rank].get(root, tagBcast).data
-		}
-	})
-	return out
 }
 
 // Gather collects every rank's value at root (MPI_Gather). Root

@@ -85,28 +85,6 @@ func TestBarrierReusable(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	w := NewWorld(4)
-	var mu sync.Mutex
-	got := map[int]interface{}{}
-	w.Run(func(r *Rank) {
-		var v interface{}
-		if r.RankID() == 2 {
-			v = r.Bcast(2, "payload")
-		} else {
-			v = r.Bcast(2, nil)
-		}
-		mu.Lock()
-		got[r.RankID()] = v
-		mu.Unlock()
-	})
-	for rank, v := range got {
-		if v != "payload" {
-			t.Errorf("rank %d got %v", rank, v)
-		}
-	}
-}
-
 func TestGather(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(r *Rank) {
@@ -187,7 +165,7 @@ func TestBlockingClassification(t *testing.T) {
 	if CallSend.Blocking() {
 		t.Errorf("%s should be non-blocking", CallSend)
 	}
-	blocking := []Call{CallRecv, CallBarrier, CallBcast, CallGather, CallAllreduce, CallAlltoall, CallSplit}
+	blocking := []Call{CallRecv, CallBarrier, CallGather, CallAllreduce, CallAlltoall}
 	for _, c := range blocking {
 		if !c.Blocking() {
 			t.Errorf("%s should be blocking", c)

@@ -1,6 +1,6 @@
 // Package omprt implements an OpenMP-like fork-join runtime with
-// resizable thread teams, static/dynamic loop scheduling, thread→CPU
-// binding and an OMPT-like tool interface (§4.1). It is the Go
+// resizable thread teams, static/dynamic loop scheduling, a CPU
+// binding mask and an OMPT-like tool interface (§4.1). It is the Go
 // substitute for the OpenMP runtimes the paper integrates with: DLB
 // registers itself as a tool and adjusts the team size and bindings at
 // every parallel construct.
@@ -34,10 +34,9 @@ type Tool interface {
 	ImplicitTask(rt *Runtime, threadNum, teamSize int)
 }
 
-// ThreadInfo describes one team thread's placement during a region.
+// ThreadInfo identifies one team thread during a region.
 type ThreadInfo struct {
 	Num int // thread number within the team
-	CPU int // virtual CPU the thread is bound to, -1 if unbound
 }
 
 // Runtime is an OpenMP-like runtime instance (one per "process").
@@ -85,8 +84,7 @@ func (r *Runtime) NumThreads() int {
 	return r.numThreads
 }
 
-// SetBinding pins future teams to the CPUs of mask: thread i is bound
-// to the i-th CPU (round-robin when the team is larger than the mask).
+// SetBinding pins future teams to the CPUs of mask.
 func (r *Runtime) SetBinding(mask cpuset.CPUSet) {
 	r.mu.Lock()
 	r.binding = mask
@@ -108,24 +106,6 @@ func (r *Runtime) RegisterTool(t Tool) {
 	r.tools = append(r.tools, t)
 }
 
-// team computes the placement for a region of size n under the current
-// binding.
-func (r *Runtime) team(n int) []ThreadInfo {
-	r.mu.Lock()
-	binding := r.binding
-	r.mu.Unlock()
-	infos := make([]ThreadInfo, n)
-	cpus := binding.List()
-	for i := range infos {
-		cpu := -1
-		if len(cpus) > 0 {
-			cpu = cpus[i%len(cpus)]
-		}
-		infos[i] = ThreadInfo{Num: i, CPU: cpu}
-	}
-	return infos
-}
-
 // Parallel executes body on every thread of a new team
 // (#pragma omp parallel). body receives the thread number and team
 // size. Nested calls run serially on the calling thread with a team of
@@ -134,7 +114,7 @@ func (r *Runtime) Parallel(body func(thread ThreadInfo, teamSize int)) {
 	r.mu.Lock()
 	if r.inParallel {
 		r.mu.Unlock()
-		body(ThreadInfo{Num: 0, CPU: -1}, 1)
+		body(ThreadInfo{Num: 0}, 1)
 		return
 	}
 	r.inParallel = true
@@ -150,8 +130,6 @@ func (r *Runtime) Parallel(body func(thread ThreadInfo, teamSize int)) {
 	n := r.numThreads
 	r.mu.Unlock()
 
-	infos := r.team(n)
-
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -161,7 +139,7 @@ func (r *Runtime) Parallel(body func(thread ThreadInfo, teamSize int)) {
 				t.ImplicitTask(r, info.Num, n)
 			}
 			body(info, n)
-		}(infos[i])
+		}(ThreadInfo{Num: i})
 	}
 	wg.Wait()
 

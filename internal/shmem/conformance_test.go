@@ -223,8 +223,8 @@ func TestConformanceLewiFlow(t *testing.T) {
 		if code := s.LendCPUs(1, cpuset.Range(4, 7)); code != derr.Success {
 			t.Fatalf("Lend = %v", code)
 		}
-		if got := tables(s).LentMask(); !got.Equal(cpuset.Range(4, 7)) {
-			t.Fatalf("LentMask = %v", got)
+		if tab, _ := cpuTable(t, tables(s)); !scanAll(&tab, isLent).Equal(cpuset.Range(4, 7)) {
+			t.Fatalf("lent = %v", scanAll(&tab, isLent))
 		}
 		got := s.BorrowCPUs(2, 2)
 		if got.Count() != 2 || !got.IsSubsetOf(cpuset.Range(4, 7)) {

@@ -56,8 +56,8 @@ func TestLendBorrowReturn(t *testing.T) {
 
 	// Process 1 blocks in MPI and lends half its CPUs.
 	s.LendCPUs(1, cpuset.Range(4, 7))
-	if !s.LentMask().Equal(cpuset.Range(4, 7)) {
-		t.Fatalf("LentMask = %v", s.LentMask())
+	if tab, _ := cpuTable(t, s); !scanAll(&tab, isLent).Equal(cpuset.Range(4, 7)) {
+		t.Fatalf("lent = %v", scanAll(&tab, isLent))
 	}
 	if !s.IdleMask().Equal(cpuset.Range(4, 7)) {
 		t.Fatalf("IdleMask = %v", s.IdleMask())
@@ -240,6 +240,9 @@ func scanAll(tab *[cpuset.MaxCPUs]cpuState, match func(st cpuState) bool) cpuset
 	return m
 }
 
+// isLent matches a CPU its owner has handed to the pool.
+func isLent(st cpuState) bool { return st.lent }
+
 // unregisterAll is Unregister's cpuinfo pass as a scan of every slot.
 func unregisterAll(tab *[cpuset.MaxCPUs]cpuState, pid PID) {
 	for c := range tab {
@@ -257,8 +260,7 @@ func unregisterAll(tab *[cpuset.MaxCPUs]cpuState, pid PID) {
 // round trips — on the mem and file backends, and after every one holds
 // the table to scans of all 256 slots: the live set covers every
 // non-zero slot, Unregister leaves the table the full scan leaves, and
-// GuestMask, OwnerMask, PollReclaim and LentMask answer what the scans
-// answer.
+// GuestMask, OwnerMask and PollReclaim answer what the scans answer.
 func TestCpuinfoLiveSetDifferential(t *testing.T) {
 	const pids = 5
 	node := cpuset.Range(0, 47)
@@ -342,9 +344,6 @@ func TestCpuinfoLiveSetDifferential(t *testing.T) {
 							t.Fatalf("%s seed %d step %d (op %d): %s(%d) = %v, full scan %v", kind, seed, step, op, q.name, p, q.got, q.want)
 						}
 					}
-				}
-				if got, want := tables(seg).LentMask(), scanAll(&tab, func(st cpuState) bool { return st.lent }); !got.Equal(want) {
-					t.Fatalf("%s seed %d step %d (op %d): LentMask = %v, full scan %v", kind, seed, step, op, got, want)
 				}
 			}
 			b.Close()

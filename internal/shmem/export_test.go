@@ -1,10 +1,6 @@
 package shmem
 
-import (
-	"fmt"
-
-	"repro/internal/cpuset"
-)
+import "fmt"
 
 // tables returns the in-process tables behind seg, for assertions: the
 // segment itself, or a decoded copy of a file segment's current state.
@@ -28,6 +24,10 @@ func tables(seg Segment) *MemSegment {
 // (watchers live in the process, not in a segment file).
 func watcherCount(seg Segment, pid PID) int {
 	switch s := seg.(type) {
+	case *MemSegment:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.watchers[pid])
 	case *FileSegment:
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -35,38 +35,5 @@ func watcherCount(seg Segment, pid PID) int {
 	case *FaultSegment:
 		return watcherCount(s.Segment, pid)
 	}
-	return tables(seg).WatcherCount(pid)
-}
-
-// LentMask returns all CPUs currently marked lent (idle or borrowed).
-func (s *MemSegment) LentMask() cpuset.CPUSet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var m cpuset.CPUSet
-	for c := s.live.First(); c >= 0; c = s.live.Next(c + 1) {
-		if s.cpus[c].lent {
-			m.Set(c)
-		}
-	}
-	return m
-}
-
-// WatcherCount returns the number of registered watcher channels for
-// pid (diagnostics and leak tests).
-func (s *MemSegment) WatcherCount(pid PID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.watchers[pid])
-}
-
-// watcherPIDs returns the pids with live watcher map entries,
-// including empty ones (leak tests).
-func (s *MemSegment) watcherPIDs() []PID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]PID, 0, len(s.watchers))
-	for pid := range s.watchers {
-		out = append(out, pid)
-	}
-	return out
+	panic(fmt.Sprintf("shmem: no watchers behind %T", seg))
 }

@@ -26,7 +26,8 @@ package shmem
 // parent's stream, without consuming it, and its counts: both lineages
 // see the same faults, as after any Fork — a what-if from a flaky live
 // lineage sees the ones the live lineage will. The stale-read snapshot
-// is not carried over; ROADMAP item 7 owns the silent fault classes.
+// is not carried over; the silent-fault part of ROADMAP's "faults the
+// controller cannot hear" item owns the silent fault classes.
 
 import (
 	"fmt"

@@ -124,7 +124,6 @@ func (b *FileBackend) Open(name string, nodeCPUs cpuset.CPUSet, maxProcs int) (S
 		return s, nil
 	}
 	s := &FileSegment{
-		b:        b,
 		name:     name,
 		path:     b.segPath(name),
 		watchers: make(map[PID][]chan struct{}),
@@ -286,7 +285,6 @@ func (b *FileBackend) fork() Backend {
 // file; the struct only caches the immutable shape and carries the
 // watcher bookkeeping for this process.
 type FileSegment struct {
-	b        *FileBackend
 	name     string
 	path     string
 	nodeCPUs cpuset.CPUSet

@@ -434,15 +434,15 @@ func TestUnwatchDuringNotification(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("surviving watcher missed the notification")
 	}
-	if n := s.WatcherCount(1); n != 1 {
+	if n := watcherCount(s, 1); n != 1 {
 		t.Fatalf("watcher count = %d, want 1", n)
 	}
 	s.Unwatch(1, ch2)
-	if n := s.WatcherCount(1); n != 0 {
+	if n := watcherCount(s, 1); n != 0 {
 		t.Fatalf("watcher count after full unwatch = %d, want 0", n)
 	}
-	if pids := s.watcherPIDs(); len(pids) != 0 {
-		t.Fatalf("stale watcher map entries for pids %v", pids)
+	if len(s.watchers) != 0 {
+		t.Fatalf("stale watcher map entries %v", s.watchers)
 	}
 	// Unwatching again (unknown channel now) is a harmless no-op.
 	s.Unwatch(1, ch1)
@@ -477,8 +477,8 @@ func TestWatchUnregisteredPID(t *testing.T) {
 		t.Fatal("watcher registered before the pid missed its notification")
 	}
 	s.Unwatch(42, ch)
-	if pids := s.watcherPIDs(); len(pids) != 0 {
-		t.Fatalf("stale watcher map entries for pids %v", pids)
+	if len(s.watchers) != 0 {
+		t.Fatalf("stale watcher map entries %v", s.watchers)
 	}
 }
 

@@ -287,22 +287,33 @@ func (r *closeObserver) Close() error {
 
 // TestReplayClosesSourceOnEarlyError: a replay that fails before its
 // first event — invalid fault script, invalid cluster, a jitter
-// fraction outside [0, 1) — must still close the source, or the trace
-// file stays open.
+// fraction outside [0, 1), a non-finite or negative fault mean or
+// spill threshold — reports an error naming what is wrong and still
+// closes the source, or the trace file stays open.
 func TestReplayClosesSourceOnEarlyError(t *testing.T) {
 	text := FormatSWF(SyntheticSWF{Seed: 1, Jobs: 2000, Nodes: 4}.Generate())
 	bad := []struct {
 		name string
 		scn  Scenario
+		want string
 	}{
-		{"fault script", Scenario{Nodes: 4, NodeFaults: "node0:explode@1..2"}},
-		{"cluster", Scenario{Cluster: hwmodel.ClusterSpec{Partitions: []hwmodel.Partition{{Name: "empty"}}}}},
+		{"fault script", Scenario{Nodes: 4, NodeFaults: "node0:explode@1..2"}, "explode"},
+		{"cluster", Scenario{Cluster: hwmodel.ClusterSpec{Partitions: []hwmodel.Partition{{Name: "empty"}}}}, "empty"},
 		// A factor 1 + f·(2u−1) must stay positive, and NaN must not read
 		// as jitter off.
-		{"jitter fraction 1", Scenario{Nodes: 4, JitterFrac: 1}},
-		{"jitter fraction -0.1", Scenario{Nodes: 4, JitterFrac: -0.1}},
-		{"jitter fraction NaN", Scenario{Nodes: 4, JitterFrac: math.NaN()}},
-		{"jitter fraction +Inf", Scenario{Nodes: 4, JitterFrac: math.Inf(1)}},
+		{"jitter fraction 1", Scenario{Nodes: 4, JitterFrac: 1}, "JitterFrac"},
+		{"jitter fraction -0.1", Scenario{Nodes: 4, JitterFrac: -0.1}, "JitterFrac"},
+		{"jitter fraction NaN", Scenario{Nodes: 4, JitterFrac: math.NaN()}, "JitterFrac"},
+		{"jitter fraction +Inf", Scenario{Nodes: 4, JitterFrac: math.Inf(1)}, "JitterFrac"},
+		// An infinite mean is an event at +Inf (a panic mid-replay); NaN
+		// must not read as the fault model or the threshold off.
+		{"MTBF +Inf", Scenario{Nodes: 4, MTBF: math.Inf(1)}, "MTBF"},
+		{"MTBF NaN", Scenario{Nodes: 4, MTBF: math.NaN()}, "MTBF"},
+		{"MTBF -1", Scenario{Nodes: 4, MTBF: -1}, "MTBF"},
+		{"MTTR NaN", Scenario{Nodes: 4, MTBF: 1000, MTTR: math.NaN()}, "MTTR"},
+		{"MTTR +Inf", Scenario{Nodes: 4, MTBF: 1000, MTTR: math.Inf(1)}, "MTTR"},
+		{"SpillAfter NaN", Scenario{Nodes: 4, Spill: true, SpillAfter: math.NaN()}, "SpillAfter"},
+		{"SpillAfter -1", Scenario{Nodes: 4, Spill: true, SpillAfter: -1}, "SpillAfter"},
 	}
 	for _, b := range bad {
 		r := &closeObserver{Reader: strings.NewReader(text), closed: make(chan struct{})}
@@ -310,6 +321,8 @@ func TestReplayClosesSourceOnEarlyError(t *testing.T) {
 		p, _ := sched.New("fcfs")
 		if res := RunSchedStream(b.scn, src, p); res.Err == nil {
 			t.Fatalf("invalid %s: replay reported no error", b.name)
+		} else if !strings.Contains(res.Err.Error(), b.want) {
+			t.Errorf("invalid %s: error %q does not name %s", b.name, res.Err, b.want)
 		}
 		select {
 		case <-r.closed:

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/hwmodel"
@@ -103,6 +104,15 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 	if f := s.JitterFrac; !(f >= 0 && f < 1) {
 		// Past 1 a factor 1 + f·(2u−1) can be negative; NaN would read as off.
 		return nil, fmt.Errorf("workload: JitterFrac %v outside [0, 1)", f)
+	}
+	for _, v := range []struct {
+		name string
+		x    float64
+	}{{"MTBF", s.MTBF}, {"MTTR", s.MTTR}, {"SpillAfter", s.SpillAfter}} {
+		if !(v.x >= 0) || math.IsInf(v.x, 1) {
+			// An infinite mean is an event at +Inf; NaN would read as off.
+			return nil, fmt.Errorf("workload: %s %v is not a finite value >= 0", v.name, v.x)
+		}
 	}
 	if len(s.Cluster.Partitions) == 0 {
 		if cs, ok := src.(interface{ Cluster() hwmodel.ClusterSpec }); ok {

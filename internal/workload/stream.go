@@ -38,18 +38,21 @@ type SyntheticSource struct {
 
 	mapper swfMapper
 	i      int
+	err    error // the generator's check, answered by every Next
 }
 
 // Source returns a streaming generator equivalent to Generate() +
 // SWFScenario mapping on the generator's cluster (p.Nodes MN3 nodes,
 // or p.Cluster when set).
 func (p SyntheticSWF) Source() *SyntheticSource {
+	err := p.check()
 	p = p.withDefaults()
 	return &SyntheticSource{
 		p:      p,
 		r:      rand.New(rand.NewSource(p.Seed)),
 		genCS:  p.clusterSpec(),
 		mapper: newSWFMapper(SWFOptions{Nodes: p.Nodes, Cluster: p.Cluster}),
+		err:    err,
 	}
 }
 
@@ -59,6 +62,9 @@ func (s *SyntheticSource) Cluster() hwmodel.ClusterSpec { return s.mapper.cluste
 // Next implements SubmissionSource. Unusable records are skipped (the
 // synthetic generator produces none on its own defaults).
 func (s *SyntheticSource) Next() (Submission, bool, error) {
+	if s.err != nil {
+		return Submission{}, false, s.err
+	}
 	for s.i < s.p.Jobs {
 		j := s.p.genJob(s.r, s.i, &s.genAt, s.genCS)
 		idx := s.i

@@ -546,6 +546,16 @@ type SyntheticSWF struct {
 	FailRate   float64
 }
 
+// check rejects an inter-arrival mean no exponential draw can use:
+// NaN or ±Inf would put a submission at a non-finite time. A mean <= 0
+// selects the default.
+func (p SyntheticSWF) check() error {
+	if m := p.MeanInterarrival; math.IsNaN(m) || math.IsInf(m, 0) {
+		return fmt.Errorf("swf: MeanInterarrival %v is not finite", m)
+	}
+	return nil
+}
+
 func (p SyntheticSWF) withDefaults() SyntheticSWF {
 	if p.Jobs <= 0 {
 		p.Jobs = 1000
@@ -647,6 +657,9 @@ func (p SyntheticSWF) Generate() []SWFJob {
 // SyntheticSWFScenario generates and maps a synthetic trace in one
 // step.
 func SyntheticSWFScenario(p SyntheticSWF) (Scenario, error) {
+	if err := p.check(); err != nil {
+		return Scenario{}, err
+	}
 	p = p.withDefaults()
 	sc, skipped, err := SWFScenario(p.Generate(), SWFOptions{Nodes: p.Nodes, Cluster: p.Cluster})
 	if err != nil {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -111,6 +112,21 @@ func TestSyntheticSWFSingleNode(t *testing.T) {
 	p, _ := sched.New("malleable-expand")
 	if res := RunSched(sc, p); res.Err != nil {
 		t.Fatal(res.Err)
+	}
+}
+
+// TestSyntheticSWFRejectsNonFiniteMean: a NaN or infinite
+// inter-arrival mean is an error naming the field, materialised and
+// streamed alike, instead of a submission at a non-finite time.
+func TestSyntheticSWFRejectsNonFiniteMean(t *testing.T) {
+	for _, m := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := SyntheticSWF{Seed: 1, Jobs: 20, MeanInterarrival: m}
+		if _, err := SyntheticSWFScenario(p); err == nil || !strings.Contains(err.Error(), "MeanInterarrival") {
+			t.Errorf("mean %v: SyntheticSWFScenario error = %v", m, err)
+		}
+		if _, _, err := p.Source().Next(); err == nil || !strings.Contains(err.Error(), "MeanInterarrival") {
+			t.Errorf("mean %v: Source().Next error = %v", m, err)
+		}
 	}
 }
 
