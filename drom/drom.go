@@ -44,7 +44,9 @@ const (
 	ReturnStolen Flags = core.FlagReturnStolen
 )
 
-// Admin is an attached administrator process handle.
+// Admin is an attached administrator process handle. It serves one
+// goroutine at a time (its calls reuse the handle's buffers): attach
+// one per goroutine that administers.
 type Admin struct {
 	a *core.Admin
 }

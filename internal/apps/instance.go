@@ -139,6 +139,7 @@ func (inst *Instance) Reset(spec Spec, cfg Config, iters int, jobName string,
 		}
 		inst.rows = slices.Grow(inst.rows, cfg.Ranks*cfg.Threads) // a row per thread, unless a mask outgrows the request
 	}
+	inst.ranks = slices.Grow(inst.ranks, len(placements))
 	for _, p := range placements {
 		inst.ranks = append(inst.ranks, rankRun{p: p, chunks: cfg.Threads})
 	}

@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cpuset"
@@ -63,6 +64,12 @@ type System struct {
 	SyncTimeout time.Duration
 	// watcher hears of every mask this System stages (WatchStages).
 	watcher StageWatcher
+	// regMu guards reg, the entry Register reads a registered mask back
+	// into: its theft list's array is kept, so a process registering
+	// into a PreInit slot with thefts allocates nothing, and processes
+	// may register concurrently.
+	regMu sync.Mutex
+	reg   shmem.ProcEntry
 }
 
 // StageWatcher is told which process a mask was just staged for.
@@ -96,10 +103,16 @@ func (s *System) NodeCPUs() cpuset.CPUSet { return s.seg.NodeCPUs() }
 // ---------------------------------------------------------------------
 
 // Admin is an attached administrator handle (DROM_Attach). An Admin is
-// not itself a managed process: it holds no CPUs.
+// not itself a managed process: it holds no CPUs. One Admin serves one
+// goroutine at a time — attach one per goroutine that administers.
 type Admin struct {
 	sys      *System
 	attached bool
+	// Scratch of the calls that read entries and resolve thefts: the
+	// entry under work and a theft list. Each keeps its array, so the
+	// protocol allocates nothing once warm.
+	entry  shmem.ProcEntry
+	thefts []shmem.Theft
 }
 
 // Attach connects an administrator to the DROM system (DROM_Attach).
@@ -148,11 +161,10 @@ func (a *Admin) ProcessMask(pid shmem.PID, flags Flags) (cpuset.CPUSet, derr.Cod
 			return cpuset.CPUSet{}, c
 		}
 	}
-	e, code := a.sys.seg.Lookup(pid)
-	if code.IsError() {
+	if code := a.sys.seg.LookupInto(pid, &a.entry); code.IsError() {
 		return cpuset.CPUSet{}, code
 	}
-	return e.CurrentMask, derr.Success
+	return a.entry.CurrentMask, derr.Success
 }
 
 // Inspect returns the full shared-memory entry of pid, for tooling.
@@ -161,6 +173,19 @@ func (a *Admin) Inspect(pid shmem.PID) (shmem.ProcEntry, derr.Code) {
 		return shmem.ProcEntry{}, c
 	}
 	return a.sys.seg.Lookup(pid)
+}
+
+// Peek reads pid's entry into the Admin's scratch and returns it: the
+// entry, theft list included, is valid until the next call on this
+// Admin. A resource manager that reads masks on every plan peeks
+// without allocating; Inspect returns a copy of its own. On error the
+// entry is blank.
+func (a *Admin) Peek(pid shmem.PID) (*shmem.ProcEntry, derr.Code) {
+	if c := a.check(); c.IsError() {
+		a.entry = shmem.ProcEntry{Stolen: a.entry.Stolen[:0]}
+		return &a.entry, c
+	}
+	return &a.entry, a.sys.seg.LookupInto(pid, &a.entry)
 }
 
 // Stats returns the run-time counters of pid: the paper's future-work
@@ -194,7 +219,7 @@ func (a *Admin) SetProcessMask(pid shmem.PID, mask cpuset.CPUSet, flags Flags) d
 	if c := a.check(); c.IsError() {
 		return c
 	}
-	if code := a.sys.stageMask(pid, mask, flags); code.IsError() {
+	if code := a.stageMask(pid, mask, flags); code.IsError() {
 		return code
 	}
 	if flags.Has(FlagSync) {
@@ -216,7 +241,7 @@ func (a *Admin) PreInit(pid shmem.PID, mask cpuset.CPUSet, flags Flags) derr.Cod
 	if mask.IsEmpty() || !mask.IsSubsetOf(a.sys.seg.NodeCPUs()) {
 		return derr.ErrInvalid
 	}
-	thefts, code := a.sys.resolveConflicts(pid, mask, flags)
+	thefts, code := a.resolveConflicts(pid, mask, flags)
 	if code.IsError() {
 		return code
 	}
@@ -225,7 +250,7 @@ func (a *Admin) PreInit(pid shmem.PID, mask cpuset.CPUSet, flags Flags) derr.Cod
 		// only on success path below, see stageVictims.
 		return code
 	}
-	if code := a.sys.stageVictims(thefts); code.IsError() {
+	if code := a.stageVictims(thefts); code.IsError() {
 		return code
 	}
 	if flags.Has(FlagSync) {
@@ -247,10 +272,14 @@ func (a *Admin) PostFinalize(pid shmem.PID, flags Flags) derr.Code {
 	if c := a.check(); c.IsError() {
 		return c
 	}
-	e, code := a.sys.seg.Lookup(pid)
-	if code.IsError() {
+	e := &a.entry
+	if code := a.sys.seg.LookupInto(pid, e); code.IsError() {
 		return code
 	}
+	// The thefts outlive the entry: Unregister recycles its slot, and
+	// the loop below reads each victim into the same scratch.
+	stolen := append(a.thefts[:0], e.Stolen...)
+	a.thefts = stolen
 	// What the process actually held at the end: CPUs it stole but
 	// later lost (re-stolen by another PreInit/SetProcessMask) must
 	// NOT be returned — they belong to someone else now.
@@ -262,9 +291,9 @@ func (a *Admin) PostFinalize(pid shmem.PID, flags Flags) derr.Code {
 		return code
 	}
 	if flags.Has(FlagReturnStolen) {
-		for _, th := range e.Stolen {
-			ve, code := a.sys.seg.Lookup(th.Victim)
-			if code.IsError() {
+		for _, th := range stolen {
+			ve := &a.entry
+			if code := a.sys.seg.LookupInto(th.Victim, ve); code.IsError() {
 				continue // victim already gone; CPUs stay free
 			}
 			// Clip the return to CPUs the dead process still held and
@@ -296,11 +325,12 @@ func (s *System) Register(pid shmem.PID, mask cpuset.CPUSet) (cpuset.CPUSet, der
 	if code.IsError() {
 		return cpuset.CPUSet{}, code
 	}
-	e, code := s.seg.Lookup(pid)
-	if code.IsError() {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	if code := s.seg.LookupInto(pid, &s.reg); code.IsError() {
 		return cpuset.CPUSet{}, code
 	}
-	return e.CurrentMask, derr.Success
+	return s.reg.CurrentMask, derr.Success
 }
 
 // Poll is DLB_PollDROM: it checks for a pending mask and applies it.
@@ -324,27 +354,29 @@ func (s *System) Unregister(pid shmem.PID) derr.Code {
 // ---------------------------------------------------------------------
 
 // resolveConflicts computes the victim shrink set for taking mask on
-// behalf of pid. It returns the theft records without staging them.
-// The segment does the scan in one locked pass (ascending victim PID,
-// no entry cloning): launches that reserve only free CPUs — the
-// overwhelming majority in scheduler-driven replays — resolve without
-// allocating.
-func (s *System) resolveConflicts(pid shmem.PID, mask cpuset.CPUSet, flags Flags) ([]shmem.Theft, derr.Code) {
-	return s.seg.ResolveThefts(pid, mask, flags.Has(FlagSteal))
+// behalf of pid, into the Admin's theft scratch. It returns the theft
+// records without staging them. The segment does the scan in one
+// locked pass (ascending victim PID, no entry cloning), so a resolve
+// allocates nothing once the scratch is warm.
+func (a *Admin) resolveConflicts(pid shmem.PID, mask cpuset.CPUSet, flags Flags) ([]shmem.Theft, derr.Code) {
+	thefts, code := a.sys.seg.ResolveThefts(a.thefts, pid, mask, flags.Has(FlagSteal))
+	a.thefts = thefts
+	return thefts, code
 }
 
-// stageVictims writes the shrunken future masks of all theft victims.
-func (s *System) stageVictims(thefts []shmem.Theft) derr.Code {
+// stageVictims writes the shrunken future masks of all theft victims,
+// reading each into the Admin's entry scratch.
+func (a *Admin) stageVictims(thefts []shmem.Theft) derr.Code {
+	e := &a.entry
 	for _, th := range thefts {
-		e, code := s.seg.Lookup(th.Victim)
-		if code.IsError() {
+		if code := a.sys.seg.LookupInto(th.Victim, e); code.IsError() {
 			return code
 		}
 		base := e.CurrentMask
 		if e.Dirty {
 			base = e.FutureMask
 		}
-		if code := s.setFuture(th.Victim, base.AndNot(th.Mask)); code.IsError() {
+		if code := a.sys.setFuture(th.Victim, base.AndNot(th.Mask)); code.IsError() {
 			return code
 		}
 	}
@@ -353,26 +385,27 @@ func (s *System) stageVictims(thefts []shmem.Theft) derr.Code {
 
 // stageMask validates and stages a new mask for pid, shrinking victims
 // when stealing is allowed.
-func (s *System) stageMask(pid shmem.PID, mask cpuset.CPUSet, flags Flags) derr.Code {
-	if mask.IsEmpty() || !mask.IsSubsetOf(s.seg.NodeCPUs()) {
+func (a *Admin) stageMask(pid shmem.PID, mask cpuset.CPUSet, flags Flags) derr.Code {
+	seg := a.sys.seg
+	if mask.IsEmpty() || !mask.IsSubsetOf(seg.NodeCPUs()) {
 		return derr.ErrInvalid
 	}
-	if _, code := s.seg.Lookup(pid); code.IsError() {
+	if code := seg.LookupInto(pid, &a.entry); code.IsError() {
 		return code
 	}
-	thefts, code := s.resolveConflicts(pid, mask, flags)
+	thefts, code := a.resolveConflicts(pid, mask, flags)
 	if code.IsError() {
 		return code
 	}
-	if code := s.stageVictims(thefts); code.IsError() {
+	if code := a.stageVictims(thefts); code.IsError() {
 		return code
 	}
 	if len(thefts) > 0 {
 		// Record the thefts so PostFinalize can undo them later.
-		e, _ := s.seg.Lookup(pid)
-		s.seg.SetStolen(pid, append(e.Stolen, thefts...))
+		seg.LookupInto(pid, &a.entry)
+		seg.SetStolen(pid, append(a.entry.Stolen, thefts...))
 	}
-	return s.setFuture(pid, mask)
+	return a.sys.setFuture(pid, mask)
 }
 
 // setFuture is the one place this System stages a mask. The watcher

@@ -48,8 +48,15 @@ func Range(lo, hi int) CPUSet {
 		panic(fmt.Sprintf("cpuset: invalid range %d-%d", lo, hi))
 	}
 	var s CPUSet
-	for c := lo; c <= hi; c++ {
-		s.Set(c)
+	for w := lo / wordBits; w <= hi/wordBits; w++ {
+		word := ^uint64(0)
+		if w == lo/wordBits {
+			word &= ^uint64(0) << (uint(lo) % wordBits)
+		}
+		if w == hi/wordBits {
+			word &= ^uint64(0) >> (wordBits - 1 - uint(hi)%wordBits)
+		}
+		s.bits[w] = word
 	}
 	return s
 }
@@ -161,6 +168,16 @@ func (s CPUSet) First() int {
 	return s.Next(0)
 }
 
+// Last returns the highest CPU in the set, or -1 if the set is empty.
+func (s CPUSet) Last() int {
+	for wi := numWords - 1; wi >= 0; wi-- {
+		if w := s.bits[wi]; w != 0 {
+			return wi*wordBits + wordBits - 1 - bits.LeadingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // Next returns the lowest CPU >= from in the set, or -1 if none exists.
 func (s CPUSet) Next(from int) int {
 	if from < 0 {
@@ -206,15 +223,20 @@ func (s CPUSet) List() []int {
 // fewer than n CPUs the whole set is returned.
 func (s CPUSet) TakeLowest(n int) CPUSet {
 	var r CPUSet
-	taken := 0
-	s.ForEach(func(c int) bool {
-		if taken >= n {
-			return false
+	for i, w := range s.bits {
+		if n <= 0 {
+			break
 		}
-		r.Set(c)
-		taken++
-		return true
-	})
+		if c := bits.OnesCount64(w); c <= n {
+			r.bits[i], n = w, n-c
+			continue
+		}
+		for ; n > 0; n-- {
+			low := w & -w
+			r.bits[i] |= low
+			w &^= low
+		}
+	}
 	return r
 }
 

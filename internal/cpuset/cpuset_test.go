@@ -118,6 +118,34 @@ func TestSetAlgebra(t *testing.T) {
 	}
 }
 
+// TestRangeTakeLowestWordwise holds the word-at-a-time Range and
+// TakeLowest to their one-CPU-at-a-time definitions: every range, and
+// every prefix length of sets that straddle word boundaries.
+func TestRangeTakeLowestWordwise(t *testing.T) {
+	for lo := 0; lo < MaxCPUs; lo++ {
+		for hi := lo; hi < MaxCPUs; hi++ {
+			var want CPUSet
+			for c := lo; c <= hi; c++ {
+				want.Set(c)
+			}
+			if got := Range(lo, hi); !got.Equal(want) {
+				t.Fatalf("Range(%d, %d) = %v, want %v", lo, hi, got, want)
+			}
+		}
+	}
+	for _, s := range []CPUSet{{}, Range(0, 255), New(3, 7, 64, 200), Range(60, 70).Or(Range(120, 130)).Or(New(255))} {
+		for n := -1; n <= s.Count()+1; n++ {
+			var want CPUSet
+			for c, k := s.First(), 0; c >= 0 && k < n; c, k = s.Next(c+1), k+1 {
+				want.Set(c)
+			}
+			if got := s.TakeLowest(n); !got.Equal(want) {
+				t.Fatalf("%v.TakeLowest(%d) = %v, want %v", s, n, got, want)
+			}
+		}
+	}
+}
+
 func TestFirstNext(t *testing.T) {
 	s := New(3, 7, 64, 200)
 	if s.First() != 3 {
@@ -135,6 +163,9 @@ func TestFirstNext(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("iteration got %v, want %v", got, want)
 		}
+	}
+	if s.Last() != 200 || New(0).Last() != 0 || New(255).Last() != 255 || (CPUSet{}).Last() != -1 {
+		t.Errorf("Last = %d, %d, %d, %d", s.Last(), New(0).Last(), New(255).Last(), (CPUSet{}).Last())
 	}
 	if s.Next(201) != -1 {
 		t.Errorf("Next past end = %d, want -1", s.Next(201))

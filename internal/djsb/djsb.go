@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"repro/internal/apps"
+	"repro/internal/hwmodel"
 	"repro/internal/metrics"
 	"repro/internal/slurm"
 	"repro/internal/workload"
@@ -58,7 +59,10 @@ func Generate(p Params) (workload.Scenario, error) {
 	if m := p.MeanInterarrival; p.Jobs <= 0 || !(m > 0) || math.IsInf(m, 1) {
 		return workload.Scenario{}, fmt.Errorf("djsb: need positive Jobs and a positive finite MeanInterarrival (got %d, %v)", p.Jobs, m)
 	}
-	if p.Nodes <= 0 {
+	if err := hwmodel.CheckNodes(p.Nodes); err != nil {
+		return workload.Scenario{}, fmt.Errorf("djsb: %w", err)
+	}
+	if p.Nodes == 0 {
 		p.Nodes = 2
 	}
 	if p.NodesPerJob <= 0 {

@@ -81,6 +81,12 @@ func TestGenerateValidation(t *testing.T) {
 			t.Errorf("interarrival %v: error = %v", m, err)
 		}
 	}
+	// A negative node count used to select the default 2 nodes.
+	for _, n := range []int{-2, 3000000} {
+		if _, err := Generate(Params{Jobs: 5, MeanInterarrival: 10, Nodes: n}); err == nil || !strings.Contains(err.Error(), "Nodes") {
+			t.Errorf("nodes %d: error = %v", n, err)
+		}
+	}
 	bad := smallParams(1)
 	bad.Mix[0].ItersMin = 0
 	if _, err := Generate(bad); err == nil {

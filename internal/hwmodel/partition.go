@@ -31,6 +31,27 @@ type Partition struct {
 	Machine Machine
 }
 
+// MaxNodes bounds a cluster's node count. It is not a setting: it
+// keeps a mistyped size from exhausting memory instead of failing. The
+// simulator holds about 2.4 KB per node — its shared-memory segment,
+// DROM handles and the controller's per-node state — so 2^20 nodes
+// replay a 20-job trace in about 2.5 GB of resident memory.
+const MaxNodes = 1 << 20
+
+// CheckNodes rejects a node-count setting (the Nodes field of a
+// scenario, trace mapping or generator): 0 selects the caller's
+// default; a negative count, or one above MaxNodes, is an error naming
+// the field.
+func CheckNodes(n int) error {
+	switch {
+	case n < 0:
+		return fmt.Errorf("Nodes %d is negative (0 selects the default)", n)
+	case n > MaxNodes:
+		return fmt.Errorf("Nodes %d is above hwmodel.MaxNodes (%d)", n, MaxNodes)
+	}
+	return nil
+}
+
 // ClusterSpec describes a partitioned cluster. The zero value is
 // invalid; build one with Homogeneous, ParseCluster, HeteroMN3 or a
 // literal, and Validate it before use. Partition order is significant:
@@ -72,12 +93,13 @@ func HeteroMN3() ClusterSpec {
 }
 
 // Validate checks the spec: at least one partition, unique non-empty
-// names free of the grammar's separators, positive node counts, and
-// machines with at least one core.
+// names free of the grammar's separators, positive node counts that
+// total at most MaxNodes, and machines with at least one core.
 func (c ClusterSpec) Validate() error {
 	if len(c.Partitions) == 0 {
 		return fmt.Errorf("hwmodel: cluster spec has no partitions")
 	}
+	total := 0
 	seen := make(map[string]bool, len(c.Partitions))
 	for i, p := range c.Partitions {
 		if p.Name == "" {
@@ -92,6 +114,12 @@ func (c ClusterSpec) Validate() error {
 		seen[p.Name] = true
 		if p.Nodes <= 0 {
 			return fmt.Errorf("hwmodel: partition %q has %d nodes", p.Name, p.Nodes)
+		}
+		if p.Nodes > MaxNodes {
+			return fmt.Errorf("hwmodel: partition %q has %d nodes, above MaxNodes (%d)", p.Name, p.Nodes, MaxNodes)
+		}
+		if total += p.Nodes; total > MaxNodes {
+			return fmt.Errorf("hwmodel: cluster has %d nodes or more, above MaxNodes (%d)", total, MaxNodes)
 		}
 		if p.Machine.CoresPerNode() <= 0 {
 			return fmt.Errorf("hwmodel: partition %q has an empty machine model", p.Name)

@@ -1,6 +1,9 @@
 package hwmodel
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestHomogeneousSpec(t *testing.T) {
 	c := Homogeneous("batch", MN3(), 4)
@@ -108,6 +111,36 @@ func TestParseClusterErrors(t *testing.T) {
 	} {
 		if _, err := ParseCluster(spec); err == nil {
 			t.Fatalf("%q: expected error", spec)
+		}
+	}
+	// A node count past MaxNodes — in one partition, or summed over
+	// several — is an error naming the bound, not a run that exhausts
+	// memory.
+	for _, spec := range []string{
+		"batch:99999999999xmn3",
+		"batch:1048577xmn3",
+		"batch:600000xmn3,fat:600000xfat",
+	} {
+		if _, err := ParseCluster(spec); err == nil || !strings.Contains(err.Error(), "MaxNodes") {
+			t.Errorf("%q: error = %v, want one naming MaxNodes", spec, err)
+		}
+	}
+	if _, err := ParseCluster("batch:1048576xmn3"); err != nil {
+		t.Errorf("a cluster of exactly MaxNodes nodes: %v", err)
+	}
+}
+
+// TestCheckNodes: 0 selects a default, a count up to MaxNodes passes,
+// a negative one or one past MaxNodes is an error naming the field.
+func TestCheckNodes(t *testing.T) {
+	for _, n := range []int{0, 1, MaxNodes} {
+		if err := CheckNodes(n); err != nil {
+			t.Errorf("CheckNodes(%d) = %v", n, err)
+		}
+	}
+	for _, n := range []int{-1, -2, MaxNodes + 1, 3000000} {
+		if err := CheckNodes(n); err == nil || !strings.Contains(err.Error(), "Nodes") {
+			t.Errorf("CheckNodes(%d) = %v, want an error naming Nodes", n, err)
 		}
 	}
 }

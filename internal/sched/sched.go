@@ -457,10 +457,10 @@ func (sc *scratch) reservation(s *State, free []int, head *Job, allocs []int) (f
 // running jobs"), except that no participant receives more than it
 // asked for (max) and none is starved below its floor (min — one CPU
 // per task for a running job). It is the one fairness rule of both
-// planners — the slurmd task/affinity plugin (slurm.PlanLaunch,
-// PlanExpand) and the malleable policies — writing into dst (grown as
-// needed). Returns nil when a minimum exceeds its maximum or the
-// minimums alone exceed the capacity.
+// planners — the slurmd task/affinity plugin (slurm's planner, at
+// launch and at release) and the malleable policies — writing into dst
+// (grown as needed). Returns nil when a minimum exceeds its maximum or
+// the minimums alone exceed the capacity.
 func WaterfillBounded(dst []int, cores int, mins, maxs []int) []int {
 	alloc := dst[:0]
 	remaining := cores

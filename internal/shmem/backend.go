@@ -44,11 +44,12 @@ type Segment interface {
 	RegisterPreInit(pid PID, mask cpuset.CPUSet, stolen []Theft) derr.Code
 	Unregister(pid PID) derr.Code
 	Lookup(pid PID) (ProcEntry, derr.Code)
+	LookupInto(pid PID, dst *ProcEntry) derr.Code
 	PIDList() []PID
 	NumProcs() int
 	FreeMask() cpuset.CPUSet
 	EffectiveUsedMask() cpuset.CPUSet
-	ResolveThefts(pid PID, mask cpuset.CPUSet, steal bool) ([]Theft, derr.Code)
+	ResolveThefts(dst []Theft, pid PID, mask cpuset.CPUSet, steal bool) ([]Theft, derr.Code)
 	SetFuture(pid PID, mask cpuset.CPUSet) derr.Code
 	ApplyFuture(pid PID) (cpuset.CPUSet, derr.Code)
 	CreditPolls(pid PID, n int64)

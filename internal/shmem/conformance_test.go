@@ -10,6 +10,7 @@ package shmem
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -172,7 +173,7 @@ func TestConformancePreInitHandshakeAndTheft(t *testing.T) {
 		}
 		s.Register(1, cpuset.Range(0, 15))
 		// Steal CPUs 8-15 from pid 1 for the new pid 2.
-		thefts, code := s.ResolveThefts(2, cpuset.Range(8, 15), true)
+		thefts, code := s.ResolveThefts(nil, 2, cpuset.Range(8, 15), true)
 		if code != derr.Success || len(thefts) != 1 || thefts[0].Victim != 1 {
 			t.Fatalf("ResolveThefts = %+v/%v", thefts, code)
 		}
@@ -259,6 +260,89 @@ func TestConformanceLewiFlow(t *testing.T) {
 			t.Fatalf("released CPU owner = %d", tables(s).cpus[0].owner)
 		}
 	})
+}
+
+// TestConformanceNodeSizedTable runs the LeWI flow on a node whose
+// CPUs sit at the top of the cpuset (192-255) and on one with holes,
+// on every backend: the table serves exactly the node's CPUs, a CPU
+// outside the node — a hole, one below the node, one past its highest
+// — gets no state from any call, and a fork and a file round trip see
+// the same table.
+func TestConformanceNodeSizedTable(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		node, outside cpuset.CPUSet
+	}{
+		{"high", cpuset.Range(192, 255), cpuset.New(0, 100, 191)},
+		{"holes", cpuset.New(0, 1, 2, 3, 8, 9, 10, 11, 40, 41), cpuset.New(4, 12, 39, 42, 255)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forEachBackend(t, func(t *testing.T, b Backend) {
+				s, err := b.Open("n", tc.node, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cpus := tc.node.List()
+				half := cpuset.New(cpus[:len(cpus)/2]...)
+				rest := tc.node.AndNot(half)
+				lend := half.TakeHighest(2)
+				if code := s.Register(1, half.Or(tc.outside)); code != derr.ErrInvalid {
+					t.Fatalf("Register outside the node = %v", code)
+				}
+				s.Register(1, half)
+				s.Register(2, rest)
+				if code := s.ClaimCPUs(1, half.Or(tc.outside)); code != derr.Success {
+					t.Fatalf("Claim = %v", code)
+				}
+				if code := s.ClaimCPUs(2, rest.Or(tc.outside)); code != derr.Success {
+					t.Fatalf("second Claim over the same outside CPUs = %v", code)
+				}
+				if got := tables(s).OwnerMask(1); !got.Equal(half) {
+					t.Fatalf("OwnerMask(1) = %v, want %v", got, half)
+				}
+				s.LendCPUs(1, lend.Or(tc.outside))
+				got := s.BorrowCPUs(2, -1)
+				if !got.Equal(lend) {
+					t.Fatalf("Borrow = %v, want %v", got, lend)
+				}
+				if gm := s.GuestMask(2); !gm.Equal(rest.Or(lend)) {
+					t.Fatalf("borrower GuestMask = %v", gm)
+				}
+				recovered, pending := s.ReclaimCPUs(1, half.Or(tc.outside))
+				if !recovered.IsEmpty() || !pending.Equal(lend) {
+					t.Fatalf("Reclaim = %v/%v", recovered, pending)
+				}
+				if back := s.PollReclaim(2); !back.Equal(lend) {
+					t.Fatalf("PollReclaim = %v", back)
+				}
+				if idle := tables(s).IdleMask(); !idle.IsEmpty() {
+					t.Fatalf("IdleMask = %v", idle)
+				}
+				m := tables(s)
+				if len(m.cpus) != tc.node.Last()+1 {
+					t.Fatalf("table has %d slots, want %d", len(m.cpus), tc.node.Last()+1)
+				}
+				dec, err := decodeSegment(encodeSegment(m))
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := tables(s.fork())
+				for _, v := range []*MemSegment{dec, f} {
+					if v.live != m.live || !slices.Equal(v.cpus, m.cpus) {
+						t.Fatalf("copied table differs: live %v, want %v", v.live, m.live)
+					}
+				}
+				s.ReleaseCPUs(2, tc.outside)
+				if gm := s.GuestMask(2); !gm.Equal(rest.Or(lend)) {
+					t.Fatalf("GuestMask after releasing outside CPUs = %v", gm)
+				}
+				s.Unregister(2)
+				if idle := tables(s).IdleMask(); !idle.Equal(rest) {
+					t.Fatalf("IdleMask after Unregister = %v, want %v", idle, rest)
+				}
+			})
+		})
+	}
 }
 
 func TestConformanceGenerationMonotonic(t *testing.T) {

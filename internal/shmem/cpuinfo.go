@@ -10,6 +10,13 @@ import (
 // guest (the process currently entitled to run on it). Owner and guest
 // coincide unless the owner lent the CPU and someone borrowed it.
 //
+// The table has a slot for every CPU up to the node's highest; a CPU
+// outside the node has no state. ClaimCPUs, ReleaseCPUs, LendCPUs and
+// ReclaimCPUs act on the part of their mask inside the node and ignore
+// the rest, as BorrowCPUs and IdleMask only ever walk the node, so no
+// slot outside the node — a hole in a non-contiguous node mask — is
+// ever non-zero, and none past the table is ever indexed.
+//
 // A slot no process has touched is zero, and a replay that stages
 // masks through the procinfo table never touches one. So the segment
 // keeps the set of slots that may be non-zero (MemSegment.live): every
@@ -31,6 +38,7 @@ type cpuState struct {
 func (s *MemSegment) ClaimCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	mask = mask.And(s.nodeCPUs)
 	var bad bool
 	mask.ForEach(func(c int) bool {
 		if s.cpus[c].owner != 0 && s.cpus[c].owner != pid {
@@ -55,6 +63,7 @@ func (s *MemSegment) ClaimCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
 func (s *MemSegment) ReleaseCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	mask = mask.And(s.nodeCPUs)
 	mask.ForEach(func(c int) bool {
 		if s.cpus[c].owner == pid {
 			s.cpus[c] = cpuState{}
@@ -77,7 +86,7 @@ func (s *MemSegment) LendCPUs(pid PID, mask cpuset.CPUSet) derr.Code {
 		st.Lends++
 		st.CPUsLent += int64(mask.Count())
 	}
-	mask.ForEach(func(c int) bool {
+	mask.And(s.nodeCPUs).ForEach(func(c int) bool {
 		st := &s.cpus[c]
 		switch {
 		case st.owner == pid:
@@ -156,7 +165,7 @@ func (s *MemSegment) BorrowCPUs(pid PID, max int) cpuset.CPUSet {
 func (s *MemSegment) ReclaimCPUs(pid PID, mask cpuset.CPUSet) (recovered, pending cpuset.CPUSet) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mask.ForEach(func(c int) bool {
+	mask.And(s.nodeCPUs).ForEach(func(c int) bool {
 		st := &s.cpus[c]
 		if st.owner != pid || !st.lent {
 			return true

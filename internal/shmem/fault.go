@@ -268,6 +268,16 @@ func (s *FaultSegment) Lookup(pid PID) (ProcEntry, derr.Code) {
 	return s.staleSource().Lookup(pid)
 }
 
+// LookupInto is Lookup into a caller-owned entry; faultable with
+// ErrNoShmem (*dst blank).
+func (s *FaultSegment) LookupInto(pid PID, dst *ProcEntry) derr.Code {
+	if s.failRead() {
+		*dst = ProcEntry{Stolen: dst.Stolen[:0]}
+		return derr.ErrNoShmem
+	}
+	return s.staleSource().LookupInto(pid, dst)
+}
+
 // PIDList may serve a stale snapshot.
 func (s *FaultSegment) PIDList() []PID { return s.staleSource().PIDList() }
 
@@ -284,13 +294,13 @@ func (s *FaultSegment) EffectiveUsedMask() cpuset.CPUSet { return s.staleSource(
 
 // ResolveThefts is an admin staging write when steal is set; the
 // read-only planning call passes through.
-func (s *FaultSegment) ResolveThefts(pid PID, mask cpuset.CPUSet, steal bool) ([]Theft, derr.Code) {
+func (s *FaultSegment) ResolveThefts(dst []Theft, pid PID, mask cpuset.CPUSet, steal bool) ([]Theft, derr.Code) {
 	if steal {
 		if code, done := s.failWrite(); done {
-			return nil, code
+			return dst[:0], code
 		}
 	}
-	return s.Segment.ResolveThefts(pid, mask, steal)
+	return s.Segment.ResolveThefts(dst, pid, mask, steal)
 }
 
 // SetFuture is an admin staging write; faultable.

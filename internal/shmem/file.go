@@ -404,6 +404,17 @@ func (s *FileSegment) Lookup(pid PID) (ProcEntry, derr.Code) {
 	return e, code
 }
 
+// LookupInto copies the process entry into *dst; see
+// MemSegment.LookupInto. An unreadable file is ErrNoShmem, with *dst
+// blank.
+func (s *FileSegment) LookupInto(pid PID, dst *ProcEntry) derr.Code {
+	code := derr.ErrNoShmem
+	if !s.view(func(m *MemSegment) { code = m.LookupInto(pid, dst) }) {
+		*dst = ProcEntry{Stolen: dst.Stolen[:0]}
+	}
+	return code
+}
+
 // PIDList returns the registered PIDs in ascending order.
 func (s *FileSegment) PIDList() []PID {
 	var out []PID
@@ -435,10 +446,10 @@ func (s *FileSegment) EffectiveUsedMask() cpuset.CPUSet {
 
 // ResolveThefts computes (and with steal, stages) the theft plan for
 // acquiring mask; see MemSegment.ResolveThefts.
-func (s *FileSegment) ResolveThefts(pid PID, mask cpuset.CPUSet, steal bool) ([]Theft, derr.Code) {
-	var thefts []Theft
+func (s *FileSegment) ResolveThefts(dst []Theft, pid PID, mask cpuset.CPUSet, steal bool) ([]Theft, derr.Code) {
+	thefts := dst[:0]
 	code := derr.ErrNoShmem
-	s.update(func(m *MemSegment) { thefts, code = m.ResolveThefts(pid, mask, steal) })
+	s.update(func(m *MemSegment) { thefts, code = m.ResolveThefts(dst, pid, mask, steal) })
 	return thefts, code
 }
 

@@ -7,8 +7,10 @@ package shmem
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,9 +216,37 @@ func TestSegLayoutRejects(t *testing.T) {
 	bad := append([]byte{}, good...)
 	bad[8+3] = 9 // version field, little-endian
 	cases["badversion"] = bad
+	// State for a CPU outside the node: past its highest CPU (4, and
+	// 255, the last slot), and in a hole of a non-contiguous node (2).
+	// The cpuinfo table closes the file, 17 bytes a slot: owner int64,
+	// guest int64, flags.
+	slot := func(enc []byte, c int) []byte {
+		return enc[len(enc)-(cpuset.MaxCPUs-c)*17:]
+	}
+	for _, c := range []int{4, 255} {
+		bad := append([]byte{}, good...)
+		slot(bad, c)[0] = 1 // owner pid 1
+		cases[fmt.Sprintf("cpu%d-past-node", c)] = bad
+	}
+	lent := append([]byte{}, good...)
+	slot(lent, 4)[16] = segFlagLent
+	cases["cpu4-past-node-flag"] = lent
+	holes := encodeSegment(newSegment("n", cpuset.New(0, 1, 3), 4))
+	slot(holes, 2)[8] = 1 // guest pid 1
+	cases["cpu2-hole"] = holes
 	for name, data := range cases {
-		if _, err := decodeSegment(data); err == nil {
+		_, err := decodeSegment(data)
+		switch {
+		case err == nil:
 			t.Errorf("%s: decode accepted", name)
+		case strings.HasPrefix(name, "cpu") && !strings.Contains(err.Error(), "cpu "+strings.TrimPrefix(strings.Split(name, "-")[0], "cpu")+" is outside the node"):
+			t.Errorf("%s: error %q does not name the CPU", name, err)
 		}
+	}
+	// The same slot inside the node is state like any other.
+	ok := append([]byte{}, good...)
+	slot(ok, 3)[0] = 1
+	if _, err := decodeSegment(ok); err != nil {
+		t.Errorf("owned CPU 3 of node 0-3 refused: %v", err)
 	}
 }

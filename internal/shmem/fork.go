@@ -15,7 +15,8 @@ package shmem
 //
 // Common ownership rules:
 //
-//   - process entries and the per-CPU ownership table are cloned;
+//   - process entries and the per-CPU ownership table are cloned (the
+//     table is node-sized, so a 16-CPU node copies 16 slots);
 //   - watcher channels and the condition variable are NOT carried
 //     over: a fork starts with no synchronous waiters (the async DROM
 //     protocol the simulations use never blocks on them);
@@ -23,10 +24,7 @@ package shmem
 //     identical PIDs to identical logical launches after the fork —
 //     a precondition for byte-identical decision traces.
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // forkMem returns a deep copy of the segment with no watchers.
 func (s *MemSegment) forkMem() *MemSegment {
@@ -46,10 +44,8 @@ func (s *MemSegment) forkMemLocked() *MemSegment {
 		procs:      make(map[PID]*ProcEntry, len(s.procs)),
 		cpus:       append([]cpuState(nil), s.cpus...),
 		live:       s.live,
-		watchers:   make(map[PID][]chan struct{}),
 		generation: s.generation,
 	}
-	f.cond = sync.NewCond(&f.mu)
 	for pid, e := range s.procs { //simvet:ordered deep copy into a fresh map; no order-dependent output
 		f.procs[pid] = e.clone()
 	}

@@ -31,6 +31,12 @@ package shmem
 //	cpuinfo (ncpus entries):
 //	  owner int64, guest int64, flags uint8 (bit0 lent, bit1 reclaim)
 //
+// The file keeps all cpuset.MaxCPUs cpuinfo slots although a segment in
+// memory holds only the node's (MemSegment.cpus): the encoder writes
+// zero slots past the node, and the decoder refuses a non-zero slot for
+// a CPU outside the node, so the layout — and every file an earlier
+// build wrote — is unchanged.
+//
 // decodeSegment validates every count and bound before allocating, so
 // a truncated, corrupt or adversarial file fails with an error instead
 // of a panic or an absurd allocation (FuzzDecodeSegment holds it to
@@ -156,7 +162,7 @@ func encodeSegment(m *MemSegment) []byte {
 	w.u32(uint32(m.maxProcs))
 	w.u64(m.generation)
 	w.u32(uint32(len(m.procs)))
-	w.u32(uint32(len(m.cpus)))
+	w.u32(cpuset.MaxCPUs)
 	pids := make([]int, 0, len(m.procs))
 	for pid := range m.procs {
 		pids = append(pids, int(pid))
@@ -200,6 +206,12 @@ func encodeSegment(m *MemSegment) []byte {
 			flags |= segFlagReclaim
 		}
 		w.u8(flags)
+	}
+	// The slots past the node: owner, guest and flags all zero.
+	for c := len(m.cpus); c < cpuset.MaxCPUs; c++ {
+		w.i64(0)
+		w.i64(0)
+		w.u8(0)
 	}
 	return w.buf
 }
@@ -296,15 +308,23 @@ func decodeSegment(data []byte) (*MemSegment, error) {
 		if flags&^uint8(segFlagLent|segFlagReclaim) != 0 {
 			return nil, fmt.Errorf("shmem: cpu %d has unknown flag bits %#x", c, flags)
 		}
-		m.cpus[c] = cpuState{
+		st := cpuState{
 			owner:          owner,
 			guest:          guest,
 			lent:           flags&segFlagLent != 0,
 			reclaimPending: flags&segFlagReclaim != 0,
 		}
-		if m.cpus[c] != (cpuState{}) {
-			m.live.Set(c)
+		if st == (cpuState{}) {
+			continue
 		}
+		// No call gives a CPU outside the node any state (cpuinfo.go):
+		// such a slot is corrupt, and past the node's highest CPU it
+		// has nowhere to go.
+		if !nodeCPUs.IsSet(c) {
+			return nil, fmt.Errorf("shmem: cpu %d is outside the node's CPUs %v but its cpuinfo slot is not zero", c, nodeCPUs)
+		}
+		m.cpus[c] = st
+		m.live.Set(c)
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -14,6 +14,8 @@
 package shmem
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,14 +90,22 @@ func (e *ProcEntry) clone() *ProcEntry {
 // backend's segment and the reference semantics every other backend
 // must match (the file backend literally runs these methods on a
 // decoded MemSegment under the file lock).
+//
+// The cpuinfo table holds one slot per CPU up to the node's highest,
+// not one per cpuset.MaxCPUs: a 16-CPU node keeps 16 slots. A CPU
+// outside the node has no state — the cpuinfo calls ignore it, and the
+// queries never report it — so nothing indexes past the table.
 type MemSegment struct {
 	name     string
 	nodeCPUs cpuset.CPUSet
 	maxProcs int
 
-	mu       sync.Mutex
-	procs    map[PID]*ProcEntry
-	cpus     []cpuState
+	mu    sync.Mutex
+	procs map[PID]*ProcEntry
+	// cpus is the cpuinfo table: slot c serves CPU c, for every CPU up
+	// to nodeCPUs' highest.
+	cpus []cpuState
+	// watchers is made by the first Watch: a replay never watches.
 	watchers map[PID][]chan struct{}
 	// live holds every cpuinfo slot that may be non-zero: a bit is set
 	// wherever a slot gains an owner or a guest, and cleared where a
@@ -116,7 +126,9 @@ type MemSegment struct {
 	// generation increments on every mutation; synchronous waiters use
 	// it to detect progress without missing wakeups.
 	generation uint64
-	cond       *sync.Cond
+	// cond is made by the first WaitClean, under mu: only synchronous
+	// waiters sleep on it, and a replay has none.
+	cond *sync.Cond
 }
 
 // Name returns the segment's registry name.
@@ -126,16 +138,13 @@ func (s *MemSegment) Name() string { return s.name }
 func (s *MemSegment) NodeCPUs() cpuset.CPUSet { return s.nodeCPUs }
 
 func newSegment(name string, nodeCPUs cpuset.CPUSet, maxProcs int) *MemSegment {
-	s := &MemSegment{
+	return &MemSegment{
 		name:     name,
 		nodeCPUs: nodeCPUs,
 		maxProcs: maxProcs,
 		procs:    make(map[PID]*ProcEntry),
-		cpus:     make([]cpuState, cpuset.MaxCPUs),
-		watchers: make(map[PID][]chan struct{}),
+		cpus:     make([]cpuState, nodeCPUs.Last()+1),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
 }
 
 // Register adds a process slot with the given owned/current mask.
@@ -218,6 +227,10 @@ func (s *MemSegment) Unregister(pid PID) derr.Code {
 	}
 	delete(s.procs, pid)
 	*e = ProcEntry{Stolen: e.Stolen[:0]}
+	if s.freeProcs == nil {
+		// The list never holds more slots than were registered at once.
+		s.freeProcs = make([]*ProcEntry, 0, len(s.procs)+1)
+	}
 	s.freeProcs = append(s.freeProcs, e)
 	// Drop ownership of the process's CPUs in the cpuinfo table.
 	for c := s.live.First(); c >= 0; c = s.live.Next(c + 1) {
@@ -238,13 +251,26 @@ func (s *MemSegment) Unregister(pid PID) derr.Code {
 
 // Lookup returns a copy of the process entry.
 func (s *MemSegment) Lookup(pid PID) (ProcEntry, derr.Code) {
+	var e ProcEntry
+	code := s.LookupInto(pid, &e)
+	return e, code
+}
+
+// LookupInto copies pid's entry into *dst, its theft list into the
+// backing array of dst.Stolen, so a caller that keeps dst reads entries
+// without allocating. On error *dst is a blank entry (the array kept).
+func (s *MemSegment) LookupInto(pid PID, dst *ProcEntry) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	stolen := dst.Stolen[:0]
 	e, ok := s.procs[pid]
 	if !ok {
-		return ProcEntry{}, derr.ErrNoProc
+		*dst = ProcEntry{Stolen: stolen}
+		return derr.ErrNoProc
 	}
-	return *e.clone(), derr.Success
+	*dst = *e
+	dst.Stolen = append(stolen, e.Stolen...)
+	return derr.Success
 }
 
 // PIDList returns the registered PIDs in ascending order.
@@ -307,18 +333,19 @@ func (s *MemSegment) EffectiveUsedMask() cpuset.CPUSet {
 	return u
 }
 
-// ResolveThefts computes the thefts required for pid to take mask:
-// every other entry whose binding mask (staged future when dirty,
-// current otherwise) intersects mask contributes its overlap, in
-// ascending victim-PID order. With steal false any conflict fails with
-// ErrPerm; so does a theft that would leave a victim with no CPUs.
-// Unlike walking Snapshot, this is a single pass under the lock with
-// no entry cloning: a resource manager that reserves only
-// effectively-free CPUs gets a nil slice back without allocating.
-func (s *MemSegment) ResolveThefts(pid PID, mask cpuset.CPUSet, steal bool) ([]Theft, derr.Code) {
+// ResolveThefts computes the thefts required for pid to take mask,
+// appended to dst[:0]: every other entry whose binding mask (staged
+// future when dirty, current otherwise) intersects mask contributes its
+// overlap, in ascending victim-PID order. With steal false any conflict
+// fails with ErrPerm; so does a theft that would leave a victim with no
+// CPUs. Unlike walking Snapshot, this is a single pass under the lock
+// with no entry cloning: a resource manager that reuses dst resolves
+// without allocating, and one that reserves only effectively-free CPUs
+// gets an empty list back.
+func (s *MemSegment) ResolveThefts(dst []Theft, pid PID, mask cpuset.CPUSet, steal bool) ([]Theft, derr.Code) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var thefts []Theft
+	thefts := dst[:0]
 	for _, e := range s.procs {
 		if e.PID == pid {
 			continue
@@ -332,18 +359,18 @@ func (s *MemSegment) ResolveThefts(pid PID, mask cpuset.CPUSet, steal bool) ([]T
 			continue
 		}
 		if !steal {
-			return nil, derr.ErrPerm
+			return thefts[:0], derr.ErrPerm
 		}
 		if cur.AndNot(conflict).IsEmpty() {
 			// Stealing would leave the victim with no CPUs.
-			return nil, derr.ErrPerm
+			return thefts[:0], derr.ErrPerm
 		}
 		thefts = append(thefts, Theft{Victim: e.PID, Mask: conflict})
 	}
 	// The map iteration above is unordered; victims must come back in
 	// a deterministic order because callers stage the shrinks (and
 	// later return the CPUs) in list order.
-	sort.Slice(thefts, func(i, j int) bool { return thefts[i].Victim < thefts[j].Victim })
+	slices.SortFunc(thefts, func(a, b Theft) int { return cmp.Compare(a.Victim, b.Victim) })
 	return thefts, derr.Success
 }
 
@@ -420,7 +447,7 @@ func (s *MemSegment) SetStolen(pid PID, stolen []Theft) derr.Code {
 	if !ok {
 		return derr.ErrNoProc
 	}
-	e.Stolen = append([]Theft(nil), stolen...)
+	e.Stolen = append(e.Stolen[:0], stolen...)
 	s.bump()
 	return derr.Success
 }
@@ -458,6 +485,9 @@ func (s *MemSegment) WaitClean(pid PID, cancel <-chan struct{}) derr.Code {
 		// Wait for any mutation; re-check afterwards. A background
 		// goroutine watching cancel pokes the cond so we never sleep
 		// past cancellation.
+		if s.cond == nil {
+			s.cond = sync.NewCond(&s.mu)
+		}
 		done := make(chan struct{})
 		go func() {
 			select {
@@ -478,6 +508,9 @@ func (s *MemSegment) Watch(pid PID) <-chan struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ch := make(chan struct{}, 1)
+	if s.watchers == nil {
+		s.watchers = make(map[PID][]chan struct{})
+	}
 	s.watchers[pid] = append(s.watchers[pid], ch)
 	return ch
 }
@@ -514,7 +547,9 @@ func (s *MemSegment) notifyLocked(pid PID) {
 // bump must be called with the lock held after any mutation.
 func (s *MemSegment) bump() {
 	s.generation++
-	s.cond.Broadcast()
+	if s.cond != nil {
+		s.cond.Broadcast()
+	}
 }
 
 // Snapshot returns copies of all entries, for tests and diagnostics.

@@ -14,6 +14,9 @@ package slurm
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -85,6 +88,11 @@ type Cluster struct {
 	sysAt    []*core.System    // node index -> DROM system
 	machines []hwmodel.Machine // node index -> machine model
 	partOf   []int             // node index -> partition index
+	// nameRank is each node's position in name order (node index ->
+	// rank): "node10" sorts before "node9", so the index order is not
+	// the name order. Every placement lists its nodes by name, and a
+	// comparison of two ranks replaces one of two strings.
+	nameRank []int32
 }
 
 // DefaultPartition names the single partition of a homogeneous
@@ -105,29 +113,35 @@ func NewClusterSpecReg(eng *sim.Engine, spec hwmodel.ClusterSpec, tracer *trace.
 	if reg == nil {
 		reg = shmem.NewRegistry()
 	}
+	n := spec.TotalNodes()
 	c := &Cluster{
-		Machine: spec.Partitions[0].Machine,
-		Spec:    spec,
-		Engine:  eng,
-		Demand:  apps.NewDemandTable(spec.Partitions[0].Machine),
-		Tracer:  tracer,
-		reg:     reg,
-		sys:     make(map[string]*core.System),
+		Machine:  spec.Partitions[0].Machine,
+		Spec:     spec,
+		Nodes:    nodeNames(n),
+		Engine:   eng,
+		Demand:   apps.NewDemandTable(spec.Partitions[0].Machine),
+		Tracer:   tracer,
+		reg:      reg,
+		sys:      make(map[string]*core.System, n),
+		sysAt:    make([]*core.System, 0, n),
+		machines: make([]hwmodel.Machine, 0, n),
+		partOf:   make([]int, 0, n),
 	}
+	c.nameRank = rankByName(c.Nodes)
 	hetero := len(spec.Partitions) > 1
 	i := 0
 	for pi, p := range spec.Partitions {
 		for k := 0; k < p.Nodes; k++ {
-			name := fmt.Sprintf("node%d", i)
+			name := c.Nodes[i]
 			seg, err := c.reg.Open(name, p.Machine.NodeMask(), 0)
 			if err != nil {
 				return nil, fmt.Errorf("slurm: open segment for %s: %w", name, err)
 			}
-			c.Nodes = append(c.Nodes, name)
 			c.machines = append(c.machines, p.Machine)
 			c.partOf = append(c.partOf, pi)
-			c.sys[name] = core.NewSystem(seg)
-			c.sysAt = append(c.sysAt, c.sys[name])
+			sys := core.NewSystem(seg)
+			c.sys[name] = sys
+			c.sysAt = append(c.sysAt, sys)
 			if hetero {
 				c.Demand.SetNodeMachine(name, p.Machine)
 			}
@@ -135,6 +149,29 @@ func NewClusterSpecReg(eng *sim.Engine, spec hwmodel.ClusterSpec, tracer *trace.
 		}
 	}
 	return c, nil
+}
+
+// nodeNames returns the names of n nodes, "node0" to "node<n-1>".
+func nodeNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = "node" + strconv.Itoa(i)
+	}
+	return names
+}
+
+// rankByName returns each name's position in sorted order.
+func rankByName(names []string) []int32 {
+	order := make([]int32, len(names))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	rank := make([]int32, len(names))
+	for r, i := range order {
+		rank[i] = int32(r)
+	}
+	return rank
 }
 
 // System returns the DROM system of a node.
@@ -150,13 +187,6 @@ func (c *Cluster) MachineOfNode(i int) hwmodel.Machine { return c.machines[i] }
 // PartitionOfNode returns the partition index of the node at global
 // index i.
 func (c *Cluster) PartitionOfNode(i int) int { return c.partOf[i] }
-
-// PartitionNodes returns the node names of partition p (a subslice of
-// Nodes; callers must not mutate it).
-func (c *Cluster) PartitionNodes(p int) []string {
-	lo := c.Spec.NodeOffset(p)
-	return c.Nodes[lo : lo+c.Spec.Partitions[p].Nodes]
-}
 
 // AllocPID returns a fresh virtual PID.
 func (c *Cluster) AllocPID() shmem.PID { return c.reg.AllocPID() }

@@ -1,7 +1,9 @@
 package slurm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/apps"
@@ -220,8 +222,12 @@ type Controller struct {
 	neverRecycle bool
 
 	// Reusable scratch for the sched-driven launch path (single
-	// goroutine; each buffer is fully rewritten before use).
+	// goroutine; each buffer is fully rewritten before use), with the
+	// marks that find a node pinned twice: pinSeen[ni] == pinGen while
+	// startQueued checks a pin list.
 	startCands []startCand
+	pinSeen    []uint32
+	pinGen     uint32
 	splitBuf   []int
 	maskBuf    []cpuset.CPUSet
 	refsBuf    []taskRef
@@ -230,6 +236,19 @@ type Controller struct {
 	placeBuf   []apps.Placement
 	// placeName is where emitJobStart joins a multi-node placement.
 	placeName []byte
+
+	// Reusable scratch for the builtin planner (planBuiltin and
+	// releaseResources): the task/affinity plugin's buffers, each
+	// node's occupants as slurmd input, the placement candidates with
+	// their plans (a slot's mask slice and shrink map are rewritten in
+	// place), the chosen plans in name order, and release_resources'
+	// grown masks with their PIDs in order.
+	plan        planner
+	occ         []JobOnNode
+	cands       []builtinCand
+	chosenPlans []LaunchPlan
+	grown       map[shmem.PID]cpuset.CPUSet
+	grownPIDs   []int
 
 	// Spillover-pass scratch (spillPass): merge cursors, the chosen
 	// host nodes, and per partition the ascending free-count vector,
@@ -494,9 +513,8 @@ func (ctl *Controller) runCycle() {
 // — the head of the priority-ordered queue launches when selectNodes
 // can place it at mask level under the controller's Policy, and blocks
 // everything behind it when it cannot (PolicyPreempt first tries to
-// checkpoint its way in).
-//
-//simvet:coldpath paper scenarios queue tens of jobs, and selectNodes allocates its candidate plans
+// checkpoint its way in). Like a policy pass it plans into controller-
+// owned scratch, so a warm controller launches without allocating.
 func (ctl *Controller) planBuiltin() {
 	for len(ctl.queue) > 0 {
 		q := ctl.queue[0]
@@ -558,60 +576,80 @@ func (ctl *Controller) tryPreempt(j *Job, pidx int) {
 }
 
 // jobsOn returns the running jobs with tasks on the node at global
-// index ni, as slurmd input.
+// index ni, as slurmd input, in controller-owned scratch: the result
+// is valid until the next call.
 func (ctl *Controller) jobsOn(ni int) []JobOnNode {
-	var out []JobOnNode
+	out := slices.Grow(ctl.occ[:0], len(ctl.running))
 	for _, r := range ctl.running {
-		refs := r.onNodeInto(ctl.refsBuf, ni)
-		ctl.refsBuf = refs
-		if len(refs) == 0 {
-			continue
-		}
-		jn := JobOnNode{Job: r.job}
-		for _, t := range refs {
+		// Fill the task array the next slot held last time.
+		tasks := out[:len(out)+1][len(out)].Tasks[:0]
+		on := false
+		for _, t := range r.tasks {
+			if t.ni != ni {
+				continue
+			}
+			if !on {
+				// The job's task count bounds its tasks here.
+				tasks, on = slices.Grow(tasks, len(r.tasks)), true
+			}
 			// Plan on the *effective* mask: a staged-but-unapplied change
 			// is already binding — the CPUs it drops are promised to
 			// someone else, and the CPUs it gains are spoken for.
-			e, code := ctl.admins[ni].Inspect(t.pid)
+			e, code := ctl.admins[ni].Peek(t.pid)
 			if code.IsError() {
 				continue // task gone mid-plan; skip
 			}
-			jn.Tasks = append(jn.Tasks, TaskInfo{PID: t.pid, Mask: e.EffectiveMask()})
+			tasks = append(tasks, TaskInfo{PID: t.pid, Mask: e.EffectiveMask()})
 		}
-		out = append(out, jn)
+		if on {
+			out = append(out, JobOnNode{Job: r.job, Tasks: tasks})
+		}
 	}
+	ctl.occ = out
 	return out
 }
 
+// builtinCand is a placement candidate of the builtin planner: a node
+// by global index with its rank in name order, its free CPU count for
+// the NodeSelection order, and the launch plan computed for it.
+type builtinCand struct {
+	ni   int
+	rank int32
+	free int
+	plan LaunchPlan
+}
+
+// The candidate orders, as plain functions: a sort that calls one
+// allocates nothing. Freest first is "victim nodes the ones with lower
+// utilization"; packed is fewest free CPUs first.
+func freestFirst(a, b builtinCand) int { return cmp.Compare(b.free, a.free) }
+func packedFirst(a, b builtinCand) int { return cmp.Compare(a.free, b.free) }
+func byName(a, b builtinCand) int      { return cmp.Compare(a.rank, b.rank) }
+
 // selectNodes picks nodes for a job under the active policy — from
 // the job's partition only — and returns their global indices in node
-// name order with the per-node launch plans beside them. nil means the
+// name order with the per-node launch plans beside them, both in
+// controller-owned scratch that the next call rewrites. nil means the
 // job must wait.
 func (ctl *Controller) selectNodes(j *Job, pidx int) ([]int, []LaunchPlan) {
-	type cand struct {
-		ni   int
-		free int
-		plan LaunchPlan
-	}
-	var cands []cand
-	lo := ctl.cluster.Spec.NodeOffset(pidx)
-	for ni := lo; ni < lo+ctl.cluster.Spec.Partitions[pidx].Nodes; ni++ {
+	lo, n := ctl.cluster.Spec.NodeOffset(pidx), ctl.cluster.Spec.Partitions[pidx].Nodes
+	cands := slices.Grow(ctl.cands[:0], n)
+	for ni := lo; ni < lo+n; ni++ {
 		// A down or draining node hosts no new launches.
 		if !ctl.nodeUp(ni) {
 			continue
 		}
+		// Plan into the next slot, over the buffers it held last time;
+		// the slot joins the candidates only when the node fits.
+		c := &cands[:len(cands)+1][len(cands)]
 		machine := ctl.cluster.MachineOfNode(ni)
 		occupants := ctl.jobsOn(ni)
 		switch ctl.policy {
 		case PolicySerial, PolicyPreempt:
-			if len(occupants) > 0 {
+			if len(occupants) > 0 || !ctl.plan.launch(machine, nil, j, &c.plan) {
 				continue
 			}
-			plan, err := PlanLaunch(machine, nil, j)
-			if err != nil {
-				continue
-			}
-			cands = append(cands, cand{ni, machine.CoresPerNode(), plan})
+			c.free = machine.CoresPerNode()
 		case PolicyDROM:
 			if !j.Malleable && len(occupants) > 0 {
 				continue // a rigid job needs free nodes
@@ -622,50 +660,43 @@ func (ctl *Controller) selectNodes(j *Job, pidx int) ([]int, []LaunchPlan) {
 					coAllocOK = false
 				}
 			}
-			if !coAllocOK {
+			if !coAllocOK || !ctl.plan.launch(machine, occupants, j, &c.plan) {
 				continue
 			}
-			plan, err := PlanLaunch(machine, occupants, j)
-			if err != nil {
-				continue
-			}
-			free := ctl.cluster.SystemAt(ni).Segment().FreeMask().Count()
-			cands = append(cands, cand{ni, free, plan})
+			c.free = ctl.cluster.SystemAt(ni).Segment().FreeMask().Count()
 		case PolicyOversubscribe:
 			// Always feasible: overlap the requested layout.
-			plan := LaunchPlan{Shrinks: map[shmem.PID]cpuset.CPUSet{}}
-			per := splitEvenInto(nil, j.CPUsPerNode(), j.RanksPerNode())
+			c.plan.NewTaskMasks = c.plan.NewTaskMasks[:0]
+			clear(c.plan.Shrinks)
+			ctl.splitBuf = splitEvenInto(ctl.splitBuf, j.CPUsPerNode(), j.RanksPerNode())
 			lo := 0
-			for _, n := range per {
-				plan.NewTaskMasks = append(plan.NewTaskMasks, cpuset.Range(lo, lo+n-1))
+			for _, n := range ctl.splitBuf {
+				c.plan.NewTaskMasks = append(c.plan.NewTaskMasks, cpuset.Range(lo, lo+n-1))
 				lo += n
 			}
-			cands = append(cands, cand{ni, 0, plan})
+			c.free = 0
 		}
+		c.ni, c.rank = ni, ctl.cluster.nameRank[ni]
+		cands = cands[:len(cands)+1]
 	}
+	ctl.cands = cands
 	if len(cands) < j.Nodes {
 		return nil, nil
 	}
-	// Order candidates per the configured victim-node policy.
-	switch ctl.NodeSelection {
-	case SelectPacked:
-		sort.SliceStable(cands, func(a, b int) bool { return cands[a].free < cands[b].free })
-	default: // SelectFreest: "victim nodes the ones with lower utilization"
-		sort.SliceStable(cands, func(a, b int) bool { return cands[a].free > cands[b].free })
+	// Order candidates per the configured victim-node policy (ties keep
+	// partition order), then the chosen ones by name.
+	order := freestFirst
+	if ctl.NodeSelection == SelectPacked {
+		order = packedFirst
 	}
-	// The chosen nodes in name order (insertion sort, unique names).
-	nodeAt := make([]int, 0, j.Nodes)
-	plans := make([]LaunchPlan, 0, j.Nodes)
-	names := ctl.cluster.Nodes
+	slices.SortStableFunc(cands, order)
+	slices.SortFunc(cands[:j.Nodes], byName)
+	nodeAt, plans := slices.Grow(ctl.launchAt[:0], j.Nodes), slices.Grow(ctl.chosenPlans[:0], j.Nodes)
 	for _, c := range cands[:j.Nodes] {
-		k := len(nodeAt)
 		nodeAt = append(nodeAt, c.ni)
 		plans = append(plans, c.plan)
-		for ; k > 0 && names[nodeAt[k-1]] > names[c.ni]; k-- {
-			nodeAt[k], plans[k] = nodeAt[k-1], plans[k-1]
-		}
-		nodeAt[k], plans[k] = c.ni, c.plan
 	}
+	ctl.launchAt, ctl.chosenPlans = nodeAt, plans
 	return nodeAt, plans
 }
 
@@ -734,6 +765,10 @@ func (ctl *Controller) releaseRunning(r *runningJob) {
 		nodeAt: r.nodeAt[:0], tasks: r.tasks[:0], nodeIdxs: r.nodeIdxs[:0],
 		inst: r.inst, onComplete: r.onComplete,
 	}
+	if ctl.freeRunning == nil {
+		// The list never holds more records than were live at once.
+		ctl.freeRunning = make([]*runningJob, 0, len(ctl.running)+1)
+	}
 	ctl.freeRunning = append(ctl.freeRunning, r)
 }
 
@@ -762,8 +797,20 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 	}
 	ctl.releaseQueued(q)
 	// The record's node tables: global indices in name order, and the
-	// sorted partition-local indices of the scheduler snapshot.
-	offset := ctl.cluster.Spec.NodeOffset(r.pidx)
+	// sorted partition-local indices of the scheduler snapshot; they,
+	// the task list and the placements are sized from the job's shape
+	// up front.
+	ntasks := 0
+	for _, plan := range plans {
+		ntasks += len(plan.NewTaskMasks)
+	}
+	r.tasks = slices.Grow(r.tasks, ntasks)
+	offset, n := ctl.cluster.Spec.NodeOffset(r.pidx), len(nodeAt)
+	if cap(r.nodeAt) < n || cap(r.nodeIdxs) < n {
+		// A fresh record, or a wider job: both tables in one array.
+		both := make([]int, 2*n)
+		r.nodeAt, r.nodeIdxs = both[:0:n], both[n:n]
+	}
 	r.nodeAt, r.nodeIdxs = r.nodeAt[:0], r.nodeIdxs[:0]
 	for _, ni := range nodeAt {
 		r.nodeAt = append(r.nodeAt, ni)
@@ -789,7 +836,7 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 	// placements is controller-owned scratch: the instance copies each
 	// entry into its rank state, and a resumption rebuilds its own when
 	// the latency elapses.
-	placements := ctl.placeBuf[:0]
+	placements := slices.Grow(ctl.placeBuf[:0], ntasks)
 	for k, ni := range nodeAt {
 		node, plan, admin := ctl.cluster.Nodes[ni], plans[k], ctl.admins[ni]
 		if ctl.Probe != nil {
@@ -939,7 +986,7 @@ func (ctl *Controller) placementsOf(r *runningJob) []apps.Placement {
 	pls := ctl.placeBuf[:0]
 	for _, t := range r.tasks {
 		var mask cpuset.CPUSet
-		if e, code := ctl.admins[t.ni].Inspect(t.pid); !code.IsError() {
+		if e, code := ctl.admins[t.ni].Peek(t.pid); !code.IsError() {
 			mask = e.EffectiveMask()
 		}
 		pls = append(pls, apps.Placement{Node: ctl.cluster.Nodes[t.ni], Sys: ctl.cluster.SystemAt(t.ni), PID: t.pid, InitialMask: mask})
@@ -989,16 +1036,18 @@ func (ctl *Controller) finalizeTasks(r *runningJob) {
 		// stolen CPUs returns exactly its effective mask to the pool; a
 		// task with thefts redistributes to victims, so the node is
 		// re-scanned lazily instead.
-		e, icode := admin.Inspect(t.pid)
+		// Read the entry before PostFinalize reuses the Admin's scratch.
+		e, icode := admin.Peek(t.pid)
+		redistributes, held := icode.IsError() || len(e.Stolen) > 0, e.EffectiveMask()
 		if code := admin.PostFinalize(t.pid, core.FlagReturnStolen); code.IsError() && code != derr.ErrNoProc {
 			if !ctl.shmemFault(t.ni, code) {
 				ctl.failPostFinalize(t.pid, code)
 			}
 		}
-		if icode.IsError() || len(e.Stolen) > 0 {
+		if redistributes {
 			ctl.invalidateNode(t.ni)
 		} else {
-			ctl.noteFreed(t.ni, e.EffectiveMask())
+			ctl.noteFreed(t.ni, held)
 		}
 		ctl.protocol(obs.StepPostTerm, t.ni, r.job.Name, t.pid, cpuset.CPUSet{})
 	}
@@ -1171,36 +1220,40 @@ func (ctl *Controller) ServeEvolvingRequests() {
 
 // releaseResources redistributes the free CPUs of the node at global
 // index ni to running malleable jobs below their request (Figure 2 step 5, using
-// GetPidList/GetProcessMask/SetProcessMask).
-//
-//simvet:coldpath builtin planner only: paper scenarios end tens of jobs, and PlanExpand allocates its plan
+// GetPidList/GetProcessMask/SetProcessMask), planning into
+// controller-owned scratch.
 func (ctl *Controller) releaseResources(ni int) {
 	if !ctl.nodeUp(ni) {
 		return // an out-of-service node redistributes nothing
 	}
-	node, admin := ctl.cluster.Nodes[ni], ctl.admins[ni]
+	admin := ctl.admins[ni]
 	free := ctl.cluster.SystemAt(ni).Segment().FreeMask()
 	if free.IsEmpty() {
 		return
 	}
-	grown := PlanExpand(ctl.cluster.MachineOfNode(ni), ctl.jobsOn(ni), free)
+	if ctl.grown == nil {
+		ctl.grown = make(map[shmem.PID]cpuset.CPUSet)
+	}
+	grown := ctl.grown
+	ctl.plan.expand(ctl.cluster.MachineOfNode(ni), ctl.jobsOn(ni), free, grown)
 	// Apply in PID order: the protocol events and the first error
 	// surfaced through ctl.fail must not depend on map iteration.
-	pids := make([]int, 0, len(grown))
+	pids := ctl.grownPIDs[:0]
 	for pid := range grown { //simvet:ordered keys collected and sorted below
 		pids = append(pids, int(pid))
 	}
 	sort.Ints(pids)
+	ctl.grownPIDs = pids
 	for _, p := range pids {
 		pid := shmem.PID(p)
 		mask := grown[pid]
 		// Preserve any pending staged mask: grow from the effective value.
-		if e, code := admin.Inspect(pid); !code.IsError() {
+		if e, code := admin.Peek(pid); !code.IsError() {
 			mask = e.EffectiveMask().Or(mask.AndNot(e.CurrentMask))
 		}
 		if code := admin.SetProcessMask(pid, mask, core.FlagNone); code.IsError() {
 			if !ctl.shmemFault(ni, code) {
-				ctl.fail(fmt.Errorf("slurm: expand pid %d to %s on %s: %w", pid, mask, node, code))
+				ctl.failExpand(pid, mask, ni, code)
 			}
 			continue
 		}
@@ -1209,4 +1262,12 @@ func (ctl *Controller) releaseResources(ni int) {
 	if len(grown) > 0 {
 		ctl.invalidateNode(ni)
 	}
+}
+
+// failExpand fails the controller on a release_resources expansion the
+// registry refused.
+//
+//simvet:coldpath error path
+func (ctl *Controller) failExpand(pid shmem.PID, mask cpuset.CPUSet, ni int, code derr.Code) {
+	ctl.fail(fmt.Errorf("slurm: expand pid %d to %s on %s: %w", pid, mask, ctl.cluster.Nodes[ni], code))
 }

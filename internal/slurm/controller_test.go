@@ -1,11 +1,15 @@
 package slurm
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/hwmodel"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -24,6 +28,64 @@ func mn3Cluster(eng *sim.Engine, n int) *Cluster {
 		panic(err) // a positive node count cannot produce an invalid spec
 	}
 	return c
+}
+
+// TestNodeNameRank: the cluster's name ranks order its nodes exactly
+// as sort.Strings orders their names — across the digit-count
+// boundaries where index order and name order part (node9/node10/
+// node100) — and a fork shares the ranks instead of recomputing them.
+func TestNodeNameRank(t *testing.T) {
+	for _, n := range []int{1, 9, 10, 11, 99, 100, 101, 1000, 1001} {
+		c := mn3Cluster(sim.NewEngine(), n)
+		want := make([]string, n)
+		for i := range want {
+			want[i] = fmt.Sprintf("node%d", i)
+		}
+		if !slices.Equal(c.Nodes, want) {
+			t.Fatalf("n=%d: node names %v", n, c.Nodes)
+		}
+		sort.Strings(want)
+		byRank := make([]string, n)
+		for i, name := range c.Nodes {
+			byRank[c.nameRank[i]] = name
+		}
+		if !slices.Equal(byRank, want) {
+			t.Fatalf("n=%d: rank order %v, sort.Strings %v", n, byRank, want)
+		}
+		if f := c.Fork(sim.NewEngine()); &f.nameRank[0] != &c.nameRank[0] {
+			t.Errorf("n=%d: the fork recomputed the name ranks", n)
+		}
+	}
+}
+
+// TestPlacementInNameOrder: a job spanning a 12-node cluster — where
+// node10 and node11 sort between node1 and node2 — lists its nodes in
+// name order, through the builtin planner and through a policy start
+// alike.
+func TestPlacementInNameOrder(t *testing.T) {
+	for _, withSched := range []bool{false, true} {
+		eng := sim.NewEngine()
+		ctl := NewController(mn3Cluster(eng, 12), PolicyDROM)
+		if withSched {
+			ctl.UseSched(&sched.EASY{})
+		}
+		submit(t, ctl, &Job{Name: "wide", Spec: fastSpec(10), Cfg: apps.Config{Ranks: 12, Threads: 16},
+			Nodes: 12, Walltime: 100, Malleable: true})
+		if ctl.RunningLen() != 1 {
+			t.Fatalf("sched=%v: the wide job did not start", withSched)
+		}
+		var got []string
+		for _, ni := range ctl.running[0].nodeAt {
+			got = append(got, ctl.cluster.Nodes[ni])
+		}
+		want := slices.Clone(ctl.cluster.Nodes)
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("sched=%v: placement %v, want name order %v", withSched, got, want)
+		}
+		eng.Run()
+		checkErr(t, ctl)
+	}
 }
 
 func newTestCluster() (*sim.Engine, *Cluster) {

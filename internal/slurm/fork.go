@@ -190,6 +190,7 @@ func (c *Cluster) Fork(eng *sim.Engine) *Cluster {
 		sysAt:    make([]*core.System, len(c.sysAt)),
 		machines: c.machines,
 		partOf:   c.partOf,
+		nameRank: c.nameRank,
 	}
 	for i, name := range c.Nodes {
 		ns := core.NewSystem(f.reg.Get(name))

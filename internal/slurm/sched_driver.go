@@ -1,7 +1,9 @@
 package slurm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -196,7 +198,7 @@ func (ctl *Controller) runningCPUs(r *runningJob) int {
 			if t.ni != ni {
 				continue
 			}
-			if e, code := ctl.admins[ni].Inspect(t.pid); !code.IsError() {
+			if e, code := ctl.admins[ni].Peek(t.pid); !code.IsError() {
 				n += e.EffectiveMask().Count()
 			}
 		}
@@ -458,11 +460,15 @@ type startCand struct {
 	n    int
 }
 
+// The NodeSelection orders of startQueued's candidates: most
+// effectively-free CPUs first, or fewest when packed.
+func startFreestFirst(a, b startCand) int { return cmp.Compare(b.n, a.n) }
+func startPackedFirst(a, b startCand) int { return cmp.Compare(a.n, b.n) }
+
 // freeCandsSorted collects the nodes of partition pi with at least
 // need effectively-free CPUs into the startCands scratch and orders
-// them per the NodeSelection policy (stable insertion sort by free
-// count — candidate counts are node counts, and the reflect-based
-// sort allocated per call; ties keep partition order). Shared by
+// them per the NodeSelection policy (a stable sort by free count that
+// allocates nothing; ties keep partition order). Shared by
 // startQueued's unpinned path and the spillover placement so the two
 // can never disagree on node selection.
 func (ctl *Controller) freeCandsSorted(pi, need int) []startCand {
@@ -473,16 +479,11 @@ func (ctl *Controller) freeCandsSorted(pi, need int) []startCand {
 			cands = append(cands, startCand{ni, ctl.effectiveFree(ni), n})
 		}
 	}
-	packed := ctl.NodeSelection == SelectPacked
-	for i := 1; i < len(cands); i++ {
-		c := cands[i]
-		k := i
-		for k > 0 && (packed && cands[k-1].n > c.n || !packed && cands[k-1].n < c.n) {
-			cands[k] = cands[k-1]
-			k--
-		}
-		cands[k] = c
+	order := startFreestFirst
+	if ctl.NodeSelection == SelectPacked {
+		order = startPackedFirst
 	}
+	slices.SortStableFunc(cands, order)
 	ctl.startCands = cands
 	return cands
 }
@@ -515,20 +516,27 @@ func (ctl *Controller) startQueued(q *queuedJob, pi, target int, pinned []int) b
 	// silently drop the capacity and re-allocate on later cycles.
 	cands := ctl.startCands[:0]
 	if len(pinned) > 0 {
-		for k, idx := range pinned {
+		// A duplicated index would pass the width check below while
+		// the per-node plans silently collapse onto fewer nodes: reject
+		// the action instead of trusting the policy. A node is seen
+		// when its mark holds this call's generation.
+		if ctl.pinSeen == nil {
+			ctl.pinSeen = make([]uint32, len(ctl.cluster.Nodes))
+		}
+		if ctl.pinGen++; ctl.pinGen == 0 {
+			clear(ctl.pinSeen)
+			ctl.pinGen = 1
+		}
+		for _, idx := range pinned {
 			if idx < 0 || idx >= part.Nodes {
 				ctl.startCands = cands
 				return false
 			}
-			// A duplicated index would pass the width check below while
-			// the per-node plans silently collapse onto fewer nodes:
-			// reject the action instead of trusting the policy.
-			for _, prev := range pinned[:k] {
-				if prev == idx {
-					ctl.startCands = cands
-					return false
-				}
+			if ctl.pinSeen[offset+idx] == ctl.pinGen {
+				ctl.startCands = cands
+				return false
 			}
+			ctl.pinSeen[offset+idx] = ctl.pinGen
 			n := ctl.freeCount(offset + idx)
 			if n < need {
 				ctl.startCands = cands
@@ -547,17 +555,9 @@ func (ctl *Controller) startQueued(q *queuedJob, pi, target int, pinned []int) b
 		}
 		cands = cands[:j.Nodes]
 	}
-	// Order the chosen nodes by name (insertion sort, unique names).
-	names := ctl.cluster.Nodes
-	for i := 1; i < len(cands); i++ {
-		c := cands[i]
-		k := i
-		for k > 0 && names[cands[k-1].ni] > names[c.ni] {
-			cands[k] = cands[k-1]
-			k--
-		}
-		cands[k] = c
-	}
+	// Order the chosen nodes by name.
+	rank := ctl.cluster.nameRank
+	slices.SortFunc(cands, func(a, b startCand) int { return cmp.Compare(rank[a.ni], rank[b.ni]) })
 	// Plan into scratch: the job record is only allocated (by launch)
 	// once every node's masks are known to fit.
 	for len(ctl.planBuf) < len(cands) {
@@ -694,7 +694,7 @@ func (ctl *Controller) effectiveMasks(ni int, refs []taskRef) []cpuset.CPUSet {
 		out[i] = cpuset.CPUSet{}
 	}
 	for i, ref := range refs {
-		if e, code := ctl.admins[ni].Inspect(ref.pid); !code.IsError() {
+		if e, code := ctl.admins[ni].Peek(ref.pid); !code.IsError() {
 			out[i] = e.EffectiveMask()
 		}
 	}
@@ -723,11 +723,12 @@ type resvNode struct {
 }
 
 // resvNodeSorter orders by (free time, node name) without the
-// allocation of a reflect-based sort; names holds the partition's node
-// names by local index. Names are unique, so the order is total.
+// allocation of a reflect-based sort; rank holds the partition's name
+// ranks by local index (a window of the cluster's). Names are unique,
+// so the order is total.
 type resvNodeSorter struct {
-	r     []resvNode
-	names []string
+	r    []resvNode
+	rank []int32
 }
 
 func (s *resvNodeSorter) Len() int      { return len(s.r) }
@@ -736,7 +737,7 @@ func (s *resvNodeSorter) Less(i, j int) bool {
 	if s.r[i].at != s.r[j].at {
 		return s.r[i].at < s.r[j].at
 	}
-	return s.names[s.r[i].idx] < s.names[s.r[j].idx]
+	return s.rank[s.r[i].idx] < s.rank[s.r[j].idx]
 }
 
 // reserveHead projects, per node of partition pi, when all current
@@ -791,7 +792,7 @@ func (ctl *Controller) reserveHead(pi int, rv *headReservation) {
 		order = append(order, resvNode{idx: i, at: at})
 	}
 	ctl.resvOrder = order
-	ctl.resvSorter.r, ctl.resvSorter.names = order, ctl.cluster.PartitionNodes(pi)
+	ctl.resvSorter.r, ctl.resvSorter.rank = order, ctl.cluster.nameRank[offset:offset+n]
 	sort.Sort(&ctl.resvSorter)
 	want := v.st.Queue[0].Nodes
 	if want > len(order) {

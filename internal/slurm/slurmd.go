@@ -1,7 +1,7 @@
 package slurm
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/cpuset"
 	"repro/internal/hwmodel"
@@ -43,10 +43,30 @@ type LaunchPlan struct {
 	Shrinks map[shmem.PID]cpuset.CPUSet
 }
 
+// planner is the task/affinity plugin's scratch: the controller owns
+// one, and launch_request (launch) and release_resources (expand)
+// write their plans into buffers it keeps — the per-entry bounds and
+// allocations of the equipartition, the per-task splits — so planning
+// allocates nothing once they are warm. Single goroutine; every buffer
+// is rewritten before it is read.
+type planner struct {
+	pool              []int // launch: indices of the malleable running jobs
+	mins, maxs, alloc []int
+	per               []int // one job's per-task split
+	wants             []int // expand: indices of the jobs below their request
+	got               []int // expand: CPUs handed to each task of one job
+}
+
 // waterfill equipartitions cores among requests with no minimums
-// (sched.WaterfillBounded with zero floors, which always fit).
-func waterfill(cores int, requests []int) []int {
-	return sched.WaterfillBounded(make([]int, 0, len(requests)), cores, make([]int, len(requests)), requests)
+// (sched.WaterfillBounded with zero floors, which always fit), into
+// p.alloc.
+func (p *planner) waterfill(cores int, requests []int) []int {
+	p.mins = p.mins[:0]
+	for range requests {
+		p.mins = append(p.mins, 0)
+	}
+	p.alloc = sched.WaterfillBounded(p.alloc, cores, p.mins, requests)
+	return p.alloc
 }
 
 // splitEvenInto divides total into n parts differing by at most one,
@@ -64,25 +84,27 @@ func splitEvenInto(dst []int, total, n int) []int {
 	return dst
 }
 
-// PlanLaunch computes the CPU distribution for launching newJob on a
-// node currently hosting the given jobs. Non-malleable running jobs
-// keep their CPUs untouched; malleable ones shrink toward the
+// launch computes into plan the CPU distribution for launching newJob
+// on a node currently hosting the given jobs. Non-malleable running
+// jobs keep their CPUs untouched; malleable ones shrink toward the
 // equipartition target. The new job's tasks are placed socket-aware on
 // the CPUs freed plus the already-free ones ("trying to keep
 // applications in separate sockets in order to improve data
-// locality"). It fails when the new job cannot receive at least one
-// CPU per task.
-func PlanLaunch(m hwmodel.Machine, running []JobOnNode, newJob *Job) (LaunchPlan, error) {
+// locality"). It reports false, leaving plan to be rewritten, when the
+// new job cannot receive at least one CPU per task. plan's mask slice
+// and shrink map are reused (the map is made by the first shrink): a
+// plan read after the next launch into the same value is gone.
+func (p *planner) launch(m hwmodel.Machine, running []JobOnNode, newJob *Job, plan *LaunchPlan) bool {
 	cores := m.CoresPerNode()
 	newTasks := newJob.RanksPerNode()
 
 	// Reserve the CPUs of non-malleable jobs; they are not part of the
 	// repartition.
 	reserved := 0
-	var pool []JobOnNode
-	for _, r := range running {
+	p.pool = p.pool[:0]
+	for i, r := range running {
 		if r.Job.Malleable {
-			pool = append(pool, r)
+			p.pool = append(p.pool, i)
 		} else {
 			reserved += r.currentCPUs()
 		}
@@ -90,21 +112,22 @@ func PlanLaunch(m hwmodel.Machine, running []JobOnNode, newJob *Job) (LaunchPlan
 
 	// Equipartition bounded below by one CPU per task (a running job
 	// is never starved through DROM) and above by each job's request.
-	var mins, maxs []int
-	for _, r := range pool {
-		mins = append(mins, len(r.Tasks))
-		maxs = append(maxs, r.Job.CPUsPerNode())
+	p.mins, p.maxs = p.mins[:0], p.maxs[:0]
+	for _, i := range p.pool {
+		p.mins = append(p.mins, len(running[i].Tasks))
+		p.maxs = append(p.maxs, running[i].Job.CPUsPerNode())
 	}
-	mins = append(mins, newTasks)
-	maxs = append(maxs, newJob.CPUsPerNode())
-	alloc := sched.WaterfillBounded(make([]int, 0, len(mins)), cores-reserved, mins, maxs)
+	p.mins = append(p.mins, newTasks)
+	p.maxs = append(p.maxs, newJob.CPUsPerNode())
+	alloc := sched.WaterfillBounded(p.alloc, cores-reserved, p.mins, p.maxs)
 	if alloc == nil {
-		return LaunchPlan{}, fmt.Errorf("slurm: node cannot host %s: %d CPUs cannot satisfy the minimum allocations",
-			newJob.Name, cores-reserved)
+		return false // the minimum allocations do not fit the node
 	}
+	p.alloc = alloc
 	newAlloc := alloc[len(alloc)-1]
 
-	plan := LaunchPlan{Shrinks: make(map[shmem.PID]cpuset.CPUSet)}
+	plan.NewTaskMasks = slices.Grow(plan.NewTaskMasks[:0], newTasks)
+	clear(plan.Shrinks)
 
 	// Shrink running malleable jobs to their targets, keeping each
 	// task compact on its own socket(s).
@@ -116,8 +139,9 @@ func PlanLaunch(m hwmodel.Machine, running []JobOnNode, newJob *Job) (LaunchPlan
 			}
 		}
 	}
-	for i, r := range pool {
-		target := alloc[i]
+	for k, i := range p.pool {
+		r := running[i]
+		target := alloc[k]
 		cur := r.currentCPUs()
 		if target >= cur {
 			// Never expand during another job's launch; keep as is.
@@ -126,10 +150,13 @@ func PlanLaunch(m hwmodel.Machine, running []JobOnNode, newJob *Job) (LaunchPlan
 			}
 			continue
 		}
-		perTask := splitEvenInto(nil, target, len(r.Tasks))
+		p.per = splitEvenInto(p.per, target, len(r.Tasks))
 		for ti, t := range r.Tasks {
-			keep := m.SocketAwarePick(t.Mask, perTask[ti])
+			keep := m.SocketAwarePick(t.Mask, p.per[ti])
 			if !keep.Equal(t.Mask) {
+				if plan.Shrinks == nil {
+					plan.Shrinks = make(map[shmem.PID]cpuset.CPUSet)
+				}
 				plan.Shrinks[t.PID] = keep
 			}
 			used = used.Or(keep)
@@ -138,63 +165,61 @@ func PlanLaunch(m hwmodel.Machine, running []JobOnNode, newJob *Job) (LaunchPlan
 
 	// Place the new job's tasks on what is left, socket-aware.
 	avail := m.NodeMask().AndNot(used)
-	perTask := splitEvenInto(nil, newAlloc, newTasks)
-	for _, want := range perTask {
+	p.per = splitEvenInto(p.per, newAlloc, newTasks)
+	for _, want := range p.per {
 		mask := m.SocketAwarePick(avail, want)
 		if mask.Count() < 1 {
-			return LaunchPlan{}, fmt.Errorf("slurm: ran out of CPUs placing %s", newJob.Name)
+			return false // ran out of CPUs placing the new tasks
 		}
 		plan.NewTaskMasks = append(plan.NewTaskMasks, mask)
 		avail = avail.AndNot(mask)
 	}
-	return plan, nil
+	return true
 }
 
-// PlanExpand computes release_resources (Figure 2 step 5): free CPUs
-// are redistributed to running malleable jobs still below their
-// request, socket-aware, balanced per task. It returns the grown masks
-// per task PID (only tasks that actually grow appear).
-func PlanExpand(m hwmodel.Machine, running []JobOnNode, free cpuset.CPUSet) map[shmem.PID]cpuset.CPUSet {
-	grown := make(map[shmem.PID]cpuset.CPUSet)
+// expand computes release_resources (Figure 2 step 5) into grown,
+// which it clears first: free CPUs are redistributed to running
+// malleable jobs still below their request, socket-aware, balanced per
+// task. grown receives the grown mask of every task that actually
+// grows.
+func (p *planner) expand(m hwmodel.Machine, running []JobOnNode, free cpuset.CPUSet, grown map[shmem.PID]cpuset.CPUSet) {
+	clear(grown)
 	if free.IsEmpty() {
-		return grown
+		return
 	}
-	// Compute deficits.
-	type want struct {
-		idx     int
-		deficit int
-	}
-	var wants []want
+	// Compute deficits: the jobs below their request, and by how many
+	// CPUs per node.
+	p.wants, p.maxs = p.wants[:0], p.maxs[:0]
 	for i, r := range running {
 		if !r.Job.Malleable {
 			continue
 		}
-		d := r.Job.CPUsPerNode() - r.currentCPUs()
-		if d > 0 {
-			wants = append(wants, want{i, d})
+		if d := r.Job.CPUsPerNode() - r.currentCPUs(); d > 0 {
+			p.wants = append(p.wants, i)
+			p.maxs = append(p.maxs, d)
 		}
 	}
-	if len(wants) == 0 {
-		return grown
+	if len(p.wants) == 0 {
+		return
 	}
 	// Fair split of the free CPUs proportional-ish: waterfill over
 	// deficits.
-	reqs := make([]int, len(wants))
-	for i, w := range wants {
-		reqs[i] = w.deficit
-	}
-	alloc := waterfill(free.Count(), reqs)
+	alloc := p.waterfill(free.Count(), p.maxs)
 	avail := free
-	for i, w := range wants {
+	for i, w := range p.wants {
 		if alloc[i] == 0 {
 			continue
 		}
-		r := running[w.idx]
+		r := running[w]
 		// Within the job, hand CPUs one at a time to the task furthest
 		// below its per-task request ("balanced in the number of CPUs
 		// for each task").
 		perTaskWant := r.Job.Cfg.Threads
-		got := make([]int, len(r.Tasks))
+		got := p.got[:0]
+		for range r.Tasks {
+			got = append(got, 0)
+		}
+		p.got = got
 		for k := 0; k < alloc[i]; k++ {
 			best := -1
 			for ti, t := range r.Tasks {
@@ -223,5 +248,4 @@ func PlanExpand(m hwmodel.Machine, running []JobOnNode, free cpuset.CPUSet) map[
 			grown[t.PID] = t.Mask.Or(extra)
 		}
 	}
-	return grown
 }

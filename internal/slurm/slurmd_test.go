@@ -1,7 +1,9 @@
 package slurm
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +14,24 @@ import (
 )
 
 func randNew(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// planLaunch runs launch_request on a fresh planner into a fresh plan.
+func planLaunch(m hwmodel.Machine, running []JobOnNode, j *Job) (LaunchPlan, bool) {
+	var plan LaunchPlan
+	ok := new(planner).launch(m, running, j, &plan)
+	return plan, ok
+}
+
+// planExpand runs release_resources on a fresh planner.
+func planExpand(m hwmodel.Machine, running []JobOnNode, free cpuset.CPUSet) map[shmem.PID]cpuset.CPUSet {
+	grown := make(map[shmem.PID]cpuset.CPUSet)
+	new(planner).expand(m, running, free, grown)
+	return grown
+}
+
+// waterfill runs the planner's zero-floor equipartition on a fresh
+// planner.
+func waterfill(cores int, requests []int) []int { return new(planner).waterfill(cores, requests) }
 
 func TestWaterfillEquipartition(t *testing.T) {
 	// Two jobs both wanting the whole 16-core node: 8/8 (the UC2 case).
@@ -99,9 +119,9 @@ func mkJob(name string, ranks, threads, nodes int, malleable bool) *Job {
 
 func TestPlanLaunchEmptyNode(t *testing.T) {
 	m := hwmodel.MN3()
-	plan, err := PlanLaunch(m, nil, mkJob("a", 2, 16, 2, true))
-	if err != nil {
-		t.Fatal(err)
+	plan, ok := planLaunch(m, nil, mkJob("a", 2, 16, 2, true))
+	if !ok {
+		t.Fatal("launch refused")
 	}
 	if len(plan.NewTaskMasks) != 1 || plan.NewTaskMasks[0].Count() != 16 {
 		t.Fatalf("plan = %+v", plan)
@@ -114,9 +134,9 @@ func TestPlanLaunchEmptyNode(t *testing.T) {
 func TestPlanLaunchTwoTasksPerNode(t *testing.T) {
 	m := hwmodel.MN3()
 	// Conf. 2: 4 ranks over 2 nodes = 2 tasks of 8 threads per node.
-	plan, err := PlanLaunch(m, nil, mkJob("a", 4, 8, 2, true))
-	if err != nil {
-		t.Fatal(err)
+	plan, ok := planLaunch(m, nil, mkJob("a", 4, 8, 2, true))
+	if !ok {
+		t.Fatal("launch refused")
 	}
 	if len(plan.NewTaskMasks) != 2 {
 		t.Fatalf("tasks = %d", len(plan.NewTaskMasks))
@@ -142,9 +162,9 @@ func TestPlanLaunchEquipartitionUC2(t *testing.T) {
 		Job:   mkJob("nest", 2, 16, 2, true),
 		Tasks: []TaskInfo{{PID: 100, Mask: cpuset.Range(0, 15)}},
 	}}
-	plan, err := PlanLaunch(m, running, mkJob("coreneuron", 2, 16, 2, true))
-	if err != nil {
-		t.Fatal(err)
+	plan, ok := planLaunch(m, running, mkJob("coreneuron", 2, 16, 2, true))
+	if !ok {
+		t.Fatal("launch refused")
 	}
 	// Equipartition: 8 for each, new on one socket, victim keeps one.
 	shrunk, ok := plan.Shrinks[100]
@@ -172,9 +192,9 @@ func TestPlanLaunchSmallAnalytics(t *testing.T) {
 		Tasks: []TaskInfo{{PID: 100, Mask: cpuset.Range(0, 15)}},
 	}}
 	// Pils Conf. 2: one task of 1 thread per node.
-	plan, err := PlanLaunch(m, running, mkJob("pils", 2, 1, 2, true))
-	if err != nil {
-		t.Fatal(err)
+	plan, ok := planLaunch(m, running, mkJob("pils", 2, 1, 2, true))
+	if !ok {
+		t.Fatal("launch refused")
 	}
 	if plan.Shrinks[100].Count() != 15 {
 		t.Fatalf("victim keeps %d CPUs, want 15", plan.Shrinks[100].Count())
@@ -190,9 +210,9 @@ func TestPlanLaunchRespectsNonMalleable(t *testing.T) {
 		Job:   mkJob("rigid", 2, 12, 2, false),
 		Tasks: []TaskInfo{{PID: 100, Mask: cpuset.Range(0, 11)}},
 	}}
-	plan, err := PlanLaunch(m, running, mkJob("new", 2, 4, 2, true))
-	if err != nil {
-		t.Fatal(err)
+	plan, ok := planLaunch(m, running, mkJob("new", 2, 4, 2, true))
+	if !ok {
+		t.Fatal("launch refused")
 	}
 	if len(plan.Shrinks) != 0 {
 		t.Errorf("rigid job was shrunk: %v", plan.Shrinks)
@@ -202,9 +222,9 @@ func TestPlanLaunchRespectsNonMalleable(t *testing.T) {
 	}
 	// A big malleable job next to a rigid one starts shrunk onto the
 	// leftover CPUs (it cannot steal from the rigid job).
-	big, err := PlanLaunch(m, running, mkJob("big", 2, 16, 2, true))
-	if err != nil {
-		t.Fatalf("big launch next to rigid: %v", err)
+	big, ok := planLaunch(m, running, mkJob("big", 2, 16, 2, true))
+	if !ok {
+		t.Fatal("big launch next to rigid refused")
 	}
 	if len(big.Shrinks) != 0 {
 		t.Errorf("rigid job was shrunk: %v", big.Shrinks)
@@ -224,7 +244,7 @@ func TestPlanLaunchFailsWhenTooCrowded(t *testing.T) {
 			Tasks: []TaskInfo{{PID: shmem.PID(100 + i), Mask: cpuset.New(i)}},
 		})
 	}
-	if _, err := PlanLaunch(m, running, mkJob("new", 2, 2, 2, true)); err == nil {
+	if _, ok := planLaunch(m, running, mkJob("new", 2, 2, 2, true)); ok {
 		t.Error("over-crowded launch should fail")
 	}
 }
@@ -235,12 +255,12 @@ func TestPlanExpand(t *testing.T) {
 		Job:   mkJob("nest", 2, 16, 2, true),
 		Tasks: []TaskInfo{{PID: 100, Mask: cpuset.Range(0, 7)}},
 	}}
-	grown := PlanExpand(m, running, cpuset.Range(8, 15))
+	grown := planExpand(m, running, cpuset.Range(8, 15))
 	if got := grown[100]; !got.Equal(cpuset.Range(0, 15)) {
 		t.Fatalf("expanded mask = %v", got)
 	}
 	// Nothing free → nothing grows.
-	if g := PlanExpand(m, running, cpuset.CPUSet{}); len(g) != 0 {
+	if g := planExpand(m, running, cpuset.CPUSet{}); len(g) != 0 {
 		t.Errorf("expand with no free CPUs = %v", g)
 	}
 	// Job at its request does not grow.
@@ -248,7 +268,7 @@ func TestPlanExpand(t *testing.T) {
 		Job:   mkJob("s", 2, 2, 2, true),
 		Tasks: []TaskInfo{{PID: 5, Mask: cpuset.Range(0, 1)}},
 	}}
-	if g := PlanExpand(m, at, cpuset.Range(8, 15)); len(g) != 0 {
+	if g := planExpand(m, at, cpuset.Range(8, 15)); len(g) != 0 {
 		t.Errorf("satisfied job grew: %v", g)
 	}
 }
@@ -257,6 +277,8 @@ func TestPlanExpand(t *testing.T) {
 // a successful plan yields pairwise-disjoint new-task masks that avoid
 // every non-shrunk running CPU, fit the node, and respect the shrinks.
 func TestPropertyPlanLaunch(t *testing.T) {
+	var shared planner
+	var sharedPlan LaunchPlan
 	f := func(seed int64) bool {
 		r := randNew(seed)
 		m := hwmodel.MN3()
@@ -277,9 +299,17 @@ func TestPropertyPlanLaunch(t *testing.T) {
 		}
 		newTasks := 1 + r.Intn(2)
 		newJob := mkJob("new", newTasks*2, 1+r.Intn(8), 2, true)
-		plan, err := PlanLaunch(m, running, newJob)
-		if err != nil {
+		plan, ok := planLaunch(m, running, newJob)
+		// The controller's planner plans into the buffers of earlier
+		// plans: it must come to the fresh planner's verdict and plan.
+		if shared.launch(m, running, newJob, &sharedPlan) != ok {
+			return false
+		}
+		if !ok {
 			return true // infeasible is a legal outcome
+		}
+		if !slices.Equal(sharedPlan.NewTaskMasks, plan.NewTaskMasks) || !maps.Equal(sharedPlan.Shrinks, plan.Shrinks) {
+			return false
 		}
 		// New masks pairwise disjoint, non-empty, within the node.
 		var union cpuset.CPUSet
@@ -321,7 +351,7 @@ func TestPlanExpandSharesAmongJobs(t *testing.T) {
 		{Job: mkJob("a", 2, 16, 2, true), Tasks: []TaskInfo{{PID: 1, Mask: cpuset.Range(0, 3)}}},
 		{Job: mkJob("b", 2, 16, 2, true), Tasks: []TaskInfo{{PID: 2, Mask: cpuset.Range(4, 7)}}},
 	}
-	grown := PlanExpand(m, running, cpuset.Range(8, 15))
+	grown := planExpand(m, running, cpuset.Range(8, 15))
 	total := 0
 	for pid, mask := range grown {
 		var before cpuset.CPUSet

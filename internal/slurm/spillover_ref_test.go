@@ -61,8 +61,8 @@ type refDecision struct {
 func refState(ctl *Controller) ([]refPart, []refQueued) {
 	var parts []refPart
 	for pi, p := range ctl.cluster.Spec.Partitions {
-		rp := refPart{names: ctl.cluster.PartitionNodes(pi), cores: p.Machine.CoresPerNode()}
 		offset := ctl.cluster.Spec.NodeOffset(pi)
+		rp := refPart{names: ctl.cluster.Nodes[offset : offset+p.Nodes], cores: p.Machine.CoresPerNode()}
 		for k := 0; k < p.Nodes; k++ {
 			rp.free = append(rp.free, ctl.effectiveFree(offset+k).Count())
 			state := hwmodel.NodeUp

@@ -148,6 +148,79 @@ func TestCycleSteadyStateAllocs(t *testing.T) {
 // at the same instant, whose cycle is deferred to the end of the
 // instant (deferCycle books the controller's one bound runCycle).
 func TestLaunchFinishSteadyStateAllocs(t *testing.T) {
+	t.Run("easy", testSchedLaunchFinishAllocs)
+	// The builtin planner (the paper's path) holds the same contract:
+	// serial, and DROM with a malleable co-tenant the newcomer shrinks
+	// at launch (DROM_PreInit with steal) and hands its CPUs back to at
+	// its end (DROM_PostFinalize, release_resources).
+	t.Run("builtin-serial", func(t *testing.T) { testBuiltinLaunchFinishAllocs(t, PolicySerial, false) })
+	t.Run("builtin-drom-cotenant", func(t *testing.T) { testBuiltinLaunchFinishAllocs(t, PolicyDROM, true) })
+}
+
+// testBuiltinLaunchFinishAllocs runs one submit→launch→finish at a
+// time through the builtin planner under policy — next to a long
+// malleable co-tenant on both nodes when cotenant is set — and holds a
+// warm controller to zero allocations per job.
+func testBuiltinLaunchFinishAllocs(t *testing.T, policy Policy, cotenant bool) {
+	eng, c := newTestCluster()
+	ctl := NewController(c, policy)
+	ctl.Records.SetAggregate()
+	busy := 0
+	if cotenant {
+		submit(t, ctl, &Job{Name: "cotenant", Spec: fastSpec(1 << 30), Cfg: apps.Config{Ranks: 2, Threads: 16},
+			Nodes: 2, Malleable: true})
+		eng.RunUntil(10)
+		busy = 1
+	}
+	const runs = 100
+	jobs := make([]Job, runs+3)
+	for i := range jobs {
+		jobs[i] = Job{Name: "j", Spec: fastSpec(20), Cfg: apps.Config{Ranks: 4, Threads: 4},
+			Nodes: 2, Malleable: true}
+	}
+	next, shrunk := 0, 0
+	one := func() {
+		if err := ctl.Submit(&jobs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if cotenant {
+			if e, _ := ctl.admins[0].Peek(ctl.running[0].tasks[0].pid); e.Dirty && e.FutureMask.Count() < 16 {
+				shrunk++
+			}
+		}
+		for ctl.RunningLen() > busy || ctl.QueueLen() > 0 {
+			if !eng.Step() {
+				t.Fatal("engine ran dry with the job unfinished")
+			}
+		}
+	}
+	one() // warm up: the free lists, the scratch buffers
+	one()
+	if avg := testing.AllocsPerRun(runs, one); avg > 0 {
+		t.Errorf("%.2f allocs per submit→launch→finish in steady state, want 0", avg)
+	}
+	checkErr(t, ctl)
+	if got := ctl.Records.Count(); got != next {
+		t.Fatalf("%d of %d jobs recorded", got, next)
+	}
+	if cotenant {
+		if shrunk != next {
+			t.Errorf("%d of %d launches shrank the co-tenant", shrunk, next)
+		}
+		// Every newcomer's CPUs went back: the co-tenant runs on (or
+		// has staged) the whole node again.
+		for ni := range ctl.admins {
+			if e, _ := ctl.admins[ni].Inspect(ctl.running[0].tasks[ni].pid); e.EffectiveMask().Count() != 16 {
+				t.Errorf("node %d: co-tenant holds %v after the last newcomer ended", ni, e.EffectiveMask())
+			}
+		}
+	}
+}
+
+// testSchedLaunchFinishAllocs is the contract's sched-path row: one
+// job, then pairs of same-instant submissions, under EASY.
+func testSchedLaunchFinishAllocs(t *testing.T) {
 	eng, c := newTestCluster()
 	ctl := NewController(c, PolicyDROM)
 	ctl.UseSched(&sched.EASY{})

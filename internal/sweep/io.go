@@ -97,6 +97,9 @@ func ParseGrid(spec string) (Grid, error) {
 			g.Jobs = n
 		case "nodes":
 			n, err := strconv.Atoi(v)
+			if err == nil {
+				err = hwmodel.CheckNodes(n)
+			}
 			if err != nil {
 				return Grid{}, fmt.Errorf("sweep: nodes: %v", err)
 			}

@@ -255,6 +255,9 @@ func (g Grid) gridName() string {
 // indexed by grid position, so the summary is independent of worker
 // count and scheduling order.
 func Run(g Grid, workers int) (Summary, error) {
+	if err := hwmodel.CheckNodes(g.Nodes); err != nil {
+		return Summary{}, fmt.Errorf("sweep: %w", err)
+	}
 	g = g.withDefaults()
 	if g.Stream && g.KeepJobs {
 		return Summary{}, fmt.Errorf("sweep: KeepJobs requires the materialized path (Stream=false)")

@@ -142,6 +142,15 @@ func TestParseGrid(t *testing.T) {
 	if _, err := ParseGrid("seeds=9-1"); err == nil {
 		t.Error("inverted seed range should fail")
 	}
+	// A negative node count used to select the default 4 nodes.
+	for _, spec := range []string{"nodes=-3", "nodes=3000000"} {
+		if _, err := ParseGrid(spec); err == nil || !strings.Contains(err.Error(), "Nodes") {
+			t.Errorf("%s: error = %v, want one naming Nodes", spec, err)
+		}
+	}
+	if _, err := Run(Grid{Policies: []string{"fcfs"}, Jobs: 10, Nodes: -3}, 1); err == nil || !strings.Contains(err.Error(), "Nodes") {
+		t.Errorf("Run with Nodes -3: error = %v", err)
+	}
 	// Whitespace-separated fields; "all" expands eagerly so it still
 	// counts when combined with sched= cells below.
 	g, err = ParseGrid("policies=all seeds=2 jobs=10")

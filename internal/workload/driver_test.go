@@ -314,6 +314,10 @@ func TestReplayClosesSourceOnEarlyError(t *testing.T) {
 		{"MTTR +Inf", Scenario{Nodes: 4, MTBF: 1000, MTTR: math.Inf(1)}, "MTTR"},
 		{"SpillAfter NaN", Scenario{Nodes: 4, Spill: true, SpillAfter: math.NaN()}, "SpillAfter"},
 		{"SpillAfter -1", Scenario{Nodes: 4, Spill: true, SpillAfter: -1}, "SpillAfter"},
+		// A negative node count is not the default. (A count past
+		// MaxNodes is TestNodeCountsValidated's, whose rows build no
+		// cluster.)
+		{"Nodes -2", Scenario{Nodes: -2}, "Nodes"},
 	}
 	for _, b := range bad {
 		r := &closeObserver{Reader: strings.NewReader(text), closed: make(chan struct{})}

@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/hwmodel"
 	"repro/internal/metrics"
@@ -45,7 +45,17 @@ func newSliceSource(subs []Submission) *sliceSource {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return subs[order[a]].At < subs[order[b]].At })
+	// A stable sort on At's own order, without the reflect-based
+	// swapper and closure a sort.SliceStable allocates.
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case subs[a].At < subs[b].At:
+			return -1
+		case subs[b].At < subs[a].At:
+			return 1
+		}
+		return 0
+	})
 	return &sliceSource{subs: subs, order: order}
 }
 
@@ -113,6 +123,9 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 			// An infinite mean is an event at +Inf; NaN would read as off.
 			return nil, fmt.Errorf("workload: %s %v is not a finite value >= 0", v.name, v.x)
 		}
+	}
+	if err := hwmodel.CheckNodes(s.Nodes); err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
 	if len(s.Cluster.Partitions) == 0 {
 		if cs, ok := src.(interface{ Cluster() hwmodel.ClusterSpec }); ok {

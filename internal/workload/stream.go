@@ -9,6 +9,7 @@ package workload
 // length.
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 
@@ -94,18 +95,23 @@ type SWFReaderSource struct {
 	maxJobs int
 	emitted int
 	idx     int
+	err     error // a node count o cannot have, answered by the first Next
 }
 
 // NewSWFReaderSource streams r's records as submissions mapped onto
 // the cluster shape of o, parsing one record per pull.
 func NewSWFReaderSource(r io.Reader, o SWFOptions) *SWFReaderSource {
 	c, _ := r.(io.Closer)
-	return &SWFReaderSource{
+	s := &SWFReaderSource{
 		scan:    newSWFScanner(r),
 		closer:  c,
 		mapper:  newSWFMapper(o),
 		maxJobs: o.MaxJobs,
 	}
+	if err := hwmodel.CheckNodes(o.Nodes); err != nil {
+		s.err = fmt.Errorf("swf: %w", err)
+	}
+	return s
 }
 
 // Close ends the source without reading the rest of the input;
@@ -124,6 +130,10 @@ func (s *SWFReaderSource) Close() error {
 
 // Next implements SubmissionSource.
 func (s *SWFReaderSource) Next() (Submission, bool, error) {
+	if s.err != nil {
+		s.Close()
+		return Submission{}, false, s.err
+	}
 	for s.scan != nil && (s.maxJobs <= 0 || s.emitted < s.maxJobs) {
 		job, ok, err := s.scan.next()
 		if err != nil || !ok {

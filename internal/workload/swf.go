@@ -496,6 +496,9 @@ func itersFor(seconds float64, spec apps.Spec) int {
 // is returned and the per-status classification recorded on
 // Scenario.Dropped (and from there on the run's metrics.Workload).
 func SWFScenario(jobs []SWFJob, o SWFOptions) (Scenario, int, error) {
+	if err := hwmodel.CheckNodes(o.Nodes); err != nil {
+		return Scenario{}, 0, fmt.Errorf("swf: %w", err)
+	}
 	m := newSWFMapper(o)
 	n := len(jobs)
 	if o.MaxJobs > 0 && o.MaxJobs < n {
@@ -552,6 +555,9 @@ type SyntheticSWF struct {
 func (p SyntheticSWF) check() error {
 	if m := p.MeanInterarrival; math.IsNaN(m) || math.IsInf(m, 0) {
 		return fmt.Errorf("swf: MeanInterarrival %v is not finite", m)
+	}
+	if err := hwmodel.CheckNodes(p.Nodes); err != nil {
+		return fmt.Errorf("swf: %w", err)
 	}
 	return nil
 }

@@ -130,6 +130,29 @@ func TestSyntheticSWFRejectsNonFiniteMean(t *testing.T) {
 	}
 }
 
+// TestNodeCountsValidated: a negative node count, or one past
+// hwmodel.MaxNodes, is an error naming Nodes — generated, mapped and
+// streamed alike — where it used to select the default (or to run out
+// of memory).
+func TestNodeCountsValidated(t *testing.T) {
+	text := FormatSWF(SyntheticSWF{Seed: 1, Jobs: 20, Nodes: 4}.Generate())
+	for _, n := range []int{-2, 3000000} {
+		p := SyntheticSWF{Seed: 1, Jobs: 20, Nodes: n}
+		if _, err := SyntheticSWFScenario(p); err == nil || !strings.Contains(err.Error(), "Nodes") {
+			t.Errorf("nodes %d: SyntheticSWFScenario error = %v", n, err)
+		}
+		if _, _, err := p.Source().Next(); err == nil || !strings.Contains(err.Error(), "Nodes") {
+			t.Errorf("nodes %d: Source().Next error = %v", n, err)
+		}
+		if _, _, err := SWFScenario(p.withDefaults().Generate()[:0], SWFOptions{Nodes: n}); err == nil || !strings.Contains(err.Error(), "Nodes") {
+			t.Errorf("nodes %d: SWFScenario error = %v", n, err)
+		}
+		if _, _, err := NewSWFReaderSource(strings.NewReader(text), SWFOptions{Nodes: n}).Next(); err == nil || !strings.Contains(err.Error(), "Nodes") {
+			t.Errorf("nodes %d: NewSWFReaderSource(...).Next error = %v", n, err)
+		}
+	}
+}
+
 func TestSWFScenarioSkipsUnusable(t *testing.T) {
 	jobs := []SWFJob{
 		{ID: 1, Submit: 0, Run: -1, Procs: 16, Status: 1},                 // no runtime
