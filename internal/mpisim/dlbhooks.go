@@ -3,25 +3,21 @@ package mpisim
 import "repro/internal/dlbcore"
 
 // AttachDLB installs PMPI hooks that integrate a rank with DLB (§4.3):
-// before a blocking MPI call the rank polls DROM (an extra
-// synchronization point) and, when LeWI is enabled, lends its CPUs;
-// after the call it reclaims them. This mirrors DLB's use of the PMPI
+// before an MPI call — every intercepted call can block — the rank
+// polls DROM (an extra synchronization point) and, when LeWI is
+// enabled, lends its CPUs; after the call it reclaims them. This mirrors DLB's use of the PMPI
 // profiling interface — DROM never changes the number of MPI
 // processes, interception is "only used to poll DLB and check if there
 // are some pending actions to be taken".
 func AttachDLB(r *Rank, ctx *dlbcore.Context) {
 	r.SetHooks(Hooks{
-		Pre: func(c Call) {
+		Pre: func(Call) {
 			// Every interception point is a DROM polling point.
 			ctx.PollDROM()
-			if c.Blocking() {
-				ctx.IntoBlockingCall()
-			}
+			ctx.IntoBlockingCall()
 		},
-		Post: func(c Call) {
-			if c.Blocking() {
-				ctx.OutOfBlockingCall()
-			}
+		Post: func(Call) {
+			ctx.OutOfBlockingCall()
 			ctx.PollDROM()
 		},
 	})

@@ -1,10 +1,10 @@
 // Package mpisim implements an MPI-like message-passing layer for
-// in-process ranks (§4.3). Ranks are goroutines; point-to-point
-// messages and collectives work over per-rank mailboxes. The package
-// reproduces the one MPI feature DROM actually relies on: the PMPI
-// profiling interface. Every call runs through pre/post interception
-// hooks, which DLB uses as additional polling points and — with LeWI —
-// to lend CPUs while a rank blocks.
+// in-process ranks (§4.3). Ranks are goroutines; the one collective,
+// Allreduce, works over per-rank mailboxes. The package reproduces the
+// one MPI feature DROM actually relies on: the PMPI profiling
+// interface. Every call runs through pre/post interception hooks,
+// which DLB uses as additional polling points and — with LeWI — to
+// lend CPUs while a rank blocks.
 //
 // As in the paper, there is no process-level malleability: the number
 // of ranks is fixed for the lifetime of a World.
@@ -18,33 +18,8 @@ import (
 // Call identifies an intercepted MPI entry point.
 type Call string
 
-// Intercepted calls.
-const (
-	CallSend      Call = "MPI_Send"
-	CallAllreduce Call = "MPI_Allreduce"
-)
-
-// Intercepted calls of the reference operations.
-//
-//simvet:testonly reference MPI call no example makes; its tests pin it
-const (
-	CallRecv     Call = "MPI_Recv"
-	CallBarrier  Call = "MPI_Barrier"
-	CallGather   Call = "MPI_Gather"
-	CallAlltoall Call = "MPI_Alltoall"
-)
-
-// Blocking reports whether the call can block waiting for remote
-// progress. A buffered send never blocks; everything else can.
-func (c Call) Blocking() bool {
-	return c != CallSend
-}
-
-// Wildcards for Recv matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
+// CallAllreduce is the one intercepted call.
+const CallAllreduce Call = "MPI_Allreduce"
 
 // Hooks is the PMPI interception interface: Pre runs before the real
 // call, Post after. Hooks are per-rank so each rank can carry its own
@@ -54,17 +29,14 @@ type Hooks struct {
 	Post func(call Call)
 }
 
-// message is an in-flight point-to-point message.
-type message struct {
-	src, tag int
-	data     interface{}
-}
-
-// mailbox is one rank's incoming queue.
+// mailbox is one rank's incoming queue of reduction values. Only rank
+// 0 receives contributions and only rank 0 sends results, and a rank
+// contributes to the next reduction only after the previous result
+// reached it, so a value needs neither a source nor a tag.
 type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	msgs []message
+	vals []float64
 }
 
 func newMailbox() *mailbox {
@@ -73,25 +45,23 @@ func newMailbox() *mailbox {
 	return mb
 }
 
-func (mb *mailbox) put(m message) {
+func (mb *mailbox) put(v float64) {
 	mb.mu.Lock()
-	mb.msgs = append(mb.msgs, m)
+	mb.vals = append(mb.vals, v)
 	mb.cond.Broadcast()
 	mb.mu.Unlock()
 }
 
-func (mb *mailbox) get(src, tag int) message {
+// get blocks until a value arrives and takes the oldest.
+func (mb *mailbox) get() float64 {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for {
-		for i, m := range mb.msgs {
-			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-				mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-				return m
-			}
-		}
+	for len(mb.vals) == 0 {
 		mb.cond.Wait()
 	}
+	v := mb.vals[0]
+	mb.vals = mb.vals[1:]
+	return v
 }
 
 // World is an MPI communicator over in-process ranks.
@@ -99,11 +69,6 @@ type World struct {
 	size      int
 	mailboxes []*mailbox
 	ranks     []*Rank
-
-	barrierMu   sync.Mutex
-	barrierCond *sync.Cond
-	barrierCnt  int
-	barrierGen  int
 }
 
 // NewWorld creates a communicator with the given number of ranks.
@@ -112,7 +77,6 @@ func NewWorld(size int) *World {
 		panic("mpisim: world size must be >= 1")
 	}
 	w := &World{size: size}
-	w.barrierCond = sync.NewCond(&w.barrierMu)
 	w.mailboxes = make([]*mailbox, size)
 	w.ranks = make([]*Rank, size)
 	for i := 0; i < size; i++ {
@@ -147,13 +111,6 @@ func (w *World) Run(body func(r *Rank)) {
 	wg.Wait()
 }
 
-// internal tags for collectives, out of the user tag space.
-const (
-	tagGather = -1000 - iota
-	tagReduce
-	tagAlltoall
-)
-
 // Rank is one process of the world.
 type Rank struct {
 	world *World
@@ -181,71 +138,6 @@ func (r *Rank) intercept(c Call, fn func()) {
 	}
 }
 
-// Send delivers data to rank `to` with the given tag (buffered, never
-// blocks).
-//
-//simvet:testonly reference MPI call no example makes; its tests pin it
-func (r *Rank) Send(to, tag int, data interface{}) {
-	r.intercept(CallSend, func() {
-		r.world.mailboxes[to].put(message{src: r.rank, tag: tag, data: data})
-	})
-}
-
-// Recv blocks until a message matching (from, tag) arrives and returns
-// its payload. AnySource/AnyTag match anything.
-//
-//simvet:testonly reference MPI call no example makes; its tests pin it
-func (r *Rank) Recv(from, tag int) interface{} {
-	var out interface{}
-	r.intercept(CallRecv, func() {
-		out = r.world.mailboxes[r.rank].get(from, tag).data
-	})
-	return out
-}
-
-// Barrier blocks until every rank has entered it (MPI_Barrier).
-//
-//simvet:testonly reference MPI call no example makes; its tests pin it
-func (r *Rank) Barrier() {
-	r.intercept(CallBarrier, func() {
-		w := r.world
-		w.barrierMu.Lock()
-		gen := w.barrierGen
-		w.barrierCnt++
-		if w.barrierCnt == w.size {
-			w.barrierCnt = 0
-			w.barrierGen++
-			w.barrierCond.Broadcast()
-		} else {
-			for gen == w.barrierGen {
-				w.barrierCond.Wait()
-			}
-		}
-		w.barrierMu.Unlock()
-	})
-}
-
-// Gather collects every rank's value at root (MPI_Gather). Root
-// receives a slice indexed by rank; other ranks receive nil.
-//
-//simvet:testonly reference MPI call no example makes; its tests pin it
-func (r *Rank) Gather(root int, data interface{}) []interface{} {
-	var out []interface{}
-	r.intercept(CallGather, func() {
-		if r.rank == root {
-			out = make([]interface{}, r.world.size)
-			out[root] = data
-			for i := 0; i < r.world.size-1; i++ {
-				m := r.world.mailboxes[root].get(AnySource, tagGather)
-				out[m.src] = m.data
-			}
-		} else {
-			r.world.mailboxes[root].put(message{src: r.rank, tag: tagGather, data: data})
-		}
-	})
-	return out
-}
-
 // Op is a reduction operator for Allreduce.
 type Op func(a, b float64) float64
 
@@ -261,42 +153,15 @@ func (r *Rank) Allreduce(op Op, v float64) float64 {
 		if r.rank == 0 {
 			acc := v
 			for i := 0; i < w.size-1; i++ {
-				m := w.mailboxes[0].get(AnySource, tagReduce)
-				acc = op(acc, m.data.(float64))
+				acc = op(acc, w.mailboxes[0].get())
 			}
 			for i := 1; i < w.size; i++ {
-				w.mailboxes[i].put(message{src: 0, tag: tagReduce, data: acc})
+				w.mailboxes[i].put(acc)
 			}
 			out = acc
 		} else {
-			w.mailboxes[0].put(message{src: r.rank, tag: tagReduce, data: v})
-			out = w.mailboxes[r.rank].get(0, tagReduce).data.(float64)
-		}
-	})
-	return out
-}
-
-// Alltoall exchanges data[i] to rank i and returns the slice received
-// (MPI_Alltoall). data must have length Size().
-//
-//simvet:testonly reference MPI call no example makes; its tests pin it
-func (r *Rank) Alltoall(data []interface{}) []interface{} {
-	if len(data) != r.world.size {
-		panic("mpisim: Alltoall data length must equal world size")
-	}
-	out := make([]interface{}, r.world.size)
-	r.intercept(CallAlltoall, func() {
-		w := r.world
-		for i := 0; i < w.size; i++ {
-			if i == r.rank {
-				out[i] = data[i]
-				continue
-			}
-			w.mailboxes[i].put(message{src: r.rank, tag: tagAlltoall, data: data[i]})
-		}
-		for i := 0; i < w.size-1; i++ {
-			m := w.mailboxes[r.rank].get(AnySource, tagAlltoall)
-			out[m.src] = m.data
+			w.mailboxes[0].put(v)
+			out = w.mailboxes[r.rank].get()
 		}
 	})
 	return out

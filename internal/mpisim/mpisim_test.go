@@ -12,95 +12,6 @@ import (
 	"repro/internal/shmem"
 )
 
-func TestSendRecv(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(r *Rank) {
-		if r.RankID() == 0 {
-			r.Send(1, 7, "hello")
-		} else {
-			got := r.Recv(0, 7)
-			if got != "hello" {
-				t.Errorf("Recv = %v", got)
-			}
-		}
-	})
-}
-
-func TestRecvMatchesTagAndSource(t *testing.T) {
-	w := NewWorld(3)
-	w.Run(func(r *Rank) {
-		switch r.RankID() {
-		case 0:
-			r.Send(2, 1, "from0tag1")
-		case 1:
-			r.Send(2, 2, "from1tag2")
-		case 2:
-			// Receive out of arrival order by selecting on tag.
-			if got := r.Recv(1, 2); got != "from1tag2" {
-				t.Errorf("tag-matched Recv = %v", got)
-			}
-			if got := r.Recv(0, 1); got != "from0tag1" {
-				t.Errorf("src-matched Recv = %v", got)
-			}
-		}
-	})
-}
-
-func TestRecvWildcards(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(r *Rank) {
-		if r.RankID() == 0 {
-			r.Send(1, 42, 99)
-		} else {
-			if got := r.Recv(AnySource, AnyTag); got != 99 {
-				t.Errorf("wildcard Recv = %v", got)
-			}
-		}
-	})
-}
-
-func TestBarrier(t *testing.T) {
-	w := NewWorld(4)
-	var before, after atomic.Int32
-	w.Run(func(r *Rank) {
-		before.Add(1)
-		r.Barrier()
-		// Everyone must have passed "before" by now.
-		if before.Load() != 4 {
-			t.Errorf("rank %d passed barrier with before=%d", r.RankID(), before.Load())
-		}
-		after.Add(1)
-	})
-	if after.Load() != 4 {
-		t.Fatalf("after = %d", after.Load())
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	w := NewWorld(3)
-	w.Run(func(r *Rank) {
-		for i := 0; i < 10; i++ {
-			r.Barrier()
-		}
-	})
-}
-
-func TestGather(t *testing.T) {
-	w := NewWorld(4)
-	w.Run(func(r *Rank) {
-		res := r.Gather(0, r.RankID()*10)
-		if r.RankID() == 0 {
-			for i := 0; i < 4; i++ {
-				if res[i] != i*10 {
-					t.Errorf("gather[%d] = %v", i, res[i])
-				}
-			}
-		} else if res != nil {
-			t.Errorf("non-root got %v", res)
-		}
-	})
-}
-
 func TestAllreduce(t *testing.T) {
 	w := NewWorld(5)
 	w.Run(func(r *Rank) {
@@ -114,33 +25,6 @@ func TestAllreduce(t *testing.T) {
 			t.Errorf("rank %d sum of squares = %v", r.RankID(), sum)
 		}
 	})
-}
-
-func TestAlltoall(t *testing.T) {
-	w := NewWorld(3)
-	w.Run(func(r *Rank) {
-		out := make([]interface{}, 3)
-		for i := range out {
-			out[i] = r.RankID()*100 + i
-		}
-		in := r.Alltoall(out)
-		for i := range in {
-			want := i*100 + r.RankID()
-			if in[i] != want {
-				t.Errorf("rank %d in[%d] = %v, want %d", r.RankID(), i, in[i], want)
-			}
-		}
-	})
-}
-
-func TestAlltoallBadLengthPanics(t *testing.T) {
-	w := NewWorld(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	w.Rank(0).Alltoall(make([]interface{}, 5))
 }
 
 func TestWorldValidation(t *testing.T) {
@@ -159,18 +43,6 @@ func TestWorldValidation(t *testing.T) {
 		}
 	}()
 	w.Rank(5)
-}
-
-func TestBlockingClassification(t *testing.T) {
-	if CallSend.Blocking() {
-		t.Errorf("%s should be non-blocking", CallSend)
-	}
-	blocking := []Call{CallRecv, CallBarrier, CallGather, CallAllreduce, CallAlltoall}
-	for _, c := range blocking {
-		if !c.Blocking() {
-			t.Errorf("%s should be blocking", c)
-		}
-	}
 }
 
 func TestHooksFire(t *testing.T) {
@@ -278,26 +150,6 @@ func TestDLBLewiLendDuringBlocking(t *testing.T) {
 	if !ctx0.Mask().IsSubsetOf(cpuset.Range(0, 3)) || ctx0.Mask().IsEmpty() {
 		t.Errorf("rank 0 mask after unblock = %v", ctx0.Mask())
 	}
-}
-
-func BenchmarkPingPong(b *testing.B) {
-	w := NewWorld(2)
-	done := make(chan struct{})
-	go func() {
-		r := w.Rank(1)
-		for i := 0; i < b.N; i++ {
-			r.Recv(0, 0)
-			r.Send(0, 1, i)
-		}
-		close(done)
-	}()
-	r := w.Rank(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Send(1, 0, i)
-		r.Recv(1, 1)
-	}
-	<-done
 }
 
 func BenchmarkAllreduce(b *testing.B) {

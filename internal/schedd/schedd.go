@@ -261,6 +261,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mutate(w, func() (int, error) {
+		// A name is the job's handle in every later request, and the
+		// wait a what-if reports is measured from its first submission:
+		// a name the boot trace or an earlier submit used is taken.
+		if _, seen := s.submits[job.Name]; seen {
+			return http.StatusConflict, fmt.Errorf("job name %q is already taken", job.Name)
+		}
 		if err := s.sess.Controller().Submit(&job); err != nil {
 			return http.StatusUnprocessableEntity, err
 		}

@@ -676,3 +676,37 @@ func TestCancelAndMalleableRoundTrip(t *testing.T) {
 	postJSON(t, ts.URL+"/cancel", map[string]string{"name": "rt"}, http.StatusOK, nil)
 	postJSON(t, ts.URL+"/cancel", map[string]string{"name": "rt"}, http.StatusNotFound, nil)
 }
+
+// TestSubmitSeenNameConflicts: a name schedd has seen — in the boot
+// trace or an earlier submit — is refused with 409, and the refusal
+// leaves the live lineage and its projection as they were. The what-if
+// then answers for the one job of that name, its wait measured from
+// its own submission, and one cancel removes it.
+func TestSubmitSeenNameConflicts(t *testing.T) {
+	ts, srv := newTestServer(t)
+	postJSON(t, ts.URL+"/submit", map[string]any{"name": "j00001", "app": "pils"}, http.StatusConflict, nil)
+	postJSON(t, ts.URL+"/advance", map[string]float64{"until": 500}, http.StatusOK, nil)
+	// The whole-cluster shape of TestCancelAndMalleableRoundTrip: it
+	// stays queued past t=800.
+	dup := map[string]any{"name": "dup", "app": "pils", "ranks": 4, "threads": 16, "nodes": 4, "walltime": 50000}
+	postJSON(t, ts.URL+"/submit", dup, http.StatusOK, nil)
+	postJSON(t, ts.URL+"/advance", map[string]float64{"until": 800}, http.StatusOK, nil)
+	first, code := whatIf(t, ts, "dup", "")
+	if code != http.StatusOK || first.Start <= 800 {
+		t.Fatalf("what-if on dup: status %d, %+v; want it still queued at t=800", code, first)
+	}
+	var before, after State
+	getJSON(t, ts.URL+"/state", http.StatusOK, &before)
+	proj := srv.liveProjection("")
+	postJSON(t, ts.URL+"/submit", dup, http.StatusConflict, nil)
+	getJSON(t, ts.URL+"/state", http.StatusOK, &after)
+	if after != before || srv.liveProjection("") != proj {
+		t.Errorf("the refused submit moved the state (%+v, was %+v) or dropped the projection", after, before)
+	}
+	got, code := whatIf(t, ts, "dup", "")
+	if code != http.StatusOK || got != first || got.Wait != got.Start-500 {
+		t.Errorf("what-if on dup after the refusal: status %d, %+v; want %+v, waiting since t=500", code, got, first)
+	}
+	postJSON(t, ts.URL+"/cancel", map[string]string{"name": "dup"}, http.StatusOK, nil)
+	postJSON(t, ts.URL+"/cancel", map[string]string{"name": "dup"}, http.StatusNotFound, nil)
+}

@@ -178,11 +178,9 @@ type Controller struct {
 	// progress (written by tryPreempt, held by runCycle).
 	drainUntil float64
 
-	// queue is kept priority-ordered (priority descending, seq
-	// ascending) by enqueue; no per-event re-sort happens.
-	queue   []*queuedJob
-	seq     int
-	running []*runningJob
+	// seq numbers submissions and requeues; the live jobs themselves
+	// are held by the per-partition views (view.go).
+	seq int
 	// admins holds one slurmd administrator per node, by global node
 	// index. Everything inside the controller names a node by that
 	// index; nodeIdx translates names at the API boundary (fault
@@ -192,8 +190,8 @@ type Controller struct {
 
 	// Incremental scheduling-cycle state: per-node cached effective-
 	// free masks with their popcounts (nodeFreeOK gates staleness),
-	// live seq→job indexes, and the per-partition policy views. See
-	// sched_driver.go and view.go.
+	// the per-partition views — the store of live jobs — and the
+	// seq→job indexes into them. See sched_driver.go and view.go.
 	nodeMasks    []cpuset.CPUSet
 	nodeFree     []cpuset.CPUSet
 	nodeFreeN    []int
@@ -201,7 +199,6 @@ type Controller struct {
 	qBySeq       map[int]*queuedJob
 	rBySeq       map[int]*runningJob
 	views        []partView
-	viewsStale   bool
 	cyclePending bool
 	lastCycleAt  float64
 	rearmedAt    float64
@@ -334,7 +331,7 @@ func NewController(c *Cluster, policy Policy) *Controller {
 		nodeFreeOK:     make([]bool, len(c.Nodes)),
 		qBySeq:         make(map[int]*queuedJob),
 		rBySeq:         make(map[int]*runningJob),
-		viewsStale:     true,
+		views:          newViews(c),
 		lastCycleAt:    -1,
 		rearmedAt:      -1,
 	}
@@ -355,10 +352,22 @@ func NewController(c *Cluster, policy Policy) *Controller {
 func (ctl *Controller) Policy() Policy { return ctl.policy }
 
 // QueueLen returns the number of waiting jobs.
-func (ctl *Controller) QueueLen() int { return len(ctl.queue) }
+func (ctl *Controller) QueueLen() int {
+	n := 0
+	for pi := range ctl.views {
+		n += len(ctl.views[pi].qjobs)
+	}
+	return n
+}
 
 // RunningLen returns the number of running jobs.
-func (ctl *Controller) RunningLen() int { return len(ctl.running) }
+func (ctl *Controller) RunningLen() int {
+	n := 0
+	for pi := range ctl.views {
+		n += len(ctl.views[pi].rjobs)
+	}
+	return n
+}
 
 // Submit enqueues a job at the current virtual time and tries to
 // schedule.
@@ -431,38 +440,6 @@ func (ctl *Controller) shmemFault(ni int, code derr.Code) bool {
 	return true
 }
 
-// enqueue inserts q keeping the queue priority-ordered: priority
-// descending, submission sequence ascending within a level. Keeping
-// the order on insert removes the whole-queue sort the scheduler used
-// to pay on every event.
-//
-//simvet:coldpath per submission/preempt, not per cycle
-func (ctl *Controller) enqueue(q *queuedJob) {
-	i := sort.Search(len(ctl.queue), func(i int) bool {
-		if ctl.queue[i].job.Priority != q.job.Priority {
-			return ctl.queue[i].job.Priority < q.job.Priority
-		}
-		return ctl.queue[i].seq > q.seq
-	})
-	ctl.queue = append(ctl.queue, nil)
-	copy(ctl.queue[i+1:], ctl.queue[i:])
-	ctl.queue[i] = q
-	ctl.qBySeq[q.seq] = q
-	ctl.viewEnqueue(q)
-}
-
-// dequeue removes q from the waiting queue and its index.
-func (ctl *Controller) dequeue(q *queuedJob) {
-	for i, qq := range ctl.queue {
-		if qq == q {
-			ctl.queue = append(ctl.queue[:i], ctl.queue[i+1:]...)
-			break
-		}
-	}
-	delete(ctl.qBySeq, q.seq)
-	ctl.viewDequeue(q)
-}
-
 // kick is the one entry to the scheduling cycle: every trigger — a
 // submission, a job end, a cancellation, a node returning to service,
 // a requeue arrival — calls it, whichever planner is active.
@@ -510,14 +487,15 @@ func (ctl *Controller) runCycle() {
 }
 
 // planBuiltin is the builtin planner: the paper's unchanged FCFS queue
-// — the head of the priority-ordered queue launches when selectNodes
-// can place it at mask level under the controller's Policy, and blocks
-// everything behind it when it cannot (PolicyPreempt first tries to
-// checkpoint its way in). Like a policy pass it plans into controller-
-// owned scratch, so a warm controller launches without allocating.
+// — the head of the priority-ordered queue, merged from the partitions'
+// views, launches when selectNodes can place it at mask level under the
+// controller's Policy, and blocks everything behind it when it cannot
+// (PolicyPreempt first tries to checkpoint its way in). Like a policy
+// pass it plans into controller-owned scratch, so a warm controller
+// launches without allocating.
 func (ctl *Controller) planBuiltin() {
-	for len(ctl.queue) > 0 {
-		q := ctl.queue[0]
+	for pi := ctl.nextQueued(nil); pi >= 0; pi = ctl.nextQueued(nil) {
+		q := ctl.views[pi].qjobs[0]
 		nodes, plans := ctl.selectNodes(q.job, q.pidx)
 		if nodes == nil {
 			if ctl.policy == PolicyPreempt {
@@ -538,8 +516,8 @@ func (ctl *Controller) planBuiltin() {
 //simvet:coldpath per preempt action, not per cycle
 func (ctl *Controller) tryPreempt(j *Job, pidx int) {
 	var victims []*runningJob
-	for _, r := range ctl.running {
-		if r.pidx == pidx && r.job.Priority < j.Priority {
+	for _, r := range ctl.views[pidx].rjobs {
+		if r.job.Priority < j.Priority {
 			victims = append(victims, r)
 		}
 	}
@@ -576,11 +554,12 @@ func (ctl *Controller) tryPreempt(j *Job, pidx int) {
 }
 
 // jobsOn returns the running jobs with tasks on the node at global
-// index ni, as slurmd input, in controller-owned scratch: the result
-// is valid until the next call.
+// index ni, in launch order, as slurmd input, in controller-owned
+// scratch: the result is valid until the next call.
 func (ctl *Controller) jobsOn(ni int) []JobOnNode {
-	out := slices.Grow(ctl.occ[:0], len(ctl.running))
-	for _, r := range ctl.running {
+	running := ctl.views[ctl.cluster.partOf[ni]].rjobs
+	out := slices.Grow(ctl.occ[:0], len(running))
+	for _, r := range running {
 		// Fill the task array the next slot held last time.
 		tasks := out[:len(out)+1][len(out)].Tasks[:0]
 		on := false
@@ -752,8 +731,8 @@ func (ctl *Controller) allocRunning(inst *apps.Instance) *runningJob {
 }
 
 // releaseRunning parks r for the next launch. The caller has taken r
-// out of the running set, its seq index and its partition's view, has
-// booked its record, and reads it no more; the instance is idle
+// out of its partition's view and the seq index, has booked its
+// record, and reads it no more; the instance is idle
 // (completed, stopped, or never started — no event pending). Scrubbed,
 // the record pins nothing of the job it served.
 func (ctl *Controller) releaseRunning(r *runningJob) {
@@ -767,7 +746,7 @@ func (ctl *Controller) releaseRunning(r *runningJob) {
 	}
 	if ctl.freeRunning == nil {
 		// The list never holds more records than were live at once.
-		ctl.freeRunning = make([]*runningJob, 0, len(ctl.running)+1)
+		ctl.freeRunning = make([]*runningJob, 0, ctl.RunningLen()+1)
 	}
 	ctl.freeRunning = append(ctl.freeRunning, r)
 }
@@ -1061,27 +1040,6 @@ func (ctl *Controller) failPostFinalize(pid shmem.PID, code derr.Code) {
 	ctl.fail(fmt.Errorf("slurm: PostFinalize pid %d: %w", pid, code))
 }
 
-// addRunning appends r to the running set, its seq index and its
-// partition's view.
-func (ctl *Controller) addRunning(r *runningJob) {
-	ctl.running = append(ctl.running, r)
-	ctl.rBySeq[r.seq] = r
-	ctl.viewAddRunning(r)
-}
-
-// removeRunning drops r from the running set, its seq index and its
-// partition's view.
-func (ctl *Controller) removeRunning(r *runningJob) {
-	for i, rr := range ctl.running {
-		if rr == r {
-			ctl.running = append(ctl.running[:i], ctl.running[i+1:]...)
-			break
-		}
-	}
-	delete(ctl.rBySeq, r.seq)
-	ctl.viewRemoveRunning(r)
-}
-
 // recordEnd books r's lifecycle record and emits the KindJobEnd probe
 // event.
 func (ctl *Controller) recordEnd(r *runningJob, end float64, outcome metrics.Outcome) {
@@ -1130,9 +1088,18 @@ func (ctl *Controller) endJob(r *runningJob, end float64, outcome metrics.Outcom
 // is stopped immediately, its tasks finalized and its CPUs
 // redistributed. The job is recorded with its end at the current time.
 // Returns false if the job is unknown.
+//
+// No two live jobs share a name — SWF, DJSB and UC scenarios name jobs
+// uniquely, and schedd refuses a name it has seen — so the walk may go
+// partition by partition, each view's queued entries before its
+// running ones.
 func (ctl *Controller) Cancel(name string) bool {
-	for _, q := range ctl.queue {
-		if q.job.Name == name {
+	for pi := range ctl.views {
+		v := &ctl.views[pi]
+		for _, q := range v.qjobs {
+			if q.job.Name != name {
+				continue
+			}
 			ctl.dequeue(q)
 			ctl.Records.Add(metrics.JobRecord{
 				Name: name, Submit: q.submit,
@@ -1155,12 +1122,12 @@ func (ctl *Controller) Cancel(name string) bool {
 			ctl.kick()
 			return true
 		}
-	}
-	for _, r := range ctl.running {
-		if r.job.Name == name {
-			r.inst.Stop()
-			ctl.endJob(r, ctl.cluster.Engine.Now(), metrics.OutcomeCancelled)
-			return true
+		for _, r := range v.rjobs {
+			if r.job.Name == name {
+				r.inst.Stop()
+				ctl.endJob(r, ctl.cluster.Engine.Now(), metrics.OutcomeCancelled)
+				return true
+			}
 		}
 	}
 	return false

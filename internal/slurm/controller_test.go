@@ -75,7 +75,7 @@ func TestPlacementInNameOrder(t *testing.T) {
 			t.Fatalf("sched=%v: the wide job did not start", withSched)
 		}
 		var got []string
-		for _, ni := range ctl.running[0].nodeAt {
+		for _, ni := range ctl.views[0].rjobs[0].nodeAt {
 			got = append(got, ctl.cluster.Nodes[ni])
 		}
 		want := slices.Clone(ctl.cluster.Nodes)

@@ -25,12 +25,12 @@ import (
 // 8–48 jobs with malleable and rigid shapes, priorities, mid-run
 // failures, scancels and malleability flips of queued jobs — replays
 // it with DebugInvariants on, and forks it once on the way. After
-// every scheduling cycle of both lineages the incremental views must
-// equal a from-scratch rebuild (checkFreeInvariant fails the
-// controller otherwise); every accepted job must be recorded, nothing
-// may stay registered in shared memory, and the fork — whose first
-// cycle rebuilds its views from the cloned records — must decide
-// exactly as its parent does.
+// every scheduling cycle of both lineages the free accounting must
+// match shared memory and every view entry its record
+// (checkFreeInvariant fails the controller otherwise); every accepted
+// job must be recorded, nothing may stay registered in shared memory,
+// and the fork — which starts from a copy of its parent's views — must
+// decide exactly as its parent does.
 //
 // Every trace is then replayed once more on the never-recycling twin —
 // a controller (and its fork) whose free lists stay empty, so every
@@ -38,6 +38,13 @@ import (
 // callbacks afresh. Which memory a record lives in is no decision
 // input: the probe's event stream, the records and the step counts must
 // be identical, skipped share included.
+//
+// Last, the builtin twin replays the trace on the paper's planner
+// (PolicyDROM, no policy installed) over the same store of live jobs:
+// the store check after every builtin cycle, every accepted job
+// recorded, nothing left registered, and a fork that decides as its
+// parent. The two planners decide differently by design; nothing
+// compares them.
 //
 // Plain `go test` replays the seeds below and the committed corpus
 // under testdata/fuzz/FuzzIncrementalCycle.
@@ -52,6 +59,7 @@ func FuzzIncrementalCycle(f *testing.F) {
 			t.Errorf("skipped steps: recycling %d, never-recycling twin %d", out.skipped, ref.skipped)
 		}
 		out.mustEqual(t, "recycling", ref, "never-recycling")
+		replayFuzzTrace(t, data, fuzzTwin{builtin: true})
 	})
 }
 
@@ -160,12 +168,14 @@ var fuzzOpClass = sim.NewClass("slurm.fuzzop")
 // fuzzTwin selects the variant of the system a fuzz trace is replayed
 // on: with a tracer attached, on the never-recycling twin of the
 // controller, with instances that never arm, on a cluster jittered by
-// this fraction (seed 1). The zero value is the system as it ships.
+// this fraction (seed 1), on the builtin planner instead of the
+// trace's policies. The zero value is the system as it ships.
 type fuzzTwin struct {
 	tracer       *trace.Tracer
 	neverRecycle bool
 	neverArm     bool
 	jitter       float64
+	builtin      bool
 }
 
 // replayFuzzTrace decodes data into a trace and replays it (see
@@ -210,6 +220,11 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 		return sched.New(sched.Names()[next()%len(sched.Names())])
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if twin.builtin {
+		// The policy bytes are read all the same, so the rest of the
+		// trace decodes as it does for the other twins.
+		ctl.UseSched(nil)
 	}
 	ctl.DebugInvariants = true
 	ctl.Spillover = next()%2 == 1

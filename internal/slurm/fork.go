@@ -1,23 +1,23 @@
 package slurm
 
-// Fork support: a running controller — queue, running set, per-node
-// DROM shared memory, demand ledgers, incremental free-mask caches,
-// fault-injection state and every pending engine event — can be
-// cloned at the current virtual time so two lineages continue
-// independently with byte-identical decisions.
+// Fork support: a running controller — the per-partition views that
+// hold its live jobs, per-node DROM shared memory, demand ledgers,
+// incremental free-mask caches, fault-injection state and every
+// pending engine event — can be cloned at the current virtual time so
+// two lineages continue independently with byte-identical decisions.
 //
 // Ownership rules (see also ARCHITECTURE.md, "Snapshot & fork"):
 //
 //   - deep-cloned: the engine queue, shmem segments, DROM systems,
-//     demand table, queuedJob/runningJob records, app instances,
-//     free-mask caches, fault-state arrays, the metrics aggregates, and
-//     one fresh sched.Policy per partition (ClonePolicy);
+//     demand table, the per-partition views entry for entry with the
+//     queuedJob/runningJob records behind them (each running entry's
+//     Nodes re-pointed at its cloned record's nodeIdxs) and the seq
+//     indexes refilled from them, app instances, free-mask caches,
+//     fault-state arrays, the metrics aggregates, and one fresh
+//     sched.Policy per partition (ClonePolicy);
 //   - shared frozen: the completed metrics.JobRecords — the child sees
 //     them as history (metrics.Workload.Fork) and records its own
 //     after them, so a fork costs what is live, not what happened;
-//   - rebuilt: the per-partition policy views (view.go) are derived
-//     state — the fork starts with them stale and its first policy
-//     cycle rebuilds them from the cloned records;
 //   - shared immutable: Job values (copy-on-write on mutation — see
 //     SetQueuedMalleable), cluster spec, node name/machine/partition
 //     tables, nodeIdx, the parsed fault script (nfWins);
@@ -243,7 +243,7 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		nodeFreeOK:      append([]bool(nil), ctl.nodeFreeOK...),
 		qBySeq:          make(map[int]*queuedJob, len(ctl.qBySeq)),
 		rBySeq:          make(map[int]*runningJob, len(ctl.rBySeq)),
-		viewsStale:      true, // rebuilt from the cloned records on the first policy cycle
+		views:           newViews(c),
 		cyclePending:    ctl.cyclePending,
 		lastCycleAt:     ctl.lastCycleAt,
 		rearmedAt:       ctl.rearmedAt,
@@ -282,20 +282,27 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		cr.inst.OnComplete = cr.onComplete
 		return cr
 	}
-	ctl2.queue = make([]*queuedJob, len(ctl.queue))
-	for i, q := range ctl.queue {
-		cq := *q
-		if q.resume != nil {
-			cq.resume = forkJob(q.resume)
+	for pi := range ctl.views {
+		v, cv := &ctl.views[pi], &ctl2.views[pi]
+		cv.st.Now = v.st.Now
+		copy(cv.st.Free, v.st.Free)
+		cv.st.Queue = append(cv.st.Queue, v.st.Queue...)
+		cv.st.Running = append(cv.st.Running, v.st.Running...)
+		cv.widthsDirty = v.widthsDirty
+		for _, q := range v.qjobs {
+			cq := *q
+			if q.resume != nil {
+				cq.resume = forkJob(q.resume)
+			}
+			cv.qjobs = append(cv.qjobs, &cq)
+			ctl2.qBySeq[cq.seq] = &cq
 		}
-		ctl2.queue[i] = &cq
-		ctl2.qBySeq[cq.seq] = &cq
-	}
-	ctl2.running = make([]*runningJob, len(ctl.running))
-	for i, r := range ctl.running {
-		cr := forkJob(r)
-		ctl2.running[i] = cr
-		ctl2.rBySeq[cr.seq] = cr
+		for i, r := range v.rjobs {
+			cr := forkJob(r)
+			cv.rjobs = append(cv.rjobs, cr)
+			cv.st.Running[i].Nodes = cr.nodeIdxs
+			ctl2.rBySeq[cr.seq] = cr
+		}
 	}
 	// Fault-injection state: arrays by value, the parsed script shared,
 	// the MTBF stream continued.
@@ -320,21 +327,21 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 // before the change never observes it. Returns false when no queued
 // job has that name.
 func (ctl *Controller) SetQueuedMalleable(name string, malleable bool) bool {
-	for _, q := range ctl.queue {
-		if q.job.Name != name {
-			continue
+	for pi := range ctl.views {
+		v := &ctl.views[pi]
+		for i, q := range v.qjobs {
+			if q.job.Name != name {
+				continue
+			}
+			if q.job.Malleable != malleable {
+				nj := *q.job
+				nj.Malleable = malleable
+				q.job = &nj
+				v.st.Queue[i].Malleable = malleable // the entry carries the flag
+				ctl.kick()
+			}
+			return true
 		}
-		if q.job.Malleable != malleable {
-			nj := *q.job
-			nj.Malleable = malleable
-			// The view entry carries the flag: re-insert it at its
-			// (unchanged) position.
-			ctl.viewDequeue(q)
-			q.job = &nj
-			ctl.viewEnqueue(q)
-			ctl.kick()
-		}
-		return true
 	}
 	return false
 }

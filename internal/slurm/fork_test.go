@@ -487,7 +487,10 @@ func TestForkMutationIsolation(t *testing.T) {
 // cancels a job queued at the fork instant — a record the parent never
 // makes — and the two then run in lockstep: at every step the parent's
 // records must be a prefix of the uninterrupted replay's, and the
-// fork's record after its history must still be the cancellation.
+// fork's record after its history must still be the cancellation. Nor
+// does a running entry of the fork's views share its Nodes array with
+// one of the parent's: the parent recycles its records' arrays for the
+// next job.
 func TestForkRecordsDoNotAlias(t *testing.T) {
 	c := goldenForkCases()[1] // hetero-faults: contended, so jobs queue
 	sc := c.make(t)
@@ -514,6 +517,9 @@ func TestForkRecordsDoNotAlias(t *testing.T) {
 	fork, err := sess.Fork()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if entries, shared := fork.Controller().SharedViewNodes(sess.Controller()); entries == 0 || shared > 0 {
+		t.Fatalf("%d of the fork's %d running view entries share Nodes with the parent's; want some entries, none shared", shared, entries)
 	}
 	if !fork.Controller().Cancel(victim) {
 		t.Fatalf("%s is not queued in the fork", victim)

@@ -208,7 +208,7 @@ func (ctl *Controller) scheduleFaultWindows() {
 // re-arms), so the MTBF chain can never keep Engine.Run alive after
 // the workload drains.
 func (ctl *Controller) faultIdle() bool {
-	return len(ctl.queue) == 0 && len(ctl.running) == 0 && ctl.nfLimbo == 0
+	return ctl.QueueLen() == 0 && ctl.RunningLen() == 0 && ctl.nfLimbo == 0
 }
 
 // expDraw draws an exponential variate with the given mean from the
@@ -383,9 +383,10 @@ func (ctl *Controller) drainEnd(i int) {
 //simvet:coldpath per node-down event
 func (ctl *Controller) killResidents(ni int) {
 	node := ctl.cluster.Nodes[ni]
-	// Collect first: the requeue/record below mutates ctl.running.
+	// Collect first, in launch order from the node's partition view:
+	// the requeue/record below edits that view.
 	var victims []*runningJob
-	for _, r := range ctl.running {
+	for _, r := range ctl.views[ctl.cluster.partOf[ni]].rjobs {
 		if r.hasNode(ni) {
 			victims = append(victims, r)
 		}

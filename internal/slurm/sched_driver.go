@@ -160,15 +160,13 @@ func (ctl *Controller) noteFreed(i int, mask cpuset.CPUSet) {
 // partition's view so the next snapshot re-reads the entry.
 func (ctl *Controller) invalidateWidth(r *runningJob) {
 	r.curOK = false
-	if !ctl.viewsStale {
-		ctl.views[r.pidx].widthsDirty = true
-	}
+	ctl.views[r.pidx].widthsDirty = true
 }
 
 // invalidateJobsOn clears the cached allocation width of every running
 // job with tasks on the node at global index i.
 func (ctl *Controller) invalidateJobsOn(i int) {
-	for _, r := range ctl.running {
+	for _, r := range ctl.views[ctl.cluster.partOf[i]].rjobs {
 		if r.curOK && r.hasNode(i) {
 			ctl.invalidateWidth(r)
 		}
@@ -226,7 +224,7 @@ func (ctl *Controller) schedCycle() {
 		cycleT0 = time.Now() //simvet:wallclock probe-only cycle timing, never reaches decisions
 		probe.Emit(obs.Event{
 			Kind: obs.KindCycleStart, Time: ctl.cluster.Engine.Now(),
-			Queue: len(ctl.queue), Running: len(ctl.running),
+			Queue: ctl.QueueLen(), Running: ctl.RunningLen(),
 			Processed: ctl.cluster.Engine.Processed(),
 			Skipped:   ctl.cluster.Engine.Skipped(),
 		})
@@ -235,13 +233,16 @@ func (ctl *Controller) schedCycle() {
 	if ctl.scheds == nil {
 		ctl.planBuiltin()
 		ctl.emitSnapshots()
+		if ctl.DebugInvariants {
+			ctl.checkViews()
+		}
 	} else {
 		skipped = ctl.planPolicies(probe)
 	}
 	if probe != nil {
 		probe.Emit(obs.Event{
 			Kind: obs.KindCycleEnd, Time: ctl.cluster.Engine.Now(),
-			Queue: len(ctl.queue), Running: len(ctl.running),
+			Queue: ctl.QueueLen(), Running: ctl.RunningLen(),
 			WallNanos: time.Since(cycleT0).Nanoseconds(),
 		})
 	}
@@ -262,16 +263,9 @@ func (ctl *Controller) emitSnapshots() {
 	}
 	parts := ctl.cluster.Spec.Partitions
 	for pi := range parts {
-		ev := obs.Event{Kind: obs.KindSnapshot, Time: ctl.cluster.Engine.Now(), Partition: parts[pi].Name}
-		for _, q := range ctl.queue {
-			if q.pidx == pi {
-				ev.Queue++
-			}
-		}
-		for _, r := range ctl.running {
-			if r.pidx == pi {
-				ev.Running++
-			}
+		ev := obs.Event{
+			Kind: obs.KindSnapshot, Time: ctl.cluster.Engine.Now(), Partition: parts[pi].Name,
+			Queue: len(ctl.views[pi].qjobs), Running: len(ctl.views[pi].rjobs),
 		}
 		lo := ctl.cluster.Spec.NodeOffset(pi)
 		for ni := lo; ni < lo+parts[pi].Nodes; ni++ {
@@ -296,9 +290,6 @@ func (ctl *Controller) emitSnapshots() {
 // (say, a shrink paired with a start that lost the race) is re-planned
 // immediately instead of idling until the next job event.
 func (ctl *Controller) planPolicies(probe obs.Probe) (skipped bool) {
-	if ctl.viewsStale {
-		ctl.rebuildViews()
-	}
 	for pi := range ctl.cluster.Spec.Partitions {
 		ctl.Cycles++
 		st := ctl.snapshotPartition(pi)
@@ -414,8 +405,7 @@ func (ctl *Controller) rearmAfterSkip() {
 // full shared-memory re-scan: every node's cached effective-free count
 // must match the rescan and stay within [0, CoresPerNode], every
 // cached job width must match a fresh task-mask walk, and every
-// partition's incremental view must equal a from-scratch rebuild
-// (checkViews).
+// partition's view must agree with its records (checkViews).
 //
 //simvet:coldpath debug-only cross-check behind DebugInvariants
 func (ctl *Controller) checkFreeInvariant() {
@@ -439,14 +429,16 @@ func (ctl *Controller) checkFreeInvariant() {
 				node, ctl.nodeFreeN[i], ctl.nodeFree[i], ctl.nodeFree[i].Count()))
 		}
 	}
-	for _, r := range ctl.running {
-		if !r.curOK {
-			continue
-		}
-		cached := r.curCPUs
-		r.curOK = false
-		if fresh := ctl.runningCPUs(r); fresh != cached {
-			ctl.fail(fmt.Errorf("slurm: invariant: job %s cached width %d, task masks say %d", r.job.Name, cached, fresh))
+	for pi := range ctl.views {
+		for _, r := range ctl.views[pi].rjobs {
+			if !r.curOK {
+				continue
+			}
+			cached := r.curCPUs
+			r.curOK = false
+			if fresh := ctl.runningCPUs(r); fresh != cached {
+				ctl.fail(fmt.Errorf("slurm: invariant: job %s cached width %d, task masks say %d", r.job.Name, cached, fresh))
+			}
 		}
 	}
 	ctl.checkViews()

@@ -49,7 +49,7 @@ type spillPart struct {
 // host partition's next policy pass simply sees the job running.
 func (ctl *Controller) spillPass() {
 	parts := ctl.cluster.Spec.Partitions
-	if len(parts) < 2 || len(ctl.queue) == 0 {
+	if len(parts) < 2 || ctl.QueueLen() == 0 {
 		return
 	}
 	now := ctl.cluster.Engine.Now()
@@ -65,7 +65,7 @@ func (ctl *Controller) spillPass() {
 	}
 	minDepth := max(ctl.SpillDepth, 1)
 	for {
-		home := ctl.spillNext(cur)
+		home := ctl.nextQueued(cur)
 		if home < 0 {
 			return
 		}
@@ -139,25 +139,6 @@ func (ctl *Controller) spillPass() {
 			break
 		}
 	}
-}
-
-// spillNext returns the partition whose view holds, at its cursor, the
-// next job of the global queue order (priority descending, submission
-// sequence ascending), or -1 when every cursor is exhausted.
-func (ctl *Controller) spillNext(cur []int) int {
-	best := -1
-	var bj *sched.Job
-	for pi := range ctl.views {
-		queue := ctl.views[pi].st.Queue
-		if cur[pi] >= len(queue) {
-			continue
-		}
-		j := &queue[cur[pi]]
-		if best < 0 || j.Priority > bj.Priority || j.Priority == bj.Priority && j.ID < bj.ID {
-			best, bj = pi, j
-		}
-	}
-	return best
 }
 
 // spillSortFree (re)builds partition pi's ascending free-count vector.

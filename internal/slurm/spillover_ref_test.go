@@ -81,15 +81,24 @@ func refState(ctl *Controller) ([]refPart, []refQueued) {
 			}
 			rp.until = append(rp.until, until)
 		}
-		for _, r := range ctl.running {
-			if r.pidx == pi {
-				rp.running = append(rp.running, refRun{r.start, r.job.Walltime, append([]int(nil), r.nodeIdxs...)})
-			}
+		for _, r := range ctl.views[pi].rjobs {
+			rp.running = append(rp.running, refRun{r.start, r.job.Walltime, append([]int(nil), r.nodeIdxs...)})
 		}
 		parts = append(parts, rp)
 	}
+	// The global queue order, sorted here from every partition's records.
+	var waiting []*queuedJob
+	for pi := range ctl.views {
+		waiting = append(waiting, ctl.views[pi].qjobs...)
+	}
+	sort.Slice(waiting, func(a, b int) bool {
+		if waiting[a].job.Priority != waiting[b].job.Priority {
+			return waiting[a].job.Priority > waiting[b].job.Priority
+		}
+		return waiting[a].seq < waiting[b].seq
+	})
 	var queue []refQueued
-	for _, q := range ctl.queue {
+	for _, q := range waiting {
 		queue = append(queue, refQueued{
 			seq: q.seq, home: q.pidx, nodes: q.job.Nodes, cpus: q.job.CPUsPerNode(),
 			submit: q.submit, walltime: q.job.Walltime, resume: q.resume != nil,
@@ -366,7 +375,7 @@ func TestSpillPassMatchesReference(t *testing.T) {
 		rec := &spillRecorder{parts: spec.Partitions, placement: map[int]string{}}
 		for k := 1; k <= checkpoints; k++ {
 			eng.RunUntil(horizon * float64(k) / checkpoints)
-			if ctl.viewsStale {
+			if ctl.seq == 0 {
 				continue // nothing submitted yet
 			}
 			parts, queue := refState(ctl)

@@ -165,9 +165,11 @@ func TestSpilloverNeverDelaysEASYHead(t *testing.T) {
 // findQueued returns the waiting job with the given name, nil if it
 // is not queued.
 func findQueued(ctl *Controller, name string) *queuedJob {
-	for _, q := range ctl.queue {
-		if q.job.Name == name {
-			return q
+	for pi := range ctl.views {
+		for _, q := range ctl.views[pi].qjobs {
+			if q.job.Name == name {
+				return q
+			}
 		}
 	}
 	return nil

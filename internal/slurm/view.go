@@ -8,34 +8,34 @@ import (
 	"repro/internal/sched"
 )
 
-// Incremental per-partition policy views. A policy pass used to start
-// by rebuilding the partition's sched.State from the controller's job
-// records: one pointer chase and one 80–96-byte copy per queued and
-// per running job, per partition, per cycle — under a standing backlog
-// more work than the policy then spent deciding. The views keep that
-// State alive between cycles instead, edited where the records change:
+// The controller's store of live jobs: one partView per partition.
+// A queued job is an entry of its target partition's view, a running
+// job one of the partition it runs in; no other list of live jobs
+// exists. The view holds each job twice over — the record (qjobs,
+// rjobs) and the policy's entry for it in a sched.State kept alive
+// across cycles (st.Queue, st.Running) — and every edit changes both:
 //
-//	enqueue / dequeue            insert / remove the Queue entry, in order
-//	addRunning / removeRunning   append / remove the Running entry
+//	enqueue / dequeue            insert / remove the entry, in order
+//	addRunning / removeRunning   append / remove the entry
 //	invalidateWidth              mark the partition's widths dirty
-//	SetQueuedMalleable           re-insert the entry with the new flag
+//	SetQueuedMalleable           rewrite the entry with the new flag
 //
-// ctl.queue and ctl.running stay the source of truth; a view is derived
-// state in exactly the order a rebuild produces (Queue: priority
-// descending, then seq ascending — the global queue order filtered by
-// partition; Running: launch order). Free is not edited in place: the
-// per-node popcount cache beside nodeFree makes re-reading it a load
-// per node.
+// Queue order is priority descending, then seq ascending; the global
+// queue order both planners follow is the merge of the views' queues
+// (nextQueued). Running order is launch order, which is what jobsOn,
+// tryPreempt and killResidents walk: all of a running job's nodes lie
+// in its partition. Free is not edited in place: the per-node popcount
+// cache beside nodeFree makes re-reading it a load per node.
 //
-// While viewsStale is set — a controller that has not run a policy
-// cycle yet, or a Fork child — the edit hooks do nothing, and the first
-// policy cycle rebuilds every view from the records (buildView, the
-// from-scratch builder). Under DebugInvariants the same builder is the
-// oracle: after every cycle each view must equal a fresh rebuild.
+// qBySeq and rBySeq index the same records by seq, because pending-
+// event descriptors and policy actions name jobs by seq alone (a scan
+// would make each launch's evStart dispatch O(running)). Under
+// DebugInvariants checkViews holds every entry to its record and both
+// maps to the views after every cycle of either planner.
 
-// partView is the controller-owned policy view of one partition. qjobs
-// and rjobs parallel st.Queue and st.Running with the records behind
-// the entries.
+// partView is the store of one partition's live jobs: qjobs and rjobs
+// parallel st.Queue and st.Running with the records behind the
+// entries.
 type partView struct {
 	st    sched.State
 	qjobs []*queuedJob
@@ -43,6 +43,41 @@ type partView struct {
 	// widthsDirty is set when the cached width of some running job of
 	// the partition was invalidated since the last snapshot.
 	widthsDirty bool
+}
+
+// viewCap is how many queued and running entries a view holds before
+// its first growth: the paper's scenarios never need more.
+const viewCap = 4
+
+// viewBuf holds the first arrays of one view's four job slices.
+type viewBuf struct {
+	queue   [viewCap]sched.Job
+	running [viewCap]sched.Running
+	qjobs   [viewCap]*queuedJob
+	rjobs   [viewCap]*runningJob
+}
+
+// newViews makes one empty view per partition of c, in three
+// allocations however many partitions there are: the views, their
+// Free vectors (windows of one array) and their first job arrays.
+func newViews(c *Cluster) []partView {
+	n := len(c.Spec.Partitions)
+	views, free, bufs := make([]partView, n), make([]int, len(c.Nodes)), make([]viewBuf, n)
+	for pi, part := range c.Spec.Partitions {
+		lo, b := c.Spec.NodeOffset(pi), &bufs[pi]
+		views[pi] = partView{
+			st: sched.State{
+				Partition:    part.Name,
+				CoresPerNode: part.Machine.CoresPerNode(),
+				Free:         free[lo : lo+part.Nodes : lo+part.Nodes],
+				Queue:        b.queue[:0],
+				Running:      b.running[:0],
+			},
+			qjobs: b.qjobs[:0],
+			rjobs: b.rjobs[:0],
+		}
+	}
+	return views
 }
 
 // schedJob is the policy's view of a waiting job.
@@ -91,22 +126,21 @@ func (v *partView) queuePos(priority, seq int) int {
 	return lo
 }
 
-// viewEnqueue inserts q into its partition's view.
-func (ctl *Controller) viewEnqueue(q *queuedJob) {
-	if ctl.viewsStale {
-		return
-	}
+// enqueue inserts q into its partition's view, in queue order, and
+// into the seq index.
+//
+//simvet:coldpath per submission/preempt, not per cycle
+func (ctl *Controller) enqueue(q *queuedJob) {
 	v := &ctl.views[q.pidx]
 	i := v.queuePos(q.job.Priority, q.seq)
 	v.st.Queue = slices.Insert(v.st.Queue, i, schedJob(q))
 	v.qjobs = slices.Insert(v.qjobs, i, q)
+	ctl.qBySeq[q.seq] = q
 }
 
-// viewDequeue removes q from the view of the partition it waits in.
-func (ctl *Controller) viewDequeue(q *queuedJob) {
-	if ctl.viewsStale {
-		return
-	}
+// dequeue removes q from the view of the partition it waits in and
+// from the seq index.
+func (ctl *Controller) dequeue(q *queuedJob) {
 	v := &ctl.views[q.pidx]
 	i := v.queuePos(q.job.Priority, q.seq)
 	if i >= len(v.qjobs) || v.qjobs[i] != q {
@@ -115,23 +149,19 @@ func (ctl *Controller) viewDequeue(q *queuedJob) {
 	}
 	v.st.Queue = slices.Delete(v.st.Queue, i, i+1)
 	v.qjobs = slices.Delete(v.qjobs, i, i+1)
+	delete(ctl.qBySeq, q.seq)
 }
 
-// viewAddRunning appends r to its partition's view.
-func (ctl *Controller) viewAddRunning(r *runningJob) {
-	if ctl.viewsStale {
-		return
-	}
+// addRunning appends r to its partition's view and the seq index.
+func (ctl *Controller) addRunning(r *runningJob) {
 	v := &ctl.views[r.pidx]
 	v.st.Running = append(v.st.Running, ctl.schedRunning(r))
 	v.rjobs = append(v.rjobs, r)
+	ctl.rBySeq[r.seq] = r
 }
 
-// viewRemoveRunning removes r from its partition's view.
-func (ctl *Controller) viewRemoveRunning(r *runningJob) {
-	if ctl.viewsStale {
-		return
-	}
+// removeRunning drops r from its partition's view and the seq index.
+func (ctl *Controller) removeRunning(r *runningJob) {
 	v := &ctl.views[r.pidx]
 	i := slices.Index(v.rjobs, r)
 	if i < 0 {
@@ -140,6 +170,32 @@ func (ctl *Controller) viewRemoveRunning(r *runningJob) {
 	}
 	v.st.Running = slices.Delete(v.st.Running, i, i+1)
 	v.rjobs = slices.Delete(v.rjobs, i, i+1)
+	delete(ctl.rBySeq, r.seq)
+}
+
+// nextQueued returns the partition whose view holds, at its cursor,
+// the next job of the global queue order (priority descending,
+// submission sequence ascending), or -1 when every cursor is
+// exhausted. A nil cur stands for every cursor at 0: the partition of
+// the global queue head.
+func (ctl *Controller) nextQueued(cur []int) int {
+	best := -1
+	var bj *sched.Job
+	for pi := range ctl.views {
+		k := 0
+		if cur != nil {
+			k = cur[pi]
+		}
+		queue := ctl.views[pi].st.Queue
+		if k >= len(queue) {
+			continue
+		}
+		j := &queue[k]
+		if best < 0 || j.Priority > bj.Priority || j.Priority == bj.Priority && j.ID < bj.ID {
+			best, bj = pi, j
+		}
+	}
+	return best
 }
 
 // failViewMissing fails the controller on a record its partition's
@@ -173,102 +229,71 @@ func (ctl *Controller) snapshotPartition(pi int) *sched.State {
 			st.Free[k] = ctl.freeCount(offset + k)
 		}
 	}
-	if v.widthsDirty {
-		for k, r := range v.rjobs {
-			if !r.curOK {
-				st.Running[k].CPUsPerNode = ctl.runningCPUs(r)
-			}
-		}
-		v.widthsDirty = false
-	}
+	ctl.refreshWidths(v)
 	return st
 }
 
-// buildView rebuilds partition pi's view into v from the controller's
-// records alone: free counts from the effective-free masks, the queued
-// jobs targeting the partition in queue order, the running jobs inside
-// it in launch order. It is what every policy pass used to do; now it
-// runs when the views are stale (first policy cycle, Fork child) and
-// as the DebugInvariants oracle.
-//
-//simvet:coldpath stale-view rebuild and debug oracle only
-func (ctl *Controller) buildView(pi int, v *partView) {
-	part := ctl.cluster.Spec.Partitions[pi]
-	st := &v.st
-	st.Now = ctl.cluster.Engine.Now()
-	st.Partition = part.Name
-	st.CoresPerNode = part.Machine.CoresPerNode()
-	st.Free = st.Free[:0]
-	st.Queue = st.Queue[:0]
-	st.Running = st.Running[:0]
-	v.qjobs = v.qjobs[:0]
-	v.rjobs = v.rjobs[:0]
-	offset := ctl.cluster.Spec.NodeOffset(pi)
-	for k := 0; k < part.Nodes; k++ {
-		free := unavailable
-		if ctl.nodeUp(offset + k) {
-			free = ctl.effectiveFree(offset + k).Count()
-		}
-		st.Free = append(st.Free, free)
+// refreshWidths re-reads the width of every running entry of v whose
+// cached width was invalidated since the last pass.
+func (ctl *Controller) refreshWidths(v *partView) {
+	if !v.widthsDirty {
+		return
 	}
-	for _, q := range ctl.queue {
-		if q.pidx == pi {
-			st.Queue = append(st.Queue, schedJob(q))
-			v.qjobs = append(v.qjobs, q)
-		}
-	}
-	for _, r := range ctl.running {
-		if r.pidx == pi {
-			st.Running = append(st.Running, ctl.schedRunning(r))
-			v.rjobs = append(v.rjobs, r)
+	for k, r := range v.rjobs {
+		if !r.curOK {
+			v.st.Running[k].CPUsPerNode = ctl.runningCPUs(r)
 		}
 	}
 	v.widthsDirty = false
 }
 
-// rebuildViews brings every partition's view up to date from the
-// records and switches the edit hooks on.
-//
-//simvet:coldpath first policy cycle of a controller or a fork
-func (ctl *Controller) rebuildViews() {
-	if ctl.views == nil {
-		ctl.views = make([]partView, len(ctl.cluster.Spec.Partitions))
-	}
-	for pi := range ctl.views {
-		ctl.buildView(pi, &ctl.views[pi])
-	}
-	ctl.viewsStale = false
-}
-
-// checkViews is the DebugInvariants oracle of the incremental views:
-// each partition's view, refreshed as for a pass, must equal a
-// from-scratch rebuild — free counts, queue and running entries,
-// element order and the records behind them.
+// checkViews is the DebugInvariants check of the store. In every
+// partition's view, widths refreshed as for a pass, each entry must be
+// what its record says (schedJob, schedRunning, Nodes the record's own
+// nodeIdxs), each record must name the partition and be what the seq
+// index holds under its seq, the queue must be in queue order, and
+// every node a running job holds must lie inside the partition. The
+// seq indexes hold nothing else.
 //
 //simvet:coldpath debug-only cross-check behind DebugInvariants
 func (ctl *Controller) checkViews() {
-	if ctl.viewsStale {
-		return
-	}
-	var want partView
+	queued, running := 0, 0
 	for pi := range ctl.views {
 		v := &ctl.views[pi]
-		got := ctl.snapshotPartition(pi)
-		ctl.buildView(pi, &want)
-		var diff string
-		switch {
-		case !slices.Equal(got.Free, want.st.Free):
-			diff = fmt.Sprintf("free %v, rebuild says %v", got.Free, want.st.Free)
-		case !slices.Equal(got.Queue, want.st.Queue) || !slices.Equal(v.qjobs, want.qjobs):
-			diff = fmt.Sprintf("queue %+v, rebuild says %+v", got.Queue, want.st.Queue)
-		case !slices.EqualFunc(got.Running, want.st.Running, sameRunning) || !slices.Equal(v.rjobs, want.rjobs):
-			diff = fmt.Sprintf("running %+v, rebuild says %+v", got.Running, want.st.Running)
-		default:
+		bad := func(format string, args ...any) {
+			ctl.fail(fmt.Errorf("slurm: invariant: partition %s view: %s", v.st.Partition, fmt.Sprintf(format, args...)))
+		}
+		if len(v.st.Queue) != len(v.qjobs) || len(v.st.Running) != len(v.rjobs) {
+			bad("%d queue and %d running entries for %d and %d records", len(v.st.Queue), len(v.st.Running), len(v.qjobs), len(v.rjobs))
 			continue
 		}
-		ctl.fail(fmt.Errorf("slurm: invariant: partition %s incremental view diverged: %s", got.Partition, diff))
+		ctl.refreshWidths(v)
+		for k, q := range v.qjobs {
+			e := v.st.Queue[k]
+			switch {
+			case q.pidx != pi || ctl.qBySeq[q.seq] != q:
+				bad("queued job %s (seq %d) targets partition %d, or its seq indexes another record", q.job.Name, q.seq, q.pidx)
+			case e != schedJob(q):
+				bad("queue entry %+v, its record says %+v", e, schedJob(q))
+			case k > 0 && !(v.st.Queue[k-1].Priority > e.Priority || v.st.Queue[k-1].Priority == e.Priority && v.st.Queue[k-1].ID < e.ID):
+				bad("queue entry %d (seq %d) is out of order", k, e.ID)
+			}
+		}
+		for k, r := range v.rjobs {
+			e, want := v.st.Running[k], ctl.schedRunning(r)
+			switch {
+			case r.pidx != pi || ctl.rBySeq[r.seq] != r:
+				bad("running job %s (seq %d) runs in partition %d, or its seq indexes another record", r.job.Name, r.seq, r.pidx)
+			case !reflect.DeepEqual(e, want) || len(e.Nodes) > 0 && &e.Nodes[0] != &r.nodeIdxs[0]:
+				bad("running entry %+v, its record says %+v on the record's own Nodes array", e, want)
+			case slices.ContainsFunc(r.nodeAt, func(ni int) bool { return ctl.cluster.partOf[ni] != pi }):
+				bad("running job %s holds nodes %v outside the partition", r.job.Name, r.nodeAt)
+			}
+		}
+		queued, running = queued+len(v.qjobs), running+len(v.rjobs)
+	}
+	if len(ctl.qBySeq) != queued || len(ctl.rBySeq) != running {
+		ctl.fail(fmt.Errorf("slurm: invariant: seq indexes hold %d queued and %d running jobs, the views %d and %d",
+			len(ctl.qBySeq), len(ctl.rBySeq), queued, running))
 	}
 }
-
-// sameRunning compares two Running entries, Nodes by content.
-func sameRunning(a, b sched.Running) bool { return reflect.DeepEqual(a, b) }

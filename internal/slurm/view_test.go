@@ -2,6 +2,7 @@ package slurm
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -47,29 +48,38 @@ func backlogController(t *testing.T, jobs int) (*sim.Engine, *Controller) {
 	return eng, ctl
 }
 
-// viewSeqs renders a view's record tables as job sequence numbers, so
-// two lineages (whose records are distinct objects) compare.
-func viewSeqs(v *partView) (queued, running []int) {
-	for _, q := range v.qjobs {
-		queued = append(queued, q.seq)
-	}
-	for _, r := range v.rjobs {
-		running = append(running, r.seq)
-	}
-	return queued, running
+// sameRecord reports whether two running-job records, one per
+// lineage, hold the same job in the same state: everything but the
+// instance and its completion hook, slices by content.
+func sameRecord(a, b *runningJob) bool {
+	return a.job == b.job && a.seq == b.seq && a.pidx == b.pidx && a.homePidx == b.homePidx &&
+		a.submit == b.submit && a.start == b.start && a.requeues == b.requeues &&
+		a.curCPUs == b.curCPUs && a.curOK == b.curOK &&
+		slices.Equal(a.nodeAt, b.nodeAt) && slices.Equal(a.tasks, b.tasks) && slices.Equal(a.nodeIdxs, b.nodeIdxs)
 }
 
-// TestForkMidBacklogRebuildsViews: a fork taken under a standing
-// backlog starts with stale views; the from-scratch rebuild its first
-// policy cycle performs must reproduce the parent's incrementally
-// maintained views entry for entry, and from there both lineages must
-// decide identically under the oracle.
-func TestForkMidBacklogRebuildsViews(t *testing.T) {
+// sameQueued is sameRecord for waiting-job records, the checkpoint
+// image a resumption starts from included.
+func sameQueued(a, b *queuedJob) bool {
+	if (a.resume == nil) != (b.resume == nil) || a.resume != nil && !sameRecord(a.resume, b.resume) {
+		return false
+	}
+	ca, cb := *a, *b
+	ca.resume, cb.resume = nil, nil
+	return ca == cb
+}
+
+// TestForkMidBacklogCopiesViews: a fork taken under a standing backlog
+// holds, straight away and with no cycle in between, the parent's views
+// entry for entry — the policy's entries and the records behind them,
+// cloned — and from there both lineages decide identically under the
+// store check.
+func TestForkMidBacklogCopiesViews(t *testing.T) {
 	eng, ctl := backlogController(t, 48)
 	eng.RunUntil(90)
 	checkErr(t, ctl)
-	if ctl.viewsStale || ctl.QueueLen() < 10 || ctl.RunningLen() < 3 {
-		t.Fatalf("fork point is not mid-backlog: stale=%v queue=%d running=%d", ctl.viewsStale, ctl.QueueLen(), ctl.RunningLen())
+	if ctl.QueueLen() < 10 || ctl.RunningLen() < 3 {
+		t.Fatalf("fork point is not mid-backlog: queue=%d running=%d", ctl.QueueLen(), ctl.RunningLen())
 	}
 	fork, feng, err := ctl.Fork()
 	if err != nil {
@@ -78,21 +88,25 @@ func TestForkMidBacklogRebuildsViews(t *testing.T) {
 	if err := feng.CheckFork(); err != nil {
 		t.Fatal(err)
 	}
-	if !fork.viewsStale || fork.views != nil {
-		t.Fatalf("fork carries views (stale=%v, %d views); want them left to the first cycle's rebuild", fork.viewsStale, len(fork.views))
-	}
-	fork.rebuildViews()
 	for pi := range ctl.views {
-		want, got := ctl.snapshotPartition(pi), fork.snapshotPartition(pi)
-		if got.Now != want.Now || got.Partition != want.Partition || got.CoresPerNode != want.CoresPerNode ||
-			!slices.Equal(got.Free, want.Free) || !slices.Equal(got.Queue, want.Queue) ||
-			!slices.EqualFunc(got.Running, want.Running, sameRunning) {
-			t.Errorf("partition %d: rebuilt view\n %+v\nparent's incremental view\n %+v", pi, got, want)
+		want, got := &ctl.views[pi], &fork.views[pi]
+		if got.st.Now != want.st.Now || got.st.Partition != want.st.Partition || got.st.CoresPerNode != want.st.CoresPerNode ||
+			!slices.Equal(got.st.Free, want.st.Free) || !slices.Equal(got.st.Queue, want.st.Queue) ||
+			!reflect.DeepEqual(got.st.Running, want.st.Running) || got.widthsDirty != want.widthsDirty {
+			t.Errorf("partition %d: fork's view\n %+v\nparent's\n %+v", pi, got.st, want.st)
 		}
-		wq, wr := viewSeqs(&ctl.views[pi])
-		gq, gr := viewSeqs(&fork.views[pi])
-		if !slices.Equal(gq, wq) || !slices.Equal(gr, wr) {
-			t.Errorf("partition %d: rebuilt records queue %v running %v, parent's %v %v", pi, gq, gr, wq, wr)
+		if !slices.EqualFunc(got.qjobs, want.qjobs, sameQueued) || !slices.EqualFunc(got.rjobs, want.rjobs, sameRecord) {
+			t.Errorf("partition %d: the fork's records differ from the parent's", pi)
+		}
+		for i, q := range got.qjobs {
+			if q == want.qjobs[i] || q.resume != nil && q.resume == want.qjobs[i].resume || fork.qBySeq[q.seq] != q {
+				t.Errorf("partition %d: queued %s is the parent's record, or the fork's index misses it", pi, q.job.Name)
+			}
+		}
+		for i, r := range got.rjobs {
+			if r == want.rjobs[i] || fork.rBySeq[r.seq] != r {
+				t.Errorf("partition %d: running %s is the parent's record, or the fork's index misses it", pi, r.job.Name)
+			}
 		}
 	}
 	eng.Run()
@@ -100,7 +114,7 @@ func TestForkMidBacklogRebuildsViews(t *testing.T) {
 	checkErr(t, ctl)
 	checkErr(t, fork)
 	if got, want := slices.Collect(fork.Records.All()), slices.Collect(ctl.Records.All()); !slices.Equal(got, want) {
-		t.Errorf("fork decided differently after the rebuild:\nfork   %+v\nparent %+v", got, want)
+		t.Errorf("fork decided differently:\nfork   %+v\nparent %+v", got, want)
 	}
 }
 
@@ -185,7 +199,7 @@ func testBuiltinLaunchFinishAllocs(t *testing.T, policy Policy, cotenant bool) {
 		}
 		next++
 		if cotenant {
-			if e, _ := ctl.admins[0].Peek(ctl.running[0].tasks[0].pid); e.Dirty && e.FutureMask.Count() < 16 {
+			if e, _ := ctl.admins[0].Peek(ctl.views[0].rjobs[0].tasks[0].pid); e.Dirty && e.FutureMask.Count() < 16 {
 				shrunk++
 			}
 		}
@@ -211,7 +225,7 @@ func testBuiltinLaunchFinishAllocs(t *testing.T, policy Policy, cotenant bool) {
 		// Every newcomer's CPUs went back: the co-tenant runs on (or
 		// has staged) the whole node again.
 		for ni := range ctl.admins {
-			if e, _ := ctl.admins[ni].Inspect(ctl.running[0].tasks[ni].pid); e.EffectiveMask().Count() != 16 {
+			if e, _ := ctl.admins[ni].Inspect(ctl.views[0].rjobs[0].tasks[ni].pid); e.EffectiveMask().Count() != 16 {
 				t.Errorf("node %d: co-tenant holds %v after the last newcomer ended", ni, e.EffectiveMask())
 			}
 		}
