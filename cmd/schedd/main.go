@@ -6,6 +6,10 @@
 // unchanged state share one fork per policy, which runs only as far as
 // the latest start asked about; every mutation starts afresh.
 //
+// The boot flags -sched, -jobs, -nodes, -cluster, -seed and -ia each
+// set one key of workload.ParseSpec's grammar (policies, jobs, nodes,
+// cluster, seeds, ia); the live cluster is that spec's first cell.
+//
 // Examples:
 //
 //	schedd -addr :8080 -sched easy -jobs 200
@@ -24,54 +28,50 @@ import (
 	"net/http"
 	"os"
 
-	"repro/cluster"
-	"repro/internal/sched"
 	"repro/internal/schedd"
 	"repro/internal/workload"
 )
 
+// bootDefaults are the boot flags' defaults: a 200-job background
+// workload on 4 nodes, FCFS.
+var bootDefaults = map[string]string{"sched": "fcfs", "jobs": "200", "nodes": "4", "seed": "1", "ia": "30"}
+
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
-	policy := flag.String("sched", "fcfs", "scheduling policy of the live lineage: fcfs, easy, malleable-shrink or malleable-expand")
-	jobs := flag.Int("jobs", 200, "synthetic background workload size (0 = empty cluster)")
-	nodes := flag.Int("nodes", 4, "cluster size in nodes (single partition)")
-	clusterSpec := flag.String("cluster", "", "partitioned heterogeneous cluster, e.g. 'batch:4xmn3,fat:2xfat' or 'hetero' (overrides -nodes)")
-	seed := flag.Int64("seed", 1, "synthetic workload seed")
-	ia := flag.Float64("ia", 30, "synthetic workload mean inter-arrival time (s)")
 	forks := flag.Int("forks", 4, "maximum what-ifs forking or running a shared projection at once")
 	shmemDir := flag.String("shmem", "", "back the live cluster's DROM segments with the file-based "+
 		"shmem backend rooted at this directory, so external processes (e.g. dromctl -backend file:...) "+
 		"can inspect the live segments; what-if forks still run on private in-memory copies")
+	workload.RegisterFlags(flag.CommandLine, workload.ScheddFlags, bootDefaults)
 	flag.Parse()
 
-	p, err := sched.New(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schedd:", err)
-		os.Exit(2)
-	}
-	swf := workload.SyntheticSWF{
-		Seed: *seed, Jobs: *jobs, Nodes: *nodes, MeanInterarrival: *ia,
-	}
-	if *clusterSpec != "" {
-		cs, err := cluster.ParseCluster(*clusterSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "schedd:", err)
-			os.Exit(2)
-		}
-		swf.Cluster = cs
-	}
-	sc, err := workload.SyntheticSWFScenario(swf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schedd:", err)
-		os.Exit(2)
-	}
-	sc.ShmemDir = *shmemDir
-	sess, err := workload.NewSchedSession(sc, p)
+	sess, err := boot(flag.CommandLine, *shmemDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedd:", err)
 		os.Exit(2)
 	}
 	srv := schedd.NewServer(sess, *forks)
-	log.Printf("schedd: %d-job %s workload under %s, listening on %s", *jobs, sc.Name, *policy, *addr)
+	log.Printf("schedd: %d-job %s workload under %s, listening on %s",
+		len(sess.Scenario().Subs), sess.Scenario().Name, flag.Lookup("sched").Value, *addr)
 	log.Fatal(http.ListenAndServe(*addr, srv.Handler()))
+}
+
+// boot opens the live session the boot flags on fs describe. -jobs 0
+// boots an empty cluster: the generator reads 0 as its default length.
+func boot(fs *flag.FlagSet, shmemDir string) (*workload.Session, error) {
+	spec, err := workload.FlagSpec(fs, workload.ScheddFlags)
+	if err == nil {
+		err = spec.Validate()
+	}
+	if err != nil {
+		return nil, err
+	}
+	sc := workload.Scenario{Name: "empty"}
+	if spec.Jobs != 0 {
+		if sc, err = spec.Scenario(); err != nil {
+			return nil, err
+		}
+	}
+	sc.ShmemDir = shmemDir
+	return spec.Open(sc, nil)
 }

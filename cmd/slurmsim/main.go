@@ -12,9 +12,15 @@
 //	slurmsim -sched all -swf trace.swf -nodes 8        # real trace replay
 //	slurmsim -sched fcfs -jobs 1000000 -stream         # bounded-memory replay
 //	slurmsim -sweep 'policies=all;seeds=1-4;jobs=5000' # parallel experiment grid
+//
+// The trace-replay flags (-sched, -swf, -seed, -jobs, -nodes, -cluster,
+// -spill, -node-faults, -stream, ...) each set one key of
+// workload.ParseSpec's grammar, and a -sweep value is a whole spec in
+// it: `-nodes 4` and `nodes=4` go through one parser and one Validate.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -26,8 +32,10 @@ import (
 	"repro/cluster"
 	"repro/internal/djsb"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/sweep"
 	"repro/internal/version"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -40,39 +48,12 @@ func main() {
 	traced := flag.Bool("trace", false, "record and print the trace timeline")
 	metric := flag.String("metric", "util", "timeline metric: util, cycles, or ipc")
 	width := flag.Int("width", 100, "timeline width in characters")
-	seed := flag.Int64("seed", 1, "djsb/swf: random seed")
-	jobs := flag.Int("jobs", 20, "djsb/swf: number of jobs")
-	interarrival := flag.Float64("interarrival", 150, "djsb/swf: mean inter-arrival time (s)")
-	nodes := flag.Int("nodes", 2, "djsb/swf: cluster size")
-	schedNames := flag.String("sched", "", "scheduling policies to replay an SWF workload under: "+
-		"comma list of fcfs, easy, malleable-shrink, malleable-expand (alias malleable), or all; "+
-		"a spec with '=' pairs is ONE per-partition policy set, e.g. 'batch=easy,fat=malleable-shrink' "+
-		"(optionally with a bare default: 'easy,fat=malleable-shrink')")
-	swfPath := flag.String("swf", "", "SWF trace file to replay (default: seeded synthetic trace)")
-	clusterSpec := flag.String("cluster", "", "swf/sched: partitioned heterogeneous cluster, e.g. "+
-		"'batch:4xmn3,fat:2xfat' or the 'hetero' preset (overrides -nodes; see cluster.ParseCluster)")
-	cancelRate := flag.Float64("cancel", 0, "swf synthetic: per-job probability of a cancelled-while-queued record")
-	failRate := flag.Float64("fail", 0, "swf synthetic: per-job probability of a failed-mid-run record")
-	spill := flag.Bool("spill", false, "swf/sched: enable the cross-partition spillover pass "+
-		"(re-route a queued job its home partition cannot host to another partition that fits it, "+
-		"guarded by the host's EASY head reservation)")
-	spillAfter := flag.Float64("spill-after", 0, "spillover: minimum queue wait in seconds before a job may spill")
-	spillDepth := flag.Int("spill-depth", 0, "spillover: minimum home-partition backlog before jobs may spill")
-	nodeFaults := flag.String("node-faults", "", "swf/sched: deterministic node outage script, e.g. "+
-		"'node0:down@100..400+node5:drain@200..300' (entries joined with '+' or ';'; "+
-		"down kills and requeues residents, drain only blocks new launches)")
-	mtbf := flag.Float64("mtbf", 0, "swf/sched: mean time between seeded random node failures "+
-		"in VIRTUAL seconds (0 = off; the fault stream is seeded from -seed)")
-	mttr := flag.Float64("mttr", 0, "swf/sched: mean repair time of seeded node failures in "+
-		"virtual seconds (default 600)")
-	requeue := flag.Int("requeue", 0, "swf/sched: per-job requeue cap after node failures "+
-		"(0 = default 3, negative = no requeues: the first failure is terminal)")
-	check := flag.Bool("check", false, "swf: cross-check the controller's incremental free-CPU "+
-		"accounting against a full shared-memory re-scan every cycle (slower)")
-	stream := flag.Bool("stream", false, "swf/sched: stream the trace instead of materializing it "+
-		"(bounded memory, aggregate statistics only; for million-job replays)")
+	// The trace-mode flags (-sched, -swf, -seed, -jobs, -nodes, ...)
+	// are workload.Spec keys; -scenario djsb reads -seed, -jobs,
+	// -interarrival and -nodes too.
+	workload.RegisterFlags(flag.CommandLine, workload.SlurmsimFlags, nil)
 	sweepSpec := flag.String("sweep", "", "run a parallel experiment grid, e.g. "+
-		"'policies=all;seeds=1-4;jobs=5000;nodes=4' (see internal/sweep.ParseGrid)")
+		"'policies=all;seeds=1-4;jobs=5000;nodes=4' (the keys of internal/workload.ParseSpec)")
 	sweepWorkers := flag.Int("workers", 0, "sweep: worker goroutines (0 = GOMAXPROCS)")
 	format := flag.String("format", "table", "sweep output format: table, json, or csv")
 	out := flag.String("out", "", "sweep: write the summary to this file instead of stdout")
@@ -148,25 +129,25 @@ func main() {
 	// Route through run() so both profiles flush on success AND
 	// failure (os.Exit skips defers, so the error path writes them
 	// explicitly — a failing replay is exactly when a profile helps).
-	if err := run(runArgs{
-		scenario: *scenario, policy: *policy,
-		simName: *simName, simConf: *simConf, anaName: *anaName, anaConf: *anaConf,
-		traced: *traced, metric: *metric, width: *width,
-		seed: *seed, jobs: *jobs, interarrival: *interarrival, nodes: *nodes,
-		schedNames: *schedNames, swfPath: *swfPath, check: *check, stream: *stream,
-		clusterSpec: *clusterSpec, cancelRate: *cancelRate, failRate: *failRate,
-		spill: *spill, spillAfter: *spillAfter, spillDepth: *spillDepth,
-		nodeFaults: *nodeFaults, mtbf: *mtbf, mttr: *mttr, requeue: *requeue,
-		sweepSpec: *sweepSpec, sweepWorkers: *sweepWorkers, format: *format, out: *out,
-		progress: *progress,
-		obs: obsArgs{
-			tracePath:  *traceSched,
-			explainJob: *explainJob,
-			sample:     sample.Seconds(),
-			sampleOut:  *sampleOut,
-			hist:       *hist,
-		},
-	}); err != nil {
+	spec, err := workload.FlagSpec(flag.CommandLine, workload.SlurmsimFlags)
+	if err == nil {
+		err = run(runArgs{
+			scenario: *scenario, policy: *policy,
+			simName: *simName, simConf: *simConf, anaName: *anaName, anaConf: *anaConf,
+			traced: *traced, metric: *metric, width: *width,
+			spec:      spec,
+			sweepSpec: *sweepSpec, sweepWorkers: *sweepWorkers, format: *format, out: *out,
+			progress: *progress,
+			obs: obsArgs{
+				tracePath:  *traceSched,
+				explainJob: *explainJob,
+				sample:     sample.Seconds(),
+				sampleOut:  *sampleOut,
+				hist:       *hist,
+			},
+		})
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "slurmsim: %v\n", err)
 		pprof.StopCPUProfile()
 		writeMemProfile()
@@ -176,32 +157,18 @@ func main() {
 
 // runArgs carries the parsed flags.
 type runArgs struct {
-	scenario, policy    string
-	simName, anaName    string
-	simConf, anaConf    int
-	traced              bool
-	metric              string
-	width               int
-	seed                int64
-	jobs                int
-	interarrival        float64
-	nodes               int
-	schedNames, swfPath string
-	check, stream       bool
-	clusterSpec         string
-	cancelRate          float64
-	failRate            float64
-	spill               bool
-	spillAfter          float64
-	spillDepth          int
-	nodeFaults          string
-	mtbf, mttr          float64
-	requeue             int
-	sweepSpec           string
-	sweepWorkers        int
-	format, out         string
-	progress            bool
-	obs                 obsArgs
+	scenario, policy string
+	simName, anaName string
+	simConf, anaConf int
+	traced           bool
+	metric           string
+	width            int
+	spec             workload.Spec // the trace-mode (and djsb) flags
+	sweepSpec        string
+	sweepWorkers     int
+	format, out      string
+	progress         bool
+	obs              obsArgs
 }
 
 // obsArgs carries the observability-consumer flags (see internal/obs);
@@ -326,62 +293,16 @@ func (r *obsRun) finish() error {
 	return nil
 }
 
-// schedArgs parameterizes the SWF replay modes.
-type schedArgs struct {
-	names, swfPath string
-	seed           int64
-	jobs           int
-	interarrival   float64
-	nodes          int
-	cluster        cluster.ClusterSpec
-	cancel, fail   float64
-	spill          bool
-	spillAfter     float64
-	spillDepth     int
-	nodeFaults     string
-	mtbf, mttr     float64
-	requeue        int
-	check, stream  bool
-	obs            obsArgs
-}
-
 func run(a runArgs) error {
 	if a.sweepSpec != "" {
 		return runSweep(a.sweepSpec, a.sweepWorkers, a.format, a.out, a.progress)
 	}
-	if a.schedNames != "" || a.swfPath != "" {
-		// Only honor -interarrival/-jobs/-nodes when the user set them;
-		// the SWF mode's own defaults (a contended 1000-job trace on 4
-		// nodes) apply otherwise.
-		sa := schedArgs{
-			names: a.schedNames, swfPath: a.swfPath, seed: a.seed,
-			cancel: a.cancelRate, fail: a.failRate, check: a.check,
-			spill: a.spill, spillAfter: a.spillAfter, spillDepth: a.spillDepth,
-			nodeFaults: a.nodeFaults, mtbf: a.mtbf, mttr: a.mttr, requeue: a.requeue,
-			stream: a.stream, obs: a.obs,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "interarrival":
-				sa.interarrival = a.interarrival
-			case "jobs":
-				sa.jobs = a.jobs
-			case "nodes":
-				sa.nodes = a.nodes
-			}
-		})
-		if a.clusterSpec != "" {
-			cs, err := cluster.ParseCluster(a.clusterSpec)
-			if err != nil {
-				return err
-			}
-			sa.cluster = cs
-		}
-		return runSched(sa)
+	if len(a.spec.Policies) > 0 || a.spec.SWFPath != "" {
+		return runSched(a.spec, a.obs)
 	}
 
 	if a.scenario == "djsb" {
-		return runDJSB(a.seed, a.jobs, a.interarrival, a.nodes, a.policy, a.obs)
+		return runDJSB(a.spec, a.policy, a.obs)
 	}
 
 	sc, err := buildScenario(a.scenario, a.simName, a.simConf, a.anaName, a.anaConf, a.traced)
@@ -431,7 +352,7 @@ func runPolicies(sc cluster.Scenario, policy string, o obsArgs, report func(clus
 // runSweep parses the grid spec, fans the experiments across workers
 // and writes the summary in the requested format.
 func runSweep(spec string, workers int, format, out string, progress bool) error {
-	grid, err := sweep.ParseGrid(spec)
+	grid, err := workload.ParseSpec(spec)
 	if err != nil {
 		return err
 	}
@@ -466,18 +387,6 @@ func runSweep(spec string, workers int, format, out string, progress bool) error
 	return err
 }
 
-// shapeLabel renders the cluster part of a replay banner.
-func (a schedArgs) shapeLabel() string {
-	if len(a.cluster.Partitions) > 0 {
-		return fmt.Sprintf("cluster %s", a.cluster)
-	}
-	n := a.nodes
-	if n <= 0 {
-		n = 4
-	}
-	return fmt.Sprintf("%d nodes", n)
-}
-
 // printPartitions prints the per-partition metric lines of a
 // multi-partition run.
 func printPartitions(res cluster.Result, multi bool) {
@@ -490,97 +399,43 @@ func printPartitions(res cluster.Result, multi bool) {
 }
 
 // runSched replays an SWF workload — a trace file or the seeded
-// synthetic generator — under the requested scheduling policies and
-// prints the scheduler-quality metrics of each. Zero-valued
-// parameters mean "unset": the defaults of the trace mapping apply
-// (4 nodes, 1000 synthetic jobs, contended inter-arrival). With
-// a.stream the trace is never materialized: each policy pulls a fresh
-// lazy source and job records are folded into aggregates as they
-// complete, so million-job traces replay in memory proportional to the
-// scheduler backlog.
-func runSched(a schedArgs) error {
-	policies, err := parseSchedPolicies(a.names)
-	if err != nil {
+// synthetic generator — under each policy of the spec and prints the
+// scheduler-quality metrics of each. A materialized trace is built
+// once and shared by every policy's replay; with spec.Stream each
+// policy reads a fresh lazy source and job records are folded into
+// aggregates as they complete, so million-job traces replay in memory
+// proportional to the scheduler backlog.
+func runSched(spec workload.Spec, o obsArgs) error {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if a.swfPath == "" && a.jobs <= 0 {
-		a.jobs = 1000
-	}
-	// a.jobs stays 0 for a file trace unless the user set -jobs: it
-	// replays whole by default.
-	opts := cluster.SWFOptions{Nodes: a.nodes, Cluster: a.cluster, MaxJobs: a.jobs}
-	gen := cluster.SyntheticSWF{
-		Seed: a.seed, Jobs: a.jobs, Nodes: a.nodes, MeanInterarrival: a.interarrival,
-		Cluster: a.cluster, CancelRate: a.cancel, FailRate: a.fail,
-	}
-	mode, what := "SWF replay", fmt.Sprintf("synthetic seed=%d jobs=%d", a.seed, a.jobs)
-	if a.swfPath != "" {
-		what = a.swfPath
-	}
-	// The scenario carries the cluster shape and, unless streaming, the
-	// materialized submissions (a lazy source supplies its own layout
-	// when the shape is left to the mapping's defaults).
-	sc := cluster.Scenario{Nodes: a.nodes, Cluster: a.cluster}
-	switch {
-	case a.stream:
-		mode = "SWF stream replay"
-	case a.swfPath != "":
-		f, err := os.Open(a.swfPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		records, err := cluster.ParseSWF(f)
-		if err != nil {
-			return err
-		}
-		var skipped int
-		if sc, skipped, err = cluster.SWFScenario(records, opts); err != nil {
-			return err
-		}
-		what = fmt.Sprintf("%s (%d of %d jobs, %d skipped)", a.swfPath, len(sc.Subs), len(records), skipped)
-	default:
-		if sc, err = cluster.SyntheticSWFScenario(gen); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("=== %s: %s on %s ===\n", mode, what, a.shapeLabel())
-	sc.DebugInvariants = a.check
-	sc.Spill, sc.SpillAfter, sc.SpillDepth = a.spill, a.spillAfter, a.spillDepth
-	// The seeded fault stream uses the trace seed, like the sweep engine.
-	sc.NodeFaults, sc.MTBF, sc.MTTR = a.nodeFaults, a.mtbf, a.mttr
-	sc.MaxRequeues, sc.FaultSeed = a.requeue, a.seed
-	if err := a.obs.checkSingle(len(policies), "-sched"); err != nil {
+	cells := spec.Cells()
+	if err := o.checkSingle(len(cells), "-sched"); err != nil {
 		return err
 	}
-	replay := func(ps cluster.SchedPolicySet) (cluster.Result, error) {
-		switch {
-		case !a.stream:
-			return cluster.RunSchedSet(sc, ps), nil
-		case a.swfPath == "":
-			return cluster.RunSchedStreamSet(sc, gen.Source(), ps), nil
+	var sc workload.Scenario
+	if !spec.Stream {
+		var err error
+		if sc, err = spec.Scenario(); err != nil {
+			return err
 		}
-		f, err := os.Open(a.swfPath)
-		if err != nil {
-			return cluster.Result{}, err
-		}
-		// The replay closes the source, which closes f.
-		return cluster.RunSchedStreamSet(sc, cluster.NewSWFReaderSource(f, opts), ps), nil
 	}
-	multi := len(a.cluster.Partitions) > 1
-	for _, ps := range policies {
-		or, err := a.obs.start()
+	fmt.Printf("=== SWF replay: %s ===\n", spec)
+	multi := len(spec.Cluster.Partitions) > 1
+	for _, cell := range cells {
+		or, err := o.start()
 		if err != nil {
 			return err
 		}
-		sc.Probe = or.probe
 		start := time.Now()
-		res, err := replay(ps)
-		wall := time.Since(start)
+		sess, err := cell.Open(sc, or.probe)
 		if err != nil {
 			or.close()
 			return err
 		}
+		res := sess.Run()
+		wall := time.Since(start)
+		ps, _ := sched.ParsePolicySet(cell.Policies[0]) // Validate parsed it
 		if res.Err != nil {
 			or.close()
 			return fmt.Errorf("%s: %w", ps, res.Err)
@@ -594,7 +449,7 @@ func runSched(a schedArgs) error {
 		// follow from the decisions alone; events are the steps the
 		// engine executed rather than advanced by itself.
 		fmt.Printf("sched=%-17s %s [%d cycles, %d steps, %d events, %.2fs wall%s]\n",
-			ps, cluster.SchedStatsOf(sc, res), res.SchedCycles, res.Steps, res.Events, wall.Seconds(), dropped)
+			ps, workload.SchedStatsOf(sess.Scenario(), res), res.SchedCycles, res.Steps, res.Events, wall.Seconds(), dropped)
 		printPartitions(res, multi)
 		if err := or.finish(); err != nil {
 			return err
@@ -614,43 +469,21 @@ func (o obsArgs) checkSingle(policies int, flag string) error {
 	return nil
 }
 
-// parseSchedPolicies resolves the -sched value into one policy set
-// per replay. A spec containing '=' pairs is a single per-partition
-// policy set (the pairs and the optional bare default share its comma
-// list); otherwise the value is a comma-separated list of single
-// policies, each replayed separately ("" and "all" mean every
-// policy).
-func parseSchedPolicies(names string) ([]cluster.SchedPolicySet, error) {
-	if strings.Contains(names, "=") {
-		ps, err := cluster.ParseSchedPolicySet(names)
-		if err != nil {
-			return nil, err
-		}
-		return []cluster.SchedPolicySet{ps}, nil
-	}
-	if names == "" || names == "all" {
-		names = strings.Join(cluster.SchedPolicyNames(), ",")
-	}
-	var out []cluster.SchedPolicySet
-	for _, name := range strings.Split(names, ",") {
-		ps, err := cluster.ParseSchedPolicySet(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ps)
-	}
-	return out, nil
-}
-
 // runDJSB generates a randomized DJSB-style stream and compares the
-// requested policies on it.
-func runDJSB(seed int64, jobs int, interarrival float64, nodes int, policy string, o obsArgs) error {
-	sc, err := cluster.GenerateDJSB(djsb.Params{Seed: seed, Jobs: jobs, MeanInterarrival: interarrival, Nodes: nodes})
+// requested policies on it. It reads the spec's seed, jobs,
+// interarrival and nodes, with the DJSB defaults for those left unset
+// (20 jobs, 150 s apart, on 2 nodes).
+func runDJSB(s workload.Spec, policy string, o obsArgs) error {
+	p := djsb.Params{Seed: 1, Jobs: cmp.Or(s.Jobs, 20), MeanInterarrival: cmp.Or(s.MeanInterarrival, 150), Nodes: cmp.Or(s.Nodes, 2)}
+	if len(s.Seeds) > 0 {
+		p.Seed = s.Seeds[0]
+	}
+	sc, err := cluster.GenerateDJSB(p)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("=== DJSB stream: seed=%d jobs=%d mean-interarrival=%.0fs nodes=%d ===\n",
-		seed, jobs, interarrival, nodes)
+		p.Seed, p.Jobs, p.MeanInterarrival, p.Nodes)
 	return runPolicies(sc, policy, o, func(res cluster.Result) {
 		fmt.Println(djsb.Summarize(res))
 	})

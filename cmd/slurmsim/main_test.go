@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -48,54 +49,86 @@ func TestParsePolicies(t *testing.T) {
 }
 
 func TestRunDJSBSmoke(t *testing.T) {
-	if err := runDJSB(1, 6, 200, 2, "both", obsArgs{}); err != nil {
+	small := workload.Spec{Seeds: []int64{1}, Jobs: 6, MeanInterarrival: 200, Nodes: 2}
+	if err := runDJSB(small, "both", obsArgs{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runDJSB(1, 6, 200, 2, "bogus", obsArgs{}); err == nil {
+	if err := runDJSB(small, "bogus", obsArgs{}); err == nil {
 		t.Fatal("bogus policy should fail")
 	}
 }
 
+// traceSpec builds the spec slurmsim's trace flags describe for args.
+func traceSpec(t *testing.T, args ...string) (workload.Spec, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("slurmsim", flag.ContinueOnError)
+	workload.RegisterFlags(fs, workload.SlurmsimFlags, nil)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	s, err := workload.FlagSpec(fs, workload.SlurmsimFlags)
+	if err == nil {
+		err = s.Validate()
+	}
+	return s, err
+}
+
+// mustSpec parses and validates a spec.
+func mustSpec(t *testing.T, text string) workload.Spec {
+	t.Helper()
+	s, err := workload.ParseSpec(text)
+	if err == nil {
+		err = s.Validate()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestParseSchedPolicies: a -sched value is a comma list of policies,
+// one replay each ("all" is every policy), unless it holds '=' pairs:
+// then it is ONE per-partition policy set.
 func TestParseSchedPolicies(t *testing.T) {
-	for _, in := range []string{"", "all", "fcfs", "easy,malleable", "malleable-shrink, malleable-expand"} {
-		got, err := parseSchedPolicies(in)
-		if err != nil || len(got) == 0 {
-			t.Errorf("parseSchedPolicies(%q) = %v, %v", in, got, err)
+	for _, in := range []string{"all", "fcfs", "easy,malleable", "malleable-shrink, malleable-expand"} {
+		s, err := traceSpec(t, "-sched", in)
+		if err != nil || len(s.Cells()) == 0 {
+			t.Errorf("-sched %q = %v, %v", in, s.Cells(), err)
 		}
 	}
-	if _, err := parseSchedPolicies("fcfs,bogus"); err == nil {
+	if _, err := traceSpec(t, "-sched", "fcfs,bogus"); err == nil {
 		t.Error("bogus sched policy should fail")
 	}
 	// A spec with '=' pairs is a single per-partition policy set.
-	got, err := parseSchedPolicies("batch=easy,fat=shrink")
-	if err != nil || len(got) != 1 {
-		t.Fatalf("parseSchedPolicies(set) = %v, %v", got, err)
+	s, err := traceSpec(t, "-sched", "batch=easy,fat=shrink")
+	if err != nil || len(s.Cells()) != 1 {
+		t.Fatalf("-sched set = %v, %v", s.Cells(), err)
 	}
-	if got[0].String() != "batch=easy,fat=malleable-shrink" {
-		t.Errorf("set = %q, want canonical names", got[0])
+	if ps, err := cluster.ParseSchedPolicySet(s.Policies[0]); err != nil || ps.String() != "batch=easy,fat=malleable-shrink" {
+		t.Errorf("set = %q, %v, want canonical names", ps, err)
 	}
-	if _, err := parseSchedPolicies("batch=bogus"); err == nil {
+	if _, err := traceSpec(t, "-sched", "batch=bogus"); err == nil {
 		t.Error("bogus set policy should fail")
+	}
+	// No -sched on a trace file replays every policy.
+	if s, err := traceSpec(t, "-swf", "t.swf"); err != nil || len(s.Cells()) != len(cluster.SchedPolicyNames()) {
+		t.Errorf("-swf alone = %v, %v", s.Cells(), err)
 	}
 }
 
 func TestRunSchedSmoke(t *testing.T) {
-	if err := runSched(schedArgs{
-		names: "easy,malleable", seed: 1, jobs: 40, interarrival: 30, nodes: 2, check: true,
-	}); err != nil {
+	if err := runSched(mustSpec(t, "policies=easy,malleable;seed=1;jobs=40;ia=30;nodes=2;check=1"), obsArgs{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSched(schedArgs{names: "bogus", seed: 1, jobs: 10, nodes: 2}); err == nil {
+	if err := runSched(workload.Spec{Policies: []string{"bogus"}, Jobs: 10, Nodes: 2}, obsArgs{}); err == nil {
 		t.Fatal("bogus policy should fail")
 	}
-	if err := runSched(schedArgs{names: "fcfs", swfPath: "/nonexistent.swf", seed: 1, nodes: 2}); err == nil {
+	if err := runSched(mustSpec(t, "policies=fcfs;swf=/nonexistent.swf;nodes=2"), obsArgs{}); err == nil {
 		t.Fatal("missing trace file should fail")
 	}
 	// -stream is the same per-policy loop over lazy sources: the
 	// generator, and a trace file read once per policy.
-	if err := runSched(schedArgs{
-		names: "easy,malleable", seed: 1, jobs: 40, interarrival: 30, nodes: 2, check: true, stream: true,
-	}); err != nil {
+	if err := runSched(mustSpec(t, "policies=easy,malleable;seed=1;jobs=40;ia=30;nodes=2;check=1;stream=1"), obsArgs{}); err != nil {
 		t.Fatal(err)
 	}
 	swf := t.TempDir() + "/t.swf"
@@ -104,32 +137,24 @@ func TestRunSchedSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, stream := range []bool{false, true} {
-		if err := runSched(schedArgs{names: "fcfs,easy", swfPath: swf, nodes: 2, stream: stream}); err != nil {
+		s := workload.Spec{Policies: []string{"fcfs", "easy"}, SWFPath: swf, Nodes: 2, Stream: stream}
+		if err := runSched(s, obsArgs{}); err != nil {
 			t.Fatalf("stream=%v: %v", stream, err)
 		}
 	}
-	if err := runSched(schedArgs{names: "fcfs", swfPath: "/nonexistent.swf", nodes: 2, stream: true}); err == nil {
+	if err := runSched(mustSpec(t, "policies=fcfs;swf=/nonexistent.swf;nodes=2;stream=1"), obsArgs{}); err == nil {
 		t.Fatal("missing trace file should fail when streamed too")
 	}
 }
 
 func TestRunSchedHeteroFaultSmoke(t *testing.T) {
-	cs, err := cluster.ParseCluster("hetero")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runSched(schedArgs{
-		names: "malleable", seed: 2, jobs: 60, interarrival: 20,
-		cluster: cs, cancel: 0.1, fail: 0.1, check: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := runSched(schedArgs{
-		stream: true,
-		names:  "fcfs", seed: 2, jobs: 60, interarrival: 20,
-		cluster: cs, cancel: 0.1, fail: 0.1,
-	}); err != nil {
-		t.Fatal(err)
+	for _, text := range []string{
+		"policies=malleable;seed=2;jobs=60;ia=20;cluster=hetero;cancel=0.1;fail=0.1;check=1",
+		"policies=fcfs;seed=2;jobs=60;ia=20;cluster=hetero;cancel=0.1;fail=0.1;stream=1",
+	} {
+		if err := runSched(mustSpec(t, text), obsArgs{}); err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
 	}
 }
 
@@ -142,9 +167,7 @@ func TestRunSchedObsSmoke(t *testing.T) {
 		sampleOut:  dir + "/ts.csv",
 		hist:       true,
 	}
-	if err := runSched(schedArgs{
-		names: "fcfs", seed: 1, jobs: 40, interarrival: 30, nodes: 2, obs: o,
-	}); err != nil {
+	if err := runSched(mustSpec(t, "policies=fcfs;seed=1;jobs=40;ia=30;nodes=2"), o); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{o.tracePath, o.sampleOut} {
@@ -158,16 +181,11 @@ func TestRunSchedObsSmoke(t *testing.T) {
 	}
 	// The consumers are per-replay; multiple policies must be rejected
 	// up front rather than mingling streams.
-	err := runSched(schedArgs{
-		names: "easy,malleable", seed: 1, jobs: 40, interarrival: 30, nodes: 2, obs: o,
-	})
+	err := runSched(mustSpec(t, "policies=easy,malleable;seed=1;jobs=40;ia=30;nodes=2"), o)
 	if err == nil || !strings.Contains(err.Error(), "single policy") {
 		t.Fatalf("multi-policy probed replay should fail, got %v", err)
 	}
-	if err := runSched(schedArgs{
-		names: "fcfs", seed: 1, jobs: 40, interarrival: 30, nodes: 2,
-		obs: obsArgs{sample: 600},
-	}); err == nil {
+	if err := runSched(mustSpec(t, "policies=fcfs;seed=1;jobs=40;ia=30;nodes=2"), obsArgs{sample: 600}); err == nil {
 		t.Fatal("-sample without -sample-out should fail")
 	}
 }
@@ -180,7 +198,7 @@ func TestPaperScenarioObsSmoke(t *testing.T) {
 	for _, a := range []runArgs{
 		{scenario: "uc2", policy: "preempt", obs: o},
 		{scenario: "uc1", policy: "drom", simName: "nest", simConf: 1, anaName: "pils", anaConf: 2, obs: o},
-		{scenario: "djsb", policy: "serial", seed: 1, jobs: 6, interarrival: 200, nodes: 2, obs: obsArgs{hist: true}},
+		{scenario: "djsb", policy: "serial", spec: workload.Spec{Jobs: 6, MeanInterarrival: 200}, obs: obsArgs{hist: true}},
 	} {
 		if err := run(a); err != nil {
 			t.Errorf("%s under %s: %v", a.scenario, a.policy, err)
@@ -195,21 +213,12 @@ func TestPaperScenarioObsSmoke(t *testing.T) {
 }
 
 func TestRunSchedSpilloverSmoke(t *testing.T) {
-	cs, err := cluster.ParseCluster("hetero")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runSched(schedArgs{
-		names: "batch=easy,fat=malleable-shrink", seed: 1, jobs: 120, interarrival: 20,
-		cluster: cs, spill: true, check: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := runSched(schedArgs{
-		stream: true,
-		names:  "easy", seed: 1, jobs: 120, interarrival: 20,
-		cluster: cs, spill: true, spillAfter: 30, spillDepth: 2,
-	}); err != nil {
-		t.Fatal(err)
+	for _, text := range []string{
+		"sched=batch=easy,fat=malleable-shrink;seed=1;jobs=120;ia=20;cluster=hetero;spill=1;check=1",
+		"policies=easy;seed=1;jobs=120;ia=20;cluster=hetero;spill=1;spillafter=30;spilldepth=2;stream=1",
+	} {
+		if err := runSched(mustSpec(t, text), obsArgs{}); err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
 	}
 }

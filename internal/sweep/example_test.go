@@ -6,24 +6,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// ExampleParseGrid parses the compact grid spec of the slurmsim
-// -sweep flag and enumerates the experiments it defines, in the
-// deterministic grid order results are aggregated in.
-func ExampleParseGrid() {
-	g, err := sweep.ParseGrid("policies=fcfs,easy;seeds=1-2;jobs=500;cluster=hetero")
-	if err != nil {
-		panic(err)
-	}
-	for _, e := range g.Experiments() {
-		fmt.Printf("%d %s seed=%d\n", e.Index, e.Policy, e.Seed)
-	}
-	// Output:
-	// 0 fcfs seed=1
-	// 1 easy seed=1
-	// 2 fcfs seed=2
-	// 3 easy seed=2
-}
-
 // ExampleRun executes a tiny 2-experiment grid on one worker and
 // prints the deterministic outcome fields. Any worker count yields
 // byte-identical results.

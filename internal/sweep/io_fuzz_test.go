@@ -1,13 +1,20 @@
 package sweep
 
-import "testing"
+import (
+	"reflect"
+	"testing"
 
-// FuzzParseGrid: the experiment-grid grammar must never panic and
-// every accepted grid must be internally bounded — the seed-range cap
-// keeps expansion small, numbers land where their keys say. The seed
-// corpus covers every key of the grammar plus the separators and the
-// historically interesting rejections (bad ranges, oversized ranges,
-// dangling '='). Plain `go test` replays the corpus.
+	"repro/internal/workload"
+)
+
+// FuzzParseGrid: a grid spec the -sweep flag accepts must never panic
+// the parser, must stay bounded — the seed cap keeps expansion small —
+// and must label each of its cells with a spec that reads back as that
+// very cell, so a result's trace label is enough to rerun it alone.
+// The seed corpus covers every key of the grammar plus the separators
+// and the historically interesting rejections (bad ranges, oversized
+// ranges, dangling '='); FuzzSpecRoundTrip in internal/workload starts
+// from the same corpus. Plain `go test` replays the corpus.
 func FuzzParseGrid(f *testing.F) {
 	for _, seed := range []string{
 		"policies=all;seeds=1-4;jobs=5000",
@@ -32,21 +39,18 @@ func FuzzParseGrid(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		g, err := ParseGrid(spec)
+		g, err := parseGrid(spec)
 		if err != nil {
 			return
 		}
-		if len(g.Seeds) > 100000 {
-			t.Fatalf("accepted grid %q expands to %d seeds; the range cap leaks", spec, len(g.Seeds))
+		cells := g.Cells()
+		if len(cells) > 100000 {
+			t.Fatalf("accepted grid %q expands to %d cells; the seed cap leaks", spec, len(cells))
 		}
-		for _, v := range []float64{g.CancelRate, g.FailRate} {
-			if v < 0 || v > 1 || v != v {
-				t.Fatalf("accepted grid %q carries invalid probability %g", spec, v)
-			}
-		}
-		for _, v := range []float64{g.MeanInterarrival, g.MTBF, g.MTTR, g.SpillAfter} {
-			if v < 0 || v != v {
-				t.Fatalf("accepted grid %q carries invalid duration %g", spec, v)
+		for _, c := range cells[:min(len(cells), 50)] {
+			back, err := workload.ParseSpec(c.String())
+			if err != nil || !reflect.DeepEqual(back, c) {
+				t.Fatalf("cell %q of grid %q reads back as %+v (%v), want %+v", c, spec, back, err, c)
 			}
 		}
 	})

@@ -11,7 +11,18 @@ import (
 
 	"repro/internal/hwmodel"
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
+
+// parseGrid reads a grid spec as slurmsim's -sweep does before it
+// runs: parsed, then validated.
+func parseGrid(text string) (Grid, error) {
+	g, err := workload.ParseSpec(text)
+	if err == nil {
+		err = g.Validate()
+	}
+	return g, err
+}
 
 // stripWall zeroes the wall-clock fields, which legitimately vary
 // between runs; everything left must be bit-identical.
@@ -116,9 +127,9 @@ func TestSweepStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestParseGrid covers the spec format.
+// TestParseGrid covers the spec format as a grid reads it.
 func TestParseGrid(t *testing.T) {
-	g, err := ParseGrid("policies=fcfs,easy;seeds=1,3-5;jobs=2000;nodes=8;ia=45;stream=1")
+	g, err := parseGrid("policies=fcfs,easy;seeds=1,3-5;jobs=2000;nodes=8;ia=45;stream=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,18 +144,18 @@ func TestParseGrid(t *testing.T) {
 	if !reflect.DeepEqual(g, want) {
 		t.Errorf("ParseGrid = %+v, want %+v", g, want)
 	}
-	if _, err := ParseGrid("bogus"); err == nil {
+	if _, err := parseGrid("bogus"); err == nil {
 		t.Error("malformed field should fail")
 	}
-	if _, err := ParseGrid("zzz=1"); err == nil {
+	if _, err := parseGrid("zzz=1"); err == nil {
 		t.Error("unknown key should fail")
 	}
-	if _, err := ParseGrid("seeds=9-1"); err == nil {
+	if _, err := parseGrid("seeds=9-1"); err == nil {
 		t.Error("inverted seed range should fail")
 	}
 	// A negative node count used to select the default 4 nodes.
 	for _, spec := range []string{"nodes=-3", "nodes=3000000"} {
-		if _, err := ParseGrid(spec); err == nil || !strings.Contains(err.Error(), "Nodes") {
+		if _, err := parseGrid(spec); err == nil || !strings.Contains(err.Error(), "Nodes") {
 			t.Errorf("%s: error = %v, want one naming Nodes", spec, err)
 		}
 	}
@@ -153,14 +164,14 @@ func TestParseGrid(t *testing.T) {
 	}
 	// Whitespace-separated fields; "all" expands eagerly so it still
 	// counts when combined with sched= cells below.
-	g, err = ParseGrid("policies=all seeds=2 jobs=10")
+	g, err = parseGrid("policies=all seeds=2 jobs=10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(g.Policies, sched.Names()) || len(g.Seeds) != 1 || g.Seeds[0] != 2 || g.Jobs != 10 {
 		t.Errorf("ParseGrid whitespace form = %+v", g)
 	}
-	g, err = ParseGrid("policies=all;sched=batch=easy,fat=fcfs")
+	g, err = parseGrid("policies=all;sched=batch=easy,fat=fcfs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +179,7 @@ func TestParseGrid(t *testing.T) {
 		t.Errorf("all + sched cell = %v, want %v", g.Policies, want)
 	}
 	// Heterogeneous cluster + fault-rate keys.
-	g, err = ParseGrid("policies=fcfs;cluster=hetero;cancel=0.05;fail=0.1")
+	g, err = parseGrid("policies=fcfs;cluster=hetero;cancel=0.05;fail=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +189,14 @@ func TestParseGrid(t *testing.T) {
 	if g.CancelRate != 0.05 || g.FailRate != 0.1 {
 		t.Errorf("rates = %g/%g", g.CancelRate, g.FailRate)
 	}
-	if _, err := ParseGrid("cluster=bogus:1"); err == nil {
+	if _, err := parseGrid("cluster=bogus:1"); err == nil {
 		t.Error("bad cluster spec should fail")
 	}
-	if _, err := ParseGrid("cancel=1.5"); err == nil {
+	if _, err := parseGrid("cancel=1.5"); err == nil {
 		t.Error("out-of-range rate should fail")
 	}
 	// Policy-set cells (sched=, repeatable) and the spillover knobs.
-	g, err = ParseGrid("sched=batch=easy,fat=malleable-shrink;sched=easy;cluster=hetero;spill=1;spillafter=30;spilldepth=2")
+	g, err = parseGrid("sched=batch=easy,fat=malleable-shrink;sched=easy;cluster=hetero;spill=1;spillafter=30;spilldepth=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,18 +207,18 @@ func TestParseGrid(t *testing.T) {
 	if !g.Spill || g.SpillAfter != 30 || g.SpillDepth != 2 {
 		t.Errorf("spill knobs = %v/%g/%d", g.Spill, g.SpillAfter, g.SpillDepth)
 	}
-	if _, err := ParseGrid("sched=batch=bogus"); err == nil {
+	if _, err := parseGrid("sched=batch=bogus"); err == nil {
 		t.Error("bad policy set should fail")
 	}
-	if _, err := ParseGrid("spillafter=-1"); err == nil {
+	if _, err := parseGrid("spillafter=-1"); err == nil {
 		t.Error("negative spillafter should fail")
 	}
-	if _, err := ParseGrid("spilldepth=x"); err == nil {
+	if _, err := parseGrid("spilldepth=x"); err == nil {
 		t.Error("non-numeric spilldepth should fail")
 	}
 	// Node fault-injection keys. The script value rides a single grid
 	// field, so its entries use '+' — ';' belongs to the grid grammar.
-	g, err = ParseGrid("nodefaults=node0:down@10..20+node1:drain@30..40;mtbf=5000;mttr=600;requeue=2")
+	g, err = parseGrid("nodefaults=node0:down@10..20+node1:drain@30..40;mtbf=5000;mttr=600;requeue=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +226,31 @@ func TestParseGrid(t *testing.T) {
 		g.MTBF != 5000 || g.MTTR != 600 || g.MaxRequeues != 2 {
 		t.Errorf("fault knobs = %q/%g/%g/%d", g.NodeFaults, g.MTBF, g.MTTR, g.MaxRequeues)
 	}
-	if _, err := ParseGrid("mtbf=-1"); err == nil {
+	if _, err := parseGrid("mtbf=-1"); err == nil {
 		t.Error("negative mtbf should fail")
 	}
-	if _, err := ParseGrid("mttr=x"); err == nil {
+	if _, err := parseGrid("mttr=x"); err == nil {
 		t.Error("non-numeric mttr should fail")
 	}
-	if _, err := ParseGrid("requeue=x"); err == nil {
+	if _, err := parseGrid("requeue=x"); err == nil {
 		t.Error("non-numeric requeue should fail")
+	}
+	// Boolean keys take what strconv.ParseBool takes and nothing else:
+	// "on" used to read as off without a word.
+	for _, spec := range []string{"spill=on", "stream=yes", "check=y"} {
+		key, _, _ := strings.Cut(spec, "=")
+		if _, err := parseGrid(spec); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("%s: error = %v, want one naming %s", spec, err, key)
+		}
+	}
+	// The aliases read as their keys.
+	g, err = parseGrid("policy=fcfs;seed=3;interarrival=45")
+	if err != nil || !reflect.DeepEqual(g, Grid{Policies: []string{"fcfs"}, Seeds: []int64{3}, MeanInterarrival: 45}) {
+		t.Errorf("aliases = %+v, %v", g, err)
+	}
+	g, err = parseGrid("spill=t;stream=0;check=TRUE")
+	if err != nil || !g.Spill || g.Stream || !g.DebugInvariants {
+		t.Errorf("spill=t;stream=0;check=TRUE = %+v, %v", g, err)
 	}
 }
 

@@ -318,6 +318,8 @@ func TestReplayClosesSourceOnEarlyError(t *testing.T) {
 		// MaxNodes is TestNodeCountsValidated's, whose rows build no
 		// cluster.)
 		{"Nodes -2", Scenario{Nodes: -2}, "Nodes"},
+		// A negative depth used to read as no threshold.
+		{"SpillDepth -3", Scenario{Nodes: 4, Spill: true, SpillDepth: -3}, "SpillDepth"},
 	}
 	for _, b := range bad {
 		r := &closeObserver{Reader: strings.NewReader(text), closed: make(chan struct{})}

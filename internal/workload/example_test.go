@@ -61,3 +61,21 @@ func ExampleSyntheticSWF_faults() {
 	// Output:
 	// jobs=80 failed=4 cancelled=10 partitions=2
 }
+
+// ExampleParseSpec parses a compact spec of the slurmsim -sweep flag
+// and enumerates its cells in the deterministic grid order results are
+// aggregated in; each cell's String is its label.
+func ExampleParseSpec() {
+	s, err := workload.ParseSpec("policies=fcfs,easy;seeds=1-2;jobs=500;cluster=hetero")
+	if err != nil {
+		panic(err)
+	}
+	for _, c := range s.Cells() {
+		fmt.Println(c)
+	}
+	// Output:
+	// policies=fcfs;seeds=1;jobs=500;cluster=batch:4xmn3,fat:2xfat
+	// policies=easy;seeds=1;jobs=500;cluster=batch:4xmn3,fat:2xfat
+	// policies=fcfs;seeds=2;jobs=500;cluster=batch:4xmn3,fat:2xfat
+	// policies=easy;seeds=2;jobs=500;cluster=batch:4xmn3,fat:2xfat
+}

@@ -102,6 +102,37 @@ func (s *Session) handle() {
 	s.eng.Handle(cancelClass, s.fireCancel)
 }
 
+// closeSource releases src if it holds a resource.
+func closeSource(src SubmissionSource) {
+	if c, ok := src.(io.Closer); ok {
+		c.Close()
+	}
+}
+
+// check refuses the run knobs no replay can use.
+func (s Scenario) check() error {
+	if f := s.JitterFrac; !(f >= 0 && f < 1) {
+		// Past 1 a factor 1 + f·(2u−1) can be negative; NaN would read as off.
+		return fmt.Errorf("workload: JitterFrac %v outside [0, 1)", f)
+	}
+	for _, v := range []struct {
+		name string
+		x    float64
+	}{{"MTBF", s.MTBF}, {"MTTR", s.MTTR}, {"SpillAfter", s.SpillAfter}} {
+		if !(v.x >= 0) || math.IsInf(v.x, 1) {
+			// An infinite mean is an event at +Inf; NaN would read as off.
+			return fmt.Errorf("workload: %s %v is not a finite value >= 0", v.name, v.x)
+		}
+	}
+	if s.SpillDepth < 0 {
+		return fmt.Errorf("workload: SpillDepth %d is negative", s.SpillDepth)
+	}
+	if err := hwmodel.CheckNodes(s.Nodes); err != nil {
+		return fmt.Errorf("workload: %w", err)
+	}
+	return nil
+}
+
 // open wires a scenario once — engine, cluster (file-backed when
 // ShmemDir is set), controller, scheduling installer, faults, probe —
 // and starts feeding it from src: records due at t=0 are submitted
@@ -110,22 +141,18 @@ func (s *Session) handle() {
 // overrides it. Any source but a []Submission puts the records in
 // aggregate mode, so memory is bounded by the scheduler backlog rather
 // than the stream length.
-func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) (*Session, error) {
-	if f := s.JitterFrac; !(f >= 0 && f < 1) {
-		// Past 1 a factor 1 + f·(2u−1) can be negative; NaN would read as off.
-		return nil, fmt.Errorf("workload: JitterFrac %v outside [0, 1)", f)
-	}
-	for _, v := range []struct {
-		name string
-		x    float64
-	}{{"MTBF", s.MTBF}, {"MTTR", s.MTTR}, {"SpillAfter", s.SpillAfter}} {
-		if !(v.x >= 0) || math.IsInf(v.x, 1) {
-			// An infinite mean is an event at +Inf; NaN would read as off.
-			return nil, fmt.Errorf("workload: %s %v is not a finite value >= 0", v.name, v.x)
+//
+// A source that is an io.Closer is closed when open fails, and by Run
+// once the replay is drained: an abandoned SWFReaderSource would
+// otherwise keep its trace file open.
+func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) (_ *Session, err error) {
+	defer func() {
+		if err != nil {
+			closeSource(src)
 		}
-	}
-	if err := hwmodel.CheckNodes(s.Nodes); err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
+	}()
+	if err := s.check(); err != nil {
+		return nil, err
 	}
 	if len(s.Cluster.Partitions) == 0 {
 		if cs, ok := src.(interface{ Cluster() hwmodel.ClusterSpec }); ok {
@@ -174,13 +201,9 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 	return sess, nil
 }
 
-// replay is the one-shot form behind every Run* entry point: open,
-// drain, and release the source on every exit — an abandoned
-// SWFReaderSource would otherwise keep its trace file open.
+// replay is the one-shot form behind every Run* entry point: open and
+// drain. Both release the source (see open).
 func replay(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) Result {
-	if c, ok := src.(io.Closer); ok {
-		defer c.Close()
-	}
 	sess, err := open(s, src, policy, install)
 	if err != nil {
 		return Result{Scenario: s.Name, Policy: policy, Err: err}
@@ -283,9 +306,11 @@ func (s *Session) Now() float64 { return s.eng.Now() }
 // RunUntil advances the simulation through every event at time <= t.
 func (s *Session) RunUntil(t float64) { s.eng.RunUntil(t) }
 
-// Run drains the simulation to completion and returns the result.
+// Run drains the simulation to completion, releases the source and
+// returns the result.
 func (s *Session) Run() Result {
 	s.eng.Run()
+	closeSource(s.src)
 	return s.Result()
 }
 

@@ -9,7 +9,6 @@ package workload
 // length.
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 
@@ -95,7 +94,7 @@ type SWFReaderSource struct {
 	maxJobs int
 	emitted int
 	idx     int
-	err     error // a node count o cannot have, answered by the first Next
+	err     error // o's check, answered by the first Next
 }
 
 // NewSWFReaderSource streams r's records as submissions mapped onto
@@ -108,9 +107,7 @@ func NewSWFReaderSource(r io.Reader, o SWFOptions) *SWFReaderSource {
 		mapper:  newSWFMapper(o),
 		maxJobs: o.MaxJobs,
 	}
-	if err := hwmodel.CheckNodes(o.Nodes); err != nil {
-		s.err = fmt.Errorf("swf: %w", err)
-	}
+	s.err = o.check()
 	return s
 }
 

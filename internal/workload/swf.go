@@ -296,6 +296,19 @@ func swfSpec() apps.Spec {
 	}
 }
 
+// check rejects a mapping no trace can be replayed through: a node
+// count hwmodel refuses or a negative MaxJobs (0 replays the whole
+// trace).
+func (o SWFOptions) check() error {
+	if err := hwmodel.CheckNodes(o.Nodes); err != nil {
+		return fmt.Errorf("swf: %w", err)
+	}
+	if o.MaxJobs < 0 {
+		return fmt.Errorf("swf: MaxJobs %d is negative", o.MaxJobs)
+	}
+	return nil
+}
+
 // clusterSpec resolves the mapping target: the explicit partitioned
 // layout when given, otherwise a homogeneous single-partition cluster
 // of the configured (or default 4×MN3) shape.
@@ -496,8 +509,8 @@ func itersFor(seconds float64, spec apps.Spec) int {
 // is returned and the per-status classification recorded on
 // Scenario.Dropped (and from there on the run's metrics.Workload).
 func SWFScenario(jobs []SWFJob, o SWFOptions) (Scenario, int, error) {
-	if err := hwmodel.CheckNodes(o.Nodes); err != nil {
-		return Scenario{}, 0, fmt.Errorf("swf: %w", err)
+	if err := o.check(); err != nil {
+		return Scenario{}, 0, err
 	}
 	m := newSWFMapper(o)
 	n := len(jobs)
@@ -549,12 +562,25 @@ type SyntheticSWF struct {
 	FailRate   float64
 }
 
-// check rejects an inter-arrival mean no exponential draw can use:
-// NaN or ±Inf would put a submission at a non-finite time. A mean <= 0
-// selects the default.
+// check rejects parameters the generator cannot use: an inter-arrival
+// mean that is negative or not finite (NaN or ±Inf would put a
+// submission at a non-finite time; 0 selects the default), a negative
+// trace length, a fault probability outside [0, 1] (NaN fails both
+// bounds, so it is refused too) and a node count hwmodel refuses.
 func (p SyntheticSWF) check() error {
-	if m := p.MeanInterarrival; math.IsNaN(m) || math.IsInf(m, 0) {
-		return fmt.Errorf("swf: MeanInterarrival %v is not finite", m)
+	if m := p.MeanInterarrival; !(m >= 0) || math.IsInf(m, 1) {
+		return fmt.Errorf("swf: MeanInterarrival %v is not a finite value >= 0", m)
+	}
+	if p.Jobs < 0 {
+		return fmt.Errorf("swf: Jobs %d is negative", p.Jobs)
+	}
+	for _, r := range []struct {
+		name string
+		x    float64
+	}{{"CancelRate", p.CancelRate}, {"FailRate", p.FailRate}} {
+		if !(r.x >= 0 && r.x <= 1) {
+			return fmt.Errorf("swf: %s %v is outside [0, 1]", r.name, r.x)
+		}
 	}
 	if err := hwmodel.CheckNodes(p.Nodes); err != nil {
 		return fmt.Errorf("swf: %w", err)

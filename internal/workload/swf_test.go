@@ -136,19 +136,42 @@ func TestSyntheticSWFRejectsNonFiniteMean(t *testing.T) {
 // of memory).
 func TestNodeCountsValidated(t *testing.T) {
 	text := FormatSWF(SyntheticSWF{Seed: 1, Jobs: 20, Nodes: 4}.Generate())
-	for _, n := range []int{-2, 3000000} {
-		p := SyntheticSWF{Seed: 1, Jobs: 20, Nodes: n}
-		if _, err := SyntheticSWFScenario(p); err == nil || !strings.Contains(err.Error(), "Nodes") {
-			t.Errorf("nodes %d: SyntheticSWFScenario error = %v", n, err)
+	// Each row is refused by the generator (materialized and streamed)
+	// and, when it sets a mapping field, by the trace mapping too; the
+	// error names the field.
+	for _, tc := range []struct {
+		p    SyntheticSWF
+		o    SWFOptions
+		want string
+	}{
+		{SyntheticSWF{Nodes: -2}, SWFOptions{Nodes: -2}, "Nodes"},
+		{SyntheticSWF{Nodes: 3000000}, SWFOptions{Nodes: 3000000}, "Nodes"},
+		// A negative length or truncation used to replay everything.
+		{SyntheticSWF{Jobs: -7}, SWFOptions{MaxJobs: -7}, "Jobs"},
+		{SyntheticSWF{CancelRate: 2}, SWFOptions{}, "CancelRate"},
+		{SyntheticSWF{CancelRate: -0.1}, SWFOptions{}, "CancelRate"},
+		{SyntheticSWF{FailRate: math.NaN()}, SWFOptions{}, "FailRate"},
+		{SyntheticSWF{MeanInterarrival: -5}, SWFOptions{}, "MeanInterarrival"},
+	} {
+		p := tc.p
+		p.Seed = 1
+		if p.Jobs == 0 {
+			p.Jobs = 20
 		}
-		if _, _, err := p.Source().Next(); err == nil || !strings.Contains(err.Error(), "Nodes") {
-			t.Errorf("nodes %d: Source().Next error = %v", n, err)
+		if _, err := SyntheticSWFScenario(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: SyntheticSWFScenario error = %v", tc.p, err)
 		}
-		if _, _, err := SWFScenario(p.withDefaults().Generate()[:0], SWFOptions{Nodes: n}); err == nil || !strings.Contains(err.Error(), "Nodes") {
-			t.Errorf("nodes %d: SWFScenario error = %v", n, err)
+		if _, _, err := p.Source().Next(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Source().Next error = %v", tc.p, err)
 		}
-		if _, _, err := NewSWFReaderSource(strings.NewReader(text), SWFOptions{Nodes: n}).Next(); err == nil || !strings.Contains(err.Error(), "Nodes") {
-			t.Errorf("nodes %d: NewSWFReaderSource(...).Next error = %v", n, err)
+		if tc.o.Nodes == 0 && tc.o.MaxJobs == 0 {
+			continue
+		}
+		if _, _, err := SWFScenario(SyntheticSWF{Seed: 1, Jobs: 20}.Generate(), tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: SWFScenario error = %v", tc.o, err)
+		}
+		if _, _, err := NewSWFReaderSource(strings.NewReader(text), tc.o).Next(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: NewSWFReaderSource(...).Next error = %v", tc.o, err)
 		}
 	}
 }
