@@ -47,8 +47,9 @@ import (
 // maxBody bounds a request body, in bytes.
 const maxBody = 1 << 20
 
-// ctxCheckSteps is how many engine steps a what-if takes between
-// checks that its client is still waiting.
+// ctxCheckSteps is how many Step calls a what-if makes between checks
+// that its client is still waiting. A call is one executed event or one
+// move of armed chains, which may take many engine steps.
 const ctxCheckSteps = 4096
 
 // Server owns one live session and serves the schedd API.
@@ -439,7 +440,7 @@ func (p *projection) record(ev obs.Event) {
 // find returns the job's first start in the projection with status
 // 200, stepping the fork until that start is recorded; 500 once the
 // lineage has failed and 404 once it has drained without it. Every
-// ctxCheckSteps steps it checks ctx and returns status 0 if ctx is
+// ctxCheckSteps Step calls it checks ctx and returns status 0 if ctx is
 // done: it stops between steps, so the projection stays exact and the
 // next what-if resumes it. Step, not Run, because Engine.Stop cannot be
 // undone.

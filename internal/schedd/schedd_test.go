@@ -24,8 +24,14 @@ import (
 // applied.
 func testScenario(t testing.TB, mutate ...func(*workload.Scenario)) workload.Scenario {
 	t.Helper()
+	return jobsScenario(t, 120, mutate...)
+}
+
+// jobsScenario is testScenario with the given number of jobs.
+func jobsScenario(t testing.TB, jobs int, mutate ...func(*workload.Scenario)) workload.Scenario {
+	t.Helper()
 	sc, err := workload.SyntheticSWFScenario(workload.SyntheticSWF{
-		Seed: 7, Jobs: 120, Nodes: 4, MeanInterarrival: 25,
+		Seed: 7, Jobs: jobs, Nodes: 4, MeanInterarrival: 25,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +47,13 @@ func testScenario(t testing.TB, mutate ...func(*workload.Scenario)) workload.Sce
 // it over HTTP.
 func newTestServer(t *testing.T, mutate ...func(*workload.Scenario)) (*httptest.Server, *Server) {
 	t.Helper()
-	sess, err := workload.NewSchedSession(testScenario(t, mutate...), &sched.EASY{})
+	return serve(t, testScenario(t, mutate...))
+}
+
+// serve opens sc as a live cluster and serves it over HTTP.
+func serve(t *testing.T, sc workload.Scenario) (*httptest.Server, *Server) {
+	t.Helper()
+	sess, err := workload.NewSchedSession(sc, &sched.EASY{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,13 +584,13 @@ func (g *goneAfter) Err() error {
 // TestWhatIfCancelledRequestStopsBetweenSteps: a what-if whose client
 // has gone stops its projection at the next check and answers nothing.
 // An already-cancelled request takes no step; one whose client leaves
-// after the first check stops ctxCheckSteps steps in. The projection
-// survives both: the next what-if resumes it and answers as a private
-// fork does. The session is the jittered one: its chains never move as
-// a group, so the last job starts well past the first ctxCheckSteps
-// engine steps.
+// after the first check stops ctxCheckSteps Step calls in. The
+// projection survives both: the next what-if resumes it and answers as
+// a private fork does. The session is a jittered one of 1000 jobs: one
+// Step call can take many engine steps, and its last job starts about
+// 10 600 calls out, well past the first ctxCheckSteps.
 func TestWhatIfCancelledRequestStopsBetweenSteps(t *testing.T) {
-	ts, srv := newTestServer(t, sessionKinds[1].mutate)
+	ts, srv := serve(t, jobsScenario(t, 1000, sessionKinds[1].mutate))
 	postJSON(t, ts.URL+"/advance", map[string]float64{"until": 500}, http.StatusOK, nil)
 	matchPrivate(t, ts, srv, "j00030", "")
 	p := srv.liveProjection("")

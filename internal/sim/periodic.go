@@ -26,26 +26,31 @@ package sim
 //   - The ID changes with every occurrence taken, so it lives in the
 //     chain's table entry and nowhere else: cancelling goes through the
 //     slot (FreeTick), and the heap entry names the slot, not the ID.
-//   - Armed chains of one period move as a group. Take k armed, plain
-//     (neither solo nor jittered) chains with a bit-equal period P
-//     whose pending times, sorted by (t, id), are t_0 ≤ … ≤ t_{k-1} ≤
-//     fl(t_0 + P). The executing engine pops them strictly round-robin
-//     for as long as each occurrence is strictly earlier than every
-//     other entry:
-//     popping member 0 re-keys it to (fl(t_0 + P), an ID above every
-//     pending one), which sorts after member k-1 — fl(x + P) is
-//     monotone in x, so fl(t_0 + P) ≤ fl(t_1 + P) keeps the invariant
-//     for the rotated list, and a tie that rounding creates resolves by
-//     ID in that same cyclic order. So the q-th occurrence a move takes
-//     (q = r·k + j, from 0) is member j's after r adds of its own, and
-//     is re-keyed under nextID + q + 1. The engine therefore takes the
-//     group's occurrences in that order — each member's time by its own
-//     repeated add, never r·P — up to the first whose member has no
-//     credit left, that is not strictly earlier than the earliest
-//     non-member entry (cancelled ones included), or that lies past the
-//     RunUntil bound, and up to the heartbeat's step. Which qualifying
-//     entries join is free: one left out is a non-member and only
-//     bounds the move sooner.
+//   - Armed chains move together, in the executing engine's pop order.
+//     Take armed, non-solo chains whose pending occurrences are strictly
+//     earlier than every other entry. The executing engine pops their
+//     occurrences by (t, id), and re-keys each under an ID above every
+//     pending one, which sorts after every entry at its new time. So a
+//     move is a merge over (t, id) of its members' chains, of any
+//     period, plain or jittered: the earliest member takes occurrences,
+//     each by its own add or draw, while the next one stays strictly earlier
+//     than the second member's pending time, then goes back among the
+//     others behind every member at its time; the q-th occurrence the
+//     move takes (from 0) is re-keyed under nextID + q + 1. The move
+//     stops before the first occurrence whose member has no credit left,
+//     that is not strictly earlier than the earliest non-member entry
+//     (cancelled ones included), or that lies past the RunUntil bound,
+//     and after the heartbeat's step. Which qualifying entries join is
+//     free: one left out is a non-member and only bounds the move sooner.
+//   - A uniform group — plain chains of a bit-equal period P whose
+//     pending times, sorted by (t, id), are t_0 ≤ … ≤ t_{k-1} ≤
+//     fl(t_0 + P) — merges strictly round-robin: popping member 0
+//     re-keys it to (fl(t_0 + P), an ID above every pending one), which
+//     sorts after member k-1 — fl(x + P) is monotone in x, so fl(t_0 +
+//     P) ≤ fl(t_1 + P) keeps the invariant for the rotated list, and a
+//     tie that rounding creates resolves by ID in that same cyclic
+//     order. So the q-th occurrence (q = r·k + j) is member j's after r
+//     adds of its own, and the move takes them without comparing times.
 //   - A solo chain (ArmSolo) is for an owner that must be able to say
 //     afterwards, from times alone, where each occurrence the engine
 //     took fell among the events that were executed — a traced
@@ -65,14 +70,11 @@ package sim
 //   - A jittered chain (ArmJitter) is one whose callback would book the
 //     next occurrence Jitter(period) on, drawing one value from the
 //     engine's stream (SetJitter), which only such callbacks draw from
-//     and which a fork continues. The engine
-//     takes its occurrences in the executing engine's pop order — that
-//     is the contract above — and draws each one's factor at the moment
-//     it takes it, so the same values are drawn in the same order and
-//     added to the same now: every (t, id) key follows as before, and so
-//     does the stream's position. Its times are no repeated add, so a
-//     jittered chain never joins a group and moves alone (k = 1), under
-//     the same credit, heartbeat and cut limits as a group.
+//     and which a fork continues. It joins a move like a plain chain:
+//     the merge takes occurrences in pop order and draws each one's
+//     factor at the moment it takes it, so the same values are drawn in
+//     the same order and added to the same now: every (t, id) key
+//     follows as before, and so does the stream's position.
 
 import (
 	"fmt"
@@ -200,13 +202,17 @@ func (p *Periodic) Disarm() int64 {
 	return left
 }
 
-// groupCap bounds the members of one group move. An entry that would
-// qualify beyond it stays out and bounds the move like any other
-// non-member: the move stays exact, only shorter.
+// groupCap bounds the members of one move. An entry that would qualify
+// beyond it stays out and bounds the move like any other non-member:
+// the move stays exact, only shorter. A power of two, so the merge's
+// ring of members wraps with a mask.
 const groupCap = 16
 
-// member is one chain of a group move: where its entry sits in the heap
-// and the key and credit it has reached.
+// member is one chain of a move: where its entry sits in the heap and
+// the key and credit it has reached; its period and jitter stay in its
+// Periodic. It fits in 32 bytes: the compiler copies such a value field
+// by field through registers, where a wider one goes through memory and
+// stalls on reading back the field stores that just built it.
 type member struct {
 	i    int32
 	t    float64
@@ -217,25 +223,20 @@ type member struct {
 // skip takes the armed occurrence p at the head of the queue without
 // executing it, and with it every following occurrence the executing
 // engine would have popped next, as long as each is that of an armed
-// group member. The group is the head's chain plus every armed, plain
-// (neither solo nor jittered) pending entry with the same period due by
-// fl(t_head + period), found by walking down from the root through
-// members only.
-// Its members are popped strictly round-robin (see the contract at the
-// top of this file), so the move advances each by its own repeated add
-// and hands out IDs in that order, then re-keys the entries in place
-// and sifts them down: no pop, no push, no call. The move stops before
-// the first occurrence whose member's credit is spent, that is not
-// strictly earlier than the earliest non-member entry, or that lies
-// past bound, and after the heartbeat's step. A solo chain moves alone,
+// member of the move (see the contract at the top of this file). The
+// members are the head's chain plus every armed, non-solo pending entry
+// due by fl(t_head + period) — a reach that only bounds the gather's
+// work — found by walking down from the root through members only. The
+// move merges their occurrences over (t, id), or, for a uniform group,
+// takes them round-robin; then it re-keys the entries in place and
+// sifts them down: no pop, no push, no call. A solo chain moves alone,
 // and skip reports false, having done nothing, when its head occurrence
-// is not alone at its instant: step executes it. A jittered chain moves
-// alone too, each occurrence re-keyed by its own draw.
+// is not alone at its instant: step executes it.
 func (e *Engine) skip(p *Periodic, bound float64) bool {
 	head := &e.queue[0]
 	period := p.period
-	reach := math.Inf(-1) // a solo or jittered chain admits no member
-	if !p.solo && !p.jitter {
+	reach := math.Inf(-1) // a solo chain admits no member
+	if !p.solo {
 		reach = head.t + period
 	}
 	// Gather the members breadth-first — in increasing heap index — and
@@ -247,7 +248,7 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 	for g := 0; g < k; g++ {
 		for c := 2*int(e.groupIdx[g]) + 1; c <= 2*int(e.groupIdx[g])+2 && c < len(e.queue); c++ {
 			ev := &e.queue[c]
-			if ev.t <= reach && ev.t < other && k < groupCap && ev.class == tick && e.joins(ev.slot, period) {
+			if ev.t <= reach && ev.t < other && k < groupCap && ev.class == tick && e.joins(ev.slot) {
 				e.groupIdx[k] = int32(c)
 				k++
 			} else if ev.t < other {
@@ -256,7 +257,7 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 		}
 	}
 	// An occurrence is taken only while strictly earlier than cut: the
-	// earliest non-member, and the bound, inclusive for a group but not
+	// earliest non-member, and the bound, inclusive for a move but not
 	// for a solo chain, which moves only while alone at its instant.
 	cut := other
 	if bound < cut {
@@ -268,24 +269,72 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 	if p.solo && !(head.t < cut) {
 		return false
 	}
-	// Order the members by (t, id): the round-robin order.
+	// Order the members by (t, id), the head first: it is taken whatever
+	// cut says, being the least entry. A member at or past cut can never
+	// be taken and gets no record. The group is uniform if every member
+	// is plain and of the head's period, bit for bit.
+	n, uniform := 0, !p.jitter
 	for g := 0; g < k; g++ {
 		ev := &e.queue[e.groupIdx[g]]
-		m := member{i: e.groupIdx[g], t: ev.t, id: ev.id, left: e.ticks.At(ev.slot).credit}
-		j := g
+		if g > 0 && !(ev.t < cut) {
+			continue
+		}
+		q := e.ticks.At(ev.slot)
+		m := member{i: e.groupIdx[g], t: ev.t, id: ev.id, left: q.credit}
+		uniform = uniform && !q.jitter && q.period == period
+		j := n
 		for ; j > 0 && (m.t < e.group[j-1].t || m.t == e.group[j-1].t && m.id < e.group[j-1].id); j-- {
 			e.group[j] = e.group[j-1]
 		}
 		e.group[j] = m
+		n++
 	}
 	// Stopping a move early is always exact — the next step goes on —
-	// so capping its length keeps left·k + j below overflow.
+	// so capping its length keeps left·n + j below overflow.
 	limit := int64(math.MaxInt64 / groupCap)
 	if e.probeFn != nil {
 		// Stop on the heartbeat's step so it fires at the virtual time
 		// it always did.
 		limit = min(limit, e.probeEvery-(e.processed+e.skipped)%e.probeEvery)
 	}
+	var taken int64
+	if uniform {
+		taken = e.roundRobin(n, period, cut, limit)
+	} else {
+		taken = e.merge(n, cut, limit)
+	}
+	for j := range n {
+		m := &e.group[j]
+		if m.id <= e.nextID {
+			continue // took nothing
+		}
+		ev := &e.queue[m.i]
+		ev.t, ev.id = m.t, m.id
+		q := e.ticks.At(ev.slot)
+		q.id, q.credit = m.id, m.left
+	}
+	// Keys only grew, and the members form a subtree holding the root:
+	// sifting them bottom-up restores the heap, as heapify would. A member
+	// that took nothing kept its key (an ID no later than nextID), and
+	// its sift would be a no-op.
+	for g := k - 1; g >= 0; g-- {
+		if i := int(e.groupIdx[g]); e.queue[i].id > e.nextID {
+			e.siftDown(i)
+		}
+	}
+	e.skipped += taken
+	e.nextID += taken
+	if e.probeFn != nil {
+		e.heartbeat()
+	}
+	return true
+}
+
+// roundRobin takes the occurrences of a uniform group of k members,
+// ordered by (t, id), strictly round-robin, and leaves each member's
+// key and credit in e.group and e.now at the last one's time; it
+// returns how many it took, at most limit.
+func (e *Engine) roundRobin(k int, period, cut float64, limit int64) int64 {
 	kk := int64(k)
 	for j := range kk {
 		// The q-th occurrence taken (q = r·k + j, from 0) is member j's:
@@ -298,30 +347,18 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 	// end, members before next took rounds+1 of them, the others rounds.
 	var n, rounds int64
 	next, t, now := 0, e.group[0].t, e.now
-	if p.jitter {
-		// k = 1: draw each occurrence's factor as it is taken.
-		for {
-			now, t = t, t+e.Jitter(period)
-			n++
-			if n == limit || !(t < cut) {
-				break
-			}
+	for {
+		now, t = t, t+period
+		e.group[next].t = t
+		n++
+		if next++; next == k {
+			next, rounds = 0, rounds+1
 		}
-		e.group[0].t, rounds = t, n
-	} else {
-		for {
-			now, t = t, t+period
-			e.group[next].t = t
-			n++
-			if next++; next == k {
-				next, rounds = 0, rounds+1
-			}
-			if k > 1 {
-				t = e.group[next].t // else the time just stored, kept in a register
-			}
-			if n == limit || !(t < cut) {
-				break
-			}
+		if k > 1 {
+			t = e.group[next].t // else the time just stored, kept in a register
+		}
+		if n == limit || !(t < cut) {
+			break
 		}
 	}
 	e.now = now
@@ -330,36 +367,75 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 		if j < int64(next) {
 			taken++
 		}
-		if taken == 0 {
-			continue
-		}
-		m := &e.group[j]
-		ev := &e.queue[m.i]
-		ev.t, ev.id = m.t, e.nextID+(taken-1)*kk+j+1
-		q := e.ticks.At(ev.slot)
-		q.id, q.credit = ev.id, m.left-taken
-	}
-	// Keys only grew, and the members form a subtree holding the root:
-	// sifting them bottom-up restores the heap, as heapify would. A member
-	// that took nothing kept its key (an ID no later than nextID), and
-	// its sift would be a no-op.
-	for g := k - 1; g >= 0; g-- {
-		if i := int(e.groupIdx[g]); e.queue[i].id > e.nextID {
-			e.siftDown(i)
+		if taken > 0 {
+			m := &e.group[j]
+			m.id, m.left = e.nextID+(taken-1)*kk+j+1, m.left-taken
 		}
 	}
-	e.skipped += n
-	e.nextID += n
-	if e.probeFn != nil {
-		e.heartbeat()
-	}
-	return true
+	return n
 }
 
-// joins reports whether the chain in slot may join a group move of
-// period: armed, plain (neither solo nor jittered), of a bit-equal
-// period.
-func (e *Engine) joins(slot int32, period float64) bool {
+// merge takes the occurrences of k members, ordered by (t, id), in pop
+// order, and leaves each member's key and credit in e.group and e.now
+// at the last one's time; it returns how many it took, at most limit.
+// The earliest member takes its run in a register loop while its next
+// occurrence is strictly earlier than both cut and the second member's
+// time — its ID being above every other, it loses a tie — and then
+// goes back into a ring of the members, kept in (t, id) order, behind
+// every member at its time. A member whose credit is spent stays in the
+// ring: the move ends when it comes first, or when the first is not
+// strictly earlier than cut.
+func (e *Engine) merge(k int, cut float64, limit int64) int64 {
+	const mask = groupCap - 1
+	for j := range k {
+		e.ring[j] = uint8(j)
+	}
+	var n int64
+	now := e.now
+	for h := 0; ; {
+		r := e.ring[h&mask]
+		m := &e.group[r]
+		stop := cut
+		if k > 1 {
+			if t := e.group[e.ring[(h+1)&mask]].t; t < stop {
+				stop = t
+			}
+		}
+		// The chain's period and jitter, read once per run: the heap does
+		// not move during a merge, so m.i still names its entry.
+		q := e.ticks.At(e.queue[m.i].slot)
+		t, left, period, jitter := m.t, m.left, q.period, q.jitter
+		for {
+			d := period
+			if jitter {
+				d = e.Jitter(d) // drawn as the occurrence is taken
+			}
+			now, t = t, t+d
+			n++
+			left--
+			if left == 0 || n == limit || !(t < stop) {
+				break
+			}
+		}
+		m.t, m.id, m.left = t, e.nextID+n, left
+		// Back into the ring, from the back: its ID being above every
+		// other member's, it goes behind every member at its time.
+		j := h + k
+		for h++; j > h && e.group[e.ring[(j-1)&mask]].t > t; j-- {
+			e.ring[j&mask] = e.ring[(j-1)&mask]
+		}
+		e.ring[j&mask] = r
+		if next := &e.group[e.ring[h&mask]]; n == limit || next.left == 0 || !(next.t < cut) {
+			break
+		}
+	}
+	e.now = now
+	return n
+}
+
+// joins reports whether the chain in slot may join a move: armed and
+// not solo.
+func (e *Engine) joins(slot int32) bool {
 	q := e.ticks.At(slot)
-	return q.credit > 0 && !q.solo && !q.jitter && q.period == period
+	return q.credit > 0 && !q.solo
 }

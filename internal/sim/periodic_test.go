@@ -182,6 +182,33 @@ var skipGroupSeeds = []struct {
 	{"past-reach", []byte{15, 2, 0, 57, 63, 0, 0, 0, 57, 3, 6, 1, 0, 57, 63, 0, 2, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
 }
 
+// Five seeds for merges: chains of two periods, or a jittered chain
+// beside another, moving together, committed under testdata/fuzz as
+// merge-*, each built around one thing the merge must get right. Each
+// runs a unit-period chain beside a 1.5-period one, from 0 and 0.5
+// (from 0.5+1ulp and 0 on the ulp seed), with a heartbeat every 16
+// steps (5 on the heartbeat seed).
+var skipMergeSeeds = []struct {
+	name string
+	seed []byte
+}{
+	// Both plain: the unit chain takes one or two occurrences, the other
+	// one, and so on — each run ends at the other's pending time.
+	{"two-periods", []byte{15, 1, 0, 57, 63, 0, 0, 3, 57, 63, 0, 2, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
+	// The unit chain jittered beside the plain one: its draws are made
+	// as the merge takes its occurrences, in pop order.
+	{"jitter-beside-plain", []byte{15, 1, 0, 57, 63, 12, 0, 3, 57, 63, 0, 2, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
+	// The unit chain from 0.5+1ulp, the other from 0: one add takes both
+	// to 1.5 (1.5+2^-53 rounds to even), a tie made by rounding across
+	// two periods that the IDs resolve.
+	{"ulp-tie", []byte{15, 1, 3, 57, 63, 0, 0, 0, 57, 63, 0, 66, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
+	// A heartbeat every 5 steps falls inside merges: each stops on it.
+	{"heartbeat-mid-merge", []byte{4, 1, 0, 57, 63, 0, 0, 3, 57, 63, 0, 2, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
+	// The 1.5-period chain is granted 5 occurrences at a time, so its
+	// credit runs out inside a merge: its next occurrence executes.
+	{"credit-spent-mid-merge", []byte{15, 1, 0, 57, 63, 0, 0, 3, 57, 4, 0, 2, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
+}
+
 // Five seeds for jittered chains (flag 12), committed under testdata/fuzz
 // as jitter-*, each built around one thing the engine's draw-as-it-takes
 // must get right.
@@ -190,10 +217,11 @@ var skipJitterSeeds = []struct {
 	seed []byte
 }{
 	// Two unit-period jittered chains half a period apart, overtaking
-	// each other: each move ends at the other's pending occurrence.
+	// each other: they merge, so a move ends only at a bound, a
+	// heartbeat or an executed occurrence.
 	{"interleaving", []byte{15, 1, 0, 57, 63, 12, 0, 0, 57, 63, 12, 2, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
 	// Three unit-period plain chains a quarter apart, which move as a
-	// group, beside a unit-period jittered chain that must not join it.
+	// group, beside a unit-period jittered chain that joins it.
 	{"beside-group", []byte{15, 3, 0, 57, 63, 0, 0, 0, 57, 63, 0, 1, 0, 57, 63, 0, 2, 0, 57, 63, 12, 3, 0, 1, 1, 40, 0, 0, 40, 0, 0}},
 	// A plain chain granted 4 at a time wakes the jittered one each time
 	// it executes, and a one-shot wakes it at t=10.25.
@@ -456,6 +484,21 @@ func (w *skipWorld) own() {
 	}
 }
 
+// pending records every pending entry's (t, id), in pop order: the set
+// the engine holds must be the one the executing engine would.
+func (w *skipWorld) pending() {
+	q := slices.Clone(w.eng.queue)
+	slices.SortFunc(q, func(a, b event) int {
+		if a.less(&b) {
+			return -1
+		}
+		return 1
+	})
+	for _, ev := range q {
+		w.log = append(w.log, skipRec{T: ev.t, Label: "pending", N: ev.id})
+	}
+}
+
 // heartbeat records the progress hook's firings: same virtual times
 // and step counts in both worlds, whatever the executed share.
 func (w *skipWorld) heartbeat(every int64) {
@@ -542,6 +585,7 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 		for _, c := range w.chains {
 			w.rec(fmt.Sprintf("bound%d/chain%d", i, c.idx), c.count())
 		}
+		w.pending()
 		switch c := w.chains[next()%len(w.chains)]; next() % 4 {
 		case 1:
 			c.settle()
@@ -572,16 +616,18 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 
 // FuzzSkipDifferential runs a generated script — periodic chains in
 // lockstep, on a shared quarter grid and off it (a few ulps off it
-// included, so that rounding makes ties inside a group move), out of
-// phase within one period so that they move as a group, some of them
-// solo, some jittered from one shared stream,
+// included, so that rounding makes ties inside a move), out of phase
+// within one period so that they move as a group, of several periods
+// so that they merge, some of them solo, some jittered from one shared
+// stream,
 // one-shot and front-band events, zero-delay pushes from callbacks,
 // wakes, cancels through the handle, RunUntil bounds with outside
 // interference and a fork mid-span — once with the chains arming their
 // handles and once with the same credit executed occurrence by
 // occurrence. Every callback that does anything must run at the same
 // time in the same order, the ID allocator must end where it would
-// have, executed plus skipped steps must equal the reference's
+// have, the (time, ID) keys pending at each bound must be the
+// reference's, executed plus skipped steps must equal the reference's
 // executed count, and the stream must have drawn as many values as the
 // reference's twin — in the parent and in the fork. For a solo chain the
 // reference also says, from the queue it sees, which steady occurrences
@@ -676,12 +722,14 @@ type skipMoves struct {
 	ties     int // pairs of chains such a step left at one time, apart before it
 	jittered int // steps that advanced a jittered chain without a callback
 	joined   int // group moves a jittered chain took part in
+	mixed    int // group moves of chains of two periods, or with a jittered chain
 }
 
 // skipGroupMoves replays the world of data — its chains and one-shots,
 // not its bounds, wakes or fork — by Step alone, and counts its moves
 // (see skipMoves): group moves of k ≥ 2, the ties rounding made inside
-// them, and the moves of jittered chains, which must all be k = 1.
+// them, the moves of jittered chains, and the merges among the group
+// moves.
 func skipGroupMoves(data []byte) (m skipMoves) {
 	w, _, _ := skipBuild(data, true)
 	at := func(c *skipChain) float64 {
@@ -707,11 +755,12 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 		}
 		var moved []*skipChain
 		var from []float64
-		jittered := false
+		jittered, periods := false, false
 		for i, c := range w.chains {
 			if c.p().Credit() < credit[i] {
 				moved, from = append(moved, c), append(from, before[i])
 				jittered = jittered || c.jitter
+				periods = periods || c.period != moved[0].period
 			}
 		}
 		if jittered {
@@ -723,6 +772,9 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 		m.groups++
 		if jittered {
 			m.joined++
+		}
+		if jittered || periods {
+			m.mixed++
 		}
 		for a := range moved {
 			for b := a + 1; b < len(moved); b++ {
@@ -757,9 +809,8 @@ func TestSkipDifferentialGroups(t *testing.T) {
 
 // TestSkipDifferentialJitter guards the jitter seeds against passing
 // vacuously: each must agree with the reference, the engine must take
-// jittered occurrences by itself — always alone, on the group seed
-// beside group moves — and each seed must show the thing it was built
-// around.
+// jittered occurrences by itself — on the group seed within group
+// moves — and each seed must show the thing it was built around.
 func TestSkipDifferentialJitter(t *testing.T) {
 	for _, c := range skipJitterSeeds {
 		ap, af, skipped := skipRun(t, c.seed, true)
@@ -768,9 +819,8 @@ func TestSkipDifferentialJitter(t *testing.T) {
 			t.Fatalf("%s: diverges:\n%s\n%s", c.name, skipDiff(ap, rp), skipDiff(af, rf))
 		}
 		m := skipGroupMoves(c.seed)
-		if m.jittered == 0 || skipped == 0 || m.joined != 0 {
-			t.Errorf("%s: %d jittered moves, %d steps skipped, %d group moves a jittered chain joined — want some, some and none",
-				c.name, m.jittered, skipped, m.joined)
+		if m.jittered == 0 || skipped == 0 {
+			t.Errorf("%s: %d jittered moves, %d steps skipped — want some of each", c.name, m.jittered, skipped)
 		}
 		count := func(log []skipRec, label string, pred func(skipRec) bool) int {
 			n := 0
@@ -786,17 +836,57 @@ func TestSkipDifferentialJitter(t *testing.T) {
 		switch c.name {
 		case "interleaving":
 			// Each chain executes only its first and last occurrence and
-			// has 57 steady ones between: more moves than that means the
-			// chains kept cutting each other's moves short.
-			ok = m.jittered > 57
+			// has 57 steady ones between: the two merge, so a handful of
+			// moves takes them all — more would mean the chains cut each
+			// other's moves short.
+			ok = m.jittered <= 10
 		case "beside-group":
-			ok = m.groups > 0
+			ok = m.groups > 0 && m.joined > 0
 		case "wake-mid-span":
 			ok = count(ap, "shot1", any) == 1 && count(ap, "chain1", any) > 5
 		case "fork-mid-span":
 			ok = count(ap, "fork/chain0", func(r skipRec) bool { return r.N > 0 }) == 1
 		case "heartbeat-in-move":
 			ok = count(ap, "beat", any) > 10 && m.jittered > 10
+		}
+		if !ok {
+			t.Errorf("%s: the seed no longer shows what it was built around (%+v)", c.name, m)
+		}
+	}
+}
+
+// TestSkipDifferentialMerge guards the merge seeds against passing
+// vacuously: each must agree with the reference, its chains must
+// actually merge, and each seed must show the thing it was built around.
+func TestSkipDifferentialMerge(t *testing.T) {
+	for _, c := range skipMergeSeeds {
+		ap, af, skipped := skipRun(t, c.seed, true)
+		rp, rf, _ := skipRun(t, c.seed, false)
+		if !reflect.DeepEqual(ap, rp) || !reflect.DeepEqual(af, rf) {
+			t.Fatalf("%s: diverges:\n%s\n%s", c.name, skipDiff(ap, rp), skipDiff(af, rf))
+		}
+		m := skipGroupMoves(c.seed)
+		if m.mixed == 0 || skipped == 0 {
+			t.Errorf("%s: %d merges of two periods or with a jittered chain, %d steps skipped — want some of each", c.name, m.mixed, skipped)
+		}
+		executed := func(label string) int {
+			return len(slices.DeleteFunc(slices.Clone(ap), func(r skipRec) bool { return r.Label != label }))
+		}
+		var ok bool
+		switch c.name {
+		case "two-periods":
+			ok = m.groups <= 10
+		case "jitter-beside-plain":
+			ok = m.joined > 0
+		case "ulp-tie":
+			// The unit chain's first add lands on the other's second
+			// occurrence only by rounding.
+			from := skipOffset(int(c.seed[11]))
+			ok = m.ties > 0 && from != 0.5 && from+1 == 1.5
+		case "heartbeat-mid-merge":
+			ok = executed("beat") > 10 && m.mixed > 10
+		case "credit-spent-mid-merge":
+			ok = executed("chain1") > 5
 		}
 		if !ok {
 			t.Errorf("%s: the seed no longer shows what it was built around (%+v)", c.name, m)
@@ -819,39 +909,70 @@ func staggered(k int, credit int64) (*Engine, []int32) {
 	return e, slots
 }
 
-// TestSkipGroupAllocs pins a group move at zero allocations, on a warm
+// mixed returns an engine holding three armed chains that merge: of
+// period 1 from 0, of period 1.5 from 1/3, and jittered of period 1.25
+// from 2/3; and their slots.
+func mixed(credit int64) (*Engine, []int32) {
+	e := NewEngine()
+	e.SetJitter(NewRand(1), 0.3)
+	slots := make([]int32, 3)
+	for j, period := range []float64{1, 1.5, 1.25} {
+		e.AfterTick(&slots[j], nopTick, float64(j)/3)
+		if p := e.Periodic(slots[j]); j == 2 {
+			p.ArmJitter(period, credit)
+		} else {
+			p.Arm(period, credit)
+		}
+	}
+	return e, slots
+}
+
+// TestSkipGroupAllocs pins a group move — round-robin, and a merge of
+// two periods and a jittered chain — at zero allocations, on a warm
 // engine and as the first move of a fresh fork: the move's scratch is
-// part of the Engine, not grown on demand. A jittered chain's move
+// part of the Engine, not grown on demand. A lone jittered chain's move
 // allocates nothing either.
 func TestSkipGroupAllocs(t *testing.T) {
-	e, slots := staggered(3, 1<<40)
-	if a := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); a != 0 {
-		t.Errorf("a group move on a warm engine allocates %v", a)
-	}
-	if e.Processed() != 0 || e.Skipped() < 3*100 {
-		t.Fatalf("processed %d, skipped %d: the chains did not move as a group", e.Processed(), e.Skipped())
-	}
-	forks := make([]*Engine, 11) // AllocsPerRun's warm-up run takes the first
-	for i := range forks {
-		f := e.Fork()
-		for _, slot := range slots {
-			f.TakeTick(slot, nopTick)
+	for _, c := range []struct {
+		name string
+		make func() (*Engine, []int32)
+		min  int64 // occurrences every unit of time takes, at least
+	}{
+		// Every member moves on every RunUntil.
+		{"group", func() (*Engine, []int32) { return staggered(3, 1<<40) }, 3},
+		// Periods 1, 1.5 and ≈ 1.25 take ≈ 2.47 per unit, at least 2 on a
+		// fork's first move.
+		{"mixed", func() (*Engine, []int32) { return mixed(1 << 40) }, 2},
+	} {
+		e, slots := c.make()
+		if a := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); a != 0 {
+			t.Errorf("%s: a move on a warm engine allocates %v", c.name, a)
 		}
-		if err := f.CheckFork(); err != nil {
-			t.Fatal(err)
+		if e.Processed() != 0 || e.Skipped() < c.min*100 {
+			t.Fatalf("%s: processed %d, skipped %d: the chains did not move together", c.name, e.Processed(), e.Skipped())
 		}
-		forks[i] = f
-	}
-	i := 0
-	if a := testing.AllocsPerRun(len(forks)-1, func() { forks[i].RunUntil(forks[i].Now() + 1); i++ }); a != 0 {
-		t.Errorf("the first group move of a fresh fork allocates %v", a)
-	}
-	for _, f := range forks {
-		if f.Processed() != 0 || f.Skipped() < e.Skipped()+3 {
-			t.Fatalf("fork skipped %d (parent %d): no group move", f.Skipped(), e.Skipped())
+		forks := make([]*Engine, 11) // AllocsPerRun's warm-up run takes the first
+		for i := range forks {
+			f := e.Fork()
+			for _, slot := range slots {
+				f.TakeTick(slot, nopTick)
+			}
+			if err := f.CheckFork(); err != nil {
+				t.Fatal(err)
+			}
+			forks[i] = f
+		}
+		i := 0
+		if a := testing.AllocsPerRun(len(forks)-1, func() { forks[i].RunUntil(forks[i].Now() + 1); i++ }); a != 0 {
+			t.Errorf("%s: the first move of a fresh fork allocates %v", c.name, a)
+		}
+		for _, f := range forks {
+			if f.Processed() != 0 || f.Skipped() < e.Skipped()+c.min {
+				t.Fatalf("%s: fork skipped %d (parent %d): no move", c.name, f.Skipped(), e.Skipped())
+			}
 		}
 	}
-	// A jittered chain moves alone, drawing from the stream as it goes.
+	// A lone jittered chain moves, drawing from the stream as it goes.
 	j := NewEngine()
 	rnd := NewRand(1)
 	j.SetJitter(rnd, 0.5)
@@ -931,12 +1052,21 @@ func TestForkRefusesWhatItOwes(t *testing.T) {
 
 // BenchmarkSkipStaggered is the engine's cost per step — one op is one
 // step, executed or taken by the engine — with k armed chains of one
-// period out of phase, and one plain event every eight periods to end
-// a move as the rest of a replay does.
+// period out of phase, or the three chains of mixed that merge, and one
+// plain event every eight periods to end a move as the rest of a replay
+// does.
 func BenchmarkSkipStaggered(b *testing.B) {
-	for _, k := range []int{1, 3, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			e, _ := staggered(k, 1<<40)
+	for _, c := range []struct {
+		name string
+		make func() (*Engine, []int32)
+	}{
+		{"k=1", func() (*Engine, []int32) { return staggered(1, 1<<40) }},
+		{"k=3", func() (*Engine, []int32) { return staggered(3, 1<<40) }},
+		{"k=8", func() (*Engine, []int32) { return staggered(8, 1<<40) }},
+		{"mixed", func() (*Engine, []int32) { return mixed(1 << 40) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			e, _ := c.make()
 			var plain func()
 			plain = func() { e.After(8, plain) }
 			e.At(7.9, plain)

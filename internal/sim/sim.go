@@ -113,11 +113,14 @@ type Engine struct {
 	probeFn    func(now float64, processed, skipped int64)
 	probeEvery int64
 
-	// Scratch of one group move (skip), meaningless outside it: the
-	// members' heap indexes in increasing order, and the members in
-	// round-robin order. Fixed arrays, so a move allocates nothing.
+	// Scratch of one move (skip), meaningless outside it: the members'
+	// heap indexes in increasing order, the members in (t, id) order as
+	// gathered, and the merge's ring of indexes into group, kept in
+	// (t, id) order as the members advance. Fixed arrays, so a move
+	// allocates nothing.
 	groupIdx [groupCap]int32
 	group    [groupCap]member
+	ring     [groupCap]uint8
 }
 
 // NewEngine returns an engine at time 0.
