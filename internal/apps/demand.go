@@ -104,10 +104,27 @@ func (d *DemandTable) NeverArm() { d.neverArm = true }
 // NewDemandTable creates a table for nodes of the given (default)
 // machine type.
 func NewDemandTable(m hwmodel.Machine) *DemandTable {
-	return &DemandTable{
-		machine: m,
-		nodes:   make(map[string]*nodeDemand),
+	d := new(DemandTable)
+	d.Reset(m)
+	return d
+}
+
+// Reset makes d what NewDemandTable(m) would. The ledgers of the nodes
+// d knows stay in it, emptied and back on m — an empty ledger reads as
+// an absent one, and a table over the same nodes grows none again —
+// with nothing else kept. No instance may hold a handle into d across
+// the call.
+func (d *DemandTable) Reset(m hwmodel.Machine) {
+	nodes := d.nodes
+	if nodes == nil {
+		nodes = make(map[string]*nodeDemand)
 	}
+	for _, n := range nodes { //simvet:ordered each ledger is emptied alone; no order-dependent output
+		clear(n.idx)
+		clear(n.entries) // the owners
+		*n = nodeDemand{idx: n.idx, entries: n.entries[:0], machine: m}
+	}
+	*d = DemandTable{machine: m, nodes: nodes}
 }
 
 // ledger returns node's demand ledger, creating it with the table's

@@ -88,7 +88,16 @@ func (s *System) WatchStages(w StageWatcher) { s.watcher = w }
 
 // NewSystem wraps a shared memory segment with the DROM protocol.
 func NewSystem(seg shmem.Segment) *System {
-	return &System{seg: seg}
+	s := new(System)
+	s.Reset(seg)
+	return s
+}
+
+// Reset makes s what NewSystem(seg) would — no watcher, the default
+// sync timeout — keeping only the theft array of its registration
+// scratch. The caller owns s alone meanwhile.
+func (s *System) Reset(seg shmem.Segment) {
+	*s = System{seg: seg, reg: shmem.ProcEntry{Stolen: s.reg.Stolen[:0]}}
 }
 
 // Segment exposes the underlying shared memory, mainly for the DLB
@@ -122,6 +131,9 @@ func (s *System) Attach() (*Admin, derr.Code) {
 	}
 	return &Admin{sys: s, attached: true}, derr.Success
 }
+
+// System returns the DROM system the administrator is attached to.
+func (a *Admin) System() *System { return a.sys }
 
 // Detach disconnects the administrator (DROM_Detach). Further calls on
 // the handle fail with ErrNotInit.

@@ -186,14 +186,33 @@ func (w *Workload) Fork() *Workload {
 	if n := len(w.Jobs); n > 0 {
 		cp.hist = append(w.hist[:len(w.hist):len(w.hist)], w.Jobs[:n:n])
 	}
-	if w.perPart != nil {
-		cp.perPart = make(map[string]*partAgg, len(w.perPart))
-		for name, pa := range w.perPart { //simvet:ordered deep copy into a fresh map; no order-dependent output
-			v := *pa
-			cp.perPart[name] = &v
-		}
-	}
+	cp.perPart = w.clonePerPart()
 	return &cp
+}
+
+// Snapshot returns a copy of w that nothing added to w later can
+// change: Jobs holds every record (the frozen history flattened in
+// front of this lineage's own), cut at its length, and every tally is
+// copied, the per-partition ones included.
+func (w *Workload) Snapshot() Workload {
+	cp := *w
+	cp.Flatten()
+	cp.Jobs = cp.Jobs[:len(cp.Jobs):len(cp.Jobs)]
+	cp.perPart = w.clonePerPart()
+	return cp
+}
+
+// clonePerPart returns a deep copy of the per-partition tallies.
+func (w *Workload) clonePerPart() map[string]*partAgg {
+	if w.perPart == nil {
+		return nil
+	}
+	m := make(map[string]*partAgg, len(w.perPart))
+	for name, pa := range w.perPart { //simvet:ordered deep copy into a fresh map; no order-dependent output
+		v := *pa
+		m[name] = &v
+	}
+	return m
 }
 
 // All yields every retained record in the order it was added: the

@@ -138,12 +138,34 @@ func (s *MemSegment) Name() string { return s.name }
 func (s *MemSegment) NodeCPUs() cpuset.CPUSet { return s.nodeCPUs }
 
 func newSegment(name string, nodeCPUs cpuset.CPUSet, maxProcs int) *MemSegment {
-	return &MemSegment{
-		name:     name,
-		nodeCPUs: nodeCPUs,
-		maxProcs: maxProcs,
-		procs:    make(map[PID]*ProcEntry),
-		cpus:     make([]cpuState, nodeCPUs.Last()+1),
+	s := new(MemSegment)
+	s.reset(name, nodeCPUs, maxProcs)
+	return s
+}
+
+// reset makes s what newSegment(name, nodeCPUs, maxProcs) would: no
+// process registered, every CPU unowned, generation 0, no watcher. It
+// keeps the table's map, the cpuinfo array when it is the node's size,
+// and the free list of emptied slots; an entry still registered is
+// dropped, not recycled. The caller owns s alone meanwhile.
+func (s *MemSegment) reset(name string, nodeCPUs cpuset.CPUSet, maxProcs int) {
+	procs := s.procs
+	if procs == nil {
+		procs = make(map[PID]*ProcEntry)
+	}
+	clear(procs)
+	cpus := s.cpus
+	if n := nodeCPUs.Last() + 1; len(cpus) != n {
+		cpus = make([]cpuState, n)
+	}
+	clear(cpus)
+	*s = MemSegment{
+		name:      name,
+		nodeCPUs:  nodeCPUs,
+		maxProcs:  maxProcs,
+		procs:     procs,
+		cpus:      cpus,
+		freeProcs: s.freeProcs,
 	}
 }
 
@@ -575,7 +597,25 @@ type MemBackend struct {
 
 // NewMemBackend returns an empty in-memory namespace.
 func NewMemBackend() *MemBackend {
-	return &MemBackend{segments: make(map[string]*MemSegment), nextPID: 1000}
+	r := new(MemBackend)
+	r.Reset()
+	return r
+}
+
+// Reset empties the namespace as if every process in it had exited:
+// each segment stays open, with its node CPU set and capacity, but
+// holds no process and owns no CPU, and the PID counter starts over —
+// the next AllocPID returns what a new backend's would. The caller
+// owns the backend alone meanwhile: no other call may run.
+func (r *MemBackend) Reset() {
+	segments := r.segments
+	if segments == nil {
+		segments = make(map[string]*MemSegment)
+	}
+	for _, s := range segments { //simvet:ordered each segment is reset alone; no order-dependent output
+		s.reset(s.name, s.nodeCPUs, s.maxProcs)
+	}
+	*r = MemBackend{segments: segments, nextPID: 1000}
 }
 
 // Kind identifies the backend in diagnostics and CLI surfaces.

@@ -125,9 +125,22 @@ type Engine struct {
 
 // NewEngine returns an engine at time 0.
 func NewEngine() *Engine {
-	e := &Engine{nextFront: frontBase}
-	e.ticks.Put(Periodic{}) // slot 0: the inert chain no owner gets
+	e := new(Engine)
+	e.Reset()
 	return e
+}
+
+// Reset returns the engine to what NewEngine made: time 0, no event,
+// handler, closure or chain, no jitter stream and no progress hook,
+// every count and ID allocator at its start — the next event ID, slot
+// and chain it hands out are a new engine's. Only the arrays of the
+// queue and of the two tables are kept, emptied. A replay driver
+// reuses one engine this way instead of building one per run.
+func (e *Engine) Reset() {
+	e.fns.Reset()
+	e.ticks.Reset()
+	*e = Engine{queue: e.queue[:0], nextFront: frontBase, fns: e.fns, ticks: e.ticks}
+	e.ticks.Put(Periodic{}) // slot 0: the inert chain no owner gets
 }
 
 // Now returns the current virtual time in seconds.

@@ -36,6 +36,13 @@ func (s *Slots[T]) Take(i int32) T {
 // Put.
 func (s *Slots[T]) At(i int32) *T { return &s.items[i] }
 
+// Reset vacates every slot and forgets them all, keeping the arrays:
+// the next Put returns 0, as on a zero table.
+func (s *Slots[T]) Reset() {
+	clear(s.items) // a vacated value pins nothing
+	*s = Slots[T]{items: s.items[:0], free: s.free[:0]}
+}
+
 // Clone returns a copy of the table that shares no array with it.
 func (s *Slots[T]) Clone() Slots[T] {
 	return Slots[T]{items: slices.Clone(s.items), free: slices.Clone(s.free)}

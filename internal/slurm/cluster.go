@@ -106,49 +106,95 @@ const DefaultPartition = "batch"
 // the cluster's segments visible to other OS processes — slurmsim's
 // agent mode and schedd's -shmem flag use this; the replay hot path
 // stays on the in-memory default.
+//
+//simvet:testonly replays reset the cluster of a kit (Reset); tests build one
 func NewClusterSpecReg(eng *sim.Engine, spec hwmodel.ClusterSpec, tracer *trace.Tracer, reg *shmem.Registry) (*Cluster, error) {
-	if err := spec.Validate(); err != nil {
+	c := new(Cluster)
+	if err := c.Reset(eng, spec, tracer, reg); err != nil {
 		return nil, err
+	}
+	return c, nil
+}
+
+// Reset makes c what NewClusterSpecReg(eng, spec, tracer, reg) would.
+// With a nil reg, a cluster of the same layout over its own in-memory
+// registry keeps its nodes: their names and ranks, their segments
+// (emptied: shmem.MemBackend.Reset), their DROM systems (reset) and
+// their demand ledgers (emptied). Anything else is built afresh, so
+// nothing a fork shares is ever rewritten. The caller owns c alone,
+// and no controller or instance may still act on it.
+func (c *Cluster) Reset(eng *sim.Engine, spec hwmodel.ClusterSpec, tracer *trace.Tracer, reg *shmem.Registry) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	var mem *shmem.MemBackend
+	if c.reg != nil {
+		mem, _ = c.reg.Backend().(*shmem.MemBackend)
+	}
+	machine := spec.Partitions[0].Machine
+	if reg == nil && mem != nil && slices.Equal(spec.Partitions, c.Spec.Partitions) {
+		mem.Reset()
+		for _, sys := range c.sysAt {
+			sys.Reset(sys.Segment())
+		}
+		c.Demand.Reset(machine)
+		*c = Cluster{
+			Machine: machine, Spec: spec, Nodes: c.Nodes,
+			Engine: eng, Demand: c.Demand, Tracer: tracer,
+			reg: c.reg, sys: c.sys, sysAt: c.sysAt,
+			machines: c.machines, partOf: c.partOf, nameRank: c.nameRank,
+		}
+		c.pinMachines()
+		return nil
 	}
 	if reg == nil {
 		reg = shmem.NewRegistry()
 	}
 	n := spec.TotalNodes()
-	c := &Cluster{
-		Machine:  spec.Partitions[0].Machine,
+	names := nodeNames(n)
+	*c = Cluster{
+		Machine:  machine,
 		Spec:     spec,
-		Nodes:    nodeNames(n),
+		Nodes:    names,
 		Engine:   eng,
-		Demand:   apps.NewDemandTable(spec.Partitions[0].Machine),
+		Demand:   apps.NewDemandTable(machine),
 		Tracer:   tracer,
 		reg:      reg,
 		sys:      make(map[string]*core.System, n),
 		sysAt:    make([]*core.System, 0, n),
 		machines: make([]hwmodel.Machine, 0, n),
 		partOf:   make([]int, 0, n),
+		nameRank: rankByName(names),
 	}
-	c.nameRank = rankByName(c.Nodes)
-	hetero := len(spec.Partitions) > 1
 	i := 0
 	for pi, p := range spec.Partitions {
 		for k := 0; k < p.Nodes; k++ {
 			name := c.Nodes[i]
 			seg, err := c.reg.Open(name, p.Machine.NodeMask(), 0)
 			if err != nil {
-				return nil, fmt.Errorf("slurm: open segment for %s: %w", name, err)
+				return fmt.Errorf("slurm: open segment for %s: %w", name, err)
 			}
 			c.machines = append(c.machines, p.Machine)
 			c.partOf = append(c.partOf, pi)
 			sys := core.NewSystem(seg)
 			c.sys[name] = sys
 			c.sysAt = append(c.sysAt, sys)
-			if hetero {
-				c.Demand.SetNodeMachine(name, p.Machine)
-			}
 			i++
 		}
 	}
-	return c, nil
+	c.pinMachines()
+	return nil
+}
+
+// pinMachines gives each node of a heterogeneous cluster its own
+// machine in the demand table.
+func (c *Cluster) pinMachines() {
+	if len(c.Spec.Partitions) == 1 {
+		return
+	}
+	for i, name := range c.Nodes {
+		c.Demand.SetNodeMachine(name, c.machines[i])
+	}
 }
 
 // nodeNames returns the names of n nodes, "node0" to "node<n-1>".

@@ -203,59 +203,12 @@ type Controller struct {
 	lastCycleAt  float64
 	rearmedAt    float64
 
-	// Free lists of job records (see newRunning/releaseRunning and
-	// newQueued/releaseQueued): a record whose job ended, or left the
-	// queue for a launch, is scrubbed and kept for the next one. They
-	// hold at most the peak number of simultaneously live records, and
-	// nothing on them is reachable from anywhere else — a Fork child
-	// starts with both empty and allocates its clones fresh.
-	//
-	//simvet:freelist
-	freeRunning []*runningJob
-	//simvet:freelist
-	freeQueued []*queuedJob
-	// neverRecycle, set by tests only, keeps both lists empty: the
+	// The memory recycled across jobs and kept across a Reset: the
+	// free lists of job records and the scratch buffers.
+	reusable
+	// neverRecycle, set by tests only, keeps both free lists empty: the
 	// allocate-every-record reference the recycling is compared against.
 	neverRecycle bool
-
-	// Reusable scratch for the sched-driven launch path (single
-	// goroutine; each buffer is fully rewritten before use), with the
-	// marks that find a node pinned twice: pinSeen[ni] == pinGen while
-	// startQueued checks a pin list.
-	startCands []startCand
-	pinSeen    []uint32
-	pinGen     uint32
-	splitBuf   []int
-	maskBuf    []cpuset.CPUSet
-	refsBuf    []taskRef
-	planBuf    []LaunchPlan
-	launchAt   []int
-	placeBuf   []apps.Placement
-	// placeName is where emitJobStart joins a multi-node placement.
-	placeName []byte
-
-	// Reusable scratch for the builtin planner (planBuiltin and
-	// releaseResources): the task/affinity plugin's buffers, each
-	// node's occupants as slurmd input, the placement candidates with
-	// their plans (a slot's mask slice and shrink map are rewritten in
-	// place), the chosen plans in name order, and release_resources'
-	// grown masks with their PIDs in order.
-	plan        planner
-	occ         []JobOnNode
-	cands       []builtinCand
-	chosenPlans []LaunchPlan
-	grown       map[shmem.PID]cpuset.CPUSet
-	grownPIDs   []int
-
-	// Spillover-pass scratch (spillPass): merge cursors, the chosen
-	// host nodes, and per partition the ascending free-count vector,
-	// the head reservation and the projection buffers behind it.
-	spillCur   []int
-	spillNodes []int
-	spill      []spillPart
-	resvFreeAt []float64
-	resvOrder  []resvNode
-	resvSorter resvNodeSorter
 
 	// Node fault-injection state (nodefault.go). nfState == nil — the
 	// default — means no fault plan is installed: every check in the
@@ -314,38 +267,141 @@ type Controller struct {
 	ShmemFaults int
 }
 
+// reusable is what a controller recycles across jobs and keeps across
+// a Reset. None of it is a decision input: a record on a free list is
+// scrubbed, and every scratch buffer is fully rewritten before use
+// (the pin marks are generation-stamped).
+type reusable struct {
+	// Free lists of job records (see newRunning/releaseRunning and
+	// newQueued/releaseQueued): a record whose job ended, or left the
+	// queue for a launch, is scrubbed and kept for the next one. They
+	// hold at most the peak number of simultaneously live records, and
+	// nothing on them is reachable from anywhere else — a Fork child
+	// starts with both empty and allocates its clones fresh.
+	//
+	//simvet:freelist
+	freeRunning []*runningJob
+	//simvet:freelist
+	freeQueued []*queuedJob
+
+	// Reusable scratch for the sched-driven launch path (single
+	// goroutine; each buffer is fully rewritten before use), with the
+	// marks that find a node pinned twice: pinSeen[ni] == pinGen while
+	// startQueued checks a pin list.
+	startCands []startCand
+	pinSeen    []uint32
+	pinGen     uint32
+	splitBuf   []int
+	maskBuf    []cpuset.CPUSet
+	refsBuf    []taskRef
+	planBuf    []LaunchPlan
+	launchAt   []int
+	placeBuf   []apps.Placement
+	// placeName is where emitJobStart joins a multi-node placement.
+	placeName []byte
+
+	// Reusable scratch for the builtin planner (planBuiltin and
+	// releaseResources): the task/affinity plugin's buffers, each
+	// node's occupants as slurmd input, the placement candidates with
+	// their plans (a slot's mask slice and shrink map are rewritten in
+	// place), the chosen plans in name order, and release_resources'
+	// grown masks with their PIDs in order.
+	plan        planner
+	occ         []JobOnNode
+	cands       []builtinCand
+	chosenPlans []LaunchPlan
+	grown       map[shmem.PID]cpuset.CPUSet
+	grownPIDs   []int
+
+	// Spillover-pass scratch (spillPass): merge cursors, the chosen
+	// host nodes, and per partition the ascending free-count vector,
+	// the head reservation and the projection buffers behind it.
+	spillCur   []int
+	spillNodes []int
+	spill      []spillPart
+	resvFreeAt []float64
+	resvOrder  []resvNode
+	resvSorter resvNodeSorter
+}
+
 // NewController creates a controller with the given policy. One slurmd
 // administrator attaches per node.
+//
+//simvet:testonly replays reset the controller of a kit (Reset); tests build one
 func NewController(c *Cluster, policy Policy) *Controller {
-	ctl := &Controller{
+	ctl := new(Controller)
+	ctl.Reset(c, policy)
+	return ctl
+}
+
+// Reset makes ctl what NewController(c, policy) would: no job, record,
+// pending event, installed policy, fault plan, probe or error, every
+// knob and count at its default. What it keeps is emptied capacity —
+// its reusable memory, the seq indexes, the views, the pending-event
+// table and the per-node caches — and its administrators, as long as
+// c is its cluster, reset on the same layout (the administrators are
+// still attached to c's nodes); a controller over another cluster or
+// layout starts from nothing. Records is dropped, never truncated: a result
+// handed out earlier may still hold its records. c must have been
+// reset or built first, with no instance of ctl's still acting on it.
+func (ctl *Controller) Reset(c *Cluster, policy Policy) {
+	n := len(c.Nodes)
+	same := ctl.cluster == c && len(ctl.admins) == n
+	for i := 0; same && i < n; i++ {
+		same = ctl.admins[i].System() == c.SystemAt(i)
+	}
+	if !same {
+		*ctl = Controller{
+			admins:  make([]*core.Admin, n),
+			nodeIdx: make(map[string]int, n),
+			qBySeq:  make(map[int]*queuedJob),
+			rBySeq:  make(map[int]*runningJob),
+			views:   newViews(c),
+		}
+		for i, name := range c.Nodes {
+			admin, code := c.SystemAt(i).Attach()
+			if code.IsError() {
+				panic(code)
+			}
+			ctl.admins[i] = admin
+			ctl.nodeIdx[name] = i
+		}
+	}
+	clear(ctl.qBySeq)
+	clear(ctl.rBySeq)
+	ctl.pend.Reset()
+	*ctl = Controller{
 		cluster:        c,
 		policy:         policy,
 		LaunchLatency:  DefaultLaunchLatency,
 		CheckpointCost: 120,
 		RestartCost:    120,
-		admins:         make([]*core.Admin, len(c.Nodes)),
-		nodeMasks:      make([]cpuset.CPUSet, len(c.Nodes)),
-		nodeIdx:        make(map[string]int, len(c.Nodes)),
-		nodeFree:       make([]cpuset.CPUSet, len(c.Nodes)),
-		nodeFreeN:      make([]int, len(c.Nodes)),
-		nodeFreeOK:     make([]bool, len(c.Nodes)),
-		qBySeq:         make(map[int]*queuedJob),
-		rBySeq:         make(map[int]*runningJob),
-		views:          newViews(c),
+		admins:         ctl.admins,
+		nodeIdx:        ctl.nodeIdx,
+		nodeMasks:      emptied(ctl.nodeMasks, n),
+		nodeFree:       emptied(ctl.nodeFree, n),
+		nodeFreeN:      emptied(ctl.nodeFreeN, n),
+		nodeFreeOK:     emptied(ctl.nodeFreeOK, n),
+		qBySeq:         ctl.qBySeq,
+		rBySeq:         ctl.rBySeq,
+		views:          emptyViews(ctl.views),
 		lastCycleAt:    -1,
 		rearmedAt:      -1,
+		reusable:       ctl.reusable,
+		pend:           ctl.pend,
 	}
-	for i, n := range c.Nodes {
-		admin, code := c.SystemAt(i).Attach()
-		if code.IsError() {
-			panic(code)
-		}
-		ctl.admins[i] = admin
-		ctl.nodeIdx[n] = i
+	for i := range n {
 		ctl.nodeMasks[i] = c.MachineOfNode(i).NodeMask()
 	}
 	ctl.handle()
-	return ctl
+}
+
+// emptied returns s resized to n zero elements, in its own array when
+// that is large enough.
+func emptied[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // Policy returns the controller's scheduling policy.

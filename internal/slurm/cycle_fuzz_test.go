@@ -46,6 +46,12 @@ import (
 // parent. The two planners decide differently by design; nothing
 // compares them.
 //
+// Then the trace replays once more on the engine, cluster and
+// controller the builtin twin leaves behind, each reset in place
+// (sim.Engine.Reset, Cluster.Reset, Controller.Reset — the path every
+// one-shot replay of package workload takes): a reset system is a new
+// one, so the outcome must be the first replay's.
+//
 // Plain `go test` replays the seeds below and the committed corpus
 // under testdata/fuzz/FuzzIncrementalCycle.
 func FuzzIncrementalCycle(f *testing.F) {
@@ -59,8 +65,18 @@ func FuzzIncrementalCycle(f *testing.F) {
 			t.Errorf("skipped steps: recycling %d, never-recycling twin %d", out.skipped, ref.skipped)
 		}
 		out.mustEqual(t, "recycling", ref, "never-recycling")
-		replayFuzzTrace(t, data, fuzzTwin{builtin: true})
+		reused := new(fuzzKit)
+		replayFuzzTrace(t, data, fuzzTwin{builtin: true, kit: reused})
+		replayFuzzTrace(t, data, fuzzTwin{kit: reused}).mustEqual(t, "reset", out, "recycling")
 	})
+}
+
+// fuzzKit holds the engine, cluster and controller of a replay, for
+// the next replay on it to reset (fuzzTwin.kit).
+type fuzzKit struct {
+	eng *sim.Engine
+	c   *Cluster
+	ctl *Controller
 }
 
 // fuzzOutcome is what the parent lineage of a fuzz trace produced: its
@@ -169,13 +185,17 @@ var fuzzOpClass = sim.NewClass("slurm.fuzzop")
 // on: with a tracer attached, on the never-recycling twin of the
 // controller, with instances that never arm, on a cluster jittered by
 // this fraction (seed 1), on the builtin planner instead of the
-// trace's policies. The zero value is the system as it ships.
+// trace's policies, on the system a kit holds. The zero value is the
+// system as it ships, built afresh.
 type fuzzTwin struct {
 	tracer       *trace.Tracer
 	neverRecycle bool
 	neverArm     bool
 	jitter       float64
 	builtin      bool
+	// kit, when set, has the replay reset the system it holds, or build
+	// one, and leaves the replay's system in it.
+	kit *fuzzKit
 }
 
 // replayFuzzTrace decodes data into a trace and replays it (see
@@ -197,9 +217,13 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 			Name: fmt.Sprintf("p%d", pi), Nodes: 1 + next()%3, Machine: machines[next()%2],
 		})
 	}
-	eng := sim.NewEngine()
-	c, err := NewClusterSpecReg(eng, spec, twin.tracer, nil)
-	if err != nil {
+	k := twin.kit
+	if k == nil || k.eng == nil {
+		k = &fuzzKit{eng: new(sim.Engine), c: new(Cluster), ctl: new(Controller)}
+	}
+	eng, c, ctl := k.eng, k.c, k.ctl
+	eng.Reset()
+	if err := c.Reset(eng, spec, twin.tracer, nil); err != nil {
 		t.Fatal(err)
 	}
 	if twin.neverArm {
@@ -208,7 +232,10 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 	if twin.jitter > 0 {
 		eng.SetJitter(sim.NewRand(1), twin.jitter)
 	}
-	ctl := NewController(c, PolicyDROM)
+	ctl.Reset(c, PolicyDROM)
+	if twin.kit != nil {
+		*twin.kit = *k
+	}
 	ctl.neverRecycle = twin.neverRecycle
 	var out fuzzOutcome
 	ctl.Probe = obs.Func(func(ev obs.Event) {

@@ -80,6 +80,31 @@ func newViews(c *Cluster) []partView {
 	return views
 }
 
+// emptyViews empties each view for another run on the same layout,
+// keeping its arrays.
+func emptyViews(views []partView) []partView {
+	for pi := range views {
+		v := &views[pi]
+		clear(v.st.Free)
+		clear(v.st.Queue) // the entries name jobs and hold node arrays
+		clear(v.st.Running)
+		clear(v.qjobs)
+		clear(v.rjobs)
+		*v = partView{
+			st: sched.State{
+				Partition:    v.st.Partition,
+				CoresPerNode: v.st.CoresPerNode,
+				Free:         v.st.Free,
+				Queue:        v.st.Queue[:0],
+				Running:      v.st.Running[:0],
+			},
+			qjobs: v.qjobs[:0],
+			rjobs: v.rjobs[:0],
+		}
+	}
+	return views
+}
+
 // schedJob is the policy's view of a waiting job.
 func schedJob(q *queuedJob) sched.Job {
 	return sched.Job{

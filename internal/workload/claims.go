@@ -75,29 +75,49 @@ var claims = []Claim{
 		Unit: "% CV", Runs: []string{"jitter/0", "jitter/1", "jitter/2"}, Bands: []Band{{Min: -inf, Max: 3.4, MaxIn: true}}, read: total, combine: cv},
 }
 
-// RunClaims executes each run the claims read once and returns them by
-// key: three UC1 pairs, the UC2 pair, the two baselines, the traced
-// Figure 5 run and three runs jittered by 2% at seeds 1..3.
+// RunClaims executes each run the claims read once (claimRuns) and
+// returns them by key.
 func RunClaims() map[string]Result {
 	rs := make(map[string]Result)
+	for _, r := range claimRuns() {
+		rs[r.key] = Run(r.sc, r.policy)
+	}
+	return rs
+}
+
+// claimRun is one run the claims read, under its key.
+type claimRun struct {
+	key    string
+	sc     Scenario
+	policy slurm.Policy
+}
+
+// claimRuns lists the runs the claims read: three UC1 pairs, the UC2
+// pair, the two baselines, the traced Figure 5 run and three runs
+// jittered by 2% at seeds 1..3.
+func claimRuns() []claimRun {
+	var runs []claimRun
+	pair := func(key string, sc Scenario) {
+		runs = append(runs, claimRun{key + "/serial", sc, slurm.PolicySerial}, claimRun{key + "/drom", sc, slurm.PolicyDROM})
+	}
 	uc1 := func(sim string, si int, ana string, ai int) (string, Scenario) {
 		return fmt.Sprintf("uc1/%s%d+%s%d", sim, si+1, ana, ai+1),
 			UC1(sim, apps.Table1(sim)[si], ana, apps.Table1(ana)[ai], false)
 	}
-	compare := func(key string, sc Scenario) { rs[key+"/serial"], rs[key+"/drom"] = Compare(sc) }
-	compare(uc1("nest", 0, "pils", 1))
-	compare(uc1("nest", 0, "stream", 0))
-	compare(uc1("coreneuron", 0, "stream", 0))
-	compare("uc2", UC2(false))
-	rs["uc2/oversubscribe"] = Run(UC2(false), slurm.PolicyOversubscribe)
-	rs["uc2/preempt"] = Run(UC2(false), slurm.PolicyPreempt)
-	rs["fig5/drom"], _, _ = Figure5() // its error is the result's Err
+	pair(uc1("nest", 0, "pils", 1))
+	pair(uc1("nest", 0, "stream", 0))
+	pair(uc1("coreneuron", 0, "stream", 0))
+	pair("uc2", UC2(false))
+	runs = append(runs,
+		claimRun{"uc2/oversubscribe", UC2(false), slurm.PolicyOversubscribe},
+		claimRun{"uc2/preempt", UC2(false), slurm.PolicyPreempt},
+		claimRun{"fig5/drom", figure5Scenario(), slurm.PolicyDROM})
 	for i := range 3 {
 		_, sc := uc1("nest", 0, "pils", 1)
 		sc.JitterFrac, sc.Seed = 0.02, int64(i+1)
-		rs[fmt.Sprintf("jitter/%d", i)] = Run(sc, slurm.PolicyDROM)
+		runs = append(runs, claimRun{fmt.Sprintf("jitter/%d", i), sc, slurm.PolicyDROM})
 	}
-	return rs
+	return runs
 }
 
 // Verdict is one claim measured.

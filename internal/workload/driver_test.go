@@ -152,7 +152,7 @@ func TestSliceAndLazySourcesReplayIdentically(t *testing.T) {
 					t.Errorf("fork stats diverge:\n  got  %+v\n  want %+v", got, want)
 				}
 
-				sess, err := open(lazy, c.gen.Source(), slurm.PolicyDROM, useSchedSet(ps))
+				sess, err := open(new(kit), lazy, c.gen.Source(), slurm.PolicyDROM, useSchedSet(ps))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -263,7 +263,7 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 	// ServeEvolving has no observable in a replay — no replayable app
 	// model posts resize requests — so it is asserted at the wiring.
 	for _, src := range []SubmissionSource{newSliceSource(nil), gen.Source()} {
-		sess, err := open(Scenario{Cluster: gen.Cluster, ServeEvolving: true}, src, slurm.PolicyDROM, nil)
+		sess, err := open(new(kit), Scenario{Cluster: gen.Cluster, ServeEvolving: true}, src, slurm.PolicyDROM, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

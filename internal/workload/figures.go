@@ -234,7 +234,7 @@ func Figure15() (FigureData, error) {
 // returns the mid-overlap per-thread utilization of the simulator
 // (the imbalance view of Figure 5), plus the result for rendering.
 func Figure5() (Result, FigureData, error) {
-	drom := Run(UC1("nest", apps.Config{Ranks: 2, Threads: 16}, "pils", apps.Config{Ranks: 2, Threads: 1}, true), slurm.PolicyDROM)
+	drom := Run(figure5Scenario(), slurm.PolicyDROM)
 	if drom.Err != nil {
 		return drom, FigureData{}, drom.Err
 	}
@@ -247,6 +247,12 @@ func Figure5() (Result, FigureData, error) {
 		},
 	}
 	return drom, fig, nil
+}
+
+// figure5Scenario is Figure 5's run: NEST Conf. 1 shrunk by Pils
+// Conf. 2 (one thread per rank), traced.
+func figure5Scenario() Scenario {
+	return UC1("nest", apps.Config{Ranks: 2, Threads: 16}, "pils", apps.Config{Ranks: 2, Threads: 1}, true)
 }
 
 // figure5Series is the utilization of each NEST rank-0 thread in a

@@ -135,17 +135,18 @@ func (s Scenario) check() error {
 
 // open wires a scenario once — engine, cluster (file-backed when
 // ShmemDir is set), controller, scheduling installer, faults, probe —
-// and starts feeding it from src: records due at t=0 are submitted
-// before it returns. A source that knows the cluster it mapped its
-// submissions onto (Cluster()) supplies the layout unless s.Cluster
-// overrides it. Any source but a []Submission puts the records in
-// aggregate mode, so memory is bounded by the scheduler backlog rather
-// than the stream length.
+// on kit k, resetting each of its parts, and starts feeding it
+// from src: records due at t=0 are submitted before it returns. A
+// source that knows the cluster it mapped its submissions onto
+// (Cluster()) supplies the layout unless s.Cluster overrides it. Any
+// source but a []Submission puts the records in aggregate mode, so
+// memory is bounded by the scheduler backlog rather than the stream
+// length.
 //
 // A source that is an io.Closer is closed when open fails, and by Run
 // once the replay is drained: an abandoned SWFReaderSource would
 // otherwise keep its trace file open.
-func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) (_ *Session, err error) {
+func open(k *kit, s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) (_ *Session, err error) {
 	defer func() {
 		if err != nil {
 			closeSource(src)
@@ -159,7 +160,8 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 			s.Cluster = cs.Cluster()
 		}
 	}
-	eng := sim.NewEngine()
+	eng := &k.eng
+	eng.Reset()
 	var tr *trace.Tracer
 	if s.Trace {
 		tr = trace.New()
@@ -172,8 +174,7 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 		}
 		reg = shmem.NewRegistryWith(fb)
 	}
-	cluster, err := slurm.NewClusterSpecReg(eng, s.clusterSpec(), tr, reg)
-	if err != nil {
+	if err := k.cluster.Reset(eng, s.clusterSpec(), tr, reg); err != nil {
 		return nil, err
 	}
 	if s.JitterFrac > 0 {
@@ -181,7 +182,8 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 		// (reported CV up to 3.4%), continued by every fork.
 		eng.SetJitter(sim.NewRand(s.Seed), s.JitterFrac)
 	}
-	ctl := slurm.NewController(cluster, policy)
+	ctl := &k.ctl
+	ctl.Reset(&k.cluster, policy)
 	if err := installSched(ctl, s, install); err != nil {
 		return nil, err
 	}
@@ -192,7 +194,8 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 	if _, ok := src.(*sliceSource); !ok {
 		ctl.Records.SetAggregate()
 	}
-	sess := &Session{scn: s, eng: eng, ctl: ctl, src: src}
+	sess := &k.sess
+	sess.reset(s, eng, ctl, src)
 	sess.handle()
 	sess.pump()
 	if sess.err != nil {
@@ -201,14 +204,12 @@ func open(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*s
 	return sess, nil
 }
 
-// replay is the one-shot form behind every Run* entry point: open and
-// drain. Both release the source (see open).
-func replay(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) Result {
-	sess, err := open(s, src, policy, install)
-	if err != nil {
-		return Result{Scenario: s.Name, Policy: policy, Err: err}
-	}
-	return sess.Run()
+// reset makes s a session of scenario scn over eng, ctl and src, with
+// no pending submission, scancel timer or error; the timer table keeps
+// its arrays.
+func (s *Session) reset(scn Scenario, eng *sim.Engine, ctl *slurm.Controller, src SubmissionSource) {
+	s.cancels.Reset()
+	*s = Session{scn: scn, eng: eng, ctl: ctl, src: src, cancels: s.cancels}
 }
 
 // useSched / useSchedSet are the scheduling installers of the sched
@@ -229,7 +230,7 @@ func useSchedSet(ps sched.PolicySet) func(*slurm.Controller) error {
 // NewSchedSession for the common case). At==0 submissions are
 // delivered synchronously before this returns.
 func NewSession(s Scenario, policy slurm.Policy, install func(*slurm.Controller) error) (*Session, error) {
-	return open(s, newSliceSource(s.Subs), policy, install)
+	return open(new(kit), s, newSliceSource(s.Subs), policy, install)
 }
 
 // NewSchedSession opens a scenario under an internal/sched policy
@@ -325,15 +326,20 @@ func (s *Session) Err() error {
 }
 
 // Result assembles the scenario result from the state so far (valid
-// at any point; final once Run returned). Records.Jobs holds every
-// record: on a forked session the history shared with the parent is
-// copied in front of the fork's own records, on any other it is the
-// controller's slice itself. The drop counts are the source's when it
-// classifies them as it maps, the scenario's otherwise.
-func (s *Session) Result() Result {
+// at any point; final once Run returned). Its Records is a snapshot
+// (metrics.Workload.Snapshot) that the session running on never
+// changes: Jobs holds every record, the history a forked session
+// shares with its parent copied in front of the fork's own. The drop
+// counts are the source's when it classifies them as it maps, the
+// scenario's otherwise.
+func (s *Session) Result() Result { return s.result(s.ctl.Records.Snapshot()) }
+
+// result assembles the scenario result around recs: a snapshot of the
+// session's records, or the records themselves once nothing appends
+// to them again (a drained one-shot replay).
+func (s *Session) result(recs metrics.Workload) Result {
 	res := Result{Scenario: s.scn.Name, Policy: s.ctl.Policy(), Tracer: s.ctl.Cluster().Tracer, Err: s.Err()}
-	res.Records = s.ctl.Records
-	res.Records.Flatten()
+	res.Records = recs
 	res.Records.Dropped = s.scn.Dropped
 	if dc, ok := s.src.(interface{ Dropped() metrics.DropStats }); ok {
 		res.Records.Dropped = dc.Dropped()

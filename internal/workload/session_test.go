@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/hwmodel"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -77,6 +80,51 @@ func TestSessionSnapshotRestoreFixedPoint(t *testing.T) {
 				t.Errorf("seed %d %s: forked parent stats diverge:\n  got  %+v\n  want %+v",
 					seed, name, got, want)
 			}
+		}
+	}
+}
+
+// TestResultIsASnapshot: a Result taken mid-run is frozen. The session
+// running on to the end changes neither its count nor its
+// per-partition tallies, and its Jobs shares no free capacity with the
+// session's records: neither side's append lands in the other.
+func TestResultIsASnapshot(t *testing.T) {
+	sc, err := SyntheticSWFScenario(SyntheticSWF{Seed: 1, Jobs: 300, Cluster: hwmodel.HeteroMN3()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSchedSession(sc, &sched.EASY{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.RunUntil(3000)
+	mid := sess.Result()
+	stats := mid.Records.PartitionStats()
+	n, sum := mid.Records.Count(), 0
+	for _, p := range stats {
+		sum += p.Jobs
+	}
+	if n == 0 || n == len(sc.Subs) || len(stats) != 2 || sum != n {
+		t.Fatalf("vacuous mid-run result: %d of %d records, partitions %+v", n, len(sc.Subs), stats)
+	}
+	ext := append(mid.Records.Jobs, metrics.JobRecord{Name: "appended"})
+	sess.RunUntil(1e9)
+	if ext[n].Name != "appended" {
+		t.Errorf("the session recorded %s over an append to the snapshot", ext[n].Name)
+	}
+	if got := mid.Records.PartitionStats(); !slices.Equal(got, stats) {
+		t.Errorf("partition tallies moved with the session:\n  got  %+v\n  want %+v", got, stats)
+	}
+	if got := mid.Records.Count(); got != n {
+		t.Errorf("Count moved from %d to %d", n, got)
+	}
+	end := sess.Result()
+	if end.Records.Count() != len(sc.Subs) {
+		t.Fatalf("the session recorded %d of %d jobs", end.Records.Count(), len(sc.Subs))
+	}
+	for _, j := range end.Records.Jobs {
+		if j.Name == "appended" {
+			t.Fatal("an append to a snapshot's Jobs landed in the session's records")
 		}
 	}
 }

@@ -496,7 +496,7 @@ func (s Spec) Open(sc Scenario, probe obs.Probe) (*Session, error) {
 		sc.Cluster = s.swfOptions().clusterSpec()
 	}
 	s.knobsOnto(&sc, probe, seed)
-	return open(sc, src, slurm.PolicyDROM, useSchedSet(ps))
+	return open(new(kit), sc, src, slurm.PolicyDROM, useSchedSet(ps))
 }
 
 // flagText is a spec flag's value: the text the command line gave it,
