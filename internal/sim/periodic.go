@@ -51,6 +51,18 @@ package sim
 //     tie that rounding creates resolves by ID in that same cyclic
 //     order. So the q-th occurrence (q = r·k + j) is member j's after r
 //     adds of its own, and the move takes them without comparing times.
+//   - A plain run is arithmetic, bit for bit. Every float of a binade
+//     [2^52·u, 2^53·u) is a multiple of its ulp u, so while the exact
+//     sum stays in the binade, fl(t + P) = t + Q·u with Q = P/u rounded
+//     to nearest, unless P/u ends in exactly one half (a tie, which
+//     rounds by the parity of t/u); k adds are then the one integer add
+//     t/u + k·Q. Past a run's first strideAfter occurrences — whole
+//     rounds, for a uniform group — the move takes the rest that way
+//     (stride), with one real add across each binade edge and for a tie.
+//     A uniform group's times never decrease in pop order, so the
+//     occurrences strictly earlier than cut are a prefix of the rest,
+//     and each member's own count of them is its share. Times, IDs and
+//     credits come out as the adds would leave them.
 //   - A solo chain (ArmSolo) is for an owner that must be able to say
 //     afterwards, from times alone, where each occurrence the engine
 //     took fell among the events that were executed — a traced
@@ -322,6 +334,7 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 			e.siftDown(i)
 		}
 	}
+	e.moves++
 	e.skipped += taken
 	e.nextID += taken
 	if e.probeFn != nil {
@@ -333,7 +346,8 @@ func (e *Engine) skip(p *Periodic, bound float64) bool {
 // roundRobin takes the occurrences of a uniform group of k members,
 // ordered by (t, id), strictly round-robin, and leaves each member's
 // key and credit in e.group and e.now at the last one's time; it
-// returns how many it took, at most limit.
+// returns how many it took, at most limit. The first strideAfter
+// rounds go one add at a time, the rest in closed form (strideRounds).
 func (e *Engine) roundRobin(k int, period, cut float64, limit int64) int64 {
 	kk := int64(k)
 	for j := range kk {
@@ -347,6 +361,7 @@ func (e *Engine) roundRobin(k int, period, cut float64, limit int64) int64 {
 	// end, members before next took rounds+1 of them, the others rounds.
 	var n, rounds int64
 	next, t, now := 0, e.group[0].t, e.now
+	end := min(limit, strideAfter*kk)
 	for {
 		now, t = t, t+period
 		e.group[next].t = t
@@ -357,9 +372,15 @@ func (e *Engine) roundRobin(k int, period, cut float64, limit int64) int64 {
 		if k > 1 {
 			t = e.group[next].t // else the time just stored, kept in a register
 		}
-		if n == limit || !(t < cut) {
+		if n == end || !(t < cut) {
 			break
 		}
+	}
+	if n < limit && n == end && t < cut { // strideAfter whole rounds taken
+		var taken int64
+		now, taken = e.strideRounds(k, period, cut, limit-n)
+		n += taken
+		next, rounds = int(taken%kk), rounds+taken/kk
 	}
 	e.now = now
 	for j := range kk {
@@ -373,6 +394,34 @@ func (e *Engine) roundRobin(k int, period, cut float64, limit int64) int64 {
 		}
 	}
 	return n
+}
+
+// strideRounds takes the rest of a round-robin move in closed form, at
+// a round boundary with member 0's next occurrence strictly earlier
+// than cut: up to limit more occurrences, as roundRobin's loop would.
+// It leaves each member's time in e.group and returns the last taken
+// occurrence's time and how many it took. The loop's times never
+// decrease from one occurrence to the next (see the contract), so the
+// occurrences strictly earlier than cut are the first X of the rest,
+// and of the first limit, member j holds those at j, j+k, j+2k, …: it
+// takes what stride counts of its own occurrences before cut, capped at
+// its share of the first limit. That count is then exactly its share of
+// the first min(X, limit), so each member needs one stride.
+func (e *Engine) strideRounds(k int, period, cut float64, limit int64) (now float64, n int64) {
+	kk := int64(k)
+	var at [groupCap]float64 // each member's last taken occurrence
+	for j := range kk {
+		m := &e.group[j]
+		share := (limit - j + kk - 1) / kk
+		if share == 0 || !(m.t < cut) {
+			break // and so for every later member
+		}
+		var c int64
+		at[j], m.t, c = stride(m.t, period, cut, share)
+		n += c
+	}
+	e.strided += n
+	return at[(n-1)%kk], n
 }
 
 // merge takes the occurrences of k members, ordered by (t, id), in pop
@@ -390,7 +439,7 @@ func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 	for j := range k {
 		e.ring[j] = uint8(j)
 	}
-	var n int64
+	var n, strided int64
 	now := e.now
 	for h := 0; ; {
 		r := e.ring[h&mask]
@@ -402,9 +451,15 @@ func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 			}
 		}
 		// The chain's period and jitter, read once per run: the heap does
-		// not move during a merge, so m.i still names its entry.
+		// not move during a merge, so m.i still names its entry. A plain
+		// run takes its first strideAfter occurrences one add at a time,
+		// the rest in closed form.
 		q := e.ticks.At(e.queue[m.i].slot)
 		t, left, period, jitter := m.t, m.left, q.period, q.jitter
+		end := limit
+		if !jitter {
+			end = min(limit, n+strideAfter)
+		}
 		for {
 			d := period
 			if jitter {
@@ -413,9 +468,14 @@ func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 			now, t = t, t+d
 			n++
 			left--
-			if left == 0 || n == limit || !(t < stop) {
+			if left == 0 || n == end || !(t < stop) {
 				break
 			}
+		}
+		if n < limit && n == end && left > 0 && t < stop { // the rest of a plain run
+			var c int64
+			now, t, c = stride(t, period, stop, min(left, limit-n))
+			n, left, strided = n+c, left-c, strided+c
 		}
 		m.t, m.id, m.left = t, e.nextID+n, left
 		// Back into the ring, from the back: its ID being above every
@@ -430,6 +490,7 @@ func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 		}
 	}
 	e.now = now
+	e.strided += strided
 	return n
 }
 

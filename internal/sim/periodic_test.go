@@ -133,6 +133,22 @@ func TestCancelPeriodic(t *testing.T) {
 // irrational ones that never tie.
 var skipPeriods = []float64{1, 1, 1.25, 1.5, 2, 0.25, math.Sqrt2, math.Pi / 3}
 
+// A script whose first byte has a non-zero high nibble h builds a late
+// world (h = 0, as in every committed script but the stride-* seeds,
+// builds none of this): it starts its clock at skipOrigins[(h-1) % len],
+// takes its heartbeat 16 times less often, so that a move can run past
+// strideAfter occurrences and take the rest in closed form, and picks
+// periods from skipLatePeriods, which trades skipPeriods' second 1 for
+// a long period beside which a short one takes runs of twenty and more.
+// The origins are 0, about 10^6 (where √2 and π/3 round), and just
+// below powers of two, so that a move crosses a binade edge: past 2^51
+// the periods 0.25 and 1.25 make half-ulp ties, past 2^52 1.5 and 6.5
+// do, past 2^53 1 does.
+var (
+	skipOrigins     = []float64{0, 1e6, 1<<20 - 24, 1<<51 - 24, 1<<51 - 6, 1<<52 - 24, 1<<53 - 24}
+	skipLatePeriods = []float64{1, 6.5, 1.25, 1.5, 2, 0.25, math.Sqrt2, math.Pi / 3}
+)
+
 // skipLockstepSeed decodes to three unit-period chains of 42
 // occurrences each, started together, with no interference: they tie at
 // every instant.
@@ -232,6 +248,32 @@ var skipJitterSeeds = []struct {
 	// A lone jittered chain with a heartbeat every 3 steps: every move
 	// stops on the heartbeat's step.
 	{"heartbeat-in-move", []byte{2, 0, 0, 57, 63, 12, 0, 0, 0, 0, 40, 0, 0}},
+}
+
+// Four seeds for the closed form (stride), committed under testdata/fuzz
+// as stride-*: late worlds whose moves run past strideAfter occurrences,
+// each built around one thing the closed form must get right. Each
+// chain runs 61 occurrences, with one RunUntil at the origin and a fork
+// there.
+var skipStrideSeeds = []struct {
+	name string
+	seed []byte
+}{
+	// A lone π/3 chain from 2^20 − 24: its one move of 59 occurrences
+	// crosses 2^20 in closed form, past the first 16.
+	{"binade-crossing", []byte{0x3f, 0, 7, 59, 63, 0, 0, 0, 0, 0, 0, 0, 0}},
+	// A lone 1.25 chain from 2^51 − 24: past 2^51 the ulp is 0.5, so
+	// every add is a half-ulp tie that rounds to even.
+	{"half-ulp-tie", []byte{0x4f, 0, 2, 59, 63, 0, 0, 0, 0, 0, 0, 0, 0}},
+	// Three π/3 chains a quarter apart from 2^20 − 24, the middle one
+	// granted 41 at a time, a heartbeat every 64 steps: 16 rounds one add
+	// at a time, then the rest in closed form, across 2^20, cut short by
+	// the middle chain's credit and by the heartbeat inside a round.
+	{"long-group", []byte{0x33, 2, 7, 59, 63, 0, 0, 7, 59, 40, 0, 1, 7, 59, 63, 0, 2, 0, 0, 0, 0, 0, 0}},
+	// A 0.25 chain beside a 6.5 one from 2^20 − 24, a heartbeat every 48
+	// steps: they merge, the short chain's runs of 26 go past 16 in
+	// closed form, and the first heartbeat falls inside one.
+	{"merge-run", []byte{0x32, 1, 5, 59, 63, 0, 0, 1, 59, 63, 0, 1, 0, 0, 0, 0, 0, 0}},
 }
 
 // skipJitterFrac is the jittered chains' fraction, and skipJitterSeed the
@@ -546,12 +588,20 @@ func skipBuild(data []byte, armed bool) (w *skipWorld, next func() int, every in
 	w = &skipWorld{eng: NewEngine(), armed: armed, bound: math.Inf(1)}
 	w.eng.SetJitter(NewRand(skipJitterSeed), skipJitterFrac)
 	w.eng.Handle(shotClass, w.fireShot)
-	every = int64(1 + next()%16)
+	b := next()
+	every = int64(1 + b%16)
+	periods := skipPeriods
+	if h := b >> 4; h != 0 { // a late world
+		every *= 16
+		periods = skipLatePeriods
+		w.eng.RunUntil(skipOrigins[(h-1)%len(skipOrigins)]) // nothing pending: sets the clock
+	}
+	origin := w.eng.Now()
 	w.heartbeat(every)
 	for i, n := 0, 1+next()%6; i < n; i++ {
 		c := &skipChain{
 			w: w, idx: i,
-			period: skipPeriods[next()%len(skipPeriods)],
+			period: periods[next()%len(periods)],
 			total:  int64(2 + next()%60),
 			grant:  int64(1 + next()%64),
 		}
@@ -562,7 +612,7 @@ func skipBuild(data []byte, armed bool) (w *skipWorld, next func() int, every in
 		w.eng.AfterTick(&c.slot, c, skipOffset(next()))
 	}
 	for i, n := 0, next()%24; i < n; i++ {
-		at, kind := float64(next())/4, next()
+		at, kind := origin+float64(next())/4, next()
 		w.shot(at, kind&8 != 0, skipShot{kind: kind % 5, target: next()})
 	}
 	return w, next, every
@@ -576,7 +626,7 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 	w, next, every := skipBuild(data, armed)
 	// A handful of RunUntil bounds on the same grid, an outside wake or
 	// cancel after some of them, one fork on the way.
-	bound := 0.0
+	bound := w.eng.Now() // the world's origin
 	var f *skipWorld
 	for i, n, forkAt := 0, 1+next()%6, next()%6; i < n; i++ {
 		bound += float64(next()%64) / 4
@@ -622,7 +672,9 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 // stream,
 // one-shot and front-band events, zero-delay pushes from callbacks,
 // wakes, cancels through the handle, RunUntil bounds with outside
-// interference and a fork mid-span — once with the chains arming their
+// interference and a fork mid-span, at times near 0 or, in a late world,
+// far from it, where long moves take occurrences in closed form across
+// binade edges and half-ulp ties — once with the chains arming their
 // handles and once with the same credit executed occurrence by
 // occurrence. Every callback that does anything must run at the same
 // time in the same order, the ID allocator must end where it would
@@ -723,6 +775,21 @@ type skipMoves struct {
 	jittered int // steps that advanced a jittered chain without a callback
 	joined   int // group moves a jittered chain took part in
 	mixed    int // group moves of chains of two periods, or with a jittered chain
+	strided  int // steps that took occurrences in closed form (Engine.Strided)
+	// Of the strided steps: those that moved a chain across a power of
+	// two, those that left a moved chain where its period is a half-ulp
+	// tie, group moves of k ≥ 2, and merges (see mixed).
+	crossed, tied, stridedGroups, stridedMerges int
+}
+
+// halfUlpTie reports whether t + p would be a tie in t's binade: p/u
+// ends in exactly one half, u being the ulp of t's binade.
+func halfUlpTie(t, p float64) bool {
+	if !(t >= math.SmallestNonzeroFloat64*(1<<53)) {
+		return false
+	}
+	q := p / ulpOf(t)
+	return q-math.Floor(q) == 0.5
 }
 
 // skipGroupMoves replays the world of data — its chains and one-shots,
@@ -746,7 +813,7 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 		for i, c := range w.chains {
 			before[i], credit[i] = at(c), c.p().Credit()
 		}
-		processed := w.eng.Processed()
+		processed, strided := w.eng.Processed(), w.eng.Strided()
 		if !w.eng.Step() {
 			return m
 		}
@@ -765,6 +832,28 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 		}
 		if jittered {
 			m.jittered++
+		}
+		if w.eng.Strided() > strided {
+			m.strided++
+			crossed, tied := false, false
+			for i, c := range moved {
+				_, e0 := math.Frexp(from[i])
+				_, e1 := math.Frexp(at(c))
+				crossed = crossed || e0 != e1
+				tied = tied || halfUlpTie(at(c), c.period)
+			}
+			if crossed {
+				m.crossed++
+			}
+			if tied {
+				m.tied++
+			}
+			if len(moved) >= 2 {
+				m.stridedGroups++
+				if jittered || periods {
+					m.stridedMerges++
+				}
+			}
 		}
 		if len(moved) < 2 {
 			continue
@@ -894,17 +983,78 @@ func TestSkipDifferentialMerge(t *testing.T) {
 	}
 }
 
+// TestSkipDifferentialStride guards the stride seeds against passing
+// vacuously: each must agree with the reference, the engine must take
+// occurrences in closed form (Engine.Strided), and each seed must show
+// the thing it was built around.
+func TestSkipDifferentialStride(t *testing.T) {
+	for _, c := range skipStrideSeeds {
+		ap, af, skipped := skipRun(t, c.seed, true)
+		rp, rf, _ := skipRun(t, c.seed, false)
+		if !reflect.DeepEqual(ap, rp) || !reflect.DeepEqual(af, rf) {
+			t.Fatalf("%s: diverges:\n%s\n%s", c.name, skipDiff(ap, rp), skipDiff(af, rf))
+		}
+		m := skipGroupMoves(c.seed)
+		if m.strided == 0 || skipped == 0 {
+			t.Errorf("%s: %d moves in closed form, %d steps skipped — want some of each", c.name, m.strided, skipped)
+		}
+		var ok bool
+		switch c.name {
+		case "binade-crossing":
+			ok = m.crossed > 0
+		case "half-ulp-tie":
+			ok = m.tied > 0
+		case "long-group":
+			ok = m.stridedGroups > 0 && m.crossed > 0
+		case "merge-run":
+			ok = m.stridedMerges > 0
+		}
+		if !ok {
+			t.Errorf("%s: the seed no longer shows what it was built around (%+v)", c.name, m)
+		}
+	}
+}
+
 // nopTick is the owner of chains whose callbacks do nothing.
 var nopTick = tickFunc(func() {})
 
-// staggered returns an engine holding k armed chains of period 1 whose
-// occurrences fall 1/k apart, and their slots.
-func staggered(k int, credit int64) (*Engine, []int32) {
+// staggered returns an engine holding k armed chains of the period
+// whose occurrences fall period/k apart, and their slots.
+func staggered(k int, period float64, credit int64) (*Engine, []int32) {
 	e := NewEngine()
 	slots := make([]int32, k)
 	for j := range slots {
-		e.AfterTick(&slots[j], nopTick, float64(j)/float64(k))
-		e.Periodic(slots[j]).Arm(1, credit)
+		e.AfterTick(&slots[j], nopTick, period*float64(j)/float64(k))
+		e.Periodic(slots[j]).Arm(period, credit)
+	}
+	return e, slots
+}
+
+// rearm is the owner of a chain that, each time it executes, books its
+// next occurrence one period on and grants the engine credit more.
+type rearm struct {
+	e      *Engine
+	slot   int32
+	period float64
+	credit int64
+}
+
+func (c *rearm) Tick() {
+	c.e.AfterTick(&c.slot, c, c.period)
+	c.e.Periodic(c.slot).Arm(c.period, c.credit)
+}
+
+// long returns an engine holding k chains of period √2 whose
+// occurrences fall √2/k apart, each granting credit at a time for
+// ever, and their slots.
+func long(k int, credit int64) (*Engine, []int32) {
+	e := NewEngine()
+	slots := make([]int32, k)
+	for j := range slots {
+		c := &rearm{e: e, period: math.Sqrt2, credit: credit}
+		e.AfterTick(&c.slot, c, c.period*float64(j)/float64(k))
+		e.Periodic(c.slot).Arm(c.period, credit)
+		slots[j] = c.slot
 	}
 	return e, slots
 }
@@ -927,29 +1077,38 @@ func mixed(credit int64) (*Engine, []int32) {
 	return e, slots
 }
 
-// TestSkipGroupAllocs pins a group move — round-robin, and a merge of
-// two periods and a jittered chain — at zero allocations, on a warm
-// engine and as the first move of a fresh fork: the move's scratch is
-// part of the Engine, not grown on demand. A lone jittered chain's move
-// allocates nothing either.
+// TestSkipGroupAllocs pins a group move — round-robin, a merge of two
+// periods and a jittered chain, and a long round-robin move that takes
+// most of its occurrences in closed form — at zero allocations, on a
+// warm engine and as the first move of a fresh fork: the move's scratch
+// is part of the Engine, not grown on demand. A lone jittered chain's
+// move allocates nothing either.
 func TestSkipGroupAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		make func() (*Engine, []int32)
-		min  int64 // occurrences every unit of time takes, at least
+		span float64 // virtual time one move covers
+		min  int64   // occurrences each move takes, at least
 	}{
 		// Every member moves on every RunUntil.
-		{"group", func() (*Engine, []int32) { return staggered(3, 1<<40) }, 3},
+		{"group", func() (*Engine, []int32) { return staggered(3, 1, 1<<40) }, 1, 3},
 		// Periods 1, 1.5 and ≈ 1.25 take ≈ 2.47 per unit, at least 2 on a
 		// fork's first move.
-		{"mixed", func() (*Engine, []int32) { return mixed(1 << 40) }, 2},
+		{"mixed", func() (*Engine, []int32) { return mixed(1 << 40) }, 1, 2},
+		// Three chains of period √2 over 100 s: 212 occurrences a move, 48
+		// one add at a time and the rest in closed form.
+		{"long", func() (*Engine, []int32) { return staggered(3, math.Sqrt2, 1<<40) }, 100, 210},
 	} {
 		e, slots := c.make()
-		if a := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); a != 0 {
+		if a := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + c.span) }); a != 0 {
 			t.Errorf("%s: a move on a warm engine allocates %v", c.name, a)
 		}
-		if e.Processed() != 0 || e.Skipped() < c.min*100 {
-			t.Fatalf("%s: processed %d, skipped %d: the chains did not move together", c.name, e.Processed(), e.Skipped())
+		// AllocsPerRun runs once more to warm up; each run is one move.
+		if e.Processed() != 0 || e.Moves() != 101 || e.Skipped() < c.min*101 {
+			t.Fatalf("%s: processed %d, %d moves took %d: the chains did not move together", c.name, e.Processed(), e.Moves(), e.Skipped())
+		}
+		if c.name == "long" && e.Strided() < e.Skipped()/2 {
+			t.Fatalf("%s: %d of %d occurrences taken in closed form", c.name, e.Strided(), e.Skipped())
 		}
 		forks := make([]*Engine, 11) // AllocsPerRun's warm-up run takes the first
 		for i := range forks {
@@ -963,7 +1122,7 @@ func TestSkipGroupAllocs(t *testing.T) {
 			forks[i] = f
 		}
 		i := 0
-		if a := testing.AllocsPerRun(len(forks)-1, func() { forks[i].RunUntil(forks[i].Now() + 1); i++ }); a != 0 {
+		if a := testing.AllocsPerRun(len(forks)-1, func() { forks[i].RunUntil(forks[i].Now() + c.span); i++ }); a != 0 {
 			t.Errorf("%s: the first move of a fresh fork allocates %v", c.name, a)
 		}
 		for _, f := range forks {
@@ -1054,22 +1213,29 @@ func TestForkRefusesWhatItOwes(t *testing.T) {
 // step, executed or taken by the engine — with k armed chains of one
 // period out of phase, or the three chains of mixed that merge, and one
 // plain event every eight periods to end a move as the rest of a replay
-// does.
+// does; and, as long/k, k chains of period √2 granted 10⁴ occurrences at
+// a time with nothing else pending, whose moves run long enough to be
+// taken mostly in closed form.
 func BenchmarkSkipStaggered(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		make func() (*Engine, []int32)
+		name  string
+		make  func() (*Engine, []int32)
+		quiet bool // no plain event
 	}{
-		{"k=1", func() (*Engine, []int32) { return staggered(1, 1<<40) }},
-		{"k=3", func() (*Engine, []int32) { return staggered(3, 1<<40) }},
-		{"k=8", func() (*Engine, []int32) { return staggered(8, 1<<40) }},
-		{"mixed", func() (*Engine, []int32) { return mixed(1 << 40) }},
+		{"k=1", func() (*Engine, []int32) { return staggered(1, 1, 1<<40) }, false},
+		{"k=3", func() (*Engine, []int32) { return staggered(3, 1, 1<<40) }, false},
+		{"k=8", func() (*Engine, []int32) { return staggered(8, 1, 1<<40) }, false},
+		{"mixed", func() (*Engine, []int32) { return mixed(1 << 40) }, false},
+		{"long/k=1", func() (*Engine, []int32) { return long(1, 1e4) }, true},
+		{"long/k=3", func() (*Engine, []int32) { return long(3, 1e4) }, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			e, _ := c.make()
-			var plain func()
-			plain = func() { e.After(8, plain) }
-			e.At(7.9, plain)
+			if !c.quiet {
+				var plain func()
+				plain = func() { e.After(8, plain) }
+				e.At(7.9, plain)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for e.Processed()+e.Skipped() < int64(b.N) {

@@ -121,6 +121,13 @@ type Engine struct {
 	groupIdx [groupCap]int32
 	group    [groupCap]member
 	ring     [groupCap]uint8
+
+	// Work counts, for tests and measurement only — nothing decides from
+	// them: moves made (skip calls that took occurrences), and how many
+	// of the skipped occurrences were taken in closed form (stride).
+	// Last, so that no field above moves: ahead of the scratch they
+	// would shift group's 32-byte members across cache-line boundaries.
+	moves, strided int64
 }
 
 // NewEngine returns an engine at time 0.
@@ -154,6 +161,19 @@ func (e *Engine) Processed() int64 { return e.processed }
 // is the step count: what Processed would read had no chain ever been
 // armed.
 func (e *Engine) Skipped() int64 { return e.skipped }
+
+// Moves returns the number of moves the engine made: steps that took
+// armed occurrences by themselves (Skipped counts the occurrences).
+//
+//simvet:testonly a work count tests and measurements read; nothing decides from it
+func (e *Engine) Moves() int64 { return e.moves }
+
+// Strided returns how many of the Skipped occurrences the engine took
+// in closed form — past a run's first strideAfter occurrences, each a
+// share of one integer add — rather than one float add at a time.
+//
+//simvet:testonly a work count tests and measurements read; nothing decides from it
+func (e *Engine) Strided() int64 { return e.strided }
 
 // Pending returns the number of events still queued (including
 // cancelled ones not yet discarded).
