@@ -56,13 +56,14 @@ package sim
 //     sum stays in the binade, fl(t + P) = t + Q·u with Q = P/u rounded
 //     to nearest, unless P/u ends in exactly one half (a tie, which
 //     rounds by the parity of t/u); k adds are then the one integer add
-//     t/u + k·Q. Past a run's first strideAfter occurrences — whole
-//     rounds, for a uniform group — the move takes the rest that way
-//     (stride), with one real add across each binade edge and for a tie.
-//     A uniform group's times never decrease in pop order, so the
-//     occurrences strictly earlier than cut are a prefix of the rest,
-//     and each member's own count of them is its share. Times, IDs and
-//     credits come out as the adds would leave them.
+//     t/u + k·Q. Past a uniform group's first strideAfter whole rounds,
+//     the move takes the rest that way (stride), with one real add
+//     across each binade edge and for a tie. Its times never decrease in
+//     pop order, so the occurrences strictly earlier than cut are a
+//     prefix of the rest, and each member's own count of them is its
+//     share. Times, IDs and credits come out as the adds would leave
+//     them. A merge adds one occurrence at a time: its runs end at the
+//     next member's time, a few occurrences in.
 //   - A solo chain (ArmSolo) is for an owner that must be able to say
 //     afterwards, from times alone, where each occurrence the engine
 //     took fell among the events that were executed — a traced
@@ -439,7 +440,7 @@ func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 	for j := range k {
 		e.ring[j] = uint8(j)
 	}
-	var n, strided int64
+	var n int64
 	now := e.now
 	for h := 0; ; {
 		r := e.ring[h&mask]
@@ -451,15 +452,9 @@ func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 			}
 		}
 		// The chain's period and jitter, read once per run: the heap does
-		// not move during a merge, so m.i still names its entry. A plain
-		// run takes its first strideAfter occurrences one add at a time,
-		// the rest in closed form.
+		// not move during a merge, so m.i still names its entry.
 		q := e.ticks.At(e.queue[m.i].slot)
 		t, left, period, jitter := m.t, m.left, q.period, q.jitter
-		end := limit
-		if !jitter {
-			end = min(limit, n+strideAfter)
-		}
 		for {
 			d := period
 			if jitter {
@@ -468,14 +463,9 @@ func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 			now, t = t, t+d
 			n++
 			left--
-			if left == 0 || n == end || !(t < stop) {
+			if left == 0 || n == limit || !(t < stop) {
 				break
 			}
-		}
-		if n < limit && n == end && left > 0 && t < stop { // the rest of a plain run
-			var c int64
-			now, t, c = stride(t, period, stop, min(left, limit-n))
-			n, left, strided = n+c, left-c, strided+c
 		}
 		m.t, m.id, m.left = t, e.nextID+n, left
 		// Back into the ring, from the back: its ID being above every
@@ -490,7 +480,6 @@ func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 		}
 	}
 	e.now = now
-	e.strided += strided
 	return n
 }
 

@@ -136,18 +136,12 @@ var skipPeriods = []float64{1, 1, 1.25, 1.5, 2, 0.25, math.Sqrt2, math.Pi / 3}
 // A script whose first byte has a non-zero high nibble h builds a late
 // world (h = 0, as in every committed script but the stride-* seeds,
 // builds none of this): it starts its clock at skipOrigins[(h-1) % len],
-// takes its heartbeat 16 times less often, so that a move can run past
-// strideAfter occurrences and take the rest in closed form, and picks
-// periods from skipLatePeriods, which trades skipPeriods' second 1 for
-// a long period beside which a short one takes runs of twenty and more.
-// The origins are 0, about 10^6 (where √2 and π/3 round), and just
-// below powers of two, so that a move crosses a binade edge: past 2^51
-// the periods 0.25 and 1.25 make half-ulp ties, past 2^52 1.5 and 6.5
-// do, past 2^53 1 does.
-var (
-	skipOrigins     = []float64{0, 1e6, 1<<20 - 24, 1<<51 - 24, 1<<51 - 6, 1<<52 - 24, 1<<53 - 24}
-	skipLatePeriods = []float64{1, 6.5, 1.25, 1.5, 2, 0.25, math.Sqrt2, math.Pi / 3}
-)
+// and takes its heartbeat 16 times less often, so that a move can run
+// past strideAfter rounds and take the rest in closed form. The origins
+// are 0, about 10^6 (where √2 and π/3 round), and just below powers of
+// two, so that a move crosses a binade edge: past 2^51 the periods 0.25
+// and 1.25 make half-ulp ties, past 2^52 1.5 does, past 2^53 1 does.
+var skipOrigins = []float64{0, 1e6, 1<<20 - 24, 1<<51 - 24, 1<<51 - 6, 1<<52 - 24, 1<<53 - 24}
 
 // skipLockstepSeed decodes to three unit-period chains of 42
 // occurrences each, started together, with no interference: they tie at
@@ -250,8 +244,8 @@ var skipJitterSeeds = []struct {
 	{"heartbeat-in-move", []byte{2, 0, 0, 57, 63, 12, 0, 0, 0, 0, 40, 0, 0}},
 }
 
-// Four seeds for the closed form (stride), committed under testdata/fuzz
-// as stride-*: late worlds whose moves run past strideAfter occurrences,
+// Three seeds for the closed form (stride), committed under testdata/fuzz
+// as stride-*: late worlds whose moves run past strideAfter rounds,
 // each built around one thing the closed form must get right. Each
 // chain runs 61 occurrences, with one RunUntil at the origin and a fork
 // there.
@@ -270,10 +264,6 @@ var skipStrideSeeds = []struct {
 	// at a time, then the rest in closed form, across 2^20, cut short by
 	// the middle chain's credit and by the heartbeat inside a round.
 	{"long-group", []byte{0x33, 2, 7, 59, 63, 0, 0, 7, 59, 40, 0, 1, 7, 59, 63, 0, 2, 0, 0, 0, 0, 0, 0}},
-	// A 0.25 chain beside a 6.5 one from 2^20 − 24, a heartbeat every 48
-	// steps: they merge, the short chain's runs of 26 go past 16 in
-	// closed form, and the first heartbeat falls inside one.
-	{"merge-run", []byte{0x32, 1, 5, 59, 63, 0, 0, 1, 59, 63, 0, 1, 0, 0, 0, 0, 0, 0}},
 }
 
 // skipJitterFrac is the jittered chains' fraction, and skipJitterSeed the
@@ -590,10 +580,8 @@ func skipBuild(data []byte, armed bool) (w *skipWorld, next func() int, every in
 	w.eng.Handle(shotClass, w.fireShot)
 	b := next()
 	every = int64(1 + b%16)
-	periods := skipPeriods
 	if h := b >> 4; h != 0 { // a late world
 		every *= 16
-		periods = skipLatePeriods
 		w.eng.RunUntil(skipOrigins[(h-1)%len(skipOrigins)]) // nothing pending: sets the clock
 	}
 	origin := w.eng.Now()
@@ -601,7 +589,7 @@ func skipBuild(data []byte, armed bool) (w *skipWorld, next func() int, every in
 	for i, n := 0, 1+next()%6; i < n; i++ {
 		c := &skipChain{
 			w: w, idx: i,
-			period: periods[next()%len(periods)],
+			period: skipPeriods[next()%len(skipPeriods)],
 			total:  int64(2 + next()%60),
 			grant:  int64(1 + next()%64),
 		}
@@ -778,8 +766,8 @@ type skipMoves struct {
 	strided  int // steps that took occurrences in closed form (Engine.Strided)
 	// Of the strided steps: those that moved a chain across a power of
 	// two, those that left a moved chain where its period is a half-ulp
-	// tie, group moves of k ≥ 2, and merges (see mixed).
-	crossed, tied, stridedGroups, stridedMerges int
+	// tie, and group moves of k ≥ 2.
+	crossed, tied, stridedGroups int
 }
 
 // halfUlpTie reports whether t + p would be a tie in t's binade: p/u
@@ -850,9 +838,6 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 			}
 			if len(moved) >= 2 {
 				m.stridedGroups++
-				if jittered || periods {
-					m.stridedMerges++
-				}
 			}
 		}
 		if len(moved) < 2 {
@@ -1006,8 +991,6 @@ func TestSkipDifferentialStride(t *testing.T) {
 			ok = m.tied > 0
 		case "long-group":
 			ok = m.stridedGroups > 0 && m.crossed > 0
-		case "merge-run":
-			ok = m.stridedMerges > 0
 		}
 		if !ok {
 			t.Errorf("%s: the seed no longer shows what it was built around (%+v)", c.name, m)

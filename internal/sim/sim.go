@@ -169,8 +169,8 @@ func (e *Engine) Skipped() int64 { return e.skipped }
 func (e *Engine) Moves() int64 { return e.moves }
 
 // Strided returns how many of the Skipped occurrences the engine took
-// in closed form — past a run's first strideAfter occurrences, each a
-// share of one integer add — rather than one float add at a time.
+// in closed form — past a uniform group's first strideAfter rounds,
+// each a share of one integer add — rather than one float add at a time.
 //
 //simvet:testonly a work count tests and measurements read; nothing decides from it
 func (e *Engine) Strided() int64 { return e.strided }

@@ -2,11 +2,10 @@ package sim
 
 import "math"
 
-// strideAfter is how many occurrences a plain run takes one add at a
-// time — whole rounds, for a uniform group — before stride takes the
-// rest. Most runs are a few occurrences long, and for those the adds
-// cost less than setting up the closed form; measured, not tuned per
-// input.
+// strideAfter is how many whole rounds a uniform group takes one add at
+// a time before stride takes the rest. Most moves are a few occurrences
+// long, and for those the adds cost less than setting up the closed
+// form; measured, not tuned per input.
 const strideAfter = 16
 
 // strideMin bounds t and the period from below for the closed form: far
