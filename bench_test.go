@@ -21,7 +21,6 @@ import (
 
 	"repro/cluster"
 	"repro/internal/djsb"
-	"repro/internal/slurm"
 	"repro/internal/workload"
 )
 
@@ -385,34 +384,6 @@ func BenchmarkDJSBPolicies(b *testing.B) {
 			b.ReportMetric(rep.Makespan, "makespan-s")
 			b.ReportMetric(rep.AvgResponse, "avgresp-s")
 			b.ReportMetric(rep.Throughput, "jobs/ks")
-		})
-	}
-}
-
-// BenchmarkAblationNodeSelection compares the victim-node policies of
-// the paper's future work (freest-first vs packing) on a 4-node DJSB
-// stream.
-func BenchmarkAblationNodeSelection(b *testing.B) {
-	for _, sel := range []slurm.NodeSelection{slurm.SelectFreest, slurm.SelectPacked} {
-		sel := sel
-		b.Run(sel.String(), func(b *testing.B) {
-			var rep djsb.Report
-			for i := 0; i < b.N; i++ {
-				sc, err := djsb.Generate(djsb.Params{
-					Seed: 3, Jobs: 30, MeanInterarrival: 80, Nodes: 4, NodesPerJob: 2,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sc.NodeSelection = sel
-				res := workload.Run(sc, slurm.PolicyDROM)
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-				rep = djsb.Summarize(res)
-			}
-			b.ReportMetric(rep.Makespan, "makespan-s")
-			b.ReportMetric(rep.AvgResponse, "avgresp-s")
 		})
 	}
 }

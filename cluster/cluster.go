@@ -112,7 +112,7 @@ type Probe = obs.Probe
 type ObsEvent = obs.Event
 
 // Machine describes a node type (sockets, cores, frequency, memory
-// bandwidth). The zero value in a Scenario selects MN3.
+// bandwidth): the node model of a MachinePartition.
 type Machine = hwmodel.Machine
 
 // MN3 returns the MareNostrum III node model of the paper (2 sockets ×
@@ -145,9 +145,6 @@ type DJSBParams = djsb.Params
 
 // DJSBReport summarizes a stream run (makespan, response, slowdown).
 type DJSBReport = djsb.Report
-
-// DJSBMix is one entry of the application mixture.
-type DJSBMix = djsb.AppMix
 
 // GenerateDJSB builds a reproducible randomized scenario.
 func GenerateDJSB(p DJSBParams) (Scenario, error) { return djsb.Generate(p) }

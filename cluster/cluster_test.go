@@ -85,7 +85,7 @@ func TestCustomMachine(t *testing.T) {
 	sc := cluster.Scenario{
 		Name:    "fat-node",
 		Nodes:   2,
-		Machine: m,
+		Cluster: cluster.ClusterSpec{Partitions: []cluster.MachinePartition{{Name: "fat", Nodes: 2, Machine: m}}},
 		Subs: []cluster.Submission{{Job: cluster.Job{
 			Name: "wide", Spec: cluster.Pils(), Cfg: cluster.Config{Ranks: 2, Threads: 32},
 			Iters: 50, Nodes: 2, Malleable: true,
@@ -99,7 +99,7 @@ func TestCustomMachine(t *testing.T) {
 		t.Fatalf("jobs = %d", len(res.Records.Jobs))
 	}
 	// The same job must be rejected on the default MN3 nodes.
-	sc.Machine = cluster.Machine{}
+	sc.Cluster = cluster.ClusterSpec{}
 	res = cluster.Run(sc, cluster.DROM)
 	if res.Err == nil {
 		t.Fatal("32-thread rank should not fit a 16-core MN3 node")

@@ -43,6 +43,10 @@ func main() {
 	wait := flag.Duration("wait", 30*time.Second, "attach mode: how long to wait for a registered process")
 	showVersion := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "dromctl: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(1)
+	}
 	if *showVersion {
 		fmt.Println(version.String())
 		return

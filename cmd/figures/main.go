@@ -15,6 +15,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/metrics"
@@ -30,6 +32,10 @@ func main() {
 	svg := flag.String("svg", "", "directory to additionally write SVG renderings of the figures")
 	showVersion := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "figures: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(1)
+	}
 	if *showVersion {
 		fmt.Println(version.String())
 		return
@@ -113,7 +119,14 @@ func exportTraces(name string, res workload.Result) error {
 	return nil
 }
 
+// artifactIDs are the values -id takes.
+var artifactIDs = []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"}
+
 func run(id string) error {
+	if id != "" && !slices.Contains(artifactIDs, id) {
+		return fmt.Errorf("unknown -id %q (valid: %s)", id, strings.Join(artifactIDs, ", "))
+	}
 	all := id == ""
 	want := func(k string) bool { return all || id == k }
 

@@ -14,18 +14,19 @@ import (
 // (output goes to stdout; correctness of the numbers is asserted in
 // internal/workload — here we guard the CLI wiring).
 func TestRunEachArtifact(t *testing.T) {
-	ids := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"}
-	for _, id := range ids {
+	for _, id := range artifactIDs {
 		if err := run(id); err != nil {
 			t.Errorf("run(%q): %v", id, err)
 		}
 	}
 }
 
-func TestRunUnknownIDIsNoop(t *testing.T) {
-	if err := run("zzz"); err != nil {
-		t.Fatalf("unknown id should be a no-op, got %v", err)
+// TestRunUnknownIDIsAnError: an -id no artifact has is an error that
+// names it and lists the valid ones, not an empty run.
+func TestRunUnknownIDIsAnError(t *testing.T) {
+	err := run("bogus")
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), "table1, fig2") {
+		t.Fatalf("run(\"bogus\") = %v, want an error naming the id and listing the valid ones", err)
 	}
 }
 

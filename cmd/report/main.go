@@ -25,6 +25,10 @@ func main() {
 	mdPath := flag.String("md", "", "write the report as Markdown to this file")
 	showVersion := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "report: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(1)
+	}
 	if *showVersion {
 		fmt.Println(version.String())
 		return

@@ -44,6 +44,10 @@ func main() {
 		"can inspect the live segments; what-if forks still run on private in-memory copies")
 	workload.RegisterFlags(flag.CommandLine, workload.ScheddFlags, bootDefaults)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "schedd: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(1)
+	}
 
 	sess, err := boot(flag.CommandLine, *shmemDir)
 	if err != nil {

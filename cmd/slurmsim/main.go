@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,7 +48,7 @@ func main() {
 	anaConf := flag.Int("anaconf", 2, "uc1 analytics configuration (Table 1)")
 	traced := flag.Bool("trace", false, "record and print the trace timeline")
 	metric := flag.String("metric", "util", "timeline metric: util, cycles, or ipc")
-	width := flag.Int("width", 100, "timeline width in characters")
+	width := flag.Int("width", 100, "timeline width in characters (at least 1)")
 	// The trace-mode flags (-sched, -swf, -seed, -jobs, -nodes, ...)
 	// are workload.Spec keys; -scenario djsb reads -seed, -jobs,
 	// -interarrival and -nodes too.
@@ -79,6 +80,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "slurmsim: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(1)
+	}
 
 	if *showVersion {
 		fmt.Println(version.String())
@@ -130,6 +135,9 @@ func main() {
 	// failure (os.Exit skips defers, so the error path writes them
 	// explicitly — a failing replay is exactly when a profile helps).
 	spec, err := workload.FlagSpec(flag.CommandLine, workload.SlurmsimFlags)
+	if err == nil {
+		err = checkTimeline(*width, *metric)
+	}
 	if err == nil {
 		err = run(runArgs{
 			scenario: *scenario, policy: *policy,
@@ -289,6 +297,21 @@ func (r *obsRun) finish() error {
 	}
 	if r.hist != nil {
 		r.hist.Report(os.Stdout)
+	}
+	return nil
+}
+
+// timelineMetrics are the values -metric takes.
+var timelineMetrics = []string{"util", "cycles", "ipc"}
+
+// checkTimeline rejects a -width or -metric the timeline cannot
+// render, before any run starts.
+func checkTimeline(width int, metric string) error {
+	if width < 1 {
+		return fmt.Errorf("-width %d: the timeline needs at least 1 character", width)
+	}
+	if !slices.Contains(timelineMetrics, metric) {
+		return fmt.Errorf("unknown -metric %q (%s)", metric, strings.Join(timelineMetrics, ", "))
 	}
 	return nil
 }

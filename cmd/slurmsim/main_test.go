@@ -48,6 +48,30 @@ func TestParsePolicies(t *testing.T) {
 	}
 }
 
+// TestTimelineFlagsChecked: a -width below 1 and an unknown -metric
+// are errors that name the flag; every documented value passes.
+func TestTimelineFlagsChecked(t *testing.T) {
+	for _, m := range timelineMetrics {
+		if err := checkTimeline(1, m); err != nil {
+			t.Errorf("-width 1 -metric %s: %v", m, err)
+		}
+	}
+	for _, bad := range []struct {
+		width  int
+		metric string
+		want   string
+	}{
+		{-5, "util", "-width"},
+		{0, "util", "-width"},
+		{100, "foo", "-metric"},
+		{100, "", "-metric"},
+	} {
+		if err := checkTimeline(bad.width, bad.metric); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("-width %d -metric %q: error %v, want one naming %s", bad.width, bad.metric, err, bad.want)
+		}
+	}
+}
+
 func TestRunDJSBSmoke(t *testing.T) {
 	small := workload.Spec{Seeds: []int64{1}, Jobs: 6, MeanInterarrival: 200, Nodes: 2}
 	if err := runDJSB(small, "both", obsArgs{}); err != nil {

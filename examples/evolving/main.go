@@ -28,8 +28,7 @@ func main() {
 	defer admin.Detach()
 
 	// The resource manager: periodically serves outstanding requests
-	// from the node's free CPUs (a miniature of what the SLURM
-	// simulator's ServeEvolvingRequests does).
+	// from the node's free CPUs.
 	stop := make(chan struct{})
 	go func() {
 		for {

@@ -179,19 +179,10 @@ func (a *Admin) ProcessMask(pid shmem.PID, flags Flags) (cpuset.CPUSet, derr.Cod
 	return a.entry.CurrentMask, derr.Success
 }
 
-// Inspect returns the full shared-memory entry of pid, for tooling.
-func (a *Admin) Inspect(pid shmem.PID) (shmem.ProcEntry, derr.Code) {
-	if c := a.check(); c.IsError() {
-		return shmem.ProcEntry{}, c
-	}
-	return a.sys.seg.Lookup(pid)
-}
-
 // Peek reads pid's entry into the Admin's scratch and returns it: the
 // entry, theft list included, is valid until the next call on this
 // Admin. A resource manager that reads masks on every plan peeks
-// without allocating; Inspect returns a copy of its own. On error the
-// entry is blank.
+// without allocating. On error the entry is blank.
 func (a *Admin) Peek(pid shmem.PID) (*shmem.ProcEntry, derr.Code) {
 	if c := a.check(); c.IsError() {
 		a.entry = shmem.ProcEntry{Stolen: a.entry.Stolen[:0]}

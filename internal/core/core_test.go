@@ -128,7 +128,7 @@ func TestStealShrinksVictim(t *testing.T) {
 		t.Fatalf("steal set = %v", code)
 	}
 	// Victim has a pending shrink to 12-15.
-	e, _ := a.Inspect(20)
+	e, _ := a.System().Segment().Lookup(20)
 	if !e.Dirty || !e.FutureMask.Equal(cpuset.Range(12, 15)) {
 		t.Fatalf("victim entry = %+v", e)
 	}
@@ -142,7 +142,7 @@ func TestStealShrinksVictim(t *testing.T) {
 		t.Fatal("stolen masks must be disjoint")
 	}
 	// Theft was recorded on the thief for PostFinalize.
-	e10, _ := a.Inspect(10)
+	e10, _ := a.System().Segment().Lookup(10)
 	if len(e10.Stolen) != 1 || e10.Stolen[0].Victim != 20 ||
 		!e10.Stolen[0].Mask.Equal(cpuset.Range(8, 11)) {
 		t.Fatalf("theft records = %+v", e10.Stolen)
@@ -235,7 +235,7 @@ func TestPreInitHandshakeAndSteal(t *testing.T) {
 		t.Fatalf("PreInit: %v", code)
 	}
 	// Victim shrink staged.
-	e, _ := a.Inspect(10)
+	e, _ := a.System().Segment().Lookup(10)
 	if !e.Dirty || !e.FutureMask.Equal(cpuset.Range(0, 7)) {
 		t.Fatalf("victim entry = %+v", e)
 	}
@@ -257,10 +257,10 @@ func TestPreInitWithoutStealOnConflict(t *testing.T) {
 		t.Fatalf("PreInit conflict without steal = %v, want ErrPerm", code)
 	}
 	// Nothing was registered and the victim is untouched.
-	if _, code := a.Inspect(20); code != derr.ErrNoProc {
+	if _, code := a.System().Segment().Lookup(20); code != derr.ErrNoProc {
 		t.Error("pid 20 should not be registered")
 	}
-	e, _ := a.Inspect(10)
+	e, _ := a.System().Segment().Lookup(10)
 	if e.Dirty {
 		t.Error("victim must not be shrunk on failed PreInit")
 	}
@@ -293,7 +293,7 @@ func TestPostFinalizeReturnsStolenCPUs(t *testing.T) {
 		t.Fatalf("victim poll after PostFinalize = %v/%v", m, code)
 	}
 	// pid 20 is gone.
-	if _, code := a.Inspect(20); code != derr.ErrNoProc {
+	if _, code := a.System().Segment().Lookup(20); code != derr.ErrNoProc {
 		t.Error("pid 20 should be unregistered")
 	}
 }
@@ -386,8 +386,8 @@ func TestPropertyDisjointMasksUnderSteal(t *testing.T) {
 			for _, p := range []shmem.PID{pids[r.Intn(2)], 1, 2} {
 				s.Poll(p)
 			}
-			e1, _ := a.Inspect(1)
-			e2, _ := a.Inspect(2)
+			e1, _ := a.System().Segment().Lookup(1)
+			e2, _ := a.System().Segment().Lookup(2)
 			if e1.CurrentMask.Intersects(e2.CurrentMask) {
 				return false
 			}

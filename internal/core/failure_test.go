@@ -141,8 +141,8 @@ func TestConflictingAdmins(t *testing.T) {
 		}(i, admin)
 	}
 	wg.Wait()
-	e1, _ := a1.Inspect(1)
-	e2, _ := a1.Inspect(2)
+	e1, _ := a1.System().Segment().Lookup(1)
+	e2, _ := a1.System().Segment().Lookup(2)
 	if e1.CurrentMask.Intersects(e2.CurrentMask) {
 		t.Fatalf("masks overlap after admin fight: %v / %v", e1.CurrentMask, e2.CurrentMask)
 	}

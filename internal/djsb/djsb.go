@@ -20,8 +20,8 @@ import (
 	"repro/internal/workload"
 )
 
-// AppMix is one entry of the application mixture.
-type AppMix struct {
+// appMix is one entry of the application mixture.
+type appMix struct {
 	Spec apps.Spec
 	// Cfgs are the admissible configurations; one is picked uniformly.
 	Cfgs []apps.Config
@@ -37,16 +37,14 @@ type Params struct {
 	Jobs int
 	// MeanInterarrival is the exponential inter-arrival mean (s).
 	MeanInterarrival float64
-	// Nodes is the cluster size; every job asks for NodesPerJob.
-	Nodes       int
-	NodesPerJob int
-	Mix         []AppMix
+	// Nodes is the cluster size (default 2); every job spans all of it.
+	Nodes int
 }
 
-// DefaultMix returns the paper-flavored mixture: long simulators and
+// paperMix returns the paper-flavored mixture: long simulators and
 // short analytics.
-func DefaultMix() []AppMix {
-	return []AppMix{
+func paperMix() []appMix {
+	return []appMix{
 		{Spec: apps.NEST(), Cfgs: apps.Table1("nest"), Weight: 1.5, ItersMin: 200, ItersMax: 600},
 		{Spec: apps.CoreNeuron(), Cfgs: apps.Table1("coreneuron"), Weight: 1, ItersMin: 200, ItersMax: 500},
 		{Spec: apps.Pils(), Cfgs: apps.Table1("pils"), Weight: 2, ItersMin: 50, ItersMax: 300},
@@ -65,18 +63,9 @@ func Generate(p Params) (workload.Scenario, error) {
 	if p.Nodes == 0 {
 		p.Nodes = 2
 	}
-	if p.NodesPerJob <= 0 {
-		p.NodesPerJob = p.Nodes
-	}
-	mix := p.Mix
-	if len(mix) == 0 {
-		mix = DefaultMix()
-	}
+	mix := paperMix()
 	var totalW float64
 	for _, m := range mix {
-		if m.Weight <= 0 || len(m.Cfgs) == 0 || m.ItersMin <= 0 || m.ItersMax < m.ItersMin {
-			return workload.Scenario{}, fmt.Errorf("djsb: invalid mix entry %q", m.Spec.Name)
-		}
 		totalW += m.Weight
 	}
 
@@ -90,7 +79,7 @@ func Generate(p Params) (workload.Scenario, error) {
 		at += float64(r.ExpFloat64() * p.MeanInterarrival)
 		// Weighted pick.
 		x := r.Float64() * totalW
-		var m AppMix
+		var m appMix
 		for _, cand := range mix {
 			if x < cand.Weight {
 				m = cand
@@ -108,7 +97,7 @@ func Generate(p Params) (workload.Scenario, error) {
 		if ranksPerNode < 1 {
 			ranksPerNode = 1
 		}
-		cfg = apps.Config{Ranks: ranksPerNode * p.NodesPerJob, Threads: cfg.Threads}
+		cfg = apps.Config{Ranks: ranksPerNode * p.Nodes, Threads: cfg.Threads}
 		iters := m.ItersMin + r.Intn(m.ItersMax-m.ItersMin+1)
 		sc.Subs = append(sc.Subs, workload.Submission{
 			At: at,
@@ -117,7 +106,7 @@ func Generate(p Params) (workload.Scenario, error) {
 				Spec:      m.Spec,
 				Cfg:       cfg,
 				Iters:     iters,
-				Nodes:     p.NodesPerJob,
+				Nodes:     p.Nodes,
 				Malleable: true,
 			},
 		})

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/slurm"
 	"repro/internal/workload"
 )
@@ -16,10 +15,6 @@ func smallParams(seed int64) Params {
 		Jobs:             12,
 		MeanInterarrival: 120,
 		Nodes:            2,
-		Mix: []AppMix{
-			{Spec: apps.Pils(), Cfgs: apps.Table1("pils"), Weight: 2, ItersMin: 30, ItersMax: 120},
-			{Spec: apps.STREAM(), Cfgs: apps.Table1("stream"), Weight: 1, ItersMin: 50, ItersMax: 200},
-		},
 	}
 }
 
@@ -86,11 +81,6 @@ func TestGenerateValidation(t *testing.T) {
 		if _, err := Generate(Params{Jobs: 5, MeanInterarrival: 10, Nodes: n}); err == nil || !strings.Contains(err.Error(), "Nodes") {
 			t.Errorf("nodes %d: error = %v", n, err)
 		}
-	}
-	bad := smallParams(1)
-	bad.Mix[0].ItersMin = 0
-	if _, err := Generate(bad); err == nil {
-		t.Error("invalid mix should fail")
 	}
 }
 

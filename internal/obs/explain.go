@@ -266,9 +266,9 @@ func (e *Explain) protocol(ev Event) {
 			e.printf("t=%9.1fs  %s: job %s's DROM_PostFinalize(pid=%d, RETURN_STOLEN) returns %d CPU(s) to pid %d, now %d\n",
 				ev.Time, ev.Placement, ev.Job, ev.PID, th.mask.Count(), t.pid, t.mask.Count())
 		}
-	case StepReleaseResources, StepSchedShrink, StepSchedExpand, StepEvolvingGrant:
+	case StepReleaseResources, StepSchedShrink, StepSchedExpand:
 		// A mask staged for one of the job's tasks; shrink/expand actions
-		// and grants are narrated where they are decided.
+		// are narrated where they are decided.
 		for i := range e.tasks {
 			if t := &e.tasks[i]; t.pid == ev.PID {
 				t.mask = ev.Mask

@@ -193,8 +193,6 @@ const (
 	// StepPreLaunchRetry: the reservation hit a registry fault and is
 	// made again.
 	StepPreLaunchRetry
-	// StepEvolvingGrant: the task's own resize request was granted Mask.
-	StepEvolvingGrant
 	// StepSchedShrink / StepSchedExpand: a sched.Policy action staged
 	// Mask for the task.
 	StepSchedShrink
@@ -208,7 +206,6 @@ var stepNames = [...]string{
 	StepPostTerm:         "post_term",
 	StepReleaseResources: "release_resources",
 	StepPreLaunchRetry:   "pre_launch_retry",
-	StepEvolvingGrant:    "evolving_grant",
 	StepSchedShrink:      "sched_shrink",
 	StepSchedExpand:      "sched_expand",
 }

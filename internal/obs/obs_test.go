@@ -309,7 +309,6 @@ func TestProtocolLines(t *testing.T) {
 		{Kind: KindProtocol, Step: StepPreLaunch, Time: 50, Placement: "node0", Job: "j2", PID: 1003, Mask: cpuset.Range(8, 11)},
 		{Kind: KindProtocol, Step: StepPostTerm, Time: 151.46, Placement: "node1", Job: "j2", PID: 1005},
 		{Kind: KindProtocol, Step: StepReleaseResources, Time: 152, Placement: "node1", PID: 1002, Mask: cpuset.Range(0, 15)},
-		{Kind: KindProtocol, Step: StepEvolvingGrant, Time: 160, Placement: "node1", PID: 1002, Mask: cpuset.Range(0, 7)},
 		{Kind: KindJobEnd, Time: 165, Job: "j2", Outcome: "completed"},
 		{Kind: KindJobEnd, Time: 170, Job: "j3", Outcome: "failed"},
 		{Kind: KindAction, Act: ActStart, Reason: ReasonStarted, Job: "j4"},
@@ -329,7 +328,6 @@ func TestProtocolLines(t *testing.T) {
 		"t=    50.0s node0  pre_launch        DROM_PreInit(pid=1003, mask=8-11, STEAL)",
 		"t=   151.5s node1  post_term         DROM_PostFinalize(pid=1005, RETURN_STOLEN)",
 		"t=   152.0s node1  release_resources DROM_SetProcessMask(pid=1002, mask=0-15) [expand]",
-		"t=   160.0s node1  evolving_grant    pid=1002 granted 8 CPUs (mask=0-7)",
 		"t=   170.0s        job_end           job j3 failed",
 		"t=   200.0s        preempt           job j1 checkpointed",
 		"t=   210.0s        spillover         job j5 re-routed batch -> fat",

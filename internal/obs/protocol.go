@@ -27,8 +27,6 @@ func (p *Protocol) Emit(ev Event) {
 			detail = fmt.Sprintf("DROM_SetProcessMask(pid=%d, mask=%s) [expand]", ev.PID, ev.Mask)
 		case StepPreLaunchRetry:
 			detail = fmt.Sprintf("DROM_PreInit(pid=%d) retry after registry fault", ev.PID)
-		case StepEvolvingGrant:
-			detail = fmt.Sprintf("pid=%d granted %d CPUs (mask=%s)", ev.PID, ev.Mask.Count(), ev.Mask)
 		case StepSchedShrink, StepSchedExpand:
 			detail = fmt.Sprintf("DROM_SetProcessMask(pid=%d, mask=%s) [%s]", ev.PID, ev.Mask, ev.Job)
 		}

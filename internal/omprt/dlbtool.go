@@ -5,24 +5,20 @@ import (
 	"repro/internal/dlbcore"
 )
 
-// DLBTool is the DLB↔OpenMP integration of §4.1: DLB registered as an
+// dlbTool is the DLB↔OpenMP integration of §4.1: DLB registered as an
 // OMPT tool. At every parallel construct it polls DROM; when an
 // administrator changed the process mask, the DLB callbacks resize the
 // team and re-pin its threads before the region forms. With the
 // context in async mode the callbacks fire from the helper goroutine
 // instead, and the tool's poll is a cheap no-op.
-type DLBTool struct {
+type dlbTool struct {
 	ctx *dlbcore.Context
-	// BorrowAtRegion, when true, additionally asks LeWI for idle CPUs
-	// at each region begin (DLB's lewi-ompt=borrow behaviour).
-	BorrowAtRegion bool
 }
 
 // AttachDLB wires a DLB context to an OpenMP-like runtime: it
 // registers the DLB callbacks (so mask changes resize the runtime) and
-// installs the OMPT tool (so regions are polling points). It returns
-// the tool for optional configuration.
-func AttachDLB(rt *Runtime, ctx *dlbcore.Context) *DLBTool {
+// installs the OMPT tool (so regions are polling points).
+func AttachDLB(rt *Runtime, ctx *dlbcore.Context) {
 	ctx.SetCallbacks(dlbcore.Callbacks{
 		SetNumThreads: rt.SetNumThreads,
 		SetProcessMask: func(m cpuset.CPUSet) {
@@ -30,21 +26,16 @@ func AttachDLB(rt *Runtime, ctx *dlbcore.Context) *DLBTool {
 			rt.SetNumThreads(m.Count())
 		},
 	})
-	t := &DLBTool{ctx: ctx}
-	rt.RegisterTool(t)
-	return t
+	rt.RegisterTool(&dlbTool{ctx: ctx})
 }
 
 // ParallelBegin implements Tool: a DROM polling point.
-func (t *DLBTool) ParallelBegin(rt *Runtime, requested int) {
+func (t *dlbTool) ParallelBegin(rt *Runtime, requested int) {
 	t.ctx.PollDROM()
-	if t.BorrowAtRegion {
-		t.ctx.Borrow()
-	}
 }
 
 // ParallelEnd implements Tool.
-func (t *DLBTool) ParallelEnd(rt *Runtime) {}
+func (t *dlbTool) ParallelEnd(rt *Runtime) {}
 
 // ImplicitTask implements Tool.
-func (t *DLBTool) ImplicitTask(rt *Runtime, threadNum, teamSize int) {}
+func (t *dlbTool) ImplicitTask(rt *Runtime, threadNum, teamSize int) {}

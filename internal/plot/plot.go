@@ -11,6 +11,14 @@ import (
 	"strings"
 )
 
+// The figure sizes in pixels: every chart is chartW wide, a bar chart
+// chartH tall and a timeline row ganttRowH tall.
+const (
+	chartW    = 900
+	chartH    = 420
+	ganttRowH = 14
+)
+
 // palette is a color cycle for series/jobs.
 var palette = []string{
 	"#4472c4", "#ed7d31", "#a5a5a5", "#ffc000", "#5b9bd5", "#70ad47",
@@ -34,19 +42,11 @@ type BarChart struct {
 	YLabel  string
 	XLabels []string
 	Series  []BarSeries
-	// Width/Height default to 900x420.
-	Width, Height int
 }
 
 // SVG renders the chart.
 func (c BarChart) SVG() string {
-	w, h := c.Width, c.Height
-	if w <= 0 {
-		w = 900
-	}
-	if h <= 0 {
-		h = 420
-	}
+	w, h := chartW, chartH
 	marginL, marginR, marginT, marginB := 70, 20, 40, 110
 	plotW := w - marginL - marginR
 	plotH := h - marginT - marginB
@@ -137,23 +137,15 @@ type GanttRow struct {
 
 // Gantt describes a timeline figure.
 type Gantt struct {
-	Title       string
-	XLabel      string
-	Rows        []GanttRow
-	T0, T1      float64 // time range; zero values auto-compute
-	Width, RowH int
+	Title  string
+	XLabel string
+	Rows   []GanttRow
+	T0, T1 float64 // time range; zero values auto-compute
 }
 
 // SVG renders the timeline.
 func (g Gantt) SVG() string {
-	w := g.Width
-	if w <= 0 {
-		w = 900
-	}
-	rowH := g.RowH
-	if rowH <= 0 {
-		rowH = 14
-	}
+	w, rowH := chartW, ganttRowH
 	marginL, marginR, marginT, marginB := 170, 20, 40, 40
 	plotW := w - marginL - marginR
 	h := marginT + rowH*len(g.Rows) + marginB

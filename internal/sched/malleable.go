@@ -11,8 +11,7 @@ package sched
 //   - expand (when Expand is set): once the queue is fully served,
 //     running malleable jobs below their request grow back into the
 //     free CPUs, one CPU per node at a time to the smallest allocation
-//     first — the generalization of the controller's evolving-request
-//     service.
+//     first.
 type Malleable struct {
 	// Expand enables the re-expansion phase (malleable-expand);
 	// without it the policy only shrinks (malleable-shrink).

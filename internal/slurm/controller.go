@@ -21,6 +21,13 @@ import (
 // DefaultLaunchLatency models srun + slurmstepd startup.
 const DefaultLaunchLatency = 1.0 // seconds
 
+// checkpointCost and restartCost model the state save and restore of
+// the preemption baseline, in seconds per preempted job.
+const (
+	checkpointCost = 120.0
+	restartCost    = 120.0
+)
+
 // preInitRetries bounds how many times a launch re-attempts its DROM
 // reservation against a registry reporting ErrNoShmem before the
 // controller gives up. One attempt is a composite of several
@@ -113,28 +120,6 @@ type queuedJob struct {
 	requeues int
 }
 
-// NodeSelection orders candidate nodes when a job can be placed on a
-// subset of them: the paper's future-work knob ("at resource
-// management level, by choosing as 'victim' nodes the ones with lower
-// utilization").
-type NodeSelection int
-
-const (
-	// SelectFreest prefers the least-utilized nodes (the paper's
-	// suggested victim choice). Default.
-	SelectFreest NodeSelection = iota
-	// SelectPacked prefers the most-utilized nodes that still fit,
-	// consolidating jobs and keeping nodes free for wide jobs.
-	SelectPacked
-)
-
-func (s NodeSelection) String() string {
-	if s == SelectPacked {
-		return "packed"
-	}
-	return "freest"
-}
-
 // Controller is the slurmctld simulation: queueing, node selection and
 // the DROM-enabled launch/termination protocol via per-node slurmd
 // administrators.
@@ -145,9 +130,6 @@ type Controller struct {
 	// partition; nil selects the builtin mask-level planner
 	// (planBuiltin). See UseSched / UseSchedSet in sched_driver.go.
 	scheds []sched.Policy
-
-	// NodeSelection orders candidate nodes for placement.
-	NodeSelection NodeSelection
 
 	// Spillover enables the cross-partition spillover pass of
 	// sched-driven runs: a queued job whose home partition cannot host
@@ -164,16 +146,6 @@ type Controller struct {
 	// (0 or 1 = any backlog qualifies).
 	SpillDepth int
 
-	// ServeEvolving makes the controller grant evolving-application
-	// resize requests whenever resources free up.
-	ServeEvolving bool
-
-	// LaunchLatency is the srun→running delay.
-	LaunchLatency float64
-	// CheckpointCost / RestartCost model the state save/restore of the
-	// preemption baseline (seconds per preempted job).
-	CheckpointCost float64
-	RestartCost    float64
 	// drainUntil blocks scheduling cycles while a checkpoint is in
 	// progress (written by tryPreempt, held by runCycle).
 	drainUntil float64
@@ -371,24 +343,21 @@ func (ctl *Controller) Reset(c *Cluster, policy Policy) {
 	clear(ctl.rBySeq)
 	ctl.pend.Reset()
 	*ctl = Controller{
-		cluster:        c,
-		policy:         policy,
-		LaunchLatency:  DefaultLaunchLatency,
-		CheckpointCost: 120,
-		RestartCost:    120,
-		admins:         ctl.admins,
-		nodeIdx:        ctl.nodeIdx,
-		nodeMasks:      emptied(ctl.nodeMasks, n),
-		nodeFree:       emptied(ctl.nodeFree, n),
-		nodeFreeN:      emptied(ctl.nodeFreeN, n),
-		nodeFreeOK:     emptied(ctl.nodeFreeOK, n),
-		qBySeq:         ctl.qBySeq,
-		rBySeq:         ctl.rBySeq,
-		views:          emptyViews(ctl.views),
-		lastCycleAt:    -1,
-		rearmedAt:      -1,
-		reusable:       ctl.reusable,
-		pend:           ctl.pend,
+		cluster:     c,
+		policy:      policy,
+		admins:      ctl.admins,
+		nodeIdx:     ctl.nodeIdx,
+		nodeMasks:   emptied(ctl.nodeMasks, n),
+		nodeFree:    emptied(ctl.nodeFree, n),
+		nodeFreeN:   emptied(ctl.nodeFreeN, n),
+		nodeFreeOK:  emptied(ctl.nodeFreeOK, n),
+		qBySeq:      ctl.qBySeq,
+		rBySeq:      ctl.rBySeq,
+		views:       emptyViews(ctl.views),
+		lastCycleAt: -1,
+		rearmedAt:   -1,
+		reusable:    ctl.reusable,
+		pend:        ctl.pend,
 	}
 	for i := range n {
 		ctl.nodeMasks[i] = c.MachineOfNode(i).NodeMask()
@@ -604,7 +573,7 @@ func (ctl *Controller) tryPreempt(j *Job, pidx int) {
 	}
 	// The cycle that got here runs with no cycle pending, so the drain's
 	// end takes the deferred slot and every request until then is held.
-	until := ctl.cluster.Engine.Now() + ctl.CheckpointCost
+	until := ctl.cluster.Engine.Now() + checkpointCost
 	ctl.drainUntil = until
 	ctl.deferCycle(until)
 }
@@ -646,7 +615,7 @@ func (ctl *Controller) jobsOn(ni int) []JobOnNode {
 
 // builtinCand is a placement candidate of the builtin planner: a node
 // by global index with its rank in name order, its free CPU count for
-// the NodeSelection order, and the launch plan computed for it.
+// the freest-first order, and the launch plan computed for it.
 type builtinCand struct {
 	ni   int
 	rank int32
@@ -655,10 +624,9 @@ type builtinCand struct {
 }
 
 // The candidate orders, as plain functions: a sort that calls one
-// allocates nothing. Freest first is "victim nodes the ones with lower
-// utilization"; packed is fewest free CPUs first.
+// allocates nothing. Freest first is the paper's suggested victim
+// choice, "victim nodes the ones with lower utilization".
 func freestFirst(a, b builtinCand) int { return cmp.Compare(b.free, a.free) }
-func packedFirst(a, b builtinCand) int { return cmp.Compare(a.free, b.free) }
 func byName(a, b builtinCand) int      { return cmp.Compare(a.rank, b.rank) }
 
 // selectNodes picks nodes for a job under the active policy — from
@@ -718,13 +686,9 @@ func (ctl *Controller) selectNodes(j *Job, pidx int) ([]int, []LaunchPlan) {
 	if len(cands) < j.Nodes {
 		return nil, nil
 	}
-	// Order candidates per the configured victim-node policy (ties keep
-	// partition order), then the chosen ones by name.
-	order := freestFirst
-	if ctl.NodeSelection == SelectPacked {
-		order = packedFirst
-	}
-	slices.SortStableFunc(cands, order)
+	// Order candidates freest first (ties keep partition order), then
+	// the chosen ones by name.
+	slices.SortStableFunc(cands, freestFirst)
 	slices.SortFunc(cands[:j.Nodes], byName)
 	nodeAt, plans := slices.Grow(ctl.launchAt[:0], j.Nodes), slices.Grow(ctl.chosenPlans[:0], j.Nodes)
 	for _, c := range cands[:j.Nodes] {
@@ -900,7 +864,7 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 				}
 				// A lost reservation cannot simply be absorbed the way
 				// other registry faults are: the launch is committed, so
-				// the task WILL register in LaunchLatency, and without
+				// the task WILL register after the launch latency, and without
 				// the PreInit entry (and its victim shrinks) its mask
 				// overlaps whatever the scheduler grants meanwhile —
 				// poisoning every later SetProcessMask with ErrPerm.
@@ -938,7 +902,7 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 		// Resume from the checkpoint after the launch latency, paying the
 		// restart cost (evResume rebuilds the placements from r.tasks).
 		ctl.addRunning(r)
-		ctl.trackAfter(ctl.LaunchLatency, pendEv{kind: evResume, seq: r.seq})
+		ctl.trackAfter(DefaultLaunchLatency, pendEv{kind: evResume, seq: r.seq})
 		return
 	}
 
@@ -953,7 +917,7 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 	ctl.addRunning(r)
 
 	// srun/slurmstepd latency, then the task starts (DLB_Init).
-	ctl.trackAfter(ctl.LaunchLatency, pendEv{kind: evStart, seq: r.seq})
+	ctl.trackAfter(DefaultLaunchLatency, pendEv{kind: evStart, seq: r.seq})
 	// A fault-annotated job dies FailAfter seconds into its run: the
 	// interrupt fires whether or not the job was shrunk or expanded in
 	// the meantime — elongated iterations do not postpone a failure.
@@ -961,7 +925,7 @@ func (ctl *Controller) launch(q *queuedJob, nodeAt []int, plans []LaunchPlan) {
 	// seq, so the stale interrupt is a no-op; the fault is not
 	// re-armed across a checkpoint restart.)
 	if j.FailAfter > 0 {
-		ctl.trackAfter(ctl.LaunchLatency+j.FailAfter, pendEv{kind: evInterrupt, seq: r.seq})
+		ctl.trackAfter(DefaultLaunchLatency+j.FailAfter, pendEv{kind: evInterrupt, seq: r.seq})
 	}
 }
 
@@ -1134,9 +1098,6 @@ func (ctl *Controller) endJob(r *runningJob, end float64, outcome metrics.Outcom
 	}
 	// Freed capacity may unblock the queue.
 	ctl.kick()
-	if ctl.ServeEvolving {
-		ctl.ServeEvolvingRequests()
-	}
 	ctl.releaseRunning(r)
 }
 
@@ -1187,58 +1148,6 @@ func (ctl *Controller) Cancel(name string) bool {
 		}
 	}
 	return false
-}
-
-// ServeEvolvingRequests scans every node for evolving-application
-// resize requests (§2's PMIx-style model, complementary to DROM) and
-// grants what the current state allows: shrinks immediately, grows
-// bounded by the node's free CPUs. Called automatically on job
-// completion when ServeEvolving is set, or explicitly by the operator.
-//
-//simvet:coldpath evolving-application scenarios only (ServeEvolving), and the request list is allocated by the registry
-func (ctl *Controller) ServeEvolvingRequests() {
-	for ni, node := range ctl.cluster.Nodes {
-		// A down or draining node grants nothing: its free CPUs are out
-		// of service, and shrink requests keep until it returns.
-		if !ctl.nodeUp(ni) {
-			continue
-		}
-		admin := ctl.admins[ni]
-		reqs, code := admin.ResizeRequests()
-		if code.IsError() {
-			continue
-		}
-		for _, req := range reqs {
-			e, code := admin.Inspect(req.PID)
-			if code.IsError() {
-				continue
-			}
-			cur := e.EffectiveMask()
-			machine := ctl.cluster.MachineOfNode(ni)
-			var next cpuset.CPUSet
-			if req.Want < req.Current {
-				next = machine.SocketAwarePick(cur, req.Want)
-			} else {
-				free := ctl.cluster.SystemAt(ni).Segment().FreeMask()
-				extra := machine.SocketAwarePick(free, req.Want-req.Current)
-				if extra.IsEmpty() {
-					continue // nothing to grant now
-				}
-				next = cur.Or(extra)
-			}
-			if next.IsEmpty() || next.Equal(cur) {
-				continue
-			}
-			if code := admin.SetProcessMask(req.PID, next, core.FlagNone); code.IsError() {
-				if !ctl.shmemFault(ni, code) {
-					ctl.fail(fmt.Errorf("slurm: evolving grant pid %d on %s: %w", req.PID, node, code))
-				}
-				continue
-			}
-			ctl.invalidateNode(ni)
-			ctl.protocol(obs.StepEvolvingGrant, ni, "", req.PID, next)
-		}
-	}
 }
 
 // releaseResources redistributes the free CPUs of the node at global

@@ -257,9 +257,9 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 	ctl.Spillover = next()%2 == 1
 	ctl.SpillAfter = float64(next()%4) * 20
 	ctl.SpillDepth = next() % 3
-	if next()%2 == 1 {
-		ctl.NodeSelection = SelectPacked
-	}
+	// A byte once chose the node order; it is still read, so the
+	// committed corpus decodes as it always has.
+	next()
 	var script []string
 	for k, nw := 0, next()%4; k < nw; k++ {
 		kind := []string{"down", "drain"}[next()%2]

@@ -140,7 +140,7 @@ func (ctl *Controller) dispatch(pe pendEv) {
 		// Same guard: resuming a job a node failure killed inside the
 		// window would register ghost ranks.
 		if r := ctl.rBySeq[pe.seq]; r != nil {
-			if err := r.inst.Resume(ctl.placementsOf(r), ctl.RestartCost); err != nil {
+			if err := r.inst.Resume(ctl.placementsOf(r), restartCost); err != nil {
 				ctl.fail(err)
 			}
 		}
@@ -225,14 +225,9 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 	ctl2 := &Controller{
 		cluster:         c,
 		policy:          ctl.policy,
-		NodeSelection:   ctl.NodeSelection,
 		Spillover:       ctl.Spillover,
 		SpillAfter:      ctl.SpillAfter,
 		SpillDepth:      ctl.SpillDepth,
-		ServeEvolving:   ctl.ServeEvolving,
-		LaunchLatency:   ctl.LaunchLatency,
-		CheckpointCost:  ctl.CheckpointCost,
-		RestartCost:     ctl.RestartCost,
 		drainUntil:      ctl.drainUntil,
 		seq:             ctl.seq,
 		admins:          make([]*core.Admin, len(ctl.admins)),

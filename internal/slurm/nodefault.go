@@ -41,7 +41,7 @@ const (
 	// enables seeded failures without naming one (virtual seconds).
 	DefaultMTTR = 600.0
 	// DefaultRequeueBackoff is the base of the exponential requeue
-	// backoff (virtual seconds).
+	// backoff (virtual seconds); see requeueBackoff.
 	DefaultRequeueBackoff = 30.0
 )
 
@@ -68,10 +68,6 @@ type FaultPlan struct {
 	// Seed feeds the fault model's private RNG (failure and repair
 	// times, backoff jitter).
 	Seed int64
-	// BackoffBase is the base of the requeue backoff
-	// (DefaultRequeueBackoff when 0): attempt k waits
-	// base·2^(k-1)·jitter virtual seconds, jitter uniform in [0.5,1.5).
-	BackoffBase float64
 }
 
 // Enabled reports whether the plan injects any faults.
@@ -156,9 +152,6 @@ func (ctl *Controller) InstallFaults(fp FaultPlan) error {
 	}
 	if fp.MTTR <= 0 {
 		fp.MTTR = DefaultMTTR
-	}
-	if fp.BackoffBase <= 0 {
-		fp.BackoffBase = DefaultRequeueBackoff
 	}
 	wins, err := parseFaultScript(ctl, fp.Script)
 	if err != nil {
@@ -456,7 +449,7 @@ func (ctl *Controller) requeueArrive(job *Job, submit float64, seq, home, attemp
 // ±50% when the seeded RNG is available (a scripted-only plan stays
 // fully deterministic without it).
 func (ctl *Controller) requeueBackoff(attempt int) float64 {
-	d := ctl.nfPlan.BackoffBase * math.Pow(2, float64(attempt-1))
+	d := DefaultRequeueBackoff * math.Pow(2, float64(attempt-1))
 	if ctl.nfRand != nil {
 		d *= 0.5 + ctl.nfRand.Float64()
 	}

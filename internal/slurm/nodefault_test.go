@@ -79,7 +79,7 @@ func TestParseFaultScriptErrors(t *testing.T) {
 // restarts when the repair returns capacity — with its original submit
 // time intact, so wait/slowdown span the whole lifecycle.
 func TestNodeDownKillsAndRequeues(t *testing.T) {
-	ctl, run := faultController(t, FaultPlan{Script: "node0:down@50..200", BackoffBase: 10})
+	ctl, run := faultController(t, FaultPlan{Script: "node0:down@50..200"})
 	submit(t, ctl, wideJob("victim", 300, 400))
 	run()
 	checkErr(t, ctl)
@@ -93,7 +93,7 @@ func TestNodeDownKillsAndRequeues(t *testing.T) {
 	if r.Submit != 0 {
 		t.Errorf("submit = %v, want the original 0 preserved across the requeue", r.Submit)
 	}
-	// Killed at 50, re-enqueued at 60 (backoff 10·2⁰, no jitter without
+	// Killed at 50, re-enqueued at 80 (backoff 30·2⁰, no jitter without
 	// a seeded RNG), but the 2-node shape fits only after the repair.
 	if r.Start != 200 {
 		t.Errorf("start = %v, want 200 (the repair instant)", r.Start)
@@ -117,7 +117,7 @@ func TestNodeDownKillsAndRequeues(t *testing.T) {
 func TestRequeueCapRecordsNodeFailed(t *testing.T) {
 	ctl, run := faultController(t, FaultPlan{
 		Script:      "node0:down@50..60+node0:down@100..110",
-		MaxRequeues: 1, BackoffBase: 5,
+		MaxRequeues: 1,
 	})
 	submit(t, ctl, wideJob("victim", 300, 400))
 	run()
@@ -203,7 +203,7 @@ func TestNodeDownDuringLaunchLatency(t *testing.T) {
 	ctl.DebugInvariants = true
 	// from=0 would race the synchronous submit below; the smallest
 	// positive time still lands inside the launch-latency window.
-	if err := ctl.InstallFaults(FaultPlan{Script: "node0:down@0.1..100", BackoffBase: 5}); err != nil {
+	if err := ctl.InstallFaults(FaultPlan{Script: "node0:down@0.1..100"}); err != nil {
 		t.Fatal(err)
 	}
 	submit(t, ctl, wideJob("doomed", 30, 100))
@@ -238,7 +238,7 @@ func TestSeededFaultsDeterministic(t *testing.T) {
 		ctl := NewController(c, PolicyDROM)
 		ctl.UseSched(&sched.EASY{})
 		ctl.DebugInvariants = true
-		if err := ctl.InstallFaults(FaultPlan{MTBF: 120, MTTR: 40, Seed: 7, BackoffBase: 5}); err != nil {
+		if err := ctl.InstallFaults(FaultPlan{MTBF: 120, MTTR: 40, Seed: 7}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 6; i++ {
@@ -273,8 +273,6 @@ func TestSeededFaultsDeterministic(t *testing.T) {
 func TestPreemptRequeueKeepsSubmitTime(t *testing.T) {
 	eng, c := newTestCluster()
 	ctl := NewController(c, PolicyPreempt)
-	ctl.CheckpointCost = 50
-	ctl.RestartCost = 50
 	low := &Job{Name: "low", Spec: fastSpec(600), Cfg: apps.Config{Ranks: 2, Threads: 16},
 		Nodes: 2, Priority: 0, Malleable: true}
 	high := &Job{Name: "high", Spec: fastSpec(100), Cfg: apps.Config{Ranks: 2, Threads: 16},

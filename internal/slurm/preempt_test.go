@@ -12,8 +12,6 @@ import (
 func TestPreemptionFlow(t *testing.T) {
 	eng, c := newTestCluster()
 	ctl := NewController(c, PolicyPreempt)
-	ctl.CheckpointCost = 50
-	ctl.RestartCost = 50
 	low := &Job{Name: "low", Spec: fastSpec(600), Cfg: apps.Config{Ranks: 2, Threads: 16},
 		Nodes: 2, Priority: 0, Malleable: true}
 	high := &Job{Name: "high", Spec: fastSpec(100), Cfg: apps.Config{Ranks: 2, Threads: 16},
@@ -31,7 +29,7 @@ func TestPreemptionFlow(t *testing.T) {
 	if ctl.RunningLen() != 0 {
 		t.Fatal("launch during checkpoint drain")
 	}
-	eng.RunUntil(260)
+	eng.RunUntil(200 + checkpointCost + 20)
 	if ctl.RunningLen() != 1 {
 		t.Fatalf("high-priority job not launched after drain: running=%d", ctl.RunningLen())
 	}
@@ -54,8 +52,8 @@ func TestPreemptionFlow(t *testing.T) {
 	}
 	// High started promptly (wait ≈ checkpoint cost, not low's whole
 	// remaining runtime).
-	if rh.WaitTime() < ctl.CheckpointCost-1 || rh.WaitTime() > ctl.CheckpointCost+20 {
-		t.Errorf("high wait = %v, want ~checkpoint cost %v", rh.WaitTime(), ctl.CheckpointCost)
+	if rh.WaitTime() < checkpointCost-1 || rh.WaitTime() > checkpointCost+20 {
+		t.Errorf("high wait = %v, want ~checkpoint cost %v", rh.WaitTime(), checkpointCost)
 	}
 }
 
@@ -77,7 +75,7 @@ func TestPreemptionWorkConserved(t *testing.T) {
 	// is bounded below by its compute plus high's runtime and both
 	// costs, and above by adding scheduling latencies.
 	rl, _ := ctl.Records.Job("low")
-	minimum := 300.0 + 50 + ctl.CheckpointCost + ctl.RestartCost
+	minimum := 300.0 + 50 + checkpointCost + restartCost
 	if rl.RunTime() < minimum-5 || rl.RunTime() > minimum+30 {
 		t.Errorf("low run time = %v, want ~%v", rl.RunTime(), minimum)
 	}
@@ -225,7 +223,7 @@ func TestPreemptInsideLaunchWindow(t *testing.T) {
 	high := &Job{Name: "high", Spec: fastSpec(50), Cfg: apps.Config{Ranks: 2, Threads: 16},
 		Nodes: 2, Priority: 10, Malleable: true}
 	submit(t, ctl, low)
-	eng.RunUntil(ctl.LaunchLatency / 2) // low's evStart is still pending
+	eng.RunUntil(DefaultLaunchLatency / 2) // low's evStart is still pending
 	submit(t, ctl, high)
 	if ctl.RunningLen() != 0 || ctl.QueueLen() != 2 {
 		t.Fatalf("running=%d queue=%d right after preemption", ctl.RunningLen(), ctl.QueueLen())

@@ -38,7 +38,7 @@ import (
 //
 // Sched-driven runs require disjoint-mask placement, and the
 // incremental free-CPU accounting cannot see oversubscribed
-// registrations (they attach outside the controller, LaunchLatency
+// registrations (they attach outside the controller, the launch latency
 // after the launch): PolicyOversubscribe is rejected.
 func (ctl *Controller) UseSched(p sched.Policy) {
 	if p == nil {
@@ -114,8 +114,8 @@ func (ctl *Controller) refreshFree(i int) {
 // change under the controller's hand — launch reservations (PreInit),
 // shrink/expand staging (SetProcessMask) and job termination
 // (PostFinalize) — and re-scanned lazily from shared memory only for
-// nodes an ambiguous mutation (steal redistribution, checkpoint stop,
-// evolving grant) invalidated.
+// nodes an ambiguous mutation (steal redistribution, checkpoint stop)
+// invalidated.
 //
 // Failure-domain overlay: a down or draining node exposes no free CPUs
 // to any consumer (placement, spillover, reservations, the invariant
@@ -452,15 +452,14 @@ type startCand struct {
 	n    int
 }
 
-// The NodeSelection orders of startQueued's candidates: most
-// effectively-free CPUs first, or fewest when packed.
+// startFreestFirst orders startQueued's candidates most
+// effectively-free CPUs first.
 func startFreestFirst(a, b startCand) int { return cmp.Compare(b.n, a.n) }
-func startPackedFirst(a, b startCand) int { return cmp.Compare(a.n, b.n) }
 
 // freeCandsSorted collects the nodes of partition pi with at least
 // need effectively-free CPUs into the startCands scratch and orders
-// them per the NodeSelection policy (a stable sort by free count that
-// allocates nothing; ties keep partition order). Shared by
+// them freest first (a stable sort by free count that allocates
+// nothing; ties keep partition order). Shared by
 // startQueued's unpinned path and the spillover placement so the two
 // can never disagree on node selection.
 func (ctl *Controller) freeCandsSorted(pi, need int) []startCand {
@@ -471,11 +470,7 @@ func (ctl *Controller) freeCandsSorted(pi, need int) []startCand {
 			cands = append(cands, startCand{ni, ctl.effectiveFree(ni), n})
 		}
 	}
-	order := startFreestFirst
-	if ctl.NodeSelection == SelectPacked {
-		order = startPackedFirst
-	}
-	slices.SortStableFunc(cands, order)
+	slices.SortStableFunc(cands, startFreestFirst)
 	ctl.startCands = cands
 	return cands
 }

@@ -128,9 +128,8 @@ func refHasRoom(p *refPart, q refQueued) bool {
 }
 
 // refPlacement picks the host nodes as freeCandsSorted does: the nodes
-// with room, stably ordered by free count (freest first, or fullest
-// first when packed), the first q.nodes of them.
-func refPlacement(p *refPart, q refQueued, packed bool) []int {
+// with room, stably ordered freest first, the first q.nodes of them.
+func refPlacement(p *refPart, q refQueued) []int {
 	var cands []int
 	for i, f := range p.free {
 		if f >= q.cpus {
@@ -141,9 +140,6 @@ func refPlacement(p *refPart, q refQueued, packed bool) []int {
 		return nil
 	}
 	sort.SliceStable(cands, func(a, b int) bool {
-		if packed {
-			return p.free[cands[a]] < p.free[cands[b]]
-		}
 		return p.free[cands[a]] > p.free[cands[b]]
 	})
 	return cands[:q.nodes]
@@ -205,7 +201,7 @@ func refNodeNames(p *refPart, nodes []int) string {
 }
 
 // refSpillWalk is the reference spillover pass over (parts, queue).
-func refSpillWalk(parts []refPart, queue []refQueued, now, after float64, minDepth int, packed bool) []refDecision {
+func refSpillWalk(parts []refPart, queue []refQueued, now, after float64, minDepth int) []refDecision {
 	if len(parts) < 2 {
 		return nil
 	}
@@ -234,7 +230,7 @@ func refSpillWalk(parts []refPart, queue []refQueued, now, after float64, minDep
 			if host == q.home || !refFits(p, q) {
 				continue
 			}
-			nodes := refPlacement(p, q, packed)
+			nodes := refPlacement(p, q)
 			if nodes == nil {
 				continue
 			}
@@ -336,9 +332,9 @@ func TestSpillPassMatchesReference(t *testing.T) {
 		ctl.UseSched(policy)
 		ctl.SpillAfter = []float64{0, 0, 20, 80}[rng.Intn(4)]
 		ctl.SpillDepth = rng.Intn(4)
-		if rng.Intn(2) == 0 {
-			ctl.NodeSelection = SelectPacked
-		}
+		// A draw once chose the node order; it is still made, so each
+		// seed builds the scenario it always has.
+		rng.Intn(2)
 		const horizon = 600.0
 		if rng.Intn(2) == 0 {
 			var script []string
@@ -379,7 +375,7 @@ func TestSpillPassMatchesReference(t *testing.T) {
 				continue // nothing submitted yet
 			}
 			parts, queue := refState(ctl)
-			want := refSpillWalk(parts, queue, eng.Now(), ctl.SpillAfter, ctl.SpillDepth, ctl.NodeSelection == SelectPacked)
+			want := refSpillWalk(parts, queue, eng.Now(), ctl.SpillAfter, ctl.SpillDepth)
 			rec.out = rec.out[:0]
 			ctl.Probe = rec
 			ctl.spillPass()

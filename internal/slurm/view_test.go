@@ -225,7 +225,7 @@ func testBuiltinLaunchFinishAllocs(t *testing.T, policy Policy, cotenant bool) {
 		// Every newcomer's CPUs went back: the co-tenant runs on (or
 		// has staged) the whole node again.
 		for ni := range ctl.admins {
-			if e, _ := ctl.admins[ni].Inspect(ctl.views[0].rjobs[0].tasks[ni].pid); e.EffectiveMask().Count() != 16 {
+			if e, _ := ctl.admins[ni].System().Segment().Lookup(ctl.views[0].rjobs[0].tasks[ni].pid); e.EffectiveMask().Count() != 16 {
 				t.Errorf("node %d: co-tenant holds %v after the last newcomer ended", ni, e.EffectiveMask())
 			}
 		}

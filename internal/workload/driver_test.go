@@ -11,6 +11,8 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -167,11 +169,13 @@ func TestSliceAndLazySourcesReplayIdentically(t *testing.T) {
 // TestScenarioFieldsHonouredByEverySource: every wiring field of
 // Scenario takes effect on a slice-backed run and on a lazy-source
 // run alike — there is one wiring site. (The streamed rows failed when
-// runStream had its own, shorter, copy of the wiring.)
+// runStream had its own, shorter, copy of the wiring.) Every exported
+// field must be a row here, name the test that pins it, or be data a
+// run carries rather than a knob it honours, so a new knob cannot land
+// without showing it takes effect.
 func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
-	// Contended, partitioned and spilling: spillover placement is where
-	// a sched-driven replay consults NodeSelection (policy starts pin
-	// their nodes).
+	// Contended, partitioned and spilling, so the spillover thresholds
+	// have something to hold back.
 	gen := SyntheticSWF{Seed: 2, Jobs: 120, MeanInterarrival: 20, Cluster: hwmodel.HeteroMN3()}
 	nodes := gen.Cluster.TotalNodes()
 	sources := []struct {
@@ -192,20 +196,15 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 			return RunSchedStream(s, gen.Source(), p)
 		}},
 	}
-	// observed is a result with the placements seen on the bus: the
-	// "job@node" of every launch_request step, in order.
-	type observed struct {
-		Result
-		placed strings.Builder
-	}
+	// A row names the fields it sets, joined by "+".
 	fields := []struct {
 		name string
 		set  func(t *testing.T, s *Scenario)
-		took func(t *testing.T, s Scenario, base, got *observed)
+		took func(t *testing.T, s Scenario, base, got Result)
 	}{
 		{"ShmemDir",
 			func(t *testing.T, s *Scenario) { s.ShmemDir = t.TempDir() },
-			func(t *testing.T, s Scenario, _, _ *observed) {
+			func(t *testing.T, s Scenario, _, _ Result) {
 				segs, err := filepath.Glob(filepath.Join(s.ShmemDir, "*.seg"))
 				if err != nil || len(segs) != nodes {
 					t.Errorf("segment files = %v (err=%v), want %d", segs, err, nodes)
@@ -213,7 +212,7 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 			}},
 		{"Trace",
 			func(_ *testing.T, s *Scenario) { s.Trace = true },
-			func(t *testing.T, _ Scenario, base, got *observed) {
+			func(t *testing.T, _ Scenario, base, got Result) {
 				if base.Tracer != nil {
 					t.Errorf("untraced run carries a tracer")
 				}
@@ -221,38 +220,62 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 					t.Errorf("traced run recorded no segments")
 				}
 			}},
-		{"NodeSelection",
-			func(_ *testing.T, s *Scenario) { s.NodeSelection = slurm.SelectPacked },
-			func(t *testing.T, _ Scenario, base, got *observed) {
-				if base.placed.Len() == 0 || base.placed.String() == got.placed.String() {
-					t.Errorf("SelectPacked placed every job where SelectFreest did (%d bytes of placements)", base.placed.Len())
-				}
-			}},
 		{"JitterFrac+Seed",
 			func(_ *testing.T, s *Scenario) { s.JitterFrac, s.Seed = 0.05, 7 },
-			func(t *testing.T, _ Scenario, base, got *observed) {
+			func(t *testing.T, _ Scenario, base, got Result) {
 				if base.Records.TotalRunTime() == got.Records.TotalRunTime() {
 					t.Errorf("jittered makespan equals the deterministic one (%v)", got.Records.TotalRunTime())
 				}
 			}},
+		{"SpillAfter",
+			func(_ *testing.T, s *Scenario) { s.SpillAfter = 1e9 },
+			func(t *testing.T, _ Scenario, base, got Result) {
+				if base.Records.Spilled() == 0 || got.Records.Spilled() != 0 {
+					t.Errorf("spilled %d jobs with no wait threshold, %d past an unreachable one", base.Records.Spilled(), got.Records.Spilled())
+				}
+			}},
+		{"SpillDepth",
+			func(_ *testing.T, s *Scenario) { s.SpillDepth = 1 << 20 },
+			func(t *testing.T, _ Scenario, base, got Result) {
+				if base.Records.Spilled() == 0 || got.Records.Spilled() != 0 {
+					t.Errorf("spilled %d jobs with no depth threshold, %d past an unreachable one", base.Records.Spilled(), got.Records.Spilled())
+				}
+			}},
 	}
+	// The fields pinned elsewhere, by the test that pins them.
+	covered := map[string]string{
+		"Nodes":       "TestSliceAndLazySourcesReplayIdentically/homogeneous",
+		"Cluster":     "TestSliceAndLazySourcesReplayIdentically/hetero-faults",
+		"Spill":       "TestSliceAndLazySourcesReplayIdentically/spillover",
+		"NodeFaults":  "TestSliceAndLazySourcesReplayIdentically/node-faults",
+		"MTBF":        "TestSliceAndLazySourcesReplayIdentically/node-faults",
+		"MTTR":        "TestSliceAndLazySourcesReplayIdentically/node-faults",
+		"MaxRequeues": "TestSliceAndLazySourcesReplayIdentically/node-faults",
+		"FaultSeed":   "TestSliceAndLazySourcesReplayIdentically/node-faults",
+		// No result shows the invariant checks, so the wiring is
+		// asserted at the controller below.
+		"DebugInvariants": "TestScenarioFieldsHonouredByEverySource",
+	}
+	data := []string{"Name", "Subs", "Dropped", "Probe"}
+	rowed := map[string]bool{}
+	for _, f := range fields {
+		for _, name := range strings.Split(f.name, "+") {
+			rowed[name] = true
+		}
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[Scenario]()) {
+		if f.IsExported() && !rowed[f.Name] && covered[f.Name] == "" && !slices.Contains(data, f.Name) {
+			t.Errorf("Scenario.%s has no wiring row, no covering test and is not data", f.Name)
+		}
+	}
+
 	for _, src := range sources {
 		for _, f := range fields {
 			t.Run(src.name+"/"+f.name, func(t *testing.T) {
-				observe := func(s Scenario) *observed {
-					o := &observed{}
-					s.Probe = obs.Func(func(ev obs.Event) {
-						if ev.Kind == obs.KindProtocol && ev.Step == obs.StepLaunchRequest {
-							o.placed.WriteString(ev.Job + "@" + ev.Placement + " ")
-						}
-					})
-					o.Result = src.run(s)
-					return o
-				}
 				s := Scenario{Cluster: gen.Cluster, Spill: true}
-				base := observe(s)
+				base := src.run(s)
 				f.set(t, &s)
-				got := observe(s)
+				got := src.run(s)
 				if base.Err != nil || got.Err != nil {
 					t.Fatalf("base err %v, with field err %v", base.Err, got.Err)
 				}
@@ -260,15 +283,13 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 			})
 		}
 	}
-	// ServeEvolving has no observable in a replay — no replayable app
-	// model posts resize requests — so it is asserted at the wiring.
 	for _, src := range []SubmissionSource{newSliceSource(nil), gen.Source()} {
-		sess, err := open(new(kit), Scenario{Cluster: gen.Cluster, ServeEvolving: true}, src, slurm.PolicyDROM, nil)
+		sess, err := open(new(kit), Scenario{Cluster: gen.Cluster, DebugInvariants: true}, src, slurm.PolicyDROM, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sess.Controller().ServeEvolving {
-			t.Errorf("%T: ServeEvolving did not reach the controller", src)
+		if !sess.Controller().DebugInvariants {
+			t.Errorf("%T: DebugInvariants did not reach the controller", src)
 		}
 	}
 }

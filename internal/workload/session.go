@@ -187,8 +187,6 @@ func open(k *kit, s Scenario, src SubmissionSource, policy slurm.Policy, install
 	if err := installSched(ctl, s, install); err != nil {
 		return nil, err
 	}
-	ctl.NodeSelection = s.NodeSelection
-	ctl.ServeEvolving = s.ServeEvolving
 	ctl.DebugInvariants = s.DebugInvariants
 	installProbe(eng, ctl, s)
 	if _, ok := src.(*sliceSource); !ok {

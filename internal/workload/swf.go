@@ -262,12 +262,9 @@ func appendSWFFloat(b []byte, v float64) []byte {
 
 // SWFOptions maps a trace onto the simulated cluster.
 type SWFOptions struct {
-	// Nodes is the cluster size (default 4). Ignored when Cluster is
-	// set.
-	Nodes int
-	// Machine is the node model (zero value = MN3, 16 cores). Ignored
+	// Nodes is the cluster size (default 4) of MN3 nodes. Ignored
 	// when Cluster is set.
-	Machine hwmodel.Machine
+	Nodes int
 	// Cluster, when non-empty, replays onto a partitioned
 	// heterogeneous cluster: the trace's partition numbers route jobs
 	// to its partitions ((p−1) mod NumPartitions).
@@ -311,7 +308,7 @@ func (o SWFOptions) check() error {
 
 // clusterSpec resolves the mapping target: the explicit partitioned
 // layout when given, otherwise a homogeneous single-partition cluster
-// of the configured (or default 4×MN3) shape.
+// of Nodes (default 4) MN3 nodes.
 func (o SWFOptions) clusterSpec() hwmodel.ClusterSpec {
 	if len(o.Cluster.Partitions) > 0 {
 		return o.Cluster
@@ -320,11 +317,7 @@ func (o SWFOptions) clusterSpec() hwmodel.ClusterSpec {
 	if nodes <= 0 {
 		nodes = 4
 	}
-	machine := o.Machine
-	if machine.CoresPerNode() == 0 {
-		machine = hwmodel.MN3()
-	}
-	return hwmodel.Homogeneous(slurm.DefaultPartition, machine, nodes)
+	return hwmodel.Homogeneous(slurm.DefaultPartition, hwmodel.MN3(), nodes)
 }
 
 // routePartition maps an SWF partition number onto a cluster

@@ -39,16 +39,8 @@ type Scenario struct {
 	Subs  []Submission
 	// Trace enables per-thread tracing (needed for Figures 5, 13, 14).
 	Trace bool
-	// NodeSelection orders candidate nodes at placement (victim-node
-	// policy).
-	NodeSelection slurm.NodeSelection
-	// ServeEvolving makes the controller grant evolving-application
-	// resize requests when resources free up.
-	ServeEvolving bool
-	// Machine overrides the node model (zero value = MareNostrum III).
-	Machine hwmodel.Machine
-	// Cluster, when non-empty, overrides Nodes/Machine with a
-	// partitioned heterogeneous layout (hwmodel.ParseCluster grammar;
+	// Cluster, when non-empty, overrides Nodes with a partitioned
+	// heterogeneous layout (hwmodel.ParseCluster grammar;
 	// jobs target partitions by name via slurm.Job.Partition).
 	Cluster hwmodel.ClusterSpec
 	// Dropped carries the parse-level drop counts of the trace mapping
@@ -123,31 +115,20 @@ func installProbe(eng *sim.Engine, ctl *slurm.Controller, s Scenario) {
 	})
 }
 
-// clusterShape resolves the scenario's homogeneous defaults: 2 nodes
-// of the MN3 machine model.
-func (s Scenario) clusterShape() (nodes int, machine hwmodel.Machine) {
-	nodes = s.Nodes
-	if nodes <= 0 {
-		nodes = 2
-	}
-	machine = s.Machine
-	if machine.CoresPerNode() == 0 {
-		machine = hwmodel.MN3()
-	}
-	return nodes, machine
-}
-
 // clusterSpec resolves the scenario's cluster layout: the explicit
 // partitioned spec when set, otherwise a single default-named
-// partition of the homogeneous shape. Every consumer of the cluster
+// partition of Nodes (default 2) MN3 nodes. Every consumer of the cluster
 // dimensions must go through here so metrics and simulation can never
 // disagree.
 func (s Scenario) clusterSpec() hwmodel.ClusterSpec {
 	if len(s.Cluster.Partitions) > 0 {
 		return s.Cluster
 	}
-	nodes, machine := s.clusterShape()
-	return hwmodel.Homogeneous(slurm.DefaultPartition, machine, nodes)
+	nodes := s.Nodes
+	if nodes <= 0 {
+		nodes = 2
+	}
+	return hwmodel.Homogeneous(slurm.DefaultPartition, hwmodel.MN3(), nodes)
 }
 
 // totalCores returns the CPU capacity summed over all partitions.
