@@ -19,43 +19,45 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/cluster"
+	"repro/internal/apps"
 	"repro/internal/djsb"
+	"repro/internal/metrics"
+	"repro/internal/slurm"
 	"repro/internal/workload"
 )
 
 // runPair executes a scenario under Serial and DROM once.
-func runPair(b *testing.B, sc cluster.Scenario) (serial, drom cluster.Result) {
+func runPair(b *testing.B, sc workload.Scenario) (serial, drom workload.Result) {
 	b.Helper()
-	serial, drom = cluster.Compare(sc)
+	serial, drom = workload.Compare(sc)
 	if serial.Err != nil || drom.Err != nil {
 		b.Fatalf("scenario %s: %v / %v", sc.Name, serial.Err, drom.Err)
 	}
 	return serial, drom
 }
 
-func reportTotals(b *testing.B, serial, drom cluster.Result) {
+func reportTotals(b *testing.B, serial, drom workload.Result) {
 	b.ReportMetric(serial.Records.TotalRunTime(), "serial-s")
 	b.ReportMetric(drom.Records.TotalRunTime(), "drom-s")
-	b.ReportMetric(100*cluster.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()), "gain-%")
+	b.ReportMetric(100*metrics.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()), "gain-%")
 }
 
-func reportAvgResponse(b *testing.B, serial, drom cluster.Result) {
+func reportAvgResponse(b *testing.B, serial, drom workload.Result) {
 	b.ReportMetric(serial.Records.AvgResponseTime(), "serial-s")
 	b.ReportMetric(drom.Records.AvgResponseTime(), "drom-s")
-	b.ReportMetric(100*cluster.Gain(serial.Records.AvgResponseTime(), drom.Records.AvgResponseTime()), "gain-%")
+	b.ReportMetric(100*metrics.Gain(serial.Records.AvgResponseTime(), drom.Records.AvgResponseTime()), "gain-%")
 }
 
 // uc1Bench runs the (simulator × analytics) grid as sub-benchmarks.
-func uc1Bench(b *testing.B, simName, anaName string, report func(*testing.B, cluster.Result, cluster.Result)) {
-	for si, simCfg := range cluster.Table1(simName) {
-		for ai, anaCfg := range cluster.Table1(anaName) {
+func uc1Bench(b *testing.B, simName, anaName string, report func(*testing.B, workload.Result, workload.Result)) {
+	for si, simCfg := range apps.Table1(simName) {
+		for ai, anaCfg := range apps.Table1(anaName) {
 			name := fmt.Sprintf("%sC%d+%sC%d", simName, si+1, anaName, ai+1)
 			simCfg, anaCfg := simCfg, anaCfg
 			b.Run(name, func(b *testing.B) {
-				var serial, drom cluster.Result
+				var serial, drom workload.Result
 				for i := 0; i < b.N; i++ {
-					serial, drom = runPair(b, cluster.UC1(simName, simCfg, anaName, anaCfg, false))
+					serial, drom = runPair(b, workload.UC1(simName, simCfg, anaName, anaCfg, false))
 				}
 				report(b, serial, drom)
 			})
@@ -68,23 +70,23 @@ func uc1Bench(b *testing.B, simName, anaName string, report func(*testing.B, clu
 // time (the workload building blocks of §6).
 func BenchmarkTable1Configs(b *testing.B) {
 	for _, app := range []string{"nest", "coreneuron", "pils", "stream"} {
-		specOf := map[string]cluster.AppSpec{
-			"nest": cluster.NEST(), "coreneuron": cluster.CoreNeuron(),
-			"pils": cluster.Pils(), "stream": cluster.STREAM(),
+		specOf := map[string]apps.Spec{
+			"nest": apps.NEST(), "coreneuron": apps.CoreNeuron(),
+			"pils": apps.Pils(), "stream": apps.STREAM(),
 		}
-		for ci, cfg := range cluster.Table1(app) {
+		for ci, cfg := range apps.Table1(app) {
 			app, cfg := app, cfg
 			b.Run(fmt.Sprintf("%s/Conf%d", app, ci+1), func(b *testing.B) {
-				var res cluster.Result
+				var res workload.Result
 				for i := 0; i < b.N; i++ {
-					sc := cluster.Scenario{
+					sc := workload.Scenario{
 						Name:  "table1",
 						Nodes: 2,
-						Subs: []cluster.Submission{{Job: cluster.Job{
+						Subs: []workload.Submission{{Job: slurm.Job{
 							Name: app, Spec: specOf[app], Cfg: cfg, Nodes: 2, Malleable: true,
 						}}},
 					}
-					res = cluster.Run(sc, cluster.Serial)
+					res = workload.Run(sc, slurm.PolicySerial)
 					if res.Err != nil {
 						b.Fatal(res.Err)
 					}
@@ -100,17 +102,17 @@ func BenchmarkTable1Configs(b *testing.B) {
 // release_resources) against a running job.
 func BenchmarkFigure2Protocol(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sc := cluster.Scenario{
+		sc := workload.Scenario{
 			Name:  "fig2",
 			Nodes: 2,
-			Subs: []cluster.Submission{
-				{Job: cluster.Job{Name: "job1", Spec: cluster.Pils(), Cfg: cluster.Config{Ranks: 2, Threads: 16},
+			Subs: []workload.Submission{
+				{Job: slurm.Job{Name: "job1", Spec: apps.Pils(), Cfg: apps.Config{Ranks: 2, Threads: 16},
 					Iters: 200, Nodes: 2, Malleable: true}},
-				{At: 20, Job: cluster.Job{Name: "job2", Spec: cluster.Pils(), Cfg: cluster.Config{Ranks: 4, Threads: 4},
+				{At: 20, Job: slurm.Job{Name: "job2", Spec: apps.Pils(), Cfg: apps.Config{Ranks: 4, Threads: 4},
 					Iters: 50, Nodes: 2, Malleable: true}},
 			},
 		}
-		if res := cluster.Run(sc, cluster.DROM); res.Err != nil {
+		if res := workload.Run(sc, slurm.PolicyDROM); res.Err != nil {
 			b.Fatal(res.Err)
 		}
 	}
@@ -118,10 +120,10 @@ func BenchmarkFigure2Protocol(b *testing.B) {
 
 // BenchmarkFigure3Schematic runs the UC1 schematic workload traced.
 func BenchmarkFigure3Schematic(b *testing.B) {
-	var serial, drom cluster.Result
+	var serial, drom workload.Result
 	for i := 0; i < b.N; i++ {
-		serial, drom = runPair(b, cluster.UC1("nest", cluster.Config{Ranks: 2, Threads: 16},
-			"pils", cluster.Config{Ranks: 2, Threads: 4}, true))
+		serial, drom = runPair(b, workload.UC1("nest", apps.Config{Ranks: 2, Threads: 16},
+			"pils", apps.Config{Ranks: 2, Threads: 4}, true))
 	}
 	reportTotals(b, serial, drom)
 }
@@ -161,7 +163,7 @@ func BenchmarkFigure5(b *testing.B) {
 
 // BenchmarkFigure6 regenerates Figure 6: NEST+Pils response times.
 func BenchmarkFigure6(b *testing.B) {
-	uc1Bench(b, "nest", "pils", func(b *testing.B, serial, drom cluster.Result) {
+	uc1Bench(b, "nest", "pils", func(b *testing.B, serial, drom workload.Result) {
 		ps, _ := serial.Records.Job("pils")
 		pd, _ := drom.Records.Job("pils")
 		ns, _ := serial.Records.Job("nest")
@@ -175,7 +177,7 @@ func BenchmarkFigure6(b *testing.B) {
 
 // BenchmarkFigure7 regenerates Figure 7: NEST+STREAM run and response.
 func BenchmarkFigure7(b *testing.B) {
-	uc1Bench(b, "nest", "stream", func(b *testing.B, serial, drom cluster.Result) {
+	uc1Bench(b, "nest", "stream", func(b *testing.B, serial, drom workload.Result) {
 		reportTotals(b, serial, drom)
 		ss, _ := serial.Records.Job("stream")
 		sd, _ := drom.Records.Job("stream")
@@ -197,7 +199,7 @@ func BenchmarkFigure9(b *testing.B) { uc1Bench(b, "coreneuron", "pils", reportTo
 
 // BenchmarkFigure10 regenerates Figure 10: CoreNeuron+Pils responses.
 func BenchmarkFigure10(b *testing.B) {
-	uc1Bench(b, "coreneuron", "pils", func(b *testing.B, serial, drom cluster.Result) {
+	uc1Bench(b, "coreneuron", "pils", func(b *testing.B, serial, drom workload.Result) {
 		ps, _ := serial.Records.Job("pils")
 		pd, _ := drom.Records.Job("pils")
 		b.ReportMetric(ps.ResponseTime(), "pils-serial-s")
@@ -219,9 +221,9 @@ func BenchmarkFigure12(b *testing.B) {
 // BenchmarkFigure13 regenerates Figure 13: UC2 total run time (the
 // paper reports a 2.5% improvement) with full traces.
 func BenchmarkFigure13(b *testing.B) {
-	var serial, drom cluster.Result
+	var serial, drom workload.Result
 	for i := 0; i < b.N; i++ {
-		serial, drom = runPair(b, cluster.UC2(true))
+		serial, drom = runPair(b, workload.UC2(true))
 	}
 	reportTotals(b, serial, drom)
 }
@@ -246,9 +248,9 @@ func BenchmarkFigure14(b *testing.B) {
 // BenchmarkFigure15 regenerates Figure 15: UC2 average response time
 // (the paper reports a 10% improvement).
 func BenchmarkFigure15(b *testing.B) {
-	var serial, drom cluster.Result
+	var serial, drom workload.Result
 	for i := 0; i < b.N; i++ {
-		serial, drom = runPair(b, cluster.UC2(false))
+		serial, drom = runPair(b, workload.UC2(false))
 	}
 	reportAvgResponse(b, serial, drom)
 }
@@ -265,16 +267,16 @@ func BenchmarkAblationPollFrequency(b *testing.B) {
 	for _, coarse := range []int{1, 4, 16, 64} {
 		coarse := coarse
 		b.Run(fmt.Sprintf("iter-x%d", coarse), func(b *testing.B) {
-			var res cluster.Result
+			var res workload.Result
 			for i := 0; i < b.N; i++ {
-				sc := cluster.UC2(false)
+				sc := workload.UC2(false)
 				for s := range sc.Subs {
 					spec := sc.Subs[s].Job.Spec
 					spec.ChunkSeconds *= float64(coarse)
 					sc.Subs[s].Job.Spec = spec
 					sc.Subs[s].Job.Iters = max(1, sc.Subs[s].Job.Iters/coarse)
 				}
-				res = cluster.Run(sc, cluster.DROM)
+				res = workload.Run(sc, slurm.PolicyDROM)
 				if res.Err != nil {
 					b.Fatal(res.Err)
 				}
@@ -289,12 +291,12 @@ func BenchmarkAblationPollFrequency(b *testing.B) {
 // time-shared co-allocation (oversubscription) and checkpoint/restart
 // preemption, all on UC2.
 func BenchmarkAblationOversubscription(b *testing.B) {
-	for _, pol := range []cluster.Policy{cluster.DROM, cluster.Oversubscribe, cluster.Preempt} {
+	for _, pol := range []slurm.Policy{slurm.PolicyDROM, slurm.PolicyOversubscribe, slurm.PolicyPreempt} {
 		pol := pol
 		b.Run(pol.String(), func(b *testing.B) {
-			var res cluster.Result
+			var res workload.Result
 			for i := 0; i < b.N; i++ {
-				res = cluster.Run(cluster.UC2(false), pol)
+				res = workload.Run(workload.UC2(false), pol)
 				if res.Err != nil {
 					b.Fatal(res.Err)
 				}
@@ -316,14 +318,14 @@ func BenchmarkAblationMalleableNest(b *testing.B) {
 			name = "fully-malleable"
 		}
 		b.Run(name, func(b *testing.B) {
-			var res cluster.Result
+			var res workload.Result
 			for i := 0; i < b.N; i++ {
-				sc := cluster.UC1("nest", cluster.Config{Ranks: 2, Threads: 16},
-					"pils", cluster.Config{Ranks: 2, Threads: 1}, false)
-				spec := cluster.NEST()
+				sc := workload.UC1("nest", apps.Config{Ranks: 2, Threads: 16},
+					"pils", apps.Config{Ranks: 2, Threads: 1}, false)
+				spec := apps.NEST()
 				spec.FullyMalleable = fully
 				sc.Subs[0].Job.Spec = spec
-				res = cluster.Run(sc, cluster.DROM)
+				res = workload.Run(sc, slurm.PolicyDROM)
 				if res.Err != nil {
 					b.Fatal(res.Err)
 				}
@@ -369,18 +371,20 @@ func BenchmarkAblationPlacement(b *testing.B) {
 // paper's reference [26] methodology) under all three policies and
 // reports makespan and average response.
 func BenchmarkDJSBPolicies(b *testing.B) {
-	params := djsb.Params{Seed: 1, Jobs: 25, MeanInterarrival: 150, Nodes: 2}
-	for _, pol := range []cluster.Policy{cluster.Serial, cluster.DROM, cluster.Oversubscribe} {
+	sc, err := djsb.Generate(djsb.Params{Seed: 1, Jobs: 25, MeanInterarrival: 150, Nodes: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pol := range []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM, slurm.PolicyOversubscribe} {
 		pol := pol
 		b.Run(pol.String(), func(b *testing.B) {
-			var rep djsb.Report
+			var res workload.Result
 			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = djsb.Run(params, pol)
-				if err != nil {
-					b.Fatal(err)
+				if res = workload.Run(sc, pol); res.Err != nil {
+					b.Fatal(res.Err)
 				}
 			}
+			rep := djsb.Summarize(res)
 			b.ReportMetric(rep.Makespan, "makespan-s")
 			b.ReportMetric(rep.AvgResponse, "avgresp-s")
 			b.ReportMetric(rep.Throughput, "jobs/ks")
@@ -397,15 +401,15 @@ func BenchmarkDJSBPolicies(b *testing.B) {
 // initialization time on the decoupled analytics.
 func BenchmarkAblationInSituIO(b *testing.B) {
 	const diskStagingSeconds = 90
-	run := func(withIO bool, pol cluster.Policy) float64 {
-		sc := cluster.UC1("nest", cluster.Config{Ranks: 2, Threads: 16},
-			"pils", cluster.Config{Ranks: 2, Threads: 4}, false)
+	run := func(withIO bool, pol slurm.Policy) float64 {
+		sc := workload.UC1("nest", apps.Config{Ranks: 2, Threads: 16},
+			"pils", apps.Config{Ranks: 2, Threads: 4}, false)
 		if withIO {
 			spec := sc.Subs[1].Job.Spec
 			spec.InitSeconds += diskStagingSeconds
 			sc.Subs[1].Job.Spec = spec
 		}
-		res := cluster.Run(sc, pol)
+		res := workload.Run(sc, pol)
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}
@@ -414,14 +418,14 @@ func BenchmarkAblationInSituIO(b *testing.B) {
 	b.Run("serial-with-disk-staging", func(b *testing.B) {
 		var v float64
 		for i := 0; i < b.N; i++ {
-			v = run(true, cluster.Serial)
+			v = run(true, slurm.PolicySerial)
 		}
 		b.ReportMetric(v, "total-s")
 	})
 	b.Run("drom-inmemory", func(b *testing.B) {
 		var v float64
 		for i := 0; i < b.N; i++ {
-			v = run(false, cluster.DROM)
+			v = run(false, slurm.PolicyDROM)
 		}
 		b.ReportMetric(v, "total-s")
 	})

@@ -52,7 +52,7 @@ func main() {
 	sess, err := boot(flag.CommandLine, *shmemDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedd:", err)
-		os.Exit(2)
+		os.Exit(1)
 	}
 	srv := schedd.NewServer(sess, *forks)
 	log.Printf("schedd: %d-job %s workload under %s, listening on %s",

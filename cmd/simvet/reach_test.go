@@ -17,9 +17,9 @@ import (
 
 // TestReachCleanOnRepo is the whole-program half of the acceptance
 // gate: every top-level declaration of non-test Go is reached from a
-// binary's main, a package init or a public facade, and every field of
-// a reached struct type is read, or it carries a //simvet:testonly
-// mark (see reach). A failure names a declaration no binary reaches or
+// binary's main, a package init or the public API (dlb and drom), and
+// every field of a reached struct type is read, or it carries a
+// //simvet:testonly mark (see reach). A failure names a declaration no binary reaches or
 // a field nothing reads: delete it along with the tests that only
 // checked it, or mark it a test reference with a reason. A testonly
 // name a root reaches is a failure too, so the mark cannot hide live
@@ -35,7 +35,7 @@ func TestReachCleanOnRepo(t *testing.T) {
 		"repro/bench.calEvent.id: no reached body reads it": false,
 		"repro/bench.side.runs: no reached body reads it":   false,
 	}
-	for _, f := range reach(pkgs, "repro/cluster", "repro/dlb", "repro/drom") {
+	for _, f := range reach(pkgs, "repro/dlb", "repro/drom") {
 		if _, ok := pinned[f.msg]; ok {
 			pinned[f.msg] = true
 			continue

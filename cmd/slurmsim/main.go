@@ -30,10 +30,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/cluster"
+	"repro/internal/apps"
 	"repro/internal/djsb"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/slurm"
 	"repro/internal/sweep"
 	"repro/internal/version"
 	"repro/internal/workload"
@@ -197,7 +198,7 @@ func (o obsArgs) active() bool {
 // obsRun is one replay's consumer wiring: the composed probe plus the
 // finishers that flush files and print reports once the replay ends.
 type obsRun struct {
-	probe   cluster.Probe
+	probe   obs.Probe
 	trace   *obs.SchedTrace
 	traceF  *os.File
 	explain *obs.Explain
@@ -332,7 +333,7 @@ func run(a runArgs) error {
 	if err != nil {
 		return err
 	}
-	return runPolicies(sc, a.policy, a.obs, func(res cluster.Result) {
+	return runPolicies(sc, a.policy, a.obs, func(res workload.Result) {
 		fmt.Printf("=== %s under %s ===\n", sc.Name, res.Policy)
 		fmt.Print(res.Records.String())
 		if a.traced && res.Tracer != nil {
@@ -345,7 +346,7 @@ func run(a runArgs) error {
 // runPolicies runs one scenario on the builtin controller path under
 // each policy the -policy value names, with the observability
 // consumers attached, and hands every result to report.
-func runPolicies(sc cluster.Scenario, policy string, o obsArgs, report func(cluster.Result)) error {
+func runPolicies(sc workload.Scenario, policy string, o obsArgs, report func(workload.Result)) error {
 	policies, err := parsePolicies(policy)
 	if err != nil {
 		return err
@@ -359,7 +360,7 @@ func runPolicies(sc cluster.Scenario, policy string, o obsArgs, report func(clus
 			return err
 		}
 		sc.Probe = or.probe
-		res := cluster.Run(sc, p)
+		res := workload.Run(sc, p)
 		if res.Err != nil {
 			or.close()
 			return fmt.Errorf("%s under %s: %w", sc.Name, p, res.Err)
@@ -412,7 +413,7 @@ func runSweep(spec string, workers int, format, out string, progress bool) error
 
 // printPartitions prints the per-partition metric lines of a
 // multi-partition run.
-func printPartitions(res cluster.Result, multi bool) {
+func printPartitions(res workload.Result, multi bool) {
 	if !multi {
 		return
 	}
@@ -501,56 +502,56 @@ func runDJSB(s workload.Spec, policy string, o obsArgs) error {
 	if len(s.Seeds) > 0 {
 		p.Seed = s.Seeds[0]
 	}
-	sc, err := cluster.GenerateDJSB(p)
+	sc, err := djsb.Generate(p)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("=== DJSB stream: seed=%d jobs=%d mean-interarrival=%.0fs nodes=%d ===\n",
 		p.Seed, p.Jobs, p.MeanInterarrival, p.Nodes)
-	return runPolicies(sc, policy, o, func(res cluster.Result) {
+	return runPolicies(sc, policy, o, func(res workload.Result) {
 		fmt.Println(djsb.Summarize(res))
 	})
 }
 
-func buildScenario(name, simName string, simConf int, anaName string, anaConf int, traced bool) (cluster.Scenario, error) {
+func buildScenario(name, simName string, simConf int, anaName string, anaConf int, traced bool) (workload.Scenario, error) {
 	switch name {
 	case "uc2":
-		return cluster.UC2(traced), nil
+		return workload.UC2(traced), nil
 	case "uc1":
-		simCfgs := cluster.Table1(simName)
+		simCfgs := apps.Table1(simName)
 		if simCfgs == nil {
-			return cluster.Scenario{}, fmt.Errorf("unknown simulator %q", simName)
+			return workload.Scenario{}, fmt.Errorf("unknown simulator %q", simName)
 		}
 		if simConf < 1 || simConf > len(simCfgs) {
-			return cluster.Scenario{}, fmt.Errorf("%s has configurations 1..%d", simName, len(simCfgs))
+			return workload.Scenario{}, fmt.Errorf("%s has configurations 1..%d", simName, len(simCfgs))
 		}
-		anaCfgs := cluster.Table1(anaName)
+		anaCfgs := apps.Table1(anaName)
 		if anaCfgs == nil {
-			return cluster.Scenario{}, fmt.Errorf("unknown analytics %q", anaName)
+			return workload.Scenario{}, fmt.Errorf("unknown analytics %q", anaName)
 		}
 		if anaConf < 1 || anaConf > len(anaCfgs) {
-			return cluster.Scenario{}, fmt.Errorf("%s has configurations 1..%d", anaName, len(anaCfgs))
+			return workload.Scenario{}, fmt.Errorf("%s has configurations 1..%d", anaName, len(anaCfgs))
 		}
-		return cluster.UC1(simName, simCfgs[simConf-1], anaName, anaCfgs[anaConf-1], traced), nil
+		return workload.UC1(simName, simCfgs[simConf-1], anaName, anaCfgs[anaConf-1], traced), nil
 	default:
-		return cluster.Scenario{}, fmt.Errorf("unknown scenario %q (uc1 or uc2)", name)
+		return workload.Scenario{}, fmt.Errorf("unknown scenario %q (uc1 or uc2)", name)
 	}
 }
 
-func parsePolicies(p string) ([]cluster.Policy, error) {
+func parsePolicies(p string) ([]slurm.Policy, error) {
 	switch p {
 	case "serial":
-		return []cluster.Policy{cluster.Serial}, nil
+		return []slurm.Policy{slurm.PolicySerial}, nil
 	case "drom":
-		return []cluster.Policy{cluster.DROM}, nil
+		return []slurm.Policy{slurm.PolicyDROM}, nil
 	case "oversubscribe":
-		return []cluster.Policy{cluster.Oversubscribe}, nil
+		return []slurm.Policy{slurm.PolicyOversubscribe}, nil
 	case "preempt":
-		return []cluster.Policy{cluster.Preempt}, nil
+		return []slurm.Policy{slurm.PolicyPreempt}, nil
 	case "both":
-		return []cluster.Policy{cluster.Serial, cluster.DROM}, nil
+		return []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM}, nil
 	case "all":
-		return []cluster.Policy{cluster.Serial, cluster.DROM, cluster.Oversubscribe, cluster.Preempt}, nil
+		return []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM, slurm.PolicyOversubscribe, slurm.PolicyPreempt}, nil
 	}
 	return nil, fmt.Errorf("unknown policy %q", p)
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/cluster"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -128,14 +128,14 @@ func TestParseSchedPolicies(t *testing.T) {
 	if err != nil || len(s.Cells()) != 1 {
 		t.Fatalf("-sched set = %v, %v", s.Cells(), err)
 	}
-	if ps, err := cluster.ParseSchedPolicySet(s.Policies[0]); err != nil || ps.String() != "batch=easy,fat=malleable-shrink" {
+	if ps, err := sched.ParsePolicySet(s.Policies[0]); err != nil || ps.String() != "batch=easy,fat=malleable-shrink" {
 		t.Errorf("set = %q, %v, want canonical names", ps, err)
 	}
 	if _, err := traceSpec(t, "-sched", "batch=bogus"); err == nil {
 		t.Error("bogus set policy should fail")
 	}
 	// No -sched on a trace file replays every policy.
-	if s, err := traceSpec(t, "-swf", "t.swf"); err != nil || len(s.Cells()) != len(cluster.SchedPolicyNames()) {
+	if s, err := traceSpec(t, "-swf", "t.swf"); err != nil || len(s.Cells()) != len(sched.Names()) {
 		t.Errorf("-swf alone = %v, %v", s.Cells(), err)
 	}
 }

@@ -3,30 +3,32 @@
 // (D'Amico, Garcia-Gasulla, López, Jokanovic, Sirvent, Corbalan —
 // ICPP 2018).
 //
-// The public API lives in three subpackages:
+// The public API is the paper's two libraries:
 //
-//   - repro/dlb     — the application-side DLB library (DLB_Init,
+//   - repro/dlb  — the application-side DLB library (DLB_Init,
 //     DLB_PollDROM, LeWI lend/borrow, callbacks)
-//   - repro/drom    — the administrator-side DROM interface (§3.2:
+//   - repro/drom — the administrator-side DROM interface (§3.2:
 //     Attach, GetPidList, Get/SetProcessMask, PreInit, PostFinalize)
-//   - repro/cluster — the DROM-enabled SLURM cluster simulator used to
-//     regenerate the paper's evaluation
+//
+// The DROM-enabled SLURM cluster simulator that regenerates the
+// paper's evaluation is driven through the binaries in cmd/ (slurmsim,
+// figures, report, schedd, dromctl).
 //
 // Beyond the paper, internal/sched adds the scheduler-driven
 // malleability the authors leave as future work: pluggable queue
 // policies (FCFS, EASY backfill, malleable-shrink, malleable-expand)
 // whose shrink/expand actions flow through the real DROM
 // SetProcessMask path, exercised at scale by replaying Standard
-// Workload Format traces (cluster.ParseSWF) or seeded synthetic
+// Workload Format traces (slurmsim -swf trace.swf) or seeded synthetic
 // thousand-job workloads (slurmsim -sched easy,malleable -jobs 1000).
 // Million-job traces replay in bounded memory through the streaming
-// path (cluster.RunSchedStream, slurmsim -stream): the trace is
+// path (slurmsim -stream): the trace is
 // parsed and generated lazily and job records fold into aggregate
 // statistics, with decisions identical to the materialized replay
 // for traces in submit order. On partitioned clusters each partition
 // runs its own policy instance — possibly a different policy per
-// partition (cluster.SchedPolicySet, slurmsim -sched
-// 'batch=easy,fat=malleable-shrink') — and the opt-in spillover pass
+// partition (slurmsim -sched 'batch=easy,fat=malleable-shrink') — and
+// the opt-in spillover pass
 // (slurmsim -spill) re-routes queued jobs a congested partition
 // cannot host to one that can, without ever delaying the host's EASY
 // head reservation.

@@ -10,17 +10,18 @@ package main
 import (
 	"fmt"
 
-	"repro/cluster"
+	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 func main() {
-	sc := cluster.UC2(false)
-	serial, drom := cluster.Compare(sc)
+	sc := workload.UC2(false)
+	serial, drom := workload.Compare(sc)
 	if serial.Err != nil || drom.Err != nil {
 		panic(fmt.Sprint(serial.Err, drom.Err))
 	}
 
-	for _, res := range []cluster.Result{serial, drom} {
+	for _, res := range []workload.Result{serial, drom} {
 		fmt.Printf("--- %s scenario ---\n", res.Policy)
 		for _, j := range res.Records.Jobs {
 			fmt.Printf("  %-11s submit=%7.1fs wait=%7.1fs run=%7.1fs response=%7.1fs\n",
@@ -31,9 +32,9 @@ func main() {
 	}
 
 	fmt.Printf("DROM total run time gain:   %5.1f%%  (paper: 2.5%%)\n",
-		100*cluster.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()))
+		100*metrics.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()))
 	fmt.Printf("DROM avg response gain:     %5.1f%%  (paper: 10%%)\n",
-		100*cluster.Gain(serial.Records.AvgResponseTime(), drom.Records.AvgResponseTime()))
+		100*metrics.Gain(serial.Records.AvgResponseTime(), drom.Records.AvgResponseTime()))
 	hs, _ := serial.Records.Job("coreneuron")
 	hd, _ := drom.Records.Job("coreneuron")
 	fmt.Printf("high-priority job response: %.1f s -> %.1f s (started %.1f s earlier)\n",

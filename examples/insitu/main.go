@@ -9,20 +9,22 @@ package main
 import (
 	"fmt"
 
-	"repro/cluster"
+	"repro/internal/apps"
+	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 func main() {
-	simCfg := cluster.Config{Ranks: 2, Threads: 16} // NEST Conf. 1
-	anaCfg := cluster.Config{Ranks: 2, Threads: 1}  // Pils Conf. 2
-	sc := cluster.UC1("nest", simCfg, "pils", anaCfg, false)
+	simCfg := apps.Config{Ranks: 2, Threads: 16} // NEST Conf. 1
+	anaCfg := apps.Config{Ranks: 2, Threads: 1}  // Pils Conf. 2
+	sc := workload.UC1("nest", simCfg, "pils", anaCfg, false)
 
-	serial, drom := cluster.Compare(sc)
+	serial, drom := workload.Compare(sc)
 	if serial.Err != nil || drom.Err != nil {
 		panic(fmt.Sprint(serial.Err, drom.Err))
 	}
 
-	for _, res := range []cluster.Result{serial, drom} {
+	for _, res := range []workload.Result{serial, drom} {
 		fmt.Printf("--- %s scenario ---\n", res.Policy)
 		for _, j := range res.Records.Jobs {
 			fmt.Printf("  %-6s submit=%7.1fs wait=%7.1fs run=%7.1fs response=%7.1fs\n",
@@ -33,11 +35,11 @@ func main() {
 	}
 
 	fmt.Printf("DROM vs Serial: total run time %+.1f%%, avg response %+.1f%%\n",
-		-100*cluster.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()),
-		-100*cluster.Gain(serial.Records.AvgResponseTime(), drom.Records.AvgResponseTime()))
+		-100*metrics.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()),
+		-100*metrics.Gain(serial.Records.AvgResponseTime(), drom.Records.AvgResponseTime()))
 	ps, _ := serial.Records.Job("pils")
 	pd, _ := drom.Records.Job("pils")
 	fmt.Printf("analytics response: %.1f s -> %.1f s (%+.1f%%; paper: up to -96%%)\n",
 		ps.ResponseTime(), pd.ResponseTime(),
-		-100*cluster.Gain(ps.ResponseTime(), pd.ResponseTime()))
+		-100*metrics.Gain(ps.ResponseTime(), pd.ResponseTime()))
 }

@@ -49,9 +49,6 @@ type Config struct {
 
 func (c Config) String() string { return fmt.Sprintf("%dx%d", c.Ranks, c.Threads) }
 
-// CPUs returns the total CPUs the configuration requests.
-func (c Config) CPUs() int { return c.Ranks * c.Threads }
-
 // Spec holds the calibrated parameters of one application model.
 type Spec struct {
 	Name  string

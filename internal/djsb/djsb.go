@@ -165,16 +165,3 @@ func (r Report) String() string {
 		r.Policy, r.Jobs, r.Makespan, r.AvgResponse, r.ResponseP95, r.AvgWait,
 		r.AvgSlowdown, r.MaxSlowdown, r.Throughput)
 }
-
-// Run generates and executes the workload under a policy.
-func Run(p Params, policy slurm.Policy) (Report, error) {
-	sc, err := Generate(p)
-	if err != nil {
-		return Report{}, err
-	}
-	res := workload.Run(sc, policy)
-	if res.Err != nil {
-		return Report{}, res.Err
-	}
-	return Summarize(res), nil
-}

@@ -85,13 +85,17 @@ func TestGenerateValidation(t *testing.T) {
 }
 
 func TestRunAllPolicies(t *testing.T) {
-	p := smallParams(11)
+	sc, err := Generate(smallParams(11))
+	if err != nil {
+		t.Fatal(err)
+	}
 	reports := map[slurm.Policy]Report{}
 	for _, pol := range []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM, slurm.PolicyOversubscribe} {
-		rep, err := Run(p, pol)
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
+		res := workload.Run(sc, pol)
+		if res.Err != nil {
+			t.Fatalf("%v: %v", pol, res.Err)
 		}
+		rep := Summarize(res)
 		if rep.Jobs != 12 {
 			t.Fatalf("%v completed %d jobs", pol, rep.Jobs)
 		}

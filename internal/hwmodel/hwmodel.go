@@ -21,9 +21,6 @@ type Machine struct {
 	FreqGHz float64
 	// MemBWGBs is the sustainable node memory bandwidth in GB/s.
 	MemBWGBs float64
-	// MemGB is the node memory capacity (not modeled as a bottleneck;
-	// the paper notes DROM never reduces allocated memory).
-	MemGB int
 }
 
 // MN3 returns the MareNostrum III node model (§6): 2 sockets × 8
@@ -35,7 +32,6 @@ func MN3() Machine {
 		CoresPerSocket: 8,
 		FreqGHz:        2.6,
 		MemBWGBs:       41,
-		MemGB:          128,
 	}
 }
 
@@ -70,9 +66,6 @@ func (m Machine) Spans(mask cpuset.CPUSet) bool {
 	// Single-socket iff the mask is a subset of the first CPU's socket.
 	return !mask.IsSubsetOf(m.SocketMask(m.SocketOf(first)))
 }
-
-// CyclesPerSecond returns the core clock in cycles/s.
-func (m Machine) CyclesPerSecond() float64 { return m.FreqGHz * 1e9 }
 
 // CyclesPerMicrosecond returns the core clock in cycles/µs, the unit
 // of the paper's Figure 13 traces.

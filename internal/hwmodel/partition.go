@@ -69,15 +69,14 @@ func Homogeneous(name string, m Machine, nodes int) ClusterSpec {
 
 // FatNode returns the large-node model of the HeteroMN3 preset: four
 // sockets of eight cores at 2.1 GHz with 80 GB/s of aggregate memory
-// bandwidth and 512 GB of RAM — the "fat" shape MareNostrum-class
-// sites operate next to their standard partition.
+// bandwidth — the "fat" shape MareNostrum-class sites operate next to
+// their standard partition.
 func FatNode() Machine {
 	return Machine{
 		SocketsPerNode: 4,
 		CoresPerSocket: 8,
 		FreqGHz:        2.1,
 		MemBWGBs:       80,
-		MemGB:          512,
 	}
 }
 
@@ -164,23 +163,6 @@ func (c ClusterSpec) NodeOffset(p int) int {
 	return off
 }
 
-// PartitionOfNode returns the partition index owning global node
-// index i. It panics when i is out of range.
-func (c ClusterSpec) PartitionOfNode(i int) int {
-	for p, part := range c.Partitions {
-		if i < part.Nodes {
-			return p
-		}
-		i -= part.Nodes
-	}
-	panic(fmt.Sprintf("hwmodel: node index %d beyond cluster", i))
-}
-
-// MachineOfNode returns the machine model of global node index i.
-func (c ClusterSpec) MachineOfNode(i int) Machine {
-	return c.Partitions[c.PartitionOfNode(i)].Machine
-}
-
 // String renders the spec in the ParseCluster grammar, using the mn3
 // and fat shorthands where the machine matches those presets exactly.
 func (c ClusterSpec) String() string {
@@ -217,7 +199,6 @@ func machineShape(m Machine) string {
 const (
 	defaultFreqGHz  = 2.6
 	defaultMemBWGBs = 41
-	defaultMemGB    = 128
 )
 
 // ParseCluster parses the compact cluster-spec grammar used by the
@@ -230,12 +211,13 @@ const (
 // Examples:
 //
 //	batch:4xmn3                          4 MareNostrum III nodes
-//	batch:4xmn3,fat:2x4s8c@2.1/80        + 2 fat nodes (32 cores, 2.1 GHz, 80 GB/s)
+//	batch:4xmn3,fat:2x4s8c@2.1/80        + 2 fat nodes (32 cores, 2.1 GHz, 80 GB/s; renders as fat)
 //	small:8x2s4c                         8 custom nodes (MN3 clock and bandwidth)
 //
 // The shorthand "hetero" expands to the HeteroMN3 preset. Omitted
-// clock/bandwidth default to the MN3 values (2.6 GHz, 41 GB/s); memory
-// capacity defaults to 128 GB (it is not modeled as a bottleneck).
+// clock/bandwidth default to the MN3 values (2.6 GHz, 41 GB/s). Memory
+// capacity is not modelled: the paper notes DROM never reduces a
+// job's allocated memory.
 func ParseCluster(spec string) (ClusterSpec, error) {
 	if spec == "hetero" {
 		return HeteroMN3(), nil
@@ -278,7 +260,7 @@ func parseShape(s string) (Machine, error) {
 	case "fat":
 		return FatNode(), nil
 	}
-	m := Machine{FreqGHz: defaultFreqGHz, MemBWGBs: defaultMemBWGBs, MemGB: defaultMemGB}
+	m := Machine{FreqGHz: defaultFreqGHz, MemBWGBs: defaultMemBWGBs}
 	if bw, rest, ok := cutLast(s, "/"); ok {
 		v, err := strconv.ParseFloat(bw, 64)
 		// ParseFloat accepts "nan" and "inf" spellings without error, so

@@ -326,21 +326,6 @@ func (w *Workload) Add(j JobRecord) {
 // Count returns the number of jobs recorded.
 func (w *Workload) Count() int { return w.n }
 
-// Failed returns the number of jobs recorded with OutcomeFailed.
-func (w *Workload) Failed() int { return w.nFailed }
-
-// Cancelled returns the number of jobs recorded with OutcomeCancelled.
-func (w *Workload) Cancelled() int { return w.nCancelled }
-
-// Spilled returns the number of jobs that ran in a different
-// partition than they were submitted to (cross-partition spillover).
-func (w *Workload) Spilled() int { return w.nSpilled }
-
-// NodeFailed returns the number of jobs recorded with
-// OutcomeNodeFailed (killed by a node fault after exhausting the
-// requeue budget).
-func (w *Workload) NodeFailed() int { return w.nNodeFailed }
-
 // AddRequeue tallies one requeue event against a partition: a job was
 // killed by a node fault and re-entered the queue. Called by the
 // controller's fault model; works in both retention modes.
@@ -369,17 +354,6 @@ func (w *Workload) AddDownTime(part string, s float64) {
 		w.part(part).downS += s
 	}
 }
-
-// Requeues returns the total number of fault-driven requeue events.
-func (w *Workload) Requeues() int { return w.nRequeues }
-
-// LostWork returns the virtual seconds of job progress destroyed by
-// node kills.
-func (w *Workload) LostWork() float64 { return w.lostWorkS }
-
-// DownNodeSeconds returns the node-seconds of downtime booked by
-// completed repair events (open outages at run end are not counted).
-func (w *Workload) DownNodeSeconds() float64 { return w.downS }
 
 // PartitionStat is one partition's slice of a workload run.
 type PartitionStat struct {

@@ -185,8 +185,8 @@ func TestSpillTallies(t *testing.T) {
 	}
 	for _, aggregate := range []bool{false, true} {
 		w := build(aggregate)
-		if got := w.Spilled(); got != 1 {
-			t.Errorf("aggregate=%v: Spilled() = %d, want 1", aggregate, got)
+		if got := NewSchedStats(*w, nil, 0).Spilled; got != 1 {
+			t.Errorf("aggregate=%v: Spilled = %d, want 1", aggregate, got)
 		}
 		stats := w.PartitionStats()
 		if len(stats) != 2 {

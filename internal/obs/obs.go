@@ -270,8 +270,11 @@ type Event struct {
 	// Processed is the engine's executed-event count, Skipped the
 	// steady iterations it advanced without executing; their sum, the
 	// step count, is a function of the run's decisions alone.
+	//
+	//simvet:testonly the fuzz twins compare the step count and the heartbeat test its cadence
 	Processed int64
-	Skipped   int64
+	//simvet:testonly the fuzz twins compare the step count and the heartbeat test its cadence
+	Skipped int64
 
 	// Cell/Cells is sweep progress (cells done / total).
 	Cell  int

@@ -49,7 +49,7 @@ func ExampleNew_malleable() {
 		CoresPerNode: 16,
 		Free:         []int{0},
 		Queue: []sched.Job{
-			{ID: 2, Nodes: 1, CPUsPerNode: 16, MinCPUsPerNode: 2, Walltime: 300, Malleable: true},
+			{ID: 2, Nodes: 1, CPUsPerNode: 16, MinCPUsPerNode: 2, Walltime: 300},
 		},
 		Running: []sched.Running{
 			{ID: 1, Start: 0, Walltime: 600, Nodes: []int{0}, CPUsPerNode: 16, ReqCPUsPerNode: 16, MinCPUsPerNode: 2, Malleable: true},

@@ -89,10 +89,6 @@ func canonicalPolicy(name string) (string, error) {
 	return p.Name(), nil
 }
 
-// Single reports whether the set is a bare default with no
-// per-partition entries.
-func (ps PolicySet) Single() bool { return len(ps.ByPartition) == 0 }
-
 // PolicyFor returns the canonical policy name serving the named
 // partition; ok is false when the set has neither an entry for it nor
 // a default.

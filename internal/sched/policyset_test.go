@@ -9,7 +9,7 @@ func TestParsePolicySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ps.Single() || ps.Default != "easy" {
+	if len(ps.ByPartition) != 0 || ps.Default != "easy" {
 		t.Errorf("bare form = %+v", ps)
 	}
 	if name, ok := ps.PolicyFor("anything"); !ok || name != "easy" {
@@ -20,7 +20,7 @@ func TestParsePolicySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Single() || ps.Default != "" {
+	if len(ps.ByPartition) == 0 || ps.Default != "" {
 		t.Errorf("pair form = %+v", ps)
 	}
 	// Aliases canonicalize at parse time.

@@ -58,14 +58,11 @@ type Job struct {
 	// Walltime is the user's runtime estimate in seconds (<= 0 means
 	// unknown; DefaultWalltime applies).
 	Walltime float64
-	// Malleable marks the job as DROM-capable.
-	Malleable bool
 }
 
 // Running is the scheduler's view of one running job.
 type Running struct {
-	ID   int
-	Name string
+	ID int
 	// Start is when the job started.
 	Start float64
 	// Walltime is the runtime estimate (<= 0 unknown).

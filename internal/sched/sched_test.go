@@ -66,9 +66,9 @@ func TestDeterministicTies(t *testing.T) {
 	mk := func() *State {
 		s := state16(16, 16)
 		s.Queue = []Job{
-			{ID: 3, Priority: 0, Submit: 1, Nodes: 1, CPUsPerNode: 4, MinCPUsPerNode: 1, Malleable: true},
-			{ID: 4, Priority: 0, Submit: 2, Nodes: 1, CPUsPerNode: 4, MinCPUsPerNode: 1, Malleable: true},
-			{ID: 5, Priority: 0, Submit: 3, Nodes: 1, CPUsPerNode: 4, MinCPUsPerNode: 1, Malleable: true},
+			{ID: 3, Priority: 0, Submit: 1, Nodes: 1, CPUsPerNode: 4, MinCPUsPerNode: 1},
+			{ID: 4, Priority: 0, Submit: 2, Nodes: 1, CPUsPerNode: 4, MinCPUsPerNode: 1},
+			{ID: 5, Priority: 0, Submit: 3, Nodes: 1, CPUsPerNode: 4, MinCPUsPerNode: 1},
 		}
 		s.Running = []Running{
 			{ID: 1, Start: -10, Walltime: 100, Nodes: []int{0}, CPUsPerNode: 8, ReqCPUsPerNode: 8, MinCPUsPerNode: 1, Malleable: true},
@@ -178,7 +178,7 @@ func TestMalleableShrinkAdmitsHead(t *testing.T) {
 		{ID: 1, Start: 0, Walltime: 1000, Nodes: []int{0}, CPUsPerNode: 16, ReqCPUsPerNode: 16, MinCPUsPerNode: 2, Malleable: true},
 		{ID: 2, Start: 0, Walltime: 1000, Nodes: []int{1}, CPUsPerNode: 16, ReqCPUsPerNode: 16, MinCPUsPerNode: 2, Malleable: true},
 	}
-	s.Queue = []Job{{ID: 3, Nodes: 2, CPUsPerNode: 16, MinCPUsPerNode: 2, Walltime: 100, Malleable: true}}
+	s.Queue = []Job{{ID: 3, Nodes: 2, CPUsPerNode: 16, MinCPUsPerNode: 2, Walltime: 100}}
 
 	if acts := (&EASY{}).Schedule(s); len(acts) != 0 {
 		t.Fatalf("EASY cannot admit without malleability: %v", acts)
@@ -212,7 +212,7 @@ func TestMalleableShrinkRespectsFloor(t *testing.T) {
 	}
 	// Head needs at least 16 CPUs on the node; victim floor is 8, so at
 	// most 8 can be freed.
-	s.Queue = []Job{{ID: 2, Nodes: 1, CPUsPerNode: 16, MinCPUsPerNode: 16, Walltime: 10, Malleable: true}}
+	s.Queue = []Job{{ID: 2, Nodes: 1, CPUsPerNode: 16, MinCPUsPerNode: 16, Walltime: 10}}
 	if acts := (&Malleable{}).Schedule(s); len(acts) != 0 {
 		t.Errorf("infeasible head admitted: %v", acts)
 	}

@@ -344,7 +344,7 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 		}
 	}
 	t.Logf("%s: %d jobs, %d cycles, %d spilled, %d requeues, forked at t=%v of %v with %d queued and %d running",
-		spec, total, ctl.Cycles, ctl.Records.Spilled(), ctl.Records.Requeues(), forkedAt, eng.Now(), queued, running)
+		spec, total, ctl.Cycles, tallyOf(ctl.Records).Spilled, tallyOf(ctl.Records).Requeues, forkedAt, eng.Now(), queued, running)
 	if got := slices.Collect(fork.Records.All()); !slices.Equal(got, out.jobs) {
 		t.Fatalf("fork decided differently:\nfork   %+v\nparent %+v", got, out.jobs)
 	}

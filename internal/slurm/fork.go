@@ -323,8 +323,7 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 // job has that name.
 func (ctl *Controller) SetQueuedMalleable(name string, malleable bool) bool {
 	for pi := range ctl.views {
-		v := &ctl.views[pi]
-		for i, q := range v.qjobs {
+		for _, q := range ctl.views[pi].qjobs {
 			if q.job.Name != name {
 				continue
 			}
@@ -332,7 +331,6 @@ func (ctl *Controller) SetQueuedMalleable(name string, malleable bool) bool {
 				nj := *q.job
 				nj.Malleable = malleable
 				q.job = &nj
-				v.st.Queue[i].Malleable = malleable // the entry carries the flag
 				ctl.kick()
 			}
 			return true

@@ -287,10 +287,11 @@ func renderDecisions(w metrics.Workload, faults bool) string {
 			j.Outcome, j.Partition, origin)
 	}
 	if faults {
+		st := metrics.NewSchedStats(w, nil, 0)
 		fmt.Fprintf(&sb, "# requeues=%d node_failed=%d lost_work=%s down_node=%s\n",
-			w.Requeues(), w.NodeFailed(),
-			strconv.FormatFloat(w.LostWork(), 'g', -1, 64),
-			strconv.FormatFloat(w.DownNodeSeconds(), 'g', -1, 64))
+			st.Requeues, st.NodeFailed,
+			strconv.FormatFloat(st.LostWorkS, 'g', -1, 64),
+			strconv.FormatFloat(st.DownNodeS, 'g', -1, 64))
 	}
 	return sb.String()
 }

@@ -24,6 +24,9 @@ func faultController(t *testing.T, fp FaultPlan) (ctl *Controller, run func() fl
 	return ctl, func() float64 { eng.Run(); return eng.Now() }
 }
 
+// tallyOf reads a workload's outcome and fault counters.
+func tallyOf(w metrics.Workload) metrics.SchedStats { return metrics.NewSchedStats(w, nil, 0) }
+
 // wideJob is a 2-node full-width job: resident on every node, so a
 // fault on either one hits it.
 func wideJob(name string, iters int, walltime float64) *Job {
@@ -98,16 +101,16 @@ func TestNodeDownKillsAndRequeues(t *testing.T) {
 	if r.Start != 200 {
 		t.Errorf("start = %v, want 200 (the repair instant)", r.Start)
 	}
-	if got := ctl.Records.Requeues(); got != 1 {
+	if got := tallyOf(ctl.Records).Requeues; got != 1 {
 		t.Errorf("requeues = %d, want 1", got)
 	}
-	if got := ctl.Records.LostWork(); got != 50 {
+	if got := tallyOf(ctl.Records).LostWorkS; got != 50 {
 		t.Errorf("lost work = %v, want the 50s of progress destroyed by the kill", got)
 	}
-	if got := ctl.Records.DownNodeSeconds(); got != 150 {
+	if got := tallyOf(ctl.Records).DownNodeS; got != 150 {
 		t.Errorf("down node-seconds = %v, want 150", got)
 	}
-	if got := ctl.Records.NodeFailed(); got != 0 {
+	if got := tallyOf(ctl.Records).NodeFailed; got != 0 {
 		t.Errorf("node-failed jobs = %d, want 0", got)
 	}
 }
@@ -135,10 +138,10 @@ func TestRequeueCapRecordsNodeFailed(t *testing.T) {
 	if r.End != 100 {
 		t.Errorf("end = %v, want the second kill at 100", r.End)
 	}
-	if got := ctl.Records.Requeues(); got != 1 {
+	if got := tallyOf(ctl.Records).Requeues; got != 1 {
 		t.Errorf("requeues = %d, want exactly the cap", got)
 	}
-	if got := ctl.Records.NodeFailed(); got != 1 {
+	if got := tallyOf(ctl.Records).NodeFailed; got != 1 {
 		t.Errorf("node-failed jobs = %d, want 1", got)
 	}
 }
@@ -154,8 +157,8 @@ func TestNoRequeuesMakesFirstFailureTerminal(t *testing.T) {
 	if r.Outcome != metrics.OutcomeNodeFailed || r.End != 50 {
 		t.Fatalf("record = %+v, want node-failed at the kill instant", r)
 	}
-	if ctl.Records.Requeues() != 0 {
-		t.Errorf("requeues = %d, want none", ctl.Records.Requeues())
+	if got := tallyOf(ctl.Records).Requeues; got != 0 {
+		t.Errorf("requeues = %d, want none", got)
 	}
 }
 
@@ -183,12 +186,13 @@ func TestDrainBlocksLaunchesWhileResidentsFinish(t *testing.T) {
 	if rl.Start != 100 {
 		t.Errorf("late start = %v, want the drain-end instant 100", rl.Start)
 	}
-	if ctl.Records.Requeues() != 0 || ctl.Records.NodeFailed() != 0 {
+	st := tallyOf(ctl.Records)
+	if st.Requeues != 0 || st.NodeFailed != 0 {
 		t.Errorf("drain killed jobs: requeues=%d node_failed=%d",
-			ctl.Records.Requeues(), ctl.Records.NodeFailed())
+			st.Requeues, st.NodeFailed)
 	}
-	if ctl.Records.DownNodeSeconds() != 0 {
-		t.Errorf("down node-seconds = %v, want 0 for a drain", ctl.Records.DownNodeSeconds())
+	if st.DownNodeS != 0 {
+		t.Errorf("down node-seconds = %v, want 0 for a drain", st.DownNodeS)
 	}
 }
 
@@ -250,9 +254,9 @@ func TestSeededFaultsDeterministic(t *testing.T) {
 		for _, j := range ctl.Records.Jobs {
 			fmt.Fprintf(&sb, "%s %g %g %g %s\n", j.Name, j.Submit, j.Start, j.End, j.Outcome)
 		}
+		st := tallyOf(ctl.Records)
 		fmt.Fprintf(&sb, "requeues=%d node_failed=%d lost=%g down=%g\n",
-			ctl.Records.Requeues(), ctl.Records.NodeFailed(),
-			ctl.Records.LostWork(), ctl.Records.DownNodeSeconds())
+			st.Requeues, st.NodeFailed, st.LostWorkS, st.DownNodeS)
 		return sb.String(), ctl
 	}
 	a, ctl := replay()
@@ -260,7 +264,7 @@ func TestSeededFaultsDeterministic(t *testing.T) {
 	if a != b {
 		t.Errorf("seeded fault replays diverged:\n%s\nvs\n%s", a, b)
 	}
-	if ctl.Records.Requeues() == 0 && ctl.Records.DownNodeSeconds() == 0 {
+	if st := tallyOf(ctl.Records); st.Requeues == 0 && st.DownNodeS == 0 {
 		t.Errorf("seeded plan injected nothing; the determinism check is vacuous:\n%s", a)
 	}
 }

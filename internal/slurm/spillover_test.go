@@ -82,14 +82,14 @@ func TestSpilloverRoutesBlockedJob(t *testing.T) {
 			if cand.Start != 0 {
 				t.Errorf("cand started at %v, want immediate spill start", cand.Start)
 			}
-			if got := ctl.Records.Spilled(); got != 1 {
+			if got := tallyOf(ctl.Records).Spilled; got != 1 {
 				t.Errorf("Spilled() = %d, want 1", got)
 			}
 		} else {
 			if cand.Partition != "batch" || cand.Origin != "" || cand.Spilled() {
 				t.Errorf("home record = %+v, want batch with no origin", cand)
 			}
-			if got := ctl.Records.Spilled(); got != 0 {
+			if got := tallyOf(ctl.Records).Spilled; got != 0 {
 				t.Errorf("Spilled() = %d, want 0", got)
 			}
 		}
@@ -185,7 +185,7 @@ func TestSpilloverThresholds(t *testing.T) {
 	submit(t, ctl, batchJob("cand", 20, 50))
 	eng.Run()
 	checkErr(t, ctl)
-	if got := ctl.Records.Spilled(); got != 0 {
+	if got := tallyOf(ctl.Records).Spilled; got != 0 {
 		t.Errorf("SpillAfter=1e9: Spilled() = %d, want 0", got)
 	}
 	cand, _ := ctl.Records.Job("cand")
@@ -211,7 +211,7 @@ func TestSpilloverThresholds(t *testing.T) {
 	}
 	eng.Run()
 	checkErr(t, ctl)
-	if got := ctl.Records.Spilled(); got != 1 {
+	if got := tallyOf(ctl.Records).Spilled; got != 1 {
 		t.Errorf("Spilled() = %d, want 1", got)
 	}
 	c1, _ := ctl.Records.Job("c1")
@@ -249,7 +249,7 @@ func TestSpilloverShapeGuard(t *testing.T) {
 	}
 	eng.Run()
 	checkErr(t, ctl)
-	if got := ctl.Records.Spilled(); got != 0 {
+	if got := tallyOf(ctl.Records).Spilled; got != 0 {
 		t.Errorf("Spilled() = %d, want 0", got)
 	}
 }

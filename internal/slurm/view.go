@@ -18,7 +18,6 @@ import (
 //	enqueue / dequeue            insert / remove the entry, in order
 //	addRunning / removeRunning   append / remove the entry
 //	invalidateWidth              mark the partition's widths dirty
-//	SetQueuedMalleable           rewrite the entry with the new flag
 //
 // Queue order is priority descending, then seq ascending; the global
 // queue order both planners follow is the merge of the views' queues
@@ -116,7 +115,6 @@ func schedJob(q *queuedJob) sched.Job {
 		CPUsPerNode:    q.job.CPUsPerNode(),
 		MinCPUsPerNode: q.job.RanksPerNode(),
 		Walltime:       q.job.Walltime,
-		Malleable:      q.job.Malleable,
 	}
 }
 
@@ -124,7 +122,6 @@ func schedJob(q *queuedJob) sched.Job {
 func (ctl *Controller) schedRunning(r *runningJob) sched.Running {
 	return sched.Running{
 		ID:             r.seq,
-		Name:           r.job.Name,
 		Start:          r.start,
 		Walltime:       r.job.Walltime,
 		Nodes:          r.nodeIdxs, // partition-local indices

@@ -395,7 +395,7 @@ func (t *Tracer) ThreadUtilization(job string, t0, t1 float64) []ThreadStat {
 	var out []ThreadStat
 	for k, busy := range acc {
 		out = append(out, ThreadStat{
-			Job: k.job, Rank: k.rank, Thread: k.thread,
+			Rank: k.rank, Thread: k.thread,
 			Utilization: busy / (t1 - t0),
 		})
 	}
@@ -410,7 +410,6 @@ func (t *Tracer) ThreadUtilization(job string, t0, t1 float64) []ThreadStat {
 
 // ThreadStat is one thread's aggregate over a window.
 type ThreadStat struct {
-	Job         string
 	Rank        int
 	Thread      int
 	Utilization float64

@@ -99,10 +99,9 @@ func TestJobsAndFilter(t *testing.T) {
 	if len(jobs) != 2 || jobs[0] != "a" || jobs[1] != "b" {
 		t.Errorf("Jobs = %v", jobs)
 	}
-	for _, st := range tr.ThreadUtilization("b", 0, 10) {
-		if st.Job != "b" {
-			t.Errorf("ThreadUtilization(b) has %+v", st)
-		}
+	// b's one thread, busy 2..8; a's thread 0 would read 1.
+	if st := tr.ThreadUtilization("b", 0, 10); len(st) != 1 || st[0].Utilization != 0.6 {
+		t.Errorf("ThreadUtilization(b) = %+v", st)
 	}
 	if out := tr.RenderTimeline("b", 10, "util"); strings.Contains(out, "a r0") || !strings.Contains(out, "b r0 t00") {
 		t.Errorf("RenderTimeline(b):\n%s", out)

@@ -68,7 +68,7 @@ func TestSliceAndLazySourcesReplayIdentically(t *testing.T) {
 				Cluster: hwmodel.HeteroMN3(), CancelRate: 0.08, FailRate: 0.08,
 			},
 			specs: sched.Names(),
-			live:  func(r Result) bool { return r.Records.Failed() > 0 && r.Records.Cancelled() > 0 },
+			live:  func(r Result) bool { return tallyOf(r.Records).Failed > 0 && tallyOf(r.Records).Cancelled > 0 },
 		},
 		{
 			name: "node-faults", gen: hetero, specs: sched.Names(),
@@ -76,12 +76,12 @@ func TestSliceAndLazySourcesReplayIdentically(t *testing.T) {
 				s.NodeFaults = "node1:down@1500..2200+node5:down@2500..4000"
 				s.MTBF, s.MTTR, s.MaxRequeues, s.FaultSeed = 4000, 700, 1, 2
 			},
-			live: func(r Result) bool { return r.Records.Requeues() > 0 },
+			live: func(r Result) bool { return tallyOf(r.Records).Requeues > 0 },
 		},
 		{
 			name: "spillover", gen: hetero, specs: []string{"batch=easy,fat=malleable-shrink"},
 			knobs: func(s *Scenario) { s.Spill = true },
-			live:  func(r Result) bool { return r.Records.Spilled() > 0 },
+			live:  func(r Result) bool { return tallyOf(r.Records).Spilled > 0 },
 		},
 	}
 	for _, c := range cases {
@@ -107,7 +107,7 @@ func TestSliceAndLazySourcesReplayIdentically(t *testing.T) {
 				want := SchedStatsOf(sc, mat)
 
 				gotTrace, str := schedTraced(t, lazy, func(s Scenario) Result {
-					return RunSchedStreamSet(s, c.gen.Source(), ps)
+					return replay(s, c.gen.Source(), slurm.PolicyDROM, useSchedSet(ps))
 				})
 				if !bytes.Equal(gotTrace, wantTrace) {
 					t.Errorf("lazy source: decision trace diverges from the slice-backed replay")
@@ -188,8 +188,7 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 				return Result{Err: err}
 			}
 			s.Subs = sc.Subs
-			p, _ := sched.New("easy")
-			return RunSched(s, p)
+			return RunSchedSet(s, sched.PolicySet{Default: "easy"})
 		}},
 		{"lazy", func(s Scenario) Result {
 			p, _ := sched.New("easy")
@@ -230,15 +229,15 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 		{"SpillAfter",
 			func(_ *testing.T, s *Scenario) { s.SpillAfter = 1e9 },
 			func(t *testing.T, _ Scenario, base, got Result) {
-				if base.Records.Spilled() == 0 || got.Records.Spilled() != 0 {
-					t.Errorf("spilled %d jobs with no wait threshold, %d past an unreachable one", base.Records.Spilled(), got.Records.Spilled())
+				if tallyOf(base.Records).Spilled == 0 || tallyOf(got.Records).Spilled != 0 {
+					t.Errorf("spilled %d jobs with no wait threshold, %d past an unreachable one", tallyOf(base.Records).Spilled, tallyOf(got.Records).Spilled)
 				}
 			}},
 		{"SpillDepth",
 			func(_ *testing.T, s *Scenario) { s.SpillDepth = 1 << 20 },
 			func(t *testing.T, _ Scenario, base, got Result) {
-				if base.Records.Spilled() == 0 || got.Records.Spilled() != 0 {
-					t.Errorf("spilled %d jobs with no depth threshold, %d past an unreachable one", base.Records.Spilled(), got.Records.Spilled())
+				if tallyOf(base.Records).Spilled == 0 || tallyOf(got.Records).Spilled != 0 {
+					t.Errorf("spilled %d jobs with no depth threshold, %d past an unreachable one", tallyOf(base.Records).Spilled, tallyOf(got.Records).Spilled)
 				}
 			}},
 	}

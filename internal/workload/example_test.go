@@ -8,22 +8,22 @@ import (
 	"repro/internal/workload"
 )
 
-// ExampleRunSched replays a small seeded synthetic SWF trace under
+// ExampleRunSchedSet replays a small seeded synthetic SWF trace under
 // the DROM-aware malleable-expand policy and prints the headline
 // scheduler metrics. The whole pipeline is deterministic: same seed,
 // same numbers, on any machine.
-func ExampleRunSched() {
+func ExampleRunSchedSet() {
 	sc, err := workload.SyntheticSWFScenario(workload.SyntheticSWF{
 		Seed: 1, Jobs: 30, MeanInterarrival: 30,
 	})
 	if err != nil {
 		panic(err)
 	}
-	p, err := sched.New("malleable-expand")
+	ps, err := sched.ParsePolicySet("malleable-expand")
 	if err != nil {
 		panic(err)
 	}
-	res := workload.RunSched(sc, p)
+	res := workload.RunSchedSet(sc, ps)
 	if res.Err != nil {
 		panic(res.Err)
 	}
@@ -47,17 +47,17 @@ func ExampleSyntheticSWF_faults() {
 	if err != nil {
 		panic(err)
 	}
-	p, err := sched.New("easy")
+	ps, err := sched.ParsePolicySet("easy")
 	if err != nil {
 		panic(err)
 	}
-	res := workload.RunSched(sc, p)
+	res := workload.RunSchedSet(sc, ps)
 	if res.Err != nil {
 		panic(res.Err)
 	}
+	st := workload.SchedStatsOf(sc, res)
 	fmt.Printf("jobs=%d failed=%d cancelled=%d partitions=%d\n",
-		res.Records.Count(), res.Records.Failed(), res.Records.Cancelled(),
-		len(res.Records.PartitionStats()))
+		st.Jobs, st.Failed, st.Cancelled, len(res.Records.PartitionStats()))
 	// Output:
 	// jobs=80 failed=4 cancelled=10 partitions=2
 }

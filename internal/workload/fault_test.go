@@ -62,8 +62,7 @@ func TestMapClassifiesDrops(t *testing.T) {
 	if sc.Dropped != want {
 		t.Fatalf("Dropped = %+v, want %+v", sc.Dropped, want)
 	}
-	p, _ := sched.New("fcfs")
-	res := RunSched(sc, p)
+	res := RunSchedSet(sc, sched.PolicySet{Default: "fcfs"})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -71,6 +70,9 @@ func TestMapClassifiesDrops(t *testing.T) {
 		t.Fatalf("result Dropped = %+v, want %+v", res.Records.Dropped, want)
 	}
 }
+
+// tallyOf reads a workload's outcome and fault counters.
+func tallyOf(w metrics.Workload) metrics.SchedStats { return metrics.NewSchedStats(w, nil, 0) }
 
 // failScenario builds a 1-node scenario: a long job annotated to fail
 // early, with a second full-node job queued behind it.
@@ -99,8 +101,7 @@ func failScenario() Scenario {
 func TestFailedJobFreesCPUsEarly(t *testing.T) {
 	sc := failScenario()
 	sc.DebugInvariants = true
-	p, _ := sched.New("fcfs")
-	res := RunSched(sc, p)
+	res := RunSchedSet(sc, sched.PolicySet{Default: "fcfs"})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -123,8 +124,8 @@ func TestFailedJobFreesCPUsEarly(t *testing.T) {
 	if waiter.Start != 51 {
 		t.Fatalf("waiter started at %v, want 51 (the failure instant)", waiter.Start)
 	}
-	if res.Records.Failed() != 1 || res.Records.Cancelled() != 0 {
-		t.Fatalf("failed/cancelled = %d/%d, want 1/0", res.Records.Failed(), res.Records.Cancelled())
+	if st := tallyOf(res.Records); st.Failed != 1 || st.Cancelled != 0 {
+		t.Fatalf("failed/cancelled = %d/%d, want 1/0", st.Failed, st.Cancelled)
 	}
 }
 
@@ -148,8 +149,7 @@ func TestCancelledQueuedJobLeavesQueue(t *testing.T) {
 		},
 	}
 	sc.DebugInvariants = true
-	p, _ := sched.New("fcfs")
-	res := RunSched(sc, p)
+	res := RunSchedSet(sc, sched.PolicySet{Default: "fcfs"})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -179,8 +179,7 @@ func TestCancelAtTimeZero(t *testing.T) {
 	if !sc.Subs[0].Cancel || sc.Subs[0].CancelAt != 0 {
 		t.Fatalf("submission = %+v, want Cancel at t=0", sc.Subs[0])
 	}
-	p, _ := sched.New("fcfs")
-	res := RunSched(sc, p)
+	res := RunSchedSet(sc, sched.PolicySet{Default: "fcfs"})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -216,8 +215,7 @@ func TestHeteroPartitionRouting(t *testing.T) {
 			t.Fatalf("job %s targets partition %q", sub.Job.Name, sub.Job.Partition)
 		}
 	}
-	p, _ := sched.New("malleable-expand")
-	res := RunSched(sc, p)
+	res := RunSchedSet(sc, sched.PolicySet{Default: "malleable-expand"})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -61,7 +61,7 @@ func replay(s Scenario, src SubmissionSource, policy slurm.Policy, install func(
 func (k *kit) replay(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) Result {
 	sess, err := open(k, s, src, policy, install)
 	if err != nil {
-		return Result{Scenario: s.Name, Policy: policy, Err: err}
+		return Result{Policy: policy, Err: err}
 	}
 	sess.eng.Run()
 	closeSource(src)

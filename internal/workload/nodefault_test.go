@@ -48,18 +48,15 @@ func TestSchedReplayNodeFaultGolden(t *testing.T) {
 	var got strings.Builder
 	capHits := 0
 	for _, name := range sched.Names() {
-		p, err := sched.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := RunSched(sc, p)
+		res := RunSchedSet(sc, sched.PolicySet{Default: name})
 		if res.Err != nil {
 			t.Fatalf("%s: %v", name, res.Err)
 		}
-		if res.Records.Requeues() == 0 {
+		st := tallyOf(res.Records)
+		if st.Requeues == 0 {
 			t.Errorf("%s: no job was requeued; the fault golden is vacuous", name)
 		}
-		capHits += res.Records.NodeFailed()
+		capHits += st.NodeFailed
 		rs := append(res.Records.Jobs[:0:0], res.Records.Jobs...)
 		sort.Slice(rs, func(i, j int) bool { return rs[i].Name < rs[j].Name })
 		for _, j := range rs {
@@ -70,9 +67,9 @@ func TestSchedReplayNodeFaultGolden(t *testing.T) {
 				j.Outcome, j.Partition)
 		}
 		fmt.Fprintf(&got, "%s # requeues=%d node_failed=%d lost_work=%s down_node=%s\n",
-			name, res.Records.Requeues(), res.Records.NodeFailed(),
-			strconv.FormatFloat(res.Records.LostWork(), 'g', -1, 64),
-			strconv.FormatFloat(res.Records.DownNodeSeconds(), 'g', -1, 64))
+			name, st.Requeues, st.NodeFailed,
+			strconv.FormatFloat(st.LostWorkS, 'g', -1, 64),
+			strconv.FormatFloat(st.DownNodeS, 'g', -1, 64))
 	}
 	if capHits == 0 {
 		t.Error("no policy drove a job past the requeue cap; OutcomeNodeFailed is untested")

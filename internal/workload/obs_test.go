@@ -125,11 +125,7 @@ func TestExplainGoldenJobStory(t *testing.T) {
 	}
 	explain := obs.NewExplain("j00042")
 	sc.Probe = explain
-	p, err := sched.New("fcfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := RunSched(sc, p); res.Err != nil {
+	if res := RunSchedSet(sc, sched.PolicySet{Default: "fcfs"}); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	story := explain.Story()
@@ -175,23 +171,19 @@ func TestDisabledProbeReplayAllocs(t *testing.T) {
 	}
 	rows := []struct {
 		name      string
-		run       func(p sched.Policy) Result
+		run       func() Result
 		maxPerSub float64
 	}{
-		{"slice", func(p sched.Policy) Result { return RunSched(sc, p) }, 1.8}, // level 1.2
-		{"lazy", func(p sched.Policy) Result {
-			return RunSchedStream(Scenario{Nodes: gen.Nodes}, gen.Source(), p)
+		{"slice", func() Result { return RunSchedSet(sc, sched.PolicySet{Default: "fcfs"}) }, 1.8}, // level 1.2
+		{"lazy", func() Result {
+			return RunSchedStream(Scenario{Nodes: gen.Nodes}, gen.Source(), &sched.FCFS{})
 		}, 2.8}, // level 2.2
 	}
 	for _, row := range rows {
-		p, err := sched.New("fcfs")
-		if err != nil {
-			t.Fatal(err)
-		}
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		res := row.run(p)
+		res := row.run()
 		runtime.ReadMemStats(&m1)
 		if res.Err != nil {
 			t.Fatal(res.Err)

@@ -27,11 +27,7 @@ const goldenPath = "testdata/sched_starts_seed1_1000.golden"
 // replayStarts renders one policy's start times in the golden format.
 func replayStarts(t *testing.T, sc Scenario, name string) string {
 	t.Helper()
-	p, err := sched.New(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := RunSched(sc, p)
+	res := RunSchedSet(sc, sched.PolicySet{Default: name})
 	if res.Err != nil {
 		t.Fatalf("%s: %v", name, res.Err)
 	}
@@ -121,11 +117,7 @@ func TestSchedReplayHeteroFaultGolden(t *testing.T) {
 	sc := heteroFaultScenario(t)
 	var got strings.Builder
 	for _, name := range sched.Names() {
-		p, err := sched.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := RunSched(sc, p)
+		res := RunSchedSet(sc, sched.PolicySet{Default: name})
 		if res.Err != nil {
 			t.Fatalf("%s: %v", name, res.Err)
 		}
@@ -200,7 +192,7 @@ func TestSchedReplaySpilloverGolden(t *testing.T) {
 		// policies and the mixed set must spill on this contended trace
 		// or the golden is vacuous.
 		if rigid := spec == "fcfs" || spec == "easy" || strings.Contains(spec, "="); rigid &&
-			res.Records.Spilled() == 0 {
+			tallyOf(res.Records).Spilled == 0 {
 			t.Errorf("%s: no job spilled on the contended 2-partition trace", spec)
 		}
 		rs := append(res.Records.Jobs[:0:0], res.Records.Jobs...)
@@ -252,10 +244,6 @@ func TestSchedReplaySpilloverGolden(t *testing.T) {
 func TestSpilloverPropertyAllJobsComplete(t *testing.T) {
 	for seed := int64(2); seed <= 4; seed++ {
 		for _, name := range sched.Names() {
-			p, err := sched.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			sc, err := SyntheticSWFScenario(SyntheticSWF{
 				Seed: seed, Jobs: 200, MeanInterarrival: 15,
 				Cluster: hwmodel.HeteroMN3(),
@@ -265,7 +253,7 @@ func TestSpilloverPropertyAllJobsComplete(t *testing.T) {
 			}
 			sc.DebugInvariants = true
 			sc.Spill = true
-			res := RunSched(sc, p)
+			res := RunSchedSet(sc, sched.PolicySet{Default: name})
 			if res.Err != nil {
 				t.Fatalf("seed %d policy %s: %v", seed, name, res.Err)
 			}
@@ -278,9 +266,9 @@ func TestSpilloverPropertyAllJobsComplete(t *testing.T) {
 				in += ps.SpilledIn
 				out += ps.SpilledOut
 			}
-			if in != out || in != res.Records.Spilled() {
+			if in != out || in != tallyOf(res.Records).Spilled {
 				t.Fatalf("seed %d policy %s: spill tallies in=%d out=%d total=%d",
-					seed, name, in, out, res.Records.Spilled())
+					seed, name, in, out, tallyOf(res.Records).Spilled)
 			}
 		}
 	}
@@ -296,10 +284,6 @@ func TestSpilloverPropertyAllJobsComplete(t *testing.T) {
 func TestSchedPropertyCapacityInvariant(t *testing.T) {
 	for seed := int64(2); seed <= 6; seed++ {
 		for _, name := range sched.Names() {
-			p, err := sched.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// A tight inter-arrival keeps the cluster contended, so
 			// shrinks, backfills and skips all fire.
 			sc, err := SyntheticSWFScenario(SyntheticSWF{
@@ -309,7 +293,7 @@ func TestSchedPropertyCapacityInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.DebugInvariants = true
-			res := RunSched(sc, p)
+			res := RunSchedSet(sc, sched.PolicySet{Default: name})
 			if res.Err != nil {
 				t.Fatalf("seed %d policy %s: %v", seed, name, res.Err)
 			}

@@ -1,7 +1,7 @@
 package workload
 
 // Session is the one replay driver: every entry point of the package
-// (Run, RunSched*, RunSchedStream*, New*Session) opens one over a
+// (Run, RunSchedSet, RunSchedStream, New*Session) opens one over a
 // SubmissionSource and either drains it (Run) or holds it open so the
 // caller can advance virtual time incrementally (RunUntil), fork the
 // whole simulation state at any instant, and keep both lineages
@@ -231,8 +231,9 @@ func NewSession(s Scenario, policy slurm.Policy, install func(*slurm.Controller)
 	return open(new(kit), s, newSliceSource(s.Subs), policy, install)
 }
 
-// NewSchedSession opens a scenario under an internal/sched policy
-// (the Session counterpart of RunSched).
+// NewSchedSession opens a scenario under an internal/sched policy:
+// the given instance drives the first partition, fresh instances of
+// the same policy the rest.
 func NewSchedSession(s Scenario, p sched.Policy) (*Session, error) {
 	return NewSession(s, slurm.PolicyDROM, useSched(p))
 }
@@ -336,7 +337,7 @@ func (s *Session) Result() Result { return s.result(s.ctl.Records.Snapshot()) }
 // session's records, or the records themselves once nothing appends
 // to them again (a drained one-shot replay).
 func (s *Session) result(recs metrics.Workload) Result {
-	res := Result{Scenario: s.scn.Name, Policy: s.ctl.Policy(), Tracer: s.ctl.Cluster().Tracer, Err: s.Err()}
+	res := Result{Policy: s.ctl.Policy(), Tracer: s.ctl.Cluster().Tracer, Err: s.Err()}
 	res.Records = recs
 	res.Records.Dropped = s.scn.Dropped
 	if dc, ok := s.src.(interface{ Dropped() metrics.DropStats }); ok {

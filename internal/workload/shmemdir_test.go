@@ -70,8 +70,7 @@ func TestSessionShmemDir(t *testing.T) {
 	}
 	sc2 := sc
 	sc2.ShmemDir = ""
-	p2, _ := sched.New("easy")
-	mem := RunSched(sc2, p2)
+	mem := RunSchedSet(sc2, sched.PolicySet{Default: "easy"})
 	if mem.Err != nil {
 		t.Fatal(mem.Err)
 	}

@@ -160,11 +160,13 @@ func (s *SWFReaderSource) Dropped() metrics.DropStats { return s.mapper.drops }
 
 // RunSchedStream replays a submission stream under a scheduling
 // policy on the cluster described by s (s.Subs is ignored; every
-// other Scenario field applies as in RunSched). Job records are folded
-// into aggregate statistics as they complete
+// other Scenario field applies as in RunSchedSet). The given instance
+// drives the first partition; further partitions get fresh instances
+// of the same policy (slurm.Controller.UseSched). Job records are
+// folded into aggregate statistics as they complete
 // (metrics.Workload.SetAggregate), so memory use is bounded by the
 // scheduler backlog, not the stream length: this is the path the
-// million-job replays use. It is the same driver as RunSched, so
+// million-job replays use. It is the same driver as RunSchedSet, so
 // for a stream in submit order the decision sequence is identical to
 // materializing the trace. An out-of-order record is the one
 // divergence — it is submitted at the stream position (now), whereas
@@ -172,12 +174,6 @@ func (s *SWFReaderSource) Dropped() metrics.DropStats { return s.mapper.drops }
 // io.Closer is closed before this returns, on every path.
 func RunSchedStream(s Scenario, src SubmissionSource, p sched.Policy) Result {
 	return replay(s, src, slurm.PolicyDROM, useSched(p))
-}
-
-// RunSchedStreamSet is RunSchedStream under a per-partition policy
-// set (see RunSchedSet).
-func RunSchedStreamSet(s Scenario, src SubmissionSource, ps sched.PolicySet) Result {
-	return replay(s, src, slurm.PolicyDROM, useSchedSet(ps))
 }
 
 // SchedStatsOfStream computes the scheduler-quality metrics of a

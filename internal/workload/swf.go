@@ -700,19 +700,12 @@ func SyntheticSWFScenario(p SyntheticSWF) (Scenario, error) {
 	return sc, nil
 }
 
-// RunSched executes a scenario under a queue/admission policy from
-// internal/sched. Placement is shared-node with disjoint masks; every
-// malleability action the policy emits goes through the real DROM
-// SetProcessMask/PreInit path. The given instance drives the first
-// partition; further partitions get fresh instances of the same
-// policy (slurm.Controller.UseSched).
-func RunSched(s Scenario, p sched.Policy) Result {
-	return replay(s, newSliceSource(s.Subs), slurm.PolicyDROM, useSched(p))
-}
-
 // RunSchedSet executes a scenario under a per-partition policy set
-// (the `-sched batch=easy,fat=malleable-shrink` grammar): every
-// partition gets a fresh instance of the policy the set assigns it.
+// (the `-sched batch=easy,fat=malleable-shrink` grammar) from
+// internal/sched: every partition gets a fresh instance of the policy
+// the set assigns it. Placement is shared-node with disjoint masks;
+// every malleability action a policy emits goes through the real DROM
+// SetProcessMask/PreInit path.
 func RunSchedSet(s Scenario, ps sched.PolicySet) Result {
 	return replay(s, newSliceSource(s.Subs), slurm.PolicyDROM, useSchedSet(ps))
 }

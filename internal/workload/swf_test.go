@@ -109,8 +109,7 @@ func TestSyntheticSWFSingleNode(t *testing.T) {
 			t.Fatalf("job %s spans %d nodes on a 1-node cluster", sub.Job.Name, sub.Job.Nodes)
 		}
 	}
-	p, _ := sched.New("malleable-expand")
-	if res := RunSched(sc, p); res.Err != nil {
+	if res := RunSchedSet(sc, sched.PolicySet{Default: "malleable-expand"}); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 }
@@ -203,8 +202,7 @@ func TestSWFReplayAllPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range sched.Names() {
-		p, _ := sched.New(name)
-		res := RunSched(sc, p)
+		res := RunSchedSet(sc, sched.PolicySet{Default: name})
 		if res.Err != nil {
 			t.Fatalf("%s: %v", name, res.Err)
 		}
@@ -228,11 +226,7 @@ func TestMalleableBeatsEASYOnMeanWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := func(name string) metrics.SchedStats {
-		p, err := sched.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := RunSched(sc, p)
+		res := RunSchedSet(sc, sched.PolicySet{Default: name})
 		if res.Err != nil {
 			t.Fatalf("%s: %v", name, res.Err)
 		}

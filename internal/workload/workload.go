@@ -142,10 +142,9 @@ func (s Scenario) totalCores() int {
 
 // Result is one scenario execution.
 type Result struct {
-	Scenario string
-	Policy   slurm.Policy
-	Records  metrics.Workload
-	Tracer   *trace.Tracer
+	Policy  slurm.Policy
+	Records metrics.Workload
+	Tracer  *trace.Tracer
 	// SchedCycles counts the scheduling-policy passes the controller
 	// executed (0 when no sched.Policy was installed).
 	SchedCycles int64

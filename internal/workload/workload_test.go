@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/hwmodel"
 	"repro/internal/metrics"
 	"repro/internal/slurm"
 )
@@ -98,6 +99,48 @@ func TestUC2HighPrioWaitsUnderSerial(t *testing.T) {
 	cn, ok := serial.Records.Job("coreneuron")
 	if !ok || cn.WaitTime() < 1000 {
 		t.Errorf("high-priority job should wait long under Serial, waited %v", cn.WaitTime())
+	}
+}
+
+// TestPoliciesDiffer: UC2 under Oversubscribe does not reproduce the
+// Serial timings.
+func TestPoliciesDiffer(t *testing.T) {
+	sc := UC2(false)
+	serial := Run(sc, slurm.PolicySerial)
+	over := Run(sc, slurm.PolicyOversubscribe)
+	if serial.Err != nil || over.Err != nil {
+		t.Fatalf("errors: %v / %v", serial.Err, over.Err)
+	}
+	if serial.Records.TotalRunTime() == over.Records.TotalRunTime() {
+		t.Error("policies should produce different timings")
+	}
+}
+
+// TestCustomMachine: a scenario on a custom node shape. A
+// 32-thread-per-rank job is invalid on MN3 but fits a 4 × 8-core node.
+func TestCustomMachine(t *testing.T) {
+	m := hwmodel.Machine{SocketsPerNode: 4, CoresPerSocket: 8, FreqGHz: 2.0, MemBWGBs: 80}
+	sc := Scenario{
+		Name:    "fat-node",
+		Nodes:   2,
+		Cluster: hwmodel.ClusterSpec{Partitions: []hwmodel.Partition{{Name: "fat", Nodes: 2, Machine: m}}},
+		Subs: []Submission{{Job: slurm.Job{
+			Name: "wide", Spec: apps.Pils(), Cfg: apps.Config{Ranks: 2, Threads: 32},
+			Iters: 50, Nodes: 2, Malleable: true,
+		}}},
+	}
+	res := Run(sc, slurm.PolicyDROM)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if len(res.Records.Jobs) != 1 {
+		t.Fatalf("jobs = %d", len(res.Records.Jobs))
+	}
+	// The same job must be rejected on the default MN3 nodes.
+	sc.Cluster = hwmodel.ClusterSpec{}
+	res = Run(sc, slurm.PolicyDROM)
+	if res.Err == nil {
+		t.Fatal("32-thread rank should not fit a 16-core MN3 node")
 	}
 }
 
