@@ -62,8 +62,18 @@ package sim
 //     pop order, so the occurrences strictly earlier than cut are a
 //     prefix of the rest, and each member's own count of them is its
 //     share. Times, IDs and credits come out as the adds would leave
-//     them. A merge adds one occurrence at a time: its runs end at the
-//     next member's time, a few occurrences in.
+//     them. A merge's runs end at the next member's time, a few
+//     occurrences in, so it adds one occurrence at a time — but a merge
+//     of two plain members takes what is left after strideAfter runs in
+//     closed form too (mergeStride): each member's times are its own
+//     adds, so stride counts each one's occurrences strictly earlier than
+//     the move's end — cut, or the next occurrence of a member whose
+//     credit that spends — and the IDs follow from where the two last
+//     ones fall: the later is the move's last, and the earlier comes
+//     after its own others and the later member's strictly earlier ones.
+//     A tie at the earlier last, which only IDs order, and a heartbeat
+//     inside the rest leave the move to the loop, and so do merges of
+//     more members.
 //   - A solo chain (ArmSolo) is for an owner that must be able to say
 //     afterwards, from times alone, where each occurrence the engine
 //     took fell among the events that were executed — a traced
@@ -434,7 +444,9 @@ func (e *Engine) strideRounds(k int, period, cut float64, limit int64) (now floa
 // goes back into a ring of the members, kept in (t, id) order, behind
 // every member at its time. A member whose credit is spent stays in the
 // ring: the move ends when it comes first, or when the first is not
-// strictly earlier than cut.
+// strictly earlier than cut. Two members still merging after
+// strideAfter runs take the rest in closed form (mergeStride) if they
+// can, and by the loop if not.
 func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 	const mask = groupCap - 1
 	for j := range k {
@@ -442,7 +454,13 @@ func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 	}
 	var n int64
 	now := e.now
-	for h := 0; ; {
+	for h := 0; ; { // h counts the runs
+		if k == 2 && h == strideAfter {
+			if last, taken := e.mergeStride(n, cut, limit); taken > 0 {
+				now, n = last, n+taken
+				break
+			}
+		}
 		r := e.ring[h&mask]
 		m := &e.group[r]
 		stop := cut
@@ -481,6 +499,90 @@ func (e *Engine) merge(k int, cut float64, limit int64) int64 {
 	}
 	e.now = now
 	return n
+}
+
+// mergeStride takes the rest of a two-member merge in closed form, as
+// the loop would, after n occurrences, with the member due next
+// strictly earlier than cut and holding credit. It leaves each member's
+// key and credit in e.group and returns the last taken occurrence's
+// time and how many it took; 0, having changed nothing, for a jittered
+// member, a tie only IDs would order, or a heartbeat inside the rest.
+//
+// A plain member's times are its own chain of adds: the other member
+// decides only the IDs. A member whose credit is spent ends the move at
+// its next occurrence (its β), so the move may take every occurrence
+// strictly earlier than the least of cut and both βs — stopping there
+// is exact, as stopping early always is — and each member counts its
+// own share of them (stride). The member whose last taken occurrence is
+// the later took the move's last; the other's last follows its own
+// others and those of the later member strictly earlier than it, unless
+// the later member takes one at that very time.
+func (e *Engine) mergeStride(n int64, cut float64, limit int64) (now float64, taken int64) {
+	var run [2]struct {
+		period, last, next float64
+		c                  int64
+	}
+	// Each member's occurrences strictly earlier than cut, up to its
+	// credit; end is where the move must stop.
+	end := cut
+	for x := range run {
+		m, r := &e.group[x], &run[x]
+		q := e.ticks.At(e.queue[m.i].slot)
+		if q.jitter {
+			return 0, 0
+		}
+		r.period = q.period
+		if m.left == 0 {
+			end = min(end, m.t)
+		} else if m.t < cut {
+			if r.last, r.next, r.c = stride(m.t, r.period, cut, m.left); r.c == m.left {
+				end = min(end, r.next) // its β
+			}
+		}
+	}
+	// What is strictly earlier than end is a prefix of each count: count
+	// again a member that reached end.
+	for x := range run {
+		m, r := &e.group[x], &run[x]
+		if r.c > 0 && !(r.last < end) {
+			r.c = 0
+			if m.t < end {
+				r.last, r.next, r.c = stride(m.t, r.period, end, m.left)
+			}
+		}
+		taken += r.c
+	}
+	if taken == 0 || taken > limit-n {
+		return 0, 0
+	}
+	// x took the move's last occurrence; y's last, if it took any, comes
+	// after its own others and x's strictly earlier ones. If x takes one
+	// at y's last time — its last included, when the two are equal —
+	// only IDs order the two.
+	x, y := 0, 1
+	if run[0].c == 0 || run[1].c > 0 && run[1].last > run[0].last {
+		x, y = 1, 0
+	}
+	var rank [2]int64
+	rank[x] = taken - 1
+	if run[y].c > 0 {
+		var before int64
+		at := e.group[x].t
+		if at < run[y].last {
+			_, at, before = stride(at, run[x].period, run[y].last, run[x].c)
+		}
+		if at == run[y].last {
+			return 0, 0
+		}
+		rank[y] = run[y].c - 1 + before
+	}
+	for j := range run {
+		if m, r := &e.group[j], &run[j]; r.c > 0 {
+			m.t, m.id, m.left = r.next, e.nextID+n+rank[j]+1, m.left-r.c
+		}
+	}
+	e.strided += taken
+	return run[x].last, taken
 }
 
 // joins reports whether the chain in slot may join a move: armed and

@@ -266,6 +266,53 @@ var skipStrideSeeds = []struct {
 	{"long-group", []byte{0x33, 2, 7, 59, 63, 0, 0, 7, 59, 40, 0, 1, 7, 59, 63, 0, 2, 0, 0, 0, 0, 0, 0}},
 }
 
+// Eight seeds for merges taken in closed form (mergeStride), committed
+// under testdata/fuzz as merge-long-*: late worlds in which a unit-period
+// chain and one of period √2 (1.5 on the last-tie seed, π/3 on the
+// lockstep ones), 61 occurrences each, merge for longer than
+// strideAfter runs, each built around one thing the closed form must
+// get right; closed says whether it takes any. Runs of these periods
+// are at most two occurrences long, the √2 one jittered by 0.3 too.
+var skipMergeStrideSeeds = []struct {
+	name   string
+	seed   []byte
+	closed bool
+}{
+	// Periods 1 and √2 from 10^6, where √2 rounds: a move cut at the
+	// second bound, 10^6 + 15.75, then one the unit chain's spent credit
+	// ends.
+	{"two-periods", []byte{0x2f, 1, 0, 59, 63, 0, 0, 6, 59, 63, 0, 2, 0, 1, 0, 0, 0, 0, 63, 0, 0}, true},
+	// The √2 chain is granted 30 at a time: its credit runs out while the
+	// unit chain still holds some, so its next occurrence ends the move.
+	{"credit-spent", []byte{0x2f, 1, 0, 59, 63, 0, 0, 6, 59, 29, 0, 2, 0, 0, 0, 0, 0, 0}, true},
+	// A heartbeat every 64 steps: once strideAfter runs are taken, what
+	// is left of the first move reaches past the heartbeat's step, and
+	// the loop takes it up to there; the second's ends before it.
+	{"heartbeat", []byte{0x23, 1, 0, 59, 63, 0, 0, 6, 59, 63, 0, 2, 0, 0, 0, 0, 0, 0}, true},
+	// Periods 1 and 1.5 from 10^6 and 10^6 + 0.5, the unit chain granted
+	// 30 at a time: the first move's two last occurrences fall apart,
+	// the second's both at 10^6 + 59, where only IDs order them.
+	{"last-tie", []byte{0x2f, 1, 0, 59, 29, 0, 0, 3, 59, 63, 0, 2, 0, 0, 0, 0, 0, 0}, true},
+	// Periods 1 and √2 from 2^20 − 24: the closed form crosses 2^20.
+	{"binade-crossing", []byte{0x3f, 1, 0, 59, 63, 0, 0, 6, 59, 63, 0, 2, 0, 0, 0, 0, 0, 0}, true},
+	// Periods 1 and π/3 from 2^52 − 23.5, where both add one ulp of 0.5:
+	// in lockstep, so never apart at a last occurrence, the chain booked
+	// first popping first at every instant. They part at 2^52: 2^52 − 0.5
+	// + 1 is a half-ulp tie that rounds down to 2^52, + π/3 rounds up to
+	// 2^52 + 1, where the π/3 chain's spent credit (23 at a time) ends the
+	// move. So the unit chain takes one more, and its occurrence at the π/3
+	// chain's last time pops first: only IDs order the two, and the bound
+	// at 2^52 records the π/3 chain's key.
+	{"lockstep-later-first", []byte{0x6f, 1, 0, 59, 63, 0, 2, 7, 59, 22, 0, 2, 0, 2, 0, 0, 0, 0, 40, 0, 0, 56, 0, 0}, false},
+	// The same, with the π/3 chain booked first: its last occurrence pops
+	// first.
+	{"lockstep-earlier-first", []byte{0x6f, 1, 7, 59, 22, 0, 2, 0, 59, 63, 0, 2, 0, 2, 0, 0, 0, 0, 40, 0, 0, 56, 0, 0}, false},
+	// As two-periods without the bounds, the √2 chain jittered: its
+	// factors are drawn as the merge takes its occurrences, so the loop
+	// takes them all.
+	{"jitter", []byte{0x2f, 1, 0, 59, 63, 0, 0, 6, 59, 63, 12, 2, 0, 0, 0, 0, 0, 0}, false},
+}
+
 // skipJitterFrac is the jittered chains' fraction, and skipJitterSeed the
 // seed of the one stream all of a world's jittered chains share.
 const (
@@ -768,6 +815,13 @@ type skipMoves struct {
 	// two, those that left a moved chain where its period is a half-ulp
 	// tie, and group moves of k ≥ 2.
 	crossed, tied, stridedGroups int
+	// Moves of chains of two periods: those taken partly in closed form,
+	// and of them those that crossed a power of two and those that left a
+	// moved chain without credit; and those of 2·strideAfter occurrences
+	// or more taken by the loop alone, and of them those that ended on the
+	// heartbeat's step.
+	stridedMerges, crossedMerges, spentMerges int
+	loopMerges, beatMerges                    int
 }
 
 // halfUlpTie reports whether t + p would be a tie in t's binade: p/u
@@ -786,7 +840,7 @@ func halfUlpTie(t, p float64) bool {
 // them, the moves of jittered chains, and the merges among the group
 // moves.
 func skipGroupMoves(data []byte) (m skipMoves) {
-	w, _, _ := skipBuild(data, true)
+	w, _, every := skipBuild(data, true)
 	at := func(c *skipChain) float64 {
 		for i := range w.eng.queue {
 			if ev := &w.eng.queue[i]; ev.class == tick && ev.slot == c.slot {
@@ -801,7 +855,7 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 		for i, c := range w.chains {
 			before[i], credit[i] = at(c), c.p().Credit()
 		}
-		processed, strided := w.eng.Processed(), w.eng.Strided()
+		processed, skipped, strided := w.eng.Processed(), w.eng.Skipped(), w.eng.Strided()
 		if !w.eng.Step() {
 			return m
 		}
@@ -821,14 +875,16 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 		if jittered {
 			m.jittered++
 		}
+		merge := periods
 		if w.eng.Strided() > strided {
 			m.strided++
-			crossed, tied := false, false
+			crossed, tied, spent := false, false, false
 			for i, c := range moved {
 				_, e0 := math.Frexp(from[i])
 				_, e1 := math.Frexp(at(c))
 				crossed = crossed || e0 != e1
 				tied = tied || halfUlpTie(at(c), c.period)
+				spent = spent || c.p().Credit() == 0
 			}
 			if crossed {
 				m.crossed++
@@ -838,6 +894,20 @@ func skipGroupMoves(data []byte) (m skipMoves) {
 			}
 			if len(moved) >= 2 {
 				m.stridedGroups++
+			}
+			if merge {
+				m.stridedMerges++
+				if crossed {
+					m.crossedMerges++
+				}
+				if spent {
+					m.spentMerges++
+				}
+			}
+		} else if merge && w.eng.Skipped()-skipped >= 2*strideAfter {
+			m.loopMerges++
+			if (w.eng.Processed()+w.eng.Skipped())%every == 0 {
+				m.beatMerges++
 			}
 		}
 		if len(moved) < 2 {
@@ -998,6 +1068,47 @@ func TestSkipDifferentialStride(t *testing.T) {
 	}
 }
 
+// TestSkipDifferentialMergeStride guards the merge-long seeds against
+// passing vacuously: each must agree with the reference, a merge of its
+// two chains must take occurrences in closed form (a Strided rise in a
+// move of chains of two periods) — but none on a lockstep seed, whose
+// chains are never apart at a last occurrence, nor on the jitter seed —
+// and each seed must show the thing it was built around. A move of
+// 2·strideAfter occurrences or more has run strideAfter runs of these
+// periods, so one the loop took alone left the closed form for a tie, a
+// heartbeat or a jittered member.
+func TestSkipDifferentialMergeStride(t *testing.T) {
+	for _, c := range skipMergeStrideSeeds {
+		ap, af, skipped := skipRun(t, c.seed, true)
+		rp, rf, _ := skipRun(t, c.seed, false)
+		if !reflect.DeepEqual(ap, rp) || !reflect.DeepEqual(af, rf) {
+			t.Fatalf("%s: diverges:\n%s\n%s", c.name, skipDiff(ap, rp), skipDiff(af, rf))
+		}
+		m := skipGroupMoves(c.seed)
+		if (m.stridedMerges > 0) != c.closed || skipped == 0 {
+			t.Errorf("%s: %d merges of two periods in closed form (want some: %t), %d steps skipped", c.name, m.stridedMerges, c.closed, skipped)
+		}
+		var ok bool
+		switch {
+		case strings.HasPrefix(c.name, "lockstep-"), c.name == "last-tie":
+			ok = m.loopMerges > m.beatMerges
+		case c.name == "jitter":
+			ok = m.loopMerges > m.beatMerges && m.jittered > 0
+		case c.name == "two-periods":
+			ok = m.spentMerges > 0
+		case c.name == "credit-spent":
+			ok = m.spentMerges > 1
+		case c.name == "heartbeat":
+			ok = m.beatMerges > 0
+		case c.name == "binade-crossing":
+			ok = m.crossedMerges > 0
+		}
+		if !ok {
+			t.Errorf("%s: the seed no longer shows what it was built around (%+v)", c.name, m)
+		}
+	}
+}
+
 // nopTick is the owner of chains whose callbacks do nothing.
 var nopTick = tickFunc(func() {})
 
@@ -1042,6 +1153,21 @@ func long(k int, credit int64) (*Engine, []int32) {
 	return e, slots
 }
 
+// mergeLong returns an engine holding two chains that merge, of
+// period 1 from 0 and of period √2 from 0.5, each granting credit at a
+// time for ever, and their slots.
+func mergeLong(credit int64) (*Engine, []int32) {
+	e := NewEngine()
+	slots := make([]int32, 2)
+	for j, period := range []float64{1, math.Sqrt2} {
+		c := &rearm{e: e, period: period, credit: credit}
+		e.AfterTick(&c.slot, c, float64(j)/2)
+		e.Periodic(c.slot).Arm(c.period, credit)
+		slots[j] = c.slot
+	}
+	return e, slots
+}
+
 // mixed returns an engine holding three armed chains that merge: of
 // period 1 from 0, of period 1.5 from 1/3, and jittered of period 1.25
 // from 2/3; and their slots.
@@ -1061,26 +1187,31 @@ func mixed(credit int64) (*Engine, []int32) {
 }
 
 // TestSkipGroupAllocs pins a group move — round-robin, a merge of two
-// periods and a jittered chain, and a long round-robin move that takes
-// most of its occurrences in closed form — at zero allocations, on a
-// warm engine and as the first move of a fresh fork: the move's scratch
-// is part of the Engine, not grown on demand. A lone jittered chain's
-// move allocates nothing either.
+// periods and a jittered chain, and two long moves that take most of
+// their occurrences in closed form, round-robin and merged — at zero
+// allocations, on a warm engine and as the first move of a fresh fork:
+// the move's scratch is part of the Engine, not grown on demand. A lone
+// jittered chain's move allocates nothing either.
 func TestSkipGroupAllocs(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		make func() (*Engine, []int32)
-		span float64 // virtual time one move covers
-		min  int64   // occurrences each move takes, at least
+		name   string
+		make   func() (*Engine, []int32)
+		span   float64 // virtual time one move covers
+		min    int64   // occurrences each move takes, at least
+		closed bool    // most of them in closed form
 	}{
 		// Every member moves on every RunUntil.
-		{"group", func() (*Engine, []int32) { return staggered(3, 1, 1<<40) }, 1, 3},
+		{"group", func() (*Engine, []int32) { return staggered(3, 1, 1<<40) }, 1, 3, false},
 		// Periods 1, 1.5 and ≈ 1.25 take ≈ 2.47 per unit, at least 2 on a
 		// fork's first move.
-		{"mixed", func() (*Engine, []int32) { return mixed(1 << 40) }, 1, 2},
+		{"mixed", func() (*Engine, []int32) { return mixed(1 << 40) }, 1, 2, false},
 		// Three chains of period √2 over 100 s: 212 occurrences a move, 48
 		// one add at a time and the rest in closed form.
-		{"long", func() (*Engine, []int32) { return staggered(3, math.Sqrt2, 1<<40) }, 100, 210},
+		{"long", func() (*Engine, []int32) { return staggered(3, math.Sqrt2, 1<<40) }, 100, 210, true},
+		// Periods 1 and √2 over 100 s: 170 or 171 occurrences a move, the
+		// first strideAfter runs one add at a time and the rest in closed
+		// form.
+		{"merge-long", func() (*Engine, []int32) { return mergeLong(1 << 40) }, 100, 170, true},
 	} {
 		e, slots := c.make()
 		if a := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + c.span) }); a != 0 {
@@ -1090,7 +1221,7 @@ func TestSkipGroupAllocs(t *testing.T) {
 		if e.Processed() != 0 || e.Moves() != 101 || e.Skipped() < c.min*101 {
 			t.Fatalf("%s: processed %d, %d moves took %d: the chains did not move together", c.name, e.Processed(), e.Moves(), e.Skipped())
 		}
-		if c.name == "long" && e.Strided() < e.Skipped()/2 {
+		if c.closed && e.Strided() < e.Skipped()/2 {
 			t.Fatalf("%s: %d of %d occurrences taken in closed form", c.name, e.Strided(), e.Skipped())
 		}
 		forks := make([]*Engine, 11) // AllocsPerRun's warm-up run takes the first
@@ -1198,7 +1329,8 @@ func TestForkRefusesWhatItOwes(t *testing.T) {
 // plain event every eight periods to end a move as the rest of a replay
 // does; and, as long/k, k chains of period √2 granted 10⁴ occurrences at
 // a time with nothing else pending, whose moves run long enough to be
-// taken mostly in closed form.
+// taken mostly in closed form, and as merge-long the two chains of
+// mergeLong, of periods 1 and √2, granted the same.
 func BenchmarkSkipStaggered(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -1211,6 +1343,7 @@ func BenchmarkSkipStaggered(b *testing.B) {
 		{"mixed", func() (*Engine, []int32) { return mixed(1 << 40) }, false},
 		{"long/k=1", func() (*Engine, []int32) { return long(1, 1e4) }, true},
 		{"long/k=3", func() (*Engine, []int32) { return long(3, 1e4) }, true},
+		{"merge-long", func() (*Engine, []int32) { return mergeLong(1e4) }, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			e, _ := c.make()

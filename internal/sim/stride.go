@@ -2,10 +2,11 @@ package sim
 
 import "math"
 
-// strideAfter is how many whole rounds a uniform group takes one add at
-// a time before stride takes the rest. Most moves are a few occurrences
-// long, and for those the adds cost less than setting up the closed
-// form; measured, not tuned per input.
+// strideAfter is how many whole rounds a uniform group, and how many
+// runs a two-member merge, takes one add at a time before stride takes
+// the rest. Most moves are a few occurrences long, and for those the
+// adds cost less than setting up the closed form; measured, not tuned
+// per input.
 const strideAfter = 16
 
 // strideMin bounds t and the period from below for the closed form: far
