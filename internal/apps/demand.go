@@ -7,8 +7,9 @@ import (
 
 // usage is one rank's resource pressure on a node. owner is the
 // running instance the rank belongs to (nil for entries recorded
-// through the table's exported setters): a change to the ledger, or a
-// mask staged for pid, wakes it (see Instance.settle).
+// through the table's exported setters): a change to the ledger that
+// moves a contention factor, or a mask staged for pid, wakes it (see
+// nodeDemand.changed and Instance.settle).
 type usage struct {
 	pid     shmem.PID
 	bwGBs   float64
@@ -17,15 +18,15 @@ type usage struct {
 }
 
 // nodeDemand is the per-node ledger: a compact entry slice (insertion
-// order, swap-removed) plus lazily recomputed aggregate sums. The
-// simulator reads Total/Threads on every iteration of every rank, so
-// the sums must not be recomputed per read — only after a mutation.
+// order, swap-removed) plus its aggregate sums, recomputed by changed
+// after every mutation. The simulator reads the contention factors on
+// every iteration of every rank, so the sums are never recomputed per
+// read.
 type nodeDemand struct {
 	idx     map[shmem.PID]int // pid -> position in entries
 	entries []usage
 	bwSum   float64
 	threads int
-	dirty   bool
 	// machine is the node's model, taken from the table's default at
 	// creation and overridden per node on heterogeneous clusters
 	// (SetNodeMachine). Capacity judgments and topology queries on
@@ -33,16 +34,47 @@ type nodeDemand struct {
 	machine hwmodel.Machine
 }
 
-// changed marks the cached sums stale and wakes every instance with a
-// rank on the node: the contention factors its iterations read may
-// have moved.
+// changed follows every mutation of the entries: it recomputes the
+// sums and wakes every instance with a rank on the node only when
+// either contention factor its iterations read — Slowdown or
+// CPUShare — differs bit for bit from before. Invariant: outside
+// changed, bwSum and threads are the sums of the entries, so the
+// factors read on entry are the ones every owner's armed span was
+// computed from; with both unmoved, each iteration of the span would
+// compute the same duration again, and the span stands.
 func (n *nodeDemand) changed() {
-	n.dirty = true
+	slow, share := n.slowdown(), n.cpuShare()
+	n.bwSum, n.threads = 0, 0
+	for _, u := range n.entries {
+		n.bwSum += u.bwGBs
+		n.threads += u.threads
+	}
+	if n.slowdown() != slow || n.cpuShare() != share {
+		n.wake()
+	}
+}
+
+// wake ends the armed span of every instance with a rank on the node.
+func (n *nodeDemand) wake() {
 	for i := range n.entries {
 		if o := n.entries[i].owner; o != nil {
 			o.settle()
 		}
 	}
+}
+
+// slowdown is the node's bandwidth oversubscription factor.
+func (n *nodeDemand) slowdown() float64 {
+	return hwmodel.BWSlowdown(n.bwSum, n.machine.MemBWGBs)
+}
+
+// cpuShare is NodeHandle.CPUShare.
+func (n *nodeDemand) cpuShare() float64 {
+	cores := n.machine.CoresPerNode()
+	if n.threads <= cores {
+		return 1
+	}
+	return float64(cores) / float64(n.threads)
 }
 
 // MaskStaged implements core.StageWatcher: the node's DROM system
@@ -59,19 +91,6 @@ func (n *nodeDemand) setOwner(pid shmem.PID, owner *Instance) {
 	if i, ok := n.idx[pid]; ok {
 		n.entries[i].owner = owner
 	}
-}
-
-func (n *nodeDemand) refresh() {
-	if !n.dirty {
-		return
-	}
-	n.bwSum = 0
-	n.threads = 0
-	for _, u := range n.entries {
-		n.bwSum += u.bwGBs
-		n.threads += u.threads
-	}
-	n.dirty = false
 }
 
 // DemandTable tracks the memory-bandwidth demand and active thread
@@ -143,11 +162,13 @@ func (d *DemandTable) ledger(node string) *nodeDemand {
 
 // SetNodeMachine pins node's machine model, overriding the table
 // default. Heterogeneous clusters call it once per node at
-// construction.
+// construction. It wakes the node's instances whether or not a factor
+// moves: the machine also decides their ranks' socket spans and the
+// tracer's clock.
 func (d *DemandTable) SetNodeMachine(node string, m hwmodel.Machine) {
 	n := d.ledger(node)
 	n.machine = m
-	n.changed()
+	n.wake()
 }
 
 // NodeHandle is a cached reference to one node's ledger. The
@@ -167,22 +188,11 @@ func (d *DemandTable) Handle(node string) NodeHandle {
 }
 
 // Slowdown returns the bandwidth oversubscription factor of the node.
-func (h NodeHandle) Slowdown() float64 {
-	h.n.refresh()
-	return hwmodel.BWSlowdown(h.n.bwSum, h.n.machine.MemBWGBs)
-}
+func (h NodeHandle) Slowdown() float64 { return h.n.slowdown() }
 
 // CPUShare returns the average fraction of a CPU each active thread
-// on the node receives (see DemandTable.CPUShare).
-func (h NodeHandle) CPUShare() float64 {
-	h.n.refresh()
-	t := h.n.threads
-	cores := h.n.machine.CoresPerNode()
-	if t <= cores {
-		return 1
-	}
-	return float64(cores) / float64(t)
-}
+// on the node receives: 1 while the threads fit the cores.
+func (h NodeHandle) CPUShare() float64 { return h.n.cpuShare() }
 
 // Machine returns the node's machine model (the table default unless
 // overridden with SetNodeMachine).
@@ -221,7 +231,7 @@ func (n *nodeDemand) setUsage(pid shmem.PID, threads int, bwGBs float64, owner *
 			n.entries[i].owner = owner
 		}
 		if n.entries[i].bwGBs == bwGBs && n.entries[i].threads == threads {
-			return // no change; keep the cached sums valid
+			return // no change
 		}
 		n.entries[i].bwGBs = bwGBs
 		n.entries[i].threads = threads
@@ -243,6 +253,5 @@ func (d *DemandTable) Threads(node string) int {
 	if n == nil {
 		return 0
 	}
-	n.refresh()
 	return n.threads
 }

@@ -41,7 +41,6 @@ func (d *DemandTable) Fork() *DemandTable {
 			entries: append([]usage(nil), n.entries...),
 			bwSum:   n.bwSum,
 			threads: n.threads,
-			dirty:   n.dirty,
 			machine: n.machine,
 		}
 		for i, u := range cp.entries {

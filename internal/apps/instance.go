@@ -227,11 +227,12 @@ func (inst *Instance) Tick() {
 // withdrawn, so the pending occurrence, which already sits at the next
 // iteration boundary under the event ID stepping would have given it,
 // runs iterate again. It is what a wake does: the node ledgers call it
-// on every change to the demand of a node holding one of the ranks and
-// on every mask staged for one of the PIDs — the only two things that
-// can make an iteration compute something the previous one did not —
-// and the tracer before it is read. A traced instance reports the span
-// here, as the last executed iteration's pattern taken n more times.
+// on every change to a contention factor of a node holding one of the
+// ranks and on every mask staged for one of the PIDs — the only two
+// things that can make an iteration compute something the previous one
+// did not — and the tracer before it is read. A traced instance
+// reports the span here, as the last executed iteration's pattern
+// taken n more times.
 func (inst *Instance) settle() {
 	if inst.armed == 0 {
 		return

@@ -5,8 +5,9 @@ package apps
 // instances arming, and the never-arm reference that executes every
 // iteration — and requires identical observations, compared with ==:
 // the armed run produces its times by the same sequence of float adds.
-// Each scenario is built so that it fails when one of the two wakes
-// (ledger change, staged mask) or the handle bookkeeping is removed.
+// Each scenario is built so that it fails when one of the two wakes (a
+// moved contention factor, a staged mask) or the handle bookkeeping is
+// removed, or when a ledger edit that moves neither factor wakes.
 
 import (
 	"reflect"
@@ -116,6 +117,65 @@ func TestCoRunnerWakesThroughLedger(t *testing.T) {
 				o.Ends["stream"], o.Ends["nest"], alone)
 		}
 	})
+}
+
+// TestLedgerWakesOnlyWhenAFactorMoves: a ledger-only edit on NEST's
+// nodes mid-span, undone later, that moves only the CPU share, only
+// the bandwidth slowdown — once by a hair, a relative 1e-12 — or
+// neither. A moved factor must wake NEST, or its end leaves the
+// stepped value; an unmoved pair must leave its armed span standing.
+func TestLedgerWakesOnlyWhenAFactorMoves(t *testing.T) {
+	nest := NEST()
+	nest.InitSeconds = 0
+	var alone float64
+	differential(t, func(t *testing.T, b *testBed, o *skipObs, ref bool) {
+		b.launch(t, o, ref, "nest", nest, 14, 0, 300)
+		b.eng.Run()
+		alone = o.Ends["nest"]
+	})
+	// NEST's 14 threads demand 14 GB/s of an MN3 node's 41, on 16 cores.
+	for _, c := range []struct {
+		name    string
+		threads int
+		bwGBs   float64
+		moves   bool
+	}{
+		{"cpu share only", 6, 0, true},               // 20 threads, 14 GB/s
+		{"slowdown only", 1, 30, true},               // 15 threads, 44 GB/s
+		{"slowdown by a hair", 1, 27 + 41e-12, true}, // 15 threads, 41 GB/s and 41e-12 more
+		{"neither", 2, 10, false},                    // 16 threads, 24 GB/s
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			differential(t, func(t *testing.T, b *testBed, o *skipObs, ref bool) {
+				inst := b.launch(t, o, ref, "nest", nest, 14, 0, 300)
+				pid := b.reg.AllocPID()
+				edit := func(threads int, bwGBs float64) func() {
+					return func() {
+						credit := inst.Credit()
+						for _, node := range []string{"node0", "node1"} {
+							b.demand.SetUsage(node, pid, threads, bwGBs)
+						}
+						if ref {
+							return
+						}
+						if credit == 0 {
+							t.Fatalf("scenario broken: NEST is not mid-span at t=%v", b.eng.Now())
+						}
+						if woke := inst.Credit() == 0; woke != c.moves {
+							t.Errorf("edit at t=%v: NEST woken %v, want %v", b.eng.Now(), woke, c.moves)
+						}
+					}
+				}
+				b.eng.At(50.3, edit(c.threads, c.bwGBs))
+				b.eng.At(150.7, edit(0, 0))
+				b.eng.Run()
+				o.Iters["nest"], o.Polls["nest"] = inst.ItersDone(), b.polls(t, inst)
+				if moved := o.Ends["nest"] != alone; moved != c.moves {
+					t.Fatalf("scenario broken: NEST ends at %v, alone at %v", o.Ends["nest"], alone)
+				}
+			})
+		})
+	}
 }
 
 // TestStagedMaskWakesMidSpan: masks staged from an engine event in the

@@ -85,8 +85,19 @@ type Session struct {
 	// cancels holds the job name of each pending scancel timer, in the
 	// slot its cancelClass event names.
 	cancels sim.Slots[string]
-	err     error
+	// jobs is the slab the controller's copy of each submitted Job is
+	// taken from (newJob). A fork starts without one, so two lineages
+	// never append into one backing array.
+	jobs []slurm.Job
+	err  error
 }
+
+// The job slab's first and largest capacity: a session's slabs double
+// from jobSlabMin up to jobSlabMax jobs each.
+const (
+	jobSlabMin = 2
+	jobSlabMax = 256
+)
 
 // The session's event classes: the one pending submission, and a
 // scancel timer.
@@ -270,11 +281,11 @@ func (s *Session) fireNext(int32) {
 }
 
 // submit delivers one submission (the controller gets its own Job
-// copy) and arms its scancel timer, clamped to "now" so a cancellation
-// recorded before the stream position still fires.
+// copy, from the slab) and arms its scancel timer, clamped to "now" so
+// a cancellation recorded before the stream position still fires.
 func (s *Session) submit(sub *Submission) {
-	job := sub.Job
-	if err := s.ctl.Submit(&job); err != nil {
+	job := s.newJob(&sub.Job)
+	if err := s.ctl.Submit(job); err != nil {
 		s.err = err
 		return
 	}
@@ -286,6 +297,20 @@ func (s *Session) submit(sub *Submission) {
 		at = s.eng.Now()
 	}
 	s.eng.Post(at, cancelClass, s.cancels.Put(job.Name))
+}
+
+// newJob returns a copy of j the controller may keep for the job's
+// life. The copies are packed into slabs: a full slab is left to the
+// jobs that point into it, and the next one, twice as large up to
+// jobSlabMax, is allocated — an entry never moves. The controller
+// never writes through the pointer (a change is copied on write, as
+// slurm.Controller.SetQueuedMalleable does).
+func (s *Session) newJob(j *slurm.Job) *slurm.Job {
+	if len(s.jobs) == cap(s.jobs) {
+		s.jobs = make([]slurm.Job, 0, min(max(2*cap(s.jobs), jobSlabMin), jobSlabMax))
+	}
+	s.jobs = append(s.jobs, *j)
+	return &s.jobs[len(s.jobs)-1]
 }
 
 // fireCancel runs the scancel timer in slot i.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/hwmodel"
@@ -126,5 +127,93 @@ func TestResultIsASnapshot(t *testing.T) {
 		if j.Name == "appended" {
 			t.Fatal("an append to a snapshot's Jobs landed in the session's records")
 		}
+	}
+}
+
+// TestForkedLineagesSubmitIntoTheirOwnSlabs: a session is forked while
+// its job slab has spare capacity, and the fork's submissions from then
+// on carry names of their own. Both lineages submit — in lockstep over
+// the next 1 000 s, then each on its own goroutine to the end — and
+// each lineage's records must equal an unforked twin's: the plain
+// replay's, and those of a session renamed at the same instant. A fork
+// appending into its parent's slab overwrites the parent's jobs with
+// its own, and under the race detector the two goroutines write one
+// array.
+func TestForkedLineagesSubmitIntoTheirOwnSlabs(t *testing.T) {
+	sc := sessionScenario(t, 1)
+	open := func() *Session {
+		t.Helper()
+		s, err := NewSchedSession(sc, &sched.EASY{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// rename names every submission s has yet to make anew.
+	rename := func(s *Session) {
+		src := s.src.(*sliceSource)
+		src.subs = slices.Clone(src.subs)
+		for i := range src.subs {
+			src.subs[i].Job.Name += "'"
+		}
+		s.next.Job.Name += "'"
+	}
+	run := func(s *Session) []metrics.JobRecord {
+		res := s.Run()
+		if res.Err != nil {
+			t.Error(res.Err)
+		}
+		return res.Records.Jobs
+	}
+
+	sess := open()
+	var at float64
+	for _, i := range sess.src.(*sliceSource).order {
+		at = sc.Subs[i].At
+		sess.RunUntil(at)
+		if n := len(sess.jobs); n >= 20 && cap(sess.jobs)-n >= 4 {
+			break
+		}
+	}
+	if n := len(sess.jobs); n < 20 || cap(sess.jobs)-n < 4 {
+		t.Fatalf("scenario broken: no instant with 4 free places in a slab (%d of %d used at t=%v)", n, cap(sess.jobs), at)
+	}
+	f, err := sess.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rename(f)
+	for now := at + 1; now <= at+1000; now++ {
+		sess.RunUntil(now)
+		f.RunUntil(now)
+	}
+	var parent, fork []metrics.JobRecord
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); parent = run(sess) }()
+	go func() { defer wg.Done(); fork = run(f) }()
+	wg.Wait()
+
+	twin := open()
+	twin.RunUntil(at)
+	rename(twin)
+	for _, c := range []struct {
+		lineage   string
+		got, want []metrics.JobRecord
+	}{{"parent", parent, run(open())}, {"fork", fork, run(twin)}} {
+		if len(c.want) != len(sc.Subs) {
+			t.Fatalf("%s's twin recorded %d of %d jobs", c.lineage, len(c.want), len(sc.Subs))
+		}
+		if !slices.Equal(c.got, c.want) {
+			i := 0
+			for i < min(len(c.got), len(c.want)) && c.got[i] == c.want[i] {
+				i++
+			}
+			t.Errorf("%s: records differ from its unforked twin's from record %d on (%d and %d records)",
+				c.lineage, i, len(c.got), len(c.want))
+		}
+	}
+	if slices.Equal(parent, fork) {
+		t.Error("scenario broken: the fork's records carry the parent's names")
 	}
 }

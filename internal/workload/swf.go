@@ -337,7 +337,18 @@ type swfMapper struct {
 	cluster hwmodel.ClusterSpec
 	spec    apps.Spec
 	drops   metrics.DropStats
+	// names holds the names of records nameLo .. nameLo+swfNameChunk−1,
+	// the k-th at names[nameOff[k]:nameOff[k+1]]; buf is the scratch
+	// they are rendered in (see name).
+	names   string
+	nameLo  int
+	nameOff [swfNameChunk + 1]int32
+	buf     []byte
 }
+
+// swfNameChunk is how many records' names the mapper renders into one
+// string at a time.
+const swfNameChunk = 512
 
 func newSWFMapper(o SWFOptions) swfMapper {
 	return swfMapper{cluster: o.clusterSpec(), spec: swfSpec()}
@@ -371,16 +382,33 @@ func jobShape(procs int, part hwmodel.Partition) (nodes, threads int, ok bool) {
 	return nodes, threads, true
 }
 
-// swfJobName names the n-th trace record "j%05d": zero-padded to five
-// digits, wider past 99999. The name is the one allocation (Sprintf
-// boxes n first), which matters at a name per replayed job.
-func swfJobName(n int) string {
-	var buf [24]byte
-	b := append(buf[:0], 'j')
-	for w := 10000; w > n && w > 1; w /= 10 {
-		b = append(b, '0')
+// name returns the n-th trace record's name, "j%05d": zero-padded to
+// five digits, wider past 99999. The names of swfNameChunk records are
+// rendered at once into one string and each is sliced out of it, so a
+// replay allocates one name string per chunk, not one per job. An n
+// outside the chunk — the next one, or a non-sequential idx — renders
+// a new chunk from n.
+func (m *swfMapper) name(n int) string {
+	k := n - m.nameLo
+	if m.names == "" || k < 0 || k >= swfNameChunk {
+		m.renderNames(n)
+		k = 0
 	}
-	return string(strconv.AppendInt(b, int64(n), 10))
+	return m.names[m.nameOff[k]:m.nameOff[k+1]]
+}
+
+// renderNames fills the chunk with the names of records n onward.
+func (m *swfMapper) renderNames(n int) {
+	b := m.buf[:0]
+	for k := range swfNameChunk {
+		b = append(b, 'j')
+		for w := 10000; w > n+k && w > 1; w /= 10 {
+			b = append(b, '0')
+		}
+		b = strconv.AppendInt(b, int64(n+k), 10)
+		m.nameOff[k+1] = int32(len(b))
+	}
+	m.buf, m.names, m.nameLo = b, string(b), n
 }
 
 // Map converts the idx-th trace record (0-based, counting dropped
@@ -431,7 +459,7 @@ func (m *swfMapper) Map(j SWFJob, idx int) (Submission, bool) {
 			Cancel:   true,
 			CancelAt: j.Submit + wait,
 			Job: slurm.Job{
-				Name:      swfJobName(idx + 1),
+				Name:      m.name(idx + 1),
 				Spec:      m.spec,
 				Cfg:       apps.Config{Ranks: nodes, Threads: threads},
 				Iters:     itersFor(horizon, m.spec),
@@ -456,7 +484,7 @@ func (m *swfMapper) Map(j SWFJob, idx int) (Submission, bool) {
 		walltime = 0
 	}
 	job := slurm.Job{
-		Name:      swfJobName(idx + 1),
+		Name:      m.name(idx + 1),
 		Spec:      m.spec,
 		Cfg:       apps.Config{Ranks: nodes, Threads: threads},
 		Iters:     itersFor(j.Run, m.spec),

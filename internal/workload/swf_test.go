@@ -255,12 +255,34 @@ func TestMalleableBeatsEASYOnMeanWait(t *testing.T) {
 	}
 }
 
-// TestSWFJobNameMatchesSprintf: the hand-rolled job name is byte for
-// byte what fmt's "j%05d" gives, across the padding boundaries.
+// TestSWFJobNameMatchesSprintf: the mapper's job names are byte for
+// byte what fmt's "j%05d" gives — at every name of the first chunks a
+// replay maps, their first and last among them; across the padding
+// boundary at 100000; and after a non-sequential idx, which renders a
+// chunk from its own record.
 func TestSWFJobNameMatchesSprintf(t *testing.T) {
-	for _, n := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 25000, 99999, 100000, 1234567} {
-		if got, want := swfJobName(n), fmt.Sprintf("j%05d", n); got != want {
-			t.Errorf("swfJobName(%d) = %q, want %q", n, got, want)
+	m := newSWFMapper(SWFOptions{})
+	name := func(n, chunkFrom int) {
+		t.Helper()
+		if got, want := m.name(n), fmt.Sprintf("j%05d", n); got != want {
+			t.Errorf("name(%d) = %q, want %q", n, got, want)
 		}
+		if m.nameLo != chunkFrom {
+			t.Errorf("name(%d) from the chunk at %d, want %d", n, m.nameLo, chunkFrom)
+		}
+	}
+	for n := 1; n <= 3*swfNameChunk+1; n++ { // a replay's records are 1-based
+		name(n, 1+(n-1)/swfNameChunk*swfNameChunk)
+	}
+	for n := 99990; n <= 100010; n++ { // 99999, 100000 and 100001 in one chunk
+		name(n, 99990)
+	}
+	for _, c := range []struct{ n, chunkFrom int }{
+		{7, 7}, {5, 5}, {6, 5}, {5 + swfNameChunk - 1, 5}, {5 + swfNameChunk, 5 + swfNameChunk},
+		{100000, 100000}, {100001, 100000}, {99999, 99999}, {100000, 99999},
+		{9999, 9999}, {10000, 9999}, {25000, 25000},
+		{1234567, 1234567}, {0, 0}, {9, 0}, {10, 0},
+	} {
+		name(c.n, c.chunkFrom)
 	}
 }
