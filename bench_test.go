@@ -1,13 +1,10 @@
-// Benchmark harness: one benchmark per table and figure of the
-// paper's evaluation (§6), plus ablations over its design choices
-// (poll frequency, oversubscription, placement, node selection,
-// in-situ I/O). Each benchmark runs the corresponding workload end to
-// end on the simulated cluster and reports the paper's metrics via
-// testing.B custom metrics:
-//
-//	serial-s  total run time (or response) under the Serial baseline
-//	drom-s    the same under DROM
-//	gain-%    relative improvement of DROM over Serial
+// Benchmark harness: one sub-benchmark per row of the paper's figure
+// table (§6), Table 1's configurations standalone, a DJSB stream and
+// ablations over the design choices (poll frequency, oversubscription,
+// a fully malleable NEST, placement, in-situ I/O). Each runs its
+// workload end to end on the simulated cluster; all but the figures
+// report the paper's metrics as testing.B custom metrics (total-s,
+// avgresp-s, ...).
 //
 // These write no file and gate nothing; the repository's performance
 // numbers come from `go run ./bench` (BENCHMARK.json).
@@ -21,49 +18,9 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/djsb"
-	"repro/internal/metrics"
 	"repro/internal/slurm"
 	"repro/internal/workload"
 )
-
-// runPair executes a scenario under Serial and DROM once.
-func runPair(b *testing.B, sc workload.Scenario) (serial, drom workload.Result) {
-	b.Helper()
-	serial, drom = workload.Compare(sc)
-	if serial.Err != nil || drom.Err != nil {
-		b.Fatalf("scenario %s: %v / %v", sc.Name, serial.Err, drom.Err)
-	}
-	return serial, drom
-}
-
-func reportTotals(b *testing.B, serial, drom workload.Result) {
-	b.ReportMetric(serial.Records.TotalRunTime(), "serial-s")
-	b.ReportMetric(drom.Records.TotalRunTime(), "drom-s")
-	b.ReportMetric(100*metrics.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()), "gain-%")
-}
-
-func reportAvgResponse(b *testing.B, serial, drom workload.Result) {
-	b.ReportMetric(serial.Records.AvgResponseTime(), "serial-s")
-	b.ReportMetric(drom.Records.AvgResponseTime(), "drom-s")
-	b.ReportMetric(100*metrics.Gain(serial.Records.AvgResponseTime(), drom.Records.AvgResponseTime()), "gain-%")
-}
-
-// uc1Bench runs the (simulator × analytics) grid as sub-benchmarks.
-func uc1Bench(b *testing.B, simName, anaName string, report func(*testing.B, workload.Result, workload.Result)) {
-	for si, simCfg := range apps.Table1(simName) {
-		for ai, anaCfg := range apps.Table1(anaName) {
-			name := fmt.Sprintf("%sC%d+%sC%d", simName, si+1, anaName, ai+1)
-			simCfg, anaCfg := simCfg, anaCfg
-			b.Run(name, func(b *testing.B) {
-				var serial, drom workload.Result
-				for i := 0; i < b.N; i++ {
-					serial, drom = runPair(b, workload.UC1(simName, simCfg, anaName, anaCfg, false))
-				}
-				report(b, serial, drom)
-			})
-		}
-	}
-}
 
 // BenchmarkTable1Configs runs each Table-1 application configuration
 // standalone under the Serial policy and reports its reference run
@@ -97,162 +54,19 @@ func BenchmarkTable1Configs(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure2Protocol measures one full DROM launch/termination
-// cycle (launch_request → PreInit → poll → PostFinalize →
-// release_resources) against a running job.
-func BenchmarkFigure2Protocol(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sc := workload.Scenario{
-			Name:  "fig2",
-			Nodes: 2,
-			Subs: []workload.Submission{
-				{Job: slurm.Job{Name: "job1", Spec: apps.Pils(), Cfg: apps.Config{Ranks: 2, Threads: 16},
-					Iters: 200, Nodes: 2, Malleable: true}},
-				{At: 20, Job: slurm.Job{Name: "job2", Spec: apps.Pils(), Cfg: apps.Config{Ranks: 4, Threads: 4},
-					Iters: 50, Nodes: 2, Malleable: true}},
-			},
-		}
-		if res := workload.Run(sc, slurm.PolicyDROM); res.Err != nil {
-			b.Fatal(res.Err)
-		}
+// BenchmarkFigures regenerates each row of the paper's figure table:
+// the runs it reads, then its figures. Figures 2 and 3 read no paper
+// run (cmd/figures narrates them), so theirs times an empty build.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range workload.Figures() {
+		b.Run(f.ID, func(b *testing.B) {
+			for range b.N {
+				if _, err := f.Build(workload.RunPaper(f.Runs...)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-}
-
-// BenchmarkFigure3Schematic runs the UC1 schematic workload traced.
-func BenchmarkFigure3Schematic(b *testing.B) {
-	var serial, drom workload.Result
-	for i := 0; i < b.N; i++ {
-		serial, drom = runPair(b, workload.UC1("nest", apps.Config{Ranks: 2, Threads: 16},
-			"pils", apps.Config{Ranks: 2, Threads: 4}, true))
-	}
-	reportTotals(b, serial, drom)
-}
-
-// BenchmarkFigure4 regenerates Figure 4: NEST+Pils total run times.
-func BenchmarkFigure4(b *testing.B) { uc1Bench(b, "nest", "pils", reportTotals) }
-
-// BenchmarkFigure5 regenerates the Figure 5 trace (NEST thread
-// imbalance after a shrink) and reports the idle bubble size.
-func BenchmarkFigure5(b *testing.B) {
-	var res workload.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		var fig workload.FigureData
-		res, fig, err = workload.Figure5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = fig
-	}
-	stats := res.Tracer.ThreadUtilization("nest",
-		workload.AnalyticsSubmitTime+100, workload.AnalyticsSubmitTime+200)
-	var busy, idle float64
-	for _, st := range stats {
-		if st.Rank != 0 {
-			continue
-		}
-		if st.Thread < 4 {
-			busy += st.Utilization / 4
-		} else if st.Thread < 15 {
-			idle += st.Utilization / 11
-		}
-	}
-	b.ReportMetric(busy, "spread-util")
-	b.ReportMetric(idle, "rest-util")
-}
-
-// BenchmarkFigure6 regenerates Figure 6: NEST+Pils response times.
-func BenchmarkFigure6(b *testing.B) {
-	uc1Bench(b, "nest", "pils", func(b *testing.B, serial, drom workload.Result) {
-		ps, _ := serial.Records.Job("pils")
-		pd, _ := drom.Records.Job("pils")
-		ns, _ := serial.Records.Job("nest")
-		nd, _ := drom.Records.Job("nest")
-		b.ReportMetric(ps.ResponseTime(), "pils-serial-s")
-		b.ReportMetric(pd.ResponseTime(), "pils-drom-s")
-		b.ReportMetric(ns.ResponseTime(), "nest-serial-s")
-		b.ReportMetric(nd.ResponseTime(), "nest-drom-s")
-	})
-}
-
-// BenchmarkFigure7 regenerates Figure 7: NEST+STREAM run and response.
-func BenchmarkFigure7(b *testing.B) {
-	uc1Bench(b, "nest", "stream", func(b *testing.B, serial, drom workload.Result) {
-		reportTotals(b, serial, drom)
-		ss, _ := serial.Records.Job("stream")
-		sd, _ := drom.Records.Job("stream")
-		b.ReportMetric(ss.ResponseTime(), "stream-serial-s")
-		b.ReportMetric(sd.ResponseTime(), "stream-drom-s")
-	})
-}
-
-// BenchmarkFigure8 regenerates Figure 8: NEST workloads average
-// response time.
-func BenchmarkFigure8(b *testing.B) {
-	for _, ana := range []string{"pils", "stream"} {
-		uc1Bench(b, "nest", ana, reportAvgResponse)
-	}
-}
-
-// BenchmarkFigure9 regenerates Figure 9: CoreNeuron+Pils run times.
-func BenchmarkFigure9(b *testing.B) { uc1Bench(b, "coreneuron", "pils", reportTotals) }
-
-// BenchmarkFigure10 regenerates Figure 10: CoreNeuron+Pils responses.
-func BenchmarkFigure10(b *testing.B) {
-	uc1Bench(b, "coreneuron", "pils", func(b *testing.B, serial, drom workload.Result) {
-		ps, _ := serial.Records.Job("pils")
-		pd, _ := drom.Records.Job("pils")
-		b.ReportMetric(ps.ResponseTime(), "pils-serial-s")
-		b.ReportMetric(pd.ResponseTime(), "pils-drom-s")
-	})
-}
-
-// BenchmarkFigure11 regenerates Figure 11: CoreNeuron+STREAM.
-func BenchmarkFigure11(b *testing.B) { uc1Bench(b, "coreneuron", "stream", reportTotals) }
-
-// BenchmarkFigure12 regenerates Figure 12: CoreNeuron workloads
-// average response time.
-func BenchmarkFigure12(b *testing.B) {
-	for _, ana := range []string{"pils", "stream"} {
-		uc1Bench(b, "coreneuron", ana, reportAvgResponse)
-	}
-}
-
-// BenchmarkFigure13 regenerates Figure 13: UC2 total run time (the
-// paper reports a 2.5% improvement) with full traces.
-func BenchmarkFigure13(b *testing.B) {
-	var serial, drom workload.Result
-	for i := 0; i < b.N; i++ {
-		serial, drom = runPair(b, workload.UC2(true))
-	}
-	reportTotals(b, serial, drom)
-}
-
-// BenchmarkFigure14 regenerates Figure 14: UC2 IPC comparability.
-func BenchmarkFigure14(b *testing.B) {
-	var fig workload.FigureData
-	for i := 0; i < b.N; i++ {
-		serial, drom, _, err := workload.Figure13()
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig = workload.Figure14(serial, drom)
-	}
-	for _, s := range fig.Series {
-		for _, p := range s.Points {
-			b.ReportMetric(p.Y, s.Label+"/"+p.X[:4])
-		}
-	}
-}
-
-// BenchmarkFigure15 regenerates Figure 15: UC2 average response time
-// (the paper reports a 10% improvement).
-func BenchmarkFigure15(b *testing.B) {
-	var serial, drom workload.Result
-	for i := 0; i < b.N; i++ {
-		serial, drom = runPair(b, workload.UC2(false))
-	}
-	reportAvgResponse(b, serial, drom)
 }
 
 // ---------------------------------------------------------------------
@@ -384,10 +198,9 @@ func BenchmarkDJSBPolicies(b *testing.B) {
 					b.Fatal(res.Err)
 				}
 			}
-			rep := djsb.Summarize(res)
-			b.ReportMetric(rep.Makespan, "makespan-s")
-			b.ReportMetric(rep.AvgResponse, "avgresp-s")
-			b.ReportMetric(rep.Throughput, "jobs/ks")
+			st := workload.SchedStatsOf(sc, res)
+			b.ReportMetric(st.Makespan, "makespan-s")
+			b.ReportMetric(st.MeanResponse, "avgresp-s")
 		})
 	}
 }

@@ -67,12 +67,6 @@ func writeSVG(name, svg string) error {
 	return nil
 }
 
-// printFig prints a bar figure and optionally renders it.
-func printFig(name string, f workload.FigureData) error {
-	fmt.Println(f)
-	return writeSVG(name, f.Chart().SVG())
-}
-
 // exportTraces writes the CSV and Paraver forms of a traced result.
 func exportTraces(name string, res workload.Result) error {
 	if outDir == "" || res.Tracer == nil {
@@ -119,159 +113,68 @@ func exportTraces(name string, res workload.Result) error {
 	return nil
 }
 
-// artifactIDs are the values -id takes.
-var artifactIDs = []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15"}
+// narrations tell the rows of the figure table that read no paper run.
+var narrations = map[string]func(io.Writer) error{"fig2": figure2, "fig3": figure3}
 
+// run regenerates the figure-table row id, or every row when id is
+// empty, executing each paper run the rows read once.
 func run(id string) error {
-	if id != "" && !slices.Contains(artifactIDs, id) {
-		return fmt.Errorf("unknown -id %q (valid: %s)", id, strings.Join(artifactIDs, ", "))
+	figs := workload.Figures()
+	if id != "" {
+		i := slices.IndexFunc(figs, func(f workload.Figure) bool { return f.ID == id })
+		if i < 0 {
+			var ids []string
+			for _, f := range figs {
+				ids = append(ids, f.ID)
+			}
+			return fmt.Errorf("unknown -id %q (valid: %s)", id, strings.Join(ids, ", "))
+		}
+		figs = figs[i : i+1]
 	}
-	all := id == ""
-	want := func(k string) bool { return all || id == k }
+	var keys []string
+	for _, f := range figs {
+		keys = append(keys, f.Runs...)
+	}
+	rs := workload.RunPaper(keys...)
+	for _, f := range figs {
+		if err := regenerate(f, rs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	if want("table1") {
-		fmt.Println(workload.Table1Data())
+// regenerate prints one row's figures, drawing their charts, then its
+// traces' timelines, trace files and Gantt SVGs.
+func regenerate(f workload.Figure, rs map[string]workload.Result) error {
+	if narrate := narrations[f.ID]; narrate != nil {
+		return narrate(os.Stdout)
 	}
-	if want("fig2") {
-		if err := figure2(os.Stdout); err != nil {
-			return err
-		}
+	figs, err := f.Build(rs)
+	if err != nil {
+		return err
 	}
-	if want("fig3") {
-		if err := figure3(); err != nil {
-			return err
-		}
-	}
-	if want("fig4") {
-		f, err := workload.Figure4()
-		if err != nil {
-			return err
-		}
-		if err := printFig("fig4", f); err != nil {
-			return err
-		}
-	}
-	if want("fig5") {
-		res, f, err := workload.Figure5()
-		if err != nil {
-			return err
-		}
-		fmt.Println(f)
-		fmt.Println(res.Tracer.RenderTimeline("nest", 72, "util"))
-		if err := exportTraces("fig5", res); err != nil {
-			return err
-		}
-		if err := writeSVG("fig5-timeline",
-			workload.TimelineGantt(res.Tracer, "Figure 5: NEST thread utilization (DROM)", 240).SVG()); err != nil {
-			return err
-		}
-	}
-	if want("fig6") {
-		f, err := workload.Figure6()
-		if err != nil {
-			return err
-		}
-		if err := printFig("fig6", f); err != nil {
-			return err
-		}
-	}
-	if want("fig7") {
-		rt, resp, err := workload.Figure7()
-		if err != nil {
-			return err
-		}
-		if err := printFig("fig7-runtime", rt); err != nil {
-			return err
-		}
-		if err := printFig("fig7-response", resp); err != nil {
-			return err
-		}
-	}
-	if want("fig8") {
-		f, err := workload.Figure8()
-		if err != nil {
-			return err
-		}
-		if err := printFig("fig8", f); err != nil {
-			return err
-		}
-	}
-	if want("fig9") {
-		f, err := workload.Figure9()
-		if err != nil {
-			return err
-		}
-		if err := printFig("fig9", f); err != nil {
-			return err
-		}
-	}
-	if want("fig10") {
-		f, err := workload.Figure10()
-		if err != nil {
-			return err
-		}
-		if err := printFig("fig10", f); err != nil {
-			return err
-		}
-	}
-	if want("fig11") {
-		rt, resp, err := workload.Figure11()
-		if err != nil {
-			return err
-		}
-		if err := printFig("fig11-runtime", rt); err != nil {
-			return err
-		}
-		if err := printFig("fig11-response", resp); err != nil {
-			return err
-		}
-	}
-	if want("fig12") {
-		f, err := workload.Figure12()
-		if err != nil {
-			return err
-		}
-		if err := printFig("fig12", f); err != nil {
-			return err
-		}
-	}
-	if want("fig13") || want("fig14") {
-		serial, drom, fig13, err := workload.Figure13()
-		if err != nil {
-			return err
-		}
-		if want("fig13") {
-			fmt.Println(fig13)
-			fmt.Println("Serial scenario (cycles/µs):")
-			fmt.Println(serial.Tracer.RenderTimeline("", 72, "cycles"))
-			fmt.Println("DROM scenario (cycles/µs):")
-			fmt.Println(drom.Tracer.RenderTimeline("", 72, "cycles"))
-			if err := exportTraces("fig13-serial", serial); err != nil {
-				return err
-			}
-			if err := exportTraces("fig13-drom", drom); err != nil {
-				return err
-			}
-			if err := writeSVG("fig13-serial-timeline",
-				workload.TimelineGantt(serial.Tracer, "Figure 13: UC2 Serial", 240).SVG()); err != nil {
-				return err
-			}
-			if err := writeSVG("fig13-drom-timeline",
-				workload.TimelineGantt(drom.Tracer, "Figure 13: UC2 DROM", 240).SVG()); err != nil {
+	for i, fig := range figs {
+		fmt.Println(fig)
+		if f.Charts != nil {
+			if err := writeSVG(f.Charts[i], fig.Chart().SVG()); err != nil {
 				return err
 			}
 		}
-		if want("fig14") {
-			fmt.Println(workload.Figure14(serial, drom))
-		}
 	}
-	if want("fig15") {
-		f, err := workload.Figure15()
-		if err != nil {
+	for _, t := range f.Traces {
+		if t.Heading != "" {
+			fmt.Println(t.Heading)
+		}
+		fmt.Println(rs[t.Run].Tracer.RenderTimeline(t.Job, 72, t.Metric))
+	}
+	for _, t := range f.Traces {
+		if err := exportTraces(t.Name, rs[t.Run]); err != nil {
 			return err
 		}
-		if err := printFig("fig15", f); err != nil {
+	}
+	for _, t := range f.Traces {
+		if err := writeSVG(t.Name+"-timeline", workload.TimelineGantt(rs[t.Run].Tracer, t.Title, 240).SVG()); err != nil {
 			return err
 		}
 	}
@@ -313,22 +216,22 @@ func figure2(w io.Writer) error {
 
 // figure3 renders the UC1 schematic: per-job running-thread counts
 // over time under both policies.
-func figure3() error {
-	fmt.Println("== Figure 3: In-situ analytics schematic (resource shares over time) ==")
+func figure3(w io.Writer) error {
+	fmt.Fprintln(w, "== Figure 3: In-situ analytics schematic (resource shares over time) ==")
 	sc := workload.UC1("nest", apps.Config{Ranks: 2, Threads: 16}, "pils", apps.Config{Ranks: 2, Threads: 4}, true)
 	for _, pol := range []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM} {
 		res := workload.Run(sc, pol)
 		if res.Err != nil {
 			return res.Err
 		}
-		fmt.Printf("--- %s scenario ---\n", pol)
+		fmt.Fprintf(w, "--- %s scenario ---\n", pol)
 		var s metrics.Series
 		s.Label = "end (s)"
 		for _, j := range res.Records.Jobs {
 			s.Add(j.Name, j.End)
 		}
-		fmt.Print(metrics.Table(s))
+		fmt.Fprint(w, metrics.Table(s))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }

@@ -8,15 +8,17 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // TestRunEachArtifact executes every artifact generator end to end
 // (output goes to stdout; correctness of the numbers is asserted in
 // internal/workload — here we guard the CLI wiring).
 func TestRunEachArtifact(t *testing.T) {
-	for _, id := range artifactIDs {
-		if err := run(id); err != nil {
-			t.Errorf("run(%q): %v", id, err)
+	for _, f := range workload.Figures() {
+		if err := run(f.ID); err != nil {
+			t.Errorf("run(%q): %v", f.ID, err)
 		}
 	}
 }

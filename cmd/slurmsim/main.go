@@ -509,7 +509,7 @@ func runDJSB(s workload.Spec, policy string, o obsArgs) error {
 	fmt.Printf("=== DJSB stream: seed=%d jobs=%d mean-interarrival=%.0fs nodes=%d ===\n",
 		p.Seed, p.Jobs, p.MeanInterarrival, p.Nodes)
 	return runPolicies(sc, policy, o, func(res workload.Result) {
-		fmt.Println(djsb.Summarize(res))
+		fmt.Printf("policy=%-13s %s\n", res.Policy, workload.SchedStatsOf(sc, res))
 	})
 }
 

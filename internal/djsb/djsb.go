@@ -3,9 +3,9 @@
 // Scheduling Benchmark" (JSSPP 2017) — reference [26] of the paper,
 // by the same group, used there to quantify why plain oversubscription
 // degrades performance. It synthesizes randomized but reproducible job
-// streams (Poisson arrivals, weighted application mix) and summarizes
-// scheduler quality with the standard batch metrics: makespan, average
-// response, average bounded slowdown and utilization.
+// streams (Poisson arrivals, weighted application mix);
+// workload.SchedStatsOf summarizes a run of one with the standard batch
+// metrics (makespan, response, wait, bounded slowdown).
 package djsb
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/hwmodel"
-	"repro/internal/metrics"
 	"repro/internal/slurm"
 	"repro/internal/workload"
 )
@@ -112,56 +111,4 @@ func Generate(p Params) (workload.Scenario, error) {
 		})
 	}
 	return sc, nil
-}
-
-// Report summarizes one scheduler run with the DJSB metrics.
-type Report struct {
-	Policy      slurm.Policy
-	Jobs        int
-	Makespan    float64
-	AvgResponse float64
-	AvgSlowdown float64 // bounded slowdown, threshold 10 s
-	MaxSlowdown float64
-	AvgWait     float64
-	Throughput  float64 // jobs per 1000 s
-	ResponseP95 float64
-}
-
-// boundedSlowdownThreshold avoids slowdown explosion for tiny jobs.
-const boundedSlowdownThreshold = 10.0
-
-// Summarize computes the report from a finished run.
-func Summarize(res workload.Result) Report {
-	rep := Report{Policy: res.Policy, Jobs: len(res.Records.Jobs)}
-	if rep.Jobs == 0 {
-		return rep
-	}
-	var wait, slow, maxSlow float64
-	var resp metrics.Summary
-	for _, j := range res.Records.Jobs {
-		wait += j.WaitTime()
-		resp.Observe(j.ResponseTime())
-		den := math.Max(j.RunTime(), boundedSlowdownThreshold)
-		s := math.Max(1, j.ResponseTime()/den)
-		slow += s
-		maxSlow = math.Max(maxSlow, s)
-	}
-	n := float64(rep.Jobs)
-	rep.Makespan = res.Records.TotalRunTime()
-	rep.AvgResponse = res.Records.AvgResponseTime()
-	rep.AvgWait = wait / n
-	rep.AvgSlowdown = slow / n
-	rep.MaxSlowdown = maxSlow
-	rep.ResponseP95 = resp.Percentile(95)
-	if rep.Makespan > 0 {
-		rep.Throughput = n / rep.Makespan * 1000
-	}
-	return rep
-}
-
-func (r Report) String() string {
-	return fmt.Sprintf(
-		"policy=%-13s jobs=%d makespan=%.0fs avg_resp=%.0fs p95_resp=%.0fs avg_wait=%.0fs avg_slowdown=%.2f max_slowdown=%.2f throughput=%.2f jobs/ks",
-		r.Policy, r.Jobs, r.Makespan, r.AvgResponse, r.ResponseP95, r.AvgWait,
-		r.AvgSlowdown, r.MaxSlowdown, r.Throughput)
 }

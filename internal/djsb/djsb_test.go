@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/slurm"
 	"repro/internal/workload"
 )
@@ -89,35 +90,32 @@ func TestRunAllPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports := map[slurm.Policy]Report{}
+	stats := map[slurm.Policy]metrics.SchedStats{}
 	for _, pol := range []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM, slurm.PolicyOversubscribe} {
 		res := workload.Run(sc, pol)
 		if res.Err != nil {
 			t.Fatalf("%v: %v", pol, res.Err)
 		}
-		rep := Summarize(res)
-		if rep.Jobs != 12 {
-			t.Fatalf("%v completed %d jobs", pol, rep.Jobs)
+		st := workload.SchedStatsOf(sc, res)
+		if st.Jobs != 12 {
+			t.Fatalf("%v completed %d jobs", pol, st.Jobs)
 		}
-		if rep.Makespan <= 0 || rep.AvgSlowdown < 1 {
-			t.Fatalf("%v report insane: %+v", pol, rep)
+		if st.Makespan <= 0 || st.MeanSlowdown < 1 {
+			t.Fatalf("%v stats insane: %+v", pol, st)
 		}
-		reports[pol] = rep
+		stats[pol] = st
 	}
 	// DROM must beat Serial on average response for this mixed stream.
-	if reports[slurm.PolicyDROM].AvgResponse >= reports[slurm.PolicySerial].AvgResponse {
+	if stats[slurm.PolicyDROM].MeanResponse >= stats[slurm.PolicySerial].MeanResponse {
 		t.Errorf("DROM avg response %.0f >= serial %.0f",
-			reports[slurm.PolicyDROM].AvgResponse, reports[slurm.PolicySerial].AvgResponse)
-	}
-	if !strings.Contains(reports[slurm.PolicyDROM].String(), "policy=drom") {
-		t.Error("report String missing policy")
+			stats[slurm.PolicyDROM].MeanResponse, stats[slurm.PolicySerial].MeanResponse)
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	rep := Summarize(workload.Result{})
-	if rep.Jobs != 0 || rep.Makespan != 0 {
-		t.Errorf("empty report = %+v", rep)
+	st := workload.SchedStatsOf(workload.Scenario{}, workload.Result{})
+	if st.Jobs != 0 || st.Makespan != 0 {
+		t.Errorf("empty stats = %+v", st)
 	}
 }
 

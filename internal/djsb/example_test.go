@@ -12,8 +12,8 @@ import (
 // stream.
 func ExampleGenerate() {
 	sc, _ := djsb.Generate(djsb.Params{Seed: 1, Jobs: 10, MeanInterarrival: 150, Nodes: 2})
-	serial := djsb.Summarize(workload.Run(sc, slurm.PolicySerial))
-	drom := djsb.Summarize(workload.Run(sc, slurm.PolicyDROM))
+	serial := workload.SchedStatsOf(sc, workload.Run(sc, slurm.PolicySerial))
+	drom := workload.SchedStatsOf(sc, workload.Run(sc, slurm.PolicyDROM))
 	fmt.Printf("DROM beats Serial on makespan: %v\n", drom.Makespan < serial.Makespan)
 	// Output:
 	// DROM beats Serial on makespan: true

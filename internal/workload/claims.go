@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/metrics"
@@ -75,49 +76,77 @@ var claims = []Claim{
 		Unit: "% CV", Runs: []string{"jitter/0", "jitter/1", "jitter/2"}, Bands: []Band{{Min: -inf, Max: 3.4, MaxIn: true}}, read: total, combine: cv},
 }
 
-// RunClaims executes each run the claims read once (claimRuns) and
-// returns them by key.
-func RunClaims() map[string]Result {
+// RunClaims executes each run the claims read once and returns them by
+// key.
+func RunClaims() map[string]Result { return RunPaper(claimKeys()...) }
+
+// claimKeys lists the keys of the runs the claims read.
+func claimKeys() (keys []string) {
+	for _, c := range claims {
+		keys = append(keys, c.Runs...)
+	}
+	return keys
+}
+
+// RunPaper executes each run of the paper's evaluation that keys name,
+// once however often it is named, and returns them by key. A key no
+// run has is left out.
+func RunPaper(keys ...string) map[string]Result {
 	rs := make(map[string]Result)
-	for _, r := range claimRuns() {
+	for _, r := range paperRunsOf(keys) {
 		rs[r.key] = Run(r.sc, r.policy)
 	}
 	return rs
 }
 
-// claimRun is one run the claims read, under its key.
-type claimRun struct {
+// paperRun is one run of the paper's evaluation, under its key.
+type paperRun struct {
 	key    string
 	sc     Scenario
 	policy slurm.Policy
 }
 
-// claimRuns lists the runs the claims read: three UC1 pairs, the UC2
-// pair, the two baselines, the traced Figure 5 run and three runs
-// jittered by 2% at seeds 1..3.
-func claimRuns() []claimRun {
-	var runs []claimRun
+// paperRunsOf lists the runs keys name, in paperRuns' order.
+func paperRunsOf(keys []string) []paperRun {
+	return slices.DeleteFunc(paperRuns(), func(r paperRun) bool { return !slices.Contains(keys, r.key) })
+}
+
+// paperRuns lists every run of the paper's evaluation: the UC1 grid of
+// Table 1's configurations under Serial and DROM, UC2 untraced and
+// traced (uc2-traced) under both, the two baselines on UC2, the traced
+// Figure 5 run and three runs jittered by 2% at seeds 1..3.
+func paperRuns() []paperRun {
+	var runs []paperRun
 	pair := func(key string, sc Scenario) {
-		runs = append(runs, claimRun{key + "/serial", sc, slurm.PolicySerial}, claimRun{key + "/drom", sc, slurm.PolicyDROM})
+		runs = append(runs, paperRun{key + "/serial", sc, slurm.PolicySerial}, paperRun{key + "/drom", sc, slurm.PolicyDROM})
 	}
-	uc1 := func(sim string, si int, ana string, ai int) (string, Scenario) {
-		return fmt.Sprintf("uc1/%s%d+%s%d", sim, si+1, ana, ai+1),
-			UC1(sim, apps.Table1(sim)[si], ana, apps.Table1(ana)[ai], false)
+	for _, sim := range []string{"nest", "coreneuron"} {
+		for _, ana := range []string{"pils", "stream"} {
+			for si, simCfg := range apps.Table1(sim) {
+				for ai, anaCfg := range apps.Table1(ana) {
+					pair(uc1Key(sim, si, ana, ai), UC1(sim, simCfg, ana, anaCfg, false))
+				}
+			}
+		}
 	}
-	pair(uc1("nest", 0, "pils", 1))
-	pair(uc1("nest", 0, "stream", 0))
-	pair(uc1("coreneuron", 0, "stream", 0))
 	pair("uc2", UC2(false))
+	pair("uc2-traced", UC2(true))
 	runs = append(runs,
-		claimRun{"uc2/oversubscribe", UC2(false), slurm.PolicyOversubscribe},
-		claimRun{"uc2/preempt", UC2(false), slurm.PolicyPreempt},
-		claimRun{"fig5/drom", figure5Scenario(), slurm.PolicyDROM})
+		paperRun{"uc2/oversubscribe", UC2(false), slurm.PolicyOversubscribe},
+		paperRun{"uc2/preempt", UC2(false), slurm.PolicyPreempt},
+		paperRun{"fig5/drom", figure5Scenario(), slurm.PolicyDROM})
 	for i := range 3 {
-		_, sc := uc1("nest", 0, "pils", 1)
+		sc := UC1("nest", apps.Table1("nest")[0], "pils", apps.Table1("pils")[1], false)
 		sc.JitterFrac, sc.Seed = 0.02, int64(i+1)
-		runs = append(runs, claimRun{fmt.Sprintf("jitter/%d", i), sc, slurm.PolicyDROM})
+		runs = append(runs, paperRun{fmt.Sprintf("jitter/%d", i), sc, slurm.PolicyDROM})
 	}
 	return runs
+}
+
+// uc1Key keys the UC1 run of simulator configuration si and analytics
+// configuration ai (Table 1's, from 0), policy left off.
+func uc1Key(sim string, si int, ana string, ai int) string {
+	return fmt.Sprintf("uc1/%s%d+%s%d", sim, si+1, ana, ai+1)
 }
 
 // Verdict is one claim measured.
@@ -135,17 +164,11 @@ func EvaluateClaims(rs map[string]Result) ([]Verdict, error) {
 	for i, c := range claims {
 		var x []float64
 		for _, key := range c.Runs {
-			r, ok := rs[key]
-			if !ok {
-				return nil, fmt.Errorf("claim %s: no run %s", c.ID, key)
+			r, err := checkRun(rs, key, c.Job)
+			if err != nil {
+				return nil, fmt.Errorf("claim %s: %w", c.ID, err)
 			}
-			if r.Err != nil {
-				return nil, fmt.Errorf("claim %s: run %s: %w", c.ID, key, r.Err)
-			}
-			if _, ok := r.Records.Job(c.Job); c.Job != "" && !ok {
-				return nil, fmt.Errorf("claim %s: run %s has no job %s", c.ID, key, c.Job)
-			}
-			x = append(x, c.read(&r, c.Job)...)
+			x = append(x, c.read(r, c.Job)...)
 		}
 		vals := c.combine(x)
 		vs[i] = Verdict{Claim: c, Measured: vals[0], Pass: true}
@@ -154,6 +177,24 @@ func EvaluateClaims(rs map[string]Result) ([]Verdict, error) {
 		}
 	}
 	return vs, nil
+}
+
+// checkRun returns the run under key, or an error naming it when it is
+// missing, failed or lacks one of jobs ("" names none).
+func checkRun(rs map[string]Result, key string, jobs ...string) (*Result, error) {
+	r, ok := rs[key]
+	if !ok {
+		return nil, fmt.Errorf("no run %s", key)
+	}
+	if r.Err != nil {
+		return nil, fmt.Errorf("run %s: %w", key, r.Err)
+	}
+	for _, job := range jobs {
+		if _, ok := r.Records.Job(job); job != "" && !ok {
+			return nil, fmt.Errorf("run %s has no job %s", key, job)
+		}
+	}
+	return &r, nil
 }
 
 func total(r *Result, _ string) []float64       { return []float64{r.Records.TotalRunTime()} }

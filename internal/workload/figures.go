@@ -1,14 +1,12 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/metrics"
-	"repro/internal/slurm"
 )
 
 // FigureData is the regenerated content of one paper figure: labeled
@@ -30,166 +28,179 @@ func (f FigureData) String() string {
 	return sb.String()
 }
 
-// uc1Grid runs the UC1 workload grid for one simulator+analytics pair
-// and hands each (config combo, serial result, drom result) to visit.
-func uc1Grid(simName, anaName string, visit func(label string, serial, drom Result)) error {
-	simConfs := apps.Table1(simName)
-	anaConfs := apps.Table1(anaName)
-	for ai, anaCfg := range anaConfs {
-		for si, simCfg := range simConfs {
-			label := fmt.Sprintf("%s C%d + %s C%d", simName, si+1, anaName, ai+1)
-			serial, drom := Compare(UC1(simName, simCfg, anaName, anaCfg, false))
-			if serial.Err != nil {
-				return fmt.Errorf("%s serial: %w", label, serial.Err)
-			}
-			if drom.Err != nil {
-				return fmt.Errorf("%s drom: %w", label, drom.Err)
-			}
-			visit(label, serial, drom)
+// figureOf builds one figure from the paper's runs, by key.
+type figureOf = func(rs map[string]Result) FigureData
+
+// Figure is one row of the paper's figure table: an artifact
+// cmd/figures regenerates, the paper runs it reads (RunPaper keys) and
+// what it exports.
+type Figure struct {
+	ID   string // cmd/figures' -id
+	Runs []string
+	// Charts names the bar-chart SVG of each figure Build returns; a
+	// row drawn otherwise (a table, a timeline) has none.
+	Charts []string
+	Traces []Trace
+	jobs   []string // read off each of Runs
+	build  []figureOf
+}
+
+// Trace is one traced run a row shows as an ASCII timeline of Job's
+// Metric (under Heading, when set) and exports as trace files named
+// Name and a Gantt SVG named Name-timeline, titled Title.
+type Trace struct {
+	Run, Name, Heading, Job, Metric, Title string
+}
+
+// Build turns the runs rs holds into the row's figures. A run the row
+// reads that is missing, failed or lacks a job it reads is an error
+// naming the figure and the run.
+func (f Figure) Build(rs map[string]Result) ([]FigureData, error) {
+	for _, key := range f.Runs {
+		if _, err := checkRun(rs, key, f.jobs...); err != nil {
+			return nil, fmt.Errorf("figure %s: %w", f.ID, err)
 		}
 	}
-	return nil
+	figs := make([]FigureData, len(f.build))
+	for i, b := range f.build {
+		figs[i] = b(rs)
+	}
+	return figs, nil
+}
+
+// Figures returns the paper's figure table in print order, one row per
+// artifact. Figures 2 and 3 read no paper run: cmd/figures narrates
+// them on runs of their own.
+func Figures() []Figure { return slices.Clone(figures) }
+
+var figures = []Figure{
+	{ID: "table1", build: []figureOf{table1}},
+	{ID: "fig2"},
+	{ID: "fig3"},
+	{ID: "fig4", Runs: uc1Runs("nest", "pils"), Charts: []string{"fig4"},
+		build: []figureOf{runtimeFigure("Figure 4", "nest", "pils")}},
+	{ID: "fig5", Runs: []string{"fig5/drom"}, build: []figureOf{figure5},
+		Traces: []Trace{{Run: "fig5/drom", Name: "fig5", Job: "nest", Metric: "util", Title: "Figure 5: NEST thread utilization (DROM)"}}},
+	{ID: "fig6", Runs: uc1Runs("nest", "pils"), jobs: []string{"nest", "pils"}, Charts: []string{"fig6"},
+		build: []figureOf{responseFigure("Figure 6", "nest", "pils")}},
+	{ID: "fig7", Runs: uc1Runs("nest", "stream"), jobs: []string{"nest", "stream"}, Charts: []string{"fig7-runtime", "fig7-response"},
+		build: []figureOf{runtimeFigure("Figure 7 (left)", "nest", "stream"), responseFigure("Figure 7 (right)", "nest", "stream")}},
+	{ID: "fig8", Runs: uc1Runs("nest", "pils", "stream"), Charts: []string{"fig8"},
+		build: []figureOf{avgResponseFigure("Figure 8", "nest")}},
+	{ID: "fig9", Runs: uc1Runs("coreneuron", "pils"), Charts: []string{"fig9"},
+		build: []figureOf{runtimeFigure("Figure 9", "coreneuron", "pils")}},
+	{ID: "fig10", Runs: uc1Runs("coreneuron", "pils"), jobs: []string{"coreneuron", "pils"}, Charts: []string{"fig10"},
+		build: []figureOf{responseFigure("Figure 10", "coreneuron", "pils")}},
+	{ID: "fig11", Runs: uc1Runs("coreneuron", "stream"), jobs: []string{"coreneuron", "stream"}, Charts: []string{"fig11-runtime", "fig11-response"},
+		build: []figureOf{runtimeFigure("Figure 11 (left)", "coreneuron", "stream"), responseFigure("Figure 11 (right)", "coreneuron", "stream")}},
+	{ID: "fig12", Runs: uc1Runs("coreneuron", "pils", "stream"), Charts: []string{"fig12"},
+		build: []figureOf{avgResponseFigure("Figure 12", "coreneuron")}},
+	{ID: "fig13", Runs: serialDROM("uc2-traced"), build: []figureOf{uc2Figure("Figure 13", "UC2 total run time and cycles/µs traces",
+		"uc2 total run time", "total run time", "uc2-total", "uc2-traced")},
+		Traces: []Trace{
+			{Run: "uc2-traced/serial", Name: "fig13-serial", Heading: "Serial scenario (cycles/µs):", Metric: "cycles", Title: "Figure 13: UC2 Serial"},
+			{Run: "uc2-traced/drom", Name: "fig13-drom", Heading: "DROM scenario (cycles/µs):", Metric: "cycles", Title: "Figure 13: UC2 DROM"},
+		}},
+	{ID: "fig14", Runs: serialDROM("uc2-traced"), jobs: []string{"nest", "coreneuron"}, build: []figureOf{figure14}},
+	{ID: "fig15", Runs: serialDROM("uc2"), Charts: []string{"fig15"}, build: []figureOf{uc2Figure("Figure 15", "UC2 average response time (s)",
+		"uc2 avg response time", "average response time", "uc2-avg-resp", "uc2")}},
+}
+
+// cell is one bar group of a figure: its label and the key of its
+// runs, policy left off.
+type cell struct{ label, key string }
+
+// uc1Cells lists the UC1 grid of sim with each of anas in the figures'
+// order: analytics configuration outer, simulator configuration inner.
+func uc1Cells(sim string, anas ...string) []cell {
+	var cells []cell
+	for _, ana := range anas {
+		for ai := range apps.Table1(ana) {
+			for si := range apps.Table1(sim) {
+				cells = append(cells, cell{fmt.Sprintf("%s C%d + %s C%d", sim, si+1, ana, ai+1), uc1Key(sim, si, ana, ai)})
+			}
+		}
+	}
+	return cells
+}
+
+// uc1Runs are the keys of uc1Cells' runs under both policies.
+func uc1Runs(sim string, anas ...string) []string {
+	var keys []string
+	for _, c := range uc1Cells(sim, anas...) {
+		keys = append(keys, serialDROM(c.key)...)
+	}
+	return keys
+}
+
+// serialDROMFigure plots read off the serial and DROM run of each cell
+// as the series Serial and DROM.
+func serialDROMFigure(id, title string, cells []cell, read func(*Result) float64) figureOf {
+	return func(rs map[string]Result) FigureData {
+		serial, drom := metrics.Series{Label: "Serial"}, metrics.Series{Label: "DROM"}
+		for _, c := range cells {
+			s, d := rs[c.key+"/serial"], rs[c.key+"/drom"]
+			serial.Add(c.label, read(&s))
+			drom.Add(c.label, read(&d))
+		}
+		return FigureData{ID: id, Title: title, Series: []metrics.Series{serial, drom}}
+	}
 }
 
 // runtimeFigure builds a total-run-time comparison figure (Figures 4,
 // 9 and the left half of 7/11).
-func runtimeFigure(id, simName, anaName string) (FigureData, error) {
-	f := FigureData{
-		ID:    id,
-		Title: fmt.Sprintf("Total run time of %s + %s workload (s)", simName, anaName),
-	}
-	var serialS, dromS metrics.Series
-	serialS.Label = "Serial"
-	dromS.Label = "DROM"
-	err := uc1Grid(simName, anaName, func(label string, serial, drom Result) {
-		serialS.Add(label, serial.Records.TotalRunTime())
-		dromS.Add(label, drom.Records.TotalRunTime())
-	})
-	f.Series = []metrics.Series{serialS, dromS}
-	return f, err
-}
-
-// responseFigure builds a per-job response-time figure (Figures 6, 10
-// and the right half of 7/11).
-func responseFigure(id, simName, anaName string) (FigureData, error) {
-	f := FigureData{
-		ID:    id,
-		Title: fmt.Sprintf("Individual response time of %s and %s (s)", simName, anaName),
-	}
-	mk := func(label string) metrics.Series { return metrics.Series{Label: label} }
-	simSer, simDrom := mk(simName+"-Serial"), mk(simName+"-DROM")
-	anaSer, anaDrom := mk(anaName+"-Serial"), mk(anaName+"-DROM")
-	err := uc1Grid(simName, anaName, func(label string, serial, drom Result) {
-		if j, ok := serial.Records.Job(simName); ok {
-			simSer.Add(label, j.ResponseTime())
-		}
-		if j, ok := drom.Records.Job(simName); ok {
-			simDrom.Add(label, j.ResponseTime())
-		}
-		if j, ok := serial.Records.Job(anaName); ok {
-			anaSer.Add(label, j.ResponseTime())
-		}
-		if j, ok := drom.Records.Job(anaName); ok {
-			anaDrom.Add(label, j.ResponseTime())
-		}
-	})
-	f.Series = []metrics.Series{simSer, simDrom, anaSer, anaDrom}
-	return f, err
+func runtimeFigure(id, sim, ana string) figureOf {
+	return serialDROMFigure(id, fmt.Sprintf("Total run time of %s + %s workload (s)", sim, ana),
+		uc1Cells(sim, ana), func(r *Result) float64 { return r.Records.TotalRunTime() })
 }
 
 // avgResponseFigure builds the average-response figure over every
 // analytics workload of one simulator (Figures 8 and 12).
-func avgResponseFigure(id, simName string) (FigureData, error) {
-	f := FigureData{
-		ID:    id,
-		Title: fmt.Sprintf("Average response time of %s workloads (s)", simName),
-	}
-	var serialS, dromS metrics.Series
-	serialS.Label = "Serial"
-	dromS.Label = "DROM"
-	for _, anaName := range []string{"pils", "stream"} {
-		err := uc1Grid(simName, anaName, func(label string, serial, drom Result) {
-			serialS.Add(label, serial.Records.AvgResponseTime())
-			dromS.Add(label, drom.Records.AvgResponseTime())
-		})
-		if err != nil {
-			return f, err
+func avgResponseFigure(id, sim string) figureOf {
+	return serialDROMFigure(id, fmt.Sprintf("Average response time of %s workloads (s)", sim),
+		uc1Cells(sim, "pils", "stream"), func(r *Result) float64 { return r.Records.AvgResponseTime() })
+}
+
+// responseFigure builds a per-job response-time figure (Figures 6, 10
+// and the right half of 7/11).
+func responseFigure(id, sim, ana string) figureOf {
+	return func(rs map[string]Result) FigureData {
+		f := FigureData{ID: id, Title: fmt.Sprintf("Individual response time of %s and %s (s)", sim, ana)}
+		for _, job := range []string{sim, ana} {
+			for _, pol := range []string{"Serial", "DROM"} {
+				s := metrics.Series{Label: job + "-" + pol}
+				for _, c := range uc1Cells(sim, ana) {
+					r := rs[c.key+"/"+strings.ToLower(pol)]
+					s.Add(c.label, r.job(job).ResponseTime())
+				}
+				f.Series = append(f.Series, s)
+			}
 		}
+		return f
 	}
-	f.Series = []metrics.Series{serialS, dromS}
-	return f, nil
 }
 
-// Figure4 regenerates the NEST+Pils total run time comparison.
-func Figure4() (FigureData, error) { return runtimeFigure("Figure 4", "nest", "pils") }
-
-// Figure6 regenerates the NEST+Pils individual response times.
-func Figure6() (FigureData, error) { return responseFigure("Figure 6", "nest", "pils") }
-
-// Figure7 regenerates the NEST+STREAM run time and response time.
-func Figure7() (FigureData, FigureData, error) {
-	rt, err := runtimeFigure("Figure 7 (left)", "nest", "stream")
-	if err != nil {
-		return rt, FigureData{}, err
-	}
-	resp, err := responseFigure("Figure 7 (right)", "nest", "stream")
-	return rt, resp, err
-}
-
-// Figure8 regenerates the NEST workloads average response time.
-func Figure8() (FigureData, error) { return avgResponseFigure("Figure 8", "nest") }
-
-// Figure9 regenerates the CoreNeuron+Pils total run time comparison.
-func Figure9() (FigureData, error) { return runtimeFigure("Figure 9", "coreneuron", "pils") }
-
-// Figure10 regenerates the CoreNeuron+Pils response times.
-func Figure10() (FigureData, error) { return responseFigure("Figure 10", "coreneuron", "pils") }
-
-// Figure11 regenerates the CoreNeuron+STREAM run/response times.
-func Figure11() (FigureData, FigureData, error) {
-	rt, err := runtimeFigure("Figure 11 (left)", "coreneuron", "stream")
-	if err != nil {
-		return rt, FigureData{}, err
-	}
-	resp, err := responseFigure("Figure 11 (right)", "coreneuron", "stream")
-	return rt, resp, err
-}
-
-// Figure12 regenerates the CoreNeuron workloads average response time.
-func Figure12() (FigureData, error) { return avgResponseFigure("Figure 12", "coreneuron") }
-
-// Figure13 runs UC2 traced under both policies and returns the results
-// plus the total-run-time comparison.
-func Figure13() (serial, drom Result, fig FigureData, err error) {
-	serial, drom = Compare(UC2(true))
-	if err = errors.Join(serial.Err, drom.Err); err != nil {
-		return serial, drom, fig, err
-	}
-	return serial, drom, uc2Figure("Figure 13", "UC2 total run time and cycles/µs traces",
-		"uc2 total run time", "total run time", "uc2-total", serial, drom), nil
-}
-
-// uc2Figure compares what claim id reads off the UC2 runs, with the
-// claim's measure against the paper's figure as its note.
-func uc2Figure(id, title, row, what, claimID string, serial, drom Result) FigureData {
+// uc2Figure compares what claim claimID reads off the serial and DROM
+// run under key, with the claim's measure against the paper's figure
+// as its note.
+func uc2Figure(id, title, row, what, claimID, key string) figureOf {
 	c := claims[slices.IndexFunc(claims, func(c Claim) bool { return c.ID == claimID })]
-	s, d := c.read(&serial, c.Job), c.read(&drom, c.Job)
-	fig := FigureData{ID: id, Title: title, Series: []metrics.Series{{Label: "Serial"}, {Label: "DROM"}},
-		Notes: []string{fmt.Sprintf("DROM improves %s by %.1f%% (paper: %s)", what, c.combine(append(s, d...))[0], c.Paper)}}
-	fig.Series[0].Add(row, s[0])
-	fig.Series[1].Add(row, d[0])
-	return fig
+	plot := serialDROMFigure(id, title, []cell{{row, key}}, func(r *Result) float64 { return c.read(r, c.Job)[0] })
+	return func(rs map[string]Result) FigureData {
+		fig := plot(rs)
+		gain := c.combine([]float64{fig.Series[0].Points[0].Y, fig.Series[1].Points[0].Y})[0]
+		fig.Notes = []string{fmt.Sprintf("DROM improves %s by %.1f%% (paper: %s)", what, gain, c.Paper)}
+		return fig
+	}
 }
 
-// Figure14 derives the IPC histogram statistics of UC2 (mean observed
+// figure14 derives the IPC histogram statistics of UC2 (mean observed
 // IPC per application per scenario).
-func Figure14(serial, drom Result) FigureData {
-	var s, d metrics.Series
-	s.Label = "Serial"
-	d.Label = "DROM"
+func figure14(rs map[string]Result) FigureData {
+	s, d := metrics.Series{Label: "Serial"}, metrics.Series{Label: "DROM"}
 	for _, job := range []string{"nest", "coreneuron"} {
-		s.Add(job+" mean IPC (x100)", 100*meanIPC(serial, job))
-		d.Add(job+" mean IPC (x100)", 100*meanIPC(drom, job))
+		s.Add(job+" mean IPC (x100)", 100*meanIPC(rs["uc2-traced/serial"], job))
+		d.Add(job+" mean IPC (x100)", 100*meanIPC(rs["uc2-traced/drom"], job))
 	}
 	return FigureData{
 		ID:     "Figure 14",
@@ -220,33 +231,17 @@ func meanIPC(r Result, job string) float64 {
 	return wsum / w
 }
 
-// Figure15 regenerates the UC2 average response time comparison.
-func Figure15() (FigureData, error) {
-	serial, drom := Compare(UC2(false))
-	if err := errors.Join(serial.Err, drom.Err); err != nil {
-		return FigureData{}, err
-	}
-	return uc2Figure("Figure 15", "UC2 average response time (s)",
-		"uc2 avg response time", "average response time", "uc2-avg-resp", serial, drom), nil
-}
-
-// Figure5 runs a traced NEST+Pils Conf. 2 workload under DROM and
-// returns the mid-overlap per-thread utilization of the simulator
-// (the imbalance view of Figure 5), plus the result for rendering.
-func Figure5() (Result, FigureData, error) {
-	drom := Run(figure5Scenario(), slurm.PolicyDROM)
-	if drom.Err != nil {
-		return drom, FigureData{}, drom.Err
-	}
-	fig := FigureData{
+// figure5 is the mid-overlap per-thread utilization of NEST rank 0
+// shrunk by Pils (the imbalance view of Figure 5).
+func figure5(rs map[string]Result) FigureData {
+	return FigureData{
 		ID:     "Figure 5",
 		Title:  "NEST rank-0 thread utilization while shrunk (static partition imbalance)",
-		Series: []metrics.Series{figure5Series(drom)},
+		Series: []metrics.Series{figure5Series(rs["fig5/drom"])},
 		Notes: []string{
 			"threads 0-3 absorb the removed thread's chunks (utilization 1.0); the rest idle part of each iteration; thread 15 removed",
 		},
 	}
-	return drom, fig, nil
 }
 
 // figure5Scenario is Figure 5's run: NEST Conf. 1 shrunk by Pils
@@ -269,8 +264,8 @@ func figure5Series(drom Result) metrics.Series {
 	return util
 }
 
-// Table1Data prints Table 1 (use case application configurations).
-func Table1Data() FigureData {
+// table1 prints Table 1 (use case application configurations).
+func table1(map[string]Result) FigureData {
 	var rows []metrics.Series
 	for _, name := range []string{"nest", "coreneuron", "pils", "stream"} {
 		s := metrics.Series{Label: name}

@@ -1,10 +1,15 @@
 package workload
 
 import (
+	"errors"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // figureGoldenPath pins every series the paper's evaluation plots —
@@ -19,6 +24,10 @@ import (
 //
 //	UPDATE_FIGURE_GOLDEN=1 go test ./internal/workload -run TestFigureSeriesGolden
 const figureGoldenPath = "testdata/figure_series.golden"
+
+// figureSeries is how many series a row's figures have where that is
+// fixed by what it shows rather than by its grid.
+var figureSeries = map[string]int{"table1": 4, "fig13": 2, "fig14": 2}
 
 // renderFigure is one figure's golden block.
 func renderFigure(f FigureData) string {
@@ -35,42 +44,30 @@ func renderFigure(f FigureData) string {
 	return sb.String()
 }
 
+// TestFigureSeriesGolden builds every row of the figure table on one
+// execution of the runs they read and checks each row's shape before
+// its figures are pinned.
 func TestFigureSeriesGolden(t *testing.T) {
-	var figs []FigureData
-	add := func(err error, fs ...FigureData) {
-		t.Helper()
+	var keys []string
+	for _, f := range Figures() {
+		keys = append(keys, f.Runs...)
+	}
+	rs := RunPaper(keys...)
+	var got strings.Builder
+	for _, f := range Figures() {
+		figs, err := f.Build(rs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		figs = append(figs, fs...)
-	}
-	figs = append(figs, Table1Data())
-	f4, err := Figure4()
-	add(err, f4)
-	_, f5, err := Figure5()
-	add(err, f5)
-	f6, err := Figure6()
-	add(err, f6)
-	f7l, f7r, err := Figure7()
-	add(err, f7l, f7r)
-	f8, err := Figure8()
-	add(err, f8)
-	f9, err := Figure9()
-	add(err, f9)
-	f10, err := Figure10()
-	add(err, f10)
-	f11l, f11r, err := Figure11()
-	add(err, f11l, f11r)
-	f12, err := Figure12()
-	add(err, f12)
-	serial, drom, f13, err := Figure13()
-	add(err, f13, Figure14(serial, drom))
-	f15, err := Figure15()
-	add(err, f15)
-
-	var got strings.Builder
-	for _, f := range figs {
-		got.WriteString(renderFigure(f))
+		if f.Charts != nil && len(f.Charts) != len(figs) {
+			t.Errorf("%s: %d charts for %d figures", f.ID, len(f.Charts), len(figs))
+		}
+		for _, fig := range figs {
+			if want := figureSeries[f.ID]; want != 0 && len(fig.Series) != want {
+				t.Errorf("%s: %d series, want %d", f.ID, len(fig.Series), want)
+			}
+			got.WriteString(renderFigure(fig))
+		}
 	}
 	if os.Getenv("UPDATE_FIGURE_GOLDEN") != "" {
 		if err := os.WriteFile(figureGoldenPath, []byte(got.String()), 0o644); err != nil {
@@ -94,4 +91,47 @@ func TestFigureSeriesGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("figure listing length changed: got %d lines, want %d", len(gl), len(wl))
+}
+
+// buildRow builds the figure-table row id on the runs it reads.
+func buildRow(t *testing.T, id string) []FigureData {
+	t.Helper()
+	i := slices.IndexFunc(figures, func(f Figure) bool { return f.ID == id })
+	figs, err := figures[i].Build(RunPaper(figures[i].Runs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return figs
+}
+
+// TestFigureBuildNamesBadRun: a run a row reads that is missing, failed
+// or lacks a job the row reads is an error naming the figure and the
+// run, not a figure built on zeros.
+func TestFigureBuildNamesBadRun(t *testing.T) {
+	const key = "uc1/nest1+pils2/drom"
+	fig6 := figures[slices.IndexFunc(figures, func(f Figure) bool { return f.ID == "fig6" })]
+	rs := RunPaper(fig6.Runs...)
+	for _, tc := range []struct {
+		edit func(r *Result) bool // false drops the run
+		want string
+	}{
+		{func(*Result) bool { return false }, "figure fig6: no run " + key},
+		{func(r *Result) bool { r.Err = errors.New("boom"); return true }, "figure fig6: run " + key + ": boom"},
+		{func(r *Result) bool {
+			r.Records.Jobs = slices.DeleteFunc(slices.Clone(r.Records.Jobs),
+				func(j metrics.JobRecord) bool { return j.Name == "pils" })
+			return true
+		}, "figure fig6: run " + key + " has no job pils"},
+	} {
+		bad := maps.Clone(rs)
+		r := bad[key]
+		if tc.edit(&r) {
+			bad[key] = r
+		} else {
+			delete(bad, key)
+		}
+		if _, err := fig6.Build(bad); err == nil || err.Error() != tc.want {
+			t.Errorf("err = %v, want %q", err, tc.want)
+		}
+	}
 }

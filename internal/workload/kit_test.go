@@ -60,7 +60,7 @@ func (e kitEntry) replay(k *kit) Result {
 func kitCorpus(t *testing.T) []kitEntry {
 	t.Helper()
 	var corpus []kitEntry
-	for _, r := range claimRuns() {
+	for _, r := range paperRunsOf(claimKeys()) {
 		sc := r.sc
 		sc.DebugInvariants = true
 		corpus = append(corpus, kitEntry{name: r.key, sc: sc, policy: r.policy})
@@ -273,10 +273,10 @@ func TestReplayKitsAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// paperRuns are the run categories of the paper's evaluation: a UC1
-// pair under both policies, UC2 traced and under a baseline, and a
+// paperCategories are the run categories of the paper's evaluation: a
+// UC1 pair under both policies, UC2 traced and under a baseline, and a
 // jittered UC1 run.
-func paperRuns() []kitEntry {
+func paperCategories() []kitEntry {
 	uc1 := UC1("nest", apps.Table1("nest")[0], "pils", apps.Table1("pils")[0], false)
 	jit := uc1
 	jit.JitterFrac, jit.Seed = 0.02, 1
@@ -298,7 +298,7 @@ func TestWarmReplayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop puts at random")
 	}
-	for _, c := range paperRuns()[:2] {
+	for _, c := range paperCategories()[:2] {
 		Run(c.sc, c.policy) // warm the pool
 		got := testing.AllocsPerRun(100, func() { Run(c.sc, c.policy) })
 		if got != 13 {
@@ -311,7 +311,7 @@ func TestWarmReplayAllocs(t *testing.T) {
 // evaluation, as its one-shot replays meet them: one after another in
 // one process.
 func BenchmarkPaperRuns(b *testing.B) {
-	for _, c := range paperRuns() {
+	for _, c := range paperCategories() {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {

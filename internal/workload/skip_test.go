@@ -96,9 +96,9 @@ func TestLedgerEditsWakeOnlyOnAMovedFactor(t *testing.T) {
 // form. 2 245 of the 2 294 occurrences skipped are so taken; a change
 // that drops the closed form fails here, not only in a timing.
 func TestPaperRunsTakeMergesInClosedForm(t *testing.T) {
-	c := paperRuns()[1]
+	c := paperCategories()[1]
 	if c.name != "uc1-drom" {
-		t.Fatalf("paperRuns()[1] is %s, want uc1-drom", c.name)
+		t.Fatalf("paperCategories()[1] is %s, want uc1-drom", c.name)
 	}
 	sess, err := NewSession(c.sc, c.policy, nil)
 	if err != nil {

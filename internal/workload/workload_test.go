@@ -144,64 +144,13 @@ func TestCustomMachine(t *testing.T) {
 	}
 }
 
-// TestFigureGeneratorsSucceed runs every figure generator end to end.
-func TestFigureGeneratorsSucceed(t *testing.T) {
-	if _, err := Figure4(); err != nil {
-		t.Error(err)
-	}
-	if _, err := Figure6(); err != nil {
-		t.Error(err)
-	}
-	if _, _, err := Figure7(); err != nil {
-		t.Error(err)
-	}
-	if _, err := Figure8(); err != nil {
-		t.Error(err)
-	}
-	if _, err := Figure9(); err != nil {
-		t.Error(err)
-	}
-	if _, err := Figure10(); err != nil {
-		t.Error(err)
-	}
-	if _, _, err := Figure11(); err != nil {
-		t.Error(err)
-	}
-	if _, err := Figure12(); err != nil {
-		t.Error(err)
-	}
-	serial, drom, fig13, err := Figure13()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig13.Series) != 2 {
-		t.Error("fig13 series missing")
-	}
-	fig14 := Figure14(serial, drom)
-	if len(fig14.Series) != 2 {
-		t.Error("fig14 series missing")
-	}
-	if _, err := Figure15(); err != nil {
-		t.Error(err)
-	}
-	if _, _, err := Figure5(); err != nil {
-		t.Error(err)
-	}
-	if got := Table1Data(); len(got.Series) != 4 {
-		t.Errorf("table1 series = %d", len(got.Series))
-	}
-}
-
 // TestFigure5Imbalance asserts the Figure 5 pattern quantitatively.
 func TestFigure5Imbalance(t *testing.T) {
-	res, fig, err := Figure5()
-	if err != nil {
-		t.Fatal(err)
+	figs := buildRow(t, "fig5")
+	if len(figs) != 1 || len(figs[0].Series) != 1 {
+		t.Fatal("figure 5 needs one series")
 	}
-	if res.Tracer == nil || len(fig.Series) != 1 {
-		t.Fatal("figure 5 needs a trace")
-	}
-	pts := fig.Series[0].Points
+	pts := figs[0].Series[0].Points
 	if len(pts) != 16 {
 		t.Fatalf("want 16 thread rows, got %d", len(pts))
 	}
@@ -227,13 +176,9 @@ func TestFigure5Imbalance(t *testing.T) {
 // TestUC2IPCComparable mirrors Figure 14: IPC under DROM is comparable
 // to Serial, slightly higher for the shrunk applications.
 func TestUC2IPCComparable(t *testing.T) {
-	serial, drom, _, err := Figure13()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, job := range []string{"nest", "coreneuron"} {
-		s := meanIPC(serial, job)
-		d := meanIPC(drom, job)
+	fig := buildRow(t, "fig14")[0]
+	for i, job := range []string{"nest", "coreneuron"} {
+		s, d := fig.Series[0].Points[i].Y, fig.Series[1].Points[i].Y
 		if s <= 0 || d <= 0 {
 			t.Fatalf("%s IPC missing: %v/%v", job, s, d)
 		}
