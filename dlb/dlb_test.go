@@ -1,10 +1,13 @@
 package dlb_test
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"repro/dlb"
 	"repro/drom"
+	"repro/internal/derr"
 )
 
 func TestListing1Flow(t *testing.T) {
@@ -148,4 +151,124 @@ func TestFinalizeTwice(t *testing.T) {
 	if err := p.Finalize(); err == nil {
 		t.Fatal("second Finalize should fail")
 	}
+}
+
+func TestPollDROMDisabled(t *testing.T) {
+	node := dlb.NewNode("node0", 8)
+	p, _ := dlb.Init(node, 0, node.AllCPUs(), "")
+	defer p.Finalize()
+	if _, _, ok, err := p.PollDROM(); ok || !errors.Is(err, derr.ErrDisabled) {
+		t.Errorf("PollDROM without --drom = ok=%v err=%v", ok, err)
+	}
+}
+
+func TestAsyncModeAppliesWithoutPolling(t *testing.T) {
+	node := dlb.NewNode("node0", 16)
+	p, _ := dlb.Init(node, 0, node.AllCPUs(), "--drom --mode=async")
+	defer p.Finalize()
+	// Buffered past the one expected call, so a stray one cannot block
+	// the helper and hang Finalize.
+	applied := make(chan int, 4)
+	p.OnResize(func(n int) { applied <- n }, nil)
+
+	admin, _ := drom.Attach(node)
+	admin.SetProcessMask(p.PID(), dlb.CPURange(0, 7), drom.None)
+	select {
+	case n := <-applied:
+		if n != 8 {
+			t.Fatalf("async applied n = %d", n)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("async mode did not apply the mask")
+	}
+	if !p.Mask().Equal(dlb.CPURange(0, 7)) {
+		t.Errorf("mask = %v", p.Mask())
+	}
+}
+
+func TestAsyncFinalizeStopsHelper(t *testing.T) {
+	node := dlb.NewNode("node0", 16)
+	p, _ := dlb.Init(node, 0, dlb.CPURange(0, 7), "--drom --mode=async")
+	if err := p.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	// A mask staged after finalize must not be applied by a zombie
+	// helper (the pid is unregistered, so Set fails anyway; this test
+	// guards against the helper panicking or hanging).
+	admin, _ := drom.Attach(node)
+	if err := admin.SetProcessMask(p.PID(), dlb.CPURange(0, 3), drom.None); !errors.Is(err, derr.ErrNoProc) {
+		t.Errorf("set after finalize = %v", err)
+	}
+}
+
+func TestPreInitInheritedMask(t *testing.T) {
+	node := dlb.NewNode("node0", 16)
+	running, _ := dlb.Init(node, 0, node.AllCPUs(), "--drom")
+	defer running.Finalize()
+	admin, _ := drom.Attach(node)
+	childPID := node.AllocPID()
+	if err := admin.PreInit(childPID, dlb.CPURange(8, 15), drom.Steal); err != nil {
+		t.Fatal(err)
+	}
+	running.PollDROM()
+
+	child, err := dlb.Init(node, childPID, node.AllCPUs(), "--drom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer child.Finalize()
+	if !child.Mask().Equal(dlb.CPURange(8, 15)) {
+		t.Errorf("child mask = %v, want reserved 8-15", child.Mask())
+	}
+	if !running.Mask().Equal(dlb.CPURange(0, 7)) {
+		t.Errorf("victim mask = %v", running.Mask())
+	}
+}
+
+func TestPollDROMHandlesLewiReclaim(t *testing.T) {
+	node := dlb.NewNode("node0", 16)
+	p1, _ := dlb.Init(node, 0, dlb.CPURange(0, 7), "--drom --lewi")
+	p2, _ := dlb.Init(node, 0, dlb.CPURange(8, 15), "--drom --lewi")
+	defer p1.Finalize()
+	defer p2.Finalize()
+
+	p1.IntoBlockingCall()
+	p2.Borrow()
+	p1.OutOfBlockingCall()
+
+	n, mask, ok, err := p2.PollDROM()
+	if !ok || err != nil || n != 8 || !mask.Equal(dlb.CPURange(8, 15)) {
+		t.Fatalf("PollDROM with pending reclaim = %d/%v/%v/%v", n, mask, ok, err)
+	}
+}
+
+func TestLendWithoutLewiIsNoop(t *testing.T) {
+	node := dlb.NewNode("node0", 16)
+	p, _ := dlb.Init(node, 0, dlb.CPURange(0, 7), "--drom")
+	defer p.Finalize()
+	p.Lend(dlb.CPURange(0, 3))
+	if got := p.Borrow(); !got.IsEmpty() {
+		t.Errorf("Borrow without LeWI = %v", got)
+	}
+	if p.NumCPUs() != 8 {
+		t.Errorf("mask changed without LeWI: %d", p.NumCPUs())
+	}
+	if kept := p.IntoBlockingCall(); kept.Count() != 8 {
+		t.Errorf("blocking without LeWI changed mask: %v", kept)
+	}
+}
+
+func TestDROMShrinkUpdatesLewiOwnership(t *testing.T) {
+	node := dlb.NewNode("node0", 16)
+	p1, _ := dlb.Init(node, 0, node.AllCPUs(), "--drom --lewi")
+	defer p1.Finalize()
+	admin, _ := drom.Attach(node)
+	admin.SetProcessMask(p1.PID(), dlb.CPURange(0, 7), drom.None)
+	p1.PollDROM()
+	// CPUs 8-15 must be claimable by a new process: ownership released.
+	p2, err := dlb.Init(node, 0, dlb.CPURange(8, 15), "--lewi")
+	if err != nil {
+		t.Fatalf("new process could not claim freed CPUs: %v", err)
+	}
+	p2.Finalize()
 }

@@ -26,7 +26,7 @@ func main() {
 
 	rt := ompss.New(proc.NumCPUs())
 	defer rt.Shutdown()
-	ompss.AttachDLB(rt, proc.Context())
+	ompss.AttachDLB(rt, proc)
 	fmt.Printf("task runtime started with %d workers\n", rt.NumWorkers())
 
 	admin, _ := drom.Attach(node)

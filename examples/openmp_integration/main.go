@@ -36,9 +36,9 @@ func main() {
 		runtimes[r] = rt
 		// §4.1: DLB as an OMPT tool — every parallel construct is a
 		// DROM polling point and resizes the team on updates.
-		omprt.AttachDLB(rt, p.Context())
+		omprt.AttachDLB(rt, p)
 		// §4.3: PMPI interception — every MPI call polls too.
-		mpisim.AttachDLB(world.Rank(r), p.Context())
+		mpisim.AttachDLB(world.Rank(r), p)
 	}
 	defer procs[0].Finalize()
 	defer procs[1].Finalize()

@@ -39,8 +39,8 @@ func newHybridApp(t *testing.T) *hybridApp {
 			t.Fatal(err)
 		}
 		rt := omprt.NewBound(mask)
-		omprt.AttachDLB(rt, p.Context())
-		mpisim.AttachDLB(app.world.Rank(r), p.Context())
+		omprt.AttachDLB(rt, p)
+		mpisim.AttachDLB(app.world.Rank(r), p)
 		app.procs = append(app.procs, p)
 		app.runtimes = append(app.runtimes, rt)
 	}
@@ -138,7 +138,7 @@ func TestPreInitHandshakeLive(t *testing.T) {
 	}
 	defer victim.Finalize()
 	vrt := omprt.NewBound(node.AllCPUs())
-	omprt.AttachDLB(vrt, victim.Context())
+	omprt.AttachDLB(vrt, victim)
 
 	admin, _ := drom.Attach(node)
 	childPID := node.AllocPID()
@@ -163,7 +163,7 @@ func TestPreInitHandshakeLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	crt := ompss.New(child.NumCPUs())
-	ompss.AttachDLB(crt, child.Context())
+	ompss.AttachDLB(crt, child)
 	if child.NumCPUs() != 8 {
 		t.Fatalf("child cpus = %d", child.NumCPUs())
 	}
@@ -274,7 +274,7 @@ func TestHybridWithCommunicators(t *testing.T) {
 			t.Fatal(err)
 		}
 		procs[r] = p
-		mpisim.AttachDLB(world.Rank(r), p.Context())
+		mpisim.AttachDLB(world.Rank(r), p)
 	}
 	defer func() {
 		for _, p := range procs {

@@ -1,6 +1,6 @@
 package mpisim
 
-import "repro/internal/dlbcore"
+import "repro/dlb"
 
 // AttachDLB installs PMPI hooks that integrate a rank with DLB (§4.3):
 // before an MPI call — every intercepted call can block — the rank
@@ -9,16 +9,16 @@ import "repro/internal/dlbcore"
 // profiling interface — DROM never changes the number of MPI
 // processes, interception is "only used to poll DLB and check if there
 // are some pending actions to be taken".
-func AttachDLB(r *Rank, ctx *dlbcore.Context) {
+func AttachDLB(r *Rank, proc *dlb.Process) {
 	r.SetHooks(Hooks{
 		Pre: func(Call) {
 			// Every interception point is a DROM polling point.
-			ctx.PollDROM()
-			ctx.IntoBlockingCall()
+			proc.PollDROM()
+			proc.IntoBlockingCall()
 		},
 		Post: func(Call) {
-			ctx.OutOfBlockingCall()
-			ctx.PollDROM()
+			proc.OutOfBlockingCall()
+			proc.PollDROM()
 		},
 	})
 }

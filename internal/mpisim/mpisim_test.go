@@ -6,10 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/dlb"
 	"repro/internal/core"
 	"repro/internal/cpuset"
-	"repro/internal/dlbcore"
-	"repro/internal/shmem"
 )
 
 func TestAllreduce(t *testing.T) {
@@ -64,24 +63,23 @@ func TestHooksFire(t *testing.T) {
 // mask when the rank enters an MPI call — the paper's "more
 // synchronization points" integration.
 func TestDLBInterceptionPollsDROM(t *testing.T) {
-	reg := shmem.NewRegistry()
-	sys := core.NewSystem(reg.MustOpen("node0", cpuset.Range(0, 15), 0))
+	node := dlb.NewNode("node0", 16)
 
 	w := NewWorld(2)
-	var ctxs [2]*dlbcore.Context
+	var procs [2]*dlb.Process
 	for i := 0; i < 2; i++ {
 		mask := cpuset.Range(i*8, i*8+7)
-		ctx, code := dlbcore.Init(sys, shmem.PID(100+i), mask, dlbcore.Options{DROM: true})
-		if code.IsError() {
-			t.Fatal(code)
+		proc, err := dlb.Init(node, dlb.PID(100+i), mask, "--drom")
+		if err != nil {
+			t.Fatal(err)
 		}
-		ctxs[i] = ctx
-		AttachDLB(w.Rank(i), ctx)
+		procs[i] = proc
+		AttachDLB(w.Rank(i), proc)
 	}
-	defer ctxs[0].Finalize()
-	defer ctxs[1].Finalize()
+	defer procs[0].Finalize()
+	defer procs[1].Finalize()
 
-	admin, _ := sys.Attach()
+	admin, _ := node.Internal().Attach()
 	if c := admin.SetProcessMask(100, cpuset.Range(0, 3), core.FlagNone); c.IsError() {
 		t.Fatal(c)
 	}
@@ -89,11 +87,11 @@ func TestDLBInterceptionPollsDROM(t *testing.T) {
 	w.Run(func(r *Rank) {
 		r.Allreduce(OpSum, 0) // interception point: rank 0 applies the new mask here
 	})
-	if !ctxs[0].Mask().Equal(cpuset.Range(0, 3)) {
-		t.Errorf("rank 0 mask = %v, want 0-3", ctxs[0].Mask())
+	if !procs[0].Mask().Equal(cpuset.Range(0, 3)) {
+		t.Errorf("rank 0 mask = %v, want 0-3", procs[0].Mask())
 	}
-	if !ctxs[1].Mask().Equal(cpuset.Range(8, 15)) {
-		t.Errorf("rank 1 mask = %v, want untouched", ctxs[1].Mask())
+	if !procs[1].Mask().Equal(cpuset.Range(8, 15)) {
+		t.Errorf("rank 1 mask = %v, want untouched", procs[1].Mask())
 	}
 }
 
@@ -101,16 +99,15 @@ func TestDLBInterceptionPollsDROM(t *testing.T) {
 // its peer's contribution, its CPUs are lent; the peer can borrow them
 // before it contributes, and they come back afterwards.
 func TestDLBLewiLendDuringBlocking(t *testing.T) {
-	reg := shmem.NewRegistry()
-	sys := core.NewSystem(reg.MustOpen("node0", cpuset.Range(0, 7), 0))
+	node := dlb.NewNode("node0", 8)
 
 	w := NewWorld(2)
-	ctx0, _ := dlbcore.Init(sys, 100, cpuset.Range(0, 3), dlbcore.Options{DROM: true, LeWI: true})
-	ctx1, _ := dlbcore.Init(sys, 101, cpuset.Range(4, 7), dlbcore.Options{DROM: true, LeWI: true})
-	defer ctx0.Finalize()
-	defer ctx1.Finalize()
-	AttachDLB(w.Rank(0), ctx0)
-	AttachDLB(w.Rank(1), ctx1)
+	proc0, _ := dlb.Init(node, 100, cpuset.Range(0, 3), "--drom --lewi")
+	proc1, _ := dlb.Init(node, 101, cpuset.Range(4, 7), "--drom --lewi")
+	defer proc0.Finalize()
+	defer proc1.Finalize()
+	AttachDLB(w.Rank(0), proc0)
+	AttachDLB(w.Rank(1), proc1)
 
 	borrowed := make(chan cpuset.CPUSet, 1)
 	w.Run(func(r *Rank) {
@@ -122,7 +119,7 @@ func TestDLBLewiLendDuringBlocking(t *testing.T) {
 			// Give rank 0 time to block, then borrow.
 			deadline := time.After(2 * time.Second)
 			for {
-				if got := ctx1.Borrow(); !got.IsEmpty() {
+				if got := proc1.Borrow(); !got.IsEmpty() {
 					borrowed <- got
 					break
 				}
@@ -147,8 +144,8 @@ func TestDLBLewiLendDuringBlocking(t *testing.T) {
 		t.Errorf("borrowed = %v, want subset of rank 0's lendable CPUs", got)
 	}
 	// After Allreduce returned, rank 0 reclaimed its own CPUs.
-	if !ctx0.Mask().IsSubsetOf(cpuset.Range(0, 3)) || ctx0.Mask().IsEmpty() {
-		t.Errorf("rank 0 mask after unblock = %v", ctx0.Mask())
+	if !proc0.Mask().IsSubsetOf(cpuset.Range(0, 3)) || proc0.Mask().IsEmpty() {
+		t.Errorf("rank 0 mask after unblock = %v", proc0.Mask())
 	}
 }
 

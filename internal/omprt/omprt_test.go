@@ -6,10 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/dlb"
 	"repro/internal/core"
 	"repro/internal/cpuset"
-	"repro/internal/dlbcore"
-	"repro/internal/shmem"
 )
 
 func TestParallelRunsTeam(t *testing.T) {
@@ -216,16 +215,15 @@ func TestToolCanResizeRegion(t *testing.T) {
 // administrator shrinks a process; the very next parallel region runs
 // with the reduced, re-pinned team.
 func TestDLBIntegrationShrink(t *testing.T) {
-	reg := shmem.NewRegistry()
-	sys := core.NewSystem(reg.MustOpen("node0", cpuset.Range(0, 15), 0))
-	ctx, code := dlbcore.Init(sys, 1, cpuset.Range(0, 15), dlbcore.Options{DROM: true})
-	if code.IsError() {
-		t.Fatal(code)
+	node := dlb.NewNode("node0", 16)
+	proc, err := dlb.Init(node, 1, cpuset.Range(0, 15), "--drom")
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer ctx.Finalize()
+	defer proc.Finalize()
 
 	rt := NewBound(cpuset.Range(0, 15))
-	AttachDLB(rt, ctx)
+	AttachDLB(rt, proc)
 
 	var team1 atomic.Int32
 	rt.Parallel(func(ti ThreadInfo, n int) { team1.Store(int32(n)) })
@@ -234,7 +232,7 @@ func TestDLBIntegrationShrink(t *testing.T) {
 	}
 
 	// SLURM-like admin takes CPUs 8-15 away.
-	admin, _ := sys.Attach()
+	admin, _ := node.Internal().Attach()
 	if c := admin.SetProcessMask(1, cpuset.Range(0, 7), core.FlagNone); c.IsError() {
 		t.Fatal(c)
 	}
@@ -252,14 +250,13 @@ func TestDLBIntegrationShrink(t *testing.T) {
 // TestDLBIntegrationExpand grows the mask back and checks the team
 // follows.
 func TestDLBIntegrationExpand(t *testing.T) {
-	reg := shmem.NewRegistry()
-	sys := core.NewSystem(reg.MustOpen("node0", cpuset.Range(0, 15), 0))
-	ctx, _ := dlbcore.Init(sys, 1, cpuset.Range(0, 7), dlbcore.Options{DROM: true})
-	defer ctx.Finalize()
+	node := dlb.NewNode("node0", 16)
+	proc, _ := dlb.Init(node, 1, cpuset.Range(0, 7), "--drom")
+	defer proc.Finalize()
 	rt := NewBound(cpuset.Range(0, 7))
-	AttachDLB(rt, ctx)
+	AttachDLB(rt, proc)
 
-	admin, _ := sys.Attach()
+	admin, _ := node.Internal().Attach()
 	admin.SetProcessMask(1, cpuset.Range(0, 15), core.FlagNone)
 
 	var team atomic.Int32
@@ -281,12 +278,11 @@ func BenchmarkPollingPointOverhead(b *testing.B) {
 	// Measures the paper's "negligible overhead" claim for the DROM
 	// polling mechanism: a parallel region with the DLB tool attached
 	// and no pending updates.
-	reg := shmem.NewRegistry()
-	sys := core.NewSystem(reg.MustOpen("node0", cpuset.Range(0, 3), 0))
-	ctx, _ := dlbcore.Init(sys, 1, cpuset.Range(0, 3), dlbcore.Options{DROM: true})
-	defer ctx.Finalize()
+	node := dlb.NewNode("node0", 4)
+	proc, _ := dlb.Init(node, 1, cpuset.Range(0, 3), "--drom")
+	defer proc.Finalize()
 	rt := NewBound(cpuset.Range(0, 3))
-	AttachDLB(rt, ctx)
+	AttachDLB(rt, proc)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rt.Parallel(func(ti ThreadInfo, n int) {})

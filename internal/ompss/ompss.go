@@ -1,7 +1,7 @@
 // Package ompss implements an OmpSs-like task-based runtime (§4.2):
 // tasks with data dependencies executed by a resizable worker pool.
 // Like BSC's Nanos runtime, it has native DLB support — when a DLB
-// context is attached, every task boundary is a malleability point, so
+// process is attached, every task boundary is a malleability point, so
 // DROM mask changes take effect with task granularity (finer than the
 // OpenMP runtime's region granularity).
 package ompss
@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/dlbcore"
+	"repro/dlb"
 )
 
 // AccessMode describes how a task accesses a dependency object.
@@ -65,7 +65,7 @@ type Runtime struct {
 	activeIDs     map[int]bool
 	shutdown      bool
 
-	dlb *dlbcore.Context
+	proc *dlb.Process
 }
 
 // New creates a runtime with the given number of workers.
@@ -85,14 +85,12 @@ func New(workers int) *Runtime {
 	return rt
 }
 
-// AttachDLB wires a DLB context: mask changes resize the worker pool,
+// AttachDLB wires a DLB process: mask changes resize the worker pool,
 // and workers poll DROM between tasks.
-func AttachDLB(rt *Runtime, ctx *dlbcore.Context) {
-	ctx.SetCallbacks(dlbcore.Callbacks{
-		SetNumThreads: rt.SetNumWorkers,
-	})
+func AttachDLB(rt *Runtime, proc *dlb.Process) {
+	proc.OnResize(rt.SetNumWorkers, nil)
 	rt.mu.Lock()
-	rt.dlb = ctx
+	rt.proc = proc
 	rt.mu.Unlock()
 }
 
@@ -233,7 +231,7 @@ func (rt *Runtime) worker(id int) {
 			rt.cond.Wait()
 		}
 		t := rt.ready.pop()
-		dlb := rt.dlb
+		proc := rt.proc
 		rt.mu.Unlock()
 
 		t.fn()
@@ -255,8 +253,8 @@ func (rt *Runtime) worker(id int) {
 
 		// Task boundary = DLB malleability point (§4.2). PollDROM may
 		// call back into SetNumWorkers; do it outside the lock.
-		if dlb != nil {
-			dlb.PollDROM()
+		if proc != nil {
+			proc.PollDROM()
 		}
 	}
 }

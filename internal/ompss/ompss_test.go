@@ -6,10 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/dlb"
 	"repro/internal/core"
 	"repro/internal/cpuset"
-	"repro/internal/dlbcore"
-	"repro/internal/shmem"
 )
 
 func TestSubmitAndWait(t *testing.T) {
@@ -270,19 +269,18 @@ func TestSubmitAfterShutdownPanics(t *testing.T) {
 // TestDLBTaskGranularityShrink: an admin shrinks the process; the pool
 // follows at a task boundary, not at the end of the whole task batch.
 func TestDLBTaskGranularityShrink(t *testing.T) {
-	reg := shmem.NewRegistry()
-	sys := core.NewSystem(reg.MustOpen("node0", cpuset.Range(0, 7), 0))
-	ctx, code := dlbcore.Init(sys, 1, cpuset.Range(0, 7), dlbcore.Options{DROM: true})
-	if code.IsError() {
-		t.Fatal(code)
+	node := dlb.NewNode("node0", 8)
+	proc, err := dlb.Init(node, 1, cpuset.Range(0, 7), "--drom")
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer ctx.Finalize()
+	defer proc.Finalize()
 
 	rt := New(8)
 	defer rt.Shutdown()
-	AttachDLB(rt, ctx)
+	AttachDLB(rt, proc)
 
-	admin, _ := sys.Attach()
+	admin, _ := node.Internal().Attach()
 
 	release := make(chan struct{})
 	var started atomic.Int32

@@ -105,59 +105,34 @@ type Backend interface {
 	fork() Backend
 }
 
-// Registry is the consumer-facing handle over a Backend, keeping the
-// historical constructor and call surface (NewRegistry, Open, Get,
-// Fork, AllocPID) stable across the backend extraction. The zero
-// value is not usable; call NewRegistry or NewRegistryWith.
+// Registry is the consumer-facing handle over a Backend: it adds the
+// historical constructors, MustOpen, Fork and String to the backend's
+// own methods. The zero value is not usable; call NewRegistry or
+// NewRegistryWith.
 type Registry struct {
-	b Backend
+	Backend
 }
 
 // NewRegistry returns a registry over the default in-memory backend.
 func NewRegistry() *Registry {
-	return &Registry{b: NewMemBackend()}
+	return &Registry{NewMemBackend()}
 }
 
 // NewRegistryWith returns a registry over an explicit backend.
 func NewRegistryWith(b Backend) *Registry {
-	return &Registry{b: b}
-}
-
-// Backend exposes the underlying implementation (diagnostics, tests,
-// fault-counter queries via type assertion).
-func (r *Registry) Backend() Backend { return r.b }
-
-// Open returns the named segment, creating it if absent; see
-// Backend.Open. The in-memory backend never returns an error.
-func (r *Registry) Open(name string, nodeCPUs cpuset.CPUSet, maxProcs int) (Segment, error) {
-	return r.b.Open(name, nodeCPUs, maxProcs)
+	return &Registry{b}
 }
 
 // MustOpen is Open for callers on backends that cannot fail (the
 // in-memory default); it panics on error.
 func (r *Registry) MustOpen(name string, nodeCPUs cpuset.CPUSet, maxProcs int) Segment {
-	s, err := r.b.Open(name, nodeCPUs, maxProcs)
+	s, err := r.Open(name, nodeCPUs, maxProcs)
 	if err != nil {
-		panic(fmt.Sprintf("shmem: MustOpen(%s) on %s backend: %v", name, r.b.Kind(), err))
+		panic(fmt.Sprintf("shmem: MustOpen(%s) on %s backend: %v", name, r.Kind(), err))
 	}
 	return s
 }
 
-// Get returns the named segment or nil if it does not exist.
-func (r *Registry) Get(name string) Segment { return r.b.Get(name) }
-
-// Delete removes the named segment (shm_unlink).
-func (r *Registry) Delete(name string) { r.b.Delete(name) }
-
-// Names returns all segment names in sorted order.
-func (r *Registry) Names() []string { return r.b.Names() }
-
-// AllocPID returns a fresh virtual PID, unique within the registry.
-func (r *Registry) AllocPID() PID { return r.b.AllocPID() }
-
-// Close releases backend resources.
-func (r *Registry) Close() error { return r.b.Close() }
-
 func (r *Registry) String() string {
-	return fmt.Sprintf("shmem.Registry(%s, %d segments)", r.b.Kind(), len(r.b.Names()))
+	return fmt.Sprintf("shmem.Registry(%s, %d segments)", r.Kind(), len(r.Names()))
 }

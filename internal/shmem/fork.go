@@ -75,5 +75,5 @@ func (r *MemBackend) fork() Backend {
 // backend's fork semantics (see the package comment above). The fork
 // shares no mutable state with the original.
 func (r *Registry) Fork() *Registry {
-	return &Registry{b: r.b.fork()}
+	return &Registry{r.fork()}
 }

@@ -57,7 +57,7 @@ func TestForkFileYieldsPrivateMemCopy(t *testing.T) {
 	fb.AllocPID() // seed the shared counter file
 
 	f := r.Fork()
-	if kind := f.Backend().Kind(); kind != "mem" {
+	if kind := f.Kind(); kind != "mem" {
 		t.Fatalf("file fork backend kind = %q, want mem", kind)
 	}
 	fs := f.Get("n")
@@ -106,7 +106,7 @@ func TestForkFaultReseedsDeterministically(t *testing.T) {
 	// are the parent's next 16.
 	p := mk()
 	f := p.Fork()
-	if kf := f.Backend().Kind(); kf != "fault+mem" {
+	if kf := f.Kind(); kf != "fault+mem" {
 		t.Fatalf("fault fork kind = %q", kf)
 	}
 	cf, cp := drive(f), drive(p)
@@ -131,7 +131,7 @@ func TestForkFaultReseedsDeterministically(t *testing.T) {
 	if ref := drive(mk()); !reflect.DeepEqual(cp, ref) {
 		t.Fatalf("parent stream perturbed by fork:\n got  %v\n want %v", cp, ref)
 	}
-	if fc, pc := f.Backend().(*FaultBackend).Counts(), p.Backend().(*FaultBackend).Counts(); fc != pc {
+	if fc, pc := f.Backend.(*FaultBackend).Counts(), p.Backend.(*FaultBackend).Counts(); fc != pc {
 		t.Fatalf("fork fault counts %+v, parent %+v", fc, pc)
 	}
 }

@@ -129,7 +129,7 @@ func (c *Cluster) Reset(eng *sim.Engine, spec hwmodel.ClusterSpec, tracer *trace
 	}
 	var mem *shmem.MemBackend
 	if c.reg != nil {
-		mem, _ = c.reg.Backend().(*shmem.MemBackend)
+		mem, _ = c.reg.Backend.(*shmem.MemBackend)
 	}
 	machine := spec.Partitions[0].Machine
 	if reg == nil && mem != nil && slices.Equal(spec.Partitions, c.Spec.Partitions) {

@@ -155,7 +155,7 @@ func TestForkFlakyRegistryDifferential(t *testing.T) {
 		for j := range ctl.Records.All() {
 			jobs += fmt.Sprintf("%s:%v:%v;", j.Name, j.Start, j.End)
 		}
-		fb := ctl.cluster.reg.Backend().(*shmem.FaultBackend)
+		fb := ctl.cluster.reg.Backend.(*shmem.FaultBackend)
 		return outcome{faults: fb.Counts(), shmem: ctl.ShmemFaults, jobs: jobs}
 	}
 	finish := func(label string, ctl *Controller) outcome {

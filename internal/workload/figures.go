@@ -197,10 +197,12 @@ func uc2Figure(id, title, row, what, claimID, key string) figureOf {
 // figure14 derives the IPC histogram statistics of UC2 (mean observed
 // IPC per application per scenario).
 func figure14(rs map[string]Result) FigureData {
+	jobs := [2]string{"nest", "coreneuron"}
+	sm, dm := meanIPC(rs["uc2-traced/serial"], jobs), meanIPC(rs["uc2-traced/drom"], jobs)
 	s, d := metrics.Series{Label: "Serial"}, metrics.Series{Label: "DROM"}
-	for _, job := range []string{"nest", "coreneuron"} {
-		s.Add(job+" mean IPC (x100)", 100*meanIPC(rs["uc2-traced/serial"], job))
-		d.Add(job+" mean IPC (x100)", 100*meanIPC(rs["uc2-traced/drom"], job))
+	for i, job := range jobs {
+		s.Add(job+" mean IPC (x100)", 100*sm[i])
+		d.Add(job+" mean IPC (x100)", 100*dm[i])
 	}
 	return FigureData{
 		ID:     "Figure 14",
@@ -212,23 +214,32 @@ func figure14(rs map[string]Result) FigureData {
 	}
 }
 
-func meanIPC(r Result, job string) float64 {
+// meanIPC returns each job's duration-weighted mean IPC over r's trace,
+// taking both sums in one walk of its segments.
+func meanIPC(r Result, jobs [2]string) (mean [2]float64) {
 	if r.Tracer == nil {
-		return 0
+		return mean
 	}
-	var wsum, w float64
+	var wsum, w [2]float64
 	for seg := range r.Tracer.All() {
-		if seg.Job != job || seg.IPC <= 0 {
+		if seg.IPC <= 0 {
 			continue
 		}
-		dur := seg.Duration()
-		wsum += float64(seg.IPC * dur)
-		w += dur
+		for i, job := range jobs {
+			if seg.Job == job {
+				dur := seg.Duration()
+				wsum[i] += float64(seg.IPC * dur)
+				w[i] += dur
+				break
+			}
+		}
 	}
-	if w == 0 {
-		return 0
+	for i := range mean {
+		if w[i] != 0 {
+			mean[i] = wsum[i] / w[i]
+		}
 	}
-	return wsum / w
+	return mean
 }
 
 // figure5 is the mid-overlap per-thread utilization of NEST rank 0

@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"maps"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -69,28 +68,7 @@ func TestFigureSeriesGolden(t *testing.T) {
 			got.WriteString(renderFigure(fig))
 		}
 	}
-	if os.Getenv("UPDATE_FIGURE_GOLDEN") != "" {
-		if err := os.WriteFile(figureGoldenPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", figureGoldenPath)
-		return
-	}
-	want, err := os.ReadFile(figureGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() == string(want) {
-		return
-	}
-	gl := strings.Split(got.String(), "\n")
-	wl := strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("figure series diverged from the golden at line %d:\n  got  %q\n  want %q", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("figure listing length changed: got %d lines, want %d", len(gl), len(wl))
+	checkGolden(t, figureGoldenPath, "UPDATE_FIGURE_GOLDEN", "figure series", got.String())
 }
 
 // buildRow builds the figure-table row id on the runs it reads.

@@ -2,8 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,30 +72,5 @@ func TestSchedReplayNodeFaultGolden(t *testing.T) {
 	if capHits == 0 {
 		t.Error("no policy drove a job past the requeue cap; OutcomeNodeFailed is untested")
 	}
-	if os.Getenv("UPDATE_SCHED_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(nodeFaultGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(nodeFaultGoldenPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", nodeFaultGoldenPath)
-		return
-	}
-	want, err := os.ReadFile(nodeFaultGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() == string(want) {
-		return
-	}
-	gl := strings.Split(got.String(), "\n")
-	wl := strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("node-fault replay diverged from the golden at line %d:\n  got  %q\n  want %q",
-				i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("node-fault listing length changed: got %d lines, want %d", len(gl), len(wl))
+	checkGolden(t, nodeFaultGoldenPath, "UPDATE_SCHED_GOLDEN", "node-fault replay", got.String())
 }

@@ -24,6 +24,39 @@ import (
 //	UPDATE_SCHED_GOLDEN=1 go test ./internal/workload -run ReplayDecisionGolden
 const goldenPath = "testdata/sched_starts_seed1_1000.golden"
 
+// checkGolden compares got with the golden file at path, or rewrites
+// the file when the environment variable env is set. A mismatch is
+// reported at its first divergent line, not as a megabyte diff; what
+// names the listing.
+func checkGolden(t *testing.T, path, env, what, got string) {
+	t.Helper()
+	if os.Getenv(env) != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl := strings.Split(got, "\n")
+	wl := strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s diverged from %s at line %d:\n  got  %q\n  want %q", what, path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s listing length changed: got %d lines, want %d", what, len(gl), len(wl))
+}
+
 // replayStarts renders one policy's start times in the golden format.
 func replayStarts(t *testing.T, sc Scenario, name string) string {
 	t.Helper()
@@ -55,33 +88,7 @@ func TestSchedReplayDecisionGolden(t *testing.T) {
 	for _, name := range sched.Names() {
 		got.WriteString(replayStarts(t, sc, name))
 	}
-	if os.Getenv("UPDATE_SCHED_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", goldenPath)
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() == string(want) {
-		return
-	}
-	// Report the first divergent line, not a megabyte diff.
-	gl := strings.Split(got.String(), "\n")
-	wl := strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("start times diverged from the pre-refactor scheduler at line %d:\n  got  %q\n  want %q",
-				i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("start-time listing length changed: got %d lines, want %d", len(gl), len(wl))
+	checkGolden(t, goldenPath, "UPDATE_SCHED_GOLDEN", "start times", got.String())
 }
 
 // heteroGoldenPath pins the decisions AND outcomes of a 2-partition
@@ -131,32 +138,7 @@ func TestSchedReplayHeteroFaultGolden(t *testing.T) {
 				j.Outcome, j.Partition)
 		}
 	}
-	if os.Getenv("UPDATE_SCHED_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(heteroGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(heteroGoldenPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", heteroGoldenPath)
-		return
-	}
-	want, err := os.ReadFile(heteroGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() == string(want) {
-		return
-	}
-	gl := strings.Split(got.String(), "\n")
-	wl := strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("hetero replay diverged from the golden at line %d:\n  got  %q\n  want %q",
-				i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("hetero listing length changed: got %d lines, want %d", len(gl), len(wl))
+	checkGolden(t, heteroGoldenPath, "UPDATE_SCHED_GOLDEN", "hetero replay", got.String())
 }
 
 // spillGoldenPath pins the decisions of the 2-partition fault trace
@@ -209,32 +191,7 @@ func TestSchedReplaySpilloverGolden(t *testing.T) {
 				j.Outcome, j.Partition, origin)
 		}
 	}
-	if os.Getenv("UPDATE_SCHED_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(spillGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(spillGoldenPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", spillGoldenPath)
-		return
-	}
-	want, err := os.ReadFile(spillGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() == string(want) {
-		return
-	}
-	gl := strings.Split(got.String(), "\n")
-	wl := strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("spillover replay diverged from the golden at line %d:\n  got  %q\n  want %q",
-				i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("spillover listing length changed: got %d lines, want %d", len(gl), len(wl))
+	checkGolden(t, spillGoldenPath, "UPDATE_SCHED_GOLDEN", "spillover replay", got.String())
 }
 
 // TestSpilloverPropertyAllJobsComplete fuzzes seeded contended
