@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/djsb"
 	"repro/internal/slurm"
 	"repro/internal/workload"
 )
@@ -185,7 +184,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 // paper's reference [26] methodology) under all three policies and
 // reports makespan and average response.
 func BenchmarkDJSBPolicies(b *testing.B) {
-	sc, err := djsb.Generate(djsb.Params{Seed: 1, Jobs: 25, MeanInterarrival: 150, Nodes: 2})
+	sc, err := workload.Spec{Paper: "djsb", Jobs: 25, MeanInterarrival: 150, Nodes: 2}.Scenario()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -113,8 +113,9 @@ func exportTraces(name string, res workload.Result) error {
 	return nil
 }
 
-// narrations tell the rows of the figure table that read no paper run.
-var narrations = map[string]func(io.Writer) error{"fig2": figure2, "fig3": figure3}
+// narrations tell the rows of the figure table that are no chart: a
+// protocol log and a schematic.
+var narrations = map[string]func(io.Writer, map[string]workload.Result) error{"fig2": figure2, "fig3": figure3}
 
 // run regenerates the figure-table row id, or every row when id is
 // empty, executing each paper run the rows read once.
@@ -147,12 +148,12 @@ func run(id string) error {
 // regenerate prints one row's figures, drawing their charts, then its
 // traces' timelines, trace files and Gantt SVGs.
 func regenerate(f workload.Figure, rs map[string]workload.Result) error {
-	if narrate := narrations[f.ID]; narrate != nil {
-		return narrate(os.Stdout)
-	}
 	figs, err := f.Build(rs)
 	if err != nil {
 		return err
+	}
+	if narrate := narrations[f.ID]; narrate != nil {
+		return narrate(os.Stdout, rs)
 	}
 	for i, fig := range figs {
 		fmt.Println(fig)
@@ -182,7 +183,7 @@ func regenerate(f workload.Figure, rs map[string]workload.Result) error {
 }
 
 // figure2 narrates the SLURM launch protocol on a live mini-run.
-func figure2(w io.Writer) error {
+func figure2(w io.Writer, _ map[string]workload.Result) error {
 	fmt.Fprintln(w, "== Figure 2: SLURM job launch procedure for DROM malleable applications ==")
 	var log obs.Protocol
 	s := workload.Scenario{
@@ -216,14 +217,10 @@ func figure2(w io.Writer) error {
 
 // figure3 renders the UC1 schematic: per-job running-thread counts
 // over time under both policies.
-func figure3(w io.Writer) error {
+func figure3(w io.Writer, rs map[string]workload.Result) error {
 	fmt.Fprintln(w, "== Figure 3: In-situ analytics schematic (resource shares over time) ==")
-	sc := workload.UC1("nest", apps.Config{Ranks: 2, Threads: 16}, "pils", apps.Config{Ranks: 2, Threads: 4}, true)
-	for _, pol := range []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM} {
-		res := workload.Run(sc, pol)
-		if res.Err != nil {
-			return res.Err
-		}
+	for _, pol := range []string{"serial", "drom"} {
+		res := rs["fig3/"+pol]
 		fmt.Fprintf(w, "--- %s scenario ---\n", pol)
 		var s metrics.Series
 		s.Label = "end (s)"

@@ -46,7 +46,7 @@ func TestExportTracesToTempDir(t *testing.T) {
 // intentional change of the Figure-2 protocol or its wording.
 func TestFigure2Golden(t *testing.T) {
 	var got bytes.Buffer
-	if err := figure2(&got); err != nil {
+	if err := figure2(&got, nil); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile("testdata/fig2.golden")

@@ -12,11 +12,15 @@
 //	slurmsim -sched all -swf trace.swf -nodes 8        # real trace replay
 //	slurmsim -sched fcfs -jobs 1000000 -stream         # bounded-memory replay
 //	slurmsim -sweep 'policies=all;seeds=1-4;jobs=5000' # parallel experiment grid
+//	slurmsim -sweep 'scenario=uc1;jitter=0.02;seeds=1-3;policies=serial,drom'
 //
-// The trace-replay flags (-sched, -swf, -seed, -jobs, -nodes, -cluster,
-// -spill, -node-faults, -stream, ...) each set one key of
-// workload.ParseSpec's grammar, and a -sweep value is a whole spec in
-// it: `-nodes 4` and `nodes=4` go through one parser and one Validate.
+// Every flag that describes the run sets keys of workload.ParseSpec's
+// grammar, and a -sweep value is a whole spec in it: `-nodes 4` and
+// `nodes=4` go through one parser and one Validate. The trace-replay
+// flags (-sched, -swf, -seed, -jobs, -nodes, -cluster, -spill,
+// -node-faults, -stream, ...) set one key each; without -sched or
+// -swf, the paper flags set scenario, policies, trace and, for uc1,
+// sim and ana (-sim nest -simconf 1 is sim=nest1).
 package main
 
 import (
@@ -27,21 +31,19 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/apps"
-	"repro/internal/djsb"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/slurm"
 	"repro/internal/sweep"
 	"repro/internal/version"
 	"repro/internal/workload"
 )
 
 func main() {
-	scenario := flag.String("scenario", "uc1", "uc1 (in-situ analytics) or uc2 (high-priority job)")
+	scenario := flag.String("scenario", "uc1", "uc1 (in-situ analytics), uc2 (high-priority job) or djsb (randomized stream)")
 	policy := flag.String("policy", "both", "uc1/uc2/djsb: serial, drom, oversubscribe, preempt, both (serial+drom), or all")
 	simName := flag.String("sim", "nest", "uc1 simulator: nest or coreneuron")
 	simConf := flag.Int("simconf", 1, "uc1 simulator configuration (Table 1)")
@@ -52,7 +54,8 @@ func main() {
 	width := flag.Int("width", 100, "timeline width in characters (at least 1)")
 	// The trace-mode flags (-sched, -swf, -seed, -jobs, -nodes, ...)
 	// are workload.Spec keys; -scenario djsb reads -seed, -jobs,
-	// -interarrival and -nodes too.
+	// -interarrival and -nodes too, and the flags above set keys of the
+	// same spec (setPaperKeys).
 	workload.RegisterFlags(flag.CommandLine, workload.SlurmsimFlags, nil)
 	sweepSpec := flag.String("sweep", "", "run a parallel experiment grid, e.g. "+
 		"'policies=all;seeds=1-4;jobs=5000;nodes=4' (the keys of internal/workload.ParseSpec)")
@@ -139,22 +142,23 @@ func main() {
 	if err == nil {
 		err = checkTimeline(*width, *metric)
 	}
-	if err == nil {
-		err = run(runArgs{
-			scenario: *scenario, policy: *policy,
-			simName: *simName, simConf: *simConf, anaName: *anaName, anaConf: *anaConf,
-			traced: *traced, metric: *metric, width: *width,
-			spec:      spec,
-			sweepSpec: *sweepSpec, sweepWorkers: *sweepWorkers, format: *format, out: *out,
-			progress: *progress,
-			obs: obsArgs{
+	switch {
+	case err != nil:
+	case *sweepSpec != "":
+		err = runSweep(*sweepSpec, *sweepWorkers, *format, *out, *progress)
+	default:
+		if len(spec.Policies) == 0 && spec.SWFPath == "" {
+			err = setPaperKeys(&spec, *scenario, *policy, *simName, *simConf, *anaName, *anaConf, *traced)
+		}
+		if err == nil {
+			err = run(spec, obsArgs{
 				tracePath:  *traceSched,
 				explainJob: *explainJob,
 				sample:     sample.Seconds(),
 				sampleOut:  *sampleOut,
 				hist:       *hist,
-			},
-		})
+			}, *width, *metric)
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "slurmsim: %v\n", err)
@@ -164,20 +168,24 @@ func main() {
 	}
 }
 
-// runArgs carries the parsed flags.
-type runArgs struct {
-	scenario, policy string
-	simName, anaName string
-	simConf, anaConf int
-	traced           bool
-	metric           string
-	width            int
-	spec             workload.Spec // the trace-mode (and djsb) flags
-	sweepSpec        string
-	sweepWorkers     int
-	format, out      string
-	progress         bool
-	obs              obsArgs
+// paperPolicies are the -policy values that name several builtin
+// controller policies.
+var paperPolicies = map[string]string{"both": "serial,drom", "all": "serial,drom,oversubscribe,preempt"}
+
+// setPaperKeys sets the keys the paper flags name: the scenario, its
+// policies and whether it is traced and, for uc1, the simulator and
+// the analytics, each an app and its Table 1 configuration.
+func setPaperKeys(s *workload.Spec, scenario, policy, sim string, simConf int, ana string, anaConf int, traced bool) error {
+	keys := [][2]string{{"scenario", scenario}, {"policies", cmp.Or(paperPolicies[policy], policy)}, {"trace", strconv.FormatBool(traced)}}
+	if scenario == "uc1" {
+		keys = append(keys, [2]string{"sim", sim + strconv.Itoa(simConf)}, [2]string{"ana", ana + strconv.Itoa(anaConf)})
+	}
+	for _, kv := range keys {
+		if err := s.Set(kv[0], kv[1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // obsArgs carries the observability-consumer flags (see internal/obs);
@@ -317,62 +325,6 @@ func checkTimeline(width int, metric string) error {
 	return nil
 }
 
-func run(a runArgs) error {
-	if a.sweepSpec != "" {
-		return runSweep(a.sweepSpec, a.sweepWorkers, a.format, a.out, a.progress)
-	}
-	if len(a.spec.Policies) > 0 || a.spec.SWFPath != "" {
-		return runSched(a.spec, a.obs)
-	}
-
-	if a.scenario == "djsb" {
-		return runDJSB(a.spec, a.policy, a.obs)
-	}
-
-	sc, err := buildScenario(a.scenario, a.simName, a.simConf, a.anaName, a.anaConf, a.traced)
-	if err != nil {
-		return err
-	}
-	return runPolicies(sc, a.policy, a.obs, func(res workload.Result) {
-		fmt.Printf("=== %s under %s ===\n", sc.Name, res.Policy)
-		fmt.Print(res.Records.String())
-		if a.traced && res.Tracer != nil {
-			fmt.Println(res.Tracer.RenderTimeline("", a.width, a.metric))
-		}
-		fmt.Println()
-	})
-}
-
-// runPolicies runs one scenario on the builtin controller path under
-// each policy the -policy value names, with the observability
-// consumers attached, and hands every result to report.
-func runPolicies(sc workload.Scenario, policy string, o obsArgs, report func(workload.Result)) error {
-	policies, err := parsePolicies(policy)
-	if err != nil {
-		return err
-	}
-	if err := o.checkSingle(len(policies), "-policy"); err != nil {
-		return err
-	}
-	for _, p := range policies {
-		or, err := o.start()
-		if err != nil {
-			return err
-		}
-		sc.Probe = or.probe
-		res := workload.Run(sc, p)
-		if res.Err != nil {
-			or.close()
-			return fmt.Errorf("%s under %s: %w", sc.Name, p, res.Err)
-		}
-		report(res)
-		if err := or.finish(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runSweep parses the grid spec, fans the experiments across workers
 // and writes the summary in the requested format.
 func runSweep(spec string, workers int, format, out string, progress bool) error {
@@ -411,30 +363,25 @@ func runSweep(spec string, workers int, format, out string, progress bool) error
 	return err
 }
 
-// printPartitions prints the per-partition metric lines of a
-// multi-partition run.
-func printPartitions(res workload.Result, multi bool) {
-	if !multi {
-		return
-	}
-	for _, ps := range res.Records.PartitionStats() {
-		fmt.Printf("      %s\n", ps)
-	}
-}
-
-// runSched replays an SWF workload — a trace file or the seeded
-// synthetic generator — under each policy of the spec and prints the
-// scheduler-quality metrics of each. A materialized trace is built
-// once and shared by every policy's replay; with spec.Stream each
-// policy reads a fresh lazy source and job records are folded into
+// run replays each cell of the spec — a trace under sched policies, or
+// a paper scenario on the builtin controller path — with the
+// observability consumers attached, and prints its result: a trace
+// cell's scheduler-quality metrics, a DJSB cell's too, and a UC1 or
+// UC2 cell's per-job records and, traced, its timeline. A materialized
+// trace is built once and shared by every cell; with spec.Stream each
+// cell reads a fresh lazy source and job records are folded into
 // aggregates as they complete, so million-job traces replay in memory
 // proportional to the scheduler backlog.
-func runSched(spec workload.Spec, o obsArgs) error {
+func run(spec workload.Spec, o obsArgs, width int, metric string) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	cells := spec.Cells()
-	if err := o.checkSingle(len(cells), "-sched"); err != nil {
+	policyFlag := "-sched"
+	if spec.Paper != "" {
+		policyFlag = "-policy"
+	}
+	if err := o.checkSingle(len(cells), policyFlag); err != nil {
 		return err
 	}
 	var sc workload.Scenario
@@ -444,8 +391,12 @@ func runSched(spec workload.Spec, o obsArgs) error {
 			return err
 		}
 	}
-	fmt.Printf("=== SWF replay: %s ===\n", spec)
-	multi := len(spec.Cluster.Partitions) > 1
+	switch spec.Paper {
+	case "":
+		fmt.Printf("=== SWF replay: %s ===\n", spec)
+	case "djsb":
+		fmt.Printf("=== %s ===\n", sc.Name)
+	}
 	for _, cell := range cells {
 		or, err := o.start()
 		if err != nil {
@@ -459,22 +410,38 @@ func runSched(spec workload.Spec, o obsArgs) error {
 		}
 		res := sess.Run()
 		wall := time.Since(start)
-		ps, _ := sched.ParsePolicySet(cell.Policies[0]) // Validate parsed it
 		if res.Err != nil {
 			or.close()
-			return fmt.Errorf("%s: %w", ps, res.Err)
+			return fmt.Errorf("%s: %w", cell, res.Err)
 		}
-		dropped := ""
-		if d := res.Records.Dropped; d.Total() > 0 {
-			dropped = fmt.Sprintf(", trace: %s", d)
+		switch spec.Paper {
+		case "":
+			dropped := ""
+			if d := res.Records.Dropped; d.Total() > 0 {
+				dropped = fmt.Sprintf(", trace: %s", d)
+			}
+			// A streamed result is aggregated: its stats are the mean/max
+			// subset, with no per-job widths behind the demand figure.
+			// Steps follow from the decisions alone; events are the steps
+			// the engine executed rather than advanced by itself.
+			ps, _ := sched.ParsePolicySet(cell.Policies[0]) // Validate parsed it
+			fmt.Printf("sched=%-17s %s [%d cycles, %d steps, %d events, %.2fs wall%s]\n",
+				ps, workload.SchedStatsOf(sess.Scenario(), res), res.SchedCycles, res.Steps, res.Events, wall.Seconds(), dropped)
+			if len(spec.Cluster.Partitions) > 1 {
+				for _, p := range res.Records.PartitionStats() {
+					fmt.Printf("      %s\n", p)
+				}
+			}
+		case "djsb":
+			fmt.Printf("policy=%-13s %s\n", res.Policy, workload.SchedStatsOf(sess.Scenario(), res))
+		default:
+			fmt.Printf("=== %s under %s ===\n", sess.Scenario().Name, res.Policy)
+			fmt.Print(res.Records.String())
+			if res.Tracer != nil {
+				fmt.Println(res.Tracer.RenderTimeline("", width, metric))
+			}
+			fmt.Println()
 		}
-		// A streamed result is aggregated: its stats are the mean/max
-		// subset, with no per-job widths behind the demand figure. Steps
-		// follow from the decisions alone; events are the steps the
-		// engine executed rather than advanced by itself.
-		fmt.Printf("sched=%-17s %s [%d cycles, %d steps, %d events, %.2fs wall%s]\n",
-			ps, workload.SchedStatsOf(sess.Scenario(), res), res.SchedCycles, res.Steps, res.Events, wall.Seconds(), dropped)
-		printPartitions(res, multi)
 		if err := or.finish(); err != nil {
 			return err
 		}
@@ -491,67 +458,4 @@ func (o obsArgs) checkSingle(policies int, flag string) error {
 		return fmt.Errorf("-trace-sched/-explain/-sample/-hist need a single policy; pick one with %s (got %d)", flag, policies)
 	}
 	return nil
-}
-
-// runDJSB generates a randomized DJSB-style stream and compares the
-// requested policies on it. It reads the spec's seed, jobs,
-// interarrival and nodes, with the DJSB defaults for those left unset
-// (20 jobs, 150 s apart, on 2 nodes).
-func runDJSB(s workload.Spec, policy string, o obsArgs) error {
-	p := djsb.Params{Seed: 1, Jobs: cmp.Or(s.Jobs, 20), MeanInterarrival: cmp.Or(s.MeanInterarrival, 150), Nodes: cmp.Or(s.Nodes, 2)}
-	if len(s.Seeds) > 0 {
-		p.Seed = s.Seeds[0]
-	}
-	sc, err := djsb.Generate(p)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("=== DJSB stream: seed=%d jobs=%d mean-interarrival=%.0fs nodes=%d ===\n",
-		p.Seed, p.Jobs, p.MeanInterarrival, p.Nodes)
-	return runPolicies(sc, policy, o, func(res workload.Result) {
-		fmt.Printf("policy=%-13s %s\n", res.Policy, workload.SchedStatsOf(sc, res))
-	})
-}
-
-func buildScenario(name, simName string, simConf int, anaName string, anaConf int, traced bool) (workload.Scenario, error) {
-	switch name {
-	case "uc2":
-		return workload.UC2(traced), nil
-	case "uc1":
-		simCfgs := apps.Table1(simName)
-		if simCfgs == nil {
-			return workload.Scenario{}, fmt.Errorf("unknown simulator %q", simName)
-		}
-		if simConf < 1 || simConf > len(simCfgs) {
-			return workload.Scenario{}, fmt.Errorf("%s has configurations 1..%d", simName, len(simCfgs))
-		}
-		anaCfgs := apps.Table1(anaName)
-		if anaCfgs == nil {
-			return workload.Scenario{}, fmt.Errorf("unknown analytics %q", anaName)
-		}
-		if anaConf < 1 || anaConf > len(anaCfgs) {
-			return workload.Scenario{}, fmt.Errorf("%s has configurations 1..%d", anaName, len(anaCfgs))
-		}
-		return workload.UC1(simName, simCfgs[simConf-1], anaName, anaCfgs[anaConf-1], traced), nil
-	default:
-		return workload.Scenario{}, fmt.Errorf("unknown scenario %q (uc1 or uc2)", name)
-	}
-}
-
-func parsePolicies(p string) ([]slurm.Policy, error) {
-	switch p {
-	case "serial":
-		return []slurm.Policy{slurm.PolicySerial}, nil
-	case "drom":
-		return []slurm.Policy{slurm.PolicyDROM}, nil
-	case "oversubscribe":
-		return []slurm.Policy{slurm.PolicyOversubscribe}, nil
-	case "preempt":
-		return []slurm.Policy{slurm.PolicyPreempt}, nil
-	case "both":
-		return []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM}, nil
-	case "all":
-		return []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM, slurm.PolicyOversubscribe, slurm.PolicyPreempt}, nil
-	}
-	return nil, fmt.Errorf("unknown policy %q", p)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -10,41 +11,105 @@ import (
 	"repro/internal/workload"
 )
 
+// TestMain lets TestPaperModeGolden run this test binary as slurmsim
+// itself: with runMainEnv set, the process is the command, its
+// arguments its flags.
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const runMainEnv = "SLURMSIM_TEST_RUN_MAIN"
+
+// TestPaperModeGolden pins slurmsim's stdout in its paper modes, each
+// invocation's after a "$ slurmsim <args>" line: UC1 and UC2 and the
+// DJSB stream under the builtin controller policies, one traced.
+// Regenerate (only after an intentional change of the paper model or
+// the output format) with:
+//
+//	UPDATE_SLURMSIM_GOLDEN=1 go test ./cmd/slurmsim -run TestPaperModeGolden
+func TestPaperModeGolden(t *testing.T) {
+	var got strings.Builder
+	for _, args := range []string{
+		"",
+		"-scenario uc1 -sim coreneuron -simconf 2 -ana stream -anaconf 1 -policy all",
+		"-scenario uc2 -trace -metric cycles",
+		"-scenario djsb -jobs 8 -seed 3 -policy all",
+		"-scenario djsb",
+	} {
+		cmd := exec.Command(os.Args[0], strings.Fields(args)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("slurmsim %s: %v", args, err)
+		}
+		got.WriteString("$ slurmsim " + args + "\n" + string(out))
+	}
+	const golden = "testdata/paper.golden"
+	if os.Getenv("UPDATE_SLURMSIM_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if want, err := os.ReadFile(golden); err != nil || got.String() != string(want) {
+		t.Fatalf("paper-mode stdout diverged from %s (%v):\n--- got\n%s--- want\n%s", golden, err, got.String(), want)
+	}
+}
+
+// paperSpec builds the spec the paper flags describe, as main does.
+func paperSpec(scenario, policy, sim string, simConf int, ana string, anaConf int) (workload.Spec, error) {
+	var s workload.Spec
+	err := setPaperKeys(&s, scenario, policy, sim, simConf, ana, anaConf, false)
+	if err == nil {
+		err = s.Validate()
+	}
+	return s, err
+}
+
+// TestBuildScenario: the paper flags name a scenario that
+// materializes; an unknown scenario, app or configuration is an error.
 func TestBuildScenario(t *testing.T) {
-	if _, err := buildScenario("uc1", "nest", 1, "pils", 2, false); err != nil {
-		t.Errorf("uc1: %v", err)
+	for _, scenario := range []string{"uc1", "uc2", "djsb"} {
+		s, err := paperSpec(scenario, "both", "nest", 1, "pils", 2)
+		if err == nil {
+			_, err = s.Scenario()
+		}
+		if err != nil {
+			t.Errorf("%s: %v", scenario, err)
+		}
 	}
-	if _, err := buildScenario("uc2", "", 0, "", 0, true); err != nil {
-		t.Errorf("uc2: %v", err)
-	}
-	bad := []struct {
-		name, sim string
-		simConf   int
-		ana       string
-		anaConf   int
-	}{
-		{"nope", "nest", 1, "pils", 1},
-		{"uc1", "bogus", 1, "pils", 1},
-		{"uc1", "nest", 9, "pils", 1},
-		{"uc1", "nest", 1, "bogus", 1},
-		{"uc1", "nest", 1, "pils", 9},
-	}
-	for _, tc := range bad {
-		if _, err := buildScenario(tc.name, tc.sim, tc.simConf, tc.ana, tc.anaConf, false); err == nil {
-			t.Errorf("buildScenario(%+v) should fail", tc)
+	for _, bad := range []struct {
+		scenario, sim string
+		simConf       int
+		ana           string
+		anaConf       int
+	}{{"nope", "nest", 1, "pils", 1}, {"uc1", "bogus", 1, "pils", 1}, {"uc1", "nest", 9, "pils", 1},
+		{"uc1", "nest", 1, "bogus", 1}, {"uc1", "nest", 1, "pils", 9}, {"uc1", "pils", 1, "nest", 1}} {
+		if _, err := paperSpec(bad.scenario, "both", bad.sim, bad.simConf, bad.ana, bad.anaConf); err == nil {
+			t.Errorf("paper flags %+v should fail", bad)
 		}
 	}
 }
 
+// TestParsePolicies: -policy names one builtin controller policy, both
+// (serial and DROM) or all four, one cell each; a sched policy is a
+// trace's.
 func TestParsePolicies(t *testing.T) {
-	for _, p := range []string{"serial", "drom", "oversubscribe", "preempt", "both", "all"} {
-		got, err := parsePolicies(p)
-		if err != nil || len(got) == 0 {
-			t.Errorf("parsePolicies(%q) = %v, %v", p, got, err)
+	for p, cells := range map[string]int{"serial": 1, "drom": 1, "oversubscribe": 1, "preempt": 1, "both": 2, "all": 4} {
+		s, err := paperSpec("uc2", p, "", 0, "", 0)
+		if err != nil || len(s.Cells()) != cells {
+			t.Errorf("-policy %s = %v, %v; want %d cells", p, s.Cells(), err, cells)
 		}
 	}
-	if _, err := parsePolicies("bogus"); err == nil {
-		t.Error("bogus policy should fail")
+	for _, p := range []string{"bogus", "easy"} {
+		if _, err := paperSpec("uc2", p, "", 0, "", 0); err == nil || !strings.Contains(err.Error(), p) {
+			t.Errorf("-policy %s: error %v, want one naming it", p, err)
+		}
 	}
 }
 
@@ -73,12 +138,8 @@ func TestTimelineFlagsChecked(t *testing.T) {
 }
 
 func TestRunDJSBSmoke(t *testing.T) {
-	small := workload.Spec{Seeds: []int64{1}, Jobs: 6, MeanInterarrival: 200, Nodes: 2}
-	if err := runDJSB(small, "both", obsArgs{}); err != nil {
+	if err := runSpec(mustSpec(t, "scenario=djsb;policies=serial,drom;seeds=1;jobs=6;ia=200;nodes=2"), obsArgs{}); err != nil {
 		t.Fatal(err)
-	}
-	if err := runDJSB(small, "bogus", obsArgs{}); err == nil {
-		t.Fatal("bogus policy should fail")
 	}
 }
 
@@ -141,18 +202,18 @@ func TestParseSchedPolicies(t *testing.T) {
 }
 
 func TestRunSchedSmoke(t *testing.T) {
-	if err := runSched(mustSpec(t, "policies=easy,malleable;seed=1;jobs=40;ia=30;nodes=2;check=1"), obsArgs{}); err != nil {
+	if err := runSpec(mustSpec(t, "policies=easy,malleable;seed=1;jobs=40;ia=30;nodes=2;check=1"), obsArgs{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSched(workload.Spec{Policies: []string{"bogus"}, Jobs: 10, Nodes: 2}, obsArgs{}); err == nil {
+	if err := runSpec(workload.Spec{Policies: []string{"bogus"}, Jobs: 10, Nodes: 2}, obsArgs{}); err == nil {
 		t.Fatal("bogus policy should fail")
 	}
-	if err := runSched(mustSpec(t, "policies=fcfs;swf=/nonexistent.swf;nodes=2"), obsArgs{}); err == nil {
+	if err := runSpec(mustSpec(t, "policies=fcfs;swf=/nonexistent.swf;nodes=2"), obsArgs{}); err == nil {
 		t.Fatal("missing trace file should fail")
 	}
 	// -stream is the same per-policy loop over lazy sources: the
 	// generator, and a trace file read once per policy.
-	if err := runSched(mustSpec(t, "policies=easy,malleable;seed=1;jobs=40;ia=30;nodes=2;check=1;stream=1"), obsArgs{}); err != nil {
+	if err := runSpec(mustSpec(t, "policies=easy,malleable;seed=1;jobs=40;ia=30;nodes=2;check=1;stream=1"), obsArgs{}); err != nil {
 		t.Fatal(err)
 	}
 	swf := t.TempDir() + "/t.swf"
@@ -162,11 +223,11 @@ func TestRunSchedSmoke(t *testing.T) {
 	}
 	for _, stream := range []bool{false, true} {
 		s := workload.Spec{Policies: []string{"fcfs", "easy"}, SWFPath: swf, Nodes: 2, Stream: stream}
-		if err := runSched(s, obsArgs{}); err != nil {
+		if err := runSpec(s, obsArgs{}); err != nil {
 			t.Fatalf("stream=%v: %v", stream, err)
 		}
 	}
-	if err := runSched(mustSpec(t, "policies=fcfs;swf=/nonexistent.swf;nodes=2;stream=1"), obsArgs{}); err == nil {
+	if err := runSpec(mustSpec(t, "policies=fcfs;swf=/nonexistent.swf;nodes=2;stream=1"), obsArgs{}); err == nil {
 		t.Fatal("missing trace file should fail when streamed too")
 	}
 }
@@ -176,7 +237,7 @@ func TestRunSchedHeteroFaultSmoke(t *testing.T) {
 		"policies=malleable;seed=2;jobs=60;ia=20;cluster=hetero;cancel=0.1;fail=0.1;check=1",
 		"policies=fcfs;seed=2;jobs=60;ia=20;cluster=hetero;cancel=0.1;fail=0.1;stream=1",
 	} {
-		if err := runSched(mustSpec(t, text), obsArgs{}); err != nil {
+		if err := runSpec(mustSpec(t, text), obsArgs{}); err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
 	}
@@ -191,7 +252,7 @@ func TestRunSchedObsSmoke(t *testing.T) {
 		sampleOut:  dir + "/ts.csv",
 		hist:       true,
 	}
-	if err := runSched(mustSpec(t, "policies=fcfs;seed=1;jobs=40;ia=30;nodes=2"), o); err != nil {
+	if err := runSpec(mustSpec(t, "policies=fcfs;seed=1;jobs=40;ia=30;nodes=2"), o); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{o.tracePath, o.sampleOut} {
@@ -205,11 +266,11 @@ func TestRunSchedObsSmoke(t *testing.T) {
 	}
 	// The consumers are per-replay; multiple policies must be rejected
 	// up front rather than mingling streams.
-	err := runSched(mustSpec(t, "policies=easy,malleable;seed=1;jobs=40;ia=30;nodes=2"), o)
+	err := runSpec(mustSpec(t, "policies=easy,malleable;seed=1;jobs=40;ia=30;nodes=2"), o)
 	if err == nil || !strings.Contains(err.Error(), "single policy") {
 		t.Fatalf("multi-policy probed replay should fail, got %v", err)
 	}
-	if err := runSched(mustSpec(t, "policies=fcfs;seed=1;jobs=40;ia=30;nodes=2"), obsArgs{sample: 600}); err == nil {
+	if err := runSpec(mustSpec(t, "policies=fcfs;seed=1;jobs=40;ia=30;nodes=2"), obsArgs{sample: 600}); err == nil {
 		t.Fatal("-sample without -sample-out should fail")
 	}
 }
@@ -219,17 +280,17 @@ func TestRunSchedObsSmoke(t *testing.T) {
 // one-replay rule as the -sched modes.
 func TestPaperScenarioObsSmoke(t *testing.T) {
 	o := obsArgs{explainJob: "nest", hist: true}
-	for _, a := range []runArgs{
-		{scenario: "uc2", policy: "preempt", obs: o},
-		{scenario: "uc1", policy: "drom", simName: "nest", simConf: 1, anaName: "pils", anaConf: 2, obs: o},
-		{scenario: "djsb", policy: "serial", spec: workload.Spec{Jobs: 6, MeanInterarrival: 200}, obs: obsArgs{hist: true}},
-	} {
-		if err := run(a); err != nil {
-			t.Errorf("%s under %s: %v", a.scenario, a.policy, err)
+	for _, spec := range []string{"scenario=uc2;policies=preempt", "scenario=uc1;policies=drom;sim=nest1;ana=pils2",
+		"scenario=djsb;policies=serial;jobs=6;ia=200"} {
+		if err := runSpec(mustSpec(t, spec), o); err != nil {
+			t.Errorf("%s: %v", spec, err)
 		}
 	}
 	for _, policy := range []string{"both", "all"} {
-		err := run(runArgs{scenario: "uc2", policy: policy, obs: o})
+		s, err := paperSpec("uc2", policy, "", 0, "", 0)
+		if err == nil {
+			err = runSpec(s, o)
+		}
 		if err == nil || !strings.Contains(err.Error(), "single policy; pick one with -policy") {
 			t.Errorf("-policy %s with consumers should be rejected, got %v", policy, err)
 		}
@@ -241,8 +302,11 @@ func TestRunSchedSpilloverSmoke(t *testing.T) {
 		"sched=batch=easy,fat=malleable-shrink;seed=1;jobs=120;ia=20;cluster=hetero;spill=1;check=1",
 		"policies=easy;seed=1;jobs=120;ia=20;cluster=hetero;spill=1;spillafter=30;spilldepth=2;stream=1",
 	} {
-		if err := runSched(mustSpec(t, text), obsArgs{}); err != nil {
+		if err := runSpec(mustSpec(t, text), obsArgs{}); err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
 	}
 }
+
+// runSpec runs spec with the timeline defaults.
+func runSpec(spec workload.Spec, o obsArgs) error { return run(spec, o, 100, "util") }

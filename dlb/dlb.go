@@ -217,22 +217,26 @@ func (p *Process) Mask() CPUSet {
 // NumCPUs returns the current mask size.
 func (p *Process) NumCPUs() int { return p.Mask().Count() }
 
-// PollDROM is DLB_PollDROM (Listing 1): it applies a pending mask
-// change if one exists, and with LeWI enabled honors a pending
-// reclaim of lent CPUs. ok reports whether an update was applied; on
-// ok the new CPU count and mask are returned and callbacks have fired.
-// Without "--drom" it reports DLB_ERR_DISBLD.
+// PollDROM is DLB_PollDROM (Listing 1): with "--drom" it applies a
+// pending mask change if one exists. With "--lewi", with or without
+// "--drom", it then does what DLB_Return does: it gives back the
+// borrowed CPUs their owners reclaimed. ok reports whether an update
+// was applied; on ok the new CPU count and mask are returned and
+// callbacks have fired. With neither option it reports
+// DLB_ERR_DISBLD.
 func (p *Process) PollDROM() (ncpus int, mask CPUSet, ok bool, err error) {
 	if p.isFinalized() {
 		return 0, CPUSet{}, false, derr.ErrNotInit
 	}
-	if !p.drom {
+	if !p.drom && p.lewi == nil {
 		return 0, CPUSet{}, false, derr.ErrDisabled
 	}
-	mask, code := p.sys.Poll(p.pid)
-	if code == derr.Success {
-		p.applyOwnedMask(mask)
-		return mask.Count(), mask, true, nil
+	code := derr.NoUpdate
+	if p.drom {
+		if mask, code = p.sys.Poll(p.pid); code == derr.Success {
+			p.applyOwnedMask(mask)
+			return mask.Count(), mask, true, nil
+		}
 	}
 	if p.lewi != nil {
 		if m, changed := p.lewi.Poll(); changed {

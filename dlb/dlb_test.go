@@ -272,3 +272,27 @@ func TestDROMShrinkUpdatesLewiOwnership(t *testing.T) {
 	}
 	p2.Finalize()
 }
+
+// TestLewiReclaimHonouredWithoutDROM: a LeWI reclaim reaches the
+// borrower at its poll point whether or not it also runs DROM, in
+// either receiver mode. p1 blocks and lends 1–3, p2 borrows them, and
+// once p1 leaves its blocking call p2's poll gives them back: p2 runs
+// on its own 4–7 again.
+func TestLewiReclaimHonouredWithoutDROM(t *testing.T) {
+	for _, args := range []string{"--lewi", "--lewi --mode=async", "--drom --lewi", "--drom --lewi --mode=async"} {
+		node := dlb.NewNode("node0", 8)
+		p1, _ := dlb.Init(node, 0, dlb.CPURange(0, 3), args)
+		p2, _ := dlb.Init(node, 0, dlb.CPURange(4, 7), args)
+		p1.IntoBlockingCall()
+		if got := p2.Borrow(); !got.Equal(dlb.CPURange(1, 3)) {
+			t.Errorf("%s: p2 borrowed %v, want 1-3", args, got)
+		}
+		p1.OutOfBlockingCall()
+		n, mask, ok, err := p2.PollDROM()
+		if !ok || err != nil || n != 4 || !mask.Equal(dlb.CPURange(4, 7)) || !p2.Mask().Equal(dlb.CPURange(4, 7)) {
+			t.Errorf("%s: p2's poll after the reclaim = %d/%v/%v/%v, mask %v; want 4-7", args, n, mask, ok, err, p2.Mask())
+		}
+		p2.Finalize()
+		p1.Finalize()
+	}
+}

@@ -15,8 +15,9 @@ import (
 )
 
 func main() {
-	sc := workload.UC2(false)
-	serial, drom := workload.Compare(sc)
+	// The paper's UC2 runs: the spec scenario=uc2 under each policy.
+	rs := workload.RunPaper("uc2/serial", "uc2/drom")
+	serial, drom := rs["uc2/serial"], rs["uc2/drom"]
 	if serial.Err != nil || drom.Err != nil {
 		panic(fmt.Sprint(serial.Err, drom.Err))
 	}

@@ -9,17 +9,15 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/apps"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
 func main() {
-	simCfg := apps.Config{Ranks: 2, Threads: 16} // NEST Conf. 1
-	anaCfg := apps.Config{Ranks: 2, Threads: 1}  // Pils Conf. 2
-	sc := workload.UC1("nest", simCfg, "pils", anaCfg, false)
-
-	serial, drom := workload.Compare(sc)
+	// The paper's runs of NEST Conf. 1 with Pils Conf. 2, each the
+	// spec scenario=uc1;sim=nest1;ana=pils2 under one policy.
+	rs := workload.RunPaper("uc1/nest1+pils2/serial", "uc1/nest1+pils2/drom")
+	serial, drom := rs["uc1/nest1+pils2/serial"], rs["uc1/nest1+pils2/drom"]
 	if serial.Err != nil || drom.Err != nil {
 		panic(fmt.Sprint(serial.Err, drom.Err))
 	}

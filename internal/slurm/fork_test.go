@@ -24,8 +24,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/apps"
-	"repro/internal/hwmodel"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -33,13 +31,11 @@ import (
 	"repro/internal/workload"
 )
 
-// forkCase is one scenario with the policy set — or, on the builtin
-// planner, the controller policy — that replays it.
+// forkCase is one run: a workload.Spec of one cell, a trace under a
+// policy set or a paper scenario on the builtin planner.
 type forkCase struct {
 	name   string
-	spec   string       // sched.ParsePolicySet grammar; "" = builtin planner
-	policy slurm.Policy // builtin planner only
-	make   func(t *testing.T) workload.Scenario
+	spec   string
 	faults bool // expect requeue tallies in the rendering
 	// at picks the fork instants from the uninterrupted replay (nil =
 	// forkTimes over its makespan).
@@ -125,50 +121,15 @@ func aliasingForkCases() []forkCase {
 // same with spillover, and the node-fault variant. One policy each
 // (varied across cases so all four policies fork somewhere).
 func goldenForkCases() []forkCase {
-	hetero := func(t *testing.T) workload.Scenario {
-		sc, err := workload.SyntheticSWFScenario(workload.SyntheticSWF{
-			Seed: 1, Jobs: 600, MeanInterarrival: 20,
-			Cluster:    hwmodel.HeteroMN3(),
-			CancelRate: 0.06, FailRate: 0.06,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.DebugInvariants = true
-		return sc
-	}
+	const hetero = "seeds=1;jobs=600;ia=20;cluster=hetero;cancel=0.06;fail=0.06;check=1"
 	return []forkCase{
+		{name: "single-partition", spec: "policies=malleable-expand;seeds=1;jobs=1000;nodes=4;check=1"},
+		{name: "hetero-faults", spec: "policies=easy;" + hetero},
+		{name: "spillover", spec: "sched=batch=easy,fat=malleable-shrink;spill=1;" + hetero},
 		{
-			name: "single-partition", spec: "malleable-expand",
-			make: func(t *testing.T) workload.Scenario {
-				sc, err := workload.SyntheticSWFScenario(workload.SyntheticSWF{Seed: 1, Jobs: 1000, Nodes: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sc.DebugInvariants = true
-				return sc
-			},
-		},
-		{name: "hetero-faults", spec: "easy", make: hetero},
-		{
-			name: "spillover", spec: "batch=easy,fat=malleable-shrink",
-			make: func(t *testing.T) workload.Scenario {
-				sc := hetero(t)
-				sc.Spill = true
-				return sc
-			},
-		},
-		{
-			name: "nodefault", spec: "malleable-shrink", faults: true,
-			make: func(t *testing.T) workload.Scenario {
-				sc := hetero(t)
-				sc.NodeFaults = "node0:down@2000..2600+node0:down@2700..3400+node4:down@3000..5000+node2:drain@6000..9000"
-				sc.MTBF = 5000
-				sc.MTTR = 800
-				sc.MaxRequeues = 1
-				sc.FaultSeed = 1
-				return sc
-			},
+			name: "nodefault", faults: true,
+			spec: "policies=malleable-shrink;mtbf=5000;mttr=800;requeue=1;" + hetero +
+				";nodefaults=node0:down@2000..2600+node0:down@2700..3400+node4:down@3000..5000+node2:drain@6000..9000",
 		},
 	}
 }
@@ -180,9 +141,7 @@ func goldenForkCases() []forkCase {
 // states only this path produces (held cycle event, queued checkpoint
 // image, pending evResume).
 func builtinForkCases() []forkCase {
-	uc1 := func(*testing.T) workload.Scenario {
-		return workload.UC1("nest", apps.Config{Ranks: 2, Threads: 16}, "pils", apps.Config{Ranks: 2, Threads: 1}, false)
-	}
+	const uc1 = "scenario=uc1;sim=nest1;ana=pils2;policies="
 	// Five instants over the makespan, plus one inside the analytics
 	// job's launch-latency window: its reservation and the simulator's
 	// staged shrink are in shared memory, its ranks not yet registered.
@@ -190,31 +149,18 @@ func builtinForkCases() []forkCase {
 		return append(forkTimes(base.Records.TotalRunTime()),
 			workload.AnalyticsSubmitTime+slurm.DefaultLaunchLatency/2)
 	}
-	// The paper's run-to-run variability: every iteration duration a
-	// draw from the cluster's jitter stream, which the fork continues.
-	uc1Jitter := func(t *testing.T) workload.Scenario {
-		sc := uc1(t)
-		sc.JitterFrac, sc.Seed = 0.03, 1
-		return sc
-	}
 	return []forkCase{
-		{name: "uc1-serial", policy: slurm.PolicySerial, make: uc1, at: uc1At},
-		{name: "uc1-drom", policy: slurm.PolicyDROM, make: uc1, at: uc1At},
-		{name: "uc1-drom-jitter", policy: slurm.PolicyDROM, make: uc1Jitter, at: uc1At},
+		{name: "uc1-serial", spec: uc1 + "serial", at: uc1At},
+		{name: "uc1-drom", spec: uc1 + "drom", at: uc1At},
+		// The paper's run-to-run variability: every iteration duration a
+		// draw from the cluster's jitter stream, which the fork continues.
+		{name: "uc1-drom-jitter", spec: uc1 + "drom;seeds=1;jitter=0.03", at: uc1At},
 		// Forked while a jittered span is armed: the fork's instances must
 		// draw the rest of their spans from the fork's stream.
+		{name: "uc2-drom-jitter-armed", spec: "scenario=uc2;policies=drom;seeds=1;jitter=0.03", armed: true},
+		{name: "uc1-oversubscribe", spec: uc1 + "oversubscribe", at: uc1At},
 		{
-			name: "uc2-drom-jitter-armed", policy: slurm.PolicyDROM, armed: true,
-			make: func(*testing.T) workload.Scenario {
-				sc := workload.UC2(false)
-				sc.JitterFrac, sc.Seed = 0.03, 1
-				return sc
-			},
-		},
-		{name: "uc1-oversubscribe", policy: slurm.PolicyOversubscribe, make: uc1, at: uc1At},
-		{
-			name: "uc2-preempt", policy: slurm.PolicyPreempt,
-			make: func(*testing.T) workload.Scenario { return workload.UC2(false) },
+			name: "uc2-preempt", spec: "scenario=uc2;policies=preempt",
 			at: func(t *testing.T, base workload.Result) []float64 {
 				hp, ok := base.Records.Job("coreneuron")
 				if !ok || hp.Start <= workload.HighPrioSubmitTime {
@@ -237,32 +183,35 @@ func builtinForkCases() []forkCase {
 // draw too, executed or taken by the engine.
 func nodefaultJitterForkCase() forkCase {
 	c := goldenForkCases()[3]
-	nodefault := c.make
 	c.name = "nodefault-jitter"
-	c.make = func(t *testing.T) workload.Scenario {
-		sc := nodefault(t)
-		sc.JitterFrac, sc.Seed = 0.03, 1
-		return sc
-	}
+	c.spec += ";jitter=0.03"
 	return c
 }
 
-// openSession opens the case's scenario under its policy set, or on
-// the builtin planner.
-func openSession(t *testing.T, c forkCase, sc workload.Scenario) *workload.Session {
+// cell parses the case's spec.
+func (c forkCase) cell(t *testing.T) workload.Spec {
 	t.Helper()
-	if c.spec == "" {
-		sess, err := workload.NewSession(sc, c.policy, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
-	}
-	ps, err := sched.ParsePolicySet(c.spec)
+	s, err := workload.ParseSpec(c.spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := workload.NewSession(sc, slurm.PolicyDROM, func(c *slurm.Controller) error { return c.UseSchedSet(ps) })
+	return s
+}
+
+// scenario materializes the case's submissions.
+func (c forkCase) scenario(t *testing.T) workload.Scenario {
+	t.Helper()
+	sc, err := c.cell(t).Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// openSession opens the case's cell over sc.
+func openSession(t *testing.T, c forkCase, sc workload.Scenario) *workload.Session {
+	t.Helper()
+	sess, err := c.cell(t).Open(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +284,7 @@ func TestForkReplayDifferential(t *testing.T) {
 	cases := append(append(goldenForkCases(), nodefaultJitterForkCase()), builtinForkCases()...)
 	for _, c := range append(cases, aliasingForkCases()...) {
 		t.Run(c.name, func(t *testing.T) {
-			sc := c.make(t)
+			sc := c.scenario(t)
 			base := openSession(t, c, sc).Run()
 			if base.Err != nil {
 				t.Fatal(base.Err)
@@ -402,7 +351,7 @@ func TestForkReplayDifferential(t *testing.T) {
 func TestGoldenScenariosReplayIdenticallyWithoutRecycling(t *testing.T) {
 	for _, c := range goldenForkCases() {
 		t.Run(c.name, func(t *testing.T) {
-			sc := c.make(t)
+			sc := c.scenario(t)
 			replay := func(twin bool) (workload.Result, []obs.Event) {
 				sess := openSession(t, c, sc)
 				if twin {
@@ -444,7 +393,7 @@ func TestGoldenScenariosReplayIdenticallyWithoutRecycling(t *testing.T) {
 func TestForkMutationIsolation(t *testing.T) {
 	cases := goldenForkCases()
 	c := cases[1] // hetero-faults: contended, two partitions
-	sc := c.make(t)
+	sc := c.scenario(t)
 	base := openSession(t, c, sc).Run()
 	if base.Err != nil {
 		t.Fatal(base.Err)
@@ -494,7 +443,7 @@ func TestForkMutationIsolation(t *testing.T) {
 // next job.
 func TestForkRecordsDoNotAlias(t *testing.T) {
 	c := goldenForkCases()[1] // hetero-faults: contended, so jobs queue
-	sc := c.make(t)
+	sc := c.scenario(t)
 	base := openSession(t, c, sc).Run()
 	if base.Err != nil {
 		t.Fatal(base.Err)
@@ -545,15 +494,9 @@ func TestForkRecordsDoNotAlias(t *testing.T) {
 // TestForkRefusals: fork must refuse the one state it cannot clone
 // faithfully rather than fork wrong — and nothing else.
 func TestForkRefusals(t *testing.T) {
-	sc, err := workload.SyntheticSWFScenario(workload.SyntheticSWF{Seed: 5, Jobs: 10, Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Builtin-mode controller (no sched policy installed): forks.
-	sess, err := workload.NewSession(sc, slurm.PolicyDROM, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	uc1 := forkCase{spec: "scenario=uc1;policies=drom"}
+	sess := openSession(t, uc1, uc1.scenario(t))
 	if _, err := sess.Fork(); err != nil {
 		t.Errorf("Fork of a builtin-mode controller refused: %v", err)
 	}
@@ -563,7 +506,10 @@ func TestForkRefusals(t *testing.T) {
 		t.Error("Fork of a failed controller succeeded; want refusal")
 	}
 	// Jittered cluster: the child continues the jitter stream.
-	jsc := sc
+	jsc, err := workload.SyntheticSWFScenario(workload.SyntheticSWF{Seed: 5, Jobs: 10, Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	jsc.JitterFrac = 0.03
 	jsc.Seed = 1
 	jsess, err := workload.NewSchedSession(jsc, &sched.FCFS{})

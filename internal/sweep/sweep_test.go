@@ -401,3 +401,36 @@ func TestSweepOutputFormats(t *testing.T) {
 		t.Errorf("table missing policy row:\n%s", table)
 	}
 }
+
+// TestPaperRunsMatchSweepCells holds the two ways a paper run is
+// replayed to each other: RunPaper replays each run's spec on a pooled
+// kit, a sweep opens every cell on a fresh one, and both must record
+// the same jobs — UC2 under the four builtin controller policies, and
+// UC1 jittered at seeds 1..3.
+func TestPaperRunsMatchSweepCells(t *testing.T) {
+	for _, c := range []struct {
+		grid string
+		keys []string
+	}{
+		{"scenario=uc2;policies=serial,drom,oversubscribe,preempt",
+			[]string{"uc2/serial", "uc2/drom", "uc2/oversubscribe", "uc2/preempt"}},
+		{"scenario=uc1;jitter=0.02;seeds=1-3;policies=drom", []string{"jitter/0", "jitter/1", "jitter/2"}},
+	} {
+		g, err := parseGrid(c.grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.KeepJobs = true
+		sum, err := Run(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := workload.RunPaper(c.keys...)
+		for i, key := range c.keys {
+			got, want := sum.Results[i].Records, rs[key].Records.Jobs
+			if rs[key].Err != nil || len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s cell %d records\n  %+v\nRunPaper's %s (%v)\n  %+v", c.grid, i, got, key, rs[key].Err, want)
+			}
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/metrics"
-	"repro/internal/slurm"
 )
 
 // Claim is one verifiable statement of the paper's evaluation. claims
@@ -94,16 +93,16 @@ func claimKeys() (keys []string) {
 func RunPaper(keys ...string) map[string]Result {
 	rs := make(map[string]Result)
 	for _, r := range paperRunsOf(keys) {
-		rs[r.key] = Run(r.sc, r.policy)
+		rs[r.key] = r.spec.run()
 	}
 	return rs
 }
 
-// paperRun is one run of the paper's evaluation, under its key.
+// paperRun is one run of the paper's evaluation, under its key: a
+// spec of one cell.
 type paperRun struct {
-	key    string
-	sc     Scenario
-	policy slurm.Policy
+	key  string
+	spec Spec
 }
 
 // paperRunsOf lists the runs keys name, in paperRuns' order.
@@ -114,31 +113,34 @@ func paperRunsOf(keys []string) []paperRun {
 // paperRuns lists every run of the paper's evaluation: the UC1 grid of
 // Table 1's configurations under Serial and DROM, UC2 untraced and
 // traced (uc2-traced) under both, the two baselines on UC2, the traced
-// Figure 5 run and three runs jittered by 2% at seeds 1..3.
+// runs of Figures 3 and 5, and three runs jittered by 2% at seeds
+// 1..3. Each but the jittered ones is keyed by its scenario, its
+// policy last.
 func paperRuns() []paperRun {
 	var runs []paperRun
-	pair := func(key string, sc Scenario) {
-		runs = append(runs, paperRun{key + "/serial", sc, slurm.PolicySerial}, paperRun{key + "/drom", sc, slurm.PolicyDROM})
+	add := func(key string, s Spec, policies ...string) {
+		for _, p := range policies {
+			s.Policies = []string{p}
+			runs = append(runs, paperRun{key + "/" + p, s})
+		}
 	}
 	for _, sim := range []string{"nest", "coreneuron"} {
 		for _, ana := range []string{"pils", "stream"} {
-			for si, simCfg := range apps.Table1(sim) {
-				for ai, anaCfg := range apps.Table1(ana) {
-					pair(uc1Key(sim, si, ana, ai), UC1(sim, simCfg, ana, anaCfg, false))
+			for si := range apps.Table1(sim) {
+				for ai := range apps.Table1(ana) {
+					add(uc1Key(sim, si, ana, ai), Spec{Paper: "uc1", Sim: fmt.Sprint(sim, si+1), Ana: fmt.Sprint(ana, ai+1)},
+						"serial", "drom")
 				}
 			}
 		}
 	}
-	pair("uc2", UC2(false))
-	pair("uc2-traced", UC2(true))
-	runs = append(runs,
-		paperRun{"uc2/oversubscribe", UC2(false), slurm.PolicyOversubscribe},
-		paperRun{"uc2/preempt", UC2(false), slurm.PolicyPreempt},
-		paperRun{"fig5/drom", figure5Scenario(), slurm.PolicyDROM})
+	add("uc2", Spec{Paper: "uc2"}, "serial", "drom", "oversubscribe", "preempt")
+	add("uc2-traced", Spec{Paper: "uc2", Trace: true}, "serial", "drom")
+	add("fig3", Spec{Paper: "uc1", Sim: "nest1", Ana: "pils3", Trace: true}, "serial", "drom")
+	add("fig5", Spec{Paper: "uc1", Sim: "nest1", Ana: "pils2", Trace: true}, "drom")
 	for i := range 3 {
-		sc := UC1("nest", apps.Table1("nest")[0], "pils", apps.Table1("pils")[1], false)
-		sc.JitterFrac, sc.Seed = 0.02, int64(i+1)
-		runs = append(runs, paperRun{fmt.Sprintf("jitter/%d", i), sc, slurm.PolicyDROM})
+		jitter := Spec{Paper: "uc1", Sim: "nest1", Ana: "pils2", Jitter: 0.02, Seeds: []int64{int64(i + 1)}, Policies: []string{"drom"}}
+		runs = append(runs, paperRun{fmt.Sprint("jitter/", i), jitter})
 	}
 	return runs
 }

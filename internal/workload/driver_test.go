@@ -128,7 +128,7 @@ func TestSliceAndLazySourcesReplayIdentically(t *testing.T) {
 				// probe and its trace, both lineages keep the statistics.
 				var parent, fork Result
 				forkTrace, _ := schedTraced(t, sc, func(s Scenario) Result {
-					sess, err := NewSession(s, slurm.PolicyDROM, useSchedSet(ps))
+					sess, err := open(new(kit), s, newSliceSource(s.Subs), slurm.PolicyDROM, useSchedSet(ps))
 					if err != nil {
 						return Result{Err: err}
 					}

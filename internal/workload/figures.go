@@ -69,14 +69,14 @@ func (f Figure) Build(rs map[string]Result) ([]FigureData, error) {
 }
 
 // Figures returns the paper's figure table in print order, one row per
-// artifact. Figures 2 and 3 read no paper run: cmd/figures narrates
-// them on runs of their own.
+// artifact. cmd/figures narrates Figures 2 and 3 itself: Figure 2 on a
+// run of its own, Figure 3 on the runs its row reads.
 func Figures() []Figure { return slices.Clone(figures) }
 
 var figures = []Figure{
 	{ID: "table1", build: []figureOf{table1}},
 	{ID: "fig2"},
-	{ID: "fig3"},
+	{ID: "fig3", Runs: serialDROM("fig3")},
 	{ID: "fig4", Runs: uc1Runs("nest", "pils"), Charts: []string{"fig4"},
 		build: []figureOf{runtimeFigure("Figure 4", "nest", "pils")}},
 	{ID: "fig5", Runs: []string{"fig5/drom"}, build: []figureOf{figure5},
@@ -253,12 +253,6 @@ func figure5(rs map[string]Result) FigureData {
 			"threads 0-3 absorb the removed thread's chunks (utilization 1.0); the rest idle part of each iteration; thread 15 removed",
 		},
 	}
-}
-
-// figure5Scenario is Figure 5's run: NEST Conf. 1 shrunk by Pils
-// Conf. 2 (one thread per rank), traced.
-func figure5Scenario() Scenario {
-	return UC1("nest", apps.Config{Ranks: 2, Threads: 16}, "pils", apps.Config{Ranks: 2, Threads: 1}, true)
 }
 
 // figure5Series is the utilization of each NEST rank-0 thread in a

@@ -19,8 +19,8 @@ import (
 // takes one from a pool and puts it back once the result has taken
 // the records, unless the run ended with an error or its shared memory
 // lives in files (ShmemDir). A session that escapes to its caller
-// (NewSession, Spec.Open) has a kit of its own, which never goes back,
-// and neither do its forks.
+// (Spec.Open, NewSchedSession) has a kit of its own, which never goes
+// back, and neither do its forks.
 type kit struct {
 	eng     sim.Engine
 	cluster slurm.Cluster
@@ -37,9 +37,10 @@ type kit struct {
 // span, so reading the tracer calls into no instance the kit recycles.
 var kits sync.Pool
 
-// replay is the one-shot form behind every Run* entry point: open on a
-// pooled kit (a zero one for file-backed shared memory, which never
-// goes back), drain, and pool the kit again if the run was clean.
+// replay is the one-shot form behind every Run* entry point and the
+// paper's runs (RunPaper): open on a pooled kit (a zero one for
+// file-backed shared memory, which never goes back), drain, and pool
+// the kit again if the run was clean.
 func replay(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) Result {
 	var k *kit
 	if s.ShmemDir == "" {

@@ -61,9 +61,16 @@ func kitCorpus(t *testing.T) []kitEntry {
 	t.Helper()
 	var corpus []kitEntry
 	for _, r := range paperRunsOf(claimKeys()) {
-		sc := r.sc
-		sc.DebugInvariants = true
-		corpus = append(corpus, kitEntry{name: r.key, sc: sc, policy: r.policy})
+		r.spec.DebugInvariants = true
+		sc, err := r.spec.Scenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, _, policy, _, err := r.spec.cell(sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, kitEntry{name: r.key, sc: sc, policy: policy})
 	}
 	easy, err := SyntheticSWFScenario(SyntheticSWF{Seed: 1, Jobs: 300, Nodes: 4, MeanInterarrival: 25})
 	if err != nil {
@@ -289,8 +296,8 @@ func paperCategories() []kitEntry {
 	}
 }
 
-// TestWarmReplayAllocs pins what one UC1 Run allocates once the kit
-// pool is warm: the job slab its two submissions share, the records
+// TestWarmReplayAllocs pins what one UC1 Run, and one paper run past
+// building its scenario, allocates once the kit pool is warm: the job slab its two submissions share, the records
 // handed out, the slice source and the cluster layout, and the
 // handlers bound to the reset engine (105 under Serial and 127 under
 // DROM when every run builds its kit).
@@ -303,6 +310,15 @@ func TestWarmReplayAllocs(t *testing.T) {
 		got := testing.AllocsPerRun(100, func() { Run(c.sc, c.policy) })
 		if got != 13 {
 			t.Errorf("%s: %v allocs per warm run, want 13", c.name, got)
+		}
+	}
+	// A run of RunPaper builds its spec's scenario, then replays it on a
+	// pooled kit just as warm.
+	for _, r := range paperRunsOf(serialDROM("uc1/nest1+pils1")) {
+		r.spec.run()
+		build := testing.AllocsPerRun(100, func() { r.spec.Scenario() })
+		if got := testing.AllocsPerRun(100, func() { r.spec.run() }) - build; got != 13 {
+			t.Errorf("%s: %v allocs per warm run past its scenario's %v, want 13", r.key, got, build)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 package workload
 
 // Session is the one replay driver: every entry point of the package
-// (Run, RunSchedSet, RunSchedStream, New*Session) opens one over a
-// SubmissionSource and either drains it (Run) or holds it open so the
-// caller can advance virtual time incrementally (RunUntil), fork the
-// whole simulation state at any instant, and keep both lineages
-// running independently with byte-identical decisions. The schedd
+// (Spec.Open, RunPaper, Run, RunSchedSet, RunSchedStream,
+// NewSchedSession) opens one over a SubmissionSource and either drains
+// it (Run) or holds it open so the caller can advance virtual time
+// incrementally (RunUntil), fork the whole simulation state at any
+// instant, and keep both lineages running independently with
+// byte-identical decisions. The schedd
 // what-if service and the fork/replay test suites are consumers of the
 // open form.
 //
@@ -234,19 +235,12 @@ func useSchedSet(ps sched.PolicySet) func(*slurm.Controller) error {
 	return func(ctl *slurm.Controller) error { return ctl.UseSchedSet(ps) }
 }
 
-// NewSession opens a scenario's Subs under a policy with the given
-// scheduling installer (nil for the builtin controller path; use
-// NewSchedSession for the common case). At==0 submissions are
-// delivered synchronously before this returns.
-func NewSession(s Scenario, policy slurm.Policy, install func(*slurm.Controller) error) (*Session, error) {
-	return open(new(kit), s, newSliceSource(s.Subs), policy, install)
-}
-
 // NewSchedSession opens a scenario under an internal/sched policy:
 // the given instance drives the first partition, fresh instances of
-// the same policy the rest.
+// the same policy the rest. At==0 submissions are delivered
+// synchronously before this returns.
 func NewSchedSession(s Scenario, p sched.Policy) (*Session, error) {
-	return NewSession(s, slurm.PolicyDROM, useSched(p))
+	return open(new(kit), s, newSliceSource(s.Subs), slurm.PolicyDROM, useSched(p))
 }
 
 // pump feeds the controller from the source: every record due now is
@@ -379,7 +373,7 @@ func (s *Session) result(recs metrics.Workload) Result {
 // current virtual time. Both lineages then advance independently and
 // decide identically — under an installed sched policy or on the
 // builtin controller path (serial, DROM, oversubscribe, preempt) alike.
-// Only a slice-backed session forks (every New*Session is one); a
+// Only a slice-backed session forks (every NewSchedSession is one); a
 // session over a lazy SubmissionSource returns an error, as does a
 // controller that already failed (slurm.Controller.Fork's one refusal).
 func (s *Session) Fork() (*Session, error) {

@@ -100,7 +100,7 @@ func TestPaperRunsTakeMergesInClosedForm(t *testing.T) {
 	if c.name != "uc1-drom" {
 		t.Fatalf("paperCategories()[1] is %s, want uc1-drom", c.name)
 	}
-	sess, err := NewSession(c.sc, c.policy, nil)
+	sess, err := c.open(new(kit))
 	if err != nil {
 		t.Fatal(err)
 	}

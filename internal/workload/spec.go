@@ -1,11 +1,13 @@
 package workload
 
-// Spec is the one description of a trace-driven scheduling run: the
-// trace source, the cluster, the run knobs and the two axes (policies
-// × seeds) a sweep fans out. slurmsim's trace flags, every sweep cell
-// and schedd's boot flags are parsed, checked and opened through it.
+// Spec is the one description of a run: its source (a trace, or a
+// scenario of the paper's evaluation), the cluster, the run knobs and
+// the two axes (policies × seeds) a sweep fans out. slurmsim's flags,
+// every sweep cell, every run of the paper's evaluation and schedd's
+// boot flags are parsed, checked and opened through it.
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -13,27 +15,38 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/apps"
 	"repro/internal/hwmodel"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/slurm"
 )
 
-// Spec describes a trace-driven run, or a grid of them: every
-// (policy, seed) pair is one cell. Its text form is the key=value
-// grammar of ParseSpec; String renders it back. Each key has one
-// setter (Set), and Validate runs the checks the library types that
-// own the fields already make, so every front end gives a value the
-// same verdict.
+// Spec describes a run, or a grid of them: every (policy, seed) pair
+// is one cell. Its text form is the key=value grammar of ParseSpec;
+// String renders it back. Each key has one setter (Set), and Validate
+// runs the checks the library types that own the fields already make,
+// so every front end gives a value the same verdict.
 type Spec struct {
 	// Policies are sched policy names or per-partition policy-set
 	// specs in the sched.ParsePolicySet grammar, one cell each
-	// (sched.Names() when empty).
+	// (sched.Names() when empty); a paper scenario's are the builtin
+	// controller policies serial, drom, oversubscribe and preempt
+	// (serial and drom when empty).
 	Policies []string
-	// Seeds select the generator's traces and seed each cell's node
-	// fault stream (default {1}). A trace file is one trace: its cells
-	// take the first seed only.
+	// Seeds select the generator's traces and the DJSB stream, and seed
+	// each cell's node fault and jitter streams (default {1}). A trace
+	// file is one trace: its cells take the first seed only.
 	Seeds []int64
+	// Paper replays a scenario of the paper's evaluation instead of a
+	// trace: uc1 (in-situ analytics, §6.1), uc2 (high-priority job,
+	// §6.2) or djsb (the DJSB-style stream, see djsbScenario). djsb
+	// reads Jobs, MeanInterarrival and Nodes, 20, 150 s and 2 when 0.
+	Paper string
+	// Sim and Ana are UC1's simulator and analytics, each an app and
+	// its Table 1 configuration counted from 1: nest1 and pils2 when
+	// empty.
+	Sim, Ana string
 	// Jobs, MeanInterarrival, CancelRate and FailRate parameterize the
 	// generator (SyntheticSWF; 0 selects its defaults).
 	Jobs             int
@@ -58,12 +71,18 @@ type Spec struct {
 	MTBF        float64
 	MTTR        float64
 	MaxRequeues int
-	// Stream replays each cell through the bounded-memory streaming
-	// path (aggregate statistics only; no per-job records, no P95s).
+	// Stream replays each cell of a trace through the bounded-memory
+	// streaming path (aggregate statistics only; no per-job records, no
+	// P95s); a paper scenario has no streamed form.
 	Stream bool
 	// DebugInvariants enables the controller's per-cycle accounting
 	// cross-checks (slow).
 	DebugInvariants bool
+	// Trace records per-thread traces (trace.Tracer), and Jitter
+	// scales each iteration duration by a factor in [1-Jitter,
+	// 1+Jitter) drawn from the cell's seed (Scenario.JitterFrac).
+	Trace  bool
+	Jitter float64
 	// KeepJobs makes a sweep retain per-job records in every result
 	// (incompatible with Stream). Not a key.
 	KeepJobs bool
@@ -104,7 +123,9 @@ var specKeys = []specKey{
 	{name: "policies", aliases: []string{"policy"}, flags: [2]string{"sched", "sched"},
 		usage: "comma list of scheduling policies, one cell each: fcfs, easy, malleable-shrink, " +
 			"malleable-expand (alias malleable), or all (spec default: all); a flag value with '=' pairs is " +
-			"ONE per-partition policy set instead, e.g. 'batch=easy,fat=malleable-shrink' (see the sched key)",
+			"ONE per-partition policy set instead, e.g. 'batch=easy,fat=malleable-shrink' (see the sched key); " +
+			"a scenario takes the builtin controller policies serial, drom, oversubscribe and preempt instead " +
+			"(spec default: serial,drom)",
 		set: func(s *Spec, v string) error {
 			if v == "all" {
 				s.Policies = append(s.Policies, sched.Names()...)
@@ -144,8 +165,15 @@ var specKeys = []specKey{
 		},
 		show: func(s *Spec) string { return formatSeeds(s.Seeds) },
 	},
+	textKey("scenario", "", "a scenario of the paper's evaluation instead of a trace: uc1 (in-situ analytics), "+
+		"uc2 (high-priority job) or djsb (a DJSB-style stream of jobs, ia and nodes: 20, 150 and 2 by default)",
+		func(s *Spec) *string { return &s.Paper }, verbatim),
+	textKey("sim", "", "uc1's simulator and its Table 1 configuration: nest1, nest2, coreneuron1 or coreneuron2 "+
+		"(spec default nest1)", func(s *Spec) *string { return &s.Sim }, verbatim),
+	textKey("ana", "", "uc1's analytics and its Table 1 configuration: pils1, pils2, pils3 or stream1 "+
+		"(spec default pils2)", func(s *Spec) *string { return &s.Ana }, verbatim),
 	textKey("swf", "swf", "SWF trace file to replay instead of the seeded generator",
-		func(s *Spec) *string { return &s.SWFPath }, func(v string) string { return v }),
+		func(s *Spec) *string { return &s.SWFPath }, verbatim),
 	intKey("max", "", "", "truncate the swf trace to this many jobs (0 = all; slurmsim's -jobs on an -swf file)",
 		func(s *Spec) *int { return &s.MaxJobs }),
 	intKey("jobs", "jobs", "jobs", "generator: trace length (spec default 1000; schedd: 0 boots an empty cluster)",
@@ -199,7 +227,15 @@ var specKeys = []specKey{
 	boolKey("check", "check", "cross-check the controller's incremental free-CPU accounting "+
 		"against a full shared-memory re-scan every cycle (slow)",
 		func(s *Spec) *bool { return &s.DebugInvariants }),
+	boolKey("trace", "", "record per-thread traces (the timelines of slurmsim -trace and the paper's figures)",
+		func(s *Spec) *bool { return &s.Trace }),
+	floatKey("jitter", "", "", "seeded run-to-run variability: each iteration duration scaled by a factor "+
+		"in [1-jitter, 1+jitter), drawn from the cell's seed (0 = deterministic; below 1)",
+		func(s *Spec) *float64 { return &s.Jitter }),
 }
+
+// verbatim is a text key's identity normalization.
+func verbatim(v string) string { return v }
 
 // scalarKey is a key whose value is one field, parsed by parse and
 // rendered by format; the field's zero value is left out of String.
@@ -366,16 +402,34 @@ func formatSeeds(seeds []int64) string {
 	return strings.Join(parts, ",")
 }
 
-// Validate checks the spec with the checks the library types make for
-// themselves: each policy parses (sched.ParsePolicySet), the generator
-// accepts its parameters, the trace mapping its options, and a session
-// its run knobs. A spec that validates opens on every cell, but for
-// what only opening finds (a missing trace file, a node-fault script
-// naming a node the cluster lacks).
+// Validate checks the spec with the checks the library types that own
+// its fields make for themselves: each policy parses
+// (sched.ParsePolicySet) or, on a paper scenario, is a builtin
+// controller policy; the scenario and UC1's applications exist; the
+// generator accepts its parameters, the trace mapping its options, and
+// a session its run knobs. A spec that validates opens on every cell,
+// but for what only opening finds (a missing trace file, a node-fault
+// script naming a node the cluster lacks).
 func (s Spec) Validate() error {
 	for _, p := range s.Policies {
-		if _, err := sched.ParsePolicySet(p); err != nil {
-			return fmt.Errorf("workload: policy %q: %w", p, err)
+		if _, builtin := builtinPolicy(p); builtin != (s.Paper != "") {
+			return fmt.Errorf("workload: policy %q: serial, drom, oversubscribe and preempt run a scenario "+
+				"(uc1, uc2, djsb), the sched policies a trace", p)
+		} else if !builtin {
+			if _, err := sched.ParsePolicySet(p); err != nil {
+				return fmt.Errorf("workload: policy %q: %w", p, err)
+			}
+		}
+	}
+	if !slices.Contains([]string{"", "uc1", "uc2", "djsb"}, s.Paper) {
+		return fmt.Errorf("workload: unknown scenario %q (uc1, uc2, djsb)", s.Paper)
+	}
+	if s.Stream && s.Paper != "" {
+		return fmt.Errorf("workload: stream replays a trace, not scenario %s", s.Paper)
+	}
+	if s.Paper == "uc1" {
+		if _, err := s.uc1(); err != nil {
+			return err
 		}
 	}
 	if err := s.synthetic(0).check(); err != nil {
@@ -389,12 +443,26 @@ func (s Spec) Validate() error {
 	return sc.check()
 }
 
+// builtinPolicy returns the builtin controller policy named name: the
+// policy axis of a paper scenario.
+func builtinPolicy(name string) (slurm.Policy, bool) {
+	for p := slurm.PolicySerial; p <= slurm.PolicyPreempt; p++ {
+		if p.String() == name {
+			return p, true
+		}
+	}
+	return 0, false
+}
+
 // policies returns the policy axis, defaulted.
 func (s Spec) policies() []string {
-	if len(s.Policies) == 0 {
-		return sched.Names()
+	switch {
+	case len(s.Policies) > 0:
+		return s.Policies
+	case s.Paper != "":
+		return []string{"serial", "drom"}
 	}
-	return s.Policies
+	return sched.Names()
 }
 
 // seeds returns the seed axis, defaulted; a trace file is one trace.
@@ -437,20 +505,36 @@ func (s Spec) swfOptions() SWFOptions {
 	return SWFOptions{Nodes: s.Nodes, Cluster: s.Cluster, MaxJobs: s.MaxJobs}
 }
 
-// knobsOnto copies the run knobs onto a scenario; the fault stream is
-// seeded from the cell's seed, so each cell is reproducible alone.
+// knobsOnto copies the run knobs onto a scenario; the fault and
+// jitter streams are seeded from the cell's seed, so each cell is
+// reproducible alone.
 func (s Spec) knobsOnto(sc *Scenario, probe obs.Probe, seed int64) {
 	sc.Spill, sc.SpillAfter, sc.SpillDepth = s.Spill, s.SpillAfter, s.SpillDepth
 	sc.NodeFaults, sc.MTBF, sc.MTTR = s.NodeFaults, s.MTBF, s.MTTR
 	sc.MaxRequeues, sc.FaultSeed = s.MaxRequeues, seed
 	sc.DebugInvariants = s.DebugInvariants
+	sc.Trace, sc.JitterFrac, sc.Seed = s.Trace, s.Jitter, seed
 	sc.Probe = probe
 }
 
-// Scenario materializes the trace of the spec's first seed — from the
-// file, or from the generator — without the run knobs: the scenario
-// Open replays, which cells on one seed may share read-only.
+// Scenario materializes the submissions of the spec's first seed —
+// the paper scenario's, or the trace's from the file or the generator
+// — without the run knobs: the scenario Open replays, which cells on
+// one seed may share read-only. A paper scenario needs a spec that
+// validates.
 func (s Spec) Scenario() (Scenario, error) {
+	if s.Paper != "" {
+		if err := s.Validate(); err != nil {
+			return Scenario{}, err
+		}
+		switch s.Paper {
+		case "uc1":
+			return s.uc1()
+		case "uc2":
+			return UC2(false), nil
+		}
+		return djsbScenario(s.seeds()[0], cmp.Or(s.Jobs, 20), cmp.Or(s.MeanInterarrival, 150), cmp.Or(s.Nodes, 2)), nil
+	}
 	if s.SWFPath == "" {
 		return SyntheticSWFScenario(s.synthetic(s.seeds()[0]))
 	}
@@ -467,16 +551,74 @@ func (s Spec) Scenario() (Scenario, error) {
 	return sc, err
 }
 
+// uc1 builds UC1 on the spec's simulator and analytics.
+func (s Spec) uc1() (Scenario, error) {
+	sim, simCfg, err := table1App("sim", cmp.Or(s.Sim, "nest1"), "nest", "coreneuron")
+	if err != nil {
+		return Scenario{}, err
+	}
+	ana, anaCfg, err := table1App("ana", cmp.Or(s.Ana, "pils2"), "pils", "stream")
+	if err != nil {
+		return Scenario{}, err
+	}
+	return UC1(sim, simCfg, ana, anaCfg, false), nil
+}
+
+// table1App parses the value v of key: one of apps and its Table 1
+// configuration, counted from 1 (nest1).
+func table1App(key, v string, names ...string) (string, apps.Config, error) {
+	name := strings.TrimRight(v, "0123456789")
+	cfgs := apps.Table1(name)
+	n, err := strconv.Atoi(v[len(name):])
+	switch {
+	case !slices.Contains(names, name):
+		return "", apps.Config{}, fmt.Errorf("workload: %s %q: unknown application %q (%s)", key, v, name, strings.Join(names, ", "))
+	case err != nil || n < 1 || n > len(cfgs):
+		return "", apps.Config{}, fmt.Errorf("workload: %s %q: %s has Table 1 configurations 1..%d", key, v, name, len(cfgs))
+	}
+	return name, cfgs[n-1], nil
+}
+
 // Open opens the spec's first cell — its first policy on its first
 // seed — as a session under probe (nil for none). A materialized cell
-// replays sc, its trace from Scenario (a scenario without Subs is an
-// empty trace on the spec's cluster); a streamed one (Stream) reads a
-// fresh source, from the file or the generator, instead of sc.Subs.
-// The spill, fault and check knobs are copied from the spec.
+// replays sc, its submissions from Scenario (a trace scenario without
+// Subs is an empty trace on the spec's cluster); a streamed trace
+// (Stream) reads a fresh source, from the file or the generator,
+// instead of sc.Subs. The run knobs are copied from the spec.
 func (s Spec) Open(sc Scenario, probe obs.Probe) (*Session, error) {
-	ps, err := sched.ParsePolicySet(s.policies()[0])
+	sc, src, policy, install, err := s.cell(sc, probe)
 	if err != nil {
 		return nil, err
+	}
+	return open(new(kit), sc, src, policy, install)
+}
+
+// run replays the spec's first cell over its Scenario once, on a
+// pooled kit (see replay).
+func (s Spec) run() Result {
+	sc, err := s.Scenario()
+	if err != nil {
+		return Result{Err: err}
+	}
+	sc, src, policy, install, err := s.cell(sc, nil)
+	if err != nil {
+		return Result{Err: err}
+	}
+	return replay(sc, src, policy, install)
+}
+
+// cell resolves the spec's first cell over sc for open: sc with the
+// run knobs, the source of its submissions, and the controller policy
+// with its scheduling installer.
+func (s Spec) cell(sc Scenario, probe obs.Probe) (Scenario, SubmissionSource, slurm.Policy, func(*slurm.Controller) error, error) {
+	var install func(*slurm.Controller) error
+	policy, builtin := builtinPolicy(s.policies()[0])
+	if !builtin {
+		ps, err := sched.ParsePolicySet(s.policies()[0])
+		if err != nil {
+			return sc, nil, 0, nil, err
+		}
+		policy, install = slurm.PolicyDROM, useSchedSet(ps)
 	}
 	seed := s.seeds()[0]
 	var src SubmissionSource
@@ -488,15 +630,15 @@ func (s Spec) Open(sc Scenario, probe obs.Probe) (*Session, error) {
 	default:
 		f, err := os.Open(s.SWFPath)
 		if err != nil {
-			return nil, err
+			return sc, nil, 0, nil, err
 		}
 		src = NewSWFReaderSource(f, s.swfOptions())
 	}
-	if len(sc.Cluster.Partitions) == 0 {
+	if len(sc.Cluster.Partitions) == 0 && s.Paper == "" {
 		sc.Cluster = s.swfOptions().clusterSpec()
 	}
 	s.knobsOnto(&sc, probe, seed)
-	return open(new(kit), sc, src, slurm.PolicyDROM, useSchedSet(ps))
+	return sc, src, policy, install, nil
 }
 
 // flagText is a spec flag's value: the text the command line gave it,

@@ -12,12 +12,14 @@ import (
 // after one more Set of key to value — must render, through String,
 // to a text ParseSpec reads back as the same spec. It must also stay
 // bounded (the seed cap keeps expansion small) and carry only values
-// its library types accept: probabilities in [0, 1] and durations
-// that are not negative, NaN included. The seed corpus is the grid
-// grammar's: every key, the separators, the historically interesting
-// rejections (bad ranges, oversized ranges, dangling '='), and a
-// node-fault script joined with ';', which the script grammar reads as
-// '+' and String renders so.
+// its library types accept: probabilities in [0, 1], a jitter in
+// [0, 1) and durations that are not negative, NaN included. The seed
+// corpus is the grid grammar's: every key, the separators, the
+// historically interesting rejections (bad ranges, oversized ranges,
+// dangling '=', a scenario or Table 1 configuration that does not
+// exist, a builtin controller policy on a trace), and a node-fault
+// script joined with ';', which the script grammar reads as '+' and
+// String renders so.
 func FuzzSpecRoundTrip(f *testing.F) {
 	for _, seed := range []string{
 		"policies=all;seeds=1-4;jobs=5000",
@@ -30,6 +32,14 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		"nodefaults=node0:down@100..400+node1:drain@200..300;mtbf=5000;mttr=800;requeue=2",
 		"ia=60;stream=1;check=true",
 		"swf=trace.swf;max=100",
+		"scenario=uc1;sim=coreneuron2;ana=stream1;policies=serial,drom,oversubscribe,preempt",
+		"scenario=uc1;sim=nest1;ana=pils2;jitter=0.02;seeds=1-3;policies=drom",
+		"scenario=uc2;trace=1;policy=preempt",
+		"scenario=djsb;jobs=8;ia=150;nodes=2;seed=3",
+		"scenario=uc1;ana=pils7",
+		"policies=serial;jobs=50",
+		"scenario=uc2;policies=easy",
+		"scenario=uc2;stream=1",
 		"seeds=9999999999999999999",
 		"seeds=5-1",
 		"seeds=1-999999",
@@ -57,6 +67,9 @@ func FuzzSpecRoundTrip(f *testing.F) {
 			if v < 0 || v > 1 || v != v {
 				t.Fatalf("accepted spec %q carries invalid probability %g", text, v)
 			}
+		}
+		if !(s.Jitter >= 0 && s.Jitter < 1) {
+			t.Fatalf("accepted spec %q carries jitter %g outside [0, 1)", text, s.Jitter)
 		}
 		for _, v := range []float64{s.MeanInterarrival, s.MTBF, s.MTTR, s.SpillAfter} {
 			if v < 0 || v != v {

@@ -24,7 +24,7 @@ func tracedPair(t *testing.T, sc Scenario, policy slurm.Policy) (armed, twin *Se
 	t.Helper()
 	sc.Trace = true
 	open := func(never bool) *Session {
-		sess, err := NewSession(sc, policy, nil)
+		sess, err := kitEntry{sc: sc, policy: policy}.open(new(kit))
 		if err != nil {
 			t.Fatal(err)
 		}

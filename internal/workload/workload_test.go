@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -10,41 +10,43 @@ import (
 	"repro/internal/slurm"
 )
 
-func uc1Pair(t *testing.T, simName string, simCfg apps.Config, anaName string, anaCfg apps.Config) (Result, Result) {
+// uc1Pair runs the paper's UC1 cell under key (uc1Key) under Serial
+// and DROM.
+func uc1Pair(t *testing.T, key string) (Result, Result) {
 	t.Helper()
-	serial, drom := Compare(UC1(simName, simCfg, anaName, anaCfg, false))
+	rs := RunPaper(serialDROM(key)...)
+	serial, drom := rs[key+"/serial"], rs[key+"/drom"]
 	if serial.Err != nil || drom.Err != nil {
-		t.Fatalf("scenario errors: %v / %v", serial.Err, drom.Err)
+		t.Fatalf("%s: %v / %v", key, serial.Err, drom.Err)
 	}
 	return serial, drom
 }
-
-func conf(r, th int) apps.Config { return apps.Config{Ranks: r, Threads: th} }
 
 // TestUC1HeadlineClaims verifies the §6.1 claims for the NEST+Pils
 // workloads: DROM improves total run time; the analytics response time
 // collapses (paper: up to −96%); the simulator's penalty stays small
 // (paper: 0–4.2%); average response improves 37–48%.
 func TestUC1HeadlineClaims(t *testing.T) {
-	for _, simCfg := range apps.Table1("nest") {
-		for _, anaCfg := range apps.Table1("pils")[1:] { // Conf. 2 and 3
-			serial, drom := uc1Pair(t, "nest", simCfg, "pils", anaCfg)
+	for si := range apps.Table1("nest") {
+		for ai := 1; ai <= 2; ai++ { // Conf. 2 and 3
+			key := uc1Key("nest", si, "pils", ai)
+			serial, drom := uc1Pair(t, key)
 
 			if g := metrics.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()); g <= 0 || g > 0.25 {
-				t.Errorf("%v+%v: total run time gain = %.1f%%, want (0,25]", simCfg, anaCfg, 100*g)
+				t.Errorf("%s: total run time gain = %.1f%%, want (0,25]", key, 100*g)
 			}
 			ps, _ := serial.Records.Job("pils")
 			pd, _ := drom.Records.Job("pils")
 			if g := metrics.Gain(ps.ResponseTime(), pd.ResponseTime()); g < 0.75 {
-				t.Errorf("%v+%v: pils response gain = %.1f%%, want >= 75%%", simCfg, anaCfg, 100*g)
+				t.Errorf("%s: pils response gain = %.1f%%, want >= 75%%", key, 100*g)
 			}
 			ns, _ := serial.Records.Job("nest")
 			nd, _ := drom.Records.Job("nest")
 			if pen := -metrics.Gain(ns.ResponseTime(), nd.ResponseTime()); pen < 0 || pen > 0.10 {
-				t.Errorf("%v+%v: nest response penalty = %.1f%%, want [0,10]", simCfg, anaCfg, 100*pen)
+				t.Errorf("%s: nest response penalty = %.1f%%, want [0,10]", key, 100*pen)
 			}
 			if g := metrics.Gain(serial.Records.AvgResponseTime(), drom.Records.AvgResponseTime()); g < 0.30 || g > 0.55 {
-				t.Errorf("%v+%v: avg response gain = %.1f%%, want ~37-48%%", simCfg, anaCfg, 100*g)
+				t.Errorf("%s: avg response gain = %.1f%%, want ~37-48%%", key, 100*g)
 			}
 		}
 	}
@@ -53,20 +55,21 @@ func TestUC1HeadlineClaims(t *testing.T) {
 // TestUC1StreamClaims verifies the NEST+STREAM shape: total run time
 // always better (paper: avg 1.84%, up to 3.5%), STREAM response −92%.
 func TestUC1StreamClaims(t *testing.T) {
-	for _, simCfg := range apps.Table1("nest") {
-		serial, drom := uc1Pair(t, "nest", simCfg, "stream", conf(2, 2))
+	for si := range apps.Table1("nest") {
+		key := uc1Key("nest", si, "stream", 0)
+		serial, drom := uc1Pair(t, key)
 		if g := metrics.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()); g <= 0 {
-			t.Errorf("%v+stream: DROM total not better (%.1f%%)", simCfg, 100*g)
+			t.Errorf("%s: DROM total not better (%.1f%%)", key, 100*g)
 		}
 		ss, _ := serial.Records.Job("stream")
 		sd, _ := drom.Records.Job("stream")
 		if g := metrics.Gain(ss.ResponseTime(), sd.ResponseTime()); g < 0.80 {
-			t.Errorf("%v+stream: stream response gain = %.1f%%, want >= 80%%", simCfg, 100*g)
+			t.Errorf("%s: stream response gain = %.1f%%, want >= 80%%", key, 100*g)
 		}
 		ns, _ := serial.Records.Job("nest")
 		nd, _ := drom.Records.Job("nest")
 		if pen := -metrics.Gain(ns.ResponseTime(), nd.ResponseTime()); pen > 0.08 {
-			t.Errorf("%v+stream: nest penalty = %.1f%%, paper worst case 6.7%%", simCfg, 100*pen)
+			t.Errorf("%s: nest penalty = %.1f%%, paper worst case 6.7%%", key, 100*pen)
 		}
 	}
 }
@@ -75,11 +78,11 @@ func TestUC1StreamClaims(t *testing.T) {
 // CoreNeuron, and CoreNeuron+STREAM is the best total-run-time case
 // (paper: up to 8%).
 func TestUC1CoreNeuronClaims(t *testing.T) {
-	serial, drom := uc1Pair(t, "coreneuron", conf(2, 16), "stream", conf(2, 2))
+	serial, drom := uc1Pair(t, "uc1/coreneuron1+stream1")
 	if g := metrics.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()); g <= 0 || g > 0.15 {
 		t.Errorf("coreneuron+stream total gain = %.1f%%, want (0,15]", 100*g)
 	}
-	serial, drom = uc1Pair(t, "coreneuron", conf(4, 8), "pils", conf(2, 4))
+	serial, drom = uc1Pair(t, "uc1/coreneuron2+pils3")
 	if g := metrics.Gain(serial.Records.TotalRunTime(), drom.Records.TotalRunTime()); g <= 0 {
 		t.Errorf("coreneuron+pils total gain = %.1f%%", 100*g)
 	}
@@ -105,14 +108,11 @@ func TestUC2HighPrioWaitsUnderSerial(t *testing.T) {
 // TestPoliciesDiffer: UC2 under Oversubscribe does not reproduce the
 // Serial timings.
 func TestPoliciesDiffer(t *testing.T) {
-	sc := UC2(false)
-	serial := Run(sc, slurm.PolicySerial)
-	over := Run(sc, slurm.PolicyOversubscribe)
-	if serial.Err != nil || over.Err != nil {
-		t.Fatalf("errors: %v / %v", serial.Err, over.Err)
-	}
-	if serial.Records.TotalRunTime() == over.Records.TotalRunTime() {
-		t.Error("policies should produce different timings")
+	rs := RunPaper("uc2/serial", "uc2/oversubscribe")
+	serial, over := rs["uc2/serial"], rs["uc2/oversubscribe"]
+	if serial.Err != nil || over.Err != nil || serial.Records.TotalRunTime() == over.Records.TotalRunTime() {
+		t.Errorf("policies should produce different timings: %v / %v, errors %v / %v",
+			serial.Records.TotalRunTime(), over.Records.TotalRunTime(), serial.Err, over.Err)
 	}
 }
 
@@ -223,43 +223,23 @@ func TestConf2BeatsConf1(t *testing.T) {
 // variation of 3.4% in run time measurements") — and different seeds
 // actually differ.
 func TestJitterVariabilityMatchesPaper(t *testing.T) {
-	totals := make([]float64, 0, 5)
-	for seed := int64(1); seed <= 5; seed++ {
-		sc := UC1("nest", conf(2, 16), "pils", conf(2, 1), false)
-		sc.JitterFrac = 0.03
-		sc.Seed = seed
-		res := Run(sc, slurm.PolicyDROM)
+	s := Spec{Paper: "uc1", Policies: []string{"drom"}, Jitter: 0.03, Seeds: []int64{1, 2, 3, 4, 5, 1}}
+	var totals []float64
+	for _, c := range s.Cells() {
+		res := c.run()
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
 		totals = append(totals, res.Records.TotalRunTime())
 	}
-	var mean float64
-	for _, v := range totals {
-		mean += v
-	}
-	mean /= float64(len(totals))
-	var varsum float64
-	distinct := false
-	for i, v := range totals {
-		varsum += (v - mean) * (v - mean)
-		if i > 0 && v != totals[0] {
-			distinct = true
-		}
-	}
-	if !distinct {
+	if slices.Min(totals) == slices.Max(totals) {
 		t.Fatal("seeds produced identical totals; jitter inactive")
 	}
-	cv := math.Sqrt(varsum/float64(len(totals))) / mean
-	if cv <= 0 || cv > 0.034 {
-		t.Errorf("coefficient of variation = %.4f, want (0, 0.034]", cv)
+	if cv := cv(totals[:5])[0]; cv <= 0 || cv > 3.4 {
+		t.Errorf("coefficient of variation = %.2f%%, want (0, 3.4]", cv)
 	}
 	// Determinism: same seed, same result.
-	sc := UC1("nest", conf(2, 16), "pils", conf(2, 1), false)
-	sc.JitterFrac = 0.03
-	sc.Seed = 1
-	again := Run(sc, slurm.PolicyDROM)
-	if again.Records.TotalRunTime() != totals[0] {
+	if totals[5] != totals[0] {
 		t.Error("same seed must reproduce the same total")
 	}
 }
@@ -272,7 +252,7 @@ func TestFullyMalleableNestImproves(t *testing.T) {
 	// the full 1.25x imbalance while a malleable partition would pay
 	// only 16/15.
 	mk := func(fully bool) float64 {
-		sc := UC1("nest", conf(2, 16), "pils", conf(2, 1), false)
+		sc, _ := Spec{Paper: "uc1"}.Scenario() // nest1+pils2
 		spec := apps.NEST()
 		spec.FullyMalleable = fully
 		sc.Subs[0].Job.Spec = spec
