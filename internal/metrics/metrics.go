@@ -160,11 +160,14 @@ type Workload struct {
 	nRequeues int
 	lostWorkS float64
 	downS     float64
-	perPart   map[string]*partAgg
+	// perPart holds one tally bucket per partition, in the order a
+	// record first named it: partitions are few, so part walks them.
+	perPart []partAgg
 }
 
 // partAgg is the per-partition slice of the workload's tallies.
 type partAgg struct {
+	name                         string
 	n, statsN, failed, cancelled int
 	spilledIn, spilledOut        int
 	nodeFailed, requeues         int
@@ -186,7 +189,7 @@ func (w *Workload) Fork() *Workload {
 	if n := len(w.Jobs); n > 0 {
 		cp.hist = append(w.hist[:len(w.hist):len(w.hist)], w.Jobs[:n:n])
 	}
-	cp.perPart = w.clonePerPart()
+	cp.perPart = slices.Clone(w.perPart)
 	return &cp
 }
 
@@ -198,21 +201,8 @@ func (w *Workload) Snapshot() Workload {
 	cp := *w
 	cp.Flatten()
 	cp.Jobs = cp.Jobs[:len(cp.Jobs):len(cp.Jobs)]
-	cp.perPart = w.clonePerPart()
+	cp.perPart = slices.Clone(w.perPart)
 	return cp
-}
-
-// clonePerPart returns a deep copy of the per-partition tallies.
-func (w *Workload) clonePerPart() map[string]*partAgg {
-	if w.perPart == nil {
-		return nil
-	}
-	m := make(map[string]*partAgg, len(w.perPart))
-	for name, pa := range w.perPart { //simvet:ordered deep copy into a fresh map; no order-dependent output
-		v := *pa
-		m[name] = &v
-	}
-	return m
 }
 
 // All yields every retained record in the order it was added: the
@@ -254,18 +244,24 @@ func (w *Workload) SetAggregate() {
 	w.aggregate = true
 }
 
+// Grow makes room for n more retained records, so that adding them
+// allocates nothing; an aggregate-only workload retains none.
+func (w *Workload) Grow(n int) {
+	if !w.aggregate {
+		w.Jobs = slices.Grow(w.Jobs, n)
+	}
+}
+
 // part returns (creating on first use) the tally bucket of a
-// partition.
+// partition. The pointer is good until the next part call.
 func (w *Workload) part(name string) *partAgg {
-	if w.perPart == nil {
-		w.perPart = make(map[string]*partAgg)
+	for i := range w.perPart {
+		if w.perPart[i].name == name {
+			return &w.perPart[i]
+		}
 	}
-	pa := w.perPart[name]
-	if pa == nil {
-		pa = &partAgg{}
-		w.perPart[name] = pa
-	}
-	return pa
+	w.perPart = append(w.perPart, partAgg{name: name})
+	return &w.perPart[len(w.perPart)-1]
 }
 
 // Add folds a job record into the aggregates and, unless the workload
@@ -397,16 +393,11 @@ func (w *Workload) PartitionStats() []PartitionStat {
 	if len(w.perPart) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(w.perPart))
-	for name := range w.perPart { //simvet:ordered keys collected and sorted below
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]PartitionStat, 0, len(names))
-	for _, name := range names {
-		pa := w.perPart[name]
+	out := make([]PartitionStat, 0, len(w.perPart))
+	for i := range w.perPart {
+		pa := &w.perPart[i]
 		st := PartitionStat{
-			Partition: name, Jobs: pa.n, Failed: pa.failed, Cancelled: pa.cancelled,
+			Partition: pa.name, Jobs: pa.n, Failed: pa.failed, Cancelled: pa.cancelled,
 			SpilledIn: pa.spilledIn, SpilledOut: pa.spilledOut,
 			NodeFailed: pa.nodeFailed, Requeues: pa.requeues,
 			LostWorkS: pa.lostWorkS, DownS: pa.downS,
@@ -417,6 +408,7 @@ func (w *Workload) PartitionStats() []PartitionStat {
 		}
 		out = append(out, st)
 	}
+	slices.SortFunc(out, func(a, b PartitionStat) int { return strings.Compare(a.Partition, b.Partition) })
 	return out
 }
 

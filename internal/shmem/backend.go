@@ -6,9 +6,11 @@ package shmem
 // mechanism. The Segment and Backend interfaces extracted here let the
 // same DROM/LeWI protocol code run over three implementations:
 //
-//   - MemBackend (default): the original in-process tables. Zero
-//     overhead on the replay hot path — the interface holds a pointer
-//     and every call devirtualizes to the same mutex-guarded method.
+//   - MemBackend (default): the original in-process tables. The
+//     interface holds a pointer, so storing one allocates nothing; a
+//     call through it is an indirect call to the same mutex-guarded
+//     method (one the compiler devirtualizes only where it can see the
+//     concrete type).
 //   - FileBackend: a versioned binary segment file per node,
 //     flock-protected, so two real OS processes (slurmsim and
 //     dromctl -backend file:...) exchange DROM calls like the C

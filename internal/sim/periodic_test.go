@@ -14,6 +14,11 @@ type tickFunc func()
 
 func (f tickFunc) Tick() { f() }
 
+// fireFunc adapts a function of the slot to a class's handler.
+type fireFunc func(slot int32)
+
+func (f fireFunc) Fire(_ Class, slot int32) { f(slot) }
+
 // TestStepOnArmedRootRunsNoCallback: a step that finds an armed
 // occurrence at the head takes it without calling back, and the entry
 // is re-keyed exactly as the callback's own After would have keyed it.
@@ -555,7 +560,7 @@ func (w *skipWorld) fork(t *testing.T, owe func(f *skipWorld)) (*skipWorld, erro
 // own registers the world's handler and takes over its chains, on an
 // engine whose tables the world already holds.
 func (w *skipWorld) own() {
-	w.eng.Handle(shotClass, w.fireShot)
+	w.eng.Handle(shotClass, fireFunc(w.fireShot))
 	for _, c := range w.chains {
 		if c.slot != 0 {
 			w.eng.TakeTick(c.slot, c)
@@ -624,7 +629,7 @@ func skipBuild(data []byte, armed bool) (w *skipWorld, next func() int, every in
 	}
 	w = &skipWorld{eng: NewEngine(), armed: armed, bound: math.Inf(1)}
 	w.eng.SetJitter(NewRand(skipJitterSeed), skipJitterFrac)
-	w.eng.Handle(shotClass, w.fireShot)
+	w.eng.Handle(shotClass, fireFunc(w.fireShot))
 	b := next()
 	every = int64(1 + b%16)
 	if h := b >> 4; h != 0 { // a late world
@@ -693,7 +698,11 @@ func skipRun(t *testing.T, data []byte, armed bool) (parent, fork []skipRec, ski
 		}
 		w.rec("nextID", w.eng.nextID)
 		w.rec("steps", w.eng.Processed()+w.eng.Skipped())
-		w.rec("draws", w.eng.jitter.draws)
+		// Where the shared stream stands: its position in the register
+		// and the value it draws next, which two lineages that drew
+		// different counts do not share.
+		w.rec("stream tap", int64(w.eng.jitter.tap))
+		w.rec("stream next", int64(math.Float64bits(w.eng.jitter.Fork().Float64())))
 		return w.log
 	}
 	return finish(w), finish(f), w.eng.Skipped()
@@ -1255,8 +1264,8 @@ func TestSkipGroupAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { j.RunUntil(j.Now() + 10) }); a != 0 {
 		t.Errorf("a jittered move allocates %v", a)
 	}
-	if j.Processed() != 0 || j.Skipped() < 100*5 || rnd.draws != j.Skipped() {
-		t.Fatalf("processed %d, skipped %d, drew %d: the jittered chain did not move by itself", j.Processed(), j.Skipped(), rnd.draws)
+	if drew := drawsOf(rnd, 1, j.Skipped()); j.Processed() != 0 || j.Skipped() < 100*5 || drew != j.Skipped() {
+		t.Fatalf("processed %d, skipped %d, drew %d: the jittered chain did not move by itself", j.Processed(), j.Skipped(), drew)
 	}
 }
 

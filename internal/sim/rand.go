@@ -1,26 +1,32 @@
 package sim
 
-import "math/rand"
-
-// Rand is a seeded random stream a simulation fork can continue: it
-// counts its draws, so Fork rebuilds the generator from the seed and
-// discards exactly that many values. Both lineages then draw the same
-// sequence from private generators, and forking consumes nothing from
-// the parent. The values are math/rand's for the seed, unchanged.
+// Rand is a seeded random stream a simulation fork can continue: the
+// generator's whole state is held by value (rng.go), so Fork copies it.
+// Both lineages then draw the same sequence, and forking consumes
+// nothing from the parent and costs the same after any number of
+// draws. The values are math/rand's for the seed, unchanged.
 type Rand struct {
-	seed, draws int64
-	r           *rand.Rand
+	tap  int           // index into vec
+	feed int           // index into vec
+	vec  [rngLen]int64 // current feedback register
 }
 
 // NewRand returns the stream of rand.NewSource(seed).
 func NewRand(seed int64) *Rand {
-	return &Rand{seed: seed, r: rand.New(rand.NewSource(seed))}
+	r := new(Rand)
+	r.Seed(seed)
+	return r
 }
 
-// Float64 draws the next value in [0, 1).
+// Float64 draws the next value in [0, 1), as rand.(*Rand).Float64
+// does: float64(Int63()) / (1 << 63), drawing again on 1.
 func (r *Rand) Float64() float64 {
-	r.draws++
-	return r.r.Float64()
+again:
+	f := float64(r.int63()) / (1 << 63)
+	if f == 1 {
+		goto again
+	}
+	return f
 }
 
 // Jitter draws the next value u and returns d scaled by a factor in
@@ -42,9 +48,6 @@ func (r *Rand) Fork() *Rand {
 	if r == nil {
 		return nil
 	}
-	f := NewRand(r.seed)
-	for f.draws < r.draws {
-		f.Float64()
-	}
-	return f
+	f := *r
+	return &f
 }

@@ -26,6 +26,13 @@ const frontBase = math.MinInt64 / 2
 // handlers are per engine, so a fork's owners register their own.
 type Class uint8
 
+// Handler is the owner of one or more classes on an engine: Fire runs
+// each of their events with its class and slot. Like a chain's Ticker,
+// a handler is usually the owner's own pointer, so registering one
+// allocates nothing and a forked owner registers itself, never a value
+// bound to its parent.
+type Handler interface{ Fire(c Class, slot int32) }
+
 // The engine's own classes: the zero class marks a cancelled entry; a
 // closure event's slot indexes the engine's closures (At), a tick's its
 // Periodic table.
@@ -95,7 +102,7 @@ type Engine struct {
 	// (Handle), the pending closures (class closure) and the chains
 	// (class tick). jitter and jitterFrac scale jittered durations
 	// (SetJitter).
-	handlers   [maxClasses]func(slot int32)
+	handlers   [maxClasses]Handler
 	fns        Slots[func()]
 	ticks      Slots[Periodic]
 	jitter     *Rand
@@ -195,14 +202,14 @@ func (e *Engine) EveryProcessed(every int64, fn func(now float64, processed, ski
 	e.probeFn = fn
 }
 
-// Handle registers fn as the handler of class c on this engine: every
-// event of the class runs fn with its slot. Register before posting;
-// one owner handles a class per engine.
-func (e *Engine) Handle(c Class, fn func(slot int32)) {
+// Handle registers h as the handler of class c on this engine: every
+// event of the class runs h.Fire with the class and its slot. Register
+// before posting; one owner handles a class per engine.
+func (e *Engine) Handle(c Class, h Handler) {
 	if c <= tick || e.handlers[c] != nil {
 		panic(fmt.Sprintf("sim: class %q is the engine's own or handled twice", classNames[c]))
 	}
-	e.handlers[c] = fn
+	e.handlers[c] = h
 }
 
 // push appends ev and sifts it up (moving a hole instead of swapping
@@ -373,7 +380,7 @@ func (e *Engine) step(bound float64) bool {
 			p.id = 0 // the occurrence is no longer pending
 			p.owner.Tick()
 		default:
-			e.handlers[ev.class](ev.slot)
+			e.handlers[ev.class].Fire(ev.class, ev.slot)
 		}
 		if e.probeFn != nil {
 			e.heartbeat()

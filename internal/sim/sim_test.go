@@ -187,7 +187,7 @@ func TestAtFrontOrdersBeforeRegularAtSameTime(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	labels := []string{"f1", "f2"}
-	e.Handle(labelClass, func(slot int32) { order = append(order, labels[slot]) })
+	e.Handle(labelClass, fireFunc(func(slot int32) { order = append(order, labels[slot]) }))
 	// Regular events scheduled FIRST, front events after: the front
 	// band must still run first at the shared timestamp, FIFO within
 	// itself, exactly as if the front events had been scheduled before
@@ -218,12 +218,12 @@ func TestAtFrontChainMatchesUpfrontScheduling(t *testing.T) {
 		e := NewEngine()
 		var order []string
 		if stream {
-			e.Handle(labelClass, func(i int32) {
+			e.Handle(labelClass, fireFunc(func(i int32) {
 				order = append(order, fmt.Sprintf("s%d@%g", i, e.Now()))
 				if int(i)+1 < len(times) {
 					e.PostFront(times[i+1], labelClass, i+1)
 				}
-			})
+			}))
 			e.PostFront(times[0], labelClass, 0)
 		} else {
 			for i, at := range times {

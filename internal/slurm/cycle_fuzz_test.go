@@ -181,6 +181,11 @@ type fuzzOp struct {
 // fuzzOpClass is the class of a fuzz trace's scripted inputs.
 var fuzzOpClass = sim.NewClass("slurm.fuzzop")
 
+// fireFunc adapts a function of the slot to a class's handler.
+type fireFunc func(slot int32)
+
+func (f fireFunc) Fire(_ sim.Class, slot int32) { f(slot) }
+
 // fuzzTwin selects the variant of the system a fuzz trace is replayed
 // on: with a tracer attached, on the never-recycling twin of the
 // controller, with instances that never arm, on a cluster jittered by
@@ -300,7 +305,7 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 			ops = append(ops, &fuzzOp{at: at + float64(next()%30), do: func(ctl *Controller) { ctl.SetQueuedMalleable(j.Name, !j.Malleable) }})
 		}
 	}
-	eng.Handle(fuzzOpClass, func(i int32) { ops[i].fired = true; ops[i].do(ctl) })
+	eng.Handle(fuzzOpClass, fireFunc(func(i int32) { ops[i].fired = true; ops[i].do(ctl) }))
 	for i, op := range ops {
 		eng.Post(op.at, fuzzOpClass, int32(i))
 	}
@@ -315,7 +320,7 @@ func replayFuzzTrace(t *testing.T, data []byte, twin fuzzTwin) fuzzOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feng.Handle(fuzzOpClass, func(i int32) { ops[i].do(fork) })
+	feng.Handle(fuzzOpClass, fireFunc(func(i int32) { ops[i].do(fork) }))
 	if err := feng.CheckFork(); err != nil {
 		t.Fatal(err)
 	}

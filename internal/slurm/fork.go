@@ -96,11 +96,25 @@ var (
 	pendClass  = sim.NewClass("slurm.pend")
 )
 
-// handle registers the controller's handlers on its engine, once per
-// class — in the live lineage and in every fork.
+// handle registers the controller as the handler of its classes on its
+// engine — in the live lineage and in every fork, each controller
+// itself (Fire), so registering allocates nothing and no fork runs its
+// parent.
 func (ctl *Controller) handle() {
-	ctl.cluster.Engine.Handle(cycleClass, func(int32) { ctl.runCycle() })
-	ctl.cluster.Engine.Handle(pendClass, ctl.firePendAt)
+	ctl.cluster.Engine.Handle(cycleClass, ctl)
+	ctl.cluster.Engine.Handle(pendClass, ctl)
+}
+
+// Fire is the engine's callback for the controller's events
+// (sim.Handler): the deferred cycle, or the tracked event in a slot.
+//
+//simvet:hotpath
+func (ctl *Controller) Fire(c sim.Class, slot int32) {
+	if c == cycleClass {
+		ctl.runCycle()
+		return
+	}
+	ctl.firePendAt(slot)
 }
 
 // trackAt schedules the event pe describes at absolute time t; the

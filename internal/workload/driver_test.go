@@ -128,7 +128,7 @@ func TestSliceAndLazySourcesReplayIdentically(t *testing.T) {
 				// probe and its trace, both lineages keep the statistics.
 				var parent, fork Result
 				forkTrace, _ := schedTraced(t, sc, func(s Scenario) Result {
-					sess, err := open(new(kit), s, newSliceSource(s.Subs), slurm.PolicyDROM, useSchedSet(ps))
+					sess, err := open(new(kit), s, nil, slurm.PolicyDROM, useSchedSet(ps))
 					if err != nil {
 						return Result{Err: err}
 					}
@@ -282,7 +282,7 @@ func TestScenarioFieldsHonouredByEverySource(t *testing.T) {
 			})
 		}
 	}
-	for _, src := range []SubmissionSource{newSliceSource(nil), gen.Source()} {
+	for _, src := range []SubmissionSource{nil, gen.Source()} {
 		sess, err := open(new(kit), Scenario{Cluster: gen.Cluster, DebugInvariants: true}, src, slurm.PolicyDROM, nil)
 		if err != nil {
 			t.Fatal(err)

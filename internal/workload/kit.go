@@ -8,12 +8,19 @@ import (
 )
 
 // kit is what opening a replay builds before its first submission: the
-// engine, the cluster, the controller and the session driving them.
+// engine, the cluster, the controller and the session driving them,
+// the slice source a materialized replay reads, and the jitter stream.
 // Opening one resets every part in place (sim.Engine.Reset,
-// slurm.Cluster.Reset, slurm.Controller.Reset, Session.reset): each
-// comes back as new, keeping only emptied capacity, so a replay on a
-// kit that ran before decides, counts and records exactly what it
-// would on a zero kit.
+// slurm.Cluster.Reset, slurm.Controller.Reset, Session.reset,
+// sliceSource.reset): each comes back as new, keeping only emptied
+// capacity — the job slab and the source's order among it — so a
+// replay on a kit that ran before decides, counts and records exactly
+// what it would on a zero kit. The session and the controller register
+// themselves as their engine's handlers, so a reset registers nothing
+// new either.
+//
+// A jittered replay's stream is copied from the kit's streams at their
+// start, kept by seed (jitter), so a warm kit seeds no generator.
 //
 // A kit is owned by one replay at a time. The one-shot replay (replay)
 // takes one from a pool and puts it back once the result has taken
@@ -26,6 +33,50 @@ type kit struct {
 	cluster slurm.Cluster
 	ctl     slurm.Controller
 	sess    Session
+	src     sliceSource
+	// jit is the engine's jitter stream on a jittered replay; seeded
+	// holds up to maxSeeded streams at their start, replaced in turn
+	// from next.
+	jit    *sim.Rand
+	seeded []seededRand
+	next   int
+}
+
+// seededRand is a jitter stream at the start of its seed's.
+type seededRand struct {
+	seed int64
+	r    sim.Rand
+}
+
+// maxSeeded bounds the seeded streams a kit keeps: the paper's jittered
+// runs take three seeds.
+const maxSeeded = 4
+
+// jitter returns the kit's jitter stream at the start of seed's, copied
+// from the stream the kit keeps for seed, which it seeds first if it
+// keeps none.
+func (k *kit) jitter(seed int64) *sim.Rand {
+	i := 0
+	for i < len(k.seeded) && k.seeded[i].seed != seed {
+		i++
+	}
+	if i == len(k.seeded) {
+		if k.seeded == nil {
+			k.seeded = make([]seededRand, 0, maxSeeded)
+		}
+		if len(k.seeded) < maxSeeded {
+			k.seeded = k.seeded[:i+1]
+		} else {
+			i, k.next = k.next, (k.next+1)%maxSeeded
+		}
+		k.seeded[i].seed = seed
+		k.seeded[i].r.Seed(seed)
+	}
+	if k.jit == nil {
+		k.jit = new(sim.Rand)
+	}
+	*k.jit = k.seeded[i].r
+	return k.jit
 }
 
 // kits holds the kits of clean one-shot replays. A pooled kit may
@@ -34,13 +85,14 @@ type kit struct {
 // policy, a probe — but writes to none of it again: its next open
 // resets every part, dropping them. Nor does what it handed out reach
 // back into it: every job of a drained replay has ended, settling its
-// span, so reading the tracer calls into no instance the kit recycles.
+// span, so reading the tracer calls into no instance the kit recycles,
+// and a record holds no pointer into the job slab the kit refills.
 var kits sync.Pool
 
 // replay is the one-shot form behind every Run* entry point and the
 // paper's runs (RunPaper): open on a pooled kit (a zero one for
 // file-backed shared memory, which never goes back), drain, and pool
-// the kit again if the run was clean.
+// the kit again if the run was clean. A nil src replays s.Subs.
 func replay(s Scenario, src SubmissionSource, policy slurm.Policy, install func(*slurm.Controller) error) Result {
 	var k *kit
 	if s.ShmemDir == "" {
@@ -65,6 +117,6 @@ func (k *kit) replay(s Scenario, src SubmissionSource, policy slurm.Policy, inst
 		return Result{Policy: policy, Err: err}
 	}
 	sess.eng.Run()
-	closeSource(src)
+	closeSource(sess.src)
 	return sess.result(sess.ctl.Records)
 }

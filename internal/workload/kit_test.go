@@ -27,11 +27,12 @@ type kitEntry struct {
 	install func() func(*slurm.Controller) error
 }
 
+// source is the entry's lazy source, or nil: sc.Subs.
 func (e kitEntry) source() SubmissionSource {
 	if e.stream != nil {
 		return e.stream()
 	}
-	return newSliceSource(e.sc.Subs)
+	return nil
 }
 
 func (e kitEntry) installer() func(*slurm.Controller) error {
@@ -137,7 +138,7 @@ func sameResult(got, want Result) error {
 // it must read as on a zero one.
 func handouts(t *testing.T, k *kit) string {
 	t.Helper()
-	sess, err := open(k, Scenario{}, newSliceSource(nil), slurm.PolicyDROM, nil)
+	sess, err := open(k, Scenario{}, nil, slurm.PolicyDROM, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,6 +250,57 @@ func TestReplayOnReusedKitMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestForkOnReusedKitFiresIntoEachLineage is the fork differential of
+// a kit's handlers: a session opened on a kit that replayed before —
+// jittered, with scancels — and forked after n submissions runs each
+// lineage's events in its own session and controller. Running the fork
+// to the end moves nothing of the parent (a handler bound to the
+// parent would deliver the fork's submissions and scancels into it),
+// and both lineages then end as a replay on a zero kit does.
+func TestForkOnReusedKitFiresIntoEachLineage(t *testing.T) {
+	sc, err := SyntheticSWFScenario(SyntheticSWF{Seed: 4, Jobs: 80, Nodes: 4, MeanInterarrival: 30, CancelRate: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.JitterFrac, sc.Seed, sc.DebugInvariants = 0.02, 3, true
+	install := func() func(*slurm.Controller) error { return useSched(&sched.EASY{}) }
+	fresh := new(kit).replay(sc, nil, slurm.PolicyDROM, install())
+	if fresh.Err != nil {
+		t.Fatal(fresh.Err)
+	}
+	state := func(s *Session) string {
+		ctl := s.Controller()
+		return fmt.Sprintf("t=%v, %d queued, %d running, %d recorded, %d read, %d events",
+			s.Now(), ctl.QueueLen(), ctl.RunningLen(), ctl.Records.Count(), s.src.(*sliceSource).cursor, s.Engine().Processed())
+	}
+	k := new(kit)
+	for _, n := range []int{1, 10, 40} {
+		if res := k.replay(sc, nil, slurm.PolicyDROM, install()); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		sess, err := open(k, sc, nil, slurm.PolicyDROM, install())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.RunUntil(sc.Subs[n-1].At)
+		before := state(sess)
+		f, err := sess.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		forked := f.Run()
+		if after := state(sess); after != before {
+			t.Errorf("forked after %d submissions: running the fork moved the parent from %s to %s", n, before, after)
+		}
+		if err := sameResult(forked, fresh); err != nil {
+			t.Errorf("fork after %d submissions: %v", n, err)
+		}
+		if err := sameResult(sess.Run(), fresh); err != nil {
+			t.Errorf("parent forked after %d submissions: %v", n, err)
+		}
+	}
+}
+
 // TestReplayKitsAcrossGoroutines: RunClaims on four goroutines at once,
 // sharing the kit pool, returns what a serial run does, and a traced
 // result is read while the other goroutines still run. In CI's race
@@ -296,29 +348,41 @@ func paperCategories() []kitEntry {
 	}
 }
 
-// TestWarmReplayAllocs pins what one UC1 Run, and one paper run past
-// building its scenario, allocates once the kit pool is warm: the job slab its two submissions share, the records
-// handed out, the slice source and the cluster layout, and the
-// handlers bound to the reset engine (105 under Serial and 127 under
-// DROM when every run builds its kit).
+// warmAllocs is what one warm run of each paper category allocates:
+// the records it hands back (their Jobs, sized once from the source,
+// and the per-partition buckets), plus the tracer of a traced run and
+// the requeued job record and checkpoint of a preemption. Levels
+// before the kit kept its handlers, source, layout, slab and seeded
+// streams: 13, 13, 23, 15 and 16 (105 under Serial and 127 under DROM
+// when every run built its kit). A jittered run seeds nothing, so it
+// allocates what uc1-drom does.
+var warmAllocs = map[string]float64{"uc1-serial": 2, "uc1-drom": 2, "uc2-traced": 12, "uc2-preempt": 4, "jitter": 2}
+
+// TestWarmReplayAllocs pins what one Run of each paper category, and
+// one paper run past building its scenario, allocates once the kit
+// pool is warm (warmAllocs).
 func TestWarmReplayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop puts at random")
 	}
-	for _, c := range paperCategories()[:2] {
+	got := make(map[string]float64)
+	for _, c := range paperCategories() {
 		Run(c.sc, c.policy) // warm the pool
-		got := testing.AllocsPerRun(100, func() { Run(c.sc, c.policy) })
-		if got != 13 {
-			t.Errorf("%s: %v allocs per warm run, want 13", c.name, got)
+		got[c.name] = testing.AllocsPerRun(100, func() { Run(c.sc, c.policy) })
+		if want := warmAllocs[c.name]; got[c.name] != want {
+			t.Errorf("%s: %v allocs per warm run, want %v", c.name, got[c.name], want)
 		}
+	}
+	if got["jitter"] != got["uc1-drom"] {
+		t.Errorf("a warm jittered run allocates %v, its unjittered twin %v", got["jitter"], got["uc1-drom"])
 	}
 	// A run of RunPaper builds its spec's scenario, then replays it on a
 	// pooled kit just as warm.
 	for _, r := range paperRunsOf(serialDROM("uc1/nest1+pils1")) {
 		r.spec.run()
 		build := testing.AllocsPerRun(100, func() { r.spec.Scenario() })
-		if got := testing.AllocsPerRun(100, func() { r.spec.run() }) - build; got != 13 {
-			t.Errorf("%s: %v allocs per warm run past its scenario's %v, want 13", r.key, got, build)
+		if got := testing.AllocsPerRun(100, func() { r.spec.run() }) - build; got != 2 {
+			t.Errorf("%s: %v allocs per warm run past its scenario's %v, want 2", r.key, got, build)
 		}
 	}
 }

@@ -166,7 +166,8 @@ func TestExplainGoldenJobStory(t *testing.T) {
 // backlog's peak (about 0.12 per submission on this trace), the job
 // slabs (one allocation per 256 jobs), the name chunks (one per 512
 // records; the slice row maps before it counts) and, on the slice row,
-// the records growing; the lazy row's records are folded, not kept.
+// the records, sized once for the trace; the lazy row's records are
+// folded, not kept.
 func TestDisabledProbeReplayAllocs(t *testing.T) {
 	gen := SyntheticSWF{Seed: 1, Jobs: 3000, Nodes: 4, CancelRate: 0.5}
 	sc, err := SyntheticSWFScenario(gen)

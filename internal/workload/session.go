@@ -41,10 +41,14 @@ type sliceSource struct {
 	cursor int
 }
 
-func newSliceSource(subs []Submission) *sliceSource {
-	order := make([]int, len(subs))
-	for i := range order {
-		order[i] = i
+// reset makes s serve subs from the start, in order's array when it is
+// large enough. Only a kit's own source is reset, and only a pooled kit
+// resets it twice; a pooled kit never forks, so no fork shares an
+// array a reset rewrites.
+func (s *sliceSource) reset(subs []Submission) {
+	order := s.order[:0]
+	for i := range subs {
+		order = append(order, i)
 	}
 	// A stable sort on At's own order, without the reflect-based
 	// swapper and closure a sort.SliceStable allocates.
@@ -57,7 +61,7 @@ func newSliceSource(subs []Submission) *sliceSource {
 		}
 		return 0
 	})
-	return &sliceSource{subs: subs, order: order}
+	*s = sliceSource{subs: subs, order: order}
 }
 
 // Next implements SubmissionSource.
@@ -88,7 +92,8 @@ type Session struct {
 	cancels sim.Slots[string]
 	// jobs is the slab the controller's copy of each submitted Job is
 	// taken from (newJob). A fork starts without one, so two lineages
-	// never append into one backing array.
+	// never append into one backing array; a session reset on its kit
+	// refills its last one (reset).
 	jobs []slurm.Job
 	err  error
 }
@@ -107,11 +112,24 @@ var (
 	cancelClass = sim.NewClass("workload.scancel")
 )
 
-// handle registers the session's handlers on its engine, once per
-// class — in the live lineage and in every fork.
+// handle registers the session as the handler of its classes on its
+// engine — in the live lineage and in every fork, each session itself
+// (Fire), so registering allocates nothing and no fork runs its parent.
 func (s *Session) handle() {
-	s.eng.Handle(submitClass, s.fireNext)
-	s.eng.Handle(cancelClass, s.fireCancel)
+	s.eng.Handle(submitClass, s)
+	s.eng.Handle(cancelClass, s)
+}
+
+// Fire is the engine's callback for the session's events
+// (sim.Handler): the pending submission — deliver, then pump on — or
+// the scancel timer in a slot.
+func (s *Session) Fire(c sim.Class, slot int32) {
+	if c == cancelClass {
+		s.ctl.Cancel(s.cancels.Take(slot))
+		return
+	}
+	s.submit(&s.next)
+	s.pump()
 }
 
 // closeSource releases src if it holds a resource.
@@ -148,12 +166,13 @@ func (s Scenario) check() error {
 // open wires a scenario once — engine, cluster (file-backed when
 // ShmemDir is set), controller, scheduling installer, faults, probe —
 // on kit k, resetting each of its parts, and starts feeding it
-// from src: records due at t=0 are submitted before it returns. A
-// source that knows the cluster it mapped its submissions onto
-// (Cluster()) supplies the layout unless s.Cluster overrides it. Any
-// source but a []Submission puts the records in aggregate mode, so
-// memory is bounded by the scheduler backlog rather than the stream
-// length.
+// from src: records due at t=0 are submitted before it returns. A nil
+// src replays s.Subs, from the kit's own slice source. A source that
+// knows the cluster it mapped its submissions onto (Cluster())
+// supplies the layout unless s.Cluster overrides it. Any source but a
+// []Submission puts the records in aggregate mode, so memory is
+// bounded by the scheduler backlog rather than the stream length; a
+// []Submission's records are sized for it once.
 //
 // A source that is an io.Closer is closed when open fails, and by Run
 // once the replay is drained: an abandoned SWFReaderSource would
@@ -166,6 +185,10 @@ func open(k *kit, s Scenario, src SubmissionSource, policy slurm.Policy, install
 	}()
 	if err := s.check(); err != nil {
 		return nil, err
+	}
+	if src == nil {
+		k.src.reset(s.Subs)
+		src = &k.src
 	}
 	if len(s.Cluster.Partitions) == 0 {
 		if cs, ok := src.(interface{ Cluster() hwmodel.ClusterSpec }); ok {
@@ -192,7 +215,7 @@ func open(k *kit, s Scenario, src SubmissionSource, policy slurm.Policy, install
 	if s.JitterFrac > 0 {
 		// Run-to-run variability as on the paper's real machine
 		// (reported CV up to 3.4%), continued by every fork.
-		eng.SetJitter(sim.NewRand(s.Seed), s.JitterFrac)
+		eng.SetJitter(k.jitter(s.Seed), s.JitterFrac)
 	}
 	ctl := &k.ctl
 	ctl.Reset(&k.cluster, policy)
@@ -201,7 +224,9 @@ func open(k *kit, s Scenario, src SubmissionSource, policy slurm.Policy, install
 	}
 	ctl.DebugInvariants = s.DebugInvariants
 	installProbe(eng, ctl, s)
-	if _, ok := src.(*sliceSource); !ok {
+	if ss, ok := src.(*sliceSource); ok {
+		ctl.Records.Grow(len(ss.subs))
+	} else {
 		ctl.Records.SetAggregate()
 	}
 	sess := &k.sess
@@ -216,10 +241,14 @@ func open(k *kit, s Scenario, src SubmissionSource, policy slurm.Policy, install
 
 // reset makes s a session of scenario scn over eng, ctl and src, with
 // no pending submission, scancel timer or error; the timer table keeps
-// its arrays.
+// its arrays, and the job slab its last one, emptied. Refilling that
+// slab is safe: only a kit's session is reset, with its controller,
+// and what the kit's last replay handed out — records, a tracer —
+// holds no pointer into a Job; a fork starts with no slab.
 func (s *Session) reset(scn Scenario, eng *sim.Engine, ctl *slurm.Controller, src SubmissionSource) {
 	s.cancels.Reset()
-	*s = Session{scn: scn, eng: eng, ctl: ctl, src: src, cancels: s.cancels}
+	clear(s.jobs)
+	*s = Session{scn: scn, eng: eng, ctl: ctl, src: src, cancels: s.cancels, jobs: s.jobs[:0]}
 }
 
 // useSched / useSchedSet are the scheduling installers of the sched
@@ -240,7 +269,7 @@ func useSchedSet(ps sched.PolicySet) func(*slurm.Controller) error {
 // the same policy the rest. At==0 submissions are delivered
 // synchronously before this returns.
 func NewSchedSession(s Scenario, p sched.Policy) (*Session, error) {
-	return open(new(kit), s, newSliceSource(s.Subs), slurm.PolicyDROM, useSched(p))
+	return open(new(kit), s, nil, slurm.PolicyDROM, useSched(p))
 }
 
 // pump feeds the controller from the source: every record due now is
@@ -266,12 +295,6 @@ func (s *Session) pump() {
 		s.eng.PostFront(sub.At, submitClass, 0)
 		return
 	}
-}
-
-// fireNext runs the pending submission event: deliver, then pump on.
-func (s *Session) fireNext(int32) {
-	s.submit(&s.next)
-	s.pump()
 }
 
 // submit delivers one submission (the controller gets its own Job
@@ -306,9 +329,6 @@ func (s *Session) newJob(j *slurm.Job) *slurm.Job {
 	s.jobs = append(s.jobs, *j)
 	return &s.jobs[len(s.jobs)-1]
 }
-
-// fireCancel runs the scancel timer in slot i.
-func (s *Session) fireCancel(i int32) { s.ctl.Cancel(s.cancels.Take(i)) }
 
 // Scenario returns the scenario the session replays.
 func (s *Session) Scenario() Scenario { return s.scn }

@@ -402,14 +402,42 @@ func formatSeeds(seeds []int64) string {
 	return strings.Join(parts, ",")
 }
 
+// sourceKeys are the keys that say what a cell replays and on what
+// cluster: the trace's and the generator's, the cluster's, the
+// spillover pass's (a pass of the sched policies), and UC1's. A paper
+// scenario reads only those scenarioKeys names; it reads every other
+// key (the policy and seed axes, trace, jitter and the fault and check
+// knobs) as a trace does.
+var sourceKeys = []string{"sim", "ana", "swf", "max", "jobs", "ia", "cancel", "fail", "nodes", "cluster",
+	"spill", "spillafter", "spilldepth"}
+
+// scenarioKeys are the source keys each paper scenario reads.
+var scenarioKeys = map[string][]string{"uc1": {"sim", "ana"}, "uc2": nil, "djsb": {"jobs", "ia", "nodes"}}
+
+// unreadKey refuses a source key the spec's paper scenario does not
+// read, naming it. A key counts as set when String would render it: a
+// flag left at its default sets none.
+func (s Spec) unreadKey() error {
+	for _, k := range specKeys {
+		if !slices.Contains(sourceKeys, k.name) || slices.Contains(scenarioKeys[s.Paper], k.name) {
+			continue
+		}
+		if v := k.show(&s); v != "" {
+			return fmt.Errorf("workload: scenario %s does not read key %s (%s=%s)", s.Paper, k.name, k.name, v)
+		}
+	}
+	return nil
+}
+
 // Validate checks the spec with the checks the library types that own
 // its fields make for themselves: each policy parses
 // (sched.ParsePolicySet) or, on a paper scenario, is a builtin
-// controller policy; the scenario and UC1's applications exist; the
-// generator accepts its parameters, the trace mapping its options, and
-// a session its run knobs. A spec that validates opens on every cell,
-// but for what only opening finds (a missing trace file, a node-fault
-// script naming a node the cluster lacks).
+// controller policy; the scenario and UC1's applications exist, and
+// the scenario reads every source key set (unreadKey); the generator
+// (or the DJSB stream) accepts its parameters, the trace mapping its
+// options, and a session its run knobs. A spec that validates opens on
+// every cell, but for what only opening finds (a missing trace file, a
+// node-fault script naming a node the cluster lacks).
 func (s Spec) Validate() error {
 	for _, p := range s.Policies {
 		if _, builtin := builtinPolicy(p); builtin != (s.Paper != "") {
@@ -427,16 +455,27 @@ func (s Spec) Validate() error {
 	if s.Stream && s.Paper != "" {
 		return fmt.Errorf("workload: stream replays a trace, not scenario %s", s.Paper)
 	}
-	if s.Paper == "uc1" {
-		if _, err := s.uc1(); err != nil {
+	if s.Paper != "" {
+		if err := s.unreadKey(); err != nil {
 			return err
 		}
 	}
-	if err := s.synthetic(0).check(); err != nil {
-		return err
-	}
-	if err := s.swfOptions().check(); err != nil {
-		return err
+	switch s.Paper {
+	case "":
+		if err := s.synthetic(0).check(); err != nil {
+			return err
+		}
+		if err := s.swfOptions().check(); err != nil {
+			return err
+		}
+	case "uc1":
+		if _, err := s.uc1(); err != nil {
+			return err
+		}
+	case "djsb":
+		if err := checkStream(s.Jobs, s.MeanInterarrival, s.Nodes); err != nil {
+			return fmt.Errorf("workload: scenario djsb: %w", err)
+		}
 	}
 	sc := Scenario{Nodes: s.Nodes}
 	s.knobsOnto(&sc, nil, 0)
@@ -608,8 +647,8 @@ func (s Spec) run() Result {
 }
 
 // cell resolves the spec's first cell over sc for open: sc with the
-// run knobs, the source of its submissions, and the controller policy
-// with its scheduling installer.
+// run knobs, the source of its submissions (nil for sc.Subs), and the
+// controller policy with its scheduling installer.
 func (s Spec) cell(sc Scenario, probe obs.Probe) (Scenario, SubmissionSource, slurm.Policy, func(*slurm.Controller) error, error) {
 	var install func(*slurm.Controller) error
 	policy, builtin := builtinPolicy(s.policies()[0])
@@ -621,10 +660,9 @@ func (s Spec) cell(sc Scenario, probe obs.Probe) (Scenario, SubmissionSource, sl
 		policy, install = slurm.PolicyDROM, useSchedSet(ps)
 	}
 	seed := s.seeds()[0]
-	var src SubmissionSource
+	var src SubmissionSource // nil: sc.Subs
 	switch {
 	case !s.Stream:
-		src = newSliceSource(sc.Subs)
 	case s.SWFPath == "":
 		src = s.synthetic(seed).Source()
 	default:

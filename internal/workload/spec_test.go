@@ -150,3 +150,45 @@ func TestTraceFlagsAreSpecKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioRefusesKeysItDoesNotRead: a paper scenario refuses every
+// source key it does not read, naming it, and accepts those it reads
+// and every run knob; the DJSB stream's parameter errors name the
+// scenario, not the trace generator.
+func TestScenarioRefusesKeysItDoesNotRead(t *testing.T) {
+	for _, c := range []struct{ spec, err string }{
+		{"scenario=uc1;sim=coreneuron2;ana=stream1;policies=drom", ""},
+		{"scenario=uc1;jitter=0.02;seeds=1-3;trace=1;check=1;mtbf=5000;mttr=600;requeue=2;nodefaults=node0:down@1..2", ""},
+		{"scenario=uc2;policies=serial,drom,preempt;trace=1", ""},
+		{"scenario=djsb;jobs=8;ia=150;nodes=3;seeds=1-2", ""},
+		{"scenario=uc2;nodes=8;cluster=hetero;policies=drom", "scenario uc2 does not read key nodes (nodes=8)"},
+		{"scenario=uc2;cluster=hetero", "scenario uc2 does not read key cluster"},
+		{"scenario=uc2;sim=nest1", "scenario uc2 does not read key sim"},
+		{"scenario=uc1;jobs=50", "scenario uc1 does not read key jobs"},
+		{"scenario=uc1;ia=10", "scenario uc1 does not read key ia"},
+		{"scenario=uc1;cancel=0.1", "scenario uc1 does not read key cancel"},
+		{"scenario=uc1;fail=0.1", "scenario uc1 does not read key fail"},
+		{"scenario=uc1;swf=trace.swf", "scenario uc1 does not read key swf"},
+		{"scenario=uc1;max=5", "scenario uc1 does not read key max"},
+		{"scenario=uc1;spill=1", "scenario uc1 does not read key spill"},
+		{"scenario=djsb;spillafter=5", "scenario djsb does not read key spillafter"},
+		{"scenario=djsb;spilldepth=2", "scenario djsb does not read key spilldepth"},
+		{"scenario=djsb;ana=pils1", "scenario djsb does not read key ana"},
+		{"scenario=djsb;nodes=-2", "workload: scenario djsb: Nodes -2 is negative"},
+		{"scenario=djsb;jobs=-3", "workload: scenario djsb: Jobs -3 is negative"},
+		{"scenario=djsb;ia=nan", "workload: scenario djsb: MeanInterarrival NaN"},
+		{"jobs=-3", "swf: Jobs -3 is negative"},
+	} {
+		s, err := ParseSpec(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.Validate()
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: %v", c.spec, err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%s: error %v, want one holding %q", c.spec, err, c.err)
+		}
+	}
+}

@@ -589,11 +589,8 @@ type SyntheticSWF struct {
 // trace length, a fault probability outside [0, 1] (NaN fails both
 // bounds, so it is refused too) and a node count hwmodel refuses.
 func (p SyntheticSWF) check() error {
-	if m := p.MeanInterarrival; !(m >= 0) || math.IsInf(m, 1) {
-		return fmt.Errorf("swf: MeanInterarrival %v is not a finite value >= 0", m)
-	}
-	if p.Jobs < 0 {
-		return fmt.Errorf("swf: Jobs %d is negative", p.Jobs)
+	if err := checkStream(p.Jobs, p.MeanInterarrival, p.Nodes); err != nil {
+		return fmt.Errorf("swf: %w", err)
 	}
 	for _, r := range []struct {
 		name string
@@ -603,10 +600,22 @@ func (p SyntheticSWF) check() error {
 			return fmt.Errorf("swf: %s %v is outside [0, 1]", r.name, r.x)
 		}
 	}
-	if err := hwmodel.CheckNodes(p.Nodes); err != nil {
-		return fmt.Errorf("swf: %w", err)
-	}
 	return nil
+}
+
+// checkStream refuses the parameters of a generated job stream — the
+// trace generator's and the DJSB stream's — that no stream can be drawn
+// from: a non-finite or negative mean inter-arrival time, a negative
+// length, or a node count hwmodel.CheckNodes refuses (0 selects each
+// stream's default).
+func checkStream(jobs int, ia float64, nodes int) error {
+	if !(ia >= 0) || math.IsInf(ia, 1) {
+		return fmt.Errorf("MeanInterarrival %v is not a finite value >= 0", ia)
+	}
+	if jobs < 0 {
+		return fmt.Errorf("Jobs %d is negative", jobs)
+	}
+	return hwmodel.CheckNodes(nodes)
 }
 
 func (p SyntheticSWF) withDefaults() SyntheticSWF {
@@ -735,5 +744,5 @@ func SyntheticSWFScenario(p SyntheticSWF) (Scenario, error) {
 // every malleability action a policy emits goes through the real DROM
 // SetProcessMask/PreInit path.
 func RunSchedSet(s Scenario, ps sched.PolicySet) Result {
-	return replay(s, newSliceSource(s.Subs), slurm.PolicyDROM, useSchedSet(ps))
+	return replay(s, nil, slurm.PolicyDROM, useSchedSet(ps))
 }

@@ -115,20 +115,25 @@ func installProbe(eng *sim.Engine, ctl *slurm.Controller, s Scenario) {
 	})
 }
 
+// defaultCluster is the layout of a scenario that names neither a
+// cluster nor a node count other than 2, the paper's: one
+// default-named partition of two MN3 nodes, shared by every such run.
+// Nothing writes into a spec's Partitions.
+var defaultCluster = hwmodel.Homogeneous(slurm.DefaultPartition, hwmodel.MN3(), 2)
+
 // clusterSpec resolves the scenario's cluster layout: the explicit
 // partitioned spec when set, otherwise a single default-named
 // partition of Nodes (default 2) MN3 nodes. Every consumer of the cluster
 // dimensions must go through here so metrics and simulation can never
 // disagree.
 func (s Scenario) clusterSpec() hwmodel.ClusterSpec {
-	if len(s.Cluster.Partitions) > 0 {
+	switch {
+	case len(s.Cluster.Partitions) > 0:
 		return s.Cluster
+	case s.Nodes <= 0 || s.Nodes == 2:
+		return defaultCluster
 	}
-	nodes := s.Nodes
-	if nodes <= 0 {
-		nodes = 2
-	}
-	return hwmodel.Homogeneous(slurm.DefaultPartition, hwmodel.MN3(), nodes)
+	return hwmodel.Homogeneous(slurm.DefaultPartition, hwmodel.MN3(), s.Nodes)
 }
 
 // totalCores returns the CPU capacity summed over all partitions.
@@ -160,7 +165,7 @@ type Result struct {
 // Run executes the scenario under the given policy on an MN3-like
 // cluster and returns the collected metrics.
 func Run(s Scenario, policy slurm.Policy) Result {
-	return replay(s, newSliceSource(s.Subs), policy, nil)
+	return replay(s, nil, policy, nil)
 }
 
 // installSched installs the scenario's scheduling configuration on a
