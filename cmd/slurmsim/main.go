@@ -5,7 +5,7 @@
 // Examples:
 //
 //	slurmsim -scenario uc1 -sim nest -simconf 1 -ana pils -anaconf 2
-//	slurmsim -scenario uc1 -policy serial -sim coreneuron -ana stream
+//	slurmsim -scenario uc1 -policy serial -sim coreneuron -ana stream -anaconf 1
 //	slurmsim -scenario uc2 -trace -metric cycles
 //	slurmsim -scenario uc2 -policy preempt -explain nest -hist
 //	slurmsim -sched easy,malleable -jobs 1000          # synthetic SWF replay

@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"strings"
@@ -58,6 +60,35 @@ func TestPaperModeGolden(t *testing.T) {
 	}
 	if want, err := os.ReadFile(golden); err != nil || got.String() != string(want) {
 		t.Fatalf("paper-mode stdout diverged from %s (%v):\n--- got\n%s--- want\n%s", golden, err, got.String(), want)
+	}
+}
+
+// TestPackageDocExamplesRun runs every paper-scenario example of the
+// package doc (each "slurmsim -scenario ..." line, a trailing "#"
+// comment dropped) through this test binary, as TestPaperModeGolden
+// does, and requires each to exit 0: an example is a promise that the
+// command works as written.
+func TestPackageDocExamplesRun(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(f.Doc.Text(), "\n") {
+		line, _, _ = strings.Cut(strings.TrimSpace(line), "#")
+		args, ok := strings.CutPrefix(strings.TrimSpace(line), "slurmsim -scenario ")
+		if !ok {
+			continue
+		}
+		n++
+		cmd := exec.Command(os.Args[0], append([]string{"-scenario"}, strings.Fields(args)...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("slurmsim -scenario %s: %v\n%s", args, err, out)
+		}
+	}
+	if n == 0 {
+		t.Fatal("the package doc has no slurmsim -scenario example")
 	}
 }
 

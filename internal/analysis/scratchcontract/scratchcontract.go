@@ -20,7 +20,7 @@
 // scratch. A fifth binds the other kind of reused memory, the free
 // list — a struct field marked //simvet:freelist, holding records that
 // were scrubbed when their owner was done with them and are handed out
-// again (the controller's job records, a segment's process slots):
+// again (the controller's job records):
 //
 //  5. a fork function (Fork, fork*, ClonePolicy) neither mentions a
 //     free-list field nor calls a function of the package that does.

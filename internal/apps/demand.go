@@ -18,12 +18,11 @@ type usage struct {
 }
 
 // nodeDemand is the per-node ledger: a compact entry slice (insertion
-// order, swap-removed) plus its aggregate sums, recomputed by changed
-// after every mutation. The simulator reads the contention factors on
-// every iteration of every rank, so the sums are never recomputed per
-// read.
+// order, swap-removed; a node holds a few ranks, so an entry is found
+// by a scan) plus its aggregate sums, recomputed by changed after every
+// mutation. The simulator reads the contention factors on every
+// iteration of every rank, so the sums are never recomputed per read.
 type nodeDemand struct {
-	idx     map[shmem.PID]int // pid -> position in entries
 	entries []usage
 	bwSum   float64
 	threads int
@@ -81,16 +80,26 @@ func (n *nodeDemand) cpuShare() float64 {
 // reports a mask staged for pid, and the instance running pid must
 // poll at its next iteration boundary.
 func (n *nodeDemand) MaskStaged(pid shmem.PID) {
-	if i, ok := n.idx[pid]; ok && n.entries[i].owner != nil {
+	if i := n.find(pid); i >= 0 && n.entries[i].owner != nil {
 		n.entries[i].owner.settle()
 	}
 }
 
 // setOwner names the instance pid's entry belongs to.
 func (n *nodeDemand) setOwner(pid shmem.PID, owner *Instance) {
-	if i, ok := n.idx[pid]; ok {
+	if i := n.find(pid); i >= 0 {
 		n.entries[i].owner = owner
 	}
+}
+
+// find returns the position of pid's entry, or -1.
+func (n *nodeDemand) find(pid shmem.PID) int {
+	for i := range n.entries {
+		if n.entries[i].pid == pid {
+			return i
+		}
+	}
+	return -1
 }
 
 // DemandTable tracks the memory-bandwidth demand and active thread
@@ -139,9 +148,8 @@ func (d *DemandTable) Reset(m hwmodel.Machine) {
 		nodes = make(map[string]*nodeDemand)
 	}
 	for _, n := range nodes { //simvet:ordered each ledger is emptied alone; no order-dependent output
-		clear(n.idx)
 		clear(n.entries) // the owners
-		*n = nodeDemand{idx: n.idx, entries: n.entries[:0], machine: m}
+		*n = nodeDemand{entries: n.entries[:0], machine: m}
 	}
 	*d = DemandTable{machine: m, nodes: nodes}
 }
@@ -151,10 +159,7 @@ func (d *DemandTable) Reset(m hwmodel.Machine) {
 func (d *DemandTable) ledger(node string) *nodeDemand {
 	n := d.nodes[node]
 	if n == nil {
-		n = &nodeDemand{
-			idx:     make(map[shmem.PID]int),
-			machine: d.machine,
-		}
+		n = &nodeDemand{machine: d.machine}
 		d.nodes[node] = n
 	}
 	return n
@@ -210,23 +215,19 @@ func (d *DemandTable) SetUsage(node string, pid shmem.PID, threads int, bwGBs fl
 // instance paths. Zero values remove the entry; a non-nil owner is
 // recorded on it (an existing entry keeps its owner otherwise).
 func (n *nodeDemand) setUsage(pid shmem.PID, threads int, bwGBs float64, owner *Instance) {
-	i, ok := n.idx[pid]
+	i := n.find(pid)
 	if bwGBs == 0 && threads == 0 {
-		if !ok {
+		if i < 0 {
 			return
 		}
 		last := len(n.entries) - 1
-		if i != last {
-			n.entries[i] = n.entries[last]
-			n.idx[n.entries[i].pid] = i
-		}
+		n.entries[i] = n.entries[last]
 		n.entries[last] = usage{} // release the owner
 		n.entries = n.entries[:last]
-		delete(n.idx, pid)
 		n.changed()
 		return
 	}
-	if ok {
+	if i >= 0 {
 		if owner != nil {
 			n.entries[i].owner = owner
 		}
@@ -236,7 +237,6 @@ func (n *nodeDemand) setUsage(pid shmem.PID, threads int, bwGBs float64, owner *
 		n.entries[i].bwGBs = bwGBs
 		n.entries[i].threads = threads
 	} else {
-		n.idx[pid] = len(n.entries)
 		n.entries = append(n.entries, usage{pid: pid, bwGBs: bwGBs, threads: threads, owner: owner})
 	}
 	n.changed()

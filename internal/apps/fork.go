@@ -24,7 +24,6 @@ package apps
 
 import (
 	"repro/internal/core"
-	"repro/internal/shmem"
 	"repro/internal/sim"
 )
 
@@ -37,14 +36,12 @@ func (d *DemandTable) Fork() *DemandTable {
 	}
 	for name, n := range d.nodes { //simvet:ordered deep copy into a fresh map; per-node entry order is preserved below
 		cp := &nodeDemand{
-			idx:     make(map[shmem.PID]int, len(n.idx)),
 			entries: append([]usage(nil), n.entries...),
 			bwSum:   n.bwSum,
 			threads: n.threads,
 			machine: n.machine,
 		}
-		for i, u := range cp.entries {
-			cp.idx[u.pid] = i
+		for i := range cp.entries {
 			cp.entries[i].owner = nil // the parent's; Instance.Fork claims it
 		}
 		f.nodes[name] = cp

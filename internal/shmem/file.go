@@ -632,8 +632,7 @@ func (s *FileSegment) pollLoop(stop chan struct{}) {
 		lastGen = m.generation
 		s.mu.Lock()
 		for pid, chans := range s.watchers {
-			e, ok := m.procs[pid]
-			if !ok || !e.Dirty {
+			if e := m.entry(pid); e == nil || !e.Dirty {
 				continue
 			}
 			for _, ch := range chans {

@@ -15,8 +15,11 @@ package shmem
 //
 // Common ownership rules:
 //
-//   - process entries and the per-CPU ownership table are cloned (the
-//     table is node-sized, so a 16-CPU node copies 16 slots);
+//   - the procinfo slots, each with its own copy of its theft list,
+//     and the per-CPU ownership table are cloned (the cpuinfo table is
+//     node-sized, so a 16-CPU node copies 16 slots); the fork's
+//     procinfo array is fresh, so no spare slot of the parent, nor
+//     the theft array it keeps, is reachable from both lineages;
 //   - watcher channels and the condition variable are NOT carried
 //     over: a fork starts with no synchronous waiters (the async DROM
 //     protocol the simulations use never blocks on them);
@@ -30,26 +33,15 @@ import "sync/atomic"
 func (s *MemSegment) forkMem() *MemSegment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.forkMemLocked()
-}
-
-// forkMemLocked is forkMem with s.mu already held (the file backend
-// clones freshly decoded segments no other goroutine can reach, but
-// shares this code path for exactness).
-func (s *MemSegment) forkMemLocked() *MemSegment {
-	f := &MemSegment{
+	return &MemSegment{
 		name:       s.name,
 		nodeCPUs:   s.nodeCPUs,
 		maxProcs:   s.maxProcs,
-		procs:      make(map[PID]*ProcEntry, len(s.procs)),
+		procs:      cloneProcs(s.procs),
 		cpus:       append([]cpuState(nil), s.cpus...),
 		live:       s.live,
 		generation: s.generation,
 	}
-	for pid, e := range s.procs { //simvet:ordered deep copy into a fresh map; no order-dependent output
-		f.procs[pid] = e.clone()
-	}
-	return f
 }
 
 // fork implements the sealed Segment interface method.

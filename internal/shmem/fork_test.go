@@ -136,11 +136,12 @@ func TestForkFaultReseedsDeterministically(t *testing.T) {
 	}
 }
 
-// TestSlotReuseIsInvisibleAndUnforked: a slot Unregister emptied serves
-// the next registration looking exactly like a fresh one — no mask,
-// flag, counter or theft of the process it held before — the free
-// slots are bounded by the peak of live processes, and a fork starts
-// with none, so the two lineages can never fill the same slot.
+// TestSlotReuseIsInvisibleAndUnforked: the slot Unregister empties
+// stays past the table's end with its theft array, and the next
+// registration takes that array over while looking exactly like a
+// fresh entry — no mask, flag, counter or theft of the process the
+// slot held before. A fork's array holds no spare slot of its parent's,
+// so the two lineages never fill the same slot or theft array.
 func TestSlotReuseIsInvisibleAndUnforked(t *testing.T) {
 	s := NewRegistry().MustOpen("node0", cpuset.Range(0, 15), 0).(*MemSegment)
 	fresh := NewRegistry().MustOpen("node0", cpuset.Range(0, 15), 0).(*MemSegment)
@@ -154,21 +155,24 @@ func TestSlotReuseIsInvisibleAndUnforked(t *testing.T) {
 	s.ApplyFuture(1)
 	s.SetResizeRequest(1, 5)
 	s.Unregister(1)
-	if len(s.freeProcs) != 1 {
-		t.Fatalf("%d free slots after one Unregister, want 1", len(s.freeProcs))
+	if len(s.procs) != 0 || cap(s.procs) == 0 {
+		t.Fatalf("table len %d cap %d after one Unregister, want 0 and a spare slot", len(s.procs), cap(s.procs))
 	}
-	slot := s.freeProcs[0]
+	spare := theftArray(s.procs[:1][0].Stolen)
+	if spare == nil {
+		t.Fatal("the emptied slot kept no theft array")
+	}
 
 	for _, seg := range []*MemSegment{s, fresh} {
-		if c := seg.RegisterPreInit(2, cpuset.Range(8, 15), nil); c.IsError() {
+		if c := seg.RegisterPreInit(2, cpuset.Range(8, 15), []Theft{{Victim: 9, Mask: cpuset.Range(8, 11)}}); c.IsError() {
 			t.Fatal(c)
 		}
 		if c := seg.Register(3, cpuset.Range(0, 3)); c.IsError() {
 			t.Fatal(c)
 		}
 	}
-	if s.procs[2] != slot || len(s.freeProcs) != 0 {
-		t.Error("the freed slot was not reused by the next registration")
+	if theftArray(s.procs[0].Stolen) != spare {
+		t.Error("the spare slot's theft array was not reused by the next registration")
 	}
 	if got, want := s.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("entries in reused slots\n %+v\nentries in fresh slots\n %+v", got, want)
@@ -176,15 +180,18 @@ func TestSlotReuseIsInvisibleAndUnforked(t *testing.T) {
 
 	s.Unregister(2)
 	f := s.forkMem()
-	if len(f.freeProcs) != 0 {
-		t.Errorf("fork starts with %d free slots, want 0", len(f.freeProcs))
+	for _, e := range f.procs[len(f.procs):cap(f.procs)] {
+		if theftArray(e.Stolen) != nil {
+			t.Fatal("the fork's table holds a spare theft array")
+		}
 	}
-	f.RegisterPreInit(4, cpuset.Range(8, 15), nil)
-	s.RegisterPreInit(4, cpuset.Range(8, 11), nil)
-	if f.procs[4] == s.procs[4] {
+	f.RegisterPreInit(4, cpuset.Range(8, 15), []Theft{{Victim: 3, Mask: cpuset.Range(12, 15)}})
+	s.RegisterPreInit(4, cpuset.Range(8, 11), []Theft{{Victim: 3, Mask: cpuset.Range(8, 11)}})
+	fe, se := f.entry(4), s.entry(4)
+	if fe == se || theftArray(fe.Stolen) == theftArray(se.Stolen) {
 		t.Error("fork and parent registered into the same slot")
 	}
-	if e, _ := f.Lookup(4); !e.CurrentMask.Equal(cpuset.Range(8, 15)) {
-		t.Errorf("fork's entry reads %s after the parent registered the same pid", e.CurrentMask)
+	if e, _ := f.Lookup(4); !e.CurrentMask.Equal(cpuset.Range(8, 15)) || !e.Stolen[0].Mask.Equal(cpuset.Range(12, 15)) {
+		t.Errorf("fork's entry reads %s, thefts %v after the parent registered the same pid", e.CurrentMask, e.Stolen)
 	}
 }

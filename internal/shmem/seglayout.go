@@ -18,8 +18,8 @@ package shmem
 //	  generation uint64
 //	  nprocs     uint32
 //	  ncpus      uint32   (cpuinfo slots, == cpuset.MaxCPUs)
-//	procinfo (nprocs entries, ascending PID — the encoder sorts, so
-//	equal states produce identical bytes):
+//	procinfo (nprocs entries, ascending PID — the table's own order,
+//	so equal states produce identical bytes):
 //	  pid        int64
 //	  owned, current, future  [4]uint64 each
 //	  flags      uint8    (bit0 dirty, bit1 preinit)
@@ -45,7 +45,6 @@ package shmem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/cpuset"
 )
@@ -163,13 +162,8 @@ func encodeSegment(m *MemSegment) []byte {
 	w.u64(m.generation)
 	w.u32(uint32(len(m.procs)))
 	w.u32(cpuset.MaxCPUs)
-	pids := make([]int, 0, len(m.procs))
-	for pid := range m.procs {
-		pids = append(pids, int(pid))
-	}
-	sort.Ints(pids)
-	for _, p := range pids {
-		e := m.procs[PID(p)]
+	for i := range m.procs {
+		e := &m.procs[i]
 		w.i64(int64(e.PID))
 		w.mask(e.OwnedMask)
 		w.mask(e.CurrentMask)
@@ -256,7 +250,7 @@ func decodeSegment(data []byte) (*MemSegment, error) {
 	lastPID := PID(0)
 	for i := 0; i < nprocs; i++ {
 		pid := PID(r.i64())
-		e := &ProcEntry{PID: pid}
+		e := ProcEntry{PID: pid}
 		e.OwnedMask = r.mask()
 		e.CurrentMask = r.mask()
 		e.FutureMask = r.mask()
@@ -296,7 +290,7 @@ func decodeSegment(data []byte) (*MemSegment, error) {
 			}
 			e.Stolen = append(e.Stolen, th)
 		}
-		m.procs[pid] = e
+		m.procs = append(m.procs, e)
 	}
 	for c := 0; c < ncpus; c++ {
 		owner := PID(r.i64())

@@ -14,7 +14,6 @@
 package shmem
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -78,18 +77,19 @@ func (e *ProcEntry) EffectiveMask() cpuset.CPUSet {
 	return e.CurrentMask
 }
 
-func (e *ProcEntry) clone() *ProcEntry {
-	c := *e
-	c.Stolen = append([]Theft(nil), e.Stolen...)
-	return &c
-}
-
 // MemSegment is the in-memory segment implementation — one node's
 // shared memory: a procinfo table plus a cpuinfo table, guarded by a
 // single mutex like DLB's lock-protected segment. It is the default
 // backend's segment and the reference semantics every other backend
 // must match (the file backend literally runs these methods on a
 // decoded MemSegment under the file lock).
+//
+// The procinfo table is an array of slots, as in DLB: procs holds the
+// registered entries in ascending PID order, found by a linear scan (a
+// node holds a few processes), so the readers that answer in PID order
+// sort nothing. The slots past its length are spare: zero but for the
+// Stolen array Unregister left there, which the next registration
+// takes over, so a replay allocates no slot per task.
 //
 // The cpuinfo table holds one slot per CPU up to the node's highest,
 // not one per cpuset.MaxCPUs: a 16-CPU node keeps 16 slots. A CPU
@@ -101,7 +101,7 @@ type MemSegment struct {
 	maxProcs int
 
 	mu    sync.Mutex
-	procs map[PID]*ProcEntry
+	procs []ProcEntry
 	// cpus is the cpuinfo table: slot c serves CPU c, for every CPU up
 	// to nodeCPUs' highest.
 	cpus []cpuState
@@ -113,16 +113,6 @@ type MemSegment struct {
 	// cpuset.MaxCPUs slots — a zero slot matches no process, PIDs being
 	// positive.
 	live cpuset.CPUSet
-	// freeProcs holds the slots Unregister emptied, zeroed but for the
-	// Stolen backing array, for the next Register/RegisterPreInit to
-	// fill: no caller ever holds a slot's pointer (Lookup and Snapshot
-	// return copies), so a replay registers its tasks into the same few
-	// slots instead of allocating one per task. The list never exceeds
-	// the peak of simultaneously registered processes, and a fork starts
-	// with none.
-	//
-	//simvet:freelist
-	freeProcs []*ProcEntry
 	// generation increments on every mutation; synchronous waiters use
 	// it to detect progress without missing wakeups.
 	generation uint64
@@ -145,28 +135,46 @@ func newSegment(name string, nodeCPUs cpuset.CPUSet, maxProcs int) *MemSegment {
 
 // reset makes s what newSegment(name, nodeCPUs, maxProcs) would: no
 // process registered, every CPU unowned, generation 0, no watcher. It
-// keeps the table's map, the cpuinfo array when it is the node's size,
-// and the free list of emptied slots; an entry still registered is
-// dropped, not recycled. The caller owns s alone meanwhile.
+// keeps the procinfo array, every slot of it spare (an entry still
+// registered is emptied like Unregister empties one), and the cpuinfo
+// array when it is the node's size. The caller owns s alone meanwhile.
 func (s *MemSegment) reset(name string, nodeCPUs cpuset.CPUSet, maxProcs int) {
 	procs := s.procs
-	if procs == nil {
-		procs = make(map[PID]*ProcEntry)
+	for i := range procs {
+		procs[i] = ProcEntry{Stolen: procs[i].Stolen[:0]}
 	}
-	clear(procs)
 	cpus := s.cpus
 	if n := nodeCPUs.Last() + 1; len(cpus) != n {
 		cpus = make([]cpuState, n)
 	}
 	clear(cpus)
 	*s = MemSegment{
-		name:      name,
-		nodeCPUs:  nodeCPUs,
-		maxProcs:  maxProcs,
-		procs:     procs,
-		cpus:      cpus,
-		freeProcs: s.freeProcs,
+		name:     name,
+		nodeCPUs: nodeCPUs,
+		maxProcs: maxProcs,
+		procs:    procs[:0],
+		cpus:     cpus,
 	}
+}
+
+// entry returns pid's slot, or nil when pid is not registered. Called
+// with the lock held; the pointer is good until the next registration
+// or Unregister moves the slots.
+func (s *MemSegment) entry(pid PID) *ProcEntry {
+	if i := s.find(pid); i >= 0 {
+		return &s.procs[i]
+	}
+	return nil
+}
+
+// find returns the index of pid's slot in procs, or -1.
+func (s *MemSegment) find(pid PID) int {
+	for i := range s.procs {
+		if s.procs[i].PID == pid {
+			return i
+		}
+	}
+	return -1
 }
 
 // Register adds a process slot with the given owned/current mask.
@@ -180,7 +188,7 @@ func (s *MemSegment) reset(name string, nodeCPUs cpuset.CPUSet, maxProcs int) {
 func (s *MemSegment) Register(pid PID, mask cpuset.CPUSet) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.procs[pid]; ok {
+	if e := s.entry(pid); e != nil {
 		if !e.PreInit {
 			return derr.ErrAlreadyInit
 		}
@@ -201,20 +209,21 @@ func (s *MemSegment) Register(pid PID, mask cpuset.CPUSet) derr.Code {
 	return derr.Success
 }
 
-// newSlot fills a process slot for pid holding mask — a recycled one
-// when Unregister left any — and enters it in the table. Called with
-// the lock held.
+// newSlot enters a slot for pid holding mask at its place in PID
+// order — almost always the end, PIDs being allocated ascending — with
+// the Stolen array of the spare slot it takes over, and returns it.
+// Called with the lock held; pid is not registered.
 func (s *MemSegment) newSlot(pid PID, mask cpuset.CPUSet) *ProcEntry {
-	var e *ProcEntry
-	if n := len(s.freeProcs); n > 0 {
-		e, s.freeProcs[n-1] = s.freeProcs[n-1], nil
-		s.freeProcs = s.freeProcs[:n-1]
-	} else {
-		e = new(ProcEntry)
+	n := len(s.procs)
+	s.procs = slices.Grow(s.procs, 1)[:n+1]
+	stolen := s.procs[n].Stolen
+	i := n
+	for i > 0 && s.procs[i-1].PID > pid {
+		i--
 	}
-	e.PID, e.OwnedMask, e.CurrentMask = pid, mask, mask
-	s.procs[pid] = e
-	return e
+	copy(s.procs[i+1:], s.procs[i:n])
+	s.procs[i] = ProcEntry{PID: pid, OwnedMask: mask, CurrentMask: mask, Stolen: stolen}
+	return &s.procs[i]
 }
 
 // RegisterPreInit adds a PreInit slot on behalf of a process that will
@@ -223,7 +232,7 @@ func (s *MemSegment) newSlot(pid PID, mask cpuset.CPUSet) *ProcEntry {
 func (s *MemSegment) RegisterPreInit(pid PID, mask cpuset.CPUSet, stolen []Theft) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.procs[pid]; ok {
+	if s.find(pid) >= 0 {
 		return derr.ErrAlreadyInit
 	}
 	if len(s.procs) >= s.maxProcs {
@@ -243,17 +252,17 @@ func (s *MemSegment) RegisterPreInit(pid PID, mask cpuset.CPUSet, stolen []Theft
 func (s *MemSegment) Unregister(pid PID) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.procs[pid]
-	if !ok {
+	i := s.find(pid)
+	if i < 0 {
 		return derr.ErrNoProc
 	}
-	delete(s.procs, pid)
-	*e = ProcEntry{Stolen: e.Stolen[:0]}
-	if s.freeProcs == nil {
-		// The list never holds more slots than were registered at once.
-		s.freeProcs = make([]*ProcEntry, 0, len(s.procs)+1)
-	}
-	s.freeProcs = append(s.freeProcs, e)
+	// Close the gap; the slot that falls past the end keeps the gone
+	// entry's Stolen array for the next registration.
+	stolen := s.procs[i].Stolen[:0]
+	last := len(s.procs) - 1
+	copy(s.procs[i:], s.procs[i+1:])
+	s.procs[last] = ProcEntry{Stolen: stolen}
+	s.procs = s.procs[:last]
 	// Drop ownership of the process's CPUs in the cpuinfo table.
 	for c := s.live.First(); c >= 0; c = s.live.Next(c + 1) {
 		st := &s.cpus[c]
@@ -285,8 +294,8 @@ func (s *MemSegment) LookupInto(pid PID, dst *ProcEntry) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	stolen := dst.Stolen[:0]
-	e, ok := s.procs[pid]
-	if !ok {
+	e := s.entry(pid)
+	if e == nil {
 		*dst = ProcEntry{Stolen: stolen}
 		return derr.ErrNoProc
 	}
@@ -299,11 +308,10 @@ func (s *MemSegment) LookupInto(pid PID, dst *ProcEntry) derr.Code {
 func (s *MemSegment) PIDList() []PID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]PID, 0, len(s.procs))
-	for pid := range s.procs {
-		out = append(out, pid)
+	out := make([]PID, len(s.procs))
+	for i := range s.procs {
+		out[i] = s.procs[i].PID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -321,7 +329,8 @@ func (s *MemSegment) UsedMask() cpuset.CPUSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var u cpuset.CPUSet
-	for _, e := range s.procs {
+	for i := range s.procs {
+		e := &s.procs[i]
 		u = u.Or(e.CurrentMask)
 		if e.Dirty {
 			u = u.Or(e.FutureMask)
@@ -345,7 +354,8 @@ func (s *MemSegment) EffectiveUsedMask() cpuset.CPUSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var u cpuset.CPUSet
-	for _, e := range s.procs {
+	for i := range s.procs {
+		e := &s.procs[i]
 		if e.Dirty {
 			u = u.Or(e.FutureMask)
 		} else {
@@ -368,7 +378,8 @@ func (s *MemSegment) ResolveThefts(dst []Theft, pid PID, mask cpuset.CPUSet, ste
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	thefts := dst[:0]
-	for _, e := range s.procs {
+	for i := range s.procs {
+		e := &s.procs[i]
 		if e.PID == pid {
 			continue
 		}
@@ -389,10 +400,6 @@ func (s *MemSegment) ResolveThefts(dst []Theft, pid PID, mask cpuset.CPUSet, ste
 		}
 		thefts = append(thefts, Theft{Victim: e.PID, Mask: conflict})
 	}
-	// The map iteration above is unordered; victims must come back in
-	// a deterministic order because callers stage the shrinks (and
-	// later return the CPUs) in list order.
-	slices.SortFunc(thefts, func(a, b Theft) int { return cmp.Compare(a.Victim, b.Victim) })
 	return thefts, derr.Success
 }
 
@@ -402,8 +409,8 @@ func (s *MemSegment) ResolveThefts(dst []Theft, pid PID, mask cpuset.CPUSet, ste
 func (s *MemSegment) SetFuture(pid PID, mask cpuset.CPUSet) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.procs[pid]
-	if !ok {
+	e := s.entry(pid)
+	if e == nil {
 		return derr.ErrNoProc
 	}
 	if mask.IsEmpty() || !mask.IsSubsetOf(s.nodeCPUs) {
@@ -422,8 +429,8 @@ func (s *MemSegment) SetFuture(pid PID, mask cpuset.CPUSet) derr.Code {
 func (s *MemSegment) ApplyFuture(pid PID) (cpuset.CPUSet, derr.Code) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.procs[pid]
-	if !ok {
+	e := s.entry(pid)
+	if e == nil {
 		return cpuset.CPUSet{}, derr.ErrNoProc
 	}
 	e.Stats.Polls++
@@ -448,8 +455,8 @@ func (s *MemSegment) ApplyFuture(pid PID) (cpuset.CPUSet, derr.Code) {
 func (s *MemSegment) SetResizeRequest(pid PID, n int) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.procs[pid]
-	if !ok {
+	e := s.entry(pid)
+	if e == nil {
 		return derr.ErrNoProc
 	}
 	if n < 0 {
@@ -465,8 +472,8 @@ func (s *MemSegment) SetResizeRequest(pid PID, n int) derr.Code {
 func (s *MemSegment) SetStolen(pid PID, stolen []Theft) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.procs[pid]
-	if !ok {
+	e := s.entry(pid)
+	if e == nil {
 		return derr.ErrNoProc
 	}
 	e.Stolen = append(e.Stolen[:0], stolen...)
@@ -492,8 +499,8 @@ func (s *MemSegment) WaitClean(pid PID, cancel <-chan struct{}) derr.Code {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		e, ok := s.procs[pid]
-		if !ok {
+		e := s.entry(pid)
+		if e == nil {
 			return derr.ErrNoProc
 		}
 		if !e.Dirty {
@@ -578,11 +585,17 @@ func (s *MemSegment) bump() {
 func (s *MemSegment) Snapshot() []ProcEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]ProcEntry, 0, len(s.procs))
-	for _, e := range s.procs {
-		out = append(out, *e.clone())
+	return cloneProcs(s.procs)
+}
+
+// cloneProcs returns a fresh copy of procs, each entry with a fresh
+// copy of its theft list.
+func cloneProcs(procs []ProcEntry) []ProcEntry {
+	out := make([]ProcEntry, len(procs))
+	copy(out, procs)
+	for i := range out {
+		out[i].Stolen = append([]Theft(nil), out[i].Stolen...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
 	return out
 }
 

@@ -510,3 +510,41 @@ func TestDoubleUnregister(t *testing.T) {
 		t.Fatalf("used mask after re-register = %v", got)
 	}
 }
+
+// TestProcTableSteadyStateAllocs: on a warm segment a whole process
+// lifetime — DROM_PreInit stealing from a co-tenant, the process
+// attaching, a mask staged and applied, a reader's copy of the entry,
+// the exit — allocates nothing: the slot and the theft array the last
+// Unregister left spare serve the next registration.
+func TestProcTableSteadyStateAllocs(t *testing.T) {
+	s := newSegment("n", cpuset.Range(0, 15), DefaultMaxProcs)
+	if c := s.Register(1000, cpuset.Range(0, 15)); c.IsError() {
+		t.Fatal(c)
+	}
+	theft := []Theft{{Victim: 1000, Mask: cpuset.Range(8, 15)}}
+	var e ProcEntry
+	pid := PID(1001)
+	cycle := func() {
+		codes := [...]derr.Code{
+			s.RegisterPreInit(pid, cpuset.Range(8, 15), theft),
+			s.Register(pid, cpuset.Range(8, 15)),
+			s.SetFuture(pid, cpuset.Range(8, 11)),
+			func() derr.Code { _, c := s.ApplyFuture(pid); return c }(),
+			s.LookupInto(pid, &e),
+			s.Unregister(pid),
+		}
+		for i, c := range codes {
+			if c.IsError() {
+				t.Fatalf("step %d of pid %d's cycle: %v", i, pid, c)
+			}
+		}
+		pid++
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("%.1f allocations per process cycle on a warm segment, want 0", n)
+	}
+	if len(e.Stolen) != 1 || e.Stolen[0] != theft[0] {
+		t.Errorf("the reader's copy holds thefts %v, want %v", e.Stolen, theft)
+	}
+}

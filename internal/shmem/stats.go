@@ -28,7 +28,7 @@ type Stats struct {
 // statsOf returns the live stats struct for pid, creating nothing.
 // Caller holds s.mu.
 func (s *MemSegment) statsOf(pid PID) *Stats {
-	if e, ok := s.procs[pid]; ok {
+	if e := s.entry(pid); e != nil {
 		return &e.Stats
 	}
 	return nil
@@ -38,7 +38,7 @@ func (s *MemSegment) statsOf(pid PID) *Stats {
 func (s *MemSegment) StatsOf(pid PID) (Stats, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.procs[pid]; ok {
+	if e := s.entry(pid); e != nil {
 		return e.Stats, true
 	}
 	return Stats{}, false

@@ -275,15 +275,14 @@ type reusable struct {
 	// Reusable scratch for the builtin planner (planBuiltin and
 	// releaseResources): the task/affinity plugin's buffers, each
 	// node's occupants as slurmd input, the placement candidates with
-	// their plans (a slot's mask slice and shrink map are rewritten in
+	// their plans (a slot's mask and shrink slices are rewritten in
 	// place), the chosen plans in name order, and release_resources'
-	// grown masks with their PIDs in order.
+	// grown tasks in PID order.
 	plan        planner
 	occ         []JobOnNode
 	cands       []builtinCand
 	chosenPlans []LaunchPlan
-	grown       map[shmem.PID]cpuset.CPUSet
-	grownPIDs   []int
+	grown       []TaskInfo
 
 	// Spillover-pass scratch (spillPass): merge cursors, the chosen
 	// host nodes, and per partition the ascending free-count vector,
@@ -670,7 +669,7 @@ func (ctl *Controller) selectNodes(j *Job, pidx int) ([]int, []LaunchPlan) {
 		case PolicyOversubscribe:
 			// Always feasible: overlap the requested layout.
 			c.plan.NewTaskMasks = c.plan.NewTaskMasks[:0]
-			clear(c.plan.Shrinks)
+			c.plan.Shrinks = c.plan.Shrinks[:0]
 			ctl.splitBuf = splitEvenInto(ctl.splitBuf, j.CPUsPerNode(), j.RanksPerNode())
 			lo := 0
 			for _, n := range ctl.splitBuf {
@@ -1163,22 +1162,12 @@ func (ctl *Controller) releaseResources(ni int) {
 	if free.IsEmpty() {
 		return
 	}
-	if ctl.grown == nil {
-		ctl.grown = make(map[shmem.PID]cpuset.CPUSet)
-	}
-	grown := ctl.grown
-	ctl.plan.expand(ctl.cluster.MachineOfNode(ni), ctl.jobsOn(ni), free, grown)
-	// Apply in PID order: the protocol events and the first error
-	// surfaced through ctl.fail must not depend on map iteration.
-	pids := ctl.grownPIDs[:0]
-	for pid := range grown { //simvet:ordered keys collected and sorted below
-		pids = append(pids, int(pid))
-	}
-	sort.Ints(pids)
-	ctl.grownPIDs = pids
-	for _, p := range pids {
-		pid := shmem.PID(p)
-		mask := grown[pid]
+	// expand returns the grows in PID order, the order the protocol
+	// events and the first error surfaced through ctl.fail follow.
+	grown := ctl.plan.expand(ctl.cluster.MachineOfNode(ni), ctl.jobsOn(ni), free, ctl.grown)
+	ctl.grown = grown
+	for _, g := range grown {
+		pid, mask := g.PID, g.Mask
 		// Preserve any pending staged mask: grow from the effective value.
 		if e, code := admin.Peek(pid); !code.IsError() {
 			mask = e.EffectiveMask().Or(mask.AndNot(e.CurrentMask))

@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/cpuset"
@@ -35,12 +36,13 @@ func (j JobOnNode) currentCPUs() int {
 // shrinks are informational — slurmstepd realizes them by calling
 // DROM_PreInit with the steal flag on the new masks, which stages
 // exactly these keeps on the victims (and records the thefts for
-// post_term).
+// post_term); the controller reads only how many there are.
 type LaunchPlan struct {
 	// NewTaskMasks has one mask per new task, in task order.
 	NewTaskMasks []cpuset.CPUSet
-	// Shrinks maps running-task PIDs to their new (smaller) masks.
-	Shrinks map[shmem.PID]cpuset.CPUSet
+	// Shrinks holds each running task that shrinks with its new
+	// (smaller) mask, in the order of the running jobs and their tasks.
+	Shrinks []TaskInfo
 }
 
 // planner is the task/affinity plugin's scratch: the controller owns
@@ -91,9 +93,9 @@ func splitEvenInto(dst []int, total, n int) []int {
 // the CPUs freed plus the already-free ones ("trying to keep
 // applications in separate sockets in order to improve data
 // locality"). It reports false, leaving plan to be rewritten, when the
-// new job cannot receive at least one CPU per task. plan's mask slice
-// and shrink map are reused (the map is made by the first shrink): a
-// plan read after the next launch into the same value is gone.
+// new job cannot receive at least one CPU per task. plan's mask and
+// shrink slices are reused: a plan read after the next launch into the
+// same value is gone.
 func (p *planner) launch(m hwmodel.Machine, running []JobOnNode, newJob *Job, plan *LaunchPlan) bool {
 	cores := m.CoresPerNode()
 	newTasks := newJob.RanksPerNode()
@@ -127,7 +129,7 @@ func (p *planner) launch(m hwmodel.Machine, running []JobOnNode, newJob *Job, pl
 	newAlloc := alloc[len(alloc)-1]
 
 	plan.NewTaskMasks = slices.Grow(plan.NewTaskMasks[:0], newTasks)
-	clear(plan.Shrinks)
+	plan.Shrinks = plan.Shrinks[:0]
 
 	// Shrink running malleable jobs to their targets, keeping each
 	// task compact on its own socket(s).
@@ -154,10 +156,7 @@ func (p *planner) launch(m hwmodel.Machine, running []JobOnNode, newJob *Job, pl
 		for ti, t := range r.Tasks {
 			keep := m.SocketAwarePick(t.Mask, p.per[ti])
 			if !keep.Equal(t.Mask) {
-				if plan.Shrinks == nil {
-					plan.Shrinks = make(map[shmem.PID]cpuset.CPUSet)
-				}
-				plan.Shrinks[t.PID] = keep
+				plan.Shrinks = append(plan.Shrinks, TaskInfo{PID: t.PID, Mask: keep})
 			}
 			used = used.Or(keep)
 		}
@@ -177,15 +176,15 @@ func (p *planner) launch(m hwmodel.Machine, running []JobOnNode, newJob *Job, pl
 	return true
 }
 
-// expand computes release_resources (Figure 2 step 5) into grown,
-// which it clears first: free CPUs are redistributed to running
+// expand computes release_resources (Figure 2 step 5) into
+// grown[:0], which it returns: free CPUs are redistributed to running
 // malleable jobs still below their request, socket-aware, balanced per
-// task. grown receives the grown mask of every task that actually
-// grows.
-func (p *planner) expand(m hwmodel.Machine, running []JobOnNode, free cpuset.CPUSet, grown map[shmem.PID]cpuset.CPUSet) {
-	clear(grown)
+// task. grown receives every task that actually grows with its grown
+// mask, in ascending PID order — the order the grows are applied in.
+func (p *planner) expand(m hwmodel.Machine, running []JobOnNode, free cpuset.CPUSet, grown []TaskInfo) []TaskInfo {
+	grown = grown[:0]
 	if free.IsEmpty() {
-		return
+		return grown
 	}
 	// Compute deficits: the jobs below their request, and by how many
 	// CPUs per node.
@@ -200,7 +199,7 @@ func (p *planner) expand(m hwmodel.Machine, running []JobOnNode, free cpuset.CPU
 		}
 	}
 	if len(p.wants) == 0 {
-		return
+		return grown
 	}
 	// Fair split of the free CPUs proportional-ish: waterfill over
 	// deficits.
@@ -245,7 +244,9 @@ func (p *planner) expand(m hwmodel.Machine, running []JobOnNode, free cpuset.CPU
 				continue
 			}
 			avail = avail.AndNot(extra)
-			grown[t.PID] = t.Mask.Or(extra)
+			grown = append(grown, TaskInfo{PID: t.PID, Mask: t.Mask.Or(extra)})
 		}
 	}
+	slices.SortFunc(grown, func(a, b TaskInfo) int { return cmp.Compare(a.PID, b.PID) })
+	return grown
 }

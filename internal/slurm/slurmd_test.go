@@ -1,7 +1,6 @@
 package slurm
 
 import (
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -23,10 +22,19 @@ func planLaunch(m hwmodel.Machine, running []JobOnNode, j *Job) (LaunchPlan, boo
 }
 
 // planExpand runs release_resources on a fresh planner.
-func planExpand(m hwmodel.Machine, running []JobOnNode, free cpuset.CPUSet) map[shmem.PID]cpuset.CPUSet {
-	grown := make(map[shmem.PID]cpuset.CPUSet)
-	new(planner).expand(m, running, free, grown)
-	return grown
+func planExpand(m hwmodel.Machine, running []JobOnNode, free cpuset.CPUSet) []TaskInfo {
+	return new(planner).expand(m, running, free, nil)
+}
+
+// maskOf returns pid's mask in a plan's task list (its shrinks or its
+// grows), and whether pid is there.
+func maskOf(tasks []TaskInfo, pid shmem.PID) (cpuset.CPUSet, bool) {
+	for _, t := range tasks {
+		if t.PID == pid {
+			return t.Mask, true
+		}
+	}
+	return cpuset.CPUSet{}, false
 }
 
 // waterfill runs the planner's zero-floor equipartition on a fresh
@@ -167,7 +175,7 @@ func TestPlanLaunchEquipartitionUC2(t *testing.T) {
 		t.Fatal("launch refused")
 	}
 	// Equipartition: 8 for each, new on one socket, victim keeps one.
-	shrunk, ok := plan.Shrinks[100]
+	shrunk, ok := maskOf(plan.Shrinks, 100)
 	if !ok || shrunk.Count() != 8 {
 		t.Fatalf("victim shrink = %v (ok=%v)", shrunk, ok)
 	}
@@ -196,8 +204,8 @@ func TestPlanLaunchSmallAnalytics(t *testing.T) {
 	if !ok {
 		t.Fatal("launch refused")
 	}
-	if plan.Shrinks[100].Count() != 15 {
-		t.Fatalf("victim keeps %d CPUs, want 15", plan.Shrinks[100].Count())
+	if kept, _ := maskOf(plan.Shrinks, 100); kept.Count() != 15 {
+		t.Fatalf("victim keeps %d CPUs, want 15", kept.Count())
 	}
 	if plan.NewTaskMasks[0].Count() != 1 {
 		t.Fatalf("analytics mask = %v", plan.NewTaskMasks[0])
@@ -256,7 +264,7 @@ func TestPlanExpand(t *testing.T) {
 		Tasks: []TaskInfo{{PID: 100, Mask: cpuset.Range(0, 7)}},
 	}}
 	grown := planExpand(m, running, cpuset.Range(8, 15))
-	if got := grown[100]; !got.Equal(cpuset.Range(0, 15)) {
+	if got, _ := maskOf(grown, 100); !got.Equal(cpuset.Range(0, 15)) {
 		t.Fatalf("expanded mask = %v", got)
 	}
 	// Nothing free → nothing grows.
@@ -308,7 +316,7 @@ func TestPropertyPlanLaunch(t *testing.T) {
 		if !ok {
 			return true // infeasible is a legal outcome
 		}
-		if !slices.Equal(sharedPlan.NewTaskMasks, plan.NewTaskMasks) || !maps.Equal(sharedPlan.Shrinks, plan.Shrinks) {
+		if !slices.Equal(sharedPlan.NewTaskMasks, plan.NewTaskMasks) || !slices.Equal(sharedPlan.Shrinks, plan.Shrinks) {
 			return false
 		}
 		// New masks pairwise disjoint, non-empty, within the node.
@@ -324,7 +332,7 @@ func TestPropertyPlanLaunch(t *testing.T) {
 		for _, jb := range running {
 			for _, task := range jb.Tasks {
 				kept := task.Mask
-				if sh, ok := plan.Shrinks[task.PID]; ok {
+				if sh, ok := maskOf(plan.Shrinks, task.PID); ok {
 					if !jb.Job.Malleable {
 						return false // rigid jobs must never shrink
 					}
@@ -353,19 +361,21 @@ func TestPlanExpandSharesAmongJobs(t *testing.T) {
 	}
 	grown := planExpand(m, running, cpuset.Range(8, 15))
 	total := 0
-	for pid, mask := range grown {
+	for _, g := range grown {
 		var before cpuset.CPUSet
-		if pid == 1 {
+		if g.PID == 1 {
 			before = cpuset.Range(0, 3)
 		} else {
 			before = cpuset.Range(4, 7)
 		}
-		total += mask.AndNot(before).Count()
+		total += g.Mask.AndNot(before).Count()
 	}
 	if total != 8 {
 		t.Errorf("distributed %d CPUs, want 8", total)
 	}
-	if grown[1].Intersects(grown[2]) {
+	g1, _ := maskOf(grown, 1)
+	g2, _ := maskOf(grown, 2)
+	if g1.Intersects(g2) {
 		t.Error("expanded masks overlap")
 	}
 }
